@@ -24,35 +24,27 @@ use dsk_comm::{Comm, Phase};
 use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::partition::block_owner;
-use dsk_sparse::{CooMatrix, CsrMatrix};
+use dsk_sparse::CsrMatrix;
 
-use crate::common::{block_range, Elision, ProblemDims, Sampling};
-use crate::global::GlobalProblem;
+use crate::common::{block_range, Elision, Sampling};
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::layout::DenseLayout;
+use crate::planview::PlanView;
+use crate::rstore::RStore;
 use crate::staged::StagedProblem;
 
-/// One direction's scatter plan and remapped local matrix.
+/// One direction's scatter plan.
 struct Plan {
-    /// Local sparse block with columns remapped into the stacked
-    /// `[local rows ‖ fetched rows]` index space.
-    s_remapped: CsrMatrix,
     /// For every peer rank: the *global* rows this rank must serve to
     /// it each call.
     serve: Vec<Vec<u32>>,
     /// Number of rows fetched from each peer (for assembling the
     /// stacked operand).
     fetch_counts: Vec<usize>,
-    /// Global operand-row index of each stacked-operand index (inverse
-    /// of the column remap; needed to report results in global
-    /// coordinates).
-    inv_col: Vec<u32>,
 }
 
 /// Per-rank state of the 1D block-row baseline.
 pub struct Baseline1D {
-    dims: ProblemDims,
-    p: usize,
+    view: PlanView,
     /// World communicator (duplicated; owned by the worker so the
     /// [`DistKernel`] surface needs no per-call communicator).
     comm: Comm,
@@ -62,25 +54,25 @@ pub struct Baseline1D {
     pub b_loc: Mat,
     /// Plan for SpMMA / SDDMM (`S`-oriented: fetches `B` rows).
     plan_a: Plan,
+    /// The local block row of `S`, columns remapped into the stacked
+    /// `[local rows ‖ fetched rows]` space of `plan_a` (the store's
+    /// column map is the inverse remap), with the SDDMM result on it.
+    r: RStore,
     /// Plan for SpMMB (`Sᵀ`-oriented: fetches `A` rows).
     plan_b: Plan,
-    /// SDDMM result values, aligned with `plan_a.s_remapped`'s CSR
-    /// nonzero order.
-    r_vals: Option<Vec<f64>>,
-    /// Tuned local-kernel variants (all-naive until
-    /// [`Baseline1D::tune_local`] runs).
-    local: kern::LocalPicks,
+    /// The local block row of `Sᵀ`, remapped for `plan_b`.
+    st_remapped: CsrMatrix,
+    /// Global `S` row of each stacked-operand index of `plan_b`.
+    st_inv_col: Vec<u32>,
+    /// Tuned local-kernel variants (all-naive until the builder tunes).
+    pub(crate) local: kern::LocalPicks,
 }
 
 impl Baseline1D {
-    /// Build this rank's state, including the static scatter plans
-    /// (construction traffic is charged to the `Setup` phase, matching
-    /// PETSc's amortized symbolic factorization).
-    pub fn from_global(comm: &Comm, prob: &GlobalProblem) -> Self {
-        Self::from_staged(comm, &StagedProblem::ephemeral(prob))
-    }
-
-    /// Build from shared staging (benchmark path).
+    /// Build this rank's state from shared staging, including the
+    /// static scatter plans (construction traffic is charged to the
+    /// `Setup` phase, matching PETSc's amortized symbolic
+    /// factorization).
     pub fn from_staged(comm: &Comm, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
         let p = comm.size();
@@ -98,47 +90,32 @@ impl Baseline1D {
         let a_loc = prob.a.rows_block(row_blocks_m[me].clone());
         let b_loc = prob.b.rows_block(row_blocks_n[me].clone());
 
-        let plan_a = Self::build_plan(comm, &s_loc, n);
-        let plan_b = Self::build_plan(comm, &st_loc, m);
+        let (plan_a, s_remapped, inv_col) = Self::build_plan(comm, &s_loc, n);
+        let (plan_b, st_remapped, st_inv_col) = Self::build_plan(comm, &st_loc, m);
+        let offset = (row_blocks_m[me].start, 0);
         Baseline1D {
-            dims: prob.dims,
-            p,
+            view: PlanView::of(KernelId::Baseline1D, 1, p, prob.dims),
             comm: comm.dup(),
             a_loc,
             b_loc,
             plan_a,
+            r: RStore::csr((m, n), vec![s_remapped], vec![offset]).with_col_map(inv_col),
             plan_b,
-            r_vals: None,
+            st_remapped,
+            st_inv_col,
             local: kern::LocalPicks::default(),
         }
     }
 
-    /// Resolve this worker's local-kernel variants against the shared
-    /// tuning cache, microbenchmarking on the `S`-oriented remapped
-    /// block when the shape class is new. The baseline has no local
-    /// fused kernel (its fused path is SDDMM then SpMM), so the fused
-    /// pick stays naive. Wall time lands in [`Phase::LocalTuning`]; no
-    /// communication, no flop accounting.
-    pub(crate) fn tune_local(&mut self, staged: &StagedProblem, comm: &Comm) {
-        let _t = comm.phase(Phase::LocalTuning);
-        let tuning = staged.local_tuning();
-        let (p, dims, nnz) = (comm.size(), self.dims, staged.prob.nnz());
-        let req = |op| crate::kernel::baseline_tune_request(op, p, dims, nnz);
-        // The baseline never runs a transpose scatter (SpMMB goes
-        // through the Sᵀ-oriented plan's row-major SpMM), so only the
-        // two ops it actually calls are tuned.
-        let blk = &self.plan_a.s_remapped;
-        self.local = kern::LocalPicks {
-            spmm: tuning.tune_csr(req(kern::LocalOp::Spmm), blk),
-            spmm_t: kern::LocalKernel::Naive,
-            sddmm: tuning.tune_csr(req(kern::LocalOp::Sddmm), blk),
-            fused: kern::LocalKernel::Naive,
-        };
-    }
-
     /// Exchange the static fetch lists and remap the local block's
-    /// columns into the stacked operand space.
-    fn build_plan(comm: &Comm, s_loc: &CsrMatrix, operand_rows: usize) -> Plan {
+    /// columns into the stacked operand space. Returns the plan, the
+    /// remapped block, and the inverse remap (global operand row of
+    /// each stacked-operand index).
+    fn build_plan(
+        comm: &Comm,
+        s_loc: &CsrMatrix,
+        operand_rows: usize,
+    ) -> (Plan, CsrMatrix, Vec<u32>) {
         let p = comm.size();
         let me = comm.rank();
         let my_range = block_range(operand_rows, p, me);
@@ -184,29 +161,19 @@ impl Baseline1D {
         for reqs in &requests {
             inv_col.extend_from_slice(reqs);
         }
-        Plan {
-            s_remapped: CsrMatrix::from_coo(&remapped),
+        let plan = Plan {
             serve,
             fetch_counts,
-            inv_col,
-        }
-    }
-
-    /// Problem dimensions.
-    pub fn dims(&self) -> ProblemDims {
-        self.dims
-    }
-
-    /// 1D layout of an `rows × r` matrix.
-    pub fn layout(rows: usize, r: usize, p: usize) -> impl Fn(usize) -> DenseLayout {
-        move |g| DenseLayout::single(block_range(rows, p, g), 0..r)
+        };
+        (plan, CsrMatrix::from_coo(&remapped), inv_col)
     }
 
     /// Execute the per-call scatter: serve my rows to requesters,
     /// receive fetched rows, and stack them under the local operand.
-    fn scatter_operand(&self, comm: &Comm, plan: &Plan, local: &Mat, operand_rows: usize) -> Mat {
+    fn scatter_operand(&self, plan: &Plan, local: &Mat, operand_rows: usize) -> Mat {
+        let comm = &self.comm;
         let _ph = comm.phase(Phase::Propagation);
-        let p = self.p;
+        let p = self.view.p();
         let me = comm.rank();
         let my_start = block_range(operand_rows, p, me).start;
         let r = local.ncols();
@@ -232,99 +199,59 @@ impl Baseline1D {
 
     /// Scatter + local SpMM through one plan: the shared body of SpMMA
     /// (`S`-oriented, operand `B`-side) and SpMMB (`Sᵀ`-oriented,
-    /// operand `A`-side). `vals` overrides the sparse values with an
-    /// array in the plan's CSR order (R-valued SpMM).
-    fn spmm_plan_vals(
-        &self,
-        comm: &Comm,
-        plan: &Plan,
-        local: &Mat,
-        operand_rows: usize,
-        vals: Option<&[f64]>,
-    ) -> Mat {
-        let operand = self.scatter_operand(comm, plan, local, operand_rows);
-        let s = &plan.s_remapped;
-        let mut out = Mat::zeros(s.nrows(), self.dims.r);
-        let owned;
-        let s_ref = match vals {
-            Some(v) => {
-                let mut sv = s.clone();
-                sv.set_vals(v.to_vec());
-                owned = sv;
-                &owned
-            }
-            None => s,
-        };
-        comm.compute(kern::spmm_flops(s.nnz(), self.dims.r), || {
-            self.local.spmm.spmm_csr(&mut out, s_ref, &operand)
+    /// operand `A`-side). `s` is the plan's remapped block carrying the
+    /// values to multiply with.
+    fn spmm_plan(&self, plan: &Plan, s: &CsrMatrix, local: &Mat, operand_rows: usize) -> Mat {
+        let operand = self.scatter_operand(plan, local, operand_rows);
+        let r = self.view.dims().r;
+        let mut out = Mat::zeros(s.nrows(), r);
+        self.comm.compute(kern::spmm_flops(s.nnz(), r), || {
+            self.local.spmm.spmm_csr(&mut out, s, &operand)
         });
         out
     }
 
-    /// Distributed SpMMA: `S·B` in 1D block rows (PETSc `MatMatMult`
-    /// analogue).
-    fn spmm_a_vals(&self, comm: &Comm, operand_b: &Mat, vals: Option<&[f64]>) -> Mat {
-        self.spmm_plan_vals(comm, &self.plan_a, operand_b, self.dims.n, vals)
-    }
-
-    /// Distributed SpMMA on the stored operands.
-    pub fn spmm_a_on(&self, comm: &Comm) -> Mat {
-        self.spmm_a_vals(comm, &self.b_loc, None)
-    }
-
-    /// Distributed SpMMB: `Sᵀ·A` in 1D block rows. `vals` overrides the
-    /// sparse values with a `Sᵀ`-ordered array (R-valued SpMMB).
-    fn spmm_b_vals(&self, comm: &Comm, vals: Option<&[f64]>) -> Mat {
-        self.spmm_plan_vals(comm, &self.plan_b, &self.a_loc, self.dims.m, vals)
-    }
-
-    /// Distributed SpMMB on the stored operands.
-    pub fn spmm_b_on(&self, comm: &Comm) -> Mat {
-        self.spmm_b_vals(comm, None)
+    /// Distributed SpMMA `s·operand_b` in 1D block rows (PETSc
+    /// `MatMatMult` analogue); `s` is the `S`-oriented block.
+    fn spmm_a_of(&self, s: &CsrMatrix, operand_b: &Mat) -> Mat {
+        self.spmm_plan(&self.plan_a, s, operand_b, self.view.dims().n)
     }
 
     /// Redistribute the SDDMM result from the `S` orientation (values
-    /// aligned with `plan_a.s_remapped`, partitioned by `A`'s block
-    /// rows) into the `Sᵀ` orientation (aligned with
-    /// `plan_b.s_remapped`, partitioned by `B`'s block rows) — the
+    /// aligned with the R store's block, partitioned by `A`'s block
+    /// rows) into the `Sᵀ` orientation (aligned with `st_remapped`,
+    /// partitioned by `B`'s block rows) — the
     /// value shuffle `Rᵀ·A` needs. Each nonzero travels as a
     /// (row, col, value) triplet to the owner of its `Sᵀ` block row —
     /// one all-to-all of triplet bundles, so the cost is one message
     /// per peer carrying the paper's three words per nonzero; the
     /// traffic is charged to the propagation phase.
-    fn r_vals_in_b_orientation(&self, comm: &Comm) -> Vec<f64> {
+    fn r_vals_in_b_orientation(&self) -> Vec<f64> {
+        let comm = &self.comm;
         let _ph = comm.phase(Phase::Propagation);
-        let r_vals = self.r_vals.as_deref().expect("no SDDMM result");
-        let p = self.p;
-        let (m, n) = (self.dims.m, self.dims.n);
-        let my_start_m = block_range(m, p, comm.rank()).start as u32;
+        let local = self.r.export().expect("no SDDMM result");
+        let (p, n) = (self.view.p(), self.view.dims().n);
 
         // Bucket my R nonzeros (global coordinates) by the rank owning
         // the corresponding Sᵀ block row (= the S column's owner).
-        let s = &self.plan_a.s_remapped;
-        let (indptr, indices) = (s.indptr(), s.indices());
         type Triplets = (Vec<u32>, Vec<u32>, Vec<f64>);
         let mut outgoing: Vec<Triplets> = vec![Triplets::default(); p];
-        for i in 0..s.nrows() {
-            for k in indptr[i]..indptr[i + 1] {
-                let gi = my_start_m + i as u32;
-                let gj = self.plan_a.inv_col[indices[k] as usize];
-                let bucket = &mut outgoing[block_owner(n, p, gj as usize)];
-                bucket.0.push(gi);
-                bucket.1.push(gj);
-                bucket.2.push(r_vals[k]);
-            }
+        for ((&gi, &gj), &v) in local.rows.iter().zip(&local.cols).zip(&local.vals) {
+            let bucket = &mut outgoing[block_owner(n, p, gj as usize)];
+            bucket.0.push(gi);
+            bucket.1.push(gj);
+            bucket.2.push(v);
         }
         let incoming = comm.alltoallv(outgoing);
 
         // Index my Sᵀ block's nonzeros by (local row, global S row).
         let my_start_n = block_range(n, p, comm.rank()).start as u32;
-        let st = &self.plan_b.s_remapped;
+        let st = &self.st_remapped;
         let (tp, ti) = (st.indptr(), st.indices());
         let mut pos = std::collections::HashMap::with_capacity(st.nnz());
         for j in 0..st.nrows() {
             for k in tp[j]..tp[j + 1] {
-                let gi = self.plan_b.inv_col[ti[k] as usize];
+                let gi = self.st_inv_col[ti[k] as usize];
                 pos.insert((j as u32, gi), k);
             }
         }
@@ -344,27 +271,26 @@ impl Baseline1D {
         vals
     }
 
-    /// The paper's FusedMM surrogate for the baseline: two back-to-back
-    /// SpMM calls (SDDMM has identical flop and communication
-    /// requirements to SpMM, so this is a fair stand-in).
-    pub fn fused_surrogate(&self, comm: &Comm) -> (Mat, Mat) {
-        (self.spmm_a_on(comm), self.spmm_a_on(comm))
-    }
-
     /// Raw SDDMM accumulations through the `S`-oriented plan: fetch the
     /// needed `B` rows, combine them against the local `A`-side rows
-    /// `x`. Values are aligned with `plan_a.s_remapped`'s CSR order; no
-    /// sampling applied.
-    fn dots_a(&self, comm: &Comm, x: &Mat, combine: &CombineSpec) -> Vec<f64> {
-        let operand = self.scatter_operand(comm, &self.plan_a, &self.b_loc, self.dims.n);
-        let s = &self.plan_a.s_remapped;
+    /// `x`. Values are aligned with the `S`-oriented block's CSR order;
+    /// no sampling applied.
+    fn dots_a(&self, x: &Mat, combine: &CombineSpec) -> Vec<f64> {
+        let dims = self.view.dims();
+        let operand = self.scatter_operand(&self.plan_a, &self.b_loc, dims.n);
+        let s = self.s_remapped();
         let mut acc = vec![0.0; s.nnz()];
-        comm.compute(kern::sddmm_flops(s.nnz(), self.dims.r), || {
+        self.comm.compute(kern::sddmm_flops(s.nnz(), dims.r), || {
             self.local
                 .sddmm
-                .sddmm_csr(&mut acc, s, x, &operand, combine.for_slice(0..self.dims.r))
+                .sddmm_csr(&mut acc, s, x, &operand, combine.for_slice(0..dims.r))
         });
         acc
+    }
+
+    /// The `S`-oriented remapped block (values = sampling values).
+    fn s_remapped(&self) -> &CsrMatrix {
+        &self.r.csr_blocks()[0]
     }
 
     fn sample(vals: &mut [f64], sampling_vals: &[f64], sampling: Sampling) {
@@ -375,55 +301,44 @@ impl Baseline1D {
 }
 
 impl DistKernel for Baseline1D {
-    fn id(&self) -> KernelId {
-        KernelId::Baseline1D
+    fn view(&self) -> PlanView {
+        self.view
     }
 
-    fn dims(&self) -> ProblemDims {
-        self.dims
+    fn r_store(&self) -> &RStore {
+        &self.r
     }
 
-    fn supports(&self, elision: Elision) -> bool {
-        elision == Elision::None
+    fn r_store_mut(&mut self) -> &mut RStore {
+        &mut self.r
     }
 
     fn sddmm(&mut self) {
-        let mut vals = {
-            let this = &*self;
-            this.dots_a(&this.comm, &this.a_loc, &CombineSpec::Dot)
-        };
-        Self::sample(&mut vals, self.plan_a.s_remapped.vals(), Sampling::Values);
-        self.r_vals = Some(vals);
+        let mut vals = self.dots_a(&self.a_loc, &CombineSpec::Dot);
+        Self::sample(&mut vals, self.s_remapped().vals(), Sampling::Values);
+        self.r.set(vec![vals]);
     }
 
     fn sddmm_general(&mut self, combine: &CombineSpec) {
-        let vals = {
-            let this = &*self;
-            this.dots_a(&this.comm, &this.a_loc, combine)
-        };
-        self.r_vals = Some(vals);
+        let vals = self.dots_a(&self.a_loc, combine);
+        self.r.set(vec![vals]);
     }
 
     fn spmm_a(&mut self, use_r: bool) -> Mat {
-        let this = &*self;
-        if use_r {
-            let r = this.r_vals.as_deref().expect("no SDDMM result");
-            this.spmm_a_vals(&this.comm, &this.b_loc, Some(r))
-        } else {
-            this.spmm_a_on(&this.comm)
-        }
+        self.spmm_a_of(&self.r.csr_valued(use_r)[0], &self.b_loc)
     }
 
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let this = &*self;
-        if use_r {
-            // The baseline stores R in the S orientation; Rᵀ·A first
-            // redistributes the values into the Sᵀ orientation.
-            let vals = this.r_vals_in_b_orientation(&this.comm);
-            this.spmm_b_vals(&this.comm, Some(&vals))
+        // The baseline stores R in the S orientation; Rᵀ·A first
+        // redistributes the values into the Sᵀ orientation.
+        let valued;
+        let st = if use_r {
+            valued = self.st_remapped.with_vals(self.r_vals_in_b_orientation());
+            &valued
         } else {
-            this.spmm_b_on(&this.comm)
-        }
+            &self.st_remapped
+        };
+        self.spmm_plan(&self.plan_b, st, &self.a_loc, self.view.dims().m)
     }
 
     fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
@@ -431,12 +346,11 @@ impl DistKernel for Baseline1D {
             matches!(elision, Elision::None),
             "the 1D baseline admits no communication elision"
         );
-        let this = &*self;
-        let x = x.unwrap_or(&this.a_loc);
-        let mut vals = this.dots_a(&this.comm, x, &CombineSpec::Dot);
-        Self::sample(&mut vals, this.plan_a.s_remapped.vals(), sampling);
+        let s = self.s_remapped();
+        let mut vals = self.dots_a(x.unwrap_or(&self.a_loc), &CombineSpec::Dot);
+        Self::sample(&mut vals, s.vals(), sampling);
         // Back-to-back second kernel: pays the scatter again.
-        this.spmm_a_vals(&this.comm, &this.b_loc, Some(&vals))
+        self.spmm_a_of(&s.with_vals(vals), &self.b_loc)
     }
 
     fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
@@ -444,121 +358,34 @@ impl DistKernel for Baseline1D {
             matches!(elision, Elision::None),
             "the 1D baseline admits no communication elision"
         );
-        let this = &*self;
-        let y = y.unwrap_or(&this.b_loc);
+        let dims = self.view.dims();
+        let y = y.unwrap_or(&self.b_loc);
         // Transposed orientation: fetch A rows, combine against local
         // B-side rows (the dot product is symmetric).
-        let operand = this.scatter_operand(&this.comm, &this.plan_b, &this.a_loc, this.dims.m);
-        let st = &this.plan_b.s_remapped;
+        let operand = self.scatter_operand(&self.plan_b, &self.a_loc, dims.m);
+        let st = &self.st_remapped;
         let mut vals = vec![0.0; st.nnz()];
-        this.comm
-            .compute(kern::sddmm_flops(st.nnz(), this.dims.r), || {
-                kern::sddmm::sddmm_csr_acc_with(&mut vals, st, y, &operand, kern::SddmmCombine::Dot)
-            });
+        self.comm.compute(kern::sddmm_flops(st.nnz(), dims.r), || {
+            kern::sddmm::sddmm_csr_acc_with(&mut vals, st, y, &operand, kern::SddmmCombine::Dot)
+        });
         Self::sample(&mut vals, st.vals(), sampling);
         // Second kernel, fresh scatter: out = Rᵀ·A in B block rows.
-        let operand2 = this.scatter_operand(&this.comm, &this.plan_b, &this.a_loc, this.dims.m);
-        let mut st_r = st.clone();
-        st_r.set_vals(vals);
-        let mut out = Mat::zeros(st.nrows(), this.dims.r);
-        this.comm
-            .compute(kern::spmm_flops(st.nnz(), this.dims.r), || {
-                kern::spmm_csr_acc(&mut out, &st_r, &operand2)
-            });
+        let operand2 = self.scatter_operand(&self.plan_b, &self.a_loc, dims.m);
+        let st_r = st.with_vals(vals);
+        let mut out = Mat::zeros(st.nrows(), dims.r);
+        self.comm.compute(kern::spmm_flops(st.nnz(), dims.r), || {
+            kern::spmm_csr_acc(&mut out, &st_r, &operand2)
+        });
         out
-    }
-
-    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        for v in r.iter_mut() {
-            *v = f(*v);
-        }
     }
 
     fn r_row_sums(&self, _comm: &Comm, _phase: Phase) -> Vec<f64> {
         // Block rows are whole on one rank: sums are purely local.
-        let r = self.r_vals.as_ref().expect("no R values");
-        let s = &self.plan_a.s_remapped;
-        let indptr = s.indptr();
-        let mut sums = vec![0.0; s.nrows()];
-        for i in 0..s.nrows() {
-            for k in indptr[i]..indptr[i + 1] {
-                sums[i] += r[k];
-            }
-        }
-        sums
-    }
-
-    fn scale_r_rows(&mut self, scale: &[f64]) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        let s = &self.plan_a.s_remapped;
-        let indptr = s.indptr();
-        for i in 0..s.nrows() {
-            for k in indptr[i]..indptr[i + 1] {
-                r[k] *= scale[i];
-            }
-        }
+        self.r.row_sums()
     }
 
     fn spmm_a_with(&self, y: &Mat) -> Mat {
-        let r = self.r_vals.as_deref().expect("no R values");
-        self.spmm_a_vals(&self.comm, y, Some(r))
-    }
-
-    fn sq_loss_local(&self) -> f64 {
-        let r = self.r_vals.as_ref().expect("no R values");
-        self.plan_a
-            .s_remapped
-            .vals()
-            .iter()
-            .zip(r)
-            .map(|(s, d)| (s - d) * (s - d))
-            .sum()
-    }
-
-    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        let local = self.export_r().expect("no SDDMM result");
-        crate::layout::gather_coo(comm, 0, local, self.dims.m, self.dims.n)
-    }
-
-    fn export_r(&self) -> Option<CooMatrix> {
-        let r_vals = self.r_vals.as_ref()?;
-        let (m, n) = (self.dims.m, self.dims.n);
-        let my_start = block_range(m, self.p, self.comm.rank()).start;
-        let s = &self.plan_a.s_remapped;
-        let indptr = s.indptr();
-        let indices = s.indices();
-        let mut local = CooMatrix::empty(m, n);
-        for i in 0..s.nrows() {
-            for k in indptr[i]..indptr[i + 1] {
-                let j = self.plan_a.inv_col[indices[k] as usize] as usize;
-                local.push(my_start + i, j, r_vals[k]);
-            }
-        }
-        Some(local)
-    }
-
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        // 1D block rows: rank g owns its block row of S at full width.
-        (block_range(self.dims.m, self.p, g), 0..self.dims.n)
-    }
-
-    fn import_r(&mut self, r: &CooMatrix) {
-        let map = crate::layout::triplet_map(r);
-        let my_start = block_range(self.dims.m, self.p, self.comm.rank()).start as u32;
-        let s = &self.plan_a.s_remapped;
-        let indptr = s.indptr();
-        let indices = s.indices();
-        let mut vals = vec![0.0; s.nnz()];
-        for i in 0..s.nrows() {
-            for k in indptr[i]..indptr[i + 1] {
-                let gj = self.plan_a.inv_col[indices[k] as usize];
-                vals[k] = *map
-                    .get(&(my_start + i as u32, gj))
-                    .expect("imported R misses a local pattern nonzero");
-            }
-        }
-        self.r_vals = Some(vals);
+        self.spmm_a_of(&self.r.csr_valued(true)[0], y)
     }
 
     fn a_iterate(&self) -> Mat {
@@ -578,41 +405,13 @@ impl DistKernel for Baseline1D {
         assert_eq!(y.nrows(), self.b_loc.nrows(), "B iterate shape mismatch");
         self.b_loc = y.clone();
     }
-
-    fn rhs_a(&mut self, _comm: &Comm) -> Mat {
-        let this = &*self;
-        this.spmm_a_on(&this.comm)
-    }
-
-    fn rhs_b(&mut self, _comm: &Comm) -> Mat {
-        let this = &*self;
-        this.spmm_b_on(&this.comm)
-    }
-
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::layout(self.dims.m, self.dims.r, self.p)(g)
-    }
-
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::layout(self.dims.n, self.dims.r, self.p)(g)
-    }
-
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
-        Self::layout(self.dims.m, self.dims.r, self.p)(g)
-    }
-
-    fn row_group_a(&self, g: usize) -> u64 {
-        g as u64
-    }
-
-    fn row_group_b(&self, g: usize) -> u64 {
-        g as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global::GlobalProblem;
+    use crate::kernel::KernelBuilder;
     use dsk_comm::{MachineModel, SimWorld};
     use dsk_dense::ops::max_abs_diff;
     use std::sync::Arc;
@@ -624,16 +423,16 @@ mod tests {
             let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 81));
             let ea = prob.reference_spmm_a();
             let eb = prob.reference_spmm_b();
-            let la = Baseline1D::layout(m, r, p);
-            let lb = Baseline1D::layout(n, r, p);
+            let view = PlanView::of(KernelId::Baseline1D, 1, p, prob.dims);
+            let (la, lb) = (move |g| view.a_layout_of(g), move |g| view.b_layout_of(g));
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let worker = Baseline1D::from_global(comm, &prob);
-                let ga = worker.spmm_a_on(comm);
-                let gb = worker.spmm_b_on(comm);
+                let mut worker = KernelBuilder::new(&prob).baseline().build(comm);
+                let ga = worker.spmm_a(false);
+                let gb = worker.spmm_b(false);
                 (
-                    crate::layout::gather_dense(comm, 0, &ga, &la, m, r),
-                    crate::layout::gather_dense(comm, 0, &gb, &lb, n, r),
+                    crate::layout::gather_dense(comm, 0, &ga, la, m, r),
+                    crate::layout::gather_dense(comm, 0, &gb, lb, n, r),
                 )
             });
             let (ga, gb) = &out[0].value;
@@ -653,8 +452,8 @@ mod tests {
             let pr = Arc::clone(&prob);
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let worker = Baseline1D::from_global(comm, &pr);
-                let _ = worker.spmm_a_on(comm);
+                let mut worker = KernelBuilder::new(&pr).baseline().build(comm);
+                let _ = worker.spmm_a(false);
             });
             let max_words = out
                 .iter()
@@ -670,15 +469,15 @@ mod tests {
     }
 
     #[test]
-    fn fused_surrogate_runs_two_spmms() {
+    fn fused_pays_the_scatter_twice() {
         let (p, m, n, r) = (4, 16, 16, 4);
         let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 83));
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let single: u64 = {
             let pr = Arc::clone(&prob);
             let out = w.run(move |comm| {
-                let worker = Baseline1D::from_global(comm, &pr);
-                let _ = worker.spmm_a_on(comm);
+                let mut worker = KernelBuilder::new(&pr).baseline().build(comm);
+                let _ = worker.spmm_a(false);
             });
             out.iter()
                 .map(|o| o.stats.phase(Phase::Propagation).words_sent)
@@ -687,8 +486,8 @@ mod tests {
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let double: u64 = {
             let out = w.run(move |comm| {
-                let worker = Baseline1D::from_global(comm, &prob);
-                let _ = worker.fused_surrogate(comm);
+                let mut worker = KernelBuilder::new(&prob).baseline().build(comm);
+                let _ = worker.fused_mm_a(None, Elision::None, Sampling::Values);
             });
             out.iter()
                 .map(|o| o.stats.phase(Phase::Propagation).words_sent)

@@ -31,10 +31,11 @@ use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::CooMatrix;
 
-use crate::common::{block_range, AlgorithmFamily, Elision, ProblemDims, Sampling, ShiftPipeline};
-use crate::global::GlobalProblem;
+use crate::common::{block_range, AlgorithmFamily, Elision, Sampling, ShiftPipeline};
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::layout::{repartition_dense, DenseLayout};
+use crate::layout::repartition_dense;
+use crate::planview::{Operand, PlanView};
+use crate::rstore::RStore;
 use crate::staged::{PlanPatterns, StagedProblem};
 
 /// Tag for traveling sparse blocks (row-ring).
@@ -43,50 +44,54 @@ const TAG_SPARSE: u32 = 120;
 const TAG_DENSE: u32 = 121;
 
 /// One orientation (canonical `S` or transposed `Sᵀ`) of the worker's
-/// traveling data.
+/// dense data.
 struct Oriented {
-    /// Home (pre-skewed) sparse block: rows local to macro row `u`,
-    /// columns local to its column block; values = sampling values.
-    s_home: CooMatrix,
     /// Home (pre-skewed) traveling dense block (the `B` role).
     y_home: Mat,
     /// This rank's fiber sub-block of the replicated matrix (the `A`
     /// role).
     x_fiber: Mat,
+    /// Length of this rank's macro row of the replicated matrix.
+    macro_rows: usize,
     /// Total columns of the oriented sparse matrix (rows of the
     /// traveling dense matrix) — needed to size incoming blocks.
     cols_tot: usize,
+}
+
+/// An orientation together with the sparse block that travels in it
+/// and the column-ring pattern routing its panel shifts.
+struct Side<'a> {
+    /// Home (pre-skewed) sparse block: rows local to macro row `u`,
+    /// columns local to its column block; values = sampling values.
+    home: &'a CooMatrix,
+    o: &'a Oriented,
+    route: Option<&'a CommPattern>,
 }
 
 /// Per-rank state of the 2.5D dense-replicating algorithm.
 pub struct DenseRepl25 {
     /// Grid communicators (row ring, column ring, fiber).
     pub gc: GridComms25,
-    dims: ProblemDims,
+    view: PlanView,
+    /// The canonical home block of `S` and the SDDMM result on it.
+    r: RStore,
+    /// The transposed home block (of `Sᵀ`).
+    st_home: CooMatrix,
     /// Canonical orientation (replicate `A`, travel `S` and `B`).
     canon: Oriented,
     /// Transposed orientation (replicate `B`, travel `Sᵀ` and `A`).
     trans: Oriented,
-    /// SDDMM result values for the canonical home block.
-    r_vals: Option<Vec<f64>>,
     /// Column-ring pattern for canonical-orientation panel shifts
     /// (`None` = dense shifts, the default).
     route_canon: Option<CommPattern>,
     /// Column-ring pattern for transposed-orientation panel shifts.
     route_trans: Option<CommPattern>,
-    /// Tuned local-kernel variants (all-naive until
-    /// [`DenseRepl25::tune_local`] runs).
-    local: kern::LocalPicks,
+    /// Tuned local-kernel variants (all-naive until the builder tunes;
+    /// COO blocks only admit the serial naive/blocked pair).
+    pub(crate) local: kern::LocalPicks,
 }
 
 impl DenseRepl25 {
-    /// Build this rank's state from a borrowed global problem (test
-    /// convenience; benchmark runs share staging via
-    /// [`DenseRepl25::from_staged`]).
-    pub fn from_global(comm: &Comm, c: usize, prob: &GlobalProblem) -> Self {
-        Self::from_staged(comm, c, &StagedProblem::ephemeral(prob))
-    }
-
     /// Build this rank's state from shared staging (no communication,
     /// statistics unaffected).
     pub fn from_staged(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
@@ -96,40 +101,22 @@ impl DenseRepl25 {
         let (m, n) = (prob.dims.m, prob.dims.n);
         let q = grid.q;
         assert!(m >= q * c && n >= q * c, "matrix sides too small for grid");
-        let canon = Self::orient(&gc, staged, false, &prob.a, &prob.b, m, n, prob.dims.r);
-        let trans = Self::orient(&gc, staged, true, &prob.b, &prob.a, n, m, prob.dims.r);
+        let (s_home, offset, canon) =
+            Self::orient(&gc, staged, false, &prob.a, &prob.b, m, n, prob.dims.r);
+        let (st_home, _, trans) =
+            Self::orient(&gc, staged, true, &prob.b, &prob.a, n, m, prob.dims.r);
+        let id = KernelId::Family(AlgorithmFamily::DenseRepl25);
         DenseRepl25 {
+            view: PlanView::of(id, c, comm.size(), prob.dims),
             gc,
-            dims: prob.dims,
+            r: RStore::coo((m, n), s_home, offset),
+            st_home,
             canon,
             trans,
-            r_vals: None,
             route_canon: None,
             route_trans: None,
             local: kern::LocalPicks::default(),
         }
-    }
-
-    /// Resolve this worker's local-kernel variants against the shared
-    /// tuning cache, microbenchmarking on this rank's canonical home
-    /// `S` block when the shape class is new. COO blocks only admit the
-    /// serial naive/blocked pair, and the family has no local fused
-    /// kernel, so the fused pick stays naive. Wall time lands in
-    /// [`Phase::LocalTuning`]; no communication, no flop accounting.
-    pub(crate) fn tune_local(&mut self, staged: &StagedProblem, comm: &Comm, c: usize) {
-        let _t = comm.phase(Phase::LocalTuning);
-        let tuning = staged.local_tuning();
-        let (p, dims, nnz) = (comm.size(), self.dims, staged.prob.nnz());
-        let req = |op| {
-            crate::kernel::local_tune_request(AlgorithmFamily::DenseRepl25, op, p, c, dims, nnz)
-        };
-        let blk = &self.canon.s_home;
-        self.local = kern::LocalPicks {
-            spmm: tuning.tune_coo(req(kern::LocalOp::Spmm), blk),
-            spmm_t: tuning.tune_coo(req(kern::LocalOp::SpmmT), blk),
-            sddmm: tuning.tune_coo(req(kern::LocalOp::Sddmm), blk),
-            fused: kern::LocalKernel::Naive,
-        };
     }
 
     /// The need sets a pattern-routed plan requires, derived world-free
@@ -186,7 +173,8 @@ impl DenseRepl25 {
     }
 
     /// Build one orientation: `s: rows_tot × cols_tot`, `x: rows_tot × r`
-    /// replicated, `y: cols_tot × r` traveling.
+    /// replicated, `y: cols_tot × r` traveling. Returns the home sparse
+    /// block, its global `(row, col)` offset, and the dense side.
     #[allow(clippy::too_many_arguments)]
     fn orient(
         gc: &GridComms25,
@@ -197,7 +185,7 @@ impl DenseRepl25 {
         rows_tot: usize,
         cols_tot: usize,
         r: usize,
-    ) -> Oriented {
+    ) -> (CooMatrix, (usize, usize), Oriented) {
         let (q, c) = (gc.grid.q, gc.grid.c);
         let (u, v, w) = (gc.u, gc.v, gc.w);
         let sigma0 = (u + v) % q;
@@ -217,33 +205,36 @@ impl DenseRepl25 {
         let mac = &macro_rows[u];
         let sub = block_range(mac.len(), c, w);
         let x_fiber = x.block(mac.start + sub.start..mac.start + sub.end, slice);
-        Oriented {
-            s_home,
+        let offset = (mac.start, col_blocks[sigma0 * c + w].start);
+        let dense = Oriented {
             y_home,
             x_fiber,
+            macro_rows: mac.len(),
             cols_tot,
+        };
+        (s_home, offset, dense)
+    }
+
+    /// The canonical side: `S` travels, `A` replicated.
+    fn canon_side(&self) -> Side<'_> {
+        Side {
+            home: self.r.coo_block(),
+            o: &self.canon,
+            route: self.route_canon.as_ref(),
         }
     }
 
-    /// Problem dimensions.
-    pub fn dims(&self) -> ProblemDims {
-        self.dims
+    /// The transposed side: `Sᵀ` travels, `B` replicated.
+    fn trans_side(&self) -> Side<'_> {
+        Side {
+            home: &self.st_home,
+            o: &self.trans,
+            route: self.route_trans.as_ref(),
+        }
     }
 
     fn q(&self) -> usize {
         self.gc.grid.q
-    }
-
-    /// Length of this rank's macro row over `m` (canonical replicated
-    /// side).
-    fn macro_rows_canon(&self) -> usize {
-        block_range(self.dims.m, self.q(), self.gc.u).len()
-    }
-
-    /// Length of this rank's macro row over `n` (transposed replicated
-    /// side).
-    fn macro_rows_trans(&self) -> usize {
-        block_range(self.dims.n, self.q(), self.gc.u).len()
     }
 
     /// Row count of the traveling dense block this rank holds at step
@@ -252,47 +243,6 @@ impl DenseRepl25 {
         let (q, c, w) = (self.q(), self.gc.grid.c, self.gc.w);
         let sigma = (self.gc.u + self.gc.v + t) % q;
         block_range(o.cols_tot, q * c, sigma * c + w).len()
-    }
-
-    /// Layout of the replicated-side fiber sub-blocks for a matrix with
-    /// `rows` rows (the `A` layout in the canonical orientation).
-    pub fn fiber_layout(
-        rows: usize,
-        r: usize,
-        p: usize,
-        c: usize,
-    ) -> impl Fn(usize) -> DenseLayout {
-        let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
-        move |g| {
-            let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
-            let mac = block_range(rows, grid.q, u);
-            let sub = block_range(mac.len(), c, w);
-            DenseLayout::single(
-                mac.start + sub.start..mac.start + sub.end,
-                block_range(r, grid.q, v),
-            )
-        }
-    }
-
-    /// Layout of the traveling-side home blocks for a matrix with
-    /// `rows` rows (the `B` layout in the canonical orientation). Note
-    /// the Cannon pre-skew: rank `(u,v,w)` homes block
-    /// `((u+v) mod q)·c + w`.
-    pub fn travel_layout(
-        rows: usize,
-        r: usize,
-        p: usize,
-        c: usize,
-    ) -> impl Fn(usize) -> DenseLayout {
-        let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
-        move |g| {
-            let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
-            let sigma0 = (u + v) % grid.q;
-            DenseLayout::single(
-                block_range(rows, grid.q * c, sigma0 * c + w),
-                block_range(r, grid.q, v),
-            )
-        }
     }
 
     /// All-gather the fiber sub-blocks into `T = X[macro u, slice v]`.
@@ -381,15 +331,15 @@ impl DenseRepl25 {
     /// Returns the home block's fully accumulated values (no sampling).
     fn dots_round(
         &self,
-        o: &Oriented,
+        side: &Side<'_>,
         t_buf: &Mat,
         y0: &Mat,
         combine: &CombineSpec,
         route: Option<&CommPattern>,
     ) -> Vec<f64> {
-        let q = self.q();
-        let slice = block_range(self.dims.r, q, self.gc.v);
-        let mut blk = o.s_home.clone();
+        let (q, o) = (self.q(), side.o);
+        let slice = block_range(self.view.dims().r, q, self.gc.v);
+        let mut blk = side.home.clone();
         blk.vals.fill(0.0);
         let mut y = y0.clone();
         let pipe_s = self.sparse_pipeline();
@@ -411,25 +361,17 @@ impl DenseRepl25 {
             blk = pipe_s.exchange(blk);
             y = Self::check_panel(fly_y.wait(), self.y_rows_at(o, t + 1));
         }
-        debug_assert_eq!(blk.nnz(), o.s_home.nnz(), "block failed to return home");
+        debug_assert_eq!(blk.nnz(), side.home.nnz(), "block failed to return home");
         blk.vals
     }
 
     /// SpMM travel round with a replicated accumulator (`T += S·y` per
-    /// step) — the SpMMA data flow; caller reduce-scatters.
-    fn spmm_out_round(
-        &self,
-        o: &Oriented,
-        vals: Vec<f64>,
-        y0: &Mat,
-        t_rows: usize,
-        route: Option<&CommPattern>,
-    ) -> Mat {
-        let q = self.q();
+    /// step, `blk` the valued home block) — the SpMMA data flow; caller
+    /// reduce-scatters.
+    fn spmm_out_round(&self, side: &Side<'_>, mut blk: CooMatrix, y0: &Mat) -> Mat {
+        let (q, o, route) = (self.q(), side.o, side.route);
         let width = y0.ncols();
-        let mut t_out = Mat::zeros(t_rows, width);
-        let mut blk = o.s_home.clone();
-        blk.vals = vals;
+        let mut t_out = Mat::zeros(o.macro_rows, width);
         let mut y = y0.clone();
         let pipe_s = self.sparse_pipeline();
         let pipe_y = self.dense_pipeline();
@@ -457,14 +399,12 @@ impl DenseRepl25 {
     fn spmm_shift_acc_round(
         &self,
         o: &Oriented,
-        vals: Vec<f64>,
+        mut blk: CooMatrix,
         t_buf: &Mat,
         route: Option<&CommPattern>,
     ) -> Mat {
         let q = self.q();
         let width = t_buf.ncols();
-        let mut blk = o.s_home.clone();
-        blk.vals = vals;
         let mut out = Mat::zeros(o.y_home.nrows(), width);
         let pipe_s = self.sparse_pipeline();
         let pipe_y = self.dense_pipeline();
@@ -496,415 +436,165 @@ impl DenseRepl25 {
         vals
     }
 
-    // ------------------------------------------------------------------
-    // Public kernels
-    // ------------------------------------------------------------------
-
-    /// Distributed SDDMM (replicates `A`, travels `S` and `B`).
-    pub fn sddmm(&mut self) {
-        let t_buf = self.replicate(&self.canon.x_fiber, self.macro_rows_canon());
-        let dots = self.dots_round(
-            &self.canon,
-            &t_buf,
-            &self.canon.y_home,
-            &CombineSpec::Dot,
-            self.route_canon.as_ref(),
-        );
-        self.r_vals = Some(Self::finalize(&self.canon.s_home, dots, Sampling::Values));
-    }
-
-    /// Distributed SpMMA: `S·B` (or `R·B`), returned in the fiber `A`
-    /// layout.
-    pub fn spmm_a(&mut self, use_r: bool) -> Mat {
-        let vals = self.vals_for_travel(use_r);
-        let t_rows = block_range(self.dims.m, self.q(), self.gc.u).len();
-        let t_out = self.spmm_out_round(
-            &self.canon,
-            vals,
-            &self.canon.y_home,
-            t_rows,
-            self.route_canon.as_ref(),
-        );
-        self.reduce_to_fiber(&t_out)
-    }
-
-    /// Distributed SpMMB: `Sᵀ·A` (or `Rᵀ·A`), returned in the travel
-    /// `B` layout (pre-skewed home block).
-    pub fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let vals = self.vals_for_travel(use_r);
-        let t_buf = self.replicate(&self.canon.x_fiber, self.macro_rows_canon());
-        self.spmm_shift_acc_round(&self.canon, vals, &t_buf, self.route_canon.as_ref())
-    }
-
-    fn vals_for_travel(&self, use_r: bool) -> Vec<f64> {
-        if use_r {
-            self.r_vals
-                .clone()
-                .expect("no SDDMM result available; call sddmm() first")
-        } else {
-            self.canon.s_home.vals.clone()
-        }
-    }
-
-    /// FusedMMB = `SpMMB(SDDMM(A, y, S), A)`. `y` (travel `B` layout)
-    /// defaults to the stored `B`; the result is in the same layout.
-    pub fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let y0 = y.unwrap_or(&self.canon.y_home).clone();
-        match elision {
-            Elision::ReplicationReuse => {
-                let t_buf = self.replicate(&self.canon.x_fiber, self.macro_rows_canon());
-                let dots = self.dots_round(&self.canon, &t_buf, &y0, &CombineSpec::Dot, None);
-                let rvals = Self::finalize(&self.canon.s_home, dots, sampling);
-                self.spmm_shift_acc_round(&self.canon, rvals, &t_buf, None)
-            }
-            Elision::None => {
-                let route = self.route_canon.as_ref();
-                let t_buf = self.replicate(&self.canon.x_fiber, self.macro_rows_canon());
-                let dots = self.dots_round(&self.canon, &t_buf, &y0, &CombineSpec::Dot, route);
-                let rvals = Self::finalize(&self.canon.s_home, dots, sampling);
-                let t_buf2 = self.replicate(&self.canon.x_fiber, self.macro_rows_canon());
-                self.spmm_shift_acc_round(&self.canon, rvals, &t_buf2, route)
-            }
+    /// FusedMM on one side — FusedMMB on the canonical one, FusedMMA on
+    /// the transposed one. `y` (travel layout) defaults to the stored
+    /// traveling operand; the result is in the same layout.
+    fn fused(&self, side: &Side<'_>, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+        let o = side.o;
+        let route = match elision {
+            Elision::None => side.route,
+            Elision::ReplicationReuse => None,
             Elision::LocalKernelFusion => panic!(
                 "local kernel fusion requires co-located full rows; \
                  unsupported for 2.5D dense replication"
             ),
-        }
+        };
+        let t_buf = self.replicate(&o.x_fiber, o.macro_rows);
+        let y0 = y.unwrap_or(&o.y_home);
+        let dots = self.dots_round(side, &t_buf, y0, &CombineSpec::Dot, route);
+        let blk = side
+            .home
+            .with_vals(Self::finalize(side.home, dots, sampling));
+        // Unoptimized: without elision the SpMM call replicates again.
+        let again = (elision == Elision::None).then(|| self.replicate(&o.x_fiber, o.macro_rows));
+        self.spmm_shift_acc_round(o, blk, again.as_ref().unwrap_or(&t_buf), route)
     }
 
-    /// FusedMMA = `SpMMA(SDDMM(x, B, S), B)` via transposed roles
-    /// (replicate `B`, travel `Sᵀ` and `A`). `x` (travel layout over
-    /// `m`) defaults to the stored `A`; same layout out.
-    pub fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let x0 = x.unwrap_or(&self.trans.y_home).clone();
-        match elision {
-            Elision::ReplicationReuse => {
-                let t_buf = self.replicate(&self.trans.x_fiber, self.macro_rows_trans());
-                let dots = self.dots_round(&self.trans, &t_buf, &x0, &CombineSpec::Dot, None);
-                let rvals = Self::finalize(&self.trans.s_home, dots, sampling);
-                self.spmm_shift_acc_round(&self.trans, rvals, &t_buf, None)
-            }
-            Elision::None => {
-                let route = self.route_trans.as_ref();
-                let t_buf = self.replicate(&self.trans.x_fiber, self.macro_rows_trans());
-                let dots = self.dots_round(&self.trans, &t_buf, &x0, &CombineSpec::Dot, route);
-                let rvals = Self::finalize(&self.trans.s_home, dots, sampling);
-                let t_buf2 = self.replicate(&self.trans.x_fiber, self.macro_rows_trans());
-                self.spmm_shift_acc_round(&self.trans, rvals, &t_buf2, route)
-            }
-            Elision::LocalKernelFusion => panic!(
-                "local kernel fusion requires co-located full rows; \
-                 unsupported for 2.5D dense replication"
-            ),
-        }
+    /// Raw SDDMM accumulations on the stored operands (replicates `A`,
+    /// travels `S` and `B`).
+    fn dots(&self, combine: &CombineSpec) -> Vec<f64> {
+        let side = self.canon_side();
+        let t_buf = self.replicate(&side.o.x_fiber, side.o.macro_rows);
+        self.dots_round(&side, &t_buf, &side.o.y_home, combine, side.route)
     }
 
-    // ------------------------------------------------------------------
-    // GAT support and verification
-    // ------------------------------------------------------------------
-
-    /// Generalized SDDMM storing raw accumulations as R values.
-    pub fn sddmm_general(&mut self, combine: CombineSpec) {
-        let t_buf = self.replicate(&self.canon.x_fiber, self.macro_rows_canon());
-        let dots = self.dots_round(
-            &self.canon,
-            &t_buf,
-            &self.canon.y_home,
-            &combine,
-            self.route_canon.as_ref(),
-        );
-        self.r_vals = Some(dots);
-    }
-
-    /// Map every stored R value in place.
-    pub fn map_r(&mut self, mut f: impl FnMut(f64) -> f64) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        for v in r.iter_mut() {
-            *v = f(*v);
-        }
-    }
-
-    /// Row sums of R over this rank's macro row (reduced across the
-    /// whole grid row plane; indices local to macro row `u`).
-    pub fn r_row_sums(&self, comm_phase: Phase) -> Vec<f64> {
-        let r = self.r_vals.as_ref().expect("no R values");
-        let rows = block_range(self.dims.m, self.q(), self.gc.u).len();
-        let mut sums = vec![0.0; rows];
-        for (k, (i, _, _)) in self.canon.s_home.iter().enumerate() {
-            sums[i] += r[k];
-        }
-        let _ph = self.gc.row_plane.phase(comm_phase);
-        self.gc.row_plane.allreduce_sum(&mut sums);
-        sums
-    }
-
-    /// Scale each R row by `scale[i]` (indices local to macro row `u`).
-    pub fn scale_r_rows(&mut self, scale: &[f64]) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        for (k, (i, _, _)) in self.canon.s_home.iter().enumerate() {
-            r[k] *= scale[i];
-        }
-    }
-
-    /// SpMMA using the stored R values against an explicit travel-layout
-    /// operand (GAT: `S'·(H·W)`), returned in the fiber `A` layout.
-    pub fn spmm_a_with(&self, y: &Mat) -> Mat {
-        let vals = self.r_vals.clone().expect("no R values");
-        let t_rows = block_range(self.dims.m, self.q(), self.gc.u).len();
-        let t_out = self.spmm_out_round(&self.canon, vals, y, t_rows, self.route_canon.as_ref());
-        self.reduce_to_fiber(&t_out)
-    }
-
-    /// The stored `A` in the travel layout over `m` (the FusedMMA
-    /// iterate layout).
-    pub fn a_travel(&self) -> &Mat {
-        &self.trans.y_home
-    }
-
-    /// The stored `B` in the travel layout over `n` (the FusedMMB
-    /// iterate layout).
-    pub fn b_travel(&self) -> &Mat {
-        &self.canon.y_home
-    }
-
-    /// Replace the stored `A` operand: `fiber` in the fiber layout
-    /// (canonical replicated role), `travel` in the travel layout over
-    /// `m` (transposed traveling role). The [`DistKernel::set_a`]
-    /// implementation derives `fiber` by repartitioning.
-    pub fn set_a_parts(&mut self, fiber: Mat, travel: Mat) {
-        self.canon.x_fiber = fiber;
-        self.trans.y_home = travel;
-    }
-
-    /// Replace the stored `B` operand: `fiber` in the fiber layout over
-    /// `n` (transposed replicated role), `travel` in the travel layout
-    /// over `n` (canonical traveling role).
-    pub fn set_b_parts(&mut self, fiber: Mat, travel: Mat) {
-        self.trans.x_fiber = fiber;
-        self.canon.y_home = travel;
-    }
-
-    /// Local contribution to `‖S − dots‖²` after
-    /// [`DenseRepl25::sddmm_general`] (ALS squared loss).
-    pub fn sq_loss_local(&self) -> f64 {
-        let r = self.r_vals.as_ref().expect("no R values");
-        self.canon
-            .s_home
-            .vals
-            .iter()
-            .zip(r)
-            .map(|(s, d)| (s - d) * (s - d))
-            .sum()
-    }
-
-    /// Gather the SDDMM result to rank 0 in global coordinates.
-    pub fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        let local = self.export_r_local().expect("no SDDMM result");
-        crate::layout::gather_coo(comm, 0, local, self.dims.m, self.dims.n)
-    }
-
-    /// Global row/column offsets of the canonical home block.
-    fn home_offsets(&self) -> (usize, usize) {
-        let (q, c) = (self.gc.grid.q, self.gc.grid.c);
-        let (u, v, w) = (self.gc.u, self.gc.v, self.gc.w);
-        let sigma0 = (u + v) % q;
-        (
-            block_range(self.dims.m, q, u).start,
-            block_range(self.dims.n, q * c, sigma0 * c + w).start,
+    /// An iterate's fiber-layout share: the distribution shift from the
+    /// travel layout, charged to [`Phase::OutsideComm`] (Fig. 9).
+    fn to_fiber(&self, comm: &Comm, op: Operand, travel: &Mat) -> Mat {
+        let view = self.view;
+        let _ph = comm.phase(Phase::OutsideComm);
+        repartition_dense(
+            comm,
+            travel,
+            |g| view.layout_of(op, false, g),
+            |g| view.layout_of(op, true, g),
         )
-    }
-
-    /// The local R values as global-coordinate triplets (`None` before
-    /// any SDDMM).
-    fn export_r_local(&self) -> Option<CooMatrix> {
-        let r_vals = self.r_vals.as_ref()?;
-        let (row_start, col_start) = self.home_offsets();
-        let mut local = CooMatrix::empty(self.dims.m, self.dims.n);
-        for (k, (i, j, _)) in self.canon.s_home.iter().enumerate() {
-            local.push(row_start + i, col_start + j, r_vals[k]);
-        }
-        Some(local)
     }
 }
 
 impl DistKernel for DenseRepl25 {
-    fn id(&self) -> KernelId {
-        KernelId::Family(AlgorithmFamily::DenseRepl25)
+    fn view(&self) -> PlanView {
+        self.view
     }
 
-    fn dims(&self) -> ProblemDims {
-        self.dims
+    fn r_store(&self) -> &RStore {
+        &self.r
     }
 
-    fn supports(&self, elision: Elision) -> bool {
-        AlgorithmFamily::DenseRepl25.supports(elision)
+    fn r_store_mut(&mut self) -> &mut RStore {
+        &mut self.r
     }
 
     fn sddmm(&mut self) {
-        DenseRepl25::sddmm(self);
+        let dots = self.dots(&CombineSpec::Dot);
+        let vals = Self::finalize(self.r.coo_block(), dots, Sampling::Values);
+        self.r.set(vec![vals]);
     }
 
     fn sddmm_general(&mut self, combine: &CombineSpec) {
-        DenseRepl25::sddmm_general(self, combine.clone());
+        let dots = self.dots(combine);
+        self.r.set(vec![dots]);
     }
 
+    /// Returned in the fiber `A` layout.
     fn spmm_a(&mut self, use_r: bool) -> Mat {
-        DenseRepl25::spmm_a(self, use_r)
+        let t_out = self.spmm_out_round(
+            &self.canon_side(),
+            self.r.traveler(use_r),
+            &self.canon.y_home,
+        );
+        self.reduce_to_fiber(&t_out)
     }
 
+    /// Returned in the travel `B` layout (pre-skewed home block).
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        DenseRepl25::spmm_b(self, use_r)
+        let side = self.canon_side();
+        let t_buf = self.replicate(&side.o.x_fiber, side.o.macro_rows);
+        self.spmm_shift_acc_round(side.o, self.r.traveler(use_r), &t_buf, side.route)
     }
 
     fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        DenseRepl25::fused_mm_a(self, x, elision, sampling)
+        self.fused(&self.trans_side(), x, elision, sampling)
     }
 
     fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        DenseRepl25::fused_mm_b(self, y, elision, sampling)
+        self.fused(&self.canon_side(), y, elision, sampling)
     }
 
-    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
-        DenseRepl25::map_r(self, f);
-    }
-
+    /// Reduced across the whole grid-row plane; indices local to macro
+    /// row `u`.
     fn r_row_sums(&self, _comm: &Comm, phase: Phase) -> Vec<f64> {
-        DenseRepl25::r_row_sums(self, phase)
+        let mut sums = self.r.row_sums();
+        let _ph = self.gc.row_plane.phase(phase);
+        self.gc.row_plane.allreduce_sum(&mut sums);
+        sums
     }
 
-    fn scale_r_rows(&mut self, scale: &[f64]) {
-        DenseRepl25::scale_r_rows(self, scale);
-    }
-
+    /// Takes a travel-layout operand; returned in the fiber `A` layout.
     fn spmm_a_with(&self, y: &Mat) -> Mat {
-        DenseRepl25::spmm_a_with(self, y)
-    }
-
-    fn sq_loss_local(&self) -> f64 {
-        DenseRepl25::sq_loss_local(self)
-    }
-
-    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        DenseRepl25::gather_r(self, comm)
-    }
-
-    fn export_r(&self) -> Option<CooMatrix> {
-        self.export_r_local()
-    }
-
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        // Rank g's canonical home block: macro row u, column block
-        // σ₀·c + w of the q·c-way split (σ₀ = (u+v) mod q).
-        let grid = self.gc.grid;
-        let (q, c) = (grid.q, grid.c);
-        let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
-        let sigma0 = (u + v) % q;
-        (
-            block_range(self.dims.m, q, u),
-            block_range(self.dims.n, q * c, sigma0 * c + w),
-        )
-    }
-
-    fn import_r(&mut self, r: &CooMatrix) {
-        let map = crate::layout::triplet_map(r);
-        let (row_start, col_start) = self.home_offsets();
-        let vals: Vec<f64> = self
-            .canon
-            .s_home
-            .iter()
-            .map(|(i, j, _)| {
-                *map.get(&((row_start + i) as u32, (col_start + j) as u32))
-                    .expect("imported R misses a local pattern nonzero")
-            })
-            .collect();
-        self.r_vals = Some(vals);
+        let t_out = self.spmm_out_round(&self.canon_side(), self.r.traveler(true), y);
+        self.reduce_to_fiber(&t_out)
     }
 
     fn a_iterate(&self) -> Mat {
-        self.a_travel().clone()
+        self.trans.y_home.clone()
     }
 
     fn b_iterate(&self) -> Mat {
-        self.b_travel().clone()
+        self.canon.y_home.clone()
     }
 
+    /// `A` is the canonical replicated operand and the transposed
+    /// traveling one.
     fn set_a(&mut self, comm: &Comm, x: &Mat) {
-        let (dims, p, c) = (self.dims, self.gc.grid.p, self.gc.grid.c);
-        let fiber = {
-            let _ph = comm.phase(Phase::OutsideComm);
-            repartition_dense(
-                comm,
-                x,
-                Self::travel_layout(dims.m, dims.r, p, c),
-                Self::fiber_layout(dims.m, dims.r, p, c),
-            )
-        };
-        self.set_a_parts(fiber, x.clone());
+        self.canon.x_fiber = self.to_fiber(comm, Operand::A, x);
+        self.trans.y_home = x.clone();
     }
 
     fn set_b(&mut self, comm: &Comm, y: &Mat) {
-        let (dims, p, c) = (self.dims, self.gc.grid.p, self.gc.grid.c);
-        let fiber = {
-            let _ph = comm.phase(Phase::OutsideComm);
-            repartition_dense(
-                comm,
-                y,
-                Self::travel_layout(dims.n, dims.r, p, c),
-                Self::fiber_layout(dims.n, dims.r, p, c),
-            )
-        };
-        self.set_b_parts(fiber, y.clone());
+        self.trans.x_fiber = self.to_fiber(comm, Operand::B, y);
+        self.canon.y_home = y.clone();
     }
 
     fn rhs_a(&mut self, comm: &Comm) -> Mat {
         // The SpMMA output lands in the fiber layout; the iterate lives
         // in the travel layout — pay the distribution shift (Fig. 9).
-        let (dims, p, c) = (self.dims, self.gc.grid.p, self.gc.grid.c);
-        let fiber = DenseRepl25::spmm_a(self, false);
+        let view = self.view;
+        let fiber = self.spmm_a(false);
         let _ph = comm.phase(Phase::OutsideComm);
         repartition_dense(
             comm,
             &fiber,
-            Self::fiber_layout(dims.m, dims.r, p, c),
-            Self::travel_layout(dims.m, dims.r, p, c),
+            |g| view.layout_of(Operand::A, true, g),
+            |g| view.layout_of(Operand::A, false, g),
         )
-    }
-
-    fn rhs_b(&mut self, _comm: &Comm) -> Mat {
-        DenseRepl25::spmm_b(self, false)
-    }
-
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::travel_layout(self.dims.m, self.dims.r, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::travel_layout(self.dims.n, self.dims.r, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
-        Self::fiber_layout(self.dims.m, self.dims.r, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn row_group_a(&self, g: usize) -> u64 {
-        // Travel layouts are shared by the Cannon anti-diagonal
-        // {(u, v): u+v ≡ σ₀ (mod q)} within a layer w.
-        let (q, c) = (self.gc.grid.q, self.gc.grid.c);
-        let (u, v, w) = (g / (q * c), (g / c) % q, g % c);
-        (((u + v) % q) * c + w) as u64
-    }
-
-    fn row_group_b(&self, g: usize) -> u64 {
-        self.row_group_a(g)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global::GlobalProblem;
+    use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, SimWorld};
     use dsk_dense::ops::max_abs_diff;
     use std::sync::Arc;
+
+    const FAMILY: AlgorithmFamily = AlgorithmFamily::DenseRepl25;
+
+    fn view(prob: &GlobalProblem, p: usize, c: usize) -> PlanView {
+        PlanView::of(KernelId::Family(FAMILY), c, p, prob.dims)
+    }
 
     #[test]
     fn sddmm_matches_reference() {
@@ -915,7 +605,7 @@ mod tests {
             let expect = prob.reference_sddmm().to_coo().to_dense();
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let mut worker = DenseRepl25::from_global(comm, c, &prob);
+                let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
                 worker.sddmm();
                 worker.gather_r(comm)
             });
@@ -932,12 +622,13 @@ mod tests {
             let (p, c, m, n, r) = (8, 2, 24, 26, 7);
             let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 62));
             let expect = prob.reference_fused_b();
-            let layout = DenseRepl25::travel_layout(n, r, p, c);
+            let view = view(&prob, p, c);
+            let layout = move |g| view.b_layout_of(g);
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let mut worker = DenseRepl25::from_global(comm, c, &prob);
+                let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
                 let got = worker.fused_mm_b(None, elision, Sampling::Values);
-                crate::layout::gather_dense(comm, 0, &got, &layout, n, r)
+                crate::layout::gather_dense(comm, 0, &got, layout, n, r)
             });
             let got = out[0].value.as_ref().unwrap();
             assert!(
@@ -953,12 +644,13 @@ mod tests {
             let (p, c, m, n, r) = (18, 2, 30, 24, 9);
             let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 63));
             let expect = prob.reference_fused_a();
-            let layout = DenseRepl25::travel_layout(m, r, p, c);
+            let view = view(&prob, p, c);
+            let layout = move |g| view.a_layout_of(g);
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let mut worker = DenseRepl25::from_global(comm, c, &prob);
+                let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
                 let got = worker.fused_mm_a(None, elision, Sampling::Values);
-                crate::layout::gather_dense(comm, 0, &got, &layout, m, r)
+                crate::layout::gather_dense(comm, 0, &got, layout, m, r)
             });
             let got = out[0].value.as_ref().unwrap();
             assert!(
@@ -974,16 +666,17 @@ mod tests {
         let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 64));
         let ea = prob.reference_spmm_a();
         let eb = prob.reference_spmm_b();
-        let la = DenseRepl25::fiber_layout(m, r, p, c);
-        let lb = DenseRepl25::travel_layout(n, r, p, c);
+        let view = view(&prob, p, c);
+        let la = move |g| view.spmm_a_with_layout_of(g);
+        let lb = move |g| view.b_layout_of(g);
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut worker = DenseRepl25::from_global(comm, c, &prob);
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             let ga = worker.spmm_a(false);
             let gb = worker.spmm_b(false);
             (
-                crate::layout::gather_dense(comm, 0, &ga, &la, m, r),
-                crate::layout::gather_dense(comm, 0, &gb, &lb, n, r),
+                crate::layout::gather_dense(comm, 0, &ga, la, m, r),
+                crate::layout::gather_dense(comm, 0, &gb, lb, n, r),
             )
         });
         let (ga, gb) = &out[0].value;
@@ -1000,7 +693,7 @@ mod tests {
             let pr = Arc::clone(&prob);
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let mut worker = DenseRepl25::from_global(comm, c, &pr);
+                let mut worker = DistWorker::from_global(comm, FAMILY, c, &pr);
                 let _ = worker.fused_mm_b(None, elision, Sampling::Values);
             });
             let total: u64 = out
@@ -1021,7 +714,7 @@ mod tests {
         let nnz = prob.nnz() as u64;
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut worker = DenseRepl25::from_global(comm, c, &prob);
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             let _ = worker.fused_mm_b(None, Elision::ReplicationReuse, Sampling::Values);
         });
         let q = 2; // √(16/4)

@@ -28,14 +28,12 @@
 use dsk_comm::{Comm, CommPattern, Grid15, GridComms15, Phase, RowSet};
 use dsk_dense::Mat;
 use dsk_kernels as kern;
-use dsk_sparse::{CooMatrix, CsrMatrix};
+use dsk_sparse::CsrMatrix;
 
-use crate::common::{
-    block_range, union_range, AlgorithmFamily, Elision, ProblemDims, Sampling, ShiftPipeline,
-};
-use crate::global::GlobalProblem;
+use crate::common::{block_range, union_range, AlgorithmFamily, Elision, Sampling, ShiftPipeline};
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::layout::DenseLayout;
+use crate::planview::PlanView;
+use crate::rstore::RStore;
 use crate::staged::{PlanPatterns, StagedProblem};
 
 /// Tag used for dense block shifts within a layer.
@@ -45,10 +43,11 @@ const TAG_SHIFT: u32 = 100;
 pub struct DenseShift15 {
     /// Grid communicators (layer ring + replication fiber).
     pub gc: GridComms15,
-    dims: ProblemDims,
+    view: PlanView,
     /// `S` blocks by slot `w` (column block `j = w·c + v` of macro row
-    /// `u`), values = sampling values.
-    s_blocks: Vec<CsrMatrix>,
+    /// `u`), values = sampling values, with the SDDMM output values
+    /// aligned to their nonzero order.
+    r: RStore,
     /// `Sᵀ` blocks by slot `w` (column block over `m` of macro row `u`
     /// of `n`), for the transposed-role (FusedMMA) paths.
     st_blocks: Vec<CsrMatrix>,
@@ -56,25 +55,14 @@ pub struct DenseShift15 {
     pub a_loc: Mat,
     /// Local block row `g` of `B`.
     pub b_loc: Mat,
-    /// SDDMM output values per slot (aligned with `s_blocks` nonzero
-    /// order), populated by [`DenseShift15::sddmm`].
-    r_vals: Option<Vec<Vec<f64>>>,
     /// Layer-ring communication pattern for pattern-routed propagation
     /// (`None` = dense shifts, the default).
     route: Option<CommPattern>,
-    /// Tuned local-kernel variants (all-naive until
-    /// [`DenseShift15::tune_local`] runs).
-    local: kern::LocalPicks,
+    /// Tuned local-kernel variants (all-naive until the builder tunes).
+    pub(crate) local: kern::LocalPicks,
 }
 
 impl DenseShift15 {
-    /// Build this rank's state from a borrowed global problem (test
-    /// convenience; benchmark runs share staging via
-    /// [`DenseShift15::from_staged`]).
-    pub fn from_global(comm: &Comm, c: usize, prob: &GlobalProblem) -> Self {
-        Self::from_staged(comm, c, &StagedProblem::ephemeral(prob))
-    }
-
     /// Build this rank's state from shared staging (no communication,
     /// statistics unaffected).
     pub fn from_staged(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
@@ -96,6 +84,9 @@ impl DenseShift15 {
         let s_blocks: Vec<CsrMatrix> = (0..q)
             .map(|w| CsrMatrix::from_coo(&grid_s[u][w * c + v]))
             .collect();
+        let offsets = (0..q)
+            .map(|w| (macro_rows[u].start, col_blocks[w * c + v].start))
+            .collect();
 
         let macro_rows_t: Vec<_> = (0..q).map(|uu| union_range(n, p, uu * c, c)).collect();
         let col_blocks_t: Vec<_> = (0..p).map(|j| block_range(m, p, j)).collect();
@@ -106,38 +97,17 @@ impl DenseShift15 {
 
         let a_loc = prob.a.rows_block(block_range(m, p, g));
         let b_loc = prob.b.rows_block(block_range(n, p, g));
+        let id = KernelId::Family(AlgorithmFamily::DenseShift15);
         DenseShift15 {
             gc,
-            dims: prob.dims,
-            s_blocks,
+            view: PlanView::of(id, c, p, prob.dims),
+            r: RStore::csr((m, n), s_blocks, offsets),
             st_blocks,
             a_loc,
             b_loc,
-            r_vals: None,
             route: None,
             local: kern::LocalPicks::default(),
         }
-    }
-
-    /// Resolve this worker's local-kernel variants against the shared
-    /// tuning cache, microbenchmarking on this rank's first stationary
-    /// `S` block when the shape class is new. Wall time lands in
-    /// [`Phase::LocalTuning`]; no communication, no flop accounting —
-    /// modeled numbers are untouched whatever wins.
-    pub(crate) fn tune_local(&mut self, staged: &StagedProblem, comm: &Comm, c: usize) {
-        let _t = comm.phase(Phase::LocalTuning);
-        let tuning = staged.local_tuning();
-        let (p, dims, nnz) = (comm.size(), self.dims, staged.prob.nnz());
-        let req = |op| {
-            crate::kernel::local_tune_request(AlgorithmFamily::DenseShift15, op, p, c, dims, nnz)
-        };
-        let blk = &self.s_blocks[0];
-        self.local = kern::LocalPicks {
-            spmm: tuning.tune_csr(req(kern::LocalOp::Spmm), blk),
-            spmm_t: tuning.tune_csr(req(kern::LocalOp::SpmmT), blk),
-            sddmm: tuning.tune_csr(req(kern::LocalOp::Sddmm), blk),
-            fused: tuning.tune_csr(req(kern::LocalOp::Fused), blk),
-        };
     }
 
     /// The need sets a pattern-routed plan requires, derived world-free
@@ -178,21 +148,6 @@ impl DenseShift15 {
             &self.gc.layer,
             pats.primary[g].clone(),
         ));
-    }
-
-    /// Problem dimensions.
-    pub fn dims(&self) -> ProblemDims {
-        self.dims
-    }
-
-    /// Layout of `A` on rank `g` (identical for inputs and outputs).
-    pub fn a_layout(dims: ProblemDims, p: usize) -> impl Fn(usize) -> DenseLayout {
-        move |g| DenseLayout::single(block_range(dims.m, p, g), 0..dims.r)
-    }
-
-    /// Layout of `B` on rank `g` (identical for inputs and outputs).
-    pub fn b_layout(dims: ProblemDims, p: usize) -> impl Fn(usize) -> DenseLayout {
-        move |g| DenseLayout::single(block_range(dims.n, p, g), 0..dims.r)
     }
 
     fn q(&self) -> usize {
@@ -321,13 +276,8 @@ impl DenseShift15 {
 
     /// SpMM propagation round with a replicated (macro-row) accumulator:
     /// `T += R_w · y` per step, `y` shifting (the SpMMA data flow).
-    fn spmm_out_round(
-        &self,
-        blocks: &[CsrMatrix],
-        vals: &[Vec<f64>],
-        y0: &Mat,
-        route: Option<&CommPattern>,
-    ) -> Mat {
+    /// `blocks` carry the values to multiply with.
+    fn spmm_out_round(&self, blocks: &[CsrMatrix], y0: &Mat, route: Option<&CommPattern>) -> Mat {
         let q = self.q();
         let pipe = self.pipeline();
         let r = y0.ncols();
@@ -335,12 +285,11 @@ impl DenseShift15 {
         let mut y = y0.clone();
         for t in 0..q {
             let w = self.slot(t);
-            let mut blk = blocks[w].clone();
-            blk.set_vals(vals[w].clone());
+            let blk = &blocks[w];
             let ship = route.map(|pat| self.forward_input(pat, w, t));
             let fly = pipe.begin_mat(&y, ship.as_ref());
             self.gc.layer.compute(kern::spmm_flops(blk.nnz(), r), || {
-                self.local.spmm.spmm_csr(&mut t_buf, &blk, &y)
+                self.local.spmm.spmm_csr(&mut t_buf, blk, &y)
             });
             y = fly.wait();
         }
@@ -350,11 +299,11 @@ impl DenseShift15 {
     /// SpMM propagation round with a *circulating* accumulator: the
     /// output block rows shift around the ring, each rank adding
     /// `R_wᵀ · T` for its stationary block (the SpMMB data flow, and the
-    /// second half of replication reuse).
+    /// second half of replication reuse). `blocks` carry the values to
+    /// multiply with.
     fn spmm_shift_acc_round(
         &self,
         blocks: &[CsrMatrix],
-        vals: &[Vec<f64>],
         t_buf: &Mat,
         my_out_rows: usize,
         route: Option<&CommPattern>,
@@ -365,11 +314,10 @@ impl DenseShift15 {
         let mut out = Mat::zeros(my_out_rows, r);
         for t in 0..q {
             let w = self.slot(t);
-            let mut blk = blocks[w].clone();
-            blk.set_vals(vals[w].clone());
+            let blk = &blocks[w];
             debug_assert_eq!(blk.ncols(), out.nrows(), "block/accumulator misalignment");
             self.gc.layer.compute(kern::spmm_flops(blk.nnz(), r), || {
-                self.local.spmm_t.spmm_csr_t(&mut out, &blk, t_buf)
+                self.local.spmm_t.spmm_csr_t(&mut out, blk, t_buf)
             });
             // Accumulator lane: the block is not final until the local
             // kernel has added its contribution, so the exchange cannot
@@ -381,26 +329,32 @@ impl DenseShift15 {
     }
 
     /// Fused propagation round (local kernel fusion): one pass computing
-    /// the local fused SDDMM+SpMM per step.
+    /// the local fused SDDMM+SpMM per step. The stationary blocks are
+    /// read as they are under [`Sampling::Values`]; the ones-valued
+    /// copies [`Sampling::Ones`] needs are built once, before the ring
+    /// starts.
     fn fused_round(&self, blocks: &[CsrMatrix], t_in: &Mat, y0: &Mat, sampling: Sampling) -> Mat {
+        let ones: Vec<CsrMatrix>;
+        let blocks = match sampling {
+            Sampling::Values => blocks,
+            Sampling::Ones => {
+                ones = blocks
+                    .iter()
+                    .map(|b| b.with_vals(vec![1.0; b.nnz()]))
+                    .collect();
+                &ones
+            }
+        };
         let q = self.q();
         let pipe = self.pipeline();
         let r = y0.ncols();
         let mut t_out = Mat::zeros(t_in.nrows(), r);
         let mut y = y0.clone();
         for t in 0..q {
-            let w = self.slot(t);
-            let blk = match sampling {
-                Sampling::Values => blocks[w].clone(),
-                Sampling::Ones => {
-                    let mut b = blocks[w].clone();
-                    b.set_vals(vec![1.0; b.nnz()]);
-                    b
-                }
-            };
+            let blk = &blocks[self.slot(t)];
             let fly = pipe.begin_mat(&y, None);
             self.gc.layer.compute(kern::fused_flops(blk.nnz(), r), || {
-                self.local.fused.fused_csr(&mut t_out, &blk, t_in, &y)
+                self.local.fused.fused_csr(&mut t_out, blk, t_in, &y)
             });
             y = fly.wait();
         }
@@ -420,346 +374,141 @@ impl DenseShift15 {
         acc
     }
 
-    // ------------------------------------------------------------------
-    // Public kernels
-    // ------------------------------------------------------------------
-
-    /// Distributed SDDMM: replicates `A`, shifts `B`, leaves
-    /// `R = S ∗ (A·Bᵀ)` distributed like `S` (retrievable via
-    /// [`DenseShift15::gather_r`]).
-    pub fn sddmm(&mut self) {
-        let t_buf = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
-        let acc = self.sddmm_round(
-            &self.s_blocks,
-            &t_buf,
-            &self.b_loc,
-            kern::SddmmCombine::Dot,
-            self.route.as_ref(),
-        );
-        self.r_vals = Some(Self::apply_sampling(&self.s_blocks, acc, Sampling::Values));
+    /// The blocks carrying a round's SDDMM output (`sampling` applied):
+    /// the valued operand of a FusedMM's SpMM half, built once per call.
+    fn sampled_blocks(
+        blocks: &[CsrMatrix],
+        acc: Vec<Vec<f64>>,
+        sampling: Sampling,
+    ) -> Vec<CsrMatrix> {
+        let vals = Self::apply_sampling(blocks, acc, sampling);
+        let valued = blocks.iter().zip(vals);
+        valued.map(|(b, v)| b.with_vals(v)).collect()
     }
 
-    /// Distributed SpMMA: `S·B` (or `R·B` when `use_r` and an SDDMM has
-    /// run), returned as this rank's `A`-shaped block row.
-    pub fn spmm_a(&mut self, use_r: bool) -> Mat {
-        let vals = self.current_vals(use_r);
-        let t_buf = self.spmm_out_round(&self.s_blocks, &vals, &self.b_loc, self.route.as_ref());
-        self.reduce_to_block(self.dims.m, &t_buf)
-    }
-
-    /// Distributed SpMMB: `Sᵀ·A` (or `Rᵀ·A`), returned as this rank's
-    /// `B`-shaped block row.
-    pub fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let vals = self.current_vals(use_r);
-        let t_buf = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
-        self.spmm_shift_acc_round(
-            &self.s_blocks,
-            &vals,
-            &t_buf,
-            self.b_loc.nrows(),
-            self.route.as_ref(),
-        )
-    }
-
-    fn current_vals(&self, use_r: bool) -> Vec<Vec<f64>> {
-        if use_r {
-            self.r_vals
-                .clone()
-                .expect("no SDDMM result available; call sddmm() first")
-        } else {
-            self.s_blocks.iter().map(|b| b.vals().to_vec()).collect()
-        }
-    }
-
-    /// FusedMMA = `SpMMA(SDDMM(x, B, S), B)`. `x` (defaults to the
-    /// stored `A`) is this rank's `A` block row; the result has the same
-    /// layout.
-    pub fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let x = x.unwrap_or(&self.a_loc);
-        match elision {
-            Elision::None => {
-                // SDDMM: all-gather x, shift B.
-                let t_buf = self.replicate(self.s_blocks[0].nrows(), x);
-                let acc = self.sddmm_round(
-                    &self.s_blocks,
-                    &t_buf,
-                    &self.b_loc,
-                    kern::SddmmCombine::Dot,
-                    self.route.as_ref(),
-                );
-                let rvals = Self::apply_sampling(&self.s_blocks, acc, sampling);
-                // SpMMA: fresh zero accumulator, shift B again,
-                // reduce-scatter.
-                let t_out =
-                    self.spmm_out_round(&self.s_blocks, &rvals, &self.b_loc, self.route.as_ref());
-                self.reduce_to_block(self.dims.m, &t_out)
-            }
-            Elision::LocalKernelFusion => {
-                let t_in = self.replicate(self.s_blocks[0].nrows(), x);
-                let t_out = self.fused_round(&self.s_blocks, &t_in, &self.b_loc, sampling);
-                self.reduce_to_block(self.dims.m, &t_out)
-            }
-            Elision::ReplicationReuse => {
-                // Transposed roles: replicate B once; travel Sᵀ for the
-                // SDDMM (x shifts), then circulate the A-shaped output
-                // accumulator reusing the same T.
-                let t_buf = self.replicate(self.st_blocks[0].nrows(), &self.b_loc);
-                let acc =
-                    self.sddmm_round(&self.st_blocks, &t_buf, x, kern::SddmmCombine::Dot, None);
-                let rvals = Self::apply_sampling(&self.st_blocks, acc, sampling);
-                self.spmm_shift_acc_round(&self.st_blocks, &rvals, &t_buf, x.nrows(), None)
-            }
-        }
-    }
-
-    /// FusedMMB = `SpMMB(SDDMM(A, y, S), A)`. `y` (defaults to the
-    /// stored `B`) is this rank's `B` block row; the result has the same
-    /// layout.
-    pub fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let y = y.unwrap_or(&self.b_loc);
-        match elision {
-            Elision::None => {
-                let t_buf = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
-                let acc = self.sddmm_round(
-                    &self.s_blocks,
-                    &t_buf,
-                    y,
-                    kern::SddmmCombine::Dot,
-                    self.route.as_ref(),
-                );
-                let rvals = Self::apply_sampling(&self.s_blocks, acc, sampling);
-                // Unoptimized back-to-back: the SpMMB call replicates A
-                // again.
-                let t2 = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
-                self.spmm_shift_acc_round(
-                    &self.s_blocks,
-                    &rvals,
-                    &t2,
-                    y.nrows(),
-                    self.route.as_ref(),
-                )
-            }
-            Elision::ReplicationReuse => {
-                let t_buf = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
-                let acc =
-                    self.sddmm_round(&self.s_blocks, &t_buf, y, kern::SddmmCombine::Dot, None);
-                let rvals = Self::apply_sampling(&self.s_blocks, acc, sampling);
-                // Reuse T for the SpMMB.
-                self.spmm_shift_acc_round(&self.s_blocks, &rvals, &t_buf, y.nrows(), None)
-            }
-            Elision::LocalKernelFusion => {
-                // Dual of the FusedMMA fused round: roles swapped, Sᵀ.
-                let t_in = self.replicate(self.st_blocks[0].nrows(), y);
-                let t_out = self.fused_round(&self.st_blocks, &t_in, &self.a_loc, sampling);
-                self.reduce_to_block(self.dims.n, &t_out)
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // R-value access (GAT support) and verification
-    // ------------------------------------------------------------------
-
-    /// Run the SDDMM propagation with a generalized combine, storing raw
-    /// (un-sampled) accumulations as the R values.
-    pub fn sddmm_general(&mut self, combine: kern::SddmmCombine<'_>) {
-        let t_buf = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
-        let acc = self.sddmm_round(
-            &self.s_blocks,
-            &t_buf,
-            &self.b_loc,
-            combine,
-            self.route.as_ref(),
-        );
-        self.r_vals = Some(acc);
-    }
-
-    /// Map every stored R value in place (local).
-    pub fn map_r(&mut self, mut f: impl FnMut(f64) -> f64) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        for vs in r.iter_mut() {
-            for v in vs.iter_mut() {
-                *v = f(*v);
-            }
-        }
-    }
-
-    /// Row sums of R over this rank's macro row (globally reduced along
-    /// the fiber; indices local to macro row `u`).
-    pub fn r_row_sums(&self, comm_phase: Phase) -> Vec<f64> {
-        let r = self.r_vals.as_ref().expect("no R values");
-        let rows = self.s_blocks[0].nrows();
-        let mut sums = vec![0.0; rows];
-        for (blk, vals) in self.s_blocks.iter().zip(r) {
-            let indptr = blk.indptr();
-            for i in 0..rows {
-                for k in indptr[i]..indptr[i + 1] {
-                    sums[i] += vals[k];
-                }
-            }
-        }
-        let _ph = self.gc.fiber.phase(comm_phase);
-        self.gc.fiber.allreduce_sum(&mut sums);
-        sums
-    }
-
-    /// Scale each R row by `scale[i]` (indices local to macro row `u`).
-    pub fn scale_r_rows(&mut self, scale: &[f64]) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        for (blk, vals) in self.s_blocks.iter().zip(r.iter_mut()) {
-            let indptr = blk.indptr();
-            for i in 0..blk.nrows() {
-                for k in indptr[i]..indptr[i + 1] {
-                    vals[k] *= scale[i];
-                }
-            }
-        }
-    }
-
-    /// SpMMA using the stored R values against an explicit `B`-layout
-    /// operand (GAT: `S'·(H·W)`).
-    pub fn spmm_a_with(&self, y: &Mat) -> Mat {
-        let vals = self.current_vals(true);
-        let t_buf = self.spmm_out_round(&self.s_blocks, &vals, y, self.route.as_ref());
-        self.reduce_to_block(self.dims.m, &t_buf)
-    }
-
-    /// Local contribution to `‖S − dots‖²` where `dots` are the raw
-    /// accumulations of the last [`DenseShift15::sddmm_general`] call —
-    /// the ALS squared loss (sum across ranks covers each nonzero
-    /// once).
-    pub fn sq_loss_local(&self) -> f64 {
-        let r = self.r_vals.as_ref().expect("no R values");
-        let mut acc = 0.0;
-        for (blk, vals) in self.s_blocks.iter().zip(r) {
-            for (s, d) in blk.vals().iter().zip(vals) {
-                acc += (s - d) * (s - d);
-            }
-        }
-        acc
-    }
-
-    /// Gather the distributed SDDMM result to communicator rank 0 in
-    /// global coordinates (verification; statistics paused).
-    pub fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        let local = self.export_r_local().expect("no SDDMM result");
-        crate::layout::gather_coo(comm, 0, local, self.dims.m, self.dims.n)
-    }
-
-    /// The local R values as global-coordinate triplets (`None` before
-    /// any SDDMM).
-    fn export_r_local(&self) -> Option<CooMatrix> {
-        let r_vals = self.r_vals.as_ref()?;
-        let (p, c, u, v) = (self.gc.grid.p, self.c(), self.gc.u, self.gc.v);
-        let (m, n) = (self.dims.m, self.dims.n);
-        let macro_start = union_range(m, p, u * c, c).start;
-        let mut local = CooMatrix::empty(m, n);
-        for (w, (blk, vals)) in self.s_blocks.iter().zip(r_vals).enumerate() {
-            let col_start = block_range(n, p, w * c + v).start;
-            let coo = blk.to_coo();
-            for (k, (i, j, _)) in coo.iter().enumerate() {
-                local.push(macro_start + i, col_start + j, vals[k]);
-            }
-        }
-        Some(local)
+    /// Raw SDDMM accumulations on the stored operands: replicates `A`,
+    /// shifts `B`.
+    fn dots(&self, combine: kern::SddmmCombine<'_>) -> Vec<Vec<f64>> {
+        let s = self.r.csr_blocks();
+        let t_buf = self.replicate(s[0].nrows(), &self.a_loc);
+        self.sddmm_round(s, &t_buf, &self.b_loc, combine, self.route.as_ref())
     }
 }
 
 impl DistKernel for DenseShift15 {
-    fn id(&self) -> KernelId {
-        KernelId::Family(AlgorithmFamily::DenseShift15)
+    fn view(&self) -> PlanView {
+        self.view
     }
 
-    fn dims(&self) -> ProblemDims {
-        self.dims
+    fn r_store(&self) -> &RStore {
+        &self.r
     }
 
-    fn supports(&self, elision: Elision) -> bool {
-        AlgorithmFamily::DenseShift15.supports(elision)
+    fn r_store_mut(&mut self) -> &mut RStore {
+        &mut self.r
     }
 
+    /// Leaves `R = S ∗ (A·Bᵀ)` distributed like `S`.
     fn sddmm(&mut self) {
-        DenseShift15::sddmm(self);
+        let acc = self.dots(kern::SddmmCombine::Dot);
+        let vals = Self::apply_sampling(self.r.csr_blocks(), acc, Sampling::Values);
+        self.r.set(vals);
     }
 
     fn sddmm_general(&mut self, combine: &CombineSpec) {
         // Full rows are co-located here, so the combine is used at full
         // width (the slice is the whole r-dimension).
-        DenseShift15::sddmm_general(self, combine.for_slice(0..self.dims.r));
+        let acc = self.dots(combine.for_slice(0..self.view.dims().r));
+        self.r.set(acc);
     }
 
+    /// Returned as this rank's `A`-shaped block row.
     fn spmm_a(&mut self, use_r: bool) -> Mat {
-        DenseShift15::spmm_a(self, use_r)
+        let t_buf =
+            self.spmm_out_round(&self.r.csr_valued(use_r), &self.b_loc, self.route.as_ref());
+        self.reduce_to_block(self.view.dims().m, &t_buf)
     }
 
+    /// Returned as this rank's `B`-shaped block row.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        DenseShift15::spmm_b(self, use_r)
+        let blocks = self.r.csr_valued(use_r);
+        let t_buf = self.replicate(blocks[0].nrows(), &self.a_loc);
+        self.spmm_shift_acc_round(&blocks, &t_buf, self.b_loc.nrows(), self.route.as_ref())
     }
 
     fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        DenseShift15::fused_mm_a(self, x, elision, sampling)
+        let x = x.unwrap_or(&self.a_loc);
+        let (s, st) = (self.r.csr_blocks(), &self.st_blocks[..]);
+        let (dot, route) = (kern::SddmmCombine::Dot, self.route.as_ref());
+        match elision {
+            Elision::None => {
+                // SDDMM: all-gather x, shift B.
+                let t_buf = self.replicate(s[0].nrows(), x);
+                let acc = self.sddmm_round(s, &t_buf, &self.b_loc, dot, route);
+                let r_blocks = Self::sampled_blocks(s, acc, sampling);
+                // SpMMA: fresh zero accumulator, shift B again,
+                // reduce-scatter.
+                let t_out = self.spmm_out_round(&r_blocks, &self.b_loc, route);
+                self.reduce_to_block(self.view.dims().m, &t_out)
+            }
+            Elision::LocalKernelFusion => {
+                let t_in = self.replicate(s[0].nrows(), x);
+                let t_out = self.fused_round(s, &t_in, &self.b_loc, sampling);
+                self.reduce_to_block(self.view.dims().m, &t_out)
+            }
+            Elision::ReplicationReuse => {
+                // Transposed roles: replicate B once; travel Sᵀ for the
+                // SDDMM (x shifts), then circulate the A-shaped output
+                // accumulator reusing the same T.
+                let t_buf = self.replicate(st[0].nrows(), &self.b_loc);
+                let acc = self.sddmm_round(st, &t_buf, x, dot, None);
+                let r_blocks = Self::sampled_blocks(st, acc, sampling);
+                self.spmm_shift_acc_round(&r_blocks, &t_buf, x.nrows(), None)
+            }
+        }
     }
 
     fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        DenseShift15::fused_mm_b(self, y, elision, sampling)
+        let y = y.unwrap_or(&self.b_loc);
+        let (s, st) = (self.r.csr_blocks(), &self.st_blocks[..]);
+        let (dot, route) = (kern::SddmmCombine::Dot, self.route.as_ref());
+        match elision {
+            Elision::None => {
+                let t_buf = self.replicate(s[0].nrows(), &self.a_loc);
+                let acc = self.sddmm_round(s, &t_buf, y, dot, route);
+                let r_blocks = Self::sampled_blocks(s, acc, sampling);
+                // Unoptimized back-to-back: the SpMMB call replicates A
+                // again.
+                let t2 = self.replicate(s[0].nrows(), &self.a_loc);
+                self.spmm_shift_acc_round(&r_blocks, &t2, y.nrows(), route)
+            }
+            Elision::ReplicationReuse => {
+                let t_buf = self.replicate(s[0].nrows(), &self.a_loc);
+                let acc = self.sddmm_round(s, &t_buf, y, dot, None);
+                let r_blocks = Self::sampled_blocks(s, acc, sampling);
+                // Reuse T for the SpMMB.
+                self.spmm_shift_acc_round(&r_blocks, &t_buf, y.nrows(), None)
+            }
+            Elision::LocalKernelFusion => {
+                // Dual of the FusedMMA fused round: roles swapped, Sᵀ.
+                let t_in = self.replicate(st[0].nrows(), y);
+                let t_out = self.fused_round(st, &t_in, &self.a_loc, sampling);
+                self.reduce_to_block(self.view.dims().n, &t_out)
+            }
+        }
     }
 
-    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
-        DenseShift15::map_r(self, f);
-    }
-
+    /// Reduced along the fiber; indices local to macro row `u`.
     fn r_row_sums(&self, _comm: &Comm, phase: Phase) -> Vec<f64> {
-        DenseShift15::r_row_sums(self, phase)
-    }
-
-    fn scale_r_rows(&mut self, scale: &[f64]) {
-        DenseShift15::scale_r_rows(self, scale);
+        let mut sums = self.r.row_sums();
+        let _ph = self.gc.fiber.phase(phase);
+        self.gc.fiber.allreduce_sum(&mut sums);
+        sums
     }
 
     fn spmm_a_with(&self, y: &Mat) -> Mat {
-        DenseShift15::spmm_a_with(self, y)
-    }
-
-    fn sq_loss_local(&self) -> f64 {
-        DenseShift15::sq_loss_local(self)
-    }
-
-    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        DenseShift15::gather_r(self, comm)
-    }
-
-    fn export_r(&self) -> Option<CooMatrix> {
-        self.export_r_local()
-    }
-
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        // Rank g holds macro row u = g/c of S; its column blocks are
-        // strided across the full width, so the column bound stays
-        // conservative.
-        let (p, c) = (self.gc.grid.p, self.c());
-        let u = self.gc.grid.layer_pos(g);
-        (union_range(self.dims.m, p, u * c, c), 0..self.dims.n)
-    }
-
-    fn import_r(&mut self, r: &CooMatrix) {
-        let map = crate::layout::triplet_map(r);
-        let (p, c, u, v) = (self.gc.grid.p, self.c(), self.gc.u, self.gc.v);
-        let (m, n) = (self.dims.m, self.dims.n);
-        let macro_start = union_range(m, p, u * c, c).start as u32;
-        let mut per_slot = Vec::with_capacity(self.s_blocks.len());
-        for (w, blk) in self.s_blocks.iter().enumerate() {
-            let col_start = block_range(n, p, w * c + v).start as u32;
-            let coo = blk.to_coo();
-            let mut vals = Vec::with_capacity(blk.nnz());
-            for (i, j, _) in coo.iter() {
-                vals.push(
-                    *map.get(&(macro_start + i as u32, col_start + j as u32))
-                        .expect("imported R misses a local pattern nonzero"),
-                );
-            }
-            per_slot.push(vals);
-        }
-        self.r_vals = Some(per_slot);
+        let t_buf = self.spmm_out_round(&self.r.csr_valued(true), y, self.route.as_ref());
+        self.reduce_to_block(self.view.dims().m, &t_buf)
     }
 
     fn a_iterate(&self) -> Mat {
@@ -780,53 +529,33 @@ impl DistKernel for DenseShift15 {
         assert_eq!(y.nrows(), self.b_loc.nrows(), "B iterate shape mismatch");
         self.b_loc = y.clone();
     }
-
-    fn rhs_a(&mut self, _comm: &Comm) -> Mat {
-        DenseShift15::spmm_a(self, false)
-    }
-
-    fn rhs_b(&mut self, _comm: &Comm) -> Mat {
-        DenseShift15::spmm_b(self, false)
-    }
-
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::a_layout(self.dims, self.gc.grid.p)(g)
-    }
-
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::b_layout(self.dims, self.gc.grid.p)(g)
-    }
-
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
-        Self::a_layout(self.dims, self.gc.grid.p)(g)
-    }
-
-    fn row_group_a(&self, g: usize) -> u64 {
-        // Rows are whole on one rank: every rank is its own group.
-        g as u64
-    }
-
-    fn row_group_b(&self, g: usize) -> u64 {
-        g as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global::GlobalProblem;
+    use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, SimWorld};
     use dsk_dense::ops::max_abs_diff;
     use std::sync::Arc;
+
+    const FAMILY: AlgorithmFamily = AlgorithmFamily::DenseShift15;
+
+    fn view(prob: &GlobalProblem, p: usize, c: usize) -> PlanView {
+        PlanView::of(KernelId::Family(FAMILY), c, p, prob.dims)
+    }
 
     fn check_fused_a(p: usize, c: usize, m: usize, n: usize, r: usize, elision: Elision) {
         let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 42));
         let expect = prob.reference_fused_a();
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let layout = DenseShift15::a_layout(prob.dims, p);
+        let view = view(&prob, p, c);
+        let layout = move |g| view.a_layout_of(g);
         let out = w.run(move |comm| {
-            let mut worker = DenseShift15::from_global(comm, c, &prob);
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             let got = worker.fused_mm_a(None, elision, Sampling::Values);
-            crate::layout::gather_dense(comm, 0, &got, &layout, m, r)
+            crate::layout::gather_dense(comm, 0, &got, layout, m, r)
         });
         let got = out[0].value.as_ref().unwrap();
         assert!(
@@ -852,11 +581,12 @@ mod tests {
             let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 7));
             let expect = prob.reference_fused_b();
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let layout = DenseShift15::b_layout(prob.dims, p);
+            let view = view(&prob, p, c);
+            let layout = move |g| view.b_layout_of(g);
             let out = w.run(move |comm| {
-                let mut worker = DenseShift15::from_global(comm, c, &prob);
+                let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
                 let got = worker.fused_mm_b(None, elision, Sampling::Values);
-                crate::layout::gather_dense(comm, 0, &got, &layout, n, r)
+                crate::layout::gather_dense(comm, 0, &got, layout, n, r)
             });
             let got = out[0].value.as_ref().unwrap();
             assert!(
@@ -873,7 +603,7 @@ mod tests {
         let expect = prob.reference_sddmm().to_coo().to_dense();
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut worker = DenseShift15::from_global(comm, c, &prob);
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             worker.sddmm();
             worker.gather_r(comm)
         });
@@ -889,16 +619,16 @@ mod tests {
         let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 13));
         let ea = prob.reference_spmm_a();
         let eb = prob.reference_spmm_b();
-        let la = DenseShift15::a_layout(prob.dims, p);
-        let lb = DenseShift15::b_layout(prob.dims, p);
+        let view = view(&prob, p, c);
+        let (la, lb) = (move |g| view.a_layout_of(g), move |g| view.b_layout_of(g));
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut worker = DenseShift15::from_global(comm, c, &prob);
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             let ga = worker.spmm_a(false);
             let gb = worker.spmm_b(false);
             (
-                crate::layout::gather_dense(comm, 0, &ga, &la, m, r),
-                crate::layout::gather_dense(comm, 0, &gb, &lb, n, r),
+                crate::layout::gather_dense(comm, 0, &ga, la, m, r),
+                crate::layout::gather_dense(comm, 0, &gb, lb, n, r),
             )
         });
         let (ga, gb) = &out[0].value;
@@ -917,12 +647,13 @@ mod tests {
         ones.s.fill_values(1.0);
         let expect = ones.reference_fused_a();
         let proba = Arc::new(prob);
-        let layout = DenseShift15::a_layout(proba.dims, p);
+        let view = view(&proba, p, c);
+        let layout = move |g| view.a_layout_of(g);
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut worker = DenseShift15::from_global(comm, c, &proba);
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &proba);
             let got = worker.fused_mm_a(None, Elision::LocalKernelFusion, Sampling::Ones);
-            crate::layout::gather_dense(comm, 0, &got, &layout, m, r)
+            crate::layout::gather_dense(comm, 0, &got, layout, m, r)
         });
         assert!(max_abs_diff(out[0].value.as_ref().unwrap(), &expect) < 1e-9);
     }
@@ -940,7 +671,7 @@ mod tests {
             let pr = Arc::clone(&prob);
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let mut worker = DenseShift15::from_global(comm, c, &pr);
+                let mut worker = DistWorker::from_global(comm, FAMILY, c, &pr);
                 let _ = worker.fused_mm_b(None, elision, Sampling::Values);
             });
             for o in &out {
@@ -963,7 +694,7 @@ mod tests {
             let pr = Arc::clone(&prob);
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let mut worker = DenseShift15::from_global(comm, c, &pr);
+                let mut worker = DistWorker::from_global(comm, FAMILY, c, &pr);
                 let _ = worker.fused_mm_a(None, elision, Sampling::Values);
             });
             words.push(out[0].stats.phase(Phase::Propagation).words_sent);

@@ -3,23 +3,28 @@
 //! [`KernelBuilder`] planner that picks the theory-predicted cheapest
 //! algorithm and replication factor for a problem shape.
 //!
-//! Before this module existed, each family struct exposed a near-
-//! duplicate but incompatible API and every consumer (`DistWorker`, the
-//! application engines, the benchmark harness) hand-dispatched with
-//! `match` blocks over concrete types. [`DistKernel`] captures the full
-//! shared surface once:
+//! [`DistKernel`] captures the full shared surface once, split by who
+//! has to write it. **Required** methods are what differs between
+//! kernels — the data flow. **Provided** methods are what does not:
+//! they are derived from the kernel's [`PlanView`]
+//! ([`DistKernel::view`]: every Table II layout, bound and group is
+//! grid arithmetic on `(kernel, c, p, dims)`) and from its [`RStore`]
+//! ([`DistKernel::r_store`]: the stored SDDMM result lives on the
+//! kernel's own pattern blocks, and what happens to it afterwards never
+//! depends on how the family moved data to compute it).
 //!
-//! | paper section | trait methods |
-//! |---------------|---------------|
-//! | §III kernels (SDDMM, SpMMA/B) | [`DistKernel::sddmm`], [`DistKernel::spmm_a`], [`DistKernel::spmm_b`] |
-//! | §IV FusedMM + elision | [`DistKernel::fused_mm_a`], [`DistKernel::fused_mm_b`], [`DistKernel::supports`] |
-//! | §VI-E generalized SDDMM (GAT logits) | [`DistKernel::sddmm_general`], [`CombineSpec`] |
-//! | §VI-E softmax / ALS loss plumbing | [`DistKernel::map_r`], [`DistKernel::r_row_sums`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
-//! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_with`] |
-//! | Table II data distributions | [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`] |
-//! | Fig. 9 distribution shifts | [`DistKernel::set_a`], [`DistKernel::set_b`], [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
-//! | Fig. 9 row-sharing dot products | [`DistKernel::row_group_a`], [`DistKernel::row_group_b`] |
-//! | verification | [`DistKernel::gather_r`], [`DistKernel::dims`] |
+//! | paper section | required | provided |
+//! |---------------|----------|----------|
+//! | §III kernels (SDDMM, SpMMA/B) | [`DistKernel::sddmm`], [`DistKernel::spmm_a`], [`DistKernel::spmm_b`] | |
+//! | §IV FusedMM + elision | [`DistKernel::fused_mm_a`], [`DistKernel::fused_mm_b`] | [`DistKernel::supports`] |
+//! | §VI-E generalized SDDMM (GAT logits) | [`DistKernel::sddmm_general`], [`CombineSpec`] | |
+//! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_sums`] (reduction group), [`DistKernel::r_store`], [`DistKernel::r_store_mut`] | [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
+//! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_with`] | |
+//! | Table II data distributions | [`DistKernel::view`] | [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`], [`DistKernel::r_pattern_bounds_of`] |
+//! | Fig. 9 distribution shifts | [`DistKernel::set_a`], [`DistKernel::set_b`] | [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
+//! | Fig. 9 row-sharing dot products | | [`DistKernel::row_group_a`], [`DistKernel::row_group_b`] |
+//! | live migration | | [`DistKernel::export_r`], [`DistKernel::import_r`] |
+//! | verification | | [`DistKernel::gather_r`], [`DistKernel::dims`], [`DistKernel::id`] |
 //!
 //! [`KernelBuilder`] sits on top: it resolves a *plan* — which kernel,
 //! which replication factor `c`, which elision — either explicitly
@@ -86,6 +91,8 @@ use crate::dr25::DenseRepl25;
 use crate::ds15::DenseShift15;
 use crate::global::GlobalProblem;
 use crate::layout::DenseLayout;
+use crate::planview::PlanView;
+use crate::rstore::RStore;
 use crate::sr25::SparseRepl25;
 use crate::ss15::SparseShift15;
 use crate::staged::StagedProblem;
@@ -169,18 +176,25 @@ impl KernelId {
 /// # R values
 ///
 /// [`DistKernel::sddmm`] / [`DistKernel::sddmm_general`] store the
-/// distributed SDDMM result `R` inside the worker. `map_r`,
-/// `r_row_sums`, `scale_r_rows` (indexed consistently with each other),
-/// `spmm_a_with`, `sq_loss_local`, and `gather_r` then operate on it.
+/// distributed SDDMM result `R` in the worker's [`RStore`] — value
+/// arrays aligned with the pattern blocks the kernel already holds.
+/// `map_r`, `r_row_sums`, `scale_r_rows` (indexed consistently with
+/// each other), `spmm_a_with`, `sq_loss_local`, and `gather_r` then
+/// operate on it.
 pub trait DistKernel: Send {
-    /// Which implementation this is.
-    fn id(&self) -> KernelId;
+    // ---- required: what differs between kernels ----------------------
 
-    /// Global problem dimensions.
-    fn dims(&self) -> ProblemDims;
+    /// The plan view this kernel was built on: `(kernel, c, p, dims)`.
+    /// Every layout, bound, group and admissibility answer below is
+    /// derived from it.
+    fn view(&self) -> PlanView;
 
-    /// Whether this kernel admits the elision strategy (paper §IV-B).
-    fn supports(&self, elision: Elision) -> bool;
+    /// The stored SDDMM result: this rank's pattern blocks, their global
+    /// offsets, and the R values of the last SDDMM.
+    fn r_store(&self) -> &RStore;
+
+    /// Mutable access to the stored SDDMM result.
+    fn r_store_mut(&mut self) -> &mut RStore;
 
     /// Distributed SDDMM on the stored operands; the result is held as
     /// the worker's R values.
@@ -208,10 +222,6 @@ pub trait DistKernel: Send {
     /// stored `B`) and the result are in the `B`-iterate layout.
     fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat;
 
-    /// Map every stored R value in place (local; all replicas apply the
-    /// same deterministic map).
-    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64);
-
     /// Row sums of the stored R values, reduced over whichever ranks
     /// share those rows, indexed exactly as
     /// [`DistKernel::scale_r_rows`] expects. `comm` is the world
@@ -219,55 +229,11 @@ pub trait DistKernel: Send {
     /// the reduction is charged to `phase`.
     fn r_row_sums(&self, comm: &Comm, phase: Phase) -> Vec<f64>;
 
-    /// Scale each stored R row by `scale[i]` (see
-    /// [`DistKernel::r_row_sums`] for the indexing contract).
-    fn scale_r_rows(&mut self, scale: &[f64]);
-
     /// SpMMA with the stored R values against an explicit `B`-iterate
     /// operand (the GAT convolution `α·(H·W)`), returned in the
     /// [`DistKernel::spmm_a_with_layout_of`] layout. Reads R only, so
     /// it takes `&self` (see the module's mutability contract).
     fn spmm_a_with(&self, y: &Mat) -> Mat;
-
-    /// Local contribution to `‖S − R‖²` after a raw
-    /// [`DistKernel::sddmm_general`] — the ALS squared loss. Summed
-    /// across ranks, every nonzero is counted exactly once.
-    fn sq_loss_local(&self) -> f64;
-
-    /// Gather the stored R values to communicator rank 0 in global
-    /// coordinates (verification; statistics paused).
-    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix>;
-
-    /// This rank's share of the stored R values as **global**-coordinate
-    /// triplets, or `None` when no SDDMM has populated them (no
-    /// communication). Kernels that replicate R across ranks export
-    /// from exactly one replica, so the union over all ranks covers
-    /// each stored nonzero exactly once — the contract live migration
-    /// ([`crate::session::Session::replan`]) relies on.
-    fn export_r(&self) -> Option<CooMatrix>;
-
-    /// Install R values from global-coordinate triplets covering this
-    /// rank's sparsity pattern — the inverse of [`DistKernel::export_r`]
-    /// after a cross-rank union (no communication; the caller moves the
-    /// triplets). Entries outside the local pattern are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a local pattern nonzero has no value in `r` — the
-    /// source and destination kernels were not built from the same
-    /// sparse matrix.
-    fn import_r(&mut self, r: &CooMatrix);
-
-    /// Global bounding rectangle `(rows, cols)` of rank `g`'s stored-R
-    /// sparsity pattern — the region [`DistKernel::import_r`] reads
-    /// values from on that rank. Pure grid arithmetic (no
-    /// communication, callable for any rank); a conservative superset
-    /// of the true pattern is allowed. Live migration
-    /// ([`crate::session::Session`]) uses the *destination* kernel's
-    /// bounds to route each exported triplet only to the ranks that
-    /// need it — an owner-targeted alltoallv moving `O(c·nnz)` words
-    /// instead of the `O(p·nnz)` allgather.
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>);
 
     /// The stored `A` operand in the iterate layout.
     fn a_iterate(&self) -> Mat;
@@ -283,33 +249,129 @@ pub trait DistKernel: Send {
     /// Replace the stored `B` operand with a `B`-iterate.
     fn set_b(&mut self, comm: &Comm, y: &Mat);
 
+    // ---- provided: one implementation for every kernel ---------------
+
+    /// Which implementation this is.
+    fn id(&self) -> KernelId {
+        self.view().id()
+    }
+
+    /// Global problem dimensions.
+    fn dims(&self) -> ProblemDims {
+        self.view().dims()
+    }
+
+    /// Whether this kernel admits the elision strategy (paper §IV-B).
+    fn supports(&self, elision: Elision) -> bool {
+        self.view().supports(elision)
+    }
+
     /// ALS right-hand side for the `A` phase — `S·B` with the sampling
-    /// values — delivered in the `A`-iterate layout (2.5D dense
-    /// replication pays a distribution shift here).
-    fn rhs_a(&mut self, comm: &Comm) -> Mat;
+    /// values — delivered in the `A`-iterate layout. The default is the
+    /// SpMMA output as is; a kernel whose SpMMA lands elsewhere (2.5D
+    /// dense replication) overrides it and pays the distribution shift.
+    fn rhs_a(&mut self, _comm: &Comm) -> Mat {
+        self.spmm_a(false)
+    }
 
     /// ALS right-hand side for the `B` phase — `Sᵀ·A` — in the
-    /// `B`-iterate layout.
-    fn rhs_b(&mut self, comm: &Comm) -> Mat;
+    /// `B`-iterate layout (every kernel's SpMMB lands there).
+    fn rhs_b(&mut self, _comm: &Comm) -> Mat {
+        self.spmm_b(false)
+    }
+
+    /// Map every stored R value in place (local; all replicas apply the
+    /// same deterministic map).
+    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
+        self.r_store_mut().map(f);
+    }
+
+    /// Scale each stored R row by `scale[i]` (see
+    /// [`DistKernel::r_row_sums`] for the indexing contract).
+    fn scale_r_rows(&mut self, scale: &[f64]) {
+        self.r_store_mut().scale_rows(scale);
+    }
+
+    /// Local contribution to `‖S − R‖²` after a raw
+    /// [`DistKernel::sddmm_general`] — the ALS squared loss. Summed
+    /// across ranks, every nonzero is counted exactly once.
+    fn sq_loss_local(&self) -> f64 {
+        self.r_store().sq_loss()
+    }
+
+    /// Gather the stored R values to communicator rank 0 in global
+    /// coordinates (verification; statistics paused).
+    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
+        let local = self.export_r().expect("no SDDMM result to gather");
+        let dims = self.dims();
+        crate::layout::gather_coo(comm, 0, local, dims.m, dims.n)
+    }
+
+    /// This rank's share of the stored R values as **global**-coordinate
+    /// triplets, or `None` when no SDDMM has populated them (no
+    /// communication). Kernels that replicate R across ranks export
+    /// from exactly one replica, so the union over all ranks covers
+    /// each stored nonzero exactly once — the contract live migration
+    /// ([`crate::session::Session::replan`]) relies on.
+    fn export_r(&self) -> Option<CooMatrix> {
+        self.r_store().export()
+    }
+
+    /// Install R values from global-coordinate triplets covering this
+    /// rank's sparsity pattern — the inverse of [`DistKernel::export_r`]
+    /// after a cross-rank union (no communication; the caller moves the
+    /// triplets). Entries outside the local pattern are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a local pattern nonzero has no value in `r` — the
+    /// source and destination kernels were not built from the same
+    /// sparse matrix.
+    fn import_r(&mut self, r: &CooMatrix) {
+        self.r_store_mut().import(r);
+    }
+
+    /// Global bounding rectangle `(rows, cols)` of rank `g`'s stored-R
+    /// sparsity pattern — the region [`DistKernel::import_r`] reads
+    /// values from on that rank. Pure grid arithmetic (no
+    /// communication, callable for any rank); a conservative superset
+    /// of the true pattern is allowed. Live migration
+    /// ([`crate::session::Session`]) uses the *destination* kernel's
+    /// bounds to route each exported triplet only to the ranks that
+    /// need it — an owner-targeted alltoallv moving `O(c·nnz)` words
+    /// instead of the `O(p·nnz)` allgather.
+    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+        self.view().r_bounds_of(g)
+    }
 
     /// The `A`-iterate layout of communicator rank `g`.
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout;
+    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
+        self.view().a_layout_of(g)
+    }
 
     /// The `B`-iterate layout of communicator rank `g`.
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout;
+    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
+        self.view().b_layout_of(g)
+    }
 
     /// The layout in which [`DistKernel::spmm_a_with`] returns its
     /// result on rank `g`.
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout;
+    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
+        self.view().spmm_a_with_layout_of(g)
+    }
 
     /// Row-sharing color for `A`-iterates: ranks with equal color hold
     /// pieces of the same iterate rows and must reduce per-row dot
     /// products among themselves. Whole-row kernels color every rank
     /// distinctly (groups of one).
-    fn row_group_a(&self, g: usize) -> u64;
+    fn row_group_a(&self, g: usize) -> u64 {
+        self.view().row_group_a(g)
+    }
 
     /// Row-sharing color for `B`-iterates.
-    fn row_group_b(&self, g: usize) -> u64;
+    fn row_group_b(&self, g: usize) -> u64 {
+        self.view().row_group_b(g)
+    }
 }
 
 /// A resolved construction decision: which kernel, at which replication
@@ -444,6 +506,48 @@ pub(crate) fn baseline_tune_request(
         rows: (dims.m / p).max(1),
         nnz: nnz / p,
         r: dims.r,
+    }
+}
+
+/// Resolve a freshly built kernel's local-kernel variants against the
+/// staging's shared tuning cache, microbenchmarking on the kernel's
+/// representative block — the first block of its R store — when the
+/// shape class is new. Only the ops the kernel actually runs are tuned:
+/// the fused local kernel exists for 1.5D dense shifting alone (every
+/// other kernel decomposes FusedMM into SDDMM + SpMM rounds), and the
+/// baseline never runs a transpose scatter (its SpMMB is a row-major
+/// SpMM on the `Sᵀ`-oriented plan). Wall time lands in
+/// [`Phase::LocalTuning`]; no communication, no flop accounting —
+/// modeled numbers are untouched whatever wins.
+fn tune_local(
+    staged: &StagedProblem,
+    comm: &Comm,
+    view: PlanView,
+    blocks: &RStore,
+) -> kern::LocalPicks {
+    use kern::LocalOp::{Fused, Sddmm, Spmm, SpmmT};
+    let _t = comm.phase(Phase::LocalTuning);
+    let (p, c, dims, nnz) = (view.p(), view.c(), view.dims(), staged.prob.nnz());
+    let tuned: &[kern::LocalOp] = match view.id() {
+        KernelId::Family(AlgorithmFamily::DenseShift15) => &[Spmm, SpmmT, Sddmm, Fused],
+        KernelId::Family(_) => &[Spmm, SpmmT, Sddmm],
+        KernelId::Baseline1D => &[Spmm, Sddmm],
+    };
+    let pick = |op| {
+        if !tuned.contains(&op) {
+            return kern::LocalKernel::Naive;
+        }
+        let req = match view.id() {
+            KernelId::Family(f) => local_tune_request(f, op, p, c, dims, nnz),
+            KernelId::Baseline1D => baseline_tune_request(op, p, dims, nnz),
+        };
+        blocks.tune(staged.local_tuning(), req)
+    };
+    kern::LocalPicks {
+        spmm: pick(Spmm),
+        spmm_t: pick(SpmmT),
+        sddmm: pick(Sddmm),
+        fused: pick(Fused),
     }
 }
 
@@ -789,6 +893,12 @@ impl<'a> KernelBuilder<'a> {
     /// rings — real traffic, charged to `Phase::PatternExchange`.
     pub fn build_planned(&self, comm: &Comm, plan: &KernelPlan) -> DistWorker {
         let staged = self.staged();
+        macro_rules! tuned {
+            ($k:ident) => {{
+                $k.local = tune_local(staged, comm, $k.view(), $k.r_store());
+                Box::new($k) as Box<dyn DistKernel>
+            }};
+        }
         macro_rules! family {
             ($ty:ty, $fam:expr) => {{
                 let mut k = <$ty>::from_staged(comm, plan.c, staged);
@@ -798,8 +908,7 @@ impl<'a> KernelBuilder<'a> {
                     });
                     k.enable_pattern_routing(&pats);
                 }
-                k.tune_local(staged, comm, plan.c);
-                Box::new(k) as Box<dyn DistKernel>
+                tuned!(k)
             }};
         }
         let kernel: Box<dyn DistKernel> = match plan.id {
@@ -822,11 +931,10 @@ impl<'a> KernelBuilder<'a> {
                     "the 1D baseline has no shift schedule to pattern-route"
                 );
                 let mut k = Baseline1D::from_staged(comm, staged);
-                k.tune_local(staged, comm);
-                Box::new(k)
+                tuned!(k)
             }
         };
-        DistWorker::from_parts(kernel, *plan)
+        DistWorker::from_parts(kernel, *plan, comm.size(), staged.prob.dims)
     }
 }
 

@@ -44,17 +44,30 @@
 //!
 //! ## Paper section ↔ trait method map
 //!
-//! | paper | trait surface |
-//! |-------|---------------|
-//! | §III kernel definitions | [`DistKernel::sddmm`], [`spmm_a`](kernel::DistKernel::spmm_a), [`spmm_b`](kernel::DistKernel::spmm_b) |
-//! | §IV FusedMM & elision (Fig. 3) | [`fused_mm_a`](kernel::DistKernel::fused_mm_a), [`fused_mm_b`](kernel::DistKernel::fused_mm_b), [`supports`](kernel::DistKernel::supports), [`Elision`] |
-//! | §V per-family algorithms (Table II) | the `impl DistKernel` blocks in [`ds15`], [`ss15`], [`dr25`], [`sr25`], [`baseline`] |
-//! | §V-E communication analysis (Tables III & IV) | [`theory`] — consumed by [`kernel::KernelBuilder::plan`] |
-//! | §VI-C best-algorithm prediction (Fig. 6) | [`kernel::KernelBuilder::auto`] / [`theory::predict_best`] |
-//! | §VI-E generalized SDDMM (GAT logits) | [`sddmm_general`](kernel::DistKernel::sddmm_general), [`kernel::CombineSpec`] |
-//! | §VI-E softmax & ALS plumbing | [`map_r`](kernel::DistKernel::map_r), [`r_row_sums`](kernel::DistKernel::r_row_sums), [`scale_r_rows`](kernel::DistKernel::scale_r_rows), [`spmm_a_with`](kernel::DistKernel::spmm_a_with), [`sq_loss_local`](kernel::DistKernel::sq_loss_local) |
-//! | Fig. 9 distribution shifts & row-sharing dots | [`set_a`](kernel::DistKernel::set_a)/[`set_b`](kernel::DistKernel::set_b), [`rhs_a`](kernel::DistKernel::rhs_a)/[`rhs_b`](kernel::DistKernel::rhs_b), [`row_group_a`](kernel::DistKernel::row_group_a)/[`row_group_b`](kernel::DistKernel::row_group_b) |
-//! | Table II data distributions | [`a_iterate_layout_of`](kernel::DistKernel::a_iterate_layout_of) et al., [`layout`] |
+//! A family file holds only what differs between families: grid and
+//! staging, the need sets of pattern routing, the propagation rounds,
+//! and the kernels composed from them — the **required** methods. What
+//! is the same for every kernel is written once and **provided** by
+//! the trait: the stored-R surface over [`rstore::RStore`] (where R
+//! lives: the kernel's own pattern blocks plus value arrays), and every
+//! Table II layout, bound, group and admissibility answer over
+//! [`planview::PlanView`].
+//!
+//! | paper | trait surface | |
+//! |-------|---------------|-|
+//! | §III kernel definitions | [`sddmm`](kernel::DistKernel::sddmm), [`spmm_a`](kernel::DistKernel::spmm_a), [`spmm_b`](kernel::DistKernel::spmm_b) | required |
+//! | §IV FusedMM & elision (Fig. 3) | [`fused_mm_a`](kernel::DistKernel::fused_mm_a), [`fused_mm_b`](kernel::DistKernel::fused_mm_b), [`Elision`] | required |
+//! | | [`supports`](kernel::DistKernel::supports) | provided ([`PlanView::supports`]) |
+//! | §V per-family algorithms (Table II) | the `impl DistKernel` blocks in [`ds15`], [`ss15`], [`dr25`], [`sr25`], [`baseline`]; each names its plan with [`view`](kernel::DistKernel::view) | required |
+//! | §V-E communication analysis (Tables III & IV) | [`theory`] — consumed by [`kernel::KernelBuilder::plan`] | |
+//! | §VI-C best-algorithm prediction (Fig. 6) | [`kernel::KernelBuilder::auto`] / [`theory::predict_best`] | |
+//! | §VI-E generalized SDDMM (GAT logits) | [`sddmm_general`](kernel::DistKernel::sddmm_general), [`kernel::CombineSpec`] | required |
+//! | §VI-E softmax & ALS plumbing | [`r_row_sums`](kernel::DistKernel::r_row_sums) (the reduction group differs), [`spmm_a_with`](kernel::DistKernel::spmm_a_with), [`r_store`](kernel::DistKernel::r_store) | required |
+//! | | [`map_r`](kernel::DistKernel::map_r), [`scale_r_rows`](kernel::DistKernel::scale_r_rows), [`sq_loss_local`](kernel::DistKernel::sq_loss_local), [`export_r`](kernel::DistKernel::export_r)/[`import_r`](kernel::DistKernel::import_r), [`gather_r`](kernel::DistKernel::gather_r) | provided ([`rstore::RStore`]) |
+//! | Fig. 9 distribution shifts | [`set_a`](kernel::DistKernel::set_a)/[`set_b`](kernel::DistKernel::set_b) | required |
+//! | | [`rhs_a`](kernel::DistKernel::rhs_a)/[`rhs_b`](kernel::DistKernel::rhs_b) | provided (the SpMM output; 2.5D dense replication overrides `rhs_a`) |
+//! | Fig. 9 row-sharing dots | [`row_group_a`](kernel::DistKernel::row_group_a)/[`row_group_b`](kernel::DistKernel::row_group_b) | provided ([`PlanView`]) |
+//! | Table II data distributions | [`a_iterate_layout_of`](kernel::DistKernel::a_iterate_layout_of) et al., [`r_pattern_bounds_of`](kernel::DistKernel::r_pattern_bounds_of), [`layout`] | provided ([`PlanView`]) |
 //!
 //! Each family supports the communication-eliding strategies the paper
 //! allows for it ([`Elision`]): *replication reuse* (one replication
@@ -74,6 +87,7 @@ pub mod global;
 pub mod kernel;
 pub mod layout;
 pub mod planview;
+pub mod rstore;
 pub mod session;
 pub mod sr25;
 pub mod ss15;
@@ -89,6 +103,7 @@ pub use common::{
 pub use global::GlobalProblem;
 pub use kernel::{CombineSpec, DistKernel, KernelBuilder, KernelId, KernelPlan};
 pub use planview::PlanView;
+pub use rstore::RStore;
 pub use session::{ReplanEvent, ReplanPolicy, Session, SessionBuilder};
 pub use staged::StagedProblem;
 pub use worker::DistWorker;

@@ -1,36 +1,40 @@
 //! World-free plan views: the Table II data distributions as pure
 //! functions of `(kernel, c, p, dims)`.
 //!
-//! Every family's iterate layouts and R pattern bounds are grid
-//! arithmetic — they depend on the plan and the problem shape, never on
-//! a live worker or communicator. [`PlanView`] packages that arithmetic
-//! so callers can ask *"where would rank `g` of a `p`-rank world hold
+//! Every family's iterate layouts, R pattern bounds, row-sharing groups
+//! and admissible elisions are grid arithmetic — they depend on the
+//! plan and the problem shape, never on a live worker or communicator.
+//! [`PlanView`] is the **only** place that arithmetic is written: live
+//! kernels answer their `*_layout_of` / `r_pattern_bounds_of` /
+//! `row_group_*` / `supports` trait methods through the view they were
+//! built with ([`DistKernel::view`](crate::kernel::DistKernel::view)),
+//! and callers can ask *"where would rank `g` of a `p`-rank world hold
 //! its state under this plan?"* for a world that is not running — the
 //! question elastic resize ([`crate::session::Session::resize`]) must
 //! answer on both sides of a process-count change, including on ranks
 //! that are members of only one of the two worlds.
-//!
-//! The descriptors delegate to the same public per-family helpers the
-//! live kernels use for their own `*_layout_of` methods, so a view of a
-//! running worker's plan agrees with the worker bit for bit.
 
 use std::ops::Range;
 
-use crate::baseline::Baseline1D;
-use crate::common::{block_range, union_range, AlgorithmFamily, ProblemDims};
-use crate::dr25::DenseRepl25;
-use crate::ds15::DenseShift15;
+use crate::common::{block_range, union_range, AlgorithmFamily, Elision, ProblemDims};
 use crate::kernel::{KernelId, KernelPlan};
 use crate::layout::DenseLayout;
-use crate::sr25::SparseRepl25;
-use crate::ss15::SparseShift15;
 use dsk_comm::Grid25;
+
+/// Which dense operand a layout describes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Operand {
+    /// The `m × r` matrix.
+    A,
+    /// The `n × r` matrix.
+    B,
+}
 
 /// A plan's data distributions for a hypothetical world of `p` ranks.
 ///
 /// Pure and communication-free: all methods are closed-form grid
 /// arithmetic, callable for any rank `g < p` from any process.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanView {
     id: KernelId,
     c: usize,
@@ -46,21 +50,20 @@ impl PlanView {
     /// Panics when the plan's grid cannot be realized at `p` (e.g. a
     /// 1.5D plan whose `c` does not divide `p`).
     pub fn new(plan: &KernelPlan, p: usize, dims: ProblemDims) -> Self {
+        Self::of(plan.id, plan.c, p, dims)
+    }
+
+    /// [`PlanView::new`] from the two plan fields a view depends on.
+    pub(crate) fn of(id: KernelId, c: usize, p: usize, dims: ProblemDims) -> Self {
         assert!(p >= 1, "a plan view needs at least one rank");
-        if let Some(family) = plan.id.family() {
+        if let Some(family) = id.family() {
             assert!(
-                family.valid_c(p, plan.c),
-                "{} cannot realize c = {} on p = {p}",
+                family.valid_c(p, c),
+                "{} cannot realize c = {c} on p = {p}",
                 family.label(),
-                plan.c,
             );
         }
-        PlanView {
-            id: plan.id,
-            c: plan.c,
-            p,
-            dims,
-        }
+        PlanView { id, c, p, dims }
     }
 
     /// The viewed kernel.
@@ -73,48 +76,118 @@ impl PlanView {
         self.p
     }
 
-    /// The `A`-iterate layout of rank `g` (matches the live kernel's
-    /// `a_iterate_layout_of`).
-    pub fn a_layout_of(&self, g: usize) -> DenseLayout {
-        let (d, p, c) = (self.dims, self.p, self.c);
+    /// The viewed replication factor.
+    pub fn c(&self) -> usize {
+        self.c
+    }
+
+    /// The viewed problem shape.
+    pub fn dims(&self) -> ProblemDims {
+        self.dims
+    }
+
+    /// Whether the viewed kernel admits the elision strategy (paper
+    /// §IV-B); the 1D baseline admits none.
+    pub fn supports(&self, elision: Elision) -> bool {
         match self.id {
-            KernelId::Family(AlgorithmFamily::DenseShift15) => DenseShift15::a_layout(d, p)(g),
-            KernelId::Family(AlgorithmFamily::SparseShift15) => {
-                SparseShift15::stationary_layout(d.m, d.r, p, c)(g)
-            }
-            KernelId::Family(AlgorithmFamily::DenseRepl25) => {
-                DenseRepl25::travel_layout(d.m, d.r, p, c)(g)
-            }
-            KernelId::Family(AlgorithmFamily::SparseRepl25) => SparseRepl25::a_layout(d, p, c)(g),
-            KernelId::Baseline1D => Baseline1D::layout(d.m, d.r, p)(g),
+            KernelId::Family(f) => f.supports(elision),
+            KernelId::Baseline1D => elision == Elision::None,
         }
     }
 
-    /// The `B`-iterate layout of rank `g` (matches the live kernel's
-    /// `b_iterate_layout_of`).
-    pub fn b_layout_of(&self, g: usize) -> DenseLayout {
+    /// `(q, u, v, w)` of rank `g` on the viewed 2.5D grid.
+    fn coords25(&self, g: usize) -> (usize, usize, usize, usize) {
+        let grid = Grid25::new(self.p, self.c).expect("invalid 2.5D grid");
+        (grid.q, grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g))
+    }
+
+    /// Rank `g`'s share of `op` in the **iterate** layout (what fused
+    /// calls consume and produce) or, with `replica`, in the layout the
+    /// operand is held in when it plays the replicated role — the share
+    /// a fiber all-gather assembles from and a reduce-scatter lands in.
+    /// The two differ only where the iterate is not what gets
+    /// replicated: 1.5D sparse shifting (stationary vs replicate) and
+    /// 2.5D dense replication (travel vs fiber).
+    pub(crate) fn layout_of(&self, op: Operand, replica: bool, g: usize) -> DenseLayout {
         let (d, p, c) = (self.dims, self.p, self.c);
+        let rows = match op {
+            Operand::A => d.m,
+            Operand::B => d.n,
+        };
         match self.id {
-            KernelId::Family(AlgorithmFamily::DenseShift15) => DenseShift15::b_layout(d, p)(g),
+            // Whole block rows, full width.
+            KernelId::Family(AlgorithmFamily::DenseShift15) | KernelId::Baseline1D => {
+                DenseLayout::single(block_range(rows, p, g), 0..d.r)
+            }
             KernelId::Family(AlgorithmFamily::SparseShift15) => {
-                SparseShift15::stationary_layout(d.n, d.r, p, c)(g)
+                let (q, u, v) = (p / c, g / c, g % c);
+                let slice = block_range(d.r, q, u);
+                if replica {
+                    DenseLayout::single(block_range(rows, c, v), slice)
+                } else {
+                    // The row blocks the visiting sparse column blocks
+                    // address: j ≡ v (mod c) of the p-way split.
+                    DenseLayout {
+                        row_ranges: (0..q).map(|w| block_range(rows, p, w * c + v)).collect(),
+                        col_range: slice,
+                    }
+                }
             }
             KernelId::Family(AlgorithmFamily::DenseRepl25) => {
-                DenseRepl25::travel_layout(d.n, d.r, p, c)(g)
+                let (q, u, v, w) = self.coords25(g);
+                let slice = block_range(d.r, q, v);
+                if replica {
+                    // The w-th c-way split of macro row u.
+                    let mac = block_range(rows, q, u);
+                    let sub = block_range(mac.len(), c, w);
+                    DenseLayout::single(mac.start + sub.start..mac.start + sub.end, slice)
+                } else {
+                    // Cannon pre-skew: (u, v, w) homes block σ₀·c + w,
+                    // σ₀ = (u + v) mod q.
+                    let sigma0 = (u + v) % q;
+                    DenseLayout::single(block_range(rows, q * c, sigma0 * c + w), slice)
+                }
             }
-            KernelId::Family(AlgorithmFamily::SparseRepl25) => SparseRepl25::b_layout(d, p, c)(g),
-            KernelId::Baseline1D => Baseline1D::layout(d.n, d.r, p)(g),
+            KernelId::Family(AlgorithmFamily::SparseRepl25) => {
+                // Pre-skewed home slices: A panels follow the grid row,
+                // B panels the grid column.
+                let (q, u, v, w) = self.coords25(g);
+                let panel = match op {
+                    Operand::A => block_range(d.m, q, u),
+                    Operand::B => block_range(d.n, q, v),
+                };
+                let sigma0 = (u + v) % q;
+                DenseLayout::single(panel, block_range(d.r, q * c, sigma0 * c + w))
+            }
         }
+    }
+
+    /// The `A`-iterate layout of rank `g`.
+    pub fn a_layout_of(&self, g: usize) -> DenseLayout {
+        self.layout_of(Operand::A, false, g)
+    }
+
+    /// The `B`-iterate layout of rank `g`.
+    pub fn b_layout_of(&self, g: usize) -> DenseLayout {
+        self.layout_of(Operand::B, false, g)
+    }
+
+    /// The layout in which `spmm_a_with` returns its result on rank
+    /// `g`: the `A` share a fiber reduce-scatter lands in.
+    pub fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
+        self.layout_of(Operand::A, true, g)
     }
 
     /// Global bounding rectangle `(rows, cols)` of rank `g`'s stored-R
-    /// sparsity pattern under this plan (matches the live kernel's
-    /// `r_pattern_bounds_of`).
+    /// sparsity pattern under this plan (a conservative superset is
+    /// allowed).
     pub fn r_bounds_of(&self, g: usize) -> (Range<usize>, Range<usize>) {
         let (d, p, c) = (self.dims, self.p, self.c);
         match self.id {
             KernelId::Family(AlgorithmFamily::DenseShift15) => {
-                // Rank g holds macro row u = g/c of S at full width.
+                // Macro row u = g/c of S; its column blocks are strided
+                // across the full width, so the column bound stays
+                // conservative.
                 (union_range(d.m, p, (g / c) * c, c), 0..d.n)
             }
             KernelId::Family(AlgorithmFamily::SparseShift15) => {
@@ -124,25 +197,59 @@ impl PlanView {
             KernelId::Family(AlgorithmFamily::DenseRepl25) => {
                 // Canonical home block: macro row u, column block
                 // σ₀·c + w of the q·c-way split (σ₀ = (u+v) mod q).
-                let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
-                let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
-                let sigma0 = (u + v) % grid.q;
+                let (q, u, v, w) = self.coords25(g);
+                let sigma0 = (u + v) % q;
                 (
-                    block_range(d.m, grid.q, u),
-                    block_range(d.n, grid.q * c, sigma0 * c + w),
+                    block_range(d.m, q, u),
+                    block_range(d.n, q * c, sigma0 * c + w),
                 )
             }
             KernelId::Family(AlgorithmFamily::SparseRepl25) => {
                 // The (u, v) block of the q×q layer grid, identical on
                 // every fiber layer.
-                let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
-                (
-                    block_range(d.m, grid.q, grid.row_pos(g)),
-                    block_range(d.n, grid.q, grid.col_pos(g)),
-                )
+                let (q, u, v, _) = self.coords25(g);
+                (block_range(d.m, q, u), block_range(d.n, q, v))
             }
             KernelId::Baseline1D => (block_range(d.m, p, g), 0..d.n),
         }
+    }
+
+    /// Row-sharing color of rank `g` for `op`-iterates: ranks with
+    /// equal color hold pieces of the same iterate rows.
+    fn row_group(&self, op: Operand, g: usize) -> u64 {
+        let group = match self.id {
+            // Rows are whole on one rank: every rank is its own group.
+            KernelId::Family(AlgorithmFamily::DenseShift15) | KernelId::Baseline1D => g,
+            // Stationary layouts are shared by the layer (same fiber
+            // coordinate v).
+            KernelId::Family(AlgorithmFamily::SparseShift15) => g % self.c,
+            // Travel layouts are shared by the Cannon anti-diagonal
+            // {(u, v): u+v ≡ σ₀ (mod q)} within a layer w.
+            KernelId::Family(AlgorithmFamily::DenseRepl25) => {
+                let (q, u, v, w) = self.coords25(g);
+                ((u + v) % q) * self.c + w
+            }
+            // A panels are shared by the grid-row plane, B panels by
+            // the grid-column plane.
+            KernelId::Family(AlgorithmFamily::SparseRepl25) => {
+                let (_, u, v, _) = self.coords25(g);
+                match op {
+                    Operand::A => u,
+                    Operand::B => v,
+                }
+            }
+        };
+        group as u64
+    }
+
+    /// Row-sharing color of rank `g` for `A`-iterates.
+    pub fn row_group_a(&self, g: usize) -> u64 {
+        self.row_group(Operand::A, g)
+    }
+
+    /// Row-sharing color of rank `g` for `B`-iterates.
+    pub fn row_group_b(&self, g: usize) -> u64 {
+        self.row_group(Operand::B, g)
     }
 }
 
@@ -165,11 +272,7 @@ pub fn empty_bounds() -> (Range<usize>, Range<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::Elision;
     use crate::common::Routing;
-    use crate::global::GlobalProblem;
-    use crate::kernel::KernelBuilder;
-    use dsk_comm::{MachineModel, SimWorld};
 
     fn plan_for(family: AlgorithmFamily, c: usize) -> KernelPlan {
         KernelPlan {
@@ -179,54 +282,6 @@ mod tests {
             routing: Routing::Dense,
             predicted_comm_s: None,
         }
-    }
-
-    #[test]
-    fn views_agree_with_live_kernels() {
-        // For every family, a PlanView of the built plan must reproduce
-        // the live kernel's layout descriptors exactly, for every rank.
-        let prob = std::sync::Arc::new(GlobalProblem::erdos_renyi(24, 24, 6, 3, 9301));
-        let cases = [
-            (AlgorithmFamily::DenseShift15, 2),
-            (AlgorithmFamily::SparseShift15, 2),
-            (AlgorithmFamily::DenseRepl25, 2),
-            (AlgorithmFamily::SparseRepl25, 2),
-        ];
-        for (family, c) in cases {
-            let p = 8;
-            let prob = std::sync::Arc::clone(&prob);
-            let out = SimWorld::new(p, MachineModel::bandwidth_only()).run(move |comm| {
-                let worker = KernelBuilder::from_arc(std::sync::Arc::clone(&prob))
-                    .family(family)
-                    .replication(c)
-                    .build(comm);
-                let view = PlanView::new(&worker.plan(), p, worker.dims());
-                for g in 0..p {
-                    assert_eq!(view.a_layout_of(g), worker.kernel().a_iterate_layout_of(g));
-                    assert_eq!(view.b_layout_of(g), worker.kernel().b_iterate_layout_of(g));
-                    assert_eq!(view.r_bounds_of(g), worker.kernel().r_pattern_bounds_of(g));
-                }
-            });
-            assert_eq!(out.len(), p, "{family:?}");
-        }
-    }
-
-    #[test]
-    fn baseline_view_matches_live_kernel() {
-        let prob = std::sync::Arc::new(GlobalProblem::erdos_renyi(20, 20, 4, 3, 9302));
-        let p = 4;
-        let out = SimWorld::new(p, MachineModel::bandwidth_only()).run(move |comm| {
-            let worker = KernelBuilder::from_arc(std::sync::Arc::clone(&prob))
-                .baseline()
-                .build(comm);
-            let view = PlanView::new(&worker.plan(), p, worker.dims());
-            for g in 0..p {
-                assert_eq!(view.a_layout_of(g), worker.kernel().a_iterate_layout_of(g));
-                assert_eq!(view.b_layout_of(g), worker.kernel().b_iterate_layout_of(g));
-                assert_eq!(view.r_bounds_of(g), worker.kernel().r_pattern_bounds_of(g));
-            }
-        });
-        assert_eq!(out.len(), p);
     }
 
     #[test]

@@ -30,12 +30,12 @@
 use dsk_comm::{Comm, CommPattern, Grid25, GridComms25, Phase, RowSet};
 use dsk_dense::Mat;
 use dsk_kernels as kern;
-use dsk_sparse::{CooMatrix, CsrMatrix};
+use dsk_sparse::CsrMatrix;
 
-use crate::common::{block_range, AlgorithmFamily, Elision, ProblemDims, Sampling, ShiftPipeline};
-use crate::global::GlobalProblem;
+use crate::common::{block_range, AlgorithmFamily, Elision, Sampling, ShiftPipeline};
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::layout::DenseLayout;
+use crate::planview::PlanView;
+use crate::rstore::RStore;
 use crate::staged::{PlanPatterns, StagedProblem};
 
 /// Tag for `A` panels (row-ring traffic).
@@ -47,23 +47,19 @@ const TAG_B: u32 = 131;
 pub struct SparseRepl25 {
     /// Grid communicators.
     pub gc: GridComms25,
-    dims: ProblemDims,
-    /// The local `S` block's pattern (CSR, values unset — real values
-    /// are distributed along the fiber).
-    s_pattern: CsrMatrix,
-    /// This layer's `1/c` share of the sampling values (contiguous
-    /// range of the CSR nonzero order).
-    sampling_part: Vec<f64>,
+    view: PlanView,
+    /// The local `S` block's pattern (CSR) as a replicated-share store:
+    /// the sampling values are distributed along the fiber, so the
+    /// block carries only this layer's `1/c` share (a contiguous range
+    /// of the CSR nonzero order, zero elsewhere). The fully reduced
+    /// SDDMM values are available on every layer after a kernel.
+    r: RStore,
     /// Home (pre-skewed) `A` panel.
     pub a_home: Mat,
     /// Home (pre-skewed) `B` panel.
     pub b_home: Mat,
-    /// Fully reduced SDDMM values (available on every layer after a
-    /// kernel).
-    r_vals: Option<Vec<f64>>,
-    /// Tuned local-kernel variants (all-naive until
-    /// [`SparseRepl25::tune_local`] runs).
-    local: kern::LocalPicks,
+    /// Tuned local-kernel variants (all-naive until the builder tunes).
+    pub(crate) local: kern::LocalPicks,
     /// Row-ring pattern for `A`-side panels (`None` = dense shifts).
     route_a: Option<CommPattern>,
     /// Column-ring pattern for `B`-side panels.
@@ -71,13 +67,6 @@ pub struct SparseRepl25 {
 }
 
 impl SparseRepl25 {
-    /// Build this rank's state from a borrowed global problem (test
-    /// convenience; benchmark runs share staging via
-    /// [`SparseRepl25::from_staged`]).
-    pub fn from_global(comm: &Comm, c: usize, prob: &GlobalProblem) -> Self {
-        Self::from_staged(comm, c, &StagedProblem::ephemeral(prob))
-    }
-
     /// Build this rank's state from shared staging (no communication,
     /// statistics unaffected).
     pub fn from_staged(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
@@ -92,50 +81,28 @@ impl SparseRepl25 {
         let rows: Vec<_> = (0..q).map(|uu| block_range(m, q, uu)).collect();
         let cols: Vec<_> = (0..q).map(|vv| block_range(n, q, vv)).collect();
         let grid_s = staged.partition(false, &rows, &cols);
-        let s_full = CsrMatrix::from_coo(&grid_s[u][v]);
-        let part = block_range(s_full.nnz(), c, w);
-        let sampling_part = s_full.vals()[part].to_vec();
-        let mut s_pattern = s_full;
-        s_pattern.vals_mut().fill(0.0);
+        let mut s_share = CsrMatrix::from_coo(&grid_s[u][v]);
+        let part = block_range(s_share.nnz(), c, w);
+        let vals = s_share.vals_mut();
+        vals[..part.start].fill(0.0);
+        vals[part.end..].fill(0.0);
+        let offset = (rows[u].start, cols[v].start);
 
         let sigma0 = (u + v) % q;
         let slice = block_range(r, q * c, sigma0 * c + w);
         let a_home = prob.a.block(rows[u].clone(), slice.clone());
         let b_home = prob.b.block(cols[v].clone(), slice);
+        let id = KernelId::Family(AlgorithmFamily::SparseRepl25);
         SparseRepl25 {
+            view: PlanView::of(id, c, comm.size(), prob.dims),
             gc,
-            dims: prob.dims,
-            s_pattern,
-            sampling_part,
+            r: RStore::csr((m, n), vec![s_share], vec![offset]).replicated_share(w, c),
             a_home,
             b_home,
-            r_vals: None,
             route_a: None,
             route_b: None,
             local: kern::LocalPicks::default(),
         }
-    }
-
-    /// Resolve this worker's local-kernel variants against the shared
-    /// tuning cache, microbenchmarking on this rank's stationary `S`
-    /// pattern when the shape class is new. Wall time lands in
-    /// [`Phase::LocalTuning`]; no communication, no flop accounting.
-    /// The fused pick stays naive — this family has no local fused
-    /// kernel (it decomposes into SDDMM + SpMM rounds).
-    pub(crate) fn tune_local(&mut self, staged: &StagedProblem, comm: &Comm, c: usize) {
-        let _t = comm.phase(Phase::LocalTuning);
-        let tuning = staged.local_tuning();
-        let (p, dims, nnz) = (comm.size(), self.dims, staged.prob.nnz());
-        let req = |op| {
-            crate::kernel::local_tune_request(AlgorithmFamily::SparseRepl25, op, p, c, dims, nnz)
-        };
-        let blk = &self.s_pattern;
-        self.local = kern::LocalPicks {
-            spmm: tuning.tune_csr(req(kern::LocalOp::Spmm), blk),
-            spmm_t: tuning.tune_csr(req(kern::LocalOp::SpmmT), blk),
-            sddmm: tuning.tune_csr(req(kern::LocalOp::Sddmm), blk),
-            fused: kern::LocalKernel::Naive,
-        };
     }
 
     /// The need sets a pattern-routed plan requires, derived world-free
@@ -184,39 +151,14 @@ impl SparseRepl25 {
         self.route_b = Some(CommPattern::exchange(&self.gc.col_ring, sec[g].clone()));
     }
 
-    /// Problem dimensions.
-    pub fn dims(&self) -> ProblemDims {
-        self.dims
-    }
-
     fn q(&self) -> usize {
         self.gc.grid.q
     }
 
-    /// Layout of `A` panels (pre-skewed home slices).
-    pub fn a_layout(dims: ProblemDims, p: usize, c: usize) -> impl Fn(usize) -> DenseLayout {
-        let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
-        move |g| {
-            let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
-            let sigma0 = (u + v) % grid.q;
-            DenseLayout::single(
-                block_range(dims.m, grid.q, u),
-                block_range(dims.r, grid.q * c, sigma0 * c + w),
-            )
-        }
-    }
-
-    /// Layout of `B` panels (pre-skewed home slices).
-    pub fn b_layout(dims: ProblemDims, p: usize, c: usize) -> impl Fn(usize) -> DenseLayout {
-        let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
-        move |g| {
-            let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
-            let sigma0 = (u + v) % grid.q;
-            DenseLayout::single(
-                block_range(dims.n, grid.q, v),
-                block_range(dims.r, grid.q * c, sigma0 * c + w),
-            )
-        }
+    /// The stationary `S` block (pattern; its values are only this
+    /// layer's sampling share).
+    fn pattern(&self) -> &CsrMatrix {
+        &self.r.csr_blocks()[0]
     }
 
     /// All-gather the distributed sampling values along the fiber
@@ -224,12 +166,12 @@ impl SparseRepl25 {
     /// value all-reduce).
     fn allgather_sampling(&self) -> Vec<f64> {
         let _ph = self.gc.fiber.phase(Phase::Replication);
-        let parts = self.gc.fiber.allgather(self.sampling_part.clone());
-        let mut full = Vec::with_capacity(self.s_pattern.nnz());
+        let parts = self.gc.fiber.allgather(self.r.scored_sampling().to_vec());
+        let mut full = Vec::with_capacity(self.pattern().nnz());
         for p in parts {
             full.extend_from_slice(&p);
         }
-        debug_assert_eq!(full.len(), self.s_pattern.nnz());
+        debug_assert_eq!(full.len(), self.pattern().nnz());
         full
     }
 
@@ -283,20 +225,21 @@ impl SparseRepl25 {
         let q = self.q();
         let sigma = (self.gc.u + self.gc.v + t) % q;
         block_range(
-            self.dims.r,
+            self.view.dims().r,
             q * self.gc.grid.c,
             sigma * self.gc.grid.c + self.gc.w,
         )
     }
 
-    /// SDDMM travel round: both panels travel; this layer accumulates
-    /// partial combines over its `q` slices. Returns the layer-partial
-    /// values (caller all-reduces along the fiber).
-    fn dots_round(&self, combine: &CombineSpec) -> Vec<f64> {
-        let q = self.q();
-        let mut acc = vec![0.0; self.s_pattern.nnz()];
-        let mut a = self.a_home.clone();
-        let mut b = self.b_home.clone();
+    /// SDDMM travel round from home panels `a0`/`b0`: both panels
+    /// travel; this layer accumulates partial combines over its `q`
+    /// slices. Returns the layer-partial values (caller all-reduces
+    /// along the fiber).
+    fn dots_round(&self, a0: &Mat, b0: &Mat, combine: &CombineSpec) -> Vec<f64> {
+        let (q, s) = (self.q(), self.pattern());
+        let mut acc = vec![0.0; s.nnz()];
+        let mut a = a0.clone();
+        let mut b = b0.clone();
         let pipe_a = self.a_pipeline();
         let pipe_b = self.b_pipeline();
         for t in 0..q {
@@ -319,10 +262,8 @@ impl SparseRepl25 {
             let com = combine.for_slice(slice.clone());
             self.gc
                 .row_ring
-                .compute(kern::sddmm_flops(self.s_pattern.nnz(), slice.len()), || {
-                    self.local
-                        .sddmm
-                        .sddmm_csr(&mut acc, &self.s_pattern, &a, &b, com)
+                .compute(kern::sddmm_flops(s.nnz(), slice.len()), || {
+                    self.local.sddmm.sddmm_csr(&mut acc, s, &a, &b, com)
                 });
             a = Self::check_panel(fly_a.wait(), next);
             b = Self::check_panel(fly_b.wait(), next);
@@ -331,11 +272,10 @@ impl SparseRepl25 {
     }
 
     /// SpMMA travel round: `B` panels travel; a zero `A`-shaped panel
-    /// circulates the row ring accumulating `S·B` per slice.
-    fn spmm_a_round(&self, vals: &[f64], b0: &Mat) -> Mat {
+    /// circulates the row ring accumulating `S·B` per slice. `s` is the
+    /// stationary block carrying the values to multiply with.
+    fn spmm_a_round(&self, s: &CsrMatrix, b0: &Mat) -> Mat {
         let q = self.q();
-        let mut s = self.s_pattern.clone();
-        s.set_vals(vals.to_vec());
         let mut out = Mat::zeros(self.a_home.nrows(), self.a_home.ncols());
         let mut b = b0.clone();
         let pipe_a = self.a_pipeline();
@@ -353,7 +293,7 @@ impl SparseRepl25 {
             self.gc
                 .row_ring
                 .compute(kern::spmm_flops(s.nnz(), b.ncols()), || {
-                    self.local.spmm.spmm_csr(&mut out, &s, &b)
+                    self.local.spmm.spmm_csr(&mut out, s, &b)
                 });
             let ship_a = self
                 .route_a
@@ -367,10 +307,8 @@ impl SparseRepl25 {
 
     /// SpMMB travel round: `A` panels travel; a zero `B`-shaped panel
     /// circulates the column ring accumulating `Sᵀ·A` per slice.
-    fn spmm_b_round(&self, vals: &[f64], a0: &Mat) -> Mat {
+    fn spmm_b_round(&self, s: &CsrMatrix, a0: &Mat) -> Mat {
         let q = self.q();
-        let mut s = self.s_pattern.clone();
-        s.set_vals(vals.to_vec());
         let mut out = Mat::zeros(self.b_home.nrows(), self.b_home.ncols());
         let mut a = a0.clone();
         let pipe_a = self.a_pipeline();
@@ -388,7 +326,7 @@ impl SparseRepl25 {
             self.gc
                 .row_ring
                 .compute(kern::spmm_flops(s.nnz(), a.ncols()), || {
-                    self.local.spmm_t.spmm_csr_t(&mut out, &s, &a)
+                    self.local.spmm_t.spmm_csr_t(&mut out, s, &a)
                 });
             let ship_b = self
                 .route_b
@@ -414,293 +352,95 @@ impl SparseRepl25 {
         dots
     }
 
-    // ------------------------------------------------------------------
-    // Public kernels
-    // ------------------------------------------------------------------
-
-    /// Distributed SDDMM; the result values end up replicated on every
-    /// layer of the fiber.
-    pub fn sddmm(&mut self) {
-        let dots = self.dots_round(&CombineSpec::Dot);
-        self.r_vals = Some(self.reduce_and_sample(dots, Sampling::Values));
-    }
-
-    /// Distributed SpMMA: `S·B` (or `R·B`), returned in the `A` panel
-    /// layout.
-    pub fn spmm_a(&mut self, use_r: bool) -> Mat {
-        let vals = self.vals_full(use_r);
-        let b0 = self.b_home.clone();
-        self.spmm_a_round(&vals, &b0)
-    }
-
-    /// Distributed SpMMB: `Sᵀ·A` (or `Rᵀ·A`), returned in the `B`
-    /// panel layout.
-    pub fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let vals = self.vals_full(use_r);
-        let a0 = self.a_home.clone();
-        self.spmm_b_round(&vals, &a0)
-    }
-
-    fn vals_full(&self, use_r: bool) -> Vec<f64> {
+    /// The stationary block carrying the stored R values or, without
+    /// `use_r`, the sampling values all-gathered along the fiber.
+    fn s_valued(&self, use_r: bool) -> CsrMatrix {
         if use_r {
-            self.r_vals
-                .clone()
-                .expect("no SDDMM result available; call sddmm() first")
+            self.pattern().with_vals(self.r.vals()[0].clone())
         } else {
-            self.allgather_sampling()
+            self.pattern().with_vals(self.allgather_sampling())
         }
     }
 
-    /// FusedMMA = `SpMMA(SDDMM(x, B, S), B)`. `x` (`A` panel layout)
-    /// defaults to the stored `A`; same layout out. Only
-    /// [`Elision::None`] is valid (paper §V-D).
-    pub fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+    /// The SDDMM half of a FusedMM from home panels `a0`/`b0`: the
+    /// fully reduced, sampled values (replicated on every layer).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any elision: there is no dense replication to reuse
+    /// and rows are sliced (paper §V-D).
+    fn fused_vals(&self, a0: &Mat, b0: &Mat, elision: Elision, sampling: Sampling) -> Vec<f64> {
         assert!(
             matches!(elision, Elision::None),
             "the 2.5D sparse-replicating algorithm admits no communication elision"
         );
-        let saved;
-        let a_ref = match x {
-            Some(xm) => {
-                saved = std::mem::replace(&mut self.a_home, xm.clone());
-                Some(saved)
-            }
-            None => None,
-        };
-        let dots = self.dots_round(&CombineSpec::Dot);
-        let rvals = self.reduce_and_sample(dots, sampling);
-        self.r_vals = Some(rvals.clone());
-        let b0 = self.b_home.clone();
-        let out = self.spmm_a_round(&rvals, &b0);
-        if let Some(orig) = a_ref {
-            self.a_home = orig;
-        }
-        out
-    }
-
-    /// FusedMMB = `SpMMB(SDDMM(A, y, S), A)`. `y` (`B` panel layout)
-    /// defaults to the stored `B`; same layout out.
-    pub fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        assert!(
-            matches!(elision, Elision::None),
-            "the 2.5D sparse-replicating algorithm admits no communication elision"
-        );
-        let saved;
-        let b_ref = match y {
-            Some(ym) => {
-                saved = std::mem::replace(&mut self.b_home, ym.clone());
-                Some(saved)
-            }
-            None => None,
-        };
-        let dots = self.dots_round(&CombineSpec::Dot);
-        let rvals = self.reduce_and_sample(dots, sampling);
-        self.r_vals = Some(rvals.clone());
-        let a0 = self.a_home.clone();
-        let out = self.spmm_b_round(&rvals, &a0);
-        if let Some(orig) = b_ref {
-            self.b_home = orig;
-        }
-        out
-    }
-
-    // ------------------------------------------------------------------
-    // GAT support and verification
-    // ------------------------------------------------------------------
-
-    /// Generalized SDDMM storing fully reduced raw accumulations as R
-    /// values.
-    pub fn sddmm_general(&mut self, combine: CombineSpec) {
-        let dots = self.dots_round(&combine);
-        self.r_vals = Some(self.reduce_and_sample(dots, Sampling::Ones));
-    }
-
-    /// Map every stored R value in place (all layers apply the same
-    /// deterministic map, preserving replication).
-    pub fn map_r(&mut self, mut f: impl FnMut(f64) -> f64) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        for v in r.iter_mut() {
-            *v = f(*v);
-        }
-    }
-
-    /// Row sums of R over this rank's macro row (reduced across the row
-    /// ring; values are replicated along fibers so layers don't sum).
-    pub fn r_row_sums(&self, comm_phase: Phase) -> Vec<f64> {
-        let r = self.r_vals.as_ref().expect("no R values");
-        let rows = self.s_pattern.nrows();
-        let mut sums = vec![0.0; rows];
-        let indptr = self.s_pattern.indptr();
-        for i in 0..rows {
-            for k in indptr[i]..indptr[i + 1] {
-                sums[i] += r[k];
-            }
-        }
-        let _ph = self.gc.row_ring.phase(comm_phase);
-        self.gc.row_ring.allreduce_sum(&mut sums);
-        sums
-    }
-
-    /// Scale each R row by `scale[i]` (indices local to macro row `u`).
-    pub fn scale_r_rows(&mut self, scale: &[f64]) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        let indptr = self.s_pattern.indptr();
-        for i in 0..self.s_pattern.nrows() {
-            for k in indptr[i]..indptr[i + 1] {
-                r[k] *= scale[i];
-            }
-        }
-    }
-
-    /// SpMMA using the stored R values against an explicit `B`-layout
-    /// operand (GAT), returned in the `A` panel layout.
-    pub fn spmm_a_with(&self, y: &Mat) -> Mat {
-        let vals = self.r_vals.clone().expect("no R values");
-        self.spmm_a_round(&vals, y)
-    }
-
-    /// Replace the stored `A` panel.
-    pub fn set_a_panel(&mut self, panel: Mat) {
-        self.a_home = panel;
-    }
-
-    /// Replace the stored `B` panel.
-    pub fn set_b_panel(&mut self, panel: Mat) {
-        self.b_home = panel;
-    }
-
-    /// Local contribution to `‖S − dots‖²` after
-    /// [`SparseRepl25::sddmm_general`] — only this layer's value share
-    /// is counted, so the sum across ranks covers each nonzero once.
-    pub fn sq_loss_local(&self) -> f64 {
-        let r = self.r_vals.as_ref().expect("no R values");
-        let part = block_range(self.s_pattern.nnz(), self.gc.grid.c, self.gc.w);
-        self.sampling_part
-            .iter()
-            .zip(&r[part])
-            .map(|(s, d)| (s - d) * (s - d))
-            .sum()
-    }
-
-    /// Gather the SDDMM result to rank 0 in global coordinates (layer 0
-    /// contributes; values are replicated across layers).
-    pub fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        let local = self.export_r_local().expect("no SDDMM result");
-        crate::layout::gather_coo(comm, 0, local, self.dims.m, self.dims.n)
-    }
-
-    /// The local R values as global-coordinate triplets: R is replicated
-    /// along the fiber, so only layer 0 exports (others contribute an
-    /// empty set) and the cross-rank union covers each nonzero once.
-    fn export_r_local(&self) -> Option<CooMatrix> {
-        let r_vals = self.r_vals.as_ref()?;
-        let (q, u, v, w) = (self.gc.grid.q, self.gc.u, self.gc.v, self.gc.w);
-        let (m, n) = (self.dims.m, self.dims.n);
-        let mut local = CooMatrix::empty(m, n);
-        if w == 0 {
-            let row_start = block_range(m, q, u).start;
-            let col_start = block_range(n, q, v).start;
-            let coo = self.s_pattern.to_coo();
-            for (k, (i, j, _)) in coo.iter().enumerate() {
-                local.push(row_start + i, col_start + j, r_vals[k]);
-            }
-        }
-        Some(local)
+        let dots = self.dots_round(a0, b0, &CombineSpec::Dot);
+        self.reduce_and_sample(dots, sampling)
     }
 }
 
 impl DistKernel for SparseRepl25 {
-    fn id(&self) -> KernelId {
-        KernelId::Family(AlgorithmFamily::SparseRepl25)
+    fn view(&self) -> PlanView {
+        self.view
     }
 
-    fn dims(&self) -> ProblemDims {
-        self.dims
+    fn r_store(&self) -> &RStore {
+        &self.r
     }
 
-    fn supports(&self, elision: Elision) -> bool {
-        AlgorithmFamily::SparseRepl25.supports(elision)
+    fn r_store_mut(&mut self) -> &mut RStore {
+        &mut self.r
     }
 
     fn sddmm(&mut self) {
-        SparseRepl25::sddmm(self);
+        let dots = self.dots_round(&self.a_home, &self.b_home, &CombineSpec::Dot);
+        self.r
+            .set(vec![self.reduce_and_sample(dots, Sampling::Values)]);
     }
 
     fn sddmm_general(&mut self, combine: &CombineSpec) {
-        SparseRepl25::sddmm_general(self, combine.clone());
+        let dots = self.dots_round(&self.a_home, &self.b_home, combine);
+        self.r
+            .set(vec![self.reduce_and_sample(dots, Sampling::Ones)]);
     }
 
+    /// Returned in the `A` panel layout.
     fn spmm_a(&mut self, use_r: bool) -> Mat {
-        SparseRepl25::spmm_a(self, use_r)
+        self.spmm_a_round(&self.s_valued(use_r), &self.b_home)
     }
 
+    /// Returned in the `B` panel layout.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        SparseRepl25::spmm_b(self, use_r)
+        self.spmm_b_round(&self.s_valued(use_r), &self.a_home)
     }
 
+    /// Keeps the SDDMM values as the stored R.
     fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        SparseRepl25::fused_mm_a(self, x, elision, sampling)
+        let x = x.unwrap_or(&self.a_home);
+        let rvals = self.fused_vals(x, &self.b_home, elision, sampling);
+        self.r.set(vec![rvals]);
+        self.spmm_a_round(&self.s_valued(true), &self.b_home)
     }
 
+    /// Keeps the SDDMM values as the stored R.
     fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        SparseRepl25::fused_mm_b(self, y, elision, sampling)
+        let y = y.unwrap_or(&self.b_home);
+        let rvals = self.fused_vals(&self.a_home, y, elision, sampling);
+        self.r.set(vec![rvals]);
+        self.spmm_b_round(&self.s_valued(true), &self.a_home)
     }
 
-    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
-        SparseRepl25::map_r(self, f);
-    }
-
+    /// Reduced across the row ring (values are replicated along fibers,
+    /// so layers don't sum); indices local to macro row `u`.
     fn r_row_sums(&self, _comm: &Comm, phase: Phase) -> Vec<f64> {
-        SparseRepl25::r_row_sums(self, phase)
-    }
-
-    fn scale_r_rows(&mut self, scale: &[f64]) {
-        SparseRepl25::scale_r_rows(self, scale);
+        let mut sums = self.r.row_sums();
+        let _ph = self.gc.row_ring.phase(phase);
+        self.gc.row_ring.allreduce_sum(&mut sums);
+        sums
     }
 
     fn spmm_a_with(&self, y: &Mat) -> Mat {
-        SparseRepl25::spmm_a_with(self, y)
-    }
-
-    fn sq_loss_local(&self) -> f64 {
-        SparseRepl25::sq_loss_local(self)
-    }
-
-    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        SparseRepl25::gather_r(self, comm)
-    }
-
-    fn export_r(&self) -> Option<CooMatrix> {
-        self.export_r_local()
-    }
-
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        // Rank g holds the (u, v) block of the q×q layer grid; all c
-        // fiber layers of that position import the same block.
-        let grid = self.gc.grid;
-        let (u, v) = (grid.row_pos(g), grid.col_pos(g));
-        (
-            block_range(self.dims.m, grid.q, u),
-            block_range(self.dims.n, grid.q, v),
-        )
-    }
-
-    fn import_r(&mut self, r: &CooMatrix) {
-        // Every layer installs the full value set, restoring the
-        // replicated-R invariant.
-        let map = crate::layout::triplet_map(r);
-        let (q, u, v) = (self.gc.grid.q, self.gc.u, self.gc.v);
-        let row_start = block_range(self.dims.m, q, u).start as u32;
-        let col_start = block_range(self.dims.n, q, v).start as u32;
-        let coo = self.s_pattern.to_coo();
-        let vals: Vec<f64> = coo
-            .iter()
-            .map(|(i, j, _)| {
-                *map.get(&(row_start + i as u32, col_start + j as u32))
-                    .expect("imported R misses a local pattern nonzero")
-            })
-            .collect();
-        self.r_vals = Some(vals);
+        self.spmm_a_round(&self.s_valued(true), y)
     }
 
     fn a_iterate(&self) -> Mat {
@@ -713,50 +453,28 @@ impl DistKernel for SparseRepl25 {
 
     fn set_a(&mut self, _comm: &Comm, x: &Mat) {
         // Panel layout == iterate layout: no distribution shift.
-        self.set_a_panel(x.clone());
+        self.a_home = x.clone();
     }
 
     fn set_b(&mut self, _comm: &Comm, y: &Mat) {
-        self.set_b_panel(y.clone());
-    }
-
-    fn rhs_a(&mut self, _comm: &Comm) -> Mat {
-        SparseRepl25::spmm_a(self, false)
-    }
-
-    fn rhs_b(&mut self, _comm: &Comm) -> Mat {
-        SparseRepl25::spmm_b(self, false)
-    }
-
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::a_layout(self.dims, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::b_layout(self.dims, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
-        Self::a_layout(self.dims, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn row_group_a(&self, g: usize) -> u64 {
-        // A panels are shared by the grid-row plane.
-        (g / (self.gc.grid.q * self.gc.grid.c)) as u64
-    }
-
-    fn row_group_b(&self, g: usize) -> u64 {
-        // B panels are shared by the grid-column plane.
-        ((g / self.gc.grid.c) % self.gc.grid.q) as u64
+        self.b_home = y.clone();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global::GlobalProblem;
+    use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, SimWorld};
     use dsk_dense::ops::max_abs_diff;
     use std::sync::Arc;
+
+    const FAMILY: AlgorithmFamily = AlgorithmFamily::SparseRepl25;
+
+    fn view(prob: &GlobalProblem, p: usize, c: usize) -> PlanView {
+        PlanView::of(KernelId::Family(FAMILY), c, p, prob.dims)
+    }
 
     #[test]
     fn sddmm_matches_reference() {
@@ -766,7 +484,7 @@ mod tests {
             let expect = prob.reference_sddmm().to_coo().to_dense();
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let mut worker = SparseRepl25::from_global(comm, c, &prob);
+                let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
                 worker.sddmm();
                 worker.gather_r(comm)
             });
@@ -783,16 +501,16 @@ mod tests {
         let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 72));
         let ea = prob.reference_fused_a();
         let eb = prob.reference_fused_b();
-        let la = SparseRepl25::a_layout(prob.dims, p, c);
-        let lb = SparseRepl25::b_layout(prob.dims, p, c);
+        let view = view(&prob, p, c);
+        let (la, lb) = (move |g| view.a_layout_of(g), move |g| view.b_layout_of(g));
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut worker = SparseRepl25::from_global(comm, c, &prob);
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             let ga = worker.fused_mm_a(None, Elision::None, Sampling::Values);
             let gb = worker.fused_mm_b(None, Elision::None, Sampling::Values);
             (
-                crate::layout::gather_dense(comm, 0, &ga, &la, m, r),
-                crate::layout::gather_dense(comm, 0, &gb, &lb, n, r),
+                crate::layout::gather_dense(comm, 0, &ga, la, m, r),
+                crate::layout::gather_dense(comm, 0, &gb, lb, n, r),
             )
         });
         let (ga, gb) = &out[0].value;
@@ -806,16 +524,16 @@ mod tests {
         let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 73));
         let ea = prob.reference_spmm_a();
         let eb = prob.reference_spmm_b();
-        let la = SparseRepl25::a_layout(prob.dims, p, c);
-        let lb = SparseRepl25::b_layout(prob.dims, p, c);
+        let view = view(&prob, p, c);
+        let (la, lb) = (move |g| view.a_layout_of(g), move |g| view.b_layout_of(g));
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut worker = SparseRepl25::from_global(comm, c, &prob);
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             let ga = worker.spmm_a(false);
             let gb = worker.spmm_b(false);
             (
-                crate::layout::gather_dense(comm, 0, &ga, &la, m, r),
-                crate::layout::gather_dense(comm, 0, &gb, &lb, n, r),
+                crate::layout::gather_dense(comm, 0, &ga, la, m, r),
+                crate::layout::gather_dense(comm, 0, &gb, lb, n, r),
             )
         });
         let (ga, gb) = &out[0].value;
@@ -829,7 +547,7 @@ mod tests {
         let prob = Arc::new(GlobalProblem::erdos_renyi(16, 16, 4, 2, 74));
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut worker = SparseRepl25::from_global(comm, c, &prob);
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 worker.fused_mm_a(None, Elision::ReplicationReuse, Sampling::Values)
             }))
@@ -848,7 +566,7 @@ mod tests {
         let nnz = prob.nnz() as u64;
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut worker = SparseRepl25::from_global(comm, c, &prob);
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             let _ = worker.fused_mm_a(None, Elision::None, Sampling::Values);
         });
         let total: u64 = out

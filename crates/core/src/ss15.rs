@@ -33,13 +33,12 @@ use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::CooMatrix;
 
-use crate::common::{block_range, AlgorithmFamily, Elision, ProblemDims, Sampling, ShiftPipeline};
-use crate::global::GlobalProblem;
-use crate::kernel::{DistKernel, KernelId};
-use crate::layout::{repartition_dense, DenseLayout};
+use crate::common::{block_range, AlgorithmFamily, Elision, Sampling, ShiftPipeline};
+use crate::kernel::{CombineSpec, DistKernel, KernelId};
+use crate::layout::repartition_dense;
+use crate::planview::{Operand, PlanView};
+use crate::rstore::RStore;
 use crate::staged::{PlanPatterns, StagedProblem};
-
-pub use crate::kernel::CombineSpec;
 
 /// Tag for traveling sparse blocks.
 const TAG_SPARSE: u32 = 110;
@@ -48,10 +47,11 @@ const TAG_SPARSE: u32 = 110;
 pub struct SparseShift15 {
     /// Grid communicators (layer ring + replication fiber).
     pub gc: GridComms15,
-    dims: ProblemDims,
+    view: PlanView,
     /// Home column block of `S`: rows global over `m`, columns local to
-    /// block `u·c+v`; values = sampling values.
-    s_home: CooMatrix,
+    /// block `u·c+v`; values = sampling values. The SDDMM result stays
+    /// on it.
+    r: RStore,
     /// Home column block of `Sᵀ` (rows global over `n`, columns local
     /// to the `m`-block `u·c+v`) for the transposed (FusedMMA) paths.
     st_home: CooMatrix,
@@ -64,27 +64,35 @@ pub struct SparseShift15 {
     a_stat: Vec<Mat>,
     /// Stationary blocks of `B` by slot `w`.
     b_stat: Vec<Mat>,
-    /// SDDMM result values for the home block (aligned with `s_home`).
-    r_vals: Option<Vec<f64>>,
     /// Fiber pattern for the `A`-replicating paths (rows over `m`);
     /// `None` = dense all-gathers, the default.
     route_a: Option<CommPattern>,
     /// Fiber pattern for the transposed, `B`-replicating paths (rows
     /// over `n`).
     route_b: Option<CommPattern>,
-    /// Tuned local-kernel variants (all-naive until
-    /// [`SparseShift15::tune_local`] runs).
-    local: kern::LocalPicks,
+    /// Tuned local-kernel variants (all-naive until the builder tunes;
+    /// COO blocks only admit the serial naive/blocked pair).
+    pub(crate) local: kern::LocalPicks,
+}
+
+/// One orientation of the worker's data: canonical (`S` travels, `A` is
+/// replicated, `B` stationary) or transposed (`Sᵀ`, `B`, `A`).
+struct Side<'a> {
+    /// Home column block of the oriented sparse matrix.
+    home: &'a CooMatrix,
+    /// Replicate-layout share of the replicated operand.
+    rep: &'a Mat,
+    /// Stationary blocks of the other operand, by slot.
+    stat: &'a [Mat],
+    /// Fiber pattern for the replicated operand's all-gather.
+    route: Option<&'a CommPattern>,
+    /// Total rows of the replicated operand.
+    rep_rows: usize,
+    /// Total rows of the stationary operand.
+    stat_rows: usize,
 }
 
 impl SparseShift15 {
-    /// Build this rank's state from a borrowed global problem (test
-    /// convenience; benchmark runs share staging via
-    /// [`SparseShift15::from_staged`]).
-    pub fn from_global(comm: &Comm, c: usize, prob: &GlobalProblem) -> Self {
-        Self::from_staged(comm, c, &StagedProblem::ephemeral(prob))
-    }
-
     /// Build this rank's state from shared staging (no communication,
     /// statistics unaffected).
     pub fn from_staged(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
@@ -101,10 +109,11 @@ impl SparseShift15 {
         // Home S column block (rows stay global).
         let col_blocks: Vec<_> = (0..p).map(|j| block_range(n, p, j)).collect();
         let s_cols = staged.partition(false, std::slice::from_ref(&(0..m)), &col_blocks);
-        let s_home = s_cols[0][u * c + v].clone();
+        let home = u * c + v;
+        let r = RStore::coo((m, n), s_cols[0][home].clone(), (0, col_blocks[home].start));
         let col_blocks_t: Vec<_> = (0..p).map(|j| block_range(m, p, j)).collect();
         let st_cols = staged.partition(true, std::slice::from_ref(&(0..n)), &col_blocks_t);
-        let st_home = st_cols[0][u * c + v].clone();
+        let st_home = st_cols[0][home].clone();
 
         let a_rep = prob.a.block(block_range(m, c, v), slice.clone());
         let b_rep = prob.b.block(block_range(n, c, v), slice.clone());
@@ -114,42 +123,20 @@ impl SparseShift15 {
         let b_stat = (0..q)
             .map(|w| prob.b.block(block_range(n, p, w * c + v), slice.clone()))
             .collect();
+        let id = KernelId::Family(AlgorithmFamily::SparseShift15);
         SparseShift15 {
             gc,
-            dims: prob.dims,
-            s_home,
+            view: PlanView::of(id, c, p, prob.dims),
+            r,
             st_home,
             a_rep,
             b_rep,
             a_stat,
             b_stat,
-            r_vals: None,
             route_a: None,
             route_b: None,
             local: kern::LocalPicks::default(),
         }
-    }
-
-    /// Resolve this worker's local-kernel variants against the shared
-    /// tuning cache, microbenchmarking on this rank's home `S` block
-    /// when the shape class is new. COO blocks only admit the serial
-    /// naive/blocked pair, and the family has no local fused kernel, so
-    /// the fused pick stays naive. Wall time lands in
-    /// [`Phase::LocalTuning`]; no communication, no flop accounting.
-    pub(crate) fn tune_local(&mut self, staged: &StagedProblem, comm: &Comm, c: usize) {
-        let _t = comm.phase(Phase::LocalTuning);
-        let tuning = staged.local_tuning();
-        let (p, dims, nnz) = (comm.size(), self.dims, staged.prob.nnz());
-        let req = |op| {
-            crate::kernel::local_tune_request(AlgorithmFamily::SparseShift15, op, p, c, dims, nnz)
-        };
-        let blk = &self.s_home;
-        self.local = kern::LocalPicks {
-            spmm: tuning.tune_coo(req(kern::LocalOp::Spmm), blk),
-            spmm_t: tuning.tune_coo(req(kern::LocalOp::SpmmT), blk),
-            sddmm: tuning.tune_coo(req(kern::LocalOp::Sddmm), blk),
-            fused: kern::LocalKernel::Naive,
-        };
     }
 
     /// The need sets a pattern-routed plan requires, derived world-free
@@ -219,45 +206,33 @@ impl SparseShift15 {
         self.route_b = Some(CommPattern::exchange(&self.gc.fiber, sec[g].clone()));
     }
 
-    /// Problem dimensions.
-    pub fn dims(&self) -> ProblemDims {
-        self.dims
-    }
-
     fn q(&self) -> usize {
         self.gc.grid.layer_size()
     }
 
-    /// Replicate layout of a `rows × r` matrix (the side that gets
-    /// all-gathered along fibers).
-    pub fn replicate_layout(
-        rows: usize,
-        r: usize,
-        p: usize,
-        c: usize,
-    ) -> impl Fn(usize) -> DenseLayout {
-        let q = p / c;
-        move |g| {
-            let (u, v) = (g / c, g % c);
-            DenseLayout::single(block_range(rows, c, v), block_range(r, q, u))
+    /// The canonical orientation: `S` travels, `A` replicated.
+    fn canon_side(&self) -> Side<'_> {
+        let dims = self.view.dims();
+        Side {
+            home: self.r.coo_block(),
+            rep: &self.a_rep,
+            stat: &self.b_stat,
+            route: self.route_a.as_ref(),
+            rep_rows: dims.m,
+            stat_rows: dims.n,
         }
     }
 
-    /// Stationary layout of a `rows × r` matrix (the side the traveling
-    /// sparse blocks address directly).
-    pub fn stationary_layout(
-        rows: usize,
-        r: usize,
-        p: usize,
-        c: usize,
-    ) -> impl Fn(usize) -> DenseLayout {
-        let q = p / c;
-        move |g| {
-            let (u, v) = (g / c, g % c);
-            DenseLayout {
-                row_ranges: (0..q).map(|w| block_range(rows, p, w * c + v)).collect(),
-                col_range: block_range(r, q, u),
-            }
+    /// The transposed orientation: `Sᵀ` travels, `B` replicated.
+    fn trans_side(&self) -> Side<'_> {
+        let dims = self.view.dims();
+        Side {
+            home: &self.st_home,
+            rep: &self.b_rep,
+            stat: &self.a_stat,
+            route: self.route_b.as_ref(),
+            rep_rows: dims.n,
+            stat_rows: dims.m,
         }
     }
 
@@ -342,7 +317,7 @@ impl SparseShift15 {
         let pipe = self.pipeline();
         let mut blk = home.clone();
         blk.vals.fill(0.0);
-        let slice = block_range(self.dims.r, q, self.gc.u);
+        let slice = block_range(self.view.dims().r, q, self.gc.u);
         for t in 0..q {
             let w = self.slot(t);
             // Detach the accumulating value array from the traveling
@@ -365,23 +340,17 @@ impl SparseShift15 {
         blk.vals
     }
 
-    /// SpMM propagation round: the home block travels with `vals`,
-    /// scattering `blkᵀ·X` into the stationary output blocks; returns
-    /// the stacked stationary-layout result.
-    fn scatter_round(
-        &self,
-        home: &CooMatrix,
-        vals: Vec<f64>,
-        x_full: &Mat,
-        out_rows_of: impl Fn(usize) -> usize,
-    ) -> Mat {
+    /// SpMM propagation round: the valued home block `blk` travels,
+    /// scattering `blkᵀ·X` into the stationary output blocks (slot `w`
+    /// covers block `w·c + v` of the `p`-way split of `out_rows`);
+    /// returns the stacked stationary-layout result.
+    fn scatter_round(&self, mut blk: CooMatrix, x_full: &Mat, out_rows: usize) -> Mat {
         let q = self.q();
+        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
         let slice_w = x_full.ncols();
         let mut outs: Vec<Mat> = (0..q)
-            .map(|w| Mat::zeros(out_rows_of(w), slice_w))
+            .map(|w| Mat::zeros(block_range(out_rows, p, w * c + v).len(), slice_w))
             .collect();
-        let mut blk = home.clone();
-        blk.vals = vals;
         let pipe = self.pipeline();
         for t in 0..q {
             let w = self.slot(t);
@@ -403,184 +372,141 @@ impl SparseShift15 {
         vals
     }
 
-    // ------------------------------------------------------------------
-    // Public kernels
-    // ------------------------------------------------------------------
-
-    /// Distributed SDDMM (replicates `A`, travels `S`); the result stays
-    /// on the home block ([`SparseShift15::gather_r`] retrieves it).
-    pub fn sddmm(&mut self) {
-        let t_a = self.replicate(&self.a_rep, self.dims.m, self.route_a.as_ref());
-        let dots = self.dots_round(&self.s_home, &t_a, &self.b_stat, &CombineSpec::Dot);
-        self.r_vals = Some(Self::finalize(&self.s_home, dots, Sampling::Values));
+    /// SpMM on one orientation: replicate its dense operand, travel
+    /// the valued home block `blk`.
+    fn spmm(&self, side: &Side<'_>, blk: CooMatrix) -> Mat {
+        let t = self.replicate(side.rep, side.rep_rows, side.route);
+        self.scatter_round(blk, &t, side.stat_rows)
     }
 
-    /// Distributed SpMMB: `Sᵀ·A` (or `Rᵀ·A`), returned in the
-    /// stationary `B` layout.
-    pub fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let t_a = self.replicate(&self.a_rep, self.dims.m, self.route_a.as_ref());
-        let vals = self.vals_for_travel(use_r);
-        let n = self.dims.n;
-        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
-        self.scatter_round(&self.s_home, vals, &t_a, |w| {
-            block_range(n, p, w * c + v).len()
-        })
-    }
-
-    /// Distributed SpMMA: `S·B` via the transposed roles (replicates
-    /// `B`, travels `Sᵀ`), returned in the stationary `A` layout.
-    pub fn spmm_a(&mut self) -> Mat {
-        let t_b = self.replicate(&self.b_rep, self.dims.n, self.route_b.as_ref());
-        let vals = self.st_home.vals.clone();
-        let m = self.dims.m;
-        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
-        self.scatter_round(&self.st_home, vals, &t_b, |w| {
-            block_range(m, p, w * c + v).len()
-        })
-    }
-
-    fn vals_for_travel(&self, use_r: bool) -> Vec<f64> {
-        if use_r {
-            self.r_vals
-                .clone()
-                .expect("no SDDMM result available; call sddmm() first")
-        } else {
-            self.s_home.vals.clone()
-        }
-    }
-
-    /// FusedMMB = `SpMMB(SDDMM(A, y, S), A)`. `y` (stationary `B`
-    /// layout, stacked) defaults to the stored `B`; the result is in the
-    /// same stationary layout.
-    pub fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let y_stat: Vec<Mat> = match y {
-            Some(st) => self.split_stationary(self.dims.n, st),
-            None => self.b_stat.clone(),
+    /// FusedMM on one orientation — FusedMMB on the canonical one,
+    /// FusedMMA on the transposed one. `y` (stationary layout, stacked)
+    /// defaults to the stored stationary operand; same layout out.
+    fn fused(&self, side: &Side<'_>, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+        let split;
+        let y_stat = match y {
+            Some(stacked) => {
+                split = self.split_stationary(side.stat_rows, stacked);
+                &split[..]
+            }
+            None => side.stat,
         };
-        let n = self.dims.n;
-        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
-        match elision {
-            Elision::ReplicationReuse => {
-                let t_a = self.replicate(&self.a_rep, self.dims.m, None);
-                let dots = self.dots_round(&self.s_home, &t_a, &y_stat, &CombineSpec::Dot);
-                let rvals = Self::finalize(&self.s_home, dots, sampling);
-                self.scatter_round(&self.s_home, rvals, &t_a, |w| {
-                    block_range(n, p, w * c + v).len()
-                })
-            }
-            Elision::None => {
-                let route = self.route_a.as_ref();
-                let t_a = self.replicate(&self.a_rep, self.dims.m, route);
-                let dots = self.dots_round(&self.s_home, &t_a, &y_stat, &CombineSpec::Dot);
-                let rvals = Self::finalize(&self.s_home, dots, sampling);
-                // Unoptimized: the SpMMB call replicates A again.
-                let t_a2 = self.replicate(&self.a_rep, self.dims.m, self.route_a.as_ref());
-                self.scatter_round(&self.s_home, rvals, &t_a2, |w| {
-                    block_range(n, p, w * c + v).len()
-                })
-            }
-            Elision::LocalKernelFusion => {
-                panic!(
-                    "local kernel fusion requires co-located full rows; \
-                     unsupported for 1.5D sparse shifting"
-                )
-            }
-        }
-    }
-
-    /// FusedMMA = `SpMMA(SDDMM(x, B, S), B)` via transposed roles
-    /// (replicate `B`, travel `Sᵀ`). `x` (stationary `A` layout,
-    /// stacked) defaults to the stored `A`; same layout out.
-    pub fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let x_stat: Vec<Mat> = match x {
-            Some(st) => self.split_stationary(self.dims.m, st),
-            None => self.a_stat.clone(),
+        let route = match elision {
+            Elision::None => side.route,
+            Elision::ReplicationReuse => None,
+            Elision::LocalKernelFusion => panic!(
+                "local kernel fusion requires co-located full rows; \
+                 unsupported for 1.5D sparse shifting"
+            ),
         };
-        let m = self.dims.m;
-        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
-        match elision {
-            Elision::ReplicationReuse => {
-                let t_b = self.replicate(&self.b_rep, self.dims.n, None);
-                let dots = self.dots_round(&self.st_home, &t_b, &x_stat, &CombineSpec::Dot);
-                let rvals = Self::finalize(&self.st_home, dots, sampling);
-                self.scatter_round(&self.st_home, rvals, &t_b, |w| {
-                    block_range(m, p, w * c + v).len()
-                })
-            }
-            Elision::None => {
-                let route = self.route_b.as_ref();
-                let t_b = self.replicate(&self.b_rep, self.dims.n, route);
-                let dots = self.dots_round(&self.st_home, &t_b, &x_stat, &CombineSpec::Dot);
-                let rvals = Self::finalize(&self.st_home, dots, sampling);
-                let t_b2 = self.replicate(&self.b_rep, self.dims.n, self.route_b.as_ref());
-                self.scatter_round(&self.st_home, rvals, &t_b2, |w| {
-                    block_range(m, p, w * c + v).len()
-                })
-            }
-            Elision::LocalKernelFusion => {
-                panic!(
-                    "local kernel fusion requires co-located full rows; \
-                     unsupported for 1.5D sparse shifting"
-                )
-            }
-        }
+        let t = self.replicate(side.rep, side.rep_rows, route);
+        let dots = self.dots_round(side.home, &t, y_stat, &CombineSpec::Dot);
+        let blk = side
+            .home
+            .with_vals(Self::finalize(side.home, dots, sampling));
+        // Unoptimized: without elision the SpMM call replicates again.
+        let again =
+            (elision == Elision::None).then(|| self.replicate(side.rep, side.rep_rows, route));
+        self.scatter_round(blk, again.as_ref().unwrap_or(&t), side.stat_rows)
     }
 
-    // ------------------------------------------------------------------
-    // GAT support and verification
-    // ------------------------------------------------------------------
-
-    /// Generalized SDDMM storing raw accumulations as R values.
-    pub fn sddmm_general(&mut self, combine: CombineSpec) {
-        let t_a = self.replicate(&self.a_rep, self.dims.m, self.route_a.as_ref());
-        let dots = self.dots_round(&self.s_home, &t_a, &self.b_stat, &combine);
-        self.r_vals = Some(dots);
+    /// Raw SDDMM accumulations on the stored operands (replicates `A`,
+    /// travels `S`).
+    fn dots(&self, combine: &CombineSpec) -> Vec<f64> {
+        let side = self.canon_side();
+        let t_a = self.replicate(side.rep, side.rep_rows, side.route);
+        self.dots_round(side.home, &t_a, side.stat, combine)
     }
 
-    /// Map every stored R value in place.
-    pub fn map_r(&mut self, mut f: impl FnMut(f64) -> f64) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        for v in r.iter_mut() {
-            *v = f(*v);
-        }
+    /// Both stored forms of an iterate: its replicate-layout share (a
+    /// distribution shift, charged to [`Phase::OutsideComm`]) and its
+    /// per-slot stationary blocks.
+    fn stage_operand(&self, comm: &Comm, op: Operand, x: &Mat) -> (Mat, Vec<Mat>) {
+        let view = self.view;
+        let rows = match op {
+            Operand::A => view.dims().m,
+            Operand::B => view.dims().n,
+        };
+        let rep = {
+            let _ph = comm.phase(Phase::OutsideComm);
+            repartition_dense(
+                comm,
+                x,
+                |g| view.layout_of(op, false, g),
+                |g| view.layout_of(op, true, g),
+            )
+        };
+        (rep, self.split_stationary(rows, x))
+    }
+}
+
+impl DistKernel for SparseShift15 {
+    fn view(&self) -> PlanView {
+        self.view
     }
 
-    /// Global row sums of R (length `m`; world all-reduce, charged to
-    /// `comm_phase`).
-    pub fn r_row_sums(&self, comm: &Comm, comm_phase: Phase) -> Vec<f64> {
-        let r = self.r_vals.as_ref().expect("no R values");
-        let mut sums = vec![0.0; self.dims.m];
-        for (k, (i, _, _)) in self.s_home.iter().enumerate() {
-            sums[i] += r[k];
-        }
-        let _ph = comm.phase(comm_phase);
+    fn r_store(&self) -> &RStore {
+        &self.r
+    }
+
+    fn r_store_mut(&mut self) -> &mut RStore {
+        &mut self.r
+    }
+
+    /// The result stays on the home block.
+    fn sddmm(&mut self) {
+        let dots = self.dots(&CombineSpec::Dot);
+        let vals = Self::finalize(self.r.coo_block(), dots, Sampling::Values);
+        self.r.set(vec![vals]);
+    }
+
+    fn sddmm_general(&mut self, combine: &CombineSpec) {
+        let dots = self.dots(combine);
+        self.r.set(vec![dots]);
+    }
+
+    /// Via the transposed roles (replicates `B`, travels `Sᵀ`);
+    /// returned in the stationary `A` layout.
+    fn spmm_a(&mut self, use_r: bool) -> Mat {
+        assert!(
+            !use_r,
+            "1.5D sparse shifting holds R on the S-oriented home block; \
+             use spmm_a_with for R·B (replicate-A layout output)"
+        );
+        self.spmm(&self.trans_side(), self.st_home.clone())
+    }
+
+    /// Returned in the stationary `B` layout.
+    fn spmm_b(&mut self, use_r: bool) -> Mat {
+        self.spmm(&self.canon_side(), self.r.traveler(use_r))
+    }
+
+    fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+        self.fused(&self.trans_side(), x, elision, sampling)
+    }
+
+    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+        self.fused(&self.canon_side(), y, elision, sampling)
+    }
+
+    /// Global row sums (length `m`; world all-reduce).
+    fn r_row_sums(&self, comm: &Comm, phase: Phase) -> Vec<f64> {
+        let mut sums = self.r.row_sums();
+        let _ph = comm.phase(phase);
         comm.allreduce_sum(&mut sums);
         sums
     }
 
-    /// Scale R values by a per-global-row factor.
-    pub fn scale_r_rows(&mut self, scale: &[f64]) {
-        assert_eq!(scale.len(), self.dims.m, "need one factor per global row");
-        let r = self.r_vals.as_mut().expect("no R values");
-        for (k, (i, _, _)) in self.s_home.iter().enumerate() {
-            r[k] *= scale[i];
-        }
-    }
-
-    /// SpMMA with the stored R values against a stationary-layout
-    /// operand: accumulates the full `m × slice` panel locally, then
-    /// reduce-scatters along the fiber into the replicate `A` layout
-    /// (GAT's convolution step).
-    pub fn spmm_a_from_r(&self, y: Option<&Mat>) -> Mat {
-        let y_stat: Vec<Mat> = match y {
-            Some(st) => self.split_stationary(self.dims.n, st),
-            None => self.b_stat.clone(),
-        };
+    /// Accumulates the full `m × slice` panel locally while the R-valued
+    /// home block travels, then reduce-scatters along the fiber into
+    /// the replicate `A` layout (GAT's convolution step).
+    fn spmm_a_with(&self, y: &Mat) -> Mat {
+        let dims = self.view.dims();
+        let y_stat = self.split_stationary(dims.n, y);
         let q = self.q();
-        let slice = block_range(self.dims.r, q, self.gc.u);
-        let mut t_full = Mat::zeros(self.dims.m, slice.len());
-        let mut blk = self.s_home.clone();
-        blk.vals = self.r_vals.clone().expect("no R values");
+        let slice = block_range(dims.r, q, self.gc.u);
+        let mut t_full = Mat::zeros(dims.m, slice.len());
+        let mut blk = self.r.traveler(true);
         let pipe = self.pipeline();
         for t in 0..q {
             let w = self.slot(t);
@@ -598,7 +524,7 @@ impl SparseShift15 {
         let w = slice.len();
         let ranges: Vec<std::ops::Range<usize>> = (0..c)
             .map(|vv| {
-                let rr = block_range(self.dims.m, c, vv);
+                let rr = block_range(dims.m, c, vv);
                 rr.start * w..rr.end * w
             })
             .collect();
@@ -606,234 +532,42 @@ impl SparseShift15 {
             .gc
             .fiber
             .reduce_scatter_sum_ranges(t_full.as_slice(), &ranges);
-        let rows = block_range(self.dims.m, c, self.gc.v).len();
+        let rows = block_range(dims.m, c, self.gc.v).len();
         debug_assert!(w == 0 || mine.len() / w == rows);
         Mat::from_vec(rows, w, mine)
     }
 
-    /// The stored stationary-layout `A` as one stacked matrix.
-    pub fn a_stationary_stacked(&self) -> Mat {
+    fn a_iterate(&self) -> Mat {
         Mat::vstack(&self.a_stat)
     }
 
-    /// The stored stationary-layout `B` as one stacked matrix.
-    pub fn b_stationary_stacked(&self) -> Mat {
+    fn b_iterate(&self) -> Mat {
         Mat::vstack(&self.b_stat)
     }
 
-    /// Replace the stored `A` operand: `rep` in the replicate layout,
-    /// `stat_stacked` in the stationary layout (both must be supplied so
-    /// every code path sees the update). The [`DistKernel::set_a`]
-    /// implementation derives `rep` by repartitioning.
-    pub fn set_a_parts(&mut self, rep: Mat, stat_stacked: &Mat) {
-        self.a_rep = rep;
-        self.a_stat = self.split_stationary(self.dims.m, stat_stacked);
-    }
-
-    /// Replace the stored `B` operand (see
-    /// [`SparseShift15::set_a_parts`]).
-    pub fn set_b_parts(&mut self, rep: Mat, stat_stacked: &Mat) {
-        self.b_rep = rep;
-        self.b_stat = self.split_stationary(self.dims.n, stat_stacked);
-    }
-
-    /// Local contribution to `‖S − dots‖²` after
-    /// [`SparseShift15::sddmm_general`] (ALS squared loss).
-    pub fn sq_loss_local(&self) -> f64 {
-        let r = self.r_vals.as_ref().expect("no R values");
-        self.s_home
-            .vals
-            .iter()
-            .zip(r)
-            .map(|(s, d)| (s - d) * (s - d))
-            .sum()
-    }
-
-    /// Gather the SDDMM result to rank 0 in global coordinates.
-    pub fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        let local = self.export_r_local().expect("no SDDMM result");
-        crate::layout::gather_coo(comm, 0, local, self.dims.m, self.dims.n)
-    }
-
-    /// The local R values as global-coordinate triplets (`None` before
-    /// any SDDMM).
-    fn export_r_local(&self) -> Option<CooMatrix> {
-        let r_vals = self.r_vals.as_ref()?;
-        let (p, c, u, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.u, self.gc.v);
-        let (m, n) = (self.dims.m, self.dims.n);
-        let col_start = block_range(n, p, u * c + v).start;
-        let mut local = CooMatrix::empty(m, n);
-        for (k, (i, j, _)) in self.s_home.iter().enumerate() {
-            local.push(i, col_start + j, r_vals[k]);
-        }
-        Some(local)
-    }
-}
-
-impl DistKernel for SparseShift15 {
-    fn id(&self) -> KernelId {
-        KernelId::Family(AlgorithmFamily::SparseShift15)
-    }
-
-    fn dims(&self) -> ProblemDims {
-        self.dims
-    }
-
-    fn supports(&self, elision: Elision) -> bool {
-        AlgorithmFamily::SparseShift15.supports(elision)
-    }
-
-    fn sddmm(&mut self) {
-        SparseShift15::sddmm(self);
-    }
-
-    fn sddmm_general(&mut self, combine: &CombineSpec) {
-        SparseShift15::sddmm_general(self, combine.clone());
-    }
-
-    fn spmm_a(&mut self, use_r: bool) -> Mat {
-        assert!(
-            !use_r,
-            "1.5D sparse shifting holds R on the S-oriented home block; \
-             use spmm_a_with for R·B (replicate-A layout output)"
-        );
-        SparseShift15::spmm_a(self)
-    }
-
-    fn spmm_b(&mut self, use_r: bool) -> Mat {
-        SparseShift15::spmm_b(self, use_r)
-    }
-
-    fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        SparseShift15::fused_mm_a(self, x, elision, sampling)
-    }
-
-    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        SparseShift15::fused_mm_b(self, y, elision, sampling)
-    }
-
-    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
-        SparseShift15::map_r(self, f);
-    }
-
-    fn r_row_sums(&self, comm: &Comm, phase: Phase) -> Vec<f64> {
-        SparseShift15::r_row_sums(self, comm, phase)
-    }
-
-    fn scale_r_rows(&mut self, scale: &[f64]) {
-        SparseShift15::scale_r_rows(self, scale);
-    }
-
-    fn spmm_a_with(&self, y: &Mat) -> Mat {
-        self.spmm_a_from_r(Some(y))
-    }
-
-    fn sq_loss_local(&self) -> f64 {
-        SparseShift15::sq_loss_local(self)
-    }
-
-    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        SparseShift15::gather_r(self, comm)
-    }
-
-    fn export_r(&self) -> Option<CooMatrix> {
-        self.export_r_local()
-    }
-
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        // Rank g's home block is column block u·c + v = g of S, with
-        // global rows.
-        (0..self.dims.m, block_range(self.dims.n, self.gc.grid.p, g))
-    }
-
-    fn import_r(&mut self, r: &CooMatrix) {
-        let map = crate::layout::triplet_map(r);
-        let (p, c, u, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.u, self.gc.v);
-        let col_start = block_range(self.dims.n, p, u * c + v).start as u32;
-        let vals: Vec<f64> = self
-            .s_home
-            .iter()
-            .map(|(i, j, _)| {
-                *map.get(&(i as u32, col_start + j as u32))
-                    .expect("imported R misses a local pattern nonzero")
-            })
-            .collect();
-        self.r_vals = Some(vals);
-    }
-
-    fn a_iterate(&self) -> Mat {
-        self.a_stationary_stacked()
-    }
-
-    fn b_iterate(&self) -> Mat {
-        self.b_stationary_stacked()
-    }
-
     fn set_a(&mut self, comm: &Comm, x: &Mat) {
-        let (dims, p, c) = (self.dims, self.gc.grid.p, self.gc.grid.c);
-        let rep = {
-            let _ph = comm.phase(Phase::OutsideComm);
-            repartition_dense(
-                comm,
-                x,
-                Self::stationary_layout(dims.m, dims.r, p, c),
-                Self::replicate_layout(dims.m, dims.r, p, c),
-            )
-        };
-        self.set_a_parts(rep, x);
+        (self.a_rep, self.a_stat) = self.stage_operand(comm, Operand::A, x);
     }
 
     fn set_b(&mut self, comm: &Comm, y: &Mat) {
-        let (dims, p, c) = (self.dims, self.gc.grid.p, self.gc.grid.c);
-        let rep = {
-            let _ph = comm.phase(Phase::OutsideComm);
-            repartition_dense(
-                comm,
-                y,
-                Self::stationary_layout(dims.n, dims.r, p, c),
-                Self::replicate_layout(dims.n, dims.r, p, c),
-            )
-        };
-        self.set_b_parts(rep, y);
-    }
-
-    fn rhs_a(&mut self, _comm: &Comm) -> Mat {
-        SparseShift15::spmm_a(self)
-    }
-
-    fn rhs_b(&mut self, _comm: &Comm) -> Mat {
-        SparseShift15::spmm_b(self, false)
-    }
-
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::stationary_layout(self.dims.m, self.dims.r, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::stationary_layout(self.dims.n, self.dims.r, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
-        Self::replicate_layout(self.dims.m, self.dims.r, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn row_group_a(&self, g: usize) -> u64 {
-        // Stationary layouts are shared by the layer (same fiber
-        // coordinate v = g % c).
-        (g % self.gc.grid.c) as u64
-    }
-
-    fn row_group_b(&self, g: usize) -> u64 {
-        (g % self.gc.grid.c) as u64
+        (self.b_rep, self.b_stat) = self.stage_operand(comm, Operand::B, y);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global::GlobalProblem;
+    use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, SimWorld};
     use dsk_dense::ops::max_abs_diff;
     use std::sync::Arc;
+
+    const FAMILY: AlgorithmFamily = AlgorithmFamily::SparseShift15;
+
+    fn view(prob: &GlobalProblem, p: usize, c: usize) -> PlanView {
+        PlanView::of(KernelId::Family(FAMILY), c, p, prob.dims)
+    }
 
     #[test]
     fn sddmm_matches_reference() {
@@ -843,7 +577,7 @@ mod tests {
             let expect = prob.reference_sddmm().to_coo().to_dense();
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let mut worker = SparseShift15::from_global(comm, c, &prob);
+                let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
                 worker.sddmm();
                 worker.gather_r(comm)
             });
@@ -860,12 +594,13 @@ mod tests {
             let (p, c, m, n, r) = (6, 2, 20, 24, 7);
             let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 52));
             let expect = prob.reference_fused_b();
-            let layout = SparseShift15::stationary_layout(n, r, p, c);
+            let view = view(&prob, p, c);
+            let layout = move |g| view.b_layout_of(g);
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let mut worker = SparseShift15::from_global(comm, c, &prob);
+                let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
                 let got = worker.fused_mm_b(None, elision, Sampling::Values);
-                crate::layout::gather_dense(comm, 0, &got, &layout, n, r)
+                crate::layout::gather_dense(comm, 0, &got, layout, n, r)
             });
             let got = out[0].value.as_ref().unwrap();
             assert!(
@@ -881,12 +616,13 @@ mod tests {
             let (p, c, m, n, r) = (8, 2, 26, 18, 8);
             let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 53));
             let expect = prob.reference_fused_a();
-            let layout = SparseShift15::stationary_layout(m, r, p, c);
+            let view = view(&prob, p, c);
+            let layout = move |g| view.a_layout_of(g);
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let mut worker = SparseShift15::from_global(comm, c, &prob);
+                let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
                 let got = worker.fused_mm_a(None, elision, Sampling::Values);
-                crate::layout::gather_dense(comm, 0, &got, &layout, m, r)
+                crate::layout::gather_dense(comm, 0, &got, layout, m, r)
             });
             let got = out[0].value.as_ref().unwrap();
             assert!(
@@ -902,16 +638,16 @@ mod tests {
         let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 54));
         let ea = prob.reference_spmm_a();
         let eb = prob.reference_spmm_b();
-        let la = SparseShift15::stationary_layout(m, r, p, c);
-        let lb = SparseShift15::stationary_layout(n, r, p, c);
+        let view = view(&prob, p, c);
+        let (la, lb) = (move |g| view.a_layout_of(g), move |g| view.b_layout_of(g));
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut worker = SparseShift15::from_global(comm, c, &prob);
-            let ga = worker.spmm_a();
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
+            let ga = worker.spmm_a(false);
             let gb = worker.spmm_b(false);
             (
-                crate::layout::gather_dense(comm, 0, &ga, &la, m, r),
-                crate::layout::gather_dense(comm, 0, &gb, &lb, n, r),
+                crate::layout::gather_dense(comm, 0, &ga, la, m, r),
+                crate::layout::gather_dense(comm, 0, &gb, lb, n, r),
             )
         });
         let (ga, gb) = &out[0].value;
@@ -920,18 +656,19 @@ mod tests {
     }
 
     #[test]
-    fn spmm_a_from_r_matches_reference() {
+    fn spmm_a_with_matches_reference() {
         // R·B where R = SDDMM(A,B,S), output in the replicate A layout.
         let (p, c, m, n, r) = (6, 3, 24, 21, 6);
         let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 55));
         let expect = prob.reference_fused_a();
-        let layout = SparseShift15::replicate_layout(m, r, p, c);
+        let view = view(&prob, p, c);
+        let layout = move |g| view.spmm_a_with_layout_of(g);
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut worker = SparseShift15::from_global(comm, c, &prob);
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             worker.sddmm();
-            let got = worker.spmm_a_from_r(None);
-            crate::layout::gather_dense(comm, 0, &got, &layout, m, r)
+            let got = worker.spmm_a_with(&worker.b_iterate());
+            crate::layout::gather_dense(comm, 0, &got, layout, m, r)
         });
         assert!(max_abs_diff(out[0].value.as_ref().unwrap(), &expect) < 1e-9);
     }
@@ -943,7 +680,7 @@ mod tests {
         let nnz = prob.nnz();
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut worker = SparseShift15::from_global(comm, c, &prob);
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             let _ = worker.fused_mm_b(None, Elision::ReplicationReuse, Sampling::Values);
         });
         // Two rounds of q shifts each; every shift carries one column
@@ -966,7 +703,7 @@ mod tests {
             let pr = Arc::clone(&prob);
             let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
-                let mut worker = SparseShift15::from_global(comm, c, &pr);
+                let mut worker = DistWorker::from_global(comm, FAMILY, c, &pr);
                 let _ = worker.fused_mm_b(None, elision, Sampling::Values);
             });
             let total: u64 = out

@@ -14,9 +14,10 @@ use std::ops::{Deref, DerefMut};
 
 use dsk_comm::Comm;
 
-use crate::common::{AlgorithmFamily, Routing};
+use crate::common::{AlgorithmFamily, ProblemDims, Routing};
 use crate::global::GlobalProblem;
 use crate::kernel::{DistKernel, KernelBuilder, KernelId, KernelPlan};
+use crate::planview::PlanView;
 use crate::staged::StagedProblem;
 
 /// A per-rank worker for any distributed kernel, with the plan it was
@@ -28,8 +29,20 @@ pub struct DistWorker {
 
 impl DistWorker {
     /// Wrap an already-constructed kernel (used by [`KernelBuilder`]).
-    pub(crate) fn from_parts(kernel: Box<dyn DistKernel>, plan: KernelPlan) -> Self {
+    /// `p` and `dims` are the world size and problem shape the plan was
+    /// resolved for; a kernel whose grid disagrees was built off-plan.
+    pub(crate) fn from_parts(
+        kernel: Box<dyn DistKernel>,
+        plan: KernelPlan,
+        p: usize,
+        dims: ProblemDims,
+    ) -> Self {
         debug_assert_eq!(kernel.id(), plan.id, "plan does not match kernel");
+        debug_assert_eq!(
+            kernel.view(),
+            PlanView::new(&plan, p, dims),
+            "kernel was built off-plan"
+        );
         DistWorker { kernel, plan }
     }
 

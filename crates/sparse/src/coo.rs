@@ -73,6 +73,19 @@ impl CooMatrix {
         self.vals.push(v);
     }
 
+    /// A matrix with this pattern and the given values (the current
+    /// values are not copied).
+    pub fn with_vals(&self, vals: Vec<f64>) -> CooMatrix {
+        assert_eq!(vals.len(), self.nnz(), "value array length mismatch");
+        CooMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            rows: self.rows.clone(),
+            cols: self.cols.clone(),
+            vals,
+        }
+    }
+
     /// The transpose (swaps row/col arrays; O(nnz) copy).
     pub fn transpose(&self) -> CooMatrix {
         CooMatrix {

@@ -183,6 +183,19 @@ impl CsrMatrix {
         assert_eq!(vals.len(), self.nnz(), "value array length mismatch");
         self.vals = vals;
     }
+
+    /// A matrix with this pattern and the given values (the current
+    /// values are not copied).
+    pub fn with_vals(&self, vals: Vec<f64>) -> CsrMatrix {
+        assert_eq!(vals.len(), self.nnz(), "value array length mismatch");
+        CsrMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            indptr: self.indptr.clone(),
+            indices: self.indices.clone(),
+            vals,
+        }
+    }
 }
 
 /// A CSR block in flight costs one word per stored value, one per
