@@ -106,10 +106,10 @@ pub trait CommBackend: Send + Sync {
 
     /// Transport-failure hook: mark the backend failed so every blocked
     /// and future receive panics with `msg` immediately instead of
-    /// waiting out the watchdog. The elastic epoch runner
-    /// ([`SimWorld::try_run`](crate::SimWorld::try_run)) uses this to
-    /// fail survivors fast when a rank dies mid-epoch; backends without
-    /// a shared mailbox may ignore it.
+    /// waiting out the watchdog. The epoch runner (`SimWorld::run` and
+    /// [`SimWorld::try_run`](crate::SimWorld::try_run) alike) uses this
+    /// to fail survivors fast when a rank dies mid-epoch; backends
+    /// without a shared mailbox may ignore it.
     fn poison(&self, _msg: &str) {}
 }
 

@@ -15,10 +15,10 @@
 //! # Non-blocking completion contract
 //!
 //! Beyond the blocking calls, a rank may start transfers and complete
-//! them later: [`Comm::send_nb`] returns a [`SendHandle`] (buffered
-//! sends complete at post time — the mailbox is unbounded, exactly like
-//! an eager-protocol MPI send), and [`Comm::recv_begin`] /
-//! [`Comm::shift_begin`] return a [`RecvHandle`] with `poll`/`wait`.
+//! them later: [`Comm::recv_begin`] / [`Comm::shift_begin`] return a
+//! [`RecvHandle`] with `poll`/`wait`. ([`Comm::send`] needs no handle:
+//! sends are buffered and complete at post time — the mailbox is
+//! unbounded, exactly like an eager-protocol MPI send.)
 //! The contract, enforced at runtime:
 //!
 //! * **Ordering** — delivery is FIFO per `(src, context, tag)` key, and
@@ -375,16 +375,6 @@ impl Comm {
     // Non-blocking point-to-point
     // ------------------------------------------------------------------
 
-    /// Non-blocking send to communicator rank `dst`. The mailbox is
-    /// unbounded, so the transfer is buffered and the returned
-    /// [`SendHandle`] is complete immediately; accounting is identical to
-    /// [`Comm::send`] (`α + β·words` charged at post).
-    pub fn send_nb<T: WirePayload>(&self, dst: usize, tag: u32, value: T) -> SendHandle {
-        let words = value.words() as u64;
-        self.send(dst, tag, value);
-        SendHandle { words }
-    }
-
     /// Begin a non-blocking receive from communicator rank `src`. The
     /// message is charged (`α + β·words`, like [`Comm::recv`]) when the
     /// returned handle is awaited. See the module docs for the ordering
@@ -493,31 +483,6 @@ impl Comm {
     /// A new communicator with the same members but an isolated tag space.
     pub fn dup(&self) -> Comm {
         self.split_by(|_| 0)
-    }
-}
-
-/// Handle for a buffered non-blocking send started with
-/// [`Comm::send_nb`]. Sends into the unbounded mailbox complete at post
-/// time, so `poll` is always true; the handle exists so call sites read
-/// like their MPI counterparts and so the API can grow a rendezvous
-/// protocol without changing signatures.
-#[must_use = "a non-blocking send should be completed with wait()"]
-pub struct SendHandle {
-    words: u64,
-}
-
-impl SendHandle {
-    /// Whether the transfer has completed (always, for buffered sends).
-    pub fn poll(&self) -> bool {
-        true
-    }
-
-    /// Complete the send. No-op for buffered sends.
-    pub fn wait(self) {}
-
-    /// Word count of the posted message.
-    pub fn words(&self) -> u64 {
-        self.words
     }
 }
 

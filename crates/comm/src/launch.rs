@@ -13,14 +13,16 @@
 //! test, so the launcher passes `<name> --exact --test-threads=1`);
 //! plain binaries (examples, benches) are re-run with their original
 //! arguments. Every process therefore executes the *same deterministic
-//! program*, and each `SimWorld::run` call on a socket backend is one
-//! **epoch** of that program:
+//! program*, and each `SimWorld::run` / `try_run` call on a socket
+//! backend is one **epoch** of that program:
 //!
-//! * the launcher and all pool processes count socket-backed `run`
-//!   calls on their test thread; the counter is the epoch id;
+//! * the launcher and all pool processes count socket-backed epochs on
+//!   their test thread; the counter is the epoch id;
 //! * a child joins live epochs at `DSK_SPAWN_EPOCH` and replays any
 //!   earlier socket epochs on the in-process backend (word accounting
-//!   is backend-invariant, so the replay reproduces the same values);
+//!   is backend-invariant, so the replay reproduces the same values —
+//!   and, for an epoch that failed, the same `Ok`/`Err` control flow
+//!   and dead world ranks, though the textual detail may differ);
 //! * at each epoch the processes **rendezvous** with the coordinator
 //!   and receive the epoch's [`Roster`] — see [`crate::rendezvous`]
 //!   for the handshake (protocol-version / endianness / capability
@@ -29,31 +31,45 @@
 //!   `<base>/r<pool_id>.sock`, or TCP ports from `DSK_SOCKET_ADDR`,
 //!   and dials every lower world rank), validating a [`Hello`] (world
 //!   rank, world size, epoch) on every connection, so diverged or
-//!   stale processes fail loudly instead of corrupting the mesh;
-//! * after the closure, ranks run the drain protocol (`Bye` to every
-//!   peer, wait for every peer's `Bye`, then assert an empty mailbox),
-//!   members send their encoded value + [`RankStats`] to rank 0, and
-//!   rank 0 broadcasts the full outcome set — **every process returns
-//!   the identical `Vec<RankOutcome<T>>`**, keeping the SPMD program in
-//!   lockstep for the next epoch. This is why socket worlds require
-//!   `T: WirePayload`: results genuinely cross process boundaries.
+//!   stale processes fail loudly instead of corrupting the mesh.
 //!
 //! Pool processes whose pool id is not on the current roster (worlds
 //! may shrink between epochs) join as *observers*: they skip the
-//! closure and only await the outcome broadcast.
+//! closure and only await the epoch's verdict.
 //!
-//! # Elastic epochs and the dead set
+//! # The epoch protocol
 //!
-//! [`SimWorld::try_run`] runs an **elastic** epoch: a rank dying
-//! mid-epoch aborts the epoch instead of killing the pool. The
-//! coordinator collects a verdict from every member (an `Outcome`, an
-//! `Error`, or the member's process exit), broadcasts an `Abort` frame
-//! naming the dead **pool ids**, and every surviving process returns
-//! the identical [`EpochError`]. Each process keeps a thread-local
-//! *dead set* of pool ids, updated from `Abort` payloads (the
-//! coordinator from `try_wait` verdicts) — so the next epoch's roster,
-//! a pure function of the dead set ([`crate::rendezvous::roster_for`]),
-//! is computed identically everywhere without negotiation.
+//! There is one protocol, with one body per role (launcher, rank-0
+//! epoch, member, observer). After its closure every rank runs the
+//! drain protocol (`Bye` to every peer, wait for every peer's `Bye`,
+//! then require an empty mailbox), members send their encoded value +
+//! [`RankStats`] to rank 0 in an `Outcome` frame, and every process
+//! then waits for rank 0's **verdict**:
+//!
+//! * `OutcomeSet` — the epoch completed. Rank 0 broadcasts the full
+//!   outcome set and **every process returns the identical
+//!   `Vec<RankOutcome<T>>`**, keeping the SPMD program in lockstep for
+//!   the next epoch. This is why socket worlds require
+//!   `T: WirePayload`: results genuinely cross process boundaries.
+//! * `Abort` — a rank failed. Any local failure (a panic in the
+//!   closure, a poisoned receive, a leaked message) is reported to
+//!   rank 0 in an `Error` frame; rank 0 nudges members that are still
+//!   blocked, collects a check-in from every member (an `Outcome`, an
+//!   `Error`, or the member's process exit), and broadcasts an `Abort`
+//!   frame naming the dead **pool ids**. Every surviving process
+//!   derives the identical [`EpochError`] from it.
+//!
+//! What the caller does with a failed epoch is the only difference
+//! between the two entry points. [`SimWorld::try_run`] returns the
+//! `EpochError` and the pool survives: each process keeps a
+//! thread-local *dead set* of pool ids, updated from `Abort` payloads
+//! (the coordinator from `try_wait` verdicts) — so the next epoch's
+//! roster, a pure function of the dead set
+//! ([`crate::rendezvous::roster_for`]), is computed identically
+//! everywhere without negotiation. [`SimWorld::run`] is the same epoch
+//! plus teardown: the launcher kills the whole pool and panics with the
+//! root cause as `rank N panicked: …`, matching the in-memory backends'
+//! diagnostics, and a worker exits non-zero — no orphaned processes.
 //!
 //! Two hard limitations are enforced rather than half-supported: the
 //! coordinator itself (pool id 0 = world rank 0) is not expendable —
@@ -65,15 +81,15 @@
 //!
 //! # Failure containment
 //!
-//! A child that panics reports the message in an `Error` frame and
-//! exits non-zero; the launcher re-panics as `rank N panicked: …`,
-//! matching the in-process backend's diagnostics. A child that dies
-//! silently triggers mailbox poison at every peer (milliseconds, not
-//! the 300 s watchdog). If the launcher itself fails mid-epoch (outside
-//! `try_run`), an epoch guard kills the whole pool before the panic
-//! propagates — no orphaned processes — and children additionally poll
-//! their parent pid while waiting. On success, children simply finish
-//! their copy of the program and exit 0; a reaper thread collects them.
+//! A child that dies silently triggers mailbox poison at every peer
+//! (milliseconds, not the 300 s watchdog). A failure the protocol
+//! cannot end consistently — a failed rendezvous, members that stay
+//! unresponsive through an abort, a member lost between its `Outcome`
+//! and the broadcast — panics in the launcher, and an epoch guard
+//! kills the whole pool before the panic propagates; children
+//! additionally poll their parent pid while waiting. On success,
+//! children simply finish their copy of the program and exit 0; a
+//! reaper thread collects them.
 //!
 //! [`Hello`]: crate::frame::Hello
 //! [`Roster`]: crate::rendezvous::Roster
@@ -89,7 +105,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::backend::CommBackend;
-use crate::comm::{Comm, RankShared};
+use crate::comm::Comm;
 use crate::frame::{read_frame, write_frame, Frame, FrameKind, Hello};
 use crate::payload::{WirePayload, WireReader};
 use crate::rendezvous::{self, Roster};
@@ -98,9 +114,10 @@ use crate::socket::{
 };
 use crate::stats::RankStats;
 use crate::trace::{self, ArgVal, TraceEvent, TraceKind};
-use crate::world::{EpochError, RankOutcome, SimWorld};
+use crate::world::{
+    panic_text, run_rank, trace_abort, EpochError, EpochFailure, RankOutcome, SimWorld,
+};
 use crate::BackendKind;
-
 /// Rank of a spawned worker process.
 pub const RANK_ENV_VAR: &str = "DSK_RANK";
 /// First epoch a spawned worker joins live (earlier socket epochs
@@ -182,15 +199,7 @@ fn parent_died(info: &ChildInfo) -> Option<String> {
 fn endpoint_for(base: &str, rank: usize) -> Endpoint {
     match std::env::var(SOCKET_ADDR_ENV_VAR) {
         Ok(addr) => {
-            let (host, port) = addr
-                .rsplit_once(':')
-                .expect("DSK_SOCKET_ADDR must be ip:base_port");
-            let port: u16 = port.parse().expect("DSK_SOCKET_ADDR port");
-            Endpoint::Tcp(
-                format!("{host}:{}", port + rank as u16)
-                    .parse()
-                    .expect("DSK_SOCKET_ADDR address"),
-            )
+            Endpoint::Tcp(rendezvous::tcp_endpoint(&addr, rank).unwrap_or_else(|e| panic!("{e}")))
         }
         Err(_) => Endpoint::Unix(PathBuf::from(base).join(format!("r{rank}.sock"))),
     }
@@ -288,8 +297,9 @@ impl Drop for Pool {
 }
 
 /// Kills the pool if an epoch unwinds before completing, so a failing
-/// test never leaves worker processes behind. Elastic epochs disarm it
-/// on a *handled* abort — the pool survives a rank death.
+/// test never leaves worker processes behind. A *handled* abort disarms
+/// it — the pool survives a rank death (whether it survives the caller
+/// is [`teardown`]'s business).
 struct EpochGuard<'a, 'b> {
     pool: &'a mut std::cell::RefMut<'b, Option<Pool>>,
     armed: bool,
@@ -413,32 +423,34 @@ fn send_hello(stream: &mut SocketStream, hello: Hello) -> Result<(), String> {
     .map_err(|e| format!("sending Hello: {e}"))
 }
 
-fn read_hello(stream: &mut SocketStream, deadline: Instant) -> Result<Hello, String> {
+/// Read one control frame of kind `kind` before `deadline` and return
+/// its payload.
+fn read_control(
+    stream: &mut SocketStream,
+    kind: FrameKind,
+    deadline: Instant,
+) -> Result<Vec<u8>, String> {
     let remaining = deadline.saturating_duration_since(Instant::now());
     stream
         .set_read_timeout(Some(remaining.max(Duration::from_millis(10))))
         .map_err(|e| format!("setting handshake timeout: {e}"))?;
     let frame = read_frame(stream)
-        .map_err(|e| format!("reading Hello: {e}"))?
-        .ok_or_else(|| "peer closed during handshake".to_string())?;
-    if frame.kind != FrameKind::Hello {
-        return Err(format!("expected Hello, got {:?}", frame.kind));
+        .map_err(|e| format!("reading {kind:?}: {e}"))?
+        .ok_or_else(|| format!("peer closed during handshake (awaiting {kind:?})"))?;
+    if frame.kind != kind {
+        return Err(format!("expected {kind:?}, got {:?}", frame.kind));
     }
-    Hello::from_payload(&frame.payload).map_err(|e| format!("bad Hello payload: {e}"))
+    Ok(frame.payload)
+}
+
+fn read_hello(stream: &mut SocketStream, deadline: Instant) -> Result<Hello, String> {
+    let payload = read_control(stream, FrameKind::Hello, deadline)?;
+    Hello::from_payload(&payload).map_err(|e| format!("bad Hello payload: {e}"))
 }
 
 fn read_roster(stream: &mut SocketStream, deadline: Instant) -> Result<Roster, String> {
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    stream
-        .set_read_timeout(Some(remaining.max(Duration::from_millis(10))))
-        .map_err(|e| format!("setting handshake timeout: {e}"))?;
-    let frame = read_frame(stream)
-        .map_err(|e| format!("reading Roster: {e}"))?
-        .ok_or_else(|| "coordinator closed during handshake".to_string())?;
-    if frame.kind != FrameKind::Roster {
-        return Err(format!("expected Roster, got {:?}", frame.kind));
-    }
-    Roster::from_payload(&frame.payload).map_err(|e| format!("bad Roster payload: {e}"))
+    let payload = read_control(stream, FrameKind::Roster, deadline)?;
+    Roster::from_payload(&payload).map_err(|e| format!("bad Roster payload: {e}"))
 }
 
 fn validate_hello(hello: &Hello, epoch: u64, n: usize) -> Result<(), String> {
@@ -460,11 +472,17 @@ fn validate_hello(hello: &Hello, epoch: u64, n: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Decode an `Abort` payload into the shared [`EpochError`], updating
-/// the local dead set. Every surviving process derives the identical
-/// error from the identical payload — the dead set stays replicated
-/// SPMD state.
-fn epoch_error_from_abort(payload: &[u8], roster: &Roster) -> EpochError {
+/// Decode an `Abort` payload into the epoch's failure, updating the
+/// local dead set. Every surviving process derives the identical
+/// [`EpochError`] from the identical payload — the dead set stays
+/// replicated SPMD state. `rank`/`cause` are this process's own view
+/// of the root cause (the error's detail when it has none).
+fn failure_from_abort(
+    payload: &[u8],
+    roster: &Roster,
+    rank: Option<usize>,
+    cause: Option<String>,
+) -> EpochFailure {
     let abort =
         Roster::from_payload(payload).unwrap_or_else(|e| panic!("undecodable Abort payload: {e}"));
     let dead_pool: Vec<usize> = abort.members.iter().map(|&m| m as usize).collect();
@@ -480,10 +498,15 @@ fn epoch_error_from_abort(payload: &[u8], roster: &Roster) -> EpochError {
     } else {
         format!("pool process(es) {dead_pool:?} died mid-epoch")
     };
-    EpochError {
-        epoch: abort.epoch,
-        dead,
-        detail,
+    EpochFailure {
+        cause: cause.unwrap_or_else(|| detail.clone()),
+        rank,
+        error: EpochError {
+            epoch: abort.epoch,
+            dead,
+            detail,
+        },
+        pooled: true,
     }
 }
 
@@ -491,61 +514,39 @@ fn epoch_error_from_abort(payload: &[u8], roster: &Roster) -> EpochError {
 // Entry points
 // ---------------------------------------------------------------------
 
-/// Run one socket-backed world. Called by [`SimWorld::run`] whenever
-/// the backend kind is `Socket`; see the module docs for the protocol.
-pub(crate) fn run_socket_world<T>(
+/// Run one socket-backed epoch in this process's role. Called by
+/// [`SimWorld::run`] and [`SimWorld::try_run`] whenever the backend
+/// kind is `Socket`; see the module docs for the protocol.
+pub(crate) fn socket_epoch<T>(
     world: &SimWorld,
     f: &(dyn Fn(&mut Comm) -> T + Sync),
-) -> Vec<RankOutcome<T>>
+) -> Result<Vec<RankOutcome<T>>, EpochFailure>
 where
     T: WirePayload,
 {
     let epoch = next_epoch();
     match role() {
         Role::Launcher => run_as_launcher(world, f, epoch),
-        Role::Child(info) => {
-            let info = info.clone();
-            if !on_live_thread(&info, epoch) {
-                // Replay: not this worker's live epoch. The in-process
-                // backend reproduces the same values and word counts.
-                return run_inproc_replay(world, f);
-            }
-            match world_rank_of(info.rank, &dead_ids(), world.nranks()) {
-                None => run_as_observer::<T>(world, epoch, &info),
-                Some(_) => run_as_member(world, f, epoch, &info),
-            }
-        }
+        // Not this worker's live epoch: the in-process backend
+        // reproduces the same values, word counts and verdict.
+        Role::Child(info) if !on_live_thread(info, epoch) => replay_inproc(world, f),
+        Role::Child(info) => match world_rank_of(info.rank, &dead_ids(), world.nranks()) {
+            None => run_as_observer(world, epoch, info),
+            Some(_) => run_as_member(world, f, epoch, info),
+        },
     }
 }
 
-/// Run one **elastic** socket-backed world ([`SimWorld::try_run`]): a
-/// rank death aborts the epoch with an [`EpochError`] on every
-/// survivor instead of killing the pool.
-pub(crate) fn try_run_socket_world<T>(
-    world: &SimWorld,
-    f: &(dyn Fn(&mut Comm) -> T + Sync),
-) -> Result<Vec<RankOutcome<T>>, EpochError>
-where
-    T: WirePayload,
-{
-    let epoch = next_epoch();
+/// [`SimWorld::run`]'s teardown after a failed pooled epoch: the
+/// launcher kills its pool, a worker dies with the cause on stderr.
+pub(crate) fn teardown(cause: &str) {
     match role() {
-        Role::Launcher => try_run_as_launcher(world, f, epoch),
-        Role::Child(info) => {
-            let info = info.clone();
-            if !on_live_thread(&info, epoch) {
-                // Replay reproduces the Ok/Err control flow and the
-                // dead world ranks; the textual detail may differ.
-                return SimWorld::new(world.nranks(), *world.model())
-                    .with_recv_timeout(world.recv_timeout_raw())
-                    .backend(BackendKind::InProc)
-                    .try_run(|c| f(c));
+        Role::Launcher => POOL.with(|pool| {
+            if let Some(pool) = pool.borrow_mut().as_mut() {
+                pool.kill_all();
             }
-            match world_rank_of(info.rank, &dead_ids(), world.nranks()) {
-                None => try_run_as_observer::<T>(world, epoch, &info),
-                Some(_) => try_run_as_member(world, f, epoch, &info),
-            }
-        }
+        }),
+        Role::Child(_) => child_fail(None, cause.to_string()),
     }
 }
 
@@ -558,30 +559,50 @@ fn on_live_thread(info: &ChildInfo, epoch: u64) -> bool {
     on_my_thread && epoch >= info.spawn_epoch
 }
 
-fn run_inproc_replay<T>(
+fn replay_inproc<T>(
     world: &SimWorld,
     f: &(dyn Fn(&mut Comm) -> T + Sync),
-) -> Vec<RankOutcome<T>>
+) -> Result<Vec<RankOutcome<T>>, EpochFailure>
 where
     T: WirePayload,
 {
     SimWorld::new(world.nranks(), *world.model())
         .with_recv_timeout(world.recv_timeout_raw())
         .backend(BackendKind::InProc)
-        .run(|c| f(c))
+        .epoch(f)
+}
+
+/// Send a control frame, reporting a dead writer instead of panicking.
+fn try_control(
+    backend: &SocketBackend,
+    dst: usize,
+    kind: FrameKind,
+    payload: Vec<u8>,
+) -> Result<(), String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        backend.send_control(dst, kind, payload);
+    }))
+    .map_err(|p| panic_text(&*p))
+}
+
+/// The drain protocol every rank runs after its closure: `Bye` to every
+/// peer, wait for every peer's `Bye` (all data of the epoch is then in
+/// local mailboxes), and require that nothing is left unreceived.
+fn drain_epoch(backend: &SocketBackend, deadline: Instant) -> Result<(), String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| backend.bye_all()))
+        .map_err(|p| panic_text(&*p))?;
+    backend.wait_byes(deadline)?;
+    match backend.pending_messages() {
+        0 => Ok(()),
+        leaked => Err(format!(
+            "{leaked} message(s) were sent but never received — protocol bug"
+        )),
+    }
 }
 
 // ---------------------------------------------------------------------
 // Launcher (rank 0)
 // ---------------------------------------------------------------------
-
-fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
-    p.downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| p.downcast_ref::<&str>().copied())
-        .unwrap_or("<non-string panic>")
-        .to_string()
-}
 
 /// Build or grow the pool for an epoch of `n` ranks. Returns `false`
 /// when no pool exists (single-rank world: peerless backend).
@@ -719,7 +740,7 @@ fn run_as_launcher<T>(
     world: &SimWorld,
     f: &(dyn Fn(&mut Comm) -> T + Sync),
     epoch: u64,
-) -> Vec<RankOutcome<T>>
+) -> Result<Vec<RankOutcome<T>>, EpochFailure>
 where
     T: WirePayload,
 {
@@ -727,11 +748,13 @@ where
     POOL.with(|pool_cell| {
         let mut pool_slot = pool_cell.borrow_mut();
         if !ensure_pool(&mut pool_slot, n, epoch) {
-            // Single-rank world with no pool: a peerless socket backend.
+            // Single-rank world with no pool: a peerless socket backend
+            // whose lone rank is the coordinator.
             trace::install_and_sync(0);
             let backend = SocketBackend::assemble(0, 1, world.recv_timeout_raw(), vec![None])
                 .expect("assemble peerless socket backend");
-            return run_rank0_epoch(world, f, backend, Vec::new());
+            let roster = rendezvous::roster_for(epoch, &[0], 1);
+            return run_rank0_epoch(world, f, backend, Vec::new(), &mut Vec::new(), &roster);
         }
 
         let mut guard = EpochGuard {
@@ -752,51 +775,7 @@ where
             ]
         });
         trace::sync();
-        let outcomes = run_rank0_epoch(world, f, backend, observers);
-        guard.armed = false;
-        outcomes
-    })
-}
-
-fn try_run_as_launcher<T>(
-    world: &SimWorld,
-    f: &(dyn Fn(&mut Comm) -> T + Sync),
-    epoch: u64,
-) -> Result<Vec<RankOutcome<T>>, EpochError>
-where
-    T: WirePayload,
-{
-    let n = world.nranks();
-    POOL.with(|pool_cell| {
-        let mut pool_slot = pool_cell.borrow_mut();
-        if !ensure_pool(&mut pool_slot, n, epoch) {
-            // Single-rank world: the lone rank is the coordinator, whose
-            // death is fatal by contract — nothing elastic to do.
-            trace::install_and_sync(0);
-            let backend = SocketBackend::assemble(0, 1, world.recv_timeout_raw(), vec![None])
-                .expect("assemble peerless socket backend");
-            return Ok(run_rank0_epoch(world, f, backend, Vec::new()));
-        }
-
-        let mut guard = EpochGuard {
-            pool: &mut pool_slot,
-            armed: true,
-        };
-        let pool = guard.pool.as_mut().unwrap();
-        let mut live = vec![0usize];
-        live.extend(pool.children.iter().map(|(id, _)| *id));
-        let roster = rendezvous::roster_for(epoch, &live, n);
-        trace::install(0);
-        let rdv_start = Instant::now();
-        let (backend, observers) = launcher_rendezvous(pool, world, epoch, &roster);
-        trace::complete(TraceKind::Epoch, "epoch.rendezvous", rdv_start, || {
-            vec![
-                ("epoch".to_string(), ArgVal::Num(epoch as f64)),
-                ("ranks".to_string(), ArgVal::Num(n as f64)),
-            ]
-        });
-        trace::sync();
-        let result = rank0_epoch_elastic(world, f, backend, observers, pool, &roster);
+        let result = run_rank0_epoch(world, f, backend, observers, &mut pool.children, &roster);
         // Both outcomes are *handled* — the pool survives an abort.
         guard.armed = false;
         result
@@ -804,230 +783,115 @@ where
 }
 
 /// Rank 0's epoch body: run the closure, drain, collect member
-/// outcomes, broadcast the set (members via the backend, observers
-/// directly), and assemble the result.
+/// outcomes, and deliver the verdict. A clean epoch broadcasts the
+/// outcome set (members via the backend, observers directly); any
+/// failure enters the abort protocol instead — collect a check-in from
+/// every member, broadcast the dead pool ids, shrink `children`, and
+/// return the shared [`EpochError`]. A failure the protocol cannot end
+/// consistently panics, and the caller's [`EpochGuard`] kills the pool.
 fn run_rank0_epoch<T>(
     world: &SimWorld,
     f: &(dyn Fn(&mut Comm) -> T + Sync),
     backend: Arc<SocketBackend>,
     mut observers: Vec<(usize, SocketStream)>,
-) -> Vec<RankOutcome<T>>
-where
-    T: WirePayload,
-{
-    let n = world.nranks();
-    let fail = |msg: String| -> ! {
-        // Prefer a reported child panic as the root cause.
-        if let Some((rank, err)) = backend.first_error() {
-            panic!("rank {rank} panicked: {err}");
-        }
-        panic!("{msg}");
-    };
-
-    let shared = RankShared::new();
-    let mut comm = Comm::world(
-        Arc::clone(&backend) as Arc<dyn CommBackend>,
-        *world.model(),
-        shared,
-        0,
-    );
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-    comm.finish();
-    let my_stats = comm.stats_snapshot();
-    let my_trace = trace::drain();
-    let value = match result {
-        Ok(v) => v,
-        Err(p) => fail(format!("rank 0 panicked: {}", panic_text(&*p))),
-    };
-
-    let control_deadline = Instant::now() + world.recv_timeout_raw() + CONTROL_SLACK;
-    if n > 1 {
-        backend.bye_all();
-        if let Err(e) = backend.wait_byes(control_deadline) {
-            fail(e);
-        }
-    }
-    let leaked = backend.pending_messages();
-    if leaked > 0 {
-        fail(format!(
-            "{leaked} message(s) were sent but never received — protocol bug"
-        ));
-    }
-    let member_outcomes = if n > 1 {
-        match backend.wait_outcomes(control_deadline) {
-            Ok(o) => o,
-            Err(e) => fail(e),
-        }
-    } else {
-        vec![Vec::new()]
-    };
-
-    let mut entries: Vec<OutcomeEntry> = Vec::with_capacity(n);
-    entries.push((value.to_wire(), my_stats.clone(), my_trace));
-    for bytes in member_outcomes.into_iter().skip(1) {
-        entries.push(decode_outcome(&bytes));
-    }
-    // One serialized broadcast buffer serves members and observers.
-    // Synchronous writes: a short-lived launcher main must not exit
-    // before the broadcast bytes reach the sockets (the per-peer
-    // writers are idle here — their Byes flushed before any Outcome
-    // could have arrived).
-    let set_frame_bytes =
-        Frame::control(FrameKind::OutcomeSet, 0, encode_outcome_set(&entries)).to_bytes();
-    for r in 1..n {
-        if let Err(e) = backend.write_frame_bytes_sync(r, &set_frame_bytes) {
-            fail(format!("broadcasting outcomes to rank {r} failed: {e}"));
-        }
-    }
-    for (_, obs) in &mut observers {
-        if obs.write_all_shared(&set_frame_bytes).is_err() {
-            fail("an observer process died before the outcome broadcast".to_string());
-        }
-    }
-    backend.mark_finished();
-    trace::gather_epoch(
-        entries
-            .iter_mut()
-            .map(|e| std::mem::take(&mut e.2))
-            .collect(),
-    );
-
-    // Rank 0 keeps its own typed value; members' values decode from
-    // their outcome bytes.
-    let mut out = Vec::with_capacity(n);
-    out.push(RankOutcome {
-        rank: 0,
-        value,
-        stats: my_stats,
-    });
-    for (rank, (bytes, stats, _)) in entries.iter().enumerate().skip(1) {
-        out.push(RankOutcome {
-            rank,
-            value: T::from_wire(bytes),
-            stats: stats.clone(),
-        });
-    }
-    out
-}
-
-/// Rank 0's **elastic** epoch body: like [`run_rank0_epoch`], but any
-/// failure enters the abort protocol — collect a verdict from every
-/// member, broadcast the dead pool ids, shrink the pool, and return
-/// the shared [`EpochError`] — instead of killing the pool.
-fn rank0_epoch_elastic<T>(
-    world: &SimWorld,
-    f: &(dyn Fn(&mut Comm) -> T + Sync),
-    backend: Arc<SocketBackend>,
-    mut observers: Vec<(usize, SocketStream)>,
-    pool: &mut Pool,
+    children: &mut Vec<(usize, Child)>,
     roster: &Roster,
-) -> Result<Vec<RankOutcome<T>>, EpochError>
+) -> Result<Vec<RankOutcome<T>>, EpochFailure>
 where
     T: WirePayload,
 {
     let n = world.nranks();
-    let shared = RankShared::new();
-    let mut comm = Comm::world(
+    let run = run_rank(
         Arc::clone(&backend) as Arc<dyn CommBackend>,
         *world.model(),
-        shared,
         0,
+        f,
     );
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-    comm.finish();
-    let my_stats = comm.stats_snapshot();
-
     let control_deadline = Instant::now() + world.recv_timeout_raw() + CONTROL_SLACK;
-    let mut failure: Option<String> = result.as_ref().err().map(|p| panic_text(&**p));
-    let mut member_outcomes: Vec<Vec<u8>> = Vec::new();
-    if failure.is_none() && n > 1 {
-        let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            backend.bye_all();
-        }));
-        if let Err(p) = drained {
-            failure = Some(panic_text(&*p));
-        } else if let Err(e) = backend.wait_byes(control_deadline) {
-            failure = Some(e);
-        } else {
-            let leaked = backend.pending_messages();
-            if leaked > 0 {
-                failure = Some(format!(
-                    "{leaked} message(s) were sent but never received — protocol bug"
-                ));
-            } else {
-                match backend.wait_outcomes(control_deadline) {
-                    Ok(o) => member_outcomes = o,
-                    Err(e) => failure = Some(e),
+    let closure_failed = run.result.is_err();
+    let collected = run.result.and_then(|value| {
+        drain_epoch(&backend, control_deadline)?;
+        Ok((value, backend.wait_outcomes(control_deadline)?))
+    });
+
+    let root_cause = match collected {
+        Err(msg) => msg,
+        Ok((value, member_outcomes)) => {
+            let mut entries: Vec<OutcomeEntry> = Vec::with_capacity(n);
+            entries.push((value.to_wire(), run.stats.clone(), trace::drain()));
+            for bytes in member_outcomes.into_iter().skip(1) {
+                entries.push(decode_outcome(&bytes));
+            }
+            // One serialized broadcast buffer serves members and
+            // observers. Synchronous writes: a short-lived launcher main
+            // must not exit before the broadcast bytes reach the sockets
+            // (the per-peer writers are idle here — their Byes flushed
+            // before any Outcome could have arrived).
+            let set_frame_bytes =
+                Frame::control(FrameKind::OutcomeSet, 0, encode_outcome_set(&entries)).to_bytes();
+            for r in 1..n {
+                if let Err(e) = backend.write_frame_bytes_sync(r, &set_frame_bytes) {
+                    // A member died *after* reporting its outcome: some
+                    // of its peers may already hold the broadcast, so an
+                    // abort would split the survivors' control flow.
+                    panic!("broadcasting outcomes to rank {r} failed: {e}");
                 }
             }
-        }
-    }
-
-    let Some(root_cause) = failure else {
-        // Clean epoch: identical to the non-elastic broadcast.
-        let value = result.unwrap_or_else(|_| unreachable!());
-        let mut entries: Vec<OutcomeEntry> = Vec::with_capacity(n);
-        entries.push((value.to_wire(), my_stats.clone(), trace::drain()));
-        for bytes in member_outcomes.into_iter().skip(1) {
-            entries.push(decode_outcome(&bytes));
-        }
-        let set_frame_bytes =
-            Frame::control(FrameKind::OutcomeSet, 0, encode_outcome_set(&entries)).to_bytes();
-        for r in 1..n {
-            if let Err(e) = backend.write_frame_bytes_sync(r, &set_frame_bytes) {
-                // A member died *after* reporting its outcome: some of
-                // its peers may already hold the broadcast, so an abort
-                // would split the survivors' control flow. Contain.
-                pool.kill_all();
-                panic!("broadcasting outcomes to rank {r} failed: {e}");
+            for (_, obs) in &mut observers {
+                // A dead observer cannot split the members' control flow;
+                // its exit is caught at the next rendezvous.
+                let _ = obs.write_all_shared(&set_frame_bytes);
             }
-        }
-        for (_, obs) in &mut observers {
-            // A dead observer cannot split the members' control flow;
-            // its exit is caught at the next rendezvous.
-            let _ = obs.write_all_shared(&set_frame_bytes);
-        }
-        backend.mark_finished();
-        trace::gather_epoch(
-            entries
-                .iter_mut()
-                .map(|e| std::mem::take(&mut e.2))
-                .collect(),
-        );
-        let mut out = Vec::with_capacity(n);
-        out.push(RankOutcome {
-            rank: 0,
-            value,
-            stats: my_stats,
-        });
-        for (rank, (bytes, stats, _)) in entries.iter().enumerate().skip(1) {
+            backend.mark_finished();
+            trace::gather_epoch(
+                entries
+                    .iter_mut()
+                    .map(|e| std::mem::take(&mut e.2))
+                    .collect(),
+            );
+            // Rank 0 keeps its own typed value; members' values decode
+            // from their outcome bytes.
+            let mut out = Vec::with_capacity(n);
             out.push(RankOutcome {
-                rank,
-                value: T::from_wire(bytes),
-                stats: stats.clone(),
+                rank: 0,
+                value,
+                stats: run.stats,
             });
+            for (rank, (bytes, stats, _)) in entries.iter().enumerate().skip(1) {
+                out.push(RankOutcome {
+                    rank,
+                    value: T::from_wire(bytes),
+                    stats: stats.clone(),
+                });
+            }
+            return Ok(out);
         }
-        return Ok(out);
     };
 
     // ----- Abort protocol -----
+    // Pin the root cause before the nudge below draws collateral Error
+    // frames: a member's reported panic outranks whatever it made rank 0
+    // fail with, then rank 0's own panic, then a protocol-level failure
+    // with no single culprit.
+    let (culprit, cause) = match backend.first_error() {
+        Some((rank, msg)) => (Some(rank), msg),
+        None => (closure_failed.then_some(0), root_cause.clone()),
+    };
     // Nudge survivors blocked in data receives: an Error frame poisons
     // their mailbox, so they fail over to their own abort path fast
     // instead of waiting out the watchdog.
+    let nudge = format!("epoch aborted: {root_cause}").into_bytes();
     for w in 1..n {
-        let nudge = format!("epoch aborted: {root_cause}");
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            backend.send_control(w, FrameKind::Error, nudge.into_bytes());
-        }));
+        let _ = try_control(&backend, w, FrameKind::Error, nudge.clone());
     }
 
     // Collect a verdict for every member world rank: an Outcome or
     // Error frame (alive, past its epoch body) or its process's exit
     // status (dead). Unaccounted members past the deadline mean the
-    // abort cannot complete consistently — contain by killing the pool.
+    // abort cannot complete consistently.
     let mut dead_pool_ids: BTreeSet<usize> = BTreeSet::new();
     loop {
-        for (id, c) in pool.children.iter_mut() {
+        for (id, c) in children.iter_mut() {
             if let Ok(Some(_)) = c.try_wait() {
                 dead_pool_ids.insert(*id);
             }
@@ -1039,9 +903,8 @@ where
             break;
         }
         if Instant::now() >= control_deadline {
-            pool.kill_all();
             panic!(
-                "elastic abort failed: surviving member(s) stayed unresponsive after a \
+                "epoch abort failed: surviving member(s) stayed unresponsive after a \
                  mid-epoch failure: {root_cause}"
             );
         }
@@ -1059,10 +922,7 @@ where
     let abort_frame_bytes = Frame::control(FrameKind::Abort, 0, abort_payload.clone()).to_bytes();
     for w in 1..n {
         if !dead_pool_ids.contains(&(roster.members[w] as usize)) {
-            let payload = abort_payload.clone();
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                backend.send_control(w, FrameKind::Abort, payload);
-            }));
+            let _ = try_control(&backend, w, FrameKind::Abort, abort_payload.clone());
         }
     }
     for (id, obs) in &mut observers {
@@ -1074,16 +934,19 @@ where
 
     // Rank 0's own timeline still reaches the trace file: survivors'
     // buffers cannot ride Outcome frames through an abort (under the
-    // in-memory backends they do survive — see `SimWorld::try_run`).
-    trace::mark(TraceKind::Epoch, "epoch.abort", || {
-        vec![("detail".to_string(), ArgVal::Str(root_cause.clone()))]
-    });
+    // in-memory backends they do survive — see `SimWorld::epoch`).
+    trace_abort(&root_cause);
     trace::gather_epoch(vec![trace::drain()]);
 
     // Shrink the pool: the dead children are already reaped (try_wait
     // returned their status) — drop their handles.
-    pool.children.retain(|(id, _)| !dead_pool_ids.contains(id));
-    Err(epoch_error_from_abort(&abort_payload, roster))
+    children.retain(|(id, _)| !dead_pool_ids.contains(id));
+    Err(failure_from_abort(
+        &abort_payload,
+        roster,
+        culprit,
+        Some(cause),
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -1245,70 +1108,17 @@ fn member_trace_begin(world_rank: usize, epoch: u64, n: usize, rdv_start: Instan
     trace::sync();
 }
 
+/// A member's epoch body: closure, drain, `Outcome` to rank 0. Any
+/// local failure is reported to the coordinator instead, and both paths
+/// converge on [`SocketBackend::wait_verdict`] — the epoch ends in the
+/// identical `Ok(outcomes)` or [`EpochError`] on every surviving
+/// process.
 fn run_as_member<T>(
     world: &SimWorld,
     f: &(dyn Fn(&mut Comm) -> T + Sync),
     epoch: u64,
     info: &ChildInfo,
-) -> Vec<RankOutcome<T>>
-where
-    T: WirePayload,
-{
-    let rdv_start = Instant::now();
-    let (backend, me, _roster) = member_rendezvous(world, epoch, info);
-    member_trace_begin(me, epoch, world.nranks(), rdv_start);
-
-    let shared = RankShared::new();
-    let mut comm = Comm::world(
-        Arc::clone(&backend) as Arc<dyn CommBackend>,
-        *world.model(),
-        shared,
-        me,
-    );
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-    comm.finish();
-    let stats = comm.stats_snapshot();
-    let my_trace = trace::drain();
-    let value = match result {
-        Ok(v) => v,
-        Err(p) => child_fail(Some(backend.as_ref()), panic_text(&*p)),
-    };
-
-    let control_deadline = Instant::now() + world.recv_timeout_raw() + CONTROL_SLACK;
-    backend.bye_all();
-    if let Err(e) = backend.wait_byes(control_deadline) {
-        child_fail(Some(backend.as_ref()), e);
-    }
-    let leaked = backend.pending_messages();
-    if leaked > 0 {
-        child_fail(
-            Some(&backend),
-            format!("{leaked} message(s) were sent but never received — protocol bug"),
-        );
-    }
-    backend.send_control(
-        0,
-        FrameKind::Outcome,
-        encode_outcome(&value.to_wire(), &stats, &my_trace),
-    );
-    let set_bytes = match backend.wait_outcome_set(control_deadline) {
-        Ok(b) => b,
-        Err(e) => child_fail(Some(backend.as_ref()), e),
-    };
-    backend.mark_finished();
-    outcomes_from_set(&decode_outcome_set(&set_bytes))
-}
-
-/// A member's **elastic** epoch body: any local failure is reported to
-/// the coordinator and both paths converge on [`SocketBackend::
-/// wait_verdict`] — the epoch ends in the identical `Ok(outcomes)` or
-/// `Err(EpochError)` on every surviving process.
-fn try_run_as_member<T>(
-    world: &SimWorld,
-    f: &(dyn Fn(&mut Comm) -> T + Sync),
-    epoch: u64,
-    info: &ChildInfo,
-) -> Result<Vec<RankOutcome<T>>, EpochError>
+) -> Result<Vec<RankOutcome<T>>, EpochFailure>
 where
     T: WirePayload,
 {
@@ -1316,57 +1126,27 @@ where
     let (backend, me, roster) = member_rendezvous(world, epoch, info);
     member_trace_begin(me, epoch, world.nranks(), rdv_start);
 
-    let shared = RankShared::new();
-    let mut comm = Comm::world(
+    let run = run_rank(
         Arc::clone(&backend) as Arc<dyn CommBackend>,
         *world.model(),
-        shared,
         me,
+        f,
     );
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-    comm.finish();
-    let stats = comm.stats_snapshot();
     let my_trace = trace::drain();
-
     let control_deadline = Instant::now() + world.recv_timeout_raw() + CONTROL_SLACK;
-    let mut failure: Option<String> = result.as_ref().err().map(|p| panic_text(&**p));
-    if failure.is_none() {
-        let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            backend.bye_all();
-        }));
-        if let Err(p) = drained {
-            failure = Some(panic_text(&*p));
-        } else if let Err(e) = backend.wait_byes(control_deadline) {
-            failure = Some(e);
-        } else {
-            let leaked = backend.pending_messages();
-            if leaked > 0 {
-                failure = Some(format!(
-                    "{leaked} message(s) were sent but never received — protocol bug"
-                ));
-            }
-        }
-    }
-    if let (None, Ok(value)) = (&failure, &result) {
-        let outcome = encode_outcome(&value.to_wire(), &stats, &my_trace);
-        let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            backend.send_control(0, FrameKind::Outcome, outcome);
-        }));
-        if let Err(p) = sent {
-            failure = Some(panic_text(&*p));
-        }
-    }
-    if let Some(msg) = &failure {
+    let reported = run.result.and_then(|value| {
+        drain_epoch(&backend, control_deadline)?;
+        let outcome = encode_outcome(&value.to_wire(), &run.stats, &my_trace);
+        try_control(&backend, 0, FrameKind::Outcome, outcome)
+    });
+    if let Err(msg) = &reported {
         // Report the root cause; the coordinator counts this as our
         // check-in and will answer with the verdict.
-        let msg = msg.clone();
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            backend.send_control(0, FrameKind::Error, msg.into_bytes());
-        }));
+        let _ = try_control(&backend, 0, FrameKind::Error, msg.clone().into_bytes());
     }
     match backend.wait_verdict(control_deadline) {
         Ok(EpochVerdict::Outcomes(set)) => {
-            if let Some(msg) = failure {
+            if let Err(msg) = reported {
                 // The coordinator declared success but this rank failed
                 // — the abort machinery diverged; contain loudly.
                 child_fail(
@@ -1379,15 +1159,17 @@ where
         }
         Ok(EpochVerdict::Aborted(payload)) => {
             backend.mark_finished();
-            Err(epoch_error_from_abort(&payload, &roster))
+            Err(failure_from_abort(&payload, &roster, None, reported.err()))
         }
         Err(e) => child_fail(Some(backend.as_ref()), format!("rank {me}: {e}")),
     }
 }
 
 /// An observer's stage-1 dial-in: Hello (observer role), Roster echo,
-/// role validation. Returns the coordinator stream.
-fn observer_rendezvous(world: &SimWorld, epoch: u64, info: &ChildInfo) -> SocketStream {
+/// role validation. Returns the coordinator stream and the roster the
+/// members run under (an `Abort` names dead pool ids; the roster maps
+/// them to world ranks).
+fn observer_rendezvous(world: &SimWorld, epoch: u64, info: &ChildInfo) -> (SocketStream, Roster) {
     let me = info.rank;
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     let abort = || parent_died(info);
@@ -1415,76 +1197,18 @@ fn observer_rendezvous(world: &SimWorld, epoch: u64, info: &ChildInfo) -> Socket
             ),
         );
     }
-    stream
+    (stream, roster)
 }
 
 fn run_as_observer<T: WirePayload>(
     world: &SimWorld,
     epoch: u64,
     info: &ChildInfo,
-) -> Vec<RankOutcome<T>> {
+) -> Result<Vec<RankOutcome<T>>, EpochFailure> {
     let me = info.rank;
     let abort = || parent_died(info);
-    let mut stream = observer_rendezvous(world, epoch, info);
-    // Wait (bounded) for the outcome broadcast, polling parent health.
-    let wait_deadline = Instant::now() + world.recv_timeout_raw() + HANDSHAKE_TIMEOUT;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    loop {
-        if let Some(why) = abort() {
-            child_fail(None, why);
-        }
-        match read_frame(&mut stream) {
-            Ok(Some(frame)) if frame.kind == FrameKind::OutcomeSet => {
-                return outcomes_from_set(&decode_outcome_set(&frame.payload));
-            }
-            Ok(Some(frame)) => child_fail(
-                None,
-                format!("rank {me}: expected OutcomeSet, got {:?}", frame.kind),
-            ),
-            Ok(None) => child_fail(
-                None,
-                format!("rank {me}: launcher closed before the outcome broadcast"),
-            ),
-            Err(crate::frame::DecodeError::Io(e))
-                if e.contains(crate::frame::TIMEOUT_AT_BOUNDARY) =>
-            {
-                if Instant::now() >= wait_deadline {
-                    child_fail(
-                        None,
-                        format!("rank {me}: timed out awaiting the outcome broadcast"),
-                    );
-                }
-            }
-            Err(e) => child_fail(None, format!("rank {me}: {e}")),
-        }
-    }
-}
-
-fn try_run_as_observer<T: WirePayload>(
-    world: &SimWorld,
-    epoch: u64,
-    info: &ChildInfo,
-) -> Result<Vec<RankOutcome<T>>, EpochError> {
-    let me = info.rank;
-    let abort = || parent_died(info);
-    let mut stream = observer_rendezvous(world, epoch, info);
-    // The roster the members run under (observers need it to map dead
-    // pool ids to world ranks in an Abort).
-    let dead = dead_ids();
-    let live_sorted: Vec<u32> = {
-        // Observers don't know the full pool, but the roster is the n
-        // smallest live ids — all smaller than this observer's own id,
-        // so it can enumerate them locally.
-        (0..me)
-            .filter(|id| !dead.contains(id))
-            .take(world.nranks())
-            .map(|id| id as u32)
-            .collect()
-    };
-    let roster = Roster {
-        epoch,
-        members: live_sorted,
-    };
+    let (mut stream, roster) = observer_rendezvous(world, epoch, info);
+    // Wait (bounded) for the epoch verdict, polling parent health.
     let wait_deadline = Instant::now() + world.recv_timeout_raw() + HANDSHAKE_TIMEOUT;
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     loop {
@@ -1496,7 +1220,7 @@ fn try_run_as_observer<T: WirePayload>(
                 return Ok(outcomes_from_set(&decode_outcome_set(&frame.payload)));
             }
             Ok(Some(frame)) if frame.kind == FrameKind::Abort => {
-                return Err(epoch_error_from_abort(&frame.payload, &roster));
+                return Err(failure_from_abort(&frame.payload, &roster, None, None));
             }
             Ok(Some(frame)) => child_fail(
                 None,

@@ -91,10 +91,14 @@
 //! [`HandshakeError`]), and receive a world [`rendezvous::Roster`]
 //! before meshing. Epochs may open with a different roster than the
 //! last: growing `nranks` spawns and back-fills new processes, while a
-//! rank that dies mid-epoch is detected by mailbox poisoning, the epoch
-//! aborts with an [`EpochError`] naming the dead ranks, and the next
-//! epoch's roster simply omits them — the pool survives. The full
-//! protocol is documented in [`rendezvous`] and [`launch`].
+//! rank that dies mid-epoch is detected by mailbox poisoning and the
+//! epoch ends on every rank with the same verdict. There is one epoch
+//! protocol on every backend: [`SimWorld::try_run`] returns the verdict
+//! as an [`EpochError`] naming the dead ranks and the pool survives —
+//! the next epoch's roster simply omits them — while [`SimWorld::run`]
+//! is the same epoch plus teardown: it kills the pool and panics with
+//! the root cause (`rank N panicked: …`). The full protocol is
+//! documented in [`rendezvous`] and [`launch`].
 //!
 //! Multi-host runs use TCP endpoints: set `DSK_SOCKET_ADDR=ip:port` and
 //! rank `r` listens on `port + r`. For manual SPMD launches across
@@ -179,7 +183,7 @@ pub mod transport;
 pub mod world;
 
 pub use backend::{BackendKind, CommBackend, InProcBackend, Parcel, WireBackend, BACKEND_ENV_VAR};
-pub use comm::{Comm, RecvHandle, SendHandle};
+pub use comm::{Comm, RecvHandle};
 pub use grid::{Grid15, Grid25, GridComms15, GridComms25};
 pub use model::MachineModel;
 pub use pattern::{CommPattern, RowBundle, RowSet};

@@ -37,12 +37,13 @@
 //!   the launcher spawn fresh processes; they replay earlier epochs
 //!   in-process to reach the same program point, then dial in.
 //! * **Leave / death**: a rank dying mid-epoch poisons its peers'
-//!   mailboxes within milliseconds; under
-//!   [`SimWorld::try_run`](crate::SimWorld::try_run) the epoch aborts
-//!   with an [`EpochError`](crate::EpochError) instead of killing the
-//!   pool, the dead pool ids are broadcast, and the next epoch's
-//!   roster simply omits them. The session layer then carries on via
-//!   `Session::resize(p_new)`.
+//!   mailboxes within milliseconds; the epoch aborts and the dead pool
+//!   ids are broadcast. Under
+//!   [`SimWorld::try_run`](crate::SimWorld::try_run) every survivor
+//!   gets the same [`EpochError`](crate::EpochError), the pool
+//!   survives, and the next epoch's roster simply omits the dead; the
+//!   session layer then carries on via `Session::resize(p_new)`.
+//!   (`SimWorld::run` is the same epoch plus teardown of the pool.)
 //! * **Limitations** (documented, enforced): the coordinator (pool
 //!   id 0 / world rank 0) is not expendable — its death kills the
 //!   fleet; and the pool cannot *grow* after a death, because a fresh
@@ -310,6 +311,34 @@ pub fn parse_hostfile(text: &str) -> Result<Vec<SocketAddr>, String> {
     Ok(out)
 }
 
+/// The TCP endpoint pool process `rank` listens on when
+/// `DSK_SOCKET_ADDR` holds `addr` (`ip:base_port`): port
+/// `base_port + rank`. Checked arithmetic — a rank beyond the `u16`
+/// port space is an error naming the variable, the base port and the
+/// rank, never a wrapped port.
+pub(crate) fn tcp_endpoint(addr: &str, rank: usize) -> Result<SocketAddr, String> {
+    let var = crate::launch::SOCKET_ADDR_ENV_VAR;
+    let (host, base) = addr
+        .rsplit_once(':')
+        .ok_or_else(|| format!("{var}={addr:?} must be ip:base_port (no ':' found)"))?;
+    let base_port: u16 = base
+        .parse()
+        .map_err(|e| format!("{var}={addr:?}: base port {base:?} is not a port number ({e})"))?;
+    let port = u16::try_from(rank)
+        .ok()
+        .and_then(|r| base_port.checked_add(r))
+        .ok_or_else(|| {
+            format!(
+                "{var}={addr:?}: rank {rank} needs port {base_port} + {rank}, beyond 65535 — \
+                 choose a base port of at most {}",
+                65535usize.saturating_sub(rank)
+            )
+        })?;
+    format!("{host}:{port}")
+        .parse()
+        .map_err(|e| format!("{var}={addr:?}: {host:?} is not a literal IP address ({e})"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,5 +470,37 @@ mod tests {
         assert!(err.contains("line 1"), "{err}");
         assert!(err.contains("hostnames are not resolved"), "{err}");
         assert!(parse_hostfile("# nothing\n").is_err());
+    }
+
+    #[test]
+    fn tcp_endpoints_are_checked_not_wrapped() {
+        assert_eq!(
+            tcp_endpoint("127.0.0.1:7000", 3).unwrap(),
+            "127.0.0.1:7003".parse().unwrap()
+        );
+        assert_eq!(
+            tcp_endpoint("[::1]:65530", 5).unwrap(),
+            "[::1]:65535".parse().unwrap()
+        );
+        // 65530 + 10 wraps to port 4 in release builds and panics in
+        // debug ones; the helper names the variable, base port and rank.
+        let err = tcp_endpoint("127.0.0.1:65530", 10).unwrap_err();
+        assert!(err.contains("DSK_SOCKET_ADDR"), "{err}");
+        assert!(err.contains("65530") && err.contains("rank 10"), "{err}");
+        assert!(tcp_endpoint("127.0.0.1:1", 70_000).is_err(), "rank > u16");
+        let err = tcp_endpoint("127.0.0.1", 0).unwrap_err();
+        assert!(
+            err.contains("DSK_SOCKET_ADDR") && err.contains("ip:base_port"),
+            "{err}"
+        );
+        let err = tcp_endpoint("127.0.0.1:http", 0).unwrap_err();
+        assert!(
+            err.contains("DSK_SOCKET_ADDR") && err.contains("\"http\""),
+            "{err}"
+        );
+        assert!(
+            tcp_endpoint("node-a:7000", 0).is_err(),
+            "hostnames are not resolved"
+        );
     }
 }

@@ -243,14 +243,14 @@ struct CtrlState {
     eofs: Vec<bool>,
     outcomes: Vec<Option<Vec<u8>>>,
     outcome_set: Option<Vec<u8>>,
-    /// Elastic epochs: rank 0's `Abort` broadcast payload (the dead
+    /// Rank 0's `Abort` broadcast payload (the dead
     /// pool ids, [`Roster`](crate::rendezvous::Roster)-encoded).
     abort: Option<Vec<u8>>,
     errors: VecDeque<(usize, String)>,
 }
 
-/// How an elastic epoch ended, from a member's point of view: the
-/// normal [`FrameKind::OutcomeSet`] broadcast, or an [`FrameKind::Abort`]
+/// How an epoch ended, from a member's point of view: the
+/// [`FrameKind::OutcomeSet`] broadcast, or an [`FrameKind::Abort`]
 /// carrying the dead pool ids.
 #[derive(Debug)]
 pub enum EpochVerdict {
@@ -286,6 +286,13 @@ impl Ctrl {
     fn lock(&self) -> std::sync::MutexGuard<'_, CtrlState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
+}
+
+/// The first peer failure reported in an `Error` frame, as the text a
+/// blocked control wait fails with.
+fn reported_error(st: &CtrlState) -> Option<String> {
+    let (rank, msg) = st.errors.front()?;
+    Some(format!("rank {rank} panicked: {msg}"))
 }
 
 // ---------------------------------------------------------------------
@@ -449,9 +456,6 @@ impl SocketBackend {
     ) -> Result<R, String> {
         let mut st = self.ctrl.lock();
         loop {
-            if let Some((rank, msg)) = st.errors.front() {
-                return Err(format!("rank {rank} panicked: {msg}"));
-            }
             if let Some(r) = ready(&mut st) {
                 return r;
             }
@@ -471,10 +475,14 @@ impl SocketBackend {
     }
 
     /// Wait until every peer's `Bye` arrived (all data this epoch is in
-    /// local mailboxes — the drain barrier).
+    /// local mailboxes — the drain barrier). A peer's reported failure
+    /// ends the wait with that failure.
     pub fn wait_byes(&self, deadline: Instant) -> Result<(), String> {
         let me = self.me;
         self.wait_ctrl(deadline, "peer Bye frames", |st| {
+            if let Some(e) = reported_error(st) {
+                return Some(Err(e));
+            }
             for r in 0..st.byes.len() {
                 if r != me && !st.byes[r] {
                     if st.eofs[r] {
@@ -487,10 +495,14 @@ impl SocketBackend {
         })
     }
 
-    /// Rank 0: wait for every member's `Outcome` payload.
+    /// Rank 0: wait for every member's `Outcome` payload. A member's
+    /// reported failure ends the wait with that failure.
     pub fn wait_outcomes(&self, deadline: Instant) -> Result<Vec<Vec<u8>>, String> {
         let me = self.me;
         self.wait_ctrl(deadline, "member outcomes", |st| {
+            if let Some(e) = reported_error(st) {
+                return Some(Err(e));
+            }
             for r in 0..st.outcomes.len() {
                 if r != me && st.outcomes[r].is_none() {
                     if st.eofs[r] {
@@ -507,59 +519,30 @@ impl SocketBackend {
         })
     }
 
-    /// Members: wait for rank 0's `OutcomeSet` broadcast.
-    pub fn wait_outcome_set(&self, deadline: Instant) -> Result<Vec<u8>, String> {
-        self.wait_ctrl(deadline, "the outcome broadcast", |st| {
-            if let Some(set) = st.outcome_set.take() {
-                return Some(Ok(set));
-            }
-            if st.eofs[0] {
-                return Some(Err("rank 0 exited before broadcasting outcomes".to_string()));
-            }
-            None
-        })
-    }
-
     /// The first `Error` frame received, if any (the root cause the
     /// launcher re-panics with).
     pub fn first_error(&self) -> Option<(usize, String)> {
         self.ctrl.lock().errors.front().cloned()
     }
 
-    /// Elastic members: wait for rank 0's end-of-epoch verdict — the
-    /// normal `OutcomeSet` broadcast or an `Abort`. Unlike the
-    /// [`wait_ctrl`](Self::wait_outcome_set) family this deliberately
-    /// ignores queued `Error` frames: during an abort they are expected
-    /// traffic, and the verdict frame is the only authority on how the
-    /// epoch ended.
+    /// Members: wait for rank 0's end-of-epoch verdict — the
+    /// `OutcomeSet` broadcast or an `Abort`. Unlike
+    /// [`wait_byes`](Self::wait_byes) this deliberately ignores queued
+    /// `Error` frames: during an abort they are expected traffic, and
+    /// the verdict frame is the only authority on how the epoch ended.
     pub fn wait_verdict(&self, deadline: Instant) -> Result<EpochVerdict, String> {
-        let mut st = self.ctrl.lock();
-        loop {
+        self.wait_ctrl(deadline, "the epoch verdict", |st| {
             if let Some(payload) = st.abort.take() {
-                return Ok(EpochVerdict::Aborted(payload));
+                return Some(Ok(EpochVerdict::Aborted(payload)));
             }
             if let Some(set) = st.outcome_set.take() {
-                return Ok(EpochVerdict::Outcomes(set));
+                return Some(Ok(EpochVerdict::Outcomes(set)));
             }
-            if st.eofs[0] {
-                return Err("rank 0 exited before delivering an epoch verdict".to_string());
-            }
-            if Instant::now() >= deadline {
-                return Err(format!(
-                    "rank {}: timed out waiting for the epoch verdict (socket watchdog)",
-                    self.me
-                ));
-            }
-            let (guard, _) = self
-                .ctrl
-                .cv
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
-        }
+            st.eofs[0].then(|| Err("rank 0 exited before delivering an epoch verdict".to_string()))
+        })
     }
 
-    /// Rank 0, elastic abort collection: which member world ranks have
+    /// Rank 0, abort collection: which member world ranks have
     /// checked in — an `Outcome`, an `Error`, or a closed stream all
     /// count, because each proves the member is past (or out of) its
     /// epoch body.
@@ -794,7 +777,10 @@ mod tests {
         let outs = b0.wait_outcomes(deadline).unwrap();
         assert_eq!(outs[1], vec![42]);
         b0.send_control(1, FrameKind::OutcomeSet, vec![9, 9]);
-        assert_eq!(b1.wait_outcome_set(deadline).unwrap(), vec![9, 9]);
+        match b1.wait_verdict(deadline).unwrap() {
+            EpochVerdict::Outcomes(set) => assert_eq!(set, vec![9, 9]),
+            EpochVerdict::Aborted(_) => panic!("an OutcomeSet is not an abort"),
+        }
         b0.mark_finished();
         b1.mark_finished();
     }

@@ -27,7 +27,7 @@
 //! | kind (`cat`) | name | shape | emitted by |
 //! |---|---|---|---|
 //! | `phase` | `phase.<label>` | span | every phase transition ([`Comm::set_phase`](crate::Comm::set_phase)) |
-//! | `comm` | `send.post` | instant | `Comm::send` / `send_nb` post |
+//! | `comm` | `send.post` | instant | `Comm::send` post |
 //! | `comm` | `recv.wait` | span | blocking `recv` and `RecvHandle::wait` (args carry `stall_s`) |
 //! | `comm` | `sendrecv` | span | `Comm::sendrecv` (blocking shifts) |
 //! | `comm` | `shift.post` | instant | `Comm::shift_begin` (non-blocking shift post) |

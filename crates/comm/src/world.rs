@@ -1,13 +1,21 @@
-//! The simulated world: spawns one thread per rank and runs a distributed
-//! program to completion on a chosen communication backend.
+//! The simulated world: runs a distributed program to completion, one
+//! **epoch** per call, on a chosen communication backend.
+//!
+//! There is one epoch protocol. A rank that fails poisons the epoch so
+//! every peer blocked on it fails within milliseconds, the epoch ends on
+//! all ranks, and the survivors agree on who died.
+//! [`SimWorld::try_run`] returns that verdict as a typed
+//! [`EpochError`]; [`SimWorld::run`] is the same epoch plus teardown —
+//! it panics with the root cause.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::backend::BackendKind;
+use crate::backend::{BackendKind, CommBackend};
 use crate::comm::{Comm, RankShared};
 use crate::model::MachineModel;
 use crate::stats::RankStats;
+use crate::trace::{self, ArgVal, TraceKind};
 
 /// Result of one rank's execution: its return value and statistics.
 #[derive(Debug)]
@@ -25,9 +33,9 @@ pub struct RankOutcome<T> {
 /// [`SimWorld::with_recv_timeout`] are unaffected.
 pub const WATCHDOG_ENV_VAR: &str = "DSK_WATCHDOG_SECS";
 
-/// Marker prefix for the poison message the elastic runner injects when
-/// a rank dies: survivors that panic *because of* the abort carry it,
-/// so [`SimWorld::try_run`] can tell original failures from collateral.
+/// Marker prefix for the poison message a failing rank injects:
+/// survivors that panic *because of* the abort carry it, so the epoch
+/// can tell original failures from collateral.
 const ABORT_POISON_PREFIX: &str = "epoch aborted:";
 
 /// The watchdog duration for a world that did not set an explicit
@@ -48,9 +56,9 @@ fn watchdog_from(raw: Option<&str>) -> Duration {
     }
 }
 
-/// How an elastic epoch ([`SimWorld::try_run`]) failed: which ranks of
-/// that epoch's world died, so the caller can rendezvous a fresh epoch
-/// on the survivors and `resize` its session onto the smaller roster.
+/// How an epoch failed: which ranks of that epoch's world died, so a
+/// [`SimWorld::try_run`] caller can rendezvous a fresh epoch on the
+/// survivors and `resize` its session onto the smaller roster.
 ///
 /// Every surviving process returns an **identical** `EpochError` — the
 /// dead set is part of the replicated SPMD state, not a local guess.
@@ -76,6 +84,77 @@ impl std::fmt::Display for EpochError {
 }
 
 impl std::error::Error for EpochError {}
+
+/// What a failed epoch hands its caller: the survivor-identical
+/// [`EpochError`] that [`SimWorld::try_run`] returns, plus the
+/// locally observed root cause that [`SimWorld::run`] panics with.
+pub(crate) struct EpochFailure {
+    pub(crate) error: EpochError,
+    /// The rank the root cause is pinned on; `None` when it has no
+    /// single culprit (a leaked message, a timed-out control wait).
+    pub(crate) rank: Option<usize>,
+    pub(crate) cause: String,
+    /// Whether a live process pool served the epoch, so a fatal
+    /// failure has to take the pool down with it.
+    pub(crate) pooled: bool,
+}
+
+impl EpochFailure {
+    /// `run`'s half of a failed epoch: no pool process outlives it, and
+    /// the caller gets the root cause as a panic.
+    fn fatal(self) -> ! {
+        let text = match self.rank {
+            Some(rank) => format!("rank {rank} panicked: {}", self.cause),
+            None => self.cause,
+        };
+        if self.pooled {
+            crate::launch::teardown(&text);
+        }
+        panic!("{text}");
+    }
+}
+
+/// One rank's epoch body, however it ended: the closure's value or its
+/// panic text, and the statistics the rank accumulated until then.
+pub(crate) struct RankRun<T> {
+    pub(crate) result: Result<T, String>,
+    pub(crate) stats: RankStats,
+}
+
+/// Run `f` as world rank `rank` over `backend`. Every rank of every
+/// backend — a thread of an in-memory world, the launcher, a socket
+/// member — executes its closure through here. The rank's trace stays
+/// open: the caller drains it once its timeline is final.
+pub(crate) fn run_rank<T>(
+    backend: Arc<dyn CommBackend>,
+    model: MachineModel,
+    rank: usize,
+    f: &(dyn Fn(&mut Comm) -> T + Sync),
+) -> RankRun<T> {
+    let mut comm = Comm::world(backend, model, RankShared::new(), rank);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)))
+        .map_err(|e| panic_text(&*e));
+    comm.finish();
+    RankRun {
+        result,
+        stats: comm.stats_snapshot(),
+    }
+}
+
+/// Mark the current rank's timeline with the abort and its cause.
+pub(crate) fn trace_abort(detail: &str) {
+    trace::mark(TraceKind::Epoch, "epoch.abort", || {
+        vec![("detail".to_string(), ArgVal::Str(detail.to_string()))]
+    });
+}
+
+pub(crate) fn panic_text(e: &(dyn std::any::Any + Send)) -> String {
+    e.downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| e.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic>")
+        .to_string()
+}
 
 /// A simulated distributed-memory machine of `nranks` ranks.
 ///
@@ -152,65 +231,22 @@ impl SimWorld {
     /// distributed-memory machine a value that cannot be serialized
     /// cannot be observed across ranks.
     ///
+    /// This is [`try_run`](Self::try_run) plus teardown: the epoch is
+    /// the same, but a failed one is fatal.
+    ///
     /// # Panics
     ///
-    /// Propagates any rank's panic (annotated with the rank id), and
-    /// panics if messages were sent but never received.
+    /// If any rank fails, every rank blocked on it is released at once,
+    /// the socket process pool (if any) is killed, and this panics with
+    /// the root cause: `rank N panicked: <msg>` naming the rank that
+    /// failed first, not a peer that was waiting for it. Also panics if
+    /// messages were sent but never received.
     pub fn run<T, F>(&self, f: F) -> Vec<RankOutcome<T>>
     where
         T: crate::payload::WirePayload,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        if self.backend == BackendKind::Socket {
-            return crate::launch::run_socket_world(self, &f);
-        }
-        let backend = self
-            .backend
-            .build(self.nranks, self.recv_timeout, self.model);
-        let model = self.model;
-        let f = &f;
-        let mut outcomes: Vec<RankOutcome<T>> = Vec::with_capacity(self.nranks);
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.nranks);
-            for rank in 0..self.nranks {
-                let backend = Arc::clone(&backend);
-                handles.push(scope.spawn(move || {
-                    crate::trace::install_and_sync(rank);
-                    let shared = RankShared::new();
-                    let mut comm = Comm::world(backend, model, Arc::clone(&shared), rank);
-                    let value = f(&mut comm);
-                    comm.finish();
-                    let stats = comm.stats_snapshot();
-                    (value, stats, crate::trace::drain())
-                }));
-            }
-            let mut traces = Vec::with_capacity(self.nranks);
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((value, stats, events)) => {
-                        traces.push(events);
-                        outcomes.push(RankOutcome { rank, value, stats });
-                    }
-                    Err(e) => {
-                        let msg = e
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| e.downcast_ref::<&str>().copied())
-                            .unwrap_or("<non-string panic>");
-                        panic!("rank {rank} panicked: {msg}");
-                    }
-                }
-            }
-            crate::trace::gather_epoch(traces);
-        });
-
-        let leaked = backend.pending_messages();
-        assert_eq!(
-            leaked, 0,
-            "{leaked} message(s) were sent but never received — protocol bug"
-        );
-        outcomes
+        self.epoch(&f).unwrap_or_else(|failure| failure.fatal())
     }
 
     /// Run `f` on every rank like [`run`](Self::run), but survive rank
@@ -241,129 +277,98 @@ impl SimWorld {
         T: crate::payload::WirePayload,
         F: Fn(&mut Comm) -> T + Sync,
     {
+        self.epoch(&f).map_err(|failure| failure.error)
+    }
+
+    /// One epoch — the only one there is. Socket worlds hand over to
+    /// the launcher's role bodies; in-memory worlds run one thread per
+    /// rank, and a panicking *thread* is the dead rank.
+    pub(crate) fn epoch<T>(
+        &self,
+        f: &(dyn Fn(&mut Comm) -> T + Sync),
+    ) -> Result<Vec<RankOutcome<T>>, EpochFailure>
+    where
+        T: crate::payload::WirePayload,
+    {
         if self.backend == BackendKind::Socket {
-            return crate::launch::try_run_socket_world(self, &f);
+            return crate::launch::socket_epoch(self, f);
         }
         let backend = self
             .backend
             .build(self.nranks, self.recv_timeout, self.model);
         let model = self.model;
-        let f = &f;
-        let mut results: Vec<Result<(T, RankStats), String>> = Vec::with_capacity(self.nranks);
+        let mut outcomes: Vec<RankOutcome<T>> = Vec::with_capacity(self.nranks);
+        let mut failures: Vec<(usize, String)> = Vec::new();
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.nranks);
             for rank in 0..self.nranks {
                 let backend = Arc::clone(&backend);
                 handles.push(scope.spawn(move || {
-                    crate::trace::install_and_sync(rank);
-                    let shared = RankShared::new();
-                    let mut comm =
-                        Comm::world(Arc::clone(&backend), model, Arc::clone(&shared), rank);
-                    let body =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-                    let result = match body {
-                        Ok(value) => {
-                            // finish() drains sub-communicators and can
-                            // itself panic when the epoch is aborting.
-                            let fin =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    comm.finish()
-                                }));
-                            match fin {
-                                Ok(()) => Ok((value, comm.stats_snapshot())),
-                                Err(e) => Err(panic_text(&*e)),
-                            }
-                        }
-                        Err(e) => {
-                            let msg = panic_text(&*e);
-                            // Unblock every peer immediately; the marker
-                            // prefix tags their panics as collateral.
-                            backend.poison(&format!(
-                                "{ABORT_POISON_PREFIX} rank {rank} failed: {msg}"
-                            ));
-                            Err(msg)
-                        }
-                    };
-                    if result.is_err() {
-                        crate::trace::mark(crate::trace::TraceKind::Epoch, "epoch.abort", || {
-                            vec![(
-                                "detail".to_string(),
-                                crate::trace::ArgVal::Str(
-                                    result.as_ref().err().cloned().unwrap_or_default(),
-                                ),
-                            )]
-                        });
+                    trace::install_and_sync(rank);
+                    let run = run_rank(Arc::clone(&backend), model, rank, f);
+                    if let Err(msg) = &run.result {
+                        // Unblock every peer immediately; the marker
+                        // prefix tags their panics as collateral.
+                        backend.poison(&format!("{ABORT_POISON_PREFIX} rank {rank} failed: {msg}"));
+                        trace_abort(msg);
                     }
                     // Thread-local trace state survives the caught unwind,
                     // so a dead rank's partial timeline is still recovered.
-                    (result, crate::trace::drain())
+                    (run, trace::drain())
                 }));
             }
             let mut traces = Vec::with_capacity(self.nranks);
-            for h in handles {
-                results.push(match h.join() {
-                    Ok((r, events)) => {
-                        traces.push(events);
-                        r
-                    }
-                    Err(e) => Err(panic_text(&*e)),
-                });
+            for (rank, h) in handles.into_iter().enumerate() {
+                let (run, events) = h.join().expect("rank threads catch their closure's panic");
+                traces.push(events);
+                match run.result {
+                    Ok(value) => outcomes.push(RankOutcome {
+                        rank,
+                        value,
+                        stats: run.stats,
+                    }),
+                    Err(msg) => failures.push((rank, msg)),
+                }
             }
-            crate::trace::gather_epoch(traces);
+            trace::gather_epoch(traces);
         });
 
-        if results.iter().all(|r| r.is_ok()) {
+        if failures.is_empty() {
             let leaked = backend.pending_messages();
             assert_eq!(
                 leaked, 0,
                 "{leaked} message(s) were sent but never received — protocol bug"
             );
-            return Ok(results
-                .into_iter()
-                .enumerate()
-                .map(|(rank, r)| {
-                    let (value, stats) = r.unwrap_or_else(|_| unreachable!());
-                    RankOutcome { rank, value, stats }
-                })
-                .collect());
+            return Ok(outcomes);
         }
         // Original failures vs. collateral: a rank whose panic carries
-        // the abort-poison marker only died *because* another did.
-        let mut dead = Vec::new();
-        let mut detail = String::new();
-        for (rank, r) in results.iter().enumerate() {
-            if let Err(msg) = r {
-                if !msg.starts_with(ABORT_POISON_PREFIX) {
-                    dead.push(rank);
-                    if detail.is_empty() {
-                        detail = format!("rank {rank} failed: {msg}");
-                    }
-                }
-            }
-        }
-        if dead.is_empty() {
-            // Every failure was collateral (e.g. a watchdog fired before
-            // the poison landed) — report the first message verbatim.
-            detail = results
-                .iter()
-                .find_map(|r| r.as_ref().err().cloned())
-                .unwrap_or_default();
-        }
-        Err(EpochError {
-            epoch: 0,
-            dead,
-            detail,
+        // the abort-poison marker only died *because* another did. When
+        // every failure is collateral (e.g. a watchdog fired before the
+        // poison landed) the first message is reported verbatim.
+        let original = |(_, msg): &&(usize, String)| !msg.starts_with(ABORT_POISON_PREFIX);
+        let dead: Vec<usize> = failures.iter().filter(original).map(|(r, _)| *r).collect();
+        let (rank, cause) = failures
+            .iter()
+            .find(original)
+            .unwrap_or(&failures[0])
+            .clone();
+        let detail = if dead.is_empty() {
+            cause.clone()
+        } else {
+            format!("rank {rank} failed: {cause}")
+        };
+        Err(EpochFailure {
+            error: EpochError {
+                epoch: 0,
+                dead,
+                detail,
+            },
+            rank: Some(rank),
+            cause,
+            pooled: false,
         })
     }
-}
-
-fn panic_text(e: &(dyn std::any::Any + Send)) -> String {
-    e.downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| e.downcast_ref::<&str>().copied())
-        .unwrap_or("<non-string panic>")
-        .to_string()
 }
 
 #[cfg(test)]
@@ -426,6 +431,39 @@ mod tests {
                 panic!("boom");
             }
         });
+    }
+
+    /// A rank panicking while a peer is blocked on it must fail `run`
+    /// at once and with the real root cause — the peer's wait is ended
+    /// by poison, not by the (default, 300 s) watchdog, and the blocked
+    /// peer is never the one blamed.
+    #[test]
+    fn rank_panic_unblocks_peers_and_names_the_root_cause() {
+        for backend in BackendKind::conformance_with_env() {
+            let w = SimWorld::new(2, MachineModel::bandwidth_only()).backend(backend);
+            let start = std::time::Instant::now();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                w.run(|c| {
+                    if c.rank() == 1 {
+                        panic!("real root cause");
+                    }
+                    let v: Vec<f64> = c.recv(1, 7);
+                    v
+                })
+            }))
+            .expect_err("a rank panic must fail the run");
+            let elapsed = start.elapsed();
+            let msg = panic_text(&*err);
+            assert!(
+                msg.contains("rank 1 panicked: real root cause"),
+                "{backend:?}: {msg}"
+            );
+            assert!(!msg.contains("watchdog"), "{backend:?}: {msg}");
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "{backend:?}: took {elapsed:?}"
+            );
+        }
     }
 
     #[test]

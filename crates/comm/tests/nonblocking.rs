@@ -1,5 +1,5 @@
 //! Integration: the non-blocking point-to-point surface
-//! (`send_nb` / `recv_begin` / `shift_begin` with handle `poll`/`wait`)
+//! (`recv_begin` / `shift_begin` with handle `poll`/`wait`)
 //! behaves identically to its blocking counterparts — same values, same
 //! word/message/modeled accounting — on every conformance backend, and
 //! enforces its completion contract (in-posting-order waits, no silently
@@ -27,17 +27,14 @@ fn modeled_fingerprint(stats: &RankStats, p: Phase) -> (u64, u64, u64, u64, u64,
 }
 
 #[test]
-fn send_nb_recv_begin_roundtrip() {
+fn send_recv_begin_roundtrip() {
     for world in worlds(3) {
         let out = world.run(|c| {
             let _g = c.phase(Phase::Propagation);
             let p = c.size();
             let dst = (c.rank() + 1) % p;
             let src = (c.rank() + p - 1) % p;
-            let h = c.send_nb(dst, 5, vec![c.rank() as f64; 4]);
-            assert!(h.poll(), "buffered sends complete at post");
-            assert_eq!(h.words(), 4);
-            h.wait();
+            c.send(dst, 5, vec![c.rank() as f64; 4]);
             let r = c.recv_begin::<Vec<f64>>(src, 5);
             r.wait()
         });
@@ -64,7 +61,7 @@ fn nonblocking_accounting_matches_blocking_exactly() {
     let pipelined = |c: &mut dsk_comm::Comm| {
         let _g = c.phase(Phase::Propagation);
         let p = c.size();
-        c.send_nb((c.rank() + 1) % p, 9, vec![1.0f64; 7]).wait();
+        c.send((c.rank() + 1) % p, 9, vec![1.0f64; 7]);
         let r = c.recv_begin::<Vec<f64>>((c.rank() + p - 1) % p, 9);
         let v = r.wait();
         let h = c.shift_begin(1, 10, vec![2.0f64; 11]);

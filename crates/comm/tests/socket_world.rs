@@ -213,3 +213,39 @@ fn stats_travel_back_bit_exact() {
         assert!(o.stats.phase(Phase::Propagation).wall_s >= 0.0);
     }
 }
+
+#[test]
+fn run_and_try_run_are_one_epoch_on_success() {
+    // The same closure through both entry points on one pool: identical
+    // values and bit-identical modeled accounting in every phase.
+    let program = |c: &mut dsk_comm::Comm| {
+        let shifted = {
+            let _g = c.phase(Phase::Propagation);
+            c.shift(1, 4, vec![c.rank() as f64; 6])
+        };
+        let _g = c.phase(Phase::OutsideComm);
+        let mut sum = vec![c.rank() as f64 + 1.0; 3];
+        c.allreduce_sum(&mut sum);
+        (shifted, sum)
+    };
+    let world = socket_world(4);
+    let ran = world.run(program);
+    let tried = world
+        .try_run(program)
+        .expect("a clean epoch is Ok under try_run");
+    assert_eq!(ran.len(), tried.len());
+    for (a, b) in ran.iter().zip(&tried) {
+        assert_eq!(a.rank, b.rank);
+        assert_eq!(a.value, b.value);
+        assert_eq!(a.value.0, vec![((a.rank + 3) % 4) as f64; 6]);
+        assert_eq!(a.value.1, vec![10.0; 3]);
+        for ph in [Phase::Propagation, Phase::OutsideComm] {
+            let (x, y) = (a.stats.phase(ph), b.stats.phase(ph));
+            assert_eq!(x.msgs_sent, y.msgs_sent, "{ph:?}");
+            assert_eq!(x.words_sent, y.words_sent, "{ph:?}");
+            assert_eq!(x.words_recv, y.words_recv, "{ph:?}");
+            assert_eq!(x.modeled_s.to_bits(), y.modeled_s.to_bits(), "{ph:?}");
+            assert!(x.msgs_sent > 0, "{ph:?} must carry traffic");
+        }
+    }
+}

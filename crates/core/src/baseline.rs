@@ -271,21 +271,35 @@ impl Baseline1D {
         vals
     }
 
-    /// Raw SDDMM accumulations through the `S`-oriented plan: fetch the
-    /// needed `B` rows, combine them against the local `A`-side rows
-    /// `x`. Values are aligned with the `S`-oriented block's CSR order;
-    /// no sampling applied.
-    fn dots_a(&self, x: &Mat, combine: &CombineSpec) -> Vec<f64> {
-        let dims = self.view.dims();
-        let operand = self.scatter_operand(&self.plan_a, &self.b_loc, dims.n);
-        let s = self.s_remapped();
+    /// Raw SDDMM accumulations through one plan: fetch the needed rows
+    /// of the far-side iterate `local` and combine them against this
+    /// rank's near-side rows `x` — the shared body of the `S`-oriented
+    /// SDDMM (`x` on the `A` side, fetching `B` rows) and its transpose.
+    /// Values are aligned with `s`'s CSR order; no sampling applied.
+    fn dots_plan(
+        &self,
+        plan: &Plan,
+        s: &CsrMatrix,
+        x: &Mat,
+        local: &Mat,
+        operand_rows: usize,
+        combine: &CombineSpec,
+    ) -> Vec<f64> {
+        let r = self.view.dims().r;
+        let operand = self.scatter_operand(plan, local, operand_rows);
         let mut acc = vec![0.0; s.nnz()];
-        self.comm.compute(kern::sddmm_flops(s.nnz(), dims.r), || {
+        self.comm.compute(kern::sddmm_flops(s.nnz(), r), || {
             self.local
                 .sddmm
-                .sddmm_csr(&mut acc, s, x, &operand, combine.for_slice(0..dims.r))
+                .sddmm_csr(&mut acc, s, x, &operand, combine.for_slice(0..r))
         });
         acc
+    }
+
+    /// [`dots_plan`](Self::dots_plan) in the `S` orientation.
+    fn dots_a(&self, x: &Mat, combine: &CombineSpec) -> Vec<f64> {
+        let s = self.s_remapped();
+        self.dots_plan(&self.plan_a, s, x, &self.b_loc, self.view.dims().n, combine)
     }
 
     /// The `S`-oriented remapped block (values = sampling values).
@@ -358,25 +372,15 @@ impl DistKernel for Baseline1D {
             matches!(elision, Elision::None),
             "the 1D baseline admits no communication elision"
         );
-        let dims = self.view.dims();
-        let y = y.unwrap_or(&self.b_loc);
+        let m = self.view.dims().m;
         // Transposed orientation: fetch A rows, combine against local
         // B-side rows (the dot product is symmetric).
-        let operand = self.scatter_operand(&self.plan_b, &self.a_loc, dims.m);
         let st = &self.st_remapped;
-        let mut vals = vec![0.0; st.nnz()];
-        self.comm.compute(kern::sddmm_flops(st.nnz(), dims.r), || {
-            kern::sddmm::sddmm_csr_acc_with(&mut vals, st, y, &operand, kern::SddmmCombine::Dot)
-        });
+        let y = y.unwrap_or(&self.b_loc);
+        let mut vals = self.dots_plan(&self.plan_b, st, y, &self.a_loc, m, &CombineSpec::Dot);
         Self::sample(&mut vals, st.vals(), sampling);
         // Second kernel, fresh scatter: out = Rᵀ·A in B block rows.
-        let operand2 = self.scatter_operand(&self.plan_b, &self.a_loc, dims.m);
-        let st_r = st.with_vals(vals);
-        let mut out = Mat::zeros(st.nrows(), dims.r);
-        self.comm.compute(kern::spmm_flops(st.nnz(), dims.r), || {
-            kern::spmm_csr_acc(&mut out, &st_r, &operand2)
-        });
-        out
+        self.spmm_plan(&self.plan_b, &st.with_vals(vals), &self.a_loc, m)
     }
 
     fn r_row_sums(&self, _comm: &Comm, _phase: Phase) -> Vec<f64> {

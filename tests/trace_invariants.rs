@@ -163,6 +163,10 @@ fn rank_death_still_flushes_survivor_buffers() {
         let next = (comm.rank() + 1) % comm.size();
         let prev = (comm.rank() + comm.size() - 1) % comm.size();
         let _: Vec<f64> = comm.sendrecv(next, prev, 7, v);
+        // Rank 2 needs only rank 1 to finish its exchange; without the
+        // barrier it can die (and poison the epoch) before rank 3 has
+        // even posted, leaving rank 0 with no completed comm span.
+        comm.barrier();
         if comm.rank() == 2 {
             if backend == BackendKind::Socket && is_worker_process() {
                 std::process::exit(3);
