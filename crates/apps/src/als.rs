@@ -202,11 +202,12 @@ pub fn run_als(engine: &mut AppEngine, cfg: &AlsConfig) -> AlsReport {
 /// between-sweep re-planning policy, run against an [`AppEngine`].
 ///
 /// With a policy set ([`AlsSolver::with_replan`]), the solver calls
-/// [`AppEngine::replan`] after every sweep: the session re-scores the
-/// *observed* problem (e.g. after the application pruned R values) and
-/// migrates the live factors to a cheaper family when the predicted win
-/// clears the policy's hysteresis — the factors and loss carry over
-/// exactly, only the distribution changes.
+/// [`Session::replan`](dsk_core::session::Session::replan) between
+/// sweeps: the session re-scores the *observed* problem (e.g. after the
+/// application pruned R values) and migrates the live factors to a
+/// cheaper family when the predicted win clears the policy's hysteresis
+/// — the factors and loss carry over exactly, only the distribution
+/// changes.
 #[derive(Debug, Clone, Default)]
 pub struct AlsSolver {
     /// Hyper-parameters for the sweeps.
@@ -238,7 +239,7 @@ impl AlsSolver {
             als_sweep(engine, cfg, &mut phase_residuals);
             if sweep + 1 < cfg.sweeps {
                 if let Some(policy) = &self.replan {
-                    replans.push(engine.replan(policy));
+                    replans.push(engine.session_mut().replan(policy));
                 }
             }
         }

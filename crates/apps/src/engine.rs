@@ -17,29 +17,26 @@
 //!   1.5D dense shifting does not) — charged to
 //!   [`Phase::OutsideComm`], as in the paper's Fig. 9 accounting.
 //!
-//! The engine itself is therefore a thin veneer over the wrapped
-//! [`Session`]: construction goes through [`Session::builder`] (the
-//! single construction path that replaced the engines' four
-//! overlapping constructors), and every operation is a session call.
-//! Because the session can **migrate between algorithm families
-//! mid-run** ([`AppEngine::replan`]), the engine re-derives its
-//! row-sharing reduction groups whenever a migration lands — those
-//! groups are a property of the family that just changed.
+//! The engine is a veneer over the wrapped [`Session`] and holds no
+//! plan-dependent state: construction goes through
+//! [`Session::builder`], every operation is a session call, and the
+//! row-sharing groups are borrowed from the session per reduction
+//! ([`Session::row_group_a`]). The session's one transition installs
+//! everything that depends on the plan, so it may change the plan under
+//! the engine — `session_mut().replan(..)`, `.migrate(..)`,
+//! `.resize(..)`, or by itself under
+//! [`SessionBuilder::auto_replan`](dsk_core::session::SessionBuilder::auto_replan)
+//! — and the next row dot reduces over the new family's groups.
 
 use dsk_comm::{Comm, Phase};
 use dsk_core::common::{block_range, Sampling};
-use dsk_core::session::{ReplanEvent, ReplanPolicy, Session};
+use dsk_core::session::Session;
 use dsk_dense::Mat;
 
 /// Family-agnostic application engine (one per rank), wrapping an
 /// adaptive [`Session`].
 pub struct AppEngine {
     session: Session,
-    /// Reduction group for per-row dots of `A`-shaped iterates (size 1
-    /// when rows are whole). Rebuilt after every migration.
-    dots_a: Comm,
-    /// Reduction group for per-row dots of `B`-shaped iterates.
-    dots_b: Comm,
 }
 
 impl AppEngine {
@@ -47,26 +44,7 @@ impl AppEngine {
     /// (family, replication, elision, auto-planning) on
     /// [`Session::builder`] before handing the session over.
     pub fn new(session: Session) -> Self {
-        let (dots_a, dots_b) = Self::dot_comms(&session);
-        AppEngine {
-            session,
-            dots_a,
-            dots_b,
-        }
-    }
-
-    fn dot_comms(session: &Session) -> (Comm, Comm) {
-        let comm = session.comm();
-        if !session.is_active() {
-            // Spare ranks hold no iterate rows; their row-sharing
-            // groups are trivial (and rebuilt on re-activation).
-            return (comm.dup(), comm.dup());
-        }
-        let k = session.worker().kernel();
-        (
-            comm.split_by(|g| k.row_group_a(g)),
-            comm.split_by(|g| k.row_group_b(g)),
-        )
+        AppEngine { session }
     }
 
     /// The wrapped session.
@@ -74,9 +52,8 @@ impl AppEngine {
         &self.session
     }
 
-    /// The wrapped session, mutably. Callers that migrate through this
-    /// handle must go through [`AppEngine::replan`] instead, so the
-    /// engine's row-sharing groups stay consistent with the kernel.
+    /// The wrapped session, mutably — including its transitions
+    /// (`replan`, `migrate`, `resize`).
     pub fn session_mut(&mut self) -> &mut Session {
         &mut self.session
     }
@@ -84,33 +61,6 @@ impl AppEngine {
     /// The session's communicator.
     pub fn comm(&self) -> &Comm {
         self.session.comm()
-    }
-
-    /// Re-run the planner against the observed problem and migrate when
-    /// the predicted win clears the policy's hysteresis (collective).
-    /// The engine's row-sharing reduction groups are rebuilt when a
-    /// migration lands.
-    pub fn replan(&mut self, policy: &ReplanPolicy) -> ReplanEvent {
-        let event = self.session.replan(policy);
-        if event.migrated {
-            let (dots_a, dots_b) = Self::dot_comms(&self.session);
-            self.dots_a = dots_a;
-            self.dots_b = dots_b;
-        }
-        event
-    }
-
-    /// Resize the wrapped session onto `p_new` active ranks
-    /// ([`Session::resize`]; collective over the session's *world*
-    /// communicator) and rebuild the engine's row-sharing reduction
-    /// groups for the new plan and roster. Returns the plan now in
-    /// force.
-    pub fn resize(&mut self, p_new: usize) -> dsk_core::kernel::KernelPlan {
-        let plan = self.session.resize(p_new);
-        let (dots_a, dots_b) = Self::dot_comms(&self.session);
-        self.dots_a = dots_a;
-        self.dots_b = dots_b;
-        plan
     }
 
     /// The stored `A` operand in the iterate layout.
@@ -163,23 +113,23 @@ impl AppEngine {
     /// How many ranks share each row of an `A`-iterate (1 when rows are
     /// whole).
     pub fn row_share_a(&self) -> usize {
-        self.dots_a.size()
+        self.session.row_group_a().size()
     }
 
     /// How many ranks share each row of a `B`-iterate.
     pub fn row_share_b(&self) -> usize {
-        self.dots_b.size()
+        self.session.row_group_b().size()
     }
 
     /// Global per-row dot products of two `A`-iterates (reduced over the
     /// row-sharing group; charged outside the fused kernels).
     pub fn row_dots_a(&self, x: &Mat, y: &Mat) -> Vec<f64> {
-        Self::row_dots(&self.dots_a, x, y, Phase::OutsideComm)
+        Self::row_dots(self.session.row_group_a(), x, y, Phase::OutsideComm)
     }
 
     /// Global per-row dot products of two `B`-iterates.
     pub fn row_dots_b(&self, x: &Mat, y: &Mat) -> Vec<f64> {
-        Self::row_dots(&self.dots_b, x, y, Phase::OutsideComm)
+        Self::row_dots(self.session.row_group_b(), x, y, Phase::OutsideComm)
     }
 
     /// Commit an `A`-iterate as the stored `A` operand, paying whatever
@@ -365,9 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn replan_rebuilds_row_sharing_groups() {
-        // ds15 rows are whole (share = 1); after a forced migration to
-        // ss15 the engine must report that family's layer-wide sharing.
+    fn migration_through_the_session_changes_row_sharing_groups() {
+        // ds15 rows are whole (share = 1); after a migration to ss15
+        // through `session_mut()` the engine reports that family's
+        // layer-wide sharing.
         let prob = Arc::new(GlobalProblem::erdos_renyi(24, 24, 8, 3, 106));
         let w = SimWorld::new(8, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
@@ -386,10 +337,6 @@ mod tests {
                 ),
                 2,
             );
-            // Rebuild the groups as AppEngine::replan would.
-            let (da, db) = AppEngine::dot_comms(&eng.session);
-            eng.dots_a = da;
-            eng.dots_b = db;
             (before, eng.row_share_a())
         });
         for o in &out {

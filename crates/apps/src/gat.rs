@@ -32,7 +32,7 @@
 use dsk_comm::Phase;
 use dsk_core::kernel::CombineSpec;
 use dsk_core::layout::repartition_dense;
-use dsk_core::session::{ReplanEvent, ReplanPolicy, Session};
+use dsk_core::session::Session;
 use dsk_core::GlobalProblem;
 use dsk_dense::ops::gemm_acc;
 use dsk_dense::Mat;
@@ -99,17 +99,11 @@ impl GatEngine {
         &self.session
     }
 
-    /// The wrapped session, mutably.
+    /// The wrapped session, mutably — re-plan between forward passes
+    /// with `session_mut().replan(..)` (e.g. after attention dropout or
+    /// graph pruning shrank the effective nonzero count).
     pub fn session_mut(&mut self) -> &mut Session {
         &mut self.session
-    }
-
-    /// Re-plan against the observed problem between forward passes
-    /// (e.g. after attention dropout or graph pruning shrank the
-    /// effective nonzero count), migrating the embeddings when the
-    /// predicted win clears the policy's hysteresis.
-    pub fn replan(&mut self, policy: &ReplanPolicy) -> ReplanEvent {
-        self.session.replan(policy)
     }
 
     /// Compute `H·W` in the kernel's SpMM-operand (`B`-iterate) layout.

@@ -191,11 +191,6 @@ pub fn union_range(total: usize, parts: usize, first: usize, count: usize) -> Ra
 // Shift pipelining
 // ---------------------------------------------------------------------
 
-/// Environment variable selecting the propagation [`ShiftMode`]
-/// (`pipelined` | `blocking`); a thread-local override set by the bench
-/// harness takes precedence.
-pub const SHIFT_MODE_ENV_VAR: &str = "DSK_SHIFT_PIPELINE";
-
 thread_local! {
     static SHIFT_MODE_OVERRIDE: Cell<Option<ShiftMode>> = const { Cell::new(None) };
 }
@@ -220,21 +215,9 @@ pub enum ShiftMode {
 
 impl ShiftMode {
     /// The mode propagation loops run under right now: the thread-local
-    /// override if set, else [`SHIFT_MODE_ENV_VAR`], else `Pipelined`.
+    /// override ([`ShiftMode::scoped`]) if set, else `Pipelined`.
     pub fn current() -> ShiftMode {
-        if let Some(m) = SHIFT_MODE_OVERRIDE.with(|c| c.get()) {
-            return m;
-        }
-        match std::env::var(SHIFT_MODE_ENV_VAR) {
-            Err(_) => ShiftMode::Pipelined,
-            Ok(v) => match v.as_str() {
-                "pipelined" | "1" | "on" => ShiftMode::Pipelined,
-                "blocking" | "0" | "off" => ShiftMode::Blocking,
-                other => {
-                    panic!("{SHIFT_MODE_ENV_VAR}={other:?}: expected \"pipelined\" or \"blocking\"")
-                }
-            },
-        }
+        SHIFT_MODE_OVERRIDE.with(|c| c.get()).unwrap_or_default()
     }
 
     /// Install `mode` as this thread's override until the returned guard

@@ -76,7 +76,9 @@
 //! travel through the [`DistKernel::a_iterate_layout_of`] /
 //! [`DistKernel::b_iterate_layout_of`] descriptors, and R values
 //! through the [`DistKernel::export_r`] / [`DistKernel::import_r`]
-//! pair in global coordinates, so no optimizer state is lost.
+//! pair in global coordinates, so no optimizer state is lost. An
+//! elastic resize is the same transition run over the whole world onto
+//! a new roster (`Phase::Resize`); the session module writes it once.
 
 use std::sync::Arc;
 
@@ -440,6 +442,19 @@ impl PlannedCandidate {
     /// Modeled communication + computation seconds per FusedMM.
     pub fn predicted_total_s(&self) -> f64 {
         self.predicted_comm_s + self.predicted_comp_s
+    }
+
+    /// The construction decision this candidate stands for — the only
+    /// candidate → [`KernelPlan`] conversion ([`KernelBuilder::plan`]
+    /// and every session transition go through it).
+    pub fn plan(&self) -> KernelPlan {
+        KernelPlan {
+            id: KernelId::Family(self.algorithm.family),
+            c: self.c,
+            elision: self.algorithm.elision,
+            routing: self.routing,
+            predicted_comm_s: Some(self.predicted_comm_s),
+        }
     }
 }
 
@@ -807,14 +822,7 @@ impl<'a> KernelBuilder<'a> {
             self.elision,
             self.selection,
         );
-        let best = candidates[0];
-        KernelPlan {
-            id: KernelId::Family(best.algorithm.family),
-            c: best.c,
-            elision: best.algorithm.elision,
-            routing: best.routing,
-            predicted_comm_s: Some(best.predicted_comm_s),
-        }
+        candidates[0].plan()
     }
 
     /// Every admissible candidate the planner scored for a world of `p`
@@ -1076,6 +1084,24 @@ mod tests {
                 )
                 .unwrap();
                 assert!((cand.predicted_comm_s - t).abs() <= 1e-15 * t.max(1e-30));
+            }
+        }
+    }
+
+    #[test]
+    fn plan_is_the_head_candidate_field_by_field() {
+        let prob = er_prob(256, 16, 4, 9);
+        let builder = KernelBuilder::new(&prob);
+        for model in [MachineModel::cori_knl(), MachineModel::bandwidth_only()] {
+            for p in [8usize, 16] {
+                let head = builder.plan_candidates_with(p, model)[0];
+                let plan = builder.plan_with(p, model);
+                assert_eq!(plan, head.plan(), "p={p}");
+                assert_eq!(plan.id, KernelId::Family(head.algorithm.family));
+                assert_eq!(plan.c, head.c);
+                assert_eq!(plan.elision, head.algorithm.elision);
+                assert_eq!(plan.routing, head.routing);
+                assert_eq!(plan.predicted_comm_s, Some(head.predicted_comm_s));
             }
         }
     }

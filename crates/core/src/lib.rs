@@ -98,7 +98,7 @@ pub mod worker;
 
 pub use common::{
     AlgorithmFamily, Elision, InFlight, MatInFlight, ProblemDims, Routing, Sampling, ShiftMode,
-    ShiftModeGuard, ShiftPipeline, SHIFT_MODE_ENV_VAR,
+    ShiftModeGuard, ShiftPipeline,
 };
 pub use global::GlobalProblem;
 pub use kernel::{CombineSpec, DistKernel, KernelBuilder, KernelId, KernelPlan};

@@ -33,7 +33,11 @@ pub(crate) enum Operand {
 /// A plan's data distributions for a hypothetical world of `p` ranks.
 ///
 /// Pure and communication-free: all methods are closed-form grid
-/// arithmetic, callable for any rank `g < p` from any process.
+/// arithmetic, callable for any rank from any process. Ranks outside
+/// the viewed world (`g ≥ p`) own nothing — [`empty_layout`],
+/// [`empty_bounds`] — so a view can describe one roster's side of an
+/// exchange over a wider communicator (a session transition's spares
+/// and retirees contribute and receive nothing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanView {
     id: KernelId,
@@ -110,6 +114,9 @@ impl PlanView {
     /// 2.5D dense replication (travel vs fiber).
     pub(crate) fn layout_of(&self, op: Operand, replica: bool, g: usize) -> DenseLayout {
         let (d, p, c) = (self.dims, self.p, self.c);
+        if g >= p {
+            return empty_layout();
+        }
         let rows = match op {
             Operand::A => d.m,
             Operand::B => d.n,
@@ -183,6 +190,9 @@ impl PlanView {
     /// allowed).
     pub fn r_bounds_of(&self, g: usize) -> (Range<usize>, Range<usize>) {
         let (d, p, c) = (self.dims, self.p, self.c);
+        if g >= p {
+            return empty_bounds();
+        }
         match self.id {
             KernelId::Family(AlgorithmFamily::DenseShift15) => {
                 // Macro row u = g/c of S; its column blocks are strided
@@ -253,9 +263,9 @@ impl PlanView {
     }
 }
 
-/// The empty layout: owns no rows and no columns. Ranks outside a
-/// world's active roster use it as their side of a cross-world
-/// [`crate::layout::repartition_dense`] — they contribute and receive
+/// The empty layout: owns no rows and no columns — what a rank outside
+/// the viewed world holds, so its side of a cross-world
+/// [`crate::layout::repartition_dense`] contributes and receives
 /// nothing.
 pub fn empty_layout() -> DenseLayout {
     DenseLayout {
@@ -311,5 +321,14 @@ mod tests {
         assert_eq!(empty_layout().width(), 0);
         let (r, c) = empty_bounds();
         assert!(r.is_empty() && c.is_empty());
+        // Ranks outside the viewed world hold exactly that, whatever
+        // the family's grid arithmetic would make of their index.
+        let dims = ProblemDims::new(48, 48, 8);
+        for family in AlgorithmFamily::ALL {
+            let view = PlanView::new(&plan_for(family, 1), 4, dims);
+            assert_eq!(view.a_layout_of(4), empty_layout(), "{family:?}");
+            assert_eq!(view.b_layout_of(9), empty_layout(), "{family:?}");
+            assert_eq!(view.r_bounds_of(4), empty_bounds(), "{family:?}");
+        }
     }
 }

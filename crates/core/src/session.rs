@@ -1,44 +1,65 @@
 //! Adaptive sessions: the stateful application surface over the
-//! distributed kernels, with runtime re-planning and live migration.
+//! distributed kernels, and the one transition that changes the plan
+//! in force while an application runs.
 //!
 //! [`KernelBuilder`] makes the Figure 6 decision *once*, at
-//! construction. But the paper's central result — the best
-//! (algorithm, replication) choice depends on the problem shape and
-//! density — keeps applying while an iterative application runs:
-//! ALS-style workloads prune, so their effective φ = nnz/(n·r) shrinks,
-//! and the plan that was right at iteration 0 can be badly wrong at
-//! iteration 50. A [`Session`] makes the decision *continuous*:
+//! construction. But the best (algorithm, replication) choice depends
+//! on φ = nnz/(n·r) and on `p`, and both move under a running
+//! application: ALS-style workloads prune, so φ shrinks, and an elastic
+//! fleet gains and loses ranks. A [`Session`] owns the [`DistWorker`],
+//! the shared staging ([`StagedProblem`]) needed to build a replacement
+//! worker for any family, and **the one record of the plan in force**
+//! ([`Session::plan`] — its `elision` is the one fused calls use), and
+//! keeps the decision live.
 //!
-//! * it owns the [`DistWorker`] plus the shared staging
-//!   ([`StagedProblem`]) needed to build a replacement worker for any
-//!   other family;
-//! * it accumulates observations as the application runs — the fused-
-//!   call cadence ([`Session::calls`]), the per-phase counters of its
-//!   communicator ([`Session::stats`]), and the post-pruning nonzero
-//!   count of the stored R values;
-//! * [`Session::replan`] re-runs [`KernelBuilder::plan_candidates`]
-//!   against the **observed** problem and, when the predicted win
-//!   clears the [`ReplanPolicy::hysteresis`] threshold, **migrates**
-//!   live A/B iterates (via the kernels' iterate-layout descriptors and
-//!   [`crate::layout::repartition_dense`]) and R values (via
-//!   [`export_r`](crate::kernel::DistKernel::export_r) /
-//!   [`import_r`](crate::kernel::DistKernel::import_r)) to the new
-//!   family — no optimizer state is lost, and the squared loss is
-//!   identical before and after.
+//! # One transition: choose → move → install
 //!
-//! Explicit migration traffic is charged to [`Phase::Migration`], so
-//! benchmark breakdowns show exactly what a migration cost; the
-//! installed iterates additionally pay each kernel's usual
-//! `set_a`/`set_b` distribution shift (charged to
-//! [`Phase::OutsideComm`], as always). Every [`Session::replan`] call —
-//! migrating or not — is appended to the [`ReplanEvent`] log.
+//! [`Session::replan`], [`Session::migrate`] and [`Session::resize`]
+//! all end in the same act, written once:
+//!
+//! * **choose** — the session's only planner call:
+//!   [`KernelBuilder::plan_candidates`] for the target rank count
+//!   against the *observed* nonzero count (stored R values that
+//!   survived pruning); the head candidate's
+//!   [`PlannedCandidate::plan`] is the plan to install.
+//! * **move** — build the new worker on the new roster (its pattern
+//!   exchange and tuning land in the phases a fresh construction
+//!   charges), then carry the live A/B iterates through
+//!   [`repartition_dense`] and the stored R values through one
+//!   owner-targeted [`Comm::sparse_alltoallv`] — each exported triplet
+//!   travels only to the ranks whose destination pattern bounds contain
+//!   it, `O(c·nnz)` words, never an allgather's `O(p·nnz)` — between
+//!   the *(old plan, old p)* and *(new plan, new p)* [`PlanView`]s over
+//!   one communicator whose lowest ranks form both rosters. Ranks
+//!   outside a roster hold the empty layout on that side (a view owns
+//!   nothing beyond its `p`) — a no-op when both rosters are the whole
+//!   communicator. Installing the iterates also pays the new kernel's
+//!   usual `set_a`/`set_b` distribution shift ([`Phase::OutsideComm`],
+//!   as always).
+//! * **install** — the only code that knows what depends on the plan:
+//!   the worker, the active communicator and roster size, the stored
+//!   [`KernelPlan`], the row-sharing reduction groups
+//!   ([`Session::row_group_a`] / [`Session::row_group_b`]), the
+//!   drift-gate baseline, and the [`ReplanEvent`] log entry (every
+//!   decision is logged, moving or not). No optimizer state is lost and
+//!   the squared loss is identical before and after.
+//!
+//! The callers differ only in where the transition runs and in their
+//! preamble:
+//!
+//! | | collective over | rosters | charged to | span | preamble |
+//! |---|---|---|---|---|---|
+//! | [`Session::replan`] / [`Session::migrate`] | the active communicator | `p → p` | [`Phase::Migration`] | `session.migrate` (inside `session.replan`) | [`Session::observed_nnz`]; `replan` moves only when the predicted win clears [`ReplanPolicy::hysteresis`] |
+//! | [`Session::resize`] | the world (actives and spares) | `p → p_new` | [`Phase::Resize`] | `session.resize` | a 2-word world observation and a broadcast of the plan in force (spares miss active-only replans) |
 //!
 //! The applications in `dsk-apps` (`AppEngine`, `AlsSolver`,
-//! `GatEngine`) are all thin layers over a `Session`; construction goes
-//! through [`Session::builder`], which replaces the four overlapping
-//! constructors each engine used to carry.
+//! `GatEngine`) are thin layers over a `Session` and hold no
+//! plan-dependent state of their own, so a session may change its plan
+//! under them at any stored-operand call
+//! ([`SessionBuilder::auto_replan`]).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use dsk_comm::trace::{self, ArgVal, TraceKind};
 use dsk_comm::{Comm, MachineModel, Phase, RankStats};
@@ -47,9 +68,9 @@ use dsk_sparse::CooMatrix;
 
 use crate::common::{AlgorithmFamily, Elision, Routing, Sampling};
 use crate::global::GlobalProblem;
-use crate::kernel::{CombineSpec, KernelBuilder, KernelId, KernelPlan};
+use crate::kernel::{CombineSpec, KernelBuilder, KernelId, KernelPlan, PlannedCandidate};
 use crate::layout::repartition_dense;
-use crate::planview::{empty_bounds, empty_layout, PlanView};
+use crate::planview::{Operand, PlanView};
 use crate::staged::StagedProblem;
 use crate::theory::{self, Algorithm};
 use crate::worker::DistWorker;
@@ -232,8 +253,9 @@ impl SessionBuilder {
     }
 
     /// The elision strategy the session uses for fused calls,
-    /// overriding the plan's recommendation. Must be supported by the
-    /// built kernel.
+    /// overriding the plan's recommendation (the stored
+    /// [`Session::plan`] records the override). Must be supported by
+    /// the built kernel.
     pub fn elision(mut self, elision: Elision) -> Self {
         self.elision = Some(elision);
         self
@@ -298,14 +320,17 @@ impl SessionBuilder {
         // one sub-communicator, spares another (unused until a resize).
         let active = world.split_by(|r| u64::from(r >= active_p));
         let worker = (world.rank() < active_p).then(|| self.builder.build(&active));
-        let elision = match &worker {
-            Some(w) => {
-                let e = self.elision.unwrap_or(w.plan().elision);
-                assert!(w.supports(e), "{:?} does not support {e:?}", w.id());
-                e
-            }
-            None => self.elision.unwrap_or(Elision::None),
+        // Planning is pure, so spares record the plan the actives built.
+        let mut plan = match &worker {
+            Some(w) => w.plan(),
+            None => self.builder.plan_with(active_p, model),
         };
+        let view = PlanView::new(&plan, active_p, self.staged.prob.dims);
+        if let Some(e) = self.elision {
+            assert!(view.supports(e), "{:?} does not support {e:?}", plan.id);
+            plan.elision = e;
+        }
+        let row_groups = worker.is_some().then(|| row_groups(&active, view));
         let last_planned_nnz = self.staged.prob.nnz();
         Session {
             world,
@@ -313,7 +338,8 @@ impl SessionBuilder {
             active_p,
             staged: self.staged,
             worker,
-            elision,
+            plan,
+            row_groups,
             model,
             c_max: self.c_max,
             calls: 0,
@@ -325,6 +351,35 @@ impl SessionBuilder {
     }
 }
 
+/// The row-sharing reduction groups of `view` over its roster's
+/// communicator: for `A`- and `B`-shaped iterates, the ranks holding
+/// pieces of the same iterate rows.
+fn row_groups(active: &Comm, view: PlanView) -> (Comm, Comm) {
+    (
+        active.split_by(|g| view.row_group_a(g)),
+        active.split_by(|g| view.row_group_b(g)),
+    )
+}
+
+/// The active-roster half of a session field; the one spare-rank panic.
+fn active<T>(held: Option<T>, world: &Comm, active_p: usize) -> T {
+    held.unwrap_or_else(|| {
+        panic!(
+            "world rank {} is a spare (active_p = {active_p}): only Session::resize, \
+             loss/stored_loss, and the accessors are valid on spare ranks",
+            world.rank()
+        )
+    })
+}
+
+/// What the mover hands the installer: the new roster's communicator
+/// and size, and this rank's worker on it (`None` outside the roster).
+struct Moved {
+    worker: Option<DistWorker>,
+    active: Comm,
+    p: usize,
+}
+
 /// A stateful, re-plannable application session over one distributed
 /// problem (one per rank). See the module docs for the full story.
 pub struct Session {
@@ -332,14 +387,19 @@ pub struct Session {
     /// spare. Resizes are collective over this.
     world: Comm,
     /// The active-roster sub-communicator (on spares: the spare-group
-    /// sub-communicator, unused). Rebuilt by every resize.
+    /// sub-communicator, unused). Replaced by every move.
     comm: Comm,
     /// How many world ranks are active (always the lowest ranks).
     active_p: usize,
     staged: Arc<StagedProblem>,
     /// The live kernel — `None` on spare ranks.
     worker: Option<DistWorker>,
-    elision: Elision,
+    /// The one record of the plan in force; its `elision` is what fused
+    /// calls use. On spares: the last plan this rank learned of.
+    plan: KernelPlan,
+    /// Row-sharing reduction groups of the plan in force (`A`-shaped,
+    /// `B`-shaped) — `None` on spare ranks.
+    row_groups: Option<(Comm, Comm)>,
     model: MachineModel,
     c_max: usize,
     calls: u64,
@@ -347,7 +407,7 @@ pub struct Session {
     /// Automatic re-planning policy (see [`SessionBuilder::auto_replan`]).
     auto_policy: Option<ReplanPolicy>,
     /// Observed nnz at the last planning decision (construction or
-    /// replan) — the baseline the drift gate compares against.
+    /// transition) — the baseline the drift gate compares against.
     last_planned_nnz: usize,
     /// Fused-call count at the last automatic cadence check (sticky
     /// cadence: explicit-operand calls defer, never skip, a check).
@@ -378,6 +438,7 @@ impl Session {
 
     /// The session's *active* communicator (the sub-world the worker
     /// runs on; on spare ranks, the unused spare-group communicator).
+    /// Replaced whenever a transition moves state, so borrow it per use.
     pub fn comm(&self) -> &Comm {
         &self.comm
     }
@@ -405,36 +466,17 @@ impl Session {
     }
 
     fn w(&self) -> &DistWorker {
-        self.worker.as_ref().unwrap_or_else(|| {
-            panic!(
-                "world rank {} is a spare (active_p = {}): only Session::resize, \
-                 loss/stored_loss, and the accessors are valid on spare ranks",
-                self.world.rank(),
-                self.active_p
-            )
-        })
-    }
-
-    fn w_mut(&mut self) -> &mut DistWorker {
-        let (rank, active_p) = (self.world.rank(), self.active_p);
-        self.worker.as_mut().unwrap_or_else(|| {
-            panic!(
-                "world rank {rank} is a spare (active_p = {active_p}): only Session::resize, \
-                 loss/stored_loss, and the accessors are valid on spare ranks"
-            )
-        })
+        active(self.worker.as_ref(), &self.world, self.active_p)
     }
 
     /// Split borrow: the worker together with the active communicator.
     fn w_mut_with_comm(&mut self) -> (&mut DistWorker, &Comm) {
-        let (rank, active_p) = (self.world.rank(), self.active_p);
-        match self.worker.as_mut() {
-            Some(w) => (w, &self.comm),
-            None => panic!(
-                "world rank {rank} is a spare (active_p = {active_p}): only Session::resize, \
-                 loss/stored_loss, and the accessors are valid on spare ranks"
-            ),
-        }
+        let w = active(self.worker.as_mut(), &self.world, self.active_p);
+        (w, &self.comm)
+    }
+
+    fn w_mut(&mut self) -> &mut DistWorker {
+        self.w_mut_with_comm().0
     }
 
     /// The current worker.
@@ -451,15 +493,30 @@ impl Session {
         self.w_mut()
     }
 
-    /// The plan currently in force (changes when a replan migrates or a
-    /// resize re-plans).
+    /// The plan currently in force, as last installed (by construction,
+    /// a replan — including an elision-only retune — a migration or a
+    /// resize). Its `elision` is the one fused calls use.
     pub fn plan(&self) -> KernelPlan {
-        self.w().plan()
+        self.plan
     }
 
     /// The elision strategy used for fused calls.
     pub fn elision(&self) -> Elision {
-        self.elision
+        self.plan.elision
+    }
+
+    /// The reduction group for per-row dot products of `A`-shaped
+    /// iterates under the plan in force: the ranks that split this
+    /// rank's iterate rows (size 1 when rows are whole). Replaced
+    /// whenever a transition moves state, so borrow it per use.
+    pub fn row_group_a(&self) -> &Comm {
+        &active(self.row_groups.as_ref(), &self.world, self.active_p).0
+    }
+
+    /// The reduction group for per-row dot products of `B`-shaped
+    /// iterates (see [`Session::row_group_a`]).
+    pub fn row_group_b(&self) -> &Comm {
+        &active(self.row_groups.as_ref(), &self.world, self.active_p).1
     }
 
     /// Fused calls issued so far (the iteration cadence the replan log
@@ -468,18 +525,21 @@ impl Session {
         self.calls
     }
 
-    /// Every [`Session::replan`] decision so far, in order.
+    /// Every transition decision so far, in order: each
+    /// [`Session::replan`] (moving or not), [`Session::migrate`] and
+    /// [`Session::resize`] this rank took part in.
     pub fn replan_log(&self) -> &[ReplanEvent] {
         &self.replan_log
     }
 
-    /// Replan events that actually migrated.
+    /// Logged decisions that actually moved state.
     pub fn migrations(&self) -> usize {
         self.replan_log.iter().filter(|e| e.migrated).count()
     }
 
     /// Snapshot of this rank's per-phase counters (includes
-    /// [`Phase::Migration`] traffic from any migrations so far).
+    /// [`Phase::Migration`] and [`Phase::Resize`] traffic from any
+    /// transitions so far).
     pub fn stats(&self) -> RankStats {
         self.comm.stats_snapshot()
     }
@@ -496,7 +556,7 @@ impl Session {
         if x.is_none() {
             self.maybe_auto_replan();
         }
-        let elision = self.elision;
+        let elision = self.plan.elision;
         self.w_mut().fused_mm_a(x, elision, sampling)
     }
 
@@ -507,7 +567,7 @@ impl Session {
         if y.is_none() {
             self.maybe_auto_replan();
         }
-        let elision = self.elision;
+        let elision = self.plan.elision;
         self.w_mut().fused_mm_b(y, elision, sampling)
     }
 
@@ -583,7 +643,7 @@ impl Session {
 
     /// The squared loss of the *currently stored* R values, without
     /// recomputing the SDDMM — the quantity that must be identical
-    /// across a migration (loss continuity).
+    /// across a transition (loss continuity).
     ///
     /// Collective over the **world**: spare ranks contribute `0.0` and
     /// learn the same value, so lockstep control flow (convergence
@@ -595,7 +655,7 @@ impl Session {
     }
 
     // ------------------------------------------------------------------
-    // Re-planning and migration
+    // Observation and the automatic cadence
     // ------------------------------------------------------------------
 
     /// The globally observed nonzero count: stored R values above the
@@ -664,23 +724,190 @@ impl Session {
         Some(self.replan(&policy))
     }
 
-    /// Re-run the planner against the observed problem and migrate when
-    /// the predicted win clears `policy.hysteresis`. Collective: every
-    /// rank must call with the same policy (decisions are deterministic,
-    /// so all ranks agree). Returns (and logs) the decision.
-    pub fn replan(&mut self, policy: &ReplanPolicy) -> ReplanEvent {
-        let span_start = std::time::Instant::now();
-        let p = self.comm.size();
-        let dims = self.w().dims();
-        let observed_nnz = self.observed_nnz(policy);
-        self.last_planned_nnz = observed_nnz;
-        let candidates = KernelBuilder::for_shape(dims, observed_nnz)
+    // ------------------------------------------------------------------
+    // The transition: choose → move → install
+    // ------------------------------------------------------------------
+
+    /// **Choose**: the predicted-best candidate for `p` ranks at the
+    /// observed nonzero count — the session's only planner call.
+    /// Deterministic, so every rank agrees without communication. `pin`
+    /// restricts the scoreboard to one dense-routed `(algorithm, c)`.
+    fn choose(
+        &self,
+        p: usize,
+        observed_nnz: usize,
+        c_max: usize,
+        pin: Option<(Algorithm, usize)>,
+    ) -> PlannedCandidate {
+        let mut builder = KernelBuilder::for_shape(self.staged.prob.dims, observed_nnz)
             .model(self.model)
-            .max_replication(policy.c_max.min(self.c_max))
-            .plan_candidates(p);
-        assert!(!candidates.is_empty(), "no admissible replan candidate");
-        let best = candidates[0];
-        let from = self.w().plan();
+            .max_replication(c_max);
+        if let Some((algorithm, c)) = pin {
+            builder = builder
+                .algorithm(algorithm)
+                .replication(c)
+                .routing(Routing::Dense);
+        }
+        let candidates = builder.plan_candidates(p);
+        *candidates
+            .first()
+            .unwrap_or_else(|| panic!("no admissible plan for p = {p} (pinned: {pin:?})"))
+    }
+
+    /// **Move** (module docs): build the worker for `to` on the lowest
+    /// `p_new` ranks of `over` and carry the live state onto it from
+    /// the roster in force (`self.plan` on the lowest `self.active_p`
+    /// ranks of `over`), charging the exchange to `phase`. `exported`
+    /// is this rank's [`export_r`](crate::kernel::DistKernel::export_r),
+    /// `has_r` whether *any* rank of `over` stores R values.
+    fn move_state(
+        &self,
+        over: &Comm,
+        phase: Phase,
+        to: &KernelPlan,
+        p_new: usize,
+        exported: Option<CooMatrix>,
+        has_r: bool,
+    ) -> Moved {
+        let span_start = Instant::now();
+        let dims = self.staged.prob.dims;
+        let p_old = self.active_p;
+        let old = PlanView::new(&self.plan, p_old, dims);
+        let new = PlanView::new(to, p_new, dims);
+        let active = over.split_by(|g| u64::from(g >= p_new));
+        let mut worker = (over.rank() < p_new).then(|| {
+            KernelBuilder::from_staged(&self.staged)
+                .model(self.model)
+                .build_planned(&active, to)
+        });
+        // Ranks outside a roster hold the empty layout (and empty R
+        // bounds) on that side ([`PlanView`]): they contribute or
+        // receive nothing but take part in the exchange, so its pattern
+        // stays deterministic.
+        let carry = |op: Operand, local: Option<Mat>| {
+            let _ph = over.phase(phase);
+            repartition_dense(
+                over,
+                &local.unwrap_or_else(|| Mat::zeros(0, 0)),
+                |g| old.layout_of(op, false, g),
+                |g| new.layout_of(op, false, g),
+            )
+        };
+        let a = carry(Operand::A, self.worker.as_ref().map(|w| w.a_iterate()));
+        let b = carry(Operand::B, self.worker.as_ref().map(|w| w.b_iterate()));
+        if let Some(w) = &mut worker {
+            w.set_a(&active, &a);
+            w.set_b(&active, &b);
+        }
+        if has_r {
+            assert!(
+                self.worker.is_none() || exported.is_some(),
+                "active ranks disagree on whether R values are stored"
+            );
+            let _ph = over.phase(phase);
+            let bounds = |view: PlanView| -> Vec<Bounds> {
+                (0..over.size()).map(|g| view.r_bounds_of(g)).collect()
+            };
+            let global = redistribute_r(
+                over,
+                exported.as_ref(),
+                &bounds(old),
+                &bounds(new),
+                dims.m,
+                dims.n,
+            );
+            if let Some(w) = &mut worker {
+                w.import_r(&global);
+            }
+        }
+        let span = match phase {
+            Phase::Resize => "session.resize",
+            _ => "session.migrate",
+        };
+        trace::complete(TraceKind::Session, span, span_start, || {
+            vec![
+                ("to".to_string(), ArgVal::Str(format!("{:?}", to.id))),
+                ("p_old".to_string(), ArgVal::Num(p_old as f64)),
+                ("p_new".to_string(), ArgVal::Num(p_new as f64)),
+            ]
+        });
+        Moved {
+            worker,
+            active,
+            p: p_new,
+        }
+    }
+
+    /// **Install** (module docs): make `to` the plan in force and log
+    /// the decision. Without `moved` state (a stay decision or an
+    /// elision-only retune) only the record changes.
+    fn install(
+        &mut self,
+        moved: Option<Moved>,
+        to: KernelPlan,
+        observed_nnz: usize,
+        predicted_from_s: Option<f64>,
+        predicted_to_s: f64,
+    ) -> ReplanEvent {
+        let dims = self.staged.prob.dims;
+        let from = std::mem::replace(&mut self.plan, to);
+        let migrated = moved.is_some();
+        if let Some(m) = moved {
+            let view = PlanView::new(&to, m.p, dims);
+            self.row_groups = m.worker.is_some().then(|| row_groups(&m.active, view));
+            (self.worker, self.comm, self.active_p) = (m.worker, m.active, m.p);
+        }
+        self.last_planned_nnz = observed_nnz;
+        let event = ReplanEvent {
+            at_call: self.calls,
+            observed_nnz,
+            observed_phi: dims.phi(observed_nnz),
+            from,
+            to,
+            predicted_from_s,
+            predicted_to_s,
+            migrated,
+        };
+        self.replan_log.push(event.clone());
+        event
+    }
+
+    /// Re-run the planner against the observed problem and migrate when
+    /// the predicted win clears `policy.hysteresis`; when the best
+    /// candidate is the kernel already in force, adopt its elision
+    /// without moving data. Collective over the active communicator:
+    /// every active rank must call with the same policy (decisions are
+    /// deterministic, so all ranks agree). Returns (and logs) the
+    /// decision.
+    pub fn replan(&mut self, policy: &ReplanPolicy) -> ReplanEvent {
+        self.replan_pinned(policy, None)
+    }
+
+    /// Explicitly migrate to `algorithm` at replication factor `c`
+    /// (dense-routed) — a replan whose decision is pinned, for tests
+    /// and for applications that schedule migrations themselves.
+    /// Collective over the active communicator; preserves iterates, R
+    /// values, and loss.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the family cannot realize `c` on the active roster
+    /// or does not admit the algorithm's elision.
+    pub fn migrate(&mut self, algorithm: Algorithm, c: usize) {
+        self.replan_pinned(&ReplanPolicy::default(), Some((algorithm, c)));
+    }
+
+    /// [`Session::replan`], or with `pin` [`Session::migrate`]: the
+    /// pinned candidate is the only one scored and always moves.
+    fn replan_pinned(
+        &mut self,
+        policy: &ReplanPolicy,
+        pin: Option<(Algorithm, usize)>,
+    ) -> ReplanEvent {
+        let span_start = Instant::now();
+        let observed_nnz = self.observed_nnz(policy);
+        let (p, dims, from) = (self.active_p, self.staged.prob.dims, self.plan);
+        let best = self.choose(p, observed_nnz, policy.c_max.min(self.c_max), pin);
         let predicted_from_s = from.algorithm().and_then(|alg| {
             let comm_s = theory::predicted_comm_time_for(
                 &self.model,
@@ -696,43 +923,26 @@ impl Session {
         let predicted_to_s = best.predicted_total_s();
         let same_kernel = from.id == KernelId::Family(best.algorithm.family) && from.c == best.c;
         let win = predicted_from_s.map_or(f64::INFINITY, |f| f / predicted_to_s);
-        let migrate = !same_kernel && win >= policy.hysteresis;
-        let to = if migrate {
-            let plan = KernelPlan {
-                id: KernelId::Family(best.algorithm.family),
-                c: best.c,
-                elision: best.algorithm.elision,
-                routing: best.routing,
-                predicted_comm_s: Some(best.predicted_comm_s),
-            };
-            self.migrate_to(&plan);
-            plan
-        } else if same_kernel && from.elision != best.algorithm.elision {
-            // Same kernel, better elision: retune without moving data.
-            self.elision = best.algorithm.elision;
-            KernelPlan {
-                elision: best.algorithm.elision,
-                ..from
-            }
+        let mut to = from;
+        let moved = if pin.is_some() || (!same_kernel && win >= policy.hysteresis) {
+            to = best.plan();
+            // Over the active communicator every rank knows locally
+            // whether R is stored.
+            let exported = self.w().export_r();
+            let has_r = exported.is_some();
+            Some(self.move_state(&self.comm, Phase::Migration, &to, p, exported, has_r))
         } else {
-            from
+            if same_kernel {
+                to.elision = best.algorithm.elision;
+            }
+            None
         };
-        let event = ReplanEvent {
-            at_call: self.calls,
-            observed_nnz,
-            observed_phi: dims.phi(observed_nnz),
-            from,
-            to,
-            predicted_from_s,
-            predicted_to_s,
-            migrated: migrate,
-        };
-        self.replan_log.push(event.clone());
+        let event = self.install(moved, to, observed_nnz, predicted_from_s, predicted_to_s);
         trace::complete(TraceKind::Session, "session.replan", span_start, || {
             vec![
                 (
                     "migrated".to_string(),
-                    ArgVal::Num(u8::from(migrate) as f64),
+                    ArgVal::Num(u8::from(event.migrated) as f64),
                 ),
                 ("to".to_string(), ArgVal::Str(format!("{:?}", event.to.id))),
             ]
@@ -740,375 +950,64 @@ impl Session {
         event
     }
 
-    /// Explicitly migrate to `algorithm` at replication factor `c` —
-    /// the mechanism [`Session::replan`] drives, exposed for tests and
-    /// for applications that schedule migrations themselves.
-    /// Collective; preserves iterates, R values, and loss.
-    pub fn migrate(&mut self, algorithm: Algorithm, c: usize) {
-        let from = self.w().plan();
-        let plan = KernelPlan {
-            id: KernelId::Family(algorithm.family),
-            c,
-            elision: algorithm.elision,
-            routing: Routing::Dense,
-            predicted_comm_s: None,
-        };
-        // Observe before moving state so the logged event carries the
-        // same post-pruning nonzero count a replan would have seen.
-        let observed_nnz = self.observed_nnz(&ReplanPolicy::default());
-        self.last_planned_nnz = observed_nnz;
-        self.migrate_to(&plan);
-        let dims = self.w().dims();
-        self.replan_log.push(ReplanEvent {
-            at_call: self.calls,
-            observed_nnz,
-            observed_phi: dims.phi(observed_nnz),
-            from,
-            to: plan,
-            predicted_from_s: None,
-            predicted_to_s: 0.0,
-            migrated: true,
-        });
-    }
-
-    /// Build the new worker and move live state across. The explicit
-    /// migration traffic (iterate layout conversion, R redistribution)
-    /// is charged to [`Phase::Migration`]; installing the iterates
-    /// additionally pays the new kernel's usual `set_a`/`set_b`
-    /// distribution shift under [`Phase::OutsideComm`].
-    ///
-    /// The R redistribution is **owner-targeted**: each exported
-    /// global-coordinate triplet travels only to the ranks whose
-    /// destination pattern bounds
-    /// ([`DistKernel::r_pattern_bounds_of`](crate::kernel::DistKernel::r_pattern_bounds_of))
-    /// contain it — a [`Comm::sparse_alltoallv`] of `O(c·nnz)` words
-    /// total (`c` = how many ranks replicate each destination block)
-    /// that also skips every peer pair whose old/new pattern bounds
-    /// don't intersect, instead of the `O(p·nnz)` allgather this used
-    /// to be.
-    fn migrate_to(&mut self, plan: &KernelPlan) {
-        let span_start = std::time::Instant::now();
-        let mut new_worker = KernelBuilder::from_staged(&self.staged)
-            .model(self.model)
-            .build_planned(&self.comm, plan);
-        let exported = self.w().export_r();
-        let (a_new, b_new) = {
-            let _ph = self.comm.phase(Phase::Migration);
-            let old = self.w().kernel();
-            let new = new_worker.kernel();
-            let a = old.a_iterate();
-            let b = old.b_iterate();
-            let a_new = repartition_dense(
-                &self.comm,
-                &a,
-                |g| old.a_iterate_layout_of(g),
-                |g| new.a_iterate_layout_of(g),
-            );
-            let b_new = repartition_dense(
-                &self.comm,
-                &b,
-                |g| old.b_iterate_layout_of(g),
-                |g| new.b_iterate_layout_of(g),
-            );
-            (a_new, b_new)
-        };
-        new_worker.set_a(&self.comm, &a_new);
-        new_worker.set_b(&self.comm, &b_new);
-        if let Some(local) = exported {
-            let _ph = self.comm.phase(Phase::Migration);
-            let p = self.comm.size();
-            let (old_bounds, new_bounds) = {
-                let old_k = self.w().kernel();
-                let new_k = new_worker.kernel();
-                let ob: Vec<_> = (0..p).map(|g| old_k.r_pattern_bounds_of(g)).collect();
-                let nb: Vec<_> = (0..p).map(|g| new_k.r_pattern_bounds_of(g)).collect();
-                (ob, nb)
-            };
-            let dims = new_worker.dims();
-            let global = redistribute_r(
-                &self.comm,
-                Some(&local),
-                &old_bounds,
-                &new_bounds,
-                dims.m,
-                dims.n,
-            );
-            new_worker.import_r(&global);
-        }
-        self.worker = Some(new_worker);
-        // The fused-call elision must remain valid on the new kernel;
-        // fall back to the plan's recommendation when it is not.
-        if !self.w().supports(self.elision) {
-            self.elision = plan.elision;
-        } else if self.elision != plan.elision && self.w().supports(plan.elision) {
-            // Prefer the planner's recommendation after a migration —
-            // the old override was tuned for the old family.
-            self.elision = plan.elision;
-        }
-        trace::complete(TraceKind::Session, "session.migrate", span_start, || {
-            vec![("to".to_string(), ArgVal::Str(format!("{:?}", plan.id)))]
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Elastic resize
-    // ------------------------------------------------------------------
-
     /// Re-plan and redistribute the session onto `p_new` active ranks —
-    /// the elastic-fleet primitive: live migration (which preserves the
-    /// loss across a *family* change at fixed `p`) composed with a
-    /// *process-count* change. Grow activates spare ranks, shrink
-    /// retires the highest active ranks; active membership is always
-    /// world ranks `0..p_new`.
+    /// the elastic-fleet primitive: the transition of a migration,
+    /// across a *process-count* change. Grow activates spare ranks,
+    /// shrink retires the highest active ranks; active membership is
+    /// always world ranks `0..p_new`.
     ///
     /// Collective over the **world** communicator: every pool rank —
     /// active or spare — must call with the same `p_new`. The planner
-    /// re-runs [`KernelBuilder::plan_candidates`] at `p_new` against the
-    /// observed nonzero count and installs the predicted-best
-    /// (algorithm, c, routing) for the new world, so growing does not
-    /// merely stretch the old grid — it may well land on a different
-    /// family. Live A/B iterates move with
-    /// [`repartition_dense`] between the two worlds' [`PlanView`]
-    /// layouts and stored R values with an owner-targeted
-    /// `sparse_alltoallv`, all over the world communicator and charged
-    /// to [`Phase::Resize`] — [`Phase::Migration`] keeps meaning
-    /// "family change at fixed `p`", and neither touches the modeled
-    /// per-kernel metrics the bench baseline records. The stored loss
-    /// is bit-identical before and after (resize moves every R value
-    /// exactly once and sums are over the same entries).
-    ///
-    /// Ranks that were never active (no old worker) learn the outgoing
-    /// plan's grid from a world broadcast rooted at rank 0, which is
-    /// active in every roster. Returns the plan now in force;
-    /// previously-active ranks also log a migrated [`ReplanEvent`].
+    /// scores `p_new` ranks against the observed nonzero count, so
+    /// growing does not merely stretch the old grid — it may well land
+    /// on a different family. State moves over the world, charged to
+    /// [`Phase::Resize`] — [`Phase::Migration`] keeps meaning "family
+    /// change at fixed `p`", and neither touches the modeled per-kernel
+    /// metrics the bench baseline records. The stored loss is
+    /// bit-identical before and after (every R value moves exactly once
+    /// and sums are over the same entries). Returns the plan now in
+    /// force; every rank logs the decision.
     ///
     /// # Panics
     ///
     /// Panics when `p_new` is 0 or exceeds the world size.
     pub fn resize(&mut self, p_new: usize) -> KernelPlan {
-        let span_start = std::time::Instant::now();
         assert!(
             (1..=self.world.size()).contains(&p_new),
             "resize({p_new}) must be within 1..={}",
             self.world.size()
         );
-        let dims = self.staged.prob.dims;
-        let old_p = self.active_p;
-        let from = self.worker.as_ref().map(|w| w.plan());
         let exported = self.worker.as_ref().and_then(|w| w.export_r());
-
-        // World-agreed observation: does any rank store R values, and
-        // the post-pruning global nonzero count if so (spares
-        // contribute zeros). One 2-word all-reduce.
         let (has_r, observed_nnz) = {
             let _ph = self.world.phase(Phase::Resize);
+            // World-agreed observation: does any rank store R values,
+            // and the post-pruning global nonzero count if so (spares
+            // contribute zeros). One 2-word all-reduce.
             let mut buf = [0.0, 0.0];
             if let Some(local) = &exported {
-                buf[0] = 1.0;
-                buf[1] = local.vals.iter().filter(|v| v.abs() > 0.0).count() as f64;
+                buf = [
+                    1.0,
+                    local.vals.iter().filter(|v| v.abs() > 0.0).count() as f64,
+                ];
             }
             self.world.allreduce_sum(&mut buf);
-            let has_r = buf[0] > 0.0;
-            let observed = if has_r {
-                buf[1].round() as usize
+            // Spares miss active-only replans, so their record of the
+            // plan in force may be stale: world rank 0 — active in
+            // every roster — broadcasts its own.
+            let mine = (self.world.rank() == 0).then_some(self.plan);
+            self.plan = self.world.broadcast(0, mine);
+            if buf[0] > 0.0 {
+                (true, buf[1].round() as usize)
             } else {
-                self.staged.prob.nnz()
-            };
-            (has_r, observed)
-        };
-        self.last_planned_nnz = observed_nnz;
-
-        // Every rank needs the *old* plan's grid to compute the source
-        // side of the redistribution, but spares may never have held it
-        // (active-only replans change the plan without them). World
-        // rank 0 — active in every roster — broadcasts the identity.
-        let old_ident = {
-            let _ph = self.world.phase(Phase::Resize);
-            let mine = from.map(|f| {
-                let code = match f.id {
-                    KernelId::Baseline1D => u64::MAX,
-                    KernelId::Family(fam) => AlgorithmFamily::ALL
-                        .iter()
-                        .position(|x| *x == fam)
-                        .expect("every family is in ALL")
-                        as u64,
-                };
-                vec![code, f.c as u64]
-            });
-            self.world.broadcast(0, mine)
-        };
-        // Only (id, c) matter for a PlanView; the rest are placeholders.
-        let old_plan = KernelPlan {
-            id: if old_ident[0] == u64::MAX {
-                KernelId::Baseline1D
-            } else {
-                KernelId::Family(AlgorithmFamily::ALL[old_ident[0] as usize])
-            },
-            c: old_ident[1] as usize,
-            elision: Elision::None,
-            routing: Routing::Dense,
-            predicted_comm_s: None,
-        };
-
-        // Plan for the new world. Deterministic, so every rank agrees.
-        let candidates = KernelBuilder::for_shape(dims, observed_nnz)
-            .model(self.model)
-            .max_replication(self.c_max)
-            .plan_candidates(p_new);
-        assert!(!candidates.is_empty(), "no admissible plan for p = {p_new}");
-        let best = candidates[0];
-        let new_plan = KernelPlan {
-            id: KernelId::Family(best.algorithm.family),
-            c: best.c,
-            elision: best.algorithm.elision,
-            routing: best.routing,
-            predicted_comm_s: Some(best.predicted_comm_s),
-        };
-
-        // The new roster and its worker. Building it exchanges sparsity
-        // patterns and tunes microkernels among the *new* actives only;
-        // that traffic lands in its usual phases, exactly as a fresh
-        // construction would charge it.
-        let new_active = self.world.split_by(|r| u64::from(r >= p_new));
-        let mut new_worker = (self.world.rank() < p_new).then(|| {
-            KernelBuilder::from_staged(&self.staged)
-                .model(self.model)
-                .build_planned(&new_active, &new_plan)
-        });
-
-        // Redistribute the live iterates between the two worlds' grids.
-        // Ranks outside a roster hold the empty layout on that side:
-        // they contribute or receive nothing, but participate in the
-        // world-wide exchange so the pattern stays deterministic.
-        let old_view = PlanView::new(&old_plan, old_p, dims);
-        let new_view = PlanView::new(&new_plan, p_new, dims);
-        let (a_new, b_new) = {
-            let _ph = self.world.phase(Phase::Resize);
-            let empty = Mat::zeros(0, 0);
-            let a = self
-                .worker
-                .as_ref()
-                .map_or(empty.clone(), |w| w.a_iterate());
-            let b = self.worker.as_ref().map_or(empty, |w| w.b_iterate());
-            let a_new = repartition_dense(
-                &self.world,
-                &a,
-                |g| {
-                    if g < old_p {
-                        old_view.a_layout_of(g)
-                    } else {
-                        empty_layout()
-                    }
-                },
-                |g| {
-                    if g < p_new {
-                        new_view.a_layout_of(g)
-                    } else {
-                        empty_layout()
-                    }
-                },
-            );
-            let b_new = repartition_dense(
-                &self.world,
-                &b,
-                |g| {
-                    if g < old_p {
-                        old_view.b_layout_of(g)
-                    } else {
-                        empty_layout()
-                    }
-                },
-                |g| {
-                    if g < p_new {
-                        new_view.b_layout_of(g)
-                    } else {
-                        empty_layout()
-                    }
-                },
-            );
-            (a_new, b_new)
-        };
-        if let Some(w) = &mut new_worker {
-            // Installing the iterates pays the new kernel's usual
-            // distribution shift, charged to Phase::OutsideComm as any
-            // set_a/set_b would be.
-            w.set_a(&new_active, &a_new);
-            w.set_b(&new_active, &b_new);
-        }
-
-        // Redistribute stored R values, owner-targeted over the world.
-        if has_r {
-            assert!(
-                from.is_none() || exported.is_some(),
-                "active ranks disagree on whether R values are stored"
-            );
-            let _ph = self.world.phase(Phase::Resize);
-            let p = self.world.size();
-            let old_bounds: Vec<_> = (0..p)
-                .map(|g| {
-                    if g < old_p {
-                        old_view.r_bounds_of(g)
-                    } else {
-                        empty_bounds()
-                    }
-                })
-                .collect();
-            let new_bounds: Vec<_> = (0..p)
-                .map(|g| {
-                    if g < p_new {
-                        new_view.r_bounds_of(g)
-                    } else {
-                        empty_bounds()
-                    }
-                })
-                .collect();
-            let global = redistribute_r(
-                &self.world,
-                exported.as_ref(),
-                &old_bounds,
-                &new_bounds,
-                dims.m,
-                dims.n,
-            );
-            if let Some(w) = &mut new_worker {
-                w.import_r(&global);
+                (false, self.staged.prob.nnz())
             }
-        }
-
-        self.worker = new_worker;
-        self.comm = new_active;
-        self.active_p = p_new;
-        match &self.worker {
-            Some(w) => {
-                if !w.supports(self.elision)
-                    || (self.elision != new_plan.elision && w.supports(new_plan.elision))
-                {
-                    self.elision = new_plan.elision;
-                }
-            }
-            // Retired ranks adopt the plan's recommendation so a later
-            // grow re-activates them in a deterministic state.
-            None => self.elision = new_plan.elision,
-        }
-        if let Some(from) = from {
-            self.replan_log.push(ReplanEvent {
-                at_call: self.calls,
-                observed_nnz,
-                observed_phi: dims.phi(observed_nnz),
-                from,
-                to: new_plan,
-                predicted_from_s: None,
-                predicted_to_s: best.predicted_total_s(),
-                migrated: true,
-            });
-        }
-        trace::complete(TraceKind::Session, "session.resize", span_start, || {
-            vec![
-                ("p_old".to_string(), ArgVal::Num(old_p as f64)),
-                ("p_new".to_string(), ArgVal::Num(p_new as f64)),
-            ]
-        });
-        new_plan
+        };
+        let best = self.choose(p_new, observed_nnz, self.c_max, None);
+        let to = best.plan();
+        let moved = self.move_state(&self.world, Phase::Resize, &to, p_new, exported, has_r);
+        let predicted_to_s = best.predicted_total_s();
+        self.install(Some(moved), to, observed_nnz, None, predicted_to_s)
+            .to
     }
 }
 
@@ -1259,5 +1158,55 @@ mod tests {
         });
         let total: u64 = out.iter().map(|o| o.value).sum();
         assert!(total > 0, "migration must move words in its own phase");
+    }
+
+    #[test]
+    fn plan_records_the_elision_fused_calls_use() {
+        let prob = Arc::new(GlobalProblem::erdos_renyi(32, 32, 8, 4, 7005));
+        // A builder override lands in the one stored plan.
+        let pr = Arc::clone(&prob);
+        let out = world(8).run(move |comm| {
+            let s = Session::builder_arc(Arc::clone(&pr))
+                .family(AlgorithmFamily::DenseShift15)
+                .replication(2)
+                .elision(Elision::None)
+                .build(comm);
+            (s.plan().elision, s.elision())
+        });
+        for o in &out {
+            assert_eq!(o.value, (Elision::None, Elision::None));
+        }
+        // Elision-only retune: an auto-planned session overridden to no
+        // elision stays on its kernel at the first replan and adopts
+        // the planner's elision — in the record and in the fused calls.
+        let out = world(8).run(move |comm| {
+            let mut s = Session::builder_arc(Arc::clone(&prob))
+                .elision(Elision::None)
+                .build(comm);
+            let ev = s.replan(&ReplanPolicy::default());
+            (ev, s.plan(), s.elision())
+        });
+        for o in &out {
+            let (ev, plan, elision) = &o.value;
+            assert!(!ev.migrated, "a retune moves no data");
+            assert_eq!(ev.from.elision, Elision::None, "the override was in force");
+            assert_ne!(ev.to.elision, Elision::None, "the planner's pick elides");
+            assert_eq!(ev.to, *plan, "the logged plan is the stored plan");
+            assert_eq!(plan.elision, *elision);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is a spare")]
+    fn kernel_calls_on_a_spare_rank_panic() {
+        let prob = Arc::new(GlobalProblem::erdos_renyi(24, 24, 6, 3, 7006));
+        world(3).run(move |comm| {
+            let mut s = Session::builder_arc(Arc::clone(&prob))
+                .active_ranks(2)
+                .build(comm);
+            if !s.is_active() {
+                let _ = s.fused_mm_b(None, Sampling::Values);
+            }
+        });
     }
 }

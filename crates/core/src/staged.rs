@@ -6,15 +6,15 @@
 //! matrix would cost `O(p·nnz)` at staging time — negligible for tests,
 //! prohibitive for 256-rank benchmark runs. A [`StagedProblem`] is
 //! shared (via `Arc`) by all ranks of a world; the first rank to request
-//! a given partition geometry computes it once and every other rank
-//! reuses it. Staging happens in the `Setup` phase, so none of this
-//! affects measured communication.
+//! a given partition geometry computes it — exactly once, even when all
+//! ranks ask at the same instant — and every other rank reuses it.
+//! Staging happens in the `Setup` phase, so none of this affects
+//! measured communication.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
-
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use dsk_comm::RowSet;
 use dsk_sparse::partition::partition_by_ranges;
@@ -48,14 +48,35 @@ pub struct PlanPatterns {
     pub secondary: Option<Vec<Vec<RowSet>>>,
 }
 
+/// A per-key compute-once cache. The map lock is held only to fetch
+/// the key's cell, so other keys stay unblocked while one computes;
+/// threads asking for the same key wait on its cell and share the one
+/// result — the `p` rank threads of an in-memory world compute each
+/// geometry once, not `p` times.
+struct OnceMap<K, V>(Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>);
+
+impl<K: Eq + Hash, V> OnceMap<K, V> {
+    fn new() -> Self {
+        OnceMap(Mutex::new(HashMap::new()))
+    }
+
+    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
+        let cell = {
+            let mut map = self.0.lock().expect("nothing panics under the map lock");
+            Arc::clone(map.entry(key).or_default())
+        };
+        Arc::clone(cell.get_or_init(|| Arc::new(compute())))
+    }
+}
+
 /// A global problem plus memoized sparse-matrix partitions, shared by
 /// all ranks of a simulated world.
 pub struct StagedProblem {
     /// The underlying global problem.
     pub prob: Arc<GlobalProblem>,
     transpose: OnceLock<CooMatrix>,
-    partitions: Mutex<HashMap<Key, Arc<Grid>>>,
-    patterns: Mutex<HashMap<PatternKey, Arc<PlanPatterns>>>,
+    partitions: OnceMap<Key, Grid>,
+    patterns: OnceMap<PatternKey, PlanPatterns>,
     tuning: dsk_kernels::LocalTuning,
 }
 
@@ -65,8 +86,8 @@ impl StagedProblem {
         StagedProblem {
             prob,
             transpose: OnceLock::new(),
-            partitions: Mutex::new(HashMap::new()),
-            patterns: Mutex::new(HashMap::new()),
+            partitions: OnceMap::new(),
+            patterns: OnceMap::new(),
             tuning: dsk_kernels::LocalTuning::new(),
         }
     }
@@ -104,23 +125,14 @@ impl StagedProblem {
             row_ranges.iter().map(|r| r.start).collect(),
             col_ranges.iter().map(|r| r.start).collect(),
         );
-        if let Some(hit) = self.partitions.lock().unwrap().get(&key) {
-            return Arc::clone(hit);
-        }
-        // Compute outside the lock (other geometries stay unblocked);
-        // a racing duplicate computation is harmless — last one wins.
-        let src = if transposed {
-            self.s_transposed()
-        } else {
-            &self.prob.s
-        };
-        let grid = Arc::new(partition_by_ranges(src, row_ranges, col_ranges));
-        self.partitions
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&grid))
-            .clone()
+        self.partitions.get_or_compute(key, || {
+            let src = if transposed {
+                self.s_transposed()
+            } else {
+                &self.prob.s
+            };
+            partition_by_ranges(src, row_ranges, col_ranges)
+        })
     }
 
     /// The pattern-routing need sets for a `(family, p, c)` plan,
@@ -133,18 +145,7 @@ impl StagedProblem {
         c: usize,
         derive: impl FnOnce() -> PlanPatterns,
     ) -> Arc<PlanPatterns> {
-        let key: PatternKey = (family, p, c);
-        if let Some(hit) = self.patterns.lock().unwrap().get(&key) {
-            return Arc::clone(hit);
-        }
-        // Compute outside the lock, same idiom as `partition`.
-        let pats = Arc::new(derive());
-        self.patterns
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&pats))
-            .clone()
+        self.patterns.get_or_compute((family, p, c), derive)
     }
 }
 
@@ -176,6 +177,53 @@ mod tests {
         let total: usize = g.iter().flatten().map(CooMatrix::nnz).sum();
         assert_eq!(total, prob.nnz());
         assert_eq!(g[0][0].nrows, 20);
+    }
+
+    #[test]
+    fn concurrent_requests_compute_each_key_once_without_blocking_other_keys() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc::channel;
+        use std::sync::Barrier;
+        use std::time::Duration;
+
+        let map: OnceMap<u32, u32> = OnceMap::new();
+        let (computed, arrived) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let barrier = Barrier::new(4);
+        let (release, gate) = channel::<()>();
+        let gate = Mutex::new(gate);
+        std::thread::scope(|scope| {
+            let same_key: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        map.get_or_compute(1, || {
+                            computed.fetch_add(1, Ordering::SeqCst);
+                            // Hold key 1 mid-computation until key 2 has
+                            // been served (and all four threads are in).
+                            gate.lock()
+                                .unwrap()
+                                .recv_timeout(Duration::from_secs(30))
+                                .expect("key 2 was blocked behind key 1");
+                            11
+                        })
+                    })
+                })
+                .collect();
+            while arrived.load(Ordering::SeqCst) < 4 {
+                std::thread::yield_now();
+            }
+            // A second key requested meanwhile is served at once.
+            assert_eq!(*map.get_or_compute(2, || 22), 22);
+            release.send(()).unwrap();
+            let got: Vec<Arc<u32>> = same_key.into_iter().map(|h| h.join().unwrap()).collect();
+            assert!(got.iter().all(|g| **g == 11 && Arc::ptr_eq(g, &got[0])));
+        });
+        assert_eq!(
+            computed.load(Ordering::SeqCst),
+            1,
+            "one computation per key"
+        );
     }
 
     #[test]

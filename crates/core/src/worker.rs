@@ -97,8 +97,10 @@ impl DistWorker {
         self.plan.c
     }
 
-    /// The plan this worker was built from (including the recommended
-    /// elision for fused calls).
+    /// The plan this worker was built from (including the planner's
+    /// recommended elision). A [`Session`](crate::session::Session)
+    /// keeps its own record of the plan in force, whose elision may
+    /// have been overridden or retuned since.
     pub fn plan(&self) -> KernelPlan {
         self.plan
     }

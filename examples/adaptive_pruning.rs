@@ -99,7 +99,7 @@ fn main() {
         let loss_before_replan = engine.session().stored_loss();
 
         // Re-plan against the observed (pruned) problem.
-        let event = engine.replan(&policy);
+        let event = engine.session_mut().replan(&policy);
         let loss_after_replan = engine.session().stored_loss();
 
         // Sweep 2 continues on whatever family the session now runs.

@@ -151,7 +151,7 @@ fn als_with_midrun_migration_matches_static_run() {
         // cross-family migration of the live factors.
         eng.session_mut().loss();
         eng.session_mut().map_r(&mut |_| 0.0);
-        let ev = eng.replan(&ReplanPolicy {
+        let ev = eng.session_mut().replan(&ReplanPolicy {
             hysteresis: 1.0,
             ..ReplanPolicy::default()
         });
@@ -300,5 +300,86 @@ fn replan_log_records_stay_decisions() {
         assert!(!o.value.0 && !o.value.1);
         assert_eq!(o.value.2, 2, "every decision is logged");
         assert_eq!(o.value.3, 0);
+    }
+}
+
+/// The session is the only owner of plan-dependent state: an
+/// `AppEngine` over a session that migrates *itself* (automatic
+/// cadence, driven through `session_mut()`) reduces its row dots over
+/// the new family's row-sharing groups.
+#[test]
+fn self_migration_under_an_engine_updates_row_sharing_groups() {
+    use distributed_sparse_kernels::core::Sampling;
+    let prob = Arc::new(GlobalProblem::erdos_renyi(64, 64, 8, 16, 8006));
+    let a_global = prob.a.clone();
+    let world = SimWorld::new(8, MachineModel::bandwidth_only());
+    let out = world.run(move |comm| {
+        let policy = ReplanPolicy {
+            hysteresis: 1.05,
+            ..ReplanPolicy::every_n_calls(2)
+        };
+        let mut eng = AppEngine::new(
+            Session::builder_arc(Arc::clone(&prob))
+                .family(AlgorithmFamily::DenseShift15)
+                .replication(2)
+                .auto_replan(policy)
+                .build(comm),
+        );
+        let share_before = eng.row_share_a();
+        // Prune everything, then drive stored-operand fused calls until
+        // the session's own cadence migrates it across the Fig. 6
+        // boundary — the engine is never told.
+        eng.session_mut().worker_mut().sddmm();
+        eng.session_mut().map_r(&mut |_| 0.0);
+        for _ in 0..2 {
+            let _ = eng.session_mut().fused_mm_b(None, Sampling::Values);
+        }
+        let view = eng.session().worker().view();
+        let me = eng.comm().rank();
+        let group = (0..eng.comm().size())
+            .filter(|&g| view.row_group_a(g) == view.row_group_a(me))
+            .count();
+        let x = eng.a_iterate();
+        let dots = eng.row_dots_a(&x, &x);
+        let rows: Vec<usize> = view
+            .a_layout_of(me)
+            .row_ranges
+            .iter()
+            .flat_map(|r| r.clone())
+            .collect();
+        (
+            share_before,
+            eng.session().migrations(),
+            eng.session().plan().id.family(),
+            eng.row_share_a(),
+            group,
+            (rows, dots),
+        )
+    });
+    let serial: Vec<f64> = (0..a_global.nrows())
+        .map(|i| row_dot(&a_global, i, &a_global, i))
+        .collect();
+    for o in &out {
+        let (before, migrations, family, share, group, (rows, dots)) = &o.value;
+        assert_eq!(*before, 1, "ds15 rows are whole");
+        assert_eq!(*migrations, 1, "the cadence point must migrate");
+        assert!(
+            matches!(
+                family,
+                Some(AlgorithmFamily::SparseShift15) | Some(AlgorithmFamily::SparseRepl25)
+            ),
+            "observed φ ≈ 0 must land on a row-sharing family, got {family:?}"
+        );
+        assert!(*share > 1, "{family:?} splits iterate rows across ranks");
+        assert_eq!(share, group, "rank {}: stale row-sharing group", o.rank);
+        assert_eq!(rows.len(), dots.len());
+        for (i, d) in rows.iter().zip(dots) {
+            assert!(
+                (d - serial[*i]).abs() <= 1e-9 * serial[*i].max(1.0),
+                "rank {} row {i}: row dot {d} vs serial {}",
+                o.rank,
+                serial[*i]
+            );
+        }
     }
 }

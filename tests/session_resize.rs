@@ -14,7 +14,8 @@ use std::sync::Arc;
 
 use distributed_sparse_kernels::comm::{BackendKind, MachineModel, Phase, SimWorld};
 use distributed_sparse_kernels::core::session::Session;
-use distributed_sparse_kernels::core::{AlgorithmFamily, GlobalProblem, Sampling};
+use distributed_sparse_kernels::core::theory::Algorithm;
+use distributed_sparse_kernels::core::{AlgorithmFamily, Elision, GlobalProblem, Sampling};
 
 const WORLD: usize = 6;
 
@@ -229,8 +230,9 @@ fn shrink_then_regrow_round_trips_spare_state() {
 }
 
 /// A resize lands in `Phase::Resize` only — the migration bucket (a
-/// family change at fixed `p`) stays untouched, so bench breakdowns
-/// keep the two stories separate.
+/// family change at fixed `p`) stays untouched — and, conversely, a
+/// migration in the same session lands in `Phase::Migration` only, so
+/// bench breakdowns keep the two stories separate.
 #[test]
 fn resize_traffic_never_leaks_into_migration_bucket() {
     let prob = Arc::new(GlobalProblem::erdos_renyi(48, 48, 6, 4, 9505));
@@ -242,18 +244,35 @@ fn resize_traffic_never_leaks_into_migration_bucket() {
         if s.is_active() {
             s.worker_mut().sddmm();
         }
-        let mig_before = s.stats().phase(Phase::Migration).words_sent;
+        let words = |s: &Session, phase| s.stats().phase(phase).words_sent;
+        let mig_before = words(&s, Phase::Migration);
         s.resize(6);
+        let resize_leak = words(&s, Phase::Migration) - mig_before;
+        let resize_words = words(&s, Phase::Resize);
+        // Everyone is active now: migrate to the other 1.5D family.
+        let target = match s.plan().id.family() {
+            Some(AlgorithmFamily::DenseShift15) => AlgorithmFamily::SparseShift15,
+            _ => AlgorithmFamily::DenseShift15,
+        };
+        let mig_before = words(&s, Phase::Migration);
+        s.migrate(Algorithm::new(target, Elision::ReplicationReuse), 2);
         (
-            s.stats().phase(Phase::Migration).words_sent - mig_before,
-            s.stats().phase(Phase::Resize).words_sent,
+            resize_leak,
+            resize_words,
+            words(&s, Phase::Resize) - resize_words,
+            words(&s, Phase::Migration) - mig_before,
         )
     });
     for o in &out {
         assert_eq!(o.value.0, 0, "rank {}: migration bucket leaked", o.rank);
+        assert_eq!(o.value.2, 0, "rank {}: resize bucket leaked", o.rank);
     }
     assert!(
         out.iter().map(|o| o.value.1).sum::<u64>() > 0,
         "resize words must be accounted"
+    );
+    assert!(
+        out.iter().map(|o| o.value.3).sum::<u64>() > 0,
+        "migration words must be accounted"
     );
 }
