@@ -30,6 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::model::MachineModel;
+use crate::pool::BufferPool;
 use crate::transport::{Mailbox, MsgKey};
 
 /// A message in backend representation.
@@ -103,6 +104,17 @@ pub trait CommBackend: Send + Sync {
     fn frame_overhead(&self) -> u64 {
         0
     }
+
+    /// An empty buffer to encode a message of about `capacity` bytes
+    /// into. Serializing backends serve large requests from their
+    /// [`BufferPool`]; the default is a fresh allocation.
+    fn buffer(&self, capacity: usize) -> Vec<u8> {
+        Vec::with_capacity(capacity)
+    }
+
+    /// Hand back the byte buffer of a [`Parcel::Bytes`] once its value
+    /// has been decoded, for the backend to reuse. The default drops it.
+    fn recycle(&self, _buf: Vec<u8>) {}
 
     /// Transport-failure hook: mark the backend failed so every blocked
     /// and future receive panics with `msg` immediately instead of
@@ -183,6 +195,9 @@ impl CommBackend for InProcBackend {
 pub struct WireBackend {
     mailbox: Mailbox<Timed>,
     delay: Option<MachineModel>,
+    /// Encode buffers, shared by every rank of the world: the sender
+    /// takes one, the receiver returns it after decoding.
+    pool: BufferPool,
 }
 
 /// A parcel stamped with its earliest delivery instant (wire-delay
@@ -204,6 +219,7 @@ impl WireBackend {
         Arc::new(WireBackend {
             mailbox: Mailbox::new(nranks, recv_timeout),
             delay: None,
+            pool: BufferPool::new(),
         })
     }
 
@@ -213,6 +229,7 @@ impl WireBackend {
         Arc::new(WireBackend {
             mailbox: Mailbox::new(nranks, recv_timeout),
             delay: Some(model),
+            pool: BufferPool::new(),
         })
     }
 }
@@ -265,6 +282,14 @@ impl CommBackend for WireBackend {
 
     fn pending_messages(&self) -> usize {
         self.mailbox.pending_messages()
+    }
+
+    fn buffer(&self, capacity: usize) -> Vec<u8> {
+        self.pool.take(capacity)
+    }
+
+    fn recycle(&self, buf: Vec<u8>) {
+        self.pool.give(buf);
     }
 
     fn poison(&self, msg: &str) {

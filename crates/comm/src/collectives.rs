@@ -16,7 +16,7 @@
 //! progress), the measured modeled time of each collective matches those
 //! formulas without any special-cased accounting.
 
-use crate::comm::{Comm, COLLECTIVE_TAG_BASE};
+use crate::comm::{Comm, F64Block, COLLECTIVE_TAG_BASE};
 use crate::pattern::{RowBundle, RowSet};
 use crate::payload::WirePayload;
 
@@ -56,8 +56,7 @@ impl Comm {
         for s in 1..p {
             let dst = (self.rank() + s) % p;
             let src = (self.rank() + p - s) % p;
-            let got = self.sendrecv(dst, src, TAG_ALLGATHER, mine.clone());
-            out[src] = Some(got);
+            out[src] = Some(self.sendrecv_from(dst, src, TAG_ALLGATHER, &mine));
         }
         out[self.rank()] = Some(mine);
         out.into_iter().map(Option::unwrap).collect()
@@ -65,15 +64,35 @@ impl Comm {
 
     /// All-gather of flat `f64` blocks into one contiguous buffer
     /// (blocks may differ in length; lengths must agree across ranks'
-    /// call sites in rank order, as in `MPI_Allgatherv`).
+    /// call sites in rank order, as in `MPI_Allgatherv`). The same
+    /// messages as `allgather(mine.to_vec())`, minus the copies: each
+    /// send encodes from `mine`, and the parts stay as delivered until
+    /// all lengths are known, then land in the output once, in rank
+    /// order — this is the replicate primitive of every dense family.
     pub fn allgatherv_f64(&self, mine: &[f64]) -> Vec<f64> {
-        let parts = self.allgather(mine.to_vec());
-        let total = parts.iter().map(Vec::len).sum();
+        let parts = self.allgather_f64_blocks(mine);
+        let total = mine.len() + parts.iter().flatten().map(F64Block::len).sum::<usize>();
         let mut out = Vec::with_capacity(total);
-        for p in parts {
-            out.extend_from_slice(&p);
+        for part in parts {
+            match part {
+                Some(block) => block.append_to(&mut out),
+                None => out.extend_from_slice(mine),
+            }
         }
         out
+    }
+
+    /// The exchange half of a flat all-gather: every peer's block, as
+    /// delivered, indexed by rank (`None` at this rank's own position).
+    fn allgather_f64_blocks(&self, mine: &[f64]) -> Vec<Option<F64Block<'_>>> {
+        let p = self.size();
+        let mut parts: Vec<Option<F64Block<'_>>> = (0..p).map(|_| None).collect();
+        for s in 1..p {
+            let dst = (self.rank() + s) % p;
+            let src = (self.rank() + p - s) % p;
+            parts[src] = Some(self.sendrecv_f64s(dst, src, TAG_ALLGATHER, mine));
+        }
+        parts
     }
 
     /// Reduce-scatter with summation over near-equal contiguous blocks of
@@ -107,12 +126,9 @@ impl Comm {
         for s in 1..p {
             let dst = (self.rank() + s) % p;
             let src = (self.rank() + p - s) % p;
-            let outgoing = buf[ranges[dst].clone()].to_vec();
-            let incoming = self.sendrecv(dst, src, TAG_REDUCE_SCATTER, outgoing);
-            debug_assert_eq!(incoming.len(), mine.len());
-            for (m, x) in mine.iter_mut().zip(&incoming) {
-                *m += x;
-            }
+            let outgoing = &buf[ranges[dst].clone()];
+            self.sendrecv_f64s(dst, src, TAG_REDUCE_SCATTER, outgoing)
+                .merge_into(&mut mine, |m, x| *m += x);
         }
         mine
     }
@@ -125,10 +141,12 @@ impl Comm {
             return;
         }
         let reduced = self.reduce_scatter_sum(buf);
-        let parts = self.allgather(reduced);
-        let ranges = block_ranges(buf.len(), p);
-        for (part, range) in parts.into_iter().zip(ranges) {
-            buf[range].copy_from_slice(&part);
+        let parts = self.allgather_f64_blocks(&reduced);
+        for (part, range) in parts.into_iter().zip(block_ranges(buf.len(), p)) {
+            match part {
+                Some(block) => block.merge_into(&mut buf[range], |b, x| *b = x),
+                None => buf[range].copy_from_slice(&reduced),
+            }
         }
     }
 
@@ -172,7 +190,7 @@ impl Comm {
         let mut m = 1usize << start_bit;
         while vrank + m < p {
             let child = (vrank + m + root) % p;
-            self.send(child, TAG_BROADCAST, v.clone());
+            self.send_from(child, TAG_BROADCAST, &v);
             m <<= 1;
         }
         v

@@ -52,7 +52,7 @@ use std::sync::Mutex;
 
 use crate::backend::{CommBackend, Parcel};
 use crate::model::MachineModel;
-use crate::payload::WirePayload;
+use crate::payload::{encode_scalar_vec, WirePayload, WireReader};
 use crate::stats::{Phase, RankStats};
 use crate::trace::{self, ArgVal, TraceKind};
 
@@ -74,6 +74,129 @@ impl RankShared {
             wall_anchor: Mutex::new(Instant::now()),
         })
     }
+}
+
+/// What a post is handed: a value it may consume, or a borrow of one.
+///
+/// A serializing backend only ever *reads* the message — it encodes
+/// straight from wherever the value lives, so a caller that keeps its
+/// value (an all-gather's own block, a shift's input panel) lends it
+/// instead of cloning it first. Only the typed in-process path needs an
+/// owned `T` to box, and only there does a borrow get cloned.
+pub(crate) trait Outgoing<T: WirePayload> {
+    /// The message's size in words ([`Payload::words`](crate::Payload)).
+    fn words(&self) -> usize;
+    /// Append the wire encoding of the `T` this stands for.
+    fn encode(&self, buf: &mut Vec<u8>);
+    /// The owned value (typed backends).
+    fn into_owned(self) -> T;
+}
+
+impl<T: WirePayload> Outgoing<T> for T {
+    fn words(&self) -> usize {
+        crate::Payload::words(self)
+    }
+    fn encode(&self, buf: &mut Vec<u8>) {
+        WirePayload::encode(self, buf);
+    }
+    fn into_owned(self) -> T {
+        self
+    }
+}
+
+impl<T: WirePayload + Clone> Outgoing<T> for &T {
+    fn words(&self) -> usize {
+        crate::Payload::words(*self)
+    }
+    fn encode(&self, buf: &mut Vec<u8>) {
+        WirePayload::encode(*self, buf);
+    }
+    fn into_owned(self) -> T {
+        self.clone()
+    }
+}
+
+/// A slice is a borrowed `Vec<f64>`: same words, same bytes.
+impl Outgoing<Vec<f64>> for &[f64] {
+    fn words(&self) -> usize {
+        self.len()
+    }
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_scalar_vec(buf, self);
+    }
+    fn into_owned(self) -> Vec<f64> {
+        self.to_vec()
+    }
+}
+
+/// A received `Vec<f64>` message still in the form the backend
+/// delivered it — encoded bytes or the typed vector — so a collective
+/// can learn every part's length first and then move each part exactly
+/// once, straight to where it belongs.
+pub(crate) enum F64Block<'c> {
+    /// Encoded `Vec<f64>` bytes, and the communicator whose backend
+    /// gets the buffer back.
+    Bytes(&'c Comm, Vec<u8>),
+    /// The sender's vector (typed backends).
+    Typed(Vec<f64>),
+}
+
+impl<'c> F64Block<'c> {
+    fn open(comm: &'c Comm, parcel: Parcel, src: usize, tag: u32) -> Self {
+        match parcel {
+            Parcel::Bytes(bytes) => F64Block::Bytes(comm, bytes),
+            typed => F64Block::Typed(comm.open(typed, src, tag)),
+        }
+    }
+
+    /// Number of values (= words) in the block.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            F64Block::Bytes(_, bytes) => WireReader::new(bytes).read_len(),
+            F64Block::Typed(v) => v.len(),
+        }
+    }
+
+    /// Append the values to `out`.
+    pub(crate) fn append_to(self, out: &mut Vec<f64>) {
+        match self {
+            F64Block::Bytes(comm, bytes) => {
+                out.extend(f64_values(&bytes));
+                comm.backend.recycle(bytes);
+            }
+            F64Block::Typed(v) => out.extend_from_slice(&v),
+        }
+    }
+
+    /// Fold the values elementwise into `dst` (same length) with
+    /// `merge(slot, value)` — `+=` for a reduction, `=` for placement.
+    pub(crate) fn merge_into(self, dst: &mut [f64], merge: impl Fn(&mut f64, f64)) {
+        assert_eq!(self.len(), dst.len(), "f64 block length mismatch");
+        match self {
+            F64Block::Bytes(comm, bytes) => {
+                dst.iter_mut()
+                    .zip(f64_values(&bytes))
+                    .for_each(|(d, x)| merge(d, x));
+                comm.backend.recycle(bytes);
+            }
+            F64Block::Typed(v) => dst.iter_mut().zip(v).for_each(|(d, x)| merge(d, x)),
+        }
+    }
+}
+
+/// The values of an encoded `Vec<f64>`, checked like
+/// [`WirePayload::from_wire`]: exactly the announced count, no trailing
+/// bytes.
+fn f64_values(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
+    let mut r = WireReader::new(bytes);
+    let n = r.read_len();
+    let values = r.scalars::<f64>(n);
+    assert!(
+        r.is_empty(),
+        "wire decode of Vec<f64> left {} trailing byte(s) — sender/receiver type mismatch",
+        r.remaining()
+    );
+    values
 }
 
 /// A communicator: a named, ordered group of ranks with its own isolated
@@ -252,17 +375,23 @@ impl Comm {
         (self.members[src_comm_rank], self.context, tag)
     }
 
-    /// Hand `value` to the backend in the representation it requires,
+    /// Hand a message to the backend in the representation it requires,
     /// returning the transmitted byte count — encoded payload plus the
     /// transport's per-message framing — or zero on the typed path.
+    /// A serializing backend encodes straight from `value` (owned or
+    /// borrowed alike) into a buffer of the backend's; only the typed
+    /// path takes ownership, cloning a borrow.
     /// Self-delivery transmits nothing (every backend short-circuits it
     /// into the local mailbox), so it counts zero: `wire_bytes_sent`
     /// stays equal to bytes a transport genuinely carried.
-    fn post_to<T: WirePayload>(&self, dst: usize, tag: u32, value: T) -> u64 {
+    fn post_to<T: WirePayload>(&self, dst: usize, tag: u32, value: impl Outgoing<T>) -> u64 {
         let key = (self.my_global_rank(), self.context, tag);
         let dst_global = self.members[dst];
         if self.wire {
-            let buf = value.to_wire();
+            // A word is 8 bytes; shape headers and length prefixes fit
+            // in the slack, and `encode` grows the buffer if not.
+            let mut buf = self.backend.buffer(8 * value.words() + 64);
+            value.encode(&mut buf);
             let bytes = if dst_global == self.my_global_rank() {
                 0
             } else {
@@ -272,7 +401,7 @@ impl Comm {
             bytes
         } else {
             self.backend
-                .post(dst_global, key, Parcel::Typed(Box::new(value)));
+                .post(dst_global, key, Parcel::Typed(Box::new(value.into_owned())));
             0
         }
     }
@@ -280,6 +409,11 @@ impl Comm {
     /// Send `value` to communicator rank `dst`. Charges `α + β·words` to
     /// the sender (an un-overlapped, one-directional transfer).
     pub fn send<T: WirePayload>(&self, dst: usize, tag: u32, value: T) {
+        self.send_from(dst, tag, value);
+    }
+
+    /// [`Comm::send`] of an owned or borrowed value.
+    pub(crate) fn send_from<T: WirePayload>(&self, dst: usize, tag: u32, value: impl Outgoing<T>) {
         let words = value.words() as u64;
         let t = self.model.msg_time(words);
         let bytes = self.post_to(dst, tag, value);
@@ -311,12 +445,20 @@ impl Comm {
         v
     }
 
-    fn recv_uncharged<T: WirePayload>(&self, src: usize, tag: u32) -> T {
-        let parcel = self
-            .backend
-            .take(self.my_global_rank(), self.key_from(src, tag));
+    fn take_parcel(&self, src: usize, tag: u32) -> Parcel {
+        self.backend
+            .take(self.my_global_rank(), self.key_from(src, tag))
+    }
+
+    /// Turn a delivered parcel into its value. An encoded buffer goes
+    /// back to the backend once decoded.
+    fn open<T: WirePayload>(&self, parcel: Parcel, src: usize, tag: u32) -> T {
         match parcel {
-            Parcel::Bytes(bytes) => T::from_wire(&bytes),
+            Parcel::Bytes(bytes) => {
+                let v = T::from_wire(&bytes);
+                self.backend.recycle(bytes);
+                v
+            }
             Parcel::Typed(any) => match any.downcast::<T>() {
                 Ok(b) => *b,
                 Err(_) => panic!(
@@ -332,17 +474,66 @@ impl Comm {
         }
     }
 
+    fn recv_uncharged<T: WirePayload>(&self, src: usize, tag: u32) -> T {
+        self.open(self.take_parcel(src, tag), src, tag)
+    }
+
     /// Simultaneous send to `dst` and receive from `src` (both
     /// communicator ranks) — the building block of cyclic shifts and
     /// pairwise-exchange collectives. Following the model's assumption
     /// that sends and receives progress independently, the modeled cost is
     /// `α + β·max(words_out, words_in)` charged once.
     pub fn sendrecv<T: WirePayload>(&self, dst: usize, src: usize, tag: u32, value: T) -> T {
+        self.sendrecv_from(dst, src, tag, value)
+    }
+
+    /// [`Comm::sendrecv`] of an owned or borrowed value.
+    pub(crate) fn sendrecv_from<T: WirePayload>(
+        &self,
+        dst: usize,
+        src: usize,
+        tag: u32,
+        value: impl Outgoing<T>,
+    ) -> T {
+        self.sendrecv_with(dst, src, tag, value, |parcel| {
+            let v: T = self.open(parcel, src, tag);
+            let words = v.words();
+            (v, words)
+        })
+    }
+
+    /// [`Comm::sendrecv`] of flat `f64` blocks, sent from a borrowed
+    /// slice and received unopened (see [`F64Block`]). Same message,
+    /// same bytes, same charges as exchanging the `Vec<f64>`s.
+    pub(crate) fn sendrecv_f64s(
+        &self,
+        dst: usize,
+        src: usize,
+        tag: u32,
+        values: &[f64],
+    ) -> F64Block<'_> {
+        self.sendrecv_with::<Vec<f64>, _>(dst, src, tag, values, |parcel| {
+            let block = F64Block::open(self, parcel, src, tag);
+            let words = block.len();
+            (block, words)
+        })
+    }
+
+    /// The one exchange body: post, take, let `open` turn the parcel
+    /// into the result and report its words, charge both directions.
+    fn sendrecv_with<T: WirePayload, R>(
+        &self,
+        dst: usize,
+        src: usize,
+        tag: u32,
+        value: impl Outgoing<T>,
+        open: impl FnOnce(Parcel) -> (R, usize),
+    ) -> R {
         let words_out = value.words() as u64;
         let start = Instant::now();
         let bytes = self.post_to(dst, tag, value);
-        let v = self.recv_uncharged::<T>(src, tag);
-        let words_in = v.words() as u64;
+        let (v, words_in) = open(self.take_parcel(src, tag));
+        let words_in = words_in as u64;
         trace::complete(TraceKind::Comm, "sendrecv", start, || {
             vec![
                 ("dst".to_string(), ArgVal::Num(dst as f64)),
@@ -362,13 +553,23 @@ impl Comm {
     /// Cyclic shift by `disp`: send to `(rank + disp) mod size`, receive
     /// from `(rank - disp) mod size`.
     pub fn shift<T: WirePayload>(&self, disp: usize, tag: u32, value: T) -> T {
+        self.shift_from(disp, tag, value)
+    }
+
+    /// [`Comm::shift`] of a value the caller keeps: a serializing
+    /// backend encodes from the borrow, the typed backend clones it.
+    pub fn shift_ref<T: WirePayload + Clone>(&self, disp: usize, tag: u32, value: &T) -> T {
+        self.shift_from(disp, tag, value)
+    }
+
+    fn shift_from<T: WirePayload>(&self, disp: usize, tag: u32, value: impl Outgoing<T>) -> T {
         let p = self.size();
         if p == 1 {
-            return value;
+            return value.into_owned();
         }
         let dst = (self.rank + disp) % p;
         let src = (self.rank + p - disp % p) % p;
-        self.sendrecv(dst, src, tag, value)
+        self.sendrecv_from(dst, src, tag, value)
     }
 
     // ------------------------------------------------------------------
@@ -411,6 +612,27 @@ impl Comm {
         tag: u32,
         value: T,
     ) -> RecvHandle<'_, T> {
+        self.shift_begin_from(disp, tag, value)
+    }
+
+    /// [`Comm::shift_begin`] of a value the caller keeps (and may go on
+    /// reading while the copy is in flight): a serializing backend
+    /// encodes from the borrow, the typed backend clones it.
+    pub fn shift_begin_ref<T: WirePayload + Clone>(
+        &self,
+        disp: usize,
+        tag: u32,
+        value: &T,
+    ) -> RecvHandle<'_, T> {
+        self.shift_begin_from(disp, tag, value)
+    }
+
+    fn shift_begin_from<T: WirePayload>(
+        &self,
+        disp: usize,
+        tag: u32,
+        value: impl Outgoing<T>,
+    ) -> RecvHandle<'_, T> {
         let p = self.size();
         if p == 1 {
             return RecvHandle {
@@ -419,7 +641,7 @@ impl Comm {
                 tag,
                 ticket: 0,
                 paired_send_words: None,
-                state: HandleState::Resolved(value),
+                state: HandleState::Resolved(value.into_owned()),
             };
         }
         let dst = (self.rank + disp) % p;

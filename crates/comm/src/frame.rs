@@ -29,7 +29,7 @@
 //!
 //! [`WirePayload`]: crate::payload::WirePayload
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// Frame magic: the little-endian `u32` reading of the bytes `DKSF`.
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"DKSF");
@@ -135,16 +135,36 @@ impl Frame {
         FRAME_HEADER_LEN + self.payload.len()
     }
 
-    /// Serialize into a fresh buffer.
+    /// The 28-byte header describing this frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the payload exceeds [`MAX_FRAME_PAYLOAD`]: the peer
+    /// would reject the frame, and past 4 GiB the length field would
+    /// wrap and desynchronize the stream.
+    fn header(&self) -> [u8; FRAME_HEADER_LEN] {
+        let len = self.payload.len();
+        assert!(
+            len <= MAX_FRAME_PAYLOAD,
+            "frame payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte cap"
+        );
+        let mut h = [0u8; FRAME_HEADER_LEN];
+        h[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+        h[4] = self.kind as u8;
+        h[8..12].copy_from_slice(&self.src.to_le_bytes());
+        h[12..16].copy_from_slice(&self.tag.to_le_bytes());
+        h[16..24].copy_from_slice(&self.context.to_le_bytes());
+        h[24..28].copy_from_slice(&(len as u32).to_le_bytes());
+        h
+    }
+
+    /// Serialize into a fresh buffer — for frames written more than
+    /// once (the launcher's pre-serialized control broadcasts). The
+    /// per-message path is [`write_frame`], which never builds this
+    /// copy.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.wire_len());
-        buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        buf.push(self.kind as u8);
-        buf.extend_from_slice(&[0u8; 3]);
-        buf.extend_from_slice(&self.src.to_le_bytes());
-        buf.extend_from_slice(&self.tag.to_le_bytes());
-        buf.extend_from_slice(&self.context.to_le_bytes());
-        buf.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&self.header());
         buf.extend_from_slice(&self.payload);
         buf
     }
@@ -210,6 +230,23 @@ pub const TIMEOUT_AT_BOUNDARY: &str = "read timed out at frame boundary";
 /// wedged or dead; waiting forever would defeat every outer deadline.
 pub const MID_FRAME_STALL_LIMIT: std::time::Duration = std::time::Duration::from_secs(60);
 
+/// A read timed out inside a frame: start (or keep) the stall clock and
+/// fail once the peer has been silent for [`MID_FRAME_STALL_LIMIT`].
+fn check_stall(
+    stalled_since: &mut Option<std::time::Instant>,
+    got: usize,
+    want: usize,
+) -> Result<(), DecodeError> {
+    let since = *stalled_since.get_or_insert_with(std::time::Instant::now);
+    if since.elapsed() >= MID_FRAME_STALL_LIMIT {
+        return Err(DecodeError::Io(format!(
+            "peer stalled mid-frame for {MID_FRAME_STALL_LIMIT:?} \
+             ({got} of {want} byte(s) received)"
+        )));
+    }
+    Ok(())
+}
+
 /// Read exactly `buf.len()` bytes; `Ok(false)` on clean EOF at offset
 /// zero, `Err(Truncated)` on EOF mid-buffer. With `boundary` set, a
 /// read timeout before the first byte surfaces as
@@ -245,15 +282,7 @@ fn read_exact_or_eof(
                 if boundary && got == 0 {
                     return Err(DecodeError::Io(TIMEOUT_AT_BOUNDARY.to_string()));
                 }
-                let since = *stalled_since.get_or_insert_with(std::time::Instant::now);
-                if since.elapsed() >= MID_FRAME_STALL_LIMIT {
-                    return Err(DecodeError::Io(format!(
-                        "peer stalled mid-frame for {MID_FRAME_STALL_LIMIT:?} \
-                         ({} of {} byte(s) received)",
-                        got,
-                        buf.len()
-                    )));
-                }
+                check_stall(&mut stalled_since, got, buf.len())?;
             }
             Err(e) => return Err(DecodeError::Io(e.to_string())),
         }
@@ -261,9 +290,57 @@ fn read_exact_or_eof(
     Ok(true)
 }
 
+/// Fill `buf` with exactly `len` payload bytes, reusing its capacity.
+/// Bytes land in the vector's spare capacity (`Read::take` +
+/// `read_to_end`), so neither a fresh nor a recycled buffer is
+/// zero-filled first, and a recycled buffer larger than `len` comes
+/// back holding `len` bytes, not its old contents. Timeouts keep
+/// reading — the peer already committed to the frame — up to
+/// [`MID_FRAME_STALL_LIMIT`], like [`read_exact_or_eof`].
+fn read_payload(r: &mut impl Read, buf: &mut Vec<u8>, len: usize) -> Result<(), DecodeError> {
+    buf.clear();
+    buf.reserve_exact(len);
+    let mut stalled_since: Option<std::time::Instant> = None;
+    while buf.len() < len {
+        let before = buf.len();
+        let missing = len - before;
+        match r.by_ref().take(missing as u64).read_to_end(buf) {
+            // `read_to_end` returns at end of stream: of the `take`
+            // (payload complete) or of the transport (peer gone).
+            Ok(_) if buf.len() < len => {
+                return Err(DecodeError::Truncated {
+                    missing: len - buf.len(),
+                })
+            }
+            Ok(_) => {}
+            // Bytes read before the error stay appended to `buf`.
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                if buf.len() > before {
+                    stalled_since = None;
+                }
+                check_stall(&mut stalled_since, buf.len(), len)?;
+            }
+            Err(e) => return Err(DecodeError::Io(e.to_string())),
+        }
+    }
+    Ok(())
+}
+
 /// Read one frame. `Ok(None)` means the stream ended cleanly on a frame
 /// boundary; every malformed input yields a [`DecodeError`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, DecodeError> {
+    read_frame_into(r, Vec::with_capacity)
+}
+
+/// [`read_frame`] with the payload buffer supplied by the caller:
+/// `buffer(len)` is asked for a vector to hold the `len`-byte payload
+/// once the header has been validated (so a corrupt length never
+/// reaches it), and may return a recycled one of any length and
+/// capacity — the frame's payload is exactly the `len` bytes read.
+pub fn read_frame_into(
+    r: &mut impl Read,
+    buffer: impl FnOnce(usize) -> Vec<u8>,
+) -> Result<Option<Frame>, DecodeError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     if !read_exact_or_eof(r, &mut header, true)? {
         return Ok(None);
@@ -284,10 +361,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, DecodeError> {
     if len > MAX_FRAME_PAYLOAD {
         return Err(DecodeError::Oversized { len: len as u64 });
     }
-    let mut payload = vec![0u8; len];
-    if len > 0 && !read_exact_or_eof(r, &mut payload, false)? {
-        return Err(DecodeError::Truncated { missing: len });
-    }
+    let mut payload = buffer(len);
+    read_payload(r, &mut payload, len)?;
     Ok(Some(Frame {
         kind,
         src,
@@ -298,10 +373,36 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, DecodeError> {
 }
 
 /// Write one frame; returns the bytes written (`frame.wire_len()`).
+/// Header and payload are gathered straight from where they live
+/// (`write_vectored`), so the payload is never copied into a combined
+/// buffer; a short write resumes wherever it stopped, mid-header
+/// included.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<usize> {
-    let bytes = frame.to_bytes();
-    w.write_all(&bytes)?;
-    Ok(bytes.len())
+    let header = frame.header();
+    let total = frame.wire_len();
+    let mut written = 0;
+    while written < total {
+        let res = if written < FRAME_HEADER_LEN {
+            w.write_vectored(&[
+                IoSlice::new(&header[written..]),
+                IoSlice::new(&frame.payload),
+            ])
+        } else {
+            w.write(&frame.payload[written - FRAME_HEADER_LEN..])
+        };
+        match res {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => written += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(total)
 }
 
 /// The rendezvous handshake payload carried by a [`FrameKind::Hello`]
@@ -452,6 +553,117 @@ mod tests {
             read_frame(&mut &bytes[..]).unwrap_err(),
             DecodeError::Oversized { .. }
         ));
+    }
+
+    /// A sink that accepts at most `cap` bytes per call — through
+    /// `write` alone (the default `write_vectored` then forwards only
+    /// the first non-empty slice) or through a real gathering
+    /// `write_vectored` that can stop anywhere, the header/payload seam
+    /// included.
+    struct Trickle {
+        out: Vec<u8>,
+        cap: usize,
+        gathers: bool,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.cap);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if !self.gathers {
+                let first = bufs.iter().find(|b| !b.is_empty());
+                return self.write(first.map_or(&[][..], |b| b));
+            }
+            let mut left = self.cap;
+            for b in bufs {
+                let n = b.len().min(left);
+                self.out.extend_from_slice(&b[..n]);
+                left -= n;
+            }
+            Ok(self.cap - left)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Short writes of every size from one byte up — splitting the
+    /// header, landing on the header/payload seam, straddling it, and
+    /// splitting the payload — still put exactly `to_bytes()` on the
+    /// stream.
+    #[test]
+    fn write_frame_survives_short_writes_everywhere() {
+        let payload: Vec<u8> = (0..100u8).collect();
+        for frame in [
+            Frame::data(3, 0xDEAD_BEEF_0123_4567, 42, payload),
+            Frame::control(FrameKind::Bye, 1, Vec::new()),
+        ] {
+            let expect = frame.to_bytes();
+            for gathers in [false, true] {
+                for cap in 1..=expect.len() + 1 {
+                    let mut w = Trickle {
+                        out: Vec::new(),
+                        cap,
+                        gathers,
+                    };
+                    let n = write_frame(&mut w, &frame).unwrap();
+                    assert_eq!(n, expect.len(), "cap={cap} gathers={gathers}");
+                    assert_eq!(w.out, expect, "cap={cap} gathers={gathers}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn write_frame_reports_a_sink_that_stops_accepting() {
+        let mut w = Trickle {
+            out: Vec::new(),
+            cap: 0,
+            gathers: true,
+        };
+        let err = write_frame(&mut w, &Frame::data(0, 0, 0, vec![1])).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
+    }
+
+    /// A small frame read into a large recycled buffer — still holding
+    /// its previous contents — yields exactly the frame's bytes, in the
+    /// same allocation.
+    #[test]
+    fn small_frame_into_recycled_large_buffer_is_exact() {
+        let f = Frame::data(1, 2, 3, (0..10u8).collect());
+        let bytes = f.to_bytes();
+        let recycled = vec![0xAAu8; 4 << 20];
+        let addr = recycled.as_ptr();
+        let back = read_frame_into(&mut &bytes[..], |len| {
+            assert_eq!(len, 10);
+            recycled
+        })
+        .unwrap()
+        .unwrap();
+        assert_eq!(back, f);
+        assert_eq!(back.payload.len(), 10);
+        assert_eq!(back.payload.as_ptr(), addr, "the recycled allocation");
+        assert!(back.payload.capacity() >= 4 << 20);
+    }
+
+    /// The buffer callback sees only validated lengths: a corrupt
+    /// length field is rejected before anything is asked to hold it.
+    #[test]
+    fn oversized_length_never_reaches_the_buffer_source() {
+        let mut bytes = Frame::data(0, 0, 0, Vec::new()).to_bytes();
+        bytes[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = read_frame_into(&mut &bytes[..], |_| unreachable!("asked for a buffer"));
+        assert!(matches!(err.unwrap_err(), DecodeError::Oversized { .. }));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the")]
+    fn header_refuses_a_payload_over_the_cap() {
+        // Zero pages are mapped lazily: this costs address space only.
+        let _ = Frame::data(0, 0, 0, vec![0u8; MAX_FRAME_PAYLOAD + 1]).to_bytes();
     }
 
     #[test]

@@ -388,7 +388,8 @@ fn encode_outcome_set(entries: &[OutcomeEntry]) -> Vec<u8> {
 
 fn decode_outcome_set(bytes: &[u8]) -> Vec<OutcomeEntry> {
     let mut r = WireReader::new(bytes);
-    let n = r.read_len();
+    // Each entry opens with its own 8-byte length.
+    let n = r.read_count(8);
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let len = r.read_len();

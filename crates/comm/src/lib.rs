@@ -56,6 +56,20 @@
 //! the entire workspace suite over the wire path. No crate outside
 //! `dsk-comm` names a concrete backend type.
 //!
+//! ## The serialized message path: one pass per side
+//!
+//! On the serializing backends a message costs its sender one pass
+//! (the encode) and its receiver one (the decode). `Comm` encodes
+//! straight from the caller's value — owned, `&T`, or a `&[f64]`
+//! standing for a `Vec<f64>` — into a buffer from the backend's
+//! [`pool::BufferPool`]; scalar arrays encode and decode as bulk
+//! little-endian blocks ([`payload::encode_scalars`],
+//! [`WireReader::scalars`]); [`frame::write_frame`] gathers header and
+//! payload onto the socket without joining them; the reader threads
+//! read each payload into a recycled buffer without zeroing it; and
+//! whoever empties a buffer last hands it back. The wire format is
+//! the plain per-element layout, byte for byte.
+//!
 //! ## Sparse-aware communication: patterns and primitives
 //!
 //! Between `Comm` and the algorithms sits the [`pattern`] layer, which
@@ -175,6 +189,7 @@ pub mod launch;
 pub mod model;
 pub mod pattern;
 pub mod payload;
+pub mod pool;
 pub mod rendezvous;
 pub mod socket;
 pub mod stats;

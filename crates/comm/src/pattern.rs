@@ -136,7 +136,8 @@ impl WirePayload for Vec<RowSet> {
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Self {
-        let n = r.read_len();
+        // Each set opens with its own 8-byte count.
+        let n = r.read_count(8);
         (0..n).map(|_| RowSet::decode(r)).collect()
     }
 }

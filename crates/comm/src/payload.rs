@@ -19,6 +19,13 @@
 //! scalars, `f64` as raw bits, `u32` as 4 bytes. No
 //! self-description — sender and receiver already agree on the type,
 //! exactly as MPI peers agree on datatypes.
+//!
+//! Scalar arrays — `Vec<f64>`/`<u64>`/`<u32>`/`<usize>`, and through
+//! them dense tiles, row bundles and the index and value arrays of the
+//! sparse formats — move in bulk: [`encode_scalars`] stages a block and
+//! appends it with one copy, [`WireReader::scalars`] bounds-checks a
+//! whole array once and then yields it at memory speed. The bytes are
+//! those of the element-at-a-time layout; only the speed differs.
 
 /// A value that can be sent between ranks, with a well-defined size in
 /// 8-byte words for communication accounting.
@@ -137,6 +144,109 @@ impl<'a> WireReader<'a> {
     pub fn bytes(&mut self, n: usize) -> &'a [u8] {
         self.take(n)
     }
+
+    /// Read `n` scalars as one bulk block. The `n · size` bytes are
+    /// bounds-checked against the buffer *before* the iterator exists,
+    /// so a corrupt count panics with the usual underrun diagnostic
+    /// instead of driving the caller's `collect` into a giant
+    /// allocation; the iterator reports its exact length, so `collect`
+    /// and `extend` allocate once and copy at memory speed.
+    pub fn scalars<T: WireScalar>(&mut self, n: usize) -> impl ExactSizeIterator<Item = T> + 'a {
+        let len = n.saturating_mul(T::WIRE_SIZE);
+        self.take(len).chunks_exact(T::WIRE_SIZE).map(T::get_le)
+    }
+
+    /// Read the element count of a sequence whose elements each encode
+    /// to at least `min_elem_bytes` bytes, rejecting a count the rest of
+    /// the buffer cannot hold — before the caller allocates for it.
+    pub fn read_count(&mut self, min_elem_bytes: usize) -> usize {
+        let n = self.read_len();
+        let need = n.saturating_mul(min_elem_bytes);
+        assert!(
+            need <= self.remaining(),
+            "wire decode underrun: {n} element(s) need at least {need} bytes, {} remain — \
+             sender/receiver type mismatch",
+            self.remaining()
+        );
+        n
+    }
+}
+
+/// A fixed-width scalar with a little-endian wire form — the element
+/// type of the bulk paths ([`encode_scalars`], [`WireReader::scalars`]).
+pub trait WireScalar: Copy + 'static {
+    /// Encoded size in bytes.
+    const WIRE_SIZE: usize;
+    /// Write the little-endian form into `dst` (`WIRE_SIZE` bytes).
+    fn put_le(self, dst: &mut [u8]);
+    /// Read the little-endian form from `src` (`WIRE_SIZE` bytes).
+    fn get_le(src: &[u8]) -> Self;
+}
+
+macro_rules! impl_wire_scalar {
+    ($($t:ty),*) => {$(
+        impl WireScalar for $t {
+            const WIRE_SIZE: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn put_le(self, dst: &mut [u8]) {
+                dst.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get_le(src: &[u8]) -> Self {
+                <$t>::from_le_bytes(src.try_into().expect("scalar-sized chunk"))
+            }
+        }
+    )*};
+}
+
+impl_wire_scalar!(u16, u32, u64, f64);
+
+/// `usize` travels as a `u64`, like every length on the wire.
+impl WireScalar for usize {
+    const WIRE_SIZE: usize = 8;
+    #[inline]
+    fn put_le(self, dst: &mut [u8]) {
+        (self as u64).put_le(dst);
+    }
+    #[inline]
+    fn get_le(src: &[u8]) -> Self {
+        usize::try_from(u64::get_le(src)).expect("wire length overflows usize")
+    }
+}
+
+/// Bytes staged per block by [`encode_scalars`]: small enough to stay
+/// in L1, so a block costs one pass over memory, not two.
+pub const ENCODE_BLOCK_BYTES: usize = 4096;
+
+/// Append `xs` to `buf` as consecutive little-endian scalars (no length
+/// prefix), each element passed through `as_wire` first — the identity
+/// for same-width arrays, a narrowing cast for compressed sparse
+/// indices. Elements are staged a block at a time and appended with one
+/// bulk copy per block: an element-at-a-time `extend_from_slice`
+/// reloads the vector length it just stored, which pins the loop to
+/// store-forwarding latency rather than memory bandwidth.
+pub fn encode_scalars<S: Copy, T: WireScalar>(
+    buf: &mut Vec<u8>,
+    xs: &[S],
+    as_wire: impl Fn(S) -> T,
+) {
+    buf.reserve(xs.len() * T::WIRE_SIZE);
+    let mut block = [0u8; ENCODE_BLOCK_BYTES];
+    for chunk in xs.chunks(ENCODE_BLOCK_BYTES / T::WIRE_SIZE) {
+        for (dst, &x) in block.chunks_exact_mut(T::WIRE_SIZE).zip(chunk) {
+            as_wire(x).put_le(dst);
+        }
+        buf.extend_from_slice(&block[..chunk.len() * T::WIRE_SIZE]);
+    }
+}
+
+/// The wire form of a scalar vector: `u64` count, then the elements in
+/// bulk. `Vec<T>::encode` and the by-slice send paths both call this,
+/// so a borrowed slice and an owned vector are the same bytes.
+pub fn encode_scalar_vec<T: WireScalar>(buf: &mut Vec<u8>, xs: &[T]) {
+    buf.reserve(8 + xs.len() * T::WIRE_SIZE);
+    buf.extend_from_slice(&(xs.len() as u64).to_le_bytes());
+    encode_scalars(buf, xs, |x| x);
 }
 
 impl Payload for () {
@@ -255,87 +365,30 @@ impl WirePayload for f64 {
     }
 }
 
-impl Payload for Vec<f64> {
-    fn words(&self) -> usize {
-        self.len()
-    }
-}
-
-impl WirePayload for Vec<f64> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.reserve(8 + 8 * self.len());
-        buf.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self {
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
+/// Scalar vectors: one word per element — indices included, matching
+/// the paper's 3-words-per-COO-nonzero accounting even when stored (and
+/// encoded) as `u32` — and a bulk little-endian wire form.
+macro_rules! impl_scalar_vec {
+    ($($t:ty),*) => {$(
+        impl Payload for Vec<$t> {
+            fn words(&self) -> usize {
+                self.len()
+            }
         }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Self {
-        let n = r.read_len();
-        (0..n).map(|_| r.f64()).collect()
-    }
-}
 
-impl Payload for Vec<u64> {
-    fn words(&self) -> usize {
-        self.len()
-    }
-}
-
-impl WirePayload for Vec<u64> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.reserve(8 + 8 * self.len());
-        buf.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self {
-            buf.extend_from_slice(&v.to_le_bytes());
+        impl WirePayload for Vec<$t> {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                encode_scalar_vec(buf, self);
+            }
+            fn decode(r: &mut WireReader<'_>) -> Self {
+                let n = r.read_len();
+                r.scalars(n).collect()
+            }
         }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Self {
-        let n = r.read_len();
-        (0..n).map(|_| r.u64()).collect()
-    }
+    )*};
 }
 
-/// Indices are counted as one word each, matching the paper's 3-words-per-
-/// COO-nonzero accounting even when stored (and encoded) as `u32`.
-impl Payload for Vec<u32> {
-    fn words(&self) -> usize {
-        self.len()
-    }
-}
-
-impl WirePayload for Vec<u32> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.reserve(8 + 4 * self.len());
-        buf.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Self {
-        let n = r.read_len();
-        (0..n).map(|_| r.u32()).collect()
-    }
-}
-
-impl Payload for Vec<usize> {
-    fn words(&self) -> usize {
-        self.len()
-    }
-}
-
-impl WirePayload for Vec<usize> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.reserve(8 + 8 * self.len());
-        buf.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self {
-            buf.extend_from_slice(&(*v as u64).to_le_bytes());
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Self {
-        let n = r.read_len();
-        (0..n).map(|_| r.read_len()).collect()
-    }
-}
+impl_scalar_vec!(f64, u64, u32, usize);
 
 impl<A: Payload, B: Payload> Payload for (A, B) {
     fn words(&self) -> usize {
@@ -413,7 +466,9 @@ macro_rules! impl_wire_vec {
                 }
             }
             fn decode(r: &mut WireReader<'_>) -> Self {
-                let n = r.read_len();
+                // Every inner type below opens with at least one
+                // 8-byte field.
+                let n = r.read_count(8);
                 (0..n).map(|_| <$inner>::decode(r)).collect()
             }
         }
@@ -611,6 +666,38 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let bytes = vec![5.0f64, 6.0].to_wire();
         let _ = f64::from_wire(&bytes);
+    }
+
+    /// A corrupt count must fail the documented way — the underrun
+    /// panic — *before* any allocation is sized by it. Each buffer
+    /// claims 2⁶⁰ elements and then ends.
+    #[test]
+    fn absurd_counts_underrun_before_allocating() {
+        fn bomb<T: WirePayload>() {
+            let mut bytes = (1u64 << 60).to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0; 16]);
+            let err = std::panic::catch_unwind(|| drop(T::from_wire(&bytes)))
+                .expect_err("a 2^60-element claim cannot decode");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(
+                msg.contains("wire decode underrun"),
+                "{}: expected the underrun diagnostic, got {msg:?}",
+                std::any::type_name::<T>()
+            );
+        }
+        bomb::<Vec<f64>>();
+        bomb::<Vec<u64>>();
+        bomb::<Vec<u32>>();
+        bomb::<Vec<usize>>();
+        bomb::<Vec<u8>>();
+        bomb::<String>();
+        bomb::<Vec<Vec<f64>>>();
+        bomb::<Vec<(u64, u64)>>();
+        bomb::<Vec<(Vec<u32>, Vec<u32>, Vec<f64>)>>();
     }
 
     #[test]

@@ -56,6 +56,60 @@ fn allgather_ragged() {
     }
 }
 
+/// The by-reference paths are the owning paths minus the copies: the
+/// flat all-gather equals all-gather-then-concatenate, and a lent shift
+/// (blocking and non-blocking) equals the owning one — same values,
+/// and the same messages, words, wire bytes and modeled time on every
+/// rank, on every backend, ragged and empty blocks included.
+#[test]
+fn borrowed_paths_match_their_owning_twins() {
+    let mut rng = Rng::seed_from_u64(0xC00B);
+    for _ in 0..CASES {
+        let p = 1 + rng.gen_index(6);
+        let seed = rng.gen_index(100);
+        let len_of = move |rk: usize| (seed + rk * 7) % 5; // some ranks contribute nothing
+                                                           // Everything the model and the gate read (wall time excluded).
+        let counted = |s: dsk_comm::RankStats| {
+            let t = s.total();
+            let sent = (t.msgs_sent, t.words_sent, t.wire_bytes_sent);
+            (sent, t.msgs_recv, t.words_recv, t.modeled_s.to_bits())
+        };
+        for w in worlds(p) {
+            let out = w.run(move |comm| {
+                let mine: Vec<f64> = (0..len_of(comm.rank()))
+                    .map(|i| (comm.rank() * 10 + i) as f64)
+                    .collect();
+                let _g = comm.phase(Phase::Replication);
+                let owned = comm.allgather(mine.clone()).concat();
+                let owned_stats = comm.stats_snapshot();
+                comm.reset_stats();
+                let lent = comm.allgatherv_f64(&mine);
+                let lent_stats = comm.stats_snapshot();
+                assert_eq!(lent, owned);
+                assert_eq!(counted(lent_stats), counted(owned_stats), "allgatherv_f64");
+
+                comm.reset_stats();
+                let a = comm.shift(1, 5, mine.clone());
+                let b = comm.shift_begin(1, 6, mine.clone()).wait();
+                let owned_stats = comm.stats_snapshot();
+                comm.reset_stats();
+                let c = comm.shift_ref(1, 5, &mine);
+                let d = comm.shift_begin_ref(1, 6, &mine).wait();
+                let lent_stats = comm.stats_snapshot();
+                assert_eq!((&a, &b), (&c, &d));
+                assert_eq!(counted(lent_stats), counted(owned_stats), "shift_ref");
+                lent
+            });
+            let expect: Vec<f64> = (0..p)
+                .flat_map(|rk| (0..len_of(rk)).map(move |i| (rk * 10 + i) as f64))
+                .collect();
+            for o in &out {
+                assert_eq!(o.value, expect);
+            }
+        }
+    }
+}
+
 /// Reduce-scatter equals the serial sum restricted to each rank's
 /// block, for any buffer length (including lengths smaller than p).
 #[test]

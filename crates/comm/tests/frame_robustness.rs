@@ -8,8 +8,8 @@
 //! reproduce exactly.
 
 use dsk_comm::frame::{
-    read_frame, DecodeError, Frame, FrameKind, Hello, FRAME_HEADER_LEN, HELLO_PAYLOAD_LEN,
-    MAX_FRAME_PAYLOAD,
+    read_frame, read_frame_into, DecodeError, Frame, FrameKind, Hello, FRAME_HEADER_LEN,
+    HELLO_PAYLOAD_LEN, MAX_FRAME_PAYLOAD,
 };
 use dsk_comm::rendezvous::{self, Roster, MAX_ROSTER_MEMBERS};
 
@@ -54,13 +54,25 @@ fn valid_stream(rng: &mut Rng) -> Vec<u8> {
 }
 
 /// Drain a byte stream through the frame decoder until it errors or
-/// ends; must terminate and never panic.
-fn drain(mut bytes: &[u8]) -> Result<usize, DecodeError> {
+/// ends; must terminate and never panic. Every stream goes through
+/// both readers — fresh buffers ([`read_frame`]) and one buffer
+/// recycled from frame to frame the way the socket reader threads do
+/// ([`read_frame_into`]), starting out large and dirty — and the two
+/// must agree frame for frame and error for error.
+fn drain(bytes: &[u8]) -> Result<usize, DecodeError> {
+    let (mut fresh, mut pooled) = (bytes, bytes);
+    let mut recycled = vec![0xEEu8; 1 << 16];
     let mut n = 0;
-    while let Some(_frame) = read_frame(&mut bytes)? {
+    loop {
+        let a = read_frame(&mut fresh);
+        let b = read_frame_into(&mut pooled, |_| std::mem::take(&mut recycled));
+        assert_eq!(a, b, "pooled reader diverged at frame {n}");
+        match b? {
+            Some(frame) => recycled = frame.payload,
+            None => return Ok(n),
+        }
         n += 1;
     }
-    Ok(n)
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Shared vocabulary types for the distributed algorithms, and the
 //! [`ShiftPipeline`] every propagation loop executes through.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::ops::Range;
 
@@ -296,24 +297,33 @@ impl<'a> ShiftPipeline<'a> {
     }
 
     /// Start an input-lane step: post (pipelined) or stage (blocking)
-    /// the outgoing copy of `value`, to be collected with
-    /// [`InFlight::wait`] after the step's compute.
-    pub fn begin<T: WirePayload + Clone>(&self, value: &T) -> InFlight<'a, T> {
-        self.begin_payload(value.clone())
+    /// `value` for the ring successor, the incoming block to be
+    /// collected with [`InFlight::wait`] after the step's compute.
+    ///
+    /// The block is lent, not copied: it stays borrowed until the wait,
+    /// the step's compute reads it meanwhile, and the transport takes
+    /// its own copy in whatever form it needs (an encode straight from
+    /// the borrow on serializing backends, a clone on the typed one).
+    pub fn begin<T: WirePayload + Clone>(&self, value: &'a T) -> InFlight<'a, T> {
+        self.begin_payload(Cow::Borrowed(value))
     }
 
-    /// Take ownership of an already-built outgoing payload and start the
-    /// step (the non-cloning core of [`ShiftPipeline::begin`]).
-    fn begin_payload<T: WirePayload>(&self, value: T) -> InFlight<'a, T> {
+    /// Start the step on a borrowed block or an already-built outgoing
+    /// payload (a routed bundle).
+    fn begin_payload<T: WirePayload + Clone>(&self, value: Cow<'a, T>) -> InFlight<'a, T> {
         match self.mode {
             ShiftMode::Pipelined => {
                 let _ph = self.ring.phase(Phase::Propagation);
                 trace::mark(TraceKind::Shift, "pipeline.post", || {
                     vec![("tag".to_string(), ArgVal::Num(self.tag as f64))]
                 });
+                let (ring, disp, tag) = (self.ring, self.disp, self.tag);
                 InFlight {
-                    ring: self.ring,
-                    state: InFlightState::Posted(self.ring.shift_begin(self.disp, self.tag, value)),
+                    ring,
+                    state: InFlightState::Posted(match value {
+                        Cow::Borrowed(v) => ring.shift_begin_ref(disp, tag, v),
+                        Cow::Owned(v) => ring.shift_begin(disp, tag, v),
+                    }),
                 }
             }
             ShiftMode::Blocking => {
@@ -346,7 +356,7 @@ impl<'a> ShiftPipeline<'a> {
     /// Input-lane step for a dense panel, optionally pattern-routed:
     /// with `ship`, only the forward-set rows travel (as a [`RowBundle`]
     /// with dense fallback) and the receiver zero-fills the rest.
-    pub fn begin_mat(&self, y: &Mat, ship: Option<&RowSet>) -> MatInFlight<'a> {
+    pub fn begin_mat(&self, y: &'a Mat, ship: Option<&RowSet>) -> MatInFlight<'a> {
         match ship {
             None => MatInFlight {
                 state: MatInFlightState::Dense(self.begin(y)),
@@ -354,7 +364,7 @@ impl<'a> ShiftPipeline<'a> {
             Some(set) => {
                 let bundle = RowBundle::gather(y.nrows(), y.ncols(), y.as_slice(), set);
                 MatInFlight {
-                    state: MatInFlightState::Routed(self.begin_payload(bundle)),
+                    state: MatInFlightState::Routed(self.begin_payload(Cow::Owned(bundle))),
                 }
             }
         }
@@ -374,22 +384,26 @@ impl<'a> ShiftPipeline<'a> {
     }
 }
 
-enum InFlightState<'a, T: WirePayload> {
+enum InFlightState<'a, T: WirePayload + Clone> {
     /// Pipelined: the receive half of a posted `shift_begin`.
     Posted(RecvHandle<'a, T>),
-    /// Blocking: the outgoing copy, exchanged at `wait`.
-    Staged { disp: usize, tag: u32, value: T },
+    /// Blocking: the outgoing block, exchanged at `wait`.
+    Staged {
+        disp: usize,
+        tag: u32,
+        value: Cow<'a, T>,
+    },
 }
 
 /// An input-lane block in flight around the ring; collect it with
 /// [`InFlight::wait`] after the step's compute.
 #[must_use = "an in-flight shift must be waited"]
-pub struct InFlight<'a, T: WirePayload> {
+pub struct InFlight<'a, T: WirePayload + Clone> {
     ring: &'a Comm,
     state: InFlightState<'a, T>,
 }
 
-impl<T: WirePayload> InFlight<'_, T> {
+impl<T: WirePayload + Clone> InFlight<'_, T> {
     /// Complete the step: the block shifted in from the ring
     /// predecessor. Time blocked here (and the receive's modeled cost)
     /// is charged to [`Phase::Propagation`].
@@ -399,7 +413,13 @@ impl<T: WirePayload> InFlight<'_, T> {
         let start = std::time::Instant::now();
         let (v, lane) = match state {
             InFlightState::Posted(h) => (h.wait(), "posted"),
-            InFlightState::Staged { disp, tag, value } => (ring.shift(disp, tag, value), "staged"),
+            InFlightState::Staged { disp, tag, value } => {
+                let v = match value {
+                    Cow::Borrowed(v) => ring.shift_ref(disp, tag, v),
+                    Cow::Owned(v) => ring.shift(disp, tag, v),
+                };
+                (v, "staged")
+            }
         };
         trace::complete(TraceKind::Shift, "pipeline.wait", start, || {
             vec![("lane".to_string(), ArgVal::Str(lane.to_string()))]

@@ -251,11 +251,7 @@ impl DenseRepl25 {
     fn replicate(&self, x_fiber: &Mat, total_rows: usize) -> Mat {
         let _ph = self.gc.fiber.phase(Phase::Replication);
         let width = x_fiber.ncols();
-        let parts = self.gc.fiber.allgather(x_fiber.as_slice().to_vec());
-        let mut data = Vec::new();
-        for p in parts {
-            data.extend_from_slice(&p);
-        }
+        let data = self.gc.fiber.allgatherv_f64(x_fiber.as_slice());
         debug_assert!(width == 0 || data.len() / width == total_rows);
         Mat::from_vec(total_rows, width, data)
     }

@@ -167,16 +167,9 @@ impl DenseShift15 {
     fn replicate(&self, comm_len_total: usize, x_loc: &Mat) -> Mat {
         let _ph = self.gc.fiber.phase(Phase::Replication);
         let r = x_loc.ncols();
-        let parts = self.gc.fiber.allgather(x_loc.as_slice().to_vec());
-        let mut rows = 0;
-        for p in &parts {
-            rows += p.len() / r.max(1);
-        }
+        let data = self.gc.fiber.allgatherv_f64(x_loc.as_slice());
+        let rows = data.len() / r.max(1);
         debug_assert_eq!(rows, comm_len_total);
-        let mut data = Vec::with_capacity(rows * r);
-        for p in parts {
-            data.extend_from_slice(&p);
-        }
         Mat::from_vec(rows, r, data)
     }
 

@@ -166,11 +166,7 @@ impl SparseRepl25 {
     /// value all-reduce).
     fn allgather_sampling(&self) -> Vec<f64> {
         let _ph = self.gc.fiber.phase(Phase::Replication);
-        let parts = self.gc.fiber.allgather(self.r.scored_sampling().to_vec());
-        let mut full = Vec::with_capacity(self.pattern().nnz());
-        for p in parts {
-            full.extend_from_slice(&p);
-        }
+        let full = self.gc.fiber.allgatherv_f64(self.r.scored_sampling());
         debug_assert_eq!(full.len(), self.pattern().nnz());
         full
     }

@@ -258,14 +258,8 @@ impl SparseShift15 {
     fn replicate(&self, x_rep: &Mat, total_rows: usize, route: Option<&CommPattern>) -> Mat {
         let _ph = self.gc.fiber.phase(Phase::Replication);
         let w = x_rep.ncols();
-        let mut data = Vec::with_capacity(total_rows * w);
-        match route {
-            None => {
-                let parts = self.gc.fiber.allgather(x_rep.as_slice().to_vec());
-                for p in parts {
-                    data.extend_from_slice(&p);
-                }
-            }
+        let data = match route {
+            None => self.gc.fiber.allgatherv_f64(x_rep.as_slice()),
             Some(pat) => {
                 // Ship each fiber peer only the rows of this rank's
                 // replicate block its ring will ever read; zero-fill
@@ -278,12 +272,14 @@ impl SparseShift15 {
                     self.gc
                         .fiber
                         .sparse_allgather(x_rep.nrows(), w, x_rep.as_slice(), &ship);
+                let mut data = Vec::with_capacity(total_rows * w);
                 for b in bundles {
                     let (_, _, full) = b.into_full();
                     data.extend_from_slice(&full);
                 }
+                data
             }
-        }
+        };
         debug_assert!(w == 0 || data.len() / w == total_rows);
         Mat::from_vec(total_rows, w, data)
     }

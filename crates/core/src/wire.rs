@@ -155,7 +155,8 @@ pub fn encode_events(events: &[ReplanEvent], buf: &mut Vec<u8>) {
 
 /// Decode a replan log written by [`encode_events`].
 pub fn decode_events(r: &mut WireReader<'_>) -> Vec<ReplanEvent> {
-    let n = r.read_len();
+    // An event opens with three 8-byte fields.
+    let n = r.read_count(24);
     (0..n).map(|_| ReplanEvent::decode(r)).collect()
 }
 

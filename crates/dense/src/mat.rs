@@ -267,6 +267,38 @@ mod tests {
         }
     }
 
+    /// Golden bytes: `nrows u64 · ncols u64 · count u64 · f64 bits`,
+    /// written one element at a time here, must be what the bulk
+    /// encoder emits — at entry counts one under, on and over its
+    /// staging block, with bit patterns a lossy copy would change.
+    #[test]
+    fn tile_bytes_match_the_per_element_layout() {
+        let block = dsk_comm::payload::ENCODE_BLOCK_BYTES / 8;
+        let bits = [0u64, 1 << 63, 0x7FF8_0000_0000_0000, 0x7FF0_0000_DEAD_BEEF];
+        for (nrows, ncols) in [
+            (0, 3),
+            (1, 1),
+            (1, block - 1),
+            (2, block / 2),
+            (block + 1, 1),
+            (3, block),
+        ] {
+            let m = Mat::from_fn(nrows, ncols, |i, j| {
+                let k = i * ncols + j;
+                f64::from_bits(bits[k % bits.len()] ^ (k / bits.len()) as u64)
+            });
+            let mut golden = Vec::new();
+            for n in [nrows, ncols, nrows * ncols] {
+                golden.extend_from_slice(&(n as u64).to_le_bytes());
+            }
+            for v in m.as_slice() {
+                golden.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+            assert_eq!(m.to_wire(), golden, "{nrows}x{ncols}");
+            assert_eq!(Mat::from_wire(&golden).to_wire(), golden, "{nrows}x{ncols}");
+        }
+    }
+
     #[test]
     fn zeros_and_indexing() {
         let mut m = Mat::zeros(3, 2);

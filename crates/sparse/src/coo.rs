@@ -6,6 +6,7 @@
 //! nonzero** (row, column, value) for them — reflected by the
 //! [`Payload`] implementation.
 
+use dsk_comm::payload::encode_scalars;
 use dsk_comm::{Payload, WirePayload, WireReader};
 
 /// A sparse `nrows × ncols` matrix as parallel (row, col, value) arrays.
@@ -185,17 +186,13 @@ impl WirePayload for CooMatrix {
         let wide = self.nrows.max(self.ncols) > u16::MAX as usize + 1;
         buf.push(u8::from(wide));
         for idx in [&self.rows, &self.cols] {
-            for &i in idx {
-                if wide {
-                    buf.extend_from_slice(&i.to_le_bytes());
-                } else {
-                    buf.extend_from_slice(&(i as u16).to_le_bytes());
-                }
+            if wide {
+                encode_scalars(buf, idx, |i| i);
+            } else {
+                encode_scalars(buf, idx, |i| i as u16);
             }
         }
-        for v in &self.vals {
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        encode_scalars(buf, &self.vals, |v| v);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Self {
@@ -204,13 +201,15 @@ impl WirePayload for CooMatrix {
         let nnz = r.read_len();
         let wide = r.u8() != 0;
         let idx = |r: &mut WireReader<'_>| -> Vec<u32> {
-            (0..nnz)
-                .map(|_| if wide { r.u32() } else { r.u16() as u32 })
-                .collect()
+            if wide {
+                r.scalars::<u32>(nnz).collect()
+            } else {
+                r.scalars::<u16>(nnz).map(u32::from).collect()
+            }
         };
         let rows = idx(r);
         let cols = idx(r);
-        let vals: Vec<f64> = (0..nnz).map(|_| r.f64()).collect();
+        let vals: Vec<f64> = r.scalars(nnz).collect();
         CooMatrix::from_triplets(nrows, ncols, rows, cols, vals)
     }
 }
@@ -291,6 +290,77 @@ mod tests {
             let bytes = m.to_wire();
             assert_eq!(CooMatrix::from_wire(&bytes), m);
         }
+    }
+
+    /// The layout the bulk encoder must reproduce, one element and one
+    /// width test at a time: `nrows · ncols · nnz` as `u64`, a width
+    /// flag, row then column indices (`u16`, or `u32` when either side
+    /// exceeds 2¹⁶), value bits.
+    fn reference_bytes(m: &CooMatrix) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for n in [m.nrows, m.ncols, m.nnz()] {
+            buf.extend_from_slice(&(n as u64).to_le_bytes());
+        }
+        let wide = m.nrows.max(m.ncols) > u16::MAX as usize + 1;
+        buf.push(u8::from(wide));
+        for idx in [&m.rows, &m.cols] {
+            for &i in idx {
+                if wide {
+                    buf.extend_from_slice(&i.to_le_bytes());
+                } else {
+                    buf.extend_from_slice(&(i as u16).to_le_bytes());
+                }
+            }
+        }
+        for v in &m.vals {
+            buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        buf
+    }
+
+    /// Golden bytes in both index widths, at nonzero counts one under,
+    /// on and over the encoder's staging block for each element size
+    /// (2-, 4- and 8-byte), with NaN and −0.0 values.
+    #[test]
+    fn block_bytes_match_the_per_element_layout() {
+        let block = dsk_comm::payload::ENCODE_BLOCK_BYTES;
+        let mut counts = vec![0, 1];
+        for size in [2, 4, 8] {
+            counts.extend([block / size - 1, block / size, block / size + 1]);
+        }
+        for side in [300usize, (1 << 16) + 5] {
+            for &nnz in &counts {
+                let rows = (0..nnz).map(|k| ((k * 7919) % side) as u32).collect();
+                let cols = (0..nnz)
+                    .map(|k| (side - 1 - (k * 31) % side) as u32)
+                    .collect();
+                let vals = (0..nnz)
+                    .map(|k| match k % 3 {
+                        0 => f64::from_bits(0x7FF0_0000_0000_0000 | (k as u64 + 1)),
+                        1 => -0.0,
+                        _ => k as f64 * 0.5,
+                    })
+                    .collect();
+                let m = CooMatrix::from_triplets(side, side, rows, cols, vals);
+                let golden = reference_bytes(&m);
+                assert_eq!(m.to_wire(), golden, "side {side}, nnz {nnz}");
+                let back = CooMatrix::from_wire(&golden);
+                assert_eq!(back.to_wire(), golden, "side {side}, nnz {nnz}");
+            }
+        }
+    }
+
+    /// A corrupt nonzero count fails as a decode underrun, before any
+    /// array is allocated for it.
+    #[test]
+    #[should_panic(expected = "wire decode underrun")]
+    fn absurd_nnz_underruns_before_allocating() {
+        let mut bytes = Vec::new();
+        for n in [4u64, 4, 1 << 60] {
+            bytes.extend_from_slice(&n.to_le_bytes());
+        }
+        bytes.extend_from_slice(&[0; 9]);
+        let _ = CooMatrix::from_wire(&bytes);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Compressed sparse row storage — the format local kernels compute on.
 
 use crate::coo::CooMatrix;
+use dsk_comm::payload::encode_scalars;
 use dsk_comm::{Payload, WirePayload, WireReader};
 
 /// A sparse matrix in CSR form: `indptr[i]..indptr[i+1]` indexes the
@@ -223,29 +224,23 @@ impl WirePayload for CsrMatrix {
         (self.nrows as u64).encode(buf);
         (self.ncols as u64).encode(buf);
         (self.nnz() as u64).encode(buf);
-        let wide_rows =
-            (0..self.nrows).any(|i| self.indptr[i + 1] - self.indptr[i] > u16::MAX as usize);
+        // Each width is decided once per array, not once per element.
+        let row_lens = || self.indptr.windows(2).map(|w| w[1] - w[0]);
+        let wide_rows = row_lens().any(|len| len > u16::MAX as usize);
         buf.push(u8::from(wide_rows));
-        for i in 0..self.nrows {
-            let len = self.indptr[i + 1] - self.indptr[i];
-            if wide_rows {
-                buf.extend_from_slice(&(len as u32).to_le_bytes());
-            } else {
-                buf.extend_from_slice(&(len as u16).to_le_bytes());
-            }
+        if wide_rows {
+            row_lens().for_each(|len| buf.extend_from_slice(&(len as u32).to_le_bytes()));
+        } else {
+            row_lens().for_each(|len| buf.extend_from_slice(&(len as u16).to_le_bytes()));
         }
         let wide_cols = self.ncols > u16::MAX as usize + 1;
         buf.push(u8::from(wide_cols));
-        for &c in &self.indices {
-            if wide_cols {
-                buf.extend_from_slice(&c.to_le_bytes());
-            } else {
-                buf.extend_from_slice(&(c as u16).to_le_bytes());
-            }
+        if wide_cols {
+            encode_scalars(buf, &self.indices, |c| c);
+        } else {
+            encode_scalars(buf, &self.indices, |c| c as u16);
         }
-        for v in &self.vals {
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        encode_scalars(buf, &self.vals, |v| v);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Self {
@@ -253,23 +248,34 @@ impl WirePayload for CsrMatrix {
         let ncols = r.read_len();
         let nnz = r.read_len();
         let wide_rows = r.u8() != 0;
-        let mut indptr = Vec::with_capacity(nrows + 1);
-        indptr.push(0usize);
-        let mut acc = 0usize;
-        for _ in 0..nrows {
-            acc += if wide_rows {
-                r.u32() as usize
-            } else {
-                r.u16() as usize
-            };
-            indptr.push(acc);
+        // `scalars` has bounds-checked the count by the time
+        // `with_capacity` sees it.
+        fn prefix_sums(lens: impl ExactSizeIterator<Item = usize>) -> Vec<usize> {
+            let mut indptr = Vec::with_capacity(lens.len() + 1);
+            indptr.push(0);
+            let mut acc = 0;
+            indptr.extend(lens.map(|len| {
+                acc += len;
+                acc
+            }));
+            indptr
         }
-        assert_eq!(acc, nnz, "CSR wire block: row lengths disagree with nnz");
+        let indptr = if wide_rows {
+            prefix_sums(r.scalars::<u32>(nrows).map(|len| len as usize))
+        } else {
+            prefix_sums(r.scalars::<u16>(nrows).map(usize::from))
+        };
+        assert_eq!(
+            indptr[nrows], nnz,
+            "CSR wire block: row lengths disagree with nnz"
+        );
         let wide_cols = r.u8() != 0;
-        let indices: Vec<u32> = (0..nnz)
-            .map(|_| if wide_cols { r.u32() } else { r.u16() as u32 })
-            .collect();
-        let vals: Vec<f64> = (0..nnz).map(|_| r.f64()).collect();
+        let indices: Vec<u32> = if wide_cols {
+            r.scalars::<u32>(nnz).collect()
+        } else {
+            r.scalars::<u16>(nnz).map(u32::from).collect()
+        };
+        let vals: Vec<f64> = r.scalars(nnz).collect();
         CsrMatrix {
             nrows,
             ncols,
@@ -315,6 +321,111 @@ mod tests {
             assert_eq!(m.words(), 2 * m.nnz() + m.nrows() + 1);
             let bytes = m.to_wire();
             assert_eq!(CsrMatrix::from_wire(&bytes), m);
+        }
+    }
+
+    /// The layout the bulk encoder must reproduce, one element and one
+    /// width test at a time: `nrows · ncols · nnz` as `u64`, row-width
+    /// flag, per-row lengths (`u16`, or `u32` when any row exceeds
+    /// 2¹⁶−1), index-width flag, column indices (`u16`, or `u32` past
+    /// 2¹⁶ columns), value bits.
+    fn reference_bytes(m: &CsrMatrix) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for n in [m.nrows, m.ncols, m.nnz()] {
+            buf.extend_from_slice(&(n as u64).to_le_bytes());
+        }
+        let wide_rows = (0..m.nrows).any(|i| m.indptr[i + 1] - m.indptr[i] > u16::MAX as usize);
+        buf.push(u8::from(wide_rows));
+        for i in 0..m.nrows {
+            let len = m.indptr[i + 1] - m.indptr[i];
+            if wide_rows {
+                buf.extend_from_slice(&(len as u32).to_le_bytes());
+            } else {
+                buf.extend_from_slice(&(len as u16).to_le_bytes());
+            }
+        }
+        let wide_cols = m.ncols > u16::MAX as usize + 1;
+        buf.push(u8::from(wide_cols));
+        for &c in &m.indices {
+            if wide_cols {
+                buf.extend_from_slice(&c.to_le_bytes());
+            } else {
+                buf.extend_from_slice(&(c as u16).to_le_bytes());
+            }
+        }
+        for v in &m.vals {
+            buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        buf
+    }
+
+    /// `nnz` nonzeros with distinct positions, filled row by row
+    /// `per_row` at a time, values cycling through NaN, −0.0 and plain.
+    fn filled(nrows: usize, ncols: usize, per_row: usize, nnz: usize) -> CsrMatrix {
+        assert!(per_row <= ncols && nnz <= nrows * per_row);
+        let rows = (0..nnz).map(|k| (k / per_row) as u32).collect();
+        let cols = (0..nnz).map(|k| (ncols - 1 - k % per_row) as u32).collect();
+        let vals = (0..nnz)
+            .map(|k| match k % 3 {
+                0 => f64::from_bits(0x7FF0_0000_0000_0000 | (k as u64 + 1)),
+                1 => -0.0,
+                _ => k as f64 * 0.5,
+            })
+            .collect();
+        CsrMatrix::from_coo(&CooMatrix::from_triplets(nrows, ncols, rows, cols, vals))
+    }
+
+    /// Golden bytes in all four width combinations, at nonzero counts
+    /// one under, on and over the encoder's staging block for each
+    /// element size (2-, 4- and 8-byte).
+    #[test]
+    fn block_bytes_match_the_per_element_layout() {
+        let block = dsk_comm::payload::ENCODE_BLOCK_BYTES;
+        let mut counts = vec![0, 1];
+        for size in [2, 4, 8] {
+            counts.extend([block / size - 1, block / size, block / size + 1]);
+        }
+        let narrow = 1 << 16; // widest block whose indices fit u16
+        for (nrows, ncols, per_row) in [
+            (64, narrow, 40),            // narrow rows, narrow cols
+            (64, narrow + 1, 40),        // narrow rows, wide cols
+            (2, narrow, narrow),         // wide rows (65536 in row 0), narrow cols
+            (2, narrow + 9, narrow + 9), // wide rows, wide cols
+        ] {
+            let full_row = if per_row > u16::MAX as usize {
+                vec![per_row + 3]
+            } else {
+                vec![]
+            };
+            for &nnz in counts.iter().chain(&full_row) {
+                let m = filled(nrows, ncols, per_row, nnz);
+                assert_eq!(m.nnz(), nnz);
+                let golden = reference_bytes(&m);
+                let what = format!("{nrows}x{ncols}, nnz {nnz}");
+                assert_eq!(m.to_wire(), golden, "{what}");
+                assert_eq!(CsrMatrix::from_wire(&golden).to_wire(), golden, "{what}");
+            }
+        }
+    }
+
+    /// Corrupt counts fail cleanly before any array is allocated for
+    /// them: an absurd row count as a decode underrun, an absurd nonzero
+    /// count against the row lengths that cannot add up to it.
+    #[test]
+    fn absurd_counts_are_rejected_before_allocating() {
+        for (nrows, nnz, expect) in [
+            (1u64 << 60, 0u64, "wire decode underrun"),
+            (0, 1 << 60, "row lengths disagree with nnz"),
+        ] {
+            let mut bytes = Vec::new();
+            for n in [nrows, 8, nnz] {
+                bytes.extend_from_slice(&n.to_le_bytes());
+            }
+            bytes.extend_from_slice(&[0; 10]);
+            let err = std::panic::catch_unwind(|| CsrMatrix::from_wire(&bytes))
+                .expect_err("absurd counts cannot decode");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains(expect), "expected {expect:?}, got {msg:?}");
         }
     }
 
