@@ -23,7 +23,6 @@
 //! (10 + 10 = 20 by default).
 
 use dsk_comm::Phase;
-use dsk_core::session::{ReplanEvent, ReplanPolicy};
 use dsk_dense::Mat;
 
 use crate::engine::AppEngine;
@@ -63,14 +62,12 @@ pub struct AlsReport {
     pub final_loss: Option<f64>,
     /// Global residual norms `‖r‖²` at the end of each CG phase.
     pub phase_residuals: Vec<f64>,
-    /// Between-sweep re-planning decisions (empty without a policy).
-    pub replans: Vec<ReplanEvent>,
 }
 
 // Reports cross process boundaries under the socket backend.
 impl dsk_comm::Payload for AlsReport {
     fn words(&self) -> usize {
-        2 + self.phase_residuals.len() + dsk_core::wire::events_words(&self.replans)
+        2 + self.phase_residuals.len()
     }
 }
 
@@ -79,14 +76,12 @@ impl dsk_comm::WirePayload for AlsReport {
         self.initial_loss.encode(buf);
         self.final_loss.encode(buf);
         self.phase_residuals.encode(buf);
-        dsk_core::wire::encode_events(&self.replans, buf);
     }
     fn decode(r: &mut dsk_comm::WireReader<'_>) -> Self {
         AlsReport {
             initial_loss: Option::<f64>::decode(r),
             final_loss: Option::<f64>::decode(r),
             phase_residuals: Vec::<f64>::decode(r),
-            replans: dsk_core::wire::decode_events(r),
         }
     }
 }
@@ -198,57 +193,36 @@ pub fn run_als(engine: &mut AppEngine, cfg: &AlsConfig) -> AlsReport {
     AlsSolver::new(*cfg).solve(engine)
 }
 
-/// The ALS application as an object: configuration plus an optional
-/// between-sweep re-planning policy, run against an [`AppEngine`].
-///
-/// With a policy set ([`AlsSolver::with_replan`]), the solver calls
-/// [`Session::replan`](dsk_core::session::Session::replan) between
-/// sweeps: the session re-scores the *observed* problem (e.g. after the
-/// application pruned R values) and migrates the live factors to a
-/// cheaper family when the predicted win clears the policy's hysteresis
-/// — the factors and loss carry over exactly, only the distribution
-/// changes.
+/// The ALS application as an object: its configuration, run against an
+/// [`AppEngine`]. Re-planning between solves is the session's business
+/// (`SessionBuilder::auto_replan`, or `engine.session_mut().replan(..)`
+/// between two `solve` calls): factors and loss carry over exactly,
+/// only the distribution changes.
 #[derive(Debug, Clone, Default)]
 pub struct AlsSolver {
     /// Hyper-parameters for the sweeps.
     pub cfg: AlsConfig,
-    /// Replan between sweeps when set.
-    pub replan: Option<ReplanPolicy>,
 }
 
 impl AlsSolver {
-    /// A solver with the given configuration and no re-planning.
+    /// A solver with the given configuration.
     pub fn new(cfg: AlsConfig) -> Self {
-        AlsSolver { cfg, replan: None }
+        AlsSolver { cfg }
     }
 
-    /// Enable between-sweep re-planning under `policy`.
-    pub fn with_replan(mut self, policy: ReplanPolicy) -> Self {
-        self.replan = Some(policy);
-        self
-    }
-
-    /// Run the configured sweeps on `engine`, re-planning between
-    /// sweeps when a policy is set.
+    /// Run the configured sweeps on `engine`.
     pub fn solve(&self, engine: &mut AppEngine) -> AlsReport {
         let cfg = &self.cfg;
         let initial_loss = cfg.track_loss.then(|| engine.loss());
         let mut phase_residuals = Vec::with_capacity(2 * cfg.sweeps);
-        let mut replans: Vec<ReplanEvent> = Vec::new();
-        for sweep in 0..cfg.sweeps {
+        for _ in 0..cfg.sweeps {
             als_sweep(engine, cfg, &mut phase_residuals);
-            if sweep + 1 < cfg.sweeps {
-                if let Some(policy) = &self.replan {
-                    replans.push(engine.session_mut().replan(policy));
-                }
-            }
         }
         let final_loss = cfg.track_loss.then(|| engine.loss());
         AlsReport {
             initial_loss,
             final_loss,
             phase_residuals,
-            replans,
         }
     }
 }

@@ -43,7 +43,7 @@
 
 use std::sync::Arc;
 
-use dsk_bench::harness::{run_fused_on, run_fused_on_mode, run_planned_on};
+use dsk_bench::harness::{run_fused, Pick};
 use dsk_bench::json::{
     git_sha, summary_lines, AdaptivePoint, BenchPoint, BenchReport, CandidateTiming,
     BENCH_SCHEMA_VERSION,
@@ -52,7 +52,7 @@ use dsk_bench::workloads::{drifting_nnz_grid, fig6_regret_grid, SweepScale};
 use dsk_comm::{BackendKind, MachineModel};
 use dsk_core::common::AlgorithmFamily;
 use dsk_core::kernel::{KernelBuilder, PlannedCandidate};
-use dsk_core::{GlobalProblem, StagedProblem};
+use dsk_core::{GlobalProblem, ShiftMode, StagedProblem};
 
 const C_MAX: usize = 16;
 const CALLS: usize = 1;
@@ -174,28 +174,19 @@ fn sweep_point(
 ) -> BenchPoint {
     let mut timed: Vec<CandidateTiming> = Vec::with_capacity(candidates.len());
     for (i, cand) in candidates.iter().enumerate() {
-        let row = if i == 0 {
-            let (plan, row) = run_planned_on(staged, model, p, C_MAX, CALLS, backend);
-            assert_eq!(
-                plan.algorithm(),
-                Some(cand.algorithm),
-                "auto build diverged from plan_candidates head"
-            );
-            assert_eq!(plan.c, cand.c);
-            assert_eq!(plan.routing, cand.routing);
-            row
+        let pick = if i == 0 {
+            Pick::Auto { c_max: C_MAX }
         } else {
-            run_fused_on(
-                staged,
-                model,
-                p,
-                cand.algorithm,
-                cand.routing,
-                cand.c,
-                CALLS,
-                backend,
-            )
+            Pick::of(cand)
         };
+        let (plan, row) = run_fused(staged, model, p, pick, CALLS, backend, ShiftMode::Pipelined);
+        assert_eq!(
+            plan.algorithm(),
+            Some(cand.algorithm),
+            "build diverged from plan_candidates row {i} (row 0 is the auto build)"
+        );
+        assert_eq!(plan.c, cand.c);
+        assert_eq!(plan.routing, cand.routing);
         timed.push(CandidateTiming {
             family: cand.algorithm.family.label().to_string(),
             elision: cand.algorithm.elision.label().to_string(),
@@ -243,17 +234,14 @@ fn sweep_point(
     // blocking run must be the *same* schedule down to its accounting —
     // the mode changes when bytes move, never how many are charged.
     let overlap = if backend == BackendKind::WireDelay {
-        let pick = &candidates[picked];
-        let blocking = run_fused_on_mode(
+        let (_, blocking) = run_fused(
             staged,
             model,
             p,
-            pick.algorithm,
-            pick.routing,
-            pick.c,
+            Pick::of(&candidates[picked]),
             CALLS,
             backend,
-            dsk_core::ShiftMode::Blocking,
+            ShiftMode::Blocking,
         );
         assert_eq!(
             blocking.total_s.to_bits(),
@@ -291,11 +279,12 @@ fn sweep_point(
 /// backend-invariant, like the main grid's regret).
 fn adaptive_scenario(scale: SweepScale, model: MachineModel) -> AdaptivePoint {
     let grid = drifting_nnz_grid(scale);
-    type Pick = (
-        dsk_core::theory::Algorithm,
-        dsk_core::common::Routing,
-        usize,
-    );
+    let measure = |staged: &Arc<StagedProblem>, pick: Pick| {
+        let (inproc, mode) = (BackendKind::InProc, ShiftMode::Pipelined);
+        run_fused(staged, model, grid.p, pick, CALLS, inproc, mode)
+            .1
+            .total_s
+    };
     let mut static_pick: Option<Pick> = None;
     let mut prev_pick: Option<Pick> = None;
     let (mut static_total, mut adaptive_total, mut oracle_total) = (0.0f64, 0.0f64, 0.0f64);
@@ -316,27 +305,11 @@ fn adaptive_scenario(scale: SweepScale, model: MachineModel) -> AdaptivePoint {
         assert!(!candidates.is_empty());
         let measured: Vec<f64> = candidates
             .iter()
-            .map(|cand| {
-                run_fused_on(
-                    &staged,
-                    model,
-                    grid.p,
-                    cand.algorithm,
-                    cand.routing,
-                    cand.c,
-                    CALLS,
-                    BackendKind::InProc,
-                )
-                .total_s
-            })
+            .map(|cand| measure(&staged, Pick::of(cand)))
             .collect();
         let oracle = measured.iter().cloned().fold(f64::INFINITY, f64::min);
         oracle_total += oracle;
-        let pick = (
-            candidates[0].algorithm,
-            candidates[0].routing,
-            candidates[0].c,
-        );
+        let pick = Pick::of(&candidates[0]);
         adaptive_total += measured[0];
         if let Some(prev) = prev_pick {
             if prev != pick {
@@ -350,24 +323,14 @@ fn adaptive_scenario(scale: SweepScale, model: MachineModel) -> AdaptivePoint {
         } else {
             // The held phase-0 plan is no longer the planner's pick for
             // this phase: measure it explicitly.
-            run_fused_on(
-                &staged,
-                model,
-                grid.p,
-                stat.0,
-                stat.1,
-                stat.2,
-                CALLS,
-                BackendKind::InProc,
-            )
-            .total_s
+            measure(&staged, stat)
         };
         eprintln!(
             "[adaptive] phase {phase}: nnz/row={nnz_row} pick {} {} c={} (oracle {:.3e}s, \
              adaptive {:.3e}s)",
-            pick.0.label(),
-            pick.1.label(),
-            pick.2,
+            candidates[0].algorithm.label(),
+            candidates[0].routing.label(),
+            candidates[0].c,
             oracle,
             measured[0],
         );

@@ -10,12 +10,14 @@
 //! tuner_sweep [--smoke | --quick]
 //! ```
 //!
-//! Output is the usual microbench table (GFLOP/s via the
-//! `dsk_kernels::*_flops` helpers), one group per (format, op), plus a
-//! per-op summary line naming the tuner's pick and its measured speedup
-//! over naive.
+//! Output is one table row per (format, op, variant) — median wall time
+//! per iteration and GFLOP/s via the `dsk_kernels::*_flops` helpers —
+//! plus a per-op summary line naming the tuner's pick and its measured
+//! speedup over naive. Good for the relative comparison the gate makes;
+//! absolute numbers are machine noise.
 
-use dsk_bench::microbench::{header, measure, row};
+use std::time::{Duration, Instant};
+
 use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_kernels::{LocalKernel, LocalOp, LocalTuning, SparseFormat, TuneRequest};
@@ -24,6 +26,35 @@ use dsk_sparse::{gen, CooMatrix, CsrMatrix};
 /// A tuned pick may re-measure slower than naive by this factor before
 /// the sweep calls it a regression (microbench noise, not a bad pick).
 const NOISE_TOL: f64 = 1.10;
+
+/// Measure `f`, returning seconds per iteration (median of batches).
+fn measure(mut f: impl FnMut()) -> f64 {
+    // Warm-up: one call, then size batches to ~10 ms each.
+    let t0 = Instant::now();
+    f();
+    let once = t0.elapsed().as_secs_f64().max(1e-9);
+    let batch = ((0.01 / once) as usize).clamp(1, 1_000_000);
+    let mut samples = Vec::with_capacity(9);
+    let deadline = Instant::now() + Duration::from_millis(300);
+    while samples.len() < 9 && (samples.len() < 3 || Instant::now() < deadline) {
+        let t = Instant::now();
+        for _ in 0..batch {
+            f();
+        }
+        samples.push(t.elapsed().as_secs_f64() / batch as f64);
+    }
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples[samples.len() / 2]
+}
+
+/// Print the table row of a measured timing.
+fn row(group: &str, name: &str, s_per_iter: f64, flops: u64) {
+    println!(
+        "{group:<28} {name:<24} {:>12.3} µs/iter {:>10.2} Gelem/s",
+        s_per_iter * 1e6,
+        flops as f64 / s_per_iter / 1e9
+    );
+}
 
 fn op_flops(op: LocalOp, nnz: usize, r: usize) -> u64 {
     match op {
@@ -82,7 +113,7 @@ fn sweep_op(
             &format!("{fmt_label}/{}", op.label()),
             &format!("{}/r={r}", v.label()),
             s_per_iter,
-            Some(flops),
+            flops,
         );
         timings.push((v, s_per_iter));
     }
@@ -124,9 +155,11 @@ fn main() {
     let b = Mat::random(n, r, 2);
     let nnz = s.nnz();
 
-    header(&format!(
-        "tuner sweep (n = {n}, {nnz_row} nnz/row, r = {r})"
-    ));
+    println!("\n=== tuner sweep (n = {n}, {nnz_row} nnz/row, r = {r}) ===");
+    println!(
+        "{:<28} {:<24} {:>17} {:>18}",
+        "group", "case", "time", "throughput"
+    );
 
     let tuning = LocalTuning::new();
     let mut summaries: Vec<(String, LocalKernel, f64, f64, LocalKernel)> = Vec::new();

@@ -23,23 +23,8 @@
 use std::fmt::Write as _;
 
 /// Version stamp written into every report. Bump when the schema shape
-/// changes; [`gate`] refuses to compare mismatched versions.
-///
-/// v2 added the `adaptive` section (drifting-sparsity static-vs-
-/// adaptive regret). v3 added per-candidate `routing` (`dense` vs
-/// `pattern`): the planner scoreboard now carries pattern-routed
-/// variants alongside the paper's dense schedules, and the gate grows
-/// routed-regret and routed wire-byte axes. The parser still accepts
-/// older documents (`routing` defaults to `dense`), but [`gate`]
-/// refuses cross-version comparison and asks for a baseline refresh.
-/// v4 added per-candidate `local_variant`: the local microkernel the
-/// two-level tuner resolved for the candidate (pre-v4 documents parse
-/// as `naive`, the only local kernel that existed then).
-/// v5 added per-point `overlap`: the planner pick's pipelined wall
-/// time ÷ its blocking-shift wall time, measured once per `wire-delay`
-/// point (1.0 on backends with no modeled latency to hide; pre-v5
-/// documents parse as 1.0). The gate grows an overlap axis: pipelined
-/// execution must not run slower than blocking beyond tolerance.
+/// changes; [`gate`] refuses to compare mismatched versions, and
+/// [`BenchReport::parse`] requires every field of this version.
 pub const BENCH_SCHEMA_VERSION: u64 = 5;
 
 // ---------------------------------------------------------------------
@@ -411,11 +396,10 @@ pub struct CandidateTiming {
     pub elision: String,
     /// Routing label: `dense` (the paper's full-row shifts) or
     /// `pattern` (pattern-routed shifts shipping only needed rows).
-    /// Schema v3; parses as `dense` when absent.
     pub routing: String,
     /// Local microkernel variant the two-level tuner resolved for this
     /// candidate (a `LocalKernel` label, e.g. `naive`, `blocked`,
-    /// `par-blocked`). Schema v4; parses as `naive` when absent.
+    /// `par-blocked`).
     pub local_variant: String,
     /// Replication factor the planner resolved for this candidate.
     pub c: u64,
@@ -574,8 +558,7 @@ pub struct BenchReport {
     pub calls: u64,
     /// All grid points, grouped by backend.
     pub points: Vec<BenchPoint>,
-    /// Drifting-sparsity static-vs-adaptive regret points (schema v2;
-    /// empty when parsed from a v1 document).
+    /// Drifting-sparsity static-vs-adaptive regret points.
     pub adaptive: Vec<AdaptivePoint>,
 }
 
@@ -816,19 +799,14 @@ impl BenchReport {
         {
             points.push(parse_point(pt).map_err(|e| format!("points[{i}]: {e}"))?);
         }
-        // v1 documents carry no adaptive section: missing means empty,
-        // so old baselines still parse (the gate separately refuses
-        // cross-version comparison and asks for a refresh).
         let mut adaptive = Vec::new();
-        if let Some(arr) = root.get("adaptive") {
-            for (i, pt) in arr
-                .as_arr()
-                .ok_or("\"adaptive\" not an array")?
-                .iter()
-                .enumerate()
-            {
-                adaptive.push(parse_adaptive(pt).map_err(|e| format!("adaptive[{i}]: {e}"))?);
-            }
+        for (i, pt) in req("adaptive")?
+            .as_arr()
+            .ok_or("\"adaptive\" not an array")?
+            .iter()
+            .enumerate()
+        {
+            adaptive.push(parse_adaptive(pt).map_err(|e| format!("adaptive[{i}]: {e}"))?);
         }
         Ok(BenchReport {
             schema_version: num("schema_version")?,
@@ -913,12 +891,7 @@ fn parse_point(pt: &Json) -> Result<BenchPoint, String> {
         best: num("best")?,
         regret: float("regret")?,
         model_error: float("model_error")?,
-        // Pre-v5 documents predate the pipelined shift surface; their
-        // hand-rolled shifts were fully blocking.
-        overlap: match pt.get("overlap") {
-            Some(v) => v.as_f64().ok_or("\"overlap\" not a number")?,
-            None => 1.0,
-        },
+        overlap: float("overlap")?,
     };
     let n = point.candidates.len() as u64;
     if point.picked >= n || point.best >= n {
@@ -940,28 +913,18 @@ fn parse_candidate(cand: &Json) -> Result<CandidateTiming, String> {
             .as_f64()
             .ok_or_else(|| format!("{key:?} not a number"))
     };
-    Ok(CandidateTiming {
-        family: req("family")?
-            .as_str()
-            .ok_or("\"family\" not a string")?
-            .to_string(),
-        elision: req("elision")?
-            .as_str()
-            .ok_or("\"elision\" not a string")?
-            .to_string(),
-        // Pre-v3 documents scored dense schedules only.
-        routing: match cand.get("routing") {
-            Some(v) => v.as_str().ok_or("\"routing\" not a string")?.to_string(),
-            None => "dense".to_string(),
-        },
-        // Pre-v4 documents predate the local variant library.
-        local_variant: match cand.get("local_variant") {
-            Some(v) => v
-                .as_str()
-                .ok_or("\"local_variant\" not a string")?
+    let text = |key: &str| {
+        let s = req(key)?.as_str();
+        Ok::<_, String>(
+            s.ok_or_else(|| format!("{key:?} not a string"))?
                 .to_string(),
-            None => "naive".to_string(),
-        },
+        )
+    };
+    Ok(CandidateTiming {
+        family: text("family")?,
+        elision: text("elision")?,
+        routing: text("routing")?,
+        local_variant: text("local_variant")?,
         c: req("c")?.as_u64().ok_or("\"c\" not an integer")?,
         predicted_s: float("predicted_s")?,
         modeled_s: float("modeled_s")?,

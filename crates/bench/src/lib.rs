@@ -1,32 +1,25 @@
-//! # dsk-bench — the paper's experimental campaign
+//! # dsk-bench — the four gates CI runs
 //!
-//! One binary per table/figure of the evaluation section, each printing
-//! the same rows/series the paper reports (at the scaled-down problem
-//! sizes documented in `EXPERIMENTS.md`):
+//! | binary | gate |
+//! |--------|------|
+//! | `fig6_phase_diagram` | Fig. 6 — predicted & observed best algorithm over (r, nnz/row) as the planner-regret sweep: every scored candidate measured per grid point and backend, written as a versioned `BENCH_*.json` report ([`json`]) |
+//! | `bench_gate` | diff two `BENCH_*.json` reports under tolerances; CI gates the PR's smoke report against the committed `BENCH_baseline.json` |
+//! | `trace_check` | validate a `DSK_TRACE` export and prove a traced sweep left every gated metric byte-identical |
+//! | `tuner_sweep` | every admissible local-kernel variant measured per op; fails when the tuner's pick is slower than naive |
 //!
-//! | binary | reproduces |
-//! |--------|------------|
-//! | `table3_validation` | Table III — measured vs analytic words & messages |
-//! | `table4_optimal_c` | Table IV — formula vs observed optimal replication factors |
-//! | `fig4_weak_scaling` | Fig. 4 — weak scaling, setups 1 & 2, eight algorithms |
-//! | `fig5_breakdown` | Fig. 5 — replication/propagation/computation breakdown |
-//! | `fig6_phase_diagram` | Fig. 6 — predicted & observed best algorithm over (r, nnz/row), plus the planner-regret sweep emitting versioned `BENCH_*.json` reports ([`json`]) |
-//! | `fig7_replication_factors` | Fig. 7 — predicted vs observed optimal c |
-//! | `bench_gate` | CI perf gate: diff two `BENCH_*.json` reports with tolerances |
-//! | `fig8_strong_scaling` | Fig. 8 — strong scaling on real-matrix surrogates + PETSc-like baseline |
-//! | `fig9_applications` | Fig. 9 — ALS and GAT time breakdowns |
+//! A binary that no CI step invokes does not belong here (CI checks
+//! the set). The paper's other figures and tables are answered by
+//! tests and by the repo benchmark (`benchmark/`, `BENCHMARK.json`) —
+//! `ARCHITECTURE.md` §6 has the map.
 //!
-//! Dependency-free micro-benchmarks for the local kernels, the collectives,
-//! and small distributed runs live under `benches/`.
-//!
-//! Reported times are **modeled** (α-β-γ with Cori-like constants)
-//! computed from message/word/flop counts measured during real execution
-//! of the distributed algorithms over threads; see `DESIGN.md` §3.
+//! Gated times are **modeled** (α-β-γ with Cori-like constants)
+//! computed from message/word/flop counts measured during real
+//! execution of the distributed algorithms; wall clocks are recorded
+//! beside them and bounded one-sidedly at most.
 
 pub mod harness;
 pub mod json;
-pub mod microbench;
 pub mod workloads;
 
-pub use harness::{run_baseline, run_fused, run_fused_best_c, FusedRow};
+pub use harness::{run_fused, FusedRow, Pick};
 pub use json::{BenchPoint, BenchReport, CandidateTiming, GateTolerances, Json};

@@ -1,87 +1,9 @@
-//! Workload builders matching the paper's experimental setups, at the
-//! scaled-down sizes documented in `EXPERIMENTS.md`.
+//! The grids the planner-regret sweep (`fig6_phase_diagram`) measures,
+//! at three scales.
 //!
-//! Scaling rules (§VI of the paper → this reproduction):
-//!
-//! * **Weak scaling setup 1**: the paper runs side `2¹⁶·p`, 32
-//!   nonzeros/row, `r = 256` (φ = 1/8 constant). We run side
-//!   `BASE_SIDE·p`, `NNZ_PER_ROW` nonzeros/row, `r = R_WEAK` with the
-//!   same φ = 1/8.
-//! * **Weak scaling setup 2**: side and nonzeros/row both scale with
-//!   `√p` (φ doubles every 4× ranks), as in the paper.
-//! * **Strong scaling**: R-MAT surrogates for the five SuiteSparse /
-//!   HipMCL matrices of Table V, preserving each matrix's
-//!   nonzeros-per-row ratio and heavy-tailed degree profile, with the
-//!   paper's random symmetric permutation applied for load balance.
-
-use dsk_core::GlobalProblem;
-use dsk_dense::Mat;
-use dsk_sparse::gen::{self, RealMatrixProfile};
-use dsk_sparse::permute::random_symmetric_permute;
-
-/// Per-rank side length for weak scaling (paper: 2¹⁶).
-pub const BASE_SIDE: usize = 1 << 11;
-/// Nonzeros per row for weak scaling setup 1 (paper: 32).
-pub const NNZ_PER_ROW: usize = 4;
-/// Embedding width for weak scaling (paper: 256). φ = 4/32 = 1/8 as in
-/// the paper's 32/256.
-pub const R_WEAK: usize = 32;
-/// Embedding width for strong scaling (paper: 128).
-pub const R_STRONG: usize = 32;
-
-/// Weak-scaling setup 1 problem at `p` ranks: side `BASE_SIDE·p`,
-/// constant nonzeros/row and φ.
-pub fn weak_setup1(p: usize, seed: u64) -> GlobalProblem {
-    let side = BASE_SIDE * p;
-    GlobalProblem::erdos_renyi(side, side, R_WEAK, NNZ_PER_ROW, seed)
-}
-
-/// Weak-scaling setup 2 problem at `p` ranks (`p` must be a perfect
-/// square ×1,4,16,…): side `BASE_SIDE·√p`, `NNZ_PER_ROW·√p`
-/// nonzeros/row — φ grows as √p.
-pub fn weak_setup2(p: usize, seed: u64) -> GlobalProblem {
-    let sq = (p as f64).sqrt().round() as usize;
-    assert_eq!(sq * sq, p, "setup 2 quadruples rank counts");
-    let side = BASE_SIDE * sq;
-    GlobalProblem::erdos_renyi(side, side, R_WEAK, NNZ_PER_ROW * sq, seed)
-}
-
-/// A strong-scaling surrogate: scaled-down R-MAT with the profile's
-/// nonzeros/row, randomly symmetrically permuted (as the paper does to
-/// every input), random dense factors of width [`R_STRONG`].
-pub fn strong_surrogate(profile: &RealMatrixProfile, scale: u32, seed: u64) -> GlobalProblem {
-    let raw = gen::surrogate(profile, scale, seed);
-    let (s, _) = random_symmetric_permute(&raw, seed ^ 0xfeed);
-    let n = s.nrows;
-    let a = Mat::random(n, R_STRONG, seed ^ 0xaaaa);
-    let b = Mat::random(n, R_STRONG, seed ^ 0xbbbb);
-    GlobalProblem::new(s, a, b)
-}
-
-/// The five Table V matrices with the log2 side used for their
-/// surrogates (chosen so the largest fits the dev machine; relative
-/// sizes and densities follow the paper).
-pub fn strong_scaling_suite(quick: bool) -> Vec<(&'static RealMatrixProfile, u32)> {
-    let shrink = if quick { 3 } else { 0 };
-    vec![
-        (&gen::PAPER_MATRICES[0], 16 - shrink), // amazon-large: 16 nnz/row
-        (&gen::PAPER_MATRICES[1], 16 - shrink), // uk-2002: 16 nnz/row
-        (&gen::PAPER_MATRICES[2], 15 - shrink), // eukarya: 111 nnz/row
-        (&gen::PAPER_MATRICES[3], 16 - shrink), // arabic-2005: 28 nnz/row
-        (&gen::PAPER_MATRICES[4], 17 - shrink), // twitter7: 35 nnz/row
-    ]
-}
-
-/// The Figure 6 sweep grid: (embedding width r, nonzeros per row)
-/// pairs. The paper sweeps r ∈ {64,…,448} × nnz/row ∈ {21,…,149} at
-/// m = 2²²; we sweep proportionally smaller values at m = 2¹⁴ so the
-/// φ = nnz/(n·r) range brackets the same crossover.
-pub fn fig6_grid(quick: bool) -> (usize, Vec<usize>, Vec<usize>) {
-    let m = if quick { 1 << 12 } else { 1 << 14 };
-    let rs: Vec<usize> = (1..=7).map(|k| 8 * k).collect(); // 8..56
-    let nnzs: Vec<usize> = (0..7).map(|k| 2 + 3 * k).collect(); // 2..20
-    (m, rs, nnzs)
-}
+//! The paper's Figure 6 sweeps r ∈ {64,…,448} × nnz/row ∈ {21,…,149}
+//! at m = 2²²; the sweep here runs proportionally smaller values so the
+//! φ = nnz/(n·r) range brackets the same crossover.
 
 /// How large a sweep runs: `Smoke` finishes in seconds (the CI
 /// perf-gate leg), `Quick` in a couple of minutes, `Full` reproduces
@@ -148,10 +70,16 @@ pub fn fig6_regret_grid(scale: SweepScale) -> Fig6Grid {
             rs: vec![8, 16, 32],
             nnzs: vec![1, 2, 8, 20],
         },
-        SweepScale::Quick | SweepScale::Full => {
-            let (m, rs, nnzs) = fig6_grid(scale == SweepScale::Quick);
-            Fig6Grid { p: 32, m, rs, nnzs }
-        }
+        SweepScale::Quick | SweepScale::Full => Fig6Grid {
+            p: 32,
+            m: if scale == SweepScale::Quick {
+                1 << 12
+            } else {
+                1 << 14
+            },
+            rs: (1..=7).map(|k| 8 * k).collect(),      // 8..56
+            nnzs: (0..7).map(|k| 2 + 3 * k).collect(), // 2..20
+        },
     }
 }
 
@@ -199,51 +127,6 @@ pub fn drifting_nnz_grid(scale: SweepScale) -> DriftGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn setup1_keeps_phi_constant() {
-        let p1 = weak_setup1(1, 9);
-        let p4 = weak_setup1(4, 9);
-        assert!((p1.phi() - p4.phi()).abs() < 1e-12);
-        assert_eq!(p4.dims.n, 4 * p1.dims.n);
-    }
-
-    #[test]
-    fn setup2_doubles_phi_per_step() {
-        let p1 = weak_setup2(1, 9);
-        let p4 = weak_setup2(4, 9);
-        let p16 = weak_setup2(16, 9);
-        assert!((p4.phi() / p1.phi() - 2.0).abs() < 1e-9);
-        assert!((p16.phi() / p4.phi() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn surrogates_preserve_density_profile() {
-        // amazon-like (16 nnz/row) at a small scale: dense enough to
-        // check, sparse enough that R-MAT duplicate-merging stays mild.
-        let (profile, scale) = (&gen::PAPER_MATRICES[0], 12u32);
-        let prob = strong_surrogate(profile, scale, 3);
-        let nnz_per_row = prob.nnz() as f64 / prob.dims.n as f64;
-        // R-MAT merges duplicates, so the realized density is below the
-        // edge factor but must stay within ~2× of the profile.
-        assert!(
-            nnz_per_row > profile.nnz_per_row as f64 / 2.0,
-            "density {nnz_per_row} too low vs {}",
-            profile.nnz_per_row
-        );
-    }
-
-    #[test]
-    fn fig6_grid_brackets_the_crossover() {
-        let (m, rs, nnzs) = fig6_grid(true);
-        // φ must span values both well below and above the 1.5D
-        // crossover region (φ ≈ 1/3 where 6φ = 2).
-        let phi_min = nnzs[0] as f64 / *rs.last().unwrap() as f64;
-        let phi_max = *nnzs.last().unwrap() as f64 / rs[0] as f64;
-        assert!(phi_min < 0.2, "{phi_min}");
-        assert!(phi_max > 1.0, "{phi_max}");
-        assert!(m >= 1 << 12);
-    }
 
     #[test]
     fn regret_grids_bracket_the_crossover_at_every_scale() {

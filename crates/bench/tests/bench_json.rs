@@ -211,50 +211,46 @@ fn gate_fails_when_routing_stops_saving_bytes() {
 }
 
 #[test]
-fn pre_v3_candidates_parse_as_dense() {
-    // v2 documents carry no "routing" field on candidates; they must
-    // parse with every row defaulting to the dense schedules v2 scored.
-    let text = report()
-        .to_json()
-        .replace("\"routing\": \"dense\",\n", "")
-        .replace("\"routing\": \"pattern\",\n", "");
-    assert!(!text.contains("routing"));
-    let parsed = BenchReport::parse(&text).expect("pre-v3 document must parse");
-    assert!(parsed
-        .points
-        .iter()
-        .flat_map(|pt| &pt.candidates)
-        .all(|c| c.routing == "dense"));
+fn parse_rejects_documents_missing_v5_fields() {
+    // Documents from before a field existed are documents the gate
+    // refuses to compare; the parser names what is missing instead of
+    // inventing a value for it.
+    fn without(v: &Json, field: &str) -> Json {
+        match v {
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .iter()
+                    .filter(|(k, _)| k != field)
+                    .map(|(k, v)| (k.clone(), without(v, field)))
+                    .collect(),
+            ),
+            Json::Arr(items) => Json::Arr(items.iter().map(|v| without(v, field)).collect()),
+            other => other.clone(),
+        }
+    }
+    let good = Json::parse(&report().to_json()).unwrap();
+    for field in ["routing", "local_variant", "overlap", "adaptive"] {
+        let text = without(&good, field).to_pretty();
+        assert!(
+            !text.contains(&format!("\"{field}\"")),
+            "{field} not removed"
+        );
+        let err = BenchReport::parse(&text).expect_err(field);
+        assert!(err.contains(&format!("missing field {field:?}")), "{err}");
+    }
 }
 
 #[test]
-fn pre_v4_candidates_parse_as_naive() {
-    // v3 documents carry no "local_variant" field; rows must parse as
-    // "naive", the only local kernel that existed before the variant
-    // library. The variant is informational, so this is not gated.
-    let text = report()
-        .to_json()
-        .replace("\"local_variant\": \"blocked\",\n", "");
-    assert!(!text.contains("local_variant"));
-    let parsed = BenchReport::parse(&text).expect("pre-v4 document must parse");
-    assert!(parsed
-        .points
-        .iter()
-        .flat_map(|pt| &pt.candidates)
-        .all(|c| c.local_variant == "naive"));
-}
-
-#[test]
-fn pre_v5_points_parse_with_unit_overlap() {
-    // v4 documents carry no "overlap" field; their hand-rolled shifts
-    // were fully blocking, so every point parses as overlap 1.0.
-    let text = report()
-        .to_json()
-        .replace(",\n      \"overlap\": 0.7", "")
-        .replace(",\n      \"overlap\": 1", "");
-    assert!(!text.contains("overlap"));
-    let parsed = BenchReport::parse(&text).expect("pre-v5 document must parse");
-    assert!(parsed.points.iter().all(|pt| pt.overlap == 1.0));
+fn committed_baseline_parses_and_gates_green_against_itself() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+    let text = std::fs::read_to_string(path).expect("BENCH_baseline.json is committed");
+    let baseline = BenchReport::parse(&text).expect("the committed baseline parses");
+    assert_eq!(
+        baseline.schema_version,
+        dsk_bench::json::BENCH_SCHEMA_VERSION
+    );
+    let violations = gate(&baseline, &baseline.clone(), &GateTolerances::default());
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 #[test]
@@ -306,28 +302,6 @@ fn gate_passes_self_comparison_and_improvements() {
         }
     }
     assert!(gate(&base, &better, &tol).is_empty());
-}
-
-#[test]
-fn v1_documents_without_adaptive_still_parse() {
-    // Schema v1 had no "adaptive" section; the parser must accept such
-    // documents (empty adaptive) so old reports remain readable. The
-    // gate separately refuses cross-version comparison.
-    let mut v1 = report();
-    v1.schema_version = 1;
-    v1.adaptive.clear();
-    let text = v1.to_json().replace("  \"adaptive\": [],\n", "");
-    let mut no_field = text;
-    // Strip the (empty) adaptive field entirely to mimic a v1 writer.
-    no_field = no_field.replace(",\n  \"adaptive\": []", "");
-    assert!(!no_field.contains("adaptive"));
-    let parsed = BenchReport::parse(&no_field).expect("v1 document must parse");
-    assert_eq!(parsed.schema_version, 1);
-    assert!(parsed.adaptive.is_empty());
-    // And the gate demands a refresh rather than comparing across
-    // versions.
-    let violations = gate(&report(), &parsed, &GateTolerances::default());
-    assert!(violations[0].contains("schema version mismatch"));
 }
 
 #[test]

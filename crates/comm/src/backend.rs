@@ -5,8 +5,8 @@
 //! narrow [`CommBackend`] trait — point-to-point delivery of
 //! [`Parcel`]s keyed by `(src, context, tag)`, plus probe, drain, and
 //! watchdog hooks — so that the *realization* of a message is a
-//! per-world choice, not a property baked into algorithm code. Two
-//! backends ship:
+//! per-world choice, not a property baked into algorithm code. Three
+//! backends ship, behind four [`BackendKind`]s:
 //!
 //! * [`InProcBackend`] — the fast default. Messages are typed boxes
 //!   moved by ownership between threads sharing one address space; a
@@ -18,7 +18,10 @@
 //!   into a contiguous byte buffer, exactly as an MPI or RDMA transport
 //!   would require. Optionally injects the machine model's `α + β·w`
 //!   delay on every delivery so *measured* wall time can be made to
-//!   track *modeled* time.
+//!   track *modeled* time (`wire` and `wire-delay`).
+//! * [`SocketBackend`](crate::socket::SocketBackend) — every rank a
+//!   separate OS process exchanging length-prefixed frames over
+//!   Unix-domain or TCP sockets (`socket`; see [`crate::launch`]).
 //!
 //! Nothing outside `dsk-comm` names a concrete backend: worlds are
 //! configured with the [`BackendKind`] selector (or the
@@ -317,7 +320,7 @@ pub enum BackendKind {
 }
 
 /// Environment variable consulted by [`BackendKind::from_env`]:
-/// `inproc` (default), `wire`, or `wire-delay`.
+/// `inproc` (default), `wire`, `wire-delay`, or `socket`.
 pub const BACKEND_ENV_VAR: &str = "DSK_COMM_BACKEND";
 
 impl BackendKind {

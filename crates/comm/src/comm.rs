@@ -264,12 +264,6 @@ impl Comm {
         self.members.len()
     }
 
-    /// Global (world) rank of the member with communicator rank `r`.
-    #[inline]
-    pub fn global_rank_of(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
     /// This process's global (world) rank.
     #[inline]
     pub fn my_global_rank(&self) -> usize {

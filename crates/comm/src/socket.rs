@@ -594,13 +594,6 @@ impl SocketBackend {
     pub fn data_bytes_written(&self) -> u64 {
         self.data_bytes.load(Ordering::Relaxed)
     }
-
-    /// Force-close every peer stream (teardown).
-    pub fn shutdown_streams(&self) {
-        for s in self.streams.iter().flatten() {
-            s.shutdown();
-        }
-    }
 }
 
 fn reader_loop(

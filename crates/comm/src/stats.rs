@@ -272,15 +272,6 @@ impl RankStats {
         self.per_phase[self.current.index()].stall_s += seconds;
     }
 
-    /// Extra modeled seconds charged directly (used by collectives whose
-    /// cost formula is not a plain sum of their constituent messages).
-    pub fn record_modeled(&mut self, seconds: f64) {
-        if self.paused {
-            return;
-        }
-        self.per_phase[self.current.index()].modeled_s += seconds;
-    }
-
     /// Total across all phases except `Setup`.
     pub fn total(&self) -> PhaseCounters {
         let mut t = PhaseCounters::default();

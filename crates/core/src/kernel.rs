@@ -649,15 +649,6 @@ impl<'a> KernelBuilder<'a> {
         KernelBuilder::with_source(Source::Owned(staged))
     }
 
-    /// The owned staging behind this builder, when it owns one (`None`
-    /// for borrowed staging and planning-only shapes).
-    pub fn staged_arc(&self) -> Option<Arc<StagedProblem>> {
-        match &self.source {
-            Source::Owned(s) => Some(Arc::clone(s)),
-            _ => None,
-        }
-    }
-
     /// The pinned machine model, when one was set via
     /// [`KernelBuilder::model`].
     pub fn pinned_model(&self) -> Option<MachineModel> {

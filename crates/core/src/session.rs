@@ -695,11 +695,6 @@ impl Session {
         self.auto_policy = policy;
     }
 
-    /// The installed automatic policy, if any.
-    pub fn auto_replan_policy(&self) -> Option<ReplanPolicy> {
-        self.auto_policy
-    }
-
     /// The cadence hook: replan when an automatic policy is installed,
     /// at least `n` fused calls elapsed since the last cadence check,
     /// and the observed nnz cleared the drift gate. The check is

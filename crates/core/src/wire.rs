@@ -143,28 +143,6 @@ impl WirePayload for ReplanEvent {
     }
 }
 
-/// Encode a replan log (helper for composite types carrying
-/// `Vec<ReplanEvent>` — the orphan rule forbids a direct `Vec` impl
-/// outside `dsk-comm`).
-pub fn encode_events(events: &[ReplanEvent], buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&(events.len() as u64).to_le_bytes());
-    for e in events {
-        e.encode(buf);
-    }
-}
-
-/// Decode a replan log written by [`encode_events`].
-pub fn decode_events(r: &mut WireReader<'_>) -> Vec<ReplanEvent> {
-    // An event opens with three 8-byte fields.
-    let n = r.read_count(24);
-    (0..n).map(|_| ReplanEvent::decode(r)).collect()
-}
-
-/// Words of a replan log in flight.
-pub fn events_words(events: &[ReplanEvent]) -> usize {
-    events.iter().map(Payload::words).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,15 +209,12 @@ mod tests {
             predicted_to_s: 9.0,
             migrated: true,
         };
-        let events = vec![ev.clone(), ev];
-        let mut bytes = Vec::new();
-        encode_events(&events, &mut bytes);
+        let bytes = ev.to_wire();
         let mut rd = WireReader::new(&bytes);
-        let back = decode_events(&mut rd);
+        let back = ReplanEvent::decode(&mut rd);
         assert!(rd.is_empty());
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].observed_nnz, 1234);
-        assert!(back[0].migrated);
-        assert_eq!(back[0].to.c, 4);
+        assert_eq!(back.observed_nnz, 1234);
+        assert!(back.migrated);
+        assert_eq!(back.to.c, 4);
     }
 }

@@ -37,8 +37,11 @@
 //!   so variant timings — and therefore tuner picks — are deterministic.
 //! * `DSK_LOCAL_KERNEL` — pin every tuner pick to one variant label
 //!   (`naive`, `blocked`, `tiled`, `par-naive`, `par-blocked`,
-//!   `par-tiled`), clamped per op to the admissible set. Unrecognized
-//!   values are ignored.
+//!   `par-tiled`), clamped per op to the admissible set.
+//!
+//! Unset or empty means no pin; any other unparseable value panics
+//! naming the variable — a silently ignored pin would quietly un-pin a
+//! "reproducible" run.
 
 // Indexed `for i in 0..n` loops over CSR index structures are the
 // domain idiom throughout this workspace; the iterator rewrites

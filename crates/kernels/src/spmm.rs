@@ -11,14 +11,21 @@ use dsk_sparse::{CooMatrix, CsrMatrix};
 /// Threads used by the `par_*` kernel variants: the `DSK_THREADS`
 /// environment variable when set (clamped to ≥ 1, for deterministic
 /// variant timings on shared runners), one per available core otherwise.
+/// Re-read on every call, so a test may change it mid-process.
 pub(crate) fn par_threads() -> usize {
-    match std::env::var("DSK_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        Some(n) => n.max(1),
-        None => std::thread::available_parallelism().map_or(1, usize::from),
-    }
+    threads_from(std::env::var("DSK_THREADS").ok().as_deref())
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// The pinned thread count in a raw `DSK_THREADS` value; `None` (use
+/// every core) when unset or empty. Garbage panics: a silently ignored
+/// pin would quietly run a "reproducible" bench on all cores.
+fn threads_from(raw: Option<&str>) -> Option<usize> {
+    let v = raw.map(str::trim).filter(|v| !v.is_empty())?;
+    let n: usize = v
+        .parse()
+        .unwrap_or_else(|_| panic!("DSK_THREADS={v:?} is not a whole number ≥ 1"));
+    Some(n.max(1))
 }
 
 /// `out += S·B`. Shapes: `S: m×n`, `B: n×r`, `out: m×r`.
@@ -132,6 +139,20 @@ mod tests {
         let a = Mat::random(m, r, seed + 1);
         let b = Mat::random(n, r, seed + 2);
         (s, a, b)
+    }
+
+    #[test]
+    fn thread_pin_parses_counts_and_treats_unset_and_empty_as_all_cores() {
+        assert_eq!(threads_from(None), None);
+        assert_eq!(threads_from(Some("")), None);
+        assert_eq!(threads_from(Some(" 4 ")), Some(4));
+        assert_eq!(threads_from(Some("0")), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "DSK_THREADS=\"four\" is not a whole number ≥ 1")]
+    fn thread_pin_rejects_garbage() {
+        threads_from(Some("four"));
     }
 
     #[test]

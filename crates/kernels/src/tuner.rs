@@ -108,6 +108,17 @@ impl LocalPicks {
     }
 }
 
+/// The pin in a raw `DSK_LOCAL_KERNEL` value; `None` (tune) when unset
+/// or empty. An unrecognized label panics: a silently ignored pin would
+/// quietly run a "reproducible" bench on tuned picks.
+fn pin_from(raw: Option<&str>) -> Option<LocalKernel> {
+    let v = raw.map(str::trim).filter(|v| !v.is_empty())?;
+    Some(LocalKernel::parse(v).unwrap_or_else(|| {
+        let labels = LocalKernel::ALL.map(LocalKernel::label).join(", ");
+        panic!("DSK_LOCAL_KERNEL={v:?} is not a local kernel label (accepted: {labels})")
+    }))
+}
+
 /// Per-problem cache of tuned local-kernel picks, shared by every
 /// distributed plan built from the same staged problem (the local
 /// analogue of the staged partition/pattern caches).
@@ -129,15 +140,13 @@ impl LocalTuning {
         *self.pin.lock().unwrap() = v;
     }
 
-    /// The active pin: the programmatic one if set, else a parseable
-    /// `DSK_LOCAL_KERNEL` value.
+    /// The active pin: the programmatic one if set, else the
+    /// `DSK_LOCAL_KERNEL` value (panics on an unrecognized label).
     pub fn pinned(&self) -> Option<LocalKernel> {
         if let Some(v) = *self.pin.lock().unwrap() {
             return Some(v);
         }
-        std::env::var("DSK_LOCAL_KERNEL")
-            .ok()
-            .and_then(|s| LocalKernel::parse(&s))
+        pin_from(std::env::var("DSK_LOCAL_KERNEL").ok().as_deref())
     }
 
     /// The cached pick for `req`'s shape class, if any (pin applied
@@ -380,6 +389,22 @@ mod tests {
             nnz: 512,
             r: 16,
         }
+    }
+
+    #[test]
+    fn env_pin_parses_labels_and_treats_unset_and_empty_as_no_pin() {
+        assert_eq!(pin_from(None), None);
+        assert_eq!(pin_from(Some("")), None);
+        assert_eq!(pin_from(Some("  ")), None);
+        assert_eq!(pin_from(Some("blocked")), Some(LocalKernel::Blocked));
+        assert_eq!(pin_from(Some(" Par_Tiled ")), Some(LocalKernel::ParTiled));
+    }
+
+    #[test]
+    #[should_panic(expected = "DSK_LOCAL_KERNEL=\"blokced\" is not a local kernel label \
+                               (accepted: naive, blocked, tiled, par-naive, par-blocked, par-tiled)")]
+    fn env_pin_rejects_an_unknown_label() {
+        pin_from(Some("blokced"));
     }
 
     #[test]

@@ -145,60 +145,6 @@ pub fn rmat(params: RmatParams) -> CooMatrix {
     merged
 }
 
-/// Shape statistics of one of the paper's strong-scaling matrices
-/// (Table V), used to size R-MAT surrogates.
-#[derive(Debug, Clone, Copy)]
-pub struct RealMatrixProfile {
-    /// Matrix name in the paper.
-    pub name: &'static str,
-    /// Rows (== columns) in the paper.
-    pub paper_rows: usize,
-    /// Nonzeros in the paper.
-    pub paper_nnz: usize,
-    /// Average nonzeros per row.
-    pub nnz_per_row: usize,
-}
-
-/// The five matrices of the paper's Table V.
-pub const PAPER_MATRICES: [RealMatrixProfile; 5] = [
-    RealMatrixProfile {
-        name: "amazon-large",
-        paper_rows: 14_249_639,
-        paper_nnz: 230_788_269,
-        nnz_per_row: 16,
-    },
-    RealMatrixProfile {
-        name: "uk-2002",
-        paper_rows: 18_484_117,
-        paper_nnz: 298_113_762,
-        nnz_per_row: 16,
-    },
-    RealMatrixProfile {
-        name: "eukarya",
-        paper_rows: 3_243_106,
-        paper_nnz: 359_744_161,
-        nnz_per_row: 111,
-    },
-    RealMatrixProfile {
-        name: "arabic-2005",
-        paper_rows: 22_744_080,
-        paper_nnz: 639_999_458,
-        nnz_per_row: 28,
-    },
-    RealMatrixProfile {
-        name: "twitter7",
-        paper_rows: 41_652_230,
-        paper_nnz: 1_468_365_182,
-        nnz_per_row: 35,
-    },
-];
-
-/// Build the R-MAT surrogate for a paper matrix at `scale` (side
-/// `2^scale`), preserving its nnz-per-row ratio.
-pub fn surrogate(profile: &RealMatrixProfile, scale: u32, seed: u64) -> CooMatrix {
-    rmat(RmatParams::graph500(scale, profile.nnz_per_row, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,19 +215,5 @@ mod tests {
             max as f64 > 4.0 * mean,
             "R-MAT should be heavy-tailed: max {max}, mean {mean}"
         );
-    }
-
-    #[test]
-    fn paper_matrix_profiles_are_consistent() {
-        for p in &PAPER_MATRICES {
-            let ratio = p.paper_nnz as f64 / p.paper_rows as f64;
-            assert!(
-                (ratio - p.nnz_per_row as f64).abs() / ratio < 0.30,
-                "{}: nnz/row {} vs recorded {}",
-                p.name,
-                ratio,
-                p.nnz_per_row
-            );
-        }
     }
 }
