@@ -56,7 +56,7 @@ impl Comm {
         for s in 1..p {
             let dst = (self.rank() + s) % p;
             let src = (self.rank() + p - s) % p;
-            out[src] = Some(self.sendrecv_from(dst, src, TAG_ALLGATHER, &mine));
+            out[src] = Some(self.exchange_begin(dst, src, TAG_ALLGATHER, &mine).wait());
         }
         out[self.rank()] = Some(mine);
         out.into_iter().map(Option::unwrap).collect()

@@ -12,43 +12,62 @@
 //! difference, and word accounting (hence modeled time) is identical
 //! under both.
 //!
-//! # Non-blocking completion contract
+//! # One body per message
 //!
-//! Beyond the blocking calls, a rank may start transfers and complete
-//! them later: [`Comm::recv_begin`] / [`Comm::shift_begin`] return a
-//! [`RecvHandle`] with `poll`/`wait`. ([`Comm::send`] needs no handle:
-//! sends are buffered and complete at post time — the mailbox is
-//! unbounded, exactly like an eager-protocol MPI send.)
-//! The contract, enforced at runtime:
+//! Every message passes through exactly two bodies. **Post**
+//! (`Comm::post`): encode or box the value, hand it to the backend,
+//! charge the send — the full `α + β·w` for a lone send, nothing for the
+//! send half of an exchange — and count the wire bytes. **Complete**
+//! (the body behind [`RecvHandle::wait`]): check the ticket, time the
+//! backend's `take` as *stall*, time the decode apart from it, charge
+//! `α + β·w` or, for an exchange, `α + β·max(w_out, w_in)`. Every
+//! public entry point is a one-to-three-line composition of the two,
+//! and a blocking call *is* its non-blocking spelling awaited at once:
+//! `recv` = `recv_begin(..).wait()`, `sendrecv` / `shift` = post +
+//! `recv_begin(..).wait()`. Each body ends in the one place that
+//! charges [`RankStats`] and, when a trace is recording, pushes the
+//! matching event from the same clock reads.
+//!
+//! # Completion contract
+//!
+//! A rank may start transfers and complete them later:
+//! [`Comm::recv_begin`] / [`Comm::shift_begin`] return a [`RecvHandle`]
+//! with `poll`/`wait`. ([`Comm::send`] needs no handle: sends are
+//! buffered and complete at post time — the mailbox is unbounded,
+//! exactly like an eager-protocol MPI send.) The contract, enforced at
+//! runtime:
 //!
 //! * **Ordering** — delivery is FIFO per `(src, context, tag)` key, and
-//!   handles on one key must be awaited **in posting order**. An
-//!   out-of-order `wait` would silently steal an earlier handle's
-//!   message, so it panics instead; `poll` simply reports "not ready"
-//!   until it is the handle's turn.
+//!   receives on one key must complete **in posting order**. The rule
+//!   covers blocking calls too, since they take a ticket like any
+//!   handle: a blocking `recv` (or `sendrecv`, `shift`) issued behind a
+//!   still-pending handle on the same `(src, tag)` would silently steal
+//!   that handle's message, so it panics exactly like an out-of-order
+//!   `wait`; `poll` simply reports "not ready" until it is the handle's
+//!   turn.
 //! * **Completion is mandatory** — dropping a [`RecvHandle`] that was
 //!   never awaited is a panic, not a silent leak: the matching message
 //!   would rot in the mailbox and fail the world's end-of-run drain
 //!   check far from the bug. (During an unwind the check stands down so
 //!   the original panic surfaces.)
-//! * **Failure** — a rank blocked in [`RecvHandle::wait`] when a peer
-//!   dies observes the poisoned-mailbox error within milliseconds, just
-//!   like a blocking receive; the receive watchdog is a last resort for
-//!   mismatched communication patterns, not the failure path.
-//! * **Accounting** — a standalone `recv_begin` + `wait` charges
-//!   `α + β·w` exactly like [`Comm::recv`]; a [`Comm::shift_begin`]
-//!   charges the send at post and `α + β·max(w_out, w_in)` at `wait`,
-//!   so the modeled totals of a pipelined shift are byte-identical to
-//!   the blocking [`Comm::shift`] it replaces. Wall time spent blocked
-//!   inside `wait` is additionally recorded as per-phase *stall* time —
-//!   the part of the transfer that pipelining failed to hide.
+//! * **Failure** — a rank blocked in a receive when a peer dies observes
+//!   the poisoned-mailbox error within milliseconds; the receive
+//!   watchdog is a last resort for mismatched communication patterns,
+//!   not the failure path.
+//! * **Accounting** — a lone receive charges `α + β·w` when it
+//!   completes; an exchange charges nothing at post and
+//!   `α + β·max(w_out, w_in)` when it completes, so a pipelined
+//!   `shift_begin` … `wait` and the blocking `shift` are the same
+//!   charges to the bit. Wall time blocked waiting for the message to
+//!   arrive is recorded as per-phase *stall* for **every** receive,
+//!   blocking or not — the part of the transfer that overlap failed to
+//!   hide. Decode time is outside it: a message that arrived long ago
+//!   costs no stall however long it takes to open.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
-
-use std::sync::Mutex;
 
 use crate::backend::{CommBackend, Parcel};
 use crate::model::MachineModel;
@@ -60,20 +79,27 @@ use crate::trace::{self, ArgVal, TraceKind};
 /// below this value.
 pub const COLLECTIVE_TAG_BASE: u32 = 0xFFFF_0000;
 
-/// Shared per-rank state: the stats ledger and the wall-clock anchor used
-/// to partition real time across phases.
-pub(crate) struct RankShared {
-    pub(crate) stats: Mutex<RankStats>,
-    pub(crate) wall_anchor: Mutex<Instant>,
+/// Shared per-rank state, under one lock: the stats ledger and the
+/// instant its open wall-clock bucket (and the open phase span) began.
+pub(crate) struct RankShared(Mutex<Ledger>);
+
+struct Ledger {
+    stats: RankStats,
+    since: Instant,
 }
 
 impl RankShared {
     pub(crate) fn new() -> Arc<Self> {
-        Arc::new(RankShared {
-            stats: Mutex::new(RankStats::default()),
-            wall_anchor: Mutex::new(Instant::now()),
-        })
+        Arc::new(RankShared(Mutex::new(Ledger {
+            stats: RankStats::default(),
+            since: Instant::now(),
+        })))
     }
+}
+
+/// A numeric trace-event argument.
+fn num(key: &str, v: f64) -> (String, ArgVal) {
+    (key.to_string(), ArgVal::Num(v))
 }
 
 /// What a post is handed: a value it may consume, or a borrow of one.
@@ -142,11 +168,14 @@ pub(crate) enum F64Block<'c> {
 }
 
 impl<'c> F64Block<'c> {
-    fn open(comm: &'c Comm, parcel: Parcel, src: usize, tag: u32) -> Self {
-        match parcel {
+    /// The delivered block and its word count.
+    fn open(comm: &'c Comm, parcel: Parcel, src: usize, tag: u32) -> (Self, usize) {
+        let block = match parcel {
             Parcel::Bytes(bytes) => F64Block::Bytes(comm, bytes),
-            typed => F64Block::Typed(comm.open(typed, src, tag)),
-        }
+            typed => F64Block::Typed(comm.open(typed, src, tag).0),
+        };
+        let words = block.len();
+        (block, words)
     }
 
     /// Number of values (= words) in the block.
@@ -287,24 +316,30 @@ impl Comm {
     // Phase and statistics management
     // ------------------------------------------------------------------
 
-    /// Flush wall-clock time since the last transition into the currently
-    /// active phase and reset the anchor.
-    fn flush_wall(&self) {
-        let mut anchor = self.shared.wall_anchor.lock().unwrap();
+    fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        self.shared.0.lock().expect("ledger lock never poisons")
+    }
+
+    /// The one phase-clock transition. Reads the clock once; that
+    /// instant closes the current phase's `wall_s` bucket and its trace
+    /// span together, then `change` edits the ledger (switch phase,
+    /// pause, reset) and the next bucket opens at the same instant.
+    fn transition<R>(&self, change: impl FnOnce(&mut RankStats) -> R) -> R {
+        let mut l = self.ledger();
         let now = Instant::now();
-        let elapsed = now.duration_since(*anchor).as_secs_f64();
-        *anchor = now;
-        let mut stats = self.shared.stats.lock().unwrap();
-        let cur = stats.current_phase();
-        stats.record_wall(cur, elapsed);
+        let since = std::mem::replace(&mut l.since, now);
+        let cur = l.stats.current_phase();
+        l.stats
+            .record_wall(cur, now.duration_since(since).as_secs_f64());
+        let out = change(&mut l.stats);
+        trace::phase_span(cur, since, now, l.stats.current_phase());
+        out
     }
 
     /// Switch the active accounting phase, returning the previous one.
     /// Prefer the RAII [`Comm::phase`] guard.
     pub fn set_phase(&self, p: Phase) -> Phase {
-        self.flush_wall();
-        trace::phase_transition(p);
-        self.shared.stats.lock().unwrap().set_phase(p)
+        self.transition(|stats| stats.set_phase(p))
     }
 
     /// RAII guard: activates `p` until dropped, then restores the
@@ -319,8 +354,7 @@ impl Comm {
     /// and confines the wall time of `f` to that bucket too.
     pub fn compute<R>(&self, flops: u64, f: impl FnOnce() -> R) -> R {
         let _g = self.phase(Phase::Computation);
-        let t = self.model.flop_time(flops);
-        self.shared.stats.lock().unwrap().record_flops(flops, t);
+        self.record_flops(flops);
         f()
     }
 
@@ -328,36 +362,36 @@ impl Comm {
     /// callers that manage phases themselves).
     pub fn record_flops(&self, flops: u64) {
         let t = self.model.flop_time(flops);
-        self.shared.stats.lock().unwrap().record_flops(flops, t);
+        self.ledger().stats.record_flops(flops, t);
     }
 
     /// Pause statistics (verification / data-staging traffic). Returns a
-    /// guard; accounting resumes when it drops.
+    /// guard; accounting resumes when it drops, and the paused wall
+    /// time is charged to no phase.
     pub fn paused_stats(&self) -> PauseGuard<'_> {
-        self.flush_wall();
-        let prev = self.shared.stats.lock().unwrap().set_paused(true);
+        let prev = self.transition(|stats| stats.set_paused(true));
         PauseGuard { comm: self, prev }
     }
 
     /// Snapshot of this rank's statistics.
     pub fn stats_snapshot(&self) -> RankStats {
-        self.shared.stats.lock().unwrap().clone()
+        self.ledger().stats.clone()
     }
 
     /// Reset this rank's statistics to zero (keeps the current phase).
     pub fn reset_stats(&self) {
-        self.flush_wall();
-        let mut stats = self.shared.stats.lock().unwrap();
-        let phase = stats.current_phase();
-        let paused = stats.is_paused();
-        *stats = RankStats::default();
-        stats.set_phase(phase);
-        stats.set_paused(paused);
+        self.transition(|stats| {
+            let (phase, paused) = (stats.current_phase(), stats.is_paused());
+            *stats = RankStats::default();
+            stats.set_phase(phase);
+            stats.set_paused(paused);
+        });
     }
 
+    /// Close the last wall bucket and phase span (end of the rank's
+    /// closure).
     pub(crate) fn finish(&self) {
-        self.flush_wall();
-        trace::phase_flush();
+        self.transition(|_| ());
     }
 
     // ------------------------------------------------------------------
@@ -369,35 +403,54 @@ impl Comm {
         (self.members[src_comm_rank], self.context, tag)
     }
 
-    /// Hand a message to the backend in the representation it requires,
-    /// returning the transmitted byte count — encoded payload plus the
-    /// transport's per-message framing — or zero on the typed path.
+    /// The one post body: hand `value` to the backend in the
+    /// representation it requires and charge the send — `α + β·words`
+    /// for a `lone` message, nothing for the send half of an exchange
+    /// (its receive half charges both). Returns the words sent.
+    ///
     /// A serializing backend encodes straight from `value` (owned or
     /// borrowed alike) into a buffer of the backend's; only the typed
-    /// path takes ownership, cloning a borrow.
-    /// Self-delivery transmits nothing (every backend short-circuits it
-    /// into the local mailbox), so it counts zero: `wire_bytes_sent`
-    /// stays equal to bytes a transport genuinely carried.
-    fn post_to<T: WirePayload>(&self, dst: usize, tag: u32, value: impl Outgoing<T>) -> u64 {
-        let key = (self.my_global_rank(), self.context, tag);
+    /// path takes ownership, cloning a borrow. Wire bytes are the
+    /// encoded payload plus the transport's per-message framing — zero
+    /// on the typed path and for self-delivery (short-circuited into the
+    /// local mailbox), so `wire_bytes_sent` stays what a transport
+    /// genuinely carried.
+    fn post<T: WirePayload>(
+        &self,
+        dst: usize,
+        tag: u32,
+        value: impl Outgoing<T>,
+        lone: bool,
+    ) -> u64 {
+        let words = value.words() as u64;
+        let me = self.my_global_rank();
         let dst_global = self.members[dst];
-        if self.wire {
+        let (parcel, wire_bytes) = if self.wire {
             // A word is 8 bytes; shape headers and length prefixes fit
             // in the slack, and `encode` grows the buffer if not.
-            let mut buf = self.backend.buffer(8 * value.words() + 64);
+            let mut buf = self.backend.buffer(8 * words as usize + 64);
             value.encode(&mut buf);
-            let bytes = if dst_global == self.my_global_rank() {
-                0
-            } else {
-                buf.len() as u64 + self.frame_overhead
-            };
-            self.backend.post(dst_global, key, Parcel::Bytes(buf));
-            bytes
+            let carried = buf.len() as u64 + self.frame_overhead;
+            let bytes = if dst_global == me { 0 } else { carried };
+            (Parcel::Bytes(buf), bytes)
         } else {
-            self.backend
-                .post(dst_global, key, Parcel::Typed(Box::new(value.into_owned())));
-            0
+            (Parcel::Typed(Box::new(value.into_owned())), 0)
+        };
+        let key = (me, self.context, tag);
+        self.backend.post(dst_global, key, parcel);
+        let (name, modeled_s) = match lone {
+            true => ("send.post", self.model.msg_time(words)),
+            false => ("shift.post", 0.0),
+        };
+        {
+            let mut l = self.ledger();
+            l.stats.record_send(words, modeled_s);
+            l.stats.record_wire_bytes(wire_bytes);
         }
+        trace::mark(TraceKind::Comm, name, || {
+            vec![num("dst", dst as f64), num("words", words as f64)]
+        });
+        words
     }
 
     /// Send `value` to communicator rank `dst`. Charges `α + β·words` to
@@ -408,46 +461,19 @@ impl Comm {
 
     /// [`Comm::send`] of an owned or borrowed value.
     pub(crate) fn send_from<T: WirePayload>(&self, dst: usize, tag: u32, value: impl Outgoing<T>) {
-        let words = value.words() as u64;
-        let t = self.model.msg_time(words);
-        let bytes = self.post_to(dst, tag, value);
-        trace::mark(TraceKind::Comm, "send.post", || {
-            vec![
-                ("dst".to_string(), ArgVal::Num(dst as f64)),
-                ("words".to_string(), ArgVal::Num(words as f64)),
-            ]
-        });
-        let mut stats = self.shared.stats.lock().unwrap();
-        stats.record_send(words, t);
-        stats.record_wire_bytes(bytes);
+        self.post(dst, tag, value, true);
     }
 
     /// Blocking receive from communicator rank `src`. Charges
     /// `α + β·words` to the receiver.
     pub fn recv<T: WirePayload>(&self, src: usize, tag: u32) -> T {
-        let start = Instant::now();
-        let v = self.recv_uncharged::<T>(src, tag);
-        let words = v.words() as u64;
-        trace::complete(TraceKind::Comm, "recv.wait", start, || {
-            vec![
-                ("src".to_string(), ArgVal::Num(src as f64)),
-                ("words".to_string(), ArgVal::Num(words as f64)),
-            ]
-        });
-        let t = self.model.msg_time(words);
-        self.shared.stats.lock().unwrap().record_recv(words, t);
-        v
+        self.recv_begin(src, tag).wait()
     }
 
-    fn take_parcel(&self, src: usize, tag: u32) -> Parcel {
-        self.backend
-            .take(self.my_global_rank(), self.key_from(src, tag))
-    }
-
-    /// Turn a delivered parcel into its value. An encoded buffer goes
-    /// back to the backend once decoded.
-    fn open<T: WirePayload>(&self, parcel: Parcel, src: usize, tag: u32) -> T {
-        match parcel {
+    /// Turn a delivered parcel into its value and word count. An
+    /// encoded buffer goes back to the backend once decoded.
+    fn open<T: WirePayload>(&self, parcel: Parcel, src: usize, tag: u32) -> (T, usize) {
+        let v = match parcel {
             Parcel::Bytes(bytes) => {
                 let v = T::from_wire(&bytes);
                 self.backend.recycle(bytes);
@@ -465,11 +491,9 @@ impl Comm {
                     std::any::type_name::<T>()
                 ),
             },
-        }
-    }
-
-    fn recv_uncharged<T: WirePayload>(&self, src: usize, tag: u32) -> T {
-        self.open(self.take_parcel(src, tag), src, tag)
+        };
+        let words = v.words();
+        (v, words)
     }
 
     /// Simultaneous send to `dst` and receive from `src` (both
@@ -478,22 +502,7 @@ impl Comm {
     /// that sends and receives progress independently, the modeled cost is
     /// `α + β·max(words_out, words_in)` charged once.
     pub fn sendrecv<T: WirePayload>(&self, dst: usize, src: usize, tag: u32, value: T) -> T {
-        self.sendrecv_from(dst, src, tag, value)
-    }
-
-    /// [`Comm::sendrecv`] of an owned or borrowed value.
-    pub(crate) fn sendrecv_from<T: WirePayload>(
-        &self,
-        dst: usize,
-        src: usize,
-        tag: u32,
-        value: impl Outgoing<T>,
-    ) -> T {
-        self.sendrecv_with(dst, src, tag, value, |parcel| {
-            let v: T = self.open(parcel, src, tag);
-            let words = v.words();
-            (v, words)
-        })
+        self.exchange_begin(dst, src, tag, value).wait()
     }
 
     /// [`Comm::sendrecv`] of flat `f64` blocks, sent from a borrowed
@@ -506,64 +515,22 @@ impl Comm {
         tag: u32,
         values: &[f64],
     ) -> F64Block<'_> {
-        self.sendrecv_with::<Vec<f64>, _>(dst, src, tag, values, |parcel| {
-            let block = F64Block::open(self, parcel, src, tag);
-            let words = block.len();
-            (block, words)
-        })
-    }
-
-    /// The one exchange body: post, take, let `open` turn the parcel
-    /// into the result and report its words, charge both directions.
-    fn sendrecv_with<T: WirePayload, R>(
-        &self,
-        dst: usize,
-        src: usize,
-        tag: u32,
-        value: impl Outgoing<T>,
-        open: impl FnOnce(Parcel) -> (R, usize),
-    ) -> R {
-        let words_out = value.words() as u64;
-        let start = Instant::now();
-        let bytes = self.post_to(dst, tag, value);
-        let (v, words_in) = open(self.take_parcel(src, tag));
-        let words_in = words_in as u64;
-        trace::complete(TraceKind::Comm, "sendrecv", start, || {
-            vec![
-                ("dst".to_string(), ArgVal::Num(dst as f64)),
-                ("src".to_string(), ArgVal::Num(src as f64)),
-                ("words_out".to_string(), ArgVal::Num(words_out as f64)),
-                ("words_in".to_string(), ArgVal::Num(words_in as f64)),
-            ]
-        });
-        let t = self.model.msg_time(words_out.max(words_in));
-        let mut stats = self.shared.stats.lock().unwrap();
-        stats.record_send(words_out, 0.0);
-        stats.record_recv(words_in, t);
-        stats.record_wire_bytes(bytes);
-        v
+        self.exchange_begin::<Vec<f64>>(dst, src, tag, values)
+            .wait_with(F64Block::Typed, |parcel| {
+                F64Block::open(self, parcel, src, tag)
+            })
     }
 
     /// Cyclic shift by `disp`: send to `(rank + disp) mod size`, receive
     /// from `(rank - disp) mod size`.
     pub fn shift<T: WirePayload>(&self, disp: usize, tag: u32, value: T) -> T {
-        self.shift_from(disp, tag, value)
+        self.shift_begin(disp, tag, value).wait()
     }
 
     /// [`Comm::shift`] of a value the caller keeps: a serializing
     /// backend encodes from the borrow, the typed backend clones it.
     pub fn shift_ref<T: WirePayload + Clone>(&self, disp: usize, tag: u32, value: &T) -> T {
-        self.shift_from(disp, tag, value)
-    }
-
-    fn shift_from<T: WirePayload>(&self, disp: usize, tag: u32, value: impl Outgoing<T>) -> T {
-        let p = self.size();
-        if p == 1 {
-            return value.into_owned();
-        }
-        let dst = (self.rank + disp) % p;
-        let src = (self.rank + p - disp % p) % p;
-        self.sendrecv_from(dst, src, tag, value)
+        self.shift_begin_ref(disp, tag, value).wait()
     }
 
     // ------------------------------------------------------------------
@@ -575,31 +542,40 @@ impl Comm {
     /// returned handle is awaited. See the module docs for the ordering
     /// and completion contract.
     pub fn recv_begin<T: WirePayload>(&self, src: usize, tag: u32) -> RecvHandle<'_, T> {
-        let ticket = {
-            let mut map = self.nb_recv_seq.borrow_mut();
-            let entry = map.entry((src, tag)).or_insert((0, 0));
-            let t = entry.0;
-            entry.0 += 1;
-            t
-        };
+        let mut map = self.nb_recv_seq.borrow_mut();
+        let posted = &mut map.entry((src, tag)).or_insert((0, 0)).0;
+        *posted += 1;
         RecvHandle {
             comm: self,
             src,
             tag,
-            ticket,
+            ticket: *posted - 1,
             paired_send_words: None,
             state: HandleState::Pending,
         }
     }
 
-    /// Begin a cyclic shift by `disp`: the outgoing block is posted (and
-    /// its send charged) immediately, the incoming block is claimed by the
-    /// returned handle. `shift_begin(d, t, v).wait()` produces the same
-    /// value and the same modeled charges as the blocking
-    /// `shift(d, t, v)` — the send is recorded at post, the receive as
-    /// `α + β·max(words_out, words_in)` at `wait`. On a 1-rank
-    /// communicator the value is returned through the handle untouched,
-    /// with no accounting (matching [`Comm::shift`]).
+    /// Begin an exchange: post `value` to `dst` (its cost deferred to
+    /// the receive half) and claim the message from `src` with the
+    /// returned handle, which charges `α + β·max(w_out, w_in)`.
+    pub(crate) fn exchange_begin<T: WirePayload>(
+        &self,
+        dst: usize,
+        src: usize,
+        tag: u32,
+        value: impl Outgoing<T>,
+    ) -> RecvHandle<'_, T> {
+        let words_out = self.post(dst, tag, value, false);
+        let mut handle = self.recv_begin(src, tag);
+        handle.paired_send_words = Some(words_out);
+        handle
+    }
+
+    /// Begin a cyclic shift by `disp`: the outgoing block is posted
+    /// immediately, the incoming block is claimed by the returned
+    /// handle. The blocking [`Comm::shift`] is this, awaited at once.
+    /// On a 1-rank communicator the value is returned through the
+    /// handle untouched, with no accounting.
     pub fn shift_begin<T: WirePayload>(
         &self,
         disp: usize,
@@ -640,23 +616,7 @@ impl Comm {
         }
         let dst = (self.rank + disp) % p;
         let src = (self.rank + p - disp % p) % p;
-        let words_out = value.words() as u64;
-        let bytes = self.post_to(dst, tag, value);
-        trace::mark(TraceKind::Comm, "shift.post", || {
-            vec![
-                ("disp".to_string(), ArgVal::Num(disp as f64)),
-                ("dst".to_string(), ArgVal::Num(dst as f64)),
-                ("words".to_string(), ArgVal::Num(words_out as f64)),
-            ]
-        });
-        {
-            let mut stats = self.shared.stats.lock().unwrap();
-            stats.record_send(words_out, 0.0);
-            stats.record_wire_bytes(bytes);
-        }
-        let mut handle = self.recv_begin::<T>(src, tag);
-        handle.paired_send_words = Some(words_out);
-        handle
+        self.exchange_begin(dst, src, tag, value)
     }
 
     // ------------------------------------------------------------------
@@ -739,77 +699,88 @@ impl<T: WirePayload> RecvHandle<'_, T> {
             HandleState::Resolved(_) => true,
             HandleState::Done => unreachable!("polled a completed RecvHandle"),
             HandleState::Pending => {
-                let my_turn = {
-                    let map = self.comm.nb_recv_seq.borrow();
-                    map.get(&(self.src, self.tag))
-                        .is_some_and(|&(_, completed)| completed == self.ticket)
-                };
-                my_turn
-                    && self.comm.backend.probe(
-                        self.comm.my_global_rank(),
-                        self.comm.key_from(self.src, self.tag),
-                    )
+                let (comm, stream) = (self.comm, (self.src, self.tag));
+                let head = comm.nb_recv_seq.borrow().get(&stream).map(|seq| seq.1);
+                head == Some(self.ticket)
+                    && comm
+                        .backend
+                        .probe(comm.my_global_rank(), comm.key_from(self.src, self.tag))
             }
         }
     }
 
     /// Block until the message arrives and return it. Charges the receive
     /// to the current phase (see the module docs for the formula) and
-    /// records the wall time spent blocked here as per-phase stall time.
+    /// records the wall time spent blocked on its arrival as per-phase
+    /// stall time.
     ///
-    /// Panics if an earlier handle on the same `(src, tag)` stream has
-    /// not been awaited yet.
-    pub fn wait(mut self) -> T {
+    /// Panics if an earlier receive on the same `(src, tag)` stream has
+    /// not completed yet.
+    pub fn wait(self) -> T {
+        let (comm, src, tag) = (self.comm, self.src, self.tag);
+        self.wait_with(|v| v, |parcel| comm.open(parcel, src, tag))
+    }
+
+    /// The one complete body. `open` turns the delivered parcel into
+    /// the result and reports its words (so a caller may keep the
+    /// message unopened); `resolved` wraps a value that never left this
+    /// rank.
+    pub(crate) fn wait_with<R>(
+        mut self,
+        resolved: impl FnOnce(T) -> R,
+        open: impl FnOnce(Parcel) -> (R, usize),
+    ) -> R {
         match std::mem::replace(&mut self.state, HandleState::Done) {
-            HandleState::Resolved(v) => v,
+            HandleState::Resolved(v) => resolved(v),
             HandleState::Done => unreachable!("waited on a completed RecvHandle"),
             HandleState::Pending => {
-                let comm = self.comm;
+                let (comm, src, tag) = (self.comm, self.src, self.tag);
                 {
-                    let map = comm.nb_recv_seq.borrow();
-                    let &(_, completed) = map
-                        .get(&(self.src, self.tag))
-                        .expect("RecvHandle with no ticket record");
+                    let mut map = comm.nb_recv_seq.borrow_mut();
+                    let completed = &mut map
+                        .get_mut(&(src, tag))
+                        .expect("RecvHandle with no ticket record")
+                        .1;
                     assert_eq!(
-                        completed,
+                        *completed,
                         self.ticket,
-                        "rank {}: RecvHandle for (src {}, tag {}) awaited out of order: \
+                        "rank {}: receive for (src {src}, tag {tag}) awaited out of order: \
                          ticket {} but {} earlier receive(s) on this stream are still pending",
                         comm.rank,
-                        self.src,
-                        self.tag,
                         self.ticket,
-                        self.ticket - completed
+                        self.ticket - *completed
                     );
+                    *completed += 1;
                 }
                 let start = Instant::now();
-                let v = comm.recv_uncharged::<T>(self.src, self.tag);
-                let stall = start.elapsed().as_secs_f64();
-                comm.nb_recv_seq
-                    .borrow_mut()
-                    .get_mut(&(self.src, self.tag))
-                    .unwrap()
-                    .1 += 1;
-                let words_in = v.words() as u64;
-                let name = if self.paired_send_words.is_some() {
-                    "shift.wait"
-                } else {
-                    "recv.wait"
-                };
-                trace::complete(TraceKind::Comm, name, start, || {
-                    vec![
-                        ("src".to_string(), ArgVal::Num(self.src as f64)),
-                        ("words".to_string(), ArgVal::Num(words_in as f64)),
-                        ("stall_s".to_string(), ArgVal::Num(stall)),
-                    ]
-                });
-                let t = match self.paired_send_words {
-                    Some(words_out) => comm.model.msg_time(words_out.max(words_in)),
-                    None => comm.model.msg_time(words_in),
-                };
-                let mut stats = comm.shared.stats.lock().unwrap();
-                stats.record_recv(words_in, t);
-                stats.record_stall(stall);
+                let key = comm.key_from(src, tag);
+                let parcel = comm.backend.take(comm.my_global_rank(), key);
+                let taken = Instant::now();
+                let (v, words_in) = open(parcel);
+                let words = words_in as u64;
+                let charged = self.paired_send_words.map_or(words, |out| out.max(words));
+                // One set of clock reads feeds the counters and the span.
+                let stall = taken.duration_since(start).as_secs_f64();
+                {
+                    let mut l = comm.ledger();
+                    l.stats.record_recv(words, comm.model.msg_time(charged));
+                    l.stats.record_stall(stall);
+                }
+                if trace::active() {
+                    let done = Instant::now();
+                    let name = match self.paired_send_words {
+                        None => "recv.wait",
+                        Some(_) => "shift.wait",
+                    };
+                    trace::span(TraceKind::Comm, name, start, done, || {
+                        vec![
+                            num("src", src as f64),
+                            num("words", words as f64),
+                            num("stall_s", stall),
+                            num("decode_s", done.duration_since(taken).as_secs_f64()),
+                        ]
+                    });
+                }
                 v
             }
         }
@@ -849,10 +820,7 @@ pub struct PauseGuard<'a> {
 
 impl Drop for PauseGuard<'_> {
     fn drop(&mut self) {
-        self.comm.flush_wall();
-        self.comm.shared.stats.lock().unwrap().set_paused(self.prev);
-        // Reset the anchor so paused wall time is not charged later.
-        *self.comm.shared.wall_anchor.lock().unwrap() = Instant::now();
+        self.comm.transition(|stats| stats.set_paused(self.prev));
     }
 }
 

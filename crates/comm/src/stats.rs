@@ -10,7 +10,8 @@
 //!
 //! This module answers *how much*; the [`crate::trace`] recorder
 //! answers *when*, mirroring the same phase taxonomy as per-rank span
-//! timelines. Tracing reads the clock but never writes these counters,
+//! timelines. Both are fed by the same hook in [`Comm`](crate::Comm)
+//! from the same clock reads; the recorder never writes these counters,
 //! so every number here is byte-identical with tracing on or off.
 
 use crate::payload::{Payload, WirePayload, WireReader};
@@ -136,11 +137,14 @@ pub struct PhaseCounters {
     pub modeled_s: f64,
     /// Real wall-clock time (seconds) spent while this phase was active.
     pub wall_s: f64,
-    /// Real wall-clock time (seconds) spent blocked in a non-blocking
-    /// receive's `wait` with no compute available to overlap — the part
-    /// of `wall_s` that pipelining failed to hide. Zero for fully
-    /// blocking code paths (which never report stall) and for perfectly
-    /// overlapped pipelined ones.
+    /// Real wall-clock time (seconds) the rank's thread spent blocked
+    /// waiting for a message to arrive — the time inside the backend's
+    /// `take`, for every receive: a blocking `recv`/`sendrecv`/`shift`,
+    /// every collective built on them, and a `RecvHandle::wait`. It is
+    /// the part of `wall_s` that overlap failed to hide; a message that
+    /// had already arrived costs none, however long its decode takes
+    /// (decode time is an argument of the wait's trace span, not a
+    /// counter).
     pub stall_s: f64,
 }
 
@@ -262,9 +266,9 @@ impl RankStats {
         self.per_phase[phase.index()].wall_s += seconds;
     }
 
-    /// Charge wall-clock seconds spent blocked in a non-blocking
-    /// receive's `wait` to the current phase's stall bucket. Stall is a
-    /// *measured* overlap diagnostic; it never enters modeled time.
+    /// Charge wall-clock seconds spent blocked on a message's arrival
+    /// to the current phase's stall bucket. Stall is a *measured*
+    /// overlap diagnostic; it never enters modeled time.
     pub fn record_stall(&mut self, seconds: f64) {
         if self.paused {
             return;
@@ -394,8 +398,8 @@ pub struct AggregateStats {
     pub total_wire_bytes: [u64; N_PHASES],
     /// Per-phase: total flops across all ranks.
     pub total_flops: [u64; N_PHASES],
-    /// Per-phase: maximum stall seconds (wall time blocked in a
-    /// non-blocking `wait` that pipelining failed to hide) over ranks.
+    /// Per-phase: maximum stall seconds (wall time blocked on a
+    /// message's arrival that overlap failed to hide) over ranks.
     pub max_stall_s: [f64; N_PHASES],
 }
 

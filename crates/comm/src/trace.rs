@@ -16,30 +16,36 @@
 //! hook compiles down to one cached-flag branch with **zero
 //! allocations** (argument vectors are built behind `FnOnce` closures
 //! that are never called). Tracing is *modeled-cost-free by
-//! construction*: no hook ever touches [`crate::stats::RankStats`] or
-//! posts a message, so every modeled
-//! counter is byte-identical between traced and untraced runs (pinned
-//! by `tests/trace_invariants.rs` and the CI `trace-smoke` gate), in
-//! the same way [`Phase::LocalTuning`] is barred from modeled traffic.
+//! construction*: the recorder only ever *reads* — `Comm`'s one
+//! instrumentation hook hands it the clock reads and counts it has
+//! just charged to [`crate::stats::RankStats`], and no hook posts a
+//! message — so every modeled counter is byte-identical between traced
+//! and untraced runs (pinned by `tests/trace_invariants.rs` and the CI
+//! `trace-smoke` gate), in the same way [`Phase::LocalTuning`] is
+//! barred from modeled traffic.
 //!
 //! # Event vocabulary
 //!
 //! | kind (`cat`) | name | shape | emitted by |
 //! |---|---|---|---|
-//! | `phase` | `phase.<label>` | span | every phase transition ([`Comm::set_phase`](crate::Comm::set_phase)) |
-//! | `comm` | `send.post` | instant | `Comm::send` post |
-//! | `comm` | `recv.wait` | span | blocking `recv` and `RecvHandle::wait` (args carry `stall_s`) |
-//! | `comm` | `sendrecv` | span | `Comm::sendrecv` (blocking shifts) |
-//! | `comm` | `shift.post` | instant | `Comm::shift_begin` (non-blocking shift post) |
-//! | `comm` | `shift.wait` | span | `RecvHandle::wait` of a `shift_begin` (args carry `stall_s`) |
-//! | `shift` | `pipeline.post` / `pipeline.stage` | instant | `ShiftPipeline` input-lane begin (pipelined / blocking) |
-//! | `shift` | `pipeline.wait` / `pipeline.exchange` | span | `ShiftPipeline` lane completion |
+//! | `phase` | `phase.<label>` | span | every phase transition ([`Comm::set_phase`](crate::Comm::set_phase)); its duration is the `wall_s` the same clock read charged |
+//! | `comm` | `send.post` | instant | `Comm`'s one post body, lone send (args `dst`, `words`) |
+//! | `comm` | `shift.post` | instant | the same body, send half of an exchange — `sendrecv`, `shift`, `shift_begin` |
+//! | `comm` | `recv.wait` | span | `Comm`'s one complete body, lone receive — `recv`, `recv_begin` + `wait` (args `src`, `words`, `stall_s`, `decode_s`) |
+//! | `comm` | `shift.wait` | span | the same body, receive half of an exchange (same args) |
 //! | `epoch` | `epoch.rendezvous` | span | socket rendezvous (launcher and members) |
 //! | `epoch` | [`SYNC_EVENT`] | instant | the per-epoch clock-alignment anchor |
 //! | `epoch` | `epoch.abort` | instant | elastic abort (`try_run` failure path) |
 //! | `session` | `session.replan` / `session.migrate` / `session.resize` | span | `dsk-core`'s `Session` |
 //! | `tune` | `tune.measure` | span | `dsk-kernels`' microbench tuner |
 //! | `mark` | `trace.dropped` | instant | ring-buffer overflow notice |
+//!
+//! Blocking calls are `begin(..).wait()`, so they emit the same post
+//! instant and wait span as their non-blocking spelling; `stall_s` is
+//! the time inside the backend's `take`, `decode_s` the time turning
+//! the parcel into a value. There is no `shift` category: a
+//! `ShiftPipeline` step is exactly its post and its wait — two events
+//! per pipelined ring step where there used to be four.
 //!
 //! # Gather and export
 //!
@@ -89,16 +95,14 @@ pub enum TraceKind {
     Phase = 0,
     /// Point-to-point communication (posts, waits, stalls).
     Comm = 1,
-    /// `ShiftPipeline` lane steps.
-    Shift = 2,
     /// Epoch lifecycle: rendezvous, sync anchor, abort.
-    Epoch = 3,
+    Epoch = 2,
     /// Session-level re-planning, migration, and resizing.
-    Session = 4,
+    Session = 3,
     /// Local-kernel tuner microbenchmarks.
-    Tune = 5,
+    Tune = 4,
     /// Bookkeeping marks (e.g. ring-buffer overflow).
-    Mark = 6,
+    Mark = 5,
 }
 
 impl TraceKind {
@@ -107,7 +111,6 @@ impl TraceKind {
         match self {
             TraceKind::Phase => "phase",
             TraceKind::Comm => "comm",
-            TraceKind::Shift => "shift",
             TraceKind::Epoch => "epoch",
             TraceKind::Session => "session",
             TraceKind::Tune => "tune",
@@ -119,10 +122,9 @@ impl TraceKind {
         match b {
             0 => TraceKind::Phase,
             1 => TraceKind::Comm,
-            2 => TraceKind::Shift,
-            3 => TraceKind::Epoch,
-            4 => TraceKind::Session,
-            5 => TraceKind::Tune,
+            2 => TraceKind::Epoch,
+            3 => TraceKind::Session,
+            4 => TraceKind::Tune,
             _ => TraceKind::Mark,
         }
     }
@@ -221,19 +223,16 @@ struct LocalTrace {
     rank: u32,
     base: Instant,
     phase: Phase,
-    phase_since: Instant,
     events: VecDeque<TraceEvent>,
     dropped: u64,
 }
 
 impl LocalTrace {
     fn new(rank: u32) -> Self {
-        let now = Instant::now();
         LocalTrace {
             rank,
-            base: now,
+            base: Instant::now(),
             phase: Phase::Setup,
-            phase_since: now,
             events: VecDeque::new(),
             dropped: 0,
         }
@@ -335,71 +334,55 @@ pub fn complete(
     start: Instant,
     args: impl FnOnce() -> Vec<(String, ArgVal)>,
 ) {
+    span(kind, name, start, Instant::now(), args);
+}
+
+/// Record the span `[start, end]` from clock reads the caller already
+/// holds (the ones it charged its counters from).
+#[inline]
+pub fn span(
+    kind: TraceKind,
+    name: &str,
+    start: Instant,
+    end: Instant,
+    args: impl FnOnce() -> Vec<(String, ArgVal)>,
+) {
     if !active() {
         return;
     }
-    let dur = start.elapsed().as_nanos() as u64;
+    let dur = end.duration_since(start).as_nanos() as u64;
     record(kind, name, Some(start), dur, args());
 }
 
-/// Close the current phase span and open one for `next`. Wired into
-/// `Comm::set_phase`, mirroring [`crate::stats::RankStats::set_phase`]
-/// so the trace's phase track partitions wall time exactly like the
-/// `wall_s` accounting does.
+/// Close the phase span of `closed` over `[since, now]` and stamp later
+/// events with `next`. Fed by `Comm`'s one phase-clock transition with
+/// the instants that closed its `wall_s` bucket, so the phase track
+/// partitions wall time exactly like the accounting does — the two are
+/// one clock read, not two kept equal.
 #[inline]
-pub fn phase_transition(next: Phase) {
+pub fn phase_span(closed: Phase, since: Instant, now: Instant, next: Phase) {
     if !active() {
         return;
     }
+    let dur = now.duration_since(since).as_nanos() as u64;
+    if dur > 0 {
+        let name = format!("phase.{}", closed.label());
+        record(TraceKind::Phase, &name, Some(since), dur, Vec::new());
+    }
     LOCAL.with(|l| {
-        let mut slot = l.borrow_mut();
-        let Some(t) = slot.as_mut() else { return };
-        let now = Instant::now();
-        close_phase_span(t, now);
-        t.phase = next;
-        t.phase_since = now;
+        if let Some(t) = l.borrow_mut().as_mut() {
+            t.phase = next;
+        }
     });
 }
 
-/// Close the open phase span without switching phases (end of epoch).
-pub fn phase_flush() {
-    if !active() {
-        return;
-    }
-    LOCAL.with(|l| {
-        let mut slot = l.borrow_mut();
-        let Some(t) = slot.as_mut() else { return };
-        let now = Instant::now();
-        close_phase_span(t, now);
-        t.phase_since = now;
-    });
-}
-
-fn close_phase_span(t: &mut LocalTrace, now: Instant) {
-    let dur = now.duration_since(t.phase_since).as_nanos() as u64;
-    if dur == 0 {
-        return;
-    }
-    let e = TraceEvent {
-        ts_ns: t.ts_of(t.phase_since),
-        dur_ns: dur,
-        rank: t.rank,
-        phase: t.phase,
-        kind: TraceKind::Phase,
-        name: format!("phase.{}", t.phase.label()),
-        args: Vec::new(),
-    };
-    t.push(e);
-}
-
-/// Stop recording on this thread and take the buffered events (closing
-/// the open phase span first). Returns an empty vector when the thread
-/// was not recording.
+/// Stop recording on this thread and take the buffered events (the
+/// rank's `Comm` closed its last phase span when the closure returned).
+/// Returns an empty vector when the thread was not recording.
 pub fn drain() -> Vec<TraceEvent> {
     if !active() {
         return Vec::new();
     }
-    phase_flush();
     ACTIVE.with(|a| a.set(false));
     LOCAL.with(|l| {
         let Some(t) = l.borrow_mut().take() else {

@@ -8,7 +8,7 @@
 mod common;
 
 use common::worlds;
-use dsk_comm::{MachineModel, Phase, RankStats, SimWorld};
+use dsk_comm::{BackendKind, MachineModel, Phase, RankStats, SimWorld};
 
 /// Counters that must be bit-identical between a blocking program and
 /// its pipelined rewrite (stall/wall are measured, everything else is
@@ -159,6 +159,60 @@ fn wait_blocked_on_late_sender_records_stall() {
     assert_eq!(modeled, 3.0, "modeled time must not include stall");
 }
 
+/// Stall is recorded for every blocked receive, not only for handles:
+/// a blocking `sendrecv` whose partner shows up 40 ms late was blocked
+/// in the backend's `take` for that long.
+#[test]
+fn blocking_sendrecv_against_a_late_partner_records_stall() {
+    let world = SimWorld::new(2, MachineModel::bandwidth_only());
+    let out = world.run(|c| {
+        let _g = c.phase(Phase::Propagation);
+        if c.rank() == 1 {
+            std::thread::sleep(std::time::Duration::from_millis(40));
+        }
+        let other = 1 - c.rank();
+        let got: Vec<f64> = c.sendrecv(other, other, 3, vec![c.rank() as f64; 5]);
+        assert_eq!(got, vec![other as f64; 5]);
+    });
+    let ph = out[0].stats.phase(Phase::Propagation);
+    assert!(
+        ph.stall_s >= 0.030,
+        "rank 0 was blocked ~40ms in a blocking sendrecv but recorded only {}s of stall",
+        ph.stall_s
+    );
+    // α + β·max(5, 5) = 5.0 under bandwidth_only, to the bit.
+    assert_eq!(ph.modeled_s, 5.0, "modeled time must not include stall");
+}
+
+/// Stall is the wait for the message, not its decode: a 32 MiB vector
+/// that already polls ready on a serializing backend costs (almost) no
+/// stall, however long turning its bytes back into a `Vec<f64>` takes.
+#[test]
+fn decoding_an_arrived_message_is_not_stall() {
+    const WORDS: usize = 4 << 20;
+    let world = SimWorld::new(2, MachineModel::bandwidth_only()).backend(BackendKind::Wire);
+    let out = world.run(|c| {
+        let _g = c.phase(Phase::Propagation);
+        if c.rank() == 1 {
+            c.send(0, 2, vec![1.5f64; WORDS]);
+            return;
+        }
+        let h = c.recv_begin::<Vec<f64>>(1, 2);
+        while !h.poll() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(h.wait().len(), WORDS);
+    });
+    let ph = out[0].stats.phase(Phase::Propagation);
+    assert!(
+        ph.stall_s <= 0.001,
+        "the message had arrived before wait(), yet {}s of stall were recorded \
+         (decode time must not count)",
+        ph.stall_s
+    );
+    assert_eq!(ph.modeled_s, WORDS as f64, "modeled time is β·words");
+}
+
 #[test]
 fn out_of_order_wait_panics() {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -178,6 +232,30 @@ fn out_of_order_wait_panics() {
         });
     }));
     assert!(result.is_err(), "out-of-order wait must panic");
+}
+
+/// Blocking calls take a ticket like any handle, so a blocking `recv`
+/// issued behind a still-pending handle on the same stream panics
+/// instead of silently taking the message the handle was posted for.
+#[test]
+fn blocking_recv_overtaking_a_pending_handle_panics() {
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let world = SimWorld::new(2, MachineModel::bandwidth_only());
+        let _ = world.run(|c| {
+            if c.rank() == 1 {
+                c.send(0, 4, vec![1.0f64]);
+                c.send(0, 4, vec![2.0f64]);
+                return;
+            }
+            let h = c.recv_begin::<Vec<f64>>(1, 4);
+            let _stolen: Vec<f64> = c.recv(1, 4);
+            let _ = h.wait();
+        });
+    }));
+    assert!(
+        result.is_err(),
+        "a blocking recv behind a pending handle must panic"
+    );
 }
 
 #[test]

@@ -1,12 +1,10 @@
 //! Shared vocabulary types for the distributed algorithms, and the
 //! [`ShiftPipeline`] every propagation loop executes through.
 
-use std::borrow::Cow;
 use std::cell::Cell;
 use std::ops::Range;
 
-use dsk_comm::trace::{self, ArgVal, TraceKind};
-use dsk_comm::{Comm, Phase, RecvHandle, RowBundle, RowSet, WirePayload};
+use dsk_comm::{Comm, CommPattern, Phase, RecvHandle, RowBundle, RowSet, WirePayload};
 use dsk_dense::Mat;
 
 /// Global problem dimensions: `S: m×n` sparse, `A: m×r`, `B: n×r` dense.
@@ -171,6 +169,17 @@ pub enum Sampling {
     Ones,
 }
 
+impl Sampling {
+    /// Turn raw SDDMM accumulations into sampled values in place:
+    /// multiplied by `sampling_vals` under [`Sampling::Values`], left
+    /// as they are under [`Sampling::Ones`].
+    pub fn apply(self, vals: &mut [f64], sampling_vals: &[f64]) {
+        if let Sampling::Values = self {
+            dsk_kernels::apply_sampling(vals, sampling_vals);
+        }
+    }
+}
+
 /// The contiguous sub-range of `0..total` forming block `idx` of
 /// `parts` (near-equal; first `total % parts` blocks get the extra
 /// element). Identical to `dsk_sparse::partition::block_range`;
@@ -189,28 +198,80 @@ pub fn union_range(total: usize, parts: usize, first: usize, count: usize) -> Ra
 }
 
 // ---------------------------------------------------------------------
-// Shift pipelining
+// The fiber step
+// ---------------------------------------------------------------------
+
+/// The one way a dense operand is replicated along a fiber: all-gather
+/// every member's `x` (its rows of the panel, in fiber-rank order) into
+/// the full `total_rows × x.ncols()` panel, charged to
+/// [`Phase::Replication`]. `total_rows` is explicit so an empty
+/// r-slice (possible when the ring is longer than `r`) still yields a
+/// correctly shaped zero-width panel. With `route`, each peer is
+/// shipped only the rows its ring will ever read (a sparse all-gather
+/// with dense fallback) and the rest arrive as zeros.
+pub fn replicate_rows(
+    fiber: &Comm,
+    x: &Mat,
+    total_rows: usize,
+    route: Option<&CommPattern>,
+) -> Mat {
+    let _ph = fiber.phase(Phase::Replication);
+    let w = x.ncols();
+    let data = match route {
+        None => fiber.allgatherv_f64(x.as_slice()),
+        Some(pat) => {
+            let ship: Vec<RowSet> = (0..fiber.size())
+                .map(|i| pat.need(i, fiber.rank()).clone())
+                .collect();
+            let bundles = fiber.sparse_allgather(x.nrows(), w, x.as_slice(), &ship);
+            let mut data = Vec::with_capacity(total_rows * w);
+            for b in bundles {
+                data.extend_from_slice(&b.into_full().2);
+            }
+            data
+        }
+    };
+    debug_assert!(w == 0 || data.len() / w == total_rows);
+    Mat::from_vec(total_rows, w, data)
+}
+
+/// The one way a replicated accumulator is merged along a fiber:
+/// reduce-scatter the panel `t_buf` (summed over the fiber) so member
+/// `v` keeps rows `rows_of(v)` of it — the ranges must tile the panel
+/// in fiber-rank order. Charged to [`Phase::Replication`].
+pub fn reduce_rows(fiber: &Comm, t_buf: &Mat, rows_of: impl Fn(usize) -> Range<usize>) -> Mat {
+    let _ph = fiber.phase(Phase::Replication);
+    let w = t_buf.ncols();
+    let ranges: Vec<Range<usize>> = (0..fiber.size())
+        .map(|v| rows_of(v).start * w..rows_of(v).end * w)
+        .collect();
+    let mine = fiber.reduce_scatter_sum_ranges(t_buf.as_slice(), &ranges);
+    Mat::from_vec(rows_of(fiber.rank()).len(), w, mine)
+}
+
+// ---------------------------------------------------------------------
+// The ring step
 // ---------------------------------------------------------------------
 
 thread_local! {
     static SHIFT_MODE_OVERRIDE: Cell<Option<ShiftMode>> = const { Cell::new(None) };
 }
 
-/// How a [`ShiftPipeline`] realizes its ring exchanges.
+/// How a [`ShiftPipeline`] realizes its input-lane steps.
 ///
-/// Both modes move the same bytes in the same ring order and charge
-/// identical modeled time; they differ only in *when* the outgoing
-/// block of an input lane is posted, i.e. whether the transport's
-/// latency can hide behind the local compute of the current step.
+/// Both modes post the same messages in the same order and charge
+/// identical modeled time; they differ only in *when* the incoming
+/// block is awaited, i.e. whether the transport's latency can hide
+/// behind the local compute of the current step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ShiftMode {
-    /// Post the next hop before computing on the current block
-    /// (non-blocking `shift_begin`/`wait`): transfer and compute
-    /// overlap. The default.
+    /// Post the next hop, compute on the current block, then wait:
+    /// transfer and compute overlap. The default.
     #[default]
     Pipelined,
-    /// Post and wait back-to-back (blocking `shift`): the pre-PR-8
-    /// behavior, kept as the overlap measurement baseline.
+    /// Post the next hop and wait for the incoming block at once, then
+    /// compute: no overlap — the measurement baseline overlap is
+    /// judged against.
     Blocking,
 }
 
@@ -228,14 +289,6 @@ impl ShiftMode {
     pub fn scoped(mode: ShiftMode) -> ShiftModeGuard {
         let prev = SHIFT_MODE_OVERRIDE.with(|c| c.replace(Some(mode)));
         ShiftModeGuard { prev }
-    }
-
-    /// Bench-table label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ShiftMode::Pipelined => "pipelined",
-            ShiftMode::Blocking => "blocking",
-        }
     }
 }
 
@@ -260,112 +313,76 @@ impl Drop for ShiftModeGuard {
 ///   traveling dense panel of an SpMM, the sparse block of a
 ///   sparse-shifting round). [`ShiftPipeline::begin`] posts the outgoing
 ///   copy *before* the compute of the current step, and the returned
-///   [`InFlight`] is awaited after it — under [`ShiftMode::Pipelined`]
-///   the transfer hides behind the compute;
+///   [`InFlight`] is collected after it — under [`ShiftMode::Pipelined`]
+///   the transfer hides behind the compute, under
+///   [`ShiftMode::Blocking`] `begin` has already waited;
 /// * **accumulator lanes** — payloads the kernel *writes* (a circulating
 ///   output block). The data is not final until the compute finishes, so
-///   [`ShiftPipeline::exchange`] posts after it, blocking — structurally
-///   identical to the classic `sendrecv` shift.
+///   [`ShiftPipeline::exchange`] posts after it and waits at once.
 ///
 /// Both shapes exist in dense ([`Mat`]) and pattern-routed
 /// ([`RowBundle`] via a [`RowSet`] forward set) forms, so `Routing` and
 /// overlap compose. All traffic is charged to [`Phase::Propagation`];
-/// modeled counters are identical across modes and to the blocking
-/// `Comm::shift` this replaces.
+/// modeled counters are identical across modes.
+///
+/// Receives on one `(ring, tag)` stream complete in posting order
+/// (`dsk-comm`'s completion contract, which covers blocking calls), so
+/// an `exchange` issued while an `InFlight` of the same ring and tag is
+/// pending would panic. No family does that: within one round, input
+/// and accumulator lanes ride different rings (2.5D: row ring beside
+/// column ring) or the round has only one kind of lane (1.5D).
 pub struct ShiftPipeline<'a> {
     ring: &'a Comm,
     disp: usize,
     tag: u32,
-    mode: ShiftMode,
 }
 
 impl<'a> ShiftPipeline<'a> {
-    /// A pipeline shifting by `disp` on `ring` with message tag `tag`,
-    /// in the thread's current [`ShiftMode`].
+    /// A pipeline shifting by `disp` on `ring` with message tag `tag`;
+    /// each step runs in the thread's current [`ShiftMode`].
     pub fn new(ring: &'a Comm, disp: usize, tag: u32) -> Self {
-        ShiftPipeline {
-            ring,
-            disp,
-            tag,
-            mode: ShiftMode::current(),
-        }
+        ShiftPipeline { ring, disp, tag }
     }
 
-    /// The mode this pipeline was constructed under.
-    pub fn mode(&self) -> ShiftMode {
-        self.mode
-    }
-
-    /// Start an input-lane step: post (pipelined) or stage (blocking)
-    /// `value` for the ring successor, the incoming block to be
-    /// collected with [`InFlight::wait`] after the step's compute.
+    /// Start an input-lane step: post `value` to the ring successor,
+    /// the incoming block to be collected with [`InFlight::wait`] after
+    /// the step's compute.
     ///
-    /// The block is lent, not copied: it stays borrowed until the wait,
-    /// the step's compute reads it meanwhile, and the transport takes
-    /// its own copy in whatever form it needs (an encode straight from
-    /// the borrow on serializing backends, a clone on the typed one).
-    pub fn begin<T: WirePayload + Clone>(&self, value: &'a T) -> InFlight<'a, T> {
-        self.begin_payload(Cow::Borrowed(value))
+    /// The block is lent only for the post: the transport takes its own
+    /// copy in whatever form it needs (an encode straight from the
+    /// borrow on serializing backends, a clone on the typed one), and
+    /// the step's compute goes on reading the original.
+    pub fn begin<T: WirePayload + Clone>(&self, value: &T) -> InFlight<'a, T> {
+        let _ph = self.ring.phase(Phase::Propagation);
+        self.in_flight(self.ring.shift_begin_ref(self.disp, self.tag, value))
     }
 
-    /// Start the step on a borrowed block or an already-built outgoing
-    /// payload (a routed bundle).
-    fn begin_payload<T: WirePayload + Clone>(&self, value: Cow<'a, T>) -> InFlight<'a, T> {
-        match self.mode {
-            ShiftMode::Pipelined => {
-                let _ph = self.ring.phase(Phase::Propagation);
-                trace::mark(TraceKind::Shift, "pipeline.post", || {
-                    vec![("tag".to_string(), ArgVal::Num(self.tag as f64))]
-                });
-                let (ring, disp, tag) = (self.ring, self.disp, self.tag);
-                InFlight {
-                    ring,
-                    state: InFlightState::Posted(match value {
-                        Cow::Borrowed(v) => ring.shift_begin_ref(disp, tag, v),
-                        Cow::Owned(v) => ring.shift_begin(disp, tag, v),
-                    }),
-                }
-            }
-            ShiftMode::Blocking => {
-                trace::mark(TraceKind::Shift, "pipeline.stage", || {
-                    vec![("tag".to_string(), ArgVal::Num(self.tag as f64))]
-                });
-                InFlight {
-                    ring: self.ring,
-                    state: InFlightState::Staged {
-                        disp: self.disp,
-                        tag: self.tag,
-                        value,
-                    },
-                }
-            }
+    /// The posted step, awaited here and now under
+    /// [`ShiftMode::Blocking`].
+    fn in_flight<T: WirePayload>(&self, handle: RecvHandle<'a, T>) -> InFlight<'a, T> {
+        match ShiftMode::current() {
+            ShiftMode::Pipelined => InFlight::Posted(self.ring, handle),
+            ShiftMode::Blocking => InFlight::Ready(handle.wait()),
         }
     }
 
     /// Accumulator-lane step: blocking exchange of a finished block.
     pub fn exchange<T: WirePayload>(&self, value: T) -> T {
         let _ph = self.ring.phase(Phase::Propagation);
-        let start = std::time::Instant::now();
-        let v = self.ring.shift(self.disp, self.tag, value);
-        trace::complete(TraceKind::Shift, "pipeline.exchange", start, || {
-            vec![("tag".to_string(), ArgVal::Num(self.tag as f64))]
-        });
-        v
+        self.ring.shift(self.disp, self.tag, value)
     }
 
     /// Input-lane step for a dense panel, optionally pattern-routed:
     /// with `ship`, only the forward-set rows travel (as a [`RowBundle`]
     /// with dense fallback) and the receiver zero-fills the rest.
-    pub fn begin_mat(&self, y: &'a Mat, ship: Option<&RowSet>) -> MatInFlight<'a> {
+    pub fn begin_mat(&self, y: &Mat, ship: Option<&RowSet>) -> MatInFlight<'a> {
         match ship {
-            None => MatInFlight {
-                state: MatInFlightState::Dense(self.begin(y)),
-            },
+            None => MatInFlight::Dense(self.begin(y)),
             Some(set) => {
                 let bundle = RowBundle::gather(y.nrows(), y.ncols(), y.as_slice(), set);
-                MatInFlight {
-                    state: MatInFlightState::Routed(self.begin_payload(Cow::Owned(bundle))),
-                }
+                let _ph = self.ring.phase(Phase::Propagation);
+                let handle = self.ring.shift_begin(self.disp, self.tag, bundle);
+                MatInFlight::Routed(self.in_flight(handle))
             }
         }
     }
@@ -384,58 +401,37 @@ impl<'a> ShiftPipeline<'a> {
     }
 }
 
-enum InFlightState<'a, T: WirePayload + Clone> {
-    /// Pipelined: the receive half of a posted `shift_begin`.
-    Posted(RecvHandle<'a, T>),
-    /// Blocking: the outgoing block, exchanged at `wait`.
-    Staged {
-        disp: usize,
-        tag: u32,
-        value: Cow<'a, T>,
-    },
-}
-
-/// An input-lane block in flight around the ring; collect it with
-/// [`InFlight::wait`] after the step's compute.
+/// An input-lane step in flight around the ring; collect the incoming
+/// block with [`InFlight::wait`] after the step's compute.
 #[must_use = "an in-flight shift must be waited"]
-pub struct InFlight<'a, T: WirePayload + Clone> {
-    ring: &'a Comm,
-    state: InFlightState<'a, T>,
+pub enum InFlight<'a, T: WirePayload> {
+    /// Pipelined: the ring and the receive half of the posted shift.
+    Posted(&'a Comm, RecvHandle<'a, T>),
+    /// Blocking: the block that already shifted in.
+    Ready(T),
 }
 
-impl<T: WirePayload + Clone> InFlight<'_, T> {
+impl<T: WirePayload> InFlight<'_, T> {
     /// Complete the step: the block shifted in from the ring
     /// predecessor. Time blocked here (and the receive's modeled cost)
     /// is charged to [`Phase::Propagation`].
     pub fn wait(self) -> T {
-        let InFlight { ring, state } = self;
-        let _ph = ring.phase(Phase::Propagation);
-        let start = std::time::Instant::now();
-        let (v, lane) = match state {
-            InFlightState::Posted(h) => (h.wait(), "posted"),
-            InFlightState::Staged { disp, tag, value } => {
-                let v = match value {
-                    Cow::Borrowed(v) => ring.shift_ref(disp, tag, v),
-                    Cow::Owned(v) => ring.shift(disp, tag, v),
-                };
-                (v, "staged")
+        match self {
+            InFlight::Ready(v) => v,
+            InFlight::Posted(ring, handle) => {
+                let _ph = ring.phase(Phase::Propagation);
+                handle.wait()
             }
-        };
-        trace::complete(TraceKind::Shift, "pipeline.wait", start, || {
-            vec![("lane".to_string(), ArgVal::Str(lane.to_string()))]
-        });
-        v
+        }
     }
 }
 
 /// A dense panel in flight, dense or pattern-routed.
 #[must_use = "an in-flight shift must be waited"]
-pub struct MatInFlight<'a> {
-    state: MatInFlightState<'a>,
-}
-
-enum MatInFlightState<'a> {
+pub enum MatInFlight<'a> {
+    /// The panel itself travels.
     Dense(InFlight<'a, Mat>),
+    /// Only the forward-set rows travel.
     Routed(InFlight<'a, RowBundle>),
 }
 
@@ -443,9 +439,9 @@ impl MatInFlight<'_> {
     /// Complete the step, reconstructing a full panel (zero-filling
     /// unshipped rows on the routed path).
     pub fn wait(self) -> Mat {
-        match self.state {
-            MatInFlightState::Dense(f) => f.wait(),
-            MatInFlightState::Routed(f) => {
+        match self {
+            MatInFlight::Dense(f) => f.wait(),
+            MatInFlight::Routed(f) => {
                 let (nrows, ncols, data) = f.wait().into_full();
                 Mat::from_vec(nrows, ncols, data)
             }
@@ -531,6 +527,29 @@ mod tests {
                 "modeled time must be bit-identical across modes"
             );
         }
+    }
+
+    /// `Blocking` is wait-at-begin: when `begin` returns, the hop has
+    /// been posted *and* received — nothing of it is left in the mailbox
+    /// for the compute to overlap with.
+    #[test]
+    fn blocking_begin_has_received_before_the_compute_starts() {
+        SimWorld::new(2, MachineModel::bandwidth_only()).run(|c| {
+            let _g = ShiftMode::scoped(ShiftMode::Blocking);
+            let pipe = ShiftPipeline::new(c, 1, 5);
+            let y = Mat::from_vec(1, 2, vec![c.rank() as f64, 7.0]);
+            let fly = pipe.begin_mat(&y, None);
+            let prop = c.stats_snapshot().phase(Phase::Propagation).msgs_recv;
+            assert_eq!(prop, 1, "the incoming block must already be received");
+            // Next in line on the pipeline's stream, and nothing queued.
+            let probe = c.recv_begin::<Mat>(1 - c.rank(), 5);
+            c.barrier();
+            assert!(!probe.poll(), "no message may be pending in the mailbox");
+            c.barrier(); // nobody completes the probe before everyone has looked
+            c.send(1 - c.rank(), 5, Mat::zeros(0, 0));
+            let _ = probe.wait();
+            assert_eq!(fly.wait().as_slice(), &[(1 - c.rank()) as f64, 7.0]);
+        });
     }
 
     /// Empty blocks (0×0 panels) and empty routed forward sets travel

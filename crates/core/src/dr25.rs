@@ -31,7 +31,9 @@ use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::CooMatrix;
 
-use crate::common::{block_range, AlgorithmFamily, Elision, Sampling, ShiftPipeline};
+use crate::common::{
+    block_range, reduce_rows, replicate_rows, AlgorithmFamily, Elision, Sampling, ShiftPipeline,
+};
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::layout::repartition_dense;
 use crate::planview::{Operand, PlanView};
@@ -158,18 +160,9 @@ impl DenseRepl25 {
     /// need sets over its column ring (charged to
     /// `Phase::PatternExchange`) and keep the patterns for every later
     /// shift.
-    pub fn enable_pattern_routing(&mut self, pats: &PlanPatterns) {
-        let grid = self.gc.grid;
-        let g = grid.rank_of(self.gc.u, self.gc.v, self.gc.w);
-        self.route_canon = Some(CommPattern::exchange(
-            &self.gc.col_ring,
-            pats.primary[g].clone(),
-        ));
-        let sec = pats
-            .secondary
-            .as_ref()
-            .expect("2.5D dense replication routes both orientations");
-        self.route_trans = Some(CommPattern::exchange(&self.gc.col_ring, sec[g].clone()));
+    pub fn enable_pattern_routing(&mut self, g: usize, pats: &PlanPatterns) {
+        let (canon, trans) = pats.exchange_for(g, &self.gc.col_ring, Some(&self.gc.col_ring));
+        (self.route_canon, self.route_trans) = (Some(canon), trans);
     }
 
     /// Build one orientation: `s: rows_tot × cols_tot`, `x: rows_tot × r`
@@ -245,35 +238,13 @@ impl DenseRepl25 {
         block_range(o.cols_tot, q * c, sigma * c + w).len()
     }
 
-    /// All-gather the fiber sub-blocks into `T = X[macro u, slice v]`.
-    /// `total_rows` (the macro-row length) is passed explicitly so that
-    /// empty r-slices still yield a correctly-shaped panel.
-    fn replicate(&self, x_fiber: &Mat, total_rows: usize) -> Mat {
-        let _ph = self.gc.fiber.phase(Phase::Replication);
-        let width = x_fiber.ncols();
-        let data = self.gc.fiber.allgatherv_f64(x_fiber.as_slice());
-        debug_assert!(width == 0 || data.len() / width == total_rows);
-        Mat::from_vec(total_rows, width, data)
-    }
-
     /// Reduce-scatter a macro-row accumulator along the fiber back to
     /// this rank's sub-block.
     fn reduce_to_fiber(&self, t_buf: &Mat) -> Mat {
-        let _ph = self.gc.fiber.phase(Phase::Replication);
         let c = self.gc.grid.c;
-        let width = t_buf.ncols();
-        let ranges: Vec<std::ops::Range<usize>> = (0..c)
-            .map(|ww| {
-                let sub = block_range(t_buf.nrows(), c, ww);
-                sub.start * width..sub.end * width
-            })
-            .collect();
-        let mine = self
-            .gc
-            .fiber
-            .reduce_scatter_sum_ranges(t_buf.as_slice(), &ranges);
-        let rows = mine.len().checked_div(width).unwrap_or(0);
-        Mat::from_vec(rows, width, mine)
+        reduce_rows(&self.gc.fiber, t_buf, |ww| {
+            block_range(t_buf.nrows(), c, ww)
+        })
     }
 
     /// Row-ring pipeline for the traveling sparse block (one step
@@ -425,13 +396,6 @@ impl DenseRepl25 {
         out
     }
 
-    fn finalize(home: &CooMatrix, mut vals: Vec<f64>, sampling: Sampling) -> Vec<f64> {
-        if let Sampling::Values = sampling {
-            kern::apply_sampling(&mut vals, &home.vals);
-        }
-        vals
-    }
-
     /// FusedMM on one side — FusedMMB on the canonical one, FusedMMA on
     /// the transposed one. `y` (travel layout) defaults to the stored
     /// traveling operand; the result is in the same layout.
@@ -445,14 +409,14 @@ impl DenseRepl25 {
                  unsupported for 2.5D dense replication"
             ),
         };
-        let t_buf = self.replicate(&o.x_fiber, o.macro_rows);
+        let t_buf = replicate_rows(&self.gc.fiber, &o.x_fiber, o.macro_rows, None);
         let y0 = y.unwrap_or(&o.y_home);
-        let dots = self.dots_round(side, &t_buf, y0, &CombineSpec::Dot, route);
-        let blk = side
-            .home
-            .with_vals(Self::finalize(side.home, dots, sampling));
+        let mut dots = self.dots_round(side, &t_buf, y0, &CombineSpec::Dot, route);
+        sampling.apply(&mut dots, &side.home.vals);
+        let blk = side.home.with_vals(dots);
         // Unoptimized: without elision the SpMM call replicates again.
-        let again = (elision == Elision::None).then(|| self.replicate(&o.x_fiber, o.macro_rows));
+        let again = (elision == Elision::None)
+            .then(|| replicate_rows(&self.gc.fiber, &o.x_fiber, o.macro_rows, None));
         self.spmm_shift_acc_round(o, blk, again.as_ref().unwrap_or(&t_buf), route)
     }
 
@@ -460,7 +424,7 @@ impl DenseRepl25 {
     /// travels `S` and `B`).
     fn dots(&self, combine: &CombineSpec) -> Vec<f64> {
         let side = self.canon_side();
-        let t_buf = self.replicate(&side.o.x_fiber, side.o.macro_rows);
+        let t_buf = replicate_rows(&self.gc.fiber, &side.o.x_fiber, side.o.macro_rows, None);
         self.dots_round(&side, &t_buf, &side.o.y_home, combine, side.route)
     }
 
@@ -492,9 +456,9 @@ impl DistKernel for DenseRepl25 {
     }
 
     fn sddmm(&mut self) {
-        let dots = self.dots(&CombineSpec::Dot);
-        let vals = Self::finalize(self.r.coo_block(), dots, Sampling::Values);
-        self.r.set(vec![vals]);
+        let mut dots = self.dots(&CombineSpec::Dot);
+        Sampling::Values.apply(&mut dots, &self.r.coo_block().vals);
+        self.r.set(vec![dots]);
     }
 
     fn sddmm_general(&mut self, combine: &CombineSpec) {
@@ -515,7 +479,7 @@ impl DistKernel for DenseRepl25 {
     /// Returned in the travel `B` layout (pre-skewed home block).
     fn spmm_b(&mut self, use_r: bool) -> Mat {
         let side = self.canon_side();
-        let t_buf = self.replicate(&side.o.x_fiber, side.o.macro_rows);
+        let t_buf = replicate_rows(&self.gc.fiber, &side.o.x_fiber, side.o.macro_rows, None);
         self.spmm_shift_acc_round(side.o, self.r.traveler(use_r), &t_buf, side.route)
     }
 

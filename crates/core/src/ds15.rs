@@ -30,7 +30,10 @@ use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::CsrMatrix;
 
-use crate::common::{block_range, union_range, AlgorithmFamily, Elision, Sampling, ShiftPipeline};
+use crate::common::{
+    block_range, reduce_rows, replicate_rows, union_range, AlgorithmFamily, Elision, Sampling,
+    ShiftPipeline,
+};
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::planview::PlanView;
 use crate::rstore::RStore;
@@ -142,56 +145,28 @@ impl DenseShift15 {
     /// Switch propagation to pattern routing: exchange this rank's need
     /// sets over the layer ring (charged to `Phase::PatternExchange`)
     /// and keep the resulting [`CommPattern`] for every later shift.
-    pub fn enable_pattern_routing(&mut self, pats: &PlanPatterns) {
-        let g = self.gc.grid.rank_of(self.gc.u, self.gc.v);
-        self.route = Some(CommPattern::exchange(
-            &self.gc.layer,
-            pats.primary[g].clone(),
-        ));
+    pub fn enable_pattern_routing(&mut self, g: usize, pats: &PlanPatterns) {
+        self.route = Some(pats.exchange_for(g, &self.gc.layer, None).0);
     }
 
     fn q(&self) -> usize {
         self.gc.grid.layer_size()
     }
 
-    fn c(&self) -> usize {
-        self.gc.grid.c
-    }
-
     // ------------------------------------------------------------------
     // Building blocks
     // ------------------------------------------------------------------
-
-    /// All-gather a block-row matrix along the fiber into the macro-row
-    /// buffer `T` (replication).
-    fn replicate(&self, comm_len_total: usize, x_loc: &Mat) -> Mat {
-        let _ph = self.gc.fiber.phase(Phase::Replication);
-        let r = x_loc.ncols();
-        let data = self.gc.fiber.allgatherv_f64(x_loc.as_slice());
-        let rows = data.len() / r.max(1);
-        debug_assert_eq!(rows, comm_len_total);
-        Mat::from_vec(rows, r, data)
-    }
 
     /// Reduce-scatter a macro-row accumulator along the fiber back to
     /// this rank's block row (`total`/`p`-grained ranges within macro
     /// row `u`).
     fn reduce_to_block(&self, total: usize, t_buf: &Mat) -> Mat {
-        let _ph = self.gc.fiber.phase(Phase::Replication);
-        let (p, c, u) = (self.gc.grid.p, self.c(), self.gc.u);
-        let r = t_buf.ncols();
-        let macro_start = union_range(total, p, u * c, c).start;
-        let ranges: Vec<std::ops::Range<usize>> = (0..c)
-            .map(|vv| {
-                let br = block_range(total, p, u * c + vv);
-                (br.start - macro_start) * r..(br.end - macro_start) * r
-            })
-            .collect();
-        let mine = self
-            .gc
-            .fiber
-            .reduce_scatter_sum_ranges(t_buf.as_slice(), &ranges);
-        Mat::from_vec(mine.len() / r.max(1), r, mine)
+        let (p, c, u) = (self.gc.grid.p, self.gc.grid.c, self.gc.u);
+        let start = union_range(total, p, u * c, c).start;
+        reduce_rows(&self.gc.fiber, t_buf, |vv| {
+            let br = block_range(total, p, u * c + vv);
+            br.start - start..br.end - start
+        })
     }
 
     /// The layer-ring shift pipeline all propagation rounds run
@@ -354,19 +329,6 @@ impl DenseShift15 {
         t_out
     }
 
-    fn apply_sampling(
-        blocks: &[CsrMatrix],
-        mut acc: Vec<Vec<f64>>,
-        sampling: Sampling,
-    ) -> Vec<Vec<f64>> {
-        if let Sampling::Values = sampling {
-            for (a, b) in acc.iter_mut().zip(blocks) {
-                kern::apply_sampling(a, b.vals());
-            }
-        }
-        acc
-    }
-
     /// The blocks carrying a round's SDDMM output (`sampling` applied):
     /// the valued operand of a FusedMM's SpMM half, built once per call.
     fn sampled_blocks(
@@ -374,16 +336,18 @@ impl DenseShift15 {
         acc: Vec<Vec<f64>>,
         sampling: Sampling,
     ) -> Vec<CsrMatrix> {
-        let vals = Self::apply_sampling(blocks, acc, sampling);
-        let valued = blocks.iter().zip(vals);
-        valued.map(|(b, v)| b.with_vals(v)).collect()
+        let sampled = blocks.iter().zip(acc).map(|(b, mut v)| {
+            sampling.apply(&mut v, b.vals());
+            b.with_vals(v)
+        });
+        sampled.collect()
     }
 
     /// Raw SDDMM accumulations on the stored operands: replicates `A`,
     /// shifts `B`.
     fn dots(&self, combine: kern::SddmmCombine<'_>) -> Vec<Vec<f64>> {
         let s = self.r.csr_blocks();
-        let t_buf = self.replicate(s[0].nrows(), &self.a_loc);
+        let t_buf = replicate_rows(&self.gc.fiber, &self.a_loc, s[0].nrows(), None);
         self.sddmm_round(s, &t_buf, &self.b_loc, combine, self.route.as_ref())
     }
 }
@@ -403,9 +367,11 @@ impl DistKernel for DenseShift15 {
 
     /// Leaves `R = S ∗ (A·Bᵀ)` distributed like `S`.
     fn sddmm(&mut self) {
-        let acc = self.dots(kern::SddmmCombine::Dot);
-        let vals = Self::apply_sampling(self.r.csr_blocks(), acc, Sampling::Values);
-        self.r.set(vals);
+        let mut acc = self.dots(kern::SddmmCombine::Dot);
+        for (a, b) in acc.iter_mut().zip(self.r.csr_blocks()) {
+            Sampling::Values.apply(a, b.vals());
+        }
+        self.r.set(acc);
     }
 
     fn sddmm_general(&mut self, combine: &CombineSpec) {
@@ -425,7 +391,7 @@ impl DistKernel for DenseShift15 {
     /// Returned as this rank's `B`-shaped block row.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
         let blocks = self.r.csr_valued(use_r);
-        let t_buf = self.replicate(blocks[0].nrows(), &self.a_loc);
+        let t_buf = replicate_rows(&self.gc.fiber, &self.a_loc, blocks[0].nrows(), None);
         self.spmm_shift_acc_round(&blocks, &t_buf, self.b_loc.nrows(), self.route.as_ref())
     }
 
@@ -436,7 +402,7 @@ impl DistKernel for DenseShift15 {
         match elision {
             Elision::None => {
                 // SDDMM: all-gather x, shift B.
-                let t_buf = self.replicate(s[0].nrows(), x);
+                let t_buf = replicate_rows(&self.gc.fiber, x, s[0].nrows(), None);
                 let acc = self.sddmm_round(s, &t_buf, &self.b_loc, dot, route);
                 let r_blocks = Self::sampled_blocks(s, acc, sampling);
                 // SpMMA: fresh zero accumulator, shift B again,
@@ -445,7 +411,7 @@ impl DistKernel for DenseShift15 {
                 self.reduce_to_block(self.view.dims().m, &t_out)
             }
             Elision::LocalKernelFusion => {
-                let t_in = self.replicate(s[0].nrows(), x);
+                let t_in = replicate_rows(&self.gc.fiber, x, s[0].nrows(), None);
                 let t_out = self.fused_round(s, &t_in, &self.b_loc, sampling);
                 self.reduce_to_block(self.view.dims().m, &t_out)
             }
@@ -453,7 +419,7 @@ impl DistKernel for DenseShift15 {
                 // Transposed roles: replicate B once; travel Sᵀ for the
                 // SDDMM (x shifts), then circulate the A-shaped output
                 // accumulator reusing the same T.
-                let t_buf = self.replicate(st[0].nrows(), &self.b_loc);
+                let t_buf = replicate_rows(&self.gc.fiber, &self.b_loc, st[0].nrows(), None);
                 let acc = self.sddmm_round(st, &t_buf, x, dot, None);
                 let r_blocks = Self::sampled_blocks(st, acc, sampling);
                 self.spmm_shift_acc_round(&r_blocks, &t_buf, x.nrows(), None)
@@ -467,16 +433,16 @@ impl DistKernel for DenseShift15 {
         let (dot, route) = (kern::SddmmCombine::Dot, self.route.as_ref());
         match elision {
             Elision::None => {
-                let t_buf = self.replicate(s[0].nrows(), &self.a_loc);
+                let t_buf = replicate_rows(&self.gc.fiber, &self.a_loc, s[0].nrows(), None);
                 let acc = self.sddmm_round(s, &t_buf, y, dot, route);
                 let r_blocks = Self::sampled_blocks(s, acc, sampling);
                 // Unoptimized back-to-back: the SpMMB call replicates A
                 // again.
-                let t2 = self.replicate(s[0].nrows(), &self.a_loc);
+                let t2 = replicate_rows(&self.gc.fiber, &self.a_loc, s[0].nrows(), None);
                 self.spmm_shift_acc_round(&r_blocks, &t2, y.nrows(), route)
             }
             Elision::ReplicationReuse => {
-                let t_buf = self.replicate(s[0].nrows(), &self.a_loc);
+                let t_buf = replicate_rows(&self.gc.fiber, &self.a_loc, s[0].nrows(), None);
                 let acc = self.sddmm_round(s, &t_buf, y, dot, None);
                 let r_blocks = Self::sampled_blocks(s, acc, sampling);
                 // Reuse T for the SpMMB.
@@ -484,7 +450,7 @@ impl DistKernel for DenseShift15 {
             }
             Elision::LocalKernelFusion => {
                 // Dual of the FusedMMA fused round: roles swapped, Sᵀ.
-                let t_in = self.replicate(st[0].nrows(), y);
+                let t_in = replicate_rows(&self.gc.fiber, y, st[0].nrows(), None);
                 let t_out = self.fused_round(st, &t_in, &self.a_loc, sampling);
                 self.reduce_to_block(self.view.dims().n, &t_out)
             }

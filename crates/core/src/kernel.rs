@@ -905,7 +905,7 @@ impl<'a> KernelBuilder<'a> {
                     let pats = staged.plan_patterns($fam, comm.size(), plan.c, || {
                         <$ty>::derive_needs(staged, comm.size(), plan.c)
                     });
-                    k.enable_pattern_routing(&pats);
+                    k.enable_pattern_routing(comm.rank(), &pats);
                 }
                 tuned!(k)
             }};

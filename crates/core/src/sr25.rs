@@ -137,18 +137,9 @@ impl SparseRepl25 {
 
     /// Switch both panel rings to pattern routing: exchange this rank's
     /// need sets over each ring (charged to `Phase::PatternExchange`).
-    pub fn enable_pattern_routing(&mut self, pats: &PlanPatterns) {
-        let grid = self.gc.grid;
-        let g = grid.rank_of(self.gc.u, self.gc.v, self.gc.w);
-        self.route_a = Some(CommPattern::exchange(
-            &self.gc.row_ring,
-            pats.primary[g].clone(),
-        ));
-        let sec = pats
-            .secondary
-            .as_ref()
-            .expect("2.5D sparse replication routes both panel rings");
-        self.route_b = Some(CommPattern::exchange(&self.gc.col_ring, sec[g].clone()));
+    pub fn enable_pattern_routing(&mut self, g: usize, pats: &PlanPatterns) {
+        let (a, b) = pats.exchange_for(g, &self.gc.row_ring, Some(&self.gc.col_ring));
+        (self.route_a, self.route_b) = (Some(a), b);
     }
 
     fn q(&self) -> usize {
@@ -341,9 +332,8 @@ impl SparseRepl25 {
             let _ph = self.gc.fiber.phase(Phase::Replication);
             self.gc.fiber.allreduce_sum(&mut dots);
         }
-        if let Sampling::Values = sampling {
-            let full = self.allgather_sampling();
-            kern::apply_sampling(&mut dots, &full);
+        if sampling == Sampling::Values {
+            sampling.apply(&mut dots, &self.allgather_sampling());
         }
         dots
     }

@@ -33,7 +33,9 @@ use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::CooMatrix;
 
-use crate::common::{block_range, AlgorithmFamily, Elision, Sampling, ShiftPipeline};
+use crate::common::{
+    block_range, reduce_rows, replicate_rows, AlgorithmFamily, Elision, Sampling, ShiftPipeline,
+};
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::layout::repartition_dense;
 use crate::planview::{Operand, PlanView};
@@ -193,17 +195,9 @@ impl SparseShift15 {
     /// Switch replication to pattern routing: exchange this rank's need
     /// sets over the fiber (charged to `Phase::PatternExchange`) and
     /// keep the resulting patterns for every later all-gather.
-    pub fn enable_pattern_routing(&mut self, pats: &PlanPatterns) {
-        let g = self.gc.grid.rank_of(self.gc.u, self.gc.v);
-        self.route_a = Some(CommPattern::exchange(
-            &self.gc.fiber,
-            pats.primary[g].clone(),
-        ));
-        let sec = pats
-            .secondary
-            .as_ref()
-            .expect("1.5D sparse shifting routes both replicated operands");
-        self.route_b = Some(CommPattern::exchange(&self.gc.fiber, sec[g].clone()));
+    pub fn enable_pattern_routing(&mut self, g: usize, pats: &PlanPatterns) {
+        let (a, b) = pats.exchange_for(g, &self.gc.fiber, Some(&self.gc.fiber));
+        (self.route_a, self.route_b) = (Some(a), b);
     }
 
     fn q(&self) -> usize {
@@ -249,39 +243,6 @@ impl SparseShift15 {
         }
         debug_assert_eq!(off, stacked.nrows());
         out
-    }
-
-    /// All-gather a replicate-layout panel along the fiber into the full
-    /// `total_rows × slice` panel. `total_rows` is passed explicitly so
-    /// that empty r-slices (possible when p/c > r) still produce a
-    /// correctly-shaped zero-width panel.
-    fn replicate(&self, x_rep: &Mat, total_rows: usize, route: Option<&CommPattern>) -> Mat {
-        let _ph = self.gc.fiber.phase(Phase::Replication);
-        let w = x_rep.ncols();
-        let data = match route {
-            None => self.gc.fiber.allgatherv_f64(x_rep.as_slice()),
-            Some(pat) => {
-                // Ship each fiber peer only the rows of this rank's
-                // replicate block its ring will ever read; zero-fill
-                // the rest (never read downstream).
-                let me = self.gc.v;
-                let ship: Vec<RowSet> = (0..self.gc.grid.c)
-                    .map(|i| pat.need(i, me).clone())
-                    .collect();
-                let bundles =
-                    self.gc
-                        .fiber
-                        .sparse_allgather(x_rep.nrows(), w, x_rep.as_slice(), &ship);
-                let mut data = Vec::with_capacity(total_rows * w);
-                for b in bundles {
-                    let (_, _, full) = b.into_full();
-                    data.extend_from_slice(&full);
-                }
-                data
-            }
-        };
-        debug_assert!(w == 0 || data.len() / w == total_rows);
-        Mat::from_vec(total_rows, w, data)
     }
 
     /// The layer-ring pipeline moving traveling COO blocks (3
@@ -361,17 +322,10 @@ impl SparseShift15 {
         Mat::vstack(&outs)
     }
 
-    fn finalize(home: &CooMatrix, mut vals: Vec<f64>, sampling: Sampling) -> Vec<f64> {
-        if let Sampling::Values = sampling {
-            kern::apply_sampling(&mut vals, &home.vals);
-        }
-        vals
-    }
-
     /// SpMM on one orientation: replicate its dense operand, travel
     /// the valued home block `blk`.
     fn spmm(&self, side: &Side<'_>, blk: CooMatrix) -> Mat {
-        let t = self.replicate(side.rep, side.rep_rows, side.route);
+        let t = replicate_rows(&self.gc.fiber, side.rep, side.rep_rows, side.route);
         self.scatter_round(blk, &t, side.stat_rows)
     }
 
@@ -395,14 +349,13 @@ impl SparseShift15 {
                  unsupported for 1.5D sparse shifting"
             ),
         };
-        let t = self.replicate(side.rep, side.rep_rows, route);
-        let dots = self.dots_round(side.home, &t, y_stat, &CombineSpec::Dot);
-        let blk = side
-            .home
-            .with_vals(Self::finalize(side.home, dots, sampling));
+        let t = replicate_rows(&self.gc.fiber, side.rep, side.rep_rows, route);
+        let mut dots = self.dots_round(side.home, &t, y_stat, &CombineSpec::Dot);
+        sampling.apply(&mut dots, &side.home.vals);
+        let blk = side.home.with_vals(dots);
         // Unoptimized: without elision the SpMM call replicates again.
-        let again =
-            (elision == Elision::None).then(|| self.replicate(side.rep, side.rep_rows, route));
+        let again = (elision == Elision::None)
+            .then(|| replicate_rows(&self.gc.fiber, side.rep, side.rep_rows, route));
         self.scatter_round(blk, again.as_ref().unwrap_or(&t), side.stat_rows)
     }
 
@@ -410,7 +363,7 @@ impl SparseShift15 {
     /// travels `S`).
     fn dots(&self, combine: &CombineSpec) -> Vec<f64> {
         let side = self.canon_side();
-        let t_a = self.replicate(side.rep, side.rep_rows, side.route);
+        let t_a = replicate_rows(&self.gc.fiber, side.rep, side.rep_rows, side.route);
         self.dots_round(side.home, &t_a, side.stat, combine)
     }
 
@@ -451,9 +404,9 @@ impl DistKernel for SparseShift15 {
 
     /// The result stays on the home block.
     fn sddmm(&mut self) {
-        let dots = self.dots(&CombineSpec::Dot);
-        let vals = Self::finalize(self.r.coo_block(), dots, Sampling::Values);
-        self.r.set(vec![vals]);
+        let mut dots = self.dots(&CombineSpec::Dot);
+        Sampling::Values.apply(&mut dots, &self.r.coo_block().vals);
+        self.r.set(vec![dots]);
     }
 
     fn sddmm_general(&mut self, combine: &CombineSpec) {
@@ -515,22 +468,8 @@ impl DistKernel for SparseShift15 {
             blk = fly.wait();
         }
         // Fiber reduce-scatter into the replicate layout rows.
-        let _ph = self.gc.fiber.phase(Phase::Replication);
         let c = self.gc.grid.c;
-        let w = slice.len();
-        let ranges: Vec<std::ops::Range<usize>> = (0..c)
-            .map(|vv| {
-                let rr = block_range(dims.m, c, vv);
-                rr.start * w..rr.end * w
-            })
-            .collect();
-        let mine = self
-            .gc
-            .fiber
-            .reduce_scatter_sum_ranges(t_full.as_slice(), &ranges);
-        let rows = block_range(dims.m, c, self.gc.v).len();
-        debug_assert!(w == 0 || mine.len() / w == rows);
-        Mat::from_vec(rows, w, mine)
+        reduce_rows(&self.gc.fiber, &t_full, |vv| block_range(dims.m, c, vv))
     }
 
     fn a_iterate(&self) -> Mat {

@@ -16,7 +16,7 @@ use std::hash::Hash;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use dsk_comm::RowSet;
+use dsk_comm::{Comm, CommPattern, RowSet};
 use dsk_sparse::partition::partition_by_ranges;
 use dsk_sparse::CooMatrix;
 
@@ -46,6 +46,30 @@ pub struct PlanPatterns {
     pub primary: Vec<Vec<RowSet>>,
     /// Need sets for the family's second routed ring, when it has one.
     pub secondary: Option<Vec<Vec<RowSet>>>,
+}
+
+impl PlanPatterns {
+    /// Switch world rank `g`'s kernel to pattern routing: all-gather its
+    /// need sets over `primary_ring`, then — for a family that routes a
+    /// second tile stream — over `secondary_ring`, in that order. Real
+    /// traffic, charged to `Phase::PatternExchange`; the resulting
+    /// [`CommPattern`]s serve every later shift or all-gather.
+    pub fn exchange_for(
+        &self,
+        g: usize,
+        primary_ring: &Comm,
+        secondary_ring: Option<&Comm>,
+    ) -> (CommPattern, Option<CommPattern>) {
+        let primary = CommPattern::exchange(primary_ring, self.primary[g].clone());
+        let secondary = secondary_ring.map(|ring| {
+            let needs = self
+                .secondary
+                .as_ref()
+                .expect("a family with two routed rings derives both need sets");
+            CommPattern::exchange(ring, needs[g].clone())
+        });
+        (primary, secondary)
+    }
 }
 
 /// A per-key compute-once cache. The map lock is held only to fetch

@@ -10,7 +10,7 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use distributed_sparse_kernels::comm::launch::is_worker_process;
-use distributed_sparse_kernels::comm::trace::{self, TraceEvent, TraceKind, SYNC_EVENT};
+use distributed_sparse_kernels::comm::trace::{self, ArgVal, TraceEvent, TraceKind, SYNC_EVENT};
 use distributed_sparse_kernels::comm::{BackendKind, MachineModel, Phase, RankStats, SimWorld};
 use distributed_sparse_kernels::core::theory::Algorithm;
 use distributed_sparse_kernels::core::worker::DistWorker;
@@ -108,6 +108,77 @@ fn comm_spans_nest_inside_phase_spans() {
             parent.phase, c.phase,
             "the enclosing phase span must match the span's phase attribute"
         );
+    }
+}
+
+/// One clock splits phases: the instant that closes a phase's `wall_s`
+/// bucket is the instant that closes its trace span, so per rank and
+/// phase the span durations sum to the accounted wall time.
+#[test]
+fn phase_spans_sum_to_the_accounted_wall_time() {
+    let _g = serialized();
+    trace::reset();
+    trace::set_override(true);
+    let prob = Arc::new(GlobalProblem::erdos_renyi(32, 32, 8, 4, 9106));
+    let world = SimWorld::new(8, MachineModel::bandwidth_only());
+    let stats = fused_epoch(&world, &prob);
+    let events = trace::snapshot();
+    trace::set_override(false);
+    trace::reset();
+    if is_worker_process() {
+        return;
+    }
+    for (rank, stats) in stats.iter().enumerate() {
+        for p in Phase::ALL {
+            let name = format!("phase.{}", p.label());
+            let spans_s: f64 = events
+                .iter()
+                .filter(|e| e.rank as usize == rank && e.name == name)
+                .map(|e| e.dur_ns as f64 * 1e-9)
+                .sum();
+            let wall_s = stats.phase(p).wall_s;
+            assert!(
+                (spans_s - wall_s).abs() <= 1e-6,
+                "rank {rank} {p:?}: spans sum to {spans_s}s but wall_s is {wall_s}s"
+            );
+        }
+    }
+}
+
+/// One event vocabulary: a ring step is its post and its wait (no
+/// `pipeline.*` duplicates), and every wait span says how long the
+/// thread was blocked on arrival and how long the decode took.
+#[test]
+fn wait_spans_carry_stall_and_decode_and_nothing_is_named_pipeline() {
+    let _g = serialized();
+    trace::reset();
+    trace::set_override(true);
+    let prob = Arc::new(GlobalProblem::erdos_renyi(32, 32, 8, 4, 9107));
+    let world = SimWorld::new(8, MachineModel::bandwidth_only());
+    let _ = fused_epoch(&world, &prob);
+    let events = trace::snapshot();
+    trace::set_override(false);
+    trace::reset();
+    if is_worker_process() {
+        return;
+    }
+    assert!(
+        !events.iter().any(|e| e.name.starts_with("pipeline.")),
+        "the pipeline must not duplicate its comm events"
+    );
+    let waits: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|e| e.name.ends_with(".wait"))
+        .collect();
+    assert!(!waits.is_empty(), "a fused epoch must record wait spans");
+    for w in waits {
+        for key in ["stall_s", "decode_s"] {
+            let arg = w.args.iter().find(|(k, _)| k == key);
+            assert!(
+                matches!(arg, Some((_, ArgVal::Num(x))) if *x >= 0.0),
+                "wait span {w:?} must carry a numeric {key}"
+            );
+        }
     }
 }
 
