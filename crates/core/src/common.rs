@@ -306,19 +306,22 @@ impl Drop for ShiftModeGuard {
 
 /// The one way propagation loops move blocks around a ring.
 ///
-/// A `ShiftPipeline` owns a ring communicator reference, a displacement,
-/// and a tag, and exposes exactly two step shapes:
+/// A `ShiftPipeline` names a ring communicator, a displacement and a
+/// tag, and moves blocks along it in two lane shapes:
 ///
-/// * **input lanes** — payloads the local kernel only *reads* (the
+/// * **input lanes** — blocks the local kernel only *reads* (the
 ///   traveling dense panel of an SpMM, the sparse block of a
-///   sparse-shifting round). [`ShiftPipeline::begin`] posts the outgoing
-///   copy *before* the compute of the current step, and the returned
-///   [`InFlight`] is collected after it — under [`ShiftMode::Pipelined`]
-///   the transfer hides behind the compute, under
-///   [`ShiftMode::Blocking`] `begin` has already waited;
-/// * **accumulator lanes** — payloads the kernel *writes* (a circulating
+///   sparse-shifting round). An [`InputLane`] visits each of the ring's
+///   `q` members once, posting the next hop *before* the visit's
+///   compute, so under [`ShiftMode::Pipelined`] the transfer hides
+///   behind it (under [`ShiftMode::Blocking`] the post has already
+///   waited). It stops one hop short of home: visit 0 reads the
+///   caller's block in place, so the `q`-th hop, with which the paper's
+///   Algorithm 1 restores an overwritten buffer, is never sent;
+/// * **accumulator lanes** — blocks the kernel *writes* (a circulating
 ///   output block). The data is not final until the compute finishes, so
-///   [`ShiftPipeline::exchange`] posts after it and waits at once.
+///   [`ShiftPipeline::exchange`] posts after it and waits at once; the
+///   block takes all `q` hops home.
 ///
 /// Both shapes exist in dense ([`Mat`]) and pattern-routed
 /// ([`RowBundle`] via a [`RowSet`] forward set) forms, so `Routing` and
@@ -327,10 +330,11 @@ impl Drop for ShiftModeGuard {
 ///
 /// Receives on one `(ring, tag)` stream complete in posting order
 /// (`dsk-comm`'s completion contract, which covers blocking calls), so
-/// an `exchange` issued while an `InFlight` of the same ring and tag is
+/// an `exchange` issued while a [`Hop`] of the same ring and tag is
 /// pending would panic. No family does that: within one round, input
 /// and accumulator lanes ride different rings (2.5D: row ring beside
 /// column ring) or the round has only one kind of lane (1.5D).
+#[derive(Clone, Copy)]
 pub struct ShiftPipeline<'a> {
     ring: &'a Comm,
     disp: usize,
@@ -344,25 +348,14 @@ impl<'a> ShiftPipeline<'a> {
         ShiftPipeline { ring, disp, tag }
     }
 
-    /// Start an input-lane step: post `value` to the ring successor,
-    /// the incoming block to be collected with [`InFlight::wait`] after
-    /// the step's compute.
-    ///
-    /// The block is lent only for the post: the transport takes its own
-    /// copy in whatever form it needs (an encode straight from the
-    /// borrow on serializing backends, a clone on the typed one), and
-    /// the step's compute goes on reading the original.
-    pub fn begin<T: WirePayload + Clone>(&self, value: &T) -> InFlight<'a, T> {
-        let _ph = self.ring.phase(Phase::Propagation);
-        self.in_flight(self.ring.shift_begin_ref(self.disp, self.tag, value))
-    }
-
-    /// The posted step, awaited here and now under
-    /// [`ShiftMode::Blocking`].
-    fn in_flight<T: WirePayload>(&self, handle: RecvHandle<'a, T>) -> InFlight<'a, T> {
-        match ShiftMode::current() {
-            ShiftMode::Pipelined => InFlight::Posted(self.ring, handle),
-            ShiftMode::Blocking => InFlight::Ready(handle.wait()),
+    /// Open an input lane over the ring's `q` members whose visit 0
+    /// reads `home` itself: lent, never cloned.
+    pub fn input<'h, T: WirePayload + Clone>(&self, home: &'h T) -> InputLane<'h, 'a, T> {
+        InputLane {
+            pipe: *self,
+            hops: self.ring.size() - 1,
+            home,
+            arrived: None,
         }
     }
 
@@ -372,21 +365,6 @@ impl<'a> ShiftPipeline<'a> {
         self.ring.shift(self.disp, self.tag, value)
     }
 
-    /// Input-lane step for a dense panel, optionally pattern-routed:
-    /// with `ship`, only the forward-set rows travel (as a [`RowBundle`]
-    /// with dense fallback) and the receiver zero-fills the rest.
-    pub fn begin_mat(&self, y: &Mat, ship: Option<&RowSet>) -> MatInFlight<'a> {
-        match ship {
-            None => MatInFlight::Dense(self.begin(y)),
-            Some(set) => {
-                let bundle = RowBundle::gather(y.nrows(), y.ncols(), y.as_slice(), set);
-                let _ph = self.ring.phase(Phase::Propagation);
-                let handle = self.ring.shift_begin(self.disp, self.tag, bundle);
-                MatInFlight::Routed(self.in_flight(handle))
-            }
-        }
-    }
-
     /// Accumulator-lane step for a dense panel, optionally
     /// pattern-routed.
     pub fn exchange_mat(&self, y: Mat, ship: Option<&RowSet>) -> Mat {
@@ -394,57 +372,113 @@ impl<'a> ShiftPipeline<'a> {
             None => self.exchange(y),
             Some(set) => {
                 let bundle = RowBundle::gather(y.nrows(), y.ncols(), y.as_slice(), set);
-                let (nrows, ncols, data) = self.exchange(bundle).into_full();
-                Mat::from_vec(nrows, ncols, data)
+                unbundle(self.exchange(bundle))
             }
         }
     }
 }
 
-/// An input-lane step in flight around the ring; collect the incoming
-/// block with [`InFlight::wait`] after the step's compute.
-#[must_use = "an in-flight shift must be waited"]
-pub enum InFlight<'a, T: WirePayload> {
-    /// Pipelined: the ring and the receive half of the posted shift.
-    Posted(&'a Comm, RecvHandle<'a, T>),
+/// A routed panel as a full one, unshipped rows zero-filled.
+fn unbundle(bundle: RowBundle) -> Mat {
+    let (nrows, ncols, data) = bundle.into_full();
+    Mat::from_vec(nrows, ncols, data)
+}
+
+/// An input lane: a block that visits each member of a ring once, read
+/// only. Each visit is `let hop = lane.post(); compute(lane.block());
+/// lane.arrive(hop);` — post and arrive are separate calls, so two lanes
+/// can share one loop.
+pub struct InputLane<'h, 'a, T: WirePayload + Clone> {
+    pipe: ShiftPipeline<'a>,
+    /// Hops still to post: `q − 1` at the start, none on the last visit.
+    hops: usize,
+    /// The caller's home block, which visit 0 reads.
+    home: &'h T,
+    /// The block that arrived for the current visit, after visit 0.
+    arrived: Option<T>,
+}
+
+impl<'a, T: WirePayload + Clone> InputLane<'_, 'a, T> {
+    /// The block the current visit reads.
+    pub fn block(&self) -> &T {
+        self.arrived.as_ref().unwrap_or(self.home)
+    }
+
+    /// Post the current block to the ring successor — or nothing, on
+    /// the last visit. The block is lent only for the post: the
+    /// transport takes its own copy in whatever form it needs (an encode
+    /// straight from the borrow on serializing backends, a clone on the
+    /// typed one).
+    pub fn post(&mut self) -> Hop<'a, T> {
+        let Some(hops) = self.hops.checked_sub(1) else {
+            return Hop::Home;
+        };
+        self.hops = hops;
+        let ShiftPipeline { ring, disp, tag } = self.pipe;
+        let _ph = ring.phase(Phase::Propagation);
+        Hop::Posted(ring.shift_begin_ref(disp, tag, self.block())).settle()
+    }
+
+    /// Move to the next visit: its block is the one `hop` brought in
+    /// (time blocked here is charged to [`Phase::Propagation`]), or the
+    /// current one when nothing was posted.
+    pub fn arrive(&mut self, hop: Hop<'a, T>) {
+        let pending = matches!(hop, Hop::Posted(_) | Hop::Routed(..));
+        let _ph = pending.then(|| self.pipe.ring.phase(Phase::Propagation));
+        self.arrived = hop.complete().or(self.arrived.take());
+    }
+}
+
+impl<'a> InputLane<'_, 'a, Mat> {
+    /// [`InputLane::post`] for a dense panel, optionally pattern-routed:
+    /// with `ship`, only the forward-set rows travel (as a [`RowBundle`]
+    /// with dense fallback) and the receiver zero-fills the rest.
+    pub fn post_mat(&mut self, ship: Option<&RowSet>) -> Hop<'a, Mat> {
+        let (Some(set), 1..) = (ship, self.hops) else {
+            return self.post();
+        };
+        self.hops -= 1;
+        let y = self.block();
+        let bundle = RowBundle::gather(y.nrows(), y.ncols(), y.as_slice(), set);
+        let ShiftPipeline { ring, disp, tag } = self.pipe;
+        let _ph = ring.phase(Phase::Propagation);
+        Hop::Routed(ring.shift_begin(disp, tag, bundle), unbundle).settle()
+    }
+}
+
+/// One input-lane hop, from its post to its arrival
+/// ([`InputLane::arrive`]).
+#[must_use = "a posted hop must arrive"]
+pub enum Hop<'a, T: WirePayload> {
+    /// Nothing was posted: the lane's last visit, or a one-member ring.
+    Home,
     /// Blocking: the block that already shifted in.
     Ready(T),
+    /// Pipelined: the receive half of the posted shift.
+    Posted(RecvHandle<'a, T>),
+    /// Pipelined and pattern-routed: the forward-set rows in flight and
+    /// how to rebuild the block from them.
+    Routed(RecvHandle<'a, RowBundle>, fn(RowBundle) -> T),
 }
 
-impl<T: WirePayload> InFlight<'_, T> {
-    /// Complete the step: the block shifted in from the ring
-    /// predecessor. Time blocked here (and the receive's modeled cost)
-    /// is charged to [`Phase::Propagation`].
-    pub fn wait(self) -> T {
-        match self {
-            InFlight::Ready(v) => v,
-            InFlight::Posted(ring, handle) => {
-                let _ph = ring.phase(Phase::Propagation);
-                handle.wait()
-            }
+impl<T: WirePayload> Hop<'_, T> {
+    /// A just-posted hop, awaited here and now under
+    /// [`ShiftMode::Blocking`].
+    fn settle(self) -> Self {
+        match ShiftMode::current() {
+            ShiftMode::Pipelined => self,
+            ShiftMode::Blocking => self.complete().map_or(Hop::Home, Hop::Ready),
         }
     }
-}
 
-/// A dense panel in flight, dense or pattern-routed.
-#[must_use = "an in-flight shift must be waited"]
-pub enum MatInFlight<'a> {
-    /// The panel itself travels.
-    Dense(InFlight<'a, Mat>),
-    /// Only the forward-set rows travel.
-    Routed(InFlight<'a, RowBundle>),
-}
-
-impl MatInFlight<'_> {
-    /// Complete the step, reconstructing a full panel (zero-filling
-    /// unshipped rows on the routed path).
-    pub fn wait(self) -> Mat {
+    /// The block this hop brings in (`None` when nothing was posted);
+    /// the caller charges the wait.
+    fn complete(self) -> Option<T> {
         match self {
-            MatInFlight::Dense(f) => f.wait(),
-            MatInFlight::Routed(f) => {
-                let (nrows, ncols, data) = f.wait().into_full();
-                Mat::from_vec(nrows, ncols, data)
-            }
+            Hop::Home => None,
+            Hop::Ready(v) => Some(v),
+            Hop::Posted(handle) => Some(handle.wait()),
+            Hop::Routed(handle, rebuild) => Some(rebuild(handle.wait())),
         }
     }
 }
@@ -452,7 +486,9 @@ impl MatInFlight<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsk_comm::{MachineModel, SimWorld};
+    use dsk_comm::{MachineModel, RankOutcome, RankStats, SimWorld};
+
+    type LaneRun = (Vec<f64>, Vec<f64>, RankStats, RankStats);
 
     #[test]
     fn shift_mode_override_is_scoped() {
@@ -476,9 +512,12 @@ mod tests {
                 let _g = ShiftMode::scoped(mode);
                 let pipe = ShiftPipeline::new(c, 1, 7);
                 let y = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-                let fly = pipe.begin_mat(&y, None);
-                let back = fly.wait();
-                let back = pipe.exchange_mat(back, None);
+                let mut lane = pipe.input(&y);
+                let hop = lane.post();
+                assert!(matches!(hop, Hop::Home), "a one-member ring posts nothing");
+                lane.arrive(hop);
+                assert!(std::ptr::eq(lane.block(), &y), "the only visit reads home");
+                let back = pipe.exchange_mat(lane.block().clone(), None);
                 back.as_slice().to_vec()
             });
             assert_eq!(out[0].value, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
@@ -486,59 +525,108 @@ mod tests {
         }
     }
 
-    /// Ragged ring: 10 rows over 3 ranks (p ∤ shape), shifted a full
-    /// revolution in both modes and both lane shapes — bitwise equal
-    /// values and identical modeled counters.
-    #[test]
-    fn pipelined_and_blocking_agree_on_ragged_blocks() {
-        let run = |mode: ShiftMode| {
-            SimWorld::new(3, MachineModel::bandwidth_only()).run(move |c| {
-                let _g = ShiftMode::scoped(mode);
-                let rows = block_range(10, 3, c.rank()).len();
-                let mut y = Mat::from_vec(
-                    rows,
-                    2,
-                    (0..rows * 2).map(|i| (c.rank() * 100 + i) as f64).collect(),
-                );
-                let pipe = ShiftPipeline::new(c, 1, 3);
-                for _ in 0..3 {
-                    let fly = pipe.begin_mat(&y, None);
-                    // "compute" reads y while the copy is in flight
-                    let checksum: f64 = y.as_slice().iter().sum();
-                    let next = fly.wait();
-                    y = pipe.exchange_mat(next, None);
-                    std::hint::black_box(checksum);
+    /// One input-lane round and then one accumulator round on a ring of
+    /// `q` members holding ragged blocks (10 rows over `q`), the lane
+    /// dense or pattern-routed (every row shipped): per rank, every
+    /// value a visit read, the block the accumulator brought home, and
+    /// the propagation counters after each round.
+    fn lane_round(q: usize, mode: ShiftMode, routed: bool) -> Vec<RankOutcome<LaneRun>> {
+        SimWorld::new(q, MachineModel::bandwidth_only()).run(move |c| {
+            let _g = ShiftMode::scoped(mode);
+            let rows = block_range(10, q, c.rank()).len();
+            let data = (0..rows * 2).map(|i| (c.rank() * 100 + i) as f64);
+            let home = Mat::from_vec(rows, 2, data.collect());
+            let pipe = ShiftPipeline::new(c, 1, 3);
+            let mut lane = pipe.input(&home);
+            let mut read = Vec::new();
+            for t in 0..q {
+                let all = RowSet::all(lane.block().nrows());
+                let hop = lane.post_mat(routed.then_some(&all));
+                if t == 0 {
+                    assert_eq!(lane.block().as_slice().as_ptr(), home.as_slice().as_ptr());
                 }
-                // 6 hops = two full revolutions: y is home again.
-                (y.nrows(), y.as_slice().to_vec(), c.stats_snapshot())
-            })
-        };
-        let a = run(ShiftMode::Pipelined);
-        let b = run(ShiftMode::Blocking);
-        for (oa, ob) in a.iter().zip(&b) {
-            assert_eq!(oa.value.0, block_range(10, 3, oa.rank).len());
-            assert_eq!(oa.value.1, ob.value.1, "values must match bitwise");
-            let (sa, sb) = (&oa.value.2, &ob.value.2);
-            assert_eq!(sa.total().msgs_sent, sb.total().msgs_sent);
-            assert_eq!(sa.total().words_sent, sb.total().words_sent);
-            assert_eq!(
-                sa.total().modeled_s.to_bits(),
-                sb.total().modeled_s.to_bits(),
-                "modeled time must be bit-identical across modes"
-            );
+                // The "compute" reads the block while its copy is in flight.
+                read.extend_from_slice(lane.block().as_slice());
+                lane.arrive(hop);
+            }
+            let after_input = c.stats_snapshot();
+            // The last visit's block is one hop short of home.
+            let back = pipe.exchange_mat(lane.block().clone(), None);
+            assert_eq!(back.as_slice(), home.as_slice());
+            let mut acc = back;
+            for _ in 0..q {
+                acc = pipe.exchange_mat(acc, None);
+            }
+            (
+                read,
+                acc.as_slice().to_vec(),
+                after_input,
+                c.stats_snapshot(),
+            )
+        })
+    }
+
+    /// An input-lane round posts `q − 1` hops and an accumulator round
+    /// `q` (none at all on a one-member ring), under both modes and both
+    /// lane forms; the world's drain check at exit proves no homecoming
+    /// hop is left in a mailbox.
+    #[test]
+    fn input_lanes_stop_one_hop_short_of_home() {
+        for q in 1..=3u64 {
+            for (mode, routed) in [ShiftMode::Pipelined, ShiftMode::Blocking]
+                .into_iter()
+                .flat_map(|m| [(m, false), (m, true)])
+            {
+                for o in lane_round(q as usize, mode, routed) {
+                    let input = o.value.2.phase(Phase::Propagation);
+                    let total = o.value.3.phase(Phase::Propagation);
+                    assert_eq!((input.msgs_sent, input.msgs_recv), (q - 1, q - 1));
+                    let acc = if q == 1 { 0 } else { q + 1 };
+                    assert_eq!(
+                        (total.msgs_sent, total.msgs_recv),
+                        (q - 1 + acc, q - 1 + acc)
+                    );
+                }
+            }
         }
     }
 
-    /// `Blocking` is wait-at-begin: when `begin` returns, the hop has
-    /// been posted *and* received — nothing of it is left in the mailbox
-    /// for the compute to overlap with.
+    /// Both modes post the same hops: bitwise equal values and identical
+    /// modeled counters on ragged rings.
+    #[test]
+    fn pipelined_and_blocking_agree_on_ragged_blocks() {
+        for (q, routed) in [(1, false), (2, false), (3, false), (3, true)] {
+            let a = lane_round(q, ShiftMode::Pipelined, routed);
+            let b = lane_round(q, ShiftMode::Blocking, routed);
+            for (oa, ob) in a.iter().zip(&b) {
+                assert_eq!(oa.value.0, ob.value.0, "values must match bitwise");
+                assert_eq!(oa.value.1, ob.value.1, "values must match bitwise");
+                let (a_stats, b_stats) = ([&oa.value.2, &oa.value.3], [&ob.value.2, &ob.value.3]);
+                for (sa, sb) in a_stats.iter().zip(b_stats) {
+                    let (sa, sb) = (sa.total(), sb.total());
+                    assert_eq!(sa.msgs_sent, sb.msgs_sent);
+                    assert_eq!(sa.words_sent, sb.words_sent);
+                    assert_eq!(
+                        sa.modeled_s.to_bits(),
+                        sb.modeled_s.to_bits(),
+                        "modeled time must be bit-identical across modes"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `Blocking` is wait-at-post: when `post` returns, the hop has been
+    /// posted *and* received — nothing of it is left in the mailbox for
+    /// the compute to overlap with.
     #[test]
     fn blocking_begin_has_received_before_the_compute_starts() {
         SimWorld::new(2, MachineModel::bandwidth_only()).run(|c| {
             let _g = ShiftMode::scoped(ShiftMode::Blocking);
             let pipe = ShiftPipeline::new(c, 1, 5);
             let y = Mat::from_vec(1, 2, vec![c.rank() as f64, 7.0]);
-            let fly = pipe.begin_mat(&y, None);
+            let mut lane = pipe.input(&y);
+            let hop = lane.post();
             let prop = c.stats_snapshot().phase(Phase::Propagation).msgs_recv;
             assert_eq!(prop, 1, "the incoming block must already be received");
             // Next in line on the pipeline's stream, and nothing queued.
@@ -548,13 +636,14 @@ mod tests {
             c.barrier(); // nobody completes the probe before everyone has looked
             c.send(1 - c.rank(), 5, Mat::zeros(0, 0));
             let _ = probe.wait();
-            assert_eq!(fly.wait().as_slice(), &[(1 - c.rank()) as f64, 7.0]);
+            lane.arrive(hop);
+            assert_eq!(lane.block().as_slice(), &[(1 - c.rank()) as f64, 7.0]);
         });
     }
 
     /// Empty blocks (0×0 panels) and empty routed forward sets travel
-    /// cleanly through both lane shapes; the world's end-of-run drain
-    /// check guarantees nothing leaks.
+    /// cleanly through an input lane; the world's end-of-run drain check
+    /// guarantees nothing leaks.
     #[test]
     fn empty_blocks_and_empty_forward_sets_flow() {
         for mode in [ShiftMode::Pipelined, ShiftMode::Blocking] {
@@ -562,16 +651,17 @@ mod tests {
                 let _g = ShiftMode::scoped(mode);
                 let pipe = ShiftPipeline::new(c, 1, 11);
                 let empty = Mat::zeros(0, 0);
-                let fly = pipe.begin_mat(&empty, None);
-                let got = fly.wait();
-                assert_eq!(got.nrows(), 0);
+                let mut lane = pipe.input(&empty);
+                let hop = lane.post();
+                lane.arrive(hop);
+                assert_eq!(lane.block().nrows(), 0);
                 // A panel whose forward set is empty: rows exist but
                 // none ship; the receiver reconstructs zeros.
                 let y = Mat::from_vec(2, 2, vec![1.0; 4]);
-                let none = RowSet::empty();
-                let fly = pipe.begin_mat(&y, Some(&none));
-                let got = fly.wait();
-                got.as_slice().iter().sum::<f64>()
+                let mut lane = pipe.input(&y);
+                let hop = lane.post_mat(Some(&RowSet::empty()));
+                lane.arrive(hop);
+                lane.block().as_slice().iter().sum::<f64>()
             });
             for o in &out {
                 assert_eq!(o.value, 0.0, "unshipped rows must reconstruct as zeros");
@@ -581,22 +671,20 @@ mod tests {
 
     /// A replan mid-run (dropping one pipeline, building another with a
     /// different tag and routing) leaves no message in flight: every
-    /// step waits its handle, so the drain check at world exit passes.
+    /// hop arrives, so the drain check at world exit passes.
     #[test]
     fn replan_mid_pipeline_drains_cleanly() {
         let out = SimWorld::new(2, MachineModel::bandwidth_only()).run(|c| {
-            let mut y = Mat::from_vec(1, 2, vec![c.rank() as f64, 1.0]);
-            {
-                let pipe = ShiftPipeline::new(c, 1, 20);
-                let fly = pipe.begin_mat(&y, None);
-                y = fly.wait();
-            }
+            let y = Mat::from_vec(1, 2, vec![c.rank() as f64, 1.0]);
+            let mut lane = ShiftPipeline::new(c, 1, 20).input(&y);
+            let hop = lane.post();
+            lane.arrive(hop);
             // "Replan": new tag, pattern routing, fresh pipeline.
-            let pipe = ShiftPipeline::new(c, 1, 21);
             let all = RowSet::all(1);
-            let fly = pipe.begin_mat(&y, Some(&all));
-            y = fly.wait();
-            y.as_slice()[0]
+            let mut lane = ShiftPipeline::new(c, 1, 21).input(lane.block());
+            let hop = lane.post_mat(Some(&all));
+            lane.arrive(hop);
+            lane.block().as_slice()[0]
         });
         // Two hops on a 2-ring: each rank's row is home again.
         for o in &out {

@@ -230,14 +230,6 @@ impl DenseRepl25 {
         self.gc.grid.q
     }
 
-    /// Row count of the traveling dense block this rank holds at step
-    /// `t` (block index `σ(t)·c + w` of the `q·c`-way split).
-    fn y_rows_at(&self, o: &Oriented, t: usize) -> usize {
-        let (q, c, w) = (self.q(), self.gc.grid.c, self.gc.w);
-        let sigma = (self.gc.u + self.gc.v + t) % q;
-        block_range(o.cols_tot, q * c, sigma * c + w).len()
-    }
-
     /// Reduce-scatter a macro-row accumulator along the fiber back to
     /// this rank's sub-block.
     fn reduce_to_fiber(&self, t_buf: &Mat) -> Mat {
@@ -257,24 +249,27 @@ impl DenseRepl25 {
     /// Column-ring pipeline for the traveling dense panel. The panel
     /// travels as a [`Mat`] payload (or a routed row bundle with
     /// zero-fill reconstruction), so its shape — including empty
-    /// r-slices — survives the hop; callers cross-check the arriving
-    /// row count against the schedule via [`DenseRepl25::y_rows_at`].
+    /// r-slices — survives the hop; callers cross-check each visit's
+    /// row count against the schedule via [`DenseRepl25::check_panel`].
     fn dense_pipeline(&self) -> ShiftPipeline<'_> {
         let q = self.gc.col_ring.size();
         ShiftPipeline::new(&self.gc.col_ring, q - 1, TAG_DENSE)
     }
 
-    /// Schedule cross-check for an arriving panel: empty panels carry no
-    /// shape, all others must match the expected row count.
-    fn check_panel(got: Mat, next_rows: usize) -> Mat {
-        debug_assert!(got.ncols() == 0 || got.nrows() == next_rows);
-        got
+    /// Schedule cross-check for the panel held at step `t` (block index
+    /// `σ(t)·c + w` of the `q·c`-way split): empty panels carry no
+    /// shape, all others must match its row count.
+    fn check_panel(&self, o: &Oriented, y: &Mat, t: usize) {
+        let (q, c, w) = (self.q(), self.gc.grid.c, self.gc.w);
+        let sigma = (self.gc.u + self.gc.v + t) % q;
+        let rows = block_range(o.cols_tot, q * c, sigma * c + w).len();
+        debug_assert!(y.ncols() == 0 || y.nrows() == rows);
     }
 
     /// Forward set for an **input** panel leaving after step `t`: the
     /// union of the needs of the ring members that still consume it
     /// (member `(σ − v − t') mod q` consumes panel `σ` at step `t'`).
-    /// Empty on the final, homeward hop.
+    /// Empty after the last step, when the lane posts no hop at all.
     fn forward_input(&self, pat: &CommPattern, t: usize) -> RowSet {
         let q = self.q();
         let (u, v) = (self.gc.u, self.gc.v);
@@ -304,58 +299,57 @@ impl DenseRepl25 {
         combine: &CombineSpec,
         route: Option<&CommPattern>,
     ) -> Vec<f64> {
-        let (q, o) = (self.q(), side.o);
+        let q = self.q();
         let slice = block_range(self.view.dims().r, q, self.gc.v);
         let mut blk = side.home.clone();
         blk.vals.fill(0.0);
-        let mut y = y0.clone();
+        let mut y = self.dense_pipeline().input(y0);
         let pipe_s = self.sparse_pipeline();
-        let pipe_y = self.dense_pipeline();
         for t in 0..q {
             // The panel is an input lane: post its next hop before the
             // compute so the transfer hides behind it. The sparse block
             // accumulates this step's combines, so it exchanges after.
-            let ship = route.map(|pat| self.forward_input(pat, t));
-            let fly_y = pipe_y.begin_mat(&y, ship.as_ref());
-            let mut vals = std::mem::take(&mut blk.vals);
+            self.check_panel(side.o, y.block(), t);
+            let hop = y.post_mat(route.map(|pat| self.forward_input(pat, t)).as_ref());
+            let (mut vals, yb) = (std::mem::take(&mut blk.vals), y.block());
             let com = combine.for_slice(slice.clone());
             self.gc
                 .row_ring
                 .compute(kern::sddmm_flops(blk.rows.len(), slice.len()), || {
-                    self.local.sddmm.sddmm_coo(&mut vals, &blk, t_buf, &y, com)
+                    self.local.sddmm.sddmm_coo(&mut vals, &blk, t_buf, yb, com)
                 });
             blk.vals = vals;
             blk = pipe_s.exchange(blk);
-            y = Self::check_panel(fly_y.wait(), self.y_rows_at(o, t + 1));
+            y.arrive(hop);
         }
         debug_assert_eq!(blk.nnz(), side.home.nnz(), "block failed to return home");
         blk.vals
     }
 
     /// SpMM travel round with a replicated accumulator (`T += S·y` per
-    /// step, `blk` the valued home block) — the SpMMA data flow; caller
+    /// step, `home` the valued home block) — the SpMMA data flow; caller
     /// reduce-scatters.
-    fn spmm_out_round(&self, side: &Side<'_>, mut blk: CooMatrix, y0: &Mat) -> Mat {
-        let (q, o, route) = (self.q(), side.o, side.route);
+    fn spmm_out_round(&self, side: &Side<'_>, home: &CooMatrix, y0: &Mat) -> Mat {
+        let (o, route) = (side.o, side.route);
         let width = y0.ncols();
         let mut t_out = Mat::zeros(o.macro_rows, width);
-        let mut y = y0.clone();
-        let pipe_s = self.sparse_pipeline();
-        let pipe_y = self.dense_pipeline();
-        for t in 0..q {
+        let mut blk = self.sparse_pipeline().input(home);
+        let mut y = self.dense_pipeline().input(y0);
+        for t in 0..self.q() {
             // Both travelers are input lanes here (the accumulator is
             // replicated, not circulating): post both hops up front and
             // overlap the two transfers with the local SpMM.
-            let fly_s = pipe_s.begin(&blk);
-            let ship = route.map(|pat| self.forward_input(pat, t));
-            let fly_y = pipe_y.begin_mat(&y, ship.as_ref());
+            self.check_panel(o, y.block(), t);
+            let hop_s = blk.post();
+            let hop_y = y.post_mat(route.map(|pat| self.forward_input(pat, t)).as_ref());
+            let (b, yb) = (blk.block(), y.block());
             self.gc
                 .row_ring
-                .compute(kern::spmm_flops(blk.nnz(), width), || {
-                    self.local.spmm.spmm_coo(&mut t_out, &blk, &y)
+                .compute(kern::spmm_flops(b.nnz(), width), || {
+                    self.local.spmm.spmm_coo(&mut t_out, b, yb)
                 });
-            blk = fly_s.wait();
-            y = Self::check_panel(fly_y.wait(), self.y_rows_at(o, t + 1));
+            blk.arrive(hop_s);
+            y.arrive(hop_y);
         }
         t_out
     }
@@ -366,32 +360,29 @@ impl DenseRepl25 {
     fn spmm_shift_acc_round(
         &self,
         o: &Oriented,
-        mut blk: CooMatrix,
+        home: &CooMatrix,
         t_buf: &Mat,
         route: Option<&CommPattern>,
     ) -> Mat {
-        let q = self.q();
         let width = t_buf.ncols();
         let mut out = Mat::zeros(o.y_home.nrows(), width);
-        let pipe_s = self.sparse_pipeline();
+        let mut blk = self.sparse_pipeline().input(home);
         let pipe_y = self.dense_pipeline();
-        for t in 0..q {
-            debug_assert_eq!(blk.ncols, out.nrows(), "block/accumulator misalignment");
+        for t in 0..self.q() {
             // The sparse block is read-only this step (input lane); the
             // output panel is written by the kernel, so it exchanges
             // only after the compute finishes.
-            let fly_s = pipe_s.begin(&blk);
+            let hop = blk.post();
+            let b = blk.block();
+            debug_assert_eq!(b.ncols, out.nrows(), "block/accumulator misalignment");
             self.gc
                 .row_ring
-                .compute(kern::spmm_flops(blk.nnz(), width), || {
-                    self.local.spmm_t.spmm_coo_t(&mut out, &blk, t_buf)
+                .compute(kern::spmm_flops(b.nnz(), width), || {
+                    self.local.spmm_t.spmm_coo_t(&mut out, b, t_buf)
                 });
-            blk = fly_s.wait();
+            blk.arrive(hop);
             let ship = route.map(|pat| self.forward_acc(pat, t));
-            out = Self::check_panel(
-                pipe_y.exchange_mat(out, ship.as_ref()),
-                self.y_rows_at(o, t + 1),
-            );
+            out = pipe_y.exchange_mat(out, ship.as_ref());
         }
         out
     }
@@ -417,7 +408,7 @@ impl DenseRepl25 {
         // Unoptimized: without elision the SpMM call replicates again.
         let again = (elision == Elision::None)
             .then(|| replicate_rows(&self.gc.fiber, &o.x_fiber, o.macro_rows, None));
-        self.spmm_shift_acc_round(o, blk, again.as_ref().unwrap_or(&t_buf), route)
+        self.spmm_shift_acc_round(o, &blk, again.as_ref().unwrap_or(&t_buf), route)
     }
 
     /// Raw SDDMM accumulations on the stored operands (replicates `A`,
@@ -470,7 +461,7 @@ impl DistKernel for DenseRepl25 {
     fn spmm_a(&mut self, use_r: bool) -> Mat {
         let t_out = self.spmm_out_round(
             &self.canon_side(),
-            self.r.traveler(use_r),
+            &self.r.traveler(use_r),
             &self.canon.y_home,
         );
         self.reduce_to_fiber(&t_out)
@@ -480,7 +471,7 @@ impl DistKernel for DenseRepl25 {
     fn spmm_b(&mut self, use_r: bool) -> Mat {
         let side = self.canon_side();
         let t_buf = replicate_rows(&self.gc.fiber, &side.o.x_fiber, side.o.macro_rows, None);
-        self.spmm_shift_acc_round(side.o, self.r.traveler(use_r), &t_buf, side.route)
+        self.spmm_shift_acc_round(side.o, &self.r.traveler(use_r), &t_buf, side.route)
     }
 
     fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
@@ -502,7 +493,7 @@ impl DistKernel for DenseRepl25 {
 
     /// Takes a travel-layout operand; returned in the fiber `A` layout.
     fn spmm_a_with(&self, y: &Mat) -> Mat {
-        let t_out = self.spmm_out_round(&self.canon_side(), self.r.traveler(true), y);
+        let t_out = self.spmm_out_round(&self.canon_side(), &self.r.traveler(true), y);
         self.reduce_to_fiber(&t_out)
     }
 
@@ -668,7 +659,8 @@ mod tests {
     #[test]
     fn propagation_carries_sparse_and_dense() {
         // FusedMM runs two travel rounds; each step shifts one sparse
-        // block (3 words/nz) and one dense panel.
+        // block (3 words/nz) and one dense panel, except the last step
+        // of the round's input lane.
         let (p, c, m, n, r) = (16, 4, 32, 32, 8);
         let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 66));
         let nnz = prob.nnz() as u64;
@@ -682,9 +674,10 @@ mod tests {
             .iter()
             .map(|o| o.stats.phase(Phase::Propagation).words_sent)
             .sum();
-        // Sparse: 2 rounds × q steps × 3·nnz total; dense: 2 rounds × q
-        // steps × (n·r) total words across ranks.
-        let expected = 2 * q * 3 * nnz + 2 * q * (n * r) as u64;
+        // Each round has one accumulator (q steps) and one input lane
+        // (q − 1 steps): sparse 3·nnz and dense n·r words per step,
+        // totalled across ranks.
+        let expected = (2 * q - 1) * (3 * nnz + (n * r) as u64);
         assert_eq!(total, expected);
     }
 }

@@ -25,6 +25,8 @@
 //!   fused local SDDMM+SpMM per step (only possible here, where entire
 //!   rows of both dense matrices are co-located).
 
+use std::cell::OnceCell;
+
 use dsk_comm::{Comm, CommPattern, Grid15, GridComms15, Phase, RowSet};
 use dsk_dense::Mat;
 use dsk_kernels as kern;
@@ -63,6 +65,9 @@ pub struct DenseShift15 {
     route: Option<CommPattern>,
     /// Tuned local-kernel variants (all-naive until the builder tunes).
     pub(crate) local: kern::LocalPicks,
+    /// Ones-valued copies of the `S` and `Sᵀ` blocks for
+    /// [`Sampling::Ones`] fused rounds, built on first use.
+    ones: [OnceCell<Vec<CsrMatrix>>; 2],
 }
 
 impl DenseShift15 {
@@ -110,6 +115,7 @@ impl DenseShift15 {
             b_loc,
             route: None,
             local: kern::LocalPicks::default(),
+            ones: Default::default(),
         }
     }
 
@@ -174,9 +180,10 @@ impl DenseShift15 {
     /// (self-describing shape, one word per entry — same modeled cost
     /// as the raw buffer) or pattern-routed row bundles. Input-lane
     /// tiles are posted *before* the step's compute so transfer and
-    /// compute overlap; the receiver zero-fills unshipped routed rows,
-    /// which downstream consumers never read — the forward sets are
-    /// unions of every remaining consumer's needs.
+    /// compute overlap, and stop one hop short of home; the receiver
+    /// zero-fills unshipped routed rows, which downstream consumers
+    /// never read — the forward sets are unions of every remaining
+    /// consumer's needs.
     fn pipeline(&self) -> ShiftPipeline<'_> {
         ShiftPipeline::new(&self.gc.layer, 1, TAG_SHIFT)
     }
@@ -184,7 +191,7 @@ impl DenseShift15 {
     /// The forward set for an **input** tile of origin `o` leaving after
     /// step `t`: the union of the needs of every consumer it still
     /// visits (member `(o + t') mod q` consumes it at step `t'`). Empty
-    /// on the last hop — the tile has been consumed everywhere.
+    /// after the last step, when the lane posts no hop at all.
     fn forward_input(&self, pat: &CommPattern, o: usize, t: usize) -> RowSet {
         let q = self.q();
         pat.union_over((t + 1..q).map(|tp| (o + tp) % q), o)
@@ -220,24 +227,21 @@ impl DenseShift15 {
         combine: kern::SddmmCombine<'_>,
         route: Option<&CommPattern>,
     ) -> Vec<Vec<f64>> {
-        let q = self.q();
-        let pipe = self.pipeline();
         let mut acc: Vec<Vec<f64>> = blocks.iter().map(|b| vec![0.0; b.nnz()]).collect();
-        let mut y = y0.clone();
-        for t in 0..q {
+        let mut y = self.pipeline().input(y0);
+        for t in 0..self.q() {
             let w = self.slot(t);
             let blk = &blocks[w];
-            debug_assert_eq!(blk.ncols(), y.nrows(), "block/panel misalignment");
-            let ship = route.map(|pat| self.forward_input(pat, w, t));
-            let fly = pipe.begin_mat(&y, ship.as_ref());
+            debug_assert_eq!(blk.ncols(), y.block().nrows(), "block/panel misalignment");
+            let hop = y.post_mat(route.map(|pat| self.forward_input(pat, w, t)).as_ref());
             self.gc
                 .layer
                 .compute(kern::sddmm_flops(blk.nnz(), t_buf.ncols()), || {
                     self.local
                         .sddmm
-                        .sddmm_csr(&mut acc[w], blk, t_buf, &y, combine)
+                        .sddmm_csr(&mut acc[w], blk, t_buf, y.block(), combine)
                 });
-            y = fly.wait();
+            y.arrive(hop);
         }
         acc
     }
@@ -246,20 +250,17 @@ impl DenseShift15 {
     /// `T += R_w · y` per step, `y` shifting (the SpMMA data flow).
     /// `blocks` carry the values to multiply with.
     fn spmm_out_round(&self, blocks: &[CsrMatrix], y0: &Mat, route: Option<&CommPattern>) -> Mat {
-        let q = self.q();
-        let pipe = self.pipeline();
         let r = y0.ncols();
         let mut t_buf = Mat::zeros(blocks[0].nrows(), r);
-        let mut y = y0.clone();
-        for t in 0..q {
+        let mut y = self.pipeline().input(y0);
+        for t in 0..self.q() {
             let w = self.slot(t);
             let blk = &blocks[w];
-            let ship = route.map(|pat| self.forward_input(pat, w, t));
-            let fly = pipe.begin_mat(&y, ship.as_ref());
+            let hop = y.post_mat(route.map(|pat| self.forward_input(pat, w, t)).as_ref());
             self.gc.layer.compute(kern::spmm_flops(blk.nnz(), r), || {
-                self.local.spmm.spmm_csr(&mut t_buf, blk, &y)
+                self.local.spmm.spmm_csr(&mut t_buf, blk, y.block())
             });
-            y = fly.wait();
+            y.arrive(hop);
         }
         t_buf
     }
@@ -296,35 +297,33 @@ impl DenseShift15 {
         out
     }
 
-    /// Fused propagation round (local kernel fusion): one pass computing
-    /// the local fused SDDMM+SpMM per step. The stationary blocks are
-    /// read as they are under [`Sampling::Values`]; the ones-valued
-    /// copies [`Sampling::Ones`] needs are built once, before the ring
-    /// starts.
-    fn fused_round(&self, blocks: &[CsrMatrix], t_in: &Mat, y0: &Mat, sampling: Sampling) -> Mat {
-        let ones: Vec<CsrMatrix>;
+    /// Fused propagation round (local kernel fusion) over the `S` blocks
+    /// (or, `transposed`, the `Sᵀ` blocks): one pass computing the local
+    /// fused SDDMM+SpMM per step. The stationary blocks are read as they
+    /// are under [`Sampling::Values`]; the ones-valued copies
+    /// [`Sampling::Ones`] needs are built on this worker's first such
+    /// round and kept.
+    fn fused_round(&self, transposed: bool, t_in: &Mat, y0: &Mat, sampling: Sampling) -> Mat {
+        let stored = [self.r.csr_blocks(), &self.st_blocks[..]][transposed as usize];
         let blocks = match sampling {
-            Sampling::Values => blocks,
-            Sampling::Ones => {
-                ones = blocks
+            Sampling::Values => stored,
+            Sampling::Ones => self.ones[transposed as usize].get_or_init(|| {
+                stored
                     .iter()
                     .map(|b| b.with_vals(vec![1.0; b.nnz()]))
-                    .collect();
-                &ones
-            }
+                    .collect()
+            }),
         };
-        let q = self.q();
-        let pipe = self.pipeline();
         let r = y0.ncols();
         let mut t_out = Mat::zeros(t_in.nrows(), r);
-        let mut y = y0.clone();
-        for t in 0..q {
+        let mut y = self.pipeline().input(y0);
+        for t in 0..self.q() {
             let blk = &blocks[self.slot(t)];
-            let fly = pipe.begin_mat(&y, None);
+            let hop = y.post();
             self.gc.layer.compute(kern::fused_flops(blk.nnz(), r), || {
-                self.local.fused.fused_csr(&mut t_out, blk, t_in, &y)
+                self.local.fused.fused_csr(&mut t_out, blk, t_in, y.block())
             });
-            y = fly.wait();
+            y.arrive(hop);
         }
         t_out
     }
@@ -412,7 +411,7 @@ impl DistKernel for DenseShift15 {
             }
             Elision::LocalKernelFusion => {
                 let t_in = replicate_rows(&self.gc.fiber, x, s[0].nrows(), None);
-                let t_out = self.fused_round(s, &t_in, &self.b_loc, sampling);
+                let t_out = self.fused_round(false, &t_in, &self.b_loc, sampling);
                 self.reduce_to_block(self.view.dims().m, &t_out)
             }
             Elision::ReplicationReuse => {
@@ -451,7 +450,7 @@ impl DistKernel for DenseShift15 {
             Elision::LocalKernelFusion => {
                 // Dual of the FusedMMA fused round: roles swapped, Sᵀ.
                 let t_in = replicate_rows(&self.gc.fiber, y, st[0].nrows(), None);
-                let t_out = self.fused_round(st, &t_in, &self.a_loc, sampling);
+                let t_out = self.fused_round(true, &t_in, &self.a_loc, sampling);
                 self.reduce_to_block(self.view.dims().n, &t_out)
             }
         }
@@ -598,8 +597,9 @@ mod tests {
     #[test]
     fn sampling_ones_ignores_s_values() {
         // FusedMM with Sampling::Ones must equal the reference on a
-        // problem whose S values are all 1 — even though our S has
-        // random values.
+        // problem whose S values are all 1, bit for bit — even though
+        // our S has random values — and a second call, which reuses the
+        // ones-valued blocks, must return the same bits.
         let (p, c, m, n, r) = (4, 2, 16, 16, 3);
         let prob = GlobalProblem::erdos_renyi(m, n, r, 2, 17);
         let mut ones = prob.clone();
@@ -611,10 +611,16 @@ mod tests {
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
             let mut worker = DistWorker::from_global(comm, FAMILY, c, &proba);
-            let got = worker.fused_mm_a(None, Elision::LocalKernelFusion, Sampling::Ones);
-            crate::layout::gather_dense(comm, 0, &got, layout, m, r)
+            let mut call = || {
+                let got = worker.fused_mm_a(None, Elision::LocalKernelFusion, Sampling::Ones);
+                crate::layout::gather_dense(comm, 0, &got, layout, m, r)
+            };
+            (call(), call())
         });
-        assert!(max_abs_diff(out[0].value.as_ref().unwrap(), &expect) < 1e-9);
+        let bits = |x: &Mat| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (first, second) = &out[0].value;
+        assert_eq!(bits(first.as_ref().unwrap()), bits(&expect));
+        assert_eq!(bits(second.as_ref().unwrap()), bits(&expect));
     }
 
     #[test]

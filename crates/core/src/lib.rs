@@ -97,7 +97,7 @@ pub mod wire;
 pub mod worker;
 
 pub use common::{
-    AlgorithmFamily, Elision, InFlight, MatInFlight, ProblemDims, Routing, Sampling, ShiftMode,
+    AlgorithmFamily, Elision, Hop, InputLane, ProblemDims, Routing, Sampling, ShiftMode,
     ShiftModeGuard, ShiftPipeline,
 };
 pub use global::GlobalProblem;

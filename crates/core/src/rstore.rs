@@ -208,14 +208,14 @@ impl RStore {
         Cow::Owned(valued.map(|(b, v)| b.with_vals(v.clone())).collect())
     }
 
-    /// An owned copy of the COO block to send around a ring, carrying
-    /// the sampling values or, with `use_r`, the stored R values.
-    pub(crate) fn traveler(&self, use_r: bool) -> CooMatrix {
+    /// The COO block to send around a ring, carrying the sampling
+    /// values (borrowed) or, with `use_r`, the stored R values.
+    pub(crate) fn traveler(&self, use_r: bool) -> Cow<'_, CooMatrix> {
         let block = self.coo_block();
         if use_r {
-            block.with_vals(self.vals()[0].clone())
+            Cow::Owned(block.with_vals(self.vals()[0].clone()))
         } else {
-            block.clone()
+            Cow::Borrowed(block)
         }
     }
 

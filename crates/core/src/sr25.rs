@@ -165,8 +165,8 @@ impl SparseRepl25 {
     /// Row-ring pipeline for `A`-side panels (one step backward per
     /// hop). Panels travel as [`Mat`] payloads or routed row bundles,
     /// so the incoming slice width — slices differ by one column when
-    /// `q·c ∤ r` — arrives with the data; callers cross-check it via
-    /// [`SparseRepl25::check_panel`].
+    /// `q·c ∤ r` — arrives with the data; callers cross-check it
+    /// against the schedule.
     fn a_pipeline(&self) -> ShiftPipeline<'_> {
         let q = self.gc.row_ring.size();
         ShiftPipeline::new(&self.gc.row_ring, q - 1, TAG_A)
@@ -179,8 +179,9 @@ impl SparseRepl25 {
         ShiftPipeline::new(&self.gc.col_ring, q - 1, TAG_B)
     }
 
-    /// Schedule cross-check for an arriving panel: empty panels carry
-    /// no shape, all others must match the expected slice width.
+    /// Schedule cross-check for an arriving accumulator panel: empty
+    /// panels carry no shape, all others must match the expected slice
+    /// width.
     fn check_panel(got: Mat, next_width: usize) -> Mat {
         debug_assert!(got.is_empty() || got.ncols() == next_width);
         got
@@ -188,13 +189,13 @@ impl SparseRepl25 {
 
     /// Forward set for an **input** panel leaving after step `t` on the
     /// ring whose member coordinate excludes `base` (`base = u` for the
-    /// row ring, `base = v` for the column ring): the union of the
-    /// needs of the members that still read it. Needs are
-    /// origin-independent here, so origin 0 stands for all.
-    fn forward_input_on(&self, pat: &CommPattern, base: usize, t: usize) -> RowSet {
-        let q = self.q();
+    /// row ring, `base = v` for the column ring), when `route` routes
+    /// it: the union of the needs of the members that still read it.
+    /// Needs are origin-independent here, so origin 0 stands for all.
+    fn ship_input(&self, route: &Option<CommPattern>, base: usize, t: usize) -> Option<RowSet> {
+        let (q, pat) = (self.q(), route.as_ref()?);
         let sig = (self.gc.u + self.gc.v + t) % q;
-        pat.union_over((t + 1..q).map(|tp| (sig + 2 * q - base - tp) % q), 0)
+        Some(pat.union_over((t + 1..q).map(|tp| (sig + 2 * q - base - tp) % q), 0))
     }
 
     /// Forward set for a circulating **accumulator** leaving after step
@@ -223,37 +224,27 @@ impl SparseRepl25 {
     /// slices. Returns the layer-partial values (caller all-reduces
     /// along the fiber).
     fn dots_round(&self, a0: &Mat, b0: &Mat, combine: &CombineSpec) -> Vec<f64> {
-        let (q, s) = (self.q(), self.pattern());
+        let s = self.pattern();
         let mut acc = vec![0.0; s.nnz()];
-        let mut a = a0.clone();
-        let mut b = b0.clone();
-        let pipe_a = self.a_pipeline();
-        let pipe_b = self.b_pipeline();
-        for t in 0..q {
+        let mut a = self.a_pipeline().input(a0);
+        let mut b = self.b_pipeline().input(b0);
+        for t in 0..self.q() {
             let slice = self.slice_at(t);
-            debug_assert_eq!(a.ncols(), slice.len(), "panel slice misalignment");
+            debug_assert_eq!(a.block().ncols(), slice.len(), "panel slice misalignment");
             // Both panels are input lanes: post both hops before the
             // combine so the two ring transfers overlap it (and each
             // other).
-            let next = self.slice_at(t + 1).len();
-            let ship_a = self
-                .route_a
-                .as_ref()
-                .map(|pat| self.forward_input_on(pat, self.gc.u, t));
-            let ship_b = self
-                .route_b
-                .as_ref()
-                .map(|pat| self.forward_input_on(pat, self.gc.v, t));
-            let fly_a = pipe_a.begin_mat(&a, ship_a.as_ref());
-            let fly_b = pipe_b.begin_mat(&b, ship_b.as_ref());
+            let hop_a = a.post_mat(self.ship_input(&self.route_a, self.gc.u, t).as_ref());
+            let hop_b = b.post_mat(self.ship_input(&self.route_b, self.gc.v, t).as_ref());
             let com = combine.for_slice(slice.clone());
+            let (ab, bb) = (a.block(), b.block());
             self.gc
                 .row_ring
                 .compute(kern::sddmm_flops(s.nnz(), slice.len()), || {
-                    self.local.sddmm.sddmm_csr(&mut acc, s, &a, &b, com)
+                    self.local.sddmm.sddmm_csr(&mut acc, s, ab, bb, com)
                 });
-            a = Self::check_panel(fly_a.wait(), next);
-            b = Self::check_panel(fly_b.wait(), next);
+            a.arrive(hop_a);
+            b.arrive(hop_b);
         }
         acc
     }
@@ -262,32 +253,27 @@ impl SparseRepl25 {
     /// circulates the row ring accumulating `S·B` per slice. `s` is the
     /// stationary block carrying the values to multiply with.
     fn spmm_a_round(&self, s: &CsrMatrix, b0: &Mat) -> Mat {
-        let q = self.q();
         let mut out = Mat::zeros(self.a_home.nrows(), self.a_home.ncols());
-        let mut b = b0.clone();
+        let mut b = self.b_pipeline().input(b0);
         let pipe_a = self.a_pipeline();
-        let pipe_b = self.b_pipeline();
-        for t in 0..q {
-            debug_assert_eq!(out.ncols(), b.ncols(), "panel slice misalignment");
+        for t in 0..self.q() {
+            debug_assert_eq!(out.ncols(), b.block().ncols(), "panel slice misalignment");
             // `B` is an input lane (posted early); the `A`-shaped
             // accumulator is written by the kernel and exchanges after.
-            let next = self.slice_at(t + 1).len();
-            let ship_b = self
-                .route_b
-                .as_ref()
-                .map(|pat| self.forward_input_on(pat, self.gc.v, t));
-            let fly_b = pipe_b.begin_mat(&b, ship_b.as_ref());
+            let hop = b.post_mat(self.ship_input(&self.route_b, self.gc.v, t).as_ref());
+            let bb = b.block();
             self.gc
                 .row_ring
-                .compute(kern::spmm_flops(s.nnz(), b.ncols()), || {
-                    self.local.spmm.spmm_csr(&mut out, s, &b)
+                .compute(kern::spmm_flops(s.nnz(), bb.ncols()), || {
+                    self.local.spmm.spmm_csr(&mut out, s, bb)
                 });
             let ship_a = self
                 .route_a
                 .as_ref()
                 .map(|pat| self.forward_acc_on(pat, self.gc.u, t));
+            let next = self.slice_at(t + 1).len();
             out = Self::check_panel(pipe_a.exchange_mat(out, ship_a.as_ref()), next);
-            b = Self::check_panel(fly_b.wait(), next);
+            b.arrive(hop);
         }
         out
     }
@@ -295,32 +281,27 @@ impl SparseRepl25 {
     /// SpMMB travel round: `A` panels travel; a zero `B`-shaped panel
     /// circulates the column ring accumulating `Sᵀ·A` per slice.
     fn spmm_b_round(&self, s: &CsrMatrix, a0: &Mat) -> Mat {
-        let q = self.q();
         let mut out = Mat::zeros(self.b_home.nrows(), self.b_home.ncols());
-        let mut a = a0.clone();
-        let pipe_a = self.a_pipeline();
+        let mut a = self.a_pipeline().input(a0);
         let pipe_b = self.b_pipeline();
-        for t in 0..q {
-            debug_assert_eq!(out.ncols(), a.ncols(), "panel slice misalignment");
+        for t in 0..self.q() {
+            debug_assert_eq!(out.ncols(), a.block().ncols(), "panel slice misalignment");
             // `A` is an input lane (posted early); the `B`-shaped
             // accumulator is written by the kernel and exchanges after.
-            let next = self.slice_at(t + 1).len();
-            let ship_a = self
-                .route_a
-                .as_ref()
-                .map(|pat| self.forward_input_on(pat, self.gc.u, t));
-            let fly_a = pipe_a.begin_mat(&a, ship_a.as_ref());
+            let hop = a.post_mat(self.ship_input(&self.route_a, self.gc.u, t).as_ref());
+            let ab = a.block();
             self.gc
                 .row_ring
-                .compute(kern::spmm_flops(s.nnz(), a.ncols()), || {
-                    self.local.spmm_t.spmm_csr_t(&mut out, s, &a)
+                .compute(kern::spmm_flops(s.nnz(), ab.ncols()), || {
+                    self.local.spmm_t.spmm_csr_t(&mut out, s, ab)
                 });
             let ship_b = self
                 .route_b
                 .as_ref()
                 .map(|pat| self.forward_acc_on(pat, self.gc.v, t));
+            let next = self.slice_at(t + 1).len();
             out = Self::check_panel(pipe_b.exchange_mat(out, ship_b.as_ref()), next);
-            a = Self::check_panel(fly_a.wait(), next);
+            a.arrive(hop);
         }
         out
     }

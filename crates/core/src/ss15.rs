@@ -247,8 +247,9 @@ impl SparseShift15 {
 
     /// The layer-ring pipeline moving traveling COO blocks (3
     /// words/nonzero) one step per round. Blocks whose values the local
-    /// kernel only reads are posted before the compute (input lane);
-    /// blocks accumulating per-step results exchange after it.
+    /// kernel only reads are posted before the compute and stop one hop
+    /// short of home (input lane); blocks accumulating per-step results
+    /// exchange after it, all the way home.
     fn pipeline(&self) -> ShiftPipeline<'_> {
         ShiftPipeline::new(&self.gc.layer, 1, TAG_SPARSE)
     }
@@ -297,34 +298,36 @@ impl SparseShift15 {
         blk.vals
     }
 
-    /// SpMM propagation round: the valued home block `blk` travels,
-    /// scattering `blkᵀ·X` into the stationary output blocks (slot `w`
-    /// covers block `w·c + v` of the `p`-way split of `out_rows`);
-    /// returns the stacked stationary-layout result.
-    fn scatter_round(&self, mut blk: CooMatrix, x_full: &Mat, out_rows: usize) -> Mat {
-        let q = self.q();
-        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
-        let slice_w = x_full.ncols();
-        let mut outs: Vec<Mat> = (0..q)
-            .map(|w| Mat::zeros(block_range(out_rows, p, w * c + v).len(), slice_w))
-            .collect();
-        let pipe = self.pipeline();
-        for t in 0..q {
-            let w = self.slot(t);
-            let fly = pipe.begin(&blk);
-            self.gc
-                .layer
-                .compute(kern::spmm_flops(blk.nnz(), slice_w), || {
-                    self.local.spmm_t.spmm_coo_t(&mut outs[w], &blk, x_full)
-                });
-            blk = fly.wait();
+    /// SpMM propagation round: the valued home block `home` travels an
+    /// input lane, and at each visit `spmm(w, blk)` runs on the block
+    /// `blk` of slot `w`, metered as an SpMM of width `width`.
+    fn spmm_round(&self, home: &CooMatrix, width: usize, mut spmm: impl FnMut(usize, &CooMatrix)) {
+        let mut blk = self.pipeline().input(home);
+        for t in 0..self.q() {
+            let (hop, b) = (blk.post(), blk.block());
+            let flops = kern::spmm_flops(b.nnz(), width);
+            self.gc.layer.compute(flops, || spmm(self.slot(t), b));
+            blk.arrive(hop);
         }
+    }
+
+    /// SpMM round scattering `blkᵀ·X` into the stationary output blocks
+    /// (slot `w` covers block `w·c + v` of the `p`-way split of
+    /// `out_rows`); returns the stacked stationary-layout result.
+    fn scatter_round(&self, home: &CooMatrix, x_full: &Mat, out_rows: usize) -> Mat {
+        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
+        let mut outs: Vec<Mat> = (0..self.q())
+            .map(|w| Mat::zeros(block_range(out_rows, p, w * c + v).len(), x_full.ncols()))
+            .collect();
+        self.spmm_round(home, x_full.ncols(), |w, b| {
+            self.local.spmm_t.spmm_coo_t(&mut outs[w], b, x_full)
+        });
         Mat::vstack(&outs)
     }
 
     /// SpMM on one orientation: replicate its dense operand, travel
     /// the valued home block `blk`.
-    fn spmm(&self, side: &Side<'_>, blk: CooMatrix) -> Mat {
+    fn spmm(&self, side: &Side<'_>, blk: &CooMatrix) -> Mat {
         let t = replicate_rows(&self.gc.fiber, side.rep, side.rep_rows, side.route);
         self.scatter_round(blk, &t, side.stat_rows)
     }
@@ -356,7 +359,7 @@ impl SparseShift15 {
         // Unoptimized: without elision the SpMM call replicates again.
         let again = (elision == Elision::None)
             .then(|| replicate_rows(&self.gc.fiber, side.rep, side.rep_rows, route));
-        self.scatter_round(blk, again.as_ref().unwrap_or(&t), side.stat_rows)
+        self.scatter_round(&blk, again.as_ref().unwrap_or(&t), side.stat_rows)
     }
 
     /// Raw SDDMM accumulations on the stored operands (replicates `A`,
@@ -422,12 +425,12 @@ impl DistKernel for SparseShift15 {
             "1.5D sparse shifting holds R on the S-oriented home block; \
              use spmm_a_with for R·B (replicate-A layout output)"
         );
-        self.spmm(&self.trans_side(), self.st_home.clone())
+        self.spmm(&self.trans_side(), &self.st_home)
     }
 
     /// Returned in the stationary `B` layout.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        self.spmm(&self.canon_side(), self.r.traveler(use_r))
+        self.spmm(&self.canon_side(), &self.r.traveler(use_r))
     }
 
     fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
@@ -452,21 +455,11 @@ impl DistKernel for SparseShift15 {
     fn spmm_a_with(&self, y: &Mat) -> Mat {
         let dims = self.view.dims();
         let y_stat = self.split_stationary(dims.n, y);
-        let q = self.q();
-        let slice = block_range(dims.r, q, self.gc.u);
+        let slice = block_range(dims.r, self.q(), self.gc.u);
         let mut t_full = Mat::zeros(dims.m, slice.len());
-        let mut blk = self.r.traveler(true);
-        let pipe = self.pipeline();
-        for t in 0..q {
-            let w = self.slot(t);
-            let fly = pipe.begin(&blk);
-            self.gc
-                .layer
-                .compute(kern::spmm_flops(blk.nnz(), slice.len()), || {
-                    self.local.spmm.spmm_coo(&mut t_full, &blk, &y_stat[w])
-                });
-            blk = fly.wait();
-        }
+        self.spmm_round(&self.r.traveler(true), slice.len(), |w, b| {
+            self.local.spmm.spmm_coo(&mut t_full, b, &y_stat[w])
+        });
         // Fiber reduce-scatter into the replicate layout rows.
         let c = self.gc.grid.c;
         reduce_rows(&self.gc.fiber, &t_full, |vv| block_range(dims.m, c, vv))
@@ -618,15 +611,16 @@ mod tests {
             let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             let _ = worker.fused_mm_b(None, Elision::ReplicationReuse, Sampling::Values);
         });
-        // Two rounds of q shifts each; every shift carries one column
-        // block at 3 words per nonzero. Total across all ranks and
-        // steps: 2 · q · 3 · nnz.
+        // Two rounds, every shift carrying one column block at 3 words
+        // per nonzero: the accumulating dots round takes q shifts, the
+        // SpMM's input lane q − 1. Total across all ranks and steps:
+        // (2q − 1) · 3 · nnz.
         let q = p / c;
         let total: u64 = out
             .iter()
             .map(|o| o.stats.phase(Phase::Propagation).words_sent)
             .sum();
-        assert_eq!(total, (2 * q * 3 * nnz) as u64);
+        assert_eq!(total, ((2 * q - 1) * 3 * nnz) as u64);
     }
 
     #[test]

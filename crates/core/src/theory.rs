@@ -7,6 +7,25 @@
 //! matrices hold `n·r` words, `φ = nnz(S)/(n·r)`, and a COO nonzero
 //! costs three words in flight. "Words" means the maximum number of
 //! words any processor sends while executing one FusedMM.
+//!
+//! **Where the counts depart from the paper's Table III.** The paper's
+//! Algorithm 1 shifts the propagating operand `q` times per round (`q`
+//! the ring length) because its MPI buffer is overwritten in place and
+//! must end where it started. Here an input lane — a block the round
+//! only reads — lends the caller's home block to its first visit and
+//! never overwrites it, so it stops one hop short of home
+//! ([`crate::common::InputLane`]): `q − 1` shifts per input-lane round.
+//! Every formula below is Table III less one hop per input lane of
+//! FusedMMB (`input_lanes`); each hop is one `1/p` share of its
+//! operand (`n·r/p` words for a dense panel, `3·nnz/p` for a COO block)
+//! whatever `c` is, so the Table IV optima do not move. Accumulator
+//! lanes keep all `q` hops. One miscount is knowingly left: on a
+//! one-member ring (`q = 1`) the runtime sends nothing at all, but an
+//! accumulator lane is still charged its one hop. Dropping it would tie
+//! candidates exactly (at p = 4, 1.5D dense shift with local kernel
+//! fusion at c = 1 and 1.5D sparse shift with reuse at c = 4 both cost
+//! `0.75·n·r` words and 3 messages, whatever `nnz`), and the planner
+//! has no tie rule yet.
 
 use crate::common::{AlgorithmFamily, Elision, ProblemDims, Routing};
 use dsk_comm::MachineModel;
@@ -61,9 +80,27 @@ impl Algorithm {
     }
 }
 
+/// The input lanes of one FusedMMB call, as (dense panels, COO
+/// blocks): the ring rounds whose traveling block is only read, and so
+/// take `q − 1` hops where Table III counts `q`.
+fn input_lanes(family: AlgorithmFamily) -> (f64, f64) {
+    use AlgorithmFamily::*;
+    match family {
+        // The shifted dense operand of the SDDMM or fused round.
+        DenseShift15 => (1.0, 0.0),
+        // The valued S block of the SpMM round.
+        SparseShift15 => (0.0, 1.0),
+        // The SDDMM's dense panel and the SpMM's sparse block.
+        DenseRepl25 => (1.0, 1.0),
+        // Both SDDMM panels and the SpMM's input panel.
+        SparseRepl25 => (3.0, 0.0),
+    }
+}
+
 /// Words (8-byte units) the busiest processor communicates for one
-/// FusedMM call (Table III, with the unoptimized back-to-back variants
-/// from §V's analysis).
+/// FusedMM call: Table III (with the unoptimized back-to-back variants
+/// from §V's analysis) less the `n·r/p` or `3·nnz/p` words of each
+/// input lane's homeward hop, which is never sent.
 pub fn words_per_processor(
     alg: Algorithm,
     p: usize,
@@ -77,7 +114,7 @@ pub fn words_per_processor(
     let nnzf = nnz as f64;
     use AlgorithmFamily::*;
     use Elision::*;
-    match (alg.family, alg.elision) {
+    let table3 = match (alg.family, alg.elision) {
         (DenseShift15, None) => nr * (2.0 / cf + 2.0 * (cf - 1.0) / pf),
         (DenseShift15, ReplicationReuse) => nr * (2.0 / cf + (cf - 1.0) / pf),
         (DenseShift15, LocalKernelFusion) => nr * (1.0 / cf + 2.0 * (cf - 1.0) / pf),
@@ -91,17 +128,19 @@ pub fn words_per_processor(
         }
         (SparseRepl25, None) => 4.0 * nr / (pf * cf).sqrt() + 3.0 * nnzf * (cf - 1.0) / pf,
         (f, e) => panic!("{f:?} does not support {e:?}"),
-    }
+    };
+    let (dense, coo) = input_lanes(alg.family);
+    table3 - (dense * nr + coo * 3.0 * nnzf) / pf
 }
 
-/// Messages the busiest processor sends for one FusedMM call
-/// (Table III).
+/// Messages the busiest processor sends for one FusedMM call: Table III
+/// less one per input lane, whose homeward hop is never sent.
 pub fn messages_per_processor(alg: Algorithm, p: usize, c: usize) -> f64 {
     let pf = p as f64;
     let cf = c as f64;
     use AlgorithmFamily::*;
     use Elision::*;
-    match (alg.family, alg.elision) {
+    let table3 = match (alg.family, alg.elision) {
         (DenseShift15, None) => 2.0 * pf / cf + 2.0 * (cf - 1.0),
         (DenseShift15, ReplicationReuse) => 2.0 * pf / cf + (cf - 1.0),
         (DenseShift15, LocalKernelFusion) => pf / cf + 2.0 * (cf - 1.0),
@@ -111,7 +150,9 @@ pub fn messages_per_processor(alg: Algorithm, p: usize, c: usize) -> f64 {
         (DenseRepl25, ReplicationReuse) => 4.0 * (pf / cf).sqrt() + (cf - 1.0),
         (SparseRepl25, None) => 4.0 * (pf / cf).sqrt() + 3.0 * (cf - 1.0),
         (f, e) => panic!("{f:?} does not support {e:?}"),
-    }
+    };
+    let (dense, coo) = input_lanes(alg.family);
+    table3 - dense - coo
 }
 
 /// Expected fraction of an `nb`-row tile covered by the union of the
@@ -130,15 +171,16 @@ fn expected_union_frac(nb: f64, z: f64, k: f64) -> f64 {
     1.0 - miss.powf(k)
 }
 
-/// Words one rank ships per pattern-routed ring round: `q` hops of an
-/// `nb × w` tile, hop `t` forwarding only the union of the need sets of
-/// the `q − 1 − t` members still downstream. An indexed hop pays one
-/// extra word per carried row and is capped at the dense tile (the
-/// SparCML fallback), so a routed round never exceeds the dense round
-/// it replaces.
+/// Words one rank ships per pattern-routed input-lane round: `q − 1`
+/// hops of an `nb × w` tile, hop `t` forwarding only the union of the
+/// need sets of the `q − 1 − t` members still downstream (none is left
+/// after the last visit, so no homeward hop is sent). An indexed hop
+/// pays one extra word per carried row and is capped at the dense tile
+/// (the SparCML fallback), so a routed round never exceeds the dense
+/// round it replaces.
 fn routed_ring_round_words(nb: f64, w: f64, q: usize, z: f64) -> f64 {
     let dense_hop = nb * w;
-    (0..q)
+    (1..q)
         .map(|k| (expected_union_frac(nb, z, k as f64) * nb * (w + 1.0)).min(dense_hop))
         .sum()
 }
@@ -195,7 +237,8 @@ pub fn routed_words_per_processor(
             let frac = expected_union_frac(nb, z, 1.0);
             let per_peer = (frac * nb * (wz + 1.0)).min(nb * wz);
             let repl = 2.0 * (cf - 1.0) * per_peer;
-            6.0 * nnzf / cf + repl + pattern_exchange_words(nb, c, z)
+            let sparse_travel = 6.0 * nnzf / cf - 3.0 * nnzf / pf;
+            sparse_travel + repl + pattern_exchange_words(nb, c, z)
         }
         DenseRepl25 => {
             // The dense panel circulates a col ring of q = √(p/c)
@@ -210,7 +253,7 @@ pub fn routed_words_per_processor(
             let frac = expected_union_frac(nb, z, 1.0);
             let hop = (frac * nb * (wz + 1.0)).min(nb * wz);
             let panel_rounds = 2.0 * (qf - 1.0) / 2.0 * hop;
-            let sparse_travel = 6.0 * nnzf / (pf * cf).sqrt();
+            let sparse_travel = 6.0 * nnzf / (pf * cf).sqrt() - 3.0 * nnzf / pf;
             let repl = 2.0 * nr * (cf - 1.0) / pf;
             sparse_travel + panel_rounds + repl + pattern_exchange_words(nb, q, z)
         }
@@ -231,8 +274,9 @@ pub fn routed_words_per_processor(
 }
 
 /// [`messages_per_processor`] for the pattern-routed variant: the
-/// shift/collective schedules are unchanged (empty hops still move a
-/// header), plus the one-time need-set all-gather per routed ring.
+/// shift/collective schedules are unchanged (an empty forward set still
+/// moves a header on every hop an input lane posts), plus the one-time
+/// need-set all-gather per routed ring.
 pub fn routed_messages_per_processor(alg: Algorithm, p: usize, c: usize) -> Option<f64> {
     if !alg.admits(Routing::Pattern) {
         return None;

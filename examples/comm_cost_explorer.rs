@@ -14,6 +14,11 @@
 //! this shape. Uses the planning-only `KernelBuilder::for_shape`, so
 //! paper-scale shapes (n = 2²² and beyond) score instantly with
 //! nothing materialized.
+//!
+//! The counts are the paper's Table III less one hop per input lane:
+//! a block a ring round only reads stops one hop short of home, so the
+//! round ships `q − 1` hops where the paper's in-place buffer needs `q`
+//! (see `core::theory`). The Table IV optima are unchanged.
 
 use distributed_sparse_kernels::comm::MachineModel;
 use distributed_sparse_kernels::core::kernel::KernelBuilder;

@@ -8,7 +8,8 @@
 //! compares `to_bits()` of every result norm, the stored-R pipeline, the
 //! squared loss, and the per-phase `msgs_sent` / `words_sent` /
 //! `modeled_s` against constants captured from the commit before the
-//! family-layer refactor (ISSUE 12). All of these are backend-invariant,
+//! family-layer refactor, except that the Propagation rows count
+//! `q − 1` hops per input-lane round. All of these are backend-invariant,
 //! so the suite runs unchanged under every `DSK_COMM_BACKEND`.
 //!
 //! When a change moves a number *on purpose*, the failure message prints
@@ -221,7 +222,8 @@ golden! {
 }
 
 // ---------------------------------------------------------------------
-// Golden tables, captured at commit a866392 (the parent of ISSUE 12).
+// Golden tables, captured at commit a866392; Propagation rows count
+// q − 1 hops per input-lane round.
 // ---------------------------------------------------------------------
 
 const DS15_DENSE: &[(&str, u64)] = &[
@@ -245,9 +247,9 @@ const DS15_DENSE: &[(&str, u64)] = &[
     ("replication/msgs", 0x00000000000000a8),
     ("replication/words", 0x0000000000000fc7),
     ("replication/modeled_s", 0x3f36628cb9fa9eaa),
-    ("propagation/msgs", 0x0000000000000260),
-    ("propagation/words", 0x0000000000003b64),
-    ("propagation/modeled_s", 0x3f544706022f5092),
+    ("propagation/msgs", 0x00000000000001f0),
+    ("propagation/words", 0x0000000000003074),
+    ("propagation/modeled_s", 0x3f508ac95287f7d8),
     ("computation/msgs", 0x0000000000000000),
     ("computation/words", 0x0000000000000000),
     ("computation/modeled_s", 0x3ea219ed15df66b5),
@@ -272,9 +274,9 @@ const DS15_PATTERN: &[(&str, u64)] = &[
     ("replication/msgs", 0x0000000000000078),
     ("replication/words", 0x0000000000000b13),
     ("replication/modeled_s", 0x3f2ff844aa10fb9f),
-    ("propagation/msgs", 0x00000000000001e0),
+    ("propagation/msgs", 0x0000000000000188),
     ("propagation/words", 0x0000000000001ddc),
-    ("propagation/modeled_s", 0x3f4fd5d6934c86ee),
+    ("propagation/modeled_s", 0x3f4a1171740dfd47),
     ("computation/msgs", 0x0000000000000000),
     ("computation/words", 0x0000000000000000),
     ("computation/modeled_s", 0x3e97976945405f6a),
@@ -304,9 +306,9 @@ const SS15_DENSE: &[(&str, u64)] = &[
     ("replication/msgs", 0x0000000000000078),
     ("replication/words", 0x0000000000000b59),
     ("replication/modeled_s", 0x3f2ffb646321a57b),
-    ("propagation/msgs", 0x0000000000000260),
-    ("propagation/words", 0x0000000000004824),
-    ("propagation/modeled_s", 0x3f545c88ac08747e),
+    ("propagation/msgs", 0x0000000000000210),
+    ("propagation/words", 0x0000000000003ea6),
+    ("propagation/modeled_s", 0x3f51aeaf4a16e4c8),
     ("computation/msgs", 0x0000000000000000),
     ("computation/words", 0x0000000000000000),
     ("computation/modeled_s", 0x3ea06a8a23363b54),
@@ -331,9 +333,9 @@ const SS15_PATTERN: &[(&str, u64)] = &[
     ("replication/msgs", 0x0000000000000078),
     ("replication/words", 0x0000000000000b59),
     ("replication/modeled_s", 0x3f2ffb646321a57b),
-    ("propagation/msgs", 0x00000000000001e0),
-    ("propagation/words", 0x00000000000038f4),
-    ("propagation/modeled_s", 0x3f50133a91c3aeb8),
+    ("propagation/msgs", 0x00000000000001a0),
+    ("propagation/words", 0x000000000000315c),
+    ("propagation/modeled_s", 0x3f4bdd15e6356f73),
     ("computation/msgs", 0x0000000000000000),
     ("computation/words", 0x0000000000000000),
     ("computation/modeled_s", 0x3e99dfded0150dd3),
@@ -363,9 +365,9 @@ const DR25_DENSE: &[(&str, u64)] = &[
     ("replication/msgs", 0x0000000000000078),
     ("replication/words", 0x0000000000000b4b),
     ("replication/modeled_s", 0x3f2ffac471518383),
-    ("propagation/msgs", 0x0000000000000260),
-    ("propagation/words", 0x000000000000418c),
-    ("propagation/modeled_s", 0x3f5452062cf6cb4e),
+    ("propagation/msgs", 0x00000000000001b8),
+    ("propagation/words", 0x0000000000002f7f),
+    ("propagation/modeled_s", 0x3f4d6983617ee20e),
     ("computation/msgs", 0x0000000000000000),
     ("computation/words", 0x0000000000000000),
     ("computation/modeled_s", 0x3e9ee01d3d23e129),
@@ -390,9 +392,9 @@ const DR25_PATTERN: &[(&str, u64)] = &[
     ("replication/msgs", 0x0000000000000078),
     ("replication/words", 0x0000000000000b4b),
     ("replication/modeled_s", 0x3f2ffac471518383),
-    ("propagation/msgs", 0x00000000000001e0),
-    ("propagation/words", 0x0000000000002bd4),
-    ("propagation/modeled_s", 0x3f4fff4c0a7679ca),
+    ("propagation/msgs", 0x0000000000000158),
+    ("propagation/words", 0x000000000000243c),
+    ("propagation/modeled_s", 0x3f46fcf61a2c05d4),
     ("computation/msgs", 0x0000000000000000),
     ("computation/words", 0x0000000000000000),
     ("computation/modeled_s", 0x3e985a3b1e31eee3),
@@ -420,9 +422,9 @@ const SR25_DENSE: &[(&str, u64)] = &[
     ("replication/msgs", 0x0000000000000098),
     ("replication/words", 0x0000000000000603),
     ("replication/modeled_s", 0x3f340f09d4de47d9),
-    ("propagation/msgs", 0x00000000000001e0),
-    ("propagation/words", 0x0000000000002df0),
-    ("propagation/modeled_s", 0x3f500581803a7b63),
+    ("propagation/msgs", 0x0000000000000130),
+    ("propagation/words", 0x0000000000001d18),
+    ("propagation/modeled_s", 0x3f444b3da26c35e5),
     ("computation/msgs", 0x0000000000000000),
     ("computation/words", 0x0000000000000000),
     ("computation/modeled_s", 0x3e99dfded0150dd0),
@@ -447,9 +449,9 @@ const SR25_PATTERN: &[(&str, u64)] = &[
     ("replication/msgs", 0x0000000000000098),
     ("replication/words", 0x0000000000000603),
     ("replication/modeled_s", 0x3f340f09d4de47d9),
-    ("propagation/msgs", 0x00000000000001e0),
+    ("propagation/msgs", 0x0000000000000130),
     ("propagation/words", 0x0000000000001cca),
-    ("propagation/modeled_s", 0x3f4fd34b5f588edf),
+    ("propagation/modeled_s", 0x3f444a8120db7b93),
     ("computation/msgs", 0x0000000000000000),
     ("computation/words", 0x0000000000000000),
     ("computation/modeled_s", 0x3e99dfded0150dd0),

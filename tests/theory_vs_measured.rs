@@ -1,7 +1,8 @@
 //! Integration: measured communication matches the paper's Table III
-//! analysis — the repository's strongest end-to-end check. Message
-//! counts must match exactly; word counts within a small load-imbalance
-//! tolerance (sparse-block sizes fluctuate around nnz/p). Where the
+//! analysis, less the homeward hop input lanes never send — the
+//! repository's strongest end-to-end check. Message counts must match
+//! exactly; word counts within a small load-imbalance tolerance
+//! (sparse-block sizes fluctuate around nnz/p). Where the
 //! check needs "the optimal configuration of algorithm X", it asks the
 //! planner (`KernelBuilder::plan_candidates`) instead of re-deriving
 //! `theory::` internals, so planner and theory cannot silently diverge.
@@ -12,7 +13,7 @@ use distributed_sparse_kernels::comm::{AggregateStats, MachineModel, Phase, SimW
 use distributed_sparse_kernels::core::kernel::KernelBuilder;
 use distributed_sparse_kernels::core::theory::{self, Algorithm};
 use distributed_sparse_kernels::core::worker::DistWorker;
-use distributed_sparse_kernels::core::{GlobalProblem, Sampling};
+use distributed_sparse_kernels::core::{AlgorithmFamily, Elision, GlobalProblem, Sampling};
 
 fn measure(prob: &Arc<GlobalProblem>, p: usize, alg: Algorithm, c: usize) -> (f64, f64) {
     let prob2 = Arc::clone(prob);
@@ -35,28 +36,32 @@ fn words_and_messages_match_table3() {
     let prob = Arc::new(GlobalProblem::erdos_renyi(n, n, 16, 8, 8001));
     let nnz = prob.nnz();
     let dims = prob.dims;
-    for alg in Algorithm::all_benchmarked() {
-        for (p, c) in [(16usize, 2usize), (16, 4)] {
-            if !alg.family.valid_c(p, c) {
-                continue;
-            }
-            let (words, msgs) = measure(&prob, p, alg, c);
-            let words_model = theory::words_per_processor(alg, p, c, dims, nnz);
-            let msgs_model = theory::messages_per_processor(alg, p, c);
-            assert_eq!(
-                msgs,
-                msgs_model,
-                "message count mismatch for {} p={p} c={c}",
-                alg.label()
-            );
-            let ratio = words / words_model;
-            assert!(
-                (0.93..=1.07).contains(&ratio),
-                "word count off Table III for {} p={p} c={c}: measured {words}, \
-                 model {words_model} (ratio {ratio:.3})",
-                alg.label()
-            );
+    let grid = Algorithm::all_benchmarked()
+        .into_iter()
+        .flat_map(|alg| [(alg, 16usize, 2usize), (alg, 16, 4)]);
+    // A one-member ring: the local-kernel-fusion round's only lane is an
+    // input lane, so it sends nothing and the model must say so.
+    let lkf = Algorithm::new(AlgorithmFamily::DenseShift15, Elision::LocalKernelFusion);
+    for (alg, p, c) in grid.chain([(lkf, 16, 16)]) {
+        if !alg.family.valid_c(p, c) {
+            continue;
         }
+        let (words, msgs) = measure(&prob, p, alg, c);
+        let words_model = theory::words_per_processor(alg, p, c, dims, nnz);
+        let msgs_model = theory::messages_per_processor(alg, p, c);
+        assert_eq!(
+            msgs,
+            msgs_model,
+            "message count mismatch for {} p={p} c={c}",
+            alg.label()
+        );
+        let ratio = words / words_model;
+        assert!(
+            (0.93..=1.07).contains(&ratio),
+            "word count off Table III for {} p={p} c={c}: measured {words}, \
+             model {words_model} (ratio {ratio:.3})",
+            alg.label()
+        );
     }
 }
 
@@ -68,7 +73,6 @@ fn elision_savings_match_theory_ratios() {
     let n = 1 << 11;
     let p = 64usize;
     let prob = Arc::new(GlobalProblem::erdos_renyi(n, n, 16, 8, 8002));
-    use distributed_sparse_kernels::core::{AlgorithmFamily, Elision};
     let mut meas = Vec::new();
     let mut model = Vec::new();
     for elision in [
@@ -158,7 +162,6 @@ fn planner_pick_has_small_measured_regret() {
 fn sparse_shift_traffic_scales_with_nnz_not_nr() {
     // Doubling r leaves 1.5D sparse-shift propagation unchanged;
     // doubling nnz doubles it.
-    use distributed_sparse_kernels::core::{AlgorithmFamily, Elision};
     let alg = Algorithm::new(AlgorithmFamily::SparseShift15, Elision::ReplicationReuse);
     let n = 1 << 10;
     let base = Arc::new(GlobalProblem::erdos_renyi(n, n, 8, 4, 8003));
