@@ -1,13 +1,13 @@
 //! Tuner smoke sweep: measure every admissible local-kernel variant for
-//! every local op on a bench-grid shape, run the runtime tuner on the
-//! same block, and check its pick against `Naive` **on the same
-//! measurement harness**. CI runs `--smoke` as the `tuner-smoke` step:
-//! the process exits nonzero if any tuned pick measures slower than the
-//! naive reference beyond a noise tolerance (with one head-to-head
-//! re-measurement before declaring failure).
+//! every local op on one block (n = 2¹¹, 8 nnz/row, r = 32), run the
+//! runtime tuner on the same block, and check its pick against `Naive`
+//! **on the same measurement harness**. The process exits nonzero if any
+//! tuned pick measures slower than the naive reference beyond a noise
+//! tolerance (with one head-to-head re-measurement before declaring
+//! failure).
 //!
 //! ```text
-//! tuner_sweep [--smoke | --quick]
+//! cargo run --release -p dsk-kernels --example tuner_sweep
 //! ```
 //!
 //! Output is one table row per (format, op, variant) — median wall time
@@ -141,13 +141,7 @@ fn sweep_op(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke" || a == "--quick");
-    let (n, nnz_row, r) = if smoke {
-        (1 << 11, 8, 32)
-    } else {
-        (1 << 12, 8, 32)
-    };
+    let (n, nnz_row, r) = (1 << 11, 8, 32);
 
     let coo = gen::erdos_renyi(n, n, nnz_row, 11);
     let s = CsrMatrix::from_coo(&coo);

@@ -25,18 +25,21 @@ use distributed_sparse_kernels::core::kernel::KernelBuilder;
 use distributed_sparse_kernels::core::theory;
 use distributed_sparse_kernels::core::{ProblemDims, Routing};
 
-fn arg(idx: usize, default: usize) -> usize {
-    std::env::args()
-        .nth(idx)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// The `idx`-th argument, `default` when absent; an argument that is
+/// not a whole number panics naming it, so a typo never silently
+/// explores the default shape.
+fn arg(idx: usize, name: &str, default: usize) -> usize {
+    std::env::args().nth(idx).map_or(default, |s| {
+        s.parse()
+            .unwrap_or_else(|_| panic!("argument {idx} ({name}) must be a whole number, got {s:?}"))
+    })
 }
 
 fn main() {
-    let p = arg(1, 256);
-    let n = arg(2, 1 << 22);
-    let r = arg(3, 256);
-    let nnz_per_row = arg(4, 32);
+    let p = arg(1, "p", 256);
+    let n = arg(2, "n", 1 << 22);
+    let r = arg(3, "r", 256);
+    let nnz_per_row = arg(4, "nnz_per_row", 32);
     let dims = ProblemDims::new(n, n, r);
     let nnz = n * nnz_per_row;
     let phi = dims.phi(nnz);

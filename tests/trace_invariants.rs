@@ -1,12 +1,14 @@
 //! Integration: correctness invariants of the `dsk-trace` recorder —
 //! spans nest, per-rank clocks are offset-aligned at the epoch sync
 //! anchor, a mid-epoch rank death still flushes the survivors' buffers,
+//! the Chrome export is well-formed JSON with one named track per rank,
 //! and (the load-bearing one) tracing never perturbs a modeled counter.
 //!
 //! Trace state is process-global (thread-local recorders drain into one
 //! sink), so every test serializes on [`LOCK`] and resets the sink
 //! before and after its runs.
 
+use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use distributed_sparse_kernels::comm::launch::is_worker_process;
@@ -313,6 +315,187 @@ fn tracing_leaves_modeled_counters_byte_identical() {
                 "{p:?} modeled_s must be byte-identical"
             );
         }
+    }
+}
+
+/// One event object of the exported document: its own members as
+/// `(key, raw value text)`.
+type Members = Vec<(String, String)>;
+
+/// A JSON well-formedness scan just deep enough for the Chrome export:
+/// every string closes and holds only legal escapes and no raw control
+/// character, brackets balance, and one value fills the document. The
+/// objects directly inside the top-level `traceEvents` array come back
+/// with their members as raw text.
+fn scan_events(doc: &str) -> Result<Vec<Members>, String> {
+    let b = doc.as_bytes();
+    let mut stack: Vec<u8> = Vec::new();
+    let mut events: Vec<Members> = Vec::new();
+    let (mut key, mut value_at) = (None::<String>, 0);
+    let mut i = 0;
+    while i < b.len() {
+        match b[i] {
+            b'"' => {
+                let start = i + 1;
+                i = start;
+                loop {
+                    match b.get(i) {
+                        None => return Err(format!("string at byte {start} never closes")),
+                        Some(b'"') => break,
+                        Some(b'\\') => match b.get(i + 1) {
+                            Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => i += 2,
+                            Some(b'u')
+                                if b.get(i + 2..i + 6)
+                                    .is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit)) =>
+                            {
+                                i += 6
+                            }
+                            _ => return Err(format!("bad escape at byte {i}")),
+                        },
+                        Some(&c) if c < 0x20 => {
+                            return Err(format!("raw control byte {c:#04x} at byte {i}"))
+                        }
+                        Some(_) => i += 1,
+                    }
+                }
+                if stack == b"{[{" && key.is_none() {
+                    key = Some(doc[start..i].to_string());
+                }
+            }
+            b'{' | b'[' => {
+                if stack.is_empty() && i != doc.len() - doc.trim_start().len() {
+                    return Err(format!("text before the document at byte {i}"));
+                }
+                if stack == b"{[" && b[i] == b'{' {
+                    events.push(Vec::new());
+                }
+                stack.push(b[i]);
+            }
+            b':' if stack == b"{[{" => value_at = i + 1,
+            c @ (b',' | b'}' | b']') => {
+                if stack == b"{[{" && c != b']' {
+                    let k = key
+                        .take()
+                        .ok_or(format!("member without a key at byte {i}"))?;
+                    let v = doc[value_at..i].trim().to_string();
+                    events.last_mut().expect("inside an event").push((k, v));
+                }
+                if c != b',' {
+                    let open = if c == b'}' { b'{' } else { b'[' };
+                    if stack.pop() != Some(open) {
+                        return Err(format!("unbalanced {:?} at byte {i}", c as char));
+                    }
+                    if stack.is_empty() && !doc[i + 1..].trim().is_empty() {
+                        return Err(format!("text after the document at byte {i}"));
+                    }
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    if !stack.is_empty() {
+        return Err(format!("{} bracket(s) never close", stack.len()));
+    }
+    Ok(events)
+}
+
+fn member<'a>(event: &'a Members, key: &str) -> Option<&'a str> {
+    event
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.as_str())
+}
+
+/// The exported Chrome trace of a p = 8 epoch is well-formed JSON with
+/// one named track per rank: tids exactly 0..8, each with a
+/// `thread_name` record; every event has a name, a numeric `ts` and a
+/// `tid`; and the `"ph":"X"` records are the recorder's spans, each with
+/// a numeric `dur`.
+#[test]
+fn chrome_export_has_one_named_track_per_rank() {
+    let _g = serialized();
+    trace::reset();
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("chrome_export_tracks.json");
+    trace::enable_to(&path);
+    let prob = Arc::new(GlobalProblem::erdos_renyi(32, 32, 8, 4, 9108));
+    let world = SimWorld::new(8, MachineModel::bandwidth_only());
+    let _ = fused_epoch(&world, &prob);
+    let spans = trace::snapshot().iter().filter(|e| e.dur_ns > 0).count();
+    trace::set_override(false);
+    trace::reset();
+    if is_worker_process() {
+        return;
+    }
+    let doc = std::fs::read_to_string(&path).expect("the launcher writes the export");
+    let events = scan_events(&doc).unwrap_or_else(|e| panic!("malformed export: {e}"));
+    let (mut tids, mut named, mut x) = (Vec::new(), Vec::new(), 0);
+    for e in &events {
+        let tid: u32 = member(e, "tid")
+            .and_then(|t| t.parse().ok())
+            .unwrap_or_else(|| panic!("event without an integer tid: {e:?}"));
+        let name = member(e, "name").unwrap_or_else(|| panic!("event without a name: {e:?}"));
+        assert!(name.starts_with('"'), "non-string name: {e:?}");
+        match member(e, "ph") {
+            Some("\"M\"") => {
+                if name == "\"thread_name\"" {
+                    named.push(tid);
+                }
+                continue;
+            }
+            Some("\"X\"") => {
+                x += 1;
+                let dur = member(e, "dur").and_then(|d| d.parse::<f64>().ok());
+                assert!(dur.is_some(), "span without a numeric dur: {e:?}");
+            }
+            _ => {}
+        }
+        let ts = member(e, "ts").and_then(|t| t.parse::<f64>().ok());
+        assert!(ts.is_some(), "event without a numeric ts: {e:?}");
+        tids.push(tid);
+    }
+    tids.sort_unstable();
+    tids.dedup();
+    assert_eq!(tids, (0..8).collect::<Vec<u32>>(), "one track per rank");
+    for t in &tids {
+        assert!(named.contains(t), "tid {t} has no thread_name record");
+    }
+    assert!(spans > 0, "a fused epoch records spans");
+    assert_eq!(x, spans, "every recorded span is one \"ph\":\"X\" record");
+}
+
+/// Names and string args are escaped: quotes, backslashes, newlines and
+/// other control characters still export a well-formed document that
+/// carries them as JSON escapes.
+#[test]
+fn chrome_export_escapes_hostile_names_and_args() {
+    let _g = serialized();
+    trace::reset();
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("chrome_export_escapes.json");
+    trace::enable_to(&path);
+    let hostile = "say \"hi\" \\ then\nstop \u{1}";
+    let world = SimWorld::new(2, MachineModel::bandwidth_only());
+    let _ = world.run(move |_| {
+        trace::mark(TraceKind::Mark, hostile, || {
+            vec![("detail".to_string(), ArgVal::Str(hostile.to_string()))]
+        });
+    });
+    trace::set_override(false);
+    trace::reset();
+    if is_worker_process() {
+        return;
+    }
+    let doc = std::fs::read_to_string(&path).expect("the launcher writes the export");
+    let events = scan_events(&doc).unwrap_or_else(|e| panic!("malformed export: {e}"));
+    let escaped = r#""say \"hi\" \\ then\nstop \u0001""#;
+    let marks: Vec<&Members> = events
+        .iter()
+        .filter(|e| member(e, "name") == Some(escaped))
+        .collect();
+    assert_eq!(marks.len(), 2, "one escaped mark per rank in {doc}");
+    for m in marks {
+        let args = member(m, "args").expect("a mark carries args");
+        assert!(args.contains(&format!("\"detail\":{escaped}")), "{args}");
     }
 }
 
