@@ -16,11 +16,14 @@
 //! qᵢ = Σ_{j∈Ωᵢ} ⟨xᵢ, b_j⟩ b_j + λ xᵢ  =  FusedMMA(S, X, B) + λX,
 //! ```
 //!
-//! so each CG iteration costs exactly one distributed FusedMM plus
-//! per-row scalar work. The right-hand sides are one SpMM with the
-//! observation values. Per the paper's benchmark, a run performs
-//! `cg_iters` iterations for the `A` factor and `cg_iters` for `B`
-//! (10 + 10 = 20 by default).
+//! so each CG iteration is one distributed FusedMM plus per-row scalar
+//! work. The fixed factor cannot change within a solve, so a family that
+//! shifts it need do so only once: on the 1.5D dense shift with local
+//! kernel fusion the first FusedMM keeps the fixed factor's ring tiles
+//! and the later ones replay them, moving only the iterate. The
+//! right-hand sides are one SpMM with the observation values. Per the
+//! paper's benchmark, a run performs `cg_iters` iterations for the `A`
+//! factor and `cg_iters` for `B` (10 + 10 = 20 by default).
 
 use dsk_comm::Phase;
 use dsk_dense::Mat;
@@ -329,6 +332,37 @@ mod tests {
                 "family losses diverge: {finals:?}"
             );
         }
+    }
+
+    /// A CG solve shifts its fixed factor once: on the 1.5D dense shift
+    /// with local kernel fusion, a sweep's propagation words per rank do
+    /// not depend on how many CG iterations it runs.
+    #[test]
+    fn propagation_words_per_sweep_do_not_grow_with_cg_iterations() {
+        let prob = Arc::new(completion_problem(24, 24, 4, 203));
+        let words = [2usize, 6].map(|cg_iters| {
+            let pr = Arc::clone(&prob);
+            let w = SimWorld::new(4, MachineModel::bandwidth_only());
+            let out = w.run(move |comm| {
+                let mut eng = engine(
+                    comm,
+                    AlgorithmFamily::DenseShift15,
+                    1,
+                    Elision::LocalKernelFusion,
+                    &pr,
+                );
+                let cfg = AlsConfig {
+                    cg_iters,
+                    track_loss: false,
+                    ..AlsConfig::default()
+                };
+                run_als(&mut eng, &cfg);
+                eng.session().stats().phase(Phase::Propagation).words_sent
+            });
+            out.iter().map(|o| o.value).collect::<Vec<u64>>()
+        });
+        assert!(words[0].iter().all(|&w| w > 0), "{words:?}");
+        assert_eq!(words[0], words[1], "propagation words grew with cg_iters");
     }
 
     #[test]

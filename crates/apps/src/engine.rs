@@ -74,12 +74,18 @@ impl AppEngine {
     }
 
     /// FusedMMA with pattern sampling — the ALS normal-equation matvec
-    /// `qᵢ = Σ_{j∈Ωᵢ} ⟨xᵢ, b_j⟩ b_j` — on an `A`-iterate `x`.
+    /// `qᵢ = Σ_{j∈Ωᵢ} ⟨xᵢ, b_j⟩ b_j` — on an `A`-iterate `x`. An iterate
+    /// call (see [`Session::fused_mm_a`]): on the 1.5D dense shift with
+    /// local kernel fusion only the first call after a commit shifts
+    /// `B`; its ring tiles, `(q − 1)·⌈n/p⌉·r` words per rank, are held
+    /// and replayed until [`AppEngine::commit_b`].
     pub fn fused_a_ones(&mut self, x: &Mat) -> Mat {
         self.session.fused_mm_a(Some(x), Sampling::Ones)
     }
 
-    /// FusedMMB with pattern sampling on a `B`-iterate `y`.
+    /// FusedMMB with pattern sampling on a `B`-iterate `y`. The dual of
+    /// [`AppEngine::fused_a_ones`]: `A`'s ring tiles, `(q − 1)·⌈m/p⌉·r`
+    /// words per rank, are held until [`AppEngine::commit_a`].
     pub fn fused_b_ones(&mut self, y: &Mat) -> Mat {
         self.session.fused_mm_b(Some(y), Sampling::Ones)
     }

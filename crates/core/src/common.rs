@@ -317,7 +317,9 @@ impl Drop for ShiftModeGuard {
 ///   behind it (under [`ShiftMode::Blocking`] the post has already
 ///   waited). It stops one hop short of home: visit 0 reads the
 ///   caller's block in place, so the `q`-th hop, with which the paper's
-///   Algorithm 1 restores an overwritten buffer, is never sent;
+///   Algorithm 1 restores an overwritten buffer, is never sent. A held
+///   lane ([`ShiftPipeline::held_input`]) also keeps what it receives,
+///   so a later round over unchanged home blocks sends nothing;
 /// * **accumulator lanes** — blocks the kernel *writes* (a circulating
 ///   output block). The data is not final until the compute finishes, so
 ///   [`ShiftPipeline::exchange`] posts after it and waits at once; the
@@ -351,11 +353,38 @@ impl<'a> ShiftPipeline<'a> {
     /// Open an input lane over the ring's `q` members whose visit 0
     /// reads `home` itself: lent, never cloned.
     pub fn input<'h, T: WirePayload + Clone>(&self, home: &'h T) -> InputLane<'h, 'a, T> {
+        self.lane(home, Tiles::Latest(None))
+    }
+
+    /// [`ShiftPipeline::input`] for a ring whose members' home blocks
+    /// stay fixed across rounds: the lane keeps every block it receives
+    /// in `held`. An empty `held` is filled by one ordinary round — each
+    /// arrived block is moved in, not copied. A full `held` (the `q − 1`
+    /// blocks of an earlier round) is replayed: the lane posts nothing
+    /// and each visit reads its kept block. The caller empties `held` on
+    /// every ring member at once whenever a home block changes; a store
+    /// left part-filled by an interrupted round is refilled.
+    pub fn held_input<'h, T: WirePayload + Clone>(
+        &self,
+        home: &'h T,
+        held: &'h mut Vec<T>,
+    ) -> InputLane<'h, 'a, T> {
+        if held.len() != self.ring.size() - 1 {
+            held.clear();
+        }
+        self.lane(home, Tiles::Held(held))
+    }
+
+    fn lane<'h, T: WirePayload + Clone>(
+        &self,
+        home: &'h T,
+        tiles: Tiles<'h, T>,
+    ) -> InputLane<'h, 'a, T> {
         InputLane {
             pipe: *self,
-            hops: self.ring.size() - 1,
+            visit: 0,
             home,
-            arrived: None,
+            tiles,
         }
     }
 
@@ -390,30 +419,49 @@ fn unbundle(bundle: RowBundle) -> Mat {
 /// can share one loop.
 pub struct InputLane<'h, 'a, T: WirePayload + Clone> {
     pipe: ShiftPipeline<'a>,
-    /// Hops still to post: `q − 1` at the start, none on the last visit.
-    hops: usize,
+    /// The current visit, `0..q`; it stays at `q − 1` after the last.
+    visit: usize,
     /// The caller's home block, which visit 0 reads.
     home: &'h T,
-    /// The block that arrived for the current visit, after visit 0.
-    arrived: Option<T>,
+    /// The blocks later visits read.
+    tiles: Tiles<'h, T>,
+}
+
+/// Where an [`InputLane`] keeps the blocks it received.
+enum Tiles<'h, T> {
+    /// Only the current visit's block, dropped when the next arrives.
+    Latest(Option<T>),
+    /// Every block, in visit order: visit `v ≥ 1` reads `held[v − 1]`
+    /// ([`ShiftPipeline::held_input`]).
+    Held(&'h mut Vec<T>),
 }
 
 impl<'a, T: WirePayload + Clone> InputLane<'_, 'a, T> {
     /// The block the current visit reads.
     pub fn block(&self) -> &T {
-        self.arrived.as_ref().unwrap_or(self.home)
+        match (&self.tiles, self.visit) {
+            (_, 0) => self.home,
+            (Tiles::Latest(latest), _) => latest.as_ref().expect("a later visit's block arrived"),
+            (Tiles::Held(held), v) => &held[v - 1],
+        }
+    }
+
+    /// Whether the current visit sends its block on: not on the last
+    /// visit, and not when the next visit's block is already held.
+    fn sends(&self) -> bool {
+        let next = self.visit + 1;
+        next < self.pipe.ring.size() && !matches!(&self.tiles, Tiles::Held(h) if h.len() >= next)
     }
 
     /// Post the current block to the ring successor — or nothing, on
-    /// the last visit. The block is lent only for the post: the
-    /// transport takes its own copy in whatever form it needs (an encode
-    /// straight from the borrow on serializing backends, a clone on the
-    /// typed one).
+    /// the last visit or a replayed one. The block is lent only for the
+    /// post: the transport takes its own copy in whatever form it needs
+    /// (an encode straight from the borrow on serializing backends, a
+    /// clone on the typed one).
     pub fn post(&mut self) -> Hop<'a, T> {
-        let Some(hops) = self.hops.checked_sub(1) else {
+        if !self.sends() {
             return Hop::Home;
-        };
-        self.hops = hops;
+        }
         let ShiftPipeline { ring, disp, tag } = self.pipe;
         let _ph = ring.phase(Phase::Propagation);
         Hop::Posted(ring.shift_begin_ref(disp, tag, self.block())).settle()
@@ -421,11 +469,17 @@ impl<'a, T: WirePayload + Clone> InputLane<'_, 'a, T> {
 
     /// Move to the next visit: its block is the one `hop` brought in
     /// (time blocked here is charged to [`Phase::Propagation`]), or the
-    /// current one when nothing was posted.
+    /// held one when nothing was posted.
     pub fn arrive(&mut self, hop: Hop<'a, T>) {
         let pending = matches!(hop, Hop::Posted(_) | Hop::Routed(..));
         let _ph = pending.then(|| self.pipe.ring.phase(Phase::Propagation));
-        self.arrived = hop.complete().or(self.arrived.take());
+        if let Some(block) = hop.complete() {
+            match &mut self.tiles {
+                Tiles::Latest(latest) => *latest = Some(block),
+                Tiles::Held(held) => held.push(block),
+            }
+        }
+        self.visit = (self.visit + 1).min(self.pipe.ring.size() - 1);
     }
 }
 
@@ -434,10 +488,9 @@ impl<'a> InputLane<'_, 'a, Mat> {
     /// with `ship`, only the forward-set rows travel (as a [`RowBundle`]
     /// with dense fallback) and the receiver zero-fills the rest.
     pub fn post_mat(&mut self, ship: Option<&RowSet>) -> Hop<'a, Mat> {
-        let (Some(set), 1..) = (ship, self.hops) else {
+        let (Some(set), true) = (ship, self.sends()) else {
             return self.post();
         };
-        self.hops -= 1;
         let y = self.block();
         let bundle = RowBundle::gather(y.nrows(), y.ncols(), y.as_slice(), set);
         let ShiftPipeline { ring, disp, tag } = self.pipe;

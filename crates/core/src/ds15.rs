@@ -24,8 +24,13 @@
 //! * **local kernel fusion** — a single propagation round computes the
 //!   fused local SDDMM+SpMM per step (only possible here, where entire
 //!   rows of both dense matrices are co-located).
+//!
+//! A fused round with an iterate (`fused_mm_a(Some(x), ..)`, the matvec
+//! of a CG solve) shifts the *stored* operand, which cannot change until
+//! `set_a`/`set_b`: it keeps the ring tiles it receives, and later
+//! iterate rounds replay them with no communication.
 
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 
 use dsk_comm::{Comm, CommPattern, Grid15, GridComms15, Phase, RowSet};
 use dsk_dense::Mat;
@@ -56,10 +61,10 @@ pub struct DenseShift15 {
     /// `Sᵀ` blocks by slot `w` (column block over `m` of macro row `u`
     /// of `n`), for the transposed-role (FusedMMA) paths.
     st_blocks: Vec<CsrMatrix>,
-    /// Local block row `g` of `A`.
-    pub a_loc: Mat,
-    /// Local block row `g` of `B`.
-    pub b_loc: Mat,
+    /// Local block row `g` of `A`; written only by `set_a`.
+    a_loc: Mat,
+    /// Local block row `g` of `B`; written only by `set_b`.
+    b_loc: Mat,
     /// Layer-ring communication pattern for pattern-routed propagation
     /// (`None` = dense shifts, the default).
     route: Option<CommPattern>,
@@ -68,6 +73,11 @@ pub struct DenseShift15 {
     /// Ones-valued copies of the `S` and `Sᵀ` blocks for
     /// [`Sampling::Ones`] fused rounds, built on first use.
     ones: [OnceCell<Vec<CsrMatrix>>; 2],
+    /// The ring tiles iterate fused rounds received — `B`'s (FusedMMA)
+    /// and `A`'s (FusedMMB), indexed like `ones` — replayed until
+    /// `set_b` / `set_a` empties them: `q − 1` block rows of `B` (of
+    /// `A`), `(q − 1)·⌈n/p⌉·r` (`⌈m/p⌉`) words.
+    held: [RefCell<Vec<Mat>>; 2],
 }
 
 impl DenseShift15 {
@@ -116,6 +126,7 @@ impl DenseShift15 {
             route: None,
             local: kern::LocalPicks::default(),
             ones: Default::default(),
+            held: Default::default(),
         }
     }
 
@@ -302,8 +313,17 @@ impl DenseShift15 {
     /// fused SDDMM+SpMM per step. The stationary blocks are read as they
     /// are under [`Sampling::Values`]; the ones-valued copies
     /// [`Sampling::Ones`] needs are built on this worker's first such
-    /// round and kept.
-    fn fused_round(&self, transposed: bool, t_in: &Mat, y0: &Mat, sampling: Sampling) -> Mat {
+    /// round and kept. With `hold` (an iterate call), `y0` is the stored
+    /// operand and its ring tiles are kept, or replayed when already
+    /// held.
+    fn fused_round(
+        &self,
+        transposed: bool,
+        t_in: &Mat,
+        y0: &Mat,
+        sampling: Sampling,
+        hold: bool,
+    ) -> Mat {
         let stored = [self.r.csr_blocks(), &self.st_blocks[..]][transposed as usize];
         let blocks = match sampling {
             Sampling::Values => stored,
@@ -316,7 +336,12 @@ impl DenseShift15 {
         };
         let r = y0.ncols();
         let mut t_out = Mat::zeros(t_in.nrows(), r);
-        let mut y = self.pipeline().input(y0);
+        let mut held = self.held[transposed as usize].borrow_mut();
+        let mut y = if hold {
+            self.pipeline().held_input(y0, &mut held)
+        } else {
+            self.pipeline().input(y0)
+        };
         for t in 0..self.q() {
             let blk = &blocks[self.slot(t)];
             let hop = y.post();
@@ -395,6 +420,7 @@ impl DistKernel for DenseShift15 {
     }
 
     fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+        let hold = x.is_some();
         let x = x.unwrap_or(&self.a_loc);
         let (s, st) = (self.r.csr_blocks(), &self.st_blocks[..]);
         let (dot, route) = (kern::SddmmCombine::Dot, self.route.as_ref());
@@ -411,7 +437,7 @@ impl DistKernel for DenseShift15 {
             }
             Elision::LocalKernelFusion => {
                 let t_in = replicate_rows(&self.gc.fiber, x, s[0].nrows(), None);
-                let t_out = self.fused_round(false, &t_in, &self.b_loc, sampling);
+                let t_out = self.fused_round(false, &t_in, &self.b_loc, sampling, hold);
                 self.reduce_to_block(self.view.dims().m, &t_out)
             }
             Elision::ReplicationReuse => {
@@ -427,6 +453,7 @@ impl DistKernel for DenseShift15 {
     }
 
     fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+        let hold = y.is_some();
         let y = y.unwrap_or(&self.b_loc);
         let (s, st) = (self.r.csr_blocks(), &self.st_blocks[..]);
         let (dot, route) = (kern::SddmmCombine::Dot, self.route.as_ref());
@@ -450,7 +477,7 @@ impl DistKernel for DenseShift15 {
             Elision::LocalKernelFusion => {
                 // Dual of the FusedMMA fused round: roles swapped, Sᵀ.
                 let t_in = replicate_rows(&self.gc.fiber, y, st[0].nrows(), None);
-                let t_out = self.fused_round(true, &t_in, &self.a_loc, sampling);
+                let t_out = self.fused_round(true, &t_in, &self.a_loc, sampling, hold);
                 self.reduce_to_block(self.view.dims().n, &t_out)
             }
         }
@@ -481,17 +508,20 @@ impl DistKernel for DenseShift15 {
         // Iterate layout == operand layout: no distribution shift.
         assert_eq!(x.nrows(), self.a_loc.nrows(), "A iterate shape mismatch");
         self.a_loc = x.clone();
+        self.held[1].get_mut().clear();
     }
 
     fn set_b(&mut self, _comm: &Comm, y: &Mat) {
         assert_eq!(y.nrows(), self.b_loc.nrows(), "B iterate shape mismatch");
         self.b_loc = y.clone();
+        self.held[0].get_mut().clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::ShiftMode;
     use crate::global::GlobalProblem;
     use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, SimWorld};
@@ -648,6 +678,130 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn mapped(x: &Mat, f: fn(f64) -> f64) -> Mat {
+        Mat::from_vec(
+            x.nrows(),
+            x.ncols(),
+            x.as_slice().iter().map(|&v| f(v)).collect(),
+        )
+    }
+
+    /// Iterate fused rounds hold the stored operand's ring tiles, on
+    /// one- and multi-hop rings under both shift modes, FusedMMA
+    /// (holding `B`) and FusedMMB (holding `A`):
+    /// (a) a second iterate call sends no propagation message or word
+    ///     and returns a fresh worker's bits for the same iterate;
+    /// (b) setting the fixed operand drops the tiles: the next iterate
+    ///     call ships `q − 1` hops again and matches the serial reference
+    ///     for the new operand;
+    /// (c) stored-operand calls (`None`) ship `q − 1` hops every time.
+    #[test]
+    fn iterate_calls_replay_held_tiles_until_the_operand_is_set() {
+        for (p, c) in [(4, 1), (4, 2), (6, 3)] {
+            for mode in [ShiftMode::Pipelined, ShiftMode::Blocking] {
+                for fused_a in [true, false] {
+                    check_held_tiles(p, c, mode, fused_a);
+                }
+            }
+        }
+    }
+
+    fn check_held_tiles(p: usize, c: usize, mode: ShiftMode, fused_a: bool) {
+        let (m, n, r) = (19, 23, 3);
+        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 31));
+        // The iterates and the new fixed operand are entrywise maps of
+        // the stored operands, so the serial reference can build them.
+        let [x1, x2, fixed]: [fn(f64) -> f64; 3] = [|v| 0.5 * v - 1.0, |v| v * v, |v| 2.0 - v];
+        let mut next = (*prob).clone();
+        let expect = if fused_a {
+            (next.a, next.b) = (mapped(&prob.a, x2), mapped(&prob.b, fixed));
+            next.reference_fused_a()
+        } else {
+            (next.a, next.b) = (mapped(&prob.a, fixed), mapped(&prob.b, x2));
+            next.reference_fused_b()
+        };
+        let view = view(&prob, p, c);
+        let layout = move |g| match fused_a {
+            true => view.a_layout_of(g),
+            false => view.b_layout_of(g),
+        };
+        let hops = (p / c - 1) as u64;
+        let out = SimWorld::new(p, MachineModel::bandwidth_only()).run(move |comm| {
+            let _g = ShiftMode::scoped(mode);
+            // One LKF call: its output and the propagation messages and
+            // words it sent.
+            let call = |w: &mut DistWorker, x: Option<&Mat>| {
+                let prop = || *comm.stats_snapshot().phase(Phase::Propagation);
+                let before = prop();
+                let (lkf, vals) = (Elision::LocalKernelFusion, Sampling::Values);
+                let got = match fused_a {
+                    true => w.fused_mm_a(x, lkf, vals),
+                    false => w.fused_mm_b(x, lkf, vals),
+                };
+                let after = prop();
+                let sent = (
+                    after.msgs_sent - before.msgs_sent,
+                    after.words_sent - before.words_sent,
+                );
+                (got, sent)
+            };
+            let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
+            let (iterate, other) = match fused_a {
+                true => (worker.a_iterate(), worker.b_iterate()),
+                false => (worker.b_iterate(), worker.a_iterate()),
+            };
+            let (first, second) = (mapped(&iterate, x1), mapped(&iterate, x2));
+            let (_, sent_first) = call(&mut worker, Some(&first));
+            let (replayed, sent_replayed) = call(&mut worker, Some(&second));
+            let mut fresh = DistWorker::from_global(comm, FAMILY, c, &prob);
+            let (single, _) = call(&mut fresh, Some(&second));
+            let same_bits = replayed
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(single.as_slice().iter().map(|v| v.to_bits()));
+
+            let new_fixed = mapped(&other, fixed);
+            match fused_a {
+                true => worker.set_b(comm, &new_fixed),
+                false => worker.set_a(comm, &new_fixed),
+            }
+            let (after_set, sent_after_set) = call(&mut worker, Some(&second));
+            let stored = (call(&mut fresh, None).1, call(&mut fresh, None).1);
+            let rows = if fused_a { m } else { n };
+            let gathered = crate::layout::gather_dense(comm, 0, &after_set, layout, rows, r);
+            (
+                sent_first,
+                sent_replayed,
+                same_bits,
+                sent_after_set,
+                stored,
+                gathered,
+            )
+        });
+        let case = format!("p={p} c={c} {mode:?} fused_a={fused_a}");
+        for o in &out {
+            let (first, replayed, same_bits, after_set, stored, _) = &o.value;
+            assert_eq!(first.0, hops, "{case}: first iterate call");
+            assert_eq!(*replayed, (0, 0), "{case}: a replayed call sends nothing");
+            assert!(
+                same_bits,
+                "{case}: replayed tiles must give a fresh worker's bits"
+            );
+            assert_eq!(after_set.0, hops, "{case}: set_* drops the held tiles");
+            assert_eq!(
+                (stored.0 .0, stored.1 .0),
+                (hops, hops),
+                "{case}: None calls hold nothing"
+            );
+        }
+        let got = out[0].value.5.as_ref().unwrap();
+        assert!(
+            max_abs_diff(got, &expect) < 1e-9,
+            "{case}: stale tiles after set_*"
+        );
     }
 
     #[test]

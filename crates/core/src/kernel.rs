@@ -245,10 +245,12 @@ pub trait DistKernel: Send {
 
     /// Replace the stored `A` operand with an `A`-iterate, paying
     /// whatever distribution shift the family requires (charged to
-    /// [`Phase::OutsideComm`]).
+    /// [`Phase::OutsideComm`]). Collective: every rank calls it at once,
+    /// and a family holding ring tiles of the old operand drops them.
     fn set_a(&mut self, comm: &Comm, x: &Mat);
 
-    /// Replace the stored `B` operand with a `B`-iterate.
+    /// Replace the stored `B` operand with a `B`-iterate (collective,
+    /// like [`DistKernel::set_a`]).
     fn set_b(&mut self, comm: &Comm, y: &Mat);
 
     // ---- provided: one implementation for every kernel ---------------

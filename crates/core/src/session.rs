@@ -551,6 +551,13 @@ impl Session {
     /// FusedMMA with the session's elision; counts one call. With an
     /// automatic policy installed, a stored-operand call (`x = None`)
     /// at the policy's cadence replans (and possibly migrates) first.
+    ///
+    /// An iterate call (`Some(x)`) is a step inside a solve against the
+    /// stored `B`: it never replans. On the 1.5D dense shift with local
+    /// kernel fusion it also keeps the ring tiles of `B` it receives, and
+    /// later iterate calls replay them instead of shifting `B` again.
+    /// They are held until [`Session::commit_b`] or the next transition,
+    /// at `(q − 1)·⌈n/p⌉·r` words per rank (`q = p/c`, the ring length).
     pub fn fused_mm_a(&mut self, x: Option<&Mat>, sampling: Sampling) -> Mat {
         self.calls += 1;
         if x.is_none() {
@@ -561,7 +568,10 @@ impl Session {
     }
 
     /// FusedMMB with the session's elision; counts one call. Same
-    /// automatic-replan hook as [`Session::fused_mm_a`].
+    /// automatic-replan hook as [`Session::fused_mm_a`], and the dual
+    /// hold: an iterate call keeps the ring tiles of the stored `A` until
+    /// [`Session::commit_a`] or the next transition, at
+    /// `(q − 1)·⌈m/p⌉·r` words per rank.
     pub fn fused_mm_b(&mut self, y: Option<&Mat>, sampling: Sampling) -> Mat {
         self.calls += 1;
         if y.is_none() {
