@@ -17,11 +17,12 @@
 //! ```
 //!
 //! so each CG iteration is one distributed FusedMM plus per-row scalar
-//! work. The fixed factor cannot change within a solve, so a family that
+//! work. The right-hand sides are one SpMM with the observation values.
+//! The fixed factor cannot change within a solve, so a family that
 //! shifts it need do so only once: on the 1.5D dense shift with local
-//! kernel fusion the first FusedMM keeps the fixed factor's ring tiles
-//! and the later ones replay them, moving only the iterate. The
-//! right-hand sides are one SpMM with the observation values. Per the
+//! kernel fusion the right-hand-side round keeps the fixed factor's ring
+//! tiles and every FusedMM of the solve replays them, moving only the
+//! iterate, so each factor crosses the ring once per sweep. Per the
 //! paper's benchmark, a run performs `cg_iters` iterations for the `A`
 //! factor and `cg_iters` for `B` (10 + 10 = 20 by default).
 
@@ -305,6 +306,8 @@ mod tests {
         let prob = Arc::new(completion_problem(24, 24, 4, 201));
         let cases = [
             (AlgorithmFamily::DenseShift15, 2, Elision::ReplicationReuse),
+            // Every matvec replays the tiles the rhs rounds stored.
+            (AlgorithmFamily::DenseShift15, 2, Elision::LocalKernelFusion),
             (AlgorithmFamily::SparseShift15, 2, Elision::ReplicationReuse),
             (AlgorithmFamily::DenseRepl25, 2, Elision::ReplicationReuse),
             (AlgorithmFamily::SparseRepl25, 2, Elision::None),
@@ -334,15 +337,18 @@ mod tests {
         }
     }
 
-    /// A CG solve shifts its fixed factor once: on the 1.5D dense shift
-    /// with local kernel fusion, a sweep's propagation words per rank do
-    /// not depend on how many CG iterations it runs.
+    /// A sweep shifts each factor once: on the 1.5D dense shift with
+    /// local kernel fusion, the right-hand-side rounds ship the fixed
+    /// factor and every CG matvec replays its tiles, so each rank sends
+    /// exactly `2·(q − 1)·⌈n/p⌉·r` propagation words per sweep, however
+    /// many CG iterations it runs.
     #[test]
     fn propagation_words_per_sweep_do_not_grow_with_cg_iterations() {
-        let prob = Arc::new(completion_problem(24, 24, 4, 203));
+        let (n, r, p) = (24, 4, 4);
+        let prob = Arc::new(completion_problem(n, n, r, 203));
         let words = [2usize, 6].map(|cg_iters| {
             let pr = Arc::clone(&prob);
-            let w = SimWorld::new(4, MachineModel::bandwidth_only());
+            let w = SimWorld::new(p, MachineModel::bandwidth_only());
             let out = w.run(move |comm| {
                 let mut eng = engine(
                     comm,
@@ -361,8 +367,14 @@ mod tests {
             });
             out.iter().map(|o| o.value).collect::<Vec<u64>>()
         });
-        assert!(words[0].iter().all(|&w| w > 0), "{words:?}");
-        assert_eq!(words[0], words[1], "propagation words grew with cg_iters");
+        // 144 words: each factor's q − 1 = 3 blocks of 6 × 4 entries.
+        let once = (2 * (p - 1) * n.div_ceil(p) * r) as u64;
+        for (cg_iters, per_rank) in [2, 6].iter().zip(&words) {
+            assert!(
+                per_rank.iter().all(|&w| w == once),
+                "cg_iters={cg_iters}: {per_rank:?}, expected {once} per rank"
+            );
+        }
     }
 
     #[test]

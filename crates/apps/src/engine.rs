@@ -76,29 +76,32 @@ impl AppEngine {
     /// FusedMMA with pattern sampling — the ALS normal-equation matvec
     /// `qᵢ = Σ_{j∈Ωᵢ} ⟨xᵢ, b_j⟩ b_j` — on an `A`-iterate `x`. An iterate
     /// call (see [`Session::fused_mm_a`]): on the 1.5D dense shift with
-    /// local kernel fusion only the first call after a commit shifts
-    /// `B`; its ring tiles, `(q − 1)·⌈n/p⌉·r` words per rank, are held
-    /// and replayed until [`AppEngine::commit_b`].
+    /// local kernel fusion it shifts no `B` at all, replaying the ring
+    /// tiles [`AppEngine::rhs_a`] kept, `(q − 1)·⌈n/p⌉·r` words per
+    /// rank, until [`AppEngine::commit_b`].
     pub fn fused_a_ones(&mut self, x: &Mat) -> Mat {
         self.session.fused_mm_a(Some(x), Sampling::Ones)
     }
 
     /// FusedMMB with pattern sampling on a `B`-iterate `y`. The dual of
-    /// [`AppEngine::fused_a_ones`]: `A`'s ring tiles, `(q − 1)·⌈m/p⌉·r`
-    /// words per rank, are held until [`AppEngine::commit_a`].
+    /// [`AppEngine::fused_a_ones`]: it replays the `A` tiles
+    /// [`AppEngine::rhs_b`] kept, `(q − 1)·⌈m/p⌉·r` words per rank,
+    /// until [`AppEngine::commit_a`].
     pub fn fused_b_ones(&mut self, y: &Mat) -> Mat {
         self.session.fused_mm_b(Some(y), Sampling::Ones)
     }
 
     /// ALS right-hand side for the `A` phase: `S·B` (sampling values),
     /// delivered in the `A`-iterate layout (2.5D dense replication pays
-    /// a distribution shift here).
+    /// a distribution shift here). On the 1.5D dense shift this is the
+    /// one round of the `A` solve that shifts `B`.
     pub fn rhs_a(&mut self) -> Mat {
         self.session.rhs_a()
     }
 
     /// ALS right-hand side for the `B` phase: `Sᵀ·A`, in the
-    /// `B`-iterate layout.
+    /// `B`-iterate layout. On the 1.5D dense shift this is the one round
+    /// of the `B` solve that shifts `A`.
     pub fn rhs_b(&mut self) -> Mat {
         self.session.rhs_b()
     }

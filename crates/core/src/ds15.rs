@@ -28,7 +28,12 @@
 //! A fused round with an iterate (`fused_mm_a(Some(x), ..)`, the matvec
 //! of a CG solve) shifts the *stored* operand, which cannot change until
 //! `set_a`/`set_b`: it keeps the ring tiles it receives, and later
-//! iterate rounds replay them with no communication.
+//! iterate rounds replay them with no communication. The ALS
+//! right-hand sides (`rhs_a`: `S·B`, `rhs_b`: `Sᵀ·A`) shift the same
+//! operand along the same ring in the same visit order, so on dense
+//! routing they fill those stores, and every matvec of the solve that
+//! follows, the first one included, replays them: each factor crosses
+//! the ring once per ALS sweep.
 
 use std::cell::{OnceCell, RefCell};
 
@@ -73,10 +78,13 @@ pub struct DenseShift15 {
     /// Ones-valued copies of the `S` and `Sᵀ` blocks for
     /// [`Sampling::Ones`] fused rounds, built on first use.
     ones: [OnceCell<Vec<CsrMatrix>>; 2],
-    /// The ring tiles iterate fused rounds received — `B`'s (FusedMMA)
-    /// and `A`'s (FusedMMB), indexed like `ones` — replayed until
-    /// `set_b` / `set_a` empties them: `q − 1` block rows of `B` (of
-    /// `A`), `(q − 1)·⌈n/p⌉·r` (`⌈m/p⌉`) words.
+    /// The ring tiles the right-hand-side rounds and iterate fused rounds
+    /// received — `B`'s (`rhs_a`, FusedMMA) and `A`'s (`rhs_b`,
+    /// FusedMMB), indexed like `ones` — replayed until `set_b` / `set_a`
+    /// empties them: `q − 1` block rows of `B` (of `A`),
+    /// `(q − 1)·⌈n/p⌉·r` (`⌈m/p⌉`) words. A dense-routed plan fills them
+    /// on every `rhs_*` call, whatever its elision; only local kernel
+    /// fusion replays them.
     held: [RefCell<Vec<Mat>>; 2],
 }
 
@@ -259,11 +267,28 @@ impl DenseShift15 {
 
     /// SpMM propagation round with a replicated (macro-row) accumulator:
     /// `T += R_w · y` per step, `y` shifting (the SpMMA data flow).
-    /// `blocks` carry the values to multiply with.
-    fn spmm_out_round(&self, blocks: &[CsrMatrix], y0: &Mat, route: Option<&CommPattern>) -> Mat {
+    /// `blocks` carry the values to multiply with. With `hold`, `y0` is
+    /// a stored operand and its ring tiles go to (or replay from)
+    /// `self.held[hold]`, the store the fused rounds replay; dense
+    /// routing only, since routed tiles are zero-filled partial panels.
+    fn spmm_out_round(
+        &self,
+        blocks: &[CsrMatrix],
+        y0: &Mat,
+        route: Option<&CommPattern>,
+        hold: Option<usize>,
+    ) -> Mat {
+        debug_assert!(
+            hold.is_none() || route.is_none(),
+            "routed tiles are partial"
+        );
         let r = y0.ncols();
         let mut t_buf = Mat::zeros(blocks[0].nrows(), r);
-        let mut y = self.pipeline().input(y0);
+        let mut held = hold.map(|i| self.held[i].borrow_mut());
+        let mut y = match held.as_deref_mut() {
+            Some(store) => self.pipeline().held_input(y0, store),
+            None => self.pipeline().input(y0),
+        };
         for t in 0..self.q() {
             let w = self.slot(t);
             let blk = &blocks[w];
@@ -407,8 +432,8 @@ impl DistKernel for DenseShift15 {
 
     /// Returned as this rank's `A`-shaped block row.
     fn spmm_a(&mut self, use_r: bool) -> Mat {
-        let t_buf =
-            self.spmm_out_round(&self.r.csr_valued(use_r), &self.b_loc, self.route.as_ref());
+        let blocks = self.r.csr_valued(use_r);
+        let t_buf = self.spmm_out_round(&blocks, &self.b_loc, self.route.as_ref(), None);
         self.reduce_to_block(self.view.dims().m, &t_buf)
     }
 
@@ -432,7 +457,7 @@ impl DistKernel for DenseShift15 {
                 let r_blocks = Self::sampled_blocks(s, acc, sampling);
                 // SpMMA: fresh zero accumulator, shift B again,
                 // reduce-scatter.
-                let t_out = self.spmm_out_round(&r_blocks, &self.b_loc, route);
+                let t_out = self.spmm_out_round(&r_blocks, &self.b_loc, route, None);
                 self.reduce_to_block(self.view.dims().m, &t_out)
             }
             Elision::LocalKernelFusion => {
@@ -492,8 +517,30 @@ impl DistKernel for DenseShift15 {
     }
 
     fn spmm_a_with(&self, y: &Mat) -> Mat {
-        let t_buf = self.spmm_out_round(&self.r.csr_valued(true), y, self.route.as_ref());
+        let t_buf = self.spmm_out_round(&self.r.csr_valued(true), y, self.route.as_ref(), None);
         self.reduce_to_block(self.view.dims().m, &t_buf)
+    }
+
+    /// [`DistKernel::spmm_a`]'s `S·B` round; on dense routing it keeps
+    /// `B`'s ring tiles, so every iterate call of the solve replays them.
+    fn rhs_a(&mut self, _comm: &Comm) -> Mat {
+        let hold = self.route.is_none().then_some(0);
+        let s = self.r.csr_blocks();
+        let t_buf = self.spmm_out_round(s, &self.b_loc, self.route.as_ref(), hold);
+        self.reduce_to_block(self.view.dims().m, &t_buf)
+    }
+
+    /// `Sᵀ·A` on dense routing by the transposed data flow of the fused
+    /// FusedMMB round: stationary `Sᵀ` blocks, `A` traveling as an input
+    /// lane whose ring tiles the solve's iterate calls replay, then one
+    /// reduce-scatter of the `n`-side macro row. Routed need sets are
+    /// `S`'s column supports, so pattern routing keeps the SpMMB round.
+    fn rhs_b(&mut self, _comm: &Comm) -> Mat {
+        if self.route.is_some() {
+            return self.spmm_b(false);
+        }
+        let t_buf = self.spmm_out_round(&self.st_blocks, &self.a_loc, None, Some(1));
+        self.reduce_to_block(self.view.dims().n, &t_buf)
     }
 
     fn a_iterate(&self) -> Mat {
@@ -521,8 +568,9 @@ impl DistKernel for DenseShift15 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::ShiftMode;
+    use crate::common::{Routing, ShiftMode};
     use crate::global::GlobalProblem;
+    use crate::kernel::KernelBuilder;
     use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, SimWorld};
     use dsk_dense::ops::max_abs_diff;
@@ -688,6 +736,34 @@ mod tests {
         )
     }
 
+    /// The propagation messages and words this rank sent while `f` ran,
+    /// beside its result.
+    fn propagation_sent<T>(comm: &Comm, f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+        let prop = || *comm.stats_snapshot().phase(Phase::Propagation);
+        let before = prop();
+        let got = f();
+        let after = prop();
+        let sent = (
+            after.msgs_sent - before.msgs_sent,
+            after.words_sent - before.words_sent,
+        );
+        (got, sent)
+    }
+
+    /// One local-kernel-fusion FusedMMA (`fused_a`) or FusedMMB call.
+    fn lkf_call(w: &mut DistWorker, fused_a: bool, x: Option<&Mat>) -> Mat {
+        let (lkf, vals) = (Elision::LocalKernelFusion, Sampling::Values);
+        match fused_a {
+            true => w.fused_mm_a(x, lkf, vals),
+            false => w.fused_mm_b(x, lkf, vals),
+        }
+    }
+
+    fn same_bits(x: &Mat, y: &Mat) -> bool {
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        bits(x) == bits(y)
+    }
+
     /// Iterate fused rounds hold the stored operand's ring tiles, on
     /// one- and multi-hop rings under both shift modes, FusedMMA
     /// (holding `B`) and FusedMMB (holding `A`):
@@ -730,22 +806,8 @@ mod tests {
         let hops = (p / c - 1) as u64;
         let out = SimWorld::new(p, MachineModel::bandwidth_only()).run(move |comm| {
             let _g = ShiftMode::scoped(mode);
-            // One LKF call: its output and the propagation messages and
-            // words it sent.
             let call = |w: &mut DistWorker, x: Option<&Mat>| {
-                let prop = || *comm.stats_snapshot().phase(Phase::Propagation);
-                let before = prop();
-                let (lkf, vals) = (Elision::LocalKernelFusion, Sampling::Values);
-                let got = match fused_a {
-                    true => w.fused_mm_a(x, lkf, vals),
-                    false => w.fused_mm_b(x, lkf, vals),
-                };
-                let after = prop();
-                let sent = (
-                    after.msgs_sent - before.msgs_sent,
-                    after.words_sent - before.words_sent,
-                );
-                (got, sent)
+                propagation_sent(comm, || lkf_call(w, fused_a, x))
             };
             let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
             let (iterate, other) = match fused_a {
@@ -757,11 +819,7 @@ mod tests {
             let (replayed, sent_replayed) = call(&mut worker, Some(&second));
             let mut fresh = DistWorker::from_global(comm, FAMILY, c, &prob);
             let (single, _) = call(&mut fresh, Some(&second));
-            let same_bits = replayed
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .eq(single.as_slice().iter().map(|v| v.to_bits()));
+            let same_bits = same_bits(&replayed, &single);
 
             let new_fixed = mapped(&other, fixed);
             match fused_a {
@@ -802,6 +860,92 @@ mod tests {
             max_abs_diff(got, &expect) < 1e-9,
             "{case}: stale tiles after set_*"
         );
+    }
+
+    /// The ALS right-hand-side rounds fill the stores the iterate calls
+    /// replay, on one- and multi-hop rings under both shift modes, for
+    /// `rhs_a` (holding `B`) and `rhs_b` (holding `A`):
+    /// (a) dense-routed, `rhs_*` ships `q − 1` hops and matches the
+    ///     serial SpMM; the next iterate call sends nothing and returns a
+    ///     fresh worker's bits;
+    /// (b) pattern-routed, no store is filled: `rhs_b` keeps its `q`-hop
+    ///     accumulator round, and the next iterate call ships `q − 1`
+    ///     hops.
+    #[test]
+    fn rhs_rounds_fill_the_stores_the_iterate_calls_replay() {
+        for (p, c) in [(4, 1), (4, 2), (6, 3)] {
+            for mode in [ShiftMode::Pipelined, ShiftMode::Blocking] {
+                for side_a in [true, false] {
+                    check_rhs_fills_store(p, c, mode, side_a);
+                }
+            }
+        }
+    }
+
+    fn check_rhs_fills_store(p: usize, c: usize, mode: ShiftMode, side_a: bool) {
+        let (m, n, r) = (19, 23, 3);
+        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 37));
+        let (expect, rows) = match side_a {
+            true => (prob.reference_spmm_a(), m),
+            false => (prob.reference_spmm_b(), n),
+        };
+        let view = view(&prob, p, c);
+        let layout = move |g| match side_a {
+            true => view.a_layout_of(g),
+            false => view.b_layout_of(g),
+        };
+        let out = SimWorld::new(p, MachineModel::bandwidth_only()).run(move |comm| {
+            let _g = ShiftMode::scoped(mode);
+            let run = |routing: Routing| {
+                let build = || {
+                    let builder = KernelBuilder::new(&prob).family(FAMILY).replication(c);
+                    builder.routing(routing).build(comm)
+                };
+                let mut worker = build();
+                let (rhs, rhs_sent) = propagation_sent(comm, || match side_a {
+                    true => worker.rhs_a(comm),
+                    false => worker.rhs_b(comm),
+                });
+                let iterate = match side_a {
+                    true => worker.a_iterate(),
+                    false => worker.b_iterate(),
+                };
+                let x = mapped(&iterate, |v| 0.5 * v - 1.0);
+                let (next, next_sent) =
+                    propagation_sent(comm, || lkf_call(&mut worker, side_a, Some(&x)));
+                let single = lkf_call(&mut build(), side_a, Some(&x));
+                let gathered = crate::layout::gather_dense(comm, 0, &rhs, layout, rows, r);
+                (rhs_sent.0, next_sent, same_bits(&next, &single), gathered)
+            };
+            (run(Routing::Dense), run(Routing::Pattern))
+        });
+        let q = (p / c) as u64;
+        let (dense, pattern): (Vec<_>, Vec<_>) = out.into_iter().map(|o| o.value).unzip();
+        let expected = [
+            (Routing::Dense, dense, q - 1, Some((0, 0))),
+            (
+                Routing::Pattern,
+                pattern,
+                if side_a { q - 1 } else { q },
+                None,
+            ),
+        ];
+        for (routing, runs, rhs_hops, next_sent) in expected {
+            let case = format!("p={p} c={c} {mode:?} side_a={side_a} {routing:?}");
+            for (sent, next, same, _) in &runs {
+                assert_eq!(*sent, rhs_hops, "{case}: rhs propagation messages");
+                match next_sent {
+                    Some(nothing) => assert_eq!(*next, nothing, "{case}: replayed call"),
+                    None => assert_eq!(next.0, q - 1, "{case}: no store was filled"),
+                }
+                assert!(
+                    same,
+                    "{case}: the next call must give a fresh worker's bits"
+                );
+            }
+            let got = runs[0].3.as_ref().unwrap();
+            assert!(max_abs_diff(got, &expect) < 1e-9, "{case}: rhs mismatch");
+        }
     }
 
     #[test]

@@ -271,15 +271,21 @@ pub trait DistKernel: Send {
     }
 
     /// ALS right-hand side for the `A` phase — `S·B` with the sampling
-    /// values — delivered in the `A`-iterate layout. The default is the
-    /// SpMMA output as is; a kernel whose SpMMA lands elsewhere (2.5D
-    /// dense replication) overrides it and pays the distribution shift.
+    /// values — delivered in the `A`-iterate layout, and the start of a
+    /// solve against the stored `B`. The default is the SpMMA output as
+    /// is. A kernel whose SpMMA lands elsewhere (2.5D dense replication)
+    /// overrides it and pays the distribution shift; the 1.5D dense
+    /// shift overrides it to keep `B`'s ring tiles, which the solve's
+    /// iterate [`DistKernel::fused_mm_a`] calls replay until `set_b`.
     fn rhs_a(&mut self, _comm: &Comm) -> Mat {
         self.spmm_a(false)
     }
 
     /// ALS right-hand side for the `B` phase — `Sᵀ·A` — in the
-    /// `B`-iterate layout (every kernel's SpMMB lands there).
+    /// `B`-iterate layout (every kernel's SpMMB lands there). The 1.5D
+    /// dense shift overrides it, the dual of [`DistKernel::rhs_a`]: `A`
+    /// travels the ring once and its tiles are kept for the solve's
+    /// iterate [`DistKernel::fused_mm_b`] calls until `set_a`.
     fn rhs_b(&mut self, _comm: &Comm) -> Mat {
         self.spmm_b(false)
     }

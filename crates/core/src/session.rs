@@ -554,10 +554,11 @@ impl Session {
     ///
     /// An iterate call (`Some(x)`) is a step inside a solve against the
     /// stored `B`: it never replans. On the 1.5D dense shift with local
-    /// kernel fusion it also keeps the ring tiles of `B` it receives, and
-    /// later iterate calls replay them instead of shifting `B` again.
-    /// They are held until [`Session::commit_b`] or the next transition,
-    /// at `(q − 1)·⌈n/p⌉·r` words per rank (`q = p/c`, the ring length).
+    /// kernel fusion it replays the ring tiles of `B` that
+    /// [`Session::rhs_a`] (or the first iterate call, without one) kept,
+    /// instead of shifting `B` again. They are held until
+    /// [`Session::commit_b`] or the next transition, at
+    /// `(q − 1)·⌈n/p⌉·r` words per rank (`q = p/c`, the ring length).
     pub fn fused_mm_a(&mut self, x: Option<&Mat>, sampling: Sampling) -> Mat {
         self.calls += 1;
         if x.is_none() {
@@ -569,9 +570,9 @@ impl Session {
 
     /// FusedMMB with the session's elision; counts one call. Same
     /// automatic-replan hook as [`Session::fused_mm_a`], and the dual
-    /// hold: an iterate call keeps the ring tiles of the stored `A` until
-    /// [`Session::commit_a`] or the next transition, at
-    /// `(q − 1)·⌈m/p⌉·r` words per rank.
+    /// hold: an iterate call replays the ring tiles of the stored `A`
+    /// that [`Session::rhs_b`] kept, until [`Session::commit_a`] or the
+    /// next transition, at `(q − 1)·⌈m/p⌉·r` words per rank.
     pub fn fused_mm_b(&mut self, y: Option<&Mat>, sampling: Sampling) -> Mat {
         self.calls += 1;
         if y.is_none() {
@@ -604,13 +605,18 @@ impl Session {
     }
 
     /// ALS right-hand side for the `A` phase, in the `A`-iterate
-    /// layout.
+    /// layout. On the dense-routed 1.5D dense shift this is the one
+    /// round of the solve that shifts `B`: it keeps `B`'s ring tiles for
+    /// the iterate [`Session::fused_mm_a`] calls, whatever the session's
+    /// elision (only local kernel fusion replays them).
     pub fn rhs_a(&mut self) -> Mat {
         let (w, comm) = self.w_mut_with_comm();
         w.rhs_a(comm)
     }
 
-    /// ALS right-hand side for the `B` phase.
+    /// ALS right-hand side for the `B` phase, in the `B`-iterate
+    /// layout: the dual of [`Session::rhs_a`], keeping `A`'s ring tiles
+    /// for the iterate [`Session::fused_mm_b`] calls.
     pub fn rhs_b(&mut self) -> Mat {
         let (w, comm) = self.w_mut_with_comm();
         w.rhs_b(comm)

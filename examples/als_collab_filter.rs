@@ -3,10 +3,12 @@
 //!
 //! A planted rank-r factorization generates ratings; we observe a few
 //! entries per user, then run ALS (batched CG, one FusedMM per
-//! iteration, the fixed factor shifted once per solve where the family
-//! allows) on a simulated 16-rank machine. Exits nonzero unless the loss
-//! drops on every family; prints each family's propagation words per
-//! sweep.
+//! iteration) on a simulated 16-rank machine. On the 1.5D dense shift
+//! each factor crosses its ring once per sweep: the right-hand-side
+//! round ships the fixed factor and every FusedMM of the solve replays
+//! its tiles. Exits nonzero unless the loss drops on every family and
+//! the 1.5D dense shift's propagation words per sweep are exactly
+//! `2·(q − 1)·⌈n/p⌉·r`; prints each family's.
 //!
 //! ```text
 //! cargo run --release --example als_collab_filter
@@ -24,6 +26,8 @@ use distributed_sparse_kernels::sparse::gen;
 
 /// ALS sweeps per family.
 const SWEEPS: usize = 2;
+/// Simulated ranks.
+const RANKS: usize = 16;
 
 fn main() {
     // Plant a rank-8 "taste" model: 2048 users × 2048 items.
@@ -56,7 +60,7 @@ fn main() {
         (AlgorithmFamily::SparseShift15, Elision::ReplicationReuse, 4),
     ] {
         let staged = Arc::new(StagedProblem::new(Arc::clone(&prob)));
-        let world = SimWorld::new(16, MachineModel::cori_knl());
+        let world = SimWorld::new(RANKS, MachineModel::cori_knl());
         let outcomes = world.run(move |comm| {
             let mut engine = AppEngine::new(
                 Session::builder_staged(Arc::clone(&staged))
@@ -95,6 +99,15 @@ fn main() {
             "{family:?}: ALS did not reduce the loss ({initial:e} → {last:e})"
         );
         println!("  propagation words per sweep (busiest rank): {words_per_sweep}");
+        if family == AlgorithmFamily::DenseShift15 {
+            // users == items, so both factors' ring tiles are the same size.
+            let q = RANKS / c;
+            let once = 2 * (q - 1) * items.div_ceil(RANKS) * rank;
+            assert_eq!(
+                words_per_sweep, once as u64,
+                "{family:?}: a factor moved around the ring more than once per sweep"
+            );
+        }
         println!(
             "  CG residuals per phase: {:?}",
             residuals

@@ -8,9 +8,20 @@
 //! compares `to_bits()` of every result norm, the stored-R pipeline, the
 //! squared loss, and the per-phase `msgs_sent` / `words_sent` /
 //! `modeled_s` against constants captured from the commit before the
-//! family-layer refactor, except that the Propagation rows count
-//! `q − 1` hops per input-lane round. All of these are backend-invariant,
-//! so the suite runs unchanged under every `DSK_COMM_BACKEND`.
+//! family-layer refactor, with two deliberate accounting moves:
+//!
+//! * the Propagation rows count `q − 1` hops per input-lane round;
+//! * the 1.5D dense shift's dense-routed `rhs_b` runs `Sᵀ·A` as an
+//!   input-lane round with `A` traveling (so it can keep `A`'s ring
+//!   tiles for an ALS solve), not as an all-gather of `A` plus a `q`-hop
+//!   accumulator round. Its replication ships `B`-shaped rows (`n = 29`)
+//!   in a reduce-scatter instead of `A`-shaped ones (`m = 27`) in an
+//!   all-gather, and each rank sends one propagation hop less, of
+//!   `A`-shaped tiles. Only `DS15_DENSE`'s replication words and
+//!   Propagation rows moved; `rhs_b`'s bits did not.
+//!
+//! All of these are backend-invariant, so the suite runs unchanged under
+//! every `DSK_COMM_BACKEND`.
 //!
 //! When a change moves a number *on purpose*, the failure message prints
 //! the whole table of the failing configuration in source form.
@@ -223,7 +234,8 @@ golden! {
 
 // ---------------------------------------------------------------------
 // Golden tables, captured at commit a866392; Propagation rows count
-// q − 1 hops per input-lane round.
+// q − 1 hops per input-lane round, and DS15_DENSE's accounting counts
+// rhs_b's input-lane round (see the module doc).
 // ---------------------------------------------------------------------
 
 const DS15_DENSE: &[(&str, u64)] = &[
@@ -245,11 +257,11 @@ const DS15_DENSE: &[(&str, u64)] = &[
     ("export/sddmm", 0x2c1dbeb45a3d4517),
     ("export/dots", 0x498b8d2501581508),
     ("replication/msgs", 0x00000000000000a8),
-    ("replication/words", 0x0000000000000fc7),
-    ("replication/modeled_s", 0x3f36628cb9fa9eaa),
-    ("propagation/msgs", 0x00000000000001f0),
-    ("propagation/words", 0x0000000000003074),
-    ("propagation/modeled_s", 0x3f508ac95287f7d8),
+    ("replication/words", 0x0000000000000fd5),
+    ("replication/modeled_s", 0x3f3662dcb2e2afa6),
+    ("propagation/msgs", 0x00000000000001e8),
+    ("propagation/words", 0x0000000000002f7f),
+    ("propagation/modeled_s", 0x3f50463b94d3d193),
     ("computation/msgs", 0x0000000000000000),
     ("computation/words", 0x0000000000000000),
     ("computation/modeled_s", 0x3ea219ed15df66b5),
