@@ -298,14 +298,6 @@ impl CommPattern {
         CommPattern { needs }
     }
 
-    /// Assemble from already-known rows (plan-time scoring, where the
-    /// full `S` structure is on hand and no communicator exists yet).
-    pub fn from_rows(needs: Vec<Vec<RowSet>>) -> Self {
-        let q = needs.len();
-        assert!(needs.iter().all(|n| n.len() == q), "need matrix not square");
-        CommPattern { needs }
-    }
-
     /// Ring size.
     pub fn size(&self) -> usize {
         self.needs.len()
@@ -422,7 +414,7 @@ mod tests {
             vec![RowSet::from_indices(vec![0]), RowSet::from_indices(vec![1])],
             vec![RowSet::from_indices(vec![2]), RowSet::empty()],
         ];
-        let p = CommPattern::from_rows(needs);
+        let p = CommPattern { needs };
         assert_eq!(p.size(), 2);
         assert_eq!(p.union_over([0, 1], 0).indices(), &[0, 2]);
         assert_eq!(p.union_over([1], 1).indices(), &[] as &[u32]);

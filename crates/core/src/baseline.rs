@@ -306,12 +306,6 @@ impl Baseline1D {
     fn s_remapped(&self) -> &CsrMatrix {
         &self.r.csr_blocks()[0]
     }
-
-    fn sample(vals: &mut [f64], sampling_vals: &[f64], sampling: Sampling) {
-        if let Sampling::Values = sampling {
-            kern::apply_sampling(vals, sampling_vals);
-        }
-    }
 }
 
 impl DistKernel for Baseline1D {
@@ -329,7 +323,7 @@ impl DistKernel for Baseline1D {
 
     fn sddmm(&mut self) {
         let mut vals = self.dots_a(&self.a_loc, &CombineSpec::Dot);
-        Self::sample(&mut vals, self.s_remapped().vals(), Sampling::Values);
+        Sampling::Values.apply(&mut vals, self.s_remapped().vals());
         self.r.set(vec![vals]);
     }
 
@@ -362,7 +356,7 @@ impl DistKernel for Baseline1D {
         );
         let s = self.s_remapped();
         let mut vals = self.dots_a(x.unwrap_or(&self.a_loc), &CombineSpec::Dot);
-        Self::sample(&mut vals, s.vals(), sampling);
+        sampling.apply(&mut vals, s.vals());
         // Back-to-back second kernel: pays the scatter again.
         self.spmm_a_of(&s.with_vals(vals), &self.b_loc)
     }
@@ -378,7 +372,7 @@ impl DistKernel for Baseline1D {
         let st = &self.st_remapped;
         let y = y.unwrap_or(&self.b_loc);
         let mut vals = self.dots_plan(&self.plan_b, st, y, &self.a_loc, m, &CombineSpec::Dot);
-        Self::sample(&mut vals, st.vals(), sampling);
+        sampling.apply(&mut vals, st.vals());
         // Second kernel, fresh scatter: out = Rᵀ·A in B block rows.
         self.spmm_plan(&self.plan_b, &st.with_vals(vals), &self.a_loc, m)
     }

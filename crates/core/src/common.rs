@@ -249,6 +249,20 @@ pub fn reduce_rows(fiber: &Comm, t_buf: &Mat, rows_of: impl Fn(usize) -> Range<u
     Mat::from_vec(rows_of(fiber.rank()).len(), w, mine)
 }
 
+/// The one way a family's need sets are exchanged: under
+/// [`Routing::Pattern`], all-gather this rank's row `needs()` —
+/// `needs()[origin]` the rows of the tile from ring position `origin`
+/// it touches — over `ring`, charged to [`Phase::PatternExchange`];
+/// the resulting [`CommPattern`] serves every later shift or
+/// all-gather. Under [`Routing::Dense`] nothing is derived or sent.
+pub fn route(
+    ring: &Comm,
+    routing: Routing,
+    needs: impl FnOnce() -> Vec<RowSet>,
+) -> Option<CommPattern> {
+    (routing == Routing::Pattern).then(|| CommPattern::exchange(ring, needs()))
+}
+
 // ---------------------------------------------------------------------
 // The ring step
 // ---------------------------------------------------------------------

@@ -32,13 +32,14 @@ use dsk_kernels as kern;
 use dsk_sparse::CooMatrix;
 
 use crate::common::{
-    block_range, reduce_rows, replicate_rows, AlgorithmFamily, Elision, Sampling, ShiftPipeline,
+    block_range, reduce_rows, replicate_rows, route, AlgorithmFamily, Elision, Routing, Sampling,
+    ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::layout::repartition_dense;
 use crate::planview::{Operand, PlanView};
 use crate::rstore::RStore;
-use crate::staged::{PlanPatterns, StagedProblem};
+use crate::staged::StagedProblem;
 
 /// Tag for traveling sparse blocks (row-ring).
 const TAG_SPARSE: u32 = 120;
@@ -58,16 +59,17 @@ struct Oriented {
     /// Total columns of the oriented sparse matrix (rows of the
     /// traveling dense matrix) — needed to size incoming blocks.
     cols_tot: usize,
+    /// Column-ring pattern for this orientation's panel shifts (`None`
+    /// = dense shifts).
+    route: Option<CommPattern>,
 }
 
-/// An orientation together with the sparse block that travels in it
-/// and the column-ring pattern routing its panel shifts.
+/// An orientation together with the sparse block that travels in it.
 struct Side<'a> {
     /// Home (pre-skewed) sparse block: rows local to macro row `u`,
     /// columns local to its column block; values = sampling values.
     home: &'a CooMatrix,
     o: &'a Oriented,
-    route: Option<&'a CommPattern>,
 }
 
 /// Per-rank state of the 2.5D dense-replicating algorithm.
@@ -83,30 +85,31 @@ pub struct DenseRepl25 {
     canon: Oriented,
     /// Transposed orientation (replicate `B`, travel `Sᵀ` and `A`).
     trans: Oriented,
-    /// Column-ring pattern for canonical-orientation panel shifts
-    /// (`None` = dense shifts, the default).
-    route_canon: Option<CommPattern>,
-    /// Column-ring pattern for transposed-orientation panel shifts.
-    route_trans: Option<CommPattern>,
     /// Tuned local-kernel variants (all-naive until the builder tunes;
     /// COO blocks only admit the serial naive/blocked pair).
     pub(crate) local: kern::LocalPicks,
 }
 
 impl DenseRepl25 {
-    /// Build this rank's state from shared staging (no communication,
-    /// statistics unaffected).
-    pub fn from_staged(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
+    /// Build this rank's state from shared staging. Under
+    /// [`Routing::Dense`] this sends nothing; under
+    /// [`Routing::Pattern`] each orientation, canonical first, exchanges
+    /// this rank's need sets over the column ring: the ring's panel with
+    /// `σ`-index `jq` is read (or written) by member `u` at exactly the
+    /// column support of `u`'s sparse block `jq·c + w`, whatever the
+    /// member's own `v`.
+    pub fn from_staged(comm: &Comm, c: usize, routing: Routing, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
         let grid = Grid25::new(comm.size(), c).expect("invalid 2.5D grid");
         let gc = GridComms25::build(comm, grid);
         let (m, n) = (prob.dims.m, prob.dims.n);
         let q = grid.q;
         assert!(m >= q * c && n >= q * c, "matrix sides too small for grid");
-        let (s_home, offset, canon) =
-            Self::orient(&gc, staged, false, &prob.a, &prob.b, m, n, prob.dims.r);
-        let (st_home, _, trans) =
-            Self::orient(&gc, staged, true, &prob.b, &prob.a, n, m, prob.dims.r);
+        let orient = |transposed, x, y, rows_tot, cols_tot| {
+            Self::orient(&gc, staged, routing, transposed, x, y, rows_tot, cols_tot)
+        };
+        let (s_home, offset, canon) = orient(false, &prob.a, &prob.b, m, n);
+        let (st_home, _, trans) = orient(true, &prob.b, &prob.a, n, m);
         let id = KernelId::Family(AlgorithmFamily::DenseRepl25);
         DenseRepl25 {
             view: PlanView::of(id, c, comm.size(), prob.dims),
@@ -115,69 +118,24 @@ impl DenseRepl25 {
             st_home,
             canon,
             trans,
-            route_canon: None,
-            route_trans: None,
             local: kern::LocalPicks::default(),
         }
     }
 
-    /// The need sets a pattern-routed plan requires, derived world-free
-    /// from the staged `S` partition. A column ring's traveling panel
-    /// with `σ`-index `jq` is read (or written) by ring member `u` at
-    /// exactly the column support of `u`'s sparse block `jq·c + w` —
-    /// independent of the member's own `v`. `primary[g][jq]` is that
-    /// support for the canonical orientation (panels over `n`),
-    /// `secondary` for the transposed one (panels over `m`).
-    pub fn derive_needs(staged: &StagedProblem, p: usize, c: usize) -> PlanPatterns {
-        let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
-        let q = grid.q;
-        let (m, n) = (staged.prob.dims.m, staged.prob.dims.n);
-        let needs_for = |transposed: bool, rows_tot: usize, cols_tot: usize| -> Vec<Vec<RowSet>> {
-            let macro_rows: Vec<_> = (0..q).map(|uu| block_range(rows_tot, q, uu)).collect();
-            let col_blocks: Vec<_> = (0..q * c)
-                .map(|j| block_range(cols_tot, q * c, j))
-                .collect();
-            let grid_s = staged.partition(transposed, &macro_rows, &col_blocks);
-            (0..p)
-                .map(|g| {
-                    let (u, w) = (grid.row_pos(g), grid.fiber_pos(g));
-                    (0..q)
-                        .map(|jq| {
-                            let blk = &grid_s[u][jq * c + w];
-                            RowSet::from_indices(blk.iter().map(|(_, j, _)| j as u32).collect())
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        PlanPatterns {
-            primary: needs_for(false, m, n),
-            secondary: Some(needs_for(true, n, m)),
-        }
-    }
-
-    /// Switch panel propagation to pattern routing: exchange this rank's
-    /// need sets over its column ring (charged to
-    /// `Phase::PatternExchange`) and keep the patterns for every later
-    /// shift.
-    pub fn enable_pattern_routing(&mut self, g: usize, pats: &PlanPatterns) {
-        let (canon, trans) = pats.exchange_for(g, &self.gc.col_ring, Some(&self.gc.col_ring));
-        (self.route_canon, self.route_trans) = (Some(canon), trans);
-    }
-
     /// Build one orientation: `s: rows_tot × cols_tot`, `x: rows_tot × r`
     /// replicated, `y: cols_tot × r` traveling. Returns the home sparse
-    /// block, its global `(row, col)` offset, and the dense side.
+    /// block, its global `(row, col)` offset, and the dense side (with
+    /// its column-ring pattern when routed).
     #[allow(clippy::too_many_arguments)]
     fn orient(
         gc: &GridComms25,
         staged: &StagedProblem,
+        routing: Routing,
         transposed: bool,
         x: &Mat,
         y: &Mat,
         rows_tot: usize,
         cols_tot: usize,
-        r: usize,
     ) -> (CooMatrix, (usize, usize), Oriented) {
         let (q, c) = (gc.grid.q, gc.grid.c);
         let (u, v, w) = (gc.u, gc.v, gc.w);
@@ -189,8 +147,13 @@ impl DenseRepl25 {
             .collect();
         let grid_s = staged.partition(transposed, &macro_rows, &col_blocks);
         let s_home = grid_s[u][sigma0 * c + w].clone();
+        let route = route(&gc.col_ring, routing, || {
+            (0..q)
+                .map(|jq| RowSet::from_indices(grid_s[u][jq * c + w].cols.clone()))
+                .collect()
+        });
 
-        let slice = block_range(r, q, v);
+        let slice = block_range(x.ncols(), q, v);
         let y_home = y.block(col_blocks[sigma0 * c + w].clone(), slice.clone());
 
         // Fiber sub-block of the replicated matrix: the w-th c-way split
@@ -204,6 +167,7 @@ impl DenseRepl25 {
             x_fiber,
             macro_rows: mac.len(),
             cols_tot,
+            route,
         };
         (s_home, offset, dense)
     }
@@ -213,7 +177,6 @@ impl DenseRepl25 {
         Side {
             home: self.r.coo_block(),
             o: &self.canon,
-            route: self.route_canon.as_ref(),
         }
     }
 
@@ -222,7 +185,6 @@ impl DenseRepl25 {
         Side {
             home: &self.st_home,
             o: &self.trans,
-            route: self.route_trans.as_ref(),
         }
     }
 
@@ -330,7 +292,7 @@ impl DenseRepl25 {
     /// step, `home` the valued home block) — the SpMMA data flow; caller
     /// reduce-scatters.
     fn spmm_out_round(&self, side: &Side<'_>, home: &CooMatrix, y0: &Mat) -> Mat {
-        let (o, route) = (side.o, side.route);
+        let (o, route) = (side.o, side.o.route.as_ref());
         let width = y0.ncols();
         let mut t_out = Mat::zeros(o.macro_rows, width);
         let mut blk = self.sparse_pipeline().input(home);
@@ -393,7 +355,7 @@ impl DenseRepl25 {
     fn fused(&self, side: &Side<'_>, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
         let o = side.o;
         let route = match elision {
-            Elision::None => side.route,
+            Elision::None => o.route.as_ref(),
             Elision::ReplicationReuse => None,
             Elision::LocalKernelFusion => panic!(
                 "local kernel fusion requires co-located full rows; \
@@ -416,7 +378,8 @@ impl DenseRepl25 {
     fn dots(&self, combine: &CombineSpec) -> Vec<f64> {
         let side = self.canon_side();
         let t_buf = replicate_rows(&self.gc.fiber, &side.o.x_fiber, side.o.macro_rows, None);
-        self.dots_round(&side, &t_buf, &side.o.y_home, combine, side.route)
+        let route = side.o.route.as_ref();
+        self.dots_round(&side, &t_buf, &side.o.y_home, combine, route)
     }
 
     /// An iterate's fiber-layout share: the distribution shift from the
@@ -471,7 +434,8 @@ impl DistKernel for DenseRepl25 {
     fn spmm_b(&mut self, use_r: bool) -> Mat {
         let side = self.canon_side();
         let t_buf = replicate_rows(&self.gc.fiber, &side.o.x_fiber, side.o.macro_rows, None);
-        self.spmm_shift_acc_round(side.o, &self.r.traveler(use_r), &t_buf, side.route)
+        let route = side.o.route.as_ref();
+        self.spmm_shift_acc_round(side.o, &self.r.traveler(use_r), &t_buf, route)
     }
 
     fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {

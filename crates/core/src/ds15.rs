@@ -43,13 +43,13 @@ use dsk_kernels as kern;
 use dsk_sparse::CsrMatrix;
 
 use crate::common::{
-    block_range, reduce_rows, replicate_rows, union_range, AlgorithmFamily, Elision, Sampling,
-    ShiftPipeline,
+    block_range, reduce_rows, replicate_rows, route, union_range, AlgorithmFamily, Elision,
+    Routing, Sampling, ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::planview::PlanView;
 use crate::rstore::RStore;
-use crate::staged::{PlanPatterns, StagedProblem};
+use crate::staged::StagedProblem;
 
 /// Tag used for dense block shifts within a layer.
 const TAG_SHIFT: u32 = 100;
@@ -89,9 +89,14 @@ pub struct DenseShift15 {
 }
 
 impl DenseShift15 {
-    /// Build this rank's state from shared staging (no communication,
-    /// statistics unaffected).
-    pub fn from_staged(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
+    /// Build this rank's state from shared staging. Under
+    /// [`Routing::Dense`] this sends nothing; under
+    /// [`Routing::Pattern`] it exchanges this rank's need sets over the
+    /// layer ring: for the tile from ring position `o`, the column
+    /// support of the stationary block paired with it — exactly the
+    /// rows of that tile this rank reads (inputs) or writes
+    /// (circulating accumulators).
+    pub fn from_staged(comm: &Comm, c: usize, routing: Routing, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
         let grid = Grid15::new(comm.size(), c).expect("invalid 1.5D grid");
         let gc = GridComms15::build(comm, grid);
@@ -113,6 +118,11 @@ impl DenseShift15 {
         let offsets = (0..q)
             .map(|w| (macro_rows[u].start, col_blocks[w * c + v].start))
             .collect();
+        let route = route(&gc.layer, routing, || {
+            (0..q)
+                .map(|o| RowSet::from_indices(grid_s[u][o * c + v].cols.clone()))
+                .collect()
+        });
 
         let macro_rows_t: Vec<_> = (0..q).map(|uu| union_range(n, p, uu * c, c)).collect();
         let col_blocks_t: Vec<_> = (0..p).map(|j| block_range(m, p, j)).collect();
@@ -131,47 +141,11 @@ impl DenseShift15 {
             st_blocks,
             a_loc,
             b_loc,
-            route: None,
+            route,
             local: kern::LocalPicks::default(),
             ones: Default::default(),
             held: Default::default(),
         }
-    }
-
-    /// The need sets a pattern-routed plan requires, derived world-free
-    /// from the staged `S` partition: `primary[g][o]` is the column
-    /// support of rank `g`'s stationary block paired with the tile
-    /// originating at ring position `o` — exactly the rows of that tile
-    /// rank `g` reads (inputs) or writes (circulating accumulators).
-    pub fn derive_needs(staged: &StagedProblem, p: usize, c: usize) -> PlanPatterns {
-        let grid = Grid15::new(p, c).expect("invalid 1.5D grid");
-        let q = grid.layer_size();
-        let (m, n) = (staged.prob.dims.m, staged.prob.dims.n);
-        let macro_rows: Vec<_> = (0..q).map(|uu| union_range(m, p, uu * c, c)).collect();
-        let col_blocks: Vec<_> = (0..p).map(|j| block_range(n, p, j)).collect();
-        let grid_s = staged.partition(false, &macro_rows, &col_blocks);
-        let primary = (0..p)
-            .map(|g| {
-                let (u, v) = (grid.layer_pos(g), grid.fiber_pos(g));
-                (0..q)
-                    .map(|o| {
-                        let blk = &grid_s[u][o * c + v];
-                        RowSet::from_indices(blk.iter().map(|(_, j, _)| j as u32).collect())
-                    })
-                    .collect()
-            })
-            .collect();
-        PlanPatterns {
-            primary,
-            secondary: None,
-        }
-    }
-
-    /// Switch propagation to pattern routing: exchange this rank's need
-    /// sets over the layer ring (charged to `Phase::PatternExchange`)
-    /// and keep the resulting [`CommPattern`] for every later shift.
-    pub fn enable_pattern_routing(&mut self, g: usize, pats: &PlanPatterns) {
-        self.route = Some(pats.exchange_for(g, &self.gc.layer, None).0);
     }
 
     fn q(&self) -> usize {
@@ -568,7 +542,7 @@ impl DistKernel for DenseShift15 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{Routing, ShiftMode};
+    use crate::common::ShiftMode;
     use crate::global::GlobalProblem;
     use crate::kernel::KernelBuilder;
     use crate::worker::DistWorker;

@@ -893,11 +893,9 @@ impl<'a> KernelBuilder<'a> {
 
     /// Build this rank's worker for an already-resolved plan.
     ///
-    /// A pattern-routed plan fetches the world-free need sets from the
-    /// staging's [`StagedProblem::plan_patterns`] cache (computed once
-    /// per `(family, p, c)` and shared by every worker built from the
-    /// same staging) and then lets the kernel all-gather them over its
-    /// rings — real traffic, charged to `Phase::PatternExchange`.
+    /// A pattern-routed family derives this rank's need sets from the
+    /// blocks it cuts and all-gathers them over its rings while it
+    /// builds — real traffic, charged to `Phase::PatternExchange`.
     pub fn build_planned(&self, comm: &Comm, plan: &KernelPlan) -> DistWorker {
         let staged = self.staged();
         macro_rules! tuned {
@@ -907,30 +905,16 @@ impl<'a> KernelBuilder<'a> {
             }};
         }
         macro_rules! family {
-            ($ty:ty, $fam:expr) => {{
-                let mut k = <$ty>::from_staged(comm, plan.c, staged);
-                if plan.routing == Routing::Pattern {
-                    let pats = staged.plan_patterns($fam, comm.size(), plan.c, || {
-                        <$ty>::derive_needs(staged, comm.size(), plan.c)
-                    });
-                    k.enable_pattern_routing(comm.rank(), &pats);
-                }
+            ($ty:ty) => {{
+                let mut k = <$ty>::from_staged(comm, plan.c, plan.routing, staged);
                 tuned!(k)
             }};
         }
         let kernel: Box<dyn DistKernel> = match plan.id {
-            KernelId::Family(AlgorithmFamily::DenseShift15) => {
-                family!(DenseShift15, AlgorithmFamily::DenseShift15)
-            }
-            KernelId::Family(AlgorithmFamily::SparseShift15) => {
-                family!(SparseShift15, AlgorithmFamily::SparseShift15)
-            }
-            KernelId::Family(AlgorithmFamily::DenseRepl25) => {
-                family!(DenseRepl25, AlgorithmFamily::DenseRepl25)
-            }
-            KernelId::Family(AlgorithmFamily::SparseRepl25) => {
-                family!(SparseRepl25, AlgorithmFamily::SparseRepl25)
-            }
+            KernelId::Family(AlgorithmFamily::DenseShift15) => family!(DenseShift15),
+            KernelId::Family(AlgorithmFamily::SparseShift15) => family!(SparseShift15),
+            KernelId::Family(AlgorithmFamily::DenseRepl25) => family!(DenseRepl25),
+            KernelId::Family(AlgorithmFamily::SparseRepl25) => family!(SparseRepl25),
             KernelId::Baseline1D => {
                 assert_eq!(
                     plan.routing,

@@ -32,11 +32,13 @@ use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::CsrMatrix;
 
-use crate::common::{block_range, AlgorithmFamily, Elision, Sampling, ShiftPipeline};
+use crate::common::{
+    block_range, route, AlgorithmFamily, Elision, Routing, Sampling, ShiftPipeline,
+};
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::planview::PlanView;
 use crate::rstore::RStore;
-use crate::staged::{PlanPatterns, StagedProblem};
+use crate::staged::StagedProblem;
 
 /// Tag for `A` panels (row-ring traffic).
 const TAG_A: u32 = 130;
@@ -67,9 +69,14 @@ pub struct SparseRepl25 {
 }
 
 impl SparseRepl25 {
-    /// Build this rank's state from shared staging (no communication,
-    /// statistics unaffected).
-    pub fn from_staged(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
+    /// Build this rank's state from shared staging. Under
+    /// [`Routing::Dense`] this sends nothing; under
+    /// [`Routing::Pattern`] it exchanges this rank's need sets over the
+    /// row ring, then the column ring. The stationary block `(u, v)`
+    /// reads every visiting `A` panel at its row support and every `B`
+    /// panel at its column support — the same sets whichever slice the
+    /// panel carries, so each origin entry repeats them.
+    pub fn from_staged(comm: &Comm, c: usize, routing: Routing, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
         let grid = Grid25::new(comm.size(), c).expect("invalid 2.5D grid");
         let gc = GridComms25::build(comm, grid);
@@ -81,7 +88,14 @@ impl SparseRepl25 {
         let rows: Vec<_> = (0..q).map(|uu| block_range(m, q, uu)).collect();
         let cols: Vec<_> = (0..q).map(|vv| block_range(n, q, vv)).collect();
         let grid_s = staged.partition(false, &rows, &cols);
-        let mut s_share = CsrMatrix::from_coo(&grid_s[u][v]);
+        let blk = &grid_s[u][v];
+        let route_a = route(&gc.row_ring, routing, || {
+            vec![RowSet::from_indices(blk.rows.clone()); q]
+        });
+        let route_b = route(&gc.col_ring, routing, || {
+            vec![RowSet::from_indices(blk.cols.clone()); q]
+        });
+        let mut s_share = CsrMatrix::from_coo(blk);
         let part = block_range(s_share.nnz(), c, w);
         let vals = s_share.vals_mut();
         vals[..part.start].fill(0.0);
@@ -99,47 +113,10 @@ impl SparseRepl25 {
             r: RStore::csr((m, n), vec![s_share], vec![offset]).replicated_share(w, c),
             a_home,
             b_home,
-            route_a: None,
-            route_b: None,
+            route_a,
+            route_b,
             local: kern::LocalPicks::default(),
         }
-    }
-
-    /// The need sets a pattern-routed plan requires, derived world-free
-    /// from the staged `S` partition. The stationary block `(u, v)`
-    /// reads every visiting `A` panel at its row support and every `B`
-    /// panel at its column support — the same sets regardless of which
-    /// slice the panel carries, so each origin entry repeats them.
-    /// `primary` covers the row ring (`A` side), `secondary` the column
-    /// ring (`B` side).
-    pub fn derive_needs(staged: &StagedProblem, p: usize, c: usize) -> PlanPatterns {
-        let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
-        let q = grid.q;
-        let (m, n) = (staged.prob.dims.m, staged.prob.dims.n);
-        let rows: Vec<_> = (0..q).map(|uu| block_range(m, q, uu)).collect();
-        let cols: Vec<_> = (0..q).map(|vv| block_range(n, q, vv)).collect();
-        let grid_s = staged.partition(false, &rows, &cols);
-        let mut primary = Vec::with_capacity(p);
-        let mut secondary = Vec::with_capacity(p);
-        for g in 0..p {
-            let (u, v) = (grid.row_pos(g), grid.col_pos(g));
-            let blk = &grid_s[u][v];
-            let row_need = RowSet::from_indices(blk.iter().map(|(i, _, _)| i as u32).collect());
-            let col_need = RowSet::from_indices(blk.iter().map(|(_, j, _)| j as u32).collect());
-            primary.push(vec![row_need; q]);
-            secondary.push(vec![col_need; q]);
-        }
-        PlanPatterns {
-            primary,
-            secondary: Some(secondary),
-        }
-    }
-
-    /// Switch both panel rings to pattern routing: exchange this rank's
-    /// need sets over each ring (charged to `Phase::PatternExchange`).
-    pub fn enable_pattern_routing(&mut self, g: usize, pats: &PlanPatterns) {
-        let (a, b) = pats.exchange_for(g, &self.gc.row_ring, Some(&self.gc.col_ring));
-        (self.route_a, self.route_b) = (Some(a), b);
     }
 
     fn q(&self) -> usize {

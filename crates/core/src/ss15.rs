@@ -34,13 +34,14 @@ use dsk_kernels as kern;
 use dsk_sparse::CooMatrix;
 
 use crate::common::{
-    block_range, reduce_rows, replicate_rows, AlgorithmFamily, Elision, Sampling, ShiftPipeline,
+    block_range, reduce_rows, replicate_rows, route, AlgorithmFamily, Elision, Routing, Sampling,
+    ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::layout::repartition_dense;
 use crate::planview::{Operand, PlanView};
 use crate::rstore::RStore;
-use crate::staged::{PlanPatterns, StagedProblem};
+use crate::staged::StagedProblem;
 
 /// Tag for traveling sparse blocks.
 const TAG_SPARSE: u32 = 110;
@@ -95,9 +96,15 @@ struct Side<'a> {
 }
 
 impl SparseShift15 {
-    /// Build this rank's state from shared staging (no communication,
-    /// statistics unaffected).
-    pub fn from_staged(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
+    /// Build this rank's state from shared staging. Under
+    /// [`Routing::Dense`] this sends nothing; under
+    /// [`Routing::Pattern`] it exchanges this rank's need sets over the
+    /// fiber, `A` side first. A rank only ever reads the replicated
+    /// panel at the rows its layer ring's traveling blocks address, a
+    /// union that depends only on the fiber coordinate `v`; its entry
+    /// `vv` is the slice of that union in fiber member `vv`'s replicate
+    /// block (indices block-local).
+    pub fn from_staged(comm: &Comm, c: usize, routing: Routing, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
         let grid = Grid15::new(comm.size(), c).expect("invalid 1.5D grid");
         let gc = GridComms15::build(comm, grid);
@@ -116,6 +123,21 @@ impl SparseShift15 {
         let col_blocks_t: Vec<_> = (0..p).map(|j| block_range(m, p, j)).collect();
         let st_cols = staged.partition(true, std::slice::from_ref(&(0..n)), &col_blocks_t);
         let st_home = st_cols[0][home].clone();
+        let routed = |cols: &[CooMatrix], total: usize| {
+            route(&gc.fiber, routing, || {
+                let rows = (0..q).flat_map(|w| &cols[w * c + v].rows);
+                let need = RowSet::from_indices(rows.copied().collect());
+                (0..c)
+                    .map(|vv| {
+                        let br = block_range(total, c, vv);
+                        let (lo, hi) = (br.start as u32, br.end as u32);
+                        let local = need.indices().iter().filter(|&&i| (lo..hi).contains(&i));
+                        RowSet::from_indices(local.map(|&i| i - lo).collect())
+                    })
+                    .collect()
+            })
+        };
+        let (route_a, route_b) = (routed(&s_cols[0], m), routed(&st_cols[0], n));
 
         let a_rep = prob.a.block(block_range(m, c, v), slice.clone());
         let b_rep = prob.b.block(block_range(n, c, v), slice.clone());
@@ -135,69 +157,10 @@ impl SparseShift15 {
             b_rep,
             a_stat,
             b_stat,
-            route_a: None,
-            route_b: None,
+            route_a,
+            route_b,
             local: kern::LocalPicks::default(),
         }
-    }
-
-    /// The need sets a pattern-routed plan requires, derived world-free
-    /// from the staged column partition of `S`. A rank only ever reads
-    /// the replicated panel at the rows its layer ring's traveling
-    /// blocks address, and that union depends only on the rank's fiber
-    /// coordinate `v`: `primary[g][vv]` is the slice of that union
-    /// falling in fiber member `vv`'s replicate block of `A` (rows over
-    /// `m`, indices block-local); `secondary` is the same for the
-    /// transposed, `B`-replicating paths (rows over `n`).
-    pub fn derive_needs(staged: &StagedProblem, p: usize, c: usize) -> PlanPatterns {
-        let grid = Grid15::new(p, c).expect("invalid 1.5D grid");
-        let q = grid.layer_size();
-        let (m, n) = (staged.prob.dims.m, staged.prob.dims.n);
-        let col_blocks: Vec<_> = (0..p).map(|j| block_range(n, p, j)).collect();
-        let s_cols = staged.partition(false, std::slice::from_ref(&(0..m)), &col_blocks);
-        let col_blocks_t: Vec<_> = (0..p).map(|j| block_range(m, p, j)).collect();
-        let st_cols = staged.partition(true, std::slice::from_ref(&(0..n)), &col_blocks_t);
-
-        let ring_union = |cols: &[CooMatrix], v: usize| {
-            let mut rows: Vec<u32> = Vec::new();
-            for w in 0..q {
-                rows.extend(cols[w * c + v].iter().map(|(i, _, _)| i as u32));
-            }
-            RowSet::from_indices(rows)
-        };
-        let localize = |need: &RowSet, total: usize| -> Vec<RowSet> {
-            (0..c)
-                .map(|vv| {
-                    let br = block_range(total, c, vv);
-                    RowSet::from_indices(
-                        need.indices()
-                            .iter()
-                            .filter(|&&i| br.contains(&(i as usize)))
-                            .map(|&i| i - br.start as u32)
-                            .collect(),
-                    )
-                })
-                .collect()
-        };
-        let mut primary = Vec::with_capacity(p);
-        let mut secondary = Vec::with_capacity(p);
-        for g in 0..p {
-            let v = grid.fiber_pos(g);
-            primary.push(localize(&ring_union(&s_cols[0], v), m));
-            secondary.push(localize(&ring_union(&st_cols[0], v), n));
-        }
-        PlanPatterns {
-            primary,
-            secondary: Some(secondary),
-        }
-    }
-
-    /// Switch replication to pattern routing: exchange this rank's need
-    /// sets over the fiber (charged to `Phase::PatternExchange`) and
-    /// keep the resulting patterns for every later all-gather.
-    pub fn enable_pattern_routing(&mut self, g: usize, pats: &PlanPatterns) {
-        let (a, b) = pats.exchange_for(g, &self.gc.fiber, Some(&self.gc.fiber));
-        (self.route_a, self.route_b) = (Some(a), b);
     }
 
     fn q(&self) -> usize {

@@ -16,61 +16,13 @@ use std::hash::Hash;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use dsk_comm::{Comm, CommPattern, RowSet};
 use dsk_sparse::partition::partition_by_ranges;
 use dsk_sparse::CooMatrix;
 
-use crate::common::AlgorithmFamily;
 use crate::global::GlobalProblem;
 
 type Grid = Vec<Vec<CooMatrix>>;
 type Key = (bool, Vec<usize>, Vec<usize>);
-type PatternKey = (AlgorithmFamily, usize, usize);
-
-/// The world-free half of a pattern-routed plan: per-rank need sets for
-/// every routed ring of a `(family, p, c)` kernel grid, derived from
-/// the global `S` structure exactly as each rank would derive its own
-/// row locally.
-///
-/// `primary[rank][origin]` is the set of rows of the tile originating
-/// at ring position `origin` that `rank` touches on its main routed
-/// ring; `secondary` covers the second ring of families that route two
-/// tile streams (2.5D sparse replication ships both dense panels).
-/// Built once per plan by [`StagedProblem::plan_patterns`] and shared
-/// by every worker the staging constructs; at build time each rank
-/// still all-gathers its row over the real communicator (charged to
-/// `Phase::PatternExchange`), so knowing the pattern is never free.
-#[derive(Debug, Clone)]
-pub struct PlanPatterns {
-    /// Need sets for the family's primary routed ring, `[rank][origin]`.
-    pub primary: Vec<Vec<RowSet>>,
-    /// Need sets for the family's second routed ring, when it has one.
-    pub secondary: Option<Vec<Vec<RowSet>>>,
-}
-
-impl PlanPatterns {
-    /// Switch world rank `g`'s kernel to pattern routing: all-gather its
-    /// need sets over `primary_ring`, then — for a family that routes a
-    /// second tile stream — over `secondary_ring`, in that order. Real
-    /// traffic, charged to `Phase::PatternExchange`; the resulting
-    /// [`CommPattern`]s serve every later shift or all-gather.
-    pub fn exchange_for(
-        &self,
-        g: usize,
-        primary_ring: &Comm,
-        secondary_ring: Option<&Comm>,
-    ) -> (CommPattern, Option<CommPattern>) {
-        let primary = CommPattern::exchange(primary_ring, self.primary[g].clone());
-        let secondary = secondary_ring.map(|ring| {
-            let needs = self
-                .secondary
-                .as_ref()
-                .expect("a family with two routed rings derives both need sets");
-            CommPattern::exchange(ring, needs[g].clone())
-        });
-        (primary, secondary)
-    }
-}
 
 /// A per-key compute-once cache. The map lock is held only to fetch
 /// the key's cell, so other keys stay unblocked while one computes;
@@ -100,7 +52,6 @@ pub struct StagedProblem {
     pub prob: Arc<GlobalProblem>,
     transpose: OnceLock<CooMatrix>,
     partitions: OnceMap<Key, Grid>,
-    patterns: OnceMap<PatternKey, PlanPatterns>,
     tuning: dsk_kernels::LocalTuning,
 }
 
@@ -111,7 +62,6 @@ impl StagedProblem {
             prob,
             transpose: OnceLock::new(),
             partitions: OnceMap::new(),
-            patterns: OnceMap::new(),
             tuning: dsk_kernels::LocalTuning::new(),
         }
     }
@@ -128,10 +78,10 @@ impl StagedProblem {
     }
 
     /// The local-kernel tuning cache shared by every plan built from
-    /// this staging (the local analogue of the partition and pattern
-    /// caches): the first family to tune a given (op, shape class, r)
-    /// measures once; every later build and every `plan_candidates`
-    /// scoreboard row reuses the pick.
+    /// this staging (the local analogue of the partition cache): the
+    /// first family to tune a given (op, shape class, r) measures once;
+    /// every later build and every `plan_candidates` scoreboard row
+    /// reuses the pick.
     pub fn local_tuning(&self) -> &dsk_kernels::LocalTuning {
         &self.tuning
     }
@@ -157,19 +107,6 @@ impl StagedProblem {
             };
             partition_by_ranges(src, row_ranges, col_ranges)
         })
-    }
-
-    /// The pattern-routing need sets for a `(family, p, c)` plan,
-    /// computed once by `derive` (each family's world-free derivation)
-    /// and shared by every worker built from this staging.
-    pub fn plan_patterns(
-        &self,
-        family: AlgorithmFamily,
-        p: usize,
-        c: usize,
-        derive: impl FnOnce() -> PlanPatterns,
-    ) -> Arc<PlanPatterns> {
-        self.patterns.get_or_compute((family, p, c), derive)
     }
 }
 

@@ -462,6 +462,61 @@ fn pipelined_and_blocking_shifts_agree_bitwise() {
     }
 }
 
+/// A pattern-routed worker built on a sub-roster, as `Session::resize`
+/// builds them, derives its need rows for its communicator rank, not
+/// its world rank. On both halves of a 16-rank world (world ranks
+/// `8..16` are members `0..8` of the upper half) every family's
+/// FusedMMB bits and pattern-exchange traffic must equal those of the
+/// same plan on a standalone 8-rank world. The halves hold 8 ranks, not
+/// 4, because a 2.5D grid at `c = 2` needs `p/c` square.
+#[test]
+fn routed_workers_on_a_sub_roster_match_a_standalone_world() {
+    let prob = Arc::new(GlobalProblem::erdos_renyi(24, 22, 5, 3, 4008));
+    let staged = Arc::new(StagedProblem::new(prob));
+    // Pin the local variant: a wall-clock pick could reorder float
+    // summation between the two worlds.
+    staged
+        .local_tuning()
+        .set_pin(Some(kern::LocalKernel::Naive));
+    for family in AlgorithmFamily::ALL {
+        let builder = KernelBuilder::from_staged_arc(Arc::clone(&staged))
+            .family(family)
+            .replication(2)
+            .routing(Routing::Pattern);
+        let run = |world_p: usize| -> Vec<(Vec<u64>, u64, u64)> {
+            let builder = builder.clone();
+            let out = SimWorld::new(world_p, MachineModel::bandwidth_only()).run(move |comm| {
+                let half = comm.split_by(|g| u64::from(g < P));
+                let mut worker = builder.build(&half);
+                let y = worker.fused_mm_b(None, Elision::None, Sampling::Values);
+                y.as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<u64>>()
+            });
+            out.into_iter()
+                .map(|o| {
+                    let x = o.stats.phase(Phase::PatternExchange);
+                    (o.value, x.msgs_sent, x.words_sent)
+                })
+                .collect()
+        };
+        let alone = run(P);
+        assert!(
+            alone.iter().all(|(_, msgs, _)| *msgs > 0),
+            "{family:?}: no pattern exchange"
+        );
+        for (g, got) in run(2 * P).iter().enumerate() {
+            assert_eq!(
+                got,
+                &alone[g % P],
+                "{family:?}: world rank {g} differs from member {} of a standalone world",
+                g % P
+            );
+        }
+    }
+}
+
 /// The declared elision support must match what `fused_mm_b` accepts.
 #[test]
 fn supports_reflects_fused_behavior() {
