@@ -72,16 +72,6 @@ impl RowSet {
         &self.idx
     }
 
-    /// Set membership.
-    pub fn contains(&self, row: u32) -> bool {
-        self.idx.binary_search(&row).is_ok()
-    }
-
-    /// Union with another set.
-    pub fn union(&self, other: &RowSet) -> RowSet {
-        Self::union_of([self, other])
-    }
-
     /// Union of any number of sets (k-way merge via sort + dedup; the
     /// sets involved are per-block supports, small next to `nnz`).
     pub fn union_of<'a>(sets: impl IntoIterator<Item = &'a RowSet>) -> RowSet {
@@ -90,15 +80,6 @@ impl RowSet {
             idx.extend_from_slice(&s.idx);
         }
         RowSet::from_indices(idx)
-    }
-
-    /// Fraction of an `n`-row tile this set covers (planner input).
-    pub fn coverage(&self, n: usize) -> f64 {
-        if n == 0 {
-            0.0
-        } else {
-            self.idx.len() as f64 / n as f64
-        }
     }
 }
 
@@ -267,14 +248,18 @@ impl WirePayload for RowBundle {
 }
 
 /// The complete need matrix of a ring: `need(member, origin)` is the
-/// set of rows of the tile *originating* at ring position `origin` that
-/// ring `member` reads (input shifts) or writes (accumulator shifts)
-/// during one round of a shift schedule.
+/// set of rows of the tile *originating* at ring member `origin` (the
+/// member that holds it before the first hop) that ring `member` reads
+/// (input shifts) or writes (accumulator shifts) during one round of a
+/// shift schedule. Every pattern is keyed by origin member, whatever
+/// index the family's own schedule gives the tile.
 ///
 /// Each rank can compute its own row of the matrix locally from its
 /// sparse blocks; [`CommPattern::exchange`] all-gathers the rows so
 /// every rank can answer "which rows must I still forward?" for any
-/// tile it holds. The exchange is real traffic, charged to
+/// tile it holds — a routed ring pipeline asks exactly that, from where
+/// the tile started and the members it visits. The exchange is real
+/// traffic, charged to
 /// [`Phase::PatternExchange`] — the cost of knowing the pattern is
 /// never hidden from the benchmarks.
 #[derive(Debug, Clone)]
@@ -285,7 +270,7 @@ pub struct CommPattern {
 impl CommPattern {
     /// All-gather every member's need sets over the ring communicator.
     /// `my_needs[origin]` is the calling rank's need set for the tile
-    /// originating at ring position `origin`; every member must pass a
+    /// originating at ring member `origin`; every member must pass a
     /// vector of length `ring.size()`.
     pub fn exchange(ring: &Comm, my_needs: Vec<RowSet>) -> Self {
         assert_eq!(
@@ -296,11 +281,6 @@ impl CommPattern {
         let _ph = ring.phase(Phase::PatternExchange);
         let needs = ring.allgather(my_needs);
         CommPattern { needs }
-    }
-
-    /// Ring size.
-    pub fn size(&self) -> usize {
-        self.needs.len()
     }
 
     /// Rows of tile `origin` that `member` needs.
@@ -327,13 +307,10 @@ mod tests {
     fn rowset_sorts_dedups_and_unions() {
         let a = RowSet::from_indices(vec![5, 1, 3, 1]);
         assert_eq!(a.indices(), &[1, 3, 5]);
-        assert!(a.contains(3) && !a.contains(2));
         let b = RowSet::from_indices(vec![2, 3]);
-        assert_eq!(a.union(&b).indices(), &[1, 2, 3, 5]);
+        assert_eq!(RowSet::union_of([&a, &b]).indices(), &[1, 2, 3, 5]);
         assert_eq!(RowSet::empty().len(), 0);
         assert_eq!(RowSet::all(3).indices(), &[0, 1, 2]);
-        assert!((RowSet::all(3).coverage(3) - 1.0).abs() < 1e-12);
-        assert_eq!(RowSet::empty().coverage(0), 0.0);
     }
 
     #[test]
@@ -415,7 +392,6 @@ mod tests {
             vec![RowSet::from_indices(vec![2]), RowSet::empty()],
         ];
         let p = CommPattern { needs };
-        assert_eq!(p.size(), 2);
         assert_eq!(p.union_over([0, 1], 0).indices(), &[0, 2]);
         assert_eq!(p.union_over([1], 1).indices(), &[] as &[u32]);
         assert_eq!(p.need(0, 1).indices(), &[1]);

@@ -205,7 +205,9 @@ fn pattern_exchange_accounting_is_backend_invariant() {
                 .map(|origin| RowSet::from_indices(needed_rows(me, origin, nrows, 3)))
                 .collect();
             let pattern = CommPattern::exchange(comm, my_needs);
-            assert_eq!(pattern.size(), p);
+            for (m, o) in (0..p).flat_map(|m| (0..p).map(move |o| (m, o))) {
+                assert_eq!(pattern.need(m, o).indices(), needed_rows(m, o, nrows, 3));
+            }
         });
         per_backend.push(
             out.iter()

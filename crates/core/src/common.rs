@@ -251,7 +251,7 @@ pub fn reduce_rows(fiber: &Comm, t_buf: &Mat, rows_of: impl Fn(usize) -> Range<u
 
 /// The one way a family's need sets are exchanged: under
 /// [`Routing::Pattern`], all-gather this rank's row `needs()` —
-/// `needs()[origin]` the rows of the tile from ring position `origin`
+/// `needs()[origin]` the rows of the tile that starts at ring member `origin`
 /// it touches — over `ring`, charged to [`Phase::PatternExchange`];
 /// the resulting [`CommPattern`] serves every later shift or
 /// all-gather. Under [`Routing::Dense`] nothing is derived or sent.
@@ -339,10 +339,14 @@ impl Drop for ShiftModeGuard {
 ///   [`ShiftPipeline::exchange`] posts after it and waits at once; the
 ///   block takes all `q` hops home.
 ///
-/// Both shapes exist in dense ([`Mat`]) and pattern-routed
-/// ([`RowBundle`] via a [`RowSet`] forward set) forms, so `Routing` and
-/// overlap compose. All traffic is charged to [`Phase::Propagation`];
-/// modeled counters are identical across modes.
+/// Both shapes exist in dense ([`Mat`]) and pattern-routed forms, so
+/// `Routing` and overlap compose. A pipeline built
+/// [`ShiftPipeline::routed`] with a [`CommPattern`] keyed by origin
+/// member works out each hop's forward set itself from where the tile
+/// started ([`ShiftPipeline::origin`]) and the members it visits, and
+/// ships those rows as a [`RowBundle`] with dense fallback; the
+/// receiver zero-fills the rest. All traffic is charged to
+/// [`Phase::Propagation`]; modeled counters are identical across modes.
 ///
 /// Receives on one `(ring, tag)` stream complete in posting order
 /// (`dsk-comm`'s completion contract, which covers blocking calls), so
@@ -355,13 +359,44 @@ pub struct ShiftPipeline<'a> {
     ring: &'a Comm,
     disp: usize,
     tag: u32,
+    route: Option<&'a CommPattern>,
 }
 
 impl<'a> ShiftPipeline<'a> {
-    /// A pipeline shifting by `disp` on `ring` with message tag `tag`;
-    /// each step runs in the thread's current [`ShiftMode`].
+    /// A dense pipeline shifting by `disp` on `ring` with message tag
+    /// `tag`; each step runs in the thread's current [`ShiftMode`].
     pub fn new(ring: &'a Comm, disp: usize, tag: u32) -> Self {
-        ShiftPipeline { ring, disp, tag }
+        ShiftPipeline {
+            ring,
+            disp,
+            tag,
+            route: None,
+        }
+    }
+
+    /// This pipeline pattern-routed by `route` (dense again on `None`):
+    /// [`InputLane::post_mat`] and [`ShiftPipeline::exchange_mat`] ship
+    /// only the rows of a tile that its later visits read, or its
+    /// earlier visits wrote, by `route`'s need sets.
+    pub fn routed(self, route: Option<&'a CommPattern>) -> Self {
+        ShiftPipeline { route, ..self }
+    }
+
+    /// The ring member where the tile held at visit `t` started:
+    /// `me − t·disp (mod q)`. That tile visits member
+    /// `origin + k·disp (mod q)` at visit `k`.
+    pub fn origin(&self, t: usize) -> usize {
+        let q = self.ring.size();
+        (self.ring.rank() + q - t * self.disp % q) % q
+    }
+
+    /// A routed hop's payload: the rows of `y`, the tile held at visit
+    /// `t`, that the members of `visits` need (its forward set), with
+    /// dense fallback.
+    fn bundle(&self, pat: &CommPattern, y: &Mat, t: usize, visits: Range<usize>) -> RowBundle {
+        let (q, o) = (self.ring.size(), self.origin(t));
+        let set = pat.union_over(visits.map(|k| (o + k * self.disp) % q), o);
+        RowBundle::gather(y.nrows(), y.ncols(), y.as_slice(), &set)
     }
 
     /// Open an input lane over the ring's `q` members whose visit 0
@@ -408,16 +443,16 @@ impl<'a> ShiftPipeline<'a> {
         self.ring.shift(self.disp, self.tag, value)
     }
 
-    /// Accumulator-lane step for a dense panel, optionally
-    /// pattern-routed.
-    pub fn exchange_mat(&self, y: Mat, ship: Option<&RowSet>) -> Mat {
-        match ship {
-            None => self.exchange(y),
-            Some(set) => {
-                let bundle = RowBundle::gather(y.nrows(), y.ncols(), y.as_slice(), set);
-                unbundle(self.exchange(bundle))
-            }
-        }
+    /// Accumulator-lane step for the dense panel finished at visit `t`.
+    /// Routed, it ships the rows any of visits `0..=t` wrote: the rest
+    /// are exactly zero, so zero-fill is lossless, and the last hop
+    /// carries the whole support home.
+    pub fn exchange_mat(&self, y: Mat, t: usize) -> Mat {
+        let Some(pat) = self.route else {
+            return self.exchange(y);
+        };
+        let bundle = self.bundle(pat, &y, t, 0..t + 1);
+        unbundle(self.exchange(bundle))
     }
 }
 
@@ -476,7 +511,9 @@ impl<'a, T: WirePayload + Clone> InputLane<'_, 'a, T> {
         if !self.sends() {
             return Hop::Home;
         }
-        let ShiftPipeline { ring, disp, tag } = self.pipe;
+        let ShiftPipeline {
+            ring, disp, tag, ..
+        } = self.pipe;
         let _ph = ring.phase(Phase::Propagation);
         Hop::Posted(ring.shift_begin_ref(disp, tag, self.block())).settle()
     }
@@ -498,16 +535,19 @@ impl<'a, T: WirePayload + Clone> InputLane<'_, 'a, T> {
 }
 
 impl<'a> InputLane<'_, 'a, Mat> {
-    /// [`InputLane::post`] for a dense panel, optionally pattern-routed:
-    /// with `ship`, only the forward-set rows travel (as a [`RowBundle`]
-    /// with dense fallback) and the receiver zero-fills the rest.
-    pub fn post_mat(&mut self, ship: Option<&RowSet>) -> Hop<'a, Mat> {
-        let (Some(set), true) = (ship, self.sends()) else {
+    /// [`InputLane::post`] for a dense panel. On a routed pipeline only
+    /// the rows the visits still ahead (`t + 1..q`) read travel, as a
+    /// [`RowBundle`] with dense fallback, and the receiver zero-fills
+    /// the rest.
+    pub fn post_mat(&mut self) -> Hop<'a, Mat> {
+        let (Some(pat), true) = (self.pipe.route, self.sends()) else {
             return self.post();
         };
-        let y = self.block();
-        let bundle = RowBundle::gather(y.nrows(), y.ncols(), y.as_slice(), set);
-        let ShiftPipeline { ring, disp, tag } = self.pipe;
+        let (t, q) = (self.visit, self.pipe.ring.size());
+        let bundle = self.pipe.bundle(pat, self.block(), t, t + 1..q);
+        let ShiftPipeline {
+            ring, disp, tag, ..
+        } = self.pipe;
         let _ph = ring.phase(Phase::Propagation);
         Hop::Routed(ring.shift_begin(disp, tag, bundle), unbundle).settle()
     }
@@ -577,14 +617,15 @@ mod tests {
         for mode in [ShiftMode::Pipelined, ShiftMode::Blocking] {
             let out = SimWorld::new(1, MachineModel::bandwidth_only()).run(move |c| {
                 let _g = ShiftMode::scoped(mode);
-                let pipe = ShiftPipeline::new(c, 1, 7);
+                let route = CommPattern::exchange(c, vec![RowSet::all(2)]);
+                let pipe = ShiftPipeline::new(c, 1, 7).routed(Some(&route));
                 let y = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
                 let mut lane = pipe.input(&y);
-                let hop = lane.post();
+                let hop = lane.post_mat();
                 assert!(matches!(hop, Hop::Home), "a one-member ring posts nothing");
                 lane.arrive(hop);
                 assert!(std::ptr::eq(lane.block(), &y), "the only visit reads home");
-                let back = pipe.exchange_mat(lane.block().clone(), None);
+                let back = pipe.exchange_mat(lane.block().clone(), 0);
                 back.as_slice().to_vec()
             });
             assert_eq!(out[0].value, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
@@ -603,12 +644,15 @@ mod tests {
             let rows = block_range(10, q, c.rank()).len();
             let data = (0..rows * 2).map(|i| (c.rank() * 100 + i) as f64);
             let home = Mat::from_vec(rows, 2, data.collect());
+            let route = routed.then(|| {
+                let all = (0..q).map(|o| RowSet::all(block_range(10, q, o).len()));
+                CommPattern::exchange(c, all.collect())
+            });
             let pipe = ShiftPipeline::new(c, 1, 3);
-            let mut lane = pipe.input(&home);
+            let mut lane = pipe.routed(route.as_ref()).input(&home);
             let mut read = Vec::new();
             for t in 0..q {
-                let all = RowSet::all(lane.block().nrows());
-                let hop = lane.post_mat(routed.then_some(&all));
+                let hop = lane.post_mat();
                 if t == 0 {
                     assert_eq!(lane.block().as_slice().as_ptr(), home.as_slice().as_ptr());
                 }
@@ -618,11 +662,11 @@ mod tests {
             }
             let after_input = c.stats_snapshot();
             // The last visit's block is one hop short of home.
-            let back = pipe.exchange_mat(lane.block().clone(), None);
+            let back = pipe.exchange_mat(lane.block().clone(), q - 1);
             assert_eq!(back.as_slice(), home.as_slice());
             let mut acc = back;
-            for _ in 0..q {
-                acc = pipe.exchange_mat(acc, None);
+            for t in 0..q {
+                acc = pipe.exchange_mat(acc, t);
             }
             (
                 read,
@@ -724,9 +768,10 @@ mod tests {
                 assert_eq!(lane.block().nrows(), 0);
                 // A panel whose forward set is empty: rows exist but
                 // none ship; the receiver reconstructs zeros.
+                let route = CommPattern::exchange(c, vec![RowSet::empty(); 2]);
                 let y = Mat::from_vec(2, 2, vec![1.0; 4]);
-                let mut lane = pipe.input(&y);
-                let hop = lane.post_mat(Some(&RowSet::empty()));
+                let mut lane = pipe.routed(Some(&route)).input(&y);
+                let hop = lane.post_mat();
                 lane.arrive(hop);
                 lane.block().as_slice().iter().sum::<f64>()
             });
@@ -747,15 +792,100 @@ mod tests {
             let hop = lane.post();
             lane.arrive(hop);
             // "Replan": new tag, pattern routing, fresh pipeline.
-            let all = RowSet::all(1);
-            let mut lane = ShiftPipeline::new(c, 1, 21).input(lane.block());
-            let hop = lane.post_mat(Some(&all));
+            let route = CommPattern::exchange(c, vec![RowSet::all(1); 2]);
+            let pipe = ShiftPipeline::new(c, 1, 21).routed(Some(&route));
+            let mut lane = pipe.input(lane.block());
+            let hop = lane.post_mat();
             lane.arrive(hop);
             lane.block().as_slice()[0]
         });
         // Two hops on a 2-ring: each rank's row is home again.
         for o in &out {
             assert_eq!(o.value, o.rank as f64);
+        }
+    }
+
+    /// A routed backward ring (`disp = q − 1`, the 2.5D rings' shift)
+    /// whose need set differs for every (member, origin) pair, over
+    /// tiles whose values encode their origin: each visit reads its
+    /// needed rows from the origin `pipe.origin(t)` names, each input
+    /// hop ships exactly the rows its later visits need, and each
+    /// accumulator hop exactly the rows its earlier visits wrote, which
+    /// land at the owner summed.
+    #[test]
+    fn routed_backward_ring_ships_each_hops_forward_set() {
+        const ROWS: usize = 16;
+        const W: usize = 2;
+        // Member `m` reads row `m·q + o` and row `o` of origin `o`'s tile.
+        fn need(q: usize, m: usize, o: usize) -> Vec<u32> {
+            vec![(m * q + o) as u32, o as u32]
+        }
+        // The words of a hop carrying the rows of origin `o`'s tile that
+        // the members of its visits `ks` need (the tile steps back one
+        // member per hop): at most 5 of 16 rows, so always indexed.
+        fn hop_words(q: usize, o: usize, ks: Range<usize>) -> usize {
+            let idx = ks.flat_map(|k| need(q, (o + q - k % q) % q, o));
+            RowSet::from_indices(idx.collect()).len() * (W + 1)
+        }
+        fn add(y: &mut Mat, rows: Vec<u32>, v: usize) {
+            for i in rows {
+                for x in &mut y.as_mut_slice()[i as usize * W..][..W] {
+                    *x += v as f64;
+                }
+            }
+        }
+        let value = |o: usize, i: usize, j: usize| (1000 * o + 10 * i + j + 1) as f64;
+        for q in [3, 4] {
+            for mode in [ShiftMode::Pipelined, ShiftMode::Blocking] {
+                SimWorld::new(q, MachineModel::bandwidth_only()).run(move |c| {
+                    let _g = ShiftMode::scoped(mode);
+                    let me = c.rank();
+                    let mine = (0..q).map(|o| RowSet::from_indices(need(q, me, o)));
+                    let route = CommPattern::exchange(c, mine.collect());
+                    let pipe = ShiftPipeline::new(c, q - 1, 9).routed(Some(&route));
+                    let words = || c.stats_snapshot().phase(Phase::Propagation).words_sent;
+
+                    let data = (0..ROWS * W).map(|x| value(me, x / W, x % W));
+                    let home = Mat::from_vec(ROWS, W, data.collect());
+                    let mut lane = pipe.input(&home);
+                    let mut shipped = 0;
+                    for t in 0..q {
+                        let o = (me + t) % q;
+                        assert_eq!(pipe.origin(t), o, "visit {t} holds origin {o}'s tile");
+                        let hop = lane.post_mat();
+                        for i in need(q, me, o) {
+                            let row = &lane.block().as_slice()[i as usize * W..][..W];
+                            let want: Vec<f64> = (0..W).map(|j| value(o, i as usize, j)).collect();
+                            assert_eq!(row, &want[..], "q={q} member {me} visit {t} row {i}");
+                        }
+                        shipped += hop_words(q, o, t + 1..q);
+                        lane.arrive(hop);
+                    }
+                    assert_eq!(
+                        words(),
+                        shipped as u64,
+                        "input hops ship their forward sets"
+                    );
+
+                    let mut acc = Mat::zeros(ROWS, W);
+                    for t in 0..q {
+                        let o = (me + t) % q;
+                        add(&mut acc, need(q, me, o), me + 1);
+                        acc = pipe.exchange_mat(acc, t);
+                        shipped += hop_words(q, o, 0..t + 1);
+                    }
+                    assert_eq!(
+                        words(),
+                        shipped as u64,
+                        "accumulator hops ship what was written"
+                    );
+                    let mut want = Mat::zeros(ROWS, W);
+                    for m in 0..q {
+                        add(&mut want, need(q, m, me), m + 1);
+                    }
+                    assert_eq!(acc.as_slice(), want.as_slice(), "q={q} owner {me}");
+                });
+            }
         }
     }
 

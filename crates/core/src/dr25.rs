@@ -94,10 +94,10 @@ impl DenseRepl25 {
     /// Build this rank's state from shared staging. Under
     /// [`Routing::Dense`] this sends nothing; under
     /// [`Routing::Pattern`] each orientation, canonical first, exchanges
-    /// this rank's need sets over the column ring: the ring's panel with
-    /// `σ`-index `jq` is read (or written) by member `u` at exactly the
-    /// column support of `u`'s sparse block `jq·c + w`, whatever the
-    /// member's own `v`.
+    /// this rank's need sets over the column ring: the panel that starts
+    /// at member `o` has `σ`-index `o + v`, and member `u` reads (or
+    /// writes) it at exactly the column support of `u`'s sparse block
+    /// `σ·c + w`.
     pub fn from_staged(comm: &Comm, c: usize, routing: Routing, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
         let grid = Grid25::new(comm.size(), c).expect("invalid 2.5D grid");
@@ -149,7 +149,7 @@ impl DenseRepl25 {
         let s_home = grid_s[u][sigma0 * c + w].clone();
         let route = route(&gc.col_ring, routing, || {
             (0..q)
-                .map(|jq| RowSet::from_indices(grid_s[u][jq * c + w].cols.clone()))
+                .map(|o| RowSet::from_indices(grid_s[u][(o + v) % q * c + w].cols.clone()))
                 .collect()
         });
 
@@ -208,14 +208,15 @@ impl DenseRepl25 {
         ShiftPipeline::new(&self.gc.row_ring, q - 1, TAG_SPARSE)
     }
 
-    /// Column-ring pipeline for the traveling dense panel. The panel
-    /// travels as a [`Mat`] payload (or a routed row bundle with
-    /// zero-fill reconstruction), so its shape — including empty
-    /// r-slices — survives the hop; callers cross-check each visit's
-    /// row count against the schedule via [`DenseRepl25::check_panel`].
-    fn dense_pipeline(&self) -> ShiftPipeline<'_> {
+    /// Column-ring pipeline for the traveling dense panel, dense or
+    /// routed by `route`. The panel travels as a [`Mat`] payload (or a
+    /// routed row bundle with zero-fill reconstruction), so its shape —
+    /// including empty r-slices — survives the hop; callers cross-check
+    /// each visit's row count against the schedule via
+    /// [`DenseRepl25::check_panel`].
+    fn dense_pipeline<'a>(&'a self, route: Option<&'a CommPattern>) -> ShiftPipeline<'a> {
         let q = self.gc.col_ring.size();
-        ShiftPipeline::new(&self.gc.col_ring, q - 1, TAG_DENSE)
+        ShiftPipeline::new(&self.gc.col_ring, q - 1, TAG_DENSE).routed(route)
     }
 
     /// Schedule cross-check for the panel held at step `t` (block index
@@ -226,28 +227,6 @@ impl DenseRepl25 {
         let sigma = (self.gc.u + self.gc.v + t) % q;
         let rows = block_range(o.cols_tot, q * c, sigma * c + w).len();
         debug_assert!(y.ncols() == 0 || y.nrows() == rows);
-    }
-
-    /// Forward set for an **input** panel leaving after step `t`: the
-    /// union of the needs of the ring members that still consume it
-    /// (member `(σ − v − t') mod q` consumes panel `σ` at step `t'`).
-    /// Empty after the last step, when the lane posts no hop at all.
-    fn forward_input(&self, pat: &CommPattern, t: usize) -> RowSet {
-        let q = self.q();
-        let (u, v) = (self.gc.u, self.gc.v);
-        let sig = (u + v + t) % q;
-        pat.union_over((t + 1..q).map(|tp| (sig + 2 * q - v - tp) % q), sig)
-    }
-
-    /// Forward set for a circulating **accumulator** leaving after step
-    /// `t`: the union of every visited writer's rows. The final hop
-    /// carries the whole support home; rows outside it are exactly
-    /// zero, so zero-fill reconstruction is lossless.
-    fn forward_acc(&self, pat: &CommPattern, t: usize) -> RowSet {
-        let q = self.q();
-        let (u, v) = (self.gc.u, self.gc.v);
-        let sig = (u + v + t) % q;
-        pat.union_over((0..=t).map(|tpp| (sig + 2 * q - v - tpp) % q), sig)
     }
 
     /// SDDMM travel round: the sparse block accumulates slice-partial
@@ -265,14 +244,14 @@ impl DenseRepl25 {
         let slice = block_range(self.view.dims().r, q, self.gc.v);
         let mut blk = side.home.clone();
         blk.vals.fill(0.0);
-        let mut y = self.dense_pipeline().input(y0);
+        let mut y = self.dense_pipeline(route).input(y0);
         let pipe_s = self.sparse_pipeline();
         for t in 0..q {
             // The panel is an input lane: post its next hop before the
             // compute so the transfer hides behind it. The sparse block
             // accumulates this step's combines, so it exchanges after.
             self.check_panel(side.o, y.block(), t);
-            let hop = y.post_mat(route.map(|pat| self.forward_input(pat, t)).as_ref());
+            let hop = y.post_mat();
             let (mut vals, yb) = (std::mem::take(&mut blk.vals), y.block());
             let com = combine.for_slice(slice.clone());
             self.gc
@@ -292,18 +271,18 @@ impl DenseRepl25 {
     /// step, `home` the valued home block) — the SpMMA data flow; caller
     /// reduce-scatters.
     fn spmm_out_round(&self, side: &Side<'_>, home: &CooMatrix, y0: &Mat) -> Mat {
-        let (o, route) = (side.o, side.o.route.as_ref());
+        let o = side.o;
         let width = y0.ncols();
         let mut t_out = Mat::zeros(o.macro_rows, width);
         let mut blk = self.sparse_pipeline().input(home);
-        let mut y = self.dense_pipeline().input(y0);
+        let mut y = self.dense_pipeline(o.route.as_ref()).input(y0);
         for t in 0..self.q() {
             // Both travelers are input lanes here (the accumulator is
             // replicated, not circulating): post both hops up front and
             // overlap the two transfers with the local SpMM.
             self.check_panel(o, y.block(), t);
             let hop_s = blk.post();
-            let hop_y = y.post_mat(route.map(|pat| self.forward_input(pat, t)).as_ref());
+            let hop_y = y.post_mat();
             let (b, yb) = (blk.block(), y.block());
             self.gc
                 .row_ring
@@ -329,7 +308,7 @@ impl DenseRepl25 {
         let width = t_buf.ncols();
         let mut out = Mat::zeros(o.y_home.nrows(), width);
         let mut blk = self.sparse_pipeline().input(home);
-        let pipe_y = self.dense_pipeline();
+        let pipe_y = self.dense_pipeline(route);
         for t in 0..self.q() {
             // The sparse block is read-only this step (input lane); the
             // output panel is written by the kernel, so it exchanges
@@ -343,8 +322,7 @@ impl DenseRepl25 {
                     self.local.spmm_t.spmm_coo_t(&mut out, b, t_buf)
                 });
             blk.arrive(hop);
-            let ship = route.map(|pat| self.forward_acc(pat, t));
-            out = pipe_y.exchange_mat(out, ship.as_ref());
+            out = pipe_y.exchange_mat(out, t);
         }
         out
     }

@@ -169,43 +169,14 @@ impl DenseShift15 {
     }
 
     /// The layer-ring shift pipeline all propagation rounds run
-    /// through: one position per step, tiles as [`Mat`] payloads
-    /// (self-describing shape, one word per entry — same modeled cost
-    /// as the raw buffer) or pattern-routed row bundles. Input-lane
-    /// tiles are posted *before* the step's compute so transfer and
-    /// compute overlap, and stop one hop short of home; the receiver
-    /// zero-fills unshipped routed rows, which downstream consumers
-    /// never read — the forward sets are unions of every remaining
-    /// consumer's needs.
-    fn pipeline(&self) -> ShiftPipeline<'_> {
-        ShiftPipeline::new(&self.gc.layer, 1, TAG_SHIFT)
-    }
-
-    /// The forward set for an **input** tile of origin `o` leaving after
-    /// step `t`: the union of the needs of every consumer it still
-    /// visits (member `(o + t') mod q` consumes it at step `t'`). Empty
-    /// after the last step, when the lane posts no hop at all.
-    fn forward_input(&self, pat: &CommPattern, o: usize, t: usize) -> RowSet {
-        let q = self.q();
-        pat.union_over((t + 1..q).map(|tp| (o + tp) % q), o)
-    }
-
-    /// The forward set for a circulating **accumulator** of origin `o`
-    /// leaving after step `t`: the union of every visited writer's rows
-    /// (member `(o + t'') mod q` wrote at step `t''`). Rows outside the
-    /// union are exactly zero, so zero-fill reconstruction is lossless;
-    /// the last hop carries the whole support back to the owner.
-    fn forward_acc(&self, pat: &CommPattern, o: usize, t: usize) -> RowSet {
-        let q = self.q();
-        pat.union_over((0..=t).map(|tpp| (o + tpp) % q), o)
-    }
-
-    /// The slot (stationary S column-block index) paired with the block
-    /// held at propagation step `t`.
-    #[inline]
-    fn slot(&self, t: usize) -> usize {
-        let q = self.q();
-        (self.gc.u + q - (t % q)) % q
+    /// through, dense or routed by `route`: one position per step, tiles
+    /// as [`Mat`] payloads (self-describing shape, one word per entry —
+    /// same modeled cost as the raw buffer) or pattern-routed row
+    /// bundles. The tile held at step `t` started at ring position
+    /// `origin(t)`, which is also the slot of the stationary `S` column
+    /// block it pairs with.
+    fn pipeline<'a>(&'a self, route: Option<&'a CommPattern>) -> ShiftPipeline<'a> {
+        ShiftPipeline::new(&self.gc.layer, 1, TAG_SHIFT).routed(route)
     }
 
     /// SDDMM propagation round over the given oriented blocks: `y`
@@ -221,12 +192,13 @@ impl DenseShift15 {
         route: Option<&CommPattern>,
     ) -> Vec<Vec<f64>> {
         let mut acc: Vec<Vec<f64>> = blocks.iter().map(|b| vec![0.0; b.nnz()]).collect();
-        let mut y = self.pipeline().input(y0);
+        let pipe = self.pipeline(route);
+        let mut y = pipe.input(y0);
         for t in 0..self.q() {
-            let w = self.slot(t);
+            let w = pipe.origin(t);
             let blk = &blocks[w];
             debug_assert_eq!(blk.ncols(), y.block().nrows(), "block/panel misalignment");
-            let hop = y.post_mat(route.map(|pat| self.forward_input(pat, w, t)).as_ref());
+            let hop = y.post_mat();
             self.gc
                 .layer
                 .compute(kern::sddmm_flops(blk.nnz(), t_buf.ncols()), || {
@@ -259,14 +231,14 @@ impl DenseShift15 {
         let r = y0.ncols();
         let mut t_buf = Mat::zeros(blocks[0].nrows(), r);
         let mut held = hold.map(|i| self.held[i].borrow_mut());
+        let pipe = self.pipeline(route);
         let mut y = match held.as_deref_mut() {
-            Some(store) => self.pipeline().held_input(y0, store),
-            None => self.pipeline().input(y0),
+            Some(store) => pipe.held_input(y0, store),
+            None => pipe.input(y0),
         };
         for t in 0..self.q() {
-            let w = self.slot(t);
-            let blk = &blocks[w];
-            let hop = y.post_mat(route.map(|pat| self.forward_input(pat, w, t)).as_ref());
+            let blk = &blocks[pipe.origin(t)];
+            let hop = y.post_mat();
             self.gc.layer.compute(kern::spmm_flops(blk.nnz(), r), || {
                 self.local.spmm.spmm_csr(&mut t_buf, blk, y.block())
             });
@@ -287,13 +259,11 @@ impl DenseShift15 {
         my_out_rows: usize,
         route: Option<&CommPattern>,
     ) -> Mat {
-        let q = self.q();
-        let pipe = self.pipeline();
+        let pipe = self.pipeline(route);
         let r = t_buf.ncols();
         let mut out = Mat::zeros(my_out_rows, r);
-        for t in 0..q {
-            let w = self.slot(t);
-            let blk = &blocks[w];
+        for t in 0..self.q() {
+            let blk = &blocks[pipe.origin(t)];
             debug_assert_eq!(blk.ncols(), out.nrows(), "block/accumulator misalignment");
             self.gc.layer.compute(kern::spmm_flops(blk.nnz(), r), || {
                 self.local.spmm_t.spmm_csr_t(&mut out, blk, t_buf)
@@ -301,8 +271,7 @@ impl DenseShift15 {
             // Accumulator lane: the block is not final until the local
             // kernel has added its contribution, so the exchange cannot
             // be posted early.
-            let ship = route.map(|pat| self.forward_acc(pat, w, t));
-            out = pipe.exchange_mat(out, ship.as_ref());
+            out = pipe.exchange_mat(out, t);
         }
         out
     }
@@ -336,13 +305,14 @@ impl DenseShift15 {
         let r = y0.ncols();
         let mut t_out = Mat::zeros(t_in.nrows(), r);
         let mut held = self.held[transposed as usize].borrow_mut();
+        let pipe = self.pipeline(None);
         let mut y = if hold {
-            self.pipeline().held_input(y0, &mut held)
+            pipe.held_input(y0, &mut held)
         } else {
-            self.pipeline().input(y0)
+            pipe.input(y0)
         };
         for t in 0..self.q() {
-            let blk = &blocks[self.slot(t)];
+            let blk = &blocks[pipe.origin(t)];
             let hop = y.post();
             self.gc.layer.compute(kern::fused_flops(blk.nnz(), r), || {
                 self.local.fused.fused_csr(&mut t_out, blk, t_in, y.block())

@@ -140,20 +140,20 @@ impl SparseRepl25 {
     }
 
     /// Row-ring pipeline for `A`-side panels (one step backward per
-    /// hop). Panels travel as [`Mat`] payloads or routed row bundles,
-    /// so the incoming slice width — slices differ by one column when
-    /// `q·c ∤ r` — arrives with the data; callers cross-check it
-    /// against the schedule.
+    /// hop), routed by `route_a`. Panels travel as [`Mat`] payloads or
+    /// routed row bundles, so the incoming slice width — slices differ
+    /// by one column when `q·c ∤ r` — arrives with the data; callers
+    /// cross-check it against the schedule.
     fn a_pipeline(&self) -> ShiftPipeline<'_> {
         let q = self.gc.row_ring.size();
-        ShiftPipeline::new(&self.gc.row_ring, q - 1, TAG_A)
+        ShiftPipeline::new(&self.gc.row_ring, q - 1, TAG_A).routed(self.route_a.as_ref())
     }
 
-    /// Column-ring pipeline for `B`-side panels (see
-    /// [`SparseRepl25::a_pipeline`]).
+    /// Column-ring pipeline for `B`-side panels, routed by `route_b`
+    /// (see [`SparseRepl25::a_pipeline`]).
     fn b_pipeline(&self) -> ShiftPipeline<'_> {
         let q = self.gc.col_ring.size();
-        ShiftPipeline::new(&self.gc.col_ring, q - 1, TAG_B)
+        ShiftPipeline::new(&self.gc.col_ring, q - 1, TAG_B).routed(self.route_b.as_ref())
     }
 
     /// Schedule cross-check for an arriving accumulator panel: empty
@@ -162,26 +162,6 @@ impl SparseRepl25 {
     fn check_panel(got: Mat, next_width: usize) -> Mat {
         debug_assert!(got.is_empty() || got.ncols() == next_width);
         got
-    }
-
-    /// Forward set for an **input** panel leaving after step `t` on the
-    /// ring whose member coordinate excludes `base` (`base = u` for the
-    /// row ring, `base = v` for the column ring), when `route` routes
-    /// it: the union of the needs of the members that still read it.
-    /// Needs are origin-independent here, so origin 0 stands for all.
-    fn ship_input(&self, route: &Option<CommPattern>, base: usize, t: usize) -> Option<RowSet> {
-        let (q, pat) = (self.q(), route.as_ref()?);
-        let sig = (self.gc.u + self.gc.v + t) % q;
-        Some(pat.union_over((t + 1..q).map(|tp| (sig + 2 * q - base - tp) % q), 0))
-    }
-
-    /// Forward set for a circulating **accumulator** leaving after step
-    /// `t`: the union of every visited writer's rows (lossless under
-    /// zero-fill; the final hop carries the whole support home).
-    fn forward_acc_on(&self, pat: &CommPattern, base: usize, t: usize) -> RowSet {
-        let q = self.q();
-        let sig = (self.gc.u + self.gc.v + t) % q;
-        pat.union_over((0..=t).map(|tpp| (sig + 2 * q - base - tpp) % q), 0)
     }
 
     /// Width of the r-slice carried at step `t` (slices can differ by
@@ -211,8 +191,8 @@ impl SparseRepl25 {
             // Both panels are input lanes: post both hops before the
             // combine so the two ring transfers overlap it (and each
             // other).
-            let hop_a = a.post_mat(self.ship_input(&self.route_a, self.gc.u, t).as_ref());
-            let hop_b = b.post_mat(self.ship_input(&self.route_b, self.gc.v, t).as_ref());
+            let hop_a = a.post_mat();
+            let hop_b = b.post_mat();
             let com = combine.for_slice(slice.clone());
             let (ab, bb) = (a.block(), b.block());
             self.gc
@@ -237,19 +217,15 @@ impl SparseRepl25 {
             debug_assert_eq!(out.ncols(), b.block().ncols(), "panel slice misalignment");
             // `B` is an input lane (posted early); the `A`-shaped
             // accumulator is written by the kernel and exchanges after.
-            let hop = b.post_mat(self.ship_input(&self.route_b, self.gc.v, t).as_ref());
+            let hop = b.post_mat();
             let bb = b.block();
             self.gc
                 .row_ring
                 .compute(kern::spmm_flops(s.nnz(), bb.ncols()), || {
                     self.local.spmm.spmm_csr(&mut out, s, bb)
                 });
-            let ship_a = self
-                .route_a
-                .as_ref()
-                .map(|pat| self.forward_acc_on(pat, self.gc.u, t));
             let next = self.slice_at(t + 1).len();
-            out = Self::check_panel(pipe_a.exchange_mat(out, ship_a.as_ref()), next);
+            out = Self::check_panel(pipe_a.exchange_mat(out, t), next);
             b.arrive(hop);
         }
         out
@@ -265,19 +241,15 @@ impl SparseRepl25 {
             debug_assert_eq!(out.ncols(), a.block().ncols(), "panel slice misalignment");
             // `A` is an input lane (posted early); the `B`-shaped
             // accumulator is written by the kernel and exchanges after.
-            let hop = a.post_mat(self.ship_input(&self.route_a, self.gc.u, t).as_ref());
+            let hop = a.post_mat();
             let ab = a.block();
             self.gc
                 .row_ring
                 .compute(kern::spmm_flops(s.nnz(), ab.ncols()), || {
                     self.local.spmm_t.spmm_csr_t(&mut out, s, ab)
                 });
-            let ship_b = self
-                .route_b
-                .as_ref()
-                .map(|pat| self.forward_acc_on(pat, self.gc.v, t));
             let next = self.slice_at(t + 1).len();
-            out = Self::check_panel(pipe_b.exchange_mat(out, ship_b.as_ref()), next);
+            out = Self::check_panel(pipe_b.exchange_mat(out, t), next);
             a.arrive(hop);
         }
         out

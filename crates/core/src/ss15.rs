@@ -212,16 +212,10 @@ impl SparseShift15 {
     /// words/nonzero) one step per round. Blocks whose values the local
     /// kernel only reads are posted before the compute and stop one hop
     /// short of home (input lane); blocks accumulating per-step results
-    /// exchange after it, all the way home.
+    /// exchange after it, all the way home. The block held at step `t`
+    /// started at ring position `origin(t)`, its home slot.
     fn pipeline(&self) -> ShiftPipeline<'_> {
         ShiftPipeline::new(&self.gc.layer, 1, TAG_SPARSE)
-    }
-
-    /// Home slot of the block held at step `t`.
-    #[inline]
-    fn slot(&self, t: usize) -> usize {
-        let q = self.q();
-        (self.gc.u + q - (t % q)) % q
     }
 
     /// SDDMM propagation round: the home block (values zeroed) travels
@@ -240,7 +234,7 @@ impl SparseShift15 {
         blk.vals.fill(0.0);
         let slice = block_range(self.view.dims().r, q, self.gc.u);
         for t in 0..q {
-            let w = self.slot(t);
+            let w = pipe.origin(t);
             // Detach the accumulating value array from the traveling
             // block so the pattern can be borrowed alongside it.
             let mut vals = std::mem::take(&mut blk.vals);
@@ -265,11 +259,12 @@ impl SparseShift15 {
     /// input lane, and at each visit `spmm(w, blk)` runs on the block
     /// `blk` of slot `w`, metered as an SpMM of width `width`.
     fn spmm_round(&self, home: &CooMatrix, width: usize, mut spmm: impl FnMut(usize, &CooMatrix)) {
-        let mut blk = self.pipeline().input(home);
+        let pipe = self.pipeline();
+        let mut blk = pipe.input(home);
         for t in 0..self.q() {
             let (hop, b) = (blk.post(), blk.block());
             let flops = kern::spmm_flops(b.nnz(), width);
-            self.gc.layer.compute(flops, || spmm(self.slot(t), b));
+            self.gc.layer.compute(flops, || spmm(pipe.origin(t), b));
             blk.arrive(hop);
         }
     }
