@@ -9,33 +9,45 @@
 //! out  = α · (H·W)
 //! ```
 //!
-//! The logit computation is a *generalized SDDMM* — the additive
-//! combine decomposes over the r-dimension exactly like a dot product,
-//! so it slices across every distribution (paper: "identical
-//! communication pattern to SDDMM"). The row softmax needs row-wise
-//! reductions over whichever ranks share a sparse row (outside-kernel
-//! communication), and the convolution is an SpMM with the attention
-//! values. A multi-head layer concatenates per-head outputs.
+//! The paper computes the logits as a *generalized SDDMM* ("identical
+//! communication pattern to SDDMM"): `sddmm_general` with
+//! [`CombineSpec::Affine`](dsk_core::kernel::CombineSpec::Affine).
+//! That formulation stays the oracle — [`gat_forward_reference`] uses
+//! it, and `tests/golden_bits.rs` pins it bit for bit. The engine uses
+//! the algebra GAT itself defines attention by instead: the logit is
+//! the sum of two per-node scalars, `u = H·a_src` and `v = H·a_dst`.
+//! One forward pass over `h` heads
 //!
-//! Every step is a [`DistKernel`](dsk_core::kernel::DistKernel) call,
-//! so the engine is oblivious to
-//! which algorithm family (or the 1D baseline) runs underneath. The
-//! dense transform `H·W` stages through full-width row blocks using the
-//! kernel's iterate-layout descriptors; whole-row kernels pass through
-//! the identity fast path of
-//! [`dsk_core::layout::repartition_dense`].
+//! 1. stages `H` from the kernel's `B`-iterate layout to full-width row
+//!    blocks, once;
+//! 2. runs one local GEMM against
+//!    `[W₁ | … | W_h | a_src₁ a_dst₁ … a_src_h a_dst_h]`, giving every
+//!    head's `H·W` and the `2h` score columns of this rank's rows;
+//! 3. all-gathers the scores (`2h·n` words in all), so every rank holds
+//!    every `u` and `v`;
+//! 4. per head, writes `exp(LeakyReLU(u_i + v_j))` straight into the
+//!    stored R values, normalizes each row (the row sums reduce over
+//!    whichever ranks share a sparse row), repartitions that head's
+//!    `H·W` back to the `B`-iterate layout, and runs the SpMM
+//!    `α·(H·W)` followed by ELU. Head outputs are concatenated.
+//!
+//! Every distributed step is a [`Session`] call, so the engine is
+//! oblivious to which algorithm family (or the 1D baseline) runs
+//! underneath; whole-row kernels pass the repartitions through the
+//! identity fast path of [`dsk_core::layout::repartition_dense`].
 //!
 //! Local kernel fusion is deliberately unsupported here: the softmax
-//! must observe the completed SDDMM before any aggregation, which is
+//! must observe every completed logit before any aggregation, which is
 //! why the paper excludes the LKF variant from its GAT benchmark.
 
 use dsk_comm::Phase;
-use dsk_core::kernel::CombineSpec;
-use dsk_core::layout::repartition_dense;
+use dsk_core::layout::{repartition_dense, DenseLayout};
 use dsk_core::session::Session;
 use dsk_core::GlobalProblem;
 use dsk_dense::ops::gemm_acc;
 use dsk_dense::Mat;
+
+use crate::engine::AppEngine;
 
 /// One attention head's parameters.
 #[derive(Debug, Clone)]
@@ -106,93 +118,117 @@ impl GatEngine {
         &mut self.session
     }
 
-    /// Compute `H·W` in the kernel's SpMM-operand (`B`-iterate) layout.
-    /// Column-sliced layouts re-partition through a row-block staging
-    /// layout (outside-kernel cost, as in the paper's Fig. 9
-    /// breakdown); whole-row layouts pass through untouched.
-    fn transform_operand(&mut self, w_mat: &Mat) -> Mat {
-        let comm = self.session.comm();
-        let dims = self.session.worker().dims();
-        let (n, r, p) = (dims.n, dims.r, comm.size());
-        let row_blocks = crate::engine::AppEngine::row_block_layout(n, r, p);
-        let k = self.session.worker().kernel();
-        let src = |g: usize| k.b_iterate_layout_of(g);
-        let stacked = k.b_iterate();
-        let staged = {
-            let _ph = comm.phase(Phase::OutsideComm);
-            repartition_dense(comm, &stacked, src, &row_blocks)
-        };
-        let hw = {
-            let _ph = comm.phase(Phase::OutsideCompute);
-            let mut out = Mat::zeros(staged.nrows(), w_mat.ncols());
-            comm.record_flops(dsk_dense::ops::gemm_flops(
-                staged.nrows(),
-                staged.ncols(),
-                w_mat.ncols(),
-            ));
-            gemm_acc(&mut out, &staged, w_mat);
-            out
-        };
-        let _ph = comm.phase(Phase::OutsideComm);
-        repartition_dense(comm, &hw, &row_blocks, src)
-    }
-
-    /// Attention logits for one head into the worker's R values
-    /// (generalized SDDMM).
-    fn attention_logits(&mut self, head: &GatHead) {
-        self.session.sddmm_general(&CombineSpec::Affine {
-            w_src: head.a_src.clone(),
-            w_dst: head.a_dst.clone(),
-        });
-    }
-
-    /// LeakyReLU + row softmax over the stored attention logits.
-    fn softmax_rows(&mut self, negative_slope: f64) {
-        let slope = negative_slope;
-        // exp(LeakyReLU(·)); inputs are bounded (embeddings in [-1,1]),
-        // so the unshifted exponential is safe.
-        self.session.map_r(&mut |v: f64| {
-            let a = if v < 0.0 { slope * v } else { v };
-            a.exp()
-        });
-        let sums = self.session.r_row_sums(Phase::OutsideComm);
-        let inv: Vec<f64> = sums
-            .iter()
-            .map(|&s| if s > 0.0 { 1.0 / s } else { 0.0 })
-            .collect();
-        self.session.scale_r_rows(&inv);
-    }
-
-    /// Attention-weighted convolution `α · (H·W)` (SpMM with the stored
-    /// R values), in the kernel's
-    /// [`spmm_a_with_layout_of`](dsk_core::kernel::DistKernel::spmm_a_with_layout_of)
-    /// layout.
-    fn convolve(&mut self, hw: &Mat) -> Mat {
-        self.session.spmm_a_with(hw)
-    }
-
     /// One multi-head forward pass: per-head attention + convolution,
     /// outputs concatenated along the feature dimension, ELU applied.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `heads` is empty, when its length is not
+    /// `cfg.heads`, or when a head's `W` is not `r × r`.
     pub fn forward(&mut self, heads: &[GatHead], cfg: &GatConfig) -> Mat {
         assert!(!heads.is_empty(), "need at least one head");
+        assert_eq!(
+            heads.len(),
+            cfg.heads,
+            "GatConfig::heads disagrees with the heads passed"
+        );
+        let r = self.session.worker().dims().r;
+        assert!(
+            heads
+                .iter()
+                .all(|head| (head.w.nrows(), head.w.ncols()) == (r, r)),
+            "every head's W must be r × r"
+        );
+        let (hw, scores) = self.stage(heads);
+        let slope = cfg.negative_slope;
+        // exp(LeakyReLU(·)); inputs are bounded (embeddings in [-1,1]),
+        // so the unshifted exponential is safe.
+        let attention = move |e: f64| (if e < 0.0 { slope * e } else { e }).exp();
         let mut outputs = Vec::with_capacity(heads.len());
-        for head in heads {
-            self.attention_logits(head);
-            self.softmax_rows(cfg.negative_slope);
-            let hw = self.transform_operand(&head.w);
-            let mut out = self.convolve(&hw);
-            // ELU activation, locally.
-            {
+        for (hw, [u, v]) in hw.iter().zip(&scores) {
+            self.session.set_r_pair_sums(u, v, &attention);
+            let sums = self.session.r_row_sums(Phase::OutsideComm);
+            let inv: Vec<f64> = {
                 let _ph = self.session.comm().phase(Phase::OutsideCompute);
-                for v in out.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = v.exp() - 1.0;
-                    }
+                sums.iter()
+                    .map(|&s| if s > 0.0 { 1.0 / s } else { 0.0 })
+                    .collect()
+            };
+            self.session.scale_r_rows(&inv);
+            let hw = self.unstage(hw);
+            // The kernel's rounds charge their own phases; the R-valued
+            // blocks it materializes around them are charged here.
+            let _ph = self.session.comm().phase(Phase::OutsideCompute);
+            let mut out = self.session.spmm_a_with(&hw);
+            for v in out.as_mut_slice() {
+                if *v < 0.0 {
+                    *v = v.exp() - 1.0;
                 }
             }
             outputs.push(out);
         }
+        let _ph = self.session.comm().phase(Phase::OutsideCompute);
         Mat::hstack(&outputs)
+    }
+
+    /// Steps 1–3 of the forward pass: stage `H` to row blocks, run the
+    /// one GEMM, and all-gather the scores. Returns each head's `H·W`
+    /// on this rank's row block and each head's full `[u, v]`.
+    fn stage(&self, heads: &[GatHead]) -> (Vec<Mat>, Vec<[Vec<f64>; 2]>) {
+        let comm = self.session.comm();
+        let k = self.session.worker().kernel();
+        let (r, h) = (k.dims().r, heads.len());
+        let staged = {
+            let _ph = comm.phase(Phase::OutsideComm);
+            let src = |g| k.b_iterate_layout_of(g);
+            repartition_dense(comm, &k.b_iterate(), src, self.row_blocks())
+        };
+        let (hw, local_scores) = {
+            let _ph = comm.phase(Phase::OutsideCompute);
+            let attn = Mat::from_fn(r, 2 * h, |i, c| {
+                let head = &heads[c / 2];
+                if c % 2 == 0 {
+                    head.a_src[i]
+                } else {
+                    head.a_dst[i]
+                }
+            });
+            let mut stacked: Vec<Mat> = heads.iter().map(|head| head.w.clone()).collect();
+            stacked.push(attn);
+            let weights = Mat::hstack(&stacked);
+            let mut out = Mat::zeros(staged.nrows(), weights.ncols());
+            comm.record_flops(dsk_dense::ops::gemm_flops(
+                staged.nrows(),
+                r,
+                weights.ncols(),
+            ));
+            gemm_acc(&mut out, &staged, &weights);
+            let hw: Vec<Mat> = (0..h).map(|t| out.cols_block(t * r..(t + 1) * r)).collect();
+            (hw, out.cols_block(h * r..h * r + 2 * h))
+        };
+        let all = {
+            let _ph = comm.phase(Phase::OutsideComm);
+            comm.allgatherv_f64(local_scores.as_slice())
+        };
+        let _ph = comm.phase(Phase::OutsideCompute);
+        let column = |c: usize| all.iter().skip(c).step_by(2 * h).copied().collect();
+        let scores = (0..h).map(|t| [column(2 * t), column(2 * t + 1)]).collect();
+        (hw, scores)
+    }
+
+    /// Repartition one head's `H·W` from the staging row blocks back to
+    /// the kernel's `B`-iterate layout (the SpMM operand).
+    fn unstage(&self, hw: &Mat) -> Mat {
+        let comm = self.session.comm();
+        let k = self.session.worker().kernel();
+        let _ph = comm.phase(Phase::OutsideComm);
+        repartition_dense(comm, hw, self.row_blocks(), |g| k.b_iterate_layout_of(g))
+    }
+
+    /// The staging layout: full-width contiguous row blocks of `H`.
+    fn row_blocks(&self) -> impl Fn(usize) -> DenseLayout {
+        let dims = self.session.worker().dims();
+        AppEngine::row_block_layout(dims.n, dims.r, self.session.comm().size())
     }
 }
 
@@ -264,7 +300,9 @@ mod tests {
         GlobalProblem::new(s, h.clone(), h)
     }
 
-    fn check_family(family: AlgorithmFamily, p: usize, c: usize) {
+    /// The forward pass on `family` (`None`: the 1D baseline) against
+    /// the serial reference, every head's block compared.
+    fn check_family(family: Option<AlgorithmFamily>, p: usize, c: usize) {
         let (n, r) = (24, 6);
         let prob = Arc::new(gat_problem(n, r, 300));
         let cfg = GatConfig::default();
@@ -273,68 +311,120 @@ mod tests {
         let heads2 = heads.clone();
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut eng = GatEngine::new(
-                Session::builder(&prob)
-                    .family(family)
-                    .replication(c)
-                    .build(comm),
-            );
+            let builder = Session::builder(&prob);
+            let builder = match family {
+                Some(f) => builder.family(f).replication(c),
+                None => builder.baseline(),
+            };
+            let mut eng = GatEngine::new(builder.build(comm));
             let local = eng.forward(&heads2, &cfg);
-            // Per-head outputs are concatenated; gather head 0 only,
-            // whose layout the kernel itself describes.
+            // Per-head outputs are concatenated. Gather each head's
+            // block in the layout the kernel describes; every rank joins
+            // every gather before rank 0 stacks them.
             let k = eng.session().worker().kernel();
-            let head0 = local.cols_block(0..local.ncols() / 2);
-            gather_dense(comm, 0, &head0, |g| k.spmm_a_with_layout_of(g), n, r)
+            let width = local.ncols() / cfg.heads;
+            let per_head: Vec<Option<Mat>> = (0..cfg.heads)
+                .map(|t| {
+                    let head = local.cols_block(t * width..(t + 1) * width);
+                    gather_dense(comm, 0, &head, |g| k.spmm_a_with_layout_of(g), n, r)
+                })
+                .collect();
+            let per_head: Option<Vec<Mat>> = per_head.into_iter().collect();
+            per_head.map(|blocks| Mat::hstack(&blocks))
         });
         let got = out[0].value.as_ref().unwrap();
-        let expect0 = expect.cols_block(0..r);
-        assert!(
-            dsk_dense::ops::max_abs_diff(got, &expect0) < 1e-9,
-            "GAT mismatch for {family:?}"
-        );
+        assert_eq!(got.ncols(), cfg.heads * r);
+        for t in 0..cfg.heads {
+            let cols = t * r..(t + 1) * r;
+            assert!(
+                dsk_dense::ops::max_abs_diff(
+                    &got.cols_block(cols.clone()),
+                    &expect.cols_block(cols)
+                ) < 1e-9,
+                "GAT mismatch for {family:?}, head {t}"
+            );
+        }
     }
 
     #[test]
     fn gat_matches_reference_ds15() {
-        check_family(AlgorithmFamily::DenseShift15, 4, 2);
+        check_family(Some(AlgorithmFamily::DenseShift15), 4, 2);
     }
 
     #[test]
     fn gat_matches_reference_ss15() {
-        check_family(AlgorithmFamily::SparseShift15, 4, 2);
+        check_family(Some(AlgorithmFamily::SparseShift15), 4, 2);
     }
 
     #[test]
     fn gat_matches_reference_dr25() {
-        check_family(AlgorithmFamily::DenseRepl25, 8, 2);
+        check_family(Some(AlgorithmFamily::DenseRepl25), 8, 2);
     }
 
     #[test]
     fn gat_matches_reference_sr25() {
-        check_family(AlgorithmFamily::SparseRepl25, 8, 2);
+        check_family(Some(AlgorithmFamily::SparseRepl25), 8, 2);
     }
 
     #[test]
     fn gat_matches_reference_baseline() {
         // The 1D baseline is a full DistKernel: the same forward pass
         // must verify against the serial reference.
-        let (n, r, p) = (24, 6, 4);
-        let prob = Arc::new(gat_problem(n, r, 303));
-        let cfg = GatConfig::default();
-        let heads = vec![GatHead::random(r, 304)];
-        let expect = gat_forward_reference(&prob, &heads, &cfg);
+        check_family(None, 4, 1);
+    }
+
+    #[test]
+    fn forward_words_are_the_closed_form() {
+        // sr25 at p = c = 4 holds B as n × r/4 column slices. One
+        // staging sends 3/4 of each rank's n/4 × r row block, the score
+        // all-gather 3 peers' n/4 × 2h blocks, and each head's
+        // repartition back as much as the staging: no logit reduction
+        // across layers, so no replication words.
+        let (n, r, p, c, h) = (32, 8, 4, 4, 2);
+        let prob = Arc::new(gat_problem(n, r, 330));
+        let cfg = GatConfig {
+            heads: h,
+            negative_slope: 0.2,
+        };
+        let heads: Vec<GatHead> = (0..h as u64).map(|i| GatHead::random(r, 340 + i)).collect();
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
-            let mut eng = GatEngine::new(Session::builder(&prob).baseline().build(comm));
-            let local = eng.forward(&heads, &cfg);
-            let k = eng.session().worker().kernel();
-            gather_dense(comm, 0, &local, |g| k.spmm_a_with_layout_of(g), n, r)
+            let mut eng = GatEngine::new(
+                Session::builder(&prob)
+                    .family(AlgorithmFamily::SparseRepl25)
+                    .replication(c)
+                    .build(comm),
+            );
+            let before = comm.stats_snapshot();
+            eng.forward(&heads, &cfg);
+            let after = comm.stats_snapshot();
+            let repl = |s: &dsk_comm::RankStats| s.phase(Phase::Replication).words_sent;
+            (
+                after.total().words_sent - before.total().words_sent,
+                repl(&after) - repl(&before),
+            )
         });
-        let got = out[0].value.as_ref().unwrap();
-        assert!(
-            dsk_dense::ops::max_abs_diff(got, &expect) < 1e-9,
-            "GAT mismatch for baseline"
-        );
+        let expect = (3 * n * r / 16 + 3 * (n / 4) * 2 * h + h * 3 * n * r / 16) as u64;
+        for o in &out {
+            assert_eq!(o.value, (expect, 0), "rank {} words per forward", o.rank);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "GatConfig::heads disagrees")]
+    fn forward_rejects_a_head_count_mismatch() {
+        let (n, r) = (16, 4);
+        let prob = gat_problem(n, r, 350);
+        let cfg = GatConfig {
+            heads: 3,
+            negative_slope: 0.2,
+        };
+        let heads: Vec<GatHead> = (0..2).map(|i| GatHead::random(r, 360 + i)).collect();
+        let w = SimWorld::new(1, MachineModel::bandwidth_only());
+        w.run(move |comm| {
+            let mut eng = GatEngine::new(Session::builder(&prob).baseline().build(comm));
+            eng.forward(&heads, &cfg);
+        });
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! |---------------|----------|----------|
 //! | §III kernels (SDDMM, SpMMA/B) | [`DistKernel::sddmm`], [`DistKernel::spmm_a`], [`DistKernel::spmm_b`] | |
 //! | §IV FusedMM + elision | [`DistKernel::fused_mm_a`], [`DistKernel::fused_mm_b`] | [`DistKernel::supports`] |
-//! | §VI-E generalized SDDMM (GAT logits) | [`DistKernel::sddmm_general`], [`CombineSpec`] | |
+//! | §VI-E generalized SDDMM (the paper's GAT logits) | [`DistKernel::sddmm_general`], [`CombineSpec`] | [`DistKernel::set_r_pair_sums`] (the same logits as `u_i + v_j` from per-node scores; what the GAT engine runs) |
 //! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_sums`] (reduction group), [`DistKernel::r_store`], [`DistKernel::r_store_mut`] | [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
 //! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_with`] | |
 //! | Table II data distributions | [`DistKernel::view`] | [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`], [`DistKernel::r_pattern_bounds_of`] |
@@ -288,6 +288,15 @@ pub trait DistKernel: Send {
     /// iterate [`DistKernel::fused_mm_b`] calls until `set_a`.
     fn rhs_b(&mut self, _comm: &Comm) -> Mat {
         self.spmm_b(false)
+    }
+
+    /// Store `f(u[i] + v[j])` as the R value of every stored nonzero at
+    /// global `(i, j)`, from a score per global row (`u`) and per global
+    /// column (`v`): the GAT attention logits `a_srcᵀh_i + a_dstᵀh_j`
+    /// as two per-node scalars (local; every replica writes the same
+    /// values).
+    fn set_r_pair_sums(&mut self, u: &[f64], v: &[f64], f: &dyn Fn(f64) -> f64) {
+        self.r_store_mut().set_pair_sums(u, v, f);
     }
 
     /// Map every stored R value in place (local; all replicas apply the

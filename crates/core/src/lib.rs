@@ -61,7 +61,8 @@
 //! | §V per-family algorithms (Table II) | the `impl DistKernel` blocks in [`ds15`], [`ss15`], [`dr25`], [`sr25`], [`baseline`]; each names its plan with [`view`](kernel::DistKernel::view) | required |
 //! | §V-E communication analysis (Tables III & IV) | [`theory`] — consumed by [`kernel::KernelBuilder::plan`] | |
 //! | §VI-C best-algorithm prediction (Fig. 6) | [`kernel::KernelBuilder::auto`] / [`theory::predict_best`] | |
-//! | §VI-E generalized SDDMM (GAT logits) | [`sddmm_general`](kernel::DistKernel::sddmm_general), [`kernel::CombineSpec`] | required |
+//! | §VI-E generalized SDDMM (the paper's GAT logits; the serial reference's formulation) | [`sddmm_general`](kernel::DistKernel::sddmm_general), [`kernel::CombineSpec`] | required |
+//! | | [`set_r_pair_sums`](kernel::DistKernel::set_r_pair_sums) (the same logits as `u_i + v_j` from per-node scores; what the GAT engine runs) | provided ([`rstore::RStore`]) |
 //! | §VI-E softmax & ALS plumbing | [`r_row_sums`](kernel::DistKernel::r_row_sums) (the reduction group differs), [`spmm_a_with`](kernel::DistKernel::spmm_a_with), [`r_store`](kernel::DistKernel::r_store) | required |
 //! | | [`map_r`](kernel::DistKernel::map_r), [`scale_r_rows`](kernel::DistKernel::scale_r_rows), [`sq_loss_local`](kernel::DistKernel::sq_loss_local), [`export_r`](kernel::DistKernel::export_r)/[`import_r`](kernel::DistKernel::import_r), [`gather_r`](kernel::DistKernel::gather_r) | provided ([`rstore::RStore`]) |
 //! | Fig. 9 distribution shifts | [`set_a`](kernel::DistKernel::set_a)/[`set_b`](kernel::DistKernel::set_b) | required |

@@ -219,6 +219,27 @@ impl RStore {
         }
     }
 
+    /// Store `f(u[i] + v[j])` as the R value of every local nonzero at
+    /// global `(i, j)`: an SDDMM whose combine is the sum of a row score
+    /// and a column score (the GAT attention logits). Every replica
+    /// writes the full set.
+    pub(crate) fn set_pair_sums(&mut self, u: &[f64], v: &[f64], f: &dyn Fn(f64) -> f64) {
+        assert_eq!(
+            (u.len(), v.len()),
+            self.global,
+            "need one score per global row and per global column"
+        );
+        let vals = each_format!(&self.blocks, blocks => {
+            let per_block = blocks.iter().zip(&self.offsets).map(|(blk, &(row0, col0))| {
+                let mut out = vec![0.0; blk.nnz()];
+                blk.walk(|k, i, j| out[k] = f(u[row0 + i] + v[self.global_col(col0, j)]));
+                out
+            });
+            per_block.collect()
+        });
+        self.vals = Some(vals);
+    }
+
     /// Map every stored R value in place.
     pub(crate) fn map(&mut self, f: &mut dyn FnMut(f64) -> f64) {
         for v in self.vals.as_deref_mut().expect(NO_R).iter_mut().flatten() {
@@ -450,6 +471,69 @@ mod tests {
         .with_col_map(vec![7, 2, 9]);
         back.import(&exported);
         assert_eq!(back.vals()[0], vec![0.5, 0.25, 0.125]);
+    }
+
+    /// Row and column scores of an `m × n` matrix and a combine under
+    /// which every R value and squared residual below is exact.
+    fn scores(m: usize, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let u = (0..m).map(|i| 0.5 * i as f64).collect();
+        let v = (0..n).map(|j| 0.25 * j as f64).collect();
+        (u, v)
+    }
+
+    fn logit(x: f64) -> f64 {
+        3.0 * x - 1.0
+    }
+
+    /// The store exports exactly the nonzeros at `at` (global
+    /// coordinates, export order), each valued `logit(u[i] + v[j])`.
+    fn assert_pair_sums(s: &RStore, at: &[(usize, usize)]) {
+        let (u, v) = scores(s.global.0, s.global.1);
+        let expect: Vec<_> = at
+            .iter()
+            .map(|&(i, j)| (i, j, logit(u[i] + v[j])))
+            .collect();
+        assert_eq!(s.export().unwrap().iter().collect::<Vec<_>>(), expect);
+    }
+
+    #[test]
+    fn pair_sums_fill_every_store_shape_at_global_coordinates() {
+        // Ragged column offsets, the middle block empty.
+        let mut ragged = ragged_store();
+        let (u, v) = scores(7, 11);
+        ragged.set_pair_sums(&u, &v, &logit);
+        assert_pair_sums(&ragged, &[(4, 1), (6, 0), (6, 3), (5, 6), (5, 10)]);
+        assert!(ragged.vals()[1].is_empty());
+
+        // A column map: local columns [0, 1, 2] are global [7, 2, 9].
+        let blk = csr(2, 3, &[(0, 2, 1.0), (1, 0, 2.0), (1, 1, 3.0)]);
+        let mut mapped = RStore::csr((6, 10), vec![blk], vec![(4, 0)]).with_col_map(vec![7, 2, 9]);
+        let (u, v) = scores(6, 10);
+        mapped.set_pair_sums(&u, &v, &logit);
+        assert_pair_sums(&mapped, &[(4, 9), (5, 7), (5, 2)]);
+
+        // Replicated shares: every layer holds the full set, layer 0
+        // alone exports, and the scored shares add up to the loss.
+        let entries = [(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0), (2, 2, 5.0)];
+        let (u, v) = scores(8, 8);
+        let mut whole = RStore::csr((8, 8), vec![csr(3, 3, &entries)], vec![(2, 5)]);
+        whole.set_pair_sums(&u, &v, &logit);
+        assert_pair_sums(&whole, &[(2, 5), (2, 7), (3, 6), (4, 7)]);
+        let c = 3;
+        let mut loss = 0.0;
+        for layer in 0..c {
+            let mut s = RStore::csr((8, 8), vec![csr(3, 3, &entries)], vec![(2, 5)])
+                .replicated_share(layer, c);
+            s.set_pair_sums(&u, &v, &logit);
+            assert_eq!(s.vals(), whole.vals(), "layer {layer} holds every value");
+            if layer == 0 {
+                assert_pair_sums(&s, &[(2, 5), (2, 7), (3, 6), (4, 7)]);
+            } else {
+                assert_eq!(s.export().unwrap().nnz(), 0);
+            }
+            loss += s.sq_loss();
+        }
+        assert_eq!(loss, whole.sq_loss(), "shares must add up to the loss");
     }
 
     #[test]

@@ -633,14 +633,28 @@ impl Session {
         self.w_mut().map_r(f);
     }
 
-    /// Row sums of the stored R values, reduced over the sharing ranks.
+    /// Store `f(u[i] + v[j])` at every stored nonzero `(i, j)` (see
+    /// [`DistKernel::set_r_pair_sums`](crate::kernel::DistKernel::set_r_pair_sums)), charged to
+    /// [`Phase::OutsideCompute`].
+    pub fn set_r_pair_sums(&mut self, u: &[f64], v: &[f64], f: &dyn Fn(f64) -> f64) {
+        let (w, comm) = self.w_mut_with_comm();
+        let _ph = comm.phase(Phase::OutsideCompute);
+        w.set_r_pair_sums(u, v, f);
+    }
+
+    /// Row sums of the stored R values, reduced over the sharing ranks:
+    /// the local sums are charged to [`Phase::OutsideCompute`], the
+    /// reduction to `phase`.
     pub fn r_row_sums(&self, phase: Phase) -> Vec<f64> {
+        let _ph = self.comm.phase(Phase::OutsideCompute);
         self.w().r_row_sums(&self.comm, phase)
     }
 
-    /// Scale each stored R row.
+    /// Scale each stored R row, charged to [`Phase::OutsideCompute`].
     pub fn scale_r_rows(&mut self, scale: &[f64]) {
-        self.w_mut().scale_r_rows(scale);
+        let (w, comm) = self.w_mut_with_comm();
+        let _ph = comm.phase(Phase::OutsideCompute);
+        w.scale_r_rows(scale);
     }
 
     /// SpMMA with the stored R values against an explicit operand.

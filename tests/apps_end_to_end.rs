@@ -106,8 +106,8 @@ fn gat_norm_is_family_independent_and_matches_reference() {
             local.as_slice().iter().map(|v| v * v).sum::<f64>()
         });
         let got: f64 = out.iter().map(|o| o.value).sum();
-        // sr25 replicates A-panel outputs across fibers? No — panels
-        // are disjoint per rank; the sum covers the matrix once.
+        // Every family's output blocks are disjoint across ranks (sr25's
+        // A panels too), so the sum covers the matrix once.
         assert!(
             (got - ref_sq).abs() < 1e-6 * ref_sq.max(1.0),
             "{family:?}: ‖out‖² {got} vs reference {ref_sq}"
