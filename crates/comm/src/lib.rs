@@ -127,9 +127,9 @@
 //! `{ts, dur, rank, phase, kind, args}` events against its own
 //! monotonic clock at the existing instrumentation choke points —
 //! phase transitions, send posts, receive waits with stall
-//! attribution, shift-pipeline lanes, epoch rendezvous/abort, session
-//! migration, and tuner microbenches (the full event vocabulary is
-//! tabulated in [`trace`]).
+//! attribution, shift-pipeline lanes, epoch rendezvous/abort, and
+//! session migration (the full event vocabulary is tabulated in
+//! [`trace`]).
 //!
 //! **Gather-at-broadcast flow.** At epoch end each rank drains its
 //! buffer. In-memory, the world merges the per-thread buffers

@@ -44,12 +44,10 @@ pub enum Phase {
     /// of *knowing* the pattern is visible apart from the words it
     /// saves.
     PatternExchange,
-    /// Microbenchmarking of local kernel variants by `dsk-kernels`'
-    /// auto-tuner when a distributed kernel is built. Pure local wall
-    /// time — the tuner performs no communication and records no
-    /// modeled flops — kept in its own bucket so tuning cost is visible
-    /// without perturbing any modeled communication or computation
-    /// number.
+    /// Run-time tuning of local kernel variants. No code enters it:
+    /// local variants come from `dsk-kernels`' fixed per-(op, format)
+    /// table, so every bucket reads zero. It stays because the repo
+    /// benchmark reports its wall time as `kernels.tune_ms`.
     LocalTuning,
     /// Elastic-fleet traffic: redistributing live iterates and R values
     /// when a session changes its *process count* (`dsk-core`'s

@@ -6,7 +6,7 @@
 //! per-rank, lock-cheap recorder captures `{ts, dur, rank, phase, kind,
 //! name, args}` events against a per-process monotonic clock, so one
 //! can see that rank 3 stalled in a shift wait while rank 0 was still
-//! tuning, or that a short epoch was dominated by its rendezvous.
+//! staging, or that a short epoch was dominated by its rendezvous.
 //!
 //! # Recording model
 //!
@@ -37,7 +37,6 @@
 //! | `epoch` | [`SYNC_EVENT`] | instant | the per-epoch clock-alignment anchor |
 //! | `epoch` | `epoch.abort` | instant | elastic abort (`try_run` failure path) |
 //! | `session` | `session.replan` / `session.migrate` / `session.resize` | span | `dsk-core`'s `Session` |
-//! | `tune` | `tune.measure` | span | `dsk-kernels`' microbench tuner |
 //! | `mark` | `trace.dropped` | instant | ring-buffer overflow notice |
 //!
 //! Blocking calls are `begin(..).wait()`, so they emit the same post
@@ -99,8 +98,6 @@ pub enum TraceKind {
     Epoch = 2,
     /// Session-level re-planning, migration, and resizing.
     Session = 3,
-    /// Local-kernel tuner microbenchmarks.
-    Tune = 4,
     /// Bookkeeping marks (e.g. ring-buffer overflow).
     Mark = 5,
 }
@@ -113,7 +110,6 @@ impl TraceKind {
             TraceKind::Comm => "comm",
             TraceKind::Epoch => "epoch",
             TraceKind::Session => "session",
-            TraceKind::Tune => "tune",
             TraceKind::Mark => "mark",
         }
     }
@@ -124,7 +120,6 @@ impl TraceKind {
             1 => TraceKind::Comm,
             2 => TraceKind::Epoch,
             3 => TraceKind::Session,
-            4 => TraceKind::Tune,
             _ => TraceKind::Mark,
         }
     }

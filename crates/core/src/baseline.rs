@@ -64,7 +64,8 @@ pub struct Baseline1D {
     st_remapped: CsrMatrix,
     /// Global `S` row of each stacked-operand index of `plan_b`.
     st_inv_col: Vec<u32>,
-    /// Tuned local-kernel variants (all-naive until the builder tunes).
+    /// Local-kernel variants (all-naive until the builder resolves
+    /// them).
     pub(crate) local: kern::LocalPicks,
 }
 

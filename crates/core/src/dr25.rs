@@ -85,8 +85,8 @@ pub struct DenseRepl25 {
     canon: Oriented,
     /// Transposed orientation (replicate `B`, travel `Sᵀ` and `A`).
     trans: Oriented,
-    /// Tuned local-kernel variants (all-naive until the builder tunes;
-    /// COO blocks only admit the serial naive/blocked pair).
+    /// Local-kernel variants (all-naive until the builder resolves
+    /// them; COO blocks only admit the serial naive/blocked pair).
     pub(crate) local: kern::LocalPicks,
 }
 

@@ -73,7 +73,8 @@ pub struct DenseShift15 {
     /// Layer-ring communication pattern for pattern-routed propagation
     /// (`None` = dense shifts, the default).
     route: Option<CommPattern>,
-    /// Tuned local-kernel variants (all-naive until the builder tunes).
+    /// Local-kernel variants (all-naive until the builder resolves
+    /// them).
     pub(crate) local: kern::LocalPicks,
     /// Ones-valued copies of the `S` and `Sᵀ` blocks for
     /// [`Sampling::Ones`] fused rounds, built on first use.

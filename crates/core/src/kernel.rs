@@ -446,12 +446,12 @@ pub struct PlannedCandidate {
     /// Modeled computation seconds per FusedMM (identical across
     /// candidates: flops are family-invariant and load-balanced).
     pub predicted_comp_s: f64,
-    /// The local microkernel variant resolved for the family's dominant
-    /// local op (SpMM on the family's block format): the staging's
-    /// tuned pick when one is cached, else the `DSK_LOCAL_KERNEL` pin
-    /// or the shape heuristic. The second level of the two-level plan —
-    /// it never affects the modeled numbers above (variant choice
-    /// changes neither flops nor traffic), only local wall time.
+    /// The local microkernel variant the family runs for its dominant
+    /// local op (SpMM on the family's block format): the pin (the
+    /// staging's, else `DSK_LOCAL_KERNEL`) clamped to that op, else the
+    /// fixed table's `Spmm` entry ([`kern::LocalKernel::table`]). It
+    /// never affects the modeled numbers above (variant choice changes
+    /// neither flops nor traffic), only local wall time.
     pub local_variant: kern::LocalKernel,
 }
 
@@ -475,111 +475,17 @@ impl PlannedCandidate {
     }
 }
 
-/// The [`kern::TuneRequest`] describing the representative sparse block
-/// a family's local kernels run on at `(p, c)`. Shape estimates only —
-/// the tuner buckets them into coarse shape classes — but crucially the
-/// **same** function produces the cache keys at build time (when the
-/// family measures on its actual blocks) and at plan time (when the
-/// world-free scoreboard looks picks up), so the two levels of the plan
-/// always agree on what was tuned.
-pub(crate) fn local_tune_request(
-    family: AlgorithmFamily,
-    op: kern::LocalOp,
-    p: usize,
-    c: usize,
-    dims: ProblemDims,
-    nnz: usize,
-) -> kern::TuneRequest {
-    use kern::SparseFormat;
-    let p = p.max(1);
-    let c = c.max(1);
-    let (format, rows, block_nnz) = match family {
-        // 1.5D: a layer of p/c ranks splits S into (p/c)² blocks of
-        // m·c/p rows each. Dense-shifting keeps them in CSR (stationary,
-        // reused every shift); sparse-shifting ships them as COO.
-        AlgorithmFamily::DenseShift15 => (SparseFormat::Csr, dims.m * c / p, nnz * c * c / (p * p)),
-        AlgorithmFamily::SparseShift15 => {
-            (SparseFormat::Coo, dims.m * c / p, nnz * c * c / (p * p))
+/// The format a kernel keeps its sparse blocks in, and so the column
+/// of the local-kernel table it runs: 1.5D dense shifting, 2.5D sparse
+/// replication and the 1D baseline keep `S` stationary in CSR; 1.5D
+/// sparse shifting and 2.5D dense replication move it as COO.
+fn block_format(id: KernelId) -> kern::SparseFormat {
+    match id {
+        KernelId::Family(AlgorithmFamily::SparseShift15 | AlgorithmFamily::DenseRepl25) => {
+            kern::SparseFormat::Coo
         }
-        // 2.5D: a √(p/c) × √(p/c) layer tiles S; each tile has
-        // m/√(p/c) rows and nnz·c/p nonzeros. Dense replication moves
-        // the tiles (COO); sparse replication keeps the pattern
-        // stationary in CSR.
-        AlgorithmFamily::DenseRepl25 => {
-            let side = (p / c).max(1).isqrt().max(1);
-            (SparseFormat::Coo, dims.m / side, nnz * c / p)
-        }
-        AlgorithmFamily::SparseRepl25 => {
-            let side = (p / c).max(1).isqrt().max(1);
-            (SparseFormat::Csr, dims.m / side, nnz * c / p)
-        }
-    };
-    kern::TuneRequest {
-        op,
-        format,
-        rows: rows.max(1),
-        nnz: block_nnz,
-        r: dims.r,
-    }
-}
-
-/// [`local_tune_request`] for the 1D baseline: a p-way row split of `S`
-/// kept in CSR.
-pub(crate) fn baseline_tune_request(
-    op: kern::LocalOp,
-    p: usize,
-    dims: ProblemDims,
-    nnz: usize,
-) -> kern::TuneRequest {
-    let p = p.max(1);
-    kern::TuneRequest {
-        op,
-        format: kern::SparseFormat::Csr,
-        rows: (dims.m / p).max(1),
-        nnz: nnz / p,
-        r: dims.r,
-    }
-}
-
-/// Resolve a freshly built kernel's local-kernel variants against the
-/// staging's shared tuning cache, microbenchmarking on the kernel's
-/// representative block — the first block of its R store — when the
-/// shape class is new. Only the ops the kernel actually runs are tuned:
-/// the fused local kernel exists for 1.5D dense shifting alone (every
-/// other kernel decomposes FusedMM into SDDMM + SpMM rounds), and the
-/// baseline never runs a transpose scatter (its SpMMB is a row-major
-/// SpMM on the `Sᵀ`-oriented plan). Wall time lands in
-/// [`Phase::LocalTuning`]; no communication, no flop accounting —
-/// modeled numbers are untouched whatever wins.
-fn tune_local(
-    staged: &StagedProblem,
-    comm: &Comm,
-    view: PlanView,
-    blocks: &RStore,
-) -> kern::LocalPicks {
-    use kern::LocalOp::{Fused, Sddmm, Spmm, SpmmT};
-    let _t = comm.phase(Phase::LocalTuning);
-    let (p, c, dims, nnz) = (view.p(), view.c(), view.dims(), staged.prob.nnz());
-    let tuned: &[kern::LocalOp] = match view.id() {
-        KernelId::Family(AlgorithmFamily::DenseShift15) => &[Spmm, SpmmT, Sddmm, Fused],
-        KernelId::Family(_) => &[Spmm, SpmmT, Sddmm],
-        KernelId::Baseline1D => &[Spmm, Sddmm],
-    };
-    let pick = |op| {
-        if !tuned.contains(&op) {
-            return kern::LocalKernel::Naive;
-        }
-        let req = match view.id() {
-            KernelId::Family(f) => local_tune_request(f, op, p, c, dims, nnz),
-            KernelId::Baseline1D => baseline_tune_request(op, p, dims, nnz),
-        };
-        blocks.tune(staged.local_tuning(), req)
-    };
-    kern::LocalPicks {
-        spmm: pick(Spmm),
-        spmm_t: pick(SpmmT),
-        sddmm: pick(Sddmm),
-        fused: pick(Fused),
+        KernelId::Family(AlgorithmFamily::DenseShift15 | AlgorithmFamily::SparseRepl25)
+        | KernelId::Baseline1D => kern::SparseFormat::Csr,
     }
 }
 
@@ -852,16 +758,12 @@ impl<'a> KernelBuilder<'a> {
         }
         let (dims, nnz) = self.shape();
         let comp_s = theory::predicted_comp_time(&model, p, dims, nnz);
-        // Local-variant resolution is lookup-only (pin → cached pick →
-        // shape heuristic): planning must stay cheap enough for
-        // world-free sweeps, so the scoreboard never microbenchmarks.
-        // Shape-only builders have no staging (and so no tuned cache);
-        // a fresh empty cache gives them the pin/heuristic path.
-        let no_staging = kern::LocalTuning::new();
-        let tuning = match &self.source {
-            Source::Owned(s) => s.local_tuning(),
-            Source::Borrowed(s) => s.local_tuning(),
-            Source::Shape(..) => &no_staging,
+        // Shape-only builders have no staging, so only the environment
+        // can pin them.
+        let pin = match &self.source {
+            Source::Owned(s) => s.local_pin(),
+            Source::Borrowed(s) => s.local_pin(),
+            Source::Shape(..) => kern::env_pin(),
         };
         let mut scored: Vec<PlannedCandidate> = Vec::new();
         for (alg, c) in self.candidates(p) {
@@ -872,7 +774,7 @@ impl<'a> KernelBuilder<'a> {
                 // `admits` guarantees the routed model exists.
                 let words = theory::words_for_routing(alg, routing, p, c, dims, nnz).unwrap();
                 let msgs = theory::messages_for_routing(alg, routing, p, c).unwrap();
-                let req = local_tune_request(alg.family, kern::LocalOp::Spmm, p, c, dims, nnz);
+                let format = block_format(KernelId::Family(alg.family));
                 scored.push(PlannedCandidate {
                     algorithm: alg,
                     c,
@@ -881,7 +783,7 @@ impl<'a> KernelBuilder<'a> {
                     msgs_per_proc: msgs,
                     predicted_comm_s: model.alpha_s * msgs + model.beta_s_per_word * words,
                     predicted_comp_s: comp_s,
-                    local_variant: tuning.resolve(req),
+                    local_variant: kern::LocalPicks::resolve(format, pin).spmm,
                 });
             }
         }
@@ -907,16 +809,17 @@ impl<'a> KernelBuilder<'a> {
     /// builds — real traffic, charged to `Phase::PatternExchange`.
     pub fn build_planned(&self, comm: &Comm, plan: &KernelPlan) -> DistWorker {
         let staged = self.staged();
-        macro_rules! tuned {
+        let local = kern::LocalPicks::resolve(block_format(plan.id), staged.local_pin());
+        macro_rules! with_picks {
             ($k:ident) => {{
-                $k.local = tune_local(staged, comm, $k.view(), $k.r_store());
+                $k.local = local;
                 Box::new($k) as Box<dyn DistKernel>
             }};
         }
         macro_rules! family {
             ($ty:ty) => {{
                 let mut k = <$ty>::from_staged(comm, plan.c, plan.routing, staged);
-                tuned!(k)
+                with_picks!(k)
             }};
         }
         let kernel: Box<dyn DistKernel> = match plan.id {
@@ -931,7 +834,7 @@ impl<'a> KernelBuilder<'a> {
                     "the 1D baseline has no shift schedule to pattern-route"
                 );
                 let mut k = Baseline1D::from_staged(comm, staged);
-                tuned!(k)
+                with_picks!(k)
             }
         };
         DistWorker::from_parts(kernel, *plan, comm.size(), staged.prob.dims)

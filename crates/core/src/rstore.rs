@@ -26,7 +26,6 @@
 use std::borrow::Cow;
 use std::ops::Range;
 
-use dsk_kernels as kern;
 use dsk_sparse::{CooMatrix, CsrMatrix};
 
 use crate::common::block_range;
@@ -330,19 +329,6 @@ impl RStore {
             per_block.collect()
         });
         self.vals = Some(vals);
-    }
-
-    /// Tune `req.op` on the store's first block — the representative
-    /// block of the kernel's local ops.
-    pub(crate) fn tune(
-        &self,
-        tuning: &kern::LocalTuning,
-        req: kern::TuneRequest,
-    ) -> kern::LocalKernel {
-        match &self.blocks {
-            Blocks::Csr(b) => tuning.tune_csr(req, &b[0]),
-            Blocks::Coo(b) => tuning.tune_coo(req, &b[0]),
-        }
     }
 }
 

@@ -23,8 +23,8 @@
 //!   survived pruning); the head candidate's
 //!   [`PlannedCandidate::plan`] is the plan to install.
 //! * **move** — build the new worker on the new roster (its pattern
-//!   exchange and tuning land in the phases a fresh construction
-//!   charges), then carry the live A/B iterates through
+//!   exchange lands in the phase a fresh construction charges), then
+//!   carry the live A/B iterates through
 //!   [`repartition_dense`] and the stored R values through one
 //!   owner-targeted [`Comm::sparse_alltoallv`] — each exported triplet
 //!   travels only to the ranks whose destination pattern bounds contain

@@ -60,7 +60,8 @@ pub struct SparseRepl25 {
     pub a_home: Mat,
     /// Home (pre-skewed) `B` panel.
     pub b_home: Mat,
-    /// Tuned local-kernel variants (all-naive until the builder tunes).
+    /// Local-kernel variants (all-naive until the builder resolves
+    /// them).
     pub(crate) local: kern::LocalPicks,
     /// Row-ring pattern for `A`-side panels (`None` = dense shifts).
     route_a: Option<CommPattern>,

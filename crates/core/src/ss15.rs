@@ -73,8 +73,8 @@ pub struct SparseShift15 {
     /// Fiber pattern for the transposed, `B`-replicating paths (rows
     /// over `n`).
     route_b: Option<CommPattern>,
-    /// Tuned local-kernel variants (all-naive until the builder tunes;
-    /// COO blocks only admit the serial naive/blocked pair).
+    /// Local-kernel variants (all-naive until the builder resolves
+    /// them; COO blocks only admit the serial naive/blocked pair).
     pub(crate) local: kern::LocalPicks,
 }
 

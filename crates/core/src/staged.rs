@@ -1,5 +1,5 @@
 //! Shared staging for distributed runs: a [`GlobalProblem`] plus a
-//! cache of its block partitions.
+//! cache of its block partitions and the local-kernel pin.
 //!
 //! Every rank of a simulated world builds its local blocks from the same
 //! global matrices. Having each of `p` ranks re-partition the sparse
@@ -16,6 +16,7 @@ use std::hash::Hash;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use dsk_kernels::LocalKernel;
 use dsk_sparse::partition::partition_by_ranges;
 use dsk_sparse::CooMatrix;
 
@@ -46,13 +47,15 @@ impl<K: Eq + Hash, V> OnceMap<K, V> {
 }
 
 /// A global problem plus memoized sparse-matrix partitions, shared by
-/// all ranks of a simulated world.
+/// all ranks of a simulated world. It also carries the local-kernel
+/// pin every plan built from it obeys: unpinned, each family runs the
+/// fixed per-(op, format) table ([`LocalKernel::table`]).
 pub struct StagedProblem {
     /// The underlying global problem.
     pub prob: Arc<GlobalProblem>,
     transpose: OnceLock<CooMatrix>,
     partitions: OnceMap<Key, Grid>,
-    tuning: dsk_kernels::LocalTuning,
+    pin: Mutex<Option<LocalKernel>>,
 }
 
 impl StagedProblem {
@@ -62,7 +65,7 @@ impl StagedProblem {
             prob,
             transpose: OnceLock::new(),
             partitions: OnceMap::new(),
-            tuning: dsk_kernels::LocalTuning::new(),
+            pin: Mutex::new(None),
         }
     }
 
@@ -77,13 +80,18 @@ impl StagedProblem {
         self.transpose.get_or_init(|| self.prob.s.transpose())
     }
 
-    /// The local-kernel tuning cache shared by every plan built from
-    /// this staging (the local analogue of the partition cache): the
-    /// first family to tune a given (op, shape class, r) measures once;
-    /// every later build and every `plan_candidates` scoreboard row
-    /// reuses the pick.
-    pub fn local_tuning(&self) -> &dsk_kernels::LocalTuning {
-        &self.tuning
+    /// Pin every local op of every plan built from this staging to `v`
+    /// (clamped per op), or clear the pin with `None`. A programmatic
+    /// pin takes precedence over `DSK_LOCAL_KERNEL`.
+    pub fn set_local_pin(&self, v: Option<LocalKernel>) {
+        *self.pin.lock().expect("nothing panics under the pin lock") = v;
+    }
+
+    /// The active local-kernel pin: the programmatic one if set, else
+    /// the `DSK_LOCAL_KERNEL` label (which panics if unrecognized).
+    pub fn local_pin(&self) -> Option<LocalKernel> {
+        let pin = *self.pin.lock().expect("nothing panics under the pin lock");
+        pin.or_else(dsk_kernels::env_pin)
     }
 
     /// The block partition of `S` (or `Sᵀ` when `transposed`) by the

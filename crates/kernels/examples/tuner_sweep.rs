@@ -1,8 +1,8 @@
-//! Tuner smoke sweep: measure every admissible local-kernel variant for
-//! every local op on one block (n = 2¹¹, 8 nnz/row, r = 32), run the
-//! runtime tuner on the same block, and check its pick against `Naive`
+//! Table smoke sweep: measure every admissible local-kernel variant for
+//! every (format, op) cell on one block (n = 2¹¹, 8 nnz/row, r = 32) and
+//! check the fixed table's pick ([`LocalKernel::table`]) against `Naive`
 //! **on the same measurement harness**. The process exits nonzero if any
-//! tuned pick measures slower than the naive reference beyond a noise
+//! table pick measures slower than the naive reference beyond a noise
 //! tolerance (with one head-to-head re-measurement before declaring
 //! failure).
 //!
@@ -12,18 +12,20 @@
 //!
 //! Output is one table row per (format, op, variant) — median wall time
 //! per iteration and GFLOP/s via the `dsk_kernels::*_flops` helpers —
-//! plus a per-op summary line naming the tuner's pick and its measured
-//! speedup over naive. Good for the relative comparison the gate makes;
-//! absolute numbers are machine noise.
+//! plus a per-cell summary line naming the table's pick, its measured
+//! speedup over naive and the measured fastest variant — the evidence
+//! for revisiting a cell of the table on new hardware. Good for the
+//! relative comparison the gate makes; absolute numbers are machine
+//! noise.
 
 use std::time::{Duration, Instant};
 
 use dsk_dense::Mat;
 use dsk_kernels as kern;
-use dsk_kernels::{LocalKernel, LocalOp, LocalTuning, SparseFormat, TuneRequest};
+use dsk_kernels::{LocalKernel, LocalOp, SparseFormat};
 use dsk_sparse::{gen, CooMatrix, CsrMatrix};
 
-/// A tuned pick may re-measure slower than naive by this factor before
+/// A table pick may re-measure slower than naive by this factor before
 /// the sweep calls it a regression (microbench noise, not a bad pick).
 const NOISE_TOL: f64 = 1.10;
 
@@ -89,18 +91,17 @@ fn run_coo(v: LocalKernel, op: LocalOp, s: &CooMatrix, a: &Mat, b: &Mat, w: &mut
     }
 }
 
-/// Sweep one (format, op): time every admissible variant, tune on the
-/// same block, and return `(pick, pick_s, naive_s, fastest)` — where
-/// `fastest` is the measured argmin over the admissible set.
-#[allow(clippy::too_many_arguments)]
+/// Sweep one (format, op): time every admissible variant and return
+/// `(pick, pick_s, naive_s, fastest)` — where `pick` is the table's
+/// variant and `fastest` the measured argmin over the admissible set.
 fn sweep_op(
     format: SparseFormat,
     op: LocalOp,
     nnz: usize,
     r: usize,
     mut run: impl FnMut(LocalKernel),
-    pick: LocalKernel,
 ) -> (LocalKernel, f64, f64, LocalKernel) {
+    let pick = LocalKernel::table(op, format);
     let flops = op_flops(op, nnz, r);
     let mut timings: Vec<(LocalKernel, f64)> = Vec::new();
     let fmt_label = match format {
@@ -149,36 +150,22 @@ fn main() {
     let b = Mat::random(n, r, 2);
     let nnz = s.nnz();
 
-    println!("\n=== tuner sweep (n = {n}, {nnz_row} nnz/row, r = {r}) ===");
+    println!("\n=== local kernel table sweep (n = {n}, {nnz_row} nnz/row, r = {r}) ===");
     println!(
         "{:<28} {:<24} {:>17} {:>18}",
         "group", "case", "time", "throughput"
     );
 
-    let tuning = LocalTuning::new();
     let mut summaries: Vec<(String, LocalKernel, f64, f64, LocalKernel)> = Vec::new();
 
     for op in LocalOp::ALL {
-        let req = TuneRequest {
-            op,
-            format: SparseFormat::Csr,
-            rows: n,
-            nnz,
-            r,
-        };
-        let pick = tuning.tune_csr(req, &s);
         let mut w = Scratch {
             out: Mat::zeros(n, r),
             acc: vec![0.0; nnz],
         };
-        let (pick, pick_s, naive_s, fastest) = sweep_op(
-            SparseFormat::Csr,
-            op,
-            nnz,
-            r,
-            |v| run_csr(v, op, &s, &a, &b, &mut w),
-            pick,
-        );
+        let (pick, pick_s, naive_s, fastest) = sweep_op(SparseFormat::Csr, op, nnz, r, |v| {
+            run_csr(v, op, &s, &a, &b, &mut w)
+        });
         summaries.push((
             format!("csr/{}", op.label()),
             pick,
@@ -188,26 +175,13 @@ fn main() {
         ));
     }
     for op in [LocalOp::Spmm, LocalOp::SpmmT, LocalOp::Sddmm] {
-        let req = TuneRequest {
-            op,
-            format: SparseFormat::Coo,
-            rows: n,
-            nnz,
-            r,
-        };
-        let pick = tuning.tune_coo(req, &coo);
         let mut w = Scratch {
             out: Mat::zeros(n, r),
             acc: vec![0.0; nnz],
         };
-        let (pick, pick_s, naive_s, fastest) = sweep_op(
-            SparseFormat::Coo,
-            op,
-            nnz,
-            r,
-            |v| run_coo(v, op, &coo, &a, &b, &mut w),
-            pick,
-        );
+        let (pick, pick_s, naive_s, fastest) = sweep_op(SparseFormat::Coo, op, nnz, r, |v| {
+            run_coo(v, op, &coo, &a, &b, &mut w)
+        });
         summaries.push((
             format!("coo/{}", op.label()),
             pick,
@@ -232,17 +206,17 @@ fn main() {
             beat_naive = true;
         }
         println!(
-            "tuned {name:<12} -> {:<12} {speedup:>6.2}x vs naive (measured fastest: {:<12}) {verdict}",
+            "table {name:<12} -> {:<12} {speedup:>6.2}x vs naive (measured fastest: {:<12}) {verdict}",
             pick.label(),
             fastest.label(),
         );
     }
     if beat_naive {
-        println!("tuner picked a non-naive variant measurably faster than naive on this shape");
+        println!("the table picks a non-naive variant measurably faster than naive on this shape");
     }
     if failed {
         eprintln!(
-            "tuner_sweep: a tuned pick measured slower than naive (beyond {NOISE_TOL}x tolerance)"
+            "tuner_sweep: a table pick measured slower than naive (beyond {NOISE_TOL}x tolerance)"
         );
         std::process::exit(1);
     }

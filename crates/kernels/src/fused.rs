@@ -45,29 +45,6 @@ pub fn fused_a_csr(out: &mut Mat, s: &CsrMatrix, a: &Mat, b: &Mat) {
     }
 }
 
-/// Row-parallel variant of [`fused_a_csr`]: output rows are
-/// independent (row `i` of `out` only consumes row `i` of `S` and `A`),
-/// so contiguous row chunks run on scoped threads.
-pub fn par_fused_a_csr(out: &mut Mat, s: &CsrMatrix, a: &Mat, b: &Mat) {
-    assert_eq!(out.nrows(), s.nrows(), "output rows must match S rows");
-    assert_eq!(a.nrows(), s.nrows(), "A rows must match S rows");
-    assert_eq!(b.nrows(), s.ncols(), "B rows must match S cols");
-    assert_eq!(a.ncols(), b.ncols(), "A and B widths must agree");
-    assert_eq!(out.ncols(), b.ncols(), "output width must match B");
-    crate::variants::par_out_rows(out, |i, orow| {
-        let (cols, vals) = s.row(i);
-        let arow = a.row(i);
-        for (&j, &sv) in cols.iter().zip(vals) {
-            let brow = b.row(j as usize);
-            let dot: f64 = arow.iter().zip(brow).map(|(x, y)| x * y).sum();
-            let rij = sv * dot;
-            for (o, y) in orow.iter_mut().zip(brow) {
-                *o += rij * y;
-            }
-        }
-    });
-}
-
 /// As [`fused_a_csr`], but additionally materializes the intermediate
 /// SDDMM values (in CSR nonzero order) for callers that need the sparse
 /// result too.

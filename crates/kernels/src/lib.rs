@@ -3,9 +3,8 @@
 //! The local (per-rank / per-node) compute kernels that every distributed
 //! algorithm in the workspace calls between communication steps:
 //!
-//! * [`spmm`] — `out += S·B` and `out += Sᵀ·A` on CSR and COO blocks,
-//!   with thread-parallel row variants (the paper uses MKL under OpenMP
-//!   for this role);
+//! * [`spmm`] — `out += S·B` and `out += Sᵀ·A` on CSR and COO blocks
+//!   (the paper uses MKL under OpenMP for this role);
 //! * [`sddmm`] — sampled dense-dense products, including *partial*
 //!   accumulation over column slices of the dense operands (the building
 //!   block that lets 1.5D sparse-shifting and 2.5D algorithms accumulate
@@ -17,11 +16,9 @@
 //! * [`variants`] — the local microkernel variant library: every op
 //!   above behind the [`LocalKernel`] enum, in naive, register-blocked
 //!   (width-specialized unrolled inner loops for r ∈ {8, 16, 32, 64}),
-//!   CSB-style tiled (transpose scatter), and thread-parallel forms;
-//! * [`tuner`] — the runtime auto-tuner: microbenchmarks the admissible
-//!   variants on a staged problem's actual blocks and caches the winner
-//!   per (op, shape class, nnz/row, r) — the local half of the
-//!   workspace's two-level (distributed plan × local kernel) tuning;
+//!   and thread-parallel blocked forms, plus the fixed per-(op, format)
+//!   table of which one runs ([`LocalKernel::table`]) — like the
+//!   paper's one local kernel per op, nothing is measured at run time;
 //! * `reference` — naive dense-arithmetic references every kernel is
 //!   tested against.
 //!
@@ -32,12 +29,12 @@
 //!
 //! ## Environment variables
 //!
-//! * `DSK_THREADS` — thread count for the `par_*` variants (clamped to
-//!   ≥ 1; default: one per available core). Pin it on shared CI runners
-//!   so variant timings — and therefore tuner picks — are deterministic.
-//! * `DSK_LOCAL_KERNEL` — pin every tuner pick to one variant label
-//!   (`naive`, `blocked`, `tiled`, `par-naive`, `par-blocked`,
-//!   `par-tiled`), clamped per op to the admissible set.
+//! * `DSK_THREADS` — thread count for the `par-blocked` variant
+//!   (clamped to ≥ 1; default: one per available core). Pin it on shared
+//!   CI runners so parallel timings are comparable.
+//! * `DSK_LOCAL_KERNEL` — pin every local op to one variant label
+//!   (`naive`, `blocked`, `par-blocked`) in place of the table, clamped
+//!   per op to the admissible set.
 //!
 //! Unset or empty means no pin; any other unparseable value panics
 //! naming the variable — a silently ignored pin would quietly un-pin a
@@ -52,17 +49,14 @@ pub mod fused;
 pub mod reference;
 pub mod sddmm;
 pub mod spmm;
-pub mod tuner;
 pub mod variants;
 
-pub use fused::{fused_a_csr, fused_a_csr_materialize, par_fused_a_csr};
+pub use fused::{fused_a_csr, fused_a_csr_materialize};
 pub use sddmm::{
-    apply_sampling, leaky_relu, par_sddmm_csr_acc, par_sddmm_csr_acc_with, sddmm_coo_acc,
-    sddmm_csr, sddmm_csr_acc, SddmmCombine,
+    apply_sampling, leaky_relu, sddmm_coo_acc, sddmm_csr, sddmm_csr_acc, SddmmCombine,
 };
-pub use spmm::{par_spmm_csr_acc, spmm_coo_acc, spmm_coo_t_acc, spmm_csr_acc, spmm_csr_t_acc};
-pub use tuner::{LocalPicks, LocalTuning, TuneRequest};
-pub use variants::{LocalKernel, LocalOp, SparseFormat};
+pub use spmm::{spmm_coo_acc, spmm_coo_t_acc, spmm_csr_acc, spmm_csr_t_acc};
+pub use variants::{env_pin, LocalKernel, LocalOp, LocalPicks, SparseFormat};
 
 /// Flops of `out += S·B` with `nnz` nonzeros and `r`-wide dense rows:
 /// one multiply and one add per (nonzero, column).

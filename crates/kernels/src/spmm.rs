@@ -8,26 +8,6 @@
 use dsk_dense::Mat;
 use dsk_sparse::{CooMatrix, CsrMatrix};
 
-/// Threads used by the `par_*` kernel variants: the `DSK_THREADS`
-/// environment variable when set (clamped to ≥ 1, for deterministic
-/// variant timings on shared runners), one per available core otherwise.
-/// Re-read on every call, so a test may change it mid-process.
-pub(crate) fn par_threads() -> usize {
-    threads_from(std::env::var("DSK_THREADS").ok().as_deref())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
-}
-
-/// The pinned thread count in a raw `DSK_THREADS` value; `None` (use
-/// every core) when unset or empty. Garbage panics: a silently ignored
-/// pin would quietly run a "reproducible" bench on all cores.
-fn threads_from(raw: Option<&str>) -> Option<usize> {
-    let v = raw.map(str::trim).filter(|v| !v.is_empty())?;
-    let n: usize = v
-        .parse()
-        .unwrap_or_else(|_| panic!("DSK_THREADS={v:?} is not a whole number ≥ 1"));
-    Some(n.max(1))
-}
-
 /// `out += S·B`. Shapes: `S: m×n`, `B: n×r`, `out: m×r`.
 pub fn spmm_csr_acc(out: &mut Mat, s: &CsrMatrix, b: &Mat) {
     assert_eq!(out.nrows(), s.nrows(), "output rows must match S rows");
@@ -43,41 +23,6 @@ pub fn spmm_csr_acc(out: &mut Mat, s: &CsrMatrix, b: &Mat) {
             }
         }
     }
-}
-
-/// Row-parallel `out += S·B` (scoped threads). Output rows are
-/// independent, so contiguous row chunks of `S` are processed in
-/// parallel, one chunk per thread.
-pub fn par_spmm_csr_acc(out: &mut Mat, s: &CsrMatrix, b: &Mat) {
-    assert_eq!(out.nrows(), s.nrows(), "output rows must match S rows");
-    assert_eq!(b.nrows(), s.ncols(), "B rows must match S cols");
-    assert_eq!(out.ncols(), b.ncols(), "output width must match B width");
-    let r = out.ncols();
-    let nrows = s.nrows();
-    let nthreads = par_threads().min(nrows.max(1));
-    let rows_per = nrows.div_ceil(nthreads.max(1)).max(1);
-    let chunks: Vec<(usize, &mut [f64])> = out
-        .as_mut_slice()
-        .chunks_mut(rows_per * r.max(1))
-        .enumerate()
-        .map(|(k, chunk)| (k * rows_per, chunk))
-        .collect();
-    std::thread::scope(|scope| {
-        for (row0, chunk) in chunks {
-            scope.spawn(move || {
-                let nchunk = chunk.len().checked_div(r).unwrap_or(0);
-                for (di, orow) in chunk.chunks_mut(r.max(1)).enumerate().take(nchunk) {
-                    let (cols, vals) = s.row(row0 + di);
-                    for (&j, &v) in cols.iter().zip(vals) {
-                        let brow = b.row(j as usize);
-                        for (o, x) in orow.iter_mut().zip(brow) {
-                            *o += v * x;
-                        }
-                    }
-                }
-            });
-        }
-    });
 }
 
 /// `out += Sᵀ·A`. Shapes: `S: m×n`, `A: m×r`, `out: n×r`. Row-scatter
@@ -142,20 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_pin_parses_counts_and_treats_unset_and_empty_as_all_cores() {
-        assert_eq!(threads_from(None), None);
-        assert_eq!(threads_from(Some("")), None);
-        assert_eq!(threads_from(Some(" 4 ")), Some(4));
-        assert_eq!(threads_from(Some("0")), Some(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "DSK_THREADS=\"four\" is not a whole number ≥ 1")]
-    fn thread_pin_rejects_garbage() {
-        threads_from(Some("four"));
-    }
-
-    #[test]
     fn csr_spmm_matches_reference() {
         let (s, _, b) = setup(13, 17, 5, 4, 1);
         let csr = CsrMatrix::from_coo(&s);
@@ -164,17 +95,6 @@ mod tests {
         spmm_csr_acc(&mut out, &csr, &b);
         reference::spmm_ref_acc(&mut expect, &s, &b);
         assert!(max_abs_diff(&out, &expect) < 1e-12);
-    }
-
-    #[test]
-    fn par_spmm_matches_serial() {
-        let (s, _, b) = setup(64, 64, 8, 6, 2);
-        let csr = CsrMatrix::from_coo(&s);
-        let mut serial = Mat::zeros(64, 8);
-        let mut parallel = Mat::zeros(64, 8);
-        spmm_csr_acc(&mut serial, &csr, &b);
-        par_spmm_csr_acc(&mut parallel, &csr, &b);
-        assert!(max_abs_diff(&serial, &parallel) < 1e-12);
     }
 
     #[test]

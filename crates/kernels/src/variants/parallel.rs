@@ -1,21 +1,40 @@
 //! Thread-parallel drivers for the register-blocked variants.
 //!
 //! Row-parallel ops split the output matrix (or the pattern-aligned
-//! accumulator) into contiguous row chunks at row boundaries — the same
-//! scoped-thread machinery as [`crate::spmm::par_spmm_csr_acc`] — and
-//! run the blocked row kernel inside each chunk. Thread count comes
-//! from `par_threads()` (one per core, `DSK_THREADS` overrides).
+//! accumulator) into contiguous row chunks at row boundaries, one per
+//! scoped thread, and run the blocked row kernel inside each chunk.
+//! Thread count comes from [`par_threads`] (one per core, `DSK_THREADS`
+//! overrides).
 
 use dsk_dense::Mat;
 use dsk_sparse::CsrMatrix;
 
 use super::blocked;
 use crate::sddmm::SddmmCombine;
-use crate::spmm::par_threads;
+
+/// Threads used by the parallel variant: the `DSK_THREADS` environment
+/// variable when set (clamped to ≥ 1, for deterministic timings on
+/// shared runners), one per available core otherwise. Re-read on every
+/// call, so a test may change it mid-process.
+fn par_threads() -> usize {
+    threads_from(std::env::var("DSK_THREADS").ok().as_deref())
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// The pinned thread count in a raw `DSK_THREADS` value; `None` (use
+/// every core) when unset or empty. Garbage panics: a silently ignored
+/// pin would quietly run a "reproducible" bench on all cores.
+fn threads_from(raw: Option<&str>) -> Option<usize> {
+    let v = raw.map(str::trim).filter(|v| !v.is_empty())?;
+    let n: usize = v
+        .parse()
+        .unwrap_or_else(|_| panic!("DSK_THREADS={v:?} is not a whole number ≥ 1"));
+    Some(n.max(1))
+}
 
 /// Run `f(row, out_row)` over all rows of `out`, contiguous row chunks
 /// in parallel (one chunk per thread).
-pub(crate) fn par_out_rows<F>(out: &mut Mat, f: F)
+fn par_out_rows<F>(out: &mut Mat, f: F)
 where
     F: Fn(usize, &mut [f64]) + Sync,
 {
@@ -45,7 +64,7 @@ where
 /// Run `f(row, acc_row)` over all rows of a CSR pattern, the
 /// pattern-aligned accumulator split at row-chunk boundaries (rows own
 /// disjoint `acc` ranges, so chunks are independent).
-pub(crate) fn par_acc_rows<F>(acc: &mut [f64], s: &CsrMatrix, f: F)
+fn par_acc_rows<F>(acc: &mut [f64], s: &CsrMatrix, f: F)
 where
     F: Fn(usize, &mut [f64]) + Sync,
 {
@@ -133,4 +152,23 @@ pub(super) fn par_blocked_fused_a_csr(out: &mut Mat, s: &CsrMatrix, a: &Mat, b: 
             blocked::axpy_blocked(orow, brow, rij);
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn thread_pin_parses_counts_and_treats_unset_and_empty_as_all_cores() {
+        assert_eq!(threads_from(None), None);
+        assert_eq!(threads_from(Some("")), None);
+        assert_eq!(threads_from(Some(" 4 ")), Some(4));
+        assert_eq!(threads_from(Some("0")), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "DSK_THREADS=\"four\" is not a whole number ≥ 1")]
+    fn thread_pin_rejects_garbage() {
+        threads_from(Some("four"));
+    }
 }

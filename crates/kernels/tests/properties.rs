@@ -5,6 +5,7 @@
 use dsk_dense::ops::max_abs_diff;
 use dsk_dense::Mat;
 use dsk_kernels as kern;
+use dsk_kernels::LocalKernel;
 use dsk_rng::Rng;
 use dsk_sparse::{gen, CsrMatrix};
 
@@ -125,9 +126,11 @@ fn spmm_t_equals_transposed_spmm() {
     }
 }
 
-/// Thread-parallel kernels agree with serial for random shapes.
+/// The thread-parallel variant agrees with serial `Naive` for random
+/// shapes, on every op it parallelizes.
 #[test]
 fn parallel_kernels_match_serial() {
+    let par = LocalKernel::ParBlocked;
     let mut rng = Rng::seed_from_u64(0xB006);
     for _ in 0..CASES {
         let m = 2 + rng.gen_index(38);
@@ -137,16 +140,21 @@ fn parallel_kernels_match_serial() {
         let (s, a, b) = problem(m, n, r, seed);
         let mut o1 = Mat::zeros(m, r);
         let mut o2 = Mat::zeros(m, r);
-        kern::spmm_csr_acc(&mut o1, &s, &b);
-        kern::par_spmm_csr_acc(&mut o2, &s, &b);
+        LocalKernel::Naive.spmm_csr(&mut o1, &s, &b);
+        par.spmm_csr(&mut o2, &s, &b);
         assert!(max_abs_diff(&o1, &o2) < 1e-11);
         let mut a1 = vec![0.0; s.nnz()];
         let mut a2 = vec![0.0; s.nnz()];
-        kern::sddmm_csr_acc(&mut a1, &s, &a, &b);
-        kern::sddmm::par_sddmm_csr_acc(&mut a2, &s, &a, &b);
+        LocalKernel::Naive.sddmm_csr(&mut a1, &s, &a, &b, kern::SddmmCombine::Dot);
+        par.sddmm_csr(&mut a2, &s, &a, &b, kern::SddmmCombine::Dot);
         for (x, y) in a1.iter().zip(&a2) {
             assert!((x - y).abs() < 1e-11);
         }
+        let mut f1 = Mat::zeros(m, r);
+        let mut f2 = Mat::zeros(m, r);
+        LocalKernel::Naive.fused_csr(&mut f1, &s, &a, &b);
+        par.fused_csr(&mut f2, &s, &a, &b);
+        assert!(max_abs_diff(&f1, &f2) < 1e-11);
     }
 }
 

@@ -3,7 +3,7 @@
 //! on hand-built edge shapes (the empty block, interior empty rows, a
 //! single-column matrix, an all-dense block) crossed with edge widths
 //! (r = 1, the exact unroll width, one past it), and on a seeded random
-//! sweep. Dispatch clamps inadmissible variants, so all six enum values
+//! sweep. Dispatch clamps inadmissible variants, so all three enum values
 //! are legal through every method; accumulation (`+=`) semantics are
 //! checked by starting both sides from the same random prefill.
 
@@ -40,7 +40,7 @@ fn edge_matrices() -> Vec<(&'static str, CooMatrix)> {
     }
     shapes.push(("single-column", col));
 
-    // All-dense block: the densest case the tuner can ever see.
+    // All-dense block: the densest case a local kernel can ever see.
     let mut dense = CooMatrix::empty(4, 5);
     for i in 0..4 {
         for j in 0..5 {

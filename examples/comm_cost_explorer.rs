@@ -62,9 +62,9 @@ fn main() {
         "", "", "", "", "", "", "", ""
     );
 
-    // Planning-only shape source: the local column shows the tuner's
-    // heuristic (or `DSK_LOCAL_KERNEL` pin) — nothing is materialized,
-    // so there is no block to microbenchmark.
+    // Planning-only shape source: the local column shows the local
+    // kernel table's SpMM pick for each family's block format (or the
+    // `DSK_LOCAL_KERNEL` pin).
     let builder = KernelBuilder::for_shape(dims, nnz).model(model);
     let candidates = builder.plan_candidates(p);
     for (i, cand) in candidates.iter().enumerate() {

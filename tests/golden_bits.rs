@@ -67,9 +67,9 @@ fn measure(family: Option<AlgorithmFamily>, routing: Routing) -> Table {
     let (m, n, r) = DIMS;
     let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 12_001));
     let staged = Arc::new(StagedProblem::new(prob));
-    // The tuner picks by wall clock and a different variant reorders
-    // sums; pin it so the kernels are the only degree of freedom.
-    staged.local_tuning().set_pin(Some(LocalKernel::Naive));
+    // The rows were recorded on `Naive`; the table's `Blocked` SpMM
+    // would reorder sums.
+    staged.set_local_pin(Some(LocalKernel::Naive));
     let builder = match family {
         Some(f) => KernelBuilder::from_staged_arc(staged)
             .family(f)

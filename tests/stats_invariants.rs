@@ -159,9 +159,9 @@ fn stall_is_measured_only_and_never_enters_modeled_time() {
 
 #[test]
 fn local_tuning_bucket_carries_no_traffic_and_no_modeled_cost() {
-    // Every worker build microbenchmarks local variants under
-    // Phase::LocalTuning; the tuner is documented communication-free
-    // and records no modeled flops — only wall time may land there.
+    // No code enters Phase::LocalTuning (local variants come from a
+    // fixed table), and the bucket must stay free of traffic and
+    // modeled flops whatever a build does.
     let prob = Arc::new(GlobalProblem::erdos_renyi(32, 32, 8, 4, 9006));
     let world = SimWorld::new(8, MachineModel::cori_knl());
     let out = world.run(move |comm| {

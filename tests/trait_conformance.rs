@@ -385,13 +385,6 @@ fn pipelined_and_blocking_shifts_agree_bitwise() {
 
     let prob = Arc::new(GlobalProblem::erdos_renyi(24, 22, 5, 3, 4007));
     let staged = Arc::new(StagedProblem::new(Arc::clone(&prob)));
-    // The local-kernel tuner picks by wall clock, and a different
-    // variant reorders float summation — legitimate, but it would make
-    // this bit-level comparison flaky. Pin the variant so the only
-    // degree of freedom between the two runs is the shift mode.
-    staged.local_tuning().set_pin(Some(
-        distributed_sparse_kernels::kernels::LocalKernel::Naive,
-    ));
     let configs: Vec<(&'static str, Option<AlgorithmFamily>, Elision)> = vec![
         (
             "1.5D dense shift",
@@ -473,11 +466,6 @@ fn pipelined_and_blocking_shifts_agree_bitwise() {
 fn routed_workers_on_a_sub_roster_match_a_standalone_world() {
     let prob = Arc::new(GlobalProblem::erdos_renyi(24, 22, 5, 3, 4008));
     let staged = Arc::new(StagedProblem::new(prob));
-    // Pin the local variant: a wall-clock pick could reorder float
-    // summation between the two worlds.
-    staged
-        .local_tuning()
-        .set_pin(Some(kern::LocalKernel::Naive));
     for family in AlgorithmFamily::ALL {
         let builder = KernelBuilder::from_staged_arc(Arc::clone(&staged))
             .family(family)
