@@ -1,7 +1,7 @@
 //! Table smoke sweep: measure every admissible local-kernel variant for
-//! every (format, op) cell on one block (n = 2¹¹, 8 nnz/row, r = 32) and
-//! check the fixed table's pick ([`LocalKernel::table`]) against `Naive`
-//! **on the same measurement harness**. The process exits nonzero if any
+//! every (format, op) cell on each block of [`SHAPES`] and check the
+//! fixed table's pick ([`LocalKernel::table`]) against `Naive` **on the
+//! same measurement harness**. The process exits nonzero if any
 //! table pick measures slower than the naive reference beyond a noise
 //! tolerance (with one head-to-head re-measurement before declaring
 //! failure).
@@ -28,6 +28,11 @@ use dsk_sparse::{gen, CooMatrix, CsrMatrix};
 /// A table pick may re-measure slower than naive by this factor before
 /// the sweep calls it a regression (microbench noise, not a bad pick).
 const NOISE_TOL: f64 = 1.10;
+
+/// The swept blocks, `(n, nnz/row, r)` on an n×n Erdős–Rényi pattern:
+/// a small block, and one rank's block of the benchmark's
+/// `fused-compute` workload (whose step is mostly the fused kernel).
+const SHAPES: [(usize, usize, usize); 2] = [(1 << 11, 8, 32), (1 << 13, 8, 32)];
 
 /// Measure `f`, returning seconds per iteration (median of batches).
 fn measure(mut f: impl FnMut()) -> f64 {
@@ -141,9 +146,11 @@ fn sweep_op(
     (pick, pick_s, naive_s, fastest)
 }
 
-fn main() {
-    let (n, nnz_row, r) = (1 << 11, 8, 32);
+/// One cell's verdict: `(n/format/op, pick, pick_s, naive_s, fastest)`.
+type Summary = (String, LocalKernel, f64, f64, LocalKernel);
 
+/// Sweep every (format, op) cell on one n×n block.
+fn sweep_shape(n: usize, nnz_row: usize, r: usize) -> Vec<Summary> {
     let coo = gen::erdos_renyi(n, n, nnz_row, 11);
     let s = CsrMatrix::from_coo(&coo);
     let a = Mat::random(n, r, 1);
@@ -156,8 +163,7 @@ fn main() {
         "group", "case", "time", "throughput"
     );
 
-    let mut summaries: Vec<(String, LocalKernel, f64, f64, LocalKernel)> = Vec::new();
-
+    let mut summaries = Vec::new();
     for op in LocalOp::ALL {
         let mut w = Scratch {
             out: Mat::zeros(n, r),
@@ -167,7 +173,7 @@ fn main() {
             run_csr(v, op, &s, &a, &b, &mut w)
         });
         summaries.push((
-            format!("csr/{}", op.label()),
+            format!("{n}/csr/{}", op.label()),
             pick,
             pick_s,
             naive_s,
@@ -183,13 +189,21 @@ fn main() {
             run_coo(v, op, &coo, &a, &b, &mut w)
         });
         summaries.push((
-            format!("coo/{}", op.label()),
+            format!("{n}/coo/{}", op.label()),
             pick,
             pick_s,
             naive_s,
             fastest,
         ));
     }
+    summaries
+}
+
+fn main() {
+    let summaries: Vec<Summary> = SHAPES
+        .into_iter()
+        .flat_map(|(n, nnz_row, r)| sweep_shape(n, nnz_row, r))
+        .collect();
 
     println!();
     let mut failed = false;
@@ -206,13 +220,15 @@ fn main() {
             beat_naive = true;
         }
         println!(
-            "table {name:<12} -> {:<12} {speedup:>6.2}x vs naive (measured fastest: {:<12}) {verdict}",
+            "table {name:<18} -> {:<12} {speedup:>6.2}x vs naive (measured fastest: {:<12}) {verdict}",
             pick.label(),
             fastest.label(),
         );
     }
     if beat_naive {
-        println!("the table picks a non-naive variant measurably faster than naive on this shape");
+        println!(
+            "the table picks a non-naive variant measurably faster than naive on these shapes"
+        );
     }
     if failed {
         eprintln!(

@@ -15,9 +15,18 @@
 //! algorithm. Besides saving a communication round, the fused kernel
 //! skips the intermediate store/reload of the SDDMM result (as in the
 //! FusedMM paper of Rahman, Sujon & Azad the authors cite).
+//!
+//! A row runs up to eight nonzeros at once (`fused_row`): their dots
+//! side by side ([`crate::sddmm`]'s chained dots, each in the sequential
+//! order), then their scaled rows of `B` added into the output row in
+//! CSR order. Every output element sees the same adds in the same order
+//! as the one-nonzero-at-a-time loop above, so the result is bitwise
+//! that loop's; only the independent dot chains overlap.
 
 use dsk_dense::Mat;
 use dsk_sparse::CsrMatrix;
+
+use crate::sddmm::{b_rows, dots};
 
 /// Fused FusedMMA over full-width rows: `out += SDDMM(A,B,S) · B`
 /// row-by-row, without materializing the SDDMM.
@@ -32,45 +41,44 @@ pub fn fused_a_csr(out: &mut Mat, s: &CsrMatrix, a: &Mat, b: &Mat) {
     assert_eq!(out.ncols(), b.ncols(), "output width must match B");
     for i in 0..s.nrows() {
         let (cols, vals) = s.row(i);
-        let arow = a.row(i);
-        for (&j, &sv) in cols.iter().zip(vals) {
-            let brow = b.row(j as usize);
-            let dot: f64 = arow.iter().zip(brow).map(|(x, y)| x * y).sum();
-            let rij = sv * dot;
-            let orow = out.row_mut(i);
-            for (o, y) in orow.iter_mut().zip(brow) {
-                *o += rij * y;
-            }
-        }
+        fused_row(out.row_mut(i), cols, vals, a.row(i), b);
     }
 }
 
-/// As [`fused_a_csr`], but additionally materializes the intermediate
-/// SDDMM values (in CSR nonzero order) for callers that need the sparse
-/// result too.
-pub fn fused_a_csr_materialize(out: &mut Mat, s: &CsrMatrix, a: &Mat, b: &Mat) -> Vec<f64> {
-    assert_eq!(out.nrows(), s.nrows(), "output rows must match S rows");
-    assert_eq!(a.nrows(), s.nrows(), "A rows must match S rows");
-    assert_eq!(b.nrows(), s.ncols(), "B rows must match S cols");
-    assert_eq!(a.ncols(), b.ncols(), "A and B widths must agree");
-    let mut rvals = vec![0.0; s.nnz()];
-    let indptr = s.indptr();
-    for i in 0..s.nrows() {
-        let (cols, vals) = s.row(i);
-        let arow = a.row(i);
-        let base = indptr[i];
-        for (off, (&j, &sv)) in cols.iter().zip(vals).enumerate() {
-            let brow = b.row(j as usize);
-            let dot: f64 = arow.iter().zip(brow).map(|(x, y)| x * y).sum();
-            let rij = sv * dot;
-            rvals[base + off] = rij;
-            let orow = out.row_mut(i);
-            for (o, y) in orow.iter_mut().zip(brow) {
-                *o += rij * y;
+/// One CSR row of the fused kernel: `orow += Σ_t vals[t]·⟨arow,
+/// B_row(cols[t])⟩ · B_row(cols[t])`, eight nonzeros at a time and then
+/// one group each of 4, 2 and 1 for the remainder.
+pub(crate) fn fused_row(orow: &mut [f64], cols: &[u32], vals: &[f64], arow: &[f64], b: &Mat) {
+    fn group<const N: usize>(orow: &mut [f64], cols: &[u32], vals: &[f64], arow: &[f64], b: &Mat) {
+        let r = arow.len();
+        let brows = b_rows::<N>(b, cols, r);
+        let d = dots(arow, &brows);
+        let rij: [f64; N] = std::array::from_fn(|t| vals[t] * d[t]);
+        for (k, o) in orow[..r].iter_mut().enumerate() {
+            let mut sum = *o;
+            for t in 0..N {
+                sum += rij[t] * brows[t][k];
             }
+            *o = sum;
         }
     }
-    rvals
+    let n = cols.len();
+    let mut t = 0;
+    while t + 8 <= n {
+        group::<8>(orow, &cols[t..], &vals[t..], arow, b);
+        t += 8;
+    }
+    if t + 4 <= n {
+        group::<4>(orow, &cols[t..], &vals[t..], arow, b);
+        t += 4;
+    }
+    if t + 2 <= n {
+        group::<2>(orow, &cols[t..], &vals[t..], arow, b);
+        t += 2;
+    }
+    if t < n {
+        group::<1>(orow, &cols[t..], &vals[t..], arow, b);
+    }
 }
 
 #[cfg(test)]
@@ -100,20 +108,6 @@ mod tests {
         let mut got = Mat::zeros(15, 7);
         fused_a_csr(&mut got, &s, &a, &b);
         assert!(max_abs_diff(&got, &expect) < 1e-12);
-    }
-
-    #[test]
-    fn materializing_variant_returns_sddmm_values() {
-        let (s, a, b) = setup(9, 9, 5, 21);
-        let mut out1 = Mat::zeros(9, 5);
-        let rvals = fused_a_csr_materialize(&mut out1, &s, &a, &b);
-        let expect_vals = sddmm_csr(&s, &a, &b);
-        for (g, w) in rvals.iter().zip(&expect_vals) {
-            assert!((g - w).abs() < 1e-12);
-        }
-        let mut out2 = Mat::zeros(9, 5);
-        fused_a_csr(&mut out2, &s, &a, &b);
-        assert!(max_abs_diff(&out1, &out2) < 1e-12);
     }
 
     #[test]

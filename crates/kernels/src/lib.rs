@@ -51,7 +51,7 @@ pub mod sddmm;
 pub mod spmm;
 pub mod variants;
 
-pub use fused::{fused_a_csr, fused_a_csr_materialize};
+pub use fused::fused_a_csr;
 pub use sddmm::{
     apply_sampling, leaky_relu, sddmm_coo_acc, sddmm_csr, sddmm_csr_acc, SddmmCombine,
 };

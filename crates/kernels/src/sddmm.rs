@@ -17,6 +17,14 @@
 //! paper's GAT workload replaces the dot product with
 //! `aᵀ(A_i: ‖ A_j:) = Σ_k w_src[k]·A_ik + w_dst[k]·A_jk`, which is also a
 //! sum over the r-dimension and therefore slices identically.
+//!
+//! The CSR dot-product row (`sddmm_dot_row`) keeps up to eight
+//! nonzeros in flight: their dots run side by side, each in its own
+//! accumulator and in the one-at-a-time order over `0..r`, so the result
+//! is bitwise the sequential loop's while the independent add chains
+//! overlap (the latency hiding Sparse GPU Kernels for Deep Learning gets
+//! from several nonzeros per thread). The fused kernel ([`crate::fused`])
+//! runs the same dots.
 
 use dsk_dense::Mat;
 use dsk_sparse::{CooMatrix, CsrMatrix};
@@ -65,6 +73,20 @@ pub fn sddmm_csr_acc_with(
     b_panel: &Mat,
     combine: SddmmCombine<'_>,
 ) {
+    sddmm_csr_acc_by(acc, s, a_panel, b_panel, combine, |x, y| combine.eval(x, y));
+}
+
+/// [`sddmm_csr_acc_with`] with the non-`Dot` combines evaluated by
+/// `affine`, one nonzero at a time; `Dot` rows always run
+/// [`sddmm_dot_row`]. The blocked variant passes its own evaluator.
+pub(crate) fn sddmm_csr_acc_by(
+    acc: &mut [f64],
+    s: &CsrMatrix,
+    a_panel: &Mat,
+    b_panel: &Mat,
+    combine: SddmmCombine<'_>,
+    affine: impl Fn(&[f64], &[f64]) -> f64,
+) {
     assert_eq!(acc.len(), s.nnz(), "accumulator must align with pattern");
     assert_eq!(a_panel.nrows(), s.nrows(), "A panel rows must match S rows");
     assert_eq!(b_panel.nrows(), s.ncols(), "B panel rows must match S cols");
@@ -75,13 +97,88 @@ pub fn sddmm_csr_acc_with(
     );
     let indptr = s.indptr();
     for i in 0..s.nrows() {
-        let (cols, _) = s.row(i);
-        let arow = a_panel.row(i);
-        let base = indptr[i];
-        for (off, &j) in cols.iter().enumerate() {
-            acc[base + off] += combine.eval(arow, b_panel.row(j as usize));
+        let acc_row = &mut acc[indptr[i]..indptr[i + 1]];
+        sddmm_row(
+            acc_row,
+            s.row(i).0,
+            a_panel.row(i),
+            b_panel,
+            combine,
+            &affine,
+        );
+    }
+}
+
+/// One CSR row of SDDMM accumulation: `acc_row[t] += combine(arow,
+/// B_row(cols[t]))`, through [`sddmm_dot_row`] for `Dot` and `affine`
+/// for the rest.
+pub(crate) fn sddmm_row(
+    acc_row: &mut [f64],
+    cols: &[u32],
+    arow: &[f64],
+    b_panel: &Mat,
+    combine: SddmmCombine<'_>,
+    affine: impl Fn(&[f64], &[f64]) -> f64,
+) {
+    match combine {
+        SddmmCombine::Dot => sddmm_dot_row(acc_row, cols, arow, b_panel),
+        SddmmCombine::AffinePair { .. } => {
+            for (slot, &j) in acc_row.iter_mut().zip(cols) {
+                *slot += affine(arow, b_panel.row(j as usize));
+            }
         }
     }
+}
+
+/// One CSR row of dot-product SDDMM: `acc_row[t] += ⟨arow, B_row(cols[t])⟩`,
+/// eight nonzeros at a time and then one group each of 4, 2 and 1 for
+/// the remainder. Bitwise equal to one [`Iterator::sum`] dot per nonzero.
+fn sddmm_dot_row(acc_row: &mut [f64], cols: &[u32], arow: &[f64], b_panel: &Mat) {
+    fn group<const N: usize>(acc: &mut [f64], cols: &[u32], arow: &[f64], b: &Mat) {
+        let d = dots::<N>(arow, &b_rows(b, cols, arow.len()));
+        for (slot, x) in acc[..N].iter_mut().zip(d) {
+            *slot += x;
+        }
+    }
+    let n = cols.len();
+    let mut t = 0;
+    while t + 8 <= n {
+        group::<8>(&mut acc_row[t..], &cols[t..], arow, b_panel);
+        t += 8;
+    }
+    if t + 4 <= n {
+        group::<4>(&mut acc_row[t..], &cols[t..], arow, b_panel);
+        t += 4;
+    }
+    if t + 2 <= n {
+        group::<2>(&mut acc_row[t..], &cols[t..], arow, b_panel);
+        t += 2;
+    }
+    if t < n {
+        group::<1>(&mut acc_row[t..], &cols[t..], arow, b_panel);
+    }
+}
+
+/// The first `N` rows of `b` that `cols` names, each cut to width `r`
+/// (the cut tells the compiler every row is as long as the A row).
+#[inline(always)]
+pub(crate) fn b_rows<'b, const N: usize>(b: &'b Mat, cols: &[u32], r: usize) -> [&'b [f64]; N] {
+    std::array::from_fn(|t| &b.row(cols[t] as usize)[..r])
+}
+
+/// `N` dots `⟨arow, brows[t]⟩` side by side. Each keeps its own
+/// accumulator, starts from −0.0 as [`Iterator::sum`] does, and adds its
+/// products in order over `0..r`: every result is bitwise the
+/// sequential dot, and only the `N` independent add chains overlap.
+#[inline(always)]
+pub(crate) fn dots<const N: usize>(arow: &[f64], brows: &[&[f64]; N]) -> [f64; N] {
+    let mut acc = [-0.0f64; N];
+    for (k, &x) in arow.iter().enumerate() {
+        for t in 0..N {
+            acc[t] += x * brows[t][k];
+        }
+    }
+    acc
 }
 
 /// [`sddmm_csr_acc_with`] specialized to the dot-product combine.

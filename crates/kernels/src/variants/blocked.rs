@@ -10,7 +10,10 @@
 //!
 //! Accumulation *order* differs from the naive kernels (independent
 //! partial sums), so results agree to floating-point tolerance, not
-//! bitwise — the same contract the distributed tests already use.
+//! bitwise — the same contract the distributed tests already use. The
+//! fused kernel and the CSR SDDMM's `Dot` combine have no blocked form:
+//! every variant runs their chained row loops, which match the naive
+//! order bit for bit.
 
 use dsk_dense::Mat;
 use dsk_sparse::{CooMatrix, CsrMatrix};
@@ -72,7 +75,7 @@ fn axpy_w<const W: usize>(orow: &mut [f64], x: &[f64], v: f64) {
 
 /// `orow += v · x`, width-dispatched on `orow.len()`.
 #[inline]
-pub(super) fn axpy_blocked(orow: &mut [f64], x: &[f64], v: f64) {
+fn axpy_blocked(orow: &mut [f64], x: &[f64], v: f64) {
     let r = orow.len();
     match r {
         8 => axpy_w::<8>(orow, x, v),
@@ -118,7 +121,7 @@ fn dot_w<const W: usize>(x: &[f64], y: &[f64]) -> f64 {
 /// `⟨x, y⟩` with four independent partial sums, width-dispatched on
 /// `x.len()`.
 #[inline]
-pub(super) fn dot_blocked(x: &[f64], y: &[f64]) -> f64 {
+fn dot_blocked(x: &[f64], y: &[f64]) -> f64 {
     let r = x.len();
     match r {
         8 => dot_w::<8>(x, y),
@@ -183,51 +186,6 @@ pub(super) fn blocked_spmm_csr_t_acc(out: &mut Mat, s: &CsrMatrix, a: &Mat) {
         let arow = a.row(i);
         for (&j, &v) in cols.iter().zip(vals) {
             axpy_blocked(out.row_mut(j as usize), arow, v);
-        }
-    }
-}
-
-/// Register-blocked SDDMM accumulation (CSR).
-pub(super) fn blocked_sddmm_csr_acc_with(
-    acc: &mut [f64],
-    s: &CsrMatrix,
-    a_panel: &Mat,
-    b_panel: &Mat,
-    combine: SddmmCombine<'_>,
-) {
-    assert_eq!(acc.len(), s.nnz(), "accumulator must align with pattern");
-    assert_eq!(a_panel.nrows(), s.nrows(), "A panel rows must match S rows");
-    assert_eq!(b_panel.nrows(), s.ncols(), "B panel rows must match S cols");
-    assert_eq!(
-        a_panel.ncols(),
-        b_panel.ncols(),
-        "panels must cover the same column slice"
-    );
-    let indptr = s.indptr();
-    for i in 0..s.nrows() {
-        let (cols, _) = s.row(i);
-        let arow = a_panel.row(i);
-        let base = indptr[i];
-        for (off, &j) in cols.iter().enumerate() {
-            acc[base + off] += eval_blocked(combine, arow, b_panel.row(j as usize));
-        }
-    }
-}
-
-/// Register-blocked fused SDDMM+SpMM (CSR).
-pub(super) fn blocked_fused_a_csr(out: &mut Mat, s: &CsrMatrix, a: &Mat, b: &Mat) {
-    assert_eq!(out.nrows(), s.nrows(), "output rows must match S rows");
-    assert_eq!(a.nrows(), s.nrows(), "A rows must match S rows");
-    assert_eq!(b.nrows(), s.ncols(), "B rows must match S cols");
-    assert_eq!(a.ncols(), b.ncols(), "A and B widths must agree");
-    assert_eq!(out.ncols(), b.ncols(), "output width must match B");
-    for i in 0..s.nrows() {
-        let (cols, vals) = s.row(i);
-        let arow = a.row(i);
-        for (&j, &sv) in cols.iter().zip(vals) {
-            let brow = b.row(j as usize);
-            let rij = sv * dot_blocked(arow, brow);
-            axpy_blocked(out.row_mut(i), brow, rij);
         }
     }
 }

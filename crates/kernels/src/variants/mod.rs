@@ -5,9 +5,9 @@
 //! SDDMM+SpMM kernel — exists in interchangeable implementations
 //! behind the [`LocalKernel`] variant enum:
 //!
-//! * **`Naive`** — the original row loops ([`crate::spmm`],
-//!   [`crate::sddmm`], [`crate::fused`]), kept as the reference point
-//!   every other variant is checked against;
+//! * **`Naive`** — the row loops of [`crate::spmm`], [`crate::sddmm`]
+//!   and [`crate::fused`], kept as the reference point every other
+//!   variant is checked against;
 //! * **`Blocked`** — register-blocked row kernels with width-specialized
 //!   unrolled inner loops for r ∈ {8, 16, 32, 64} and a chunk-of-8
 //!   generic fallback (multiple independent accumulators per row, one
@@ -16,6 +16,12 @@
 //! * **`ParBlocked`** — the blocked row kernels on the workspace's
 //!   scoped-thread machinery, split at row boundaries of the output (or
 //!   of the pattern-aligned accumulator).
+//!
+//! The fused kernel and the CSR SDDMM's `Dot` combine are one row loop
+//! for all three variants ([`crate::fused`]'s and [`crate::sddmm`]'s,
+//! which keep up to eight nonzeros' dots in flight in the sequential
+//! order): `Naive` and `Blocked` run it serially and bit for bit alike,
+//! `ParBlocked` runs it per row chunk.
 //!
 //! Not every variant is admissible for every (op, format) pair; the
 //! dispatch methods clamp deterministically via [`LocalKernel::clamp`]:
@@ -143,14 +149,14 @@ impl LocalKernel {
 
     /// The variant that runs for (op, format) when nothing is pinned.
     ///
-    /// From the `tuner_sweep` microbenchmark (n = 2¹¹, 8 nnz/row,
-    /// r = 32): `Blocked` wins SpMM on both formats and SDDMM on COO;
-    /// `Naive` wins the CSR transpose scatter and CSR SDDMM, and the COO
-    /// scatter follows the CSR one. The fused kernel stays `Naive`
-    /// because it won end to end on an ALS sweep with four ranks on two
-    /// cores. `ParBlocked` is never the rule: with several ranks per host
-    /// it oversubscribes the cores, so only a pin selects it. The fused
-    /// kernel has no COO form; its COO cell is never dispatched.
+    /// From the `tuner_sweep` microbenchmark (8 nnz/row, r = 32):
+    /// `Blocked` wins SpMM on both formats and SDDMM on COO; the COO
+    /// scatter follows the CSR one, which `Naive` wins. For CSR SDDMM and
+    /// the fused kernel `Naive` and `Blocked` run the same chained row
+    /// loop, so the pick is `Naive`. `ParBlocked` is never the rule: with
+    /// several ranks per host it oversubscribes the cores, so only a pin
+    /// selects it. The fused kernel has no COO form; its COO cell is
+    /// never dispatched.
     pub fn table(op: LocalOp, format: SparseFormat) -> LocalKernel {
         match (op, format) {
             (LocalOp::Spmm, _) | (LocalOp::Sddmm, SparseFormat::Coo) => LocalKernel::Blocked,
@@ -196,7 +202,8 @@ impl LocalKernel {
                 crate::sddmm::sddmm_csr_acc_with(acc, s, a_panel, b_panel, combine)
             }
             LocalKernel::Blocked => {
-                blocked::blocked_sddmm_csr_acc_with(acc, s, a_panel, b_panel, combine)
+                let affine = |x: &[f64], y: &[f64]| blocked::eval_blocked(combine, x, y);
+                crate::sddmm::sddmm_csr_acc_by(acc, s, a_panel, b_panel, combine, affine)
             }
             LocalKernel::ParBlocked => {
                 parallel::par_blocked_sddmm_csr_acc_with(acc, s, a_panel, b_panel, combine)
@@ -207,8 +214,7 @@ impl LocalKernel {
     /// The fused SDDMM+SpMM kernel on a CSR block through this variant.
     pub fn fused_csr(self, out: &mut Mat, s: &CsrMatrix, a: &Mat, b: &Mat) {
         match self {
-            LocalKernel::Naive => crate::fused::fused_a_csr(out, s, a, b),
-            LocalKernel::Blocked => blocked::blocked_fused_a_csr(out, s, a, b),
+            LocalKernel::Naive | LocalKernel::Blocked => crate::fused::fused_a_csr(out, s, a, b),
             LocalKernel::ParBlocked => parallel::par_blocked_fused_a_csr(out, s, a, b),
         }
     }

@@ -127,12 +127,10 @@ pub(super) fn par_blocked_sddmm_csr_acc_with(
         b_panel.ncols(),
         "panels must cover the same column slice"
     );
+    let affine = |x: &[f64], y: &[f64]| blocked::eval_blocked(combine, x, y);
     par_acc_rows(acc, s, |i, acc_row| {
         let (cols, _) = s.row(i);
-        let arow = a_panel.row(i);
-        for (slot, &j) in acc_row.iter_mut().zip(cols) {
-            *slot += blocked::eval_blocked(combine, arow, b_panel.row(j as usize));
-        }
+        crate::sddmm::sddmm_row(acc_row, cols, a_panel.row(i), b_panel, combine, affine);
     });
 }
 
@@ -145,12 +143,7 @@ pub(super) fn par_blocked_fused_a_csr(out: &mut Mat, s: &CsrMatrix, a: &Mat, b: 
     assert_eq!(out.ncols(), b.ncols(), "output width must match B");
     par_out_rows(out, |i, orow| {
         let (cols, vals) = s.row(i);
-        let arow = a.row(i);
-        for (&j, &sv) in cols.iter().zip(vals) {
-            let brow = b.row(j as usize);
-            let rij = sv * blocked::dot_blocked(arow, brow);
-            blocked::axpy_blocked(orow, brow, rij);
-        }
+        crate::fused::fused_row(orow, cols, vals, a.row(i), b);
     });
 }
 

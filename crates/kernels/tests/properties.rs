@@ -127,7 +127,8 @@ fn spmm_t_equals_transposed_spmm() {
 }
 
 /// The thread-parallel variant agrees with serial `Naive` for random
-/// shapes, on every op it parallelizes.
+/// shapes, on every op it parallelizes: SpMM up to rounding, the SDDMM
+/// and fused kernels (one shared row loop) bit for bit.
 #[test]
 fn parallel_kernels_match_serial() {
     let par = LocalKernel::ParBlocked;
@@ -147,14 +148,16 @@ fn parallel_kernels_match_serial() {
         let mut a2 = vec![0.0; s.nnz()];
         LocalKernel::Naive.sddmm_csr(&mut a1, &s, &a, &b, kern::SddmmCombine::Dot);
         par.sddmm_csr(&mut a2, &s, &a, &b, kern::SddmmCombine::Dot);
-        for (x, y) in a1.iter().zip(&a2) {
-            assert!((x - y).abs() < 1e-11);
-        }
+        assert!(a1.iter().zip(&a2).all(|(x, y)| x.to_bits() == y.to_bits()));
         let mut f1 = Mat::zeros(m, r);
         let mut f2 = Mat::zeros(m, r);
         LocalKernel::Naive.fused_csr(&mut f1, &s, &a, &b);
         par.fused_csr(&mut f2, &s, &a, &b);
-        assert!(max_abs_diff(&f1, &f2) < 1e-11);
+        assert!(f1
+            .as_slice()
+            .iter()
+            .zip(f2.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }
 

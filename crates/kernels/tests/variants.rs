@@ -15,8 +15,14 @@ use dsk_rng::Rng;
 use dsk_sparse::{gen, CooMatrix, CsrMatrix};
 
 /// Blocked variants re-associate the per-row dot products (multi-lane
-/// partial sums), so agreement is up to rounding, not bitwise.
+/// partial sums), so agreement is up to rounding, not bitwise — except
+/// for the CSR `Dot` SDDMM and the fused kernel, whose one row loop every
+/// variant shares: those are compared bit for bit.
 const TOL: f64 = 1e-10;
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
 
 /// The edge-shape menagerie. Widths come from the caller.
 fn edge_matrices() -> Vec<(&'static str, CooMatrix)> {
@@ -84,16 +90,18 @@ fn check_all_variants(label: &str, coo: &CooMatrix, r: usize, seed: u64) {
         kern::sddmm_csr_acc(&mut want, &s, &a, &b);
         let mut got = vec![0.125; s.nnz()];
         v.sddmm_csr(&mut got, &s, &a, &b, SddmmCombine::Dot);
-        for (x, y) in got.iter().zip(&want) {
-            assert!((x - y).abs() < TOL, "{ctx}: sddmm_csr");
-        }
+        assert_eq!(bits(&got), bits(&want), "{ctx}: sddmm_csr");
 
         // CSR fused SDDMM+SpMM.
         let mut want = pre_m.clone();
         kern::fused_a_csr(&mut want, &s, &a, &b);
         let mut got = pre_m.clone();
         v.fused_csr(&mut got, &s, &a, &b);
-        assert!(max_abs_diff(&want, &got) < TOL, "{ctx}: fused_csr");
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(want.as_slice()),
+            "{ctx}: fused_csr"
+        );
 
         // COO SpMM.
         let mut want = pre_m.clone();
