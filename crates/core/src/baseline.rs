@@ -28,7 +28,7 @@ use dsk_sparse::CsrMatrix;
 
 use crate::common::{block_range, Elision, Sampling};
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::planview::PlanView;
+use crate::planview::{Operand, PlanView};
 use crate::rstore::RStore;
 use crate::staged::StagedProblem;
 
@@ -88,17 +88,15 @@ impl Baseline1D {
         let st_rows = staged.partition(true, &row_blocks_n, std::slice::from_ref(&(0..m)));
         let st_loc = CsrMatrix::from_coo(&st_rows[me][0]);
 
-        let a_loc = prob.a.rows_block(row_blocks_m[me].clone());
-        let b_loc = prob.b.rows_block(row_blocks_n[me].clone());
-
         let (plan_a, s_remapped, inv_col) = Self::build_plan(comm, &s_loc, n);
         let (plan_b, st_remapped, st_inv_col) = Self::build_plan(comm, &st_loc, m);
         let offset = (row_blocks_m[me].start, 0);
+        let view = PlanView::of(KernelId::Baseline1D, 1, p, prob.dims);
         Baseline1D {
-            view: PlanView::of(KernelId::Baseline1D, 1, p, prob.dims),
+            view,
             comm: comm.dup(),
-            a_loc,
-            b_loc,
+            a_loc: view.stage(prob, Operand::A, false, me),
+            b_loc: view.stage(prob, Operand::B, false, me),
             plan_a,
             r: RStore::csr((m, n), vec![s_remapped], vec![offset]).with_col_map(inv_col),
             plan_b,
@@ -322,15 +320,8 @@ impl DistKernel for Baseline1D {
         &mut self.r
     }
 
-    fn sddmm(&mut self) {
-        let mut vals = self.dots_a(&self.a_loc, &CombineSpec::Dot);
-        Sampling::Values.apply(&mut vals, self.s_remapped().vals());
-        self.r.set(vec![vals]);
-    }
-
-    fn sddmm_general(&mut self, combine: &CombineSpec) {
-        let vals = self.dots_a(&self.a_loc, combine);
-        self.r.set(vec![vals]);
+    fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
+        vec![self.dots_a(&self.a_loc, combine)]
     }
 
     fn spmm_a(&mut self, use_r: bool) -> Mat {

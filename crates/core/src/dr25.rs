@@ -36,7 +36,6 @@ use crate::common::{
     ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::layout::repartition_dense;
 use crate::planview::{Operand, PlanView};
 use crate::rstore::RStore;
 use crate::staged::StagedProblem;
@@ -54,11 +53,6 @@ struct Oriented {
     /// This rank's fiber sub-block of the replicated matrix (the `A`
     /// role).
     x_fiber: Mat,
-    /// Length of this rank's macro row of the replicated matrix.
-    macro_rows: usize,
-    /// Total columns of the oriented sparse matrix (rows of the
-    /// traveling dense matrix) — needed to size incoming blocks.
-    cols_tot: usize,
     /// Column-ring pattern for this orientation's panel shifts (`None`
     /// = dense shifts).
     route: Option<CommPattern>,
@@ -105,14 +99,23 @@ impl DenseRepl25 {
         let (m, n) = (prob.dims.m, prob.dims.n);
         let q = grid.q;
         assert!(m >= q * c && n >= q * c, "matrix sides too small for grid");
-        let orient = |transposed, x, y, rows_tot, cols_tot| {
-            Self::orient(&gc, staged, routing, transposed, x, y, rows_tot, cols_tot)
-        };
-        let (s_home, offset, canon) = orient(false, &prob.a, &prob.b, m, n);
-        let (st_home, _, trans) = orient(true, &prob.b, &prob.a, n, m);
         let id = KernelId::Family(AlgorithmFamily::DenseRepl25);
+        let view = PlanView::of(id, c, comm.size(), prob.dims);
+        let g = comm.rank();
+        let orient = |transposed, x, y, rows_tot, cols_tot| {
+            let (s_home, offset, route) =
+                Self::orient(&gc, staged, routing, transposed, rows_tot, cols_tot);
+            let dense = Oriented {
+                y_home: view.stage(prob, y, false, g),
+                x_fiber: view.stage(prob, x, true, g),
+                route,
+            };
+            (s_home, offset, dense)
+        };
+        let (s_home, offset, canon) = orient(false, Operand::A, Operand::B, m, n);
+        let (st_home, _, trans) = orient(true, Operand::B, Operand::A, n, m);
         DenseRepl25 {
-            view: PlanView::of(id, c, comm.size(), prob.dims),
+            view,
             gc,
             r: RStore::coo((m, n), s_home, offset),
             st_home,
@@ -122,21 +125,17 @@ impl DenseRepl25 {
         }
     }
 
-    /// Build one orientation: `s: rows_tot × cols_tot`, `x: rows_tot × r`
-    /// replicated, `y: cols_tot × r` traveling. Returns the home sparse
-    /// block, its global `(row, col)` offset, and the dense side (with
-    /// its column-ring pattern when routed).
-    #[allow(clippy::too_many_arguments)]
+    /// Cut one orientation's sparse side: `s: rows_tot × cols_tot`.
+    /// Returns the home sparse block, its global `(row, col)` offset,
+    /// and its column-ring pattern when routed.
     fn orient(
         gc: &GridComms25,
         staged: &StagedProblem,
         routing: Routing,
         transposed: bool,
-        x: &Mat,
-        y: &Mat,
         rows_tot: usize,
         cols_tot: usize,
-    ) -> (CooMatrix, (usize, usize), Oriented) {
+    ) -> (CooMatrix, (usize, usize), Option<CommPattern>) {
         let (q, c) = (gc.grid.q, gc.grid.c);
         let (u, v, w) = (gc.u, gc.v, gc.w);
         let sigma0 = (u + v) % q;
@@ -152,24 +151,8 @@ impl DenseRepl25 {
                 .map(|o| RowSet::from_indices(grid_s[u][(o + v) % q * c + w].cols.clone()))
                 .collect()
         });
-
-        let slice = block_range(x.ncols(), q, v);
-        let y_home = y.block(col_blocks[sigma0 * c + w].clone(), slice.clone());
-
-        // Fiber sub-block of the replicated matrix: the w-th c-way split
-        // of macro row u, restricted to slice v.
-        let mac = &macro_rows[u];
-        let sub = block_range(mac.len(), c, w);
-        let x_fiber = x.block(mac.start + sub.start..mac.start + sub.end, slice);
-        let offset = (mac.start, col_blocks[sigma0 * c + w].start);
-        let dense = Oriented {
-            y_home,
-            x_fiber,
-            macro_rows: mac.len(),
-            cols_tot,
-            route,
-        };
-        (s_home, offset, dense)
+        let offset = (macro_rows[u].start, col_blocks[sigma0 * c + w].start);
+        (s_home, offset, route)
     }
 
     /// The canonical side: `S` travels, `A` replicated.
@@ -219,14 +202,20 @@ impl DenseRepl25 {
         ShiftPipeline::new(&self.gc.col_ring, q - 1, TAG_DENSE).routed(route)
     }
 
-    /// Schedule cross-check for the panel held at step `t` (block index
-    /// `σ(t)·c + w` of the `q·c`-way split): empty panels carry no
-    /// shape, all others must match its row count.
-    fn check_panel(&self, o: &Oriented, y: &Mat, t: usize) {
-        let (q, c, w) = (self.q(), self.gc.grid.c, self.gc.w);
-        let sigma = (self.gc.u + self.gc.v + t) % q;
-        let rows = block_range(o.cols_tot, q * c, sigma * c + w).len();
-        debug_assert!(y.ncols() == 0 || y.nrows() == rows);
+    /// Schedule cross-check for a visit: the panel held is the block
+    /// row of the traveling dense matrix that the sparse block held
+    /// addresses (empty panels carry no shape).
+    fn check_panel(blk: &CooMatrix, y: &Mat) {
+        debug_assert!(
+            y.ncols() == 0 || y.nrows() == blk.ncols,
+            "block/panel misalignment"
+        );
+    }
+
+    /// All-gather one side's replicated operand along the fiber into
+    /// its macro-row panel (as tall as the side's sparse block).
+    fn replicate(&self, side: &Side<'_>) -> Mat {
+        replicate_rows(&self.gc.fiber, &side.o.x_fiber, side.home.nrows, None)
     }
 
     /// SDDMM travel round: the sparse block accumulates slice-partial
@@ -246,11 +235,11 @@ impl DenseRepl25 {
         blk.vals.fill(0.0);
         let mut y = self.dense_pipeline(route).input(y0);
         let pipe_s = self.sparse_pipeline();
-        for t in 0..q {
+        for _ in 0..q {
             // The panel is an input lane: post its next hop before the
             // compute so the transfer hides behind it. The sparse block
             // accumulates this step's combines, so it exchanges after.
-            self.check_panel(side.o, y.block(), t);
+            Self::check_panel(&blk, y.block());
             let hop = y.post_mat();
             let (mut vals, yb) = (std::mem::take(&mut blk.vals), y.block());
             let com = combine.for_slice(slice.clone());
@@ -271,16 +260,15 @@ impl DenseRepl25 {
     /// step, `home` the valued home block) — the SpMMA data flow; caller
     /// reduce-scatters.
     fn spmm_out_round(&self, side: &Side<'_>, home: &CooMatrix, y0: &Mat) -> Mat {
-        let o = side.o;
         let width = y0.ncols();
-        let mut t_out = Mat::zeros(o.macro_rows, width);
+        let mut t_out = Mat::zeros(home.nrows, width);
         let mut blk = self.sparse_pipeline().input(home);
-        let mut y = self.dense_pipeline(o.route.as_ref()).input(y0);
-        for t in 0..self.q() {
+        let mut y = self.dense_pipeline(side.o.route.as_ref()).input(y0);
+        for _ in 0..self.q() {
             // Both travelers are input lanes here (the accumulator is
             // replicated, not circulating): post both hops up front and
             // overlap the two transfers with the local SpMM.
-            self.check_panel(o, y.block(), t);
+            Self::check_panel(blk.block(), y.block());
             let hop_s = blk.post();
             let hop_y = y.post_mat();
             let (b, yb) = (blk.block(), y.block());
@@ -340,37 +328,14 @@ impl DenseRepl25 {
                  unsupported for 2.5D dense replication"
             ),
         };
-        let t_buf = replicate_rows(&self.gc.fiber, &o.x_fiber, o.macro_rows, None);
+        let t_buf = self.replicate(side);
         let y0 = y.unwrap_or(&o.y_home);
         let mut dots = self.dots_round(side, &t_buf, y0, &CombineSpec::Dot, route);
         sampling.apply(&mut dots, &side.home.vals);
         let blk = side.home.with_vals(dots);
         // Unoptimized: without elision the SpMM call replicates again.
-        let again = (elision == Elision::None)
-            .then(|| replicate_rows(&self.gc.fiber, &o.x_fiber, o.macro_rows, None));
+        let again = (elision == Elision::None).then(|| self.replicate(side));
         self.spmm_shift_acc_round(o, &blk, again.as_ref().unwrap_or(&t_buf), route)
-    }
-
-    /// Raw SDDMM accumulations on the stored operands (replicates `A`,
-    /// travels `S` and `B`).
-    fn dots(&self, combine: &CombineSpec) -> Vec<f64> {
-        let side = self.canon_side();
-        let t_buf = replicate_rows(&self.gc.fiber, &side.o.x_fiber, side.o.macro_rows, None);
-        let route = side.o.route.as_ref();
-        self.dots_round(&side, &t_buf, &side.o.y_home, combine, route)
-    }
-
-    /// An iterate's fiber-layout share: the distribution shift from the
-    /// travel layout, charged to [`Phase::OutsideComm`] (Fig. 9).
-    fn to_fiber(&self, comm: &Comm, op: Operand, travel: &Mat) -> Mat {
-        let view = self.view;
-        let _ph = comm.phase(Phase::OutsideComm);
-        repartition_dense(
-            comm,
-            travel,
-            |g| view.layout_of(op, false, g),
-            |g| view.layout_of(op, true, g),
-        )
     }
 }
 
@@ -387,15 +352,12 @@ impl DistKernel for DenseRepl25 {
         &mut self.r
     }
 
-    fn sddmm(&mut self) {
-        let mut dots = self.dots(&CombineSpec::Dot);
-        Sampling::Values.apply(&mut dots, &self.r.coo_block().vals);
-        self.r.set(vec![dots]);
-    }
-
-    fn sddmm_general(&mut self, combine: &CombineSpec) {
-        let dots = self.dots(combine);
-        self.r.set(vec![dots]);
+    /// Replicates `A`, travels `S` and `B`.
+    fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
+        let side = self.canon_side();
+        let t_buf = self.replicate(&side);
+        let route = side.o.route.as_ref();
+        vec![self.dots_round(&side, &t_buf, &side.o.y_home, combine, route)]
     }
 
     /// Returned in the fiber `A` layout.
@@ -411,7 +373,7 @@ impl DistKernel for DenseRepl25 {
     /// Returned in the travel `B` layout (pre-skewed home block).
     fn spmm_b(&mut self, use_r: bool) -> Mat {
         let side = self.canon_side();
-        let t_buf = replicate_rows(&self.gc.fiber, &side.o.x_fiber, side.o.macro_rows, None);
+        let t_buf = self.replicate(&side);
         let route = side.o.route.as_ref();
         self.spmm_shift_acc_round(side.o, &self.r.traveler(use_r), &t_buf, route)
     }
@@ -450,27 +412,20 @@ impl DistKernel for DenseRepl25 {
     /// `A` is the canonical replicated operand and the transposed
     /// traveling one.
     fn set_a(&mut self, comm: &Comm, x: &Mat) {
-        self.canon.x_fiber = self.to_fiber(comm, Operand::A, x);
+        self.canon.x_fiber = self.view.redistribute(comm, Operand::A, x, true);
         self.trans.y_home = x.clone();
     }
 
     fn set_b(&mut self, comm: &Comm, y: &Mat) {
-        self.trans.x_fiber = self.to_fiber(comm, Operand::B, y);
+        self.trans.x_fiber = self.view.redistribute(comm, Operand::B, y, true);
         self.canon.y_home = y.clone();
     }
 
     fn rhs_a(&mut self, comm: &Comm) -> Mat {
         // The SpMMA output lands in the fiber layout; the iterate lives
         // in the travel layout — pay the distribution shift (Fig. 9).
-        let view = self.view;
         let fiber = self.spmm_a(false);
-        let _ph = comm.phase(Phase::OutsideComm);
-        repartition_dense(
-            comm,
-            &fiber,
-            |g| view.layout_of(Operand::A, true, g),
-            |g| view.layout_of(Operand::A, false, g),
-        )
+        self.view.redistribute(comm, Operand::A, &fiber, false)
     }
 }
 

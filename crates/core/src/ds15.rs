@@ -47,7 +47,7 @@ use crate::common::{
     Routing, Sampling, ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::planview::PlanView;
+use crate::planview::{Operand, PlanView};
 use crate::rstore::RStore;
 use crate::staged::StagedProblem;
 
@@ -132,16 +132,15 @@ impl DenseShift15 {
             .map(|w| CsrMatrix::from_coo(&grid_st[u][w * c + v]))
             .collect();
 
-        let a_loc = prob.a.rows_block(block_range(m, p, g));
-        let b_loc = prob.b.rows_block(block_range(n, p, g));
         let id = KernelId::Family(AlgorithmFamily::DenseShift15);
+        let view = PlanView::of(id, c, p, prob.dims);
         DenseShift15 {
             gc,
-            view: PlanView::of(id, c, p, prob.dims),
+            view,
             r: RStore::csr((m, n), s_blocks, offsets),
             st_blocks,
-            a_loc,
-            b_loc,
+            a_loc: view.stage(prob, Operand::A, false, g),
+            b_loc: view.stage(prob, Operand::B, false, g),
             route,
             local: kern::LocalPicks::default(),
             ones: Default::default(),
@@ -180,6 +179,44 @@ impl DenseShift15 {
         ShiftPipeline::new(&self.gc.layer, 1, TAG_SHIFT).routed(route)
     }
 
+    /// The input-lane round every propagation round here but the
+    /// circulating-accumulator one runs: `y0` travels the layer ring
+    /// (with `hold = Some(i)` its ring tiles go to, or replay from,
+    /// `self.held[i]`; dense routing only, since routed tiles are
+    /// zero-filled partial panels), and each visit runs the local `op`
+    /// on the stationary block of the slot where the visiting tile
+    /// started and on that tile, metered at `flops(nnz, r)`.
+    fn lane_round(
+        &self,
+        blocks: &[CsrMatrix],
+        y0: &Mat,
+        route: Option<&CommPattern>,
+        hold: Option<usize>,
+        flops: fn(usize, usize) -> u64,
+        mut op: impl FnMut(usize, &CsrMatrix, &Mat),
+    ) {
+        debug_assert!(
+            hold.is_none() || route.is_none(),
+            "routed tiles are partial"
+        );
+        let mut held = hold.map(|i| self.held[i].borrow_mut());
+        let pipe = self.pipeline(route);
+        let mut y = match held.as_deref_mut() {
+            Some(store) => pipe.held_input(y0, store),
+            None => pipe.input(y0),
+        };
+        for t in 0..self.q() {
+            let w = pipe.origin(t);
+            let blk = &blocks[w];
+            debug_assert_eq!(blk.ncols(), y.block().nrows(), "block/panel misalignment");
+            let hop = y.post_mat();
+            let yb = y.block();
+            let flops = flops(blk.nnz(), y0.ncols());
+            self.gc.layer.compute(flops, || op(w, blk, yb));
+            y.arrive(hop);
+        }
+    }
+
     /// SDDMM propagation round over the given oriented blocks: `y`
     /// shifts, dot products accumulate per slot. Returns raw dots (no
     /// sampling applied). `combine` generalizes the per-nonzero
@@ -193,31 +230,18 @@ impl DenseShift15 {
         route: Option<&CommPattern>,
     ) -> Vec<Vec<f64>> {
         let mut acc: Vec<Vec<f64>> = blocks.iter().map(|b| vec![0.0; b.nnz()]).collect();
-        let pipe = self.pipeline(route);
-        let mut y = pipe.input(y0);
-        for t in 0..self.q() {
-            let w = pipe.origin(t);
-            let blk = &blocks[w];
-            debug_assert_eq!(blk.ncols(), y.block().nrows(), "block/panel misalignment");
-            let hop = y.post_mat();
-            self.gc
-                .layer
-                .compute(kern::sddmm_flops(blk.nnz(), t_buf.ncols()), || {
-                    self.local
-                        .sddmm
-                        .sddmm_csr(&mut acc[w], blk, t_buf, y.block(), combine)
-                });
-            y.arrive(hop);
-        }
+        self.lane_round(blocks, y0, route, None, kern::sddmm_flops, |w, blk, y| {
+            self.local
+                .sddmm
+                .sddmm_csr(&mut acc[w], blk, t_buf, y, combine)
+        });
         acc
     }
 
     /// SpMM propagation round with a replicated (macro-row) accumulator:
     /// `T += R_w · y` per step, `y` shifting (the SpMMA data flow).
-    /// `blocks` carry the values to multiply with. With `hold`, `y0` is
-    /// a stored operand and its ring tiles go to (or replay from)
-    /// `self.held[hold]`, the store the fused rounds replay; dense
-    /// routing only, since routed tiles are zero-filled partial panels.
+    /// `blocks` carry the values to multiply with; `hold` as in
+    /// [`DenseShift15::lane_round`].
     fn spmm_out_round(
         &self,
         blocks: &[CsrMatrix],
@@ -225,26 +249,10 @@ impl DenseShift15 {
         route: Option<&CommPattern>,
         hold: Option<usize>,
     ) -> Mat {
-        debug_assert!(
-            hold.is_none() || route.is_none(),
-            "routed tiles are partial"
-        );
-        let r = y0.ncols();
-        let mut t_buf = Mat::zeros(blocks[0].nrows(), r);
-        let mut held = hold.map(|i| self.held[i].borrow_mut());
-        let pipe = self.pipeline(route);
-        let mut y = match held.as_deref_mut() {
-            Some(store) => pipe.held_input(y0, store),
-            None => pipe.input(y0),
-        };
-        for t in 0..self.q() {
-            let blk = &blocks[pipe.origin(t)];
-            let hop = y.post_mat();
-            self.gc.layer.compute(kern::spmm_flops(blk.nnz(), r), || {
-                self.local.spmm.spmm_csr(&mut t_buf, blk, y.block())
-            });
-            y.arrive(hop);
-        }
+        let mut t_buf = Mat::zeros(blocks[0].nrows(), y0.ncols());
+        self.lane_round(blocks, y0, route, hold, kern::spmm_flops, |_, blk, y| {
+            self.local.spmm.spmm_csr(&mut t_buf, blk, y)
+        });
         t_buf
     }
 
@@ -293,33 +301,22 @@ impl DenseShift15 {
         sampling: Sampling,
         hold: bool,
     ) -> Mat {
-        let stored = [self.r.csr_blocks(), &self.st_blocks[..]][transposed as usize];
+        let side = transposed as usize;
+        let stored = [self.r.csr_blocks(), &self.st_blocks[..]][side];
         let blocks = match sampling {
             Sampling::Values => stored,
-            Sampling::Ones => self.ones[transposed as usize].get_or_init(|| {
+            Sampling::Ones => self.ones[side].get_or_init(|| {
                 stored
                     .iter()
                     .map(|b| b.with_vals(vec![1.0; b.nnz()]))
                     .collect()
             }),
         };
-        let r = y0.ncols();
-        let mut t_out = Mat::zeros(t_in.nrows(), r);
-        let mut held = self.held[transposed as usize].borrow_mut();
-        let pipe = self.pipeline(None);
-        let mut y = if hold {
-            pipe.held_input(y0, &mut held)
-        } else {
-            pipe.input(y0)
-        };
-        for t in 0..self.q() {
-            let blk = &blocks[pipe.origin(t)];
-            let hop = y.post();
-            self.gc.layer.compute(kern::fused_flops(blk.nnz(), r), || {
-                self.local.fused.fused_csr(&mut t_out, blk, t_in, y.block())
-            });
-            y.arrive(hop);
-        }
+        let mut t_out = Mat::zeros(t_in.nrows(), y0.ncols());
+        let hold = hold.then_some(side);
+        self.lane_round(blocks, y0, None, hold, kern::fused_flops, |_, blk, y| {
+            self.local.fused.fused_csr(&mut t_out, blk, t_in, y)
+        });
         t_out
     }
 
@@ -336,14 +333,6 @@ impl DenseShift15 {
         });
         sampled.collect()
     }
-
-    /// Raw SDDMM accumulations on the stored operands: replicates `A`,
-    /// shifts `B`.
-    fn dots(&self, combine: kern::SddmmCombine<'_>) -> Vec<Vec<f64>> {
-        let s = self.r.csr_blocks();
-        let t_buf = replicate_rows(&self.gc.fiber, &self.a_loc, s[0].nrows(), None);
-        self.sddmm_round(s, &t_buf, &self.b_loc, combine, self.route.as_ref())
-    }
 }
 
 impl DistKernel for DenseShift15 {
@@ -359,20 +348,13 @@ impl DistKernel for DenseShift15 {
         &mut self.r
     }
 
-    /// Leaves `R = S ∗ (A·Bᵀ)` distributed like `S`.
-    fn sddmm(&mut self) {
-        let mut acc = self.dots(kern::SddmmCombine::Dot);
-        for (a, b) in acc.iter_mut().zip(self.r.csr_blocks()) {
-            Sampling::Values.apply(a, b.vals());
-        }
-        self.r.set(acc);
-    }
-
-    fn sddmm_general(&mut self, combine: &CombineSpec) {
-        // Full rows are co-located here, so the combine is used at full
-        // width (the slice is the whole r-dimension).
-        let acc = self.dots(combine.for_slice(0..self.view.dims().r));
-        self.r.set(acc);
+    /// Replicates `A`, shifts `B`; full rows are co-located here, so
+    /// the combine is used at full width.
+    fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
+        let s = self.r.csr_blocks();
+        let t_buf = replicate_rows(&self.gc.fiber, &self.a_loc, s[0].nrows(), None);
+        let combine = combine.for_slice(0..self.view.dims().r);
+        self.sddmm_round(s, &t_buf, &self.b_loc, combine, self.route.as_ref())
     }
 
     /// Returned as this rank's `A`-shaped block row.

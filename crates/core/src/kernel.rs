@@ -15,13 +15,13 @@
 //!
 //! | paper section | required | provided |
 //! |---------------|----------|----------|
-//! | §III kernels (SDDMM, SpMMA/B) | [`DistKernel::sddmm`], [`DistKernel::spmm_a`], [`DistKernel::spmm_b`] | |
+//! | §III kernels (SDDMM, SpMMA/B) | [`DistKernel::dots`] (the SDDMM data flow, unsampled), [`DistKernel::spmm_a`], [`DistKernel::spmm_b`] | [`DistKernel::sddmm`] (the dots sampled by the [`RStore`]'s values; 2.5D sparse replication overrides it) |
 //! | §IV FusedMM + elision | [`DistKernel::fused_mm_a`], [`DistKernel::fused_mm_b`] | [`DistKernel::supports`] |
-//! | §VI-E generalized SDDMM (the paper's GAT logits) | [`DistKernel::sddmm_general`], [`CombineSpec`] | [`DistKernel::set_r_pair_sums`] (the same logits as `u_i + v_j` from per-node scores; what the GAT engine runs) |
+//! | §VI-E generalized SDDMM (the paper's GAT logits) | [`DistKernel::dots`] of a [`CombineSpec`] | [`DistKernel::sddmm_general`], [`DistKernel::set_r_pair_sums`] (the same logits as `u_i + v_j` from per-node scores; what the GAT engine runs) |
 //! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_sums`] (reduction group), [`DistKernel::r_store`], [`DistKernel::r_store_mut`] | [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
 //! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_with`] | |
-//! | Table II data distributions | [`DistKernel::view`] | [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`], [`DistKernel::r_pattern_bounds_of`] |
-//! | Fig. 9 distribution shifts | [`DistKernel::set_a`], [`DistKernel::set_b`] | [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
+//! | Table II data distributions | [`DistKernel::view`] (whose layouts also stage every dense block a family holds) | [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`], [`DistKernel::r_pattern_bounds_of`] |
+//! | Fig. 9 distribution shifts | [`DistKernel::set_a`], [`DistKernel::set_b`] (shifting through the view: iterate ↔ replica layout) | [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
 //! | Fig. 9 row-sharing dot products | | [`DistKernel::row_group_a`], [`DistKernel::row_group_b`] |
 //! | live migration | | [`DistKernel::export_r`], [`DistKernel::import_r`] |
 //! | verification | | [`DistKernel::gather_r`], [`DistKernel::dims`], [`DistKernel::id`] |
@@ -198,13 +198,11 @@ pub trait DistKernel: Send {
     /// Mutable access to the stored SDDMM result.
     fn r_store_mut(&mut self) -> &mut RStore;
 
-    /// Distributed SDDMM on the stored operands; the result is held as
-    /// the worker's R values.
-    fn sddmm(&mut self);
-
-    /// Generalized SDDMM (paper §VI-E): store *raw* accumulations of
-    /// `combine` as the R values, without sampling.
-    fn sddmm_general(&mut self, combine: &CombineSpec);
+    /// The SDDMM data flow on the stored operands: the fully reduced
+    /// accumulations of `combine` for every stored nonzero, one array
+    /// per [`RStore`] block in its nonzero order, with no sampling
+    /// applied.
+    fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>>;
 
     /// Distributed SpMMA `S·B` (or `R·B` when `use_r`), in the native
     /// SpMMA output layout. Not every kernel supports `use_r = true`
@@ -254,6 +252,23 @@ pub trait DistKernel: Send {
     fn set_b(&mut self, comm: &Comm, y: &Mat);
 
     // ---- provided: one implementation for every kernel ---------------
+
+    /// Distributed SDDMM on the stored operands: the
+    /// [`DistKernel::dots`] sampled by the store's own values, held as
+    /// the worker's R values.
+    fn sddmm(&mut self) {
+        let mut dots = self.dots(&CombineSpec::Dot);
+        self.r_store().sample(&mut dots);
+        self.r_store_mut().set(dots);
+    }
+
+    /// Generalized SDDMM (paper §VI-E): store the *raw*
+    /// [`DistKernel::dots`] of `combine` as the R values, without
+    /// sampling.
+    fn sddmm_general(&mut self, combine: &CombineSpec) {
+        let dots = self.dots(combine);
+        self.r_store_mut().set(dots);
+    }
 
     /// Which implementation this is.
     fn id(&self) -> KernelId {
@@ -447,8 +462,8 @@ pub struct PlannedCandidate {
     /// candidates: flops are family-invariant and load-balanced).
     pub predicted_comp_s: f64,
     /// The local microkernel variant the family runs for its dominant
-    /// local op (SpMM on the family's block format): the pin (the
-    /// staging's, else `DSK_LOCAL_KERNEL`) clamped to that op, else the
+    /// local op (SpMM on the family's block format): the staging's pin
+    /// ([`StagedProblem::set_local_pin`]) clamped to that op, else the
     /// fixed table's `Spmm` entry ([`kern::LocalKernel::table`]). It
     /// never affects the modeled numbers above (variant choice changes
     /// neither flops nor traffic), only local wall time.
@@ -758,12 +773,11 @@ impl<'a> KernelBuilder<'a> {
         }
         let (dims, nnz) = self.shape();
         let comp_s = theory::predicted_comp_time(&model, p, dims, nnz);
-        // Shape-only builders have no staging, so only the environment
-        // can pin them.
+        // Shape-only builders have no staging, so nothing pins them.
         let pin = match &self.source {
             Source::Owned(s) => s.local_pin(),
             Source::Borrowed(s) => s.local_pin(),
-            Source::Shape(..) => kern::env_pin(),
+            Source::Shape(..) => None,
         };
         let mut scored: Vec<PlannedCandidate> = Vec::new();
         for (alg, c) in self.candidates(p) {

@@ -65,12 +65,31 @@ impl DenseLayout {
     /// Extract this layout's share from a global matrix (test/staging
     /// path; no communication).
     pub fn extract(&self, global: &Mat) -> Mat {
-        let blocks: Vec<Mat> = self
-            .row_ranges
-            .iter()
-            .map(|rr| global.block(rr.clone(), self.col_range.clone()))
-            .collect();
-        Mat::vstack(&blocks)
+        let mut data = Vec::with_capacity(self.local_rows() * self.width());
+        for i in self.row_ranges.iter().flat_map(|rr| rr.clone()) {
+            data.extend_from_slice(&global.row(i)[self.col_range.clone()]);
+        }
+        Mat::from_vec(self.local_rows(), self.width(), data)
+    }
+
+    /// [`DenseLayout::extract`] one row range at a time: the share's
+    /// pieces, unstacked.
+    pub fn pieces(&self, global: &Mat) -> Vec<Mat> {
+        let cols = &self.col_range;
+        let piece = |rr: &Range<usize>| global.block(rr.clone(), cols.clone());
+        self.row_ranges.iter().map(piece).collect()
+    }
+
+    /// Cut a local buffer in this layout back into its pieces, one per
+    /// row range: the inverse of stacking them.
+    pub fn split(&self, local: &Mat) -> Vec<Mat> {
+        debug_assert_eq!(local.nrows(), self.local_rows(), "layout mismatch");
+        let mut off = 0;
+        let piece = |rr: &Range<usize>| {
+            off += rr.len();
+            local.rows_block(off - rr.len()..off)
+        };
+        self.row_ranges.iter().map(piece).collect()
     }
 }
 
@@ -287,6 +306,8 @@ mod tests {
         assert_eq!(loc.row(0), &[2.0, 3.0]);
         assert_eq!(loc.row(1), &[18.0, 19.0]);
         assert_eq!(loc.row(2), &[22.0, 23.0]);
+        assert_eq!(Mat::vstack(&l.split(&loc)), loc);
+        assert_eq!(l.split(&loc), l.pieces(&g));
     }
 
     #[test]

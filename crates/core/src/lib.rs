@@ -44,24 +44,27 @@
 //!
 //! ## Paper section ↔ trait method map
 //!
-//! A family file holds only what differs between families: grid and
-//! staging, the need sets of pattern routing, the propagation rounds,
-//! and the kernels composed from them — the **required** methods. What
-//! is the same for every kernel is written once and **provided** by
-//! the trait: the stored-R surface over [`rstore::RStore`] (where R
-//! lives: the kernel's own pattern blocks plus value arrays), and every
-//! Table II layout, bound, group and admissibility answer over
-//! [`planview::PlanView`].
+//! A family file holds only what differs between families: its grid,
+//! its sparse partition, the need sets of pattern routing, the
+//! propagation rounds, and the kernels composed from them — the
+//! **required** methods. What is the same for every kernel is written
+//! once and **provided** by the trait: the stored-R surface over
+//! [`rstore::RStore`] (where R lives: the kernel's own pattern blocks
+//! plus value arrays, and the sampling that turns raw dots into an
+//! SDDMM), and every Table II layout, bound, group and admissibility
+//! answer over [`planview::PlanView`] — which also stages every dense
+//! block a family holds and performs its Fig. 9 distribution shifts.
 //!
 //! | paper | trait surface | |
 //! |-------|---------------|-|
-//! | §III kernel definitions | [`sddmm`](kernel::DistKernel::sddmm), [`spmm_a`](kernel::DistKernel::spmm_a), [`spmm_b`](kernel::DistKernel::spmm_b) | required |
+//! | §III kernel definitions | [`dots`](kernel::DistKernel::dots) (the SDDMM data flow, unsampled), [`spmm_a`](kernel::DistKernel::spmm_a), [`spmm_b`](kernel::DistKernel::spmm_b) | required |
+//! | | [`sddmm`](kernel::DistKernel::sddmm) | provided ([`rstore::RStore`] samples the dots; [`sr25`] overrides it) |
 //! | §IV FusedMM & elision (Fig. 3) | [`fused_mm_a`](kernel::DistKernel::fused_mm_a), [`fused_mm_b`](kernel::DistKernel::fused_mm_b), [`Elision`] | required |
 //! | | [`supports`](kernel::DistKernel::supports) | provided ([`PlanView::supports`]) |
 //! | §V per-family algorithms (Table II) | the `impl DistKernel` blocks in [`ds15`], [`ss15`], [`dr25`], [`sr25`], [`baseline`]; each names its plan with [`view`](kernel::DistKernel::view) | required |
 //! | §V-E communication analysis (Tables III & IV) | [`theory`] — consumed by [`kernel::KernelBuilder::plan`] | |
 //! | §VI-C best-algorithm prediction (Fig. 6) | [`kernel::KernelBuilder::auto`] / [`theory::predict_best`] | |
-//! | §VI-E generalized SDDMM (the paper's GAT logits; the serial reference's formulation) | [`sddmm_general`](kernel::DistKernel::sddmm_general), [`kernel::CombineSpec`] | required |
+//! | §VI-E generalized SDDMM (the paper's GAT logits; the serial reference's formulation) | [`sddmm_general`](kernel::DistKernel::sddmm_general) (the raw dots of a [`kernel::CombineSpec`]) | provided |
 //! | | [`set_r_pair_sums`](kernel::DistKernel::set_r_pair_sums) (the same logits as `u_i + v_j` from per-node scores; what the GAT engine runs) | provided ([`rstore::RStore`]) |
 //! | §VI-E softmax & ALS plumbing | [`r_row_sums`](kernel::DistKernel::r_row_sums) (the reduction group differs), [`spmm_a_with`](kernel::DistKernel::spmm_a_with), [`r_store`](kernel::DistKernel::r_store) | required |
 //! | | [`map_r`](kernel::DistKernel::map_r), [`scale_r_rows`](kernel::DistKernel::scale_r_rows), [`sq_loss_local`](kernel::DistKernel::sq_loss_local), [`export_r`](kernel::DistKernel::export_r)/[`import_r`](kernel::DistKernel::import_r), [`gather_r`](kernel::DistKernel::gather_r) | provided ([`rstore::RStore`]) |

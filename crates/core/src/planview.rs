@@ -17,9 +17,11 @@
 use std::ops::Range;
 
 use crate::common::{block_range, union_range, AlgorithmFamily, Elision, ProblemDims};
+use crate::global::GlobalProblem;
 use crate::kernel::{KernelId, KernelPlan};
-use crate::layout::DenseLayout;
-use dsk_comm::Grid25;
+use crate::layout::{repartition_dense, DenseLayout};
+use dsk_comm::{Comm, Grid25, Phase};
+use dsk_dense::Mat;
 
 /// Which dense operand a layout describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,6 +30,16 @@ pub(crate) enum Operand {
     A,
     /// The `n × r` matrix.
     B,
+}
+
+impl Operand {
+    /// This operand of a global problem.
+    pub(crate) fn of(self, prob: &GlobalProblem) -> &Mat {
+        match self {
+            Operand::A => &prob.a,
+            Operand::B => &prob.b,
+        }
+    }
 }
 
 /// A plan's data distributions for a hypothetical world of `p` ranks.
@@ -167,6 +179,23 @@ impl PlanView {
                 DenseLayout::single(panel, block_range(d.r, q * c, sigma0 * c + w))
             }
         }
+    }
+
+    /// Rank `g`'s share of `prob`'s `op` in [`PlanView::layout_of`]:
+    /// the one way a kernel stages its dense blocks.
+    pub(crate) fn stage(&self, prob: &GlobalProblem, op: Operand, replica: bool, g: usize) -> Mat {
+        self.layout_of(op, replica, g).extract(op.of(prob))
+    }
+
+    /// The distribution shift of the paper's Fig. 9: repartition `x`,
+    /// this rank's share of `op` in the iterate layout, into the
+    /// replica layout (or back, when `to_replica` is false). Collective
+    /// over `comm`, the world the view describes; charged to
+    /// [`Phase::OutsideComm`].
+    pub(crate) fn redistribute(&self, comm: &Comm, op: Operand, x: &Mat, to_replica: bool) -> Mat {
+        let _ph = comm.phase(Phase::OutsideComm);
+        let layout = |replica| move |g| self.layout_of(op, replica, g);
+        repartition_dense(comm, x, layout(!to_replica), layout(to_replica))
     }
 
     /// The `A`-iterate layout of rank `g`.

@@ -28,7 +28,7 @@ use std::ops::Range;
 
 use dsk_sparse::{CooMatrix, CsrMatrix};
 
-use crate::common::block_range;
+use crate::common::{block_range, Sampling};
 use crate::layout::triplet_map;
 
 /// What the store needs from a sparse block format.
@@ -178,6 +178,16 @@ impl RStore {
             Some(range) => &vals[range.clone()],
             None => vals,
         }
+    }
+
+    /// Multiply raw SDDMM dots, one array per block, by the blocks'
+    /// sampling values.
+    pub(crate) fn sample(&self, dots: &mut [Vec<f64>]) {
+        each_format!(&self.blocks, blocks => {
+            for (d, blk) in dots.iter_mut().zip(blocks) {
+                Sampling::Values.apply(d, blk.vals());
+            }
+        })
     }
 
     /// Store the R values of an SDDMM, one array per block.

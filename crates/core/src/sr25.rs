@@ -36,7 +36,7 @@ use crate::common::{
     block_range, route, AlgorithmFamily, Elision, Routing, Sampling, ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::planview::PlanView;
+use crate::planview::{Operand, PlanView};
 use crate::rstore::RStore;
 use crate::staged::StagedProblem;
 
@@ -82,7 +82,7 @@ impl SparseRepl25 {
         let grid = Grid25::new(comm.size(), c).expect("invalid 2.5D grid");
         let gc = GridComms25::build(comm, grid);
         let q = grid.q;
-        let (m, n, r) = (prob.dims.m, prob.dims.n, prob.dims.r);
+        let (m, n) = (prob.dims.m, prob.dims.n);
         assert!(m >= q && n >= q, "matrix sides too small for grid");
         let (u, v, w) = (gc.u, gc.v, gc.w);
 
@@ -103,17 +103,15 @@ impl SparseRepl25 {
         vals[part.end..].fill(0.0);
         let offset = (rows[u].start, cols[v].start);
 
-        let sigma0 = (u + v) % q;
-        let slice = block_range(r, q * c, sigma0 * c + w);
-        let a_home = prob.a.block(rows[u].clone(), slice.clone());
-        let b_home = prob.b.block(cols[v].clone(), slice);
         let id = KernelId::Family(AlgorithmFamily::SparseRepl25);
+        let view = PlanView::of(id, c, comm.size(), prob.dims);
+        let g = comm.rank();
         SparseRepl25 {
-            view: PlanView::of(id, c, comm.size(), prob.dims),
+            view,
             gc,
             r: RStore::csr((m, n), vec![s_share], vec![offset]).replicated_share(w, c),
-            a_home,
-            b_home,
+            a_home: view.stage(prob, Operand::A, false, g),
+            b_home: view.stage(prob, Operand::B, false, g),
             route_a,
             route_b,
             local: kern::LocalPicks::default(),
@@ -140,21 +138,18 @@ impl SparseRepl25 {
         full
     }
 
-    /// Row-ring pipeline for `A`-side panels (one step backward per
-    /// hop), routed by `route_a`. Panels travel as [`Mat`] payloads or
-    /// routed row bundles, so the incoming slice width — slices differ
-    /// by one column when `q·c ∤ r` — arrives with the data; callers
+    /// The pipeline `op`'s panels travel: `A` panels the row ring, `B`
+    /// panels the column ring, one step backward per hop, routed by the
+    /// ring's pattern. Panels travel as [`Mat`] payloads or routed row
+    /// bundles, so the incoming slice width — slices differ by one
+    /// column when `q·c ∤ r` — arrives with the data; callers
     /// cross-check it against the schedule.
-    fn a_pipeline(&self) -> ShiftPipeline<'_> {
-        let q = self.gc.row_ring.size();
-        ShiftPipeline::new(&self.gc.row_ring, q - 1, TAG_A).routed(self.route_a.as_ref())
-    }
-
-    /// Column-ring pipeline for `B`-side panels, routed by `route_b`
-    /// (see [`SparseRepl25::a_pipeline`]).
-    fn b_pipeline(&self) -> ShiftPipeline<'_> {
-        let q = self.gc.col_ring.size();
-        ShiftPipeline::new(&self.gc.col_ring, q - 1, TAG_B).routed(self.route_b.as_ref())
+    fn pipeline(&self, op: Operand) -> ShiftPipeline<'_> {
+        let (ring, tag, route) = match op {
+            Operand::A => (&self.gc.row_ring, TAG_A, &self.route_a),
+            Operand::B => (&self.gc.col_ring, TAG_B, &self.route_b),
+        };
+        ShiftPipeline::new(ring, ring.size() - 1, tag).routed(route.as_ref())
     }
 
     /// Schedule cross-check for an arriving accumulator panel: empty
@@ -179,13 +174,13 @@ impl SparseRepl25 {
 
     /// SDDMM travel round from home panels `a0`/`b0`: both panels
     /// travel; this layer accumulates partial combines over its `q`
-    /// slices. Returns the layer-partial values (caller all-reduces
-    /// along the fiber).
+    /// slices, and an all-reduce along the fiber completes them (the
+    /// fully reduced, unsampled values, replicated on every layer).
     fn dots_round(&self, a0: &Mat, b0: &Mat, combine: &CombineSpec) -> Vec<f64> {
         let s = self.pattern();
         let mut acc = vec![0.0; s.nnz()];
-        let mut a = self.a_pipeline().input(a0);
-        let mut b = self.b_pipeline().input(b0);
+        let mut a = self.pipeline(Operand::A).input(a0);
+        let mut b = self.pipeline(Operand::B).input(b0);
         for t in 0..self.q() {
             let slice = self.slice_at(t);
             debug_assert_eq!(a.block().ncols(), slice.len(), "panel slice misalignment");
@@ -204,65 +199,48 @@ impl SparseRepl25 {
             a.arrive(hop_a);
             b.arrive(hop_b);
         }
+        let _ph = self.gc.fiber.phase(Phase::Replication);
+        self.gc.fiber.allreduce_sum(&mut acc);
         acc
     }
 
-    /// SpMMA travel round: `B` panels travel; a zero `A`-shaped panel
-    /// circulates the row ring accumulating `S·B` per slice. `s` is the
-    /// stationary block carrying the values to multiply with.
-    fn spmm_a_round(&self, s: &CsrMatrix, b0: &Mat) -> Mat {
-        let mut out = Mat::zeros(self.a_home.nrows(), self.a_home.ncols());
-        let mut b = self.b_pipeline().input(b0);
-        let pipe_a = self.a_pipeline();
+    /// SpMM travel round producing `out` (SpMMA for `A`, SpMMB for
+    /// `B`): the other operand's panels, from home panel `x0`, travel
+    /// their ring as an input lane, and a zero panel shaped like `out`'s
+    /// home circulates its own ring accumulating `S·B` (`Sᵀ·A`) per
+    /// slice. `s` is the stationary block carrying the values to
+    /// multiply with.
+    fn spmm_round(&self, out: Operand, s: &CsrMatrix, x0: &Mat) -> Mat {
+        let (home, input) = match out {
+            Operand::A => (&self.a_home, Operand::B),
+            Operand::B => (&self.b_home, Operand::A),
+        };
+        let mut acc = Mat::zeros(home.nrows(), home.ncols());
+        let mut x = self.pipeline(input).input(x0);
+        let pipe_out = self.pipeline(out);
         for t in 0..self.q() {
-            debug_assert_eq!(out.ncols(), b.block().ncols(), "panel slice misalignment");
-            // `B` is an input lane (posted early); the `A`-shaped
-            // accumulator is written by the kernel and exchanges after.
-            let hop = b.post_mat();
-            let bb = b.block();
+            debug_assert_eq!(acc.ncols(), x.block().ncols(), "panel slice misalignment");
+            // The input panel is posted early; the accumulator is
+            // written by the kernel and exchanges after.
+            let hop = x.post_mat();
+            let xb = x.block();
             self.gc
                 .row_ring
-                .compute(kern::spmm_flops(s.nnz(), bb.ncols()), || {
-                    self.local.spmm.spmm_csr(&mut out, s, bb)
+                .compute(kern::spmm_flops(s.nnz(), xb.ncols()), || match out {
+                    Operand::A => self.local.spmm.spmm_csr(&mut acc, s, xb),
+                    Operand::B => self.local.spmm_t.spmm_csr_t(&mut acc, s, xb),
                 });
             let next = self.slice_at(t + 1).len();
-            out = Self::check_panel(pipe_a.exchange_mat(out, t), next);
-            b.arrive(hop);
+            acc = Self::check_panel(pipe_out.exchange_mat(acc, t), next);
+            x.arrive(hop);
         }
-        out
+        acc
     }
 
-    /// SpMMB travel round: `A` panels travel; a zero `B`-shaped panel
-    /// circulates the column ring accumulating `Sᵀ·A` per slice.
-    fn spmm_b_round(&self, s: &CsrMatrix, a0: &Mat) -> Mat {
-        let mut out = Mat::zeros(self.b_home.nrows(), self.b_home.ncols());
-        let mut a = self.a_pipeline().input(a0);
-        let pipe_b = self.b_pipeline();
-        for t in 0..self.q() {
-            debug_assert_eq!(out.ncols(), a.block().ncols(), "panel slice misalignment");
-            // `A` is an input lane (posted early); the `B`-shaped
-            // accumulator is written by the kernel and exchanges after.
-            let hop = a.post_mat();
-            let ab = a.block();
-            self.gc
-                .row_ring
-                .compute(kern::spmm_flops(s.nnz(), ab.ncols()), || {
-                    self.local.spmm_t.spmm_csr_t(&mut out, s, ab)
-                });
-            let next = self.slice_at(t + 1).len();
-            out = Self::check_panel(pipe_b.exchange_mat(out, t), next);
-            a.arrive(hop);
-        }
-        out
-    }
-
-    /// All-reduce layer-partial SDDMM values along the fiber and apply
-    /// the sampling.
-    fn reduce_and_sample(&self, mut dots: Vec<f64>, sampling: Sampling) -> Vec<f64> {
-        {
-            let _ph = self.gc.fiber.phase(Phase::Replication);
-            self.gc.fiber.allreduce_sum(&mut dots);
-        }
+    /// Multiply fully reduced SDDMM values by the sampling values,
+    /// all-gathered along the fiber ([`Sampling::Values`]; nothing
+    /// moves under [`Sampling::Ones`]).
+    fn gather_and_sample(&self, mut dots: Vec<f64>, sampling: Sampling) -> Vec<f64> {
         if sampling == Sampling::Values {
             sampling.apply(&mut dots, &self.allgather_sampling());
         }
@@ -291,8 +269,7 @@ impl SparseRepl25 {
             matches!(elision, Elision::None),
             "the 2.5D sparse-replicating algorithm admits no communication elision"
         );
-        let dots = self.dots_round(a0, b0, &CombineSpec::Dot);
-        self.reduce_and_sample(dots, sampling)
+        self.gather_and_sample(self.dots_round(a0, b0, &CombineSpec::Dot), sampling)
     }
 }
 
@@ -309,26 +286,26 @@ impl DistKernel for SparseRepl25 {
         &mut self.r
     }
 
+    fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
+        vec![self.dots_round(&self.a_home, &self.b_home, combine)]
+    }
+
+    /// The store holds only this layer's share of the sampling values:
+    /// after the dots' all-reduce, the rest are all-gathered.
     fn sddmm(&mut self) {
         let dots = self.dots_round(&self.a_home, &self.b_home, &CombineSpec::Dot);
         self.r
-            .set(vec![self.reduce_and_sample(dots, Sampling::Values)]);
-    }
-
-    fn sddmm_general(&mut self, combine: &CombineSpec) {
-        let dots = self.dots_round(&self.a_home, &self.b_home, combine);
-        self.r
-            .set(vec![self.reduce_and_sample(dots, Sampling::Ones)]);
+            .set(vec![self.gather_and_sample(dots, Sampling::Values)]);
     }
 
     /// Returned in the `A` panel layout.
     fn spmm_a(&mut self, use_r: bool) -> Mat {
-        self.spmm_a_round(&self.s_valued(use_r), &self.b_home)
+        self.spmm_round(Operand::A, &self.s_valued(use_r), &self.b_home)
     }
 
     /// Returned in the `B` panel layout.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        self.spmm_b_round(&self.s_valued(use_r), &self.a_home)
+        self.spmm_round(Operand::B, &self.s_valued(use_r), &self.a_home)
     }
 
     /// Keeps the SDDMM values as the stored R.
@@ -336,7 +313,7 @@ impl DistKernel for SparseRepl25 {
         let x = x.unwrap_or(&self.a_home);
         let rvals = self.fused_vals(x, &self.b_home, elision, sampling);
         self.r.set(vec![rvals]);
-        self.spmm_a_round(&self.s_valued(true), &self.b_home)
+        self.spmm_round(Operand::A, &self.s_valued(true), &self.b_home)
     }
 
     /// Keeps the SDDMM values as the stored R.
@@ -344,7 +321,7 @@ impl DistKernel for SparseRepl25 {
         let y = y.unwrap_or(&self.b_home);
         let rvals = self.fused_vals(&self.a_home, y, elision, sampling);
         self.r.set(vec![rvals]);
-        self.spmm_b_round(&self.s_valued(true), &self.a_home)
+        self.spmm_round(Operand::B, &self.s_valued(true), &self.a_home)
     }
 
     /// Reduced across the row ring (values are replicated along fibers,
@@ -357,7 +334,7 @@ impl DistKernel for SparseRepl25 {
     }
 
     fn spmm_a_with(&self, y: &Mat) -> Mat {
-        self.spmm_a_round(&self.s_valued(true), y)
+        self.spmm_round(Operand::A, &self.s_valued(true), y)
     }
 
     fn a_iterate(&self) -> Mat {

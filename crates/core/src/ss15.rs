@@ -38,7 +38,7 @@ use crate::common::{
     ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::layout::repartition_dense;
+use crate::layout::DenseLayout;
 use crate::planview::{Operand, PlanView};
 use crate::rstore::RStore;
 use crate::staged::StagedProblem;
@@ -81,18 +81,17 @@ pub struct SparseShift15 {
 /// One orientation of the worker's data: canonical (`S` travels, `A` is
 /// replicated, `B` stationary) or transposed (`Sᵀ`, `B`, `A`).
 struct Side<'a> {
-    /// Home column block of the oriented sparse matrix.
+    /// Home column block of the oriented sparse matrix; its row count is
+    /// the replicated operand's.
     home: &'a CooMatrix,
     /// Replicate-layout share of the replicated operand.
     rep: &'a Mat,
-    /// Stationary blocks of the other operand, by slot.
+    /// The stationary operand.
+    stat_op: Operand,
+    /// Its blocks, by slot.
     stat: &'a [Mat],
     /// Fiber pattern for the replicated operand's all-gather.
     route: Option<&'a CommPattern>,
-    /// Total rows of the replicated operand.
-    rep_rows: usize,
-    /// Total rows of the stationary operand.
-    stat_rows: usize,
 }
 
 impl SparseShift15 {
@@ -110,19 +109,17 @@ impl SparseShift15 {
         let gc = GridComms15::build(comm, grid);
         let p = grid.p;
         let q = grid.layer_size();
-        let (m, n, r) = (prob.dims.m, prob.dims.n, prob.dims.r);
+        let (m, n) = (prob.dims.m, prob.dims.n);
         assert!(m >= p && n >= p, "matrix sides must be at least p");
-        let (u, v) = (gc.u, gc.v);
-        let slice = block_range(r, q, u);
+        let (g, v) = (comm.rank(), gc.v);
 
         // Home S column block (rows stay global).
         let col_blocks: Vec<_> = (0..p).map(|j| block_range(n, p, j)).collect();
         let s_cols = staged.partition(false, std::slice::from_ref(&(0..m)), &col_blocks);
-        let home = u * c + v;
-        let r = RStore::coo((m, n), s_cols[0][home].clone(), (0, col_blocks[home].start));
+        let r = RStore::coo((m, n), s_cols[0][g].clone(), (0, col_blocks[g].start));
         let col_blocks_t: Vec<_> = (0..p).map(|j| block_range(m, p, j)).collect();
         let st_cols = staged.partition(true, std::slice::from_ref(&(0..n)), &col_blocks_t);
-        let st_home = st_cols[0][home].clone();
+        let st_home = st_cols[0][g].clone();
         let routed = |cols: &[CooMatrix], total: usize| {
             route(&gc.fiber, routing, || {
                 let rows = (0..q).flat_map(|w| &cols[w * c + v].rows);
@@ -139,24 +136,18 @@ impl SparseShift15 {
         };
         let (route_a, route_b) = (routed(&s_cols[0], m), routed(&st_cols[0], n));
 
-        let a_rep = prob.a.block(block_range(m, c, v), slice.clone());
-        let b_rep = prob.b.block(block_range(n, c, v), slice.clone());
-        let a_stat = (0..q)
-            .map(|w| prob.a.block(block_range(m, p, w * c + v), slice.clone()))
-            .collect();
-        let b_stat = (0..q)
-            .map(|w| prob.b.block(block_range(n, p, w * c + v), slice.clone()))
-            .collect();
         let id = KernelId::Family(AlgorithmFamily::SparseShift15);
+        let view = PlanView::of(id, c, p, prob.dims);
+        let stat = |op: Operand| view.layout_of(op, false, g).pieces(op.of(prob));
         SparseShift15 {
             gc,
-            view: PlanView::of(id, c, p, prob.dims),
+            view,
             r,
             st_home,
-            a_rep,
-            b_rep,
-            a_stat,
-            b_stat,
+            a_rep: view.stage(prob, Operand::A, true, g),
+            b_rep: view.stage(prob, Operand::B, true, g),
+            a_stat: stat(Operand::A),
+            b_stat: stat(Operand::B),
             route_a,
             route_b,
             local: kern::LocalPicks::default(),
@@ -169,43 +160,36 @@ impl SparseShift15 {
 
     /// The canonical orientation: `S` travels, `A` replicated.
     fn canon_side(&self) -> Side<'_> {
-        let dims = self.view.dims();
         Side {
             home: self.r.coo_block(),
             rep: &self.a_rep,
+            stat_op: Operand::B,
             stat: &self.b_stat,
             route: self.route_a.as_ref(),
-            rep_rows: dims.m,
-            stat_rows: dims.n,
         }
     }
 
     /// The transposed orientation: `Sᵀ` travels, `B` replicated.
     fn trans_side(&self) -> Side<'_> {
-        let dims = self.view.dims();
         Side {
             home: &self.st_home,
             rep: &self.b_rep,
+            stat_op: Operand::A,
             stat: &self.a_stat,
             route: self.route_b.as_ref(),
-            rep_rows: dims.n,
-            stat_rows: dims.m,
         }
     }
 
-    /// Split a stacked stationary-layout matrix into its per-slot
-    /// blocks.
-    fn split_stationary(&self, total_rows: usize, stacked: &Mat) -> Vec<Mat> {
-        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
-        let mut out = Vec::with_capacity(self.q());
-        let mut off = 0;
-        for w in 0..self.q() {
-            let len = block_range(total_rows, p, w * c + v).len();
-            out.push(stacked.rows_block(off..off + len));
-            off += len;
-        }
-        debug_assert_eq!(off, stacked.nrows());
-        out
+    /// This rank's stationary layout of `op`: one row block per slot.
+    fn stat_layout(&self, op: Operand) -> DenseLayout {
+        let g = self.gc.grid.rank_of(self.gc.u, self.gc.v);
+        self.view.layout_of(op, false, g)
+    }
+
+    /// All-gather one orientation's replicated operand along the fiber
+    /// (routed by `route`) into its full panel.
+    fn replicate(&self, side: &Side<'_>, route: Option<&CommPattern>) -> Mat {
+        replicate_rows(&self.gc.fiber, side.rep, side.home.nrows, route)
     }
 
     /// The layer-ring pipeline moving traveling COO blocks (3
@@ -270,13 +254,12 @@ impl SparseShift15 {
     }
 
     /// SpMM round scattering `blkᵀ·X` into the stationary output blocks
-    /// (slot `w` covers block `w·c + v` of the `p`-way split of
-    /// `out_rows`); returns the stacked stationary-layout result.
-    fn scatter_round(&self, home: &CooMatrix, x_full: &Mat, out_rows: usize) -> Mat {
-        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
-        let mut outs: Vec<Mat> = (0..self.q())
-            .map(|w| Mat::zeros(block_range(out_rows, p, w * c + v).len(), x_full.ncols()))
-            .collect();
+    /// of `out` (slot `w` covers piece `w` of its stationary layout);
+    /// returns the stacked stationary-layout result.
+    fn scatter_round(&self, home: &CooMatrix, x_full: &Mat, out: Operand) -> Mat {
+        let layout = self.stat_layout(out);
+        let zeros = |rr: &std::ops::Range<usize>| Mat::zeros(rr.len(), x_full.ncols());
+        let mut outs: Vec<Mat> = layout.row_ranges.iter().map(zeros).collect();
         self.spmm_round(home, x_full.ncols(), |w, b| {
             self.local.spmm_t.spmm_coo_t(&mut outs[w], b, x_full)
         });
@@ -286,8 +269,8 @@ impl SparseShift15 {
     /// SpMM on one orientation: replicate its dense operand, travel
     /// the valued home block `blk`.
     fn spmm(&self, side: &Side<'_>, blk: &CooMatrix) -> Mat {
-        let t = replicate_rows(&self.gc.fiber, side.rep, side.rep_rows, side.route);
-        self.scatter_round(blk, &t, side.stat_rows)
+        let t = self.replicate(side, side.route);
+        self.scatter_round(blk, &t, side.stat_op)
     }
 
     /// FusedMM on one orientation — FusedMMB on the canonical one,
@@ -297,7 +280,7 @@ impl SparseShift15 {
         let split;
         let y_stat = match y {
             Some(stacked) => {
-                split = self.split_stationary(side.stat_rows, stacked);
+                split = self.stat_layout(side.stat_op).split(stacked);
                 &split[..]
             }
             None => side.stat,
@@ -310,43 +293,13 @@ impl SparseShift15 {
                  unsupported for 1.5D sparse shifting"
             ),
         };
-        let t = replicate_rows(&self.gc.fiber, side.rep, side.rep_rows, route);
+        let t = self.replicate(side, route);
         let mut dots = self.dots_round(side.home, &t, y_stat, &CombineSpec::Dot);
         sampling.apply(&mut dots, &side.home.vals);
         let blk = side.home.with_vals(dots);
         // Unoptimized: without elision the SpMM call replicates again.
-        let again = (elision == Elision::None)
-            .then(|| replicate_rows(&self.gc.fiber, side.rep, side.rep_rows, route));
-        self.scatter_round(&blk, again.as_ref().unwrap_or(&t), side.stat_rows)
-    }
-
-    /// Raw SDDMM accumulations on the stored operands (replicates `A`,
-    /// travels `S`).
-    fn dots(&self, combine: &CombineSpec) -> Vec<f64> {
-        let side = self.canon_side();
-        let t_a = replicate_rows(&self.gc.fiber, side.rep, side.rep_rows, side.route);
-        self.dots_round(side.home, &t_a, side.stat, combine)
-    }
-
-    /// Both stored forms of an iterate: its replicate-layout share (a
-    /// distribution shift, charged to [`Phase::OutsideComm`]) and its
-    /// per-slot stationary blocks.
-    fn stage_operand(&self, comm: &Comm, op: Operand, x: &Mat) -> (Mat, Vec<Mat>) {
-        let view = self.view;
-        let rows = match op {
-            Operand::A => view.dims().m,
-            Operand::B => view.dims().n,
-        };
-        let rep = {
-            let _ph = comm.phase(Phase::OutsideComm);
-            repartition_dense(
-                comm,
-                x,
-                |g| view.layout_of(op, false, g),
-                |g| view.layout_of(op, true, g),
-            )
-        };
-        (rep, self.split_stationary(rows, x))
+        let again = (elision == Elision::None).then(|| self.replicate(side, route));
+        self.scatter_round(&blk, again.as_ref().unwrap_or(&t), side.stat_op)
     }
 }
 
@@ -363,16 +316,11 @@ impl DistKernel for SparseShift15 {
         &mut self.r
     }
 
-    /// The result stays on the home block.
-    fn sddmm(&mut self) {
-        let mut dots = self.dots(&CombineSpec::Dot);
-        Sampling::Values.apply(&mut dots, &self.r.coo_block().vals);
-        self.r.set(vec![dots]);
-    }
-
-    fn sddmm_general(&mut self, combine: &CombineSpec) {
-        let dots = self.dots(combine);
-        self.r.set(vec![dots]);
+    /// Replicates `A`, travels `S`; the result stays on the home block.
+    fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
+        let side = self.canon_side();
+        let t_a = self.replicate(&side, side.route);
+        vec![self.dots_round(side.home, &t_a, side.stat, combine)]
     }
 
     /// Via the transposed roles (replicates `B`, travels `Sᵀ`);
@@ -411,16 +359,16 @@ impl DistKernel for SparseShift15 {
     /// home block travels, then reduce-scatters along the fiber into
     /// the replicate `A` layout (GAT's convolution step).
     fn spmm_a_with(&self, y: &Mat) -> Mat {
-        let dims = self.view.dims();
-        let y_stat = self.split_stationary(dims.n, y);
-        let slice = block_range(dims.r, self.q(), self.gc.u);
-        let mut t_full = Mat::zeros(dims.m, slice.len());
-        self.spmm_round(&self.r.traveler(true), slice.len(), |w, b| {
+        let y_layout = self.stat_layout(Operand::B);
+        let y_stat = y_layout.split(y);
+        let (m, width) = (self.view.dims().m, y_layout.width());
+        let mut t_full = Mat::zeros(m, width);
+        self.spmm_round(&self.r.traveler(true), width, |w, b| {
             self.local.spmm.spmm_coo(&mut t_full, b, &y_stat[w])
         });
         // Fiber reduce-scatter into the replicate layout rows.
         let c = self.gc.grid.c;
-        reduce_rows(&self.gc.fiber, &t_full, |vv| block_range(dims.m, c, vv))
+        reduce_rows(&self.gc.fiber, &t_full, |vv| block_range(m, c, vv))
     }
 
     fn a_iterate(&self) -> Mat {
@@ -432,11 +380,13 @@ impl DistKernel for SparseShift15 {
     }
 
     fn set_a(&mut self, comm: &Comm, x: &Mat) {
-        (self.a_rep, self.a_stat) = self.stage_operand(comm, Operand::A, x);
+        self.a_rep = self.view.redistribute(comm, Operand::A, x, true);
+        self.a_stat = self.stat_layout(Operand::A).split(x);
     }
 
     fn set_b(&mut self, comm: &Comm, y: &Mat) {
-        (self.b_rep, self.b_stat) = self.stage_operand(comm, Operand::B, y);
+        self.b_rep = self.view.redistribute(comm, Operand::B, y, true);
+        self.b_stat = self.stat_layout(Operand::B).split(y);
     }
 }
 

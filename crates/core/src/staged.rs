@@ -81,17 +81,15 @@ impl StagedProblem {
     }
 
     /// Pin every local op of every plan built from this staging to `v`
-    /// (clamped per op), or clear the pin with `None`. A programmatic
-    /// pin takes precedence over `DSK_LOCAL_KERNEL`.
+    /// (clamped per op), or clear the pin with `None`: the one way to
+    /// run a variant other than the table's.
     pub fn set_local_pin(&self, v: Option<LocalKernel>) {
         *self.pin.lock().expect("nothing panics under the pin lock") = v;
     }
 
-    /// The active local-kernel pin: the programmatic one if set, else
-    /// the `DSK_LOCAL_KERNEL` label (which panics if unrecognized).
+    /// The active local-kernel pin ([`StagedProblem::set_local_pin`]).
     pub fn local_pin(&self) -> Option<LocalKernel> {
-        let pin = *self.pin.lock().expect("nothing panics under the pin lock");
-        pin.or_else(dsk_kernels::env_pin)
+        *self.pin.lock().expect("nothing panics under the pin lock")
     }
 
     /// The block partition of `S` (or `Sᵀ` when `transposed`) by the

@@ -31,14 +31,12 @@
 //!
 //! * `DSK_THREADS` — thread count for the `par-blocked` variant
 //!   (clamped to ≥ 1; default: one per available core). Pin it on shared
-//!   CI runners so parallel timings are comparable.
-//! * `DSK_LOCAL_KERNEL` — pin every local op to one variant label
-//!   (`naive`, `blocked`, `par-blocked`) in place of the table, clamped
-//!   per op to the admissible set.
+//!   CI runners so parallel timings are comparable. Unset or empty means
+//!   no pin; any other unparseable value panics naming the variable — a
+//!   silently ignored pin would quietly un-pin a "reproducible" run.
 //!
-//! Unset or empty means no pin; any other unparseable value panics
-//! naming the variable — a silently ignored pin would quietly un-pin a
-//! "reproducible" run.
+//! The local-kernel variant is pinned in code, never by the
+//! environment: a caller hands [`LocalPicks::resolve`] its pin.
 
 // Indexed `for i in 0..n` loops over CSR index structures are the
 // domain idiom throughout this workspace; the iterator rewrites
@@ -56,7 +54,7 @@ pub use sddmm::{
     apply_sampling, leaky_relu, sddmm_coo_acc, sddmm_csr, sddmm_csr_acc, SddmmCombine,
 };
 pub use spmm::{spmm_coo_acc, spmm_coo_t_acc, spmm_csr_acc, spmm_csr_t_acc};
-pub use variants::{env_pin, LocalKernel, LocalOp, LocalPicks, SparseFormat};
+pub use variants::{LocalKernel, LocalOp, LocalPicks, SparseFormat};
 
 /// Flops of `out += S·B` with `nnz` nonzeros and `r`-wide dense rows:
 /// one multiply and one add per (nonzero, column).

@@ -30,10 +30,9 @@
 //! serially, so both degrade `ParBlocked` to `Blocked`.
 //!
 //! Which variant runs is a fixed rule, not a run-time measurement:
-//! [`LocalKernel::table`] names one variant per (op, format). A pin —
-//! the `DSK_LOCAL_KERNEL` label ([`env_pin`]) or a caller's — replaces
-//! the table for every op, clamped per op; [`LocalPicks::resolve`]
-//! applies the two.
+//! [`LocalKernel::table`] names one variant per (op, format). A
+//! caller's pin replaces the table for every op, clamped per op;
+//! [`LocalPicks::resolve`] applies the two.
 
 mod blocked;
 mod parallel;
@@ -108,21 +107,13 @@ impl LocalKernel {
         LocalKernel::ParBlocked,
     ];
 
-    /// Stable lower-case label (bench schema, scoreboards,
-    /// `DSK_LOCAL_KERNEL` values).
+    /// Stable lower-case label (bench schema, scoreboards).
     pub fn label(self) -> &'static str {
         match self {
             LocalKernel::Naive => "naive",
             LocalKernel::Blocked => "blocked",
             LocalKernel::ParBlocked => "par-blocked",
         }
-    }
-
-    /// Parse a label (as produced by [`LocalKernel::label`]; `_` is
-    /// accepted for `-`). `None` for anything unrecognized.
-    pub fn parse(s: &str) -> Option<LocalKernel> {
-        let norm = s.trim().to_ascii_lowercase().replace('_', "-");
-        LocalKernel::ALL.into_iter().find(|v| v.label() == norm)
     }
 
     /// The variants admissible for an (op, format) pair, `Naive` first.
@@ -287,37 +278,9 @@ impl LocalPicks {
     }
 }
 
-/// The `DSK_LOCAL_KERNEL` pin: `None` when unset or empty. An
-/// unrecognized label panics: a silently ignored pin would quietly run
-/// a "reproducible" bench on the table's picks.
-pub fn env_pin() -> Option<LocalKernel> {
-    pin_from(std::env::var("DSK_LOCAL_KERNEL").ok().as_deref())
-}
-
-fn pin_from(raw: Option<&str>) -> Option<LocalKernel> {
-    let v = raw.map(str::trim).filter(|v| !v.is_empty())?;
-    Some(LocalKernel::parse(v).unwrap_or_else(|| {
-        let labels = LocalKernel::ALL.map(LocalKernel::label).join(", ");
-        panic!("DSK_LOCAL_KERNEL={v:?} is not a local kernel label (accepted: {labels})")
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_round_trip_through_parse() {
-        for v in LocalKernel::ALL {
-            assert_eq!(LocalKernel::parse(v.label()), Some(v));
-        }
-        assert_eq!(
-            LocalKernel::parse(" Par_Blocked \n"),
-            Some(LocalKernel::ParBlocked)
-        );
-        assert_eq!(LocalKernel::parse("mkl"), None);
-        assert_eq!(LocalKernel::parse(""), None);
-    }
 
     #[test]
     fn clamp_lands_in_the_admissible_set() {
@@ -338,25 +301,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn env_pin_parses_labels_and_treats_unset_and_empty_as_no_pin() {
-        assert_eq!(pin_from(None), None);
-        assert_eq!(pin_from(Some("")), None);
-        assert_eq!(pin_from(Some("  ")), None);
-        assert_eq!(pin_from(Some("blocked")), Some(LocalKernel::Blocked));
-        assert_eq!(
-            pin_from(Some(" Par_Blocked ")),
-            Some(LocalKernel::ParBlocked)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "DSK_LOCAL_KERNEL=\"blokced\" is not a local kernel label \
-                               (accepted: naive, blocked, par-blocked)")]
-    fn env_pin_rejects_an_unknown_label() {
-        pin_from(Some("blokced"));
     }
 
     #[test]

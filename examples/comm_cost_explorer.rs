@@ -63,8 +63,8 @@ fn main() {
     );
 
     // Planning-only shape source: the local column shows the local
-    // kernel table's SpMM pick for each family's block format (or the
-    // `DSK_LOCAL_KERNEL` pin).
+    // kernel table's SpMM pick for each family's block format (a shape
+    // source has no staging to pin).
     let builder = KernelBuilder::for_shape(dims, nnz).model(model);
     let candidates = builder.plan_candidates(p);
     for (i, cand) in candidates.iter().enumerate() {

@@ -44,9 +44,9 @@ fn no_build_enters_the_local_tuning_phase() {
     }
 }
 
-/// Pinning different variants (the planner obeys programmatic pins and
-/// `DSK_LOCAL_KERNEL` identically) must leave the answer and the entire
-/// communication profile untouched — only local wall time may move.
+/// Pinning different variants (`StagedProblem::set_local_pin`, the one
+/// pin) must leave the answer and the entire communication profile
+/// untouched — only local wall time may move.
 #[test]
 fn pinned_variants_change_nothing_but_the_local_kernel() {
     let prob = Arc::new(GlobalProblem::erdos_renyi(192, 192, 8, 6, 7102));

@@ -236,6 +236,37 @@ fn iterate_layouts_tile_and_roundtrip() {
     }
 }
 
+/// Staging: a freshly built worker holds exactly its declared iterate
+/// layouts' shares of the global `A` and `B`, bit for bit — the Table II
+/// distribution and the blocks a family cuts are one and the same.
+#[test]
+fn fresh_workers_hold_their_iterate_layouts_of_the_global_operands() {
+    let prob = Arc::new(GlobalProblem::erdos_renyi(25, 30, 5, 3, 4006));
+    let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (name, builder, _) in scenarios(&prob) {
+        let prob = Arc::clone(&prob);
+        let world = SimWorld::new(P, MachineModel::bandwidth_only());
+        let out = world.run(move |comm| {
+            let worker = builder.build(comm);
+            let g = comm.rank();
+            let (la, lb) = (worker.a_iterate_layout_of(g), worker.b_iterate_layout_of(g));
+            let (a, b) = (worker.a_iterate(), worker.b_iterate());
+            let a_ok = (a.nrows(), a.ncols()) == (la.local_rows(), la.width())
+                && bits(&a) == bits(&la.extract(&prob.a));
+            let b_ok = (b.nrows(), b.ncols()) == (lb.local_rows(), lb.width())
+                && bits(&b) == bits(&lb.extract(&prob.b));
+            (a_ok, b_ok)
+        });
+        for (g, o) in out.iter().enumerate() {
+            assert_eq!(
+                o.value,
+                (true, true),
+                "{name}: rank {g} staged off its layout"
+            );
+        }
+    }
+}
+
 /// Live-migration round trip: build each of the five kernels, run one
 /// fused iteration plus an SDDMM, then migrate the session to every
 /// other admissible family — iterates, R values, and the squared loss
