@@ -24,12 +24,21 @@
 //!    `[W₁ | … | W_h | a_src₁ a_dst₁ … a_src_h a_dst_h]`, giving every
 //!    head's `H·W` and the `2h` score columns of this rank's rows;
 //! 3. all-gathers the scores (`2h·n` words in all), so every rank holds
-//!    every `u` and `v`;
-//! 4. per head, writes `exp(LeakyReLU(u_i + v_j))` straight into the
-//!    stored R values, normalizes each row (the row sums reduce over
-//!    whichever ranks share a sparse row), repartitions that head's
-//!    `H·W` back to the `B`-iterate layout, and runs the SpMM
-//!    `α·(H·W)` followed by ELU. Head outputs are concatenated.
+//!    every `u` and `v`, and repartitions every head's `H·W` back to the
+//!    `B`-iterate layout;
+//! 4. per head, writes `E = exp(LeakyReLU(u_i + v_j))` straight into
+//!    the stored R values, summing each row `s_i` in the same walk (the
+//!    sums reduce over whichever ranks share a sparse row), and runs
+//!    the SpMM `E·(H·W)` on those unnormalized values. The softmax is
+//!    `α = diag(1/s)·E`, so `α·(H·W) = diag(1/s)·(E·(H·W))`: each
+//!    output row is scaled by `1/s_i` (0 for an empty row) in the same
+//!    loop as the ELU and written into the head's columns of the
+//!    concatenated output. After a forward pass the stored R values
+//!    hold `E`, not `α`.
+//!
+//! All communication but the row-sum reduction precedes the per-head
+//! loop, and that reduction sends nothing where a sparse row is whole
+//! on one rank.
 //!
 //! Every distributed step is a [`Session`] call, so the engine is
 //! oblivious to which algorithm family (or the 1D baseline) runs
@@ -119,7 +128,13 @@ impl GatEngine {
     }
 
     /// One multi-head forward pass: per-head attention + convolution,
-    /// outputs concatenated along the feature dimension, ELU applied.
+    /// outputs concatenated along the feature dimension, ELU applied,
+    /// in the rows of the kernel's
+    /// [`spmm_a_with_layout_of`](dsk_core::DistKernel::spmm_a_with_layout_of).
+    ///
+    /// The attention is normalized on the SpMM's output rows, so the
+    /// stored R values are left holding the unnormalized
+    /// `exp(LeakyReLU(·))` of the last head, not `α`.
     ///
     /// # Panics
     ///
@@ -140,35 +155,36 @@ impl GatEngine {
             "every head's W must be r × r"
         );
         let (hw, scores) = self.stage(heads);
+        let hw: Vec<Mat> = hw.iter().map(|hw| self.unstage(hw)).collect();
+        let (sum_index, width) = self.output_rows();
         let slope = cfg.negative_slope;
         // exp(LeakyReLU(·)); inputs are bounded (embeddings in [-1,1]),
         // so the unshifted exponential is safe.
         let attention = move |e: f64| (if e < 0.0 { slope * e } else { e }).exp();
-        let mut outputs = Vec::with_capacity(heads.len());
-        for (hw, [u, v]) in hw.iter().zip(&scores) {
-            self.session.set_r_pair_sums(u, v, &attention);
-            let sums = self.session.r_row_sums(Phase::OutsideComm);
-            let inv: Vec<f64> = {
-                let _ph = self.session.comm().phase(Phase::OutsideCompute);
-                sums.iter()
-                    .map(|&s| if s > 0.0 { 1.0 / s } else { 0.0 })
-                    .collect()
-            };
-            self.session.scale_r_rows(&inv);
-            let hw = self.unstage(hw);
+        let mut out = {
+            let _ph = self.session.comm().phase(Phase::OutsideCompute);
+            Mat::zeros(sum_index.len(), heads.len() * width)
+        };
+        for (t, (hw, [u, v])) in hw.iter().zip(&scores).enumerate() {
+            let sums = self.session.set_r_pair_sums(u, v, &attention);
             // The kernel's rounds charge their own phases; the R-valued
             // blocks it materializes around them are charged here.
             let _ph = self.session.comm().phase(Phase::OutsideCompute);
-            let mut out = self.session.spmm_a_with(&hw);
-            for v in out.as_mut_slice() {
-                if *v < 0.0 {
-                    *v = v.exp() - 1.0;
+            let head = self.session.spmm_a_with(hw);
+            debug_assert_eq!((head.nrows(), head.ncols()), (sum_index.len(), width));
+            // softmax(E)·HW = diag(1/s)·(E·HW): each row of E·HW is
+            // scaled, ELU'd and written into this head's columns.
+            let cols = t * width..(t + 1) * width;
+            for (i, &at) in sum_index.iter().enumerate() {
+                let s = sums[at];
+                let inv = if s > 0.0 { 1.0 / s } else { 0.0 };
+                for (o, &x) in out.row_mut(i)[cols.clone()].iter_mut().zip(head.row(i)) {
+                    let y = x * inv;
+                    *o = if y < 0.0 { y.exp() - 1.0 } else { y };
                 }
             }
-            outputs.push(out);
         }
-        let _ph = self.session.comm().phase(Phase::OutsideCompute);
-        Mat::hstack(&outputs)
+        out
     }
 
     /// Steps 1–3 of the forward pass: stage `H` to row blocks, run the
@@ -223,6 +239,26 @@ impl GatEngine {
         let k = self.session.worker().kernel();
         let _ph = comm.phase(Phase::OutsideComm);
         repartition_dense(comm, hw, self.row_blocks(), |g| k.b_iterate_layout_of(g))
+    }
+
+    /// The [`Session::spmm_a_with`] output on this rank: for each local
+    /// row, its index into the R row sums (the offset of its global row
+    /// in the R store's rows), and the output width.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an output row lies outside the store's rows (no
+    /// kernel lays out its output so).
+    fn output_rows(&self) -> (Vec<usize>, usize) {
+        let k = self.session.worker().kernel();
+        let rows = k.r_store().rows();
+        let layout = k.spmm_a_with_layout_of(self.session.comm().rank());
+        let width = layout.width();
+        let index = layout.row_ranges.into_iter().flatten().map(|g| {
+            assert!(rows.contains(&g), "output row {g} has no R row sum");
+            g - rows.start
+        });
+        (index.collect(), width)
     }
 
     /// The staging layout: full-width contiguous row blocks of `H`.
@@ -300,15 +336,19 @@ mod tests {
         GlobalProblem::new(s, h.clone(), h)
     }
 
-    /// The forward pass on `family` (`None`: the 1D baseline) against
-    /// the serial reference, every head's block compared.
-    fn check_family(family: Option<AlgorithmFamily>, p: usize, c: usize) {
-        let (n, r) = (24, 6);
-        let prob = Arc::new(gat_problem(n, r, 300));
-        let cfg = GatConfig::default();
-        let heads = vec![GatHead::random(r, 301), GatHead::random(r, 302)];
-        let expect = gat_forward_reference(&prob, &heads, &cfg);
-        let heads2 = heads.clone();
+    /// The forward pass on `family` (`None`: the 1D baseline) with `p`
+    /// ranks, every head's block gathered in the layout the kernel
+    /// describes and stacked on rank 0.
+    fn forward_gathered(
+        prob: &Arc<GlobalProblem>,
+        heads: &[GatHead],
+        cfg: &GatConfig,
+        family: Option<AlgorithmFamily>,
+        p: usize,
+        c: usize,
+    ) -> Mat {
+        let (n, r) = (prob.dims.n, prob.dims.r);
+        let (prob, heads, cfg) = (Arc::clone(prob), heads.to_vec(), *cfg);
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
             let builder = Session::builder(&prob);
@@ -317,10 +357,8 @@ mod tests {
                 None => builder.baseline(),
             };
             let mut eng = GatEngine::new(builder.build(comm));
-            let local = eng.forward(&heads2, &cfg);
-            // Per-head outputs are concatenated. Gather each head's
-            // block in the layout the kernel describes; every rank joins
-            // every gather before rank 0 stacks them.
+            let local = eng.forward(&heads, &cfg);
+            // Every rank joins every gather before rank 0 stacks them.
             let k = eng.session().worker().kernel();
             let width = local.ncols() / cfg.heads;
             let per_head: Vec<Option<Mat>> = (0..cfg.heads)
@@ -332,8 +370,20 @@ mod tests {
             let per_head: Option<Vec<Mat>> = per_head.into_iter().collect();
             per_head.map(|blocks| Mat::hstack(&blocks))
         });
-        let got = out[0].value.as_ref().unwrap();
+        let got = out[0].value.clone().unwrap();
         assert_eq!(got.ncols(), cfg.heads * r);
+        got
+    }
+
+    /// The forward pass on `family` against the serial reference,
+    /// every head's block compared.
+    fn check_family(family: Option<AlgorithmFamily>, p: usize, c: usize) {
+        let (n, r) = (24, 6);
+        let prob = Arc::new(gat_problem(n, r, 300));
+        let cfg = GatConfig::default();
+        let heads = vec![GatHead::random(r, 301), GatHead::random(r, 302)];
+        let expect = gat_forward_reference(&prob, &heads, &cfg);
+        let got = forward_gathered(&prob, &heads, &cfg, family, p, c);
         for t in 0..cfg.heads {
             let cols = t * r..(t + 1) * r;
             assert!(
@@ -371,6 +421,46 @@ mod tests {
         // The 1D baseline is a full DistKernel: the same forward pass
         // must verify against the serial reference.
         check_family(None, 4, 1);
+    }
+
+    #[test]
+    fn isolated_nodes_get_zero_rows_on_every_kernel() {
+        // Every fifth node has no edge at all: its row sum is 0, so its
+        // output row is the empty SpMM row scaled by 0, then ELU'd.
+        let (n, r) = (24, 6);
+        let isolated = |i: usize| i % 5 == 2;
+        let mut s = dsk_sparse::CooMatrix::empty(n, n);
+        for (i, j, v) in dsk_sparse::gen::erdos_renyi(n, n, 4, 370).iter() {
+            if !isolated(i) && !isolated(j) {
+                s.push(i, j, v);
+            }
+        }
+        let h = Mat::random(n, r, 371);
+        let prob = Arc::new(GlobalProblem::new(s, h.clone(), h));
+        let cfg = GatConfig::default();
+        let heads = vec![GatHead::random(r, 372), GatHead::random(r, 373)];
+        let expect = gat_forward_reference(&prob, &heads, &cfg);
+        let kernels = [
+            (Some(AlgorithmFamily::DenseShift15), 4, 2),
+            (Some(AlgorithmFamily::SparseShift15), 4, 2),
+            (Some(AlgorithmFamily::DenseRepl25), 8, 2),
+            (Some(AlgorithmFamily::SparseRepl25), 8, 2),
+            (Some(AlgorithmFamily::SparseRepl25), 4, 4),
+            (None, 4, 1),
+        ];
+        for (family, p, c) in kernels {
+            let got = forward_gathered(&prob, &heads, &cfg, family, p, c);
+            for i in (0..n).filter(|&i| isolated(i)) {
+                assert!(
+                    got.row(i).iter().all(|&v| v == 0.0),
+                    "{family:?} (p = {p}, c = {c}): isolated node {i} has a non-zero output row"
+                );
+            }
+            assert!(
+                dsk_dense::ops::max_abs_diff(&got, &expect) < 1e-9,
+                "{family:?} (p = {p}, c = {c}) differs from the reference"
+            );
+        }
     }
 
     #[test]

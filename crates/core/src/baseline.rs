@@ -369,9 +369,9 @@ impl DistKernel for Baseline1D {
         self.spmm_plan(&self.plan_b, &st.with_vals(vals), &self.a_loc, m)
     }
 
-    fn r_row_sums(&self, _comm: &Comm, _phase: Phase) -> Vec<f64> {
-        // Block rows are whole on one rank: sums are purely local.
-        self.r.row_sums()
+    /// None: block rows are whole on one rank.
+    fn r_row_group<'a>(&'a self, _world: &'a Comm) -> Option<&'a Comm> {
+        None
     }
 
     fn spmm_a_with(&self, y: &Mat) -> Mat {

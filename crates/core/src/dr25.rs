@@ -26,7 +26,7 @@
 //! `B`-shaped output circulates as an accumulator alongside, completing
 //! the `m`-contraction with no fiber traffic.
 
-use dsk_comm::{Comm, CommPattern, Grid25, GridComms25, Phase, RowSet};
+use dsk_comm::{Comm, CommPattern, Grid25, GridComms25, RowSet};
 use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::CooMatrix;
@@ -386,13 +386,10 @@ impl DistKernel for DenseRepl25 {
         self.fused(&self.canon_side(), y, elision, sampling)
     }
 
-    /// Reduced across the whole grid-row plane; indices local to macro
-    /// row `u`.
-    fn r_row_sums(&self, _comm: &Comm, phase: Phase) -> Vec<f64> {
-        let mut sums = self.r.row_sums();
-        let _ph = self.gc.row_plane.phase(phase);
-        self.gc.row_plane.allreduce_sum(&mut sums);
-        sums
+    /// The whole grid-row plane: its members split macro row `u`'s
+    /// columns.
+    fn r_row_group<'a>(&'a self, _world: &'a Comm) -> Option<&'a Comm> {
+        Some(&self.gc.row_plane)
     }
 
     /// Takes a travel-layout operand; returned in the fiber `A` layout.
@@ -434,7 +431,7 @@ mod tests {
     use super::*;
     use crate::global::GlobalProblem;
     use crate::worker::DistWorker;
-    use dsk_comm::{MachineModel, SimWorld};
+    use dsk_comm::{MachineModel, Phase, SimWorld};
     use dsk_dense::ops::max_abs_diff;
     use std::sync::Arc;
 

@@ -37,7 +37,7 @@
 
 use std::cell::{OnceCell, RefCell};
 
-use dsk_comm::{Comm, CommPattern, Grid15, GridComms15, Phase, RowSet};
+use dsk_comm::{Comm, CommPattern, Grid15, GridComms15, RowSet};
 use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::CsrMatrix;
@@ -435,12 +435,9 @@ impl DistKernel for DenseShift15 {
         }
     }
 
-    /// Reduced along the fiber; indices local to macro row `u`.
-    fn r_row_sums(&self, _comm: &Comm, phase: Phase) -> Vec<f64> {
-        let mut sums = self.r.row_sums();
-        let _ph = self.gc.fiber.phase(phase);
-        self.gc.fiber.allreduce_sum(&mut sums);
-        sums
+    /// The fiber: its members split macro row `u`'s columns.
+    fn r_row_group<'a>(&'a self, _world: &'a Comm) -> Option<&'a Comm> {
+        Some(&self.gc.fiber)
     }
 
     fn spmm_a_with(&self, y: &Mat) -> Mat {
@@ -499,7 +496,7 @@ mod tests {
     use crate::global::GlobalProblem;
     use crate::kernel::KernelBuilder;
     use crate::worker::DistWorker;
-    use dsk_comm::{MachineModel, SimWorld};
+    use dsk_comm::{MachineModel, Phase, SimWorld};
     use dsk_dense::ops::max_abs_diff;
     use std::sync::Arc;
 

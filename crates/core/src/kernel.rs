@@ -18,7 +18,7 @@
 //! | §III kernels (SDDMM, SpMMA/B) | [`DistKernel::dots`] (the SDDMM data flow, unsampled), [`DistKernel::spmm_a`], [`DistKernel::spmm_b`] | [`DistKernel::sddmm`] (the dots sampled by the [`RStore`]'s values; 2.5D sparse replication overrides it) |
 //! | §IV FusedMM + elision | [`DistKernel::fused_mm_a`], [`DistKernel::fused_mm_b`] | [`DistKernel::supports`] |
 //! | §VI-E generalized SDDMM (the paper's GAT logits) | [`DistKernel::dots`] of a [`CombineSpec`] | [`DistKernel::sddmm_general`], [`DistKernel::set_r_pair_sums`] (the same logits as `u_i + v_j` from per-node scores; what the GAT engine runs) |
-//! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_sums`] (reduction group), [`DistKernel::r_store`], [`DistKernel::r_store_mut`] | [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
+//! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_group`] (which ranks share a stored R row), [`DistKernel::r_store`], [`DistKernel::r_store_mut`] | [`DistKernel::r_row_sums`] (the [`RStore`]'s local sums, all-reduced over the row group; [`DistKernel::set_r_pair_sums`] returns the same from its fill), [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
 //! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_with`] | |
 //! | Table II data distributions | [`DistKernel::view`] (whose layouts also stage every dense block a family holds) | [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`], [`DistKernel::r_pattern_bounds_of`] |
 //! | Fig. 9 distribution shifts | [`DistKernel::set_a`], [`DistKernel::set_b`] (shifting through the view: iterate ↔ replica layout) | [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
@@ -181,8 +181,9 @@ impl KernelId {
 /// distributed SDDMM result `R` in the worker's [`RStore`] — value
 /// arrays aligned with the pattern blocks the kernel already holds.
 /// `map_r`, `r_row_sums`, `scale_r_rows` (indexed consistently with
-/// each other), `spmm_a_with`, `sq_loss_local`, and `gather_r` then
-/// operate on it.
+/// each other, from the start of [`RStore::rows`]), `spmm_a_with`,
+/// `sq_loss_local`, and `gather_r` then operate on it.
+/// [`DistKernel::set_r_pair_sums`] fills them without an SDDMM.
 pub trait DistKernel: Send {
     // ---- required: what differs between kernels ----------------------
 
@@ -222,12 +223,11 @@ pub trait DistKernel: Send {
     /// stored `B`) and the result are in the `B`-iterate layout.
     fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat;
 
-    /// Row sums of the stored R values, reduced over whichever ranks
-    /// share those rows, indexed exactly as
-    /// [`DistKernel::scale_r_rows`] expects. `comm` is the world
-    /// communicator (used by kernels whose sparse rows span the world);
-    /// the reduction is charged to `phase`.
-    fn r_row_sums(&self, comm: &Comm, phase: Phase) -> Vec<f64>;
+    /// The ranks that share this rank's stored R rows, over which R
+    /// row sums are reduced (`None`: the rows are whole on this rank).
+    /// `world` is the communicator the kernel was built on, the group
+    /// of the kernels whose sparse rows span every rank.
+    fn r_row_group<'a>(&'a self, world: &'a Comm) -> Option<&'a Comm>;
 
     /// SpMMA with the stored R values against an explicit `B`-iterate
     /// operand (the GAT convolution `α·(H·W)`), returned in the
@@ -305,13 +305,32 @@ pub trait DistKernel: Send {
         self.spmm_b(false)
     }
 
+    /// Row sums of the stored R values, reduced over
+    /// [`DistKernel::r_row_group`] (charged to `phase`) and indexed
+    /// from the start of [`RStore::rows`], exactly as
+    /// [`DistKernel::scale_r_rows`] expects.
+    fn r_row_sums(&self, comm: &Comm, phase: Phase) -> Vec<f64> {
+        let sums = self.r_store().row_sums();
+        reduce_row_sums(self.r_row_group(comm), phase, sums)
+    }
+
     /// Store `f(u[i] + v[j])` as the R value of every stored nonzero at
     /// global `(i, j)`, from a score per global row (`u`) and per global
     /// column (`v`): the GAT attention logits `a_srcᵀh_i + a_dstᵀh_j`
-    /// as two per-node scalars (local; every replica writes the same
-    /// values).
-    fn set_r_pair_sums(&mut self, u: &[f64], v: &[f64], f: &dyn Fn(f64) -> f64) {
-        self.r_store_mut().set_pair_sums(u, v, f);
+    /// as two per-node scalars (every replica writes the same values).
+    /// Returns the row sums of the values written, bitwise what
+    /// [`DistKernel::r_row_sums`] would return next: summed in the same
+    /// walk as the fill and reduced the same way.
+    fn set_r_pair_sums(
+        &mut self,
+        comm: &Comm,
+        phase: Phase,
+        u: &[f64],
+        v: &[f64],
+        f: &dyn Fn(f64) -> f64,
+    ) -> Vec<f64> {
+        let sums = self.r_store_mut().set_pair_sums(u, v, f);
+        reduce_row_sums(self.r_row_group(comm), phase, sums)
     }
 
     /// Map every stored R value in place (local; all replicas apply the
@@ -406,6 +425,16 @@ pub trait DistKernel: Send {
     fn row_group_b(&self, g: usize) -> u64 {
         self.view().row_group_b(g)
     }
+}
+
+/// All-reduce local R row sums over `group` (charged to `phase`); no
+/// group means the rows are whole here and the sums are final.
+fn reduce_row_sums(group: Option<&Comm>, phase: Phase, mut sums: Vec<f64>) -> Vec<f64> {
+    if let Some(group) = group {
+        let _ph = group.phase(phase);
+        group.allreduce_sum(&mut sums);
+    }
+    sums
 }
 
 /// A resolved construction decision: which kernel, at which replication

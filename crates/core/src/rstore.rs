@@ -231,22 +231,33 @@ impl RStore {
     /// Store `f(u[i] + v[j])` as the R value of every local nonzero at
     /// global `(i, j)`: an SDDMM whose combine is the sum of a row score
     /// and a column score (the GAT attention logits). Every replica
-    /// writes the full set.
-    pub(crate) fn set_pair_sums(&mut self, u: &[f64], v: &[f64], f: &dyn Fn(f64) -> f64) {
+    /// writes the full set. Returns the local row sums of the values
+    /// written, bitwise [`RStore::row_sums`] (same walk, same order).
+    pub(crate) fn set_pair_sums(
+        &mut self,
+        u: &[f64],
+        v: &[f64],
+        f: &dyn Fn(f64) -> f64,
+    ) -> Vec<f64> {
         assert_eq!(
             (u.len(), v.len()),
             self.global,
             "need one score per global row and per global column"
         );
+        let mut sums = vec![0.0; self.rows().len()];
         let vals = each_format!(&self.blocks, blocks => {
             let per_block = blocks.iter().zip(&self.offsets).map(|(blk, &(row0, col0))| {
                 let mut out = vec![0.0; blk.nnz()];
-                blk.walk(|k, i, j| out[k] = f(u[row0 + i] + v[self.global_col(col0, j)]));
+                blk.walk(|k, i, j| {
+                    out[k] = f(u[row0 + i] + v[self.global_col(col0, j)]);
+                    sums[i] += out[k];
+                });
                 out
             });
             per_block.collect()
         });
         self.vals = Some(vals);
+        sums
     }
 
     /// Map every stored R value in place.
@@ -256,8 +267,16 @@ impl RStore {
         }
     }
 
+    /// The global rows the store spans: every block covers the same
+    /// rows, and row sums are indexed from their start.
+    pub fn rows(&self) -> Range<usize> {
+        let nrows = each_format!(&self.blocks, b => b[0].nrows());
+        let row0 = self.offsets[0].0;
+        row0..row0 + nrows
+    }
+
     /// Local row sums of R, indexed by block-local row (all blocks of a
-    /// store span the same rows).
+    /// store span the same rows, [`RStore::rows`]).
     pub(crate) fn row_sums(&self) -> Vec<f64> {
         let vals = self.vals();
         each_format!(&self.blocks, blocks => {
@@ -492,12 +511,21 @@ mod tests {
         assert_eq!(s.export().unwrap().iter().collect::<Vec<_>>(), expect);
     }
 
+    /// The fill returns its local row sums, bitwise what
+    /// [`RStore::row_sums`] reads back after it.
+    fn assert_fill_sums(s: &mut RStore, u: &[f64], v: &[f64]) {
+        let sums = s.set_pair_sums(u, v, &logit);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sums), bits(&s.row_sums()));
+        assert_eq!(sums.len(), s.rows().len());
+    }
+
     #[test]
     fn pair_sums_fill_every_store_shape_at_global_coordinates() {
         // Ragged column offsets, the middle block empty.
         let mut ragged = ragged_store();
         let (u, v) = scores(7, 11);
-        ragged.set_pair_sums(&u, &v, &logit);
+        assert_fill_sums(&mut ragged, &u, &v);
         assert_pair_sums(&ragged, &[(4, 1), (6, 0), (6, 3), (5, 6), (5, 10)]);
         assert!(ragged.vals()[1].is_empty());
 
@@ -505,7 +533,7 @@ mod tests {
         let blk = csr(2, 3, &[(0, 2, 1.0), (1, 0, 2.0), (1, 1, 3.0)]);
         let mut mapped = RStore::csr((6, 10), vec![blk], vec![(4, 0)]).with_col_map(vec![7, 2, 9]);
         let (u, v) = scores(6, 10);
-        mapped.set_pair_sums(&u, &v, &logit);
+        assert_fill_sums(&mut mapped, &u, &v);
         assert_pair_sums(&mapped, &[(4, 9), (5, 7), (5, 2)]);
 
         // Replicated shares: every layer holds the full set, layer 0
@@ -520,7 +548,7 @@ mod tests {
         for layer in 0..c {
             let mut s = RStore::csr((8, 8), vec![csr(3, 3, &entries)], vec![(2, 5)])
                 .replicated_share(layer, c);
-            s.set_pair_sums(&u, &v, &logit);
+            assert_fill_sums(&mut s, &u, &v);
             assert_eq!(s.vals(), whole.vals(), "layer {layer} holds every value");
             if layer == 0 {
                 assert_pair_sums(&s, &[(2, 5), (2, 7), (3, 6), (4, 7)]);

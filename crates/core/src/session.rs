@@ -633,28 +633,16 @@ impl Session {
         self.w_mut().map_r(f);
     }
 
-    /// Store `f(u[i] + v[j])` at every stored nonzero `(i, j)` (see
-    /// [`DistKernel::set_r_pair_sums`](crate::kernel::DistKernel::set_r_pair_sums)), charged to
-    /// [`Phase::OutsideCompute`].
-    pub fn set_r_pair_sums(&mut self, u: &[f64], v: &[f64], f: &dyn Fn(f64) -> f64) {
+    /// Store `f(u[i] + v[j])` at every stored nonzero `(i, j)` and
+    /// return the stored R rows' sums, reduced over the ranks that share
+    /// them (see
+    /// [`DistKernel::set_r_pair_sums`](crate::kernel::DistKernel::set_r_pair_sums)).
+    /// The fill is charged to [`Phase::OutsideCompute`], the reduction
+    /// to [`Phase::OutsideComm`].
+    pub fn set_r_pair_sums(&mut self, u: &[f64], v: &[f64], f: &dyn Fn(f64) -> f64) -> Vec<f64> {
         let (w, comm) = self.w_mut_with_comm();
         let _ph = comm.phase(Phase::OutsideCompute);
-        w.set_r_pair_sums(u, v, f);
-    }
-
-    /// Row sums of the stored R values, reduced over the sharing ranks:
-    /// the local sums are charged to [`Phase::OutsideCompute`], the
-    /// reduction to `phase`.
-    pub fn r_row_sums(&self, phase: Phase) -> Vec<f64> {
-        let _ph = self.comm.phase(Phase::OutsideCompute);
-        self.w().r_row_sums(&self.comm, phase)
-    }
-
-    /// Scale each stored R row, charged to [`Phase::OutsideCompute`].
-    pub fn scale_r_rows(&mut self, scale: &[f64]) {
-        let (w, comm) = self.w_mut_with_comm();
-        let _ph = comm.phase(Phase::OutsideCompute);
-        w.scale_r_rows(scale);
+        w.set_r_pair_sums(comm, Phase::OutsideComm, u, v, f)
     }
 
     /// SpMMA with the stored R values against an explicit operand.

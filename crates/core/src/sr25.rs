@@ -324,13 +324,10 @@ impl DistKernel for SparseRepl25 {
         self.spmm_round(Operand::B, &self.s_valued(true), &self.a_home)
     }
 
-    /// Reduced across the row ring (values are replicated along fibers,
-    /// so layers don't sum); indices local to macro row `u`.
-    fn r_row_sums(&self, _comm: &Comm, phase: Phase) -> Vec<f64> {
-        let mut sums = self.r.row_sums();
-        let _ph = self.gc.row_ring.phase(phase);
-        self.gc.row_ring.allreduce_sum(&mut sums);
-        sums
+    /// The row ring (values are replicated along fibers, so layers
+    /// don't sum): its members split macro row `u`'s columns.
+    fn r_row_group<'a>(&'a self, _world: &'a Comm) -> Option<&'a Comm> {
+        Some(&self.gc.row_ring)
     }
 
     fn spmm_a_with(&self, y: &Mat) -> Mat {

@@ -28,7 +28,7 @@
 //! output); without elision the second kernel re-replicates its input.
 //! Local kernel fusion is impossible: rows are split across ranks.
 
-use dsk_comm::{Comm, CommPattern, Grid15, GridComms15, Phase, RowSet};
+use dsk_comm::{Comm, CommPattern, Grid15, GridComms15, RowSet};
 use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::CooMatrix;
@@ -347,12 +347,9 @@ impl DistKernel for SparseShift15 {
         self.fused(&self.canon_side(), y, elision, sampling)
     }
 
-    /// Global row sums (length `m`; world all-reduce).
-    fn r_row_sums(&self, comm: &Comm, phase: Phase) -> Vec<f64> {
-        let mut sums = self.r.row_sums();
-        let _ph = comm.phase(phase);
-        comm.allreduce_sum(&mut sums);
-        sums
+    /// The world: every rank holds a column block of all `m` rows.
+    fn r_row_group<'a>(&'a self, world: &'a Comm) -> Option<&'a Comm> {
+        Some(world)
     }
 
     /// Accumulates the full `m × slice` panel locally while the R-valued
@@ -395,7 +392,7 @@ mod tests {
     use super::*;
     use crate::global::GlobalProblem;
     use crate::worker::DistWorker;
-    use dsk_comm::{MachineModel, SimWorld};
+    use dsk_comm::{MachineModel, Phase, SimWorld};
     use dsk_dense::ops::max_abs_diff;
     use std::sync::Arc;
 

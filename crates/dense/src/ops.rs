@@ -59,26 +59,99 @@ pub fn row_dot(a: &Mat, i: usize, b: &Mat, j: usize) -> f64 {
     ra.iter().zip(rb).map(|(x, y)| x * y).sum()
 }
 
-/// `c += a · b` (plain GEMM, `a: m×k`, `b: k×n`, `c: m×n`), i-k-j loop
-/// order for streaming access to `b` and `c`.
+/// Columns of the `c` tile [`gemm_acc`] keeps in local arrays; a
+/// ragged right edge takes narrower tiles.
+const NR: usize = 8;
+
+/// `c += a · b` (plain GEMM, `a: m×k`, `b: k×n`, `c: m×n`),
+/// register-blocked: each `MR × NR` tile of `c` stays in local arrays
+/// for the whole `k` loop instead of streaming through memory once per
+/// `k`. Every element still starts from its own `c` value and takes its
+/// adds in `k` order, and a zero `a_ik` is skipped per `(i, k)`, so the
+/// result is bitwise the plain i-k-j loop.
+///
+/// On an x86-64 CPU with AVX the same loops are compiled for 4-wide
+/// vectors, which hold a taller tile (`MR` = 4 rather than 2) in
+/// registers. Multiplies and adds stay separate instructions (no FMA
+/// contraction), so both builds give the same bits.
 pub fn gemm_acc(c: &mut Mat, a: &Mat, b: &Mat) {
     assert_eq!(a.ncols(), b.nrows(), "gemm inner dimension mismatch");
     assert_eq!(c.nrows(), a.nrows(), "gemm output rows mismatch");
     assert_eq!(c.ncols(), b.ncols(), "gemm output cols mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: `gemm_tiles_avx` only requires AVX, which the CPU
+        // was just checked to support.
+        unsafe { gemm_tiles_avx(c, a, b) };
+        return;
+    }
+    gemm_tiles::<2>(c, a, b);
+}
+
+/// [`gemm_tiles`] compiled with AVX enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn gemm_tiles_avx(c: &mut Mat, a: &Mat, b: &Mat) {
+    gemm_tiles::<4>(c, a, b);
+}
+
+/// [`gemm_acc`] over `MR`-row blocks (single rows for the ragged
+/// bottom). Inlined into its caller, so it is compiled for the
+/// caller's target features.
+#[inline(always)]
+fn gemm_tiles<const MR: usize>(c: &mut Mat, a: &Mat, b: &Mat) {
+    let m = a.nrows();
+    let whole = m - m % MR;
+    for i0 in (0..whole).step_by(MR) {
+        gemm_rows::<MR>(c, a, b, i0);
+    }
+    for i0 in whole..m {
+        gemm_rows::<1>(c, a, b, i0);
+    }
+}
+
+/// Rows `i0..i0 + R` of [`gemm_acc`], tile by tile across the columns.
+#[inline(always)]
+fn gemm_rows<const R: usize>(c: &mut Mat, a: &Mat, b: &Mat, i0: usize) {
     let n = b.ncols();
-    for i in 0..a.nrows() {
-        let arow = a.row(i);
-        // Split the borrow: c row i is disjoint from a and b.
-        let crow = c.row_mut(i);
-        for (k, &aik) in arow.iter().enumerate() {
+    let mut j0 = 0;
+    while j0 + NR <= n {
+        gemm_tile::<R, NR>(c, a, b, i0, j0);
+        j0 += NR;
+    }
+    if j0 + NR / 2 <= n {
+        gemm_tile::<R, { NR / 2 }>(c, a, b, i0, j0);
+        j0 += NR / 2;
+    }
+    for j0 in j0..n {
+        gemm_tile::<R, 1>(c, a, b, i0, j0);
+    }
+}
+
+/// The `R × W` tile of `c` at `(i0, j0)`: loaded once, updated for
+/// every `k` in order, stored once.
+#[inline(always)]
+fn gemm_tile<const R: usize, const W: usize>(c: &mut Mat, a: &Mat, b: &Mat, i0: usize, j0: usize) {
+    let cols = j0..j0 + W;
+    let mut acc = [[0.0; W]; R];
+    for (r, tile_row) in acc.iter_mut().enumerate() {
+        tile_row.copy_from_slice(&c.row(i0 + r)[cols.clone()]);
+    }
+    let a_rows: [&[f64]; R] = std::array::from_fn(|r| a.row(i0 + r));
+    for (k, b_row) in b.as_slice().chunks_exact(b.ncols()).enumerate() {
+        let b_tile = &b_row[cols.clone()];
+        for (tile_row, a_row) in acc.iter_mut().zip(&a_rows) {
+            let aik = a_row[k];
             if aik == 0.0 {
                 continue;
             }
-            let brow = &b.as_slice()[k * n..(k + 1) * n];
-            for (cv, bv) in crow.iter_mut().zip(brow) {
+            for (cv, bv) in tile_row.iter_mut().zip(b_tile) {
                 *cv += aik * bv;
             }
         }
+    }
+    for (r, tile_row) in acc.iter().enumerate() {
+        c.row_mut(i0 + r)[cols.clone()].copy_from_slice(tile_row);
     }
 }
 
@@ -118,6 +191,29 @@ mod tests {
         gemm_acc(&mut c, &a, &b);
         // a = [1 2 3; 4 5 6], b = [1 2; 3 4; 5 6]
         assert_eq!(c.as_slice(), &[22.0, 28.0, 49.0, 64.0]);
+    }
+
+    #[test]
+    fn both_tile_heights_give_the_same_bits() {
+        // `gemm_acc` runs one of the two on a given CPU (the integration
+        // tests pin it to the i-k-j loop); the other must agree with it.
+        let a = Mat::from_fn(11, 7, |i, k| {
+            if (i + k) % 4 == 0 {
+                0.0
+            } else {
+                ((i * 7 + k) as f64).sin()
+            }
+        });
+        let b = Mat::random(7, 21, 5);
+        let c0 = Mat::random(11, 21, 6);
+        let mut expect = c0.clone();
+        gemm_acc(&mut expect, &a, &b);
+        let bits = |x: &Mat| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for tiles in [gemm_tiles::<2>, gemm_tiles::<4>] {
+            let mut c = c0.clone();
+            tiles(&mut c, &a, &b);
+            assert_eq!(bits(&c), bits(&expect));
+        }
     }
 
     #[test]

@@ -63,6 +63,64 @@ fn gemm_transpose_identity() {
     }
 }
 
+/// `c += a·b` as the plain i-k-j loop: row `i`, then `k` in order
+/// (skipping a zero `a_ik`), then `j`. Every output element starts from
+/// its own `c` value and takes its adds in `k` order.
+fn gemm_ikj(c: &mut Mat, a: &Mat, b: &Mat) {
+    for i in 0..a.nrows() {
+        for k in 0..a.ncols() {
+            let aik = a.get(i, k);
+            if aik == 0.0 {
+                continue;
+            }
+            for j in 0..b.ncols() {
+                c.set(i, j, c.get(i, j) + aik * b.get(k, j));
+            }
+        }
+    }
+}
+
+/// `gemm_acc` is bitwise the i-k-j loop, whatever its blocking: ragged
+/// shapes around any tile size, `±0.0` entries in `a` (skipped per
+/// `(i, k)`, which `−0.0` starting values and infinite `b` entries make
+/// visible), and a non-zero starting `c`.
+#[test]
+fn gemm_is_bitwise_the_ikj_loop() {
+    let mut rng = Rng::seed_from_u64(0xD006);
+    for case in 0..4 * CASES {
+        let m = rng.gen_index(19);
+        let k = 1 + rng.gen_index(11);
+        let n = 1 + rng.gen_index(37);
+        let seed = rng.next_u64() % 500;
+        let mut a = Mat::random(m, k, seed);
+        let mut b = Mat::random(k, n, seed + 1);
+        let mut c = Mat::random(m, n, seed + 2);
+        for i in 0..m {
+            for t in 0..k {
+                match rng.gen_index(6) {
+                    0 => a.set(i, t, 0.0),
+                    1 => a.set(i, t, -0.0),
+                    _ => {}
+                }
+            }
+            for j in 0..n {
+                if rng.gen_index(5) == 0 {
+                    c.set(i, j, -0.0);
+                }
+            }
+        }
+        if case % 3 == 0 {
+            let (t, j) = (rng.gen_index(k), rng.gen_index(n));
+            b.set(t, j, f64::INFINITY);
+        }
+        let mut expect = c.clone();
+        gemm_ikj(&mut expect, &a, &b);
+        ops::gemm_acc(&mut c, &a, &b);
+        let bits = |x: &Mat| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&c), bits(&expect), "case {case}: {m}×{k}·{k}×{n}");
+    }
+}
+
 /// The Frobenius inner product is symmetric and positive on the
 /// diagonal.
 #[test]
