@@ -193,41 +193,21 @@ fn als_sweep(engine: &mut AppEngine, cfg: &AlsConfig, phase_residuals: &mut Vec<
 
 /// Run ALS on an [`AppEngine`]. The engine's stored `S` values are the
 /// observations `C̃`; its stored `A`/`B` are the initial factors.
-pub fn run_als(engine: &mut AppEngine, cfg: &AlsConfig) -> AlsReport {
-    AlsSolver::new(*cfg).solve(engine)
-}
-
-/// The ALS application as an object: its configuration, run against an
-/// [`AppEngine`]. Re-planning between solves is the session's business
+/// Re-planning between calls is the session's business
 /// (`SessionBuilder::auto_replan`, or `engine.session_mut().replan(..)`
-/// between two `solve` calls): factors and loss carry over exactly,
+/// between two `run_als` calls): factors and loss carry over exactly,
 /// only the distribution changes.
-#[derive(Debug, Clone, Default)]
-pub struct AlsSolver {
-    /// Hyper-parameters for the sweeps.
-    pub cfg: AlsConfig,
-}
-
-impl AlsSolver {
-    /// A solver with the given configuration.
-    pub fn new(cfg: AlsConfig) -> Self {
-        AlsSolver { cfg }
+pub fn run_als(engine: &mut AppEngine, cfg: &AlsConfig) -> AlsReport {
+    let initial_loss = cfg.track_loss.then(|| engine.loss());
+    let mut phase_residuals = Vec::with_capacity(2 * cfg.sweeps);
+    for _ in 0..cfg.sweeps {
+        als_sweep(engine, cfg, &mut phase_residuals);
     }
-
-    /// Run the configured sweeps on `engine`.
-    pub fn solve(&self, engine: &mut AppEngine) -> AlsReport {
-        let cfg = &self.cfg;
-        let initial_loss = cfg.track_loss.then(|| engine.loss());
-        let mut phase_residuals = Vec::with_capacity(2 * cfg.sweeps);
-        for _ in 0..cfg.sweeps {
-            als_sweep(engine, cfg, &mut phase_residuals);
-        }
-        let final_loss = cfg.track_loss.then(|| engine.loss());
-        AlsReport {
-            initial_loss,
-            final_loss,
-            phase_residuals,
-        }
+    let final_loss = cfg.track_loss.then(|| engine.loss());
+    AlsReport {
+        initial_loss,
+        final_loss,
+        phase_residuals,
     }
 }
 

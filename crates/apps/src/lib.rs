@@ -24,6 +24,6 @@ pub mod als;
 pub mod engine;
 pub mod gat;
 
-pub use als::{run_als, AlsConfig, AlsReport, AlsSolver};
+pub use als::{run_als, AlsConfig, AlsReport};
 pub use engine::AppEngine;
 pub use gat::{GatConfig, GatEngine, GatHead};

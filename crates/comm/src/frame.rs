@@ -49,8 +49,9 @@ pub enum FrameKind {
     /// An application message: `WirePayload` bytes keyed by
     /// `(src, context, tag)`.
     Data = 0,
-    /// Rendezvous handshake: payload is (rank, world size, epoch,
-    /// observer flag); see [`Hello`].
+    /// Rendezvous handshake: payload is (rank, world size, epoch) plus
+    /// the compatibility triple; see [`Hello`]. A worker's role is not
+    /// in it: the coordinator's `Roster` reply decides that.
     Hello = 1,
     /// End-of-epoch marker: the sender has finished its closure and
     /// will send no more `Data` this epoch.
@@ -421,9 +422,6 @@ pub struct Hello {
     /// The launcher epoch (index of this `SimWorld::run` call among the
     /// socket-backed runs of the current test body).
     pub epoch: u64,
-    /// True for a pool process that is not a member of this world and
-    /// only awaits the outcome broadcast.
-    pub observer: bool,
     /// The sender's wire-protocol version
     /// ([`crate::rendezvous::PROTOCOL_VERSION`]).
     pub proto_version: u32,
@@ -438,7 +436,7 @@ pub struct Hello {
 }
 
 /// Serialized [`Hello`] payload size in bytes.
-pub const HELLO_PAYLOAD_LEN: usize = 26;
+pub const HELLO_PAYLOAD_LEN: usize = 25;
 
 impl Hello {
     /// Serialize as a Hello frame payload.
@@ -447,7 +445,6 @@ impl Hello {
         buf.extend_from_slice(&self.rank.to_le_bytes());
         buf.extend_from_slice(&self.world_size.to_le_bytes());
         buf.extend_from_slice(&self.epoch.to_le_bytes());
-        buf.push(u8::from(self.observer));
         buf.extend_from_slice(&self.proto_version.to_le_bytes());
         buf.push(self.endian);
         buf.extend_from_slice(&self.caps.to_le_bytes());
@@ -465,10 +462,9 @@ impl Hello {
             rank: u32::from_le_bytes(bytes[0..4].try_into().unwrap()),
             world_size: u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
             epoch: u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
-            observer: bytes[16] != 0,
-            proto_version: u32::from_le_bytes(bytes[17..21].try_into().unwrap()),
-            endian: bytes[21],
-            caps: u32::from_le_bytes(bytes[22..26].try_into().unwrap()),
+            proto_version: u32::from_le_bytes(bytes[16..20].try_into().unwrap()),
+            endian: bytes[20],
+            caps: u32::from_le_bytes(bytes[21..25].try_into().unwrap()),
         })
     }
 }
@@ -672,7 +668,6 @@ mod tests {
             rank: 5,
             world_size: 8,
             epoch: 12,
-            observer: true,
             proto_version: 3,
             endian: 1,
             caps: 0b101,

@@ -23,19 +23,20 @@
 //!   is backend-invariant, so the replay reproduces the same values —
 //!   and, for an epoch that failed, the same `Ok`/`Err` control flow
 //!   and dead world ranks, though the textual detail may differ);
-//! * at each epoch the processes **rendezvous** with the coordinator
-//!   and receive the epoch's [`Roster`] — see [`crate::rendezvous`]
-//!   for the handshake (protocol-version / endianness / capability
-//!   validation with typed rejections) and the roster rules;
-//! * members mesh up pairwise (every member binds a listener at
+//! * at each epoch every pool process **rendezvouses** with the
+//!   coordinator: it dials in with its pool id and reads back the
+//!   epoch's [`Roster`] — see [`crate::rendezvous`] for the handshake
+//!   (protocol-version / endianness / capability validation with typed
+//!   rejections). The echo *is* the roster: a worker whose pool id sits
+//!   at position `w` is world rank `w`, and a worker whose pool id is
+//!   absent (worlds may shrink between epochs) is an *observer* that
+//!   skips the closure and awaits the epoch's verdict on the same
+//!   stream;
+//! * members mesh up pairwise (every worker binds a listener at
 //!   `<base>/r<pool_id>.sock`, or TCP ports from `DSK_SOCKET_ADDR`,
 //!   and dials every lower world rank), validating a [`Hello`] (world
 //!   rank, world size, epoch) on every connection, so diverged or
 //!   stale processes fail loudly instead of corrupting the mesh.
-//!
-//! Pool processes whose pool id is not on the current roster (worlds
-//! may shrink between epochs) join as *observers*: they skip the
-//! closure and only await the epoch's verdict.
 //!
 //! # The epoch protocol
 //!
@@ -61,12 +62,12 @@
 //!
 //! What the caller does with a failed epoch is the only difference
 //! between the two entry points. [`SimWorld::try_run`] returns the
-//! `EpochError` and the pool survives: each process keeps a
-//! thread-local *dead set* of pool ids, updated from `Abort` payloads
-//! (the coordinator from `try_wait` verdicts) — so the next epoch's
-//! roster, a pure function of the dead set
-//! ([`crate::rendezvous::roster_for`]), is computed identically
-//! everywhere without negotiation. [`SimWorld::run`] is the same epoch
+//! `EpochError` and the pool survives: the coordinator drops the dead
+//! children from its pool, so the next epoch's roster
+//! ([`crate::rendezvous::roster_for`] over the live pool ids) omits
+//! them, and every worker learns its new seat from the echo. Liveness
+//! is tracked in the coordinator's pool alone; no worker keeps a dead
+//! set or computes a roster. [`SimWorld::run`] is the same epoch
 //! plus teardown: the launcher kills the whole pool and panics with the
 //! root cause as `rank N panicked: …`, matching the in-memory backends'
 //! diagnostics, and a worker exits non-zero — no orphaned processes.
@@ -106,7 +107,9 @@ use std::time::{Duration, Instant};
 
 use crate::backend::CommBackend;
 use crate::comm::Comm;
-use crate::frame::{read_frame, write_frame, Frame, FrameKind, Hello};
+use crate::frame::{
+    read_frame, write_frame, DecodeError, Frame, FrameKind, Hello, TIMEOUT_AT_BOUNDARY,
+};
 use crate::payload::{WirePayload, WireReader};
 use crate::rendezvous::{self, Roster};
 use crate::socket::{
@@ -186,8 +189,8 @@ fn parent_died(info: &ChildInfo) -> Option<String> {
     let now = std::os::unix::process::parent_id();
     (now != info.initial_ppid).then(|| {
         format!(
-            "rank {}: launcher process exited (ppid {} → {})",
-            info.rank, info.initial_ppid, now
+            "launcher process exited (ppid {} → {now})",
+            info.initial_ppid
         )
     })
 }
@@ -206,18 +209,13 @@ fn endpoint_for(base: &str, rank: usize) -> Endpoint {
 }
 
 // ---------------------------------------------------------------------
-// Per-thread epoch counter, dead set, and pools
+// Per-thread epoch counter and pools
 // ---------------------------------------------------------------------
 
 thread_local! {
     static EPOCH: Cell<u64> = const { Cell::new(0) };
     static POOL: RefCell<Option<Pool>> = const { RefCell::new(None) };
     static CHILD_LISTENER: RefCell<Option<SocketListener>> = const { RefCell::new(None) };
-    /// Pool ids that died in an aborted elastic epoch. Maintained
-    /// identically in every process (the coordinator from `try_wait`
-    /// verdicts, workers and observers from `Abort` payloads), so the
-    /// roster stays a pure function of replicated state.
-    static DEAD_POOL_IDS: RefCell<BTreeSet<usize>> = const { RefCell::new(BTreeSet::new()) };
 }
 
 fn next_epoch() -> u64 {
@@ -228,30 +226,14 @@ fn next_epoch() -> u64 {
     })
 }
 
-fn dead_ids() -> BTreeSet<usize> {
-    DEAD_POOL_IDS.with(|d| d.borrow().clone())
-}
-
-fn mark_dead(ids: impl IntoIterator<Item = usize>) {
-    DEAD_POOL_IDS.with(|d| d.borrow_mut().extend(ids));
-}
-
-fn clear_dead() {
-    DEAD_POOL_IDS.with(|d| d.borrow_mut().clear());
-}
-
-/// The world rank a live pool id serves, given the dead set: its index
-/// among live pool ids. `None` when it falls beyond the roster
-/// (observer).
-fn world_rank_of(pool_id: usize, dead: &BTreeSet<usize>, n: usize) -> Option<usize> {
-    let pos = pool_id - dead.iter().filter(|&&d| d < pool_id).count();
-    (pos < n).then_some(pos)
-}
-
 struct Pool {
     /// Live children as `(pool id, process)`, pool ids ascending.
-    /// Pool id 0 is the launcher itself and never appears here.
+    /// Pool id 0 is the launcher itself and never appears here. This
+    /// is the only record of liveness: rosters are computed from it.
     children: Vec<(usize, Child)>,
+    /// Children ever spawned; `children.len() < spawned` exactly when
+    /// one of them died.
+    spawned: usize,
     /// Rank 0's persistent rendezvous listener.
     listener: SocketListener,
     base: String,
@@ -473,11 +455,11 @@ fn validate_hello(hello: &Hello, epoch: u64, n: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Decode an `Abort` payload into the epoch's failure, updating the
-/// local dead set. Every surviving process derives the identical
-/// [`EpochError`] from the identical payload — the dead set stays
-/// replicated SPMD state. `rank`/`cause` are this process's own view
-/// of the root cause (the error's detail when it has none).
+/// Decode an `Abort` payload into the epoch's failure. Every surviving
+/// process derives the identical [`EpochError`] from the identical
+/// payload and the roster it ran under. `rank`/`cause` are this
+/// process's own view of the root cause (the error's detail when it
+/// has none).
 fn failure_from_abort(
     payload: &[u8],
     roster: &Roster,
@@ -487,9 +469,8 @@ fn failure_from_abort(
     let abort =
         Roster::from_payload(payload).unwrap_or_else(|e| panic!("undecodable Abort payload: {e}"));
     let dead_pool: Vec<usize> = abort.members.iter().map(|&m| m as usize).collect();
-    mark_dead(dead_pool.iter().copied());
     // Dead pool ids → world ranks of the aborted epoch (observers that
-    // died have no world rank and appear only in the dead set).
+    // died have no world rank).
     let dead: Vec<usize> = dead_pool
         .iter()
         .filter_map(|d| roster.members.iter().position(|&m| m as usize == *d))
@@ -531,10 +512,7 @@ where
         // Not this worker's live epoch: the in-process backend
         // reproduces the same values, word counts and verdict.
         Role::Child(info) if !on_live_thread(info, epoch) => replay_inproc(world, f),
-        Role::Child(info) => match world_rank_of(info.rank, &dead_ids(), world.nranks()) {
-            None => run_as_observer(world, epoch, info),
-            Some(_) => run_as_member(world, f, epoch, info),
-        },
+        Role::Child(info) => run_as_worker(world, f, epoch, info),
     }
 }
 
@@ -611,7 +589,6 @@ fn ensure_pool(pool_slot: &mut Option<Pool>, n: usize, epoch: u64) -> bool {
     let need_fresh = pool_slot.as_ref().is_none_or(|p| p.dead);
     if need_fresh && n > 1 {
         *pool_slot = None; // drop (and reap) any dead pool first
-        clear_dead(); // a fresh pool starts with a clean slate
         static POOL_SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = POOL_SEQ.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("dsk-sock-{}-{seq}", std::process::id()));
@@ -624,6 +601,7 @@ fn ensure_pool(pool_slot: &mut Option<Pool>, n: usize, epoch: u64) -> bool {
             .collect();
         *pool_slot = Some(Pool {
             children,
+            spawned: n - 1,
             listener,
             base,
             tmp_dir: Some(dir),
@@ -634,14 +612,15 @@ fn ensure_pool(pool_slot: &mut Option<Pool>, n: usize, epoch: u64) -> bool {
         // earlier epochs in-process and join live here.
         if pool.children.len() + 1 < n {
             assert!(
-                dead_ids().is_empty(),
+                pool.children.len() == pool.spawned,
                 "cannot grow a socket world after a rank death: a fresh worker would have \
                  to replay the aborted epoch in-process, which is not reproducible — \
                  restart the program to rebuild a full pool"
             );
             let test_name = current_test_name();
             while pool.children.len() + 1 < n {
-                let r = pool.children.last().map_or(1, |(id, _)| id + 1);
+                pool.spawned += 1;
+                let r = pool.spawned;
                 pool.children
                     .push((r, spawn_child(r, epoch, &pool.base, test_name.as_deref())));
             }
@@ -650,91 +629,88 @@ fn ensure_pool(pool_slot: &mut Option<Pool>, n: usize, epoch: u64) -> bool {
     pool_slot.is_some()
 }
 
+/// Accept one connection on `listener` before `deadline` and return its
+/// validated [`Hello`] with the stream. Accepts run in 200 ms slices;
+/// between slices `idle` may name a reason to stop waiting (a worker
+/// that exited, a launcher that is gone).
+fn accept_hello(
+    listener: &SocketListener,
+    epoch: u64,
+    n: usize,
+    deadline: Instant,
+    mut idle: impl FnMut() -> Option<String>,
+) -> Result<(Hello, SocketStream), String> {
+    loop {
+        let slice = (Instant::now() + Duration::from_millis(200)).min(deadline);
+        match listener.accept_deadline(slice) {
+            Ok(mut stream) => {
+                let hello = read_hello(&mut stream, deadline)?;
+                validate_hello(&hello, epoch, n)?;
+                return Ok((hello, stream));
+            }
+            Err(e) => {
+                if let Some(why) = idle() {
+                    return Err(why);
+                }
+                if Instant::now() >= deadline {
+                    return Err(e);
+                }
+            }
+        }
+    }
+}
+
+/// Observer streams, tagged with their pool ids.
+type Observers = Vec<(usize, SocketStream)>;
+
 /// The coordinator's half of the rendezvous: accept a Hello from every
 /// live pool worker, validate it (compatibility triple, epoch, world
-/// size, roster role), echo the epoch [`Roster`], and hand back the
-/// assembled member backend plus the observer streams (tagged with
-/// their pool ids). Any failure kills the pool and panics — rendezvous
-/// problems are never elastic.
+/// size, pool id), echo the epoch [`Roster`] — which alone tells each
+/// worker its role — and hand back the assembled member backend plus
+/// the observer streams (tagged with their pool ids).
 fn launcher_rendezvous(
     pool: &mut Pool,
     world: &SimWorld,
     epoch: u64,
     roster: &Roster,
-) -> (Arc<SocketBackend>, Vec<(usize, SocketStream)>) {
+) -> Result<(Arc<SocketBackend>, Observers), String> {
     let n = world.nranks();
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    let live: BTreeSet<usize> = pool.children.iter().map(|(id, _)| *id).collect();
     let roster_frame = Frame::control(FrameKind::Roster, 0, roster.to_payload());
 
     let mut member_streams: Vec<Option<SocketStream>> = (0..n).map(|_| None).collect();
-    let mut observers: Vec<(usize, SocketStream)> = Vec::new();
+    let mut observers: Observers = Vec::new();
     let mut seen: BTreeSet<usize> = BTreeSet::new();
     while seen.len() < pool.children.len() {
-        let slice = (Instant::now() + Duration::from_millis(200)).min(deadline);
-        match pool.listener.accept_deadline(slice) {
-            Ok(mut stream) => {
-                let hello = read_hello(&mut stream, deadline).unwrap_or_else(|e| {
-                    pool.kill_all();
-                    panic!("socket rendezvous failed: {e}");
-                });
-                let r = hello.rank as usize;
-                let world_rank = roster.members.iter().position(|&m| m as usize == r);
-                let valid = validate_hello(&hello, epoch, n).and_then(|()| {
-                    if r == 0 || !live.contains(&r) || seen.contains(&r) {
-                        Err(format!("unexpected Hello from rank {r}"))
-                    } else if hello.observer != world_rank.is_none() {
-                        Err(format!("rank {r} mis-classified itself"))
-                    } else {
-                        Ok(())
-                    }
-                });
-                if let Err(e) = valid {
-                    pool.kill_all();
-                    panic!("socket rendezvous failed: {e}");
-                }
-                // Echo the authoritative roster (the stream is idle:
-                // the worker reads it before doing anything else).
-                if let Err(e) = write_frame(&mut stream, &roster_frame) {
-                    pool.kill_all();
-                    panic!("socket rendezvous failed: sending Roster to rank {r}: {e}");
-                }
-                seen.insert(r);
-                match world_rank {
-                    Some(w) => member_streams[w] = Some(stream),
-                    None => observers.push((r, stream)),
-                }
-            }
-            Err(e) => {
-                // Timeout slice: check worker liveness, then the global
-                // deadline.
-                let early_exit = pool.children.iter_mut().find_map(|(id, c)| {
-                    if seen.contains(id) {
-                        return None;
-                    }
-                    match c.try_wait() {
-                        Ok(Some(status)) => Some((*id, status)),
-                        _ => None,
-                    }
-                });
-                if let Some((id, status)) = early_exit {
-                    pool.kill_all();
-                    panic!(
+        let (hello, mut stream) = accept_hello(&pool.listener, epoch, n, deadline, || {
+            pool.children
+                .iter_mut()
+                .filter(|(id, _)| !seen.contains(id))
+                .find_map(|(id, c)| {
+                    let status = c.try_wait().ok()??;
+                    Some(format!(
                         "rank {id} exited during rendezvous ({status}) — \
                          worker process failed before joining epoch {epoch}"
-                    );
-                }
-                if Instant::now() >= deadline {
-                    pool.kill_all();
-                    panic!("socket rendezvous failed: {e}");
-                }
-            }
+                    ))
+                })
+        })?;
+        let r = hello.rank as usize;
+        if seen.contains(&r) || !pool.children.iter().any(|(id, _)| *id == r) {
+            return Err(format!("unexpected Hello from rank {r}"));
+        }
+        // The stream is idle: the worker reads the echo before doing
+        // anything else.
+        write_frame(&mut stream, &roster_frame)
+            .map_err(|e| format!("sending Roster to rank {r}: {e}"))?;
+        seen.insert(r);
+        match roster.members.iter().position(|&m| m as usize == r) {
+            Some(w) => member_streams[w] = Some(stream),
+            None => observers.push((r, stream)),
         }
     }
-
     let backend = SocketBackend::assemble(0, n, world.recv_timeout_raw(), member_streams)
-        .expect("assemble launcher socket backend");
-    (backend, observers)
+        .map_err(|e| format!("assembling the launcher backend: {e}"))?;
+    Ok((backend, observers))
 }
 
 fn run_as_launcher<T>(
@@ -768,7 +744,11 @@ where
         let roster = rendezvous::roster_for(epoch, &live, n);
         trace::install(0);
         let rdv_start = Instant::now();
-        let (backend, observers) = launcher_rendezvous(pool, world, epoch, &roster);
+        let (backend, observers) =
+            launcher_rendezvous(pool, world, epoch, &roster).unwrap_or_else(|e| {
+                pool.kill_all();
+                panic!("socket rendezvous failed: {e}")
+            });
         trace::complete(TraceKind::Epoch, "epoch.rendezvous", rdv_start, || {
             vec![
                 ("epoch".to_string(), ArgVal::Num(epoch as f64)),
@@ -794,7 +774,7 @@ fn run_rank0_epoch<T>(
     world: &SimWorld,
     f: &(dyn Fn(&mut Comm) -> T + Sync),
     backend: Arc<SocketBackend>,
-    mut observers: Vec<(usize, SocketStream)>,
+    mut observers: Observers,
     children: &mut Vec<(usize, Child)>,
     roster: &Roster,
 ) -> Result<Vec<RankOutcome<T>>, EpochFailure>
@@ -967,75 +947,51 @@ fn child_fail(backend: Option<&SocketBackend>, msg: String) -> ! {
     std::process::exit(101);
 }
 
-/// A member's half of the rendezvous: dial the coordinator (stage 1:
-/// pool-id Hello, read the [`Roster`] echo), then mesh with the other
-/// members (world-rank Hellos), and assemble the backend. Returns the
-/// backend, this process's world rank, and the roster.
-fn member_rendezvous(
+/// The seat the coordinator's roster echo gives a worker for one epoch.
+enum Seat {
+    /// World rank `w` of the roster, meshed with the other members.
+    Member(Arc<SocketBackend>, usize),
+    /// Not on the roster: only the coordinator stream, for the verdict.
+    Observer(SocketStream),
+}
+
+/// A worker's half of the rendezvous: bind this pool id's listener,
+/// dial the coordinator with the pool id, and take the echoed
+/// [`Roster`] as the epoch's roster. A member then meshes with the
+/// other members (world-rank Hellos) and assembles its backend.
+fn worker_rendezvous(
     world: &SimWorld,
     epoch: u64,
     info: &ChildInfo,
-) -> (Arc<SocketBackend>, usize, Roster) {
+) -> Result<(Seat, Roster), String> {
     let n = world.nranks();
-    let me = info.rank; // pool id
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     let abort = || parent_died(info);
-
     CHILD_LISTENER.with(|cell| {
-        let mut listener = cell.borrow_mut();
-        if listener.is_none() {
-            *listener = Some(
-                SocketListener::bind(&endpoint_for(&info.base, me)).expect("bind worker listener"),
-            );
+        let mut slot = cell.borrow_mut();
+        if slot.is_none() {
+            let ep = endpoint_for(&info.base, info.rank);
+            *slot = Some(SocketListener::bind(&ep).map_err(|e| format!("binding {ep:?}: {e}"))?);
         }
+        let listener = slot.as_ref().expect("the listener is bound above");
 
-        // Stage 1: dial the coordinator with our pool id and role
-        // guess, and adopt the echoed roster.
-        let mut s0 = match connect_deadline(&endpoint_for(&info.base, 0), deadline, &abort) {
-            Ok(s) => s,
-            Err(e) => child_fail(None, format!("rank {me}: {e}")),
-        };
-        if let Err(e) = send_hello(
+        let mut s0 = connect_deadline(&endpoint_for(&info.base, 0), deadline, &abort)?;
+        send_hello(
             &mut s0,
-            rendezvous::local_hello(me as u32, n as u32, epoch, false),
-        ) {
-            child_fail(None, format!("rank {me}: {e}"));
+            rendezvous::local_hello(info.rank as u32, n as u32, epoch),
+        )?;
+        let roster = read_roster(&mut s0, deadline)?;
+        if roster.epoch != epoch || roster.members.len() != n {
+            return Err(format!(
+                "the coordinator sent a {}-member roster for epoch {}, expected {n} members \
+                 at epoch {epoch}",
+                roster.members.len(),
+                roster.epoch
+            ));
         }
-        let roster = match read_roster(&mut s0, deadline) {
-            Ok(r) => r,
-            Err(e) => child_fail(None, format!("rank {me}: {e}")),
+        let Some(w) = roster.members.iter().position(|&m| m as usize == info.rank) else {
+            return Ok((Seat::Observer(s0), roster));
         };
-        if roster.epoch != epoch {
-            child_fail(
-                None,
-                format!(
-                    "rank {me}: coordinator sent a roster for epoch {}, expected {epoch}",
-                    roster.epoch
-                ),
-            );
-        }
-        let Some(w) = roster.members.iter().position(|&m| m as usize == me) else {
-            child_fail(
-                None,
-                format!(
-                    "rank {me}: the coordinator roster {:?} omits this live member",
-                    roster.members
-                ),
-            );
-        };
-        // Cross-check the pure-function roster against the echo: a
-        // mismatch means the dead set diverged across processes.
-        if world_rank_of(me, &dead_ids(), n) != Some(w) {
-            child_fail(
-                None,
-                format!(
-                    "rank {me}: roster mismatch — coordinator places this pool id at world \
-                     rank {w}, but the local dead set {:?} implies {:?} (dead-set divergence)",
-                    dead_ids(),
-                    world_rank_of(me, &dead_ids(), n)
-                ),
-            );
-        }
 
         // Mesh: dial every lower member at its pool id's endpoint with
         // a world-rank Hello, then accept every higher member. Backlog
@@ -1043,51 +999,46 @@ fn member_rendezvous(
         let mut streams: Vec<Option<SocketStream>> = (0..n).map(|_| None).collect();
         streams[0] = Some(s0);
         for peer_w in 1..w {
-            let peer_pool = roster.members[peer_w] as usize;
-            let mut s =
-                match connect_deadline(&endpoint_for(&info.base, peer_pool), deadline, &abort) {
-                    Ok(s) => s,
-                    Err(e) => child_fail(None, format!("rank {me}: {e}")),
-                };
-            if let Err(e) = send_hello(
-                &mut s,
-                rendezvous::local_hello(w as u32, n as u32, epoch, false),
-            ) {
-                child_fail(None, format!("rank {me}: {e}"));
-            }
+            let ep = endpoint_for(&info.base, roster.members[peer_w] as usize);
+            let mut s = connect_deadline(&ep, deadline, &abort)?;
+            send_hello(&mut s, rendezvous::local_hello(w as u32, n as u32, epoch))?;
             streams[peer_w] = Some(s);
         }
-        let mut missing = n.saturating_sub(w + 1);
-        while missing > 0 {
-            if let Some(why) = abort() {
-                child_fail(None, why);
-            }
-            let slice = (Instant::now() + Duration::from_millis(200)).min(deadline);
-            let Ok(mut stream) = listener.as_ref().unwrap().accept_deadline(slice) else {
-                if Instant::now() >= deadline {
-                    child_fail(None, format!("rank {me}: rendezvous accept timed out"));
-                }
-                continue;
-            };
-            let hello = match read_hello(&mut stream, deadline) {
-                Ok(h) => h,
-                Err(e) => child_fail(None, format!("rank {me}: {e}")),
-            };
+        for _ in w + 1..n {
+            let (hello, stream) = accept_hello(listener, epoch, n, deadline, abort)?;
             let r = hello.rank as usize;
-            if let Err(e) = validate_hello(&hello, epoch, n) {
-                child_fail(None, format!("rank {me}: {e}"));
-            }
             if r <= w || r >= n || streams[r].is_some() {
-                child_fail(None, format!("rank {me}: unexpected Hello from rank {r}"));
+                return Err(format!("unexpected Hello from rank {r}"));
             }
             streams[r] = Some(stream);
-            missing -= 1;
         }
-
         let backend = SocketBackend::assemble(w, n, world.recv_timeout_raw(), streams)
-            .expect("assemble worker socket backend");
-        (backend, w, roster)
+            .map_err(|e| format!("assembling the worker backend: {e}"))?;
+        Ok((Seat::Member(backend, w), roster))
     })
+}
+
+/// A worker's epoch: rendezvous, then the member body or the observer
+/// wait, as the roster echo decides.
+fn run_as_worker<T>(
+    world: &SimWorld,
+    f: &(dyn Fn(&mut Comm) -> T + Sync),
+    epoch: u64,
+    info: &ChildInfo,
+) -> Result<Vec<RankOutcome<T>>, EpochFailure>
+where
+    T: WirePayload,
+{
+    let rdv_start = Instant::now();
+    let (seat, roster) = worker_rendezvous(world, epoch, info)
+        .unwrap_or_else(|e| child_fail(None, format!("rank {}: {e}", info.rank)));
+    match seat {
+        Seat::Member(backend, w) => {
+            member_trace_begin(w, epoch, world.nranks(), rdv_start);
+            run_as_member(world, f, backend, w, &roster)
+        }
+        Seat::Observer(stream) => run_as_observer(world, info, stream, &roster),
+    }
 }
 
 /// Start a member's per-epoch recorder: the rendezvous that just
@@ -1117,16 +1068,13 @@ fn member_trace_begin(world_rank: usize, epoch: u64, n: usize, rdv_start: Instan
 fn run_as_member<T>(
     world: &SimWorld,
     f: &(dyn Fn(&mut Comm) -> T + Sync),
-    epoch: u64,
-    info: &ChildInfo,
+    backend: Arc<SocketBackend>,
+    me: usize,
+    roster: &Roster,
 ) -> Result<Vec<RankOutcome<T>>, EpochFailure>
 where
     T: WirePayload,
 {
-    let rdv_start = Instant::now();
-    let (backend, me, roster) = member_rendezvous(world, epoch, info);
-    member_trace_begin(me, epoch, world.nranks(), rdv_start);
-
     let run = run_rank(
         Arc::clone(&backend) as Arc<dyn CommBackend>,
         *world.model(),
@@ -1160,88 +1108,43 @@ where
         }
         Ok(EpochVerdict::Aborted(payload)) => {
             backend.mark_finished();
-            Err(failure_from_abort(&payload, &roster, None, reported.err()))
+            Err(failure_from_abort(&payload, roster, None, reported.err()))
         }
         Err(e) => child_fail(Some(backend.as_ref()), format!("rank {me}: {e}")),
     }
 }
 
-/// An observer's stage-1 dial-in: Hello (observer role), Roster echo,
-/// role validation. Returns the coordinator stream and the roster the
-/// members run under (an `Abort` names dead pool ids; the roster maps
-/// them to world ranks).
-fn observer_rendezvous(world: &SimWorld, epoch: u64, info: &ChildInfo) -> (SocketStream, Roster) {
-    let me = info.rank;
-    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    let abort = || parent_died(info);
-    let mut stream = match connect_deadline(&endpoint_for(&info.base, 0), deadline, &abort) {
-        Ok(s) => s,
-        Err(e) => child_fail(None, format!("rank {me}: {e}")),
-    };
-    if let Err(e) = send_hello(
-        &mut stream,
-        rendezvous::local_hello(me as u32, world.nranks() as u32, epoch, true),
-    ) {
-        child_fail(None, format!("rank {me}: {e}"));
-    }
-    let roster = match read_roster(&mut stream, deadline) {
-        Ok(r) => r,
-        Err(e) => child_fail(None, format!("rank {me}: {e}")),
-    };
-    if roster.epoch != epoch || roster.members.iter().any(|&m| m as usize == me) {
-        child_fail(
-            None,
-            format!(
-                "rank {me}: coordinator roster {:?} (epoch {}) conflicts with this \
-                 process's observer role at epoch {epoch}",
-                roster.members, roster.epoch
-            ),
-        );
-    }
-    (stream, roster)
-}
-
+/// An observer's epoch: wait (bounded) on the coordinator stream for
+/// the verdict of the epoch the members run, polling parent health. An
+/// `Abort` names dead pool ids; the roster maps them to world ranks.
 fn run_as_observer<T: WirePayload>(
     world: &SimWorld,
-    epoch: u64,
     info: &ChildInfo,
+    mut stream: SocketStream,
+    roster: &Roster,
 ) -> Result<Vec<RankOutcome<T>>, EpochFailure> {
-    let me = info.rank;
-    let abort = || parent_died(info);
-    let (mut stream, roster) = observer_rendezvous(world, epoch, info);
-    // Wait (bounded) for the epoch verdict, polling parent health.
     let wait_deadline = Instant::now() + world.recv_timeout_raw() + HANDSHAKE_TIMEOUT;
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    loop {
-        if let Some(why) = abort() {
-            child_fail(None, why);
+    let failure = loop {
+        if let Some(why) = parent_died(info) {
+            break why;
         }
         match read_frame(&mut stream) {
             Ok(Some(frame)) if frame.kind == FrameKind::OutcomeSet => {
                 return Ok(outcomes_from_set(&decode_outcome_set(&frame.payload)));
             }
             Ok(Some(frame)) if frame.kind == FrameKind::Abort => {
-                return Err(failure_from_abort(&frame.payload, &roster, None, None));
+                return Err(failure_from_abort(&frame.payload, roster, None, None));
             }
-            Ok(Some(frame)) => child_fail(
-                None,
-                format!("rank {me}: expected an epoch verdict, got {:?}", frame.kind),
-            ),
-            Ok(None) => child_fail(
-                None,
-                format!("rank {me}: launcher closed before the epoch verdict"),
-            ),
-            Err(crate::frame::DecodeError::Io(e))
-                if e.contains(crate::frame::TIMEOUT_AT_BOUNDARY) =>
-            {
+            Ok(Some(frame)) => break format!("expected an epoch verdict, got {:?}", frame.kind),
+            Ok(None) => break "launcher closed before the epoch verdict".to_string(),
+            Err(DecodeError::Io(e)) if e.contains(TIMEOUT_AT_BOUNDARY) => {
                 if Instant::now() >= wait_deadline {
-                    child_fail(
-                        None,
-                        format!("rank {me}: timed out awaiting the epoch verdict"),
-                    );
+                    break "timed out awaiting the epoch verdict".to_string();
                 }
             }
-            Err(e) => child_fail(None, format!("rank {me}: {e}")),
+            Err(e) => break e.to_string(),
         }
-    }
+    };
+    child_fail(None, format!("rank {}: {failure}", info.rank))
 }

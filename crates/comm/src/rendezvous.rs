@@ -16,20 +16,20 @@
 //!    hang or a garbled frame later.
 //! 3. The coordinator answers each Hello with a
 //!    [`Roster`](crate::frame::FrameKind::Roster) frame: the epoch's
-//!    member list, i.e. the `n` smallest **live** pool ids in order.
-//!    Position in that list *is* the world rank. Pool processes beyond
-//!    the roster are *observers*: they idle through the epoch and
-//!    receive the outcome broadcast so the SPMD program stays replayed
-//!    everywhere.
+//!    member list, i.e. the `n` smallest **live** pool ids in order
+//!    ([`roster_for`]). Position in that list *is* the world rank. Pool
+//!    processes not on the roster are *observers*: they idle through
+//!    the epoch and receive the outcome broadcast on the same stream,
+//!    so the SPMD program stays replayed everywhere.
 //! 4. Members mesh up pairwise (each dials every lower world rank at
 //!    the endpoint owned by that rank's pool id) and the epoch runs.
 //!
-//! Because every process tracks the same dead-pool-id set (updated from
-//! `Abort` broadcasts), the roster is a **pure function** —
-//! [`roster_for`] — that all processes compute identically; the
-//! coordinator's Roster frame is an authoritative echo that each worker
-//! cross-checks against its local computation, turning divergence bugs
-//! into immediate, named failures.
+//! The echo is the roster. Only the coordinator tracks which pool
+//! processes are alive (its own pool of children, shrunk after every
+//! aborted epoch) and only it computes a roster; a worker takes its
+//! role from the echo and announces none in its Hello. A worker checks
+//! just the echo's epoch and member count against its own view of the
+//! program, so a diverged process fails with a named error.
 //!
 //! # Elasticity semantics
 //!
@@ -65,7 +65,7 @@ use crate::frame::{DecodeError, Hello};
 /// The wire-protocol version this build speaks. Bumped whenever the
 /// frame layout or the control-frame protocol changes incompatibly;
 /// [`validate_peer`] refuses to mesh with any other version.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// [`Hello::endian`] value for a little-endian sender.
 pub const ENDIAN_LE: u8 = 1;
@@ -97,12 +97,11 @@ pub fn native_endian() -> u8 {
 
 /// The [`Hello`] this process sends: caller-provided identity plus this
 /// build's compatibility triple.
-pub fn local_hello(rank: u32, world_size: u32, epoch: u64, observer: bool) -> Hello {
+pub fn local_hello(rank: u32, world_size: u32, epoch: u64) -> Hello {
     Hello {
         rank,
         world_size,
         epoch,
-        observer,
         proto_version: PROTOCOL_VERSION,
         endian: native_endian(),
         caps: CAPS_REQUIRED,
@@ -345,7 +344,7 @@ mod tests {
 
     #[test]
     fn compatible_hello_validates() {
-        let h = local_hello(3, 8, 2, false);
+        let h = local_hello(3, 8, 2);
         assert_eq!(validate_peer(&h), Ok(()));
     }
 
@@ -353,7 +352,7 @@ mod tests {
     /// message names the peer and both versions.
     #[test]
     fn version_mismatch_is_typed_and_actionable() {
-        let mut h = local_hello(5, 4, 0, false);
+        let mut h = local_hello(5, 4, 0);
         h.proto_version = PROTOCOL_VERSION + 1;
         let err = validate_peer(&h).unwrap_err();
         assert_eq!(
@@ -375,7 +374,7 @@ mod tests {
 
     #[test]
     fn endian_mismatch_is_typed_and_actionable() {
-        let mut h = local_hello(2, 4, 0, false);
+        let mut h = local_hello(2, 4, 0);
         h.endian = if native_endian() == ENDIAN_LE {
             ENDIAN_BE
         } else {
@@ -391,7 +390,7 @@ mod tests {
 
     #[test]
     fn missing_capabilities_name_the_bits() {
-        let mut h = local_hello(7, 4, 0, true);
+        let mut h = local_hello(7, 4, 0);
         h.caps &= !CAP_ELASTIC_EPOCHS;
         let err = validate_peer(&h).unwrap_err();
         assert_eq!(

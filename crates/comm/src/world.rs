@@ -61,7 +61,7 @@ fn watchdog_from(raw: Option<&str>) -> Duration {
 /// survivors and `resize` its session onto the smaller roster.
 ///
 /// Every surviving process returns an **identical** `EpochError` — the
-/// dead set is part of the replicated SPMD state, not a local guess.
+/// dead ranks come from the coordinator's one verdict, not a local guess.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochError {
     /// The launcher epoch that aborted (0 under in-memory backends,

@@ -54,7 +54,7 @@ fn unix_listener(name: &str) -> (SocketListener, Endpoint) {
 fn wrong_version_peer_is_rejected_with_a_typed_error() {
     let (listener, ep) = unix_listener("version");
     let peer = std::thread::spawn(move || {
-        let mut hello = rendezvous::local_hello(3, 4, 0, false);
+        let mut hello = rendezvous::local_hello(3, 4, 0);
         hello.proto_version = PROTOCOL_VERSION + 1; // an out-of-date build
         dial_with(&ep, hello);
     });
@@ -84,7 +84,7 @@ fn wrong_version_peer_is_rejected_with_a_typed_error() {
 fn compatible_peer_passes_the_same_gate() {
     let (listener, ep) = unix_listener("ok");
     let peer = std::thread::spawn(move || {
-        dial_with(&ep, rendezvous::local_hello(2, 4, 7, false));
+        dial_with(&ep, rendezvous::local_hello(2, 4, 7));
     });
     let hello = accept_and_validate(&listener).expect("compatible peer must validate");
     peer.join().unwrap();
@@ -96,7 +96,7 @@ fn compatible_peer_passes_the_same_gate() {
 fn foreign_endian_peer_is_rejected_with_a_typed_error() {
     let (listener, ep) = unix_listener("endian");
     let peer = std::thread::spawn(move || {
-        let mut hello = rendezvous::local_hello(1, 2, 0, false);
+        let mut hello = rendezvous::local_hello(1, 2, 0);
         hello.endian = if rendezvous::native_endian() == rendezvous::ENDIAN_LE {
             rendezvous::ENDIAN_BE
         } else {

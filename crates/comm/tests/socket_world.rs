@@ -249,3 +249,34 @@ fn run_and_try_run_are_one_epoch_on_success() {
         }
     }
 }
+
+#[test]
+fn a_middle_death_renumbers_the_survivors() {
+    // Pool id 1 dies mid-epoch; the survivors keep their processes and
+    // are renumbered densely, a narrower world leaves pool id 3 as an
+    // observer, and a wider one makes it a member again.
+    let ranks_and_pids = |p: usize| {
+        let out = socket_world(p).run(|c| (c.rank(), std::process::id() as u64));
+        assert_eq!(
+            out.iter().map(|o| o.value.0).collect::<Vec<_>>(),
+            (0..p).collect::<Vec<_>>()
+        );
+        out.iter().map(|o| o.value.1).collect::<Vec<u64>>()
+    };
+    let pids = ranks_and_pids(4);
+    let err = socket_world(4)
+        .try_run(|c| {
+            if c.rank() == 1 && dsk_comm::launch::is_worker_process() {
+                std::process::exit(3);
+            }
+            // Survivors block on a reduction the dead rank never joins.
+            let _ = c.allreduce_scalar(1.0);
+            (c.rank(), std::process::id() as u64)
+        })
+        .expect_err("the epoch must abort when a rank dies");
+    assert_eq!(err.dead, vec![1], "{err}");
+    let survivors = vec![pids[0], pids[2], pids[3]];
+    assert_eq!(ranks_and_pids(3), survivors);
+    assert_eq!(ranks_and_pids(2), survivors[..2].to_vec());
+    assert_eq!(ranks_and_pids(3), survivors);
+}

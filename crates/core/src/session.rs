@@ -52,7 +52,7 @@
 //! | [`Session::replan`] / [`Session::migrate`] | the active communicator | `p → p` | [`Phase::Migration`] | `session.migrate` (inside `session.replan`) | [`Session::observed_nnz`]; `replan` moves only when the predicted win clears [`ReplanPolicy::hysteresis`] |
 //! | [`Session::resize`] | the world (actives and spares) | `p → p_new` | [`Phase::Resize`] | `session.resize` | a 2-word world observation and a broadcast of the plan in force (spares miss active-only replans) |
 //!
-//! The applications in `dsk-apps` (`AppEngine`, `AlsSolver`,
+//! The applications in `dsk-apps` (`AppEngine`, `run_als`,
 //! `GatEngine`) are thin layers over a `Session` and hold no
 //! plan-dependent state of their own, so a session may change its plan
 //! under them at any stored-operand call
@@ -92,7 +92,7 @@ pub struct ReplanPolicy {
     /// memory-limit bound).
     pub c_max: usize,
     /// Automatic cadence: when set — and the policy is installed via
-    /// [`SessionBuilder::auto_replan`] or [`Session::set_auto_replan`] —
+    /// [`SessionBuilder::auto_replan`] —
     /// the session replans itself every `n` *stored-operand* fused
     /// calls (`fused_mm_a(None, ..)` / `fused_mm_b(None, ..)`), without
     /// the application calling [`Session::replan`]. Calls with explicit
@@ -693,24 +693,6 @@ impl Session {
                 self.comm.allreduce_scalar(mine as f64).round() as usize
             }
         }
-    }
-
-    /// Install (or clear) the automatic re-planning policy at runtime —
-    /// the post-construction form of [`SessionBuilder::auto_replan`].
-    /// Collective in effect: every rank must install the same policy at
-    /// the same call count, or the cadence-triggered collectives
-    /// mismatch.
-    pub fn set_auto_replan(&mut self, policy: Option<ReplanPolicy>) {
-        if let Some(p) = &policy {
-            assert!(
-                p.every_n_calls.is_some(),
-                "an automatic policy needs a cadence (ReplanPolicy::every_n_calls)"
-            );
-        }
-        // The cadence counts from installation, not from call zero — a
-        // policy installed at call 100 first checks at call 100 + n.
-        self.last_auto_check = self.calls;
-        self.auto_policy = policy;
     }
 
     /// The cadence hook: replan when an automatic policy is installed,

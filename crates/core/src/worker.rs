@@ -18,7 +18,6 @@ use crate::common::{AlgorithmFamily, ProblemDims, Routing};
 use crate::global::GlobalProblem;
 use crate::kernel::{DistKernel, KernelBuilder, KernelId, KernelPlan};
 use crate::planview::PlanView;
-use crate::staged::StagedProblem;
 
 /// A per-rank worker for any distributed kernel, with the plan it was
 /// built from.
@@ -59,22 +58,6 @@ impl DistWorker {
         prob: &GlobalProblem,
     ) -> Self {
         KernelBuilder::new(prob)
-            .family(family)
-            .replication(c)
-            .routing(Routing::Dense)
-            .build(comm)
-    }
-
-    /// Build from shared staging (the benchmark path: the expensive
-    /// sparse partition is computed once per world, not once per rank).
-    /// Dense-routed, like [`DistWorker::from_global`].
-    pub fn from_staged(
-        comm: &Comm,
-        family: AlgorithmFamily,
-        c: usize,
-        staged: &StagedProblem,
-    ) -> Self {
-        KernelBuilder::from_staged(staged)
             .family(family)
             .replication(c)
             .routing(Routing::Dense)

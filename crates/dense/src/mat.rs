@@ -165,14 +165,6 @@ impl Mat {
         out
     }
 
-    /// Overwrite the row range starting at `row0` with `block`.
-    pub fn set_rows_block(&mut self, row0: usize, block: &Mat) {
-        assert_eq!(block.ncols, self.ncols, "column count mismatch");
-        assert!(row0 + block.nrows <= self.nrows, "row block out of bounds");
-        let start = row0 * self.ncols;
-        self.data[start..start + block.len()].copy_from_slice(&block.data);
-    }
-
     /// Overwrite the sub-block with top-left corner `(row0, col0)`.
     pub fn set_block(&mut self, row0: usize, col0: usize, block: &Mat) {
         assert!(row0 + block.nrows <= self.nrows && col0 + block.ncols <= self.ncols);
@@ -339,10 +331,6 @@ mod tests {
         z.set_block(1, 2, &b);
         assert_eq!(z.get(1, 2), 6.0);
         assert_eq!(z.get(2, 3), 11.0);
-        let mut z2 = Mat::zeros(4, 4);
-        z2.set_rows_block(2, &rb);
-        assert_eq!(z2.row(2), m.row(2));
-        assert_eq!(z2.row(3), m.row(3));
     }
 
     #[test]

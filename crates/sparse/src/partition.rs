@@ -97,20 +97,6 @@ fn ranges_tile(ranges: &[Range<usize>], total: usize) -> bool {
         && ranges.windows(2).all(|w| w[0].end == w[1].start)
 }
 
-/// Partition into block rows (local indices).
-pub fn partition_rows(m: &CooMatrix, parts: usize) -> Vec<CooMatrix> {
-    partition_2d(m, parts, 1)
-        .into_iter()
-        .map(|mut v| v.pop().unwrap())
-        .collect()
-}
-
-/// Partition into block columns (local indices).
-pub fn partition_cols(m: &CooMatrix, parts: usize) -> Vec<CooMatrix> {
-    let mut grid = partition_2d(m, 1, parts);
-    grid.pop().unwrap()
-}
-
 /// Re-assemble a 2D block partition (inverse of [`partition_2d`]); used
 /// by tests and result gathering.
 pub fn unpartition_2d(grid: &[Vec<CooMatrix>], nrows: usize, ncols: usize) -> CooMatrix {
@@ -202,18 +188,5 @@ mod tests {
             }
         }
         assert_eq!(back.to_dense(), m.to_dense());
-    }
-
-    #[test]
-    fn row_and_col_partitions() {
-        let m = erdos_renyi(12, 12, 3, 2);
-        let rows = partition_rows(&m, 3);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows.iter().map(CooMatrix::nnz).sum::<usize>(), m.nnz());
-        assert!(rows.iter().all(|b| b.nrows == 4 && b.ncols == 12));
-        let cols = partition_cols(&m, 4);
-        assert_eq!(cols.len(), 4);
-        assert!(cols.iter().all(|b| b.nrows == 12 && b.ncols == 3));
-        assert_eq!(cols.iter().map(CooMatrix::nnz).sum::<usize>(), m.nnz());
     }
 }

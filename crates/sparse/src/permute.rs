@@ -70,18 +70,6 @@ impl Permutation {
         }
         Permutation { forward: inv }
     }
-
-    /// Apply to the rows of a dense row-major buffer of `ncols`-wide
-    /// rows: row `i` of the input lands at row `apply(i)` of the output.
-    pub fn apply_rows_flat(&self, data: &[f64], ncols: usize) -> Vec<f64> {
-        assert_eq!(data.len(), self.len() * ncols);
-        let mut out = vec![0.0; data.len()];
-        for i in 0..self.len() {
-            let dst = self.apply(i);
-            out[dst * ncols..(dst + 1) * ncols].copy_from_slice(&data[i * ncols..(i + 1) * ncols]);
-        }
-        out
-    }
 }
 
 /// Relabel rows and columns of `m` by the given permutations
@@ -159,14 +147,6 @@ mod tests {
         for (i, j, _) in m.iter() {
             assert_eq!(pd[p.apply(i) * 10 + p.apply(j)], d[i * 10 + j]);
         }
-    }
-
-    #[test]
-    fn apply_rows_flat_moves_rows() {
-        let p = Permutation::from_forward(vec![2, 0, 1]);
-        let data = vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0];
-        let out = p.apply_rows_flat(&data, 2);
-        assert_eq!(out, vec![2.0, 2.0, 3.0, 3.0, 1.0, 1.0]);
     }
 
     #[test]

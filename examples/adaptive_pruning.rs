@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use distributed_sparse_kernels::apps::{AlsConfig, AlsSolver, AppEngine};
+use distributed_sparse_kernels::apps::{run_als, AlsConfig, AppEngine};
 use distributed_sparse_kernels::comm::{MachineModel, Phase, SimWorld};
 use distributed_sparse_kernels::core::session::{ReplanPolicy, Session};
 use distributed_sparse_kernels::core::{AlgorithmFamily, GlobalProblem};
@@ -77,11 +77,10 @@ fn main() {
                 .family(AlgorithmFamily::DenseShift15)
                 .build(comm),
         );
-        let solver = AlsSolver::new(cfg);
 
         // Sweep 1 on the dense-shifting plan.
         let plan0 = engine.session().plan();
-        solver.solve(&mut engine);
+        run_als(&mut engine, &cfg);
         let loss_after_sweep1 = engine.loss();
 
         // Aggressive pruning: the loss() call left the raw dots in R;
@@ -103,7 +102,7 @@ fn main() {
         let loss_after_replan = engine.session().stored_loss();
 
         // Sweep 2 continues on whatever family the session now runs.
-        solver.solve(&mut engine);
+        run_als(&mut engine, &cfg);
         let final_loss = engine.loss();
         let migration_stats = {
             let st = engine.session().stats();

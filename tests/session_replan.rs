@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use distributed_sparse_kernels::apps::{AlsConfig, AlsSolver, AppEngine};
+use distributed_sparse_kernels::apps::{run_als, AlsConfig, AppEngine};
 use distributed_sparse_kernels::comm::{MachineModel, Phase, SimWorld};
 use distributed_sparse_kernels::core::session::{ReplanPolicy, Session};
 use distributed_sparse_kernels::core::{AlgorithmFamily, Elision, GlobalProblem};
@@ -127,9 +127,8 @@ fn als_with_midrun_migration_matches_static_run() {
                 .elision(Elision::ReplicationReuse)
                 .build(comm),
         );
-        let solver = AlsSolver::new(cfg2);
-        solver.solve(&mut eng);
-        solver.solve(&mut eng);
+        run_als(&mut eng, &cfg2);
+        run_als(&mut eng, &cfg2);
         eng.loss()
     })[0]
         .value;
@@ -145,8 +144,7 @@ fn als_with_midrun_migration_matches_static_run() {
                 .elision(Elision::ReplicationReuse)
                 .build(comm),
         );
-        let solver = AlsSolver::new(cfg);
-        solver.solve(&mut eng);
+        run_als(&mut eng, &cfg);
         // Observe, prune, replan: the observed φ collapse forces a
         // cross-family migration of the live factors.
         eng.session_mut().loss();
@@ -155,7 +153,7 @@ fn als_with_midrun_migration_matches_static_run() {
             hysteresis: 1.0,
             ..ReplanPolicy::default()
         });
-        solver.solve(&mut eng);
+        run_als(&mut eng, &cfg);
         (ev.migrated, eng.session().migrations(), eng.loss())
     });
     for o in &out {
