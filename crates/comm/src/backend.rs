@@ -20,8 +20,9 @@
 //!   delay on every delivery so *measured* wall time can be made to
 //!   track *modeled* time (`wire` and `wire-delay`).
 //! * [`SocketBackend`](crate::socket::SocketBackend) — every rank a
-//!   separate OS process exchanging length-prefixed frames over
-//!   Unix-domain or TCP sockets (`socket`; see [`crate::launch`]).
+//!   separate OS process, spawned by the launcher on its own host,
+//!   exchanging length-prefixed frames over Unix-domain sockets
+//!   (`socket`; see [`crate::launch`]).
 //!
 //! Nothing outside `dsk-comm` names a concrete backend: worlds are
 //! configured with the [`BackendKind`] selector (or the
@@ -312,10 +313,11 @@ pub enum BackendKind {
     /// Serialized wire buffers plus injected α-β delays from the
     /// world's machine model, so measured time tracks modeled time.
     WireDelay,
-    /// Real OS transport: every rank is a separate process and every
-    /// message crosses a Unix-domain socket (TCP via `DSK_SOCKET_ADDR`)
-    /// as a length-prefixed frame. `SimWorld::run` becomes a process
-    /// launcher under this kind — see [`crate::launch`].
+    /// Real OS transport: every rank is a separate process, spawned by
+    /// the launcher on its own host, and every message crosses a
+    /// Unix-domain socket as a length-prefixed frame. `SimWorld::run`
+    /// becomes a process launcher under this kind — see
+    /// [`crate::launch`].
     Socket,
 }
 

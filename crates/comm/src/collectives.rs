@@ -234,16 +234,6 @@ impl Comm {
         incoming
     }
 
-    /// Personalized all-to-all of `f64` payloads.
-    pub fn alltoallv_f64(&self, outgoing: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        self.alltoallv(outgoing)
-    }
-
-    /// Personalized all-to-all of index payloads (`u32`).
-    pub fn alltoallv_u32(&self, outgoing: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
-        self.alltoallv(outgoing)
-    }
-
     /// Sparse all-gather (the SparCML primitive): every rank contributes
     /// a dense `nrows × ncols` block but ships each peer only the rows
     /// that peer needs. `ship[dst]` lists the rows of *this* rank's

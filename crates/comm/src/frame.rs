@@ -50,8 +50,8 @@ pub enum FrameKind {
     /// `(src, context, tag)`.
     Data = 0,
     /// Rendezvous handshake: payload is (rank, world size, epoch) plus
-    /// the compatibility triple; see [`Hello`]. A worker's role is not
-    /// in it: the coordinator's `Roster` reply decides that.
+    /// the protocol version; see [`Hello`]. A worker's role is not in
+    /// it: the coordinator's `Roster` reply decides that.
     Hello = 1,
     /// End-of-epoch marker: the sender has finished its closure and
     /// will send no more `Data` this epoch.
@@ -193,6 +193,11 @@ pub enum DecodeError {
         /// Bytes still expected when the stream ended.
         missing: usize,
     },
+    /// A control payload is longer than its fixed or declared length.
+    TrailingBytes {
+        /// Bytes past the end of the record.
+        extra: usize,
+    },
     /// An underlying transport error.
     Io(String),
 }
@@ -214,6 +219,9 @@ impl std::fmt::Display for DecodeError {
             ),
             DecodeError::Truncated { missing } => {
                 write!(f, "stream ended inside a frame ({missing} byte(s) missing)")
+            }
+            DecodeError::TrailingBytes { extra } => {
+                write!(f, "{extra} trailing byte(s) after a control payload")
             }
             DecodeError::Io(e) => write!(f, "transport error: {e}"),
         }
@@ -408,10 +416,10 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<usize> 
 
 /// The rendezvous handshake payload carried by a [`FrameKind::Hello`]
 /// frame: who is connecting, to which world, at which epoch — and
-/// whether the two processes can talk at all (protocol version,
-/// endianness, capabilities; validated by
-/// [`crate::rendezvous::validate_peer`], which rejects mismatches with
-/// a typed, actionable [`crate::rendezvous::HandshakeError`]).
+/// whether the two processes can talk at all (the protocol version,
+/// validated by [`crate::rendezvous::validate_peer`], which rejects a
+/// mismatch with a typed, actionable
+/// [`crate::rendezvous::HandshakeError`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
     /// The connecting process's rank (pool id during rendezvous).
@@ -425,18 +433,10 @@ pub struct Hello {
     /// The sender's wire-protocol version
     /// ([`crate::rendezvous::PROTOCOL_VERSION`]).
     pub proto_version: u32,
-    /// The sender's native byte order: [`crate::rendezvous::ENDIAN_LE`]
-    /// or [`crate::rendezvous::ENDIAN_BE`]. All frame fields are
-    /// little-endian on the wire, so a big-endian peer must byte-swap —
-    /// this field proves it knows to.
-    pub endian: u8,
-    /// Capability bits ([`crate::rendezvous::CAPS_REQUIRED`] must all
-    /// be set).
-    pub caps: u32,
 }
 
 /// Serialized [`Hello`] payload size in bytes.
-pub const HELLO_PAYLOAD_LEN: usize = 25;
+pub const HELLO_PAYLOAD_LEN: usize = 20;
 
 impl Hello {
     /// Serialize as a Hello frame payload.
@@ -446,16 +446,19 @@ impl Hello {
         buf.extend_from_slice(&self.world_size.to_le_bytes());
         buf.extend_from_slice(&self.epoch.to_le_bytes());
         buf.extend_from_slice(&self.proto_version.to_le_bytes());
-        buf.push(self.endian);
-        buf.extend_from_slice(&self.caps.to_le_bytes());
         buf
     }
 
     /// Parse a Hello frame payload.
     pub fn from_payload(bytes: &[u8]) -> Result<Hello, DecodeError> {
-        if bytes.len() != HELLO_PAYLOAD_LEN {
+        if bytes.len() < HELLO_PAYLOAD_LEN {
             return Err(DecodeError::Truncated {
-                missing: HELLO_PAYLOAD_LEN.saturating_sub(bytes.len()),
+                missing: HELLO_PAYLOAD_LEN - bytes.len(),
+            });
+        }
+        if bytes.len() > HELLO_PAYLOAD_LEN {
+            return Err(DecodeError::TrailingBytes {
+                extra: bytes.len() - HELLO_PAYLOAD_LEN,
             });
         }
         Ok(Hello {
@@ -463,8 +466,6 @@ impl Hello {
             world_size: u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
             epoch: u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
             proto_version: u32::from_le_bytes(bytes[16..20].try_into().unwrap()),
-            endian: bytes[20],
-            caps: u32::from_le_bytes(bytes[21..25].try_into().unwrap()),
         })
     }
 }
@@ -669,8 +670,6 @@ mod tests {
             world_size: 8,
             epoch: 12,
             proto_version: 3,
-            endian: 1,
-            caps: 0b101,
         };
         let p = h.to_payload();
         assert_eq!(p.len(), HELLO_PAYLOAD_LEN);

@@ -26,17 +26,17 @@
 //! * at each epoch every pool process **rendezvouses** with the
 //!   coordinator: it dials in with its pool id and reads back the
 //!   epoch's [`Roster`] — see [`crate::rendezvous`] for the handshake
-//!   (protocol-version / endianness / capability validation with typed
-//!   rejections). The echo *is* the roster: a worker whose pool id sits
-//!   at position `w` is world rank `w`, and a worker whose pool id is
-//!   absent (worlds may shrink between epochs) is an *observer* that
-//!   skips the closure and awaits the epoch's verdict on the same
-//!   stream;
-//! * members mesh up pairwise (every worker binds a listener at
-//!   `<base>/r<pool_id>.sock`, or TCP ports from `DSK_SOCKET_ADDR`,
-//!   and dials every lower world rank), validating a [`Hello`] (world
-//!   rank, world size, epoch) on every connection, so diverged or
-//!   stale processes fail loudly instead of corrupting the mesh.
+//!   (protocol-version validation with a typed rejection). The echo
+//!   *is* the roster: a worker whose pool id sits at position `w` is
+//!   world rank `w`, and a worker whose pool id is absent (worlds may
+//!   shrink between epochs) is an *observer* that skips the closure
+//!   and awaits the epoch's verdict on the same stream;
+//! * members mesh up pairwise (every worker binds a Unix-domain
+//!   listener at `<base>/r<pool_id>.sock` in the launcher's private
+//!   temp dir, and dials every lower world rank), validating a
+//!   [`Hello`] (world rank, world size, epoch) on every connection, so
+//!   diverged or stale processes fail loudly instead of corrupting the
+//!   mesh.
 //!
 //! # The epoch protocol
 //!
@@ -99,7 +99,8 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -112,9 +113,7 @@ use crate::frame::{
 };
 use crate::payload::{WirePayload, WireReader};
 use crate::rendezvous::{self, Roster};
-use crate::socket::{
-    connect_deadline, Endpoint, EpochVerdict, SocketBackend, SocketListener, SocketStream,
-};
+use crate::socket::{connect_deadline, EpochVerdict, SocketBackend, SocketListener};
 use crate::stats::RankStats;
 use crate::trace::{self, ArgVal, TraceEvent, TraceKind};
 use crate::world::{
@@ -131,10 +130,6 @@ pub const RENDEZVOUS_ENV_VAR: &str = "DSK_RENDEZVOUS";
 /// Test name the pool serves (workers ignore socket worlds on other
 /// threads).
 pub const TEST_NAME_ENV_VAR: &str = "DSK_TEST_NAME";
-/// Optional `ip:base_port` switching the rendezvous to TCP: rank `r`
-/// listens on `base_port + r`. This is the multi-host hook — with a
-/// shared address every host can run its own ranks manually.
-pub const SOCKET_ADDR_ENV_VAR: &str = "DSK_SOCKET_ADDR";
 
 /// How long ranks wait for the per-epoch rendezvous (covers child boot
 /// plus replay of earlier epochs).
@@ -199,13 +194,9 @@ fn parent_died(info: &ChildInfo) -> Option<String> {
 // Endpoints
 // ---------------------------------------------------------------------
 
-fn endpoint_for(base: &str, rank: usize) -> Endpoint {
-    match std::env::var(SOCKET_ADDR_ENV_VAR) {
-        Ok(addr) => {
-            Endpoint::Tcp(rendezvous::tcp_endpoint(&addr, rank).unwrap_or_else(|e| panic!("{e}")))
-        }
-        Err(_) => Endpoint::Unix(PathBuf::from(base).join(format!("r{rank}.sock"))),
-    }
+/// The socket pool process `pool_id` listens on.
+fn endpoint_for(base: &str, pool_id: usize) -> PathBuf {
+    Path::new(base).join(format!("r{pool_id}.sock"))
 }
 
 // ---------------------------------------------------------------------
@@ -236,9 +227,8 @@ struct Pool {
     spawned: usize,
     /// Rank 0's persistent rendezvous listener.
     listener: SocketListener,
+    /// The rendezvous dir: a private temp dir, removed at drop.
     base: String,
-    /// Owned temp dir (Unix rendezvous) removed at drop.
-    tmp_dir: Option<PathBuf>,
     dead: bool,
 }
 
@@ -258,11 +248,9 @@ impl Drop for Pool {
         // Children finish their own copy of the program; reap them off
         // the test thread so a slow child never blocks completion.
         let children = std::mem::take(&mut self.children);
-        let tmp = self.tmp_dir.take();
+        let dir = std::mem::take(&mut self.base);
         if children.is_empty() {
-            if let Some(dir) = tmp {
-                let _ = std::fs::remove_dir_all(dir);
-            }
+            let _ = std::fs::remove_dir_all(dir);
             return;
         }
         let _ = std::thread::Builder::new()
@@ -271,9 +259,7 @@ impl Drop for Pool {
                 for (_, mut c) in children {
                     let _ = c.wait();
                 }
-                if let Some(dir) = tmp {
-                    let _ = std::fs::remove_dir_all(dir);
-                }
+                let _ = std::fs::remove_dir_all(dir);
             });
     }
 }
@@ -397,7 +383,7 @@ fn outcomes_from_set<T: WirePayload>(set: &[OutcomeEntry]) -> Vec<RankOutcome<T>
 // Handshake helpers
 // ---------------------------------------------------------------------
 
-fn send_hello(stream: &mut SocketStream, hello: Hello) -> Result<(), String> {
+fn send_hello(stream: &mut UnixStream, hello: Hello) -> Result<(), String> {
     write_frame(
         stream,
         &Frame::control(FrameKind::Hello, hello.rank as usize, hello.to_payload()),
@@ -409,7 +395,7 @@ fn send_hello(stream: &mut SocketStream, hello: Hello) -> Result<(), String> {
 /// Read one control frame of kind `kind` before `deadline` and return
 /// its payload.
 fn read_control(
-    stream: &mut SocketStream,
+    stream: &mut UnixStream,
     kind: FrameKind,
     deadline: Instant,
 ) -> Result<Vec<u8>, String> {
@@ -426,12 +412,12 @@ fn read_control(
     Ok(frame.payload)
 }
 
-fn read_hello(stream: &mut SocketStream, deadline: Instant) -> Result<Hello, String> {
+fn read_hello(stream: &mut UnixStream, deadline: Instant) -> Result<Hello, String> {
     let payload = read_control(stream, FrameKind::Hello, deadline)?;
     Hello::from_payload(&payload).map_err(|e| format!("bad Hello payload: {e}"))
 }
 
-fn read_roster(stream: &mut SocketStream, deadline: Instant) -> Result<Roster, String> {
+fn read_roster(stream: &mut UnixStream, deadline: Instant) -> Result<Roster, String> {
     let payload = read_control(stream, FrameKind::Roster, deadline)?;
     Roster::from_payload(&payload).map_err(|e| format!("bad Roster payload: {e}"))
 }
@@ -604,7 +590,6 @@ fn ensure_pool(pool_slot: &mut Option<Pool>, n: usize, epoch: u64) -> bool {
             spawned: n - 1,
             listener,
             base,
-            tmp_dir: Some(dir),
             dead: false,
         });
     } else if let Some(pool) = pool_slot.as_mut() {
@@ -639,7 +624,7 @@ fn accept_hello(
     n: usize,
     deadline: Instant,
     mut idle: impl FnMut() -> Option<String>,
-) -> Result<(Hello, SocketStream), String> {
+) -> Result<(Hello, UnixStream), String> {
     loop {
         let slice = (Instant::now() + Duration::from_millis(200)).min(deadline);
         match listener.accept_deadline(slice) {
@@ -661,10 +646,10 @@ fn accept_hello(
 }
 
 /// Observer streams, tagged with their pool ids.
-type Observers = Vec<(usize, SocketStream)>;
+type Observers = Vec<(usize, UnixStream)>;
 
 /// The coordinator's half of the rendezvous: accept a Hello from every
-/// live pool worker, validate it (compatibility triple, epoch, world
+/// live pool worker, validate it (protocol version, epoch, world
 /// size, pool id), echo the epoch [`Roster`] — which alone tells each
 /// worker its role — and hand back the assembled member backend plus
 /// the observer streams (tagged with their pool ids).
@@ -678,7 +663,7 @@ fn launcher_rendezvous(
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     let roster_frame = Frame::control(FrameKind::Roster, 0, roster.to_payload());
 
-    let mut member_streams: Vec<Option<SocketStream>> = (0..n).map(|_| None).collect();
+    let mut member_streams: Vec<Option<UnixStream>> = (0..n).map(|_| None).collect();
     let mut observers: Observers = Vec::new();
     let mut seen: BTreeSet<usize> = BTreeSet::new();
     while seen.len() < pool.children.len() {
@@ -821,7 +806,7 @@ where
             for (_, obs) in &mut observers {
                 // A dead observer cannot split the members' control flow;
                 // its exit is caught at the next rendezvous.
-                let _ = obs.write_all_shared(&set_frame_bytes);
+                let _ = obs.write_all(&set_frame_bytes);
             }
             backend.mark_finished();
             trace::gather_epoch(
@@ -908,7 +893,7 @@ where
     }
     for (id, obs) in &mut observers {
         if !dead_pool_ids.contains(id) {
-            let _ = obs.write_all_shared(&abort_frame_bytes);
+            let _ = obs.write_all(&abort_frame_bytes);
         }
     }
     backend.mark_finished();
@@ -952,7 +937,7 @@ enum Seat {
     /// World rank `w` of the roster, meshed with the other members.
     Member(Arc<SocketBackend>, usize),
     /// Not on the roster: only the coordinator stream, for the verdict.
-    Observer(SocketStream),
+    Observer(UnixStream),
 }
 
 /// A worker's half of the rendezvous: bind this pool id's listener,
@@ -996,7 +981,7 @@ fn worker_rendezvous(
         // Mesh: dial every lower member at its pool id's endpoint with
         // a world-rank Hello, then accept every higher member. Backlog
         // queues make the order safe.
-        let mut streams: Vec<Option<SocketStream>> = (0..n).map(|_| None).collect();
+        let mut streams: Vec<Option<UnixStream>> = (0..n).map(|_| None).collect();
         streams[0] = Some(s0);
         for peer_w in 1..w {
             let ep = endpoint_for(&info.base, roster.members[peer_w] as usize);
@@ -1120,7 +1105,7 @@ where
 fn run_as_observer<T: WirePayload>(
     world: &SimWorld,
     info: &ChildInfo,
-    mut stream: SocketStream,
+    mut stream: UnixStream,
     roster: &Roster,
 ) -> Result<Vec<RankOutcome<T>>, EpochFailure> {
     let wait_deadline = Instant::now() + world.recv_timeout_raw() + HANDSHAKE_TIMEOUT;

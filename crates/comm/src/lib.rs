@@ -8,10 +8,10 @@
 //!
 //! Under the in-memory backends, ranks are OS threads inside one
 //! process; under the socket backend they are separate OS *processes*
-//! exchanging frames over real sockets. Either way, each rank owns its
-//! data privately and may interact with other ranks **only** through a
-//! [`Comm`] handle, so algorithm code is structured exactly as it would
-//! be on a real distributed-memory machine.
+//! exchanging frames over Unix-domain sockets. Either way, each rank
+//! owns its data privately and may interact with other ranks **only**
+//! through a [`Comm`] handle, so algorithm code is structured exactly
+//! as it would be on a real distributed-memory machine.
 //!
 //! ## Backend selection matrix
 //!
@@ -20,7 +20,7 @@
 //! | `InProc` / `inproc` (default) | threads | typed boxes, moved by ownership | memory speed | 0 |
 //! | `Wire` / `wire` | threads | encoded byte buffers ([`WirePayload`]) | memory speed | encoded payload bytes |
 //! | `WireDelay` / `wire-delay` | threads | encoded byte buffers | sleeps `α + β·w` per message (clamped) | encoded payload bytes |
-//! | `Socket` / `socket` | **processes** | length-prefixed frames over Unix/TCP sockets | real transport | bytes actually written (frame headers included) |
+//! | `Socket` / `socket` | **processes** | length-prefixed frames over Unix-domain sockets | real transport | bytes actually written (frame headers included) |
 //!
 //! Word accounting — and therefore every modeled metric — is identical
 //! across all four; the backends differ only in how a message is
@@ -95,13 +95,15 @@
 //! Word accounting stays backend-invariant throughout; the primitives
 //! only change *how many* words travel, never how they are counted.
 //!
-//! ## Elastic fleets and multi-host launch
+//! ## Elastic fleets
 //!
 //! The socket backend launches a rank *pool* whose size can differ from
-//! — and change between — the worlds it serves. Each `SimWorld::run`
-//! (or [`SimWorld::try_run`]) is one **epoch**: ranks rendezvous with
-//! the coordinator, exchange version/endianness/capability-checked
-//! `Hello` frames (mismatches are rejected with a typed, actionable
+//! — and change between — the worlds it serves. The launcher spawns
+//! every pool process itself, on its own host, and the ranks meet over
+//! Unix-domain sockets in the launcher's private temp dir. Each
+//! `SimWorld::run` (or [`SimWorld::try_run`]) is one **epoch**: ranks
+//! rendezvous with the coordinator, exchange version-checked `Hello`
+//! frames (a mismatch is rejected with a typed, actionable
 //! [`HandshakeError`]), and receive a world [`rendezvous::Roster`]
 //! before meshing. Epochs may open with a different roster than the
 //! last: growing `nranks` spawns and back-fills new processes, while a
@@ -113,12 +115,6 @@
 //! is the same epoch plus teardown: it kills the pool and panics with
 //! the root cause (`rank N panicked: …`). The full protocol is
 //! documented in [`rendezvous`] and [`launch`].
-//!
-//! Multi-host runs use TCP endpoints: set `DSK_SOCKET_ADDR=ip:port` and
-//! rank `r` listens on `port + r`. For manual SPMD launches across
-//! hosts, write a hostfile (one `ip:port` per rank;
-//! [`rendezvous::parse_hostfile`]) and start one process per line with
-//! `DSK_RANK=r` set. See the repository README for a worked example.
 //!
 //! ## Tracing: per-rank span timelines
 //!

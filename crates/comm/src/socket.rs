@@ -1,11 +1,12 @@
 //! The socket transport: a [`CommBackend`] whose ranks are separate OS
 //! processes exchanging [`frame`](crate::frame)-encoded messages over
-//! real sockets.
+//! Unix-domain sockets.
 //!
-//! Each rank process holds one stream per peer (Unix-domain by default,
-//! TCP when the launcher is configured with `DSK_SOCKET_ADDR`). Sends
-//! are decoupled through **per-peer writer threads** (a slow peer never
-//! blocks the algorithm thread), and a **reader thread per peer**
+//! Each rank process holds one stream per peer, dialed at that peer's
+//! `<base>/r<pool_id>.sock` listener in the launcher's private temp
+//! dir ([`crate::launch`]). Sends are decoupled through **per-peer
+//! writer threads** (a slow peer never blocks the algorithm thread),
+//! and a **reader thread per peer**
 //! demultiplexes incoming frames into the same keyed [`Mailbox`] the
 //! in-memory backends use — `Data` frames by their `(src, context,
 //! tag)` key, control frames (`Bye`, `Outcome`, `OutcomeSet`, `Error`)
@@ -29,8 +30,7 @@
 //! transmitted.
 
 use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,152 +46,48 @@ use crate::pool::BufferPool;
 use crate::transport::{Mailbox, MsgKey};
 
 // ---------------------------------------------------------------------
-// Transport address / stream / listener abstraction
+// Rendezvous listener and dialer
 // ---------------------------------------------------------------------
 
-/// Where a rank listens: a Unix-domain socket path (default) or a TCP
-/// address (multi-host capable; selected by `DSK_SOCKET_ADDR`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Endpoint {
-    /// Unix-domain socket path.
-    Unix(PathBuf),
-    /// TCP socket address.
-    Tcp(SocketAddr),
-}
-
-/// A connected transport stream of either flavor.
+/// A bound rendezvous listener. It owns its socket file and removes it
+/// on drop.
 #[derive(Debug)]
-pub enum SocketStream {
-    /// Unix-domain stream.
-    Unix(UnixStream),
-    /// TCP stream.
-    Tcp(TcpStream),
-}
-
-impl SocketStream {
-    /// Clone the underlying descriptor (reader/writer split).
-    pub fn try_clone(&self) -> std::io::Result<SocketStream> {
-        Ok(match self {
-            SocketStream::Unix(s) => SocketStream::Unix(s.try_clone()?),
-            SocketStream::Tcp(s) => SocketStream::Tcp(s.try_clone()?),
-        })
-    }
-
-    /// Bound every read by `t` (used for handshakes, `None` to block).
-    pub fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            SocketStream::Unix(s) => s.set_read_timeout(t),
-            SocketStream::Tcp(s) => s.set_read_timeout(t),
-        }
-    }
-
-    /// Write through a shared reference (sockets support concurrent
-    /// writers at the OS level; callers must ensure frame atomicity by
-    /// only using this on an otherwise-idle stream).
-    pub fn write_all_shared(&self, bytes: &[u8]) -> std::io::Result<()> {
-        match self {
-            SocketStream::Unix(s) => {
-                let mut w: &UnixStream = s;
-                w.write_all(bytes)
-            }
-            SocketStream::Tcp(s) => {
-                let mut w: &TcpStream = s;
-                w.write_all(bytes)
-            }
-        }
-    }
-
-    /// Shut down both directions (EOF at the peer).
-    pub fn shutdown(&self) {
-        let _ = match self {
-            SocketStream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-            SocketStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-        };
-    }
-}
-
-impl Read for SocketStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            SocketStream::Unix(s) => s.read(buf),
-            SocketStream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for SocketStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            SocketStream::Unix(s) => s.write(buf),
-            SocketStream::Tcp(s) => s.write(buf),
-        }
-    }
-    /// One gathering `writev`, so a frame's header and payload leave in
-    /// a single call without first being copied into one buffer.
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
-        match self {
-            SocketStream::Unix(s) => s.write_vectored(bufs),
-            SocketStream::Tcp(s) => s.write_vectored(bufs),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            SocketStream::Unix(s) => s.flush(),
-            SocketStream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-/// A bound rendezvous listener of either flavor.
-pub enum SocketListener {
-    /// Unix-domain listener (owns its socket file; removed on drop).
-    Unix(UnixListener, PathBuf),
-    /// TCP listener.
-    Tcp(TcpListener),
+pub struct SocketListener {
+    listener: UnixListener,
+    path: PathBuf,
 }
 
 impl SocketListener {
-    /// Bind `ep`, replacing a stale Unix socket file if present.
-    pub fn bind(ep: &Endpoint) -> std::io::Result<SocketListener> {
-        match ep {
-            Endpoint::Unix(path) => {
-                let _ = std::fs::remove_file(path);
-                Ok(SocketListener::Unix(
-                    UnixListener::bind(path)?,
-                    path.clone(),
-                ))
-            }
-            Endpoint::Tcp(addr) => Ok(SocketListener::Tcp(TcpListener::bind(addr)?)),
-        }
+    /// Bind `path`, replacing a stale socket file if present.
+    pub fn bind(path: &Path) -> std::io::Result<SocketListener> {
+        let _ = std::fs::remove_file(path);
+        Ok(SocketListener {
+            listener: UnixListener::bind(path)?,
+            path: path.to_path_buf(),
+        })
     }
 
     /// Accept one connection before `deadline` (polling accept so a
     /// missing peer cannot hang the rendezvous).
-    pub fn accept_deadline(&self, deadline: Instant) -> Result<SocketStream, String> {
-        let set_nonblocking = |nb: bool| match self {
-            SocketListener::Unix(l, _) => l.set_nonblocking(nb),
-            SocketListener::Tcp(l) => l.set_nonblocking(nb),
-        };
-        set_nonblocking(true).map_err(|e| format!("listener nonblocking: {e}"))?;
+    pub fn accept_deadline(&self, deadline: Instant) -> Result<UnixStream, String> {
+        let l = &self.listener;
+        l.set_nonblocking(true)
+            .map_err(|e| format!("listener nonblocking: {e}"))?;
         loop {
-            let got = match self {
-                SocketListener::Unix(l, _) => l.accept().map(|(s, _)| SocketStream::Unix(s)),
-                SocketListener::Tcp(l) => l.accept().map(|(s, _)| SocketStream::Tcp(s)),
-            };
-            match got {
-                Ok(stream) => {
-                    let _ = set_nonblocking(false);
+            match l.accept() {
+                Ok((stream, _)) => {
+                    let _ = l.set_nonblocking(false);
                     return Ok(stream);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
-                        let _ = set_nonblocking(false);
+                        let _ = l.set_nonblocking(false);
                         return Err("rendezvous accept timed out".to_string());
                     }
                     std::thread::sleep(Duration::from_millis(2));
                 }
                 Err(e) => {
-                    let _ = set_nonblocking(false);
+                    let _ = l.set_nonblocking(false);
                     return Err(format!("rendezvous accept failed: {e}"));
                 }
             }
@@ -201,45 +97,30 @@ impl SocketListener {
 
 impl Drop for SocketListener {
     fn drop(&mut self) {
-        if let SocketListener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path as &Path);
-        }
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
-/// Connect to `ep`, retrying until `deadline` (the peer may still be
-/// binding its listener). `abort` is polled between retries so a child
-/// can stop waiting when its parent died.
+/// Connect to the socket at `path`, retrying until `deadline` (the peer
+/// may still be binding its listener). `abort` is polled between
+/// retries so a child can stop waiting when its parent died.
 pub fn connect_deadline(
-    ep: &Endpoint,
+    path: &Path,
     deadline: Instant,
     abort: &dyn Fn() -> Option<String>,
-) -> Result<SocketStream, String> {
+) -> Result<UnixStream, String> {
     loop {
         if let Some(why) = abort() {
             return Err(why);
         }
-        let got = match ep {
-            Endpoint::Unix(path) => UnixStream::connect(path).map(SocketStream::Unix),
-            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(SocketStream::Tcp),
-        };
-        match got {
+        match UnixStream::connect(path) {
             Ok(s) => return Ok(s),
             Err(e) => {
                 if Instant::now() >= deadline {
-                    return Err(format!("rendezvous connect to {ep:?} timed out: {e}"));
+                    return Err(format!("rendezvous connect to {path:?} timed out: {e}"));
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
-        }
-    }
-}
-
-impl std::fmt::Debug for SocketListener {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SocketListener::Unix(_, p) => write!(f, "SocketListener::Unix({p:?})"),
-            SocketListener::Tcp(l) => write!(f, "SocketListener::Tcp({:?})", l.local_addr()),
         }
     }
 }
@@ -321,8 +202,8 @@ pub struct SocketBackend {
     /// Per-peer writer-thread inboxes (`None` at `me`). Mutexed because
     /// `std::sync::mpsc::Sender` predates `Sync` on some toolchains.
     writers: Vec<Option<Mutex<Sender<Frame>>>>,
-    /// Raw streams, kept to force shutdown at teardown.
-    streams: Vec<Option<SocketStream>>,
+    /// The streams themselves, for the synchronous broadcast writes.
+    streams: Vec<Option<UnixStream>>,
     ctrl: Arc<Ctrl>,
     data_bytes: Arc<AtomicU64>,
     /// Payload buffers cycling between the encoder, the writer threads,
@@ -338,7 +219,7 @@ impl SocketBackend {
         me: usize,
         nranks: usize,
         recv_timeout: Duration,
-        peers: Vec<Option<SocketStream>>,
+        peers: Vec<Option<UnixStream>>,
     ) -> std::io::Result<Arc<SocketBackend>> {
         assert_eq!(peers.len(), nranks, "one stream slot per rank");
         let mailbox = Arc::new(Mailbox::new(nranks, recv_timeout));
@@ -346,7 +227,7 @@ impl SocketBackend {
         let data_bytes = Arc::new(AtomicU64::new(0));
         let pool = Arc::new(BufferPool::new());
         let mut writers: Vec<Option<Mutex<Sender<Frame>>>> = Vec::with_capacity(nranks);
-        let mut streams: Vec<Option<SocketStream>> = Vec::with_capacity(nranks);
+        let mut streams: Vec<Option<UnixStream>> = Vec::with_capacity(nranks);
 
         for (peer, slot) in peers.into_iter().enumerate() {
             let Some(stream) = slot else {
@@ -370,10 +251,7 @@ impl SocketBackend {
                     // Read from the concrete stream type: std fills a
                     // vector's spare capacity without zeroing it only
                     // for readers it knows never look at the buffer.
-                    .spawn(move || match reader {
-                        SocketStream::Unix(s) => reader_loop(me, peer, s, &mailbox, &ctrl, &pool),
-                        SocketStream::Tcp(s) => reader_loop(me, peer, s, &mailbox, &ctrl, &pool),
-                    })
+                    .spawn(move || reader_loop(me, peer, reader, &mailbox, &ctrl, &pool))
                     .expect("spawn socket reader");
             }
 
@@ -461,7 +339,7 @@ impl SocketBackend {
         let Some(stream) = &self.streams[dst] else {
             panic!("rank {}: no stream for peer {dst}", self.me);
         };
-        stream.write_all_shared(bytes)
+        (&*stream).write_all(bytes)
     }
 
     /// Send `Bye` to every peer (end of this rank's data traffic).
@@ -762,11 +640,9 @@ impl CommBackend for SocketBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::read_frame;
 
-    fn pair() -> (SocketStream, SocketStream) {
-        let (a, b) = UnixStream::pair().expect("socketpair");
-        (SocketStream::Unix(a), SocketStream::Unix(b))
+    fn pair() -> (UnixStream, UnixStream) {
+        UnixStream::pair().expect("socketpair")
     }
 
     /// Two "ranks" in one process, connected by a real socketpair: data
@@ -880,7 +756,7 @@ mod tests {
             SocketBackend::assemble(0, 2, Duration::from_secs(300), vec![None, Some(s01)]).unwrap();
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            s10.shutdown();
+            let _ = s10.shutdown(std::net::Shutdown::Both);
             drop(s10);
         });
         let _ = b0.take(0, (1, 0, 0));
@@ -905,10 +781,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "undecodable frame")]
     fn garbage_frames_poison_cleanly() {
-        let (s01, mut raw) = {
-            let (a, b) = UnixStream::pair().unwrap();
-            (SocketStream::Unix(a), b)
-        };
+        let (s01, mut raw) = pair();
         let b0 =
             SocketBackend::assemble(0, 2, Duration::from_secs(300), vec![None, Some(s01)]).unwrap();
         raw.write_all(b"this is definitely not a frame header......")
@@ -917,24 +790,20 @@ mod tests {
         let _ = b0.take(0, (1, 0, 0));
     }
 
+    /// A listener replaces a stale file at its path, accepts a dial to
+    /// that path, and removes its socket file when dropped.
     #[test]
-    fn tcp_streams_carry_frames_too() {
-        let listener =
-            SocketListener::bind(&Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).expect("bind tcp");
-        let addr = match &listener {
-            SocketListener::Tcp(l) => l.local_addr().unwrap(),
-            SocketListener::Unix(..) => unreachable!(),
-        };
+    fn listener_owns_its_socket_file() {
+        let dir = std::env::temp_dir().join(format!("dsk-listener-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stale.sock");
+        std::fs::write(&path, b"stale").unwrap();
+        let listener = SocketListener::bind(&path).expect("bind");
         let deadline = Instant::now() + Duration::from_secs(5);
-        let client = std::thread::spawn(move || {
-            let mut s =
-                connect_deadline(&Endpoint::Tcp(addr), deadline, &|| None).expect("connect");
-            write_frame(&mut s, &Frame::data(1, 7, 9, vec![5, 5])).unwrap();
-        });
-        let mut server = listener.accept_deadline(deadline).expect("accept");
-        let f = read_frame(&mut server).unwrap().unwrap();
-        assert_eq!(f.payload, vec![5, 5]);
-        assert_eq!((f.src, f.context, f.tag), (1, 7, 9));
-        client.join().unwrap();
+        let _client = connect_deadline(&path, deadline, &|| None).expect("connect");
+        listener.accept_deadline(deadline).expect("accept");
+        drop(listener);
+        assert!(!path.exists(), "the socket file outlived its listener");
+        let _ = std::fs::remove_dir(&dir);
     }
 }

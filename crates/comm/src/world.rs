@@ -547,7 +547,7 @@ mod tests {
             let outgoing: Vec<Vec<f64>> = (0..p)
                 .map(|dst| vec![(c.rank() * 10 + dst) as f64])
                 .collect();
-            c.alltoallv_f64(outgoing)
+            c.alltoallv(outgoing)
         });
         for o in &out {
             for (src, v) in o.value.iter().enumerate() {

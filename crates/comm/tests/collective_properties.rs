@@ -148,7 +148,7 @@ fn alltoallv_routes() {
                 let outgoing: Vec<Vec<f64>> = (0..p)
                     .map(|dst| vec![(me * 100 + dst) as f64; base + (dst % 3)])
                     .collect();
-                comm.alltoallv_f64(outgoing)
+                comm.alltoallv(outgoing)
             });
             for o in &out {
                 for (src, payload) in o.value.iter().enumerate() {

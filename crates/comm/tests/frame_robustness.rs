@@ -185,7 +185,12 @@ fn roster_payload_fuzz_yields_typed_errors() {
         for _ in 0..1 + rng.below(8) {
             long.push(rng.next() as u8);
         }
-        assert!(Roster::from_payload(&long).is_err());
+        assert_eq!(
+            Roster::from_payload(&long),
+            Err(DecodeError::TrailingBytes {
+                extra: long.len() - good.len()
+            })
+        );
 
         // Random byte flips decode to *something typed* or a different
         // (valid) roster — never a panic, never a giant allocation.
@@ -206,19 +211,17 @@ fn roster_payload_fuzz_yields_typed_errors() {
     ));
 }
 
-/// Hello payloads (the 25-byte rendezvous handshake record) reject
-/// every wrong length — including the short pre-elastic layout that
-/// lacked the compatibility triple — and survive byte corruption with
-/// typed errors only.
+/// Hello payloads (the 20-byte rendezvous handshake record) reject
+/// every wrong length — including a short record without the protocol
+/// version — and survive byte corruption with typed errors only.
 #[test]
 fn hello_payload_fuzz_yields_typed_errors() {
     let mut rng = Rng(0xBEEF_E110);
     let good = rendezvous::local_hello(3, 8, 5).to_payload();
     assert_eq!(good.len(), HELLO_PAYLOAD_LEN);
 
-    // Every truncation fails typed — notably the 17-byte layout an
-    // out-of-date build would send (identity fields without the
-    // compatibility triple) must not decode as a valid Hello.
+    // Every truncation fails typed — notably the 16 identity bytes
+    // without the protocol version must not decode as a valid Hello.
     for cut in 0..good.len() {
         assert!(
             matches!(
@@ -231,7 +234,10 @@ fn hello_payload_fuzz_yields_typed_errors() {
     // Oversize (trailing bytes) fails the exact-length check too.
     let mut long = good.clone();
     long.push(0);
-    assert!(Hello::from_payload(&long).is_err());
+    assert_eq!(
+        Hello::from_payload(&long),
+        Err(DecodeError::TrailingBytes { extra: 1 })
+    );
 
     // Corrupted-but-well-sized Hellos decode structurally (the payload
     // is fixed-width) — the *semantic* gate is validate_peer, which

@@ -134,7 +134,7 @@ impl Baseline1D {
         }
         let fetch_counts: Vec<usize> = requests.iter().map(Vec::len).collect();
         // Tell each owner which of its rows we need (symbolic phase).
-        let serve = comm.alltoallv_u32(requests.clone());
+        let serve = comm.alltoallv(requests.clone());
 
         // Remap columns: local rows first, then fetched rows in
         // (owner, request-order) sequence.
@@ -185,7 +185,7 @@ impl Baseline1D {
             }
             outgoing.push(buf);
         }
-        let incoming = comm.alltoallv_f64(outgoing);
+        let incoming = comm.alltoallv(outgoing);
         let fetched_total: usize = plan.fetch_counts.iter().sum();
         let mut stacked = Vec::with_capacity((local.nrows() + fetched_total) * r);
         stacked.extend_from_slice(local.as_slice());

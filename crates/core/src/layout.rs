@@ -205,7 +205,7 @@ pub fn repartition_dense(
         });
         outgoing.push(buf);
     }
-    let incoming = comm.alltoallv_f64(outgoing);
+    let incoming = comm.alltoallv(outgoing);
 
     // Unpack: iterate in the *sender's* order for each source rank.
     let dst = dst_of(me);

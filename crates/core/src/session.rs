@@ -83,14 +83,6 @@ pub struct ReplanPolicy {
     /// damp oscillation between families whose predictions are close —
     /// a migration moves real data, so a 2% paper win is not worth it.
     pub hysteresis: f64,
-    /// R values with `|v| ≤ prune_epsilon` count as pruned when the
-    /// session measures the observed nonzero count. Zero (the default)
-    /// counts exact zeros only — the value `map_r`-style pruning
-    /// writes.
-    pub prune_epsilon: f64,
-    /// Replication-factor cap for the re-planning search (the paper's
-    /// memory-limit bound).
-    pub c_max: usize,
     /// Automatic cadence: when set — and the policy is installed via
     /// [`SessionBuilder::auto_replan`] —
     /// the session replans itself every `n` *stored-operand* fused
@@ -111,8 +103,6 @@ impl Default for ReplanPolicy {
     fn default() -> Self {
         ReplanPolicy {
             hysteresis: 1.15,
-            prune_epsilon: 0.0,
-            c_max: 16,
             every_n_calls: None,
             drift_ratio: None,
         }
@@ -676,19 +666,15 @@ impl Session {
     // Observation and the automatic cadence
     // ------------------------------------------------------------------
 
-    /// The globally observed nonzero count: stored R values above the
-    /// pruning threshold (each nonzero counted once across ranks), or
-    /// the staged nnz when no SDDMM has run yet. Charged to
-    /// [`Phase::Migration`] (one scalar all-reduce).
-    pub fn observed_nnz(&self, policy: &ReplanPolicy) -> usize {
+    /// The globally observed nonzero count: stored R values that are
+    /// not zero (each nonzero counted once across ranks; pruning writes
+    /// exact zeros), or the staged nnz when no SDDMM has run yet.
+    /// Charged to [`Phase::Migration`] (one scalar all-reduce).
+    pub fn observed_nnz(&self) -> usize {
         match self.w().export_r() {
             None => self.staged.prob.nnz(),
             Some(local) => {
-                let mine = local
-                    .vals
-                    .iter()
-                    .filter(|v| v.abs() > policy.prune_epsilon)
-                    .count();
+                let mine = unpruned(&local.vals);
                 let _ph = self.comm.phase(Phase::Migration);
                 self.comm.allreduce_scalar(mine as f64).round() as usize
             }
@@ -710,7 +696,7 @@ impl Session {
         }
         self.last_auto_check = self.calls;
         if let Some(ratio) = policy.drift_ratio {
-            let observed = self.observed_nnz(&policy).max(1) as f64;
+            let observed = self.observed_nnz().max(1) as f64;
             let base = self.last_planned_nnz.max(1) as f64;
             if (observed / base).max(base / observed) < ratio {
                 return None;
@@ -900,9 +886,9 @@ impl Session {
         pin: Option<(Algorithm, usize)>,
     ) -> ReplanEvent {
         let span_start = Instant::now();
-        let observed_nnz = self.observed_nnz(policy);
+        let observed_nnz = self.observed_nnz();
         let (p, dims, from) = (self.active_p, self.staged.prob.dims, self.plan);
-        let best = self.choose(p, observed_nnz, policy.c_max.min(self.c_max), pin);
+        let best = self.choose(p, observed_nnz, self.c_max, pin);
         let predicted_from_s = from.algorithm().and_then(|alg| {
             let comm_s = theory::predicted_comm_time_for(
                 &self.model,
@@ -980,10 +966,7 @@ impl Session {
             // contribute zeros). One 2-word all-reduce.
             let mut buf = [0.0, 0.0];
             if let Some(local) = &exported {
-                buf = [
-                    1.0,
-                    local.vals.iter().filter(|v| v.abs() > 0.0).count() as f64,
-                ];
+                buf = [1.0, unpruned(&local.vals) as f64];
             }
             self.world.allreduce_sum(&mut buf);
             // Spares miss active-only replans, so their record of the
@@ -1004,6 +987,11 @@ impl Session {
         self.install(Some(moved), to, observed_nnz, None, predicted_to_s)
             .to
     }
+}
+
+/// The stored R values `map_r`-style pruning has not zeroed.
+fn unpruned(vals: &[f64]) -> usize {
+    vals.iter().filter(|v| v.abs() > 0.0).count()
 }
 
 type Bounds = (std::ops::Range<usize>, std::ops::Range<usize>);
@@ -1104,12 +1092,11 @@ mod tests {
                 .family(AlgorithmFamily::SparseShift15)
                 .replication(2)
                 .build(comm);
-            let policy = ReplanPolicy::default();
-            let before_sddmm = s.observed_nnz(&policy);
+            let before_sddmm = s.observed_nnz();
             s.worker_mut().sddmm();
-            let full = s.observed_nnz(&policy);
+            let full = s.observed_nnz();
             s.map_r(&mut |_| 0.0);
-            let pruned = s.observed_nnz(&policy);
+            let pruned = s.observed_nnz();
             (before_sddmm, full, pruned)
         });
         for o in &out {
