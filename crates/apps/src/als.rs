@@ -193,10 +193,9 @@ fn als_sweep(engine: &mut AppEngine, cfg: &AlsConfig, phase_residuals: &mut Vec<
 
 /// Run ALS on an [`AppEngine`]. The engine's stored `S` values are the
 /// observations `C̃`; its stored `A`/`B` are the initial factors.
-/// Re-planning between calls is the session's business
-/// (`SessionBuilder::auto_replan`, or `engine.session_mut().replan(..)`
-/// between two `run_als` calls): factors and loss carry over exactly,
-/// only the distribution changes.
+/// Re-planning is the caller's business
+/// (`engine.session_mut().replan(..)` between two `run_als` calls):
+/// factors and loss carry over exactly, only the distribution changes.
 pub fn run_als(engine: &mut AppEngine, cfg: &AlsConfig) -> AlsReport {
     let initial_loss = cfg.track_loss.then(|| engine.loss());
     let mut phase_residuals = Vec::with_capacity(2 * cfg.sweeps);

@@ -22,11 +22,10 @@
 //! [`Session::builder`], every operation is a session call, and the
 //! row-sharing groups are borrowed from the session per reduction
 //! ([`Session::row_group_a`]). The session's one transition installs
-//! everything that depends on the plan, so it may change the plan under
-//! the engine — `session_mut().replan(..)`, `.migrate(..)`,
-//! `.resize(..)`, or by itself under
-//! [`SessionBuilder::auto_replan`](dsk_core::session::SessionBuilder::auto_replan)
-//! — and the next row dot reduces over the new family's groups.
+//! everything that depends on the plan, so its caller may change the
+//! plan under the engine — `session_mut().replan(..)`, `.migrate(..)`
+//! or `.resize(..)`, the only ways a plan changes — and the next row
+//! dot reduces over the new family's groups.
 
 use dsk_comm::{Comm, Phase};
 use dsk_core::common::{block_range, Sampling};

@@ -118,8 +118,7 @@
 //!
 //! ## Tracing: per-rank span timelines
 //!
-//! Setting `DSK_TRACE=path` (or `Session::builder().trace(path)` in
-//! `dsk-core`) turns on the [`trace`] recorder: each rank buffers
+//! Setting `DSK_TRACE=path` (or calling [`trace::enable_to`]) turns on the [`trace`] recorder: each rank buffers
 //! `{ts, dur, rank, phase, kind, args}` events against its own
 //! monotonic clock at the existing instrumentation choke points —
 //! phase transitions, send posts, receive waits with stall

@@ -58,7 +58,7 @@
 //! per-process monotonic clocks are offset-aligned at the rendezvous.
 //! Successive epochs of one process are laid out left to right with a
 //! 1 ms gap. When a trace path is configured (`DSK_TRACE=path` or
-//! `Session::builder().trace(path)` in `dsk-core`), the launcher
+//! [`enable_to`]), the launcher
 //! process rewrites the Chrome trace-event JSON file after every epoch:
 //! load it at `ui.perfetto.dev` (or `chrome://tracing`) and each rank
 //! appears as one track with its nested phase spans.
@@ -165,7 +165,7 @@ impl TraceEvent {
 // Enablement
 // ---------------------------------------------------------------------
 
-/// Programmatic process-wide enable (tests, `Session::builder().trace`).
+/// Programmatic process-wide enable (tests, [`enable_to`]).
 static OVERRIDE_ON: AtomicBool = AtomicBool::new(false);
 /// Programmatic output path (takes precedence over the environment).
 static OVERRIDE_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
@@ -181,7 +181,7 @@ fn env_path() -> Option<&'static PathBuf> {
 }
 
 /// Whether tracing is enabled for this process (`DSK_TRACE` set, or a
-/// programmatic enable via [`set_override`] / `Session::builder().trace`).
+/// programmatic enable via [`set_override`] / [`enable_to`]).
 pub fn enabled() -> bool {
     env_path().is_some() || OVERRIDE_ON.load(Ordering::Relaxed)
 }
@@ -200,9 +200,9 @@ pub fn set_override(on: bool) {
     OVERRIDE_ON.store(on, Ordering::Relaxed);
 }
 
-/// Programmatically enable tracing and set the export path (the
-/// `Session::builder().trace(path)` entry point). An empty path keeps
-/// the recording in memory only.
+/// Programmatically enable tracing and set the export path (the code
+/// equivalent of `DSK_TRACE=path`). An empty path keeps the recording
+/// in memory only.
 pub fn enable_to(path: &Path) {
     if !path.as_os_str().is_empty() {
         *OVERRIDE_PATH.lock().unwrap() = Some(path.to_path_buf());

@@ -616,12 +616,6 @@ impl<'a> KernelBuilder<'a> {
         KernelBuilder::with_source(Source::Owned(staged))
     }
 
-    /// The pinned machine model, when one was set via
-    /// [`KernelBuilder::model`].
-    pub fn pinned_model(&self) -> Option<MachineModel> {
-        self.model
-    }
-
     /// A planning-only builder for a problem *shape* — nothing is
     /// materialized, so paper-scale shapes (n = 2²², say) can be
     /// planned and scored instantly. [`KernelBuilder::plan`] and

@@ -39,10 +39,10 @@
 //! * **install** — the only code that knows what depends on the plan:
 //!   the worker, the active communicator and roster size, the stored
 //!   [`KernelPlan`], the row-sharing reduction groups
-//!   ([`Session::row_group_a`] / [`Session::row_group_b`]), the
-//!   drift-gate baseline, and the [`ReplanEvent`] log entry (every
-//!   decision is logged, moving or not). No optimizer state is lost and
-//!   the squared loss is identical before and after.
+//!   ([`Session::row_group_a`] / [`Session::row_group_b`]) and the
+//!   [`ReplanEvent`] log entry (every decision is logged, moving or
+//!   not). No optimizer state is lost and the squared loss is
+//!   identical before and after.
 //!
 //! The callers differ only in where the transition runs and in their
 //! preamble:
@@ -52,17 +52,18 @@
 //! | [`Session::replan`] / [`Session::migrate`] | the active communicator | `p → p` | [`Phase::Migration`] | `session.migrate` (inside `session.replan`) | [`Session::observed_nnz`]; `replan` moves only when the predicted win clears [`ReplanPolicy::hysteresis`] |
 //! | [`Session::resize`] | the world (actives and spares) | `p → p_new` | [`Phase::Resize`] | `session.resize` | a 2-word world observation and a broadcast of the plan in force (spares miss active-only replans) |
 //!
-//! The applications in `dsk-apps` (`AppEngine`, `run_als`,
-//! `GatEngine`) are thin layers over a `Session` and hold no
-//! plan-dependent state of their own, so a session may change its plan
-//! under them at any stored-operand call
-//! ([`SessionBuilder::auto_replan`]).
+//! These three are the only ways a session's plan changes: fused calls
+//! never re-plan on their own. The applications in `dsk-apps`
+//! (`AppEngine`, `run_als`, `GatEngine`) are thin layers over a
+//! `Session` and hold no plan-dependent state of their own, so their
+//! caller may change the plan under them between calls through
+//! `session_mut()`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use dsk_comm::trace::{self, ArgVal, TraceKind};
-use dsk_comm::{Comm, MachineModel, Phase, RankStats};
+use dsk_comm::{Comm, Phase, RankStats};
 use dsk_dense::Mat;
 use dsk_sparse::CooMatrix;
 
@@ -75,7 +76,7 @@ use crate::staged::StagedProblem;
 use crate::theory::{self, Algorithm};
 use crate::worker::DistWorker;
 
-/// When and how eagerly [`Session::replan`] migrates.
+/// How eagerly [`Session::replan`] migrates.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplanPolicy {
     /// Minimum modeled speedup (current predicted per-call seconds ÷
@@ -83,50 +84,11 @@ pub struct ReplanPolicy {
     /// damp oscillation between families whose predictions are close —
     /// a migration moves real data, so a 2% paper win is not worth it.
     pub hysteresis: f64,
-    /// Automatic cadence: when set — and the policy is installed via
-    /// [`SessionBuilder::auto_replan`] —
-    /// the session replans itself every `n` *stored-operand* fused
-    /// calls (`fused_mm_a(None, ..)` / `fused_mm_b(None, ..)`), without
-    /// the application calling [`Session::replan`]. Calls with explicit
-    /// operands never trigger (the caller holds layout-dependent state
-    /// mid-solve, e.g. CG search directions); the check fires at the
-    /// next stored-operand call instead.
-    pub every_n_calls: Option<u64>,
-    /// Drift gate for the automatic cadence: skip the (collective, but
-    /// cheap) planner re-run unless the observed nonzero count moved by
-    /// at least this factor — in either direction — since the last
-    /// planning decision. `None` replans at every cadence point.
-    pub drift_ratio: Option<f64>,
 }
 
 impl Default for ReplanPolicy {
     fn default() -> Self {
-        ReplanPolicy {
-            hysteresis: 1.15,
-            every_n_calls: None,
-            drift_ratio: None,
-        }
-    }
-}
-
-impl ReplanPolicy {
-    /// A policy that replans automatically every `n` stored-operand
-    /// fused calls (see [`ReplanPolicy::every_n_calls`]).
-    pub fn every_n_calls(n: u64) -> Self {
-        assert!(n > 0, "the replan cadence must be positive");
-        ReplanPolicy {
-            every_n_calls: Some(n),
-            ..ReplanPolicy::default()
-        }
-    }
-
-    /// Gate the automatic cadence on observed-nnz drift: only re-run
-    /// the planner when nnz changed by at least `ratio`× (up or down)
-    /// since the last planning decision. `ratio` must be ≥ 1.
-    pub fn with_drift_ratio(mut self, ratio: f64) -> Self {
-        assert!(ratio >= 1.0, "drift ratio is a ×/÷ factor, must be ≥ 1");
-        self.drift_ratio = Some(ratio);
-        self
+        ReplanPolicy { hysteresis: 1.15 }
     }
 }
 
@@ -134,7 +96,7 @@ impl ReplanPolicy {
 /// the planner predicted, and whether the session migrated.
 #[derive(Debug, Clone)]
 pub struct ReplanEvent {
-    /// Fused-call count when the replan ran (the iteration cadence).
+    /// Fused-call count when the transition ran ([`Session::calls`]).
     pub at_call: u64,
     /// Observed nonzero count the planner scored against (post-pruning
     /// count of stored R values, or the staged nnz before any SDDMM).
@@ -186,7 +148,6 @@ pub struct SessionBuilder {
     builder: KernelBuilder<'static>,
     elision: Option<Elision>,
     c_max: usize,
-    auto_policy: Option<ReplanPolicy>,
     active: Option<usize>,
 }
 
@@ -198,7 +159,6 @@ impl SessionBuilder {
             builder,
             elision: None,
             c_max: 16,
-            auto_policy: None,
             active: None,
         }
     }
@@ -245,29 +205,13 @@ impl SessionBuilder {
     /// The elision strategy the session uses for fused calls,
     /// overriding the plan's recommendation (the stored
     /// [`Session::plan`] records the override). Must be supported by
-    /// the built kernel.
+    /// the built kernel. An elided plan is dense-routed
+    /// ([`Algorithm::admits`]), so eliding pins [`Routing::Dense`].
     pub fn elision(mut self, elision: Elision) -> Self {
         self.elision = Some(elision);
-        self
-    }
-
-    /// Pin the machine model used for planning and re-planning (the
-    /// communicator's own model otherwise).
-    pub fn model(mut self, model: MachineModel) -> Self {
-        self.builder = self.builder.model(model);
-        self
-    }
-
-    /// Install an automatic re-planning policy: the session replans
-    /// itself at the policy's [`ReplanPolicy::every_n_calls`] cadence
-    /// (optionally gated by its drift ratio) without the application
-    /// calling [`Session::replan`].
-    pub fn auto_replan(mut self, policy: ReplanPolicy) -> Self {
-        assert!(
-            policy.every_n_calls.is_some(),
-            "an automatic policy needs a cadence (ReplanPolicy::every_n_calls)"
-        );
-        self.auto_policy = Some(policy);
+        if elision != Elision::None {
+            self.builder = self.builder.routing(Routing::Dense);
+        }
         self
     }
 
@@ -282,23 +226,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Enable `dsk-trace` span recording for this process and write the
-    /// Chrome trace-event JSON to `path` — the programmatic equivalent
-    /// of setting `DSK_TRACE=path` before launch (the environment
-    /// variable also works and needs no code change). The recorder is
-    /// process-global: it covers every world this process participates
-    /// in from this call on, not just this session. See
-    /// [`dsk_comm::trace`] for the event vocabulary.
-    pub fn trace(self, path: impl Into<std::path::PathBuf>) -> Self {
-        dsk_comm::trace::enable_to(&path.into());
-        self
-    }
-
-    /// Build this rank's session. Must be called by every rank of the
-    /// communicator (the plan is deterministic, so all ranks agree
-    /// without communication).
+    /// Build this rank's session, planned under the communicator's
+    /// machine model. Must be called by every rank of the communicator
+    /// (the plan is deterministic, so all ranks agree without
+    /// communication).
     pub fn build(self, comm: &Comm) -> Session {
-        let model = self.builder.pinned_model().unwrap_or(*comm.model());
         let world = comm.dup();
         let active_p = self.active.unwrap_or(world.size());
         assert!(
@@ -313,7 +245,7 @@ impl SessionBuilder {
         // Planning is pure, so spares record the plan the actives built.
         let mut plan = match &worker {
             Some(w) => w.plan(),
-            None => self.builder.plan_with(active_p, model),
+            None => self.builder.plan_with(active_p, *comm.model()),
         };
         let view = PlanView::new(&plan, active_p, self.staged.prob.dims);
         if let Some(e) = self.elision {
@@ -321,7 +253,6 @@ impl SessionBuilder {
             plan.elision = e;
         }
         let row_groups = worker.is_some().then(|| row_groups(&active, view));
-        let last_planned_nnz = self.staged.prob.nnz();
         Session {
             world,
             comm: active,
@@ -330,13 +261,9 @@ impl SessionBuilder {
             worker,
             plan,
             row_groups,
-            model,
             c_max: self.c_max,
             calls: 0,
             replan_log: Vec::new(),
-            auto_policy: self.auto_policy,
-            last_planned_nnz,
-            last_auto_check: 0,
         }
     }
 }
@@ -390,18 +317,9 @@ pub struct Session {
     /// Row-sharing reduction groups of the plan in force (`A`-shaped,
     /// `B`-shaped) — `None` on spare ranks.
     row_groups: Option<(Comm, Comm)>,
-    model: MachineModel,
     c_max: usize,
     calls: u64,
     replan_log: Vec<ReplanEvent>,
-    /// Automatic re-planning policy (see [`SessionBuilder::auto_replan`]).
-    auto_policy: Option<ReplanPolicy>,
-    /// Observed nnz at the last planning decision (construction or
-    /// transition) — the baseline the drift gate compares against.
-    last_planned_nnz: usize,
-    /// Fused-call count at the last automatic cadence check (sticky
-    /// cadence: explicit-operand calls defer, never skip, a check).
-    last_auto_check: u64,
 }
 
 impl Session {
@@ -509,7 +427,7 @@ impl Session {
         &active(self.row_groups.as_ref(), &self.world, self.active_p).1
     }
 
-    /// Fused calls issued so far (the iteration cadence the replan log
+    /// Fused calls issued so far (what each [`ReplanEvent::at_call`]
     /// is stamped with).
     pub fn calls(&self) -> u64 {
         self.calls
@@ -538,36 +456,29 @@ impl Session {
     // Kernel surface (counted)
     // ------------------------------------------------------------------
 
-    /// FusedMMA with the session's elision; counts one call. With an
-    /// automatic policy installed, a stored-operand call (`x = None`)
-    /// at the policy's cadence replans (and possibly migrates) first.
+    /// FusedMMA with the session's elision; counts one call and never
+    /// changes the plan.
     ///
     /// An iterate call (`Some(x)`) is a step inside a solve against the
-    /// stored `B`: it never replans. On the 1.5D dense shift with local
-    /// kernel fusion it replays the ring tiles of `B` that
+    /// stored `B`. On the 1.5D dense shift with local kernel fusion it
+    /// replays the ring tiles of `B` that
     /// [`Session::rhs_a`] (or the first iterate call, without one) kept,
     /// instead of shifting `B` again. They are held until
     /// [`Session::commit_b`] or the next transition, at
     /// `(q − 1)·⌈n/p⌉·r` words per rank (`q = p/c`, the ring length).
     pub fn fused_mm_a(&mut self, x: Option<&Mat>, sampling: Sampling) -> Mat {
         self.calls += 1;
-        if x.is_none() {
-            self.maybe_auto_replan();
-        }
         let elision = self.plan.elision;
         self.w_mut().fused_mm_a(x, elision, sampling)
     }
 
-    /// FusedMMB with the session's elision; counts one call. Same
-    /// automatic-replan hook as [`Session::fused_mm_a`], and the dual
-    /// hold: an iterate call replays the ring tiles of the stored `A`
+    /// FusedMMB with the session's elision; counts one call and never
+    /// changes the plan. The dual hold of [`Session::fused_mm_a`]: an
+    /// iterate call replays the ring tiles of the stored `A`
     /// that [`Session::rhs_b`] kept, until [`Session::commit_a`] or the
     /// next transition, at `(q − 1)·⌈m/p⌉·r` words per rank.
     pub fn fused_mm_b(&mut self, y: Option<&Mat>, sampling: Sampling) -> Mat {
         self.calls += 1;
-        if y.is_none() {
-            self.maybe_auto_replan();
-        }
         let elision = self.plan.elision;
         self.w_mut().fused_mm_b(y, elision, sampling)
     }
@@ -663,7 +574,7 @@ impl Session {
     }
 
     // ------------------------------------------------------------------
-    // Observation and the automatic cadence
+    // Observation
     // ------------------------------------------------------------------
 
     /// The globally observed nonzero count: stored R values that are
@@ -681,30 +592,6 @@ impl Session {
         }
     }
 
-    /// The cadence hook: replan when an automatic policy is installed,
-    /// at least `n` fused calls elapsed since the last cadence check,
-    /// and the observed nnz cleared the drift gate. The check is
-    /// *sticky*: cadence points that land on explicit-operand calls
-    /// (which never trigger — see [`ReplanPolicy::every_n_calls`])
-    /// carry over to the next stored-operand call instead of being
-    /// skipped. Returns the logged decision when a replan ran.
-    fn maybe_auto_replan(&mut self) -> Option<ReplanEvent> {
-        let policy = self.auto_policy?;
-        let n = policy.every_n_calls?;
-        if self.calls - self.last_auto_check < n {
-            return None;
-        }
-        self.last_auto_check = self.calls;
-        if let Some(ratio) = policy.drift_ratio {
-            let observed = self.observed_nnz().max(1) as f64;
-            let base = self.last_planned_nnz.max(1) as f64;
-            if (observed / base).max(base / observed) < ratio {
-                return None;
-            }
-        }
-        Some(self.replan(&policy))
-    }
-
     // ------------------------------------------------------------------
     // The transition: choose → move → install
     // ------------------------------------------------------------------
@@ -717,12 +604,11 @@ impl Session {
         &self,
         p: usize,
         observed_nnz: usize,
-        c_max: usize,
         pin: Option<(Algorithm, usize)>,
     ) -> PlannedCandidate {
         let mut builder = KernelBuilder::for_shape(self.staged.prob.dims, observed_nnz)
-            .model(self.model)
-            .max_replication(c_max);
+            .model(*self.world.model())
+            .max_replication(self.c_max);
         if let Some((algorithm, c)) = pin {
             builder = builder
                 .algorithm(algorithm)
@@ -756,11 +642,8 @@ impl Session {
         let old = PlanView::new(&self.plan, p_old, dims);
         let new = PlanView::new(to, p_new, dims);
         let active = over.split_by(|g| u64::from(g >= p_new));
-        let mut worker = (over.rank() < p_new).then(|| {
-            KernelBuilder::from_staged(&self.staged)
-                .model(self.model)
-                .build_planned(&active, to)
-        });
+        let mut worker = (over.rank() < p_new)
+            .then(|| KernelBuilder::from_staged(&self.staged).build_planned(&active, to));
         // Ranks outside a roster hold the empty layout (and empty R
         // bounds) on that side ([`PlanView`]): they contribute or
         // receive nothing but take part in the exchange, so its pattern
@@ -838,7 +721,6 @@ impl Session {
             self.row_groups = m.worker.is_some().then(|| row_groups(&m.active, view));
             (self.worker, self.comm, self.active_p) = (m.worker, m.active, m.p);
         }
-        self.last_planned_nnz = observed_nnz;
         let event = ReplanEvent {
             at_call: self.calls,
             observed_nnz,
@@ -888,10 +770,11 @@ impl Session {
         let span_start = Instant::now();
         let observed_nnz = self.observed_nnz();
         let (p, dims, from) = (self.active_p, self.staged.prob.dims, self.plan);
-        let best = self.choose(p, observed_nnz, self.c_max, pin);
+        let best = self.choose(p, observed_nnz, pin);
+        let model = self.world.model();
         let predicted_from_s = from.algorithm().and_then(|alg| {
             let comm_s = theory::predicted_comm_time_for(
-                &self.model,
+                model,
                 alg,
                 from.routing,
                 p,
@@ -899,7 +782,7 @@ impl Session {
                 dims,
                 observed_nnz,
             )?;
-            Some(comm_s + theory::predicted_comp_time(&self.model, p, dims, observed_nnz))
+            Some(comm_s + theory::predicted_comp_time(model, p, dims, observed_nnz))
         });
         let predicted_to_s = best.predicted_total_s();
         let same_kernel = from.id == KernelId::Family(best.algorithm.family) && from.c == best.c;
@@ -980,7 +863,7 @@ impl Session {
                 (false, self.staged.prob.nnz())
             }
         };
-        let best = self.choose(p_new, observed_nnz, self.c_max, None);
+        let best = self.choose(p_new, observed_nnz, None);
         let to = best.plan();
         let moved = self.move_state(&self.world, Phase::Resize, &to, p_new, exported, has_r);
         let predicted_to_s = best.predicted_total_s();
@@ -1062,7 +945,7 @@ fn redistribute_r(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsk_comm::SimWorld;
+    use dsk_comm::{MachineModel, SimWorld};
 
     fn world(p: usize) -> SimWorld {
         SimWorld::new(p, MachineModel::bandwidth_only())

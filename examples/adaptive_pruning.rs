@@ -12,7 +12,8 @@
 //! sparse side;
 //! `Session::replan` re-runs the planner against the observed problem
 //! and migrates A/B iterates and R values to the sparse-shifting
-//! family with zero loss discontinuity.
+//! family with zero loss discontinuity. The session changes plan only
+//! at that call: fused calls never re-plan on their own.
 //!
 //! ```text
 //! cargo run --release --example adaptive_pruning
@@ -59,10 +60,7 @@ fn main() {
         sweeps: 1,
         track_loss: false,
     };
-    let policy = ReplanPolicy {
-        hysteresis: 1.10,
-        ..ReplanPolicy::default()
-    };
+    let policy = ReplanPolicy { hysteresis: 1.10 };
     // The remaining work after the migration: one more sweep of batched
     // CG = 2 · cg_iters fused calls.
     let remaining_fused_calls = 2 * cfg.cg_iters;
@@ -161,67 +159,6 @@ fn main() {
         event.to.id.label()
     );
     assert!(lf < l1, "the second sweep must keep improving");
-
-    // ------------------------------------------------------------------
-    // Part 2: the same adaptation, fully automatic. No replan call
-    // anywhere — the session carries a `ReplanPolicy::every_n_calls`
-    // cadence with a drift gate, and migrates itself when the pruning
-    // between fused calls collapses the observed φ.
-    // ------------------------------------------------------------------
-    println!("\n--- automatic trigger (ReplanPolicy::every_n_calls) ---");
-    let prob2 = Arc::new(GlobalProblem::new(
-        {
-            let mut s = gen::erdos_renyi(users, items, 24, 6);
-            s.vals = s
-                .iter()
-                .map(|(i, j, _)| row_dot(&a_true, i, &b_true, j))
-                .collect();
-            s
-        },
-        Mat::random(users, rank, 7),
-        Mat::random(items, rank, 8),
-    ));
-    let world = SimWorld::new(p, MachineModel::bandwidth_only());
-    let outcomes = world.run(move |comm| {
-        let auto = ReplanPolicy {
-            hysteresis: 1.10,
-            ..ReplanPolicy::every_n_calls(4).with_drift_ratio(1.5)
-        };
-        let mut session = Session::builder_arc(Arc::clone(&prob2))
-            .family(AlgorithmFamily::DenseShift15)
-            .auto_replan(auto)
-            .build(comm);
-        // A plain fused-iteration loop: the application never mentions
-        // re-planning again. After call 6 it prunes; the session's
-        // call-8 cadence point observes the collapse and migrates.
-        for call in 1..=12u64 {
-            let _ = session.fused_mm_b(None, distributed_sparse_kernels::core::Sampling::Values);
-            if call == 6 {
-                session.worker_mut().sddmm();
-                session.map_r(&mut |v| if v.abs() < 2.7 { 0.0 } else { v });
-            }
-        }
-        let log: Vec<_> = session
-            .replan_log()
-            .iter()
-            .map(|e| (e.at_call, e.migrated, e.to.id.label().to_string()))
-            .collect();
-        (
-            log,
-            session.migrations(),
-            session.plan().id.label().to_string(),
-        )
-    });
-    let (log, migrations, final_family) = &outcomes[0].value;
-    for (at_call, migrated, to) in log {
-        println!("  call {at_call}: auto-replan → {to} (migrated: {migrated})");
-    }
-    assert_eq!(*migrations, 1, "the automatic cadence must migrate once");
-    assert!(
-        log.iter().all(|(at, _, _)| at % 4 == 0),
-        "auto-replans only fire at the every-4-calls cadence"
-    );
-    println!("  session finished on {final_family} with no explicit replan call");
 
     println!("\nadaptive_pruning OK");
 }

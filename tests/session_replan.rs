@@ -45,10 +45,7 @@ fn pruning_triggers_cross_family_migration_with_loss_continuity() {
         s.map_r(&mut |v| if v.abs() < 1e9 { 0.0 } else { v });
         let loss_before = s.stored_loss();
         let a_before = s.a_iterate();
-        let policy = ReplanPolicy {
-            hysteresis: 1.05,
-            ..ReplanPolicy::default()
-        };
+        let policy = ReplanPolicy { hysteresis: 1.05 };
         let ev = s.replan(&policy);
         let loss_after = s.stored_loss();
         // The session keeps running on the new family.
@@ -149,10 +146,7 @@ fn als_with_midrun_migration_matches_static_run() {
         // cross-family migration of the live factors.
         eng.session_mut().loss();
         eng.session_mut().map_r(&mut |_| 0.0);
-        let ev = eng.session_mut().replan(&ReplanPolicy {
-            hysteresis: 1.0,
-            ..ReplanPolicy::default()
-        });
+        let ev = eng.session_mut().replan(&ReplanPolicy { hysteresis: 1.0 });
         run_als(&mut eng, &cfg);
         (ev.migrated, eng.session().migrations(), eng.loss())
     });
@@ -222,58 +216,80 @@ fn migration_traffic_is_owner_targeted_not_allgather() {
     );
 }
 
-/// Automatic trigger: with `ReplanPolicy::every_n_calls` installed the
-/// session replans itself at the cadence — no `replan` call anywhere —
-/// and the drift gate suppresses planner re-runs while the observed
-/// problem is unchanged.
+/// A session changes plan only when its caller asks: stored-operand
+/// fused calls after total pruning leave the plan alone, and the first
+/// explicit `replan` then migrates across the Fig. 6 boundary.
 #[test]
-fn auto_replan_fires_at_cadence_and_respects_drift_gate() {
+fn fused_calls_never_replan_on_their_own() {
+    use distributed_sparse_kernels::core::Sampling;
     let prob = Arc::new(GlobalProblem::erdos_renyi(64, 64, 8, 16, 8005));
     let world = SimWorld::new(8, MachineModel::bandwidth_only());
     let out = world.run(move |comm| {
-        let policy = ReplanPolicy {
-            hysteresis: 1.05,
-            ..ReplanPolicy::every_n_calls(2).with_drift_ratio(1.5)
-        };
         let mut s = Session::builder_arc(Arc::clone(&prob))
             .family(AlgorithmFamily::DenseShift15)
             .replication(2)
-            .auto_replan(policy)
             .build(comm);
-        use distributed_sparse_kernels::core::Sampling;
-        // Calls 1–2: nnz unchanged, so the drift gate must suppress the
-        // cadence-point replan (no log entry).
-        let _ = s.fused_mm_b(None, Sampling::Values);
-        let _ = s.fused_mm_b(None, Sampling::Values);
-        let suppressed = s.replan_log().len();
-        // Prune everything: observed nnz collapses, drift huge.
+        let built = s.plan();
         s.worker_mut().sddmm();
         s.map_r(&mut |_| 0.0);
-        // Calls 3–4: the call-4 cadence point must auto-replan and
-        // migrate across the Fig. 6 boundary.
-        let _ = s.fused_mm_b(None, Sampling::Values);
-        let _ = s.fused_mm_b(None, Sampling::Values);
-        (
-            suppressed,
-            s.replan_log().len(),
-            s.migrations(),
-            s.replan_log().first().map(|e| e.at_call),
-            s.plan().id.family(),
-        )
+        for _ in 0..8 {
+            let _ = s.fused_mm_b(None, Sampling::Values);
+        }
+        let (logged, migrations, unchanged) =
+            (s.replan_log().len(), s.migrations(), s.plan() == built);
+        let ev = s.replan(&ReplanPolicy { hysteresis: 1.05 });
+        (logged, migrations, unchanged, ev)
     });
     for o in &out {
-        let (suppressed, logged, migrations, at_call, family) = &o.value;
-        assert_eq!(*suppressed, 0, "unchanged nnz must not trigger a replan");
-        assert_eq!(*logged, 1, "exactly the call-4 cadence point replans");
-        assert_eq!(*migrations, 1, "the collapsed φ must migrate");
-        assert_eq!(*at_call, Some(4));
+        let (logged, migrations, unchanged, ev) = &o.value;
+        assert_eq!(*logged, 0, "fused calls must not log a decision");
+        assert_eq!(*migrations, 0, "fused calls must not migrate");
+        assert!(unchanged, "the built plan stays in force until replan");
+        assert!(ev.migrated, "the explicit replan must migrate: {ev:?}");
         assert!(
             matches!(
-                family,
+                ev.to.id.family(),
                 Some(AlgorithmFamily::SparseShift15) | Some(AlgorithmFamily::SparseRepl25)
             ),
-            "auto-replan must land on a sparse family, got {family:?}"
+            "total pruning must land on a sparse family, got {:?}",
+            ev.to.id
         );
+    }
+}
+
+/// An elision override keeps the session's plan one the planner can
+/// produce: an elided plan is dense-routed, so the first replan prices
+/// it instead of treating it as unmodeled.
+#[test]
+fn elision_override_builds_a_plan_replan_can_price() {
+    use distributed_sparse_kernels::core::theory::Algorithm;
+    let prob = Arc::new(GlobalProblem::erdos_renyi(64, 64, 16, 1, 77));
+    for (family, elision) in [
+        (AlgorithmFamily::DenseShift15, Elision::LocalKernelFusion),
+        (AlgorithmFamily::DenseShift15, Elision::ReplicationReuse),
+        (AlgorithmFamily::DenseRepl25, Elision::ReplicationReuse),
+    ] {
+        let pr = Arc::clone(&prob);
+        let world = SimWorld::new(8, MachineModel::bandwidth_only());
+        let out = world.run(move |comm| {
+            let mut s = Session::builder_arc(Arc::clone(&pr))
+                .family(family)
+                .elision(elision)
+                .build(comm);
+            let plan = s.plan();
+            (plan, s.replan(&ReplanPolicy::default()))
+        });
+        for o in &out {
+            let (plan, ev) = &o.value;
+            assert!(
+                Algorithm::new(family, plan.elision).admits(plan.routing),
+                "{family:?} + {elision:?} built an inadmissible plan: {plan:?}"
+            );
+            assert!(
+                ev.predicted_from_s.is_some(),
+                "{family:?} + {elision:?}: replan could not price the built plan {plan:?}"
+            );
+        }
     }
 }
 
@@ -302,36 +318,27 @@ fn replan_log_records_stay_decisions() {
 }
 
 /// The session is the only owner of plan-dependent state: an
-/// `AppEngine` over a session that migrates *itself* (automatic
-/// cadence, driven through `session_mut()`) reduces its row dots over
+/// `AppEngine` whose session is re-planned under it (through
+/// `session_mut()`, the engine never told) reduces its row dots over
 /// the new family's row-sharing groups.
 #[test]
 fn self_migration_under_an_engine_updates_row_sharing_groups() {
-    use distributed_sparse_kernels::core::Sampling;
     let prob = Arc::new(GlobalProblem::erdos_renyi(64, 64, 8, 16, 8006));
     let a_global = prob.a.clone();
     let world = SimWorld::new(8, MachineModel::bandwidth_only());
     let out = world.run(move |comm| {
-        let policy = ReplanPolicy {
-            hysteresis: 1.05,
-            ..ReplanPolicy::every_n_calls(2)
-        };
         let mut eng = AppEngine::new(
             Session::builder_arc(Arc::clone(&prob))
                 .family(AlgorithmFamily::DenseShift15)
                 .replication(2)
-                .auto_replan(policy)
                 .build(comm),
         );
         let share_before = eng.row_share_a();
-        // Prune everything, then drive stored-operand fused calls until
-        // the session's own cadence migrates it across the Fig. 6
+        // Prune everything, then replan the session across the Fig. 6
         // boundary — the engine is never told.
         eng.session_mut().worker_mut().sddmm();
         eng.session_mut().map_r(&mut |_| 0.0);
-        for _ in 0..2 {
-            let _ = eng.session_mut().fused_mm_b(None, Sampling::Values);
-        }
+        eng.session_mut().replan(&ReplanPolicy { hysteresis: 1.05 });
         let view = eng.session().worker().view();
         let me = eng.comm().rank();
         let group = (0..eng.comm().size())
@@ -360,7 +367,7 @@ fn self_migration_under_an_engine_updates_row_sharing_groups() {
     for o in &out {
         let (before, migrations, family, share, group, (rows, dots)) = &o.value;
         assert_eq!(*before, 1, "ds15 rows are whole");
-        assert_eq!(*migrations, 1, "the cadence point must migrate");
+        assert_eq!(*migrations, 1, "the replan must migrate");
         assert!(
             matches!(
                 family,
