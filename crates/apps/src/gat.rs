@@ -26,15 +26,18 @@
 //! 3. all-gathers the scores (`2h·n` words in all), so every rank holds
 //!    every `u` and `v`, and repartitions every head's `H·W` back to the
 //!    `B`-iterate layout;
-//! 4. per head, writes `E = exp(LeakyReLU(u_i + v_j))` straight into
-//!    the stored R values, summing each row `s_i` in the same walk (the
-//!    sums reduce over whichever ranks share a sparse row), and runs
-//!    the SpMM `E·(H·W)` on those unnormalized values. The softmax is
-//!    `α = diag(1/s)·E`, so `α·(H·W) = diag(1/s)·(E·(H·W))`: each
-//!    output row is scaled by `1/s_i` (0 for an empty row) in the same
-//!    loop as the ELU and written into the head's columns of the
-//!    concatenated output. After a forward pass the stored R values
-//!    hold `E`, not `α`.
+//! 4. per head, turns the scores into per-node factors
+//!    ([`PairExp`]: `P = exp(u)`, `P' = exp(slope·u)`, `Q = exp(v)`,
+//!    `Q' = exp(slope·v)`, so `E_ij = exp(LeakyReLU(u_i + v_j)) =
+//!    max(P_i·Q_j, P'_i·Q'_j)`) and runs one SpMM `E·(H·W)` that makes
+//!    each `E_ij` inside its local row loop and sums each row's `s_i`
+//!    in the same walk (the sums reduce over whichever ranks share a
+//!    sparse row). The softmax is `α = diag(1/s)·E`, so
+//!    `α·(H·W) = diag(1/s)·(E·(H·W))`: each output row is scaled by
+//!    `1/s_i` (0 for an empty row) in the same loop as the ELU and
+//!    written into the head's columns of the concatenated output.
+//!    Neither `E` nor `α` is stored: the stored R values of an earlier
+//!    SDDMM are left as they were.
 //!
 //! All communication but the row-sum reduction precedes the per-head
 //! loop, and that reduction sends nothing where a sparse row is whole
@@ -45,12 +48,18 @@
 //! underneath; whole-row kernels pass the repartitions through the
 //! identity fast path of [`dsk_core::layout::repartition_dense`].
 //!
-//! Local kernel fusion is deliberately unsupported here: the softmax
-//! must observe every completed logit before any aggregation, which is
-//! why the paper excludes the LKF variant from its GAT benchmark.
+//! The paper excludes local kernel fusion from its GAT benchmark
+//! because the softmax had to observe every completed logit before any
+//! aggregation. Normalizing the SpMM's output rows removes that reason,
+//! and step 4 is FusedMMA's shape: the sampled values are consumed by
+//! the SpMM in the same local pass that makes them, with a scalar
+//! combine of `u_i` and `v_j` in place of a dot product. A session
+//! planned with any elision runs the forward pass; the elision governs
+//! only fused calls, which the forward pass does not make.
 
 use dsk_comm::Phase;
 use dsk_core::layout::{repartition_dense, DenseLayout};
+use dsk_core::rstore::PairExp;
 use dsk_core::session::Session;
 use dsk_core::GlobalProblem;
 use dsk_dense::ops::gemm_acc;
@@ -98,9 +107,9 @@ impl Default for GatConfig {
     }
 }
 
-/// Per-rank GAT engine over any distributed kernel (except LKF),
-/// wrapping an adaptive [`Session`] whose `A` and `B` operands are both
-/// the node embedding matrix `H` (the graph is square).
+/// Per-rank GAT engine over any distributed kernel, wrapping an
+/// adaptive [`Session`] whose `A` and `B` operands are both the node
+/// embedding matrix `H` (the graph is square).
 pub struct GatEngine {
     session: Session,
 }
@@ -132,9 +141,8 @@ impl GatEngine {
     /// in the rows of the kernel's
     /// [`spmm_a_with_layout_of`](dsk_core::DistKernel::spmm_a_with_layout_of).
     ///
-    /// The attention is normalized on the SpMM's output rows, so the
-    /// stored R values are left holding the unnormalized
-    /// `exp(LeakyReLU(·))` of the last head, not `α`.
+    /// The attention is made inside the SpMM and normalized on its
+    /// output rows; the stored R values are not touched.
     ///
     /// # Panics
     ///
@@ -157,20 +165,19 @@ impl GatEngine {
         let (hw, scores) = self.stage(heads);
         let hw: Vec<Mat> = hw.iter().map(|hw| self.unstage(hw)).collect();
         let (sum_index, width) = self.output_rows();
-        let slope = cfg.negative_slope;
-        // exp(LeakyReLU(·)); inputs are bounded (embeddings in [-1,1]),
-        // so the unshifted exponential is safe.
-        let attention = move |e: f64| (if e < 0.0 { slope * e } else { e }).exp();
         let mut out = {
             let _ph = self.session.comm().phase(Phase::OutsideCompute);
             Mat::zeros(sum_index.len(), heads.len() * width)
         };
         for (t, (hw, [u, v])) in hw.iter().zip(&scores).enumerate() {
-            let sums = self.session.set_r_pair_sums(u, v, &attention);
-            // The kernel's rounds charge their own phases; the R-valued
-            // blocks it materializes around them are charged here.
+            // The unshifted exponential: PairExp falls back to one exp
+            // per edge where a per-node factor could overflow.
+            let attention = {
+                let _ph = self.session.comm().phase(Phase::OutsideCompute);
+                PairExp::leaky_relu(u, v, cfg.negative_slope)
+            };
+            let (head, sums) = self.session.spmm_a_pair_exp(hw, &attention);
             let _ph = self.session.comm().phase(Phase::OutsideCompute);
-            let head = self.session.spmm_a_with(hw);
             debug_assert_eq!((head.nrows(), head.ncols()), (sum_index.len(), width));
             // softmax(E)·HW = diag(1/s)·(E·HW): each row of E·HW is
             // scaled, ELU'd and written into this head's columns.
@@ -440,15 +447,7 @@ mod tests {
         let cfg = GatConfig::default();
         let heads = vec![GatHead::random(r, 372), GatHead::random(r, 373)];
         let expect = gat_forward_reference(&prob, &heads, &cfg);
-        let kernels = [
-            (Some(AlgorithmFamily::DenseShift15), 4, 2),
-            (Some(AlgorithmFamily::SparseShift15), 4, 2),
-            (Some(AlgorithmFamily::DenseRepl25), 8, 2),
-            (Some(AlgorithmFamily::SparseRepl25), 8, 2),
-            (Some(AlgorithmFamily::SparseRepl25), 4, 4),
-            (None, 4, 1),
-        ];
-        for (family, p, c) in kernels {
+        for (family, p, c) in KERNELS {
             let got = forward_gathered(&prob, &heads, &cfg, family, p, c);
             for i in (0..n).filter(|&i| isolated(i)) {
                 assert!(
@@ -460,6 +459,82 @@ mod tests {
                 dsk_dense::ops::max_abs_diff(&got, &expect) < 1e-9,
                 "{family:?} (p = {p}, c = {c}) differs from the reference"
             );
+        }
+    }
+
+    /// All five kernels as `(family, p, c)` (`None`: the 1D baseline),
+    /// with `sr25` also at p = c = 4, where q = 1 and every rank holds
+    /// every edge.
+    const KERNELS: [(Option<AlgorithmFamily>, usize, usize); 6] = [
+        (Some(AlgorithmFamily::DenseShift15), 4, 2),
+        (Some(AlgorithmFamily::SparseShift15), 4, 2),
+        (Some(AlgorithmFamily::DenseRepl25), 8, 2),
+        (Some(AlgorithmFamily::SparseRepl25), 8, 2),
+        (Some(AlgorithmFamily::SparseRepl25), 4, 4),
+        (None, 4, 1),
+    ];
+
+    #[test]
+    fn forward_leaves_the_stored_r_values_untouched() {
+        // The attention is made inside the SpMM's row loop: the R
+        // values of an earlier SDDMM survive a forward pass bit for bit.
+        let (n, r) = (24, 6);
+        let prob = Arc::new(gat_problem(n, r, 380));
+        let cfg = GatConfig::default();
+        let heads = vec![GatHead::random(r, 381), GatHead::random(r, 382)];
+        for (family, p, c) in KERNELS {
+            let (pr, heads) = (Arc::clone(&prob), heads.clone());
+            let w = SimWorld::new(p, MachineModel::bandwidth_only());
+            let out = w.run(move |comm| {
+                let builder = Session::builder(&pr);
+                let builder = match family {
+                    Some(f) => builder.family(f).replication(c),
+                    None => builder.baseline(),
+                };
+                let mut eng = GatEngine::new(builder.build(comm));
+                eng.session_mut().worker_mut().sddmm();
+                let bits = |eng: &GatEngine| {
+                    let r = eng.session().worker().export_r().unwrap();
+                    r.iter()
+                        .map(|(i, j, v)| (i, j, v.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                let before = bits(&eng);
+                eng.forward(&heads, &cfg);
+                (before.len(), before == bits(&eng))
+            });
+            let exported: usize = out.iter().map(|o| o.value.0).sum();
+            assert_eq!(exported, prob.nnz(), "{family:?} (p = {p}, c = {c})");
+            for o in &out {
+                assert!(
+                    o.value.1,
+                    "{family:?} (p = {p}, c = {c}): rank {} lost its R values",
+                    o.rank
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slopes_above_one_and_below_zero_match_the_reference() {
+        // LeakyReLU is a min of the two factor products above slope 1
+        // and still a max below 0.
+        let (n, r) = (24, 6);
+        let prob = Arc::new(gat_problem(n, r, 390));
+        let heads = vec![GatHead::random(r, 391), GatHead::random(r, 392)];
+        for negative_slope in [1.5, -0.5] {
+            let cfg = GatConfig {
+                heads: 2,
+                negative_slope,
+            };
+            let expect = gat_forward_reference(&prob, &heads, &cfg);
+            for (family, p, c) in [KERNELS[1], KERNELS[4], KERNELS[5]] {
+                let got = forward_gathered(&prob, &heads, &cfg, family, p, c);
+                assert!(
+                    dsk_dense::ops::max_abs_diff(&got, &expect) < 1e-9,
+                    "{family:?} (p = {p}, c = {c}), slope {negative_slope}"
+                );
+            }
         }
     }
 

@@ -29,7 +29,7 @@ use dsk_sparse::CsrMatrix;
 use crate::common::{block_range, Elision, Sampling};
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::planview::{Operand, PlanView};
-use crate::rstore::RStore;
+use crate::rstore::{RStore, RValues};
 use crate::staged::StagedProblem;
 
 /// One direction's scatter plan.
@@ -374,8 +374,17 @@ impl DistKernel for Baseline1D {
         None
     }
 
-    fn spmm_a_with(&self, y: &Mat) -> Mat {
-        self.spmm_a_of(&self.r.csr_valued(true)[0], y)
+    fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
+        let vals = self.r.csr_values(vals);
+        let mut sums = vals.sums();
+        let s = &vals.blocks()[0];
+        let operand = self.scatter_operand(&self.plan_a, y, self.view.dims().n);
+        let r = self.view.dims().r;
+        let mut out = Mat::zeros(s.nrows(), r);
+        self.comm.compute(kern::spmm_flops(s.nnz(), r), || {
+            vals.spmm(self.local.spmm, 0, &mut out, &operand, Some(&mut sums))
+        });
+        (out, sums)
     }
 
     fn a_iterate(&self) -> Mat {

@@ -37,7 +37,7 @@ use crate::common::{
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::planview::{Operand, PlanView};
-use crate::rstore::RStore;
+use crate::rstore::{RStore, RValues};
 use crate::staged::StagedProblem;
 
 /// Tag for traveling sparse blocks (row-ring).
@@ -393,9 +393,10 @@ impl DistKernel for DenseRepl25 {
     }
 
     /// Takes a travel-layout operand; returned in the fiber `A` layout.
-    fn spmm_a_with(&self, y: &Mat) -> Mat {
-        let t_out = self.spmm_out_round(&self.canon_side(), &self.r.traveler(true), y);
-        self.reduce_to_fiber(&t_out)
+    fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
+        let (traveler, sums) = self.r.traveler_of(vals);
+        let t_out = self.spmm_out_round(&self.canon_side(), &traveler, y);
+        (self.reduce_to_fiber(&t_out), sums)
     }
 
     fn a_iterate(&self) -> Mat {

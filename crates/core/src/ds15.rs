@@ -48,7 +48,7 @@ use crate::common::{
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::planview::{Operand, PlanView};
-use crate::rstore::RStore;
+use crate::rstore::{RStore, RValues};
 use crate::staged::StagedProblem;
 
 /// Tag used for dense block shifts within a layer.
@@ -440,9 +440,18 @@ impl DistKernel for DenseShift15 {
         Some(&self.gc.fiber)
     }
 
-    fn spmm_a_with(&self, y: &Mat) -> Mat {
-        let t_buf = self.spmm_out_round(&self.r.csr_valued(true), y, self.route.as_ref(), None);
-        self.reduce_to_block(self.view.dims().m, &t_buf)
+    /// The SpMMA round's data flow (`spmm_out_round`), each stationary
+    /// block walked once.
+    fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
+        let vals = self.r.csr_values(vals);
+        let mut sums = vals.sums();
+        let blocks = vals.blocks();
+        let mut t_buf = Mat::zeros(blocks[0].nrows(), y.ncols());
+        let route = self.route.as_ref();
+        self.lane_round(blocks, y, route, None, kern::spmm_flops, |w, _, yb| {
+            vals.spmm(self.local.spmm, w, &mut t_buf, yb, Some(&mut sums))
+        });
+        (self.reduce_to_block(self.view.dims().m, &t_buf), sums)
     }
 
     /// [`DistKernel::spmm_a`]'s `S·B` round; on dense routing it keeps

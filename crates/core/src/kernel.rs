@@ -17,9 +17,9 @@
 //! |---------------|----------|----------|
 //! | §III kernels (SDDMM, SpMMA/B) | [`DistKernel::dots`] (the SDDMM data flow, unsampled), [`DistKernel::spmm_a`], [`DistKernel::spmm_b`] | [`DistKernel::sddmm`] (the dots sampled by the [`RStore`]'s values; 2.5D sparse replication overrides it) |
 //! | §IV FusedMM + elision | [`DistKernel::fused_mm_a`], [`DistKernel::fused_mm_b`] | [`DistKernel::supports`] |
-//! | §VI-E generalized SDDMM (the paper's GAT logits) | [`DistKernel::dots`] of a [`CombineSpec`] | [`DistKernel::sddmm_general`], [`DistKernel::set_r_pair_sums`] (the same logits as `u_i + v_j` from per-node scores; what the GAT engine runs) |
-//! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_group`] (which ranks share a stored R row), [`DistKernel::r_store`], [`DistKernel::r_store_mut`] | [`DistKernel::r_row_sums`] (the [`RStore`]'s local sums, all-reduced over the row group; [`DistKernel::set_r_pair_sums`] returns the same from its fill), [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
-//! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_with`] | |
+//! | §VI-E generalized SDDMM (the paper's GAT logits) | [`DistKernel::dots`] of a [`CombineSpec`] | [`DistKernel::sddmm_general`] |
+//! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_group`] (which ranks share a stored R row), [`DistKernel::r_store`], [`DistKernel::r_store_mut`] | [`DistKernel::r_row_sums`] (the [`RStore`]'s local sums, all-reduced over the row group), [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
+//! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_from`] (an [`RValues`] source: the stored R values, or attention made per nonzero from per-node factors inside the local row loop, with its row sums) | [`DistKernel::spmm_a_with`] (the stored values), [`DistKernel::spmm_a_pair_exp`] (the attention `exp(LeakyReLU(u_i + v_j))` of a [`PairExp`] and its row sums reduced over the row group: what the GAT engine runs, FusedMMA's shape) |
 //! | Table II data distributions | [`DistKernel::view`] (whose layouts also stage every dense block a family holds) | [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`], [`DistKernel::r_pattern_bounds_of`] |
 //! | Fig. 9 distribution shifts | [`DistKernel::set_a`], [`DistKernel::set_b`] (shifting through the view: iterate ↔ replica layout) | [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
 //! | Fig. 9 row-sharing dot products | | [`DistKernel::row_group_a`], [`DistKernel::row_group_b`] |
@@ -94,7 +94,7 @@ use crate::ds15::DenseShift15;
 use crate::global::GlobalProblem;
 use crate::layout::DenseLayout;
 use crate::planview::PlanView;
-use crate::rstore::RStore;
+use crate::rstore::{PairExp, RStore, RValues};
 use crate::sr25::SparseRepl25;
 use crate::ss15::SparseShift15;
 use crate::staged::StagedProblem;
@@ -183,7 +183,8 @@ impl KernelId {
 /// `map_r`, `r_row_sums`, `scale_r_rows` (indexed consistently with
 /// each other, from the start of [`RStore::rows`]), `spmm_a_with`,
 /// `sq_loss_local`, and `gather_r` then operate on it.
-/// [`DistKernel::set_r_pair_sums`] fills them without an SDDMM.
+/// [`DistKernel::spmm_a_pair_exp`] makes its values per nonzero and
+/// leaves them untouched.
 pub trait DistKernel: Send {
     // ---- required: what differs between kernels ----------------------
 
@@ -229,11 +230,15 @@ pub trait DistKernel: Send {
     /// of the kernels whose sparse rows span every rank.
     fn r_row_group<'a>(&'a self, world: &'a Comm) -> Option<&'a Comm>;
 
-    /// SpMMA with the stored R values against an explicit `B`-iterate
-    /// operand (the GAT convolution `α·(H·W)`), returned in the
-    /// [`DistKernel::spmm_a_with_layout_of`] layout. Reads R only, so
-    /// it takes `&self` (see the module's mutability contract).
-    fn spmm_a_with(&self, y: &Mat) -> Mat;
+    /// SpMMA of R-patterned values from `vals` against an explicit
+    /// `B`-iterate operand (the GAT convolution `α·(H·W)`), returned in
+    /// the [`DistKernel::spmm_a_with_layout_of`] layout. For values
+    /// made per nonzero ([`RValues::PairExp`]) the second result holds
+    /// their local row sums, each nonzero summed once and not yet
+    /// reduced (indexed as [`DistKernel::r_row_sums`]); for the stored
+    /// values it is empty. Reads R only, so it takes `&self` (see the
+    /// module's mutability contract).
+    fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>);
 
     /// The stored `A` operand in the iterate layout.
     fn a_iterate(&self) -> Mat;
@@ -314,23 +319,21 @@ pub trait DistKernel: Send {
         reduce_row_sums(self.r_row_group(comm), phase, sums)
     }
 
-    /// Store `f(u[i] + v[j])` as the R value of every stored nonzero at
-    /// global `(i, j)`, from a score per global row (`u`) and per global
-    /// column (`v`): the GAT attention logits `a_srcᵀh_i + a_dstᵀh_j`
-    /// as two per-node scalars (every replica writes the same values).
-    /// Returns the row sums of the values written, bitwise what
-    /// [`DistKernel::r_row_sums`] would return next: summed in the same
-    /// walk as the fill and reduced the same way.
-    fn set_r_pair_sums(
-        &mut self,
-        comm: &Comm,
-        phase: Phase,
-        u: &[f64],
-        v: &[f64],
-        f: &dyn Fn(f64) -> f64,
-    ) -> Vec<f64> {
-        let sums = self.r_store_mut().set_pair_sums(u, v, f);
-        reduce_row_sums(self.r_row_group(comm), phase, sums)
+    /// SpMMA with the stored R values against an explicit `B`-iterate
+    /// operand ([`DistKernel::spmm_a_from`] of [`RValues::Stored`]).
+    fn spmm_a_with(&self, y: &Mat) -> Mat {
+        self.spmm_a_from(y, RValues::Stored).0
+    }
+
+    /// The GAT convolution `E·y` with `E_ij = exp(LeakyReLU(u_i +
+    /// v_j))` made from `e`'s per-node factors inside the local SpMM
+    /// row loop, never stored, and `E`'s row sums: summed in the same
+    /// walk and reduced over [`DistKernel::r_row_group`] (charged to
+    /// `phase`), indexed as [`DistKernel::r_row_sums`]. The stored R
+    /// values are left untouched.
+    fn spmm_a_pair_exp(&self, comm: &Comm, phase: Phase, y: &Mat, e: &PairExp) -> (Mat, Vec<f64>) {
+        let (out, sums) = self.spmm_a_from(y, RValues::PairExp(e));
+        (out, reduce_row_sums(self.r_row_group(comm), phase, sums))
     }
 
     /// Map every stored R value in place (local; all replicas apply the
@@ -664,6 +667,11 @@ impl<'a> KernelBuilder<'a> {
     pub fn max_replication(mut self, c_max: usize) -> Self {
         self.c_max = c_max;
         self
+    }
+
+    /// The cap on the planner's replication-factor search.
+    pub(crate) fn c_max(&self) -> usize {
+        self.c_max
     }
 
     /// Pin the elision strategy used for fused calls.

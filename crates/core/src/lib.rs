@@ -65,8 +65,9 @@
 //! | §V-E communication analysis (Tables III & IV) | [`theory`] — consumed by [`kernel::KernelBuilder::plan`] | |
 //! | §VI-C best-algorithm prediction (Fig. 6) | [`kernel::KernelBuilder::auto`] / [`theory::predict_best`] | |
 //! | §VI-E generalized SDDMM (the paper's GAT logits; the serial reference's formulation) | [`sddmm_general`](kernel::DistKernel::sddmm_general) (the raw dots of a [`kernel::CombineSpec`]) | provided |
-//! | | [`set_r_pair_sums`](kernel::DistKernel::set_r_pair_sums) (the same logits as `u_i + v_j` from per-node scores, returning their reduced row sums; what the GAT engine runs) | provided ([`rstore::RStore`]) |
-//! | §VI-E softmax & ALS plumbing | [`r_row_group`](kernel::DistKernel::r_row_group) (which ranks share a stored R row: the one thing that differs), [`spmm_a_with`](kernel::DistKernel::spmm_a_with), [`r_store`](kernel::DistKernel::r_store) | required |
+//! | §VI-E GAT convolution, FusedMMA's shape | [`spmm_a_from`](kernel::DistKernel::spmm_a_from) (SpMMA of R-patterned values from an [`rstore::RValues`] source: the stored R values, or the attention `exp(LeakyReLU(u_i + v_j))` of an [`rstore::PairExp`] made from per-node factors inside the local row loop, never stored, with its row sums) | required |
+//! | | [`spmm_a_with`](kernel::DistKernel::spmm_a_with) (the stored values), [`spmm_a_pair_exp`](kernel::DistKernel::spmm_a_pair_exp) (the attention and its row sums reduced over the row group; what the GAT engine runs) | provided ([`rstore::RStore`] places each block's factors) |
+//! | §VI-E softmax & ALS plumbing | [`r_row_group`](kernel::DistKernel::r_row_group) (which ranks share a stored R row: the one thing that differs), [`r_store`](kernel::DistKernel::r_store) | required |
 //! | | [`r_row_sums`](kernel::DistKernel::r_row_sums) (local sums all-reduced over the row group), [`map_r`](kernel::DistKernel::map_r), [`scale_r_rows`](kernel::DistKernel::scale_r_rows), [`sq_loss_local`](kernel::DistKernel::sq_loss_local), [`export_r`](kernel::DistKernel::export_r)/[`import_r`](kernel::DistKernel::import_r), [`gather_r`](kernel::DistKernel::gather_r) | provided ([`rstore::RStore`]) |
 //! | Fig. 9 distribution shifts | [`set_a`](kernel::DistKernel::set_a)/[`set_b`](kernel::DistKernel::set_b) | required |
 //! | | [`rhs_a`](kernel::DistKernel::rhs_a)/[`rhs_b`](kernel::DistKernel::rhs_b) | provided (the SpMM output; [`ds15`] overrides both to keep the fixed factor's ring tiles for the solve, 2.5D dense replication overrides `rhs_a`) |
@@ -107,7 +108,7 @@ pub use common::{
 pub use global::GlobalProblem;
 pub use kernel::{CombineSpec, DistKernel, KernelBuilder, KernelId, KernelPlan};
 pub use planview::PlanView;
-pub use rstore::RStore;
+pub use rstore::{PairExp, RStore, RValues};
 pub use session::{ReplanEvent, ReplanPolicy, Session, SessionBuilder};
 pub use staged::StagedProblem;
 pub use worker::DistWorker;

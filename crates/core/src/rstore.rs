@@ -22,10 +22,19 @@
 //!
 //! Blocks are visited in list order and nonzeros in storage order
 //! everywhere; sums are accumulated in exactly that order.
+//!
+//! An R-valued SpMM reads its values from an [`RValues`] source: the
+//! stored R values, or GAT attention made per nonzero from the
+//! per-node factors of a [`PairExp`] (`RStore::csr_values` inside the
+//! local row loop, `RStore::traveler_of` into a block that travels a
+//! ring). The store places each block's factors at its global
+//! coordinates, so generated values never touch the stored ones.
 
 use std::borrow::Cow;
 use std::ops::Range;
 
+use dsk_dense::Mat;
+use dsk_kernels::LocalKernel;
 use dsk_sparse::{CooMatrix, CsrMatrix};
 
 use crate::common::{block_range, Sampling};
@@ -71,6 +80,185 @@ impl Block for CooMatrix {
 }
 
 const NO_R: &str = "no R values: run sddmm() or sddmm_general() first";
+
+/// How a [`PairExp`] combines a row's and a column's factors.
+#[derive(Clone, Copy, Debug)]
+enum Form {
+    /// `max(P_i·Q_j, P'_i·Q'_j)`: LeakyReLU for a slope ≤ 1.
+    Max,
+    /// `min(P_i·Q_j, P'_i·Q'_j)`: LeakyReLU for a slope above 1.
+    Min,
+    /// `exp(LeakyReLU(u_i + v_j))` with this slope, one `exp` per
+    /// nonzero: some score is out of the factors' range.
+    PerEdge(f64),
+}
+
+impl Form {
+    /// The value at a nonzero from its row's and its column's pair.
+    #[inline]
+    fn value(self, a: [f64; 2], b: [f64; 2]) -> f64 {
+        match self {
+            Form::Max => (a[0] * b[0]).max(a[1] * b[1]),
+            Form::Min => (a[0] * b[0]).min(a[1] * b[1]),
+            Form::PerEdge(slope) => {
+                let x = a[0] + b[0];
+                (if x < 0.0 { slope * x } else { x }).exp()
+            }
+        }
+    }
+}
+
+/// GAT attention `E_ij = exp(LeakyReLU(u_i + v_j))` from a score per
+/// global row (`u_i = a_srcᵀh_i`) and per global column
+/// (`v_j = a_dstᵀh_j`), for an R-valued SpMM to make per nonzero
+/// ([`RValues::PairExp`]). Nothing is stored per nonzero.
+///
+/// `exp` is monotone, and `LeakyReLU(x)` is `max(x, a·x)` for a slope
+/// `a ≤ 1` (`min` above 1). So `E_ij = max(P_i·Q_j, P'_i·Q'_j)` with
+/// the per-node factors `P = exp(u)`, `P' = exp(a·u)`, `Q = exp(v)` and
+/// `Q' = exp(a·v)`: `2(m + n)` `exp`s instead of one per nonzero. A
+/// factor, or a product of two, can overflow where the per-edge value
+/// does not (`u_i = 720`, `v_j = −715`: `exp(u_i)` is infinite, `e⁵`
+/// is not), so when any scaled score leaves half the exponent range
+/// (or is not finite) the pairs keep the scores and make one `exp` per
+/// nonzero instead.
+#[derive(Clone, Debug)]
+pub struct PairExp {
+    /// Per global row: `[P_i, P'_i]`, or `[u_i, 0]` per edge.
+    rows: Vec<[f64; 2]>,
+    /// Per global column: `[Q_j, Q'_j]`, or `[v_j, 0]` per edge.
+    cols: Vec<[f64; 2]>,
+    form: Form,
+}
+
+impl PairExp {
+    /// The pairs of `exp(LeakyReLU(u_i + v_j))` with negative slope
+    /// `slope`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slope` is not finite.
+    pub fn leaky_relu(u: &[f64], v: &[f64], slope: f64) -> Self {
+        assert!(slope.is_finite(), "LeakyReLU slope {slope} is not finite");
+        // Both factors of a product stay below half of ln(f64::MAX),
+        // less one for rounding, so every product is finite.
+        let bound = 0.5 * (f64::MAX.ln() - 1.0);
+        let scale = slope.abs().max(1.0);
+        let in_range = |x: &f64| x.abs() * scale < bound;
+        if !(u.iter().all(in_range) && v.iter().all(in_range)) {
+            let scores = |x: &[f64]| x.iter().map(|&x| [x, 0.0]).collect();
+            return PairExp {
+                rows: scores(u),
+                cols: scores(v),
+                form: Form::PerEdge(slope),
+            };
+        }
+        let factors = |x: &[f64]| x.iter().map(|&x| [x.exp(), (slope * x).exp()]).collect();
+        PairExp {
+            rows: factors(u),
+            cols: factors(v),
+            form: if slope <= 1.0 { Form::Max } else { Form::Min },
+        }
+    }
+}
+
+/// Where an R-valued SpMM reads its values.
+#[derive(Clone, Copy, Debug)]
+pub enum RValues<'a> {
+    /// The R values of the last SDDMM.
+    Stored,
+    /// GAT attention made per nonzero from per-node factors inside the
+    /// local kernel, never stored.
+    PairExp(&'a PairExp),
+}
+
+/// One block's view of a [`PairExp`], indexed by block-local row and
+/// column.
+struct BlockPairs<'a> {
+    rows: &'a [[f64; 2]],
+    cols: Cow<'a, [[f64; 2]]>,
+    form: Form,
+}
+
+impl BlockPairs<'_> {
+    /// Write local row `i`'s values at `cols` into `vals`; returns
+    /// their sum, accumulated in column order.
+    #[inline]
+    fn fill(&self, i: usize, cols: &[u32], vals: &mut [f64]) -> f64 {
+        /// One monomorphic loop per form.
+        #[inline(always)]
+        fn each(
+            cols: &[u32],
+            vals: &mut [f64],
+            q: &[[f64; 2]],
+            f: impl Fn([f64; 2]) -> f64,
+        ) -> f64 {
+            let mut sum = 0.0;
+            for (v, &j) in vals.iter_mut().zip(cols) {
+                *v = f(q[j as usize]);
+                sum += *v;
+            }
+            sum
+        }
+        let (a, q) = (self.rows[i], &self.cols[..]);
+        match self.form {
+            Form::Max => each(cols, vals, q, |b| Form::Max.value(a, b)),
+            Form::Min => each(cols, vals, q, |b| Form::Min.value(a, b)),
+            form => each(cols, vals, q, |b| form.value(a, b)),
+        }
+    }
+}
+
+/// The values of one R-valued SpMM over a store's CSR blocks: the
+/// stored R values, materialized once for the call, or a
+/// [`PairExp`]'s, made per row inside the local kernel.
+pub(crate) struct CsrValues<'a> {
+    blocks: Cow<'a, [CsrMatrix]>,
+    /// Per block, its pairs (empty for stored values).
+    pairs: Vec<BlockPairs<'a>>,
+}
+
+impl CsrValues<'_> {
+    /// The blocks the SpMM walks.
+    pub(crate) fn blocks(&self) -> &[CsrMatrix] {
+        &self.blocks
+    }
+
+    /// Zeroed row sums for made values, one per store row (indexed as
+    /// [`RStore::row_sums`]); empty for stored values, which are not
+    /// summed.
+    pub(crate) fn sums(&self) -> Vec<f64> {
+        if self.pairs.is_empty() {
+            Vec::new()
+        } else {
+            vec![0.0; self.blocks[0].nrows()]
+        }
+    }
+
+    /// `out += block_w · y` with these values through `kernel`. Made
+    /// values run [`dsk_kernels::spmm_csr_filled`] and add each row's
+    /// sum into `sums` when given: a caller that walks a block more
+    /// than once passes it on one walk only.
+    pub(crate) fn spmm(
+        &self,
+        kernel: LocalKernel,
+        w: usize,
+        out: &mut Mat,
+        y: &Mat,
+        mut sums: Option<&mut [f64]>,
+    ) {
+        let blk = &self.blocks[w];
+        match self.pairs.get(w) {
+            None => kernel.spmm_csr(out, blk, y),
+            Some(pairs) => dsk_kernels::spmm_csr_filled(out, blk, y, |i, cols, vals| {
+                let sum = pairs.fill(i, cols, vals);
+                if let Some(sums) = sums.as_deref_mut() {
+                    sums[i] += sum;
+                }
+            }),
+        }
+    }
+}
 
 enum Blocks {
     Csr(Vec<CsrMatrix>),
@@ -228,36 +416,70 @@ impl RStore {
         }
     }
 
-    /// Store `f(u[i] + v[j])` as the R value of every local nonzero at
-    /// global `(i, j)`: an SDDMM whose combine is the sum of a row score
-    /// and a column score (the GAT attention logits). Every replica
-    /// writes the full set. Returns the local row sums of the values
-    /// written, bitwise [`RStore::row_sums`] (same walk, same order).
-    pub(crate) fn set_pair_sums(
-        &mut self,
-        u: &[f64],
-        v: &[f64],
-        f: &dyn Fn(f64) -> f64,
-    ) -> Vec<f64> {
+    /// The CSR blocks of one R-valued SpMM with values from `vals`:
+    /// [`RStore::csr_valued`]`(true)` for the stored ones, the borrowed
+    /// pattern and each block's factors for a [`PairExp`].
+    pub(crate) fn csr_values<'a>(&'a self, vals: RValues<'a>) -> CsrValues<'a> {
+        match vals {
+            RValues::Stored => CsrValues {
+                blocks: self.csr_valued(true),
+                pairs: Vec::new(),
+            },
+            RValues::PairExp(e) => {
+                let blocks = self.csr_blocks();
+                let pairs = blocks.iter().enumerate();
+                let pairs = pairs.map(|(w, b)| self.block_pairs(e, w, b.nrows(), b.ncols()));
+                CsrValues {
+                    blocks: Cow::Borrowed(blocks),
+                    pairs: pairs.collect(),
+                }
+            }
+        }
+    }
+
+    /// The COO block to send around a ring carrying `vals`' values,
+    /// and for a [`PairExp`] their local row sums, summed in the fill
+    /// (indexed as [`RStore::row_sums`]; empty for stored values). The
+    /// filled block is the call's own; nothing is stored.
+    pub(crate) fn traveler_of(&self, vals: RValues<'_>) -> (Cow<'_, CooMatrix>, Vec<f64>) {
+        let RValues::PairExp(e) = vals else {
+            return (self.traveler(true), Vec::new());
+        };
+        let block = self.coo_block();
+        let pairs = self.block_pairs(e, 0, block.nrows, block.ncols);
+        let mut sums = vec![0.0; block.nrows];
+        let mut vals = vec![0.0; block.nnz()];
+        block.walk(|k, i, j| {
+            vals[k] = pairs.form.value(pairs.rows[i], pairs.cols[j]);
+            sums[i] += vals[k];
+        });
+        (Cow::Owned(block.with_vals(vals)), sums)
+    }
+
+    /// Block `w`'s view of `e`: its rows' pairs, and its columns' at
+    /// their global columns.
+    fn block_pairs<'a>(
+        &self,
+        e: &'a PairExp,
+        w: usize,
+        nrows: usize,
+        ncols: usize,
+    ) -> BlockPairs<'a> {
         assert_eq!(
-            (u.len(), v.len()),
+            (e.rows.len(), e.cols.len()),
             self.global,
             "need one score per global row and per global column"
         );
-        let mut sums = vec![0.0; self.rows().len()];
-        let vals = each_format!(&self.blocks, blocks => {
-            let per_block = blocks.iter().zip(&self.offsets).map(|(blk, &(row0, col0))| {
-                let mut out = vec![0.0; blk.nnz()];
-                blk.walk(|k, i, j| {
-                    out[k] = f(u[row0 + i] + v[self.global_col(col0, j)]);
-                    sums[i] += out[k];
-                });
-                out
-            });
-            per_block.collect()
-        });
-        self.vals = Some(vals);
-        sums
+        let (row0, col0) = self.offsets[w];
+        let cols = match &self.col_map {
+            Some(map) => Cow::Owned(map.iter().map(|&g| e.cols[g as usize]).collect()),
+            None => Cow::Borrowed(&e.cols[col0..col0 + ncols]),
+        };
+        BlockPairs {
+            rows: &e.rows[row0..row0 + nrows],
+            cols,
+            form: e.form,
+        }
     }
 
     /// Map every stored R value in place.
@@ -488,76 +710,161 @@ mod tests {
         assert_eq!(back.vals()[0], vec![0.5, 0.25, 0.125]);
     }
 
-    /// Row and column scores of an `m × n` matrix and a combine under
-    /// which every R value and squared residual below is exact.
+    /// Row and column scores of an `m × n` matrix, of both signs.
     fn scores(m: usize, n: usize) -> (Vec<f64>, Vec<f64>) {
-        let u = (0..m).map(|i| 0.5 * i as f64).collect();
-        let v = (0..n).map(|j| 0.25 * j as f64).collect();
+        let u = (0..m).map(|i| 0.5 * i as f64 - 1.5).collect();
+        let v = (0..n).map(|j| 0.25 * j as f64 - 1.0).collect();
         (u, v)
     }
 
-    fn logit(x: f64) -> f64 {
-        3.0 * x - 1.0
+    impl PairExp {
+        /// The value at global `(i, j)`.
+        fn value(&self, i: usize, j: usize) -> f64 {
+            self.form.value(self.rows[i], self.cols[j])
+        }
+
+        /// Whether the values are made from per-node factors.
+        fn factored(&self) -> bool {
+            !matches!(self.form, Form::PerEdge(_))
+        }
     }
 
-    /// The store exports exactly the nonzeros at `at` (global
-    /// coordinates, export order), each valued `logit(u[i] + v[j])`.
-    fn assert_pair_sums(s: &RStore, at: &[(usize, usize)]) {
-        let (u, v) = scores(s.global.0, s.global.1);
-        let expect: Vec<_> = at
-            .iter()
-            .map(|&(i, j)| (i, j, logit(u[i] + v[j])))
-            .collect();
-        assert_eq!(s.export().unwrap().iter().collect::<Vec<_>>(), expect);
+    /// `exp(LeakyReLU(u + v))`, one `exp` per edge.
+    fn per_edge(u: f64, v: f64, slope: f64) -> f64 {
+        let x = u + v;
+        (if x < 0.0 { slope * x } else { x }).exp()
     }
 
-    /// The fill returns its local row sums, bitwise what
-    /// [`RStore::row_sums`] reads back after it.
-    fn assert_fill_sums(s: &mut RStore, u: &[f64], v: &[f64]) {
-        let sums = s.set_pair_sums(u, v, &logit);
+    /// Every value `s`'s CSR blocks multiply under `e`, as global
+    /// triplets in block then storage order, and the row sums the SpMM
+    /// took in the same walk. Multiplying by the identity returns each
+    /// block's values exactly.
+    fn made_csr(s: &RStore, e: &PairExp) -> (Vec<(usize, usize, f64)>, Vec<f64>) {
+        let vals = s.csr_values(RValues::PairExp(e));
+        let mut sums = vals.sums();
+        let mut triplets = Vec::new();
+        for (w, blk) in vals.blocks().iter().enumerate() {
+            let eye = Mat::from_fn(blk.ncols(), blk.ncols(), |i, j| f64::from(u8::from(i == j)));
+            let mut out = Mat::zeros(blk.nrows(), blk.ncols());
+            vals.spmm(LocalKernel::Blocked, w, &mut out, &eye, Some(&mut sums));
+            let (row0, col0) = s.offsets[w];
+            for i in 0..blk.nrows() {
+                for &j in blk.row(i).0 {
+                    let j = j as usize;
+                    triplets.push((row0 + i, s.global_col(col0, j), out.row(i)[j]));
+                }
+            }
+        }
+        (triplets, sums)
+    }
+
+    /// `made` holds exactly the nonzeros at `at` (global coordinates),
+    /// each valued `e.value(i, j)` bit for bit and within rounding of
+    /// the per-edge value; `sums` are its row sums (relative to `rows`)
+    /// taken in its order, one partial sum per block row.
+    fn assert_made(
+        made: &(Vec<(usize, usize, f64)>, Vec<f64>),
+        e: &PairExp,
+        (u, v, slope): (&[f64], &[f64], f64),
+        at: &[(usize, usize)],
+        rows: Range<usize>,
+    ) {
+        let (triplets, sums) = made;
+        let coords: Vec<_> = triplets.iter().map(|&(i, j, _)| (i, j)).collect();
+        assert_eq!(coords, at);
+        let mut expect = vec![0.0; rows.len()];
+        for &(i, j, x) in triplets {
+            assert_eq!(x.to_bits(), e.value(i, j).to_bits(), "({i}, {j})");
+            let edge = per_edge(u[i], v[j], slope);
+            assert!(
+                (x - edge).abs() <= 1e-14 * edge,
+                "({i}, {j}): {x} vs {edge}"
+            );
+            expect[i - rows.start] += x;
+        }
+        // The walk order is the triplet order, and a row's values sit
+        // in one block per row here, so the sums are bitwise these.
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&sums), bits(&s.row_sums()));
-        assert_eq!(sums.len(), s.rows().len());
+        assert_eq!(bits(sums), bits(&expect));
     }
 
     #[test]
-    fn pair_sums_fill_every_store_shape_at_global_coordinates() {
-        // Ragged column offsets, the middle block empty.
-        let mut ragged = ragged_store();
-        let (u, v) = scores(7, 11);
-        assert_fill_sums(&mut ragged, &u, &v);
-        assert_pair_sums(&ragged, &[(4, 1), (6, 0), (6, 3), (5, 6), (5, 10)]);
-        assert!(ragged.vals()[1].is_empty());
+    fn pair_exp_values_land_at_global_coordinates_in_every_store_shape() {
+        for slope in [0.2, 0.0, 1.0, -0.5, 1.5] {
+            // Ragged column offsets, the middle block empty.
+            let ragged = ragged_store();
+            let (u, v) = scores(7, 11);
+            let e = PairExp::leaky_relu(&u, &v, slope);
+            assert!(e.factored());
+            let at = [(4, 1), (6, 0), (6, 3), (5, 6), (5, 10)];
+            assert_made(&made_csr(&ragged, &e), &e, (&u, &v, slope), &at, 4..7);
 
-        // A column map: local columns [0, 1, 2] are global [7, 2, 9].
-        let blk = csr(2, 3, &[(0, 2, 1.0), (1, 0, 2.0), (1, 1, 3.0)]);
-        let mut mapped = RStore::csr((6, 10), vec![blk], vec![(4, 0)]).with_col_map(vec![7, 2, 9]);
-        let (u, v) = scores(6, 10);
-        assert_fill_sums(&mut mapped, &u, &v);
-        assert_pair_sums(&mapped, &[(4, 9), (5, 7), (5, 2)]);
+            // A column map: local columns [0, 1, 2] are global [7, 2, 9].
+            let blk = csr(2, 3, &[(0, 2, 1.0), (1, 0, 2.0), (1, 1, 3.0)]);
+            let mapped = RStore::csr((6, 10), vec![blk], vec![(4, 0)]).with_col_map(vec![7, 2, 9]);
+            let (u, v) = scores(6, 10);
+            let e = PairExp::leaky_relu(&u, &v, slope);
+            let at = [(4, 9), (5, 7), (5, 2)];
+            assert_made(&made_csr(&mapped, &e), &e, (&u, &v, slope), &at, 4..6);
 
-        // Replicated shares: every layer holds the full set, layer 0
-        // alone exports, and the scored shares add up to the loss.
-        let entries = [(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0), (2, 2, 5.0)];
-        let (u, v) = scores(8, 8);
-        let mut whole = RStore::csr((8, 8), vec![csr(3, 3, &entries)], vec![(2, 5)]);
-        whole.set_pair_sums(&u, &v, &logit);
-        assert_pair_sums(&whole, &[(2, 5), (2, 7), (3, 6), (4, 7)]);
-        let c = 3;
-        let mut loss = 0.0;
-        for layer in 0..c {
-            let mut s = RStore::csr((8, 8), vec![csr(3, 3, &entries)], vec![(2, 5)])
-                .replicated_share(layer, c);
-            assert_fill_sums(&mut s, &u, &v);
-            assert_eq!(s.vals(), whole.vals(), "layer {layer} holds every value");
-            if layer == 0 {
-                assert_pair_sums(&s, &[(2, 5), (2, 7), (3, 6), (4, 7)]);
-            } else {
-                assert_eq!(s.export().unwrap().nnz(), 0);
+            // Replicated shares: every layer makes every value, and none
+            // stores any.
+            let entries = [(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0), (2, 2, 5.0)];
+            let (u, v) = scores(8, 8);
+            let e = PairExp::leaky_relu(&u, &v, slope);
+            let at = [(2, 5), (2, 7), (3, 6), (4, 7)];
+            for layer in 0..3 {
+                let s = RStore::csr((8, 8), vec![csr(3, 3, &entries)], vec![(2, 5)])
+                    .replicated_share(layer, 3);
+                assert_made(&made_csr(&s, &e), &e, (&u, &v, slope), &at, 2..5);
+                assert!(s.export().is_none(), "layer {layer} stored made values");
             }
-            loss += s.sq_loss();
+
+            // A traveling COO block is filled at its global offset.
+            let coo = csr(3, 3, &entries).to_coo();
+            let s = RStore::coo((8, 8), coo, (2, 5));
+            let (blk, sums) = s.traveler_of(RValues::PairExp(&e));
+            let triplets: Vec<_> = blk.iter().map(|(i, j, x)| (2 + i, 5 + j, x)).collect();
+            assert_made(&(triplets, sums), &e, (&u, &v, slope), &at, 2..5);
+            assert!(s.export().is_none(), "the traveler's values were stored");
         }
-        assert_eq!(loss, whole.sq_loss(), "shares must add up to the loss");
+    }
+
+    #[test]
+    fn scores_past_the_factor_range_fall_back_to_one_exp_per_edge() {
+        // exp(720) overflows, so the product form reads inf where the
+        // per-edge value exp(LeakyReLU(720 − 715)) is e⁵.
+        assert_eq!(720f64.exp() * (-715f64).exp(), f64::INFINITY);
+        let (mut u, mut v) = scores(8, 8);
+        u[3] = 720.0;
+        v[6] = -715.0;
+        let entries = [(0, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0)];
+        let s = RStore::csr((8, 8), vec![csr(3, 3, &entries)], vec![(2, 4)]);
+        let e = PairExp::leaky_relu(&u, &v, 0.2);
+        assert!(!e.factored(), "a factor of these scores overflows");
+        let made = made_csr(&s, &e);
+        let at = [(2, 4), (2, 5), (3, 6), (4, 6)];
+        assert_made(&made, &e, (&u, &v, 0.2), &at, 2..5);
+        for &(i, j, x) in &made.0 {
+            assert_eq!(x.to_bits(), per_edge(u[i], v[j], 0.2).to_bits());
+        }
+        assert_eq!(made.0[2].2, 5f64.exp());
+
+        // A slope past 1 scales the scores out of range too.
+        let (u, v) = (vec![250.0; 8], scores(8, 8).1);
+        assert!(PairExp::leaky_relu(&u, &v, 0.2).factored());
+        assert!(!PairExp::leaky_relu(&u, &v, 1.5).factored());
+        // A score that is not finite keeps every factor out of it.
+        let mut v = v;
+        v[0] = f64::NAN;
+        assert!(!PairExp::leaky_relu(&scores(8, 8).0, &v, 0.2).factored());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not finite")]
+    fn a_slope_that_is_not_finite_is_rejected() {
+        let (u, v) = scores(4, 4);
+        PairExp::leaky_relu(&u, &v, f64::INFINITY);
     }
 
     #[test]

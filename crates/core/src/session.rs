@@ -72,6 +72,7 @@ use crate::global::GlobalProblem;
 use crate::kernel::{CombineSpec, KernelBuilder, KernelId, KernelPlan, PlannedCandidate};
 use crate::layout::repartition_dense;
 use crate::planview::{Operand, PlanView};
+use crate::rstore::PairExp;
 use crate::staged::StagedProblem;
 use crate::theory::{self, Algorithm};
 use crate::worker::DistWorker;
@@ -146,8 +147,6 @@ impl ReplanEvent {
 pub struct SessionBuilder {
     staged: Arc<StagedProblem>,
     builder: KernelBuilder<'static>,
-    elision: Option<Elision>,
-    c_max: usize,
     active: Option<usize>,
 }
 
@@ -157,8 +156,6 @@ impl SessionBuilder {
         SessionBuilder {
             staged,
             builder,
-            elision: None,
-            c_max: 16,
             active: None,
         }
     }
@@ -197,21 +194,17 @@ impl SessionBuilder {
     /// Cap the planner's replication-factor search (construction and
     /// replans; default 16).
     pub fn max_replication(mut self, c_max: usize) -> Self {
-        self.c_max = c_max;
         self.builder = self.builder.max_replication(c_max);
         self
     }
 
-    /// The elision strategy the session uses for fused calls,
-    /// overriding the plan's recommendation (the stored
-    /// [`Session::plan`] records the override). Must be supported by
-    /// the built kernel. An elided plan is dense-routed
-    /// ([`Algorithm::admits`]), so eliding pins [`Routing::Dense`].
+    /// Pin the elision strategy the session uses for fused calls: the
+    /// planner scores only algorithms with this elision (and their own
+    /// replication factor and routing; an elided plan is dense-routed,
+    /// [`Algorithm::admits`]), so the stored [`Session::plan`] is one
+    /// it priced.
     pub fn elision(mut self, elision: Elision) -> Self {
-        self.elision = Some(elision);
-        if elision != Elision::None {
-            self.builder = self.builder.routing(Routing::Dense);
-        }
+        self.builder = self.builder.elision(elision);
         self
     }
 
@@ -243,15 +236,11 @@ impl SessionBuilder {
         let active = world.split_by(|r| u64::from(r >= active_p));
         let worker = (world.rank() < active_p).then(|| self.builder.build(&active));
         // Planning is pure, so spares record the plan the actives built.
-        let mut plan = match &worker {
+        let plan = match &worker {
             Some(w) => w.plan(),
             None => self.builder.plan_with(active_p, *comm.model()),
         };
         let view = PlanView::new(&plan, active_p, self.staged.prob.dims);
-        if let Some(e) = self.elision {
-            assert!(view.supports(e), "{:?} does not support {e:?}", plan.id);
-            plan.elision = e;
-        }
         let row_groups = worker.is_some().then(|| row_groups(&active, view));
         Session {
             world,
@@ -261,7 +250,7 @@ impl SessionBuilder {
             worker,
             plan,
             row_groups,
-            c_max: self.c_max,
+            c_max: self.builder.c_max(),
             calls: 0,
             replan_log: Vec::new(),
         }
@@ -534,21 +523,23 @@ impl Session {
         self.w_mut().map_r(f);
     }
 
-    /// Store `f(u[i] + v[j])` at every stored nonzero `(i, j)` and
-    /// return the stored R rows' sums, reduced over the ranks that share
-    /// them (see
-    /// [`DistKernel::set_r_pair_sums`](crate::kernel::DistKernel::set_r_pair_sums)).
-    /// The fill is charged to [`Phase::OutsideCompute`], the reduction
-    /// to [`Phase::OutsideComm`].
-    pub fn set_r_pair_sums(&mut self, u: &[f64], v: &[f64], f: &dyn Fn(f64) -> f64) -> Vec<f64> {
-        let (w, comm) = self.w_mut_with_comm();
-        let _ph = comm.phase(Phase::OutsideCompute);
-        w.set_r_pair_sums(comm, Phase::OutsideComm, u, v, f)
-    }
-
     /// SpMMA with the stored R values against an explicit operand.
     pub fn spmm_a_with(&self, y: &Mat) -> Mat {
         self.w().spmm_a_with(y)
+    }
+
+    /// The GAT convolution `E·y` with `e`'s attention made per nonzero
+    /// inside the local SpMM, and `E`'s row sums reduced over the ranks
+    /// that share them (see
+    /// [`DistKernel::spmm_a_pair_exp`](crate::kernel::DistKernel::spmm_a_pair_exp));
+    /// the stored R values are left untouched. The kernel's rounds
+    /// charge their own phases; a valued block made for a ring is
+    /// charged to [`Phase::OutsideCompute`], the reduction to
+    /// [`Phase::OutsideComm`].
+    pub fn spmm_a_pair_exp(&self, y: &Mat, e: &PairExp) -> (Mat, Vec<f64>) {
+        let _ph = self.comm.phase(Phase::OutsideCompute);
+        self.w()
+            .spmm_a_pair_exp(&self.comm, Phase::OutsideComm, y, e)
     }
 
     /// ALS squared loss `‖C̃ − mask(A·Bᵀ)‖²` over the observed entries
@@ -737,8 +728,9 @@ impl Session {
 
     /// Re-run the planner against the observed problem and migrate when
     /// the predicted win clears `policy.hysteresis`; when the best
-    /// candidate is the kernel already in force, adopt its elision
-    /// without moving data. Collective over the active communicator:
+    /// candidate is the kernel already in force (its family, `c` and
+    /// routing), adopt its plan, elision included, without moving
+    /// data. Collective over the active communicator:
     /// every active rank must call with the same policy (decisions are
     /// deterministic, so all ranks agree). Returns (and logs) the
     /// decision.
@@ -785,7 +777,11 @@ impl Session {
             Some(comm_s + theory::predicted_comp_time(model, p, dims, observed_nnz))
         });
         let predicted_to_s = best.predicted_total_s();
-        let same_kernel = from.id == KernelId::Family(best.algorithm.family) && from.c == best.c;
+        // A routing is built into the worker (its need sets), so a
+        // kernel differing only in routing is another kernel.
+        let same_kernel = from.id == KernelId::Family(best.algorithm.family)
+            && from.c == best.c
+            && from.routing == best.routing;
         let win = predicted_from_s.map_or(f64::INFINITY, |f| f / predicted_to_s);
         let mut to = from;
         let moved = if pin.is_some() || (!same_kernel && win >= policy.hysteresis) {
@@ -797,7 +793,7 @@ impl Session {
             Some(self.move_state(&self.comm, Phase::Migration, &to, p, exported, has_r))
         } else {
             if same_kernel {
-                to.elision = best.algorithm.elision;
+                to = best.plan();
             }
             None
         };
@@ -1041,18 +1037,23 @@ mod tests {
         for o in &out {
             assert_eq!(o.value, (Elision::None, Elision::None));
         }
-        // Elision-only retune: an auto-planned session overridden to no
-        // elision stays on its kernel at the first replan and adopts
-        // the planner's elision — in the record and in the fused calls.
+        // Elision-only retune: a session moved onto the planner's kernel
+        // (family, c and dense routing) without its elision stays on
+        // that kernel at the next replan and adopts the planner's
+        // elision — in the record and in the fused calls.
         let out = world(8).run(move |comm| {
-            let mut s = Session::builder_arc(Arc::clone(&prob))
-                .elision(Elision::None)
-                .build(comm);
+            let mut s = Session::builder_arc(Arc::clone(&prob)).build(comm);
+            let auto = s.plan();
+            assert_eq!(auto.routing, Routing::Dense, "the planner's pick elides");
+            let family = auto.id.family().unwrap();
+            s.migrate(Algorithm::new(family, Elision::None), auto.c);
             let ev = s.replan(&ReplanPolicy::default());
             (ev, s.plan(), s.elision())
         });
         for o in &out {
             let (ev, plan, elision) = &o.value;
+            let admits = |p: &KernelPlan| p.algorithm().unwrap().admits(p.routing);
+            assert!(admits(&ev.from) && admits(plan), "{ev:?}");
             assert!(!ev.migrated, "a retune moves no data");
             assert_eq!(ev.from.elision, Elision::None, "the override was in force");
             assert_ne!(ev.to.elision, Elision::None, "the planner's pick elides");

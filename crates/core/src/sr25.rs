@@ -37,7 +37,7 @@ use crate::common::{
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::planview::{Operand, PlanView};
-use crate::rstore::RStore;
+use crate::rstore::{RStore, RValues};
 use crate::staged::StagedProblem;
 
 /// Tag for `A` panels (row-ring traffic).
@@ -211,6 +211,22 @@ impl SparseRepl25 {
     /// slice. `s` is the stationary block carrying the values to
     /// multiply with.
     fn spmm_round(&self, out: Operand, s: &CsrMatrix, x0: &Mat) -> Mat {
+        self.travel_round(out, s.nnz(), x0, |_, acc, xb| match out {
+            Operand::A => self.local.spmm.spmm_csr(acc, s, xb),
+            Operand::B => self.local.spmm_t.spmm_csr_t(acc, s, xb),
+        })
+    }
+
+    /// [`SparseRepl25::spmm_round`]'s data flow with the local kernel
+    /// `op(t, acc, x)` at step `t`, metered for `nnz` nonzeros: the
+    /// stationary block is walked once per step, `q` times in all.
+    fn travel_round(
+        &self,
+        out: Operand,
+        nnz: usize,
+        x0: &Mat,
+        mut op: impl FnMut(usize, &mut Mat, &Mat),
+    ) -> Mat {
         let (home, input) = match out {
             Operand::A => (&self.a_home, Operand::B),
             Operand::B => (&self.b_home, Operand::A),
@@ -226,10 +242,7 @@ impl SparseRepl25 {
             let xb = x.block();
             self.gc
                 .row_ring
-                .compute(kern::spmm_flops(s.nnz(), xb.ncols()), || match out {
-                    Operand::A => self.local.spmm.spmm_csr(&mut acc, s, xb),
-                    Operand::B => self.local.spmm_t.spmm_csr_t(&mut acc, s, xb),
-                });
+                .compute(kern::spmm_flops(nnz, xb.ncols()), || op(t, &mut acc, xb));
             let next = self.slice_at(t + 1).len();
             acc = Self::check_panel(pipe_out.exchange_mat(acc, t), next);
             x.arrive(hop);
@@ -330,8 +343,16 @@ impl DistKernel for SparseRepl25 {
         Some(&self.gc.row_ring)
     }
 
-    fn spmm_a_with(&self, y: &Mat) -> Mat {
-        self.spmm_round(Operand::A, &self.s_valued(true), y)
+    /// Made values are summed on the first of the block's `q` walks.
+    fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
+        let vals = self.r.csr_values(vals);
+        let mut sums = vals.sums();
+        let nnz = vals.blocks()[0].nnz();
+        let out = self.travel_round(Operand::A, nnz, y, |t, acc, xb| {
+            let sums = (t == 0).then_some(&mut sums[..]);
+            vals.spmm(self.local.spmm, 0, acc, xb, sums)
+        });
+        (out, sums)
     }
 
     fn a_iterate(&self) -> Mat {

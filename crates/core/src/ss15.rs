@@ -40,7 +40,7 @@ use crate::common::{
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::layout::DenseLayout;
 use crate::planview::{Operand, PlanView};
-use crate::rstore::RStore;
+use crate::rstore::{RStore, RValues};
 use crate::staged::StagedProblem;
 
 /// Tag for traveling sparse blocks.
@@ -355,17 +355,19 @@ impl DistKernel for SparseShift15 {
     /// Accumulates the full `m × slice` panel locally while the R-valued
     /// home block travels, then reduce-scatters along the fiber into
     /// the replicate `A` layout (GAT's convolution step).
-    fn spmm_a_with(&self, y: &Mat) -> Mat {
+    fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
         let y_layout = self.stat_layout(Operand::B);
         let y_stat = y_layout.split(y);
         let (m, width) = (self.view.dims().m, y_layout.width());
         let mut t_full = Mat::zeros(m, width);
-        self.spmm_round(&self.r.traveler(true), width, |w, b| {
+        let (traveler, sums) = self.r.traveler_of(vals);
+        self.spmm_round(&traveler, width, |w, b| {
             self.local.spmm.spmm_coo(&mut t_full, b, &y_stat[w])
         });
         // Fiber reduce-scatter into the replicate layout rows.
         let c = self.gc.grid.c;
-        reduce_rows(&self.gc.fiber, &t_full, |vv| block_range(m, c, vv))
+        let out = reduce_rows(&self.gc.fiber, &t_full, |vv| block_range(m, c, vv));
+        (out, sums)
     }
 
     fn a_iterate(&self) -> Mat {

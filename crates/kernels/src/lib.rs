@@ -18,7 +18,9 @@
 //!   (width-specialized unrolled inner loops for r ∈ {8, 16, 32, 64}),
 //!   and thread-parallel blocked forms, plus the fixed per-(op, format)
 //!   table of which one runs ([`LocalKernel::table`]) — like the
-//!   paper's one local kernel per op, nothing is measured at run time;
+//!   paper's one local kernel per op, nothing is measured at run time —
+//!   and [`spmm_csr_filled`], the SpMM whose values are made inside its
+//!   row loop (GAT attention, never stored);
 //! * `reference` — naive dense-arithmetic references every kernel is
 //!   tested against.
 //!
@@ -54,7 +56,7 @@ pub use sddmm::{
     apply_sampling, leaky_relu, sddmm_coo_acc, sddmm_csr, sddmm_csr_acc, SddmmCombine,
 };
 pub use spmm::{spmm_coo_acc, spmm_coo_t_acc, spmm_csr_acc, spmm_csr_t_acc};
-pub use variants::{LocalKernel, LocalOp, LocalPicks, SparseFormat};
+pub use variants::{spmm_csr_filled, LocalKernel, LocalOp, LocalPicks, SparseFormat};
 
 /// Flops of `out += S·B` with `nnz` nonzeros and `r`-wide dense rows:
 /// one multiply and one add per (nonzero, column).

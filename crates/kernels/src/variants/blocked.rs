@@ -175,6 +175,32 @@ pub(super) fn blocked_spmm_csr_acc(out: &mut Mat, s: &CsrMatrix, b: &Mat) {
     }
 }
 
+/// Register-blocked `out += S·B` (CSR) whose values are made per row
+/// and never stored: `fill(i, cols, vals)` writes row `i`'s values,
+/// aligned with `cols`, into a row-sized scratch that the row's
+/// width-dispatched gather then reads. The block's own values are not
+/// read, and empty rows are skipped without a call.
+pub(super) fn blocked_spmm_csr_fill_acc(
+    out: &mut Mat,
+    s: &CsrMatrix,
+    b: &Mat,
+    mut fill: impl FnMut(usize, &[u32], &mut [f64]),
+) {
+    assert_eq!(out.nrows(), s.nrows(), "output rows must match S rows");
+    assert_eq!(b.nrows(), s.ncols(), "B rows must match S cols");
+    assert_eq!(out.ncols(), b.ncols(), "output width must match B width");
+    let mut vals = Vec::new();
+    for i in 0..s.nrows() {
+        let (cols, _) = s.row(i);
+        if cols.is_empty() {
+            continue;
+        }
+        vals.resize(cols.len(), 0.0);
+        fill(i, cols, &mut vals);
+        spmm_row_blocked(cols, &vals, b, out.row_mut(i));
+    }
+}
+
 /// Register-blocked `out += Sᵀ·A` (CSR): the scatter keeps the naive
 /// per-nonzero order, but each axpy runs width-specialized.
 pub(super) fn blocked_spmm_csr_t_acc(out: &mut Mat, s: &CsrMatrix, a: &Mat) {

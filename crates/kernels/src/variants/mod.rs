@@ -250,6 +250,22 @@ impl LocalKernel {
     }
 }
 
+/// `out += S·B` on a CSR block whose values are made per row inside the
+/// row loop and never stored: `fill(i, cols, vals)` writes row `i`'s
+/// values (aligned with `cols`; empty rows get no call), which the
+/// row's width-dispatched register-blocked gather then multiplies in.
+/// One row loop serves every variant, like the fused kernel's: with
+/// `fill` copying the block's own values it is bit for bit
+/// [`LocalKernel::Blocked`]'s `spmm_csr`.
+pub fn spmm_csr_filled(
+    out: &mut Mat,
+    s: &CsrMatrix,
+    b: &Mat,
+    fill: impl FnMut(usize, &[u32], &mut [f64]),
+) {
+    blocked::blocked_spmm_csr_fill_acc(out, s, b, fill)
+}
+
 /// The variants a distributed kernel family runs for its four local
 /// ops. `Default` is all-[`LocalKernel::Naive`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -68,6 +68,27 @@ fn check_all_variants(label: &str, coo: &CooMatrix, r: usize, seed: u64) {
     let pre_m = Mat::random(m, r, seed + 2);
     let pre_n = Mat::random(n, r, seed + 3);
 
+    // CSR SpMM with values made per row: filled with the block's own
+    // values it is the blocked SpMM bit for bit, one call per non-empty
+    // row, in row order.
+    let mut want = pre_m.clone();
+    LocalKernel::Blocked.spmm_csr(&mut want, &s, &b);
+    let mut got = pre_m.clone();
+    let mut rows = Vec::new();
+    kern::spmm_csr_filled(&mut got, &s, &b, |i, cols, vals| {
+        let (own_cols, own_vals) = s.row(i);
+        assert_eq!(cols, own_cols, "{label} r={r}: row {i}'s columns");
+        vals.copy_from_slice(own_vals);
+        rows.push(i);
+    });
+    let nonempty: Vec<usize> = (0..m).filter(|&i| !s.row(i).0.is_empty()).collect();
+    assert_eq!(rows, nonempty, "{label} r={r}: fill calls");
+    assert_eq!(
+        bits(got.as_slice()),
+        bits(want.as_slice()),
+        "{label} r={r}: spmm_csr_filled"
+    );
+
     for v in LocalKernel::ALL {
         let ctx = format!("{label}: {v:?} r={r}");
 

@@ -289,6 +289,12 @@ fn elision_override_builds_a_plan_replan_can_price() {
                 ev.predicted_from_s.is_some(),
                 "{family:?} + {elision:?}: replan could not price the built plan {plan:?}"
             );
+            // The override was planned, not pasted onto another
+            // algorithm's plan: the build priced what replan prices.
+            assert_eq!(
+                plan.predicted_comm_s, ev.predicted_from_s,
+                "{family:?} + {elision:?}: the built plan {plan:?} is not the one replan priced"
+            );
         }
     }
 }
