@@ -7,89 +7,81 @@
 //! A socket world cannot hand a Rust closure to another process, so the
 //! launcher re-runs the *program*: rank 0 (the launcher — the process
 //! the user started) spawns the current executable once per additional
-//! rank, with `DSK_RANK`, `DSK_SPAWN_EPOCH`, and `DSK_RENDEZVOUS` in
-//! the environment. Inside a `cargo test` binary the child re-runs
-//! exactly the current test (libtest names each test's thread after the
-//! test, so the launcher passes `<name> --exact --test-threads=1`);
-//! plain binaries (examples, benches) are re-run with their original
-//! arguments. Every process therefore executes the *same deterministic
-//! program*, and each `SimWorld::run` / `try_run` call on a socket
-//! backend is one **epoch** of that program:
+//! rank, with `DSK_RANK` and `DSK_RENDEZVOUS` in the environment. Inside
+//! a `cargo test` binary the child re-runs exactly the current test
+//! (libtest names each test's thread after the test, so the launcher
+//! passes `<name> --exact --test-threads=1`); plain binaries (examples,
+//! benches) are re-run with their original arguments. Every process
+//! runs the *same deterministic program*, and each `SimWorld::run` /
+//! `try_run` call on a socket backend is one **epoch** of it:
 //!
-//! * the launcher and all pool processes count socket-backed epochs on
-//!   their test thread; the counter is the epoch id;
-//! * a child joins live epochs at `DSK_SPAWN_EPOCH` and replays any
-//!   earlier socket epochs on the in-process backend (word accounting
-//!   is backend-invariant, so the replay reproduces the same values —
-//!   and, for an epoch that failed, the same `Ok`/`Err` control flow
-//!   and dead world ranks, though the textual detail may differ);
-//! * at each epoch every pool process **rendezvouses** with the
-//!   coordinator: it dials in with its pool id and reads back the
-//!   epoch's [`Roster`] — see [`crate::rendezvous`] for the handshake
-//!   (protocol-version validation with a typed rejection). The echo
-//!   *is* the roster: a worker whose pool id sits at position `w` is
-//!   world rank `w`, and a worker whose pool id is absent (worlds may
-//!   shrink between epochs) is an *observer* that skips the closure
-//!   and awaits the epoch's verdict on the same stream;
-//! * members mesh up pairwise (every worker binds a Unix-domain
-//!   listener at `<base>/r<pool_id>.sock` in the launcher's private
-//!   temp dir, and dials every lower world rank), validating a
-//!   [`Hello`] (world rank, world size, epoch) on every connection, so
-//!   diverged or stale processes fail loudly instead of corrupting the
-//!   mesh.
+//! * every process counts socket epochs on its live thread (the test's
+//!   thread, or a plain binary's main thread); the counter is the epoch
+//!   id. A worker that meets a socket epoch on another thread exits
+//!   with that rule named: no coordinator serves it, no verdict names it;
+//! * the launcher keeps a **verdict log**, one entry per epoch: its
+//!   [`Roster`] and the verdict frame it ended with (below), or the text
+//!   of the launcher panic that ended it. A worker spawned at epoch `k`
+//!   reads the first `k` entries once, from a file the launcher writes
+//!   into the rendezvous dir before the spawn. For those epochs it
+//!   skips the closure and returns the logged verdict through the decode
+//!   a live worker uses — the same outcomes, the same [`EpochError`], or
+//!   the same panic — so the pool may grow at any epoch, after a death
+//!   too;
+//! * at each live epoch every pool process dials the coordinator with
+//!   its pool id and reads back the epoch's [`Roster`] (see
+//!   [`crate::rendezvous`] for the version-checked handshake). The echo
+//!   *is* the roster: the worker at position `w` is world rank `w`, and
+//!   a worker absent from it (worlds may shrink) *observes*: it skips the
+//!   closure and awaits the verdict on the same stream;
+//! * members mesh up pairwise (each binds `<base>/r<pool_id>.sock` in
+//!   the launcher's private temp dir and dials every lower world rank),
+//!   validating a [`Hello`] (world rank, world size, epoch) on every
+//!   connection, so diverged processes fail loudly.
+//!
+//! The contract: **an epoch acts on the program only through its
+//! returned value.** A worker runs its own rank's closure in a live
+//! epoch and no closure in an epoch before its spawn, so a closure's
+//! side effects (a static it bumps, a file it writes) reach only the
+//! process that ran it. State that outlives an epoch travels in the
+//! value — the outcome broadcast is an elastic program's checkpoint.
 //!
 //! # The epoch protocol
 //!
-//! There is one protocol, with one body per role (launcher, rank-0
-//! epoch, member, observer). After its closure every rank runs the
-//! drain protocol (`Bye` to every peer, wait for every peer's `Bye`,
-//! then require an empty mailbox), members send their encoded value +
-//! [`RankStats`] to rank 0 in an `Outcome` frame, and every process
-//! then waits for rank 0's **verdict**:
+//! One protocol, one body per role (launcher, rank-0 epoch, member,
+//! observer). After its closure every rank drains (`Bye` to every peer,
+//! wait for every peer's `Bye`, require an empty mailbox), members send
+//! their encoded value + [`RankStats`] to rank 0 in an `Outcome` frame,
+//! and every process waits for rank 0's **verdict**:
 //!
-//! * `OutcomeSet` — the epoch completed. Rank 0 broadcasts the full
-//!   outcome set and **every process returns the identical
-//!   `Vec<RankOutcome<T>>`**, keeping the SPMD program in lockstep for
-//!   the next epoch. This is why socket worlds require
-//!   `T: WirePayload`: results genuinely cross process boundaries.
-//! * `Abort` — a rank failed. Any local failure (a panic in the
-//!   closure, a poisoned receive, a leaked message) is reported to
-//!   rank 0 in an `Error` frame; rank 0 nudges members that are still
-//!   blocked, collects a check-in from every member (an `Outcome`, an
-//!   `Error`, or the member's process exit), and broadcasts an `Abort`
-//!   frame naming the dead **pool ids**. Every surviving process
-//!   derives the identical [`EpochError`] from it.
+//! * `OutcomeSet` — the epoch completed, and **every process returns
+//!   the identical `Vec<RankOutcome<T>>`** (hence `T: WirePayload`).
+//! * `Abort` — a rank failed. A local failure (a closure panic, a
+//!   poisoned receive, a leaked message) reaches rank 0 in an `Error`
+//!   frame; rank 0 nudges blocked members, collects a check-in from
+//!   every member (an `Outcome`, an `Error`, or its process exit) and
+//!   broadcasts the dead **pool ids**. Every survivor derives the
+//!   identical [`EpochError`] from them.
 //!
-//! What the caller does with a failed epoch is the only difference
-//! between the two entry points. [`SimWorld::try_run`] returns the
-//! `EpochError` and the pool survives: the coordinator drops the dead
-//! children from its pool, so the next epoch's roster
-//! ([`crate::rendezvous::roster_for`] over the live pool ids) omits
-//! them, and every worker learns its new seat from the echo. Liveness
-//! is tracked in the coordinator's pool alone; no worker keeps a dead
-//! set or computes a roster. [`SimWorld::run`] is the same epoch
-//! plus teardown: the launcher kills the whole pool and panics with the
-//! root cause as `rank N panicked: …`, matching the in-memory backends'
-//! diagnostics, and a worker exits non-zero — no orphaned processes.
-//!
-//! Two hard limitations are enforced rather than half-supported: the
-//! coordinator itself (pool id 0 = world rank 0) is not expendable —
-//! its death kills the pool; and the pool cannot **grow** after a
-//! death, because a freshly spawned worker would have to replay the
-//! failed epoch in-process, which is not reproducible (a worker that
-//! died via `process::exit` would kill the replayer). Restart the
-//! program to rebuild a full pool.
+//! [`SimWorld::try_run`] returns that `EpochError` and the pool
+//! survives: the coordinator drops the dead children, so the next
+//! roster ([`crate::rendezvous::roster_for`] over the live pool ids)
+//! omits them. Liveness lives in the coordinator's pool alone.
+//! [`SimWorld::run`] is the same epoch plus teardown: the launcher
+//! kills the pool and panics with `rank N panicked: …`, like the
+//! in-memory backends, and a worker exits non-zero. One limitation is
+//! enforced rather than half-supported: the coordinator (pool id 0 =
+//! world rank 0) is not expendable — its death kills the pool.
 //!
 //! # Failure containment
 //!
-//! A child that dies silently triggers mailbox poison at every peer
+//! A child that dies silently poisons every peer's mailbox
 //! (milliseconds, not the 300 s watchdog). A failure the protocol
-//! cannot end consistently — a failed rendezvous, members that stay
-//! unresponsive through an abort, a member lost between its `Outcome`
-//! and the broadcast — panics in the launcher, and an epoch guard
-//! kills the whole pool before the panic propagates; children
-//! additionally poll their parent pid while waiting. On success,
-//! children simply finish their copy of the program and exit 0; a
+//! cannot end consistently — a failed rendezvous, members unresponsive
+//! through an abort, a member lost between its `Outcome` and the
+//! broadcast — panics in the launcher, which kills the pool before the
+//! panic propagates; children also poll their parent pid while waiting. On
+//! success, children finish their copy of the program and exit 0; a
 //! reaper thread collects them.
 //!
 //! [`Hello`]: crate::frame::Hello
@@ -113,18 +105,15 @@ use crate::frame::{
 };
 use crate::payload::{WirePayload, WireReader};
 use crate::rendezvous::{self, Roster};
-use crate::socket::{connect_deadline, EpochVerdict, SocketBackend, SocketListener};
+use crate::socket::{connect_deadline, SocketBackend, SocketListener};
 use crate::stats::RankStats;
 use crate::trace::{self, ArgVal, TraceEvent, TraceKind};
 use crate::world::{
     panic_text, run_rank, trace_abort, EpochError, EpochFailure, RankOutcome, SimWorld,
 };
-use crate::BackendKind;
+
 /// Rank of a spawned worker process.
 pub const RANK_ENV_VAR: &str = "DSK_RANK";
-/// First epoch a spawned worker joins live (earlier socket epochs
-/// replay in-process).
-pub const SPAWN_EPOCH_ENV_VAR: &str = "DSK_SPAWN_EPOCH";
 /// Rendezvous base: a directory for Unix-domain sockets.
 pub const RENDEZVOUS_ENV_VAR: &str = "DSK_RENDEZVOUS";
 /// Test name the pool serves (workers ignore socket worlds on other
@@ -132,7 +121,7 @@ pub const RENDEZVOUS_ENV_VAR: &str = "DSK_RENDEZVOUS";
 pub const TEST_NAME_ENV_VAR: &str = "DSK_TEST_NAME";
 
 /// How long ranks wait for the per-epoch rendezvous (covers child boot
-/// plus replay of earlier epochs).
+/// plus the program's run-up to the epoch).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(120);
 /// Slack added to the receive watchdog for post-closure control waits.
 const CONTROL_SLACK: Duration = Duration::from_secs(10);
@@ -141,43 +130,41 @@ const CONTROL_SLACK: Duration = Duration::from_secs(10);
 // Role detection
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
+/// A spawned worker's identity: its pool id, the rendezvous dir, the
+/// thread it serves, and the verdicts it missed.
+#[derive(Debug)]
 struct ChildInfo {
     rank: usize,
-    spawn_epoch: u64,
     base: String,
     test_name: Option<String>,
     initial_ppid: u32,
+    /// The verdicts of the epochs before this worker's spawn.
+    missed: Vec<LogEntry>,
 }
 
-#[derive(Debug, Clone)]
-enum Role {
-    Launcher,
-    Child(ChildInfo),
-}
-
-fn role() -> &'static Role {
-    static ROLE: OnceLock<Role> = OnceLock::new();
-    ROLE.get_or_init(|| match std::env::var(RANK_ENV_VAR) {
-        Err(_) => Role::Launcher,
-        Ok(r) => Role::Child(ChildInfo {
-            rank: r.parse().expect("DSK_RANK must be a rank number"),
-            spawn_epoch: std::env::var(SPAWN_EPOCH_ENV_VAR)
-                .expect("DSK_SPAWN_EPOCH missing")
-                .parse()
-                .expect("DSK_SPAWN_EPOCH must be an epoch number"),
-            base: std::env::var(RENDEZVOUS_ENV_VAR).expect("DSK_RENDEZVOUS missing"),
+/// This process's worker identity; `None` in the launcher.
+fn child() -> Option<&'static ChildInfo> {
+    static CHILD: OnceLock<Option<ChildInfo>> = OnceLock::new();
+    let info = CHILD.get_or_init(|| {
+        let rank = std::env::var(RANK_ENV_VAR).ok()?;
+        let rank = rank.parse().expect("DSK_RANK must be a rank number");
+        let base = std::env::var(RENDEZVOUS_ENV_VAR).expect("DSK_RENDEZVOUS missing");
+        Some(ChildInfo {
+            missed: read_log(&pool_file(&base, rank, "log")),
+            rank,
+            base,
             test_name: std::env::var(TEST_NAME_ENV_VAR).ok(),
             initial_ppid: std::os::unix::process::parent_id(),
-        }),
-    })
+        })
+    });
+    info.as_ref()
 }
 
 /// Whether this process is a spawned socket worker (a `DSK_RANK` child)
 /// rather than the process the user started. Benchmark mains use this
 /// to skip report writing in workers.
 pub fn is_worker_process() -> bool {
-    matches!(role(), Role::Child(_))
+    child().is_some()
 }
 
 fn parent_died(info: &ChildInfo) -> Option<String> {
@@ -190,31 +177,32 @@ fn parent_died(info: &ChildInfo) -> Option<String> {
     })
 }
 
-// ---------------------------------------------------------------------
-// Endpoints
-// ---------------------------------------------------------------------
-
-/// The socket pool process `pool_id` listens on.
-fn endpoint_for(base: &str, pool_id: usize) -> PathBuf {
-    Path::new(base).join(format!("r{pool_id}.sock"))
+/// Pool process `pool_id`'s file in the rendezvous dir: the socket it
+/// listens on (`sock`), or the verdict log written for its spawn (`log`).
+fn pool_file(base: &str, pool_id: usize, ext: &str) -> PathBuf {
+    Path::new(base).join(format!("r{pool_id}.{ext}"))
 }
 
 // ---------------------------------------------------------------------
-// Per-thread epoch counter and pools
+// Per-thread epoch counter, verdict log and pools
 // ---------------------------------------------------------------------
+
+/// One socket epoch as it ended: its roster and its verdict frame — an
+/// `OutcomeSet` (trace events stripped), an `Abort`, or an `Error`
+/// carrying the text of the launcher panic that ended the epoch.
+type LogEntry = (Roster, Frame);
 
 thread_local! {
     static EPOCH: Cell<u64> = const { Cell::new(0) };
+    /// The launcher's verdict log: one entry per epoch of [`EPOCH`].
+    /// Not in [`Pool`], because a rebuilt pool's workers need it whole.
+    static LOG: RefCell<Vec<LogEntry>> = const { RefCell::new(Vec::new()) };
     static POOL: RefCell<Option<Pool>> = const { RefCell::new(None) };
     static CHILD_LISTENER: RefCell<Option<SocketListener>> = const { RefCell::new(None) };
 }
 
 fn next_epoch() -> u64 {
-    EPOCH.with(|e| {
-        let cur = e.get();
-        e.set(cur + 1);
-        cur
-    })
+    EPOCH.with(|e| e.replace(e.get() + 1))
 }
 
 struct Pool {
@@ -222,19 +210,16 @@ struct Pool {
     /// Pool id 0 is the launcher itself and never appears here. This
     /// is the only record of liveness: rosters are computed from it.
     children: Vec<(usize, Child)>,
-    /// Children ever spawned; `children.len() < spawned` exactly when
-    /// one of them died.
+    /// Children ever spawned: the last pool id handed out.
     spawned: usize,
     /// Rank 0's persistent rendezvous listener.
     listener: SocketListener,
     /// The rendezvous dir: a private temp dir, removed at drop.
     base: String,
-    dead: bool,
 }
 
 impl Pool {
     fn kill_all(&mut self) {
-        self.dead = true;
         for (_, c) in &mut self.children {
             let _ = c.kill();
             let _ = c.wait();
@@ -264,26 +249,26 @@ impl Drop for Pool {
     }
 }
 
-/// Kills the pool if an epoch unwinds before completing, so a failing
-/// test never leaves worker processes behind. A *handled* abort disarms
-/// it — the pool survives a rank death (whether it survives the caller
-/// is [`teardown`]'s business).
-struct EpochGuard<'a, 'b> {
-    pool: &'a mut std::cell::RefMut<'b, Option<Pool>>,
-    armed: bool,
-}
-
-impl Drop for EpochGuard<'_, '_> {
-    fn drop(&mut self) {
-        if self.armed {
-            if let Some(p) = self.pool.as_mut() {
-                p.kill_all();
-            }
-        }
+/// Kill this thread's pool, if any; the next epoch builds a fresh one.
+fn kill_pool() {
+    if let Some(mut pool) = POOL.with(|pool| pool.borrow_mut().take()) {
+        pool.kill_all();
     }
 }
 
-fn spawn_child(rank: usize, epoch: u64, base: &str, test_name: Option<&str>) -> Child {
+/// Spawn pool process `pool_id`, handing it the verdicts of every
+/// epoch so far.
+fn spawn_child(pool_id: usize, base: &str, test_name: Option<&str>) -> Child {
+    let mut log = Vec::new();
+    LOG.with(|entries| {
+        for (roster, verdict) in entries.borrow().iter() {
+            let roster = Frame::control(FrameKind::Roster, 0, roster.to_payload());
+            write_frame(&mut log, &roster).expect("writing to a Vec");
+            write_frame(&mut log, verdict).expect("writing to a Vec");
+        }
+    });
+    let path = pool_file(base, pool_id, "log");
+    std::fs::write(&path, log).unwrap_or_else(|e| panic!("writing {path:?}: {e}"));
     let exe = std::env::current_exe().expect("current_exe for socket worker spawn");
     let mut cmd = Command::new(exe);
     match test_name {
@@ -295,14 +280,28 @@ fn spawn_child(rank: usize, epoch: u64, base: &str, test_name: Option<&str>) -> 
             cmd.args(std::env::args().skip(1));
         }
     }
-    cmd.env(RANK_ENV_VAR, rank.to_string())
-        .env(SPAWN_EPOCH_ENV_VAR, epoch.to_string())
+    cmd.env(RANK_ENV_VAR, pool_id.to_string())
         .env(RENDEZVOUS_ENV_VAR, base)
         .stdin(Stdio::null())
         // Workers re-print the whole program's stdout; drop it. Stderr
         // stays inherited so panic backtraces reach the console.
         .stdout(Stdio::null());
     cmd.spawn().expect("spawn socket worker process")
+}
+
+/// A worker's missed verdicts, as [`spawn_child`] wrote them.
+fn read_log(path: &Path) -> Vec<LogEntry> {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("reading {path:?}: {e}"));
+    let _ = std::fs::remove_file(path); // read once
+    let mut r = bytes.as_slice();
+    let mut frame = || read_frame(&mut r).unwrap_or_else(|e| panic!("bad frame in {path:?}: {e}"));
+    let mut log = Vec::new();
+    while let Some(roster) = frame() {
+        let roster = Roster::from_payload(&roster.payload)
+            .unwrap_or_else(|e| panic!("bad Roster in {path:?}: {e}"));
+        log.push((roster, frame().expect("every logged roster has a verdict")));
+    }
+    log
 }
 
 /// The test this thread is running, as libtest names it — `None` when
@@ -368,17 +367,6 @@ fn decode_outcome_set(bytes: &[u8]) -> Vec<OutcomeEntry> {
     out
 }
 
-fn outcomes_from_set<T: WirePayload>(set: &[OutcomeEntry]) -> Vec<RankOutcome<T>> {
-    set.iter()
-        .enumerate()
-        .map(|(rank, (value, stats, _events))| RankOutcome {
-            rank,
-            value: T::from_wire(value),
-            stats: stats.clone(),
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------
 // Handshake helpers
 // ---------------------------------------------------------------------
@@ -412,30 +400,13 @@ fn read_control(
     Ok(frame.payload)
 }
 
-fn read_hello(stream: &mut UnixStream, deadline: Instant) -> Result<Hello, String> {
-    let payload = read_control(stream, FrameKind::Hello, deadline)?;
-    Hello::from_payload(&payload).map_err(|e| format!("bad Hello payload: {e}"))
-}
-
-fn read_roster(stream: &mut UnixStream, deadline: Instant) -> Result<Roster, String> {
-    let payload = read_control(stream, FrameKind::Roster, deadline)?;
-    Roster::from_payload(&payload).map_err(|e| format!("bad Roster payload: {e}"))
-}
-
 fn validate_hello(hello: &Hello, epoch: u64, n: usize) -> Result<(), String> {
     rendezvous::validate_peer(hello).map_err(|e| e.to_string())?;
-    if hello.epoch != epoch {
+    if hello.epoch != epoch || hello.world_size as usize != n {
         return Err(format!(
-            "rank {} is at epoch {}, this world is epoch {epoch} — \
-             the SPMD program diverged across processes",
-            hello.rank, hello.epoch
-        ));
-    }
-    if hello.world_size as usize != n {
-        return Err(format!(
-            "rank {} expects a {}-rank world, this world has {n} ranks — \
-             the SPMD program diverged across processes",
-            hello.rank, hello.world_size
+            "rank {} is at epoch {} of a {}-rank world, this is epoch {epoch} of {n} \
+             ranks — the SPMD program diverged across processes",
+            hello.rank, hello.epoch, hello.world_size
         ));
     }
     Ok(())
@@ -478,6 +449,31 @@ fn failure_from_abort(
     }
 }
 
+/// Decode an epoch's verdict frame into the epoch's result — the one
+/// decode that members, observers and a grown worker's missed epochs
+/// share. `cause` is this process's own view of a failure's root cause.
+/// A logged `Error` is the launcher's panic, raised again.
+fn decode_verdict<T: WirePayload>(
+    verdict: &Frame,
+    roster: &Roster,
+    cause: Option<String>,
+) -> Result<Vec<RankOutcome<T>>, EpochFailure> {
+    match verdict.kind {
+        FrameKind::OutcomeSet => Ok(decode_outcome_set(&verdict.payload)
+            .into_iter()
+            .enumerate()
+            .map(|(rank, (value, stats, _events))| RankOutcome {
+                rank,
+                value: T::from_wire(&value),
+                stats,
+            })
+            .collect()),
+        FrameKind::Abort => Err(failure_from_abort(&verdict.payload, roster, None, cause)),
+        FrameKind::Error => panic!("{}", String::from_utf8_lossy(&verdict.payload)),
+        kind => panic!("expected an epoch verdict, got {kind:?}"),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------
@@ -493,48 +489,74 @@ where
     T: WirePayload,
 {
     let epoch = next_epoch();
-    match role() {
-        Role::Launcher => run_as_launcher(world, f, epoch),
-        // Not this worker's live epoch: the in-process backend
-        // reproduces the same values, word counts and verdict.
-        Role::Child(info) if !on_live_thread(info, epoch) => replay_inproc(world, f),
-        Role::Child(info) => run_as_worker(world, f, epoch, info),
+    let Some(info) = child() else {
+        return run_logged(world, f, epoch);
+    };
+    if !on_live_thread(info) {
+        child_fail(
+            None,
+            format!(
+                "rank {}: socket epoch {epoch} ran off this worker's live thread ({}) — a \
+                 worker runs socket epochs only there, and holds no verdict for others",
+                info.rank,
+                info.test_name.as_deref().unwrap_or("main"),
+            ),
+        );
     }
+    match info.missed.get(epoch as usize) {
+        // An epoch before this worker's spawn: its logged verdict, with
+        // no pool of this process's to tear down.
+        Some((roster, verdict)) => {
+            decode_verdict(verdict, roster, None).map_err(|e| EpochFailure { pooled: false, ..e })
+        }
+        None => run_as_worker(world, f, epoch, info),
+    }
+}
+
+/// The launcher's epoch, logged: [`run_rank0_epoch`] logs the verdict it
+/// delivers. An epoch that unwinds instead kills the pool, so a failing
+/// test never leaves worker processes behind, and is logged as its
+/// panic's text (under a roster of no members: a replay needs none).
+fn run_logged<T: WirePayload>(
+    world: &SimWorld,
+    f: &(dyn Fn(&mut Comm) -> T + Sync),
+    epoch: u64,
+) -> Result<Vec<RankOutcome<T>>, EpochFailure> {
+    let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_as_launcher(world, f, epoch)
+    }));
+    let logged = || LOG.with(|log| log.borrow().len() as u64);
+    if let Err(p) = &ended {
+        kill_pool();
+        if logged() == epoch {
+            let text = panic_text(&**p).into_bytes();
+            let verdict = Frame::control(FrameKind::Error, 0, text);
+            log_verdict(&rendezvous::roster_for(epoch, &[], 0), verdict);
+        }
+    }
+    assert_eq!(logged(), epoch + 1, "one logged verdict per epoch");
+    ended.unwrap_or_else(|p| std::panic::resume_unwind(p))
+}
+
+fn log_verdict(roster: &Roster, verdict: Frame) {
+    LOG.with(|log| log.borrow_mut().push((roster.clone(), verdict)));
 }
 
 /// [`SimWorld::run`]'s teardown after a failed pooled epoch: the
 /// launcher kills its pool, a worker dies with the cause on stderr.
 pub(crate) fn teardown(cause: &str) {
-    match role() {
-        Role::Launcher => POOL.with(|pool| {
-            if let Some(pool) = pool.borrow_mut().as_mut() {
-                pool.kill_all();
-            }
-        }),
-        Role::Child(_) => child_fail(None, cause.to_string()),
+    if child().is_some() {
+        child_fail(None, cause.to_string());
     }
+    kill_pool();
 }
 
-fn on_live_thread(info: &ChildInfo, epoch: u64) -> bool {
-    let on_my_thread = match (&info.test_name, current_test_name()) {
+fn on_live_thread(info: &ChildInfo) -> bool {
+    match (&info.test_name, current_test_name()) {
         (Some(want), Some(have)) => *want == have,
         (Some(_), None) => false,
         (None, have) => have.is_none(),
-    };
-    on_my_thread && epoch >= info.spawn_epoch
-}
-
-fn replay_inproc<T>(
-    world: &SimWorld,
-    f: &(dyn Fn(&mut Comm) -> T + Sync),
-) -> Result<Vec<RankOutcome<T>>, EpochFailure>
-where
-    T: WirePayload,
-{
-    SimWorld::new(world.nranks(), *world.model())
-        .with_recv_timeout(world.recv_timeout_raw())
-        .backend(BackendKind::InProc)
-        .epoch(f)
+    }
 }
 
 /// Send a control frame, reporting a dead writer instead of panicking.
@@ -569,49 +591,35 @@ fn drain_epoch(backend: &SocketBackend, deadline: Instant) -> Result<(), String>
 // Launcher (rank 0)
 // ---------------------------------------------------------------------
 
-/// Build or grow the pool for an epoch of `n` ranks. Returns `false`
+/// Build or grow the pool for an epoch of `n` ranks. Returns `None`
 /// when no pool exists (single-rank world: peerless backend).
-fn ensure_pool(pool_slot: &mut Option<Pool>, n: usize, epoch: u64) -> bool {
-    let need_fresh = pool_slot.as_ref().is_none_or(|p| p.dead);
-    if need_fresh && n > 1 {
-        *pool_slot = None; // drop (and reap) any dead pool first
+fn ensure_pool(pool_slot: &mut Option<Pool>, n: usize) -> Option<&mut Pool> {
+    if pool_slot.is_none() && n > 1 {
         static POOL_SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = POOL_SEQ.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("dsk-sock-{}-{seq}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create rendezvous dir");
         let base = dir.to_str().expect("rendezvous dir is UTF-8").to_string();
-        let listener = SocketListener::bind(&endpoint_for(&base, 0)).expect("bind rank 0 listener");
-        let test_name = current_test_name();
-        let children = (1..n)
-            .map(|r| (r, spawn_child(r, epoch, &base, test_name.as_deref())))
-            .collect();
+        let listener =
+            SocketListener::bind(&pool_file(&base, 0, "sock")).expect("bind rank 0 listener");
         *pool_slot = Some(Pool {
-            children,
-            spawned: n - 1,
+            children: Vec::new(),
+            spawned: 0,
             listener,
             base,
-            dead: false,
         });
-    } else if let Some(pool) = pool_slot.as_mut() {
-        // Grow the pool when a later world is wider: new workers replay
-        // earlier epochs in-process and join live here.
-        if pool.children.len() + 1 < n {
-            assert!(
-                pool.children.len() == pool.spawned,
-                "cannot grow a socket world after a rank death: a fresh worker would have \
-                 to replay the aborted epoch in-process, which is not reproducible — \
-                 restart the program to rebuild a full pool"
-            );
-            let test_name = current_test_name();
-            while pool.children.len() + 1 < n {
-                pool.spawned += 1;
-                let r = pool.spawned;
-                pool.children
-                    .push((r, spawn_child(r, epoch, &pool.base, test_name.as_deref())));
-            }
-        }
     }
-    pool_slot.is_some()
+    let pool = pool_slot.as_mut()?;
+    // Fill the pool up to the world: a new worker reads the verdicts of
+    // the earlier epochs and joins live here.
+    let test_name = current_test_name();
+    while pool.children.len() + 1 < n {
+        pool.spawned += 1;
+        let id = pool.spawned;
+        let child = spawn_child(id, &pool.base, test_name.as_deref());
+        pool.children.push((id, child));
+    }
+    Some(pool)
 }
 
 /// Accept one connection on `listener` before `deadline` and return its
@@ -629,7 +637,8 @@ fn accept_hello(
         let slice = (Instant::now() + Duration::from_millis(200)).min(deadline);
         match listener.accept_deadline(slice) {
             Ok(mut stream) => {
-                let hello = read_hello(&mut stream, deadline)?;
+                let hello = read_control(&mut stream, FrameKind::Hello, deadline)?;
+                let hello = Hello::from_payload(&hello).map_err(|e| format!("bad Hello: {e}"))?;
                 validate_hello(&hello, epoch, n)?;
                 return Ok((hello, stream));
             }
@@ -709,7 +718,7 @@ where
     let n = world.nranks();
     POOL.with(|pool_cell| {
         let mut pool_slot = pool_cell.borrow_mut();
-        if !ensure_pool(&mut pool_slot, n, epoch) {
+        let Some(pool) = ensure_pool(&mut pool_slot, n) else {
             // Single-rank world with no pool: a peerless socket backend
             // whose lone rank is the coordinator.
             trace::install_and_sync(0);
@@ -717,34 +726,16 @@ where
                 .expect("assemble peerless socket backend");
             let roster = rendezvous::roster_for(epoch, &[0], 1);
             return run_rank0_epoch(world, f, backend, Vec::new(), &mut Vec::new(), &roster);
-        }
-
-        let mut guard = EpochGuard {
-            pool: &mut pool_slot,
-            armed: true,
         };
-        let pool = guard.pool.as_mut().unwrap();
         let mut live = vec![0usize];
         live.extend(pool.children.iter().map(|(id, _)| *id));
         let roster = rendezvous::roster_for(epoch, &live, n);
-        trace::install(0);
         let rdv_start = Instant::now();
-        let (backend, observers) =
-            launcher_rendezvous(pool, world, epoch, &roster).unwrap_or_else(|e| {
-                pool.kill_all();
-                panic!("socket rendezvous failed: {e}")
-            });
-        trace::complete(TraceKind::Epoch, "epoch.rendezvous", rdv_start, || {
-            vec![
-                ("epoch".to_string(), ArgVal::Num(epoch as f64)),
-                ("ranks".to_string(), ArgVal::Num(n as f64)),
-            ]
-        });
-        trace::sync();
-        let result = run_rank0_epoch(world, f, backend, observers, &mut pool.children, &roster);
+        let (backend, observers) = launcher_rendezvous(pool, world, epoch, &roster)
+            .unwrap_or_else(|e| panic!("socket rendezvous failed: {e}"));
+        trace_rendezvous(0, epoch, n, rdv_start);
         // Both outcomes are *handled* — the pool survives an abort.
-        guard.armed = false;
-        result
+        run_rank0_epoch(world, f, backend, observers, &mut pool.children, &roster)
     })
 }
 
@@ -754,7 +745,7 @@ where
 /// failure enters the abort protocol instead — collect a check-in from
 /// every member, broadcast the dead pool ids, shrink `children`, and
 /// return the shared [`EpochError`]. A failure the protocol cannot end
-/// consistently panics, and the caller's [`EpochGuard`] kills the pool.
+/// consistently panics, and [`run_logged`] kills the pool.
 fn run_rank0_epoch<T>(
     world: &SimWorld,
     f: &(dyn Fn(&mut Comm) -> T + Sync),
@@ -793,8 +784,9 @@ where
             // must not exit before the broadcast bytes reach the sockets
             // (the per-peer writers are idle here — their Byes flushed
             // before any Outcome could have arrived).
-            let set_frame_bytes =
-                Frame::control(FrameKind::OutcomeSet, 0, encode_outcome_set(&entries)).to_bytes();
+            let mut set_frame =
+                Frame::control(FrameKind::OutcomeSet, 0, encode_outcome_set(&entries));
+            let set_frame_bytes = set_frame.to_bytes();
             for r in 1..n {
                 if let Err(e) = backend.write_frame_bytes_sync(r, &set_frame_bytes) {
                     // A member died *after* reporting its outcome: some
@@ -809,12 +801,16 @@ where
                 let _ = obs.write_all(&set_frame_bytes);
             }
             backend.mark_finished();
-            trace::gather_epoch(
-                entries
-                    .iter_mut()
-                    .map(|e| std::mem::take(&mut e.2))
-                    .collect(),
-            );
+            let events: Vec<Vec<TraceEvent>> = entries
+                .iter_mut()
+                .map(|e| std::mem::take(&mut e.2))
+                .collect();
+            if events.iter().any(|e| !e.is_empty()) {
+                // The log keeps the verdict without its trace events.
+                set_frame.payload = encode_outcome_set(&entries);
+            }
+            log_verdict(roster, set_frame);
+            trace::gather_epoch(events);
             // Rank 0 keeps its own typed value; members' values decode
             // from their outcome bytes.
             let mut out = Vec::with_capacity(n);
@@ -885,7 +881,8 @@ where
         members: dead_pool_ids.iter().map(|&id| id as u32).collect(),
     }
     .to_payload();
-    let abort_frame_bytes = Frame::control(FrameKind::Abort, 0, abort_payload.clone()).to_bytes();
+    let abort_frame = Frame::control(FrameKind::Abort, 0, abort_payload.clone());
+    let abort_frame_bytes = abort_frame.to_bytes();
     for w in 1..n {
         if !dead_pool_ids.contains(&(roster.members[w] as usize)) {
             let _ = try_control(&backend, w, FrameKind::Abort, abort_payload.clone());
@@ -897,6 +894,7 @@ where
         }
     }
     backend.mark_finished();
+    log_verdict(roster, abort_frame);
 
     // Rank 0's own timeline still reaches the trace file: survivors'
     // buffers cannot ride Outcome frames through an abort (under the
@@ -955,17 +953,18 @@ fn worker_rendezvous(
     CHILD_LISTENER.with(|cell| {
         let mut slot = cell.borrow_mut();
         if slot.is_none() {
-            let ep = endpoint_for(&info.base, info.rank);
+            let ep = pool_file(&info.base, info.rank, "sock");
             *slot = Some(SocketListener::bind(&ep).map_err(|e| format!("binding {ep:?}: {e}"))?);
         }
         let listener = slot.as_ref().expect("the listener is bound above");
 
-        let mut s0 = connect_deadline(&endpoint_for(&info.base, 0), deadline, &abort)?;
+        let mut s0 = connect_deadline(&pool_file(&info.base, 0, "sock"), deadline, &abort)?;
         send_hello(
             &mut s0,
             rendezvous::local_hello(info.rank as u32, n as u32, epoch),
         )?;
-        let roster = read_roster(&mut s0, deadline)?;
+        let roster = read_control(&mut s0, FrameKind::Roster, deadline)?;
+        let roster = Roster::from_payload(&roster).map_err(|e| format!("bad Roster: {e}"))?;
         if roster.epoch != epoch || roster.members.len() != n {
             return Err(format!(
                 "the coordinator sent a {}-member roster for epoch {}, expected {n} members \
@@ -984,7 +983,7 @@ fn worker_rendezvous(
         let mut streams: Vec<Option<UnixStream>> = (0..n).map(|_| None).collect();
         streams[0] = Some(s0);
         for peer_w in 1..w {
-            let ep = endpoint_for(&info.base, roster.members[peer_w] as usize);
+            let ep = pool_file(&info.base, roster.members[peer_w] as usize, "sock");
             let mut s = connect_deadline(&ep, deadline, &abort)?;
             send_hello(&mut s, rendezvous::local_hello(w as u32, n as u32, epoch))?;
             streams[peer_w] = Some(s);
@@ -1019,22 +1018,19 @@ where
         .unwrap_or_else(|e| child_fail(None, format!("rank {}: {e}", info.rank)));
     match seat {
         Seat::Member(backend, w) => {
-            member_trace_begin(w, epoch, world.nranks(), rdv_start);
+            trace_rendezvous(w, epoch, world.nranks(), rdv_start);
             run_as_member(world, f, backend, w, &roster)
         }
         Seat::Observer(stream) => run_as_observer(world, info, stream, &roster),
     }
 }
 
-/// Start a member's per-epoch recorder: the rendezvous that just
+/// Start a rank's per-epoch recorder: the rendezvous that just
 /// completed becomes the epoch's first span (its timestamp is negative
 /// — before the clock anchor), and the [`trace::SYNC_EVENT`] mark at
 /// rendezvous-complete is what the launcher aligns all ranks' clocks
 /// on.
-fn member_trace_begin(world_rank: usize, epoch: u64, n: usize, rdv_start: Instant) {
-    if !trace::enabled() {
-        return;
-    }
+fn trace_rendezvous(world_rank: usize, epoch: u64, n: usize, rdv_start: Instant) {
     trace::install(world_rank);
     trace::complete(TraceKind::Epoch, "epoch.rendezvous", rdv_start, || {
         vec![
@@ -1078,25 +1074,19 @@ where
         // check-in and will answer with the verdict.
         let _ = try_control(&backend, 0, FrameKind::Error, msg.clone().into_bytes());
     }
-    match backend.wait_verdict(control_deadline) {
-        Ok(EpochVerdict::Outcomes(set)) => {
-            if let Err(msg) = reported {
-                // The coordinator declared success but this rank failed
-                // — the abort machinery diverged; contain loudly.
-                child_fail(
-                    Some(backend.as_ref()),
-                    format!("rank {me}: epoch verdict disagreement after local failure: {msg}"),
-                );
-            }
-            backend.mark_finished();
-            Ok(outcomes_from_set(&decode_outcome_set(&set)))
-        }
-        Ok(EpochVerdict::Aborted(payload)) => {
-            backend.mark_finished();
-            Err(failure_from_abort(&payload, roster, None, reported.err()))
-        }
-        Err(e) => child_fail(Some(backend.as_ref()), format!("rank {me}: {e}")),
+    let verdict = backend
+        .wait_verdict(control_deadline)
+        .unwrap_or_else(|e| child_fail(Some(backend.as_ref()), format!("rank {me}: {e}")));
+    if let (FrameKind::OutcomeSet, Err(msg)) = (verdict.kind, &reported) {
+        // The coordinator declared success but this rank failed — the
+        // abort machinery diverged; contain loudly.
+        child_fail(
+            Some(backend.as_ref()),
+            format!("rank {me}: epoch verdict disagreement after local failure: {msg}"),
+        );
     }
+    backend.mark_finished();
+    decode_verdict(&verdict, roster, reported.err())
 }
 
 /// An observer's epoch: wait (bounded) on the coordinator stream for
@@ -1115,11 +1105,8 @@ fn run_as_observer<T: WirePayload>(
             break why;
         }
         match read_frame(&mut stream) {
-            Ok(Some(frame)) if frame.kind == FrameKind::OutcomeSet => {
-                return Ok(outcomes_from_set(&decode_outcome_set(&frame.payload)));
-            }
-            Ok(Some(frame)) if frame.kind == FrameKind::Abort => {
-                return Err(failure_from_abort(&frame.payload, roster, None, None));
+            Ok(Some(frame)) if matches!(frame.kind, FrameKind::OutcomeSet | FrameKind::Abort) => {
+                return decode_verdict(&frame, roster, None);
             }
             Ok(Some(frame)) => break format!("expected an epoch verdict, got {:?}", frame.kind),
             Ok(None) => break "launcher closed before the epoch verdict".to_string(),

@@ -35,8 +35,10 @@
 //! # Elasticity semantics
 //!
 //! * **Join**: a `SimWorld` with a larger `nranks` between epochs makes
-//!   the launcher spawn fresh processes; they replay earlier epochs
-//!   in-process to reach the same program point, then dial in.
+//!   the launcher spawn fresh processes; they read the verdicts of the
+//!   earlier epochs from the launcher's verdict log instead of running
+//!   them, reach the same program point, then dial in — also after a
+//!   death.
 //! * **Leave / death**: a rank dying mid-epoch poisons its peers'
 //!   mailboxes within milliseconds; the epoch aborts and the dead pool
 //!   ids are broadcast. Under
@@ -45,11 +47,9 @@
 //!   survives, and the next epoch's roster simply omits the dead; the
 //!   session layer then carries on via `Session::resize(p_new)`.
 //!   (`SimWorld::run` is the same epoch plus teardown of the pool.)
-//! * **Limitations** (documented, enforced): the coordinator (pool
+//! * **Limitation** (documented, enforced): the coordinator (pool
 //!   id 0 / world rank 0) is not expendable — its death kills the
-//!   fleet; and the pool cannot *grow* after a death, because a fresh
-//!   process would have to replay the failed epoch, which is not
-//!   reproducible in-process.
+//!   fleet.
 
 use crate::frame::{DecodeError, Hello};
 

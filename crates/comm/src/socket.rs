@@ -141,17 +141,6 @@ struct CtrlState {
     errors: VecDeque<(usize, String)>,
 }
 
-/// How an epoch ended, from a member's point of view: the
-/// [`FrameKind::OutcomeSet`] broadcast, or an [`FrameKind::Abort`]
-/// carrying the dead pool ids.
-#[derive(Debug)]
-pub enum EpochVerdict {
-    /// Every rank finished; payload is the encoded outcome set.
-    Outcomes(Vec<u8>),
-    /// The epoch aborted; payload names the dead pool ids.
-    Aborted(Vec<u8>),
-}
-
 struct Ctrl {
     state: Mutex<CtrlState>,
     cv: Condvar,
@@ -429,17 +418,18 @@ impl SocketBackend {
     }
 
     /// Members: wait for rank 0's end-of-epoch verdict — the
-    /// `OutcomeSet` broadcast or an `Abort`. Unlike
+    /// `OutcomeSet` broadcast or an `Abort` — and return it as the frame
+    /// it arrived in. Unlike
     /// [`wait_byes`](Self::wait_byes) this deliberately ignores queued
     /// `Error` frames: during an abort they are expected traffic, and
     /// the verdict frame is the only authority on how the epoch ended.
-    pub fn wait_verdict(&self, deadline: Instant) -> Result<EpochVerdict, String> {
+    pub fn wait_verdict(&self, deadline: Instant) -> Result<Frame, String> {
         self.wait_ctrl(deadline, "the epoch verdict", |st| {
             if let Some(payload) = st.abort.take() {
-                return Some(Ok(EpochVerdict::Aborted(payload)));
+                return Some(Ok(Frame::control(FrameKind::Abort, 0, payload)));
             }
             if let Some(set) = st.outcome_set.take() {
-                return Some(Ok(EpochVerdict::Outcomes(set)));
+                return Some(Ok(Frame::control(FrameKind::OutcomeSet, 0, set)));
             }
             st.eofs[0].then(|| Err("rank 0 exited before delivering an epoch verdict".to_string()))
         })
@@ -737,10 +727,9 @@ mod tests {
         let outs = b0.wait_outcomes(deadline).unwrap();
         assert_eq!(outs[1], vec![42]);
         b0.send_control(1, FrameKind::OutcomeSet, vec![9, 9]);
-        match b1.wait_verdict(deadline).unwrap() {
-            EpochVerdict::Outcomes(set) => assert_eq!(set, vec![9, 9]),
-            EpochVerdict::Aborted(_) => panic!("an OutcomeSet is not an abort"),
-        }
+        let verdict = b1.wait_verdict(deadline).unwrap();
+        assert_eq!(verdict.kind, FrameKind::OutcomeSet);
+        assert_eq!(verdict.payload, vec![9, 9]);
         b0.mark_finished();
         b1.mark_finished();
     }

@@ -664,6 +664,10 @@ mod tests {
         }
     }
 
+    /// What the delay guarantees: every message arrives at least the
+    /// injected delay after its post, and the rank whose phase started
+    /// first waits the whole of it. A rank that starts late may find its
+    /// message already aged, so its own phase can be shorter.
     #[test]
     fn wire_delay_backend_slows_wall_time() {
         // 5 ms per message; two ranks exchange one message each.
@@ -673,16 +677,29 @@ mod tests {
             gamma_s_per_flop: 0.0,
         };
         let w = SimWorld::new(2, model).backend(BackendKind::WireDelay);
+        // One clock for both in-memory ranks: a payload is its post time.
+        let t0 = std::time::Instant::now();
         let out = w.run(|c| {
             let _g = c.phase(Phase::Propagation);
-            let _ = c.shift(1, 0, vec![1.0f64; 4]);
+            let posted: Vec<f64> = c.shift(1, 0, vec![t0.elapsed().as_secs_f64()]);
+            t0.elapsed().as_secs_f64() - posted[0]
         });
         for o in &out {
             assert!(
-                o.stats.phase(Phase::Propagation).wall_s >= 4e-3,
-                "injected delay should appear in measured wall time"
+                o.value >= 4e-3,
+                "rank {}: its message arrived {:.3} ms after the post",
+                o.rank,
+                o.value * 1e3
             );
         }
+        let max_wall = out
+            .iter()
+            .map(|o| o.stats.phase(Phase::Propagation).wall_s)
+            .fold(0.0, f64::max);
+        assert!(
+            max_wall >= 4e-3,
+            "injected delay should appear in measured wall time: {max_wall} s"
+        );
     }
 
     #[test]

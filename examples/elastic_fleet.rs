@@ -1,9 +1,9 @@
 //! Elastic fleet demo: an ALS-style factorization sweep that **grows**
 //! from 4 to 6 active ranks mid-run, **loses a rank** to a simulated
-//! node failure, and **finishes on the 5 survivors** — with a loss
-//! trajectory that is bit-reproducible modulo the documented resize
-//! points (a resize regroups the loss reduction, so boundaries agree to
-//! 1e-9 relative, not bitwise).
+//! node failure, carries on with the 5 survivors, and **grows back** to
+//! 6 ranks — with a loss trajectory that is bit-reproducible modulo the
+//! documented resize points (a resize regroups the loss reduction, so
+//! boundaries agree to 1e-9 relative, not bitwise).
 //!
 //! ```text
 //! cargo run --release --example elastic_fleet
@@ -20,9 +20,11 @@
 //! Under the socket backend every rank is a real OS process and the
 //! victim genuinely dies (`process::exit`): the epoch aborts with a
 //! typed [`EpochError`], the process pool survives, and the next epoch
-//! rendezvouses the 5 survivors into a fresh world. Under the in-memory
-//! backends the victim panics and the same abort/restore story plays
-//! out across threads.
+//! rendezvouses the 5 survivors into a fresh world. The last epoch
+//! spawns one fresh worker process, which catches up by reading the
+//! verdicts of the epochs it missed (the abort included) rather than
+//! re-running them. Under the in-memory backends the victim panics and
+//! the same abort/restore story plays out across threads.
 
 use std::sync::Arc;
 
@@ -182,9 +184,16 @@ fn main() {
         }
         let labels: Vec<String> = finals.iter().map(|(t, _)| t.clone()).collect();
         let values: Vec<f64> = finals.iter().map(|(_, l)| *l).collect();
-        (restored, resized, (labels.join("|"), values))
+        let a = s.a_iterate();
+        let b = s.b_iterate();
+        (
+            restored,
+            resized,
+            (labels.join("|"), values),
+            (a.into_vec(), b.into_vec()),
+        )
     });
-    let (restored, resized, _) = &out[0].value;
+    let (restored, resized, _, _) = &out[0].value;
     let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(1.0);
     assert!(
         rel(loss_ckpt, *restored) <= 1e-9,
@@ -195,6 +204,51 @@ fn main() {
     let labels: Vec<String> = out[0].value.2 .0.split('|').map(str::to_string).collect();
     for (t, l) in labels.iter().zip(&out[0].value.2 .1) {
         trajectory.push((t.clone(), *l));
+    }
+    let loss_ckpt = *out[0].value.2 .1.last().unwrap();
+    let a_ckpt = Arc::new(assemble(
+        out.iter()
+            .enumerate()
+            .map(|(r, o)| (o.value.3 .0.clone(), block_range(M, 5, r).len()))
+            .collect(),
+        R,
+    ));
+    let b_ckpt = Arc::new(assemble(
+        out.iter()
+            .enumerate()
+            .map(|(r, o)| (o.value.3 .1.clone(), block_range(N, 5, r).len()))
+            .collect(),
+        R,
+    ));
+
+    // ---- Epoch 4 (world 6): grow back — the 5 survivors plus a fresh
+    // process restore the checkpoint and resize onto all 6 ---------------
+    let pr = Arc::clone(&prob);
+    let out = world6.run(move |comm| {
+        let mut s = Session::builder_arc(Arc::clone(&pr))
+            .baseline()
+            .active_ranks(5)
+            .build(comm);
+        if s.is_active() {
+            s.commit_a(&a_ckpt.rows_block(block_range(M, 5, comm.rank())));
+            s.commit_b(&b_ckpt.rows_block(block_range(N, 5, comm.rank())));
+            s.worker_mut().sddmm();
+        }
+        let restored = s.stored_loss();
+        s.resize(6);
+        let resized = s.stored_loss();
+        let finals: Vec<f64> = (6..8).map(|_| sweep(&mut s)).collect();
+        (restored, resized, finals)
+    });
+    let (restored, resized, finals) = &out[0].value;
+    assert!(
+        rel(loss_ckpt, *restored) <= 1e-9 && rel(*restored, *resized) <= 1e-9,
+        "growing back must preserve the loss: {loss_ckpt} -> {restored} -> {resized}"
+    );
+    trajectory.push(("restored, grown back (p=5 of 6)".to_string(), *restored));
+    trajectory.push(("after resize 5→6".to_string(), *resized));
+    for (k, l) in (6..8).zip(finals) {
+        trajectory.push((format!("sweep {k} (p=6)"), *l));
     }
 
     // Workers re-run this whole program; only the launcher narrates.
@@ -208,7 +262,7 @@ fn main() {
             }
         }
         println!(
-            "resize points (4→6, restore, 4→5) agree to 1e-9 relative; \
+            "resize points (4→6, restore, 4→5, restore, 5→6) agree to 1e-9 relative; \
              all other points are bit-reproducible across backends"
         );
         if let Some(path) = distributed_sparse_kernels::comm::trace::configured_path() {
