@@ -230,12 +230,13 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
+        // No epoch rendezvouses here any more, so the dir goes now, not
+        // after the children: the process may exit before they do.
+        let _ = std::fs::remove_dir_all(&self.base);
         // Children finish their own copy of the program; reap them off
         // the test thread so a slow child never blocks completion.
         let children = std::mem::take(&mut self.children);
-        let dir = std::mem::take(&mut self.base);
         if children.is_empty() {
-            let _ = std::fs::remove_dir_all(dir);
             return;
         }
         let _ = std::thread::Builder::new()
@@ -244,7 +245,6 @@ impl Drop for Pool {
                 for (_, mut c) in children {
                     let _ = c.wait();
                 }
-                let _ = std::fs::remove_dir_all(dir);
             });
     }
 }

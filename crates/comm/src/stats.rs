@@ -44,10 +44,10 @@ pub enum Phase {
     /// of *knowing* the pattern is visible apart from the words it
     /// saves.
     PatternExchange,
-    /// Run-time tuning of local kernel variants. No code enters it:
-    /// local variants come from `dsk-kernels`' fixed per-(op, format)
-    /// table, so every bucket reads zero. It stays because the repo
-    /// benchmark reports its wall time as `kernels.tune_ms`.
+    /// Run-time tuning of local kernels. No code enters it: each local
+    /// op has one loop in `dsk-kernels`, so every bucket reads zero. It
+    /// stays only because the repo benchmark reports its wall time as
+    /// `kernels.tune_ms`, and goes once the benchmark stops reading it.
     LocalTuning,
     /// Elastic-fleet traffic: redistributing live iterates and R values
     /// when a session changes its *process count* (`dsk-core`'s

@@ -280,3 +280,43 @@ fn a_middle_death_renumbers_the_survivors() {
     assert_eq!(ranks_and_pids(2), survivors[..2].to_vec());
     assert_eq!(ranks_and_pids(3), survivors);
 }
+
+/// The world `no_rendezvous_dir_survives_the_process` runs in a process
+/// of its own.
+#[test]
+fn two_rank_world_in_its_own_process() {
+    let out = socket_world(2).run(|c| c.allreduce_scalar(1.0));
+    assert!(out.iter().all(|o| o.value == 2.0));
+}
+
+/// The launcher makes one rendezvous dir (`dsk-sock-<pid>-<seq>`) per
+/// socket pool in the temp dir; none may outlive the process. The test
+/// binary is re-executed with a private `TMPDIR` to run one 2-rank
+/// socket world, and the dir is empty once that process has exited.
+#[test]
+fn no_rendezvous_dir_survives_the_process() {
+    let tmp = std::env::temp_dir().join(format!("dsk-leak-probe-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let exe = std::env::current_exe().unwrap();
+    let mut child = std::process::Command::new(exe)
+        .args([
+            "two_rank_world_in_its_own_process",
+            "--exact",
+            "--test-threads=1",
+            "-q",
+        ])
+        .env("TMPDIR", &tmp)
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let pid = child.id();
+    let status = child.wait().unwrap();
+    let left: Vec<String> = std::fs::read_dir(&tmp)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("dsk-sock-"))
+        .collect();
+    let _ = std::fs::remove_dir_all(&tmp);
+    assert!(status.success(), "the re-executed test failed: {status}");
+    assert!(left.is_empty(), "process {pid} left {left:?} behind");
+}

@@ -64,9 +64,6 @@ pub struct Baseline1D {
     st_remapped: CsrMatrix,
     /// Global `S` row of each stacked-operand index of `plan_b`.
     st_inv_col: Vec<u32>,
-    /// Local-kernel variants (all-naive until the builder resolves
-    /// them).
-    pub(crate) local: kern::LocalPicks,
 }
 
 impl Baseline1D {
@@ -102,7 +99,6 @@ impl Baseline1D {
             plan_b,
             st_remapped,
             st_inv_col,
-            local: kern::LocalPicks::default(),
         }
     }
 
@@ -205,7 +201,7 @@ impl Baseline1D {
         let r = self.view.dims().r;
         let mut out = Mat::zeros(s.nrows(), r);
         self.comm.compute(kern::spmm_flops(s.nnz(), r), || {
-            self.local.spmm.spmm_csr(&mut out, s, &operand)
+            kern::spmm_csr_acc(&mut out, s, &operand)
         });
         out
     }
@@ -288,9 +284,7 @@ impl Baseline1D {
         let operand = self.scatter_operand(plan, local, operand_rows);
         let mut acc = vec![0.0; s.nnz()];
         self.comm.compute(kern::sddmm_flops(s.nnz(), r), || {
-            self.local
-                .sddmm
-                .sddmm_csr(&mut acc, s, x, &operand, combine.for_slice(0..r))
+            kern::sddmm::sddmm_csr_acc_with(&mut acc, s, x, &operand, combine.for_slice(0..r))
         });
         acc
     }
@@ -382,7 +376,7 @@ impl DistKernel for Baseline1D {
         let r = self.view.dims().r;
         let mut out = Mat::zeros(s.nrows(), r);
         self.comm.compute(kern::spmm_flops(s.nnz(), r), || {
-            vals.spmm(self.local.spmm, 0, &mut out, &operand, Some(&mut sums))
+            vals.spmm(0, &mut out, &operand, Some(&mut sums))
         });
         (out, sums)
     }

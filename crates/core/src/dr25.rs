@@ -79,9 +79,6 @@ pub struct DenseRepl25 {
     canon: Oriented,
     /// Transposed orientation (replicate `B`, travel `Sᵀ` and `A`).
     trans: Oriented,
-    /// Local-kernel variants (all-naive until the builder resolves
-    /// them; COO blocks only admit the serial naive/blocked pair).
-    pub(crate) local: kern::LocalPicks,
 }
 
 impl DenseRepl25 {
@@ -121,7 +118,6 @@ impl DenseRepl25 {
             st_home,
             canon,
             trans,
-            local: kern::LocalPicks::default(),
         }
     }
 
@@ -246,7 +242,7 @@ impl DenseRepl25 {
             self.gc
                 .row_ring
                 .compute(kern::sddmm_flops(blk.rows.len(), slice.len()), || {
-                    self.local.sddmm.sddmm_coo(&mut vals, &blk, t_buf, yb, com)
+                    kern::sddmm::sddmm_coo_acc_with(&mut vals, &blk, t_buf, yb, com)
                 });
             blk.vals = vals;
             blk = pipe_s.exchange(blk);
@@ -275,7 +271,7 @@ impl DenseRepl25 {
             self.gc
                 .row_ring
                 .compute(kern::spmm_flops(b.nnz(), width), || {
-                    self.local.spmm.spmm_coo(&mut t_out, b, yb)
+                    kern::spmm_coo_acc(&mut t_out, b, yb)
                 });
             blk.arrive(hop_s);
             y.arrive(hop_y);
@@ -307,7 +303,7 @@ impl DenseRepl25 {
             self.gc
                 .row_ring
                 .compute(kern::spmm_flops(b.nnz(), width), || {
-                    self.local.spmm_t.spmm_coo_t(&mut out, b, t_buf)
+                    kern::spmm_coo_t_acc(&mut out, b, t_buf)
                 });
             blk.arrive(hop);
             out = pipe_y.exchange_mat(out, t);

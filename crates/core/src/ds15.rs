@@ -73,9 +73,6 @@ pub struct DenseShift15 {
     /// Layer-ring communication pattern for pattern-routed propagation
     /// (`None` = dense shifts, the default).
     route: Option<CommPattern>,
-    /// Local-kernel variants (all-naive until the builder resolves
-    /// them).
-    pub(crate) local: kern::LocalPicks,
     /// Ones-valued copies of the `S` and `Sᵀ` blocks for
     /// [`Sampling::Ones`] fused rounds, built on first use.
     ones: [OnceCell<Vec<CsrMatrix>>; 2],
@@ -142,7 +139,6 @@ impl DenseShift15 {
             a_loc: view.stage(prob, Operand::A, false, g),
             b_loc: view.stage(prob, Operand::B, false, g),
             route,
-            local: kern::LocalPicks::default(),
             ones: Default::default(),
             held: Default::default(),
         }
@@ -231,9 +227,7 @@ impl DenseShift15 {
     ) -> Vec<Vec<f64>> {
         let mut acc: Vec<Vec<f64>> = blocks.iter().map(|b| vec![0.0; b.nnz()]).collect();
         self.lane_round(blocks, y0, route, None, kern::sddmm_flops, |w, blk, y| {
-            self.local
-                .sddmm
-                .sddmm_csr(&mut acc[w], blk, t_buf, y, combine)
+            kern::sddmm::sddmm_csr_acc_with(&mut acc[w], blk, t_buf, y, combine)
         });
         acc
     }
@@ -251,7 +245,7 @@ impl DenseShift15 {
     ) -> Mat {
         let mut t_buf = Mat::zeros(blocks[0].nrows(), y0.ncols());
         self.lane_round(blocks, y0, route, hold, kern::spmm_flops, |_, blk, y| {
-            self.local.spmm.spmm_csr(&mut t_buf, blk, y)
+            kern::spmm_csr_acc(&mut t_buf, blk, y)
         });
         t_buf
     }
@@ -275,7 +269,7 @@ impl DenseShift15 {
             let blk = &blocks[pipe.origin(t)];
             debug_assert_eq!(blk.ncols(), out.nrows(), "block/accumulator misalignment");
             self.gc.layer.compute(kern::spmm_flops(blk.nnz(), r), || {
-                self.local.spmm_t.spmm_csr_t(&mut out, blk, t_buf)
+                kern::spmm_csr_t_acc(&mut out, blk, t_buf)
             });
             // Accumulator lane: the block is not final until the local
             // kernel has added its contribution, so the exchange cannot
@@ -315,7 +309,7 @@ impl DenseShift15 {
         let mut t_out = Mat::zeros(t_in.nrows(), y0.ncols());
         let hold = hold.then_some(side);
         self.lane_round(blocks, y0, None, hold, kern::fused_flops, |_, blk, y| {
-            self.local.fused.fused_csr(&mut t_out, blk, t_in, y)
+            kern::fused_a_csr(&mut t_out, blk, t_in, y)
         });
         t_out
     }
@@ -449,7 +443,7 @@ impl DistKernel for DenseShift15 {
         let mut t_buf = Mat::zeros(blocks[0].nrows(), y.ncols());
         let route = self.route.as_ref();
         self.lane_round(blocks, y, route, None, kern::spmm_flops, |w, _, yb| {
-            vals.spmm(self.local.spmm, w, &mut t_buf, yb, Some(&mut sums))
+            vals.spmm(w, &mut t_buf, yb, Some(&mut sums))
         });
         (self.reduce_to_block(self.view.dims().m, &t_buf), sums)
     }

@@ -20,7 +20,7 @@
 //! | §VI-E generalized SDDMM (the paper's GAT logits) | [`DistKernel::dots`] of a [`CombineSpec`] | [`DistKernel::sddmm_general`] |
 //! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_group`] (which ranks share a stored R row), [`DistKernel::r_store`], [`DistKernel::r_store_mut`] | [`DistKernel::r_row_sums`] (the [`RStore`]'s local sums, all-reduced over the row group), [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
 //! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_from`] (an [`RValues`] source: the stored R values, or attention made per nonzero from per-node factors inside the local row loop, with its row sums) | [`DistKernel::spmm_a_with`] (the stored values), [`DistKernel::spmm_a_pair_exp`] (the attention `exp(LeakyReLU(u_i + v_j))` of a [`PairExp`] and its row sums reduced over the row group: what the GAT engine runs, FusedMMA's shape) |
-//! | Table II data distributions | [`DistKernel::view`] (whose layouts also stage every dense block a family holds) | [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`], [`DistKernel::r_pattern_bounds_of`] |
+//! | Table II data distributions | [`DistKernel::view`] (whose layouts also stage every dense block a family holds) | [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`] |
 //! | Fig. 9 distribution shifts | [`DistKernel::set_a`], [`DistKernel::set_b`] (shifting through the view: iterate ↔ replica layout) | [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
 //! | Fig. 9 row-sharing dot products | | [`DistKernel::row_group_a`], [`DistKernel::row_group_b`] |
 //! | live migration | | [`DistKernel::export_r`], [`DistKernel::import_r`] |
@@ -387,19 +387,6 @@ pub trait DistKernel: Send {
         self.r_store_mut().import(r);
     }
 
-    /// Global bounding rectangle `(rows, cols)` of rank `g`'s stored-R
-    /// sparsity pattern — the region [`DistKernel::import_r`] reads
-    /// values from on that rank. Pure grid arithmetic (no
-    /// communication, callable for any rank); a conservative superset
-    /// of the true pattern is allowed. Live migration
-    /// ([`crate::session::Session`]) uses the *destination* kernel's
-    /// bounds to route each exported triplet only to the ranks that
-    /// need it — an owner-targeted alltoallv moving `O(c·nnz)` words
-    /// instead of the `O(p·nnz)` allgather.
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        self.view().r_bounds_of(g)
-    }
-
     /// The `A`-iterate layout of communicator rank `g`.
     fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
         self.view().a_layout_of(g)
@@ -493,12 +480,9 @@ pub struct PlannedCandidate {
     /// Modeled computation seconds per FusedMM (identical across
     /// candidates: flops are family-invariant and load-balanced).
     pub predicted_comp_s: f64,
-    /// The local microkernel variant the family runs for its dominant
-    /// local op (SpMM on the family's block format): the staging's pin
-    /// ([`StagedProblem::set_local_pin`]) clamped to that op, else the
-    /// fixed table's `Spmm` entry ([`kern::LocalKernel::table`]). It
-    /// never affects the modeled numbers above (variant choice changes
-    /// neither flops nor traffic), only local wall time.
+    /// Always [`kern::LocalKernel::Sequential`]: every family runs the
+    /// one local loop per op. Still here only because the repo
+    /// benchmark reads it; it goes once the benchmark stops reading it.
     pub local_variant: kern::LocalKernel,
 }
 
@@ -519,20 +503,6 @@ impl PlannedCandidate {
             routing: self.routing,
             predicted_comm_s: Some(self.predicted_comm_s),
         }
-    }
-}
-
-/// The format a kernel keeps its sparse blocks in, and so the column
-/// of the local-kernel table it runs: 1.5D dense shifting, 2.5D sparse
-/// replication and the 1D baseline keep `S` stationary in CSR; 1.5D
-/// sparse shifting and 2.5D dense replication move it as COO.
-fn block_format(id: KernelId) -> kern::SparseFormat {
-    match id {
-        KernelId::Family(AlgorithmFamily::SparseShift15 | AlgorithmFamily::DenseRepl25) => {
-            kern::SparseFormat::Coo
-        }
-        KernelId::Family(AlgorithmFamily::DenseShift15 | AlgorithmFamily::SparseRepl25)
-        | KernelId::Baseline1D => kern::SparseFormat::Csr,
     }
 }
 
@@ -804,12 +774,6 @@ impl<'a> KernelBuilder<'a> {
         }
         let (dims, nnz) = self.shape();
         let comp_s = theory::predicted_comp_time(&model, p, dims, nnz);
-        // Shape-only builders have no staging, so nothing pins them.
-        let pin = match &self.source {
-            Source::Owned(s) => s.local_pin(),
-            Source::Borrowed(s) => s.local_pin(),
-            Source::Shape(..) => None,
-        };
         let mut scored: Vec<PlannedCandidate> = Vec::new();
         for (alg, c) in self.candidates(p) {
             for routing in Routing::ALL {
@@ -819,7 +783,6 @@ impl<'a> KernelBuilder<'a> {
                 // `admits` guarantees the routed model exists.
                 let words = theory::words_for_routing(alg, routing, p, c, dims, nnz).unwrap();
                 let msgs = theory::messages_for_routing(alg, routing, p, c).unwrap();
-                let format = block_format(KernelId::Family(alg.family));
                 scored.push(PlannedCandidate {
                     algorithm: alg,
                     c,
@@ -828,7 +791,7 @@ impl<'a> KernelBuilder<'a> {
                     msgs_per_proc: msgs,
                     predicted_comm_s: model.alpha_s * msgs + model.beta_s_per_word * words,
                     predicted_comp_s: comp_s,
-                    local_variant: kern::LocalPicks::resolve(format, pin).spmm,
+                    local_variant: kern::LocalKernel::Sequential,
                 });
             }
         }
@@ -854,18 +817,10 @@ impl<'a> KernelBuilder<'a> {
     /// builds — real traffic, charged to `Phase::PatternExchange`.
     pub fn build_planned(&self, comm: &Comm, plan: &KernelPlan) -> DistWorker {
         let staged = self.staged();
-        let local = kern::LocalPicks::resolve(block_format(plan.id), staged.local_pin());
-        macro_rules! with_picks {
-            ($k:ident) => {{
-                $k.local = local;
-                Box::new($k) as Box<dyn DistKernel>
-            }};
-        }
         macro_rules! family {
-            ($ty:ty) => {{
-                let mut k = <$ty>::from_staged(comm, plan.c, plan.routing, staged);
-                with_picks!(k)
-            }};
+            ($ty:ty) => {
+                Box::new(<$ty>::from_staged(comm, plan.c, plan.routing, staged))
+            };
         }
         let kernel: Box<dyn DistKernel> = match plan.id {
             KernelId::Family(AlgorithmFamily::DenseShift15) => family!(DenseShift15),
@@ -878,8 +833,7 @@ impl<'a> KernelBuilder<'a> {
                     Routing::Dense,
                     "the 1D baseline has no shift schedule to pattern-route"
                 );
-                let mut k = Baseline1D::from_staged(comm, staged);
-                with_picks!(k)
+                Box::new(Baseline1D::from_staged(comm, staged))
             }
         };
         DistWorker::from_parts(kernel, *plan, comm.size(), staged.prob.dims)

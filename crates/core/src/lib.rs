@@ -72,7 +72,7 @@
 //! | Fig. 9 distribution shifts | [`set_a`](kernel::DistKernel::set_a)/[`set_b`](kernel::DistKernel::set_b) | required |
 //! | | [`rhs_a`](kernel::DistKernel::rhs_a)/[`rhs_b`](kernel::DistKernel::rhs_b) | provided (the SpMM output; [`ds15`] overrides both to keep the fixed factor's ring tiles for the solve, 2.5D dense replication overrides `rhs_a`) |
 //! | Fig. 9 row-sharing dots | [`row_group_a`](kernel::DistKernel::row_group_a)/[`row_group_b`](kernel::DistKernel::row_group_b) | provided ([`PlanView`]) |
-//! | Table II data distributions | [`a_iterate_layout_of`](kernel::DistKernel::a_iterate_layout_of) et al., [`r_pattern_bounds_of`](kernel::DistKernel::r_pattern_bounds_of), [`layout`] | provided ([`PlanView`]) |
+//! | Table II data distributions | [`a_iterate_layout_of`](kernel::DistKernel::a_iterate_layout_of) et al., [`layout`] | provided ([`PlanView`]) |
 //!
 //! Each family supports the communication-eliding strategies the paper
 //! allows for it ([`Elision`]): *replication reuse* (one replication

@@ -34,7 +34,6 @@ use std::borrow::Cow;
 use std::ops::Range;
 
 use dsk_dense::Mat;
-use dsk_kernels::LocalKernel;
 use dsk_sparse::{CooMatrix, CsrMatrix};
 
 use crate::common::{block_range, Sampling};
@@ -235,21 +234,13 @@ impl CsrValues<'_> {
         }
     }
 
-    /// `out += block_w · y` with these values through `kernel`. Made
-    /// values run [`dsk_kernels::spmm_csr_filled`] and add each row's
+    /// `out += block_w · y` with these values. Made values run [`dsk_kernels::spmm_csr_filled`] and add each row's
     /// sum into `sums` when given: a caller that walks a block more
     /// than once passes it on one walk only.
-    pub(crate) fn spmm(
-        &self,
-        kernel: LocalKernel,
-        w: usize,
-        out: &mut Mat,
-        y: &Mat,
-        mut sums: Option<&mut [f64]>,
-    ) {
+    pub(crate) fn spmm(&self, w: usize, out: &mut Mat, y: &Mat, mut sums: Option<&mut [f64]>) {
         let blk = &self.blocks[w];
         match self.pairs.get(w) {
-            None => kernel.spmm_csr(out, blk, y),
+            None => dsk_kernels::spmm_csr_acc(out, blk, y),
             Some(pairs) => dsk_kernels::spmm_csr_filled(out, blk, y, |i, cols, vals| {
                 let sum = pairs.fill(i, cols, vals);
                 if let Some(sums) = sums.as_deref_mut() {
@@ -746,7 +737,7 @@ mod tests {
         for (w, blk) in vals.blocks().iter().enumerate() {
             let eye = Mat::from_fn(blk.ncols(), blk.ncols(), |i, j| f64::from(u8::from(i == j)));
             let mut out = Mat::zeros(blk.nrows(), blk.ncols());
-            vals.spmm(LocalKernel::Blocked, w, &mut out, &eye, Some(&mut sums));
+            vals.spmm(w, &mut out, &eye, Some(&mut sums));
             let (row0, col0) = s.offsets[w];
             for i in 0..blk.nrows() {
                 for &j in blk.row(i).0 {

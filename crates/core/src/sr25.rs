@@ -60,9 +60,6 @@ pub struct SparseRepl25 {
     pub a_home: Mat,
     /// Home (pre-skewed) `B` panel.
     pub b_home: Mat,
-    /// Local-kernel variants (all-naive until the builder resolves
-    /// them).
-    pub(crate) local: kern::LocalPicks,
     /// Row-ring pattern for `A`-side panels (`None` = dense shifts).
     route_a: Option<CommPattern>,
     /// Column-ring pattern for `B`-side panels.
@@ -114,7 +111,6 @@ impl SparseRepl25 {
             b_home: view.stage(prob, Operand::B, false, g),
             route_a,
             route_b,
-            local: kern::LocalPicks::default(),
         }
     }
 
@@ -194,7 +190,7 @@ impl SparseRepl25 {
             self.gc
                 .row_ring
                 .compute(kern::sddmm_flops(s.nnz(), slice.len()), || {
-                    self.local.sddmm.sddmm_csr(&mut acc, s, ab, bb, com)
+                    kern::sddmm::sddmm_csr_acc_with(&mut acc, s, ab, bb, com)
                 });
             a.arrive(hop_a);
             b.arrive(hop_b);
@@ -212,8 +208,8 @@ impl SparseRepl25 {
     /// multiply with.
     fn spmm_round(&self, out: Operand, s: &CsrMatrix, x0: &Mat) -> Mat {
         self.travel_round(out, s.nnz(), x0, |_, acc, xb| match out {
-            Operand::A => self.local.spmm.spmm_csr(acc, s, xb),
-            Operand::B => self.local.spmm_t.spmm_csr_t(acc, s, xb),
+            Operand::A => kern::spmm_csr_acc(acc, s, xb),
+            Operand::B => kern::spmm_csr_t_acc(acc, s, xb),
         })
     }
 
@@ -350,7 +346,7 @@ impl DistKernel for SparseRepl25 {
         let nnz = vals.blocks()[0].nnz();
         let out = self.travel_round(Operand::A, nnz, y, |t, acc, xb| {
             let sums = (t == 0).then_some(&mut sums[..]);
-            vals.spmm(self.local.spmm, 0, acc, xb, sums)
+            vals.spmm(0, acc, xb, sums)
         });
         (out, sums)
     }

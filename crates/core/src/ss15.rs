@@ -73,9 +73,6 @@ pub struct SparseShift15 {
     /// Fiber pattern for the transposed, `B`-replicating paths (rows
     /// over `n`).
     route_b: Option<CommPattern>,
-    /// Local-kernel variants (all-naive until the builder resolves
-    /// them; COO blocks only admit the serial naive/blocked pair).
-    pub(crate) local: kern::LocalPicks,
 }
 
 /// One orientation of the worker's data: canonical (`S` travels, `A` is
@@ -150,7 +147,6 @@ impl SparseShift15 {
             b_stat: stat(Operand::B),
             route_a,
             route_b,
-            local: kern::LocalPicks::default(),
         }
     }
 
@@ -226,9 +222,7 @@ impl SparseShift15 {
             self.gc
                 .layer
                 .compute(kern::sddmm_flops(blk.rows.len(), slice.len()), || {
-                    self.local
-                        .sddmm
-                        .sddmm_coo(&mut vals, &blk, x_full, &y_stat[w], com)
+                    kern::sddmm::sddmm_coo_acc_with(&mut vals, &blk, x_full, &y_stat[w], com)
                 });
             blk.vals = vals;
             // Accumulator lane: the values are not final until this
@@ -261,7 +255,7 @@ impl SparseShift15 {
         let zeros = |rr: &std::ops::Range<usize>| Mat::zeros(rr.len(), x_full.ncols());
         let mut outs: Vec<Mat> = layout.row_ranges.iter().map(zeros).collect();
         self.spmm_round(home, x_full.ncols(), |w, b| {
-            self.local.spmm_t.spmm_coo_t(&mut outs[w], b, x_full)
+            kern::spmm_coo_t_acc(&mut outs[w], b, x_full)
         });
         Mat::vstack(&outs)
     }
@@ -362,7 +356,7 @@ impl DistKernel for SparseShift15 {
         let mut t_full = Mat::zeros(m, width);
         let (traveler, sums) = self.r.traveler_of(vals);
         self.spmm_round(&traveler, width, |w, b| {
-            self.local.spmm.spmm_coo(&mut t_full, b, &y_stat[w])
+            kern::spmm_coo_acc(&mut t_full, b, &y_stat[w])
         });
         // Fiber reduce-scatter into the replicate layout rows.
         let c = self.gc.grid.c;

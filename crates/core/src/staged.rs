@@ -1,5 +1,5 @@
 //! Shared staging for distributed runs: a [`GlobalProblem`] plus a
-//! cache of its block partitions and the local-kernel pin.
+//! cache of its block partitions.
 //!
 //! Every rank of a simulated world builds its local blocks from the same
 //! global matrices. Having each of `p` ranks re-partition the sparse
@@ -16,7 +16,6 @@ use std::hash::Hash;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use dsk_kernels::LocalKernel;
 use dsk_sparse::partition::partition_by_ranges;
 use dsk_sparse::CooMatrix;
 
@@ -47,15 +46,12 @@ impl<K: Eq + Hash, V> OnceMap<K, V> {
 }
 
 /// A global problem plus memoized sparse-matrix partitions, shared by
-/// all ranks of a simulated world. It also carries the local-kernel
-/// pin every plan built from it obeys: unpinned, each family runs the
-/// fixed per-(op, format) table ([`LocalKernel::table`]).
+/// all ranks of a simulated world.
 pub struct StagedProblem {
     /// The underlying global problem.
     pub prob: Arc<GlobalProblem>,
     transpose: OnceLock<CooMatrix>,
     partitions: OnceMap<Key, Grid>,
-    pin: Mutex<Option<LocalKernel>>,
 }
 
 impl StagedProblem {
@@ -65,7 +61,6 @@ impl StagedProblem {
             prob,
             transpose: OnceLock::new(),
             partitions: OnceMap::new(),
-            pin: Mutex::new(None),
         }
     }
 
@@ -78,18 +73,6 @@ impl StagedProblem {
     /// `Sᵀ`, computed once.
     pub fn s_transposed(&self) -> &CooMatrix {
         self.transpose.get_or_init(|| self.prob.s.transpose())
-    }
-
-    /// Pin every local op of every plan built from this staging to `v`
-    /// (clamped per op), or clear the pin with `None`: the one way to
-    /// run a variant other than the table's.
-    pub fn set_local_pin(&self, v: Option<LocalKernel>) {
-        *self.pin.lock().expect("nothing panics under the pin lock") = v;
-    }
-
-    /// The active local-kernel pin ([`StagedProblem::set_local_pin`]).
-    pub fn local_pin(&self) -> Option<LocalKernel> {
-        *self.pin.lock().expect("nothing panics under the pin lock")
     }
 
     /// The block partition of `S` (or `Sᵀ` when `transposed`) by the

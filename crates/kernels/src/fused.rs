@@ -26,7 +26,7 @@
 use dsk_dense::Mat;
 use dsk_sparse::CsrMatrix;
 
-use crate::sddmm::{b_rows, dots};
+use crate::sddmm::{dots, in_groups, rows_at};
 
 /// Fused FusedMMA over full-width rows: `out += SDDMM(A,B,S) · B`
 /// row-by-row, without materializing the SDDMM.
@@ -48,37 +48,28 @@ pub fn fused_a_csr(out: &mut Mat, s: &CsrMatrix, a: &Mat, b: &Mat) {
 /// One CSR row of the fused kernel: `orow += Σ_t vals[t]·⟨arow,
 /// B_row(cols[t])⟩ · B_row(cols[t])`, eight nonzeros at a time and then
 /// one group each of 4, 2 and 1 for the remainder.
-pub(crate) fn fused_row(orow: &mut [f64], cols: &[u32], vals: &[f64], arow: &[f64], b: &Mat) {
-    fn group<const N: usize>(orow: &mut [f64], cols: &[u32], vals: &[f64], arow: &[f64], b: &Mat) {
+fn fused_row(orow: &mut [f64], cols: &[u32], vals: &[f64], arow: &[f64], b: &Mat) {
+    fn group<const N: usize>(
+        t: usize,
+        orow: &mut [f64],
+        cols: &[u32],
+        vals: &[f64],
+        arow: &[f64],
+        b: &Mat,
+    ) {
         let r = arow.len();
-        let brows = b_rows::<N>(b, cols, r);
-        let d = dots(arow, &brows);
-        let rij: [f64; N] = std::array::from_fn(|t| vals[t] * d[t]);
+        let brows = rows_at::<N>(b, &cols[t..], r);
+        let d = dots(&[arow; N], &brows);
+        let rij: [f64; N] = std::array::from_fn(|u| vals[t + u] * d[u]);
         for (k, o) in orow[..r].iter_mut().enumerate() {
             let mut sum = *o;
-            for t in 0..N {
-                sum += rij[t] * brows[t][k];
+            for u in 0..N {
+                sum += rij[u] * brows[u][k];
             }
             *o = sum;
         }
     }
-    let n = cols.len();
-    let mut t = 0;
-    while t + 8 <= n {
-        group::<8>(orow, &cols[t..], &vals[t..], arow, b);
-        t += 8;
-    }
-    if t + 4 <= n {
-        group::<4>(orow, &cols[t..], &vals[t..], arow, b);
-        t += 4;
-    }
-    if t + 2 <= n {
-        group::<2>(orow, &cols[t..], &vals[t..], arow, b);
-        t += 2;
-    }
-    if t < n {
-        group::<1>(orow, &cols[t..], &vals[t..], arow, b);
-    }
+    in_groups!(cols.len(), group(orow, cols, vals, arow, b));
 }
 
 #[cfg(test)]

@@ -13,32 +13,28 @@
 //! * [`fused`] — the local FusedMM kernel: SDDMM and SpMM executed
 //!   back-to-back on the same operands without materializing the
 //!   intermediate sparse matrix (the paper's *local kernel fusion*);
-//! * [`variants`] — the local microkernel variant library: every op
-//!   above behind the [`LocalKernel`] enum, in naive, register-blocked
-//!   (width-specialized unrolled inner loops for r ∈ {8, 16, 32, 64}),
-//!   and thread-parallel blocked forms, plus the fixed per-(op, format)
-//!   table of which one runs ([`LocalKernel::table`]) — like the
-//!   paper's one local kernel per op, nothing is measured at run time —
-//!   and [`spmm_csr_filled`], the SpMM whose values are made inside its
-//!   row loop (GAT attention, never stored);
 //! * `reference` — naive dense-arithmetic references every kernel is
 //!   tested against.
+//!
+//! Like the paper's one local kernel per op, each (op, format) pair has
+//! exactly one loop, and nothing is chosen or measured at run time:
+//!
+//! | op | CSR block | COO block |
+//! |---|---|---|
+//! | `out += S·B` | [`spmm_csr_acc`]: width-dispatched register tile started from the output row; [`spmm_csr_filled`] makes the values in the row loop | [`spmm_coo_acc`]: width-dispatched axpy per nonzero |
+//! | `out += Sᵀ·A` | [`spmm_csr_t_acc`]: plain scatter | [`spmm_coo_t_acc`]: plain scatter |
+//! | SDDMM | [`sddmm_csr_acc_with`](sddmm::sddmm_csr_acc_with): up to eight dots in flight per row | [`sddmm_coo_acc_with`](sddmm::sddmm_coo_acc_with): up to eight dots in flight, one A row per nonzero |
+//! | FusedMM | [`fused_a_csr`]: the SDDMM's row loop, then the scaled rows in CSR order | — |
+//!
+//! Every loop is bitwise the one-nonzero-at-a-time loop of its op
+//! (`tests/sequential_bits.rs` compares them by `to_bits`): the tiles
+//! and groups only change which adds run side by side, never the order
+//! of the adds into one output element.
 //!
 //! All kernels are *local-indexed*: a sparse block's row indices address
 //! rows of the `A`-side panel and its column indices address rows of the
 //! `B`-side panel directly. Distributed algorithms do the global↔local
 //! translation once, when they build their blocks.
-//!
-//! ## Environment variables
-//!
-//! * `DSK_THREADS` — thread count for the `par-blocked` variant
-//!   (clamped to ≥ 1; default: one per available core). Pin it on shared
-//!   CI runners so parallel timings are comparable. Unset or empty means
-//!   no pin; any other unparseable value panics naming the variable — a
-//!   silently ignored pin would quietly un-pin a "reproducible" run.
-//!
-//! The local-kernel variant is pinned in code, never by the
-//! environment: a caller hands [`LocalPicks::resolve`] its pin.
 
 // Indexed `for i in 0..n` loops over CSR index structures are the
 // domain idiom throughout this workspace; the iterator rewrites
@@ -49,14 +45,22 @@ pub mod fused;
 pub mod reference;
 pub mod sddmm;
 pub mod spmm;
-pub mod variants;
 
 pub use fused::fused_a_csr;
 pub use sddmm::{
     apply_sampling, leaky_relu, sddmm_coo_acc, sddmm_csr, sddmm_csr_acc, SddmmCombine,
 };
-pub use spmm::{spmm_coo_acc, spmm_coo_t_acc, spmm_csr_acc, spmm_csr_t_acc};
-pub use variants::{spmm_csr_filled, LocalKernel, LocalOp, LocalPicks, SparseFormat};
+pub use spmm::{spmm_coo_acc, spmm_coo_t_acc, spmm_csr_acc, spmm_csr_filled, spmm_csr_t_acc};
+
+/// The label of the one loop per op above. It names no choice: it is
+/// still here only because the repo benchmark reads it (through
+/// `dsk_core`'s `PlannedCandidate::local_variant`), and goes once the
+/// benchmark stops reading it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LocalKernel {
+    /// Each op's one loop, bitwise the one-nonzero-at-a-time order.
+    Sequential,
+}
 
 /// Flops of `out += S·B` with `nnz` nonzeros and `r`-wide dense rows:
 /// one multiply and one add per (nonzero, column).

@@ -18,13 +18,13 @@
 //! `aᵀ(A_i: ‖ A_j:) = Σ_k w_src[k]·A_ik + w_dst[k]·A_jk`, which is also a
 //! sum over the r-dimension and therefore slices identically.
 //!
-//! The CSR dot-product row (`sddmm_dot_row`) keeps up to eight
-//! nonzeros in flight: their dots run side by side, each in its own
-//! accumulator and in the one-at-a-time order over `0..r`, so the result
-//! is bitwise the sequential loop's while the independent add chains
-//! overlap (the latency hiding Sparse GPU Kernels for Deep Learning gets
-//! from several nonzeros per thread). The fused kernel ([`crate::fused`])
-//! runs the same dots.
+//! The dot-product combine keeps up to eight nonzeros in flight, on CSR
+//! and COO blocks alike (`dots`): their dots run side by side, each in
+//! its own accumulator and in the one-at-a-time order over `0..r`, so
+//! the result is bitwise the sequential loop's while the independent add
+//! chains overlap (the latency hiding Sparse GPU Kernels for Deep
+//! Learning gets from several nonzeros per thread). The fused kernel
+//! ([`crate::fused`]) runs the same dots.
 
 use dsk_dense::Mat;
 use dsk_sparse::{CooMatrix, CsrMatrix};
@@ -63,6 +63,31 @@ impl SddmmCombine<'_> {
     }
 }
 
+/// Call `$group::<N>(t, $args..)` over `t` in `0..$n`: eight at a time,
+/// then one group each of 4, 2 and 1 for the remainder.
+macro_rules! in_groups {
+    ($n:expr, $group:ident($($arg:expr),*)) => {{
+        let n = $n;
+        let mut t = 0;
+        while t + 8 <= n {
+            $group::<8>(t, $($arg),*);
+            t += 8;
+        }
+        if t + 4 <= n {
+            $group::<4>(t, $($arg),*);
+            t += 4;
+        }
+        if t + 2 <= n {
+            $group::<2>(t, $($arg),*);
+            t += 2;
+        }
+        if t < n {
+            $group::<1>(t, $($arg),*);
+        }
+    }};
+}
+pub(crate) use in_groups;
+
 /// Accumulate (partial) dot products into `acc`, aligned with the CSR
 /// nonzero order of `s`: `acc[k] += combine(A_row(i_k), B_row(j_k))`.
 /// Panels may be column slices of the global matrices.
@@ -73,109 +98,73 @@ pub fn sddmm_csr_acc_with(
     b_panel: &Mat,
     combine: SddmmCombine<'_>,
 ) {
-    sddmm_csr_acc_by(acc, s, a_panel, b_panel, combine, |x, y| combine.eval(x, y));
-}
-
-/// [`sddmm_csr_acc_with`] with the non-`Dot` combines evaluated by
-/// `affine`, one nonzero at a time; `Dot` rows always run
-/// [`sddmm_dot_row`]. The blocked variant passes its own evaluator.
-pub(crate) fn sddmm_csr_acc_by(
-    acc: &mut [f64],
-    s: &CsrMatrix,
-    a_panel: &Mat,
-    b_panel: &Mat,
-    combine: SddmmCombine<'_>,
-    affine: impl Fn(&[f64], &[f64]) -> f64,
-) {
     assert_eq!(acc.len(), s.nnz(), "accumulator must align with pattern");
-    assert_eq!(a_panel.nrows(), s.nrows(), "A panel rows must match S rows");
-    assert_eq!(b_panel.nrows(), s.ncols(), "B panel rows must match S cols");
-    assert_eq!(
-        a_panel.ncols(),
-        b_panel.ncols(),
-        "panels must cover the same column slice"
-    );
+    panel_shapes(a_panel, b_panel, s.nrows(), s.ncols());
     let indptr = s.indptr();
     for i in 0..s.nrows() {
         let acc_row = &mut acc[indptr[i]..indptr[i + 1]];
-        sddmm_row(
-            acc_row,
-            s.row(i).0,
-            a_panel.row(i),
-            b_panel,
-            combine,
-            &affine,
-        );
-    }
-}
-
-/// One CSR row of SDDMM accumulation: `acc_row[t] += combine(arow,
-/// B_row(cols[t]))`, through [`sddmm_dot_row`] for `Dot` and `affine`
-/// for the rest.
-pub(crate) fn sddmm_row(
-    acc_row: &mut [f64],
-    cols: &[u32],
-    arow: &[f64],
-    b_panel: &Mat,
-    combine: SddmmCombine<'_>,
-    affine: impl Fn(&[f64], &[f64]) -> f64,
-) {
-    match combine {
-        SddmmCombine::Dot => sddmm_dot_row(acc_row, cols, arow, b_panel),
-        SddmmCombine::AffinePair { .. } => {
-            for (slot, &j) in acc_row.iter_mut().zip(cols) {
-                *slot += affine(arow, b_panel.row(j as usize));
+        let (cols, arow) = (s.row(i).0, a_panel.row(i));
+        match combine {
+            SddmmCombine::Dot => in_groups!(cols.len(), csr_dots(acc_row, cols, arow, b_panel)),
+            SddmmCombine::AffinePair { .. } => {
+                for (slot, &j) in acc_row.iter_mut().zip(cols) {
+                    *slot += combine.eval(arow, b_panel.row(j as usize));
+                }
             }
         }
     }
 }
 
-/// One CSR row of dot-product SDDMM: `acc_row[t] += ⟨arow, B_row(cols[t])⟩`,
-/// eight nonzeros at a time and then one group each of 4, 2 and 1 for
-/// the remainder. Bitwise equal to one [`Iterator::sum`] dot per nonzero.
-fn sddmm_dot_row(acc_row: &mut [f64], cols: &[u32], arow: &[f64], b_panel: &Mat) {
-    fn group<const N: usize>(acc: &mut [f64], cols: &[u32], arow: &[f64], b: &Mat) {
-        let d = dots::<N>(arow, &b_rows(b, cols, arow.len()));
-        for (slot, x) in acc[..N].iter_mut().zip(d) {
-            *slot += x;
-        }
-    }
-    let n = cols.len();
-    let mut t = 0;
-    while t + 8 <= n {
-        group::<8>(&mut acc_row[t..], &cols[t..], arow, b_panel);
-        t += 8;
-    }
-    if t + 4 <= n {
-        group::<4>(&mut acc_row[t..], &cols[t..], arow, b_panel);
-        t += 4;
-    }
-    if t + 2 <= n {
-        group::<2>(&mut acc_row[t..], &cols[t..], arow, b_panel);
-        t += 2;
-    }
-    if t < n {
-        group::<1>(&mut acc_row[t..], &cols[t..], arow, b_panel);
+/// `acc[t + u] += ⟨arow, B_row(cols[t + u])⟩` for `u` in `0..N`.
+fn csr_dots<const N: usize>(t: usize, acc: &mut [f64], cols: &[u32], arow: &[f64], b: &Mat) {
+    let d = dots::<N>(&[arow; N], &rows_at(b, &cols[t..], arow.len()));
+    add_into(&mut acc[t..], d);
+}
+
+/// `acc[t + u] += ⟨A_row(rows[t + u]), B_row(cols[t + u])⟩` for `u` in
+/// `0..N`.
+fn coo_dots<const N: usize>(t: usize, acc: &mut [f64], s: &CooMatrix, a: &Mat, b: &Mat) {
+    let r = a.ncols();
+    let d = dots::<N>(&rows_at(a, &s.rows[t..], r), &rows_at(b, &s.cols[t..], r));
+    add_into(&mut acc[t..], d);
+}
+
+fn panel_shapes(a_panel: &Mat, b_panel: &Mat, m: usize, n: usize) {
+    assert_eq!(a_panel.nrows(), m, "A panel rows must match S rows");
+    assert_eq!(b_panel.nrows(), n, "B panel rows must match S cols");
+    assert_eq!(
+        a_panel.ncols(),
+        b_panel.ncols(),
+        "panels must cover the same column slice"
+    );
+}
+
+/// `acc[..N] += d`.
+fn add_into<const N: usize>(acc: &mut [f64], d: [f64; N]) {
+    for (slot, x) in acc[..N].iter_mut().zip(d) {
+        *slot += x;
     }
 }
 
-/// The first `N` rows of `b` that `cols` names, each cut to width `r`
-/// (the cut tells the compiler every row is as long as the A row).
+/// The first `N` rows of `m` that `idx` names, each cut to width `r`
+/// (the cut tells the compiler every row is `r` long).
 #[inline(always)]
-pub(crate) fn b_rows<'b, const N: usize>(b: &'b Mat, cols: &[u32], r: usize) -> [&'b [f64]; N] {
-    std::array::from_fn(|t| &b.row(cols[t] as usize)[..r])
+pub(crate) fn rows_at<'m, const N: usize>(m: &'m Mat, idx: &[u32], r: usize) -> [&'m [f64]; N] {
+    std::array::from_fn(|t| &m.row(idx[t] as usize)[..r])
 }
 
-/// `N` dots `⟨arow, brows[t]⟩` side by side. Each keeps its own
+/// `N` dots `⟨arows[t], brows[t]⟩` side by side. Each keeps its own
 /// accumulator, starts from −0.0 as [`Iterator::sum`] does, and adds its
 /// products in order over `0..r`: every result is bitwise the
 /// sequential dot, and only the `N` independent add chains overlap.
+/// The rows must all have the first A row's length.
 #[inline(always)]
-pub(crate) fn dots<const N: usize>(arow: &[f64], brows: &[&[f64]; N]) -> [f64; N] {
+pub(crate) fn dots<const N: usize>(arows: &[&[f64]; N], brows: &[&[f64]; N]) -> [f64; N] {
+    let r = arows[0].len();
     let mut acc = [-0.0f64; N];
-    for (k, &x) in arow.iter().enumerate() {
+    for k in 0..r {
         for t in 0..N {
-            acc[t] += x * brows[t][k];
+            acc[t] += arows[t][k] * brows[t][k];
         }
     }
     acc
@@ -204,15 +193,14 @@ pub fn sddmm_coo_acc_with(
         s.rows.len(),
         "accumulator must align with pattern"
     );
-    assert_eq!(a_panel.nrows(), s.nrows, "A panel rows must match S rows");
-    assert_eq!(b_panel.nrows(), s.ncols, "B panel rows must match S cols");
-    assert_eq!(
-        a_panel.ncols(),
-        b_panel.ncols(),
-        "panels must cover the same column slice"
-    );
-    for (k, (&i, &j)) in s.rows.iter().zip(&s.cols).enumerate() {
-        acc[k] += combine.eval(a_panel.row(i as usize), b_panel.row(j as usize));
+    panel_shapes(a_panel, b_panel, s.nrows, s.ncols);
+    match combine {
+        SddmmCombine::Dot => in_groups!(acc.len(), coo_dots(acc, s, a_panel, b_panel)),
+        SddmmCombine::AffinePair { .. } => {
+            for (k, (&i, &j)) in s.rows.iter().zip(&s.cols).enumerate() {
+                acc[k] += combine.eval(a_panel.row(i as usize), b_panel.row(j as usize));
+            }
+        }
     }
 }
 

@@ -5,7 +5,6 @@
 use dsk_dense::ops::max_abs_diff;
 use dsk_dense::Mat;
 use dsk_kernels as kern;
-use dsk_kernels::LocalKernel;
 use dsk_rng::Rng;
 use dsk_sparse::{gen, CsrMatrix};
 
@@ -123,41 +122,6 @@ fn spmm_t_equals_transposed_spmm() {
         let mut viat = Mat::zeros(n, r);
         kern::spmm_csr_acc(&mut viat, &s.transpose(), &a);
         assert!(max_abs_diff(&scatter, &viat) < 1e-10);
-    }
-}
-
-/// The thread-parallel variant agrees with serial `Naive` for random
-/// shapes, on every op it parallelizes: SpMM up to rounding, the SDDMM
-/// and fused kernels (one shared row loop) bit for bit.
-#[test]
-fn parallel_kernels_match_serial() {
-    let par = LocalKernel::ParBlocked;
-    let mut rng = Rng::seed_from_u64(0xB006);
-    for _ in 0..CASES {
-        let m = 2 + rng.gen_index(38);
-        let n = 2 + rng.gen_index(38);
-        let r = 1 + rng.gen_index(9);
-        let seed = rng.next_u64() % 300;
-        let (s, a, b) = problem(m, n, r, seed);
-        let mut o1 = Mat::zeros(m, r);
-        let mut o2 = Mat::zeros(m, r);
-        LocalKernel::Naive.spmm_csr(&mut o1, &s, &b);
-        par.spmm_csr(&mut o2, &s, &b);
-        assert!(max_abs_diff(&o1, &o2) < 1e-11);
-        let mut a1 = vec![0.0; s.nnz()];
-        let mut a2 = vec![0.0; s.nnz()];
-        LocalKernel::Naive.sddmm_csr(&mut a1, &s, &a, &b, kern::SddmmCombine::Dot);
-        par.sddmm_csr(&mut a2, &s, &a, &b, kern::SddmmCombine::Dot);
-        assert!(a1.iter().zip(&a2).all(|(x, y)| x.to_bits() == y.to_bits()));
-        let mut f1 = Mat::zeros(m, r);
-        let mut f2 = Mat::zeros(m, r);
-        LocalKernel::Naive.fused_csr(&mut f1, &s, &a, &b);
-        par.fused_csr(&mut f2, &s, &a, &b);
-        assert!(f1
-            .as_slice()
-            .iter()
-            .zip(f2.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }
 

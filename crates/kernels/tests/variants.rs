@@ -1,27 +1,31 @@
-//! Conformance of the variant library: every [`LocalKernel`] variant,
-//! dispatched through every op, must agree with the naive reference —
-//! on hand-built edge shapes (the empty block, interior empty rows, a
+//! Conformance of the local kernels: the one loop of every (op, format)
+//! pair must agree with the naive references of `dsk_kernels::reference`
+//! — on hand-built edge shapes (the empty block, interior empty rows, a
 //! single-column matrix, an all-dense block) crossed with edge widths
-//! (r = 1, the exact unroll width, one past it), and on a seeded random
-//! sweep. Dispatch clamps inadmissible variants, so all three enum values
-//! are legal through every method; accumulation (`+=`) semantics are
-//! checked by starting both sides from the same random prefill.
+//! (r = 1, the exact unroll width, one past it, the specialized widths),
+//! and on a seeded random sweep. Accumulation (`+=`) semantics are
+//! checked by starting both sides from the same random prefill. The
+//! kernels' bitwise contract is `sequential_bits.rs`'s; here the
+//! references are compared up to rounding.
 
 use dsk_dense::ops::max_abs_diff;
 use dsk_dense::Mat;
 use dsk_kernels as kern;
-use dsk_kernels::{LocalKernel, SddmmCombine};
+use dsk_kernels::reference;
 use dsk_rng::Rng;
 use dsk_sparse::{gen, CooMatrix, CsrMatrix};
 
-/// Blocked variants re-associate the per-row dot products (multi-lane
-/// partial sums), so agreement is up to rounding, not bitwise — except
-/// for the CSR `Dot` SDDMM and the fused kernel, whose one row loop every
-/// variant shares: those are compared bit for bit.
 const TOL: f64 = 1e-10;
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
+}
+
+fn close(got: &[f64], want: &[f64], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}: length");
+    for (k, (x, y)) in got.iter().zip(want).enumerate() {
+        assert!((x - y).abs() < TOL, "{ctx}: entry {k}: {x} vs {y}");
+    }
 }
 
 /// The edge-shape menagerie. Widths come from the caller.
@@ -58,9 +62,10 @@ fn edge_matrices() -> Vec<(&'static str, CooMatrix)> {
     shapes
 }
 
-/// Run every variant through every dispatch method on one block and
-/// compare against the naive kernels.
-fn check_all_variants(label: &str, coo: &CooMatrix, r: usize, seed: u64) {
+/// Run every op's kernel, on both formats where it has both, on one
+/// block and compare against the references.
+fn check_every_kernel(label: &str, coo: &CooMatrix, r: usize, seed: u64) {
+    let ctx = format!("{label} r={r}");
     let s = CsrMatrix::from_coo(coo);
     let (m, n) = (s.nrows(), s.ncols());
     let a = Mat::random(m, r, seed);
@@ -68,85 +73,72 @@ fn check_all_variants(label: &str, coo: &CooMatrix, r: usize, seed: u64) {
     let pre_m = Mat::random(m, r, seed + 2);
     let pre_n = Mat::random(n, r, seed + 3);
 
-    // CSR SpMM with values made per row: filled with the block's own
-    // values it is the blocked SpMM bit for bit, one call per non-empty
-    // row, in row order.
+    // `out += S·B` on both formats.
     let mut want = pre_m.clone();
-    LocalKernel::Blocked.spmm_csr(&mut want, &s, &b);
+    reference::spmm_ref_acc(&mut want, coo, &b);
+    let mut got = pre_m.clone();
+    kern::spmm_csr_acc(&mut got, &s, &b);
+    assert!(max_abs_diff(&want, &got) < TOL, "{ctx}: spmm_csr_acc");
+    let mut got = pre_m.clone();
+    kern::spmm_coo_acc(&mut got, coo, &b);
+    assert!(max_abs_diff(&want, &got) < TOL, "{ctx}: spmm_coo_acc");
+
+    // CSR SpMM with values made per row: filled with the block's own
+    // values it is `spmm_csr_acc` bit for bit, one call per non-empty
+    // row, in row order.
+    let mut want_bits = pre_m.clone();
+    kern::spmm_csr_acc(&mut want_bits, &s, &b);
     let mut got = pre_m.clone();
     let mut rows = Vec::new();
     kern::spmm_csr_filled(&mut got, &s, &b, |i, cols, vals| {
         let (own_cols, own_vals) = s.row(i);
-        assert_eq!(cols, own_cols, "{label} r={r}: row {i}'s columns");
+        assert_eq!(cols, own_cols, "{ctx}: row {i}'s columns");
         vals.copy_from_slice(own_vals);
         rows.push(i);
     });
     let nonempty: Vec<usize> = (0..m).filter(|&i| !s.row(i).0.is_empty()).collect();
-    assert_eq!(rows, nonempty, "{label} r={r}: fill calls");
+    assert_eq!(rows, nonempty, "{ctx}: fill calls");
     assert_eq!(
         bits(got.as_slice()),
-        bits(want.as_slice()),
-        "{label} r={r}: spmm_csr_filled"
+        bits(want_bits.as_slice()),
+        "{ctx}: spmm_csr_filled"
     );
 
-    for v in LocalKernel::ALL {
-        let ctx = format!("{label}: {v:?} r={r}");
+    // `out += Sᵀ·A` on both formats.
+    let mut want = pre_n.clone();
+    reference::spmm_t_ref_acc(&mut want, coo, &a);
+    let mut got = pre_n.clone();
+    kern::spmm_csr_t_acc(&mut got, &s, &a);
+    assert!(max_abs_diff(&want, &got) < TOL, "{ctx}: spmm_csr_t_acc");
+    let mut got = pre_n.clone();
+    kern::spmm_coo_t_acc(&mut got, coo, &a);
+    assert!(max_abs_diff(&want, &got) < TOL, "{ctx}: spmm_coo_t_acc");
 
-        // CSR SpMM.
-        let mut want = pre_m.clone();
-        kern::spmm_csr_acc(&mut want, &s, &b);
-        let mut got = pre_m.clone();
-        v.spmm_csr(&mut got, &s, &b);
-        assert!(max_abs_diff(&want, &got) < TOL, "{ctx}: spmm_csr");
+    // SDDMM accumulation (Dot combine): the reference on a ones-valued
+    // copy of the pattern is the bare dot per nonzero, in CSR order.
+    let mut ones = s.clone();
+    ones.set_vals(vec![1.0; s.nnz()]);
+    let dots = reference::sddmm_ref(&ones, &a, &b);
+    let pre_acc = Mat::random(1, s.nnz(), seed + 4).into_vec();
+    let want: Vec<f64> = pre_acc.iter().zip(&dots).map(|(p, d)| p + d).collect();
+    let mut got = pre_acc.clone();
+    kern::sddmm_csr_acc(&mut got, &s, &a, &b);
+    close(&got, &want, &format!("{ctx}: sddmm_csr_acc"));
+    let mut got = pre_acc.clone();
+    kern::sddmm_coo_acc(&mut got, &s.to_coo(), &a, &b);
+    close(&got, &want, &format!("{ctx}: sddmm_coo_acc"));
+    close(
+        &kern::sddmm_csr(&s, &a, &b),
+        &reference::sddmm_ref(&s, &a, &b),
+        &format!("{ctx}: sddmm_csr"),
+    );
 
-        // CSR transpose scatter.
-        let mut want = pre_n.clone();
-        kern::spmm_csr_t_acc(&mut want, &s, &a);
-        let mut got = pre_n.clone();
-        v.spmm_csr_t(&mut got, &s, &a);
-        assert!(max_abs_diff(&want, &got) < TOL, "{ctx}: spmm_csr_t");
-
-        // CSR SDDMM (accumulating, Dot combine).
-        let mut want = vec![0.125; s.nnz()];
-        kern::sddmm_csr_acc(&mut want, &s, &a, &b);
-        let mut got = vec![0.125; s.nnz()];
-        v.sddmm_csr(&mut got, &s, &a, &b, SddmmCombine::Dot);
-        assert_eq!(bits(&got), bits(&want), "{ctx}: sddmm_csr");
-
-        // CSR fused SDDMM+SpMM.
-        let mut want = pre_m.clone();
-        kern::fused_a_csr(&mut want, &s, &a, &b);
-        let mut got = pre_m.clone();
-        v.fused_csr(&mut got, &s, &a, &b);
-        assert_eq!(
-            bits(got.as_slice()),
-            bits(want.as_slice()),
-            "{ctx}: fused_csr"
-        );
-
-        // COO SpMM.
-        let mut want = pre_m.clone();
-        kern::spmm_coo_acc(&mut want, coo, &b);
-        let mut got = pre_m.clone();
-        v.spmm_coo(&mut got, coo, &b);
-        assert!(max_abs_diff(&want, &got) < TOL, "{ctx}: spmm_coo");
-
-        // COO transpose scatter.
-        let mut want = pre_n.clone();
-        kern::spmm_coo_t_acc(&mut want, coo, &a);
-        let mut got = pre_n.clone();
-        v.spmm_coo_t(&mut got, coo, &a);
-        assert!(max_abs_diff(&want, &got) < TOL, "{ctx}: spmm_coo_t");
-
-        // COO SDDMM.
-        let mut want = vec![-0.25; coo.nnz()];
-        kern::sddmm_coo_acc(&mut want, coo, &a, &b);
-        let mut got = vec![-0.25; coo.nnz()];
-        v.sddmm_coo(&mut got, coo, &a, &b, SddmmCombine::Dot);
-        for (x, y) in got.iter().zip(&want) {
-            assert!((x - y).abs() < TOL, "{ctx}: sddmm_coo");
-        }
-    }
+    // Fused SDDMM+SpMM (CSR only).
+    let mut want = pre_m.clone();
+    dsk_dense::ops::add_assign(&mut want, &reference::fused_a_ref(&s, &a, &b));
+    let mut got = pre_m.clone();
+    kern::fused_a_csr(&mut got, &s, &a, &b);
+    assert!(max_abs_diff(&want, &got) < TOL, "{ctx}: fused_a_csr");
 }
 
 /// r = 1 (single-column dense operands), r = 8 (the exact
@@ -155,16 +147,16 @@ fn check_all_variants(label: &str, coo: &CooMatrix, r: usize, seed: u64) {
 const EDGE_WIDTHS: [usize; 3] = [1, 8, 9];
 
 #[test]
-fn every_variant_matches_naive_on_edge_shapes() {
+fn every_kernel_matches_the_reference_on_edge_shapes() {
     for (label, coo) in edge_matrices() {
         for (wi, r) in EDGE_WIDTHS.into_iter().enumerate() {
-            check_all_variants(label, &coo, r, 0xC0DE + wi as u64 * 17);
+            check_every_kernel(label, &coo, r, 0xC0DE + wi as u64 * 17);
         }
     }
 }
 
 #[test]
-fn every_variant_matches_naive_on_seeded_random_shapes() {
+fn every_kernel_matches_the_reference_on_seeded_random_shapes() {
     let mut rng = Rng::seed_from_u64(0xB008);
     for case in 0..16 {
         let m = 2 + rng.gen_index(46);
@@ -173,7 +165,7 @@ fn every_variant_matches_naive_on_seeded_random_shapes() {
         let nnz_row = (1 + rng.gen_index(6)).min(n);
         let seed = rng.next_u64() % 1000;
         let coo = gen::erdos_renyi(m, n, nnz_row, seed);
-        check_all_variants(&format!("random-{case} ({m}x{n})"), &coo, r, seed + 40);
+        check_every_kernel(&format!("random-{case} ({m}x{n})"), &coo, r, seed + 40);
     }
 }
 
@@ -183,6 +175,6 @@ fn every_variant_matches_naive_on_seeded_random_shapes() {
 fn width_specialized_kernels_match_at_every_unroll_width() {
     for (wi, r) in [16usize, 32, 64].into_iter().enumerate() {
         let coo = gen::erdos_renyi(96, 80, 5, 31 + wi as u64);
-        check_all_variants("unroll-width", &coo, r, 0xAB + wi as u64);
+        check_every_kernel("unroll-width", &coo, r, 0xAB + wi as u64);
     }
 }

@@ -47,29 +47,19 @@ fn main() {
 
     println!("p = {p}, n = {n}, r = {r}, nnz/row = {nnz_per_row}  →  φ = {phi:.4}\n");
     println!(
-        "| {:<4} | {:<42} | {:<8} | {:>6} | {:>14} | {:>9} | {:>12} | {:<11} |",
-        "rank",
-        "algorithm",
-        "routing",
-        "best c",
-        "words/proc",
-        "msgs/proc",
-        "est. time (s)",
-        "local"
+        "| {:<4} | {:<42} | {:<8} | {:>6} | {:>14} | {:>9} | {:>12} |",
+        "rank", "algorithm", "routing", "best c", "words/proc", "msgs/proc", "est. time (s)",
     );
     println!(
-        "|{:-<6}|{:-<44}|{:-<10}|{:-<8}|{:-<16}|{:-<11}|{:-<14}|{:-<13}|",
-        "", "", "", "", "", "", "", ""
+        "|{:-<6}|{:-<44}|{:-<10}|{:-<8}|{:-<16}|{:-<11}|{:-<14}|",
+        "", "", "", "", "", "", ""
     );
 
-    // Planning-only shape source: the local column shows the local
-    // kernel table's SpMM pick for each family's block format (a shape
-    // source has no staging to pin).
     let builder = KernelBuilder::for_shape(dims, nnz).model(model);
     let candidates = builder.plan_candidates(p);
     for (i, cand) in candidates.iter().enumerate() {
         println!(
-            "| {:<4} | {:<42} | {:<8} | {:>6} | {:>14.0} | {:>9.0} | {:>12.5} | {:<11} |",
+            "| {:<4} | {:<42} | {:<8} | {:>6} | {:>14.0} | {:>9.0} | {:>12.5} |",
             i + 1,
             cand.algorithm.label(),
             cand.routing.label(),
@@ -77,7 +67,6 @@ fn main() {
             cand.words_per_proc,
             cand.msgs_per_proc,
             cand.predicted_total_s(),
-            cand.local_variant.label(),
         );
     }
 

@@ -4,11 +4,12 @@
 //! The other suites compare against serial references under tolerances,
 //! which a reordered sum or a shifted message count passes. This one
 //! runs every kernel × admissible routing on one ragged problem (no
-//! dimension a multiple of `p`) with the local variant pinned, and
-//! compares `to_bits()` of every result norm, the stored-R pipeline, the
-//! squared loss, and the per-phase `msgs_sent` / `words_sent` /
-//! `modeled_s` against constants captured from the commit before the
-//! family-layer refactor, with two deliberate accounting moves:
+//! dimension a multiple of `p`; every local loop adds in the
+//! one-nonzero-at-a-time order), and compares `to_bits()` of every
+//! result norm, the stored-R pipeline, the squared loss, and the
+//! per-phase `msgs_sent` / `words_sent` / `modeled_s` against constants
+//! captured from the commit before the family-layer refactor, with two
+//! deliberate accounting moves:
 //!
 //! * the Propagation rows count `q − 1` hops per input-lane round;
 //! * the 1.5D dense shift's dense-routed `rhs_b` runs `Sᵀ·A` as an
@@ -28,7 +29,6 @@
 
 use std::sync::Arc;
 
-use distributed_sparse_kernels::kernels::LocalKernel;
 use distributed_sparse_kernels::prelude::*;
 
 const P: usize = 8;
@@ -67,9 +67,6 @@ fn measure(family: Option<AlgorithmFamily>, routing: Routing) -> Table {
     let (m, n, r) = DIMS;
     let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 12_001));
     let staged = Arc::new(StagedProblem::new(prob));
-    // The rows were recorded on `Naive`; the table's `Blocked` SpMM
-    // would reorder sums.
-    staged.set_local_pin(Some(LocalKernel::Naive));
     let builder = match family {
         Some(f) => KernelBuilder::from_staged_arc(staged)
             .family(f)

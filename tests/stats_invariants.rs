@@ -159,9 +159,9 @@ fn stall_is_measured_only_and_never_enters_modeled_time() {
 
 #[test]
 fn local_tuning_bucket_carries_no_traffic_and_no_modeled_cost() {
-    // No code enters Phase::LocalTuning (local variants come from a
-    // fixed table), and the bucket must stay free of traffic and
-    // modeled flops whatever a build does.
+    // No code enters Phase::LocalTuning (each op has one local loop),
+    // and the bucket must stay free of traffic and modeled flops
+    // whatever a build does.
     let prob = Arc::new(GlobalProblem::erdos_renyi(32, 32, 8, 4, 9006));
     let world = SimWorld::new(8, MachineModel::cori_knl());
     let out = world.run(move |comm| {
@@ -179,6 +179,40 @@ fn local_tuning_bucket_carries_no_traffic_and_no_modeled_cost() {
         let s = o.stats.phase(Phase::Setup);
         assert_eq!(s.flops, 0, "staging records no modeled flops");
         assert_eq!(s.modeled_s, 0.0, "setup is never modeled");
+    }
+}
+
+/// Building any kernel — every family and the 1D baseline — runs the
+/// one local loop per op and measures nothing, so the local-tuning
+/// bucket stays empty on every rank: no wall time, no traffic, no
+/// modeled cost.
+#[test]
+fn no_build_enters_the_local_tuning_phase() {
+    use distributed_sparse_kernels::core::{AlgorithmFamily, KernelBuilder, StagedProblem};
+    let prob = Arc::new(GlobalProblem::erdos_renyi(256, 256, 16, 4, 7101));
+    let staged = Arc::new(StagedProblem::new(Arc::clone(&prob)));
+    let mut builders: Vec<KernelBuilder> = AlgorithmFamily::ALL
+        .into_iter()
+        .map(|f| KernelBuilder::from_staged(&staged).family(f).replication(2))
+        .collect();
+    builders.push(KernelBuilder::from_staged(&staged).baseline());
+    for builder in builders {
+        let world = SimWorld::new(8, MachineModel::cori_knl());
+        let out = world.run(move |comm| {
+            let mut w = builder.build(comm);
+            let elision = w.plan().elision;
+            let _ = w.fused_mm_b(None, elision, Sampling::Values);
+        });
+        for o in &out {
+            let t = o.stats.phase(Phase::LocalTuning);
+            assert_eq!(t.wall_s, 0.0, "a build spent wall time tuning");
+            assert_eq!(t.words_sent, 0);
+            assert_eq!(t.words_recv, 0);
+            assert_eq!(t.msgs_sent, 0);
+            assert_eq!(t.msgs_recv, 0);
+            assert_eq!(t.flops, 0);
+            assert_eq!(t.modeled_s, 0.0);
+        }
     }
 }
 
