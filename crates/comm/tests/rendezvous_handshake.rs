@@ -41,11 +41,22 @@ fn dial_with(listener_ep: &Path, hello: Hello) {
     std::thread::sleep(Duration::from_millis(200));
 }
 
-fn unix_listener(name: &str) -> (SocketListener, PathBuf) {
+/// Removes a test's rendezvous dir when the test ends, on a panic too.
+struct RemoveDir(PathBuf);
+
+impl Drop for RemoveDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A listener on a fresh `dsk-handshake-*` dir in the temp dir, the
+/// dialing endpoint, and the guard that removes the dir.
+fn unix_listener(name: &str) -> (SocketListener, PathBuf, RemoveDir) {
     let dir = std::env::temp_dir().join(format!("dsk-handshake-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let ep = dir.join("coord.sock");
-    (SocketListener::bind(&ep).unwrap(), ep)
+    (SocketListener::bind(&ep).unwrap(), ep, RemoveDir(dir))
 }
 
 /// A peer built at a different protocol version connects; the
@@ -53,7 +64,7 @@ fn unix_listener(name: &str) -> (SocketListener, PathBuf) {
 /// `VersionMismatch` naming who is wrong and both versions.
 #[test]
 fn wrong_version_peer_is_rejected_with_a_typed_error() {
-    let (listener, ep) = unix_listener("version");
+    let (listener, ep, _dir) = unix_listener("version");
     let peer = std::thread::spawn(move || {
         let mut hello = rendezvous::local_hello(3, 4, 0);
         hello.proto_version = PROTOCOL_VERSION + 1; // an out-of-date build
@@ -83,7 +94,7 @@ fn wrong_version_peer_is_rejected_with_a_typed_error() {
 /// is the version check and not an artifact of the transport plumbing.
 #[test]
 fn compatible_peer_passes_the_same_gate() {
-    let (listener, ep) = unix_listener("ok");
+    let (listener, ep, _dir) = unix_listener("ok");
     let peer = std::thread::spawn(move || {
         dial_with(&ep, rendezvous::local_hello(2, 4, 7));
     });

@@ -36,9 +36,10 @@ use crate::common::{
     ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::planview::{Operand, PlanView};
+use crate::planview::Operand;
 use crate::rstore::{RStore, RValues};
 use crate::staged::StagedProblem;
+use crate::state::KernelState;
 
 /// Tag for traveling sparse blocks (row-ring).
 const TAG_SPARSE: u32 = 120;
@@ -46,39 +47,36 @@ const TAG_SPARSE: u32 = 120;
 const TAG_DENSE: u32 = 121;
 
 /// One orientation (canonical `S` or transposed `Sᵀ`) of the worker's
-/// dense data.
-struct Oriented {
-    /// Home (pre-skewed) traveling dense block (the `B` role).
-    y_home: Mat,
-    /// This rank's fiber sub-block of the replicated matrix (the `A`
-    /// role).
-    x_fiber: Mat,
-    /// Column-ring pattern for this orientation's panel shifts (`None`
-    /// = dense shifts).
-    route: Option<CommPattern>,
-}
-
-/// An orientation together with the sparse block that travels in it.
+/// data, a view into its state: the sparse block and the dense panel
+/// that travel in it, and the operand it replicates.
 struct Side<'a> {
     /// Home (pre-skewed) sparse block: rows local to macro row `u`,
     /// columns local to its column block; values = sampling values.
     home: &'a CooMatrix,
-    o: &'a Oriented,
+    /// Home (pre-skewed) traveling dense block (the `B` role): the
+    /// traveling operand's iterate.
+    y_home: &'a Mat,
+    /// This rank's fiber sub-block of the replicated matrix (the `A`
+    /// role): the other operand's replica copy.
+    x_fiber: &'a Mat,
+    /// Column-ring pattern for this orientation's panel shifts (`None`
+    /// = dense shifts).
+    route: Option<&'a CommPattern>,
 }
 
 /// Per-rank state of the 2.5D dense-replicating algorithm.
 pub struct DenseRepl25 {
     /// Grid communicators (row ring, column ring, fiber).
     pub gc: GridComms25,
-    view: PlanView,
-    /// The canonical home block of `S` and the SDDMM result on it.
-    r: RStore,
+    /// The R store holds the canonical home block of `S`. Each operand's
+    /// iterate is its travel-layout block, its replica copy its fiber
+    /// sub-block.
+    state: KernelState,
     /// The transposed home block (of `Sᵀ`).
     st_home: CooMatrix,
-    /// Canonical orientation (replicate `A`, travel `S` and `B`).
-    canon: Oriented,
-    /// Transposed orientation (replicate `B`, travel `Sᵀ` and `A`).
-    trans: Oriented,
+    /// Column-ring pattern of the orientation in which `A` travels
+    /// (transposed) and of the one in which `B` does (canonical).
+    routes: [Option<CommPattern>; 2],
 }
 
 impl DenseRepl25 {
@@ -96,28 +94,15 @@ impl DenseRepl25 {
         let (m, n) = (prob.dims.m, prob.dims.n);
         let q = grid.q;
         assert!(m >= q * c && n >= q * c, "matrix sides too small for grid");
+        let (s_home, offset, route_b) = Self::orient(&gc, staged, routing, false, m, n);
+        let (st_home, _, route_a) = Self::orient(&gc, staged, routing, true, n, m);
+        let r = RStore::coo((m, n), s_home, offset);
         let id = KernelId::Family(AlgorithmFamily::DenseRepl25);
-        let view = PlanView::of(id, c, comm.size(), prob.dims);
-        let g = comm.rank();
-        let orient = |transposed, x, y, rows_tot, cols_tot| {
-            let (s_home, offset, route) =
-                Self::orient(&gc, staged, routing, transposed, rows_tot, cols_tot);
-            let dense = Oriented {
-                y_home: view.stage(prob, y, false, g),
-                x_fiber: view.stage(prob, x, true, g),
-                route,
-            };
-            (s_home, offset, dense)
-        };
-        let (s_home, offset, canon) = orient(false, Operand::A, Operand::B, m, n);
-        let (st_home, _, trans) = orient(true, Operand::B, Operand::A, n, m);
         DenseRepl25 {
-            view,
             gc,
-            r: RStore::coo((m, n), s_home, offset),
+            state: KernelState::new(id, c, comm, prob, r),
             st_home,
-            canon,
-            trans,
+            routes: [route_a, route_b],
         }
     }
 
@@ -151,19 +136,18 @@ impl DenseRepl25 {
         (s_home, offset, route)
     }
 
-    /// The canonical side: `S` travels, `A` replicated.
-    fn canon_side(&self) -> Side<'_> {
+    /// The orientation in which `y_op` travels: the canonical one
+    /// (`S` and `B` travel, `A` replicated) for `B`, the transposed one
+    /// (`Sᵀ` and `A` travel, `B` replicated) for `A`.
+    fn side(&self, y_op: Operand) -> Side<'_> {
         Side {
-            home: self.r.coo_block(),
-            o: &self.canon,
-        }
-    }
-
-    /// The transposed side: `Sᵀ` travels, `B` replicated.
-    fn trans_side(&self) -> Side<'_> {
-        Side {
-            home: &self.st_home,
-            o: &self.trans,
+            home: match y_op {
+                Operand::A => &self.st_home,
+                Operand::B => self.state.r.coo_block(),
+            },
+            y_home: self.state.operand(y_op),
+            x_fiber: self.state.replica(y_op.other()),
+            route: self.routes[y_op as usize].as_ref(),
         }
     }
 
@@ -211,7 +195,7 @@ impl DenseRepl25 {
     /// All-gather one side's replicated operand along the fiber into
     /// its macro-row panel (as tall as the side's sparse block).
     fn replicate(&self, side: &Side<'_>) -> Mat {
-        replicate_rows(&self.gc.fiber, &side.o.x_fiber, side.home.nrows, None)
+        replicate_rows(&self.gc.fiber, side.x_fiber, side.home.nrows, None)
     }
 
     /// SDDMM travel round: the sparse block accumulates slice-partial
@@ -226,7 +210,7 @@ impl DenseRepl25 {
         route: Option<&CommPattern>,
     ) -> Vec<f64> {
         let q = self.q();
-        let slice = block_range(self.view.dims().r, q, self.gc.v);
+        let slice = block_range(self.state.view.dims().r, q, self.gc.v);
         let mut blk = side.home.clone();
         blk.vals.fill(0.0);
         let mut y = self.dense_pipeline(route).input(y0);
@@ -259,7 +243,7 @@ impl DenseRepl25 {
         let width = y0.ncols();
         let mut t_out = Mat::zeros(home.nrows, width);
         let mut blk = self.sparse_pipeline().input(home);
-        let mut y = self.dense_pipeline(side.o.route.as_ref()).input(y0);
+        let mut y = self.dense_pipeline(side.route).input(y0);
         for _ in 0..self.q() {
             // Both travelers are input lanes here (the accumulator is
             // replicated, not circulating): post both hops up front and
@@ -280,17 +264,17 @@ impl DenseRepl25 {
     }
 
     /// SpMM travel round with a circulating output accumulator (`out +=
-    /// Sᵀ·T` per step, `out` traveling the column ring) — the SpMMB
-    /// data flow.
+    /// Sᵀ·T` per step, `out` shaped like the side's traveling panel and
+    /// traveling the column ring) — the SpMMB data flow.
     fn spmm_shift_acc_round(
         &self,
-        o: &Oriented,
+        side: &Side<'_>,
         home: &CooMatrix,
         t_buf: &Mat,
         route: Option<&CommPattern>,
     ) -> Mat {
         let width = t_buf.ncols();
-        let mut out = Mat::zeros(o.y_home.nrows(), width);
+        let mut out = Mat::zeros(side.y_home.nrows(), width);
         let mut blk = self.sparse_pipeline().input(home);
         let pipe_y = self.dense_pipeline(route);
         for t in 0..self.q() {
@@ -310,76 +294,59 @@ impl DenseRepl25 {
         }
         out
     }
-
-    /// FusedMM on one side — FusedMMB on the canonical one, FusedMMA on
-    /// the transposed one. `y` (travel layout) defaults to the stored
-    /// traveling operand; the result is in the same layout.
-    fn fused(&self, side: &Side<'_>, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let o = side.o;
-        let route = match elision {
-            Elision::None => o.route.as_ref(),
-            Elision::ReplicationReuse => None,
-            Elision::LocalKernelFusion => panic!(
-                "local kernel fusion requires co-located full rows; \
-                 unsupported for 2.5D dense replication"
-            ),
-        };
-        let t_buf = self.replicate(side);
-        let y0 = y.unwrap_or(&o.y_home);
-        let mut dots = self.dots_round(side, &t_buf, y0, &CombineSpec::Dot, route);
-        sampling.apply(&mut dots, &side.home.vals);
-        let blk = side.home.with_vals(dots);
-        // Unoptimized: without elision the SpMM call replicates again.
-        let again = (elision == Elision::None).then(|| self.replicate(side));
-        self.spmm_shift_acc_round(o, &blk, again.as_ref().unwrap_or(&t_buf), route)
-    }
 }
 
 impl DistKernel for DenseRepl25 {
-    fn view(&self) -> PlanView {
-        self.view
+    fn state(&self) -> &KernelState {
+        &self.state
     }
 
-    fn r_store(&self) -> &RStore {
-        &self.r
-    }
-
-    fn r_store_mut(&mut self) -> &mut RStore {
-        &mut self.r
+    fn state_mut(&mut self) -> &mut KernelState {
+        &mut self.state
     }
 
     /// Replicates `A`, travels `S` and `B`.
     fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
-        let side = self.canon_side();
+        let side = self.side(Operand::B);
         let t_buf = self.replicate(&side);
-        let route = side.o.route.as_ref();
-        vec![self.dots_round(&side, &t_buf, &side.o.y_home, combine, route)]
+        vec![self.dots_round(&side, &t_buf, side.y_home, combine, side.route)]
     }
 
     /// Returned in the fiber `A` layout.
-    fn spmm_a(&mut self, use_r: bool) -> Mat {
-        let t_out = self.spmm_out_round(
-            &self.canon_side(),
-            &self.r.traveler(use_r),
-            &self.canon.y_home,
-        );
+    fn spmm_a(&mut self) -> Mat {
+        let side = self.side(Operand::B);
+        let t_out = self.spmm_out_round(&side, side.home, side.y_home);
         self.reduce_to_fiber(&t_out)
     }
 
     /// Returned in the travel `B` layout (pre-skewed home block).
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let side = self.canon_side();
+        let side = self.side(Operand::B);
         let t_buf = self.replicate(&side);
-        let route = side.o.route.as_ref();
-        self.spmm_shift_acc_round(side.o, &self.r.traveler(use_r), &t_buf, route)
+        let home = self.state.r.traveler(use_r);
+        self.spmm_shift_acc_round(&side, &home, &t_buf, side.route)
     }
 
-    fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        self.fused(&self.trans_side(), x, elision, sampling)
-    }
-
-    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        self.fused(&self.canon_side(), y, elision, sampling)
+    /// On the orientation in which `out` travels: `y` (travel layout)
+    /// defaults to the stored traveling operand; the result is in the
+    /// same layout.
+    fn fused(
+        &mut self,
+        out: Operand,
+        y: Option<&Mat>,
+        elision: Elision,
+        sampling: Sampling,
+    ) -> Mat {
+        let side = self.side(out);
+        let route = side.route.filter(|_| elision == Elision::None);
+        let t_buf = self.replicate(&side);
+        let y0 = y.unwrap_or(side.y_home);
+        let mut dots = self.dots_round(&side, &t_buf, y0, &CombineSpec::Dot, route);
+        sampling.apply(&mut dots, &side.home.vals);
+        let blk = side.home.with_vals(dots);
+        // Unoptimized: without elision the SpMM call replicates again.
+        let again = (elision == Elision::None).then(|| self.replicate(&side));
+        self.spmm_shift_acc_round(&side, &blk, again.as_ref().unwrap_or(&t_buf), route)
     }
 
     /// The whole grid-row plane: its members split macro row `u`'s
@@ -390,36 +357,18 @@ impl DistKernel for DenseRepl25 {
 
     /// Takes a travel-layout operand; returned in the fiber `A` layout.
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
-        let (traveler, sums) = self.r.traveler_of(vals);
-        let t_out = self.spmm_out_round(&self.canon_side(), &traveler, y);
+        let (traveler, sums) = self.state.r.traveler_of(vals);
+        let t_out = self.spmm_out_round(&self.side(Operand::B), &traveler, y);
         (self.reduce_to_fiber(&t_out), sums)
-    }
-
-    fn a_iterate(&self) -> Mat {
-        self.trans.y_home.clone()
-    }
-
-    fn b_iterate(&self) -> Mat {
-        self.canon.y_home.clone()
-    }
-
-    /// `A` is the canonical replicated operand and the transposed
-    /// traveling one.
-    fn set_a(&mut self, comm: &Comm, x: &Mat) {
-        self.canon.x_fiber = self.view.redistribute(comm, Operand::A, x, true);
-        self.trans.y_home = x.clone();
-    }
-
-    fn set_b(&mut self, comm: &Comm, y: &Mat) {
-        self.trans.x_fiber = self.view.redistribute(comm, Operand::B, y, true);
-        self.canon.y_home = y.clone();
     }
 
     fn rhs_a(&mut self, comm: &Comm) -> Mat {
         // The SpMMA output lands in the fiber layout; the iterate lives
         // in the travel layout — pay the distribution shift (Fig. 9).
-        let fiber = self.spmm_a(false);
-        self.view.redistribute(comm, Operand::A, &fiber, false)
+        let fiber = self.spmm_a();
+        self.state
+            .view
+            .redistribute(comm, Operand::A, &fiber, false)
     }
 }
 
@@ -427,6 +376,7 @@ impl DistKernel for DenseRepl25 {
 mod tests {
     use super::*;
     use crate::global::GlobalProblem;
+    use crate::planview::PlanView;
     use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, Phase, SimWorld};
     use dsk_dense::ops::max_abs_diff;
@@ -514,7 +464,7 @@ mod tests {
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
             let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
-            let ga = worker.spmm_a(false);
+            let ga = worker.spmm_a();
             let gb = worker.spmm_b(false);
             (
                 crate::layout::gather_dense(comm, 0, &ga, la, m, r),

@@ -35,7 +35,7 @@
 //! follows, the first one included, replays them: each factor crosses
 //! the ring once per ALS sweep.
 
-use std::cell::{OnceCell, RefCell};
+use std::cell::OnceCell;
 
 use dsk_comm::{Comm, CommPattern, Grid15, GridComms15, RowSet};
 use dsk_dense::Mat;
@@ -47,9 +47,10 @@ use crate::common::{
     Routing, Sampling, ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::planview::{Operand, PlanView};
+use crate::planview::Operand;
 use crate::rstore::{RStore, RValues};
 use crate::staged::StagedProblem;
+use crate::state::KernelState;
 
 /// Tag used for dense block shifts within a layer.
 const TAG_SHIFT: u32 = 100;
@@ -58,32 +59,24 @@ const TAG_SHIFT: u32 = 100;
 pub struct DenseShift15 {
     /// Grid communicators (layer ring + replication fiber).
     pub gc: GridComms15,
-    view: PlanView,
-    /// `S` blocks by slot `w` (column block `j = w·c + v` of macro row
-    /// `u`), values = sampling values, with the SDDMM output values
-    /// aligned to their nonzero order.
-    r: RStore,
+    /// The R store holds the `S` blocks by slot `w` (column block
+    /// `j = w·c + v` of macro row `u`), values = sampling values; the
+    /// operands are block row `g` of `A` and of `B`. The held ring tiles
+    /// are those the right-hand-side rounds and iterate fused rounds
+    /// received — `B`'s (`rhs_a`, FusedMMA) and `A`'s (`rhs_b`,
+    /// FusedMMB): `q − 1` block rows, `(q − 1)·⌈n/p⌉·r` (`⌈m/p⌉`)
+    /// words. A dense-routed plan fills them on every `rhs_*` call,
+    /// whatever its elision; only local kernel fusion replays them.
+    state: KernelState,
     /// `Sᵀ` blocks by slot `w` (column block over `m` of macro row `u`
     /// of `n`), for the transposed-role (FusedMMA) paths.
     st_blocks: Vec<CsrMatrix>,
-    /// Local block row `g` of `A`; written only by `set_a`.
-    a_loc: Mat,
-    /// Local block row `g` of `B`; written only by `set_b`.
-    b_loc: Mat,
     /// Layer-ring communication pattern for pattern-routed propagation
     /// (`None` = dense shifts, the default).
     route: Option<CommPattern>,
     /// Ones-valued copies of the `S` and `Sᵀ` blocks for
     /// [`Sampling::Ones`] fused rounds, built on first use.
     ones: [OnceCell<Vec<CsrMatrix>>; 2],
-    /// The ring tiles the right-hand-side rounds and iterate fused rounds
-    /// received — `B`'s (`rhs_a`, FusedMMA) and `A`'s (`rhs_b`,
-    /// FusedMMB), indexed like `ones` — replayed until `set_b` / `set_a`
-    /// empties them: `q − 1` block rows of `B` (of `A`),
-    /// `(q − 1)·⌈n/p⌉·r` (`⌈m/p⌉`) words. A dense-routed plan fills them
-    /// on every `rhs_*` call, whatever its elision; only local kernel
-    /// fusion replays them.
-    held: [RefCell<Vec<Mat>>; 2],
 }
 
 impl DenseShift15 {
@@ -102,45 +95,36 @@ impl DenseShift15 {
         let q = grid.layer_size();
         let (m, n) = (prob.dims.m, prob.dims.n);
         assert!(m >= p && n >= p, "matrix sides must be at least p");
-        let g = comm.rank();
         let (u, v) = (gc.u, gc.v);
 
-        // S: macro rows (aligned to unions of A block rows) × p column
-        // blocks; keep column blocks ≡ v (mod c) of macro row u.
-        let macro_rows: Vec<_> = (0..q).map(|uu| union_range(m, p, uu * c, c)).collect();
-        let col_blocks: Vec<_> = (0..p).map(|j| block_range(n, p, j)).collect();
-        let grid_s = staged.partition(false, &macro_rows, &col_blocks);
-        let s_blocks: Vec<CsrMatrix> = (0..q)
-            .map(|w| CsrMatrix::from_coo(&grid_s[u][w * c + v]))
-            .collect();
-        let offsets = (0..q)
-            .map(|w| (macro_rows[u].start, col_blocks[w * c + v].start))
-            .collect();
+        // S (Sᵀ): macro rows (aligned to unions of A (B) block rows) × p
+        // column blocks; keep column blocks ≡ v (mod c) of macro row u,
+        // by slot w, with their global offsets.
+        let cut = |transposed: bool, rows: usize, cols: usize| {
+            let macro_rows: Vec<_> = (0..q).map(|uu| union_range(rows, p, uu * c, c)).collect();
+            let col_blocks: Vec<_> = (0..p).map(|j| block_range(cols, p, j)).collect();
+            let parts = staged.partition(transposed, &macro_rows, &col_blocks);
+            let slot = |w: usize| {
+                let at = (macro_rows[u].start, col_blocks[w * c + v].start);
+                (CsrMatrix::from_coo(&parts[u][w * c + v]), at)
+            };
+            (0..q).map(slot).unzip::<_, _, Vec<_>, Vec<_>>()
+        };
+        let (s_blocks, offsets) = cut(false, m, n);
+        let (st_blocks, _) = cut(true, n, m);
         let route = route(&gc.layer, routing, || {
-            (0..q)
-                .map(|o| RowSet::from_indices(grid_s[u][o * c + v].cols.clone()))
-                .collect()
+            let cols = |b: &CsrMatrix| RowSet::from_indices(b.indices().to_vec());
+            s_blocks.iter().map(cols).collect()
         });
 
-        let macro_rows_t: Vec<_> = (0..q).map(|uu| union_range(n, p, uu * c, c)).collect();
-        let col_blocks_t: Vec<_> = (0..p).map(|j| block_range(m, p, j)).collect();
-        let grid_st = staged.partition(true, &macro_rows_t, &col_blocks_t);
-        let st_blocks: Vec<CsrMatrix> = (0..q)
-            .map(|w| CsrMatrix::from_coo(&grid_st[u][w * c + v]))
-            .collect();
-
         let id = KernelId::Family(AlgorithmFamily::DenseShift15);
-        let view = PlanView::of(id, c, p, prob.dims);
+        let r = RStore::csr((m, n), s_blocks, offsets);
         DenseShift15 {
             gc,
-            view,
-            r: RStore::csr((m, n), s_blocks, offsets),
+            state: KernelState::new(id, c, comm, prob, r),
             st_blocks,
-            a_loc: view.stage(prob, Operand::A, false, g),
-            b_loc: view.stage(prob, Operand::B, false, g),
             route,
             ones: Default::default(),
-            held: Default::default(),
         }
     }
 
@@ -152,11 +136,12 @@ impl DenseShift15 {
     // Building blocks
     // ------------------------------------------------------------------
 
-    /// Reduce-scatter a macro-row accumulator along the fiber back to
-    /// this rank's block row (`total`/`p`-grained ranges within macro
-    /// row `u`).
-    fn reduce_to_block(&self, total: usize, t_buf: &Mat) -> Mat {
+    /// Reduce-scatter a macro-row accumulator of `out`'s rows along the
+    /// fiber back to this rank's block row of `out` (`p`-grained ranges
+    /// within macro row `u`).
+    fn reduce_to_block(&self, out: Operand, t_buf: &Mat) -> Mat {
         let (p, c, u) = (self.gc.grid.p, self.gc.grid.c, self.gc.u);
+        let total = out.rows(self.state.view.dims());
         let start = union_range(total, p, u * c, c).start;
         reduce_rows(&self.gc.fiber, t_buf, |vv| {
             let br = block_range(total, p, u * c + vv);
@@ -177,8 +162,8 @@ impl DenseShift15 {
 
     /// The input-lane round every propagation round here but the
     /// circulating-accumulator one runs: `y0` travels the layer ring
-    /// (with `hold = Some(i)` its ring tiles go to, or replay from,
-    /// `self.held[i]`; dense routing only, since routed tiles are
+    /// (with `hold = Some(op)` its ring tiles go to, or replay from, the
+    /// held tiles of `op`; dense routing only, since routed tiles are
     /// zero-filled partial panels), and each visit runs the local `op`
     /// on the stationary block of the slot where the visiting tile
     /// started and on that tile, metered at `flops(nnz, r)`.
@@ -187,7 +172,7 @@ impl DenseShift15 {
         blocks: &[CsrMatrix],
         y0: &Mat,
         route: Option<&CommPattern>,
-        hold: Option<usize>,
+        hold: Option<Operand>,
         flops: fn(usize, usize) -> u64,
         mut op: impl FnMut(usize, &CsrMatrix, &Mat),
     ) {
@@ -195,7 +180,7 @@ impl DenseShift15 {
             hold.is_none() || route.is_none(),
             "routed tiles are partial"
         );
-        let mut held = hold.map(|i| self.held[i].borrow_mut());
+        let mut held = hold.map(|held| self.state.held(held));
         let pipe = self.pipeline(route);
         let mut y = match held.as_deref_mut() {
             Some(store) => pipe.held_input(y0, store),
@@ -213,10 +198,20 @@ impl DenseShift15 {
         }
     }
 
+    /// SDDMM propagation round over the `S` blocks: `A`-side `x` is
+    /// replicated, `B`-side `y` shifts, dot products accumulate per slot.
+    /// Returns raw dots (no sampling applied). `combine` generalizes the
+    /// per-nonzero interaction (GAT attention uses an affine combine);
+    /// full rows are co-located here, so it is used at full width.
+    fn dots_of(&self, x: &Mat, y: &Mat, combine: &CombineSpec) -> Vec<Vec<f64>> {
+        let s = self.state.r.csr_blocks();
+        let t_buf = replicate_rows(&self.gc.fiber, x, s[0].nrows(), None);
+        let combine = combine.for_slice(0..self.state.view.dims().r);
+        self.sddmm_round(s, &t_buf, y, combine, self.route.as_ref())
+    }
+
     /// SDDMM propagation round over the given oriented blocks: `y`
-    /// shifts, dot products accumulate per slot. Returns raw dots (no
-    /// sampling applied). `combine` generalizes the per-nonzero
-    /// interaction (GAT attention uses an affine combine).
+    /// shifts, dot products accumulate per slot against `t_buf`.
     fn sddmm_round(
         &self,
         blocks: &[CsrMatrix],
@@ -232,22 +227,33 @@ impl DenseShift15 {
         acc
     }
 
-    /// SpMM propagation round with a replicated (macro-row) accumulator:
-    /// `T += R_w · y` per step, `y` shifting (the SpMMA data flow).
-    /// `blocks` carry the values to multiply with; `hold` as in
-    /// [`DenseShift15::lane_round`].
-    fn spmm_out_round(
+    /// SpMM propagation round with a replicated (macro-row) accumulator
+    /// of `out`'s rows: `T += R_w · y` per step, `y` shifting, then one
+    /// reduce-scatter to this rank's block row of `out` (the SpMMA data
+    /// flow over the `S` blocks). `blocks` carry the values to multiply
+    /// with; `route` and `hold` as in [`DenseShift15::lane_round`].
+    fn spmm_out(
         &self,
+        out: Operand,
         blocks: &[CsrMatrix],
         y0: &Mat,
         route: Option<&CommPattern>,
-        hold: Option<usize>,
+        hold: Option<Operand>,
     ) -> Mat {
         let mut t_buf = Mat::zeros(blocks[0].nrows(), y0.ncols());
         self.lane_round(blocks, y0, route, hold, kern::spmm_flops, |_, blk, y| {
             kern::spmm_csr_acc(&mut t_buf, blk, y)
         });
-        t_buf
+        self.reduce_to_block(out, &t_buf)
+    }
+
+    /// SpMMB of the `S`-oriented `blocks` (carrying the values to
+    /// multiply with) against `A`-side `x`: `x` is replicated, and the
+    /// `B`-shaped output circulates.
+    fn spmm_b_of(&self, blocks: &[CsrMatrix], x: &Mat) -> Mat {
+        let t_buf = replicate_rows(&self.gc.fiber, x, blocks[0].nrows(), None);
+        let rows = self.state.operand(Operand::B).nrows();
+        self.spmm_shift_acc_round(blocks, &t_buf, rows, self.route.as_ref())
     }
 
     /// SpMM propagation round with a *circulating* accumulator: the
@@ -279,39 +285,13 @@ impl DenseShift15 {
         out
     }
 
-    /// Fused propagation round (local kernel fusion) over the `S` blocks
-    /// (or, `transposed`, the `Sᵀ` blocks): one pass computing the local
-    /// fused SDDMM+SpMM per step. The stationary blocks are read as they
-    /// are under [`Sampling::Values`]; the ones-valued copies
-    /// [`Sampling::Ones`] needs are built on this worker's first such
-    /// round and kept. With `hold` (an iterate call), `y0` is the stored
-    /// operand and its ring tiles are kept, or replayed when already
-    /// held.
-    fn fused_round(
-        &self,
-        transposed: bool,
-        t_in: &Mat,
-        y0: &Mat,
-        sampling: Sampling,
-        hold: bool,
-    ) -> Mat {
-        let side = transposed as usize;
-        let stored = [self.r.csr_blocks(), &self.st_blocks[..]][side];
-        let blocks = match sampling {
-            Sampling::Values => stored,
-            Sampling::Ones => self.ones[side].get_or_init(|| {
-                stored
-                    .iter()
-                    .map(|b| b.with_vals(vec![1.0; b.nnz()]))
-                    .collect()
-            }),
-        };
-        let mut t_out = Mat::zeros(t_in.nrows(), y0.ncols());
-        let hold = hold.then_some(side);
-        self.lane_round(blocks, y0, None, hold, kern::fused_flops, |_, blk, y| {
-            kern::fused_a_csr(&mut t_out, blk, t_in, y)
-        });
-        t_out
+    /// The stationary blocks whose rows are `op`'s: the `S` blocks for
+    /// `A`, the `Sᵀ` blocks for `B`.
+    fn oriented(&self, op: Operand) -> &[CsrMatrix] {
+        match op {
+            Operand::A => self.state.r.csr_blocks(),
+            Operand::B => &self.st_blocks,
+        }
     }
 
     /// The blocks carrying a round's SDDMM output (`sampling` applied):
@@ -330,101 +310,90 @@ impl DenseShift15 {
 }
 
 impl DistKernel for DenseShift15 {
-    fn view(&self) -> PlanView {
-        self.view
+    fn state(&self) -> &KernelState {
+        &self.state
     }
 
-    fn r_store(&self) -> &RStore {
-        &self.r
+    fn state_mut(&mut self) -> &mut KernelState {
+        &mut self.state
     }
 
-    fn r_store_mut(&mut self) -> &mut RStore {
-        &mut self.r
-    }
-
-    /// Replicates `A`, shifts `B`; full rows are co-located here, so
-    /// the combine is used at full width.
+    /// Replicates `A`, shifts `B`.
     fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
-        let s = self.r.csr_blocks();
-        let t_buf = replicate_rows(&self.gc.fiber, &self.a_loc, s[0].nrows(), None);
-        let combine = combine.for_slice(0..self.view.dims().r);
-        self.sddmm_round(s, &t_buf, &self.b_loc, combine, self.route.as_ref())
+        let st = &self.state;
+        self.dots_of(st.operand(Operand::A), st.operand(Operand::B), combine)
     }
 
     /// Returned as this rank's `A`-shaped block row.
-    fn spmm_a(&mut self, use_r: bool) -> Mat {
-        let blocks = self.r.csr_valued(use_r);
-        let t_buf = self.spmm_out_round(&blocks, &self.b_loc, self.route.as_ref(), None);
-        self.reduce_to_block(self.view.dims().m, &t_buf)
+    fn spmm_a(&mut self) -> Mat {
+        let (s, b) = (self.state.r.csr_blocks(), self.state.operand(Operand::B));
+        self.spmm_out(Operand::A, s, b, self.route.as_ref(), None)
     }
 
     /// Returned as this rank's `B`-shaped block row.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let blocks = self.r.csr_valued(use_r);
-        let t_buf = replicate_rows(&self.gc.fiber, &self.a_loc, blocks[0].nrows(), None);
-        self.spmm_shift_acc_round(&blocks, &t_buf, self.b_loc.nrows(), self.route.as_ref())
+        let blocks = self.state.r.csr_valued(use_r);
+        self.spmm_b_of(&blocks, self.state.operand(Operand::A))
     }
 
-    fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let hold = x.is_some();
-        let x = x.unwrap_or(&self.a_loc);
-        let (s, st) = (self.r.csr_blocks(), &self.st_blocks[..]);
-        let (dot, route) = (kern::SddmmCombine::Dot, self.route.as_ref());
+    /// No elision runs the two kernels back to back on the `S` blocks.
+    /// Replication reuse replicates the fixed operand once, over the
+    /// blocks whose rows are its own: the SDDMM shifts the iterate, then
+    /// the output circulates reusing the same `T`. Local kernel fusion
+    /// replicates the iterate over the blocks whose rows are its own and
+    /// runs one fused SDDMM+SpMM round while the fixed operand travels
+    /// (with `x`, an iterate call, the fixed operand's ring tiles are
+    /// kept, or replayed when already held). Its stationary blocks are
+    /// read as they are under [`Sampling::Values`]; the ones-valued
+    /// copies [`Sampling::Ones`] needs are built on this worker's first
+    /// such round and kept.
+    fn fused(
+        &mut self,
+        out: Operand,
+        x: Option<&Mat>,
+        elision: Elision,
+        sampling: Sampling,
+    ) -> Mat {
+        let st = &self.state;
+        let hold = x.is_some().then_some(out.other());
+        let (x, fixed) = (x.unwrap_or(st.operand(out)), st.operand(out.other()));
         match elision {
             Elision::None => {
-                // SDDMM: all-gather x, shift B.
-                let t_buf = replicate_rows(&self.gc.fiber, x, s[0].nrows(), None);
-                let acc = self.sddmm_round(s, &t_buf, &self.b_loc, dot, route);
-                let r_blocks = Self::sampled_blocks(s, acc, sampling);
-                // SpMMA: fresh zero accumulator, shift B again,
-                // reduce-scatter.
-                let t_out = self.spmm_out_round(&r_blocks, &self.b_loc, route, None);
-                self.reduce_to_block(self.view.dims().m, &t_out)
-            }
-            Elision::LocalKernelFusion => {
-                let t_in = replicate_rows(&self.gc.fiber, x, s[0].nrows(), None);
-                let t_out = self.fused_round(false, &t_in, &self.b_loc, sampling, hold);
-                self.reduce_to_block(self.view.dims().m, &t_out)
+                let (a, b) = match out {
+                    Operand::A => (x, fixed),
+                    Operand::B => (fixed, x),
+                };
+                let acc = self.dots_of(a, b, &CombineSpec::Dot);
+                let r_blocks = Self::sampled_blocks(st.r.csr_blocks(), acc, sampling);
+                match out {
+                    Operand::A => self.spmm_out(out, &r_blocks, b, self.route.as_ref(), None),
+                    // The SpMMB call replicates A again.
+                    Operand::B => self.spmm_b_of(&r_blocks, a),
+                }
             }
             Elision::ReplicationReuse => {
-                // Transposed roles: replicate B once; travel Sᵀ for the
-                // SDDMM (x shifts), then circulate the A-shaped output
-                // accumulator reusing the same T.
-                let t_buf = replicate_rows(&self.gc.fiber, &self.b_loc, st[0].nrows(), None);
-                let acc = self.sddmm_round(st, &t_buf, x, dot, None);
-                let r_blocks = Self::sampled_blocks(st, acc, sampling);
+                let blocks = self.oriented(out.other());
+                let t_buf = replicate_rows(&self.gc.fiber, fixed, blocks[0].nrows(), None);
+                let dot = kern::SddmmCombine::Dot;
+                let acc = self.sddmm_round(blocks, &t_buf, x, dot, None);
+                let r_blocks = Self::sampled_blocks(blocks, acc, sampling);
                 self.spmm_shift_acc_round(&r_blocks, &t_buf, x.nrows(), None)
             }
-        }
-    }
-
-    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let hold = y.is_some();
-        let y = y.unwrap_or(&self.b_loc);
-        let (s, st) = (self.r.csr_blocks(), &self.st_blocks[..]);
-        let (dot, route) = (kern::SddmmCombine::Dot, self.route.as_ref());
-        match elision {
-            Elision::None => {
-                let t_buf = replicate_rows(&self.gc.fiber, &self.a_loc, s[0].nrows(), None);
-                let acc = self.sddmm_round(s, &t_buf, y, dot, route);
-                let r_blocks = Self::sampled_blocks(s, acc, sampling);
-                // Unoptimized back-to-back: the SpMMB call replicates A
-                // again.
-                let t2 = replicate_rows(&self.gc.fiber, &self.a_loc, s[0].nrows(), None);
-                self.spmm_shift_acc_round(&r_blocks, &t2, y.nrows(), route)
-            }
-            Elision::ReplicationReuse => {
-                let t_buf = replicate_rows(&self.gc.fiber, &self.a_loc, s[0].nrows(), None);
-                let acc = self.sddmm_round(s, &t_buf, y, dot, None);
-                let r_blocks = Self::sampled_blocks(s, acc, sampling);
-                // Reuse T for the SpMMB.
-                self.spmm_shift_acc_round(&r_blocks, &t_buf, y.nrows(), None)
-            }
             Elision::LocalKernelFusion => {
-                // Dual of the FusedMMA fused round: roles swapped, Sᵀ.
-                let t_in = replicate_rows(&self.gc.fiber, y, st[0].nrows(), None);
-                let t_out = self.fused_round(true, &t_in, &self.a_loc, sampling, hold);
-                self.reduce_to_block(self.view.dims().n, &t_out)
+                let stored = self.oriented(out);
+                let blocks = match sampling {
+                    Sampling::Values => stored,
+                    Sampling::Ones => self.ones[out as usize].get_or_init(|| {
+                        let ones = |b: &CsrMatrix| b.with_vals(vec![1.0; b.nnz()]);
+                        stored.iter().map(ones).collect()
+                    }),
+                };
+                let t_in = replicate_rows(&self.gc.fiber, x, blocks[0].nrows(), None);
+                let mut t_out = Mat::zeros(t_in.nrows(), fixed.ncols());
+                self.lane_round(blocks, fixed, None, hold, kern::fused_flops, |_, blk, y| {
+                    kern::fused_a_csr(&mut t_out, blk, &t_in, y)
+                });
+                self.reduce_to_block(out, &t_out)
             }
         }
     }
@@ -434,10 +403,10 @@ impl DistKernel for DenseShift15 {
         Some(&self.gc.fiber)
     }
 
-    /// The SpMMA round's data flow (`spmm_out_round`), each stationary
-    /// block walked once.
+    /// The SpMMA round's data flow (`spmm_out`), each stationary block
+    /// walked once.
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
-        let vals = self.r.csr_values(vals);
+        let vals = self.state.r.csr_values(vals);
         let mut sums = vals.sums();
         let blocks = vals.blocks();
         let mut t_buf = Mat::zeros(blocks[0].nrows(), y.ncols());
@@ -445,16 +414,15 @@ impl DistKernel for DenseShift15 {
         self.lane_round(blocks, y, route, None, kern::spmm_flops, |w, _, yb| {
             vals.spmm(w, &mut t_buf, yb, Some(&mut sums))
         });
-        (self.reduce_to_block(self.view.dims().m, &t_buf), sums)
+        (self.reduce_to_block(Operand::A, &t_buf), sums)
     }
 
     /// [`DistKernel::spmm_a`]'s `S·B` round; on dense routing it keeps
     /// `B`'s ring tiles, so every iterate call of the solve replays them.
     fn rhs_a(&mut self, _comm: &Comm) -> Mat {
-        let hold = self.route.is_none().then_some(0);
-        let s = self.r.csr_blocks();
-        let t_buf = self.spmm_out_round(s, &self.b_loc, self.route.as_ref(), hold);
-        self.reduce_to_block(self.view.dims().m, &t_buf)
+        let hold = self.route.is_none().then_some(Operand::B);
+        let (s, b) = (self.state.r.csr_blocks(), self.state.operand(Operand::B));
+        self.spmm_out(Operand::A, s, b, self.route.as_ref(), hold)
     }
 
     /// `Sᵀ·A` on dense routing by the transposed data flow of the fused
@@ -466,29 +434,8 @@ impl DistKernel for DenseShift15 {
         if self.route.is_some() {
             return self.spmm_b(false);
         }
-        let t_buf = self.spmm_out_round(&self.st_blocks, &self.a_loc, None, Some(1));
-        self.reduce_to_block(self.view.dims().n, &t_buf)
-    }
-
-    fn a_iterate(&self) -> Mat {
-        self.a_loc.clone()
-    }
-
-    fn b_iterate(&self) -> Mat {
-        self.b_loc.clone()
-    }
-
-    fn set_a(&mut self, _comm: &Comm, x: &Mat) {
-        // Iterate layout == operand layout: no distribution shift.
-        assert_eq!(x.nrows(), self.a_loc.nrows(), "A iterate shape mismatch");
-        self.a_loc = x.clone();
-        self.held[1].get_mut().clear();
-    }
-
-    fn set_b(&mut self, _comm: &Comm, y: &Mat) {
-        assert_eq!(y.nrows(), self.b_loc.nrows(), "B iterate shape mismatch");
-        self.b_loc = y.clone();
-        self.held[0].get_mut().clear();
+        let a = self.state.operand(Operand::A);
+        self.spmm_out(Operand::B, &self.st_blocks, a, None, Some(Operand::A))
     }
 }
 
@@ -498,6 +445,7 @@ mod tests {
     use crate::common::ShiftMode;
     use crate::global::GlobalProblem;
     use crate::kernel::KernelBuilder;
+    use crate::planview::PlanView;
     use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, Phase, SimWorld};
     use dsk_dense::ops::max_abs_diff;
@@ -587,7 +535,7 @@ mod tests {
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
             let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
-            let ga = worker.spmm_a(false);
+            let ga = worker.spmm_a();
             let gb = worker.spmm_b(false);
             (
                 crate::layout::gather_dense(comm, 0, &ga, la, m, r),

@@ -6,22 +6,27 @@
 //! [`DistKernel`] captures the full shared surface once, split by who
 //! has to write it. **Required** methods are what differs between
 //! kernels — the data flow. **Provided** methods are what does not:
-//! they are derived from the kernel's [`PlanView`]
-//! ([`DistKernel::view`]: every Table II layout, bound and group is
-//! grid arithmetic on `(kernel, c, p, dims)`) and from its [`RStore`]
-//! ([`DistKernel::r_store`]: the stored SDDMM result lives on the
-//! kernel's own pattern blocks, and what happens to it afterwards never
-//! depends on how the family moved data to compute it).
+//! they are derived from the [`KernelState`] every kernel holds
+//! ([`DistKernel::state`]): its [`PlanView`] (every Table II layout,
+//! bound and group is grid arithmetic on `(kernel, c, p, dims)`), its
+//! [`RStore`] (the stored SDDMM result lives on the kernel's own
+//! pattern blocks, and what happens to it afterwards never depends on
+//! how the family moved data to compute it), its operands in the
+//! iterate layout with a replica-layout copy where the view says the
+//! two differ, and the ring tiles an iterate call kept. A family file
+//! holds its grid, its sparse partition and its rounds, and nothing
+//! else.
 //!
 //! | paper section | required | provided |
 //! |---------------|----------|----------|
+//! | kernel state | [`DistKernel::state`], [`DistKernel::state_mut`] | [`DistKernel::view`], [`DistKernel::r_store`], [`DistKernel::r_store_mut`] |
 //! | §III kernels (SDDMM, SpMMA/B) | [`DistKernel::dots`] (the SDDMM data flow, unsampled), [`DistKernel::spmm_a`], [`DistKernel::spmm_b`] | [`DistKernel::sddmm`] (the dots sampled by the [`RStore`]'s values; 2.5D sparse replication overrides it) |
-//! | §IV FusedMM + elision | [`DistKernel::fused_mm_a`], [`DistKernel::fused_mm_b`] | [`DistKernel::supports`] |
+//! | §IV FusedMM + elision | [`DistKernel::fused`] (the family's data flow for FusedMMA or FusedMMB, by output operand) | [`DistKernel::fused_mm_a`], [`DistKernel::fused_mm_b`] (each checks [`DistKernel::supports`] once, with one message, before dispatching), [`DistKernel::supports`] |
 //! | §VI-E generalized SDDMM (the paper's GAT logits) | [`DistKernel::dots`] of a [`CombineSpec`] | [`DistKernel::sddmm_general`] |
-//! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_group`] (which ranks share a stored R row), [`DistKernel::r_store`], [`DistKernel::r_store_mut`] | [`DistKernel::r_row_sums`] (the [`RStore`]'s local sums, all-reduced over the row group), [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
+//! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_group`] (which ranks share a stored R row) | [`DistKernel::r_row_sums`] (the [`RStore`]'s local sums, all-reduced over the row group), [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
 //! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_from`] (an [`RValues`] source: the stored R values, or attention made per nonzero from per-node factors inside the local row loop, with its row sums) | [`DistKernel::spmm_a_with`] (the stored values), [`DistKernel::spmm_a_pair_exp`] (the attention `exp(LeakyReLU(u_i + v_j))` of a [`PairExp`] and its row sums reduced over the row group: what the GAT engine runs, FusedMMA's shape) |
-//! | Table II data distributions | [`DistKernel::view`] (whose layouts also stage every dense block a family holds) | [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`] |
-//! | Fig. 9 distribution shifts | [`DistKernel::set_a`], [`DistKernel::set_b`] (shifting through the view: iterate ↔ replica layout) | [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
+//! | Table II data distributions | | [`DistKernel::a_iterate`], [`DistKernel::b_iterate`], [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`] |
+//! | Fig. 9 distribution shifts | | [`DistKernel::set_a`], [`DistKernel::set_b`] (shifting through the view: iterate → replica layout, where the two differ; the operand's held ring tiles are dropped), [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
 //! | Fig. 9 row-sharing dot products | | [`DistKernel::row_group_a`], [`DistKernel::row_group_b`] |
 //! | live migration | | [`DistKernel::export_r`], [`DistKernel::import_r`] |
 //! | verification | | [`DistKernel::gather_r`], [`DistKernel::dims`], [`DistKernel::id`] |
@@ -93,11 +98,12 @@ use crate::dr25::DenseRepl25;
 use crate::ds15::DenseShift15;
 use crate::global::GlobalProblem;
 use crate::layout::DenseLayout;
-use crate::planview::PlanView;
+use crate::planview::{Operand, PlanView};
 use crate::rstore::{PairExp, RStore, RValues};
 use crate::sr25::SparseRepl25;
 use crate::ss15::SparseShift15;
 use crate::staged::StagedProblem;
+use crate::state::KernelState;
 use crate::theory::{self, Algorithm};
 use crate::worker::DistWorker;
 
@@ -188,17 +194,13 @@ impl KernelId {
 pub trait DistKernel: Send {
     // ---- required: what differs between kernels ----------------------
 
-    /// The plan view this kernel was built on: `(kernel, c, p, dims)`.
-    /// Every layout, bound, group and admissibility answer below is
-    /// derived from it.
-    fn view(&self) -> PlanView;
+    /// The state every kernel holds: its plan view, its stored R, its
+    /// operands and its held ring tiles. Every provided method below
+    /// reads it.
+    fn state(&self) -> &KernelState;
 
-    /// The stored SDDMM result: this rank's pattern blocks, their global
-    /// offsets, and the R values of the last SDDMM.
-    fn r_store(&self) -> &RStore;
-
-    /// Mutable access to the stored SDDMM result.
-    fn r_store_mut(&mut self) -> &mut RStore;
+    /// Mutable access to the kernel state.
+    fn state_mut(&mut self) -> &mut KernelState;
 
     /// The SDDMM data flow on the stored operands: the fully reduced
     /// accumulations of `combine` for every stored nonzero, one array
@@ -206,23 +208,28 @@ pub trait DistKernel: Send {
     /// applied.
     fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>>;
 
-    /// Distributed SpMMA `S·B` (or `R·B` when `use_r`), in the native
-    /// SpMMA output layout. Not every kernel supports `use_r = true`
-    /// (use [`DistKernel::spmm_a_with`] for the R-valued product in the
-    /// iterate layout).
-    fn spmm_a(&mut self, use_r: bool) -> Mat;
+    /// Distributed SpMMA `S·B`, in the native SpMMA output layout (use
+    /// [`DistKernel::spmm_a_with`] for the R-valued product `R·B`).
+    fn spmm_a(&mut self) -> Mat;
 
     /// Distributed SpMMB `Sᵀ·A` (or `Rᵀ·A` when `use_r`), in the
     /// native SpMMB output layout.
     fn spmm_b(&mut self, use_r: bool) -> Mat;
 
-    /// FusedMMA = `SpMMA(SDDMM(x, B, S), B)`. `x` (defaulting to the
-    /// stored `A`) and the result are in the `A`-iterate layout.
-    fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat;
-
-    /// FusedMMB = `SpMMB(SDDMM(A, y, S), A)`. `y` (defaulting to the
-    /// stored `B`) and the result are in the `B`-iterate layout.
-    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat;
+    /// The FusedMM data flow returning `out`: FusedMMA =
+    /// `SpMMA(SDDMM(x, B, S), B)` for [`Operand::A`], FusedMMB =
+    /// `SpMMB(SDDMM(A, y, S), A)` for [`Operand::B`]. `iterate`
+    /// (defaulting to the stored `out` operand) and the result are in
+    /// the `out`-iterate layout. Called through
+    /// [`DistKernel::fused_mm_a`] / [`DistKernel::fused_mm_b`], which
+    /// have checked that the kernel admits `elision`.
+    fn fused(
+        &mut self,
+        out: Operand,
+        iterate: Option<&Mat>,
+        elision: Elision,
+        sampling: Sampling,
+    ) -> Mat;
 
     /// The ranks that share this rank's stored R rows, over which R
     /// row sums are reduced (`None`: the rows are whole on this rank).
@@ -240,23 +247,72 @@ pub trait DistKernel: Send {
     /// module's mutability contract).
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>);
 
+    // ---- provided: one implementation for every kernel ---------------
+
+    /// The plan view this kernel was built on: `(kernel, c, p, dims)`.
+    /// Every layout, bound, group and admissibility answer below is
+    /// derived from it.
+    fn view(&self) -> PlanView {
+        self.state().view
+    }
+
+    /// The stored SDDMM result: this rank's pattern blocks, their global
+    /// offsets, and the R values of the last SDDMM.
+    fn r_store(&self) -> &RStore {
+        &self.state().r
+    }
+
+    /// Mutable access to the stored SDDMM result.
+    fn r_store_mut(&mut self) -> &mut RStore {
+        &mut self.state_mut().r
+    }
+
     /// The stored `A` operand in the iterate layout.
-    fn a_iterate(&self) -> Mat;
+    fn a_iterate(&self) -> Mat {
+        self.state().iterate(Operand::A)
+    }
 
     /// The stored `B` operand in the iterate layout.
-    fn b_iterate(&self) -> Mat;
+    fn b_iterate(&self) -> Mat {
+        self.state().iterate(Operand::B)
+    }
 
     /// Replace the stored `A` operand with an `A`-iterate, paying
     /// whatever distribution shift the family requires (charged to
     /// [`Phase::OutsideComm`]). Collective: every rank calls it at once,
-    /// and a family holding ring tiles of the old operand drops them.
-    fn set_a(&mut self, comm: &Comm, x: &Mat);
+    /// and the ring tiles of the old operand are dropped.
+    fn set_a(&mut self, comm: &Comm, x: &Mat) {
+        self.state_mut().set(comm, Operand::A, x);
+    }
 
     /// Replace the stored `B` operand with a `B`-iterate (collective,
     /// like [`DistKernel::set_a`]).
-    fn set_b(&mut self, comm: &Comm, y: &Mat);
+    fn set_b(&mut self, comm: &Comm, y: &Mat) {
+        self.state_mut().set(comm, Operand::B, y);
+    }
 
-    // ---- provided: one implementation for every kernel ---------------
+    /// FusedMMA = `SpMMA(SDDMM(x, B, S), B)`. `x` (defaulting to the
+    /// stored `A`) and the result are in the `A`-iterate layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any communication, when the kernel does not admit
+    /// `elision` ([`DistKernel::supports`]).
+    fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+        admit(self.view(), elision);
+        self.fused(Operand::A, x, elision, sampling)
+    }
+
+    /// FusedMMB = `SpMMB(SDDMM(A, y, S), A)`. `y` (defaulting to the
+    /// stored `B`) and the result are in the `B`-iterate layout.
+    ///
+    /// # Panics
+    ///
+    /// As [`DistKernel::fused_mm_a`].
+    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+        admit(self.view(), elision);
+        self.fused(Operand::B, y, elision, sampling)
+    }
 
     /// Distributed SDDMM on the stored operands: the
     /// [`DistKernel::dots`] sampled by the store's own values, held as
@@ -298,7 +354,7 @@ pub trait DistKernel: Send {
     /// shift overrides it to keep `B`'s ring tiles, which the solve's
     /// iterate [`DistKernel::fused_mm_a`] calls replay until `set_b`.
     fn rhs_a(&mut self, _comm: &Comm) -> Mat {
-        self.spmm_a(false)
+        self.spmm_a()
     }
 
     /// ALS right-hand side for the `B` phase — `Sᵀ·A` — in the
@@ -415,6 +471,16 @@ pub trait DistKernel: Send {
     fn row_group_b(&self, g: usize) -> u64 {
         self.view().row_group_b(g)
     }
+}
+
+/// The one admissibility check of every fused call: panics unless the
+/// viewed kernel admits `elision` (paper §IV-B).
+fn admit(view: PlanView, elision: Elision) {
+    assert!(
+        view.supports(elision),
+        "{} admits no {elision:?} elision",
+        view.id().label()
+    );
 }
 
 /// All-reduce local R row sums over `group` (charged to `phase`); no

@@ -48,28 +48,33 @@
 //! its sparse partition, the need sets of pattern routing, the
 //! propagation rounds, and the kernels composed from them — the
 //! **required** methods. What is the same for every kernel is written
-//! once and **provided** by the trait: the stored-R surface over
-//! [`rstore::RStore`] (where R lives: the kernel's own pattern blocks
-//! plus value arrays, and the sampling that turns raw dots into an
-//! SDDMM), and every Table II layout, bound, group and admissibility
-//! answer over [`planview::PlanView`] — which also stages every dense
-//! block a family holds and performs its Fig. 9 distribution shifts.
+//! once and **provided** by the trait over the [`state::KernelState`]
+//! every kernel holds: the stored-R surface over [`rstore::RStore`]
+//! (where R lives: the kernel's own pattern blocks plus value arrays,
+//! and the sampling that turns raw dots into an SDDMM), every Table II
+//! layout, bound, group and admissibility answer over
+//! [`planview::PlanView`] (which also performs the Fig. 9 distribution
+//! shifts), the operands in the iterate layout (with a replica-layout
+//! copy where the view says the two differ), and the ring tiles an
+//! iterate call kept.
 //!
 //! | paper | trait surface | |
 //! |-------|---------------|-|
+//! | kernel state | [`state`](kernel::DistKernel::state), [`state_mut`](kernel::DistKernel::state_mut) | required |
+//! | | [`view`](kernel::DistKernel::view), [`r_store`](kernel::DistKernel::r_store), [`r_store_mut`](kernel::DistKernel::r_store_mut) | provided ([`state::KernelState`]) |
 //! | §III kernel definitions | [`dots`](kernel::DistKernel::dots) (the SDDMM data flow, unsampled), [`spmm_a`](kernel::DistKernel::spmm_a), [`spmm_b`](kernel::DistKernel::spmm_b) | required |
 //! | | [`sddmm`](kernel::DistKernel::sddmm) | provided ([`rstore::RStore`] samples the dots; [`sr25`] overrides it) |
-//! | §IV FusedMM & elision (Fig. 3) | [`fused_mm_a`](kernel::DistKernel::fused_mm_a), [`fused_mm_b`](kernel::DistKernel::fused_mm_b), [`Elision`] | required |
-//! | | [`supports`](kernel::DistKernel::supports) | provided ([`PlanView::supports`]) |
-//! | §V per-family algorithms (Table II) | the `impl DistKernel` blocks in [`ds15`], [`ss15`], [`dr25`], [`sr25`], [`baseline`]; each names its plan with [`view`](kernel::DistKernel::view) | required |
+//! | §IV FusedMM & elision (Fig. 3) | [`fused`](kernel::DistKernel::fused) (one data flow per family, by output operand), [`Elision`] | required |
+//! | | [`fused_mm_a`](kernel::DistKernel::fused_mm_a), [`fused_mm_b`](kernel::DistKernel::fused_mm_b) (the one admissibility check), [`supports`](kernel::DistKernel::supports) | provided ([`PlanView::supports`]) |
+//! | §V per-family algorithms (Table II) | the `impl DistKernel` blocks in [`ds15`], [`ss15`], [`dr25`], [`sr25`], [`baseline`] | required |
 //! | §V-E communication analysis (Tables III & IV) | [`theory`] — consumed by [`kernel::KernelBuilder::plan`] | |
 //! | §VI-C best-algorithm prediction (Fig. 6) | [`kernel::KernelBuilder::auto`] / [`theory::predict_best`] | |
 //! | §VI-E generalized SDDMM (the paper's GAT logits; the serial reference's formulation) | [`sddmm_general`](kernel::DistKernel::sddmm_general) (the raw dots of a [`kernel::CombineSpec`]) | provided |
 //! | §VI-E GAT convolution, FusedMMA's shape | [`spmm_a_from`](kernel::DistKernel::spmm_a_from) (SpMMA of R-patterned values from an [`rstore::RValues`] source: the stored R values, or the attention `exp(LeakyReLU(u_i + v_j))` of an [`rstore::PairExp`] made from per-node factors inside the local row loop, never stored, with its row sums) | required |
 //! | | [`spmm_a_with`](kernel::DistKernel::spmm_a_with) (the stored values), [`spmm_a_pair_exp`](kernel::DistKernel::spmm_a_pair_exp) (the attention and its row sums reduced over the row group; what the GAT engine runs) | provided ([`rstore::RStore`] places each block's factors) |
-//! | §VI-E softmax & ALS plumbing | [`r_row_group`](kernel::DistKernel::r_row_group) (which ranks share a stored R row: the one thing that differs), [`r_store`](kernel::DistKernel::r_store) | required |
+//! | §VI-E softmax & ALS plumbing | [`r_row_group`](kernel::DistKernel::r_row_group) (which ranks share a stored R row: the one thing that differs) | required |
 //! | | [`r_row_sums`](kernel::DistKernel::r_row_sums) (local sums all-reduced over the row group), [`map_r`](kernel::DistKernel::map_r), [`scale_r_rows`](kernel::DistKernel::scale_r_rows), [`sq_loss_local`](kernel::DistKernel::sq_loss_local), [`export_r`](kernel::DistKernel::export_r)/[`import_r`](kernel::DistKernel::import_r), [`gather_r`](kernel::DistKernel::gather_r) | provided ([`rstore::RStore`]) |
-//! | Fig. 9 distribution shifts | [`set_a`](kernel::DistKernel::set_a)/[`set_b`](kernel::DistKernel::set_b) | required |
+//! | Fig. 9 distribution shifts | [`set_a`](kernel::DistKernel::set_a)/[`set_b`](kernel::DistKernel::set_b), [`a_iterate`](kernel::DistKernel::a_iterate)/[`b_iterate`](kernel::DistKernel::b_iterate) | provided ([`state::KernelState`] over [`PlanView`]) |
 //! | | [`rhs_a`](kernel::DistKernel::rhs_a)/[`rhs_b`](kernel::DistKernel::rhs_b) | provided (the SpMM output; [`ds15`] overrides both to keep the fixed factor's ring tiles for the solve, 2.5D dense replication overrides `rhs_a`) |
 //! | Fig. 9 row-sharing dots | [`row_group_a`](kernel::DistKernel::row_group_a)/[`row_group_b`](kernel::DistKernel::row_group_b) | provided ([`PlanView`]) |
 //! | Table II data distributions | [`a_iterate_layout_of`](kernel::DistKernel::a_iterate_layout_of) et al., [`layout`] | provided ([`PlanView`]) |
@@ -97,6 +102,7 @@ pub mod session;
 pub mod sr25;
 pub mod ss15;
 pub mod staged;
+pub mod state;
 pub mod theory;
 pub mod wire;
 pub mod worker;
@@ -111,4 +117,5 @@ pub use planview::PlanView;
 pub use rstore::{PairExp, RStore, RValues};
 pub use session::{ReplanEvent, ReplanPolicy, Session, SessionBuilder};
 pub use staged::StagedProblem;
+pub use state::KernelState;
 pub use worker::DistWorker;

@@ -22,9 +22,10 @@ use crate::layout::{repartition_dense, DenseLayout};
 use dsk_comm::{Comm, Grid25, Phase};
 use dsk_dense::Mat;
 
-/// Which dense operand a layout describes.
+/// Which dense operand a layout describes, and which one a FusedMM
+/// returns ([`DistKernel::fused`](crate::kernel::DistKernel::fused)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Operand {
+pub enum Operand {
     /// The `m × r` matrix.
     A,
     /// The `n × r` matrix.
@@ -37,6 +38,22 @@ impl Operand {
         match self {
             Operand::A => &prob.a,
             Operand::B => &prob.b,
+        }
+    }
+
+    /// Its row count in a problem of shape `d`.
+    pub(crate) fn rows(self, d: ProblemDims) -> usize {
+        match self {
+            Operand::A => d.m,
+            Operand::B => d.n,
+        }
+    }
+
+    /// The other operand.
+    pub(crate) fn other(self) -> Operand {
+        match self {
+            Operand::A => Operand::B,
+            Operand::B => Operand::A,
         }
     }
 }
@@ -128,10 +145,7 @@ impl PlanView {
         if g >= p {
             return empty_layout();
         }
-        let rows = match op {
-            Operand::A => d.m,
-            Operand::B => d.n,
-        };
+        let rows = op.rows(d);
         match self.id {
             // Whole block rows, full width.
             KernelId::Family(AlgorithmFamily::DenseShift15) | KernelId::Baseline1D => {
@@ -180,10 +194,11 @@ impl PlanView {
         }
     }
 
-    /// Rank `g`'s share of `prob`'s `op` in [`PlanView::layout_of`]:
-    /// the one way a kernel stages its dense blocks.
-    pub(crate) fn stage(&self, prob: &GlobalProblem, op: Operand, replica: bool, g: usize) -> Mat {
-        self.layout_of(op, replica, g).extract(op.of(prob))
+    /// Whether `op`'s replica layout differs from its iterate layout on
+    /// some rank: only then does a kernel keep a replica-layout copy of
+    /// it, and only then does [`PlanView::redistribute`] move anything.
+    pub(crate) fn has_replica(&self, op: Operand) -> bool {
+        (0..self.p).any(|g| self.layout_of(op, true, g) != self.layout_of(op, false, g))
     }
 
     /// The distribution shift of the paper's Fig. 9: repartition `x`,

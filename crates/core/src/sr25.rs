@@ -36,9 +36,10 @@ use crate::common::{
     block_range, route, AlgorithmFamily, Elision, Routing, Sampling, ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::planview::{Operand, PlanView};
+use crate::planview::Operand;
 use crate::rstore::{RStore, RValues};
 use crate::staged::StagedProblem;
+use crate::state::KernelState;
 
 /// Tag for `A` panels (row-ring traffic).
 const TAG_A: u32 = 130;
@@ -49,21 +50,17 @@ const TAG_B: u32 = 131;
 pub struct SparseRepl25 {
     /// Grid communicators.
     pub gc: GridComms25,
-    view: PlanView,
-    /// The local `S` block's pattern (CSR) as a replicated-share store:
-    /// the sampling values are distributed along the fiber, so the
-    /// block carries only this layer's `1/c` share (a contiguous range
-    /// of the CSR nonzero order, zero elsewhere). The fully reduced
-    /// SDDMM values are available on every layer after a kernel.
-    r: RStore,
-    /// Home (pre-skewed) `A` panel.
-    pub a_home: Mat,
-    /// Home (pre-skewed) `B` panel.
-    pub b_home: Mat,
-    /// Row-ring pattern for `A`-side panels (`None` = dense shifts).
-    route_a: Option<CommPattern>,
-    /// Column-ring pattern for `B`-side panels.
-    route_b: Option<CommPattern>,
+    /// The R store holds the local `S` block's pattern (CSR) as a
+    /// replicated share: the sampling values are distributed along the
+    /// fiber, so the block carries only this layer's `1/c` share (a
+    /// contiguous range of the CSR nonzero order, zero elsewhere). The
+    /// fully reduced SDDMM values are available on every layer after a
+    /// kernel. The operands are the home (pre-skewed) `A` and `B`
+    /// panels.
+    state: KernelState,
+    /// Row-ring pattern for `A`-side panels and column-ring pattern for
+    /// `B`-side panels (`None` = dense shifts).
+    routes: [Option<CommPattern>; 2],
 }
 
 impl SparseRepl25 {
@@ -101,16 +98,11 @@ impl SparseRepl25 {
         let offset = (rows[u].start, cols[v].start);
 
         let id = KernelId::Family(AlgorithmFamily::SparseRepl25);
-        let view = PlanView::of(id, c, comm.size(), prob.dims);
-        let g = comm.rank();
+        let r = RStore::csr((m, n), vec![s_share], vec![offset]).replicated_share(w, c);
         SparseRepl25 {
-            view,
             gc,
-            r: RStore::csr((m, n), vec![s_share], vec![offset]).replicated_share(w, c),
-            a_home: view.stage(prob, Operand::A, false, g),
-            b_home: view.stage(prob, Operand::B, false, g),
-            route_a,
-            route_b,
+            state: KernelState::new(id, c, comm, prob, r),
+            routes: [route_a, route_b],
         }
     }
 
@@ -121,7 +113,7 @@ impl SparseRepl25 {
     /// The stationary `S` block (pattern; its values are only this
     /// layer's sampling share).
     fn pattern(&self) -> &CsrMatrix {
-        &self.r.csr_blocks()[0]
+        &self.state.r.csr_blocks()[0]
     }
 
     /// All-gather the distributed sampling values along the fiber
@@ -129,7 +121,7 @@ impl SparseRepl25 {
     /// value all-reduce).
     fn allgather_sampling(&self) -> Vec<f64> {
         let _ph = self.gc.fiber.phase(Phase::Replication);
-        let full = self.gc.fiber.allgatherv_f64(self.r.scored_sampling());
+        let full = self.gc.fiber.allgatherv_f64(self.state.r.scored_sampling());
         debug_assert_eq!(full.len(), self.pattern().nnz());
         full
     }
@@ -141,11 +133,12 @@ impl SparseRepl25 {
     /// column when `q·c ∤ r` — arrives with the data; callers
     /// cross-check it against the schedule.
     fn pipeline(&self, op: Operand) -> ShiftPipeline<'_> {
-        let (ring, tag, route) = match op {
-            Operand::A => (&self.gc.row_ring, TAG_A, &self.route_a),
-            Operand::B => (&self.gc.col_ring, TAG_B, &self.route_b),
+        let (ring, tag) = match op {
+            Operand::A => (&self.gc.row_ring, TAG_A),
+            Operand::B => (&self.gc.col_ring, TAG_B),
         };
-        ShiftPipeline::new(ring, ring.size() - 1, tag).routed(route.as_ref())
+        let route = self.routes[op as usize].as_ref();
+        ShiftPipeline::new(ring, ring.size() - 1, tag).routed(route)
     }
 
     /// Schedule cross-check for an arriving accumulator panel: empty
@@ -162,7 +155,7 @@ impl SparseRepl25 {
         let q = self.q();
         let sigma = (self.gc.u + self.gc.v + t) % q;
         block_range(
-            self.view.dims().r,
+            self.state.view.dims().r,
             q * self.gc.grid.c,
             sigma * self.gc.grid.c + self.gc.w,
         )
@@ -223,12 +216,9 @@ impl SparseRepl25 {
         x0: &Mat,
         mut op: impl FnMut(usize, &mut Mat, &Mat),
     ) -> Mat {
-        let (home, input) = match out {
-            Operand::A => (&self.a_home, Operand::B),
-            Operand::B => (&self.b_home, Operand::A),
-        };
+        let home = self.state.operand(out);
         let mut acc = Mat::zeros(home.nrows(), home.ncols());
-        let mut x = self.pipeline(input).input(x0);
+        let mut x = self.pipeline(out.other()).input(x0);
         let pipe_out = self.pipeline(out);
         for t in 0..self.q() {
             debug_assert_eq!(acc.ncols(), x.block().ncols(), "panel slice misalignment");
@@ -260,77 +250,68 @@ impl SparseRepl25 {
     /// `use_r`, the sampling values all-gathered along the fiber.
     fn s_valued(&self, use_r: bool) -> CsrMatrix {
         if use_r {
-            self.pattern().with_vals(self.r.vals()[0].clone())
+            self.pattern().with_vals(self.state.r.vals()[0].clone())
         } else {
             self.pattern().with_vals(self.allgather_sampling())
         }
     }
-
-    /// The SDDMM half of a FusedMM from home panels `a0`/`b0`: the
-    /// fully reduced, sampled values (replicated on every layer).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any elision: there is no dense replication to reuse
-    /// and rows are sliced (paper §V-D).
-    fn fused_vals(&self, a0: &Mat, b0: &Mat, elision: Elision, sampling: Sampling) -> Vec<f64> {
-        assert!(
-            matches!(elision, Elision::None),
-            "the 2.5D sparse-replicating algorithm admits no communication elision"
-        );
-        self.gather_and_sample(self.dots_round(a0, b0, &CombineSpec::Dot), sampling)
-    }
 }
 
 impl DistKernel for SparseRepl25 {
-    fn view(&self) -> PlanView {
-        self.view
+    fn state(&self) -> &KernelState {
+        &self.state
     }
 
-    fn r_store(&self) -> &RStore {
-        &self.r
-    }
-
-    fn r_store_mut(&mut self) -> &mut RStore {
-        &mut self.r
+    fn state_mut(&mut self) -> &mut KernelState {
+        &mut self.state
     }
 
     fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
-        vec![self.dots_round(&self.a_home, &self.b_home, combine)]
+        let st = &self.state;
+        vec![self.dots_round(st.operand(Operand::A), st.operand(Operand::B), combine)]
     }
 
     /// The store holds only this layer's share of the sampling values:
     /// after the dots' all-reduce, the rest are all-gathered.
     fn sddmm(&mut self) {
-        let dots = self.dots_round(&self.a_home, &self.b_home, &CombineSpec::Dot);
-        self.r
-            .set(vec![self.gather_and_sample(dots, Sampling::Values)]);
+        let dots = self.dots(&CombineSpec::Dot).remove(0);
+        let vals = self.gather_and_sample(dots, Sampling::Values);
+        self.state.r.set(vec![vals]);
     }
 
     /// Returned in the `A` panel layout.
-    fn spmm_a(&mut self, use_r: bool) -> Mat {
-        self.spmm_round(Operand::A, &self.s_valued(use_r), &self.b_home)
+    fn spmm_a(&mut self) -> Mat {
+        let b = self.state.operand(Operand::B);
+        self.spmm_round(Operand::A, &self.s_valued(false), b)
     }
 
     /// Returned in the `B` panel layout.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        self.spmm_round(Operand::B, &self.s_valued(use_r), &self.a_home)
+        let a = self.state.operand(Operand::A);
+        self.spmm_round(Operand::B, &self.s_valued(use_r), a)
     }
 
-    /// Keeps the SDDMM values as the stored R.
-    fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let x = x.unwrap_or(&self.a_home);
-        let rvals = self.fused_vals(x, &self.b_home, elision, sampling);
-        self.r.set(vec![rvals]);
-        self.spmm_round(Operand::A, &self.s_valued(true), &self.b_home)
-    }
-
-    /// Keeps the SDDMM values as the stored R.
-    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let y = y.unwrap_or(&self.b_home);
-        let rvals = self.fused_vals(&self.a_home, y, elision, sampling);
-        self.r.set(vec![rvals]);
-        self.spmm_round(Operand::B, &self.s_valued(true), &self.a_home)
+    /// Two rounds, always (no elision applies: there is no dense
+    /// replication to reuse and rows are sliced, paper §V-D); keeps the
+    /// SDDMM values as the stored R.
+    fn fused(
+        &mut self,
+        out: Operand,
+        x: Option<&Mat>,
+        _elision: Elision,
+        sampling: Sampling,
+    ) -> Mat {
+        let st = &self.state;
+        let (x, fixed) = (x.unwrap_or(st.operand(out)), st.operand(out.other()));
+        let (a, b) = match out {
+            Operand::A => (x, fixed),
+            Operand::B => (fixed, x),
+        };
+        let dots = self.dots_round(a, b, &CombineSpec::Dot);
+        let rvals = self.gather_and_sample(dots, sampling);
+        self.state.r.set(vec![rvals]);
+        let fixed = self.state.operand(out.other());
+        self.spmm_round(out, &self.s_valued(true), fixed)
     }
 
     /// The row ring (values are replicated along fibers, so layers
@@ -341,7 +322,7 @@ impl DistKernel for SparseRepl25 {
 
     /// Made values are summed on the first of the block's `q` walks.
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
-        let vals = self.r.csr_values(vals);
+        let vals = self.state.r.csr_values(vals);
         let mut sums = vals.sums();
         let nnz = vals.blocks()[0].nnz();
         let out = self.travel_round(Operand::A, nnz, y, |t, acc, xb| {
@@ -350,29 +331,13 @@ impl DistKernel for SparseRepl25 {
         });
         (out, sums)
     }
-
-    fn a_iterate(&self) -> Mat {
-        self.a_home.clone()
-    }
-
-    fn b_iterate(&self) -> Mat {
-        self.b_home.clone()
-    }
-
-    fn set_a(&mut self, _comm: &Comm, x: &Mat) {
-        // Panel layout == iterate layout: no distribution shift.
-        self.a_home = x.clone();
-    }
-
-    fn set_b(&mut self, _comm: &Comm, y: &Mat) {
-        self.b_home = y.clone();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::global::GlobalProblem;
+    use crate::planview::PlanView;
     use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, SimWorld};
     use dsk_dense::ops::max_abs_diff;
@@ -437,7 +402,7 @@ mod tests {
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
             let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
-            let ga = worker.spmm_a(false);
+            let ga = worker.spmm_a();
             let gb = worker.spmm_b(false);
             (
                 crate::layout::gather_dense(comm, 0, &ga, la, m, r),

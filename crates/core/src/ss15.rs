@@ -38,10 +38,10 @@ use crate::common::{
     ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::layout::DenseLayout;
-use crate::planview::{Operand, PlanView};
+use crate::planview::Operand;
 use crate::rstore::{RStore, RValues};
 use crate::staged::StagedProblem;
+use crate::state::KernelState;
 
 /// Tag for traveling sparse blocks.
 const TAG_SPARSE: u32 = 110;
@@ -50,33 +50,24 @@ const TAG_SPARSE: u32 = 110;
 pub struct SparseShift15 {
     /// Grid communicators (layer ring + replication fiber).
     pub gc: GridComms15,
-    view: PlanView,
-    /// Home column block of `S`: rows global over `m`, columns local to
-    /// block `u·c+v`; values = sampling values. The SDDMM result stays
-    /// on it.
-    r: RStore,
+    /// The R store holds the home column block of `S` (rows global over
+    /// `m`, columns local to block `u·c+v`; values = sampling values).
+    /// Each operand's iterate blocks are its stationary blocks by slot
+    /// `w` (rows `block(rows, p, w·c+v)` × slice `u`); its replica copy
+    /// is rows `block(rows, c, v)` × slice `u`.
+    state: KernelState,
     /// Home column block of `Sᵀ` (rows global over `n`, columns local
     /// to the `m`-block `u·c+v`) for the transposed (FusedMMA) paths.
     st_home: CooMatrix,
-    /// Replicate-layout share of `A`: rows `block(m, c, v)` × slice `u`.
-    pub a_rep: Mat,
-    /// Replicate-layout share of `B`.
-    pub b_rep: Mat,
-    /// Stationary blocks of `A` by slot `w` (rows `block(m, p, w·c+v)` ×
-    /// slice `u`), for the transposed paths.
-    a_stat: Vec<Mat>,
-    /// Stationary blocks of `B` by slot `w`.
-    b_stat: Vec<Mat>,
-    /// Fiber pattern for the `A`-replicating paths (rows over `m`);
-    /// `None` = dense all-gathers, the default.
-    route_a: Option<CommPattern>,
-    /// Fiber pattern for the transposed, `B`-replicating paths (rows
-    /// over `n`).
-    route_b: Option<CommPattern>,
+    /// Fiber pattern for the `A`-replicating paths (rows over `m`) and
+    /// for the transposed, `B`-replicating ones (rows over `n`); `None`
+    /// = dense all-gathers, the default.
+    routes: [Option<CommPattern>; 2],
 }
 
-/// One orientation of the worker's data: canonical (`S` travels, `A` is
-/// replicated, `B` stationary) or transposed (`Sᵀ`, `B`, `A`).
+/// One orientation of the worker's data, a view into its state:
+/// canonical (`S` travels, `A` is replicated, `B` stationary) or
+/// transposed (`Sᵀ`, `B`, `A`).
 struct Side<'a> {
     /// Home column block of the oriented sparse matrix; its row count is
     /// the replicated operand's.
@@ -131,22 +122,14 @@ impl SparseShift15 {
                     .collect()
             })
         };
-        let (route_a, route_b) = (routed(&s_cols[0], m), routed(&st_cols[0], n));
+        let routes = [routed(&s_cols[0], m), routed(&st_cols[0], n)];
 
         let id = KernelId::Family(AlgorithmFamily::SparseShift15);
-        let view = PlanView::of(id, c, p, prob.dims);
-        let stat = |op: Operand| view.layout_of(op, false, g).pieces(op.of(prob));
         SparseShift15 {
             gc,
-            view,
-            r,
+            state: KernelState::new(id, c, comm, prob, r),
             st_home,
-            a_rep: view.stage(prob, Operand::A, true, g),
-            b_rep: view.stage(prob, Operand::B, true, g),
-            a_stat: stat(Operand::A),
-            b_stat: stat(Operand::B),
-            route_a,
-            route_b,
+            routes,
         }
     }
 
@@ -154,32 +137,20 @@ impl SparseShift15 {
         self.gc.grid.layer_size()
     }
 
-    /// The canonical orientation: `S` travels, `A` replicated.
-    fn canon_side(&self) -> Side<'_> {
+    /// The orientation whose stationary operand is `stat_op`: the
+    /// canonical one for `B`, the transposed one for `A`.
+    fn side(&self, stat_op: Operand) -> Side<'_> {
+        let rep = stat_op.other();
         Side {
-            home: self.r.coo_block(),
-            rep: &self.a_rep,
-            stat_op: Operand::B,
-            stat: &self.b_stat,
-            route: self.route_a.as_ref(),
+            home: match stat_op {
+                Operand::A => &self.st_home,
+                Operand::B => self.state.r.coo_block(),
+            },
+            rep: self.state.replica(rep),
+            stat_op,
+            stat: self.state.blocks(stat_op),
+            route: self.routes[rep as usize].as_ref(),
         }
-    }
-
-    /// The transposed orientation: `Sᵀ` travels, `B` replicated.
-    fn trans_side(&self) -> Side<'_> {
-        Side {
-            home: &self.st_home,
-            rep: &self.b_rep,
-            stat_op: Operand::A,
-            stat: &self.a_stat,
-            route: self.route_b.as_ref(),
-        }
-    }
-
-    /// This rank's stationary layout of `op`: one row block per slot.
-    fn stat_layout(&self, op: Operand) -> DenseLayout {
-        let g = self.gc.grid.rank_of(self.gc.u, self.gc.v);
-        self.view.layout_of(op, false, g)
     }
 
     /// All-gather one orientation's replicated operand along the fiber
@@ -212,7 +183,7 @@ impl SparseShift15 {
         let pipe = self.pipeline();
         let mut blk = home.clone();
         blk.vals.fill(0.0);
-        let slice = block_range(self.view.dims().r, q, self.gc.u);
+        let slice = block_range(self.state.view.dims().r, q, self.gc.u);
         for t in 0..q {
             let w = pipe.origin(t);
             // Detach the accumulating value array from the traveling
@@ -251,7 +222,7 @@ impl SparseShift15 {
     /// of `out` (slot `w` covers piece `w` of its stationary layout);
     /// returns the stacked stationary-layout result.
     fn scatter_round(&self, home: &CooMatrix, x_full: &Mat, out: Operand) -> Mat {
-        let layout = self.stat_layout(out);
+        let layout = self.state.layout(out);
         let zeros = |rr: &std::ops::Range<usize>| Mat::zeros(rr.len(), x_full.ncols());
         let mut outs: Vec<Mat> = layout.row_ranges.iter().map(zeros).collect();
         self.spmm_round(home, x_full.ncols(), |w, b| {
@@ -266,79 +237,56 @@ impl SparseShift15 {
         let t = self.replicate(side, side.route);
         self.scatter_round(blk, &t, side.stat_op)
     }
-
-    /// FusedMM on one orientation — FusedMMB on the canonical one,
-    /// FusedMMA on the transposed one. `y` (stationary layout, stacked)
-    /// defaults to the stored stationary operand; same layout out.
-    fn fused(&self, side: &Side<'_>, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let split;
-        let y_stat = match y {
-            Some(stacked) => {
-                split = self.stat_layout(side.stat_op).split(stacked);
-                &split[..]
-            }
-            None => side.stat,
-        };
-        let route = match elision {
-            Elision::None => side.route,
-            Elision::ReplicationReuse => None,
-            Elision::LocalKernelFusion => panic!(
-                "local kernel fusion requires co-located full rows; \
-                 unsupported for 1.5D sparse shifting"
-            ),
-        };
-        let t = self.replicate(side, route);
-        let mut dots = self.dots_round(side.home, &t, y_stat, &CombineSpec::Dot);
-        sampling.apply(&mut dots, &side.home.vals);
-        let blk = side.home.with_vals(dots);
-        // Unoptimized: without elision the SpMM call replicates again.
-        let again = (elision == Elision::None).then(|| self.replicate(side, route));
-        self.scatter_round(&blk, again.as_ref().unwrap_or(&t), side.stat_op)
-    }
 }
 
 impl DistKernel for SparseShift15 {
-    fn view(&self) -> PlanView {
-        self.view
+    fn state(&self) -> &KernelState {
+        &self.state
     }
 
-    fn r_store(&self) -> &RStore {
-        &self.r
-    }
-
-    fn r_store_mut(&mut self) -> &mut RStore {
-        &mut self.r
+    fn state_mut(&mut self) -> &mut KernelState {
+        &mut self.state
     }
 
     /// Replicates `A`, travels `S`; the result stays on the home block.
     fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
-        let side = self.canon_side();
+        let side = self.side(Operand::B);
         let t_a = self.replicate(&side, side.route);
         vec![self.dots_round(side.home, &t_a, side.stat, combine)]
     }
 
     /// Via the transposed roles (replicates `B`, travels `Sᵀ`);
     /// returned in the stationary `A` layout.
-    fn spmm_a(&mut self, use_r: bool) -> Mat {
-        assert!(
-            !use_r,
-            "1.5D sparse shifting holds R on the S-oriented home block; \
-             use spmm_a_with for R·B (replicate-A layout output)"
-        );
-        self.spmm(&self.trans_side(), &self.st_home)
+    fn spmm_a(&mut self) -> Mat {
+        self.spmm(&self.side(Operand::A), &self.st_home)
     }
 
     /// Returned in the stationary `B` layout.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        self.spmm(&self.canon_side(), &self.r.traveler(use_r))
+        self.spmm(&self.side(Operand::B), &self.state.r.traveler(use_r))
     }
 
-    fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        self.fused(&self.trans_side(), x, elision, sampling)
-    }
-
-    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        self.fused(&self.canon_side(), y, elision, sampling)
+    /// On the orientation whose stationary operand is `out`: `y`
+    /// (stationary layout, stacked) defaults to the stored stationary
+    /// operand, read per slot; same layout out.
+    fn fused(
+        &mut self,
+        out: Operand,
+        y: Option<&Mat>,
+        elision: Elision,
+        sampling: Sampling,
+    ) -> Mat {
+        let side = self.side(out);
+        let split = y.map(|stacked| self.state.layout(out).split(stacked));
+        let y_stat = split.as_deref().unwrap_or(side.stat);
+        let route = side.route.filter(|_| elision == Elision::None);
+        let t = self.replicate(&side, route);
+        let mut dots = self.dots_round(side.home, &t, y_stat, &CombineSpec::Dot);
+        sampling.apply(&mut dots, &side.home.vals);
+        let blk = side.home.with_vals(dots);
+        // Unoptimized: without elision the SpMM call replicates again.
+        let again = (elision == Elision::None).then(|| self.replicate(&side, route));
+        self.scatter_round(&blk, again.as_ref().unwrap_or(&t), out)
     }
 
     /// The world: every rank holds a column block of all `m` rows.
@@ -350,11 +298,11 @@ impl DistKernel for SparseShift15 {
     /// home block travels, then reduce-scatters along the fiber into
     /// the replicate `A` layout (GAT's convolution step).
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
-        let y_layout = self.stat_layout(Operand::B);
+        let y_layout = self.state.layout(Operand::B);
         let y_stat = y_layout.split(y);
-        let (m, width) = (self.view.dims().m, y_layout.width());
+        let (m, width) = (self.state.view.dims().m, y_layout.width());
         let mut t_full = Mat::zeros(m, width);
-        let (traveler, sums) = self.r.traveler_of(vals);
+        let (traveler, sums) = self.state.r.traveler_of(vals);
         self.spmm_round(&traveler, width, |w, b| {
             kern::spmm_coo_acc(&mut t_full, b, &y_stat[w])
         });
@@ -363,30 +311,13 @@ impl DistKernel for SparseShift15 {
         let out = reduce_rows(&self.gc.fiber, &t_full, |vv| block_range(m, c, vv));
         (out, sums)
     }
-
-    fn a_iterate(&self) -> Mat {
-        Mat::vstack(&self.a_stat)
-    }
-
-    fn b_iterate(&self) -> Mat {
-        Mat::vstack(&self.b_stat)
-    }
-
-    fn set_a(&mut self, comm: &Comm, x: &Mat) {
-        self.a_rep = self.view.redistribute(comm, Operand::A, x, true);
-        self.a_stat = self.stat_layout(Operand::A).split(x);
-    }
-
-    fn set_b(&mut self, comm: &Comm, y: &Mat) {
-        self.b_rep = self.view.redistribute(comm, Operand::B, y, true);
-        self.b_stat = self.stat_layout(Operand::B).split(y);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::global::GlobalProblem;
+    use crate::planview::PlanView;
     use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, Phase, SimWorld};
     use dsk_dense::ops::max_abs_diff;
@@ -472,7 +403,7 @@ mod tests {
         let w = SimWorld::new(p, MachineModel::bandwidth_only());
         let out = w.run(move |comm| {
             let mut worker = DistWorker::from_global(comm, FAMILY, c, &prob);
-            let ga = worker.spmm_a(false);
+            let ga = worker.spmm_a();
             let gb = worker.spmm_b(false);
             (
                 crate::layout::gather_dense(comm, 0, &ga, la, m, r),

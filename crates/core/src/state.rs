@@ -1,0 +1,122 @@
+//! The state every kernel holds, whatever its data flow.
+//!
+//! Each family moves data differently, but all of them keep the same
+//! things between calls: the plan view they were built on, the stored
+//! SDDMM result on their own pattern blocks, the two dense operands in
+//! the iterate layout, a replica-layout copy of an operand where that
+//! layout differs from the iterate one, and the ring tiles an iterate
+//! call kept. [`KernelState`] holds them once, so the trait's view,
+//! R-store, iterate and `set_*` methods are provided over
+//! [`DistKernel::state`](crate::kernel::DistKernel::state) and a family
+//! file holds only its grid, its sparse partition and its rounds.
+
+use std::cell::{RefCell, RefMut};
+
+use dsk_comm::Comm;
+use dsk_dense::Mat;
+
+use crate::global::GlobalProblem;
+use crate::kernel::KernelId;
+use crate::layout::DenseLayout;
+use crate::planview::{Operand, PlanView};
+use crate::rstore::RStore;
+
+/// One rank's kernel state; operand-indexed arrays hold `A` then `B`.
+pub struct KernelState {
+    /// The plan view the kernel was built on.
+    pub(crate) view: PlanView,
+    /// The stored SDDMM result on this rank's pattern blocks.
+    pub(crate) r: RStore,
+    /// This rank's index in the world the kernel was built on.
+    rank: usize,
+    /// Each operand in the iterate layout, one block per row range of
+    /// the layout.
+    iterate: [Vec<Mat>; 2],
+    /// Each operand in the replica layout, kept only where the view
+    /// says it differs from the iterate layout
+    /// ([`PlanView::has_replica`]).
+    replica: [Option<Mat>; 2],
+    /// Ring tiles of each operand that iterate calls received and
+    /// replay; setting the operand empties them.
+    held: [RefCell<Vec<Mat>>; 2],
+}
+
+impl KernelState {
+    /// This rank's state for kernel `id` at replication factor `c` on
+    /// `comm`: its share of `prob`'s operands in the view's layouts, and
+    /// `r`, its pattern blocks.
+    pub(crate) fn new(
+        id: KernelId,
+        c: usize,
+        comm: &Comm,
+        prob: &GlobalProblem,
+        r: RStore,
+    ) -> Self {
+        let (view, g) = (PlanView::of(id, c, comm.size(), prob.dims), comm.rank());
+        let ops = [Operand::A, Operand::B];
+        let replica = |op: Operand| view.layout_of(op, true, g).extract(op.of(prob));
+        KernelState {
+            view,
+            r,
+            rank: g,
+            iterate: ops.map(|op| view.layout_of(op, false, g).pieces(op.of(prob))),
+            replica: ops.map(|op| view.has_replica(op).then(|| replica(op))),
+            held: Default::default(),
+        }
+    }
+
+    /// This rank's iterate layout of `op`.
+    pub(crate) fn layout(&self, op: Operand) -> DenseLayout {
+        self.view.layout_of(op, false, self.rank)
+    }
+
+    /// `op` in the iterate layout, one block per row range.
+    pub(crate) fn blocks(&self, op: Operand) -> &[Mat] {
+        &self.iterate[op as usize]
+    }
+
+    /// `op` in an iterate layout of one row range.
+    pub(crate) fn operand(&self, op: Operand) -> &Mat {
+        match self.blocks(op) {
+            [x] => x,
+            _ => panic!("the {op:?} iterate layout has several row ranges"),
+        }
+    }
+
+    /// `op` in the replica layout: the kept copy, or the iterate where
+    /// the two layouts coincide.
+    pub(crate) fn replica(&self, op: Operand) -> &Mat {
+        self.replica[op as usize]
+            .as_ref()
+            .unwrap_or_else(|| self.operand(op))
+    }
+
+    /// The ring tiles of `op` that iterate calls keep and replay.
+    pub(crate) fn held(&self, op: Operand) -> RefMut<'_, Vec<Mat>> {
+        self.held[op as usize].borrow_mut()
+    }
+
+    /// `op` in the iterate layout, stacked into one matrix.
+    pub(crate) fn iterate(&self, op: Operand) -> Mat {
+        Mat::vstack(self.blocks(op))
+    }
+
+    /// Replace `op` with `x`, this rank's share in the iterate layout:
+    /// the replica copy, if kept, is shifted from it over `comm`
+    /// (collective; [`PlanView::redistribute`]), and the held ring
+    /// tiles of the old operand are dropped.
+    pub(crate) fn set(&mut self, comm: &Comm, op: Operand, x: &Mat) {
+        let layout = self.layout(op);
+        assert_eq!(
+            x.nrows(),
+            layout.local_rows(),
+            "{op:?} iterate shape mismatch"
+        );
+        let i = op as usize;
+        if self.replica[i].is_some() {
+            self.replica[i] = Some(self.view.redistribute(comm, op, x, true));
+        }
+        self.iterate[i] = layout.split(x);
+        self.held[i].get_mut().clear();
+    }
+}

@@ -562,3 +562,53 @@ fn supports_reflects_fused_behavior() {
         }
     }
 }
+
+/// Admissibility is checked once for every kernel, at fused-call entry
+/// and before any communication: each elision a kernel does not admit
+/// panics in both `fused_mm_a` and `fused_mm_b` with the one message
+/// naming the kernel and the elision.
+#[test]
+fn unsupported_elisions_panic_with_one_message() {
+    use distributed_sparse_kernels::core::PlanView;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let prob = Arc::new(GlobalProblem::erdos_renyi(24, 24, 4, 2, 4005));
+    let mut checked = 0;
+    for (name, builder, _) in scenarios(&prob) {
+        let plan = builder.plan(P);
+        let view = PlanView::new(&plan, P, prob.dims);
+        let unsupported: Vec<Elision> = Elision::ALL
+            .into_iter()
+            .filter(|&e| !view.supports(e))
+            .collect();
+        let expected: Vec<String> = unsupported
+            .iter()
+            .map(|e| format!("{} admits no {e:?} elision", plan.id.label()))
+            .flat_map(|msg| [msg.clone(), msg])
+            .collect();
+        let world = SimWorld::new(P, MachineModel::bandwidth_only());
+        let out = world.run(move |comm| {
+            let mut worker = builder.build(comm);
+            let mut got = Vec::new();
+            for &elision in &unsupported {
+                for fused_a in [true, false] {
+                    let call = catch_unwind(AssertUnwindSafe(|| match fused_a {
+                        true => worker.fused_mm_a(None, elision, Sampling::Values),
+                        false => worker.fused_mm_b(None, elision, Sampling::Values),
+                    }));
+                    let payload = call.expect_err("an unsupported elision must panic");
+                    got.push(*payload.downcast::<String>().expect("a formatted message"));
+                }
+            }
+            got.join("\n")
+        });
+        for o in &out {
+            assert_eq!(o.value, expected.join("\n"), "{name}: rank {}", o.rank);
+        }
+        checked += expected.len();
+    }
+    // 1.5D sparse shift and 2.5D dense replication refuse local kernel
+    // fusion; 2.5D sparse replication and the baseline refuse both
+    // elisions; each refusal is checked on both fused calls.
+    assert_eq!(checked, 2 * (1 + 1 + 2 + 2));
+}
