@@ -31,7 +31,7 @@ use dsk_sparse::{CooMatrix, CsrMatrix};
 use crate::common::{block_range, Elision, Sampling};
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::planview::Operand;
-use crate::rstore::{RStore, RValues};
+use crate::rstore::{RStore, RValues, Source};
 use crate::staged::StagedProblem;
 use crate::state::KernelState;
 
@@ -171,27 +171,30 @@ impl Baseline1D {
         Mat::from_vec(local.nrows() + fetched_total, r, stacked)
     }
 
-    /// Scatter + local SpMM through one plan: the shared body of SpMMA
-    /// (`S`-oriented, operand `B`-side) and SpMMB (`Sᵀ`-oriented,
-    /// operand `A`-side). `s` is the plan's remapped block carrying the
-    /// values to multiply with.
-    fn spmm_plan(&self, plan: &Plan, s: &CsrMatrix, local: &Mat) -> Mat {
+    /// Scatter + local SpMM of the orientation whose rows are `out`'s,
+    /// with values from `src`: the shared body of SpMMA (`S`-oriented,
+    /// operand `B`-side) and SpMMB (`Sᵀ`-oriented, operand `A`-side).
+    /// Made values' row sums come back beside it.
+    fn spmm_plan(&self, out: Operand, src: Source<'_>, local: &Mat) -> (Mat, Vec<f64>) {
+        let (plan, store) = self.oriented(out);
+        let vals = store.csr_values(src);
+        let (s, mut sums) = (&vals.blocks()[0], vals.sums());
         let operand = self.scatter_operand(plan, local);
         let r = self.state.view.dims().r;
         let mut out = Mat::zeros(s.nrows(), r);
         self.comm.compute(kern::spmm_flops(s.nnz(), r), || {
-            kern::spmm_csr_acc(&mut out, s, &operand)
+            vals.spmm(0, &mut out, &operand, Some(&mut sums))
         });
-        out
+        (out, sums)
     }
 
-    /// The plan and the remapped block (values = sampling values) of
-    /// the orientation whose rows are `op`'s: `S` for `A` (fetching `B`
-    /// rows), `Sᵀ` for `B`.
-    fn oriented(&self, op: Operand) -> (&Plan, &CsrMatrix) {
+    /// The plan and the store of the orientation whose rows are `op`'s
+    /// (one remapped block, values = sampling values): `S` for `A`
+    /// (fetching `B` rows), `Sᵀ` for `B`.
+    fn oriented(&self, op: Operand) -> (&Plan, &RStore) {
         match op {
-            Operand::A => (&self.plan_a, &self.state.r.csr_blocks()[0]),
-            Operand::B => (&self.plan_b, &self.st.csr_blocks()[0]),
+            Operand::A => (&self.plan_a, &self.state.r),
+            Operand::B => (&self.plan_b, &self.st),
         }
     }
 
@@ -224,20 +227,15 @@ impl Baseline1D {
         self.st.import(&rt);
     }
 
-    /// Raw SDDMM accumulations through one plan: fetch the needed rows
-    /// of the far-side iterate `local` and combine them against this
-    /// rank's near-side rows `x` — the shared body of the `S`-oriented
-    /// SDDMM (`x` on the `A` side, fetching `B` rows) and its transpose.
-    /// Values are aligned with `s`'s CSR order; no sampling applied.
-    fn dots_plan(
-        &self,
-        plan: &Plan,
-        s: &CsrMatrix,
-        x: &Mat,
-        local: &Mat,
-        combine: &CombineSpec,
-    ) -> Vec<f64> {
-        let r = self.state.view.dims().r;
+    /// Raw SDDMM accumulations through the plan of the orientation
+    /// whose rows are `near`'s: fetch the needed rows of the far-side
+    /// iterate `local` and combine them against this rank's near-side
+    /// rows `x` — the shared body of the `S`-oriented SDDMM (`x` on the
+    /// `A` side, fetching `B` rows) and its transpose. Values are
+    /// aligned with the block's CSR order; no sampling applied.
+    fn dots_plan(&self, near: Operand, x: &Mat, local: &Mat, combine: &CombineSpec) -> Vec<f64> {
+        let (plan, store) = self.oriented(near);
+        let (s, r) = (&store.csr_blocks()[0], self.state.view.dims().r);
         let operand = self.scatter_operand(plan, local);
         let mut acc = vec![0.0; s.nnz()];
         self.comm.compute(kern::sddmm_flops(s.nnz(), r), || {
@@ -257,14 +255,14 @@ impl DistKernel for Baseline1D {
     }
 
     fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
-        let ((plan, s), st) = (self.oriented(Operand::A), &self.state);
+        let st = &self.state;
         let (a, b) = (st.operand(Operand::A), st.operand(Operand::B));
-        vec![self.dots_plan(plan, s, a, b, combine)]
+        vec![self.dots_plan(Operand::A, a, b, combine)]
     }
 
     fn spmm_a(&mut self) -> Mat {
-        let (plan, s) = self.oriented(Operand::A);
-        self.spmm_plan(plan, s, self.state.operand(Operand::B))
+        let b = self.state.operand(Operand::B);
+        self.spmm_plan(Operand::A, Source::Sampling, b).0
     }
 
     /// The baseline stores R in the `S` orientation; `Rᵀ·A` first
@@ -273,8 +271,8 @@ impl DistKernel for Baseline1D {
         if use_r {
             self.transpose_r();
         }
-        let st = self.st.csr_valued(use_r);
-        self.spmm_plan(&self.plan_b, &st[0], self.state.operand(Operand::A))
+        let a = self.state.operand(Operand::A);
+        self.spmm_plan(Operand::B, Source::stored_if(use_r), a).0
     }
 
     /// The SDDMM fetches the far-side operand's rows and combines them
@@ -282,11 +280,11 @@ impl DistKernel for Baseline1D {
     /// symmetric); the SpMM, a back-to-back second kernel, pays the
     /// scatter again. No elision applies.
     fn fused(&mut self, out: Operand, x: Option<&Mat>, _: Elision, sampling: Sampling) -> Mat {
-        let ((plan, s), st) = (self.oriented(out), &self.state);
+        let st = &self.state;
         let (x, fixed) = (x.unwrap_or(st.operand(out)), st.operand(out.other()));
-        let mut vals = self.dots_plan(plan, s, x, fixed, &CombineSpec::Dot);
-        sampling.apply(&mut vals, s.vals());
-        self.spmm_plan(plan, &s.with_vals(vals), fixed)
+        let mut dots = [self.dots_plan(out, x, fixed, &CombineSpec::Dot)];
+        self.oriented(out).1.sample(&mut dots, sampling);
+        self.spmm_plan(out, Source::Given(&dots), fixed).0
     }
 
     /// None: block rows are whole on one rank.
@@ -295,16 +293,7 @@ impl DistKernel for Baseline1D {
     }
 
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
-        let vals = self.state.r.csr_values(vals);
-        let mut sums = vals.sums();
-        let s = &vals.blocks()[0];
-        let operand = self.scatter_operand(&self.plan_a, y);
-        let r = self.state.view.dims().r;
-        let mut out = Mat::zeros(s.nrows(), r);
-        self.comm.compute(kern::spmm_flops(s.nnz(), r), || {
-            vals.spmm(0, &mut out, &operand, Some(&mut sums))
-        });
-        (out, sums)
+        self.spmm_plan(Operand::A, vals.into(), y)
     }
 }
 

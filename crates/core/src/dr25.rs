@@ -37,7 +37,7 @@ use crate::common::{
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::planview::Operand;
-use crate::rstore::{RStore, RValues};
+use crate::rstore::{RStore, RValues, Source};
 use crate::staged::StagedProblem;
 use crate::state::KernelState;
 
@@ -198,9 +198,10 @@ impl DenseRepl25 {
         replicate_rows(&self.gc.fiber, side.x_fiber, side.home.nrows, None)
     }
 
-    /// SDDMM travel round: the sparse block accumulates slice-partial
-    /// combines as it crosses its grid row; `y` panels travel alongside.
-    /// Returns the home block's fully accumulated values (no sampling).
+    /// SDDMM travel round: a copy of the home sparse block accumulates
+    /// slice-partial combines as it crosses its grid row; `y` panels
+    /// travel alongside. Returns the block back home, its values fully
+    /// accumulated (no sampling).
     fn dots_round(
         &self,
         side: &Side<'_>,
@@ -208,7 +209,7 @@ impl DenseRepl25 {
         y0: &Mat,
         combine: &CombineSpec,
         route: Option<&CommPattern>,
-    ) -> Vec<f64> {
+    ) -> CooMatrix {
         let q = self.q();
         let slice = block_range(self.state.view.dims().r, q, self.gc.v);
         let mut blk = side.home.clone();
@@ -233,7 +234,7 @@ impl DenseRepl25 {
             y.arrive(hop);
         }
         debug_assert_eq!(blk.nnz(), side.home.nnz(), "block failed to return home");
-        blk.vals
+        blk
     }
 
     /// SpMM travel round with a replicated accumulator (`T += S·y` per
@@ -309,7 +310,8 @@ impl DistKernel for DenseRepl25 {
     fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
         let side = self.side(Operand::B);
         let t_buf = self.replicate(&side);
-        vec![self.dots_round(&side, &t_buf, side.y_home, combine, side.route)]
+        let blk = self.dots_round(&side, &t_buf, side.y_home, combine, side.route);
+        vec![blk.vals]
     }
 
     /// Returned in the fiber `A` layout.
@@ -323,7 +325,7 @@ impl DistKernel for DenseRepl25 {
     fn spmm_b(&mut self, use_r: bool) -> Mat {
         let side = self.side(Operand::B);
         let t_buf = self.replicate(&side);
-        let home = self.state.r.traveler(use_r);
+        let (home, _) = self.state.r.traveler_of(Source::stored_if(use_r));
         self.spmm_shift_acc_round(&side, &home, &t_buf, side.route)
     }
 
@@ -341,9 +343,8 @@ impl DistKernel for DenseRepl25 {
         let route = side.route.filter(|_| elision == Elision::None);
         let t_buf = self.replicate(&side);
         let y0 = y.unwrap_or(side.y_home);
-        let mut dots = self.dots_round(&side, &t_buf, y0, &CombineSpec::Dot, route);
-        sampling.apply(&mut dots, &side.home.vals);
-        let blk = side.home.with_vals(dots);
+        let mut blk = self.dots_round(&side, &t_buf, y0, &CombineSpec::Dot, route);
+        sampling.apply(&mut blk.vals, &side.home.vals);
         // Unoptimized: without elision the SpMM call replicates again.
         let again = (elision == Elision::None).then(|| self.replicate(&side));
         self.spmm_shift_acc_round(&side, &blk, again.as_ref().unwrap_or(&t_buf), route)
@@ -357,7 +358,7 @@ impl DistKernel for DenseRepl25 {
 
     /// Takes a travel-layout operand; returned in the fiber `A` layout.
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
-        let (traveler, sums) = self.state.r.traveler_of(vals);
+        let (traveler, sums) = self.state.r.traveler_of(vals.into());
         let t_out = self.spmm_out_round(&self.side(Operand::B), &traveler, y);
         (self.reduce_to_fiber(&t_out), sums)
     }

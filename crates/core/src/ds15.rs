@@ -25,6 +25,12 @@
 //!   fused local SDDMM+SpMM per step (only possible here, where entire
 //!   rows of both dense matrices are co-located).
 //!
+//! Every SpMM and fused round reads its values from one source
+//! (`rstore::Source`) over the `S` blocks (the R store) or the `Sᵀ` blocks (a
+//! second store): the sampling values, the stored R, the call's sampled
+//! dots, or ones — which the fused loop applies by skipping the
+//! multiply, so no block is ever copied to carry values.
+//!
 //! A fused round with an iterate (`fused_mm_a(Some(x), ..)`, the matvec
 //! of a CG solve) shifts the *stored* operand, which cannot change until
 //! `set_a`/`set_b`: it keeps the ring tiles it receives, and later
@@ -34,8 +40,6 @@
 //! routing they fill those stores, and every matvec of the solve that
 //! follows, the first one included, replays them: each factor crosses
 //! the ring once per ALS sweep.
-
-use std::cell::OnceCell;
 
 use dsk_comm::{Comm, CommPattern, Grid15, GridComms15, RowSet};
 use dsk_dense::Mat;
@@ -48,7 +52,7 @@ use crate::common::{
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::planview::Operand;
-use crate::rstore::{RStore, RValues};
+use crate::rstore::{RStore, RValues, Source};
 use crate::staged::StagedProblem;
 use crate::state::KernelState;
 
@@ -69,14 +73,12 @@ pub struct DenseShift15 {
     /// whatever its elision; only local kernel fusion replays them.
     state: KernelState,
     /// `Sᵀ` blocks by slot `w` (column block over `m` of macro row `u`
-    /// of `n`), for the transposed-role (FusedMMA) paths.
-    st_blocks: Vec<CsrMatrix>,
+    /// of `n`), values = sampling values, for the transposed-role
+    /// (FusedMMA) paths. Nothing is stored as their R.
+    st: RStore,
     /// Layer-ring communication pattern for pattern-routed propagation
     /// (`None` = dense shifts, the default).
     route: Option<CommPattern>,
-    /// Ones-valued copies of the `S` and `Sᵀ` blocks for
-    /// [`Sampling::Ones`] fused rounds, built on first use.
-    ones: [OnceCell<Vec<CsrMatrix>>; 2],
 }
 
 impl DenseShift15 {
@@ -111,7 +113,7 @@ impl DenseShift15 {
             (0..q).map(slot).unzip::<_, _, Vec<_>, Vec<_>>()
         };
         let (s_blocks, offsets) = cut(false, m, n);
-        let (st_blocks, _) = cut(true, n, m);
+        let (st_blocks, st_offsets) = cut(true, n, m);
         let route = route(&gc.layer, routing, || {
             let cols = |b: &CsrMatrix| RowSet::from_indices(b.indices().to_vec());
             s_blocks.iter().map(cols).collect()
@@ -122,9 +124,8 @@ impl DenseShift15 {
         DenseShift15 {
             gc,
             state: KernelState::new(id, c, comm, prob, r),
-            st_blocks,
+            st: RStore::csr((n, m), st_blocks, st_offsets),
             route,
-            ones: Default::default(),
         }
     }
 
@@ -228,84 +229,67 @@ impl DenseShift15 {
     }
 
     /// SpMM propagation round with a replicated (macro-row) accumulator
-    /// of `out`'s rows: `T += R_w · y` per step, `y` shifting, then one
+    /// of `out`'s rows: `T += R_w · y` per step over the blocks whose
+    /// rows are `out`'s, with values from `src`, `y` shifting, then one
     /// reduce-scatter to this rank's block row of `out` (the SpMMA data
-    /// flow over the `S` blocks). `blocks` carry the values to multiply
-    /// with; `route` and `hold` as in [`DenseShift15::lane_round`].
+    /// flow over the `S` blocks). Made values' row sums come back
+    /// beside it. `y` travels this kernel's route; `hold` as in
+    /// [`DenseShift15::lane_round`].
     fn spmm_out(
         &self,
         out: Operand,
-        blocks: &[CsrMatrix],
+        src: Source<'_>,
         y0: &Mat,
-        route: Option<&CommPattern>,
         hold: Option<Operand>,
-    ) -> Mat {
+    ) -> (Mat, Vec<f64>) {
+        let vals = self.oriented(out).csr_values(src);
+        let (blocks, mut sums) = (vals.blocks(), vals.sums());
         let mut t_buf = Mat::zeros(blocks[0].nrows(), y0.ncols());
-        self.lane_round(blocks, y0, route, hold, kern::spmm_flops, |_, blk, y| {
-            kern::spmm_csr_acc(&mut t_buf, blk, y)
+        let route = self.route.as_ref();
+        self.lane_round(blocks, y0, route, hold, kern::spmm_flops, |w, _, y| {
+            vals.spmm(w, &mut t_buf, y, Some(&mut sums))
         });
-        self.reduce_to_block(out, &t_buf)
+        (self.reduce_to_block(out, &t_buf), sums)
     }
 
-    /// SpMMB of the `S`-oriented `blocks` (carrying the values to
-    /// multiply with) against `A`-side `x`: `x` is replicated, and the
-    /// `B`-shaped output circulates.
-    fn spmm_b_of(&self, blocks: &[CsrMatrix], x: &Mat) -> Mat {
-        let t_buf = replicate_rows(&self.gc.fiber, x, blocks[0].nrows(), None);
-        let rows = self.state.operand(Operand::B).nrows();
-        self.spmm_shift_acc_round(blocks, &t_buf, rows, self.route.as_ref())
-    }
-
-    /// SpMM propagation round with a *circulating* accumulator: the
-    /// output block rows shift around the ring, each rank adding
-    /// `R_wᵀ · T` for its stationary block (the SpMMB data flow, and the
-    /// second half of replication reuse). `blocks` carry the values to
-    /// multiply with.
+    /// SpMM propagation round with a *circulating* accumulator of
+    /// `out`'s rows: the output block rows shift around the ring, each
+    /// rank adding `R_wᵀ · T` for its stationary block whose rows are
+    /// the other operand's, with values from `src` (the SpMMB data
+    /// flow, and the second half of replication reuse).
     fn spmm_shift_acc_round(
         &self,
-        blocks: &[CsrMatrix],
+        out: Operand,
+        src: Source<'_>,
         t_buf: &Mat,
-        my_out_rows: usize,
         route: Option<&CommPattern>,
     ) -> Mat {
+        let vals = self.oriented(out.other()).csr_values(src);
         let pipe = self.pipeline(route);
         let r = t_buf.ncols();
-        let mut out = Mat::zeros(my_out_rows, r);
+        let mut acc = Mat::zeros(self.state.operand(out).nrows(), r);
         for t in 0..self.q() {
-            let blk = &blocks[pipe.origin(t)];
-            debug_assert_eq!(blk.ncols(), out.nrows(), "block/accumulator misalignment");
+            let w = pipe.origin(t);
+            let blk = &vals.blocks()[w];
+            debug_assert_eq!(blk.ncols(), acc.nrows(), "block/accumulator misalignment");
             self.gc.layer.compute(kern::spmm_flops(blk.nnz(), r), || {
-                kern::spmm_csr_t_acc(&mut out, blk, t_buf)
+                vals.spmm_t(w, &mut acc, t_buf)
             });
             // Accumulator lane: the block is not final until the local
             // kernel has added its contribution, so the exchange cannot
             // be posted early.
-            out = pipe.exchange_mat(out, t);
+            acc = pipe.exchange_mat(acc, t);
         }
-        out
+        acc
     }
 
-    /// The stationary blocks whose rows are `op`'s: the `S` blocks for
-    /// `A`, the `Sᵀ` blocks for `B`.
-    fn oriented(&self, op: Operand) -> &[CsrMatrix] {
+    /// The stationary blocks whose rows are `op`'s: the `S` blocks of
+    /// the R store for `A`, the `Sᵀ` blocks for `B`.
+    fn oriented(&self, op: Operand) -> &RStore {
         match op {
-            Operand::A => self.state.r.csr_blocks(),
-            Operand::B => &self.st_blocks,
+            Operand::A => &self.state.r,
+            Operand::B => &self.st,
         }
-    }
-
-    /// The blocks carrying a round's SDDMM output (`sampling` applied):
-    /// the valued operand of a FusedMM's SpMM half, built once per call.
-    fn sampled_blocks(
-        blocks: &[CsrMatrix],
-        acc: Vec<Vec<f64>>,
-        sampling: Sampling,
-    ) -> Vec<CsrMatrix> {
-        let sampled = blocks.iter().zip(acc).map(|(b, mut v)| {
-            sampling.apply(&mut v, b.vals());
-            b.with_vals(v)
-        });
-        sampled.collect()
     }
 }
 
@@ -326,27 +310,31 @@ impl DistKernel for DenseShift15 {
 
     /// Returned as this rank's `A`-shaped block row.
     fn spmm_a(&mut self) -> Mat {
-        let (s, b) = (self.state.r.csr_blocks(), self.state.operand(Operand::B));
-        self.spmm_out(Operand::A, s, b, self.route.as_ref(), None)
+        let b = self.state.operand(Operand::B);
+        self.spmm_out(Operand::A, Source::Sampling, b, None).0
     }
 
-    /// Returned as this rank's `B`-shaped block row.
+    /// Returned as this rank's `B`-shaped block row: `A` is
+    /// replicated, and the output circulates.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let blocks = self.state.r.csr_valued(use_r);
-        self.spmm_b_of(&blocks, self.state.operand(Operand::A))
+        let rows = self.state.r.csr_blocks()[0].nrows();
+        let t_buf = replicate_rows(&self.gc.fiber, self.state.operand(Operand::A), rows, None);
+        let src = Source::stored_if(use_r);
+        self.spmm_shift_acc_round(Operand::B, src, &t_buf, self.route.as_ref())
     }
 
-    /// No elision runs the two kernels back to back on the `S` blocks.
-    /// Replication reuse replicates the fixed operand once, over the
-    /// blocks whose rows are its own: the SDDMM shifts the iterate, then
-    /// the output circulates reusing the same `T`. Local kernel fusion
-    /// replicates the iterate over the blocks whose rows are its own and
-    /// runs one fused SDDMM+SpMM round while the fixed operand travels
-    /// (with `x`, an iterate call, the fixed operand's ring tiles are
-    /// kept, or replayed when already held). Its stationary blocks are
-    /// read as they are under [`Sampling::Values`]; the ones-valued
-    /// copies [`Sampling::Ones`] needs are built on this worker's first
-    /// such round and kept.
+    /// No elision runs the two kernels back to back on the `S` blocks,
+    /// the SpMM reading the sampled dots. Replication reuse replicates
+    /// the fixed operand once, over the blocks whose rows are its own:
+    /// the SDDMM shifts the iterate, then the output circulates reusing
+    /// the same `T` (FusedMMB without elision is this data flow on the
+    /// routed ring, its SpMM call replicating `A` again). Local kernel
+    /// fusion replicates the iterate over the blocks whose rows are its
+    /// own and runs one fused SDDMM+SpMM round while the fixed operand
+    /// travels (with `x`, an iterate call, the fixed operand's ring
+    /// tiles are kept, or replayed when already held); the fused loop
+    /// samples with the blocks' own values, or with ones by skipping
+    /// the multiply.
     fn fused(
         &mut self,
         out: Operand,
@@ -358,40 +346,31 @@ impl DistKernel for DenseShift15 {
         let hold = x.is_some().then_some(out.other());
         let (x, fixed) = (x.unwrap_or(st.operand(out)), st.operand(out.other()));
         match elision {
-            Elision::None => {
-                let (a, b) = match out {
-                    Operand::A => (x, fixed),
-                    Operand::B => (fixed, x),
-                };
-                let acc = self.dots_of(a, b, &CombineSpec::Dot);
-                let r_blocks = Self::sampled_blocks(st.r.csr_blocks(), acc, sampling);
-                match out {
-                    Operand::A => self.spmm_out(out, &r_blocks, b, self.route.as_ref(), None),
-                    // The SpMMB call replicates A again.
-                    Operand::B => self.spmm_b_of(&r_blocks, a),
-                }
+            Elision::None if out == Operand::A => {
+                let mut acc = self.dots_of(x, fixed, &CombineSpec::Dot);
+                st.r.sample(&mut acc, sampling);
+                self.spmm_out(out, Source::Given(&acc), fixed, None).0
             }
-            Elision::ReplicationReuse => {
-                let blocks = self.oriented(out.other());
-                let t_buf = replicate_rows(&self.gc.fiber, fixed, blocks[0].nrows(), None);
+            Elision::None | Elision::ReplicationReuse => {
+                let reuse = elision == Elision::ReplicationReuse;
+                let route = self.route.as_ref().filter(|_| !reuse);
+                let store = self.oriented(out.other());
+                let (blocks, fiber) = (store.csr_blocks(), &self.gc.fiber);
+                let t_buf = replicate_rows(fiber, fixed, blocks[0].nrows(), None);
                 let dot = kern::SddmmCombine::Dot;
-                let acc = self.sddmm_round(blocks, &t_buf, x, dot, None);
-                let r_blocks = Self::sampled_blocks(blocks, acc, sampling);
-                self.spmm_shift_acc_round(&r_blocks, &t_buf, x.nrows(), None)
+                let mut acc = self.sddmm_round(blocks, &t_buf, x, dot, route);
+                store.sample(&mut acc, sampling);
+                let again = (!reuse).then(|| replicate_rows(fiber, fixed, t_buf.nrows(), None));
+                let t_buf = again.as_ref().unwrap_or(&t_buf);
+                self.spmm_shift_acc_round(out, Source::Given(&acc), t_buf, route)
             }
             Elision::LocalKernelFusion => {
-                let stored = self.oriented(out);
-                let blocks = match sampling {
-                    Sampling::Values => stored,
-                    Sampling::Ones => self.ones[out as usize].get_or_init(|| {
-                        let ones = |b: &CsrMatrix| b.with_vals(vec![1.0; b.nnz()]);
-                        stored.iter().map(ones).collect()
-                    }),
-                };
+                let vals = self.oriented(out).csr_values(sampling.into());
+                let blocks = vals.blocks();
                 let t_in = replicate_rows(&self.gc.fiber, x, blocks[0].nrows(), None);
                 let mut t_out = Mat::zeros(t_in.nrows(), fixed.ncols());
-                self.lane_round(blocks, fixed, None, hold, kern::fused_flops, |_, blk, y| {
-                    kern::fused_a_csr(&mut t_out, blk, &t_in, y)
+                self.lane_round(blocks, fixed, None, hold, kern::fused_flops, |w, _, y| {
+                    vals.fused(w, &mut t_out, &t_in, y)
                 });
                 self.reduce_to_block(out, &t_out)
             }
@@ -403,26 +382,17 @@ impl DistKernel for DenseShift15 {
         Some(&self.gc.fiber)
     }
 
-    /// The SpMMA round's data flow (`spmm_out`), each stationary block
-    /// walked once.
+    /// The SpMMA round, each stationary block walked once.
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
-        let vals = self.state.r.csr_values(vals);
-        let mut sums = vals.sums();
-        let blocks = vals.blocks();
-        let mut t_buf = Mat::zeros(blocks[0].nrows(), y.ncols());
-        let route = self.route.as_ref();
-        self.lane_round(blocks, y, route, None, kern::spmm_flops, |w, _, yb| {
-            vals.spmm(w, &mut t_buf, yb, Some(&mut sums))
-        });
-        (self.reduce_to_block(Operand::A, &t_buf), sums)
+        self.spmm_out(Operand::A, vals.into(), y, None)
     }
 
     /// [`DistKernel::spmm_a`]'s `S·B` round; on dense routing it keeps
     /// `B`'s ring tiles, so every iterate call of the solve replays them.
     fn rhs_a(&mut self, _comm: &Comm) -> Mat {
         let hold = self.route.is_none().then_some(Operand::B);
-        let (s, b) = (self.state.r.csr_blocks(), self.state.operand(Operand::B));
-        self.spmm_out(Operand::A, s, b, self.route.as_ref(), hold)
+        let b = self.state.operand(Operand::B);
+        self.spmm_out(Operand::A, Source::Sampling, b, hold).0
     }
 
     /// `Sᵀ·A` on dense routing by the transposed data flow of the fused
@@ -434,8 +404,8 @@ impl DistKernel for DenseShift15 {
         if self.route.is_some() {
             return self.spmm_b(false);
         }
-        let a = self.state.operand(Operand::A);
-        self.spmm_out(Operand::B, &self.st_blocks, a, None, Some(Operand::A))
+        let (a, hold) = (self.state.operand(Operand::A), Some(Operand::A));
+        self.spmm_out(Operand::B, Source::Sampling, a, hold).0
     }
 }
 
@@ -551,8 +521,7 @@ mod tests {
     fn sampling_ones_ignores_s_values() {
         // FusedMM with Sampling::Ones must equal the reference on a
         // problem whose S values are all 1, bit for bit — even though
-        // our S has random values — and a second call, which reuses the
-        // ones-valued blocks, must return the same bits.
+        // our S has random values — and so must a second call.
         let (p, c, m, n, r) = (4, 2, 16, 16, 3);
         let prob = GlobalProblem::erdos_renyi(m, n, r, 2, 17);
         let mut ones = prob.clone();

@@ -24,7 +24,7 @@
 //! | §IV FusedMM + elision | [`DistKernel::fused`] (the family's data flow for FusedMMA or FusedMMB, by output operand) | [`DistKernel::fused_mm_a`], [`DistKernel::fused_mm_b`] (each checks [`DistKernel::supports`] once, with one message, before dispatching), [`DistKernel::supports`] |
 //! | §VI-E generalized SDDMM (the paper's GAT logits) | [`DistKernel::dots`] of a [`CombineSpec`] | [`DistKernel::sddmm_general`] |
 //! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_group`] (which ranks share a stored R row) | [`DistKernel::r_row_sums`] (the [`RStore`]'s local sums, all-reduced over the row group), [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
-//! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_from`] (an [`RValues`] source: the stored R values, or attention made per nonzero from per-node factors inside the local row loop, with its row sums) | [`DistKernel::spmm_a_with`] (the stored values), [`DistKernel::spmm_a_pair_exp`] (the attention `exp(LeakyReLU(u_i + v_j))` of a [`PairExp`] and its row sums reduced over the row group: what the GAT engine runs, FusedMMA's shape) |
+//! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_from`] (the family's SpMMA round, reading an [`RValues`] source: the stored R values, or attention made per nonzero from per-node factors inside the local row loop, with its row sums) | [`DistKernel::spmm_a_with`] (the stored values), [`DistKernel::spmm_a_pair_exp`] (the attention `exp(LeakyReLU(u_i + v_j))` of a [`PairExp`] and its row sums reduced over the row group: what the GAT engine runs, FusedMMA's shape) |
 //! | Table II data distributions | | [`DistKernel::a_iterate`], [`DistKernel::b_iterate`], [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`] |
 //! | Fig. 9 distribution shifts | | [`DistKernel::set_a`], [`DistKernel::set_b`] (shifting through the view: iterate → replica layout, where the two differ; the operand's held ring tiles are dropped), [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
 //! | Fig. 9 row-sharing dot products | | [`DistKernel::row_group_a`], [`DistKernel::row_group_b`] |
@@ -45,10 +45,14 @@
 //! [`DistKernel::export_r`]); methods that *write* them take
 //! `&mut self` ([`DistKernel::sddmm`], [`DistKernel::sddmm_general`],
 //! [`DistKernel::map_r`], [`DistKernel::scale_r_rows`],
-//! [`DistKernel::import_r`]). Kernel executions that consume operands
-//! without touching R state also stay `&mut self` (they may reuse
-//! internal buffers). The trait holds this invariant uniformly so
-//! callers can share a worker immutably between R reads.
+//! [`DistKernel::import_r`]), and no other method writes them. Kernel
+//! executions that consume operands without touching R state also stay
+//! `&mut self` (they may reuse internal buffers):
+//! [`DistKernel::fused_mm_a`] and [`DistKernel::fused_mm_b`] keep their
+//! SDDMM to the call and leave the stored R values as they were, and
+//! so do [`DistKernel::spmm_a`] and [`DistKernel::spmm_b`]. The trait
+//! holds this invariant uniformly so callers can share a worker
+//! immutably between R reads.
 //!
 //! # Runtime re-planning and live migration
 //!
@@ -239,7 +243,9 @@ pub trait DistKernel: Send {
 
     /// SpMMA of R-patterned values from `vals` against an explicit
     /// `B`-iterate operand (the GAT convolution `α·(H·W)`), returned in
-    /// the [`DistKernel::spmm_a_with_layout_of`] layout. For values
+    /// the [`DistKernel::spmm_a_with_layout_of`] layout: the family's
+    /// one SpMMA round, the round [`DistKernel::spmm_a`] runs with the
+    /// sampling values, reading these values instead. For values
     /// made per nonzero ([`RValues::PairExp`]) the second result holds
     /// their local row sums, each nonzero summed once and not yet
     /// reduced (indexed as [`DistKernel::r_row_sums`]); for the stored
@@ -319,7 +325,7 @@ pub trait DistKernel: Send {
     /// the worker's R values.
     fn sddmm(&mut self) {
         let mut dots = self.dots(&CombineSpec::Dot);
-        self.r_store().sample(&mut dots);
+        self.r_store().sample(&mut dots, Sampling::Values);
         self.r_store_mut().set(dots);
     }
 

@@ -23,12 +23,18 @@
 //! Blocks are visited in list order and nonzeros in storage order
 //! everywhere; sums are accumulated in exactly that order.
 //!
-//! An R-valued SpMM reads its values from an [`RValues`] source: the
-//! stored R values, or GAT attention made per nonzero from the
-//! per-node factors of a [`PairExp`] (`RStore::csr_values` inside the
-//! local row loop, `RStore::traveler_of` into a block that travels a
-//! ring). The store places each block's factors at its global
-//! coordinates, so generated values never touch the stored ones.
+//! Every R-patterned SpMM reads its values from one source, a
+//! `Source`: the blocks' own sampling values, the stored R values,
+//! the call's own values (a FusedMM's sampled dots), ones, or GAT
+//! attention made per nonzero from the per-node factors of a
+//! [`PairExp`] (the public [`RValues`] names the two that
+//! `spmm_a_from` takes). `RStore::csr_values` lends CSR blocks and
+//! their values, side by side, to the value-slice local kernels, and
+//! makes attention inside the local row loop; `RStore::traveler_of`
+//! lends a COO block that travels a ring with its sampling values and
+//! copies it with the stored R or attention, because a traveling block
+//! is the message. The store places each block's factors at its global
+//! coordinates, and no source writes the stored values.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -171,6 +177,54 @@ pub enum RValues<'a> {
     PairExp(&'a PairExp),
 }
 
+/// Where an R-patterned SpMM over a store's blocks reads its values:
+/// the one way every family's SpMM, and the fused loop's sampling, gets
+/// them. Nothing is copied to carry them beside the pattern.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Source<'a> {
+    /// Each block's own values: the sampling values of `S`.
+    Sampling,
+    /// The R values of the last SDDMM.
+    Stored,
+    /// This call's values, one array per block in its nonzero order
+    /// (a FusedMM's sampled dots).
+    Given(&'a [Vec<f64>]),
+    /// Every value 1.0 ([`Sampling::Ones`]): the multiply is skipped.
+    Ones,
+    /// GAT attention made per nonzero from per-node factors.
+    PairExp(&'a PairExp),
+}
+
+impl Source<'_> {
+    /// The stored R values with `use_r`, the sampling values without
+    /// (the two values of `spmm_b`).
+    pub(crate) fn stored_if(use_r: bool) -> Self {
+        if use_r {
+            Source::Stored
+        } else {
+            Source::Sampling
+        }
+    }
+}
+
+impl<'a> From<RValues<'a>> for Source<'a> {
+    fn from(vals: RValues<'a>) -> Self {
+        match vals {
+            RValues::Stored => Source::Stored,
+            RValues::PairExp(e) => Source::PairExp(e),
+        }
+    }
+}
+
+impl From<Sampling> for Source<'_> {
+    fn from(sampling: Sampling) -> Self {
+        match sampling {
+            Sampling::Values => Source::Sampling,
+            Sampling::Ones => Source::Ones,
+        }
+    }
+}
+
 /// One block's view of a [`PairExp`], indexed by block-local row and
 /// column.
 struct BlockPairs<'a> {
@@ -208,45 +262,89 @@ impl BlockPairs<'_> {
     }
 }
 
-/// The values of one R-valued SpMM over a store's CSR blocks: the
-/// stored R values, materialized once for the call, or a
-/// [`PairExp`]'s, made per row inside the local kernel.
+/// The values of one R-patterned SpMM over a store's CSR blocks, read
+/// from a [`Source`]: borrowed where they are held, made per row for a
+/// [`PairExp`], and not multiplied at all for ones.
 pub(crate) struct CsrValues<'a> {
-    blocks: Cow<'a, [CsrMatrix]>,
-    /// Per block, its pairs (empty for stored values).
-    pairs: Vec<BlockPairs<'a>>,
+    blocks: &'a [CsrMatrix],
+    vals: Vals<'a>,
+}
+
+/// How [`CsrValues`] holds its values.
+enum Vals<'a> {
+    /// One array per block, aligned with its nonzeros.
+    Held(Vec<&'a [f64]>),
+    /// Every value 1.0.
+    Ones,
+    /// Per block, its pairs.
+    Made(Vec<BlockPairs<'a>>),
 }
 
 impl CsrValues<'_> {
     /// The blocks the SpMM walks.
     pub(crate) fn blocks(&self) -> &[CsrMatrix] {
-        &self.blocks
+        self.blocks
     }
 
     /// Zeroed row sums for made values, one per store row (indexed as
-    /// [`RStore::row_sums`]); empty for stored values, which are not
+    /// [`RStore::row_sums`]); empty for any other source, which is not
     /// summed.
     pub(crate) fn sums(&self) -> Vec<f64> {
-        if self.pairs.is_empty() {
-            Vec::new()
-        } else {
-            vec![0.0; self.blocks[0].nrows()]
+        match self.vals {
+            Vals::Made(_) => vec![0.0; self.blocks[0].nrows()],
+            _ => Vec::new(),
         }
     }
 
-    /// `out += block_w · y` with these values. Made values run [`dsk_kernels::spmm_csr_filled`] and add each row's
-    /// sum into `sums` when given: a caller that walks a block more
-    /// than once passes it on one walk only.
+    /// `out += block_w · y`. Made values run
+    /// [`dsk_kernels::spmm_csr_filled`] and add each row's sum into
+    /// `sums` when given: a caller that walks a block more than once
+    /// passes it on one walk only.
+    ///
+    /// # Panics
+    ///
+    /// Panics on ones: only the fused loop samples with them.
     pub(crate) fn spmm(&self, w: usize, out: &mut Mat, y: &Mat, mut sums: Option<&mut [f64]>) {
         let blk = &self.blocks[w];
-        match self.pairs.get(w) {
-            None => dsk_kernels::spmm_csr_acc(out, blk, y),
-            Some(pairs) => dsk_kernels::spmm_csr_filled(out, blk, y, |i, cols, vals| {
-                let sum = pairs.fill(i, cols, vals);
-                if let Some(sums) = sums.as_deref_mut() {
-                    sums[i] += sum;
-                }
-            }),
+        match &self.vals {
+            Vals::Held(vals) => dsk_kernels::spmm_csr_vals_acc(out, blk, vals[w], y),
+            Vals::Ones => panic!("only the fused loop samples with ones"),
+            Vals::Made(pairs) => {
+                let pairs = &pairs[w];
+                dsk_kernels::spmm_csr_filled(out, blk, y, |i, cols, vals| {
+                    let sum = pairs.fill(i, cols, vals);
+                    if let Some(sums) = sums.as_deref_mut() {
+                        sums[i] += sum;
+                    }
+                })
+            }
+        }
+    }
+
+    /// `out += block_wᵀ · x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on ones or made values: no data flow scatters them.
+    pub(crate) fn spmm_t(&self, w: usize, out: &mut Mat, x: &Mat) {
+        let Vals::Held(vals) = &self.vals else {
+            panic!("a transposed SpMM reads held values only");
+        };
+        dsk_kernels::spmm_csr_t_vals_acc(out, &self.blocks[w], vals[w], x)
+    }
+
+    /// `out += SDDMM(x, y, block_w) · y` sampled with these values,
+    /// the fused local kernel; ones skip the sampling multiply.
+    ///
+    /// # Panics
+    ///
+    /// Panics on made values: nothing samples with attention.
+    pub(crate) fn fused(&self, w: usize, out: &mut Mat, x: &Mat, y: &Mat) {
+        let blk = &self.blocks[w];
+        match &self.vals {
+            Vals::Held(vals) => dsk_kernels::fused_a_csr_vals(out, blk, vals[w], x, y),
+            Vals::Ones => dsk_kernels::fused_a_csr_ones(out, blk, x, y),
+            Vals::Made(_) => panic!("the fused kernel samples with held values or ones"),
         }
     }
 }
@@ -359,12 +457,12 @@ impl RStore {
         }
     }
 
-    /// Multiply raw SDDMM dots, one array per block, by the blocks'
-    /// sampling values.
-    pub(crate) fn sample(&self, dots: &mut [Vec<f64>]) {
+    /// Sample raw SDDMM dots, one array per block, as `sampling` says:
+    /// by the blocks' sampling values, or not at all.
+    pub(crate) fn sample(&self, dots: &mut [Vec<f64>], sampling: Sampling) {
         each_format!(&self.blocks, blocks => {
             for (d, blk) in dots.iter_mut().zip(blocks) {
-                Sampling::Values.apply(d, blk.vals());
+                sampling.apply(d, blk.vals());
             }
         })
     }
@@ -384,66 +482,52 @@ impl RStore {
         self.vals.as_deref().expect(NO_R)
     }
 
-    /// The CSR blocks carrying the sampling values (borrowed) or, with
-    /// `use_r`, the stored R values (materialized once, for a whole
-    /// kernel call).
-    pub(crate) fn csr_valued(&self, use_r: bool) -> Cow<'_, [CsrMatrix]> {
+    /// The values `src` gives this store's CSR blocks, for one SpMM.
+    pub(crate) fn csr_values<'a>(&'a self, src: Source<'a>) -> CsrValues<'a> {
         let blocks = self.csr_blocks();
-        if !use_r {
-            return Cow::Borrowed(blocks);
-        }
-        let valued = blocks.iter().zip(self.vals());
-        Cow::Owned(valued.map(|(b, v)| b.with_vals(v.clone())).collect())
-    }
-
-    /// The COO block to send around a ring, carrying the sampling
-    /// values (borrowed) or, with `use_r`, the stored R values.
-    pub(crate) fn traveler(&self, use_r: bool) -> Cow<'_, CooMatrix> {
-        let block = self.coo_block();
-        if use_r {
-            Cow::Owned(block.with_vals(self.vals()[0].clone()))
-        } else {
-            Cow::Borrowed(block)
-        }
-    }
-
-    /// The CSR blocks of one R-valued SpMM with values from `vals`:
-    /// [`RStore::csr_valued`]`(true)` for the stored ones, the borrowed
-    /// pattern and each block's factors for a [`PairExp`].
-    pub(crate) fn csr_values<'a>(&'a self, vals: RValues<'a>) -> CsrValues<'a> {
-        match vals {
-            RValues::Stored => CsrValues {
-                blocks: self.csr_valued(true),
-                pairs: Vec::new(),
-            },
-            RValues::PairExp(e) => {
-                let blocks = self.csr_blocks();
+        let held = |arrays: &'a [Vec<f64>]| Vals::Held(arrays.iter().map(Vec::as_slice).collect());
+        let vals = match src {
+            Source::Sampling => Vals::Held(blocks.iter().map(CsrMatrix::vals).collect()),
+            Source::Stored => held(self.vals()),
+            Source::Given(arrays) => held(arrays),
+            Source::Ones => Vals::Ones,
+            Source::PairExp(e) => {
                 let pairs = blocks.iter().enumerate();
                 let pairs = pairs.map(|(w, b)| self.block_pairs(e, w, b.nrows(), b.ncols()));
-                CsrValues {
-                    blocks: Cow::Borrowed(blocks),
-                    pairs: pairs.collect(),
-                }
+                Vals::Made(pairs.collect())
             }
-        }
+        };
+        CsrValues { blocks, vals }
     }
 
-    /// The COO block to send around a ring carrying `vals`' values,
-    /// and for a [`PairExp`] their local row sums, summed in the fill
-    /// (indexed as [`RStore::row_sums`]; empty for stored values). The
-    /// filled block is the call's own; nothing is stored.
-    pub(crate) fn traveler_of(&self, vals: RValues<'_>) -> (Cow<'_, CooMatrix>, Vec<f64>) {
-        let RValues::PairExp(e) = vals else {
-            return (self.traveler(true), Vec::new());
-        };
+    /// The COO block to send around a ring carrying `src`'s values —
+    /// the block itself, lent, for the sampling values; a copy, which
+    /// is the message, for the stored R or a [`PairExp`] — and for a
+    /// [`PairExp`] their local row sums, summed in the fill (indexed as
+    /// [`RStore::row_sums`]; empty otherwise). Nothing is stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics on given values or ones: a FusedMM samples the block
+    /// that traveled its SDDMM in place.
+    pub(crate) fn traveler_of(&self, src: Source<'_>) -> (Cow<'_, CooMatrix>, Vec<f64>) {
         let block = self.coo_block();
-        let pairs = self.block_pairs(e, 0, block.nrows, block.ncols);
-        let mut sums = vec![0.0; block.nrows];
-        let mut vals = vec![0.0; block.nnz()];
-        block.walk(|k, i, j| {
-            vals[k] = pairs.form.value(pairs.rows[i], pairs.cols[j]);
-            sums[i] += vals[k];
-        });
+        let mut sums = Vec::new();
+        let vals = match src {
+            Source::Sampling => return (Cow::Borrowed(block), sums),
+            Source::Stored => self.vals()[0].clone(),
+            Source::Given(_) | Source::Ones => panic!("a traveling block carries no given values"),
+            Source::PairExp(e) => {
+                let pairs = self.block_pairs(e, 0, block.nrows, block.ncols);
+                sums = vec![0.0; block.nrows];
+                let mut vals = vec![0.0; block.nnz()];
+                block.walk(|k, i, j| {
+                    vals[k] = pairs.form.value(pairs.rows[i], pairs.cols[j]);
+                    sums[i] += vals[k];
+                });
+                vals
+            }
+        };
         (Cow::Owned(block.with_vals(vals)), sums)
     }
 
@@ -726,12 +810,12 @@ mod tests {
         (if x < 0.0 { slope * x } else { x }).exp()
     }
 
-    /// Every value `s`'s CSR blocks multiply under `e`, as global
-    /// triplets in block then storage order, and the row sums the SpMM
-    /// took in the same walk. Multiplying by the identity returns each
-    /// block's values exactly.
-    fn made_csr(s: &RStore, e: &PairExp) -> (Vec<(usize, usize, f64)>, Vec<f64>) {
-        let vals = s.csr_values(RValues::PairExp(e));
+    /// Every value `s`'s CSR blocks multiply with values from `src`, as
+    /// global triplets in block then storage order, and the row sums the
+    /// SpMM took in the same walk. Multiplying by the identity returns
+    /// each block's values exactly.
+    fn made_csr(s: &RStore, src: Source<'_>) -> (Vec<(usize, usize, f64)>, Vec<f64>) {
+        let vals = s.csr_values(src);
         let mut sums = vals.sums();
         let mut triplets = Vec::new();
         for (w, blk) in vals.blocks().iter().enumerate() {
@@ -779,6 +863,49 @@ mod tests {
         assert_eq!(bits(sums), bits(&expect));
     }
 
+    /// The sampling values, the stored R and given arrays reach the
+    /// SpMM exactly, each at its nonzero's global coordinates, in every
+    /// store shape; none of them is summed.
+    #[test]
+    fn held_sources_multiply_each_blocks_own_values() {
+        let entries = [(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0), (2, 2, 5.0)];
+        let blk = csr(2, 3, &[(0, 2, 1.0), (1, 0, 2.0), (1, 1, 3.0)]);
+        let mapped = RStore::csr((6, 10), vec![blk], vec![(4, 0)]).with_col_map(vec![7, 2, 9]);
+        let shares = (0..3).map(|layer| {
+            RStore::csr((8, 8), vec![csr(3, 3, &entries)], vec![(2, 5)]).replicated_share(layer, 3)
+        });
+        for mut s in [ragged_store(), mapped].into_iter().chain(shares) {
+            let arrays = |f: fn(usize) -> f64| -> Vec<Vec<f64>> {
+                let per_block = s.csr_blocks().iter().map(|b| (0..b.nnz()).map(f).collect());
+                per_block.collect()
+            };
+            let sampling = s.csr_blocks().iter().map(|b| b.vals().to_vec()).collect();
+            let stored = arrays(|k| 0.5 + k as f64);
+            let given = arrays(|k| -1.25 * (k + 1) as f64);
+            s.set(stored.clone());
+            for (src, want) in [
+                (Source::Sampling, sampling),
+                (Source::Stored, stored),
+                (Source::Given(&given), given.clone()),
+            ] {
+                let mut at = Vec::new();
+                for (w, b) in s.csr_blocks().iter().enumerate() {
+                    let (row0, col0) = s.offsets[w];
+                    let triplet = |k, i, j| (row0 + i, s.global_col(col0, j), want[w][k]);
+                    b.walk(|k, i, j| at.push(triplet(k, i, j)));
+                }
+                let (got, sums) = made_csr(&s, src);
+                let bits = |t: &[(usize, usize, f64)]| {
+                    t.iter()
+                        .map(|&(i, j, x)| (i, j, x.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&got), bits(&at), "{src:?}");
+                assert!(sums.is_empty(), "{src:?}: held values are not summed");
+            }
+        }
+    }
+
     #[test]
     fn pair_exp_values_land_at_global_coordinates_in_every_store_shape() {
         for slope in [0.2, 0.0, 1.0, -0.5, 1.5] {
@@ -788,7 +915,13 @@ mod tests {
             let e = PairExp::leaky_relu(&u, &v, slope);
             assert!(e.factored());
             let at = [(4, 1), (6, 0), (6, 3), (5, 6), (5, 10)];
-            assert_made(&made_csr(&ragged, &e), &e, (&u, &v, slope), &at, 4..7);
+            assert_made(
+                &made_csr(&ragged, Source::PairExp(&e)),
+                &e,
+                (&u, &v, slope),
+                &at,
+                4..7,
+            );
 
             // A column map: local columns [0, 1, 2] are global [7, 2, 9].
             let blk = csr(2, 3, &[(0, 2, 1.0), (1, 0, 2.0), (1, 1, 3.0)]);
@@ -796,7 +929,13 @@ mod tests {
             let (u, v) = scores(6, 10);
             let e = PairExp::leaky_relu(&u, &v, slope);
             let at = [(4, 9), (5, 7), (5, 2)];
-            assert_made(&made_csr(&mapped, &e), &e, (&u, &v, slope), &at, 4..6);
+            assert_made(
+                &made_csr(&mapped, Source::PairExp(&e)),
+                &e,
+                (&u, &v, slope),
+                &at,
+                4..6,
+            );
 
             // Replicated shares: every layer makes every value, and none
             // stores any.
@@ -807,14 +946,20 @@ mod tests {
             for layer in 0..3 {
                 let s = RStore::csr((8, 8), vec![csr(3, 3, &entries)], vec![(2, 5)])
                     .replicated_share(layer, 3);
-                assert_made(&made_csr(&s, &e), &e, (&u, &v, slope), &at, 2..5);
+                assert_made(
+                    &made_csr(&s, Source::PairExp(&e)),
+                    &e,
+                    (&u, &v, slope),
+                    &at,
+                    2..5,
+                );
                 assert!(s.export().is_none(), "layer {layer} stored made values");
             }
 
             // A traveling COO block is filled at its global offset.
             let coo = csr(3, 3, &entries).to_coo();
             let s = RStore::coo((8, 8), coo, (2, 5));
-            let (blk, sums) = s.traveler_of(RValues::PairExp(&e));
+            let (blk, sums) = s.traveler_of(Source::PairExp(&e));
             let triplets: Vec<_> = blk.iter().map(|(i, j, x)| (2 + i, 5 + j, x)).collect();
             assert_made(&(triplets, sums), &e, (&u, &v, slope), &at, 2..5);
             assert!(s.export().is_none(), "the traveler's values were stored");
@@ -833,7 +978,7 @@ mod tests {
         let s = RStore::csr((8, 8), vec![csr(3, 3, &entries)], vec![(2, 4)]);
         let e = PairExp::leaky_relu(&u, &v, 0.2);
         assert!(!e.factored(), "a factor of these scores overflows");
-        let made = made_csr(&s, &e);
+        let made = made_csr(&s, Source::PairExp(&e));
         let at = [(2, 4), (2, 5), (3, 6), (4, 6)];
         assert_made(&made, &e, (&u, &v, 0.2), &at, 2..5);
         for &(i, j, x) in &made.0 {

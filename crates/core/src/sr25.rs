@@ -25,7 +25,10 @@
 //!   contraction with no fiber traffic at all.
 //!
 //! No communication elision applies: there is no dense replication to
-//! reuse and rows are sliced, so FusedMM is always two rounds.
+//! reuse and rows are sliced, so FusedMM is always two rounds, its SpMM
+//! reading the SDDMM's sampled values as the call's own. Every SpMM is
+//! one round that reads its values from the store's one source
+//! (`rstore::Source`); R is written by `sddmm` alone.
 
 use dsk_comm::{Comm, CommPattern, Grid25, GridComms25, Phase, RowSet};
 use dsk_dense::Mat;
@@ -37,7 +40,7 @@ use crate::common::{
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::planview::Operand;
-use crate::rstore::{RStore, RValues};
+use crate::rstore::{RStore, RValues, Source};
 use crate::staged::StagedProblem;
 use crate::state::KernelState;
 
@@ -54,9 +57,8 @@ pub struct SparseRepl25 {
     /// replicated share: the sampling values are distributed along the
     /// fiber, so the block carries only this layer's `1/c` share (a
     /// contiguous range of the CSR nonzero order, zero elsewhere). The
-    /// fully reduced SDDMM values are available on every layer after a
-    /// kernel. The operands are the home (pre-skewed) `A` and `B`
-    /// panels.
+    /// fully reduced R values are held on every layer after `sddmm`.
+    /// The operands are the home (pre-skewed) `A` and `B` panels.
     state: KernelState,
     /// Row-ring pattern for `A`-side panels and column-ring pattern for
     /// `B`-side panels (`None` = dense shifts).
@@ -141,14 +143,6 @@ impl SparseRepl25 {
         ShiftPipeline::new(ring, ring.size() - 1, tag).routed(route)
     }
 
-    /// Schedule cross-check for an arriving accumulator panel: empty
-    /// panels carry no shape, all others must match the expected slice
-    /// width.
-    fn check_panel(got: Mat, next_width: usize) -> Mat {
-        debug_assert!(got.is_empty() || got.ncols() == next_width);
-        got
-    }
-
     /// Width of the r-slice carried at step `t` (slices can differ by
     /// one column when `q·c ∤ r`).
     fn slice_at(&self, t: usize) -> std::ops::Range<usize> {
@@ -194,28 +188,19 @@ impl SparseRepl25 {
     }
 
     /// SpMM travel round producing `out` (SpMMA for `A`, SpMMB for
-    /// `B`): the other operand's panels, from home panel `x0`, travel
-    /// their ring as an input lane, and a zero panel shaped like `out`'s
-    /// home circulates its own ring accumulating `S·B` (`Sᵀ·A`) per
-    /// slice. `s` is the stationary block carrying the values to
-    /// multiply with.
-    fn spmm_round(&self, out: Operand, s: &CsrMatrix, x0: &Mat) -> Mat {
-        self.travel_round(out, s.nnz(), x0, |_, acc, xb| match out {
-            Operand::A => kern::spmm_csr_acc(acc, s, xb),
-            Operand::B => kern::spmm_csr_t_acc(acc, s, xb),
-        })
-    }
-
-    /// [`SparseRepl25::spmm_round`]'s data flow with the local kernel
-    /// `op(t, acc, x)` at step `t`, metered for `nnz` nonzeros: the
-    /// stationary block is walked once per step, `q` times in all.
-    fn travel_round(
-        &self,
-        out: Operand,
-        nnz: usize,
-        x0: &Mat,
-        mut op: impl FnMut(usize, &mut Mat, &Mat),
-    ) -> Mat {
+    /// `B`) with values from `src`: the other operand's panels, from
+    /// home panel `x0`, travel their ring as an input lane, and a zero
+    /// panel shaped like `out`'s home circulates its own ring
+    /// accumulating `S·B` (`Sᵀ·A`) per slice. The stationary block is
+    /// walked once per step, `q` times in all; made values are summed
+    /// on the first walk and their row sums come back beside the panel.
+    /// The sampling values are all-gathered along the fiber first (the
+    /// store holds only this layer's share).
+    fn spmm_round(&self, out: Operand, src: Source<'_>, x0: &Mat) -> (Mat, Vec<f64>) {
+        let sampling = matches!(src, Source::Sampling).then(|| [self.allgather_sampling()]);
+        let src = sampling.as_ref().map_or(src, |s| Source::Given(s));
+        let vals = self.state.r.csr_values(src);
+        let (nnz, mut sums) = (self.pattern().nnz(), vals.sums());
         let home = self.state.operand(out);
         let mut acc = Mat::zeros(home.nrows(), home.ncols());
         let mut x = self.pipeline(out.other()).input(x0);
@@ -226,14 +211,20 @@ impl SparseRepl25 {
             // written by the kernel and exchanges after.
             let hop = x.post_mat();
             let xb = x.block();
+            let sums = (t == 0).then_some(&mut sums[..]);
             self.gc
                 .row_ring
-                .compute(kern::spmm_flops(nnz, xb.ncols()), || op(t, &mut acc, xb));
-            let next = self.slice_at(t + 1).len();
-            acc = Self::check_panel(pipe_out.exchange_mat(acc, t), next);
+                .compute(kern::spmm_flops(nnz, xb.ncols()), || match out {
+                    Operand::A => vals.spmm(0, &mut acc, xb, sums),
+                    Operand::B => vals.spmm_t(0, &mut acc, xb),
+                });
+            // Schedule cross-check: an arriving accumulator panel carries
+            // the next slice's width, or no shape when empty.
+            acc = pipe_out.exchange_mat(acc, t);
+            debug_assert!(acc.is_empty() || acc.ncols() == self.slice_at(t + 1).len());
             x.arrive(hop);
         }
-        acc
+        (acc, sums)
     }
 
     /// Multiply fully reduced SDDMM values by the sampling values,
@@ -244,16 +235,6 @@ impl SparseRepl25 {
             sampling.apply(&mut dots, &self.allgather_sampling());
         }
         dots
-    }
-
-    /// The stationary block carrying the stored R values or, without
-    /// `use_r`, the sampling values all-gathered along the fiber.
-    fn s_valued(&self, use_r: bool) -> CsrMatrix {
-        if use_r {
-            self.pattern().with_vals(self.state.r.vals()[0].clone())
-        } else {
-            self.pattern().with_vals(self.allgather_sampling())
-        }
     }
 }
 
@@ -282,18 +263,18 @@ impl DistKernel for SparseRepl25 {
     /// Returned in the `A` panel layout.
     fn spmm_a(&mut self) -> Mat {
         let b = self.state.operand(Operand::B);
-        self.spmm_round(Operand::A, &self.s_valued(false), b)
+        self.spmm_round(Operand::A, Source::Sampling, b).0
     }
 
     /// Returned in the `B` panel layout.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
         let a = self.state.operand(Operand::A);
-        self.spmm_round(Operand::B, &self.s_valued(use_r), a)
+        self.spmm_round(Operand::B, Source::stored_if(use_r), a).0
     }
 
     /// Two rounds, always (no elision applies: there is no dense
-    /// replication to reuse and rows are sliced, paper §V-D); keeps the
-    /// SDDMM values as the stored R.
+    /// replication to reuse and rows are sliced, paper §V-D); the SpMM
+    /// reads the sampled dots.
     fn fused(
         &mut self,
         out: Operand,
@@ -308,10 +289,8 @@ impl DistKernel for SparseRepl25 {
             Operand::B => (fixed, x),
         };
         let dots = self.dots_round(a, b, &CombineSpec::Dot);
-        let rvals = self.gather_and_sample(dots, sampling);
-        self.state.r.set(vec![rvals]);
-        let fixed = self.state.operand(out.other());
-        self.spmm_round(out, &self.s_valued(true), fixed)
+        let rvals = [self.gather_and_sample(dots, sampling)];
+        self.spmm_round(out, Source::Given(&rvals), fixed).0
     }
 
     /// The row ring (values are replicated along fibers, so layers
@@ -322,14 +301,7 @@ impl DistKernel for SparseRepl25 {
 
     /// Made values are summed on the first of the block's `q` walks.
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
-        let vals = self.state.r.csr_values(vals);
-        let mut sums = vals.sums();
-        let nnz = vals.blocks()[0].nnz();
-        let out = self.travel_round(Operand::A, nnz, y, |t, acc, xb| {
-            let sums = (t == 0).then_some(&mut sums[..]);
-            vals.spmm(0, acc, xb, sums)
-        });
-        (out, sums)
+        self.spmm_round(Operand::A, vals.into(), y)
     }
 }
 

@@ -39,7 +39,7 @@ use crate::common::{
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
 use crate::planview::Operand;
-use crate::rstore::{RStore, RValues};
+use crate::rstore::{RStore, RValues, Source};
 use crate::staged::StagedProblem;
 use crate::state::KernelState;
 
@@ -169,16 +169,17 @@ impl SparseShift15 {
         ShiftPipeline::new(&self.gc.layer, 1, TAG_SPARSE)
     }
 
-    /// SDDMM propagation round: the home block (values zeroed) travels
-    /// the ring accumulating per-slice partial combines; returns its
-    /// fully accumulated values (sampling not applied).
+    /// SDDMM propagation round: a copy of the home block (values
+    /// zeroed) travels the ring accumulating per-slice partial combines;
+    /// returns the block back home, its values fully accumulated
+    /// (sampling not applied).
     fn dots_round(
         &self,
         home: &CooMatrix,
         x_full: &Mat,
         y_stat: &[Mat],
         combine: &CombineSpec,
-    ) -> Vec<f64> {
+    ) -> CooMatrix {
         let q = self.q();
         let pipe = self.pipeline();
         let mut blk = home.clone();
@@ -201,7 +202,7 @@ impl SparseShift15 {
             blk = pipe.exchange(blk);
         }
         debug_assert_eq!(blk.nnz(), home.nnz(), "block failed to return home");
-        blk.vals
+        blk
     }
 
     /// SpMM propagation round: the valued home block `home` travels an
@@ -252,7 +253,7 @@ impl DistKernel for SparseShift15 {
     fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
         let side = self.side(Operand::B);
         let t_a = self.replicate(&side, side.route);
-        vec![self.dots_round(side.home, &t_a, side.stat, combine)]
+        vec![self.dots_round(side.home, &t_a, side.stat, combine).vals]
     }
 
     /// Via the transposed roles (replicates `B`, travels `Sᵀ`);
@@ -263,7 +264,8 @@ impl DistKernel for SparseShift15 {
 
     /// Returned in the stationary `B` layout.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        self.spmm(&self.side(Operand::B), &self.state.r.traveler(use_r))
+        let (traveler, _) = self.state.r.traveler_of(Source::stored_if(use_r));
+        self.spmm(&self.side(Operand::B), &traveler)
     }
 
     /// On the orientation whose stationary operand is `out`: `y`
@@ -281,9 +283,8 @@ impl DistKernel for SparseShift15 {
         let y_stat = split.as_deref().unwrap_or(side.stat);
         let route = side.route.filter(|_| elision == Elision::None);
         let t = self.replicate(&side, route);
-        let mut dots = self.dots_round(side.home, &t, y_stat, &CombineSpec::Dot);
-        sampling.apply(&mut dots, &side.home.vals);
-        let blk = side.home.with_vals(dots);
+        let mut blk = self.dots_round(side.home, &t, y_stat, &CombineSpec::Dot);
+        sampling.apply(&mut blk.vals, &side.home.vals);
         // Unoptimized: without elision the SpMM call replicates again.
         let again = (elision == Elision::None).then(|| self.replicate(&side, route));
         self.scatter_round(&blk, again.as_ref().unwrap_or(&t), out)
@@ -302,7 +303,7 @@ impl DistKernel for SparseShift15 {
         let y_stat = y_layout.split(y);
         let (m, width) = (self.state.view.dims().m, y_layout.width());
         let mut t_full = Mat::zeros(m, width);
-        let (traveler, sums) = self.state.r.traveler_of(vals);
+        let (traveler, sums) = self.state.r.traveler_of(vals.into());
         self.spmm_round(&traveler, width, |w, b| {
             kern::spmm_coo_acc(&mut t_full, b, &y_stat[w])
         });

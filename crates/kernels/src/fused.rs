@@ -27,6 +27,7 @@ use dsk_dense::Mat;
 use dsk_sparse::CsrMatrix;
 
 use crate::sddmm::{dots, in_groups, rows_at};
+use crate::spmm::spmm_shapes;
 
 /// Fused FusedMMA over full-width rows: `out += SDDMM(A,B,S) · B`
 /// row-by-row, without materializing the SDDMM.
@@ -34,33 +35,52 @@ use crate::sddmm::{dots, in_groups, rows_at};
 /// Shapes: `S: m×n` (values = sampling), `a: m×r`, `b: n×r`,
 /// `out: m×r`.
 pub fn fused_a_csr(out: &mut Mat, s: &CsrMatrix, a: &Mat, b: &Mat) {
-    assert_eq!(out.nrows(), s.nrows(), "output rows must match S rows");
+    fused_a_csr_vals(out, s, s.vals(), a, b)
+}
+
+/// [`fused_a_csr`] sampling with `vals`, aligned with `S`'s nonzeros,
+/// in place of `S`'s own values (which are not read): bit for bit
+/// [`fused_a_csr`] on `S` carrying `vals`.
+pub fn fused_a_csr_vals(out: &mut Mat, s: &CsrMatrix, vals: &[f64], a: &Mat, b: &Mat) {
+    assert_eq!(vals.len(), s.nnz(), "need one value per nonzero");
+    fused_rows(out, s, Some(vals), a, b)
+}
+
+/// [`fused_a_csr`] sampling with ones: `S` is read as a 0/1 pattern.
+/// `x·1.0 = x`, so skipping the sampling multiply is bit for bit
+/// [`fused_a_csr`] on `S` carrying all-ones values.
+pub fn fused_a_csr_ones(out: &mut Mat, s: &CsrMatrix, a: &Mat, b: &Mat) {
+    fused_rows(out, s, None, a, b)
+}
+
+/// The row loop of the fused kernel; `vals: None` samples with ones.
+fn fused_rows(out: &mut Mat, s: &CsrMatrix, vals: Option<&[f64]>, a: &Mat, b: &Mat) {
+    spmm_shapes(out, s, b);
     assert_eq!(a.nrows(), s.nrows(), "A rows must match S rows");
-    assert_eq!(b.nrows(), s.ncols(), "B rows must match S cols");
     assert_eq!(a.ncols(), b.ncols(), "A and B widths must agree");
-    assert_eq!(out.ncols(), b.ncols(), "output width must match B");
-    for i in 0..s.nrows() {
-        let (cols, vals) = s.row(i);
-        fused_row(out.row_mut(i), cols, vals, a.row(i), b);
+    for (i, at) in s.indptr().windows(2).enumerate() {
+        let row = vals.map(|v| &v[at[0]..at[1]]);
+        fused_row(out.row_mut(i), s.row(i).0, row, a.row(i), b);
     }
 }
 
 /// One CSR row of the fused kernel: `orow += Σ_t vals[t]·⟨arow,
-/// B_row(cols[t])⟩ · B_row(cols[t])`, eight nonzeros at a time and then
-/// one group each of 4, 2 and 1 for the remainder.
-fn fused_row(orow: &mut [f64], cols: &[u32], vals: &[f64], arow: &[f64], b: &Mat) {
+/// B_row(cols[t])⟩ · B_row(cols[t])` (`vals: None` for ones), eight
+/// nonzeros at a time and then one group each of 4, 2 and 1 for the
+/// remainder.
+fn fused_row(orow: &mut [f64], cols: &[u32], vals: Option<&[f64]>, arow: &[f64], b: &Mat) {
     fn group<const N: usize>(
         t: usize,
         orow: &mut [f64],
         cols: &[u32],
-        vals: &[f64],
+        vals: Option<&[f64]>,
         arow: &[f64],
         b: &Mat,
     ) {
         let r = arow.len();
         let brows = rows_at::<N>(b, &cols[t..], r);
         let d = dots(&[arow; N], &brows);
-        let rij: [f64; N] = std::array::from_fn(|u| vals[t + u] * d[u]);
+        let rij: [f64; N] = std::array::from_fn(|u| vals.map_or(d[u], |v| v[t + u] * d[u]));
         for (k, o) in orow[..r].iter_mut().enumerate() {
             let mut sum = *o;
             for u in 0..N {

@@ -26,6 +26,12 @@
 //! | SDDMM | [`sddmm_csr_acc_with`](sddmm::sddmm_csr_acc_with): up to eight dots in flight per row | [`sddmm_coo_acc_with`](sddmm::sddmm_coo_acc_with): up to eight dots in flight, one A row per nonzero |
 //! | FusedMM | [`fused_a_csr`]: the SDDMM's row loop, then the scaled rows in CSR order | — |
 //!
+//! The CSR gather, scatter and fused loops also take their values
+//! beside the pattern ([`spmm_csr_vals_acc`], [`spmm_csr_t_vals_acc`],
+//! [`fused_a_csr_vals`]; [`fused_a_csr_ones`] samples with ones by
+//! skipping the multiply), so a caller never copies a block to carry
+//! other values; the plain calls pass the block's own.
+//!
 //! Every loop is bitwise the one-nonzero-at-a-time loop of its op
 //! (`tests/sequential_bits.rs` compares them by `to_bits`): the tiles
 //! and groups only change which adds run side by side, never the order
@@ -46,11 +52,12 @@ pub mod reference;
 pub mod sddmm;
 pub mod spmm;
 
-pub use fused::fused_a_csr;
+pub use fused::{fused_a_csr, fused_a_csr_ones, fused_a_csr_vals};
 pub use sddmm::{
     apply_sampling, leaky_relu, sddmm_coo_acc, sddmm_csr, sddmm_csr_acc, SddmmCombine,
 };
 pub use spmm::{spmm_coo_acc, spmm_coo_t_acc, spmm_csr_acc, spmm_csr_filled, spmm_csr_t_acc};
+pub use spmm::{spmm_csr_t_vals_acc, spmm_csr_vals_acc};
 
 /// The label of the one loop per op above. It names no choice: it is
 /// still here only because the repo benchmark reads it (through

@@ -21,10 +21,17 @@ use dsk_sparse::{CooMatrix, CsrMatrix};
 
 /// `out += S·B`. Shapes: `S: m×n`, `B: n×r`, `out: m×r`.
 pub fn spmm_csr_acc(out: &mut Mat, s: &CsrMatrix, b: &Mat) {
+    spmm_csr_vals_acc(out, s, s.vals(), b)
+}
+
+/// `out += S·B` with `vals`, aligned with `S`'s nonzeros, in place of
+/// `S`'s own values (which are not read): bit for bit
+/// [`spmm_csr_acc`] on `S` carrying `vals`.
+pub fn spmm_csr_vals_acc(out: &mut Mat, s: &CsrMatrix, vals: &[f64], b: &Mat) {
     spmm_shapes(out, s, b);
-    for i in 0..s.nrows() {
-        let (cols, vals) = s.row(i);
-        spmm_row(cols, vals, b, out.row_mut(i));
+    assert_eq!(vals.len(), s.nnz(), "need one value per nonzero");
+    for (i, at) in s.indptr().windows(2).enumerate() {
+        spmm_row(s.row(i).0, &vals[at[0]..at[1]], b, out.row_mut(i));
     }
 }
 
@@ -53,7 +60,7 @@ pub fn spmm_csr_filled(
     }
 }
 
-fn spmm_shapes(out: &Mat, s: &CsrMatrix, b: &Mat) {
+pub(crate) fn spmm_shapes(out: &Mat, s: &CsrMatrix, b: &Mat) {
     assert_eq!(out.nrows(), s.nrows(), "output rows must match S rows");
     assert_eq!(b.nrows(), s.ncols(), "B rows must match S cols");
     assert_eq!(out.ncols(), b.ncols(), "output width must match B width");
@@ -105,12 +112,18 @@ fn row_tile<const W: usize>(cols: &[u32], vals: &[f64], b: &Mat, orow: &mut [f64
 /// `out += Sᵀ·A`. Shapes: `S: m×n`, `A: m×r`, `out: n×r`. Row-scatter
 /// over the CSR rows.
 pub fn spmm_csr_t_acc(out: &mut Mat, s: &CsrMatrix, a: &Mat) {
+    spmm_csr_t_vals_acc(out, s, s.vals(), a)
+}
+
+/// `out += Sᵀ·A` with `vals` in place of `S`'s own values, as
+/// [`spmm_csr_vals_acc`] is to [`spmm_csr_acc`].
+pub fn spmm_csr_t_vals_acc(out: &mut Mat, s: &CsrMatrix, vals: &[f64], a: &Mat) {
     assert_eq!(out.nrows(), s.ncols(), "output rows must match S cols");
     assert_eq!(a.nrows(), s.nrows(), "A rows must match S rows");
     assert_eq!(out.ncols(), a.ncols(), "output width must match A width");
-    for i in 0..s.nrows() {
-        let (cols, vals) = s.row(i);
-        let arow = a.row(i);
+    assert_eq!(vals.len(), s.nnz(), "need one value per nonzero");
+    for (i, at) in s.indptr().windows(2).enumerate() {
+        let (cols, vals, arow) = (s.row(i).0, &vals[at[0]..at[1]], a.row(i));
         for (&j, &v) in cols.iter().zip(vals) {
             let orow = out.row_mut(j as usize);
             for (o, x) in orow.iter_mut().zip(arow) {

@@ -8,7 +8,9 @@
 //! loop, on every row length 0..=19 (so each 8/4/2/1 group remainder
 //! runs), on widths from 1 to 256 (each specialized width, the
 //! chunk-of-8 path and its scalar remainder), into pre-filled outputs,
-//! and on COO blocks in a scrambled nonzero order.
+//! and on COO blocks in a scrambled nonzero order. The forms that take
+//! their values beside the pattern are compared bit for bit against the
+//! plain calls on a block carrying those values.
 
 use dsk_dense::Mat;
 use dsk_kernels as kern;
@@ -172,6 +174,25 @@ fn check(ctx: &str, s: &CsrMatrix, a: &Mat, b: &Mat, pre: &Prefill) {
         ctx,
         "fused_a_csr",
     );
+
+    // The value-slice forms, passed values other than `S`'s own: bit
+    // for bit the plain calls on `S` carrying them. The ones source is
+    // the fused call on `S` carrying ones.
+    let vals: Vec<f64> = s.vals().iter().map(|v| 0.5 - v).collect();
+    let valued = s.with_vals(vals.clone());
+    let want = run(&|o| kern::spmm_csr_acc(o, &valued, b));
+    let got = run(&|o| kern::spmm_csr_vals_acc(o, s, &vals, b));
+    same(&got, &want, ctx, "spmm_csr_vals_acc");
+    let want = run_t(&|o| kern::spmm_csr_t_acc(o, &valued, a));
+    let got = run_t(&|o| kern::spmm_csr_t_vals_acc(o, s, &vals, a));
+    same(&got, &want, ctx, "spmm_csr_t_vals_acc");
+    let want = run(&|o| kern::fused_a_csr(o, &valued, a, b));
+    let got = run(&|o| kern::fused_a_csr_vals(o, s, &vals, a, b));
+    same(&got, &want, ctx, "fused_a_csr_vals");
+    let ones = s.with_vals(vec![1.0; s.nnz()]);
+    let want = run(&|o| kern::fused_a_csr(o, &ones, a, b));
+    let got = run(&|o| kern::fused_a_csr_ones(o, s, a, b));
+    same(&got, &want, ctx, "fused_a_csr_ones");
 }
 
 #[test]

@@ -201,6 +201,51 @@ fn r_valued_spmm_b_agrees_across_kernels_and_backends() {
     }
 }
 
+/// A FusedMM call keeps its SDDMM to itself: only `sddmm`,
+/// `sddmm_general`, `map_r`, `scale_r_rows` and `import_r` write the
+/// stored R values. On a fresh worker `export_r` stays `None` after a
+/// FusedMMB; after `sddmm` and a `map_r` that zeroes R, every stored
+/// value is still 0.0 after FusedMMA and FusedMMB with every admitted
+/// elision and both samplings — so a pruned session's observed nonzero
+/// count does not depend on the family.
+#[test]
+fn fused_calls_leave_the_stored_r_values_untouched() {
+    let prob = Arc::new(GlobalProblem::erdos_renyi(24, 22, 4, 3, 4006));
+    for backend in BackendKind::conformance_with_env() {
+        for (name, builder, elision) in scenarios(&prob) {
+            let world = SimWorld::new(P, MachineModel::bandwidth_only()).backend(backend);
+            let out = world.run(move |comm| {
+                let mut worker = builder.build(comm);
+                let k: &mut dyn DistKernel = worker.kernel_mut();
+                let _ = k.fused_mm_b(None, elision, Sampling::Values);
+                let fresh = k.export_r().is_none();
+                k.sddmm();
+                k.map_r(&mut |_| 0.0);
+                let admitted: Vec<_> = Elision::ALL
+                    .into_iter()
+                    .filter(|&e| k.supports(e))
+                    .collect();
+                for e in admitted {
+                    for sampling in [Sampling::Values, Sampling::Ones] {
+                        let _ = k.fused_mm_a(None, e, sampling);
+                        let _ = k.fused_mm_b(None, e, sampling);
+                    }
+                }
+                let r = k.export_r().expect("sddmm stores R");
+                (fresh, r.nnz(), r.vals.iter().all(|&v| v == 0.0))
+            });
+            let label = backend.label();
+            for o in &out {
+                let (fresh, _, zeros) = o.value;
+                assert!(fresh, "{name} on {label}: a fused call stored R");
+                assert!(zeros, "{name} on {label}: a fused call rewrote R");
+            }
+            let exported: usize = out.iter().map(|o| o.value.1).sum();
+            assert_eq!(exported, prob.nnz(), "{name} on {label}");
+        }
+    }
+}
+
 /// The iterate surface: `a_iterate`/`set_a` round-trip and the declared
 /// iterate layouts tile the global matrix exactly once, for every
 /// kernel.
