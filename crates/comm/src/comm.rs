@@ -527,12 +527,6 @@ impl Comm {
         self.shift_begin(disp, tag, value).wait()
     }
 
-    /// [`Comm::shift`] of a value the caller keeps: a serializing
-    /// backend encodes from the borrow, the typed backend clones it.
-    pub fn shift_ref<T: WirePayload + Clone>(&self, disp: usize, tag: u32, value: &T) -> T {
-        self.shift_begin_ref(disp, tag, value).wait()
-    }
-
     // ------------------------------------------------------------------
     // Non-blocking point-to-point
     // ------------------------------------------------------------------

@@ -199,11 +199,6 @@ impl SimWorld {
         self
     }
 
-    /// The backend this world will build its ranks on.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend
-    }
-
     /// Number of ranks.
     pub fn nranks(&self) -> usize {
         self.nranks
@@ -629,7 +624,6 @@ mod tests {
     #[test]
     fn wire_backend_runs_the_same_program() {
         let w = SimWorld::new(5, MachineModel::bandwidth_only()).backend(BackendKind::Wire);
-        assert_eq!(w.backend_kind(), BackendKind::Wire);
         let out = w.run(|c| {
             assert_eq!(c.backend_name(), "wire");
             let _g = c.phase(Phase::Propagation);

@@ -58,7 +58,7 @@ fn allgather_ragged() {
 
 /// The by-reference paths are the owning paths minus the copies: the
 /// flat all-gather equals all-gather-then-concatenate, and a lent shift
-/// (blocking and non-blocking) equals the owning one — same values,
+/// equals the owning ones (blocking and non-blocking) — same values,
 /// and the same messages, words, wire bytes and modeled time on every
 /// rank, on every backend, ragged and empty blocks included.
 #[test]
@@ -93,11 +93,11 @@ fn borrowed_paths_match_their_owning_twins() {
                 let b = comm.shift_begin(1, 6, mine.clone()).wait();
                 let owned_stats = comm.stats_snapshot();
                 comm.reset_stats();
-                let c = comm.shift_ref(1, 5, &mine);
+                let c = comm.shift_begin_ref(1, 5, &mine).wait();
                 let d = comm.shift_begin_ref(1, 6, &mine).wait();
                 let lent_stats = comm.stats_snapshot();
                 assert_eq!((&a, &b), (&c, &d));
-                assert_eq!(counted(lent_stats), counted(owned_stats), "shift_ref");
+                assert_eq!(counted(lent_stats), counted(owned_stats), "shift_begin_ref");
                 lent
             });
             let expect: Vec<f64> = (0..p)

@@ -33,19 +33,6 @@ impl Permutation {
         Permutation { forward }
     }
 
-    /// Build from an explicit image table (must be a bijection).
-    pub fn from_forward(forward: Vec<u32>) -> Self {
-        let mut seen = vec![false; forward.len()];
-        for &x in &forward {
-            assert!(
-                (x as usize) < forward.len() && !seen[x as usize],
-                "not a permutation"
-            );
-            seen[x as usize] = true;
-        }
-        Permutation { forward }
-    }
-
     /// Domain size.
     pub fn len(&self) -> usize {
         self.forward.len()
@@ -147,11 +134,5 @@ mod tests {
         for (i, j, _) in m.iter() {
             assert_eq!(pd[p.apply(i) * 10 + p.apply(j)], d[i * 10 + j]);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn from_forward_rejects_duplicates() {
-        let _ = Permutation::from_forward(vec![0, 0, 1]);
     }
 }
