@@ -119,7 +119,7 @@ impl GatEngine {
     /// replication, or auto-planning on [`Session::builder`]). The
     /// session's problem must be square with `a == b == H`.
     pub fn new(session: Session) -> Self {
-        let dims = session.worker().dims();
+        let dims = session.worker().view().dims();
         assert_eq!(dims.m, dims.n, "GAT needs a square adjacency");
         GatEngine { session }
     }
@@ -139,7 +139,7 @@ impl GatEngine {
     /// One multi-head forward pass: per-head attention + convolution,
     /// outputs concatenated along the feature dimension, ELU applied,
     /// in the rows of the kernel's
-    /// [`spmm_a_with_layout_of`](dsk_core::DistKernel::spmm_a_with_layout_of).
+    /// [`spmm_a_with_layout_of`](dsk_core::planview::PlanView::spmm_a_with_layout_of).
     ///
     /// The attention is made inside the SpMM and normalized on its
     /// output rows; the stored R values are not touched.
@@ -155,7 +155,7 @@ impl GatEngine {
             cfg.heads,
             "GatConfig::heads disagrees with the heads passed"
         );
-        let r = self.session.worker().dims().r;
+        let r = self.session.worker().view().dims().r;
         assert!(
             heads
                 .iter()
@@ -200,10 +200,11 @@ impl GatEngine {
     fn stage(&self, heads: &[GatHead]) -> (Vec<Mat>, Vec<[Vec<f64>; 2]>) {
         let comm = self.session.comm();
         let k = self.session.worker().kernel();
-        let (r, h) = (k.dims().r, heads.len());
+        let (view, h) = (k.view(), heads.len());
+        let r = view.dims().r;
         let staged = {
             let _ph = comm.phase(Phase::OutsideComm);
-            let src = |g| k.b_iterate_layout_of(g);
+            let src = |g| view.b_layout_of(g);
             repartition_dense(comm, &k.b_iterate(), src, self.row_blocks())
         };
         let (hw, local_scores) = {
@@ -243,9 +244,9 @@ impl GatEngine {
     /// the kernel's `B`-iterate layout (the SpMM operand).
     fn unstage(&self, hw: &Mat) -> Mat {
         let comm = self.session.comm();
-        let k = self.session.worker().kernel();
+        let view = self.session.worker().view();
         let _ph = comm.phase(Phase::OutsideComm);
-        repartition_dense(comm, hw, self.row_blocks(), |g| k.b_iterate_layout_of(g))
+        repartition_dense(comm, hw, self.row_blocks(), |g| view.b_layout_of(g))
     }
 
     /// The [`Session::spmm_a_with`] output on this rank: for each local
@@ -259,7 +260,7 @@ impl GatEngine {
     fn output_rows(&self) -> (Vec<usize>, usize) {
         let k = self.session.worker().kernel();
         let rows = k.r_store().rows();
-        let layout = k.spmm_a_with_layout_of(self.session.comm().rank());
+        let layout = k.view().spmm_a_with_layout_of(self.session.comm().rank());
         let width = layout.width();
         let index = layout.row_ranges.into_iter().flatten().map(|g| {
             assert!(rows.contains(&g), "output row {g} has no R row sum");
@@ -270,7 +271,7 @@ impl GatEngine {
 
     /// The staging layout: full-width contiguous row blocks of `H`.
     fn row_blocks(&self) -> impl Fn(usize) -> DenseLayout {
-        let dims = self.session.worker().dims();
+        let dims = self.session.worker().view().dims();
         AppEngine::row_block_layout(dims.n, dims.r, self.session.comm().size())
     }
 }
@@ -366,12 +367,12 @@ mod tests {
             let mut eng = GatEngine::new(builder.build(comm));
             let local = eng.forward(&heads, &cfg);
             // Every rank joins every gather before rank 0 stacks them.
-            let k = eng.session().worker().kernel();
+            let view = eng.session().worker().view();
             let width = local.ncols() / cfg.heads;
             let per_head: Vec<Option<Mat>> = (0..cfg.heads)
                 .map(|t| {
                     let head = local.cols_block(t * width..(t + 1) * width);
-                    gather_dense(comm, 0, &head, |g| k.spmm_a_with_layout_of(g), n, r)
+                    gather_dense(comm, 0, &head, |g| view.spmm_a_with_layout_of(g), n, r)
                 })
                 .collect();
             let per_head: Option<Vec<Mat>> = per_head.into_iter().collect();

@@ -20,9 +20,9 @@
 //! instrumentation hook hands it the clock reads and counts it has
 //! just charged to [`crate::stats::RankStats`], and no hook posts a
 //! message — so every modeled counter is byte-identical between traced
-//! and untraced runs (pinned by `tests/trace_invariants.rs` and the CI
-//! `trace-smoke` gate), in the same way [`Phase::LocalTuning`] is
-//! barred from modeled traffic.
+//! and untraced runs (pinned by the workspace test
+//! `tests/trace_invariants.rs`), in the same way [`Phase::LocalTuning`]
+//! is barred from modeled traffic.
 //!
 //! # Event vocabulary
 //!

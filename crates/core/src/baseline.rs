@@ -30,8 +30,8 @@ use dsk_sparse::{CooMatrix, CsrMatrix};
 
 use crate::common::{block_range, Elision, Sampling};
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::planview::Operand;
-use crate::rstore::{RStore, RValues, Source};
+use crate::planview::{Operand, PlanView};
+use crate::rstore::{RValues, Source};
 use crate::staged::StagedProblem;
 use crate::state::KernelState;
 
@@ -49,23 +49,20 @@ struct Plan {
 
 /// Per-rank state of the 1D block-row baseline.
 pub struct Baseline1D {
-    /// The R store holds the local block row of `S`, columns remapped
-    /// into the stacked `[local rows ‖ fetched rows]` space of `plan_a`
-    /// (the store's column map is the inverse remap). The operands are
-    /// block rows `block(m, p, rank)` of `A` and `block(n, p, rank)` of
-    /// `B`.
+    /// The pattern stores hold the local block rows of `S` (R store)
+    /// and of `Sᵀ`, columns remapped into the stacked `[local rows ‖
+    /// fetched rows]` space of their plans (each store's column map is
+    /// the inverse remap); the `Sᵀ` store receives the transposed R
+    /// values `Rᵀ·A` needs. The operands are block rows
+    /// `block(m, p, rank)` of `A` and `block(n, p, rank)` of `B`.
     state: KernelState,
     /// World communicator (duplicated; owned by the worker so the
     /// [`DistKernel`] surface needs no per-call communicator).
     comm: Comm,
-    /// Plan for SpMMA / SDDMM (`S`-oriented: fetches `B` rows).
-    plan_a: Plan,
-    /// Plan for SpMMB (`Sᵀ`-oriented: fetches `A` rows).
-    plan_b: Plan,
-    /// The local block row of `Sᵀ`, remapped for `plan_b` like the R
-    /// store's block for `plan_a`; it receives the transposed R values
-    /// `Rᵀ·A` needs.
-    st: RStore,
+    /// The scatter plan of the orientation whose rows are each
+    /// operand's: SpMMA / SDDMM (`S`-oriented, fetching `B` rows), then
+    /// SpMMB (`Sᵀ`-oriented, fetching `A` rows).
+    plans: [Plan; 2],
 }
 
 impl Baseline1D {
@@ -75,40 +72,27 @@ impl Baseline1D {
     /// factorization).
     pub fn from_staged(comm: &Comm, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
-        let (p, me) = (comm.size(), comm.rank());
-        let (m, n) = (prob.dims.m, prob.dims.n);
-        assert!(m >= p && n >= p, "matrix sides must be at least p");
-
+        let view = PlanView::of(KernelId::Baseline1D, 1, comm.size(), prob.dims);
         // This rank's block row of S (of Sᵀ), remapped for its plan.
-        let remapped = |transposed: bool, rows: usize, cols: usize| {
-            let row_blocks: Vec<_> = (0..p).map(|g| block_range(rows, p, g)).collect();
-            let grid = staged.partition(transposed, &row_blocks, std::slice::from_ref(&(0..cols)));
-            let local = CsrMatrix::from_coo(&grid[me][0]);
-            let (plan, block, inv_col) = Self::build_plan(comm, &local, cols);
-            let store = RStore::csr((rows, cols), vec![block], vec![(row_blocks[me].start, 0)]);
-            (plan, store.with_col_map(inv_col))
+        let remapped = |transposed: bool| {
+            let cut = staged.cut(&view, comm.rank(), transposed);
+            let (plan, block, inv_col) = Self::build_plan(comm, cut.cell(0));
+            (plan, cut.store(vec![block]).with_col_map(inv_col))
         };
-        let (plan_a, r) = remapped(false, m, n);
-        let (plan_b, st) = remapped(true, n, m);
+        let ((plan_a, r), (plan_b, rt)) = (remapped(false), remapped(true));
         Baseline1D {
-            state: KernelState::new(KernelId::Baseline1D, 1, comm, prob, r),
+            state: KernelState::new(view, comm, prob, r, Some(rt)),
             comm: comm.dup(),
-            plan_a,
-            plan_b,
-            st,
+            plans: [plan_a, plan_b],
         }
     }
 
     /// Exchange the static fetch lists and remap the local block's
-    /// columns into the stacked operand space. Returns the plan, the
-    /// remapped block, and the inverse remap (global operand row of
-    /// each stacked-operand index).
-    fn build_plan(
-        comm: &Comm,
-        s_loc: &CsrMatrix,
-        operand_rows: usize,
-    ) -> (Plan, CsrMatrix, Vec<u32>) {
-        let p = comm.size();
+    /// columns (the operand's rows) into the stacked operand space.
+    /// Returns the plan, the remapped block, and the inverse remap
+    /// (global operand row of each stacked-operand index).
+    fn build_plan(comm: &Comm, block: &CooMatrix) -> (Plan, CsrMatrix, Vec<u32>) {
+        let (p, s_loc, operand_rows) = (comm.size(), CsrMatrix::from_coo(block), block.ncols);
         let my_range = block_range(operand_rows, p, comm.rank());
 
         // Unique non-local columns, grouped by owner.
@@ -176,8 +160,8 @@ impl Baseline1D {
     /// operand `B`-side) and SpMMB (`Sᵀ`-oriented, operand `A`-side).
     /// Made values' row sums come back beside it.
     fn spmm_plan(&self, out: Operand, src: Source<'_>, local: &Mat) -> (Mat, Vec<f64>) {
-        let (plan, store) = self.oriented(out);
-        let vals = store.csr_values(src);
+        let plan = &self.plans[out as usize];
+        let vals = self.state.pattern(out).csr_values(src);
         let (s, mut sums) = (&vals.blocks()[0], vals.sums());
         let operand = self.scatter_operand(plan, local);
         let r = self.state.view.dims().r;
@@ -186,16 +170,6 @@ impl Baseline1D {
             vals.spmm(0, &mut out, &operand, Some(&mut sums))
         });
         (out, sums)
-    }
-
-    /// The plan and the store of the orientation whose rows are `op`'s
-    /// (one remapped block, values = sampling values): `S` for `A`
-    /// (fetching `B` rows), `Sᵀ` for `B`.
-    fn oriented(&self, op: Operand) -> (&Plan, &RStore) {
-        match op {
-            Operand::A => (&self.plan_a, &self.state.r),
-            Operand::B => (&self.plan_b, &self.st),
-        }
     }
 
     /// Redistribute the SDDMM result from the `S` orientation
@@ -224,7 +198,7 @@ impl Baseline1D {
             rt.cols.extend(cols);
             rt.vals.extend(vals);
         }
-        self.st.import(&rt);
+        self.state.pattern_mut(Operand::B).import(&rt);
     }
 
     /// Raw SDDMM accumulations through the plan of the orientation
@@ -234,8 +208,8 @@ impl Baseline1D {
     /// `A` side, fetching `B` rows) and its transpose. Values are
     /// aligned with the block's CSR order; no sampling applied.
     fn dots_plan(&self, near: Operand, x: &Mat, local: &Mat, combine: &CombineSpec) -> Vec<f64> {
-        let (plan, store) = self.oriented(near);
-        let (s, r) = (&store.csr_blocks()[0], self.state.view.dims().r);
+        let (plan, r) = (&self.plans[near as usize], self.state.view.dims().r);
+        let s = &self.state.pattern(near).csr_blocks()[0];
         let operand = self.scatter_operand(plan, local);
         let mut acc = vec![0.0; s.nnz()];
         self.comm.compute(kern::sddmm_flops(s.nnz(), r), || {
@@ -283,7 +257,7 @@ impl DistKernel for Baseline1D {
         let st = &self.state;
         let (x, fixed) = (x.unwrap_or(st.operand(out)), st.operand(out.other()));
         let mut dots = [self.dots_plan(out, x, fixed, &CombineSpec::Dot)];
-        self.oriented(out).1.sample(&mut dots, sampling);
+        self.state.pattern(out).sample(&mut dots, sampling);
         self.spmm_plan(out, Source::Given(&dots), fixed).0
     }
 

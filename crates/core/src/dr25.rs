@@ -36,9 +36,9 @@ use crate::common::{
     ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::planview::Operand;
-use crate::rstore::{RStore, RValues, Source};
-use crate::staged::StagedProblem;
+use crate::planview::{Operand, PlanView};
+use crate::rstore::{RValues, Source};
+use crate::staged::{Cut, StagedProblem};
 use crate::state::KernelState;
 
 /// Tag for traveling sparse blocks (row-ring).
@@ -46,34 +46,16 @@ const TAG_SPARSE: u32 = 120;
 /// Tag for traveling dense panels (column-ring).
 const TAG_DENSE: u32 = 121;
 
-/// One orientation (canonical `S` or transposed `Sᵀ`) of the worker's
-/// data, a view into its state: the sparse block and the dense panel
-/// that travel in it, and the operand it replicates.
-struct Side<'a> {
-    /// Home (pre-skewed) sparse block: rows local to macro row `u`,
-    /// columns local to its column block; values = sampling values.
-    home: &'a CooMatrix,
-    /// Home (pre-skewed) traveling dense block (the `B` role): the
-    /// traveling operand's iterate.
-    y_home: &'a Mat,
-    /// This rank's fiber sub-block of the replicated matrix (the `A`
-    /// role): the other operand's replica copy.
-    x_fiber: &'a Mat,
-    /// Column-ring pattern for this orientation's panel shifts (`None`
-    /// = dense shifts).
-    route: Option<&'a CommPattern>,
-}
-
 /// Per-rank state of the 2.5D dense-replicating algorithm.
 pub struct DenseRepl25 {
     /// Grid communicators (row ring, column ring, fiber).
     pub gc: GridComms25,
-    /// The R store holds the canonical home block of `S`. Each operand's
-    /// iterate is its travel-layout block, its replica copy its fiber
-    /// sub-block.
+    /// The pattern stores hold the canonical (pre-skewed) home blocks
+    /// of `S` (R store) and of `Sᵀ`: rows local to macro row `u`,
+    /// columns local to their column block; values = sampling values.
+    /// Each operand's iterate is its travel-layout block, its replica
+    /// copy its fiber sub-block.
     state: KernelState,
-    /// The transposed home block (of `Sᵀ`).
-    st_home: CooMatrix,
     /// Column-ring pattern of the orientation in which `A` travels
     /// (transposed) and of the one in which `B` does (canonical).
     routes: [Option<CommPattern>; 2],
@@ -91,64 +73,28 @@ impl DenseRepl25 {
         let prob = &*staged.prob;
         let grid = Grid25::new(comm.size(), c).expect("invalid 2.5D grid");
         let gc = GridComms25::build(comm, grid);
-        let (m, n) = (prob.dims.m, prob.dims.n);
-        let q = grid.q;
-        assert!(m >= q * c && n >= q * c, "matrix sides too small for grid");
-        let (s_home, offset, route_b) = Self::orient(&gc, staged, routing, false, m, n);
-        let (st_home, _, route_a) = Self::orient(&gc, staged, routing, true, n, m);
-        let r = RStore::coo((m, n), s_home, offset);
+        let (q, u, v, w) = (grid.q, gc.u, gc.v, gc.w);
         let id = KernelId::Family(AlgorithmFamily::DenseRepl25);
-        DenseRepl25 {
-            gc,
-            state: KernelState::new(id, c, comm, prob, r),
-            st_home,
-            routes: [route_a, route_b],
-        }
+        let view = PlanView::of(id, c, comm.size(), prob.dims);
+        let routed = |cut: &Cut| {
+            route(&gc.col_ring, routing, || {
+                let cols = |o: usize| cut.grid[u][(o + v) % q * c + w].cols.clone();
+                (0..q).map(|o| RowSet::from_indices(cols(o))).collect()
+            })
+        };
+        let s = staged.cut(&view, comm.rank(), false);
+        let (r, route_b) = (s.coo(), routed(&s));
+        let st = staged.cut(&view, comm.rank(), true);
+        let routes = [routed(&st), route_b];
+        let state = KernelState::new(view, comm, prob, r, Some(st.coo()));
+        DenseRepl25 { gc, state, routes }
     }
 
-    /// Cut one orientation's sparse side: `s: rows_tot × cols_tot`.
-    /// Returns the home sparse block, its global `(row, col)` offset,
-    /// and its column-ring pattern when routed.
-    fn orient(
-        gc: &GridComms25,
-        staged: &StagedProblem,
-        routing: Routing,
-        transposed: bool,
-        rows_tot: usize,
-        cols_tot: usize,
-    ) -> (CooMatrix, (usize, usize), Option<CommPattern>) {
-        let (q, c) = (gc.grid.q, gc.grid.c);
-        let (u, v, w) = (gc.u, gc.v, gc.w);
-        let sigma0 = (u + v) % q;
-
-        let macro_rows: Vec<_> = (0..q).map(|uu| block_range(rows_tot, q, uu)).collect();
-        let col_blocks: Vec<_> = (0..q * c)
-            .map(|j| block_range(cols_tot, q * c, j))
-            .collect();
-        let grid_s = staged.partition(transposed, &macro_rows, &col_blocks);
-        let s_home = grid_s[u][sigma0 * c + w].clone();
-        let route = route(&gc.col_ring, routing, || {
-            (0..q)
-                .map(|o| RowSet::from_indices(grid_s[u][(o + v) % q * c + w].cols.clone()))
-                .collect()
-        });
-        let offset = (macro_rows[u].start, col_blocks[sigma0 * c + w].start);
-        (s_home, offset, route)
-    }
-
-    /// The orientation in which `y_op` travels: the canonical one
-    /// (`S` and `B` travel, `A` replicated) for `B`, the transposed one
-    /// (`Sᵀ` and `A` travel, `B` replicated) for `A`.
-    fn side(&self, y_op: Operand) -> Side<'_> {
-        Side {
-            home: match y_op {
-                Operand::A => &self.st_home,
-                Operand::B => self.state.r.coo_block(),
-            },
-            y_home: self.state.operand(y_op),
-            x_fiber: self.state.replica(y_op.other()),
-            route: self.routes[y_op as usize].as_ref(),
-        }
+    /// The home block of the orientation in which `y_op` travels: `S`
+    /// for `B` (the canonical one: `S` and `B` travel, `A` is
+    /// replicated), `Sᵀ` for `A` (the transposed one).
+    fn home(&self, y_op: Operand) -> &CooMatrix {
+        self.state.pattern(y_op.other()).coo_block()
     }
 
     fn q(&self) -> usize {
@@ -192,10 +138,17 @@ impl DenseRepl25 {
         );
     }
 
-    /// All-gather one side's replicated operand along the fiber into
-    /// its macro-row panel (as tall as the side's sparse block).
-    fn replicate(&self, side: &Side<'_>) -> Mat {
-        replicate_rows(&self.gc.fiber, side.x_fiber, side.home.nrows, None)
+    /// All-gather the operand replicated while `y_op` travels along
+    /// the fiber into its macro-row panel (as tall as the home block).
+    fn replicate(&self, y_op: Operand) -> Mat {
+        let (x, rows) = (self.state.replica(y_op.other()), self.home(y_op).nrows);
+        replicate_rows(&self.gc.fiber, x, rows, None)
+    }
+
+    /// The column-ring pattern of the orientation in which `y_op`
+    /// travels.
+    fn route(&self, y_op: Operand) -> Option<&CommPattern> {
+        self.routes[y_op as usize].as_ref()
     }
 
     /// SDDMM travel round: a copy of the home sparse block accumulates
@@ -204,15 +157,16 @@ impl DenseRepl25 {
     /// accumulated (no sampling).
     fn dots_round(
         &self,
-        side: &Side<'_>,
+        y_op: Operand,
         t_buf: &Mat,
         y0: &Mat,
         combine: &CombineSpec,
         route: Option<&CommPattern>,
     ) -> CooMatrix {
+        let home = self.home(y_op);
         let q = self.q();
         let slice = block_range(self.state.view.dims().r, q, self.gc.v);
-        let mut blk = side.home.clone();
+        let mut blk = home.clone();
         blk.vals.fill(0.0);
         let mut y = self.dense_pipeline(route).input(y0);
         let pipe_s = self.sparse_pipeline();
@@ -233,18 +187,18 @@ impl DenseRepl25 {
             blk = pipe_s.exchange(blk);
             y.arrive(hop);
         }
-        debug_assert_eq!(blk.nnz(), side.home.nnz(), "block failed to return home");
+        debug_assert_eq!(blk.nnz(), home.nnz(), "block failed to return home");
         blk
     }
 
     /// SpMM travel round with a replicated accumulator (`T += S·y` per
     /// step, `home` the valued home block) — the SpMMA data flow; caller
     /// reduce-scatters.
-    fn spmm_out_round(&self, side: &Side<'_>, home: &CooMatrix, y0: &Mat) -> Mat {
+    fn spmm_out_round(&self, home: &CooMatrix, y0: &Mat) -> Mat {
         let width = y0.ncols();
         let mut t_out = Mat::zeros(home.nrows, width);
         let mut blk = self.sparse_pipeline().input(home);
-        let mut y = self.dense_pipeline(side.route).input(y0);
+        let mut y = self.dense_pipeline(self.route(Operand::B)).input(y0);
         for _ in 0..self.q() {
             // Both travelers are input lanes here (the accumulator is
             // replicated, not circulating): post both hops up front and
@@ -265,17 +219,17 @@ impl DenseRepl25 {
     }
 
     /// SpMM travel round with a circulating output accumulator (`out +=
-    /// Sᵀ·T` per step, `out` shaped like the side's traveling panel and
+    /// Sᵀ·T` per step, `out` shaped like the `y_op` iterate and
     /// traveling the column ring) — the SpMMB data flow.
     fn spmm_shift_acc_round(
         &self,
-        side: &Side<'_>,
+        y_op: Operand,
         home: &CooMatrix,
         t_buf: &Mat,
         route: Option<&CommPattern>,
     ) -> Mat {
         let width = t_buf.ncols();
-        let mut out = Mat::zeros(side.y_home.nrows(), width);
+        let mut out = Mat::zeros(self.state.operand(y_op).nrows(), width);
         let mut blk = self.sparse_pipeline().input(home);
         let pipe_y = self.dense_pipeline(route);
         for t in 0..self.q() {
@@ -308,25 +262,23 @@ impl DistKernel for DenseRepl25 {
 
     /// Replicates `A`, travels `S` and `B`.
     fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
-        let side = self.side(Operand::B);
-        let t_buf = self.replicate(&side);
-        let blk = self.dots_round(&side, &t_buf, side.y_home, combine, side.route);
-        vec![blk.vals]
+        let (b, t_buf) = (self.state.operand(Operand::B), self.replicate(Operand::B));
+        let route = self.route(Operand::B);
+        vec![self.dots_round(Operand::B, &t_buf, b, combine, route).vals]
     }
 
     /// Returned in the fiber `A` layout.
     fn spmm_a(&mut self) -> Mat {
-        let side = self.side(Operand::B);
-        let t_out = self.spmm_out_round(&side, side.home, side.y_home);
+        let b = self.state.operand(Operand::B);
+        let t_out = self.spmm_out_round(self.home(Operand::B), b);
         self.reduce_to_fiber(&t_out)
     }
 
     /// Returned in the travel `B` layout (pre-skewed home block).
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let side = self.side(Operand::B);
-        let t_buf = self.replicate(&side);
+        let t_buf = self.replicate(Operand::B);
         let (home, _) = self.state.r.traveler_of(Source::stored_if(use_r));
-        self.spmm_shift_acc_round(&side, &home, &t_buf, side.route)
+        self.spmm_shift_acc_round(Operand::B, &home, &t_buf, self.route(Operand::B))
     }
 
     /// On the orientation in which `out` travels: `y` (travel layout)
@@ -339,15 +291,14 @@ impl DistKernel for DenseRepl25 {
         elision: Elision,
         sampling: Sampling,
     ) -> Mat {
-        let side = self.side(out);
-        let route = side.route.filter(|_| elision == Elision::None);
-        let t_buf = self.replicate(&side);
-        let y0 = y.unwrap_or(side.y_home);
-        let mut blk = self.dots_round(&side, &t_buf, y0, &CombineSpec::Dot, route);
-        sampling.apply(&mut blk.vals, &side.home.vals);
+        let route = self.route(out).filter(|_| elision == Elision::None);
+        let t_buf = self.replicate(out);
+        let y0 = y.unwrap_or(self.state.operand(out));
+        let mut blk = self.dots_round(out, &t_buf, y0, &CombineSpec::Dot, route);
+        sampling.apply(&mut blk.vals, &self.home(out).vals);
         // Unoptimized: without elision the SpMM call replicates again.
-        let again = (elision == Elision::None).then(|| self.replicate(&side));
-        self.spmm_shift_acc_round(&side, &blk, again.as_ref().unwrap_or(&t_buf), route)
+        let again = (elision == Elision::None).then(|| self.replicate(out));
+        self.spmm_shift_acc_round(out, &blk, again.as_ref().unwrap_or(&t_buf), route)
     }
 
     /// The whole grid-row plane: its members split macro row `u`'s
@@ -359,7 +310,7 @@ impl DistKernel for DenseRepl25 {
     /// Takes a travel-layout operand; returned in the fiber `A` layout.
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
         let (traveler, sums) = self.state.r.traveler_of(vals.into());
-        let t_out = self.spmm_out_round(&self.side(Operand::B), &traveler, y);
+        let t_out = self.spmm_out_round(&traveler, y);
         (self.reduce_to_fiber(&t_out), sums)
     }
 

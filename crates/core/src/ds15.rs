@@ -51,8 +51,8 @@ use crate::common::{
     Routing, Sampling, ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::planview::Operand;
-use crate::rstore::{RStore, RValues, Source};
+use crate::planview::{Operand, PlanView};
+use crate::rstore::{RValues, Source};
 use crate::staged::StagedProblem;
 use crate::state::KernelState;
 
@@ -63,19 +63,15 @@ const TAG_SHIFT: u32 = 100;
 pub struct DenseShift15 {
     /// Grid communicators (layer ring + replication fiber).
     pub gc: GridComms15,
-    /// The R store holds the `S` blocks by slot `w` (column block
-    /// `j = w·c + v` of macro row `u`), values = sampling values; the
-    /// operands are block row `g` of `A` and of `B`. The held ring tiles
-    /// are those the right-hand-side rounds and iterate fused rounds
-    /// received — `B`'s (`rhs_a`, FusedMMA) and `A`'s (`rhs_b`,
-    /// FusedMMB): `q − 1` block rows, `(q − 1)·⌈n/p⌉·r` (`⌈m/p⌉`)
-    /// words. A dense-routed plan fills them on every `rhs_*` call,
+    /// The pattern stores hold the `S` (R store) and `Sᵀ` blocks by
+    /// slot `w` (column block `j = w·c + v` of macro row `u`), values =
+    /// sampling values; the operands are block row `g` of `A` and of
+    /// `B`. The held ring tiles are those the right-hand-side rounds
+    /// and iterate fused rounds received — `B`'s (`rhs_a`, FusedMMA)
+    /// and `A`'s (`rhs_b`, FusedMMB): `q − 1` block rows,
+    /// `(q − 1)·⌈n/p⌉·r` (`⌈m/p⌉`) words. A dense-routed plan fills them on every `rhs_*` call,
     /// whatever its elision; only local kernel fusion replays them.
     state: KernelState,
-    /// `Sᵀ` blocks by slot `w` (column block over `m` of macro row `u`
-    /// of `n`), values = sampling values, for the transposed-role
-    /// (FusedMMA) paths. Nothing is stored as their R.
-    st: RStore,
     /// Layer-ring communication pattern for pattern-routed propagation
     /// (`None` = dense shifts, the default).
     route: Option<CommPattern>,
@@ -93,40 +89,17 @@ impl DenseShift15 {
         let prob = &*staged.prob;
         let grid = Grid15::new(comm.size(), c).expect("invalid 1.5D grid");
         let gc = GridComms15::build(comm, grid);
-        let p = grid.p;
-        let q = grid.layer_size();
-        let (m, n) = (prob.dims.m, prob.dims.n);
-        assert!(m >= p && n >= p, "matrix sides must be at least p");
-        let (u, v) = (gc.u, gc.v);
-
-        // S (Sᵀ): macro rows (aligned to unions of A (B) block rows) × p
-        // column blocks; keep column blocks ≡ v (mod c) of macro row u,
-        // by slot w, with their global offsets.
-        let cut = |transposed: bool, rows: usize, cols: usize| {
-            let macro_rows: Vec<_> = (0..q).map(|uu| union_range(rows, p, uu * c, c)).collect();
-            let col_blocks: Vec<_> = (0..p).map(|j| block_range(cols, p, j)).collect();
-            let parts = staged.partition(transposed, &macro_rows, &col_blocks);
-            let slot = |w: usize| {
-                let at = (macro_rows[u].start, col_blocks[w * c + v].start);
-                (CsrMatrix::from_coo(&parts[u][w * c + v]), at)
-            };
-            (0..q).map(slot).unzip::<_, _, Vec<_>, Vec<_>>()
-        };
-        let (s_blocks, offsets) = cut(false, m, n);
-        let (st_blocks, st_offsets) = cut(true, n, m);
-        let route = route(&gc.layer, routing, || {
-            let cols = |b: &CsrMatrix| RowSet::from_indices(b.indices().to_vec());
-            s_blocks.iter().map(cols).collect()
-        });
-
         let id = KernelId::Family(AlgorithmFamily::DenseShift15);
-        let r = RStore::csr((m, n), s_blocks, offsets);
-        DenseShift15 {
-            gc,
-            state: KernelState::new(id, c, comm, prob, r),
-            st: RStore::csr((n, m), st_blocks, st_offsets),
-            route,
-        }
+        let view = PlanView::of(id, c, comm.size(), prob.dims);
+        let s = staged.cut(&view, comm.rank(), false);
+        let (r, st) = (s.csr(), staged.cut(&view, comm.rank(), true));
+        let route = route(&gc.layer, routing, || {
+            s.blocks()
+                .map(|b| RowSet::from_indices(b.cols.clone()))
+                .collect()
+        });
+        let state = KernelState::new(view, comm, prob, r, Some(st.csr()));
+        DenseShift15 { gc, state, route }
     }
 
     fn q(&self) -> usize {
@@ -211,7 +184,7 @@ impl DenseShift15 {
         self.sddmm_round(s, &t_buf, y, combine, self.route.as_ref())
     }
 
-    /// SDDMM propagation round over the given oriented blocks: `y`
+    /// SDDMM propagation round over the given stationary blocks: `y`
     /// shifts, dot products accumulate per slot against `t_buf`.
     fn sddmm_round(
         &self,
@@ -242,7 +215,7 @@ impl DenseShift15 {
         y0: &Mat,
         hold: Option<Operand>,
     ) -> (Mat, Vec<f64>) {
-        let vals = self.oriented(out).csr_values(src);
+        let vals = self.state.pattern(out).csr_values(src);
         let (blocks, mut sums) = (vals.blocks(), vals.sums());
         let mut t_buf = Mat::zeros(blocks[0].nrows(), y0.ncols());
         let route = self.route.as_ref();
@@ -264,7 +237,7 @@ impl DenseShift15 {
         t_buf: &Mat,
         route: Option<&CommPattern>,
     ) -> Mat {
-        let vals = self.oriented(out.other()).csr_values(src);
+        let vals = self.state.pattern(out.other()).csr_values(src);
         let pipe = self.pipeline(route);
         let r = t_buf.ncols();
         let mut acc = Mat::zeros(self.state.operand(out).nrows(), r);
@@ -281,15 +254,6 @@ impl DenseShift15 {
             acc = pipe.exchange_mat(acc, t);
         }
         acc
-    }
-
-    /// The stationary blocks whose rows are `op`'s: the `S` blocks of
-    /// the R store for `A`, the `Sᵀ` blocks for `B`.
-    fn oriented(&self, op: Operand) -> &RStore {
-        match op {
-            Operand::A => &self.state.r,
-            Operand::B => &self.st,
-        }
     }
 }
 
@@ -354,7 +318,7 @@ impl DistKernel for DenseShift15 {
             Elision::None | Elision::ReplicationReuse => {
                 let reuse = elision == Elision::ReplicationReuse;
                 let route = self.route.as_ref().filter(|_| !reuse);
-                let store = self.oriented(out.other());
+                let store = self.state.pattern(out.other());
                 let (blocks, fiber) = (store.csr_blocks(), &self.gc.fiber);
                 let t_buf = replicate_rows(fiber, fixed, blocks[0].nrows(), None);
                 let dot = kern::SddmmCombine::Dot;
@@ -365,7 +329,7 @@ impl DistKernel for DenseShift15 {
                 self.spmm_shift_acc_round(out, Source::Given(&acc), t_buf, route)
             }
             Elision::LocalKernelFusion => {
-                let vals = self.oriented(out).csr_values(sampling.into());
+                let vals = self.state.pattern(out).csr_values(sampling.into());
                 let blocks = vals.blocks();
                 let t_in = replicate_rows(&self.gc.fiber, x, blocks[0].nrows(), None);
                 let mut t_out = Mat::zeros(t_in.nrows(), fixed.ncols());

@@ -13,23 +13,25 @@
 //! pattern blocks, and what happens to it afterwards never depends on
 //! how the family moved data to compute it), its operands in the
 //! iterate layout with a replica-layout copy where the view says the
-//! two differ, and the ring tiles an iterate call kept. A family file
-//! holds its grid, its sparse partition and its rounds, and nothing
-//! else.
+//! two differ, and the ring tiles an iterate call kept. Callers ask
+//! the view itself ([`DistKernel::view`]) for layouts, bounds, groups,
+//! admissibility and dims. A family file holds its grid, its need sets
+//! and its rounds, and nothing else: its sparse blocks are cut from the
+//! view's Table II layout ([`StagedProblem::cut`](crate::staged)).
 //!
 //! | paper section | required | provided |
 //! |---------------|----------|----------|
 //! | kernel state | [`DistKernel::state`], [`DistKernel::state_mut`] | [`DistKernel::view`], [`DistKernel::r_store`], [`DistKernel::r_store_mut`] |
 //! | §III kernels (SDDMM, SpMMA/B) | [`DistKernel::dots`] (the SDDMM data flow, unsampled), [`DistKernel::spmm_a`], [`DistKernel::spmm_b`] | [`DistKernel::sddmm`] (the dots sampled by the [`RStore`]'s values; 2.5D sparse replication overrides it) |
-//! | §IV FusedMM + elision | [`DistKernel::fused`] (the family's data flow for FusedMMA or FusedMMB, by output operand) | [`DistKernel::fused_mm_a`], [`DistKernel::fused_mm_b`] (each checks [`DistKernel::supports`] once, with one message, before dispatching), [`DistKernel::supports`] |
+//! | §IV FusedMM + elision | [`DistKernel::fused`] (the family's data flow for FusedMMA or FusedMMB, by output operand) | [`DistKernel::fused_mm_a`], [`DistKernel::fused_mm_b`] (each checks [`PlanView::supports`] once, with one message, before dispatching) |
 //! | §VI-E generalized SDDMM (the paper's GAT logits) | [`DistKernel::dots`] of a [`CombineSpec`] | [`DistKernel::sddmm_general`] |
 //! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_group`] (which ranks share a stored R row) | [`DistKernel::r_row_sums`] (the [`RStore`]'s local sums, all-reduced over the row group), [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
 //! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_from`] (the family's SpMMA round, reading an [`RValues`] source: the stored R values, or attention made per nonzero from per-node factors inside the local row loop, with its row sums) | [`DistKernel::spmm_a_with`] (the stored values), [`DistKernel::spmm_a_pair_exp`] (the attention `exp(LeakyReLU(u_i + v_j))` of a [`PairExp`] and its row sums reduced over the row group: what the GAT engine runs, FusedMMA's shape) |
-//! | Table II data distributions | | [`DistKernel::a_iterate`], [`DistKernel::b_iterate`], [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`] |
+//! | Table II data distributions | | [`DistKernel::a_iterate`], [`DistKernel::b_iterate`]; the layouts are [`PlanView::a_layout_of`], [`PlanView::b_layout_of`], [`PlanView::spmm_a_with_layout_of`] |
 //! | Fig. 9 distribution shifts | | [`DistKernel::set_a`], [`DistKernel::set_b`] (shifting through the view: iterate → replica layout, where the two differ; the operand's held ring tiles are dropped), [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
-//! | Fig. 9 row-sharing dot products | | [`DistKernel::row_group_a`], [`DistKernel::row_group_b`] |
+//! | Fig. 9 row-sharing dot products | | [`PlanView::row_group_a`], [`PlanView::row_group_b`] |
 //! | live migration | | [`DistKernel::export_r`], [`DistKernel::import_r`] |
-//! | verification | | [`DistKernel::gather_r`], [`DistKernel::dims`], [`DistKernel::id`] |
+//! | verification | | [`DistKernel::gather_r`]; the kernel and dims are [`PlanView::id`], [`PlanView::dims`] |
 //!
 //! [`KernelBuilder`] sits on top: it resolves a *plan* — which kernel,
 //! which replication factor `c`, which elision — either explicitly
@@ -82,8 +84,8 @@
 //! ```
 //!
 //! The moved state is exactly the application surface below: iterates
-//! travel through the [`DistKernel::a_iterate_layout_of`] /
-//! [`DistKernel::b_iterate_layout_of`] descriptors, and R values
+//! travel through the [`PlanView::a_layout_of`] /
+//! [`PlanView::b_layout_of`] descriptors, and R values
 //! through the [`DistKernel::export_r`] / [`DistKernel::import_r`]
 //! pair in global coordinates, so no optimizer state is lost. An
 //! elastic resize is the same transition run over the whole world onto
@@ -101,7 +103,6 @@ use crate::common::{AlgorithmFamily, Elision, ProblemDims, Routing, Sampling};
 use crate::dr25::DenseRepl25;
 use crate::ds15::DenseShift15;
 use crate::global::GlobalProblem;
-use crate::layout::DenseLayout;
 use crate::planview::{Operand, PlanView};
 use crate::rstore::{PairExp, RStore, RValues};
 use crate::sr25::SparseRepl25;
@@ -177,7 +178,8 @@ impl KernelId {
 ///
 /// Each implementation has *native* layouts for `A`-shaped and
 /// `B`-shaped dense matrices — the **iterate layouts** described by
-/// [`DistKernel::a_iterate_layout_of`] / [`DistKernel::b_iterate_layout_of`].
+/// [`PlanView::a_layout_of`] / [`PlanView::b_layout_of`] of
+/// [`DistKernel::view`].
 /// `fused_mm_a`/`fused_mm_b` consume and produce iterates in exactly
 /// those layouts (iterate in, iterate out — the property batched CG
 /// relies on), as do [`DistKernel::rhs_a`] / [`DistKernel::rhs_b`] and
@@ -243,7 +245,7 @@ pub trait DistKernel: Send {
 
     /// SpMMA of R-patterned values from `vals` against an explicit
     /// `B`-iterate operand (the GAT convolution `α·(H·W)`), returned in
-    /// the [`DistKernel::spmm_a_with_layout_of`] layout: the family's
+    /// the [`PlanView::spmm_a_with_layout_of`] layout: the family's
     /// one SpMMA round, the round [`DistKernel::spmm_a`] runs with the
     /// sampling values, reading these values instead. For values
     /// made per nonzero ([`RValues::PairExp`]) the second result holds
@@ -303,7 +305,7 @@ pub trait DistKernel: Send {
     /// # Panics
     ///
     /// Panics, before any communication, when the kernel does not admit
-    /// `elision` ([`DistKernel::supports`]).
+    /// `elision` ([`PlanView::supports`]).
     fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
         admit(self.view(), elision);
         self.fused(Operand::A, x, elision, sampling)
@@ -335,21 +337,6 @@ pub trait DistKernel: Send {
     fn sddmm_general(&mut self, combine: &CombineSpec) {
         let dots = self.dots(combine);
         self.r_store_mut().set(dots);
-    }
-
-    /// Which implementation this is.
-    fn id(&self) -> KernelId {
-        self.view().id()
-    }
-
-    /// Global problem dimensions.
-    fn dims(&self) -> ProblemDims {
-        self.view().dims()
-    }
-
-    /// Whether this kernel admits the elision strategy (paper §IV-B).
-    fn supports(&self, elision: Elision) -> bool {
-        self.view().supports(elision)
     }
 
     /// ALS right-hand side for the `A` phase — `S·B` with the sampling
@@ -421,7 +408,7 @@ pub trait DistKernel: Send {
     /// coordinates (verification; statistics paused).
     fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
         let local = self.export_r().expect("no SDDMM result to gather");
-        let dims = self.dims();
+        let dims = self.view().dims();
         crate::layout::gather_coo(comm, 0, local, dims.m, dims.n)
     }
 
@@ -447,35 +434,6 @@ pub trait DistKernel: Send {
     /// sparse matrix.
     fn import_r(&mut self, r: &CooMatrix) {
         self.r_store_mut().import(r);
-    }
-
-    /// The `A`-iterate layout of communicator rank `g`.
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        self.view().a_layout_of(g)
-    }
-
-    /// The `B`-iterate layout of communicator rank `g`.
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        self.view().b_layout_of(g)
-    }
-
-    /// The layout in which [`DistKernel::spmm_a_with`] returns its
-    /// result on rank `g`.
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
-        self.view().spmm_a_with_layout_of(g)
-    }
-
-    /// Row-sharing color for `A`-iterates: ranks with equal color hold
-    /// pieces of the same iterate rows and must reduce per-row dot
-    /// products among themselves. Whole-row kernels color every rank
-    /// distinctly (groups of one).
-    fn row_group_a(&self, g: usize) -> u64 {
-        self.view().row_group_a(g)
-    }
-
-    /// Row-sharing color for `B`-iterates.
-    fn row_group_b(&self, g: usize) -> u64 {
-        self.view().row_group_b(g)
     }
 }
 
@@ -617,10 +575,6 @@ pub struct KernelBuilder<'a> {
     c_max: usize,
     elision: Option<Elision>,
     routing: Option<Routing>,
-    /// Planner cost model. `None` (the default) means "use the
-    /// communicator's model at build time" — [`KernelBuilder::plan`]
-    /// falls back to Cori-like constants when called without a world.
-    model: Option<MachineModel>,
 }
 
 impl<'a> KernelBuilder<'a> {
@@ -632,7 +586,6 @@ impl<'a> KernelBuilder<'a> {
             c_max: 16,
             elision: None,
             routing: None,
-            model: None,
         }
     }
 
@@ -731,15 +684,6 @@ impl<'a> KernelBuilder<'a> {
         self
     }
 
-    /// Pin the machine model for the planner's time predictions. When
-    /// not pinned, [`KernelBuilder::build`] plans under the
-    /// communicator's own model, and the world-free
-    /// [`KernelBuilder::plan`] falls back to Cori-like constants.
-    pub fn model(mut self, model: MachineModel) -> Self {
-        self.model = Some(model);
-        self
-    }
-
     fn staged(&self) -> &StagedProblem {
         match &self.source {
             Source::Owned(s) => s,
@@ -761,7 +705,9 @@ impl<'a> KernelBuilder<'a> {
 
     /// Candidate algorithms compatible with the pinned constraints,
     /// each with its resolved replication factor (the pinned `c`, or
-    /// the Table IV optimum for the algorithm).
+    /// the Table IV optimum for the algorithm among the factors whose
+    /// sparse grid the problem's sides admit), dropping a pinned `c`
+    /// whose grid they do not ([`PlanView::fits`]).
     fn candidates(&self, p: usize) -> Vec<(Algorithm, usize)> {
         let fams: Vec<AlgorithmFamily> = match self.selection {
             Selection::Family(f) => vec![f],
@@ -776,13 +722,14 @@ impl<'a> KernelBuilder<'a> {
                 Some(c) => alg.family.valid_c(p, c).then_some((alg, c)),
                 None => theory::optimal_c_search(alg, p, dims, nnz, self.c_max).map(|c| (alg, c)),
             })
+            .filter(|&(alg, c)| PlanView::of(KernelId::Family(alg.family), c, p, dims).fits())
             .collect()
     }
 
     /// Resolve the construction decision for a world of `p` ranks
     /// without building anything. Pure: depends only on the problem
-    /// shape, the machine model (the pinned one, else Cori-like
-    /// constants), and the pinned constraints — this is the paper's
+    /// shape, the machine model (Cori-like constants; see
+    /// [`KernelBuilder::plan_with`]), and the pinned constraints — this is the paper's
     /// Figure 6 "Predicted" panel as an API.
     ///
     /// # Panics
@@ -790,7 +737,7 @@ impl<'a> KernelBuilder<'a> {
     /// Panics when the pinned constraints are unsatisfiable (e.g. a
     /// replication factor the family's grid cannot realize at `p`).
     pub fn plan(&self, p: usize) -> KernelPlan {
-        self.plan_with(p, self.model.unwrap_or_else(MachineModel::cori_knl))
+        self.plan_with(p, MachineModel::cori_knl())
     }
 
     /// [`KernelBuilder::plan`] under an explicit machine model.
@@ -835,7 +782,7 @@ impl<'a> KernelBuilder<'a> {
     /// baseline). The sort is stable, so ties keep the paper's Figure 4
     /// presentation order.
     pub fn plan_candidates(&self, p: usize) -> Vec<PlannedCandidate> {
-        self.plan_candidates_with(p, self.model.unwrap_or_else(MachineModel::cori_knl))
+        self.plan_candidates_with(p, MachineModel::cori_knl())
     }
 
     /// [`KernelBuilder::plan_candidates`] under an explicit machine
@@ -872,13 +819,12 @@ impl<'a> KernelBuilder<'a> {
     }
 
     /// Build this rank's worker, resolving the plan from
-    /// `comm.size()` under the communicator's machine model (unless a
-    /// model was pinned). Must be called by every rank of the
+    /// `comm.size()` under the communicator's machine model. Must be
+    /// called by every rank of the
     /// communicator (the plan is deterministic, so all ranks agree
     /// without communication).
     pub fn build(&self, comm: &Comm) -> DistWorker {
-        let model = self.model.unwrap_or(*comm.model());
-        let plan = self.plan_with(comm.size(), model);
+        let plan = self.plan_with(comm.size(), *comm.model());
         self.build_planned(comm, &plan)
     }
 
@@ -1118,5 +1064,27 @@ mod tests {
             .family(AlgorithmFamily::DenseRepl25)
             .replication(3)
             .plan(8);
+    }
+
+    /// Each family's `c` is searched among the factors whose sparse
+    /// grid the sides admit, so a family is a candidate exactly when
+    /// it fits at some admissible `c`, and `sr25` at `c = p` keeps the
+    /// set non-empty at every side.
+    #[test]
+    fn a_family_is_a_candidate_when_it_fits_at_some_c() {
+        for p in [4, 8, 9, 16] {
+            for side in 1..=2 * p {
+                let dims = ProblemDims::new(side, side, 4);
+                let cands = KernelBuilder::for_shape(dims, 2 * side).plan_candidates(p);
+                assert!(!cands.is_empty(), "p={p} side={side}");
+                for alg in Algorithm::all_benchmarked() {
+                    let fits = theory::valid_replication_factors(alg, p, 16)
+                        .into_iter()
+                        .any(|c| PlanView::of(KernelId::Family(alg.family), c, p, dims).fits());
+                    let found = cands.iter().any(|cand| cand.algorithm == alg);
+                    assert_eq!(found, fits, "{alg:?} p={p} side={side}");
+                }
+            }
+        }
     }
 }

@@ -45,18 +45,19 @@
 //! ## Paper section ↔ trait method map
 //!
 //! A family file holds only what differs between families: its grid,
-//! its sparse partition, the need sets of pattern routing, the
+//! the need sets of pattern routing, its block post-processing, the
 //! propagation rounds, and the kernels composed from them — the
 //! **required** methods. What is the same for every kernel is written
 //! once and **provided** by the trait over the [`state::KernelState`]
 //! every kernel holds: the stored-R surface over [`rstore::RStore`]
 //! (where R lives: the kernel's own pattern blocks plus value arrays,
-//! and the sampling that turns raw dots into an SDDMM), every Table II
-//! layout, bound, group and admissibility answer over
-//! [`planview::PlanView`] (which also performs the Fig. 9 distribution
-//! shifts), the operands in the iterate layout (with a replica-layout
-//! copy where the view says the two differ), and the ring tiles an
-//! iterate call kept.
+//! and the sampling that turns raw dots into an SDDMM), the
+//! [`planview::PlanView`] that callers ask every Table II layout,
+//! bound, group and admissibility answer of (it also holds the sparse
+//! block grid every family cuts its blocks from, and performs the
+//! Fig. 9 distribution shifts), the operands in the iterate layout
+//! (with a replica-layout copy where the view says the two differ),
+//! and the ring tiles an iterate call kept.
 //!
 //! | paper | trait surface | |
 //! |-------|---------------|-|
@@ -65,7 +66,7 @@
 //! | §III kernel definitions | [`dots`](kernel::DistKernel::dots) (the SDDMM data flow, unsampled), [`spmm_a`](kernel::DistKernel::spmm_a), [`spmm_b`](kernel::DistKernel::spmm_b) | required |
 //! | | [`sddmm`](kernel::DistKernel::sddmm) | provided ([`rstore::RStore`] samples the dots; [`sr25`] overrides it) |
 //! | §IV FusedMM & elision (Fig. 3) | [`fused`](kernel::DistKernel::fused) (one data flow per family, by output operand), [`Elision`] | required |
-//! | | [`fused_mm_a`](kernel::DistKernel::fused_mm_a), [`fused_mm_b`](kernel::DistKernel::fused_mm_b) (the one admissibility check), [`supports`](kernel::DistKernel::supports) | provided ([`PlanView::supports`]) |
+//! | | [`fused_mm_a`](kernel::DistKernel::fused_mm_a), [`fused_mm_b`](kernel::DistKernel::fused_mm_b) (the one admissibility check, [`PlanView::supports`]) | provided |
 //! | §V per-family algorithms (Table II) | the `impl DistKernel` blocks in [`ds15`], [`ss15`], [`dr25`], [`sr25`], [`baseline`] | required |
 //! | §V-E communication analysis (Tables III & IV) | [`theory`] — consumed by [`kernel::KernelBuilder::plan`] | |
 //! | §VI-C best-algorithm prediction (Fig. 6) | [`kernel::KernelBuilder::auto`] / [`theory::predict_best`] | |
@@ -76,8 +77,8 @@
 //! | | [`r_row_sums`](kernel::DistKernel::r_row_sums) (local sums all-reduced over the row group), [`map_r`](kernel::DistKernel::map_r), [`scale_r_rows`](kernel::DistKernel::scale_r_rows), [`sq_loss_local`](kernel::DistKernel::sq_loss_local), [`export_r`](kernel::DistKernel::export_r)/[`import_r`](kernel::DistKernel::import_r), [`gather_r`](kernel::DistKernel::gather_r) | provided ([`rstore::RStore`]) |
 //! | Fig. 9 distribution shifts | [`set_a`](kernel::DistKernel::set_a)/[`set_b`](kernel::DistKernel::set_b), [`a_iterate`](kernel::DistKernel::a_iterate)/[`b_iterate`](kernel::DistKernel::b_iterate) | provided ([`state::KernelState`] over [`PlanView`]) |
 //! | | [`rhs_a`](kernel::DistKernel::rhs_a)/[`rhs_b`](kernel::DistKernel::rhs_b) | provided (the SpMM output; [`ds15`] overrides both to keep the fixed factor's ring tiles for the solve, 2.5D dense replication overrides `rhs_a`) |
-//! | Fig. 9 row-sharing dots | [`row_group_a`](kernel::DistKernel::row_group_a)/[`row_group_b`](kernel::DistKernel::row_group_b) | provided ([`PlanView`]) |
-//! | Table II data distributions | [`a_iterate_layout_of`](kernel::DistKernel::a_iterate_layout_of) et al., [`layout`] | provided ([`PlanView`]) |
+//! | Fig. 9 row-sharing dots | [`view`](kernel::DistKernel::view) → [`PlanView::row_group_a`]/[`PlanView::row_group_b`] | provided |
+//! | Table II data distributions | [`view`](kernel::DistKernel::view) → [`PlanView::a_layout_of`] et al. (dense), [`PlanView::r_bounds_of`] (the bounding box of the rank's cells of the sparse block grid every family cuts its `S`/`Sᵀ` blocks from), [`layout`] | provided |
 //!
 //! Each family supports the communication-eliding strategies the paper
 //! allows for it ([`Elision`]): *replication reuse* (one replication

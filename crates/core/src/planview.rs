@@ -1,14 +1,20 @@
 //! World-free plan views: the Table II data distributions as pure
 //! functions of `(kernel, c, p, dims)`.
 //!
-//! Every family's iterate layouts, R pattern bounds, row-sharing groups
-//! and admissible elisions are grid arithmetic — they depend on the
-//! plan and the problem shape, never on a live worker or communicator.
-//! [`PlanView`] is the **only** place that arithmetic is written: live
-//! kernels answer their `*_layout_of` / `row_group_*` / `supports` trait methods through the view they were
-//! built with ([`DistKernel::view`](crate::kernel::DistKernel::view)),
-//! and callers can ask *"where would rank `g` of a `p`-rank world hold
-//! its state under this plan?"* for a world that is not running — the
+//! Every family's iterate layouts, sparse block grid (the `S` and `Sᵀ`
+//! blocks each rank stores, and the smallest matrix side the grid
+//! admits), R pattern bounds, row-sharing groups and admissible
+//! elisions are grid arithmetic — they depend on the plan and the
+//! problem shape, never on a live worker or communicator. [`PlanView`]
+//! is the **only** place that arithmetic is written: every family cuts
+//! its sparse blocks from the view's grid
+//! ([`StagedProblem`](crate::staged::StagedProblem) does the cut),
+//! callers ask a live kernel's layouts, groups and admissibility of the
+//! view it was built with
+//! ([`DistKernel::view`](crate::kernel::DistKernel::view)), the planner
+//! drops the plans whose grid the problem's sides cannot hold, and
+//! callers can ask *"where would rank `g` of a `p`-rank world hold its
+//! state under this plan?"* for a world that is not running — the
 //! question elastic resize ([`crate::session::Session::resize`]) must
 //! answer on both sides of a process-count change, including on ranks
 //! that are members of only one of the two worlds.
@@ -228,46 +234,96 @@ impl PlanView {
         self.layout_of(Operand::A, true, g)
     }
 
+    /// The sparse half of Table II, rows then columns of `S`: each side
+    /// is cut into `parts` blocks ([`block_range`]), taken `group` at a
+    /// time ([`union_range`]). `Sᵀ` is the same cut on swapped dims.
+    fn sparse_splits(&self) -> [(usize, usize); 2] {
+        use AlgorithmFamily::*;
+        let (p, c, q) = (self.p, self.c, || self.coords25(0).0);
+        match self.id {
+            // Macro rows aligned to unions of `c` operand block rows, ×
+            // `p` column blocks.
+            KernelId::Family(DenseShift15) => [(p, c), (p, 1)],
+            // Full height × `p` column blocks.
+            KernelId::Family(SparseShift15) => [(1, 1), (p, 1)],
+            // `q` macro rows × `q·c` column blocks.
+            KernelId::Family(DenseRepl25) => [(q(), 1), (q() * c, 1)],
+            // The `q × q` layer grid.
+            KernelId::Family(SparseRepl25) => [(q(), 1), (q(), 1)],
+            // Block rows, full width.
+            KernelId::Baseline1D => [(p, 1), (1, 1)],
+        }
+    }
+
+    /// The block grid of `S` (of `Sᵀ` when `transposed`): its block-row
+    /// and block-column ranges.
+    pub(crate) fn sparse_grid(&self, transposed: bool) -> [Vec<Range<usize>>; 2] {
+        let (m, n) = (self.dims.m, self.dims.n);
+        let totals = if transposed { [n, m] } else { [m, n] };
+        let splits = self.sparse_splits();
+        [0, 1].map(|side| {
+            let (total, (parts, group)) = (totals[side], splits[side]);
+            (0..parts / group)
+                .map(|b| union_range(total, parts, b * group, group))
+                .collect()
+        })
+    }
+
+    /// The grid cells `(block row, block column)` rank `g` stores, in
+    /// slot order; the same cells of the `Sᵀ` grid hold its transposed
+    /// blocks.
+    pub(crate) fn cells(&self, g: usize) -> Vec<(usize, usize)> {
+        use AlgorithmFamily::*;
+        let (p, c) = (self.p, self.c);
+        if g >= p {
+            return Vec::new();
+        }
+        let (q, u, v, w) = match self.id.family() {
+            Some(DenseRepl25 | SparseRepl25) => self.coords25(g),
+            _ => (p / c, g / c, g % c, 0),
+        };
+        match self.id {
+            // Within macro row u, the column blocks j ≡ v (mod c): slot
+            // w holds block w·c + v.
+            KernelId::Family(DenseShift15) => (0..q).map(|w| (u, w * c + v)).collect(),
+            // The home column block g.
+            KernelId::Family(SparseShift15) => vec![(0, g)],
+            // Pre-skewed: column block σ₀·c + w, σ₀ = (u + v) mod q.
+            KernelId::Family(DenseRepl25) => vec![(u, (u + v) % q * c + w)],
+            // Block (u, v), identical on every fiber layer.
+            KernelId::Family(SparseRepl25) => vec![(u, v)],
+            KernelId::Baseline1D => vec![(g, 0)],
+        }
+    }
+
+    /// The smallest matrix side the sparse grid admits: its finest cut,
+    /// which `S` and `Sᵀ` lay on both sides.
+    pub(crate) fn min_side(&self) -> usize {
+        let [(rows, _), (cols, _)] = self.sparse_splits();
+        rows.max(cols)
+    }
+
+    /// Whether the viewed problem's sides admit the sparse grid — the
+    /// one shape precondition of building the plan.
+    pub(crate) fn fits(&self) -> bool {
+        self.dims.m.min(self.dims.n) >= self.min_side()
+    }
+
     /// Global bounding rectangle `(rows, cols)` of rank `g`'s stored-R
-    /// sparsity pattern under this plan (a conservative superset is
-    /// allowed). Live migration and resize
+    /// sparsity pattern under this plan: the bounding box of its cells
+    /// of `S`. Live migration and resize
     /// ([`crate::session::Session`]) use the *destination* plan's
     /// bounds to route each exported triplet only to the ranks that
     /// need it — an owner-targeted alltoallv moving `O(c·nnz)` words
     /// instead of the `O(p·nnz)` allgather.
     pub fn r_bounds_of(&self, g: usize) -> (Range<usize>, Range<usize>) {
-        let (d, p, c) = (self.dims, self.p, self.c);
-        if g >= p {
-            return empty_bounds();
-        }
-        match self.id {
-            KernelId::Family(AlgorithmFamily::DenseShift15) => {
-                // Macro row u = g/c of S; its column blocks are strided
-                // across the full width, so the column bound stays
-                // conservative.
-                (union_range(d.m, p, (g / c) * c, c), 0..d.n)
+        // Cells come in ascending grid order.
+        let ([rows, cols], cells) = (self.sparse_grid(false), self.cells(g));
+        match (cells.first(), cells.last()) {
+            (Some(&(i0, j0)), Some(&(i1, j1))) => {
+                (rows[i0].start..rows[i1].end, cols[j0].start..cols[j1].end)
             }
-            KernelId::Family(AlgorithmFamily::SparseShift15) => {
-                // Rank g's home block is column block g of S.
-                (0..d.m, block_range(d.n, p, g))
-            }
-            KernelId::Family(AlgorithmFamily::DenseRepl25) => {
-                // Canonical home block: macro row u, column block
-                // σ₀·c + w of the q·c-way split (σ₀ = (u+v) mod q).
-                let (q, u, v, w) = self.coords25(g);
-                let sigma0 = (u + v) % q;
-                (
-                    block_range(d.m, q, u),
-                    block_range(d.n, q * c, sigma0 * c + w),
-                )
-            }
-            KernelId::Family(AlgorithmFamily::SparseRepl25) => {
-                // The (u, v) block of the q×q layer grid, identical on
-                // every fiber layer.
-                let (q, u, v, _) = self.coords25(g);
-                (block_range(d.m, q, u), block_range(d.n, q, v))
-            }
-            KernelId::Baseline1D => (block_range(d.m, p, g), 0..d.n),
+            _ => empty_bounds(),
         }
     }
 
@@ -328,8 +384,14 @@ pub fn empty_bounds() -> (Range<usize>, Range<usize>) {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::common::Routing;
+    use crate::kernel::KernelBuilder;
+    use crate::staged::StagedProblem;
+    use dsk_comm::{MachineModel, SimWorld};
+    use dsk_sparse::CooMatrix;
 
     fn plan_for(family: AlgorithmFamily, c: usize) -> KernelPlan {
         KernelPlan {
@@ -377,5 +439,99 @@ mod tests {
             assert_eq!(view.b_layout_of(9), empty_layout(), "{family:?}");
             assert_eq!(view.r_bounds_of(4), empty_bounds(), "{family:?}");
         }
+    }
+
+    /// Every kernel at every admissible `c` of `p ∈ {4, 8, 9, 16}`.
+    fn every_view(dims: ProblemDims) -> Vec<PlanView> {
+        let mut views = Vec::new();
+        for p in [4, 8, 9, 16] {
+            views.push(PlanView::of(KernelId::Baseline1D, 1, p, dims));
+            for family in AlgorithmFamily::ALL {
+                for c in (1..=p).filter(|&c| family.valid_c(p, c)) {
+                    views.push(PlanView::of(KernelId::Family(family), c, p, dims));
+                }
+            }
+        }
+        views
+    }
+
+    #[test]
+    fn cells_tile_s_once_per_replica_set() {
+        let prob = GlobalProblem::erdos_renyi(37, 41, 5, 4, 211);
+        let staged = StagedProblem::ephemeral(&prob);
+        let tiles = |ranges: &[Range<usize>], total: usize| {
+            ranges.windows(2).all(|w| w[0].end == w[1].start)
+                && ranges.first().map(|r| r.start) == Some(0)
+                && ranges.last().map(|r| r.end) == Some(total)
+        };
+        for view in every_view(prob.dims) {
+            // 2.5D sparse replication holds each block on all c layers.
+            let sr25 = view.id() == KernelId::Family(AlgorithmFamily::SparseRepl25);
+            let copies = if sr25 { view.c() } else { 1 };
+            for transposed in [false, true] {
+                let [rows, cols] = view.sparse_grid(transposed);
+                let (m, n) = (prob.dims.m, prob.dims.n);
+                let (m, n) = if transposed { (n, m) } else { (m, n) };
+                assert!(tiles(&rows, m) && tiles(&cols, n), "{view:?}");
+                let mut held = vec![vec![0; cols.len()]; rows.len()];
+                let mut nnz = 0;
+                for g in 0..view.p() {
+                    for (i, j) in view.cells(g) {
+                        held[i][j] += 1;
+                    }
+                    let cut = staged.cut(&view, g, transposed);
+                    nnz += cut.blocks().map(CooMatrix::nnz).sum::<usize>();
+                }
+                assert!(held.iter().flatten().all(|&k| k == copies), "{view:?}");
+                assert_eq!(nnz, copies * prob.nnz(), "{view:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn exported_r_lies_inside_its_bounds() {
+        let prob = Arc::new(GlobalProblem::erdos_renyi(37, 41, 5, 4, 212));
+        for view in every_view(prob.dims) {
+            let plan = KernelPlan {
+                id: view.id(),
+                ..plan_for(AlgorithmFamily::DenseShift15, view.c())
+            };
+            let builder = KernelBuilder::from_arc(Arc::clone(&prob));
+            let world = SimWorld::new(view.p(), MachineModel::bandwidth_only());
+            let out = world.run(move |comm| {
+                let mut worker = builder.build_planned(comm, &plan);
+                worker.sddmm();
+                let local = worker.export_r().expect("sddmm stores R");
+                let (rows, cols) = view.r_bounds_of(comm.rank());
+                let outside = local
+                    .iter()
+                    .filter(|&(i, j, _)| !rows.contains(&i) || !cols.contains(&j));
+                (outside.count(), local.nnz())
+            });
+            assert!(out.iter().all(|o| o.value.0 == 0), "{view:?}");
+            let exported: usize = out.iter().map(|o| o.value.1).sum();
+            assert_eq!(exported, prob.nnz(), "{view:?}: each nonzero once");
+        }
+    }
+
+    #[test]
+    fn a_grid_fits_when_both_sides_hold_its_finest_cut() {
+        let dims = ProblemDims::new(3, 8, 4);
+        let view = |family, c| PlanView::new(&plan_for(family, c), 4, dims);
+        assert!(!view(AlgorithmFamily::DenseShift15, 2).fits());
+        assert!(!view(AlgorithmFamily::SparseShift15, 1).fits());
+        assert!(view(AlgorithmFamily::SparseRepl25, 1).fits());
+        assert!(view(AlgorithmFamily::SparseRepl25, 4).fits());
+        assert_eq!(view(AlgorithmFamily::DenseRepl25, 4).min_side(), 4);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "DenseShift15), c: 2, p: 4, dims: ProblemDims { m: 3, n: 8, r: 4 } } needs sides of at least 4"
+    )]
+    fn a_cut_the_sides_cannot_hold_panics() {
+        let prob = GlobalProblem::erdos_renyi(3, 8, 4, 2, 213);
+        let view = PlanView::new(&plan_for(AlgorithmFamily::DenseShift15, 2), 4, prob.dims);
+        let _ = StagedProblem::ephemeral(&prob).cut(&view, 0, false);
     }
 }

@@ -420,13 +420,19 @@ impl RStore {
         self
     }
 
-    /// Mark the store as replica `layer` of `c`: the block's values are
+    /// Mark the store as replica `layer` of `c`: the block keeps only
     /// this layer's [`block_range`] share of the sampling values (at
-    /// their own positions), that share alone is scored, and only layer
-    /// 0 exports.
+    /// their own positions, zero elsewhere), that share alone is scored,
+    /// and only layer 0 exports.
     pub(crate) fn replicated_share(mut self, layer: usize, c: usize) -> Self {
-        let nnz = each_format!(&self.blocks, b => b[0].nnz());
-        self.share = Some(block_range(nnz, c, layer));
+        let vals = match &mut self.blocks {
+            Blocks::Csr(b) => b[0].vals_mut(),
+            Blocks::Coo(b) => &mut b[0].vals[..],
+        };
+        let share = block_range(vals.len(), c, layer);
+        vals[..share.start].fill(0.0);
+        vals[share.end..].fill(0.0);
+        self.share = Some(share);
         self.exports = layer == 0;
         self
     }

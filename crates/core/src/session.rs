@@ -598,7 +598,6 @@ impl Session {
         pin: Option<(Algorithm, usize)>,
     ) -> PlannedCandidate {
         let mut builder = KernelBuilder::for_shape(self.staged.prob.dims, observed_nnz)
-            .model(*self.world.model())
             .max_replication(self.c_max);
         if let Some((algorithm, c)) = pin {
             builder = builder
@@ -606,7 +605,7 @@ impl Session {
                 .replication(c)
                 .routing(Routing::Dense);
         }
-        let candidates = builder.plan_candidates(p);
+        let candidates = builder.plan_candidates_with(p, *self.world.model());
         *candidates
             .first()
             .unwrap_or_else(|| panic!("no admissible plan for p = {p} (pinned: {pin:?})"))
@@ -660,17 +659,7 @@ impl Session {
                 "active ranks disagree on whether R values are stored"
             );
             let _ph = over.phase(phase);
-            let bounds = |view: PlanView| -> Vec<Bounds> {
-                (0..over.size()).map(|g| view.r_bounds_of(g)).collect()
-            };
-            let global = redistribute_r(
-                over,
-                exported.as_ref(),
-                &bounds(old),
-                &bounds(new),
-                dims.m,
-                dims.n,
-            );
+            let global = redistribute_r(over, exported.as_ref(), old, new);
             if let Some(w) = &mut worker {
                 w.import_r(&global);
             }
@@ -875,10 +864,11 @@ fn unpruned(vals: &[f64]) -> usize {
 
 type Bounds = (std::ops::Range<usize>, std::ops::Range<usize>);
 
-/// Owner-targeted R-value redistribution: route each exported
-/// global-coordinate triplet to exactly the ranks whose destination
-/// pattern bounds contain it, and merge what arrives into one
-/// global-coordinate [`CooMatrix`].
+/// Owner-targeted R-value redistribution from the `old` plan's R
+/// layout to the `new` one's, both viewed over `comm`: route each
+/// exported global-coordinate triplet to exactly the ranks whose
+/// destination pattern bounds ([`PlanView::r_bounds_of`]) contain it,
+/// and merge what arrives into one global-coordinate [`CooMatrix`].
 ///
 /// Ownership on both sides is pure grid arithmetic — no communication
 /// discovers it. A peer pair only exchanges a message when the source's
@@ -892,13 +882,12 @@ type Bounds = (std::ops::Range<usize>, std::ops::Range<usize>);
 fn redistribute_r(
     comm: &Comm,
     local: Option<&CooMatrix>,
-    old_bounds: &[Bounds],
-    new_bounds: &[Bounds],
-    m: usize,
-    n: usize,
+    old: PlanView,
+    new: PlanView,
 ) -> CooMatrix {
-    let p = comm.size();
-    let me = comm.rank();
+    let (p, me, dims) = (comm.size(), comm.rank(), new.dims());
+    let bounds = |view: PlanView| (0..p).map(|g| view.r_bounds_of(g)).collect::<Vec<_>>();
+    let (old_bounds, new_bounds) = (bounds(old), bounds(new));
     fn overlaps(a: &Bounds, b: &Bounds) -> bool {
         a.0.start < b.0.end && b.0.start < a.0.end && a.1.start < b.1.end && b.1.start < a.1.end
     }
@@ -929,7 +918,7 @@ fn redistribute_r(
         .map(|g| overlaps(&old_bounds[g], &new_bounds[me]))
         .collect();
     let incoming = comm.sparse_alltoallv(outgoing, &expect);
-    let mut global = CooMatrix::empty(m, n);
+    let mut global = CooMatrix::empty(dims.m, dims.n);
     for (rows, cols, vals) in incoming.into_iter().flatten() {
         global.rows.extend_from_slice(&rows);
         global.cols.extend_from_slice(&cols);

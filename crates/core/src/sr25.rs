@@ -39,8 +39,8 @@ use crate::common::{
     block_range, route, AlgorithmFamily, Elision, Routing, Sampling, ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::planview::Operand;
-use crate::rstore::{RStore, RValues, Source};
+use crate::planview::{Operand, PlanView};
+use crate::rstore::{RValues, Source};
 use crate::staged::StagedProblem;
 use crate::state::KernelState;
 
@@ -77,35 +77,18 @@ impl SparseRepl25 {
         let prob = &*staged.prob;
         let grid = Grid25::new(comm.size(), c).expect("invalid 2.5D grid");
         let gc = GridComms25::build(comm, grid);
-        let q = grid.q;
-        let (m, n) = (prob.dims.m, prob.dims.n);
-        assert!(m >= q && n >= q, "matrix sides too small for grid");
-        let (u, v, w) = (gc.u, gc.v, gc.w);
-
-        let rows: Vec<_> = (0..q).map(|uu| block_range(m, q, uu)).collect();
-        let cols: Vec<_> = (0..q).map(|vv| block_range(n, q, vv)).collect();
-        let grid_s = staged.partition(false, &rows, &cols);
-        let blk = &grid_s[u][v];
-        let route_a = route(&gc.row_ring, routing, || {
-            vec![RowSet::from_indices(blk.rows.clone()); q]
-        });
-        let route_b = route(&gc.col_ring, routing, || {
-            vec![RowSet::from_indices(blk.cols.clone()); q]
-        });
-        let mut s_share = CsrMatrix::from_coo(blk);
-        let part = block_range(s_share.nnz(), c, w);
-        let vals = s_share.vals_mut();
-        vals[..part.start].fill(0.0);
-        vals[part.end..].fill(0.0);
-        let offset = (rows[u].start, cols[v].start);
-
         let id = KernelId::Family(AlgorithmFamily::SparseRepl25);
-        let r = RStore::csr((m, n), vec![s_share], vec![offset]).replicated_share(w, c);
-        SparseRepl25 {
-            gc,
-            state: KernelState::new(id, c, comm, prob, r),
-            routes: [route_a, route_b],
-        }
+        let view = PlanView::of(id, c, comm.size(), prob.dims);
+        let s = staged.cut(&view, comm.rank(), false);
+        let (blk, q) = (s.cell(0), grid.q);
+        let need = |support: &[u32]| vec![RowSet::from_indices(support.to_vec()); q];
+        let routes = [
+            route(&gc.row_ring, routing, || need(&blk.rows)),
+            route(&gc.col_ring, routing, || need(&blk.cols)),
+        ];
+        let r = s.csr().replicated_share(gc.w, c);
+        let state = KernelState::new(view, comm, prob, r, None);
+        SparseRepl25 { gc, state, routes }
     }
 
     fn q(&self) -> usize {

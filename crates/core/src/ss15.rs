@@ -38,9 +38,9 @@ use crate::common::{
     ShiftPipeline,
 };
 use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::planview::Operand;
-use crate::rstore::{RStore, RValues, Source};
-use crate::staged::StagedProblem;
+use crate::planview::{Operand, PlanView};
+use crate::rstore::{RValues, Source};
+use crate::staged::{Cut, StagedProblem};
 use crate::state::KernelState;
 
 /// Tag for traveling sparse blocks.
@@ -50,36 +50,17 @@ const TAG_SPARSE: u32 = 110;
 pub struct SparseShift15 {
     /// Grid communicators (layer ring + replication fiber).
     pub gc: GridComms15,
-    /// The R store holds the home column block of `S` (rows global over
-    /// `m`, columns local to block `u·c+v`; values = sampling values).
-    /// Each operand's iterate blocks are its stationary blocks by slot
-    /// `w` (rows `block(rows, p, w·c+v)` × slice `u`); its replica copy
-    /// is rows `block(rows, c, v)` × slice `u`.
+    /// The pattern stores hold the home column blocks of `S` (R store)
+    /// and of `Sᵀ` (rows global, columns local to block `u·c+v`; values
+    /// = sampling values). Each operand's iterate blocks are its
+    /// stationary blocks by slot `w` (rows `block(rows, p, w·c+v)` ×
+    /// slice `u`); its replica copy is rows `block(rows, c, v)` × slice
+    /// `u`.
     state: KernelState,
-    /// Home column block of `Sᵀ` (rows global over `n`, columns local
-    /// to the `m`-block `u·c+v`) for the transposed (FusedMMA) paths.
-    st_home: CooMatrix,
     /// Fiber pattern for the `A`-replicating paths (rows over `m`) and
     /// for the transposed, `B`-replicating ones (rows over `n`); `None`
     /// = dense all-gathers, the default.
     routes: [Option<CommPattern>; 2],
-}
-
-/// One orientation of the worker's data, a view into its state:
-/// canonical (`S` travels, `A` is replicated, `B` stationary) or
-/// transposed (`Sᵀ`, `B`, `A`).
-struct Side<'a> {
-    /// Home column block of the oriented sparse matrix; its row count is
-    /// the replicated operand's.
-    home: &'a CooMatrix,
-    /// Replicate-layout share of the replicated operand.
-    rep: &'a Mat,
-    /// The stationary operand.
-    stat_op: Operand,
-    /// Its blocks, by slot.
-    stat: &'a [Mat],
-    /// Fiber pattern for the replicated operand's all-gather.
-    route: Option<&'a CommPattern>,
 }
 
 impl SparseShift15 {
@@ -95,22 +76,14 @@ impl SparseShift15 {
         let prob = &*staged.prob;
         let grid = Grid15::new(comm.size(), c).expect("invalid 1.5D grid");
         let gc = GridComms15::build(comm, grid);
-        let p = grid.p;
-        let q = grid.layer_size();
-        let (m, n) = (prob.dims.m, prob.dims.n);
-        assert!(m >= p && n >= p, "matrix sides must be at least p");
-        let (g, v) = (comm.rank(), gc.v);
-
-        // Home S column block (rows stay global).
-        let col_blocks: Vec<_> = (0..p).map(|j| block_range(n, p, j)).collect();
-        let s_cols = staged.partition(false, std::slice::from_ref(&(0..m)), &col_blocks);
-        let r = RStore::coo((m, n), s_cols[0][g].clone(), (0, col_blocks[g].start));
-        let col_blocks_t: Vec<_> = (0..p).map(|j| block_range(m, p, j)).collect();
-        let st_cols = staged.partition(true, std::slice::from_ref(&(0..n)), &col_blocks_t);
-        let st_home = st_cols[0][g].clone();
-        let routed = |cols: &[CooMatrix], total: usize| {
+        let (q, v) = (grid.layer_size(), gc.v);
+        let id = KernelId::Family(AlgorithmFamily::SparseShift15);
+        let view = PlanView::of(id, c, comm.size(), prob.dims);
+        let s = staged.cut(&view, comm.rank(), false);
+        let (r, st) = (s.coo(), staged.cut(&view, comm.rank(), true));
+        let routed = |cut: &Cut, total: usize| {
             route(&gc.fiber, routing, || {
-                let rows = (0..q).flat_map(|w| &cols[w * c + v].rows);
+                let rows = (0..q).flat_map(|w| &cut.grid[0][w * c + v].rows);
                 let need = RowSet::from_indices(rows.copied().collect());
                 (0..c)
                     .map(|vv| {
@@ -122,41 +95,21 @@ impl SparseShift15 {
                     .collect()
             })
         };
-        let routes = [routed(&s_cols[0], m), routed(&st_cols[0], n)];
-
-        let id = KernelId::Family(AlgorithmFamily::SparseShift15);
-        SparseShift15 {
-            gc,
-            state: KernelState::new(id, c, comm, prob, r),
-            st_home,
-            routes,
-        }
+        let routes = [routed(&s, prob.dims.m), routed(&st, prob.dims.n)];
+        let state = KernelState::new(view, comm, prob, r, Some(st.coo()));
+        SparseShift15 { gc, state, routes }
     }
 
     fn q(&self) -> usize {
         self.gc.grid.layer_size()
     }
 
-    /// The orientation whose stationary operand is `stat_op`: the
-    /// canonical one for `B`, the transposed one for `A`.
-    fn side(&self, stat_op: Operand) -> Side<'_> {
-        let rep = stat_op.other();
-        Side {
-            home: match stat_op {
-                Operand::A => &self.st_home,
-                Operand::B => self.state.r.coo_block(),
-            },
-            rep: self.state.replica(rep),
-            stat_op,
-            stat: self.state.blocks(stat_op),
-            route: self.routes[rep as usize].as_ref(),
-        }
-    }
-
-    /// All-gather one orientation's replicated operand along the fiber
-    /// (routed by `route`) into its full panel.
-    fn replicate(&self, side: &Side<'_>, route: Option<&CommPattern>) -> Mat {
-        replicate_rows(&self.gc.fiber, side.rep, side.home.nrows, route)
+    /// All-gather the replicated operand `rep` along the fiber into its
+    /// full panel, routed by its fiber pattern when `routed`.
+    fn replicate(&self, rep: Operand, routed: bool) -> Mat {
+        let route = self.routes[rep as usize].as_ref().filter(|_| routed);
+        let rows = rep.rows(self.state.view.dims());
+        replicate_rows(&self.gc.fiber, self.state.replica(rep), rows, route)
     }
 
     /// The layer-ring pipeline moving traveling COO blocks (3
@@ -232,11 +185,11 @@ impl SparseShift15 {
         Mat::vstack(&outs)
     }
 
-    /// SpMM on one orientation: replicate its dense operand, travel
-    /// the valued home block `blk`.
-    fn spmm(&self, side: &Side<'_>, blk: &CooMatrix) -> Mat {
-        let t = self.replicate(side, side.route);
-        self.scatter_round(blk, &t, side.stat_op)
+    /// SpMM into the stationary layout of `out`: replicate the other
+    /// operand, travel the valued home block `blk`.
+    fn spmm(&self, out: Operand, blk: &CooMatrix) -> Mat {
+        let t = self.replicate(out.other(), true);
+        self.scatter_round(blk, &t, out)
     }
 }
 
@@ -251,21 +204,21 @@ impl DistKernel for SparseShift15 {
 
     /// Replicates `A`, travels `S`; the result stays on the home block.
     fn dots(&self, combine: &CombineSpec) -> Vec<Vec<f64>> {
-        let side = self.side(Operand::B);
-        let t_a = self.replicate(&side, side.route);
-        vec![self.dots_round(side.home, &t_a, side.stat, combine).vals]
+        let (home, t_a) = (self.state.r.coo_block(), self.replicate(Operand::A, true));
+        let y_stat = self.state.blocks(Operand::B);
+        vec![self.dots_round(home, &t_a, y_stat, combine).vals]
     }
 
     /// Via the transposed roles (replicates `B`, travels `Sᵀ`);
     /// returned in the stationary `A` layout.
     fn spmm_a(&mut self) -> Mat {
-        self.spmm(&self.side(Operand::A), &self.st_home)
+        self.spmm(Operand::A, self.state.pattern(Operand::B).coo_block())
     }
 
     /// Returned in the stationary `B` layout.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
         let (traveler, _) = self.state.r.traveler_of(Source::stored_if(use_r));
-        self.spmm(&self.side(Operand::B), &traveler)
+        self.spmm(Operand::B, &traveler)
     }
 
     /// On the orientation whose stationary operand is `out`: `y`
@@ -278,15 +231,15 @@ impl DistKernel for SparseShift15 {
         elision: Elision,
         sampling: Sampling,
     ) -> Mat {
-        let side = self.side(out);
+        let home = self.state.pattern(out.other()).coo_block();
         let split = y.map(|stacked| self.state.layout(out).split(stacked));
-        let y_stat = split.as_deref().unwrap_or(side.stat);
-        let route = side.route.filter(|_| elision == Elision::None);
-        let t = self.replicate(&side, route);
-        let mut blk = self.dots_round(side.home, &t, y_stat, &CombineSpec::Dot);
-        sampling.apply(&mut blk.vals, &side.home.vals);
+        let y_stat = split.as_deref().unwrap_or(self.state.blocks(out));
+        let routed = elision == Elision::None;
+        let t = self.replicate(out.other(), routed);
+        let mut blk = self.dots_round(home, &t, y_stat, &CombineSpec::Dot);
+        sampling.apply(&mut blk.vals, &home.vals);
         // Unoptimized: without elision the SpMM call replicates again.
-        let again = (elision == Elision::None).then(|| self.replicate(&side, route));
+        let again = routed.then(|| self.replicate(out.other(), routed));
         self.scatter_round(&blk, again.as_ref().unwrap_or(&t), out)
     }
 

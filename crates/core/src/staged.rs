@@ -1,5 +1,6 @@
 //! Shared staging for distributed runs: a [`GlobalProblem`] plus a
-//! cache of its block partitions.
+//! cache of its block partitions, and the one cut of a rank's sparse
+//! blocks (`StagedProblem::cut`) every kernel is built from.
 //!
 //! Every rank of a simulated world builds its local blocks from the same
 //! global matrices. Having each of `p` ranks re-partition the sparse
@@ -17,9 +18,11 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dsk_sparse::partition::partition_by_ranges;
-use dsk_sparse::CooMatrix;
+use dsk_sparse::{CooMatrix, CsrMatrix};
 
 use crate::global::GlobalProblem;
+use crate::planview::PlanView;
+use crate::rstore::RStore;
 
 type Grid = Vec<Vec<CooMatrix>>;
 type Key = (bool, Vec<usize>, Vec<usize>);
@@ -70,14 +73,10 @@ impl StagedProblem {
         Self::new(Arc::new(prob.clone()))
     }
 
-    /// `Sᵀ`, computed once.
-    pub fn s_transposed(&self) -> &CooMatrix {
-        self.transpose.get_or_init(|| self.prob.s.transpose())
-    }
-
-    /// The block partition of `S` (or `Sᵀ` when `transposed`) by the
-    /// given row/column ranges, computed once per geometry and shared.
-    pub fn partition(
+    /// The block partition of `S` (or `Sᵀ`, itself computed once, when
+    /// `transposed`) by the given row/column ranges, computed once per
+    /// geometry and shared.
+    fn partition(
         &self,
         transposed: bool,
         row_ranges: &[Range<usize>],
@@ -89,13 +88,78 @@ impl StagedProblem {
             col_ranges.iter().map(|r| r.start).collect(),
         );
         self.partitions.get_or_compute(key, || {
-            let src = if transposed {
-                self.s_transposed()
-            } else {
-                &self.prob.s
+            let src = match transposed {
+                true => self.transpose.get_or_init(|| self.prob.s.transpose()),
+                false => &self.prob.s,
             };
             partition_by_ranges(src, row_ranges, col_ranges)
         })
+    }
+
+    /// Rank `g`'s blocks of `S` (of `Sᵀ` when `transposed`) under the
+    /// sparse layout of `view` ([`PlanView::cells`] of its block grid),
+    /// cut from the memoized partition of that grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the problem's sides do not admit the grid
+    /// ([`PlanView::fits`]).
+    pub(crate) fn cut(&self, view: &PlanView, g: usize, transposed: bool) -> Cut {
+        let side = view.min_side();
+        assert!(view.fits(), "{view:?} needs sides of at least {side}");
+        let [rows, cols] = view.sparse_grid(transposed);
+        let cells = view.cells(g);
+        let offsets = cells.iter().map(|&(i, j)| (rows[i].start, cols[j].start));
+        Cut {
+            grid: self.partition(transposed, &rows, &cols),
+            offsets: offsets.collect(),
+            global: (rows[rows.len() - 1].end, cols[cols.len() - 1].end),
+            cells,
+        }
+    }
+}
+
+/// One rank's blocks of `S` or `Sᵀ`: the cells it stores, by slot, in
+/// the shared block grid they were cut from.
+pub(crate) struct Cut {
+    /// The whole block grid; pattern routing reads the cells of the
+    /// ranks a tile visits.
+    pub(crate) grid: Arc<Grid>,
+    /// This rank's cells, in slot order.
+    cells: Vec<(usize, usize)>,
+    /// Each cell's global `(row0, col0)`.
+    offsets: Vec<(usize, usize)>,
+    /// Global shape of the cut matrix.
+    global: (usize, usize),
+}
+
+impl Cut {
+    /// The block of slot `w`.
+    pub(crate) fn cell(&self, w: usize) -> &CooMatrix {
+        let (i, j) = self.cells[w];
+        &self.grid[i][j]
+    }
+
+    /// Every slot's block, in slot order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = &CooMatrix> {
+        self.cells.iter().map(|&(i, j)| &self.grid[i][j])
+    }
+
+    /// A store over the given blocks, one per slot, at the cells'
+    /// offsets.
+    pub(crate) fn store(&self, blocks: Vec<CsrMatrix>) -> RStore {
+        RStore::csr(self.global, blocks, self.offsets.clone())
+    }
+
+    /// A store over every slot's block as CSR.
+    pub(crate) fn csr(&self) -> RStore {
+        self.store(self.blocks().map(CsrMatrix::from_coo).collect())
+    }
+
+    /// A store over the one slot's block as COO.
+    pub(crate) fn coo(&self) -> RStore {
+        assert_eq!(self.cells.len(), 1, "a COO store holds one block");
+        RStore::coo(self.global, self.cell(0).clone(), self.offsets[0])
     }
 }
 

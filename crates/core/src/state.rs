@@ -2,13 +2,15 @@
 //!
 //! Each family moves data differently, but all of them keep the same
 //! things between calls: the plan view they were built on, the stored
-//! SDDMM result on their own pattern blocks, the two dense operands in
+//! SDDMM result on their own pattern blocks, the `Sᵀ` blocks of the
+//! transposed-role data flows, the two dense operands in
 //! the iterate layout, a replica-layout copy of an operand where that
 //! layout differs from the iterate one, and the ring tiles an iterate
 //! call kept. [`KernelState`] holds them once, so the trait's view,
 //! R-store, iterate and `set_*` methods are provided over
 //! [`DistKernel::state`](crate::kernel::DistKernel::state) and a family
-//! file holds only its grid, its sparse partition and its rounds.
+//! file holds only its grid, its need sets, its block post-processing
+//! and its rounds.
 
 use std::cell::{RefCell, RefMut};
 
@@ -16,7 +18,6 @@ use dsk_comm::Comm;
 use dsk_dense::Mat;
 
 use crate::global::GlobalProblem;
-use crate::kernel::KernelId;
 use crate::layout::DenseLayout;
 use crate::planview::{Operand, PlanView};
 use crate::rstore::RStore;
@@ -25,8 +26,14 @@ use crate::rstore::RStore;
 pub struct KernelState {
     /// The plan view the kernel was built on.
     pub(crate) view: PlanView,
-    /// The stored SDDMM result on this rank's pattern blocks.
+    /// The stored SDDMM result on this rank's pattern blocks: its `S`
+    /// blocks, whose rows are `A`'s.
     pub(crate) r: RStore,
+    /// Its `Sᵀ` blocks, whose rows are `B`'s, for the transposed-role
+    /// data flows (none under 2.5D sparse replication, whose panels
+    /// both travel against the one `S` block); values = sampling
+    /// values.
+    rt: Option<RStore>,
     /// This rank's index in the world the kernel was built on.
     rank: usize,
     /// Each operand in the iterate layout, one block per row range of
@@ -42,26 +49,44 @@ pub struct KernelState {
 }
 
 impl KernelState {
-    /// This rank's state for kernel `id` at replication factor `c` on
-    /// `comm`: its share of `prob`'s operands in the view's layouts, and
-    /// `r`, its pattern blocks.
+    /// This rank's state under `view` on `comm`: its share of `prob`'s
+    /// operands in the view's layouts, and its pattern stores, `r` of
+    /// the `S` blocks and `rt` of the `Sᵀ` blocks.
     pub(crate) fn new(
-        id: KernelId,
-        c: usize,
+        view: PlanView,
         comm: &Comm,
         prob: &GlobalProblem,
         r: RStore,
+        rt: Option<RStore>,
     ) -> Self {
-        let (view, g) = (PlanView::of(id, c, comm.size(), prob.dims), comm.rank());
+        let g = comm.rank();
         let ops = [Operand::A, Operand::B];
         let replica = |op: Operand| view.layout_of(op, true, g).extract(op.of(prob));
         KernelState {
             view,
             r,
+            rt,
             rank: g,
             iterate: ops.map(|op| view.layout_of(op, false, g).pieces(op.of(prob))),
             replica: ops.map(|op| view.has_replica(op).then(|| replica(op))),
             held: Default::default(),
+        }
+    }
+
+    /// The pattern store whose rows are `op`'s: the R store of the `S`
+    /// blocks for `A`, the `Sᵀ` blocks for `B`.
+    pub(crate) fn pattern(&self, op: Operand) -> &RStore {
+        match op {
+            Operand::A => &self.r,
+            Operand::B => self.rt.as_ref().expect("this layout holds no Sᵀ blocks"),
+        }
+    }
+
+    /// Mutable access to [`KernelState::pattern`].
+    pub(crate) fn pattern_mut(&mut self, op: Operand) -> &mut RStore {
+        match op {
+            Operand::A => &mut self.r,
+            Operand::B => self.rt.as_mut().expect("this layout holds no Sᵀ blocks"),
         }
     }
 

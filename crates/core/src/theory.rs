@@ -28,6 +28,8 @@
 //! has no tie rule yet.
 
 use crate::common::{AlgorithmFamily, Elision, ProblemDims, Routing};
+use crate::kernel::KernelId;
+use crate::planview::PlanView;
 use dsk_comm::MachineModel;
 
 /// An algorithm choice: family plus elision strategy.
@@ -344,7 +346,9 @@ pub fn valid_replication_factors(alg: Algorithm, p: usize, c_max: usize) -> Vec<
         .collect()
 }
 
-/// The admissible replication factor minimizing the modeled word count.
+/// The admissible replication factor minimizing the modeled word count,
+/// among those whose sparse grid the problem's sides admit
+/// ([`PlanView`]'s one shape precondition).
 pub fn optimal_c_search(
     alg: Algorithm,
     p: usize,
@@ -354,6 +358,7 @@ pub fn optimal_c_search(
 ) -> Option<usize> {
     valid_replication_factors(alg, p, c_max)
         .into_iter()
+        .filter(|&c| PlanView::of(KernelId::Family(alg.family), c, p, dims).fits())
         .min_by(|&a, &b| {
             let wa = words_per_processor(alg, p, a, dims, nnz);
             let wb = words_per_processor(alg, p, b, dims, nnz);

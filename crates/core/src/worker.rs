@@ -36,7 +36,6 @@ impl DistWorker {
         p: usize,
         dims: ProblemDims,
     ) -> Self {
-        debug_assert_eq!(kernel.id(), plan.id, "plan does not match kernel");
         debug_assert_eq!(
             kernel.view(),
             PlanView::new(&plan, p, dims),

@@ -55,8 +55,8 @@ fn main() {
         "", "", "", "", "", "", ""
     );
 
-    let builder = KernelBuilder::for_shape(dims, nnz).model(model);
-    let candidates = builder.plan_candidates(p);
+    let builder = KernelBuilder::for_shape(dims, nnz);
+    let candidates = builder.plan_candidates_with(p, model);
     for (i, cand) in candidates.iter().enumerate() {
         println!(
             "| {:<4} | {:<42} | {:<8} | {:>6} | {:>14.0} | {:>9.0} | {:>12.5} |",
@@ -121,7 +121,7 @@ fn main() {
          column is the extra latency of the pattern exchange."
     );
 
-    let plan = builder.plan(p);
+    let plan = builder.plan_with(p, model);
     println!(
         "\nplanner pick: {} at c = {} (comm {:.5} s)",
         plan.algorithm().unwrap().label(),

@@ -96,7 +96,7 @@ fn measure(family: Option<AlgorithmFamily>, routing: Routing) -> Table {
         let supported: Vec<Elision> = elisions
             .iter()
             .copied()
-            .filter(|&e| k.supports(e))
+            .filter(|&e| k.view().supports(e))
             .collect();
         let preferred = *supported.last().expect("Elision::None is always supported");
         for e in supported {

@@ -270,3 +270,33 @@ fn auto_matches_theory_and_runs_on_four_regimes() {
         );
     }
 }
+
+/// `.auto()` picks only plans whose sparse grid the problem's sides
+/// admit. At these small shapes the 1.5D families' `p` column blocks
+/// do not fit (sides < p); the pick must build, and its gathered
+/// FusedMMB must equal the serial reference.
+#[test]
+fn auto_builds_its_pick_at_sides_below_p() {
+    use distributed_sparse_kernels::core::layout::gather_dense;
+    use std::sync::Arc;
+
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * b.abs().max(1.0);
+    for (p, m, n) in [(4, 3, 3), (4, 3, 8), (8, 5, 5), (8, 6, 12), (16, 9, 9)] {
+        let r = 4;
+        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 2, 8100 + p as u64));
+        let expect = prob.reference_fused_b();
+        let builder = KernelBuilder::from_arc(Arc::clone(&prob)).auto();
+        let world = SimWorld::new(p, MachineModel::cori_knl());
+        let out = world.run(move |comm| {
+            let mut worker = builder.build(comm);
+            let view = worker.view();
+            let elision = worker.plan().elision;
+            let local = worker.fused_mm_b(None, elision, Sampling::Values);
+            gather_dense(comm, 0, &local, |g| view.b_layout_of(g), n, r)
+        });
+        let got = out[0].value.as_ref().unwrap();
+        for (g, e) in got.as_slice().iter().zip(expect.as_slice()) {
+            assert!(close(*g, *e), "p={p} {m}×{n}: {g} vs {e}");
+        }
+    }
+}

@@ -87,9 +87,8 @@ fn staged(r: usize, nnz_row: usize, seed: u64) -> StagedProblem {
 
 fn scoreboard(staged: &StagedProblem) -> Vec<PlannedCandidate> {
     let cands = KernelBuilder::from_staged(staged)
-        .model(MachineModel::cori_knl())
         .max_replication(C_MAX)
-        .plan_candidates(P);
+        .plan_candidates_with(P, MachineModel::cori_knl());
     assert!(!cands.is_empty(), "no admissible candidate at p = {P}");
     cands
 }
@@ -104,7 +103,7 @@ fn run_fused(
     backend: BackendKind,
 ) -> (KernelPlan, f64, u64) {
     let model = MachineModel::cori_knl();
-    let builder = KernelBuilder::from_staged(staged).model(model);
+    let builder = KernelBuilder::from_staged(staged);
     let builder = match pin {
         Some(cand) => builder
             .algorithm(cand.algorithm)
@@ -112,7 +111,7 @@ fn run_fused(
             .replication(cand.c),
         None => builder.auto().max_replication(C_MAX),
     };
-    let plan = builder.plan(P);
+    let plan = builder.plan_with(P, model);
     let outcomes = SimWorld::new(P, model).backend(backend).run(|comm| {
         let mut worker = builder.build(comm);
         assert_eq!(worker.plan(), plan, "built worker diverged from the plan");

@@ -186,8 +186,20 @@ const RULES: &[Rule] = &[
             RStore / PlanView)",
         why: "The stored-R surface lives in rstore.rs (provided DistKernel methods over r_store; \
             a family names only its R row group) and Table II layout/bounds arithmetic in \
-            planview.rs (provided methods over view); a family file's own copy forks the one \
+            planview.rs (callers ask DistKernel::view); a family file's own copy forks the one \
             surface the conformance suites pin.",
+    },
+    Rule {
+        check: Check::None(E(r"\.partition\(|sides must be|too small for grid")),
+        paths: FAMILIES5,
+        exclude: NOTHING,
+        non_test: false,
+        message: "a family file cuts its own sparse blocks or checks the matrix sides itself (use \
+            StagedProblem::cut over the PlanView's sparse layout)",
+        why: "Table II's sparse layout (the S/Sᵀ block grid, the cells each rank stores, the \
+            smallest side the grid admits) lives once in planview.rs; every from_staged cuts its \
+            blocks through StagedProblem::cut, which checks the sides once (PlanView::fits), and \
+            the planner searches c only among the grids that pass that check.",
     },
     Rule {
         check: Check::None(E(

@@ -122,9 +122,7 @@ fn planner_pick_has_small_measured_regret() {
     ];
     for (n, r, nnz_row, p) in cases {
         let prob = Arc::new(GlobalProblem::erdos_renyi(n, n, r, nnz_row, 8004));
-        let cands = KernelBuilder::from_arc(Arc::clone(&prob))
-            .model(model)
-            .plan_candidates(p);
+        let cands = KernelBuilder::from_arc(Arc::clone(&prob)).plan_candidates_with(p, model);
         assert!(cands.len() >= 4, "n={n} r={r}: sweep must have depth");
         let measured: Vec<f64> = cands
             .iter()

@@ -223,7 +223,7 @@ fn fused_calls_leave_the_stored_r_values_untouched() {
                 k.map_r(&mut |_| 0.0);
                 let admitted: Vec<_> = Elision::ALL
                     .into_iter()
-                    .filter(|&e| k.supports(e))
+                    .filter(|&e| k.view().supports(e))
                     .collect();
                 for e in admitted {
                     for sampling in [Sampling::Values, Sampling::Ones] {
@@ -259,14 +259,14 @@ fn iterate_layouts_tile_and_roundtrip() {
             let mut worker = builder.build(comm);
             let k: &mut dyn DistKernel = worker.kernel_mut();
             // Layout descriptors must match the actual iterate shapes.
-            let la = k.a_iterate_layout_of(comm.rank());
+            let la = k.view().a_layout_of(comm.rank());
             let a = k.a_iterate();
             assert_eq!(a.nrows(), la.local_rows());
             assert_eq!(a.ncols(), la.width());
             // All ranks' A-iterate layouts tile m × r exactly once.
             let mut cells = 0usize;
             for g in 0..comm.size() {
-                let l = k.a_iterate_layout_of(g);
+                let l = k.view().a_layout_of(g);
                 cells += l.local_rows() * l.width();
             }
             assert_eq!(cells, m * r, "A iterate layouts must tile A");
@@ -294,7 +294,7 @@ fn fresh_workers_hold_their_iterate_layouts_of_the_global_operands() {
         let out = world.run(move |comm| {
             let worker = builder.build(comm);
             let g = comm.rank();
-            let (la, lb) = (worker.a_iterate_layout_of(g), worker.b_iterate_layout_of(g));
+            let (la, lb) = (worker.view().a_layout_of(g), worker.view().b_layout_of(g));
             let (a, b) = (worker.a_iterate(), worker.b_iterate());
             let a_ok = (a.nrows(), a.ncols()) == (la.local_rows(), la.width())
                 && bits(&a) == bits(&la.extract(&prob.a));
@@ -382,7 +382,7 @@ fn migration_round_trips_state_across_all_kernels_and_backends() {
                             comm,
                             0,
                             &s.a_iterate(),
-                            |g| k.a_iterate_layout_of(g),
+                            |g| k.view().a_layout_of(g),
                             m,
                             r,
                         );
@@ -390,7 +390,7 @@ fn migration_round_trips_state_across_all_kernels_and_backends() {
                             comm,
                             0,
                             &s.b_iterate(),
-                            |g| k.b_iterate_layout_of(g),
+                            |g| k.view().b_layout_of(g),
                             n,
                             r,
                         );
@@ -591,7 +591,7 @@ fn supports_reflects_fused_behavior() {
             let b = builder.clone();
             let out = world.run(move |comm| {
                 let mut worker = b.build(comm);
-                let supported = worker.supports(elision);
+                let supported = worker.view().supports(elision);
                 // Unsupported elisions panic at kernel entry, before
                 // any communication, so catching is rank-local.
                 let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
