@@ -176,10 +176,6 @@ pub struct GridComms25 {
     pub col_ring: Comm,
     /// Ranks sharing (row, col): the replication fiber. Rank == `w`.
     pub fiber: Comm,
-    /// All ranks sharing this rank's grid row `u` (`q·c` ranks across
-    /// columns and layers) — the reduction domain for row-wise
-    /// operations on the sparse matrix (e.g. attention softmax sums).
-    pub row_plane: Comm,
     /// Grid-row index of this rank.
     pub u: usize,
     /// Grid-column index of this rank.
@@ -204,14 +200,12 @@ impl GridComms25 {
             (v * c + w) as u64
         });
         let fiber = world.split_by(move |g| (g / c) as u64);
-        let row_plane = world.split_by(move |g| (g / (q * c)) as u64);
         let me = world.rank();
         GridComms25 {
             grid,
             row_ring,
             col_ring,
             fiber,
-            row_plane,
             u: grid.row_pos(me),
             v: grid.col_pos(me),
             w: grid.fiber_pos(me),

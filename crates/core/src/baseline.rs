@@ -29,7 +29,7 @@ use dsk_sparse::partition::block_owner;
 use dsk_sparse::{CooMatrix, CsrMatrix};
 
 use crate::common::{block_range, Elision, Sampling};
-use crate::kernel::{CombineSpec, DistKernel, KernelId};
+use crate::kernel::{CombineSpec, DistKernel};
 use crate::planview::{Operand, PlanView};
 use crate::rstore::{RValues, Source};
 use crate::staged::StagedProblem;
@@ -66,13 +66,12 @@ pub struct Baseline1D {
 }
 
 impl Baseline1D {
-    /// Build this rank's state from shared staging, including the
-    /// static scatter plans (construction traffic is charged to the
-    /// `Setup` phase, matching PETSc's amortized symbolic
+    /// Build this rank's state on the plan's `view` from shared staging,
+    /// including the static scatter plans (construction traffic is
+    /// charged to the `Setup` phase, matching PETSc's amortized symbolic
     /// factorization).
-    pub fn from_staged(comm: &Comm, staged: &StagedProblem) -> Self {
+    pub fn from_staged(comm: &Comm, view: PlanView, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
-        let view = PlanView::of(KernelId::Baseline1D, 1, comm.size(), prob.dims);
         // This rank's block row of S (of Sᵀ), remapped for its plan.
         let remapped = |transposed: bool| {
             let cut = staged.cut(&view, comm.rank(), transposed);
@@ -261,11 +260,6 @@ impl DistKernel for Baseline1D {
         self.spmm_plan(out, Source::Given(&dots), fixed).0
     }
 
-    /// None: block rows are whole on one rank.
-    fn r_row_group<'a>(&'a self, _world: &'a Comm) -> Option<&'a Comm> {
-        None
-    }
-
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
         self.spmm_plan(Operand::A, vals.into(), y)
     }
@@ -275,8 +269,7 @@ impl DistKernel for Baseline1D {
 mod tests {
     use super::*;
     use crate::global::GlobalProblem;
-    use crate::kernel::KernelBuilder;
-    use crate::planview::PlanView;
+    use crate::kernel::{KernelBuilder, KernelId};
     use dsk_comm::{MachineModel, SimWorld};
     use dsk_dense::ops::max_abs_diff;
     use std::sync::Arc;

@@ -32,10 +32,9 @@ use dsk_kernels as kern;
 use dsk_sparse::CooMatrix;
 
 use crate::common::{
-    block_range, reduce_rows, replicate_rows, route, AlgorithmFamily, Elision, Routing, Sampling,
-    ShiftPipeline,
+    block_range, reduce_rows, replicate_rows, route, Elision, Routing, Sampling, ShiftPipeline,
 };
-use crate::kernel::{CombineSpec, DistKernel, KernelId};
+use crate::kernel::{CombineSpec, DistKernel};
 use crate::planview::{Operand, PlanView};
 use crate::rstore::{RValues, Source};
 use crate::staged::{Cut, StagedProblem};
@@ -62,29 +61,27 @@ pub struct DenseRepl25 {
 }
 
 impl DenseRepl25 {
-    /// Build this rank's state from shared staging. Under
-    /// [`Routing::Dense`] this sends nothing; under
+    /// Build this rank's state on the plan's `view` from the shared
+    /// staging `sp`. Under [`Routing::Dense`] this sends nothing; under
     /// [`Routing::Pattern`] each orientation, canonical first, exchanges
     /// this rank's need sets over the column ring: the panel that starts
     /// at member `o` has `σ`-index `o + v`, and member `u` reads (or
     /// writes) it at exactly the column support of `u`'s sparse block
     /// `σ·c + w`.
-    pub fn from_staged(comm: &Comm, c: usize, routing: Routing, staged: &StagedProblem) -> Self {
-        let prob = &*staged.prob;
-        let grid = Grid25::new(comm.size(), c).expect("invalid 2.5D grid");
+    pub fn from_staged(comm: &Comm, view: PlanView, routing: Routing, sp: &StagedProblem) -> Self {
+        let (prob, c) = (&*sp.prob, view.c());
+        let grid = Grid25::new(view.p(), c).expect("invalid 2.5D grid");
         let gc = GridComms25::build(comm, grid);
         let (q, u, v, w) = (grid.q, gc.u, gc.v, gc.w);
-        let id = KernelId::Family(AlgorithmFamily::DenseRepl25);
-        let view = PlanView::of(id, c, comm.size(), prob.dims);
         let routed = |cut: &Cut| {
             route(&gc.col_ring, routing, || {
                 let cols = |o: usize| cut.grid[u][(o + v) % q * c + w].cols.clone();
                 (0..q).map(|o| RowSet::from_indices(cols(o))).collect()
             })
         };
-        let s = staged.cut(&view, comm.rank(), false);
+        let s = sp.cut(&view, comm.rank(), false);
         let (r, route_b) = (s.coo(), routed(&s));
-        let st = staged.cut(&view, comm.rank(), true);
+        let st = sp.cut(&view, comm.rank(), true);
         let routes = [routed(&st), route_b];
         let state = KernelState::new(view, comm, prob, r, Some(st.coo()));
         DenseRepl25 { gc, state, routes }
@@ -301,12 +298,6 @@ impl DistKernel for DenseRepl25 {
         self.spmm_shift_acc_round(out, &blk, again.as_ref().unwrap_or(&t_buf), route)
     }
 
-    /// The whole grid-row plane: its members split macro row `u`'s
-    /// columns.
-    fn r_row_group<'a>(&'a self, _world: &'a Comm) -> Option<&'a Comm> {
-        Some(&self.gc.row_plane)
-    }
-
     /// Takes a travel-layout operand; returned in the fiber `A` layout.
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
         let (traveler, sums) = self.state.r.traveler_of(vals.into());
@@ -327,8 +318,9 @@ impl DistKernel for DenseRepl25 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::AlgorithmFamily;
     use crate::global::GlobalProblem;
-    use crate::planview::PlanView;
+    use crate::kernel::KernelId;
     use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, Phase, SimWorld};
     use dsk_dense::ops::max_abs_diff;

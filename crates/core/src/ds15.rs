@@ -47,10 +47,10 @@ use dsk_kernels as kern;
 use dsk_sparse::CsrMatrix;
 
 use crate::common::{
-    block_range, reduce_rows, replicate_rows, route, union_range, AlgorithmFamily, Elision,
-    Routing, Sampling, ShiftPipeline,
+    block_range, reduce_rows, replicate_rows, route, union_range, Elision, Routing, Sampling,
+    ShiftPipeline,
 };
-use crate::kernel::{CombineSpec, DistKernel, KernelId};
+use crate::kernel::{CombineSpec, DistKernel};
 use crate::planview::{Operand, PlanView};
 use crate::rstore::{RValues, Source};
 use crate::staged::StagedProblem;
@@ -78,21 +78,19 @@ pub struct DenseShift15 {
 }
 
 impl DenseShift15 {
-    /// Build this rank's state from shared staging. Under
-    /// [`Routing::Dense`] this sends nothing; under
+    /// Build this rank's state on the plan's `view` from the shared
+    /// staging `sp`. Under [`Routing::Dense`] this sends nothing; under
     /// [`Routing::Pattern`] it exchanges this rank's need sets over the
     /// layer ring: for the tile from ring position `o`, the column
     /// support of the stationary block paired with it — exactly the
     /// rows of that tile this rank reads (inputs) or writes
     /// (circulating accumulators).
-    pub fn from_staged(comm: &Comm, c: usize, routing: Routing, staged: &StagedProblem) -> Self {
-        let prob = &*staged.prob;
-        let grid = Grid15::new(comm.size(), c).expect("invalid 1.5D grid");
+    pub fn from_staged(comm: &Comm, view: PlanView, routing: Routing, sp: &StagedProblem) -> Self {
+        let prob = &*sp.prob;
+        let grid = Grid15::new(view.p(), view.c()).expect("invalid 1.5D grid");
         let gc = GridComms15::build(comm, grid);
-        let id = KernelId::Family(AlgorithmFamily::DenseShift15);
-        let view = PlanView::of(id, c, comm.size(), prob.dims);
-        let s = staged.cut(&view, comm.rank(), false);
-        let (r, st) = (s.csr(), staged.cut(&view, comm.rank(), true));
+        let s = sp.cut(&view, comm.rank(), false);
+        let (r, st) = (s.csr(), sp.cut(&view, comm.rank(), true));
         let route = route(&gc.layer, routing, || {
             s.blocks()
                 .map(|b| RowSet::from_indices(b.cols.clone()))
@@ -341,11 +339,6 @@ impl DistKernel for DenseShift15 {
         }
     }
 
-    /// The fiber: its members split macro row `u`'s columns.
-    fn r_row_group<'a>(&'a self, _world: &'a Comm) -> Option<&'a Comm> {
-        Some(&self.gc.fiber)
-    }
-
     /// The SpMMA round, each stationary block walked once.
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
         self.spmm_out(Operand::A, vals.into(), y, None)
@@ -376,10 +369,10 @@ impl DistKernel for DenseShift15 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::AlgorithmFamily;
     use crate::common::ShiftMode;
     use crate::global::GlobalProblem;
-    use crate::kernel::KernelBuilder;
-    use crate::planview::PlanView;
+    use crate::kernel::{KernelBuilder, KernelId};
     use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, Phase, SimWorld};
     use dsk_dense::ops::max_abs_diff;

@@ -7,14 +7,14 @@
 //! has to write it. **Required** methods are what differs between
 //! kernels — the data flow. **Provided** methods are what does not:
 //! they are derived from the [`KernelState`] every kernel holds
-//! ([`DistKernel::state`]): its [`PlanView`] (every Table II layout,
-//! bound and group is grid arithmetic on `(kernel, c, p, dims)`), its
-//! [`RStore`] (the stored SDDMM result lives on the kernel's own
-//! pattern blocks, and what happens to it afterwards never depends on
-//! how the family moved data to compute it), its operands in the
-//! iterate layout with a replica-layout copy where the view says the
-//! two differ, and the ring tiles an iterate call kept. Callers ask
-//! the view itself ([`DistKernel::view`]) for layouts, bounds, groups,
+//! ([`DistKernel::state`]): its [`PlanView`] (every Table II layout and
+//! every group of ranks sharing rows is grid arithmetic on `(kernel, c,
+//! p, dims)`), its [`RStore`] (the stored SDDMM result lives on the
+//! kernel's own pattern blocks, and what happens to it afterwards never
+//! depends on how the family moved data to compute it), its operands in
+//! the iterate layout with a replica-layout copy where the view says
+//! the two differ, and the ring tiles an iterate call kept. Callers ask
+//! the view itself ([`DistKernel::view`]) for layouts, groups,
 //! admissibility and dims. A family file holds its grid, its need sets
 //! and its rounds, and nothing else: its sparse blocks are cut from the
 //! view's Table II layout ([`StagedProblem::cut`](crate::staged)).
@@ -25,7 +25,7 @@
 //! | §III kernels (SDDMM, SpMMA/B) | [`DistKernel::dots`] (the SDDMM data flow, unsampled), [`DistKernel::spmm_a`], [`DistKernel::spmm_b`] | [`DistKernel::sddmm`] (the dots sampled by the [`RStore`]'s values; 2.5D sparse replication overrides it) |
 //! | §IV FusedMM + elision | [`DistKernel::fused`] (the family's data flow for FusedMMA or FusedMMB, by output operand) | [`DistKernel::fused_mm_a`], [`DistKernel::fused_mm_b`] (each checks [`PlanView::supports`] once, with one message, before dispatching) |
 //! | §VI-E generalized SDDMM (the paper's GAT logits) | [`DistKernel::dots`] of a [`CombineSpec`] | [`DistKernel::sddmm_general`] |
-//! | §VI-E softmax / ALS loss plumbing | [`DistKernel::r_row_group`] (which ranks share a stored R row) | [`DistKernel::r_row_sums`] (the [`RStore`]'s local sums, all-reduced over the row group), [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
+//! | §VI-E softmax / ALS loss plumbing | | [`DistKernel::r_row_sums`] (the [`RStore`]'s local sums, all-reduced over the ranks that share the rows: the [`KernelState`]'s R-row group, read off the view's cells), [`DistKernel::map_r`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
 //! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_from`] (the family's SpMMA round, reading an [`RValues`] source: the stored R values, or attention made per nonzero from per-node factors inside the local row loop, with its row sums) | [`DistKernel::spmm_a_with`] (the stored values), [`DistKernel::spmm_a_pair_exp`] (the attention `exp(LeakyReLU(u_i + v_j))` of a [`PairExp`] and its row sums reduced over the row group: what the GAT engine runs, FusedMMA's shape) |
 //! | Table II data distributions | | [`DistKernel::a_iterate`], [`DistKernel::b_iterate`]; the layouts are [`PlanView::a_layout_of`], [`PlanView::b_layout_of`], [`PlanView::spmm_a_with_layout_of`] |
 //! | Fig. 9 distribution shifts | | [`DistKernel::set_a`], [`DistKernel::set_b`] (shifting through the view: iterate → replica layout, where the two differ; the operand's held ring tiles are dropped), [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
@@ -237,12 +237,6 @@ pub trait DistKernel: Send {
         sampling: Sampling,
     ) -> Mat;
 
-    /// The ranks that share this rank's stored R rows, over which R
-    /// row sums are reduced (`None`: the rows are whole on this rank).
-    /// `world` is the communicator the kernel was built on, the group
-    /// of the kernels whose sparse rows span every rank.
-    fn r_row_group<'a>(&'a self, world: &'a Comm) -> Option<&'a Comm>;
-
     /// SpMMA of R-patterned values from `vals` against an explicit
     /// `B`-iterate operand (the GAT convolution `α·(H·W)`), returned in
     /// the [`PlanView::spmm_a_with_layout_of`] layout: the family's
@@ -258,8 +252,8 @@ pub trait DistKernel: Send {
     // ---- provided: one implementation for every kernel ---------------
 
     /// The plan view this kernel was built on: `(kernel, c, p, dims)`.
-    /// Every layout, bound, group and admissibility answer below is
-    /// derived from it.
+    /// Every layout, group and admissibility answer below is derived
+    /// from it.
     fn view(&self) -> PlanView {
         self.state().view
     }
@@ -359,13 +353,13 @@ pub trait DistKernel: Send {
         self.spmm_b(false)
     }
 
-    /// Row sums of the stored R values, reduced over
-    /// [`DistKernel::r_row_group`] (charged to `phase`) and indexed
-    /// from the start of [`RStore::rows`], exactly as
-    /// [`DistKernel::scale_r_rows`] expects.
-    fn r_row_sums(&self, comm: &Comm, phase: Phase) -> Vec<f64> {
+    /// Row sums of the stored R values, reduced over the ranks that
+    /// share the rows (charged to `phase`; none where the rows are whole
+    /// on one rank) and indexed from the start of [`RStore::rows`],
+    /// exactly as [`DistKernel::scale_r_rows`] expects.
+    fn r_row_sums(&self, phase: Phase) -> Vec<f64> {
         let sums = self.r_store().row_sums();
-        reduce_row_sums(self.r_row_group(comm), phase, sums)
+        self.state().reduce_row_sums(phase, sums)
     }
 
     /// SpMMA with the stored R values against an explicit `B`-iterate
@@ -377,12 +371,11 @@ pub trait DistKernel: Send {
     /// The GAT convolution `E·y` with `E_ij = exp(LeakyReLU(u_i +
     /// v_j))` made from `e`'s per-node factors inside the local SpMM
     /// row loop, never stored, and `E`'s row sums: summed in the same
-    /// walk and reduced over [`DistKernel::r_row_group`] (charged to
-    /// `phase`), indexed as [`DistKernel::r_row_sums`]. The stored R
-    /// values are left untouched.
-    fn spmm_a_pair_exp(&self, comm: &Comm, phase: Phase, y: &Mat, e: &PairExp) -> (Mat, Vec<f64>) {
+    /// walk and reduced as [`DistKernel::r_row_sums`] (charged to
+    /// `phase`), indexed as it. The stored R values are left untouched.
+    fn spmm_a_pair_exp(&self, phase: Phase, y: &Mat, e: &PairExp) -> (Mat, Vec<f64>) {
         let (out, sums) = self.spmm_a_from(y, RValues::PairExp(e));
-        (out, reduce_row_sums(self.r_row_group(comm), phase, sums))
+        (out, self.state().reduce_row_sums(phase, sums))
     }
 
     /// Map every stored R value in place (local; all replicas apply the
@@ -445,16 +438,6 @@ fn admit(view: PlanView, elision: Elision) {
         "{} admits no {elision:?} elision",
         view.id().label()
     );
-}
-
-/// All-reduce local R row sums over `group` (charged to `phase`); no
-/// group means the rows are whole here and the sums are final.
-fn reduce_row_sums(group: Option<&Comm>, phase: Phase, mut sums: Vec<f64>) -> Vec<f64> {
-    if let Some(group) = group {
-        let _ph = group.phase(phase);
-        group.allreduce_sum(&mut sums);
-    }
-    sums
 }
 
 /// A resolved construction decision: which kernel, at which replication
@@ -828,16 +811,19 @@ impl<'a> KernelBuilder<'a> {
         self.build_planned(comm, &plan)
     }
 
-    /// Build this rank's worker for an already-resolved plan.
+    /// Build this rank's worker for an already-resolved plan. The
+    /// plan's [`PlanView`] on `comm` is made here, once, and handed to
+    /// the kernel's constructor, which builds on it.
     ///
     /// A pattern-routed family derives this rank's need sets from the
     /// blocks it cuts and all-gathers them over its rings while it
     /// builds — real traffic, charged to `Phase::PatternExchange`.
     pub fn build_planned(&self, comm: &Comm, plan: &KernelPlan) -> DistWorker {
         let staged = self.staged();
+        let view = PlanView::new(plan, comm.size(), staged.prob.dims);
         macro_rules! family {
             ($ty:ty) => {
-                Box::new(<$ty>::from_staged(comm, plan.c, plan.routing, staged))
+                Box::new(<$ty>::from_staged(comm, view, plan.routing, staged))
             };
         }
         let kernel: Box<dyn DistKernel> = match plan.id {
@@ -851,10 +837,10 @@ impl<'a> KernelBuilder<'a> {
                     Routing::Dense,
                     "the 1D baseline has no shift schedule to pattern-route"
                 );
-                Box::new(Baseline1D::from_staged(comm, staged))
+                Box::new(Baseline1D::from_staged(comm, view, staged))
             }
         };
-        DistWorker::from_parts(kernel, *plan, comm.size(), staged.prob.dims)
+        DistWorker::from_parts(kernel, *plan)
     }
 }
 

@@ -73,12 +73,11 @@
 //! | §VI-E generalized SDDMM (the paper's GAT logits; the serial reference's formulation) | [`sddmm_general`](kernel::DistKernel::sddmm_general) (the raw dots of a [`kernel::CombineSpec`]) | provided |
 //! | §VI-E GAT convolution, FusedMMA's shape | [`spmm_a_from`](kernel::DistKernel::spmm_a_from) (SpMMA of R-patterned values from an [`rstore::RValues`] source: the stored R values, or the attention `exp(LeakyReLU(u_i + v_j))` of an [`rstore::PairExp`] made from per-node factors inside the local row loop, never stored, with its row sums) | required |
 //! | | [`spmm_a_with`](kernel::DistKernel::spmm_a_with) (the stored values), [`spmm_a_pair_exp`](kernel::DistKernel::spmm_a_pair_exp) (the attention and its row sums reduced over the row group; what the GAT engine runs) | provided ([`rstore::RStore`] places each block's factors) |
-//! | §VI-E softmax & ALS plumbing | [`r_row_group`](kernel::DistKernel::r_row_group) (which ranks share a stored R row: the one thing that differs) | required |
-//! | | [`r_row_sums`](kernel::DistKernel::r_row_sums) (local sums all-reduced over the row group), [`map_r`](kernel::DistKernel::map_r), [`scale_r_rows`](kernel::DistKernel::scale_r_rows), [`sq_loss_local`](kernel::DistKernel::sq_loss_local), [`export_r`](kernel::DistKernel::export_r)/[`import_r`](kernel::DistKernel::import_r), [`gather_r`](kernel::DistKernel::gather_r) | provided ([`rstore::RStore`]) |
+//! | §VI-E softmax & ALS plumbing | [`r_row_sums`](kernel::DistKernel::r_row_sums) (local sums all-reduced over the ranks that share the rows, a group [`state::KernelState`] splits once from the view's cells), [`map_r`](kernel::DistKernel::map_r), [`scale_r_rows`](kernel::DistKernel::scale_r_rows), [`sq_loss_local`](kernel::DistKernel::sq_loss_local), [`export_r`](kernel::DistKernel::export_r)/[`import_r`](kernel::DistKernel::import_r), [`gather_r`](kernel::DistKernel::gather_r) | provided ([`rstore::RStore`]) |
 //! | Fig. 9 distribution shifts | [`set_a`](kernel::DistKernel::set_a)/[`set_b`](kernel::DistKernel::set_b), [`a_iterate`](kernel::DistKernel::a_iterate)/[`b_iterate`](kernel::DistKernel::b_iterate) | provided ([`state::KernelState`] over [`PlanView`]) |
 //! | | [`rhs_a`](kernel::DistKernel::rhs_a)/[`rhs_b`](kernel::DistKernel::rhs_b) | provided (the SpMM output; [`ds15`] overrides both to keep the fixed factor's ring tiles for the solve, 2.5D dense replication overrides `rhs_a`) |
 //! | Fig. 9 row-sharing dots | [`view`](kernel::DistKernel::view) → [`PlanView::row_group_a`]/[`PlanView::row_group_b`] | provided |
-//! | Table II data distributions | [`view`](kernel::DistKernel::view) → [`PlanView::a_layout_of`] et al. (dense), [`PlanView::r_bounds_of`] (the bounding box of the rank's cells of the sparse block grid every family cuts its `S`/`Sᵀ` blocks from), [`layout`] | provided |
+//! | Table II data distributions | [`view`](kernel::DistKernel::view) → [`PlanView::a_layout_of`] et al. (dense), the rank's cells of the sparse block grid every family cuts its `S`/`Sᵀ` blocks from (and a session routes stored R values by), [`layout`] | provided |
 //!
 //! Each family supports the communication-eliding strategies the paper
 //! allows for it ([`Elision`]): *replication reuse* (one replication

@@ -3,22 +3,24 @@
 //!
 //! Every family's iterate layouts, sparse block grid (the `S` and `Sᵀ`
 //! blocks each rank stores, and the smallest matrix side the grid
-//! admits), R pattern bounds, row-sharing groups and admissible
-//! elisions are grid arithmetic — they depend on the plan and the
-//! problem shape, never on a live worker or communicator. [`PlanView`]
-//! is the **only** place that arithmetic is written: every family cuts
-//! its sparse blocks from the view's grid
-//! ([`StagedProblem`](crate::staged::StagedProblem) does the cut),
-//! callers ask a live kernel's layouts, groups and admissibility of the
-//! view it was built with
-//! ([`DistKernel::view`](crate::kernel::DistKernel::view)), the planner
-//! drops the plans whose grid the problem's sides cannot hold, and
-//! callers can ask *"where would rank `g` of a `p`-rank world hold its
-//! state under this plan?"* for a world that is not running — the
+//! admits), the groups of ranks that share stored R rows or iterate
+//! rows, and admissible elisions are grid arithmetic — they depend on
+//! the plan and the problem shape, never on a live worker or
+//! communicator. [`PlanView`] is the **only** place that arithmetic is
+//! written: every family cuts its sparse blocks from the view's grid
+//! ([`StagedProblem`](crate::staged::StagedProblem) does the cut), the
+//! row groups are read off its cells and layouts, a session routes
+//! stored R values to the owners of their cells, callers ask a live
+//! kernel's layouts, groups and admissibility of the view it was built
+//! with ([`DistKernel::view`](crate::kernel::DistKernel::view)), the
+//! planner drops the plans whose grid the problem's sides cannot hold,
+//! and callers can ask *"where would rank `g` of a `p`-rank world hold
+//! its state under this plan?"* for a world that is not running — the
 //! question elastic resize ([`crate::session::Session::resize`]) must
 //! answer on both sides of a process-count change, including on ranks
 //! that are members of only one of the two worlds.
 
+use std::collections::HashMap;
 use std::ops::Range;
 
 use crate::common::{block_range, union_range, AlgorithmFamily, Elision, ProblemDims};
@@ -68,8 +70,8 @@ impl Operand {
 ///
 /// Pure and communication-free: all methods are closed-form grid
 /// arithmetic, callable for any rank from any process. Ranks outside
-/// the viewed world (`g ≥ p`) own nothing — [`empty_layout`],
-/// [`empty_bounds`] — so a view can describe one roster's side of an
+/// the viewed world (`g ≥ p`) own nothing — [`empty_layout`], no
+/// cells — so a view can describe one roster's side of an
 /// exchange over a wider communicator (a session transition's spares
 /// and retirees contribute and receive nothing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,50 +311,30 @@ impl PlanView {
         self.dims.m.min(self.dims.n) >= self.min_side()
     }
 
-    /// Global bounding rectangle `(rows, cols)` of rank `g`'s stored-R
-    /// sparsity pattern under this plan: the bounding box of its cells
-    /// of `S`. Live migration and resize
-    /// ([`crate::session::Session`]) use the *destination* plan's
-    /// bounds to route each exported triplet only to the ranks that
-    /// need it — an owner-targeted alltoallv moving `O(c·nnz)` words
-    /// instead of the `O(p·nnz)` allgather.
-    pub fn r_bounds_of(&self, g: usize) -> (Range<usize>, Range<usize>) {
-        // Cells come in ascending grid order.
-        let ([rows, cols], cells) = (self.sparse_grid(false), self.cells(g));
-        match (cells.first(), cells.last()) {
-            (Some(&(i0, j0)), Some(&(i1, j1))) => {
-                (rows[i0].start..rows[i1].end, cols[j0].start..cols[j1].end)
-            }
-            _ => empty_bounds(),
-        }
+    /// Each rank's R-row color: rank `g` shares its stored R rows with
+    /// the ranks of its replica set whose cells lie in the same block
+    /// row. Its replica index is how many lower ranks store identical
+    /// cells, so the copies of a replicated block (2.5D sparse
+    /// replication's fiber) reduce apart.
+    pub(crate) fn r_row_colors(&self) -> Vec<u64> {
+        let mut copies = HashMap::new();
+        (0..self.p)
+            .map(|g| {
+                let cells = self.cells(g);
+                let row = cells[0].0 as u64;
+                let replica = copies.entry(cells).or_insert(0);
+                *replica += 1;
+                (*replica - 1) << 32 | row
+            })
+            .collect()
     }
 
-    /// Row-sharing color of rank `g` for `op`-iterates: ranks with
-    /// equal color hold pieces of the same iterate rows.
+    /// Row-sharing color of rank `g` for `op`-iterates: the lowest rank
+    /// whose iterate layout holds the same rows.
     fn row_group(&self, op: Operand, g: usize) -> u64 {
-        let group = match self.id {
-            // Rows are whole on one rank: every rank is its own group.
-            KernelId::Family(AlgorithmFamily::DenseShift15) | KernelId::Baseline1D => g,
-            // Stationary layouts are shared by the layer (same fiber
-            // coordinate v).
-            KernelId::Family(AlgorithmFamily::SparseShift15) => g % self.c,
-            // Travel layouts are shared by the Cannon anti-diagonal
-            // {(u, v): u+v ≡ σ₀ (mod q)} within a layer w.
-            KernelId::Family(AlgorithmFamily::DenseRepl25) => {
-                let (q, u, v, w) = self.coords25(g);
-                ((u + v) % q) * self.c + w
-            }
-            // A panels are shared by the grid-row plane, B panels by
-            // the grid-column plane.
-            KernelId::Family(AlgorithmFamily::SparseRepl25) => {
-                let (_, u, v, _) = self.coords25(g);
-                match op {
-                    Operand::A => u,
-                    Operand::B => v,
-                }
-            }
-        };
-        group as u64
+        let rows = |h| self.layout_of(op, false, h).row_ranges;
+        let mine = rows(g);
+        (0..g).find(|&h| rows(h) == mine).unwrap_or(g) as u64
     }
 
     /// Row-sharing color of rank `g` for `A`-iterates.
@@ -375,11 +357,6 @@ pub fn empty_layout() -> DenseLayout {
         row_ranges: Vec::new(),
         col_range: 0..0,
     }
-}
-
-/// The empty pattern-bounds rectangle; intersects nothing.
-pub fn empty_bounds() -> (Range<usize>, Range<usize>) {
-    (0..0, 0..0)
 }
 
 #[cfg(test)]
@@ -428,16 +405,15 @@ mod tests {
     fn empty_layout_owns_nothing() {
         assert_eq!(empty_layout().local_rows(), 0);
         assert_eq!(empty_layout().width(), 0);
-        let (r, c) = empty_bounds();
-        assert!(r.is_empty() && c.is_empty());
-        // Ranks outside the viewed world hold exactly that, whatever
-        // the family's grid arithmetic would make of their index.
+        // Ranks outside the viewed world hold exactly that, and no
+        // cells, whatever the family's grid arithmetic would make of
+        // their index.
         let dims = ProblemDims::new(48, 48, 8);
         for family in AlgorithmFamily::ALL {
             let view = PlanView::new(&plan_for(family, 1), 4, dims);
             assert_eq!(view.a_layout_of(4), empty_layout(), "{family:?}");
             assert_eq!(view.b_layout_of(9), empty_layout(), "{family:?}");
-            assert_eq!(view.r_bounds_of(4), empty_bounds(), "{family:?}");
+            assert!(view.cells(4).is_empty(), "{family:?}");
         }
     }
 
@@ -489,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn exported_r_lies_inside_its_bounds() {
+    fn exported_r_lies_inside_its_cells() {
         let prob = Arc::new(GlobalProblem::erdos_renyi(37, 41, 5, 4, 212));
         for view in every_view(prob.dims) {
             let plan = KernelPlan {
@@ -502,15 +478,57 @@ mod tests {
                 let mut worker = builder.build_planned(comm, &plan);
                 worker.sddmm();
                 let local = worker.export_r().expect("sddmm stores R");
-                let (rows, cols) = view.r_bounds_of(comm.rank());
+                let [rows, cols] = view.sparse_grid(false);
+                let find = |grid: &[Range<usize>], x| grid.partition_point(|r| r.end <= x);
+                let cells = view.cells(comm.rank());
                 let outside = local
                     .iter()
-                    .filter(|&(i, j, _)| !rows.contains(&i) || !cols.contains(&j));
+                    .filter(|&(i, j, _)| !cells.contains(&(find(&rows, i), find(&cols, j))));
                 (outside.count(), local.nnz())
             });
             assert!(out.iter().all(|o| o.value.0 == 0), "{view:?}");
             let exported: usize = out.iter().map(|o| o.value.1).sum();
             assert_eq!(exported, prob.nnz(), "{view:?}: each nonzero once");
+        }
+    }
+
+    /// Whether two colorings split the ranks into the same groups.
+    fn same_groups(a: &[u64], b: &[u64]) -> bool {
+        let n = a.len();
+        n == b.len() && (0..n).all(|g| (0..n).all(|h| (a[g] == a[h]) == (b[g] == b[h])))
+    }
+
+    #[test]
+    fn derived_groups_are_the_table_ii_closed_forms() {
+        use AlgorithmFamily::*;
+        for view in every_view(ProblemDims::new(48, 48, 8)) {
+            let (p, c) = (view.p(), view.c());
+            // Rank g's (R rows, A iterate rows, B iterate rows) groups:
+            // ds15 the fiber, ss15 the world, dr25 the grid row (q·c
+            // ranks), sr25 the row ring (u, ·, w), the baseline alone;
+            // iterates g, g mod c, σ₀·c + w, u for A and v for B, g.
+            let closed = |g: usize| match view.id() {
+                KernelId::Family(DenseShift15) => [g / c, g, g],
+                KernelId::Family(SparseShift15) => [0, g % c, g % c],
+                KernelId::Family(DenseRepl25) => {
+                    let (q, u, v, w) = view.coords25(g);
+                    [u, (u + v) % q * c + w, (u + v) % q * c + w]
+                }
+                KernelId::Family(SparseRepl25) => {
+                    let (_, u, v, w) = view.coords25(g);
+                    [u * c + w, u, v]
+                }
+                KernelId::Baseline1D => [g, g, g],
+            };
+            let derived = [
+                view.r_row_colors(),
+                (0..p).map(|g| view.row_group_a(g)).collect(),
+                (0..p).map(|g| view.row_group_b(g)).collect(),
+            ];
+            for (k, colors) in derived.iter().enumerate() {
+                let want: Vec<u64> = (0..p).map(|g| closed(g)[k] as u64).collect();
+                assert!(same_groups(colors, &want), "{view:?}: groups {k}");
+            }
         }
     }
 

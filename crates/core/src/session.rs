@@ -27,10 +27,11 @@
 //!   carry the live A/B iterates through
 //!   [`repartition_dense`] and the stored R values through one
 //!   owner-targeted [`Comm::sparse_alltoallv`] — each exported triplet
-//!   travels only to the ranks whose destination pattern bounds contain
-//!   it, `O(c·nnz)` words, never an allgather's `O(p·nnz)` — between
-//!   the *(old plan, old p)* and *(new plan, new p)* [`PlanView`]s over
-//!   one communicator whose lowest ranks form both rosters. Ranks
+//!   travels only to the ranks whose destination cells of Table II's
+//!   sparse block grid hold it, `O(c·nnz)` words, never an allgather's
+//!   `O(p·nnz)` — between the *(old plan, old p)* and *(new plan, new
+//!   p)* [`PlanView`]s over one communicator whose lowest ranks form
+//!   both rosters. Ranks
 //!   outside a roster hold the empty layout on that side (a view owns
 //!   nothing beyond its `p`) — a no-op when both rosters are the whole
 //!   communicator. Installing the iterates also pays the new kernel's
@@ -59,6 +60,7 @@
 //! caller may change the plan under them between calls through
 //! `session_mut()`.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -538,8 +540,7 @@ impl Session {
     /// [`Phase::OutsideComm`].
     pub fn spmm_a_pair_exp(&self, y: &Mat, e: &PairExp) -> (Mat, Vec<f64>) {
         let _ph = self.comm.phase(Phase::OutsideCompute);
-        self.w()
-            .spmm_a_pair_exp(&self.comm, Phase::OutsideComm, y, e)
+        self.w().spmm_a_pair_exp(Phase::OutsideComm, y, e)
     }
 
     /// ALS squared loss `‖C̃ − mask(A·Bᵀ)‖²` over the observed entries
@@ -862,23 +863,23 @@ fn unpruned(vals: &[f64]) -> usize {
     vals.iter().filter(|v| v.abs() > 0.0).count()
 }
 
-type Bounds = (std::ops::Range<usize>, std::ops::Range<usize>);
-
 /// Owner-targeted R-value redistribution from the `old` plan's R
 /// layout to the `new` one's, both viewed over `comm`: route each
-/// exported global-coordinate triplet to exactly the ranks whose
-/// destination pattern bounds ([`PlanView::r_bounds_of`]) contain it,
-/// and merge what arrives into one global-coordinate [`CooMatrix`].
+/// exported global-coordinate triplet to exactly the ranks whose new
+/// cells ([`PlanView::cells`]) hold it, and merge what arrives into one
+/// global-coordinate [`CooMatrix`].
 ///
 /// Ownership on both sides is pure grid arithmetic — no communication
-/// discovers it. A peer pair only exchanges a message when the source's
-/// old pattern-bounds rectangle intersects the destination's new one,
-/// so the [`Comm::sparse_alltoallv`] is sparse over peers as well as
-/// over entries — `O(c·nnz)` words total, never the `O(p·nnz)` of an
-/// allgather. Ranks with nothing stored (`local == None`) and ranks
-/// whose bounds are empty on one side participate without sending or
-/// receiving on that side, which is how cross-world resizes reuse this
-/// for roster members and spares alike.
+/// discovers it. A triplet's new cell is found by binary search on the
+/// new grid's ranges, and its owners are read from a table built once.
+/// A peer pair only exchanges a message when one of the source's old
+/// cells meets one of the destination's new cells, so the
+/// [`Comm::sparse_alltoallv`] is sparse over peers as well as over
+/// entries — `O(c·nnz)` words total, never the `O(p·nnz)` of an
+/// allgather. Ranks with no cells on one side (nothing stored, or
+/// outside that side's roster) take part without sending or receiving
+/// on that side, which is how cross-world resizes reuse this for roster
+/// members and spares alike.
 fn redistribute_r(
     comm: &Comm,
     local: Option<&CooMatrix>,
@@ -886,37 +887,48 @@ fn redistribute_r(
     new: PlanView,
 ) -> CooMatrix {
     let (p, me, dims) = (comm.size(), comm.rank(), new.dims());
-    let bounds = |view: PlanView| (0..p).map(|g| view.r_bounds_of(g)).collect::<Vec<_>>();
-    let (old_bounds, new_bounds) = (bounds(old), bounds(new));
-    fn overlaps(a: &Bounds, b: &Bounds) -> bool {
-        a.0.start < b.0.end && b.0.start < a.0.end && a.1.start < b.1.end && b.1.start < a.1.end
+    let ([rows, cols], [old_rows, old_cols]) = (new.sparse_grid(false), old.sparse_grid(false));
+    let cell = |i: usize, j: usize| i * cols.len() + j;
+    let mut owners = vec![Vec::new(); rows.len() * cols.len()];
+    for g in 0..p {
+        for (i, j) in new.cells(g) {
+            owners[cell(i, j)].push(g);
+        }
     }
-    type Triplets = (Vec<u32>, Vec<u32>, Vec<f64>);
-    let i_store = local.is_some();
-    let mut outgoing: Vec<Option<Triplets>> = (0..p)
-        .map(|g| (i_store && overlaps(&old_bounds[me], &new_bounds[g])).then(Default::default))
-        .collect();
-    if let Some(local) = local {
-        for (i, j, v) in local.iter() {
-            debug_assert!(
-                old_bounds[me].0.contains(&i) && old_bounds[me].1.contains(&j),
-                "exported triplet outside this rank's pattern bounds"
-            );
-            for (g, slot) in outgoing.iter_mut().enumerate() {
-                if let Some(t) = slot {
-                    let (rows, cols) = &new_bounds[g];
-                    if rows.contains(&i) && cols.contains(&j) {
-                        t.0.push(i as u32);
-                        t.1.push(j as u32);
-                        t.2.push(v);
-                    }
+    // The grid block holding `x`, the blocks a range meets, and the
+    // ranks `g` sends to: the owners of every new cell one of its old
+    // cells meets.
+    let find = |grid: &[Range<usize>], x: usize| grid.partition_point(|r| r.end <= x);
+    let meets = |grid: &[Range<usize>], r: &Range<usize>| {
+        find(grid, r.start)..grid.partition_point(|x| x.start < r.end)
+    };
+    let sends_to = |g: usize| {
+        let mut to = vec![false; p];
+        for (oi, oj) in old.cells(g) {
+            for i in meets(&rows, &old_rows[oi]) {
+                for j in meets(&cols, &old_cols[oj]) {
+                    owners[cell(i, j)].iter().for_each(|&h| to[h] = true);
                 }
             }
         }
-    }
-    let expect: Vec<bool> = (0..p)
-        .map(|g| overlaps(&old_bounds[g], &new_bounds[me]))
+        to
+    };
+    type Triplets = (Vec<u32>, Vec<u32>, Vec<f64>);
+    let mut outgoing: Vec<Option<Triplets>> = sends_to(me)
+        .into_iter()
+        .map(|to| to.then(Default::default))
         .collect();
+    for (i, j, v) in local.iter().flat_map(|local| local.iter()) {
+        for &g in &owners[cell(find(&rows, i), find(&cols, j))] {
+            let t = outgoing[g]
+                .as_mut()
+                .expect("an exported triplet lies in an old cell");
+            t.0.push(i as u32);
+            t.1.push(j as u32);
+            t.2.push(v);
+        }
+    }
+    let expect: Vec<bool> = (0..p).map(|g| sends_to(g)[me]).collect();
     let incoming = comm.sparse_alltoallv(outgoing, &expect);
     let mut global = CooMatrix::empty(dims.m, dims.n);
     for (rows, cols, vals) in incoming.into_iter().flatten() {
@@ -1063,5 +1075,59 @@ mod tests {
                 let _ = s.fused_mm_b(None, Sampling::Values);
             }
         });
+    }
+
+    /// ds15 at c = 1 on 4 ranks, redistributed to ds15 at c = 2 on 6:
+    /// the new layout stores strided column blocks, which the other
+    /// fiber member's blocks interleave. Each rank receives exactly the
+    /// nonzeros of its new cells, each once.
+    #[test]
+    fn redistributed_r_reaches_each_new_owner_once() {
+        let prob = Arc::new(GlobalProblem::erdos_renyi(48, 48, 6, 4, 9505));
+        let ds15 = |c, p| {
+            PlanView::of(
+                KernelId::Family(AlgorithmFamily::DenseShift15),
+                c,
+                p,
+                prob.dims,
+            )
+        };
+        let (old, new) = (ds15(1, 4), ds15(2, 6));
+        let out = world(6).run(move |comm| {
+            let me = comm.rank();
+            // The nonzeros in rank `me`'s cells of `view`, in order.
+            let held = |view: PlanView| {
+                let ([rows, cols], cells) = (view.sparse_grid(false), view.cells(me));
+                let inside = |i, j| {
+                    cells
+                        .iter()
+                        .any(|&(a, b)| rows[a].contains(&i) && cols[b].contains(&j))
+                };
+                let mut held = CooMatrix::empty(prob.dims.m, prob.dims.n);
+                prob.s
+                    .iter()
+                    .filter(|&(i, j, _)| inside(i, j))
+                    .for_each(|(i, j, v)| held.push(i, j, v));
+                held
+            };
+            let local = (me < old.p()).then(|| held(old));
+            let got = redistribute_r(comm, local.as_ref(), old, new);
+            let sorted = |m: &CooMatrix| {
+                let mut t: Vec<_> = m.iter().map(|(i, j, v)| (i, j, v.to_bits())).collect();
+                t.sort_unstable();
+                t
+            };
+            let (got, want) = (sorted(&got), sorted(&held(new)));
+            (got == want, got.len(), want.len())
+        });
+        for o in &out {
+            let (same, got, held) = o.value;
+            assert!(held > 0, "rank {} owns nonzeros", o.rank);
+            assert!(
+                same,
+                "rank {}: received {got} triplets, holds {held}",
+                o.rank
+            );
+        }
     }
 }

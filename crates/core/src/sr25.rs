@@ -35,10 +35,8 @@ use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::CsrMatrix;
 
-use crate::common::{
-    block_range, route, AlgorithmFamily, Elision, Routing, Sampling, ShiftPipeline,
-};
-use crate::kernel::{CombineSpec, DistKernel, KernelId};
+use crate::common::{block_range, route, Elision, Routing, Sampling, ShiftPipeline};
+use crate::kernel::{CombineSpec, DistKernel};
 use crate::planview::{Operand, PlanView};
 use crate::rstore::{RValues, Source};
 use crate::staged::StagedProblem;
@@ -66,20 +64,18 @@ pub struct SparseRepl25 {
 }
 
 impl SparseRepl25 {
-    /// Build this rank's state from shared staging. Under
-    /// [`Routing::Dense`] this sends nothing; under
+    /// Build this rank's state on the plan's `view` from the shared
+    /// staging `sp`. Under [`Routing::Dense`] this sends nothing; under
     /// [`Routing::Pattern`] it exchanges this rank's need sets over the
     /// row ring, then the column ring. The stationary block `(u, v)`
     /// reads every visiting `A` panel at its row support and every `B`
     /// panel at its column support — the same sets whichever slice the
     /// panel carries, so each origin entry repeats them.
-    pub fn from_staged(comm: &Comm, c: usize, routing: Routing, staged: &StagedProblem) -> Self {
-        let prob = &*staged.prob;
-        let grid = Grid25::new(comm.size(), c).expect("invalid 2.5D grid");
+    pub fn from_staged(comm: &Comm, view: PlanView, routing: Routing, sp: &StagedProblem) -> Self {
+        let (prob, c) = (&*sp.prob, view.c());
+        let grid = Grid25::new(view.p(), c).expect("invalid 2.5D grid");
         let gc = GridComms25::build(comm, grid);
-        let id = KernelId::Family(AlgorithmFamily::SparseRepl25);
-        let view = PlanView::of(id, c, comm.size(), prob.dims);
-        let s = staged.cut(&view, comm.rank(), false);
+        let s = sp.cut(&view, comm.rank(), false);
         let (blk, q) = (s.cell(0), grid.q);
         let need = |support: &[u32]| vec![RowSet::from_indices(support.to_vec()); q];
         let routes = [
@@ -276,12 +272,6 @@ impl DistKernel for SparseRepl25 {
         self.spmm_round(out, Source::Given(&rvals), fixed).0
     }
 
-    /// The row ring (values are replicated along fibers, so layers
-    /// don't sum): its members split macro row `u`'s columns.
-    fn r_row_group<'a>(&'a self, _world: &'a Comm) -> Option<&'a Comm> {
-        Some(&self.gc.row_ring)
-    }
-
     /// Made values are summed on the first of the block's `q` walks.
     fn spmm_a_from(&self, y: &Mat, vals: RValues<'_>) -> (Mat, Vec<f64>) {
         self.spmm_round(Operand::A, vals.into(), y)
@@ -291,8 +281,9 @@ impl DistKernel for SparseRepl25 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::AlgorithmFamily;
     use crate::global::GlobalProblem;
-    use crate::planview::PlanView;
+    use crate::kernel::KernelId;
     use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, SimWorld};
     use dsk_dense::ops::max_abs_diff;

@@ -34,10 +34,9 @@ use dsk_kernels as kern;
 use dsk_sparse::CooMatrix;
 
 use crate::common::{
-    block_range, reduce_rows, replicate_rows, route, AlgorithmFamily, Elision, Routing, Sampling,
-    ShiftPipeline,
+    block_range, reduce_rows, replicate_rows, route, Elision, Routing, Sampling, ShiftPipeline,
 };
-use crate::kernel::{CombineSpec, DistKernel, KernelId};
+use crate::kernel::{CombineSpec, DistKernel};
 use crate::planview::{Operand, PlanView};
 use crate::rstore::{RValues, Source};
 use crate::staged::{Cut, StagedProblem};
@@ -64,23 +63,21 @@ pub struct SparseShift15 {
 }
 
 impl SparseShift15 {
-    /// Build this rank's state from shared staging. Under
-    /// [`Routing::Dense`] this sends nothing; under
+    /// Build this rank's state on the plan's `view` from the shared
+    /// staging `sp`. Under [`Routing::Dense`] this sends nothing; under
     /// [`Routing::Pattern`] it exchanges this rank's need sets over the
     /// fiber, `A` side first. A rank only ever reads the replicated
     /// panel at the rows its layer ring's traveling blocks address, a
     /// union that depends only on the fiber coordinate `v`; its entry
     /// `vv` is the slice of that union in fiber member `vv`'s replicate
     /// block (indices block-local).
-    pub fn from_staged(comm: &Comm, c: usize, routing: Routing, staged: &StagedProblem) -> Self {
-        let prob = &*staged.prob;
-        let grid = Grid15::new(comm.size(), c).expect("invalid 1.5D grid");
+    pub fn from_staged(comm: &Comm, view: PlanView, routing: Routing, sp: &StagedProblem) -> Self {
+        let (prob, c) = (&*sp.prob, view.c());
+        let grid = Grid15::new(view.p(), c).expect("invalid 1.5D grid");
         let gc = GridComms15::build(comm, grid);
         let (q, v) = (grid.layer_size(), gc.v);
-        let id = KernelId::Family(AlgorithmFamily::SparseShift15);
-        let view = PlanView::of(id, c, comm.size(), prob.dims);
-        let s = staged.cut(&view, comm.rank(), false);
-        let (r, st) = (s.coo(), staged.cut(&view, comm.rank(), true));
+        let s = sp.cut(&view, comm.rank(), false);
+        let (r, st) = (s.coo(), sp.cut(&view, comm.rank(), true));
         let routed = |cut: &Cut, total: usize| {
             route(&gc.fiber, routing, || {
                 let rows = (0..q).flat_map(|w| &cut.grid[0][w * c + v].rows);
@@ -243,11 +240,6 @@ impl DistKernel for SparseShift15 {
         self.scatter_round(&blk, again.as_ref().unwrap_or(&t), out)
     }
 
-    /// The world: every rank holds a column block of all `m` rows.
-    fn r_row_group<'a>(&'a self, world: &'a Comm) -> Option<&'a Comm> {
-        Some(world)
-    }
-
     /// Accumulates the full `m × slice` panel locally while the R-valued
     /// home block travels, then reduce-scatters along the fiber into
     /// the replicate `A` layout (GAT's convolution step).
@@ -270,8 +262,9 @@ impl DistKernel for SparseShift15 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::AlgorithmFamily;
     use crate::global::GlobalProblem;
-    use crate::planview::PlanView;
+    use crate::kernel::KernelId;
     use crate::worker::DistWorker;
     use dsk_comm::{MachineModel, Phase, SimWorld};
     use dsk_dense::ops::max_abs_diff;

@@ -1,20 +1,21 @@
 //! The state every kernel holds, whatever its data flow.
 //!
 //! Each family moves data differently, but all of them keep the same
-//! things between calls: the plan view they were built on, the stored
-//! SDDMM result on their own pattern blocks, the `Sᵀ` blocks of the
-//! transposed-role data flows, the two dense operands in
-//! the iterate layout, a replica-layout copy of an operand where that
-//! layout differs from the iterate one, and the ring tiles an iterate
-//! call kept. [`KernelState`] holds them once, so the trait's view,
-//! R-store, iterate and `set_*` methods are provided over
+//! things between calls: the plan view they were built on, the ranks
+//! that share their stored R rows, the stored SDDMM result on their own
+//! pattern blocks, the `Sᵀ` blocks of the transposed-role data flows,
+//! the two dense operands in the iterate layout, a replica-layout copy
+//! of an operand where that layout differs from the iterate one, and
+//! the ring tiles an iterate call kept. [`KernelState`] holds them once,
+//! so the trait's view, R-store, row-sum, iterate and `set_*` methods
+//! are provided over
 //! [`DistKernel::state`](crate::kernel::DistKernel::state) and a family
 //! file holds only its grid, its need sets, its block post-processing
 //! and its rounds.
 
 use std::cell::{RefCell, RefMut};
 
-use dsk_comm::Comm;
+use dsk_comm::{Comm, Phase};
 use dsk_dense::Mat;
 
 use crate::global::GlobalProblem;
@@ -34,6 +35,10 @@ pub struct KernelState {
     /// both travel against the one `S` block); values = sampling
     /// values.
     rt: Option<RStore>,
+    /// The ranks, this one included, that hold pieces of this rank's
+    /// stored R rows ([`PlanView::r_row_colors`]); `None` when the rows
+    /// are whole here.
+    r_rows: Option<Comm>,
     /// This rank's index in the world the kernel was built on.
     rank: usize,
     /// Each operand in the iterate layout, one block per row range of
@@ -50,8 +55,9 @@ pub struct KernelState {
 
 impl KernelState {
     /// This rank's state under `view` on `comm`: its share of `prob`'s
-    /// operands in the view's layouts, and its pattern stores, `r` of
-    /// the `S` blocks and `rt` of the `Sᵀ` blocks.
+    /// operands in the view's layouts, its pattern stores, `r` of the
+    /// `S` blocks and `rt` of the `Sᵀ` blocks, and its R-row group, split
+    /// from `comm` without communication.
     pub(crate) fn new(
         view: PlanView,
         comm: &Comm,
@@ -62,10 +68,13 @@ impl KernelState {
         let g = comm.rank();
         let ops = [Operand::A, Operand::B];
         let replica = |op: Operand| view.layout_of(op, true, g).extract(op.of(prob));
+        let colors = view.r_row_colors();
+        let r_rows = comm.split_by(|h| colors[h]);
         KernelState {
             view,
             r,
             rt,
+            r_rows: (r_rows.size() > 1).then_some(r_rows),
             rank: g,
             iterate: ops.map(|op| view.layout_of(op, false, g).pieces(op.of(prob))),
             replica: ops.map(|op| view.has_replica(op).then(|| replica(op))),
@@ -88,6 +97,17 @@ impl KernelState {
             Operand::A => &mut self.r,
             Operand::B => self.rt.as_mut().expect("this layout holds no Sᵀ blocks"),
         }
+    }
+
+    /// All-reduce local R row sums over the ranks that share the rows
+    /// (charged to `phase`); where the rows are whole here the sums are
+    /// final.
+    pub(crate) fn reduce_row_sums(&self, phase: Phase, mut sums: Vec<f64>) -> Vec<f64> {
+        if let Some(group) = &self.r_rows {
+            let _ph = group.phase(phase);
+            group.allreduce_sum(&mut sums);
+        }
+        sums
     }
 
     /// This rank's iterate layout of `op`.

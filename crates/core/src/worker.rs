@@ -14,10 +14,9 @@ use std::ops::{Deref, DerefMut};
 
 use dsk_comm::Comm;
 
-use crate::common::{AlgorithmFamily, ProblemDims, Routing};
+use crate::common::{AlgorithmFamily, Routing};
 use crate::global::GlobalProblem;
 use crate::kernel::{DistKernel, KernelBuilder, KernelId, KernelPlan};
-use crate::planview::PlanView;
 
 /// A per-rank worker for any distributed kernel, with the plan it was
 /// built from.
@@ -27,20 +26,8 @@ pub struct DistWorker {
 }
 
 impl DistWorker {
-    /// Wrap an already-constructed kernel (used by [`KernelBuilder`]).
-    /// `p` and `dims` are the world size and problem shape the plan was
-    /// resolved for; a kernel whose grid disagrees was built off-plan.
-    pub(crate) fn from_parts(
-        kernel: Box<dyn DistKernel>,
-        plan: KernelPlan,
-        p: usize,
-        dims: ProblemDims,
-    ) -> Self {
-        debug_assert_eq!(
-            kernel.view(),
-            PlanView::new(&plan, p, dims),
-            "kernel was built off-plan"
-        );
+    /// Wrap a kernel [`KernelBuilder`] built on `plan`'s view.
+    pub(crate) fn from_parts(kernel: Box<dyn DistKernel>, plan: KernelPlan) -> Self {
         DistWorker { kernel, plan }
     }
 

@@ -135,7 +135,7 @@ fn measure(family: Option<AlgorithmFamily>, routing: Routing) -> Table {
         put("loss/dot".into(), k.sq_loss_local());
         hashes.push(triplet_hash(&k.export_r().expect("sddmm_general stores R")));
         k.map_r(&mut |v| 1.0 + v * v);
-        let sums = k.r_row_sums(comm, Phase::OutsideComm);
+        let sums = k.r_row_sums(Phase::OutsideComm);
         let inv: Vec<f64> = sums
             .iter()
             .map(|&s| if s > 0.0 { 1.0 / s } else { 0.0 })

@@ -162,10 +162,10 @@ fn als_with_midrun_migration_matches_static_run() {
 }
 
 /// The R redistribution is owner-targeted: each exported triplet
-/// travels only to the ranks whose destination pattern bounds contain
-/// it, so total `Phase::Migration` traffic stays `O(c·nnz)` — strictly
-/// below the `(p-1)·3·nnz` words the old allgather scheme moved for the
-/// R values alone (before even counting iterate repartitioning).
+/// travels only to the ranks whose destination cells hold it, so
+/// total `Phase::Migration` traffic stays `O(c·nnz)` — strictly below
+/// the `(p-1)·3·nnz` words the old allgather scheme moved for the R
+/// values alone (before even counting iterate repartitioning).
 #[test]
 fn migration_traffic_is_owner_targeted_not_allgather() {
     let p = 8usize;

@@ -145,9 +145,9 @@ fn grow_activates_spares_with_exact_iterate_mass() {
 
 /// Redistribution traffic is owner-targeted: the words charged to
 /// `Phase::Resize` stay `O(c·nnz + (m+n)·r)` — triplets travel only to
-/// the ranks whose new pattern bounds contain them, never through an
-/// all-gather — and the accounting is identical on the in-memory wire
-/// backend (backend invariance).
+/// the ranks whose new cells hold them, never through an all-gather —
+/// and the accounting is identical on the in-memory wire backend
+/// (backend invariance).
 #[test]
 fn resize_traffic_is_owner_targeted_and_backend_invariant() {
     let prob = Arc::new(GlobalProblem::erdos_renyi(48, 48, 6, 4, 9503));

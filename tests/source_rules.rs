@@ -184,10 +184,31 @@ const RULES: &[Rule] = &[
         non_test: false,
         message: "a family file re-implements a family-independent DistKernel method (use \
             RStore / PlanView)",
-        why: "The stored-R surface lives in rstore.rs (provided DistKernel methods over r_store; \
-            a family names only its R row group) and Table II layout/bounds arithmetic in \
-            planview.rs (callers ask DistKernel::view); a family file's own copy forks the one \
-            surface the conformance suites pin.",
+        why: "The stored-R surface lives in rstore.rs (provided DistKernel methods over r_store) \
+            and Table II layout arithmetic in planview.rs (callers ask DistKernel::view); a \
+            family file's own copy forks the one surface the conformance suites pin.",
+    },
+    Rule {
+        check: Check::None(E(r"fn r_row_group|PlanView::of\(|KernelId::Family\(")),
+        paths: FAMILIES5,
+        exclude: NOTHING,
+        non_test: true,
+        message: "a family names its row group or builds its own view",
+        why: "Table II says who shares what: KernelBuilder::build_planned makes the plan's \
+            PlanView once and hands it to every from_staged, KernelState splits the R-row group \
+            from the view's cells, and PlanView::row_group_a/b read the iterate groups off its \
+            layouts.",
+    },
+    Rule {
+        check: Check::None(E(r"r_bounds_of|empty_bounds|row_plane")),
+        paths: &["crates", "src", "tests", "examples"],
+        exclude: NOTHING,
+        non_test: false,
+        message: "an R bounding box or the 2.5D row plane is back (route R to the owners of its \
+            cells; the R-row group comes from PlanView)",
+        why: "A session routes each stored R triplet to the ranks whose new cells hold it, and \
+            the R-row group is split from the view's cells: no bounding box (which spans the \
+            other fiber members' blocks of a strided layout) and no hand-built row plane.",
     },
     Rule {
         check: Check::None(E(r"\.partition\(|sides must be|too small for grid")),

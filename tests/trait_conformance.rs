@@ -134,7 +134,7 @@ fn full_scenario_agrees_across_kernels() {
             // kernel's distribution needs, scale).
             k.sddmm();
             k.map_r(&mut |v| v.exp());
-            let sums = k.r_row_sums(comm, Phase::OutsideComm);
+            let sums = k.r_row_sums(Phase::OutsideComm);
             let inv: Vec<f64> = sums
                 .iter()
                 .map(|&s| if s > 0.0 { 1.0 / s } else { 0.0 })
